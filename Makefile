@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: all ci fmt fmt-fix vet build test test-shuffle race bench-smoke bench-race-smoke bench-json bench-compare obs-smoke fault-smoke crash-smoke membership-smoke load-smoke staticcheck vuln fuzz-smoke
+.PHONY: all ci fmt fmt-fix vet build test test-shuffle race bench-smoke bench-race-smoke bench-e2e-smoke bench-json bench-compare obs-smoke fault-smoke crash-smoke membership-smoke load-smoke staticcheck vuln fuzz-smoke
 
 all: build
 
-ci: fmt vet build test test-shuffle race bench-smoke bench-race-smoke obs-smoke fault-smoke crash-smoke membership-smoke load-smoke
+ci: fmt vet build test test-shuffle race bench-smoke bench-race-smoke bench-e2e-smoke obs-smoke fault-smoke crash-smoke membership-smoke load-smoke
 
 # fmt fails if any file needs formatting (what CI runs); fmt-fix rewrites.
 fmt:
@@ -20,8 +20,11 @@ fmt-fix:
 vet:
 	$(GO) vet ./...
 
+# The second line compiles internal/service where int is 32 bits (shard
+# placement reduces a uint32 hash; see TestHashShardMatchesFNV).
 build:
 	$(GO) build ./...
+	GOARCH=386 $(GO) vet ./internal/service
 
 test:
 	$(GO) test ./...
@@ -48,6 +51,13 @@ bench-smoke:
 bench-race-smoke:
 	$(GO) test -race -run '^$$' -bench 'FeedParallel|FeedBatch|ClusterSendBatchParallel' -benchtime 1x .
 	$(GO) test -race -run '^$$' -bench 'ShardedIngest|ServiceMacro' -benchtime 1x ./internal/service/
+
+# bench/ is its own module, so build/test above do not see it: compile it and
+# run its smoke tests (~5 s), so a change to internal/service that breaks the
+# repository's benchmark (BENCHMARK.json) fails here and not after merge.
+bench-e2e-smoke:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # End-to-end metrics-plane smoke: boot a live coord + site pair, push data
 # through the networked ingest path and grep both /metrics endpoints for

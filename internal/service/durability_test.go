@@ -153,6 +153,10 @@ func TestDurableGracefulRestartNoReplay(t *testing.T) {
 		if acc, _ := s.Ingest([]Record{{Tenant: "g", Site: v % 2, Value: uint64(v % 5)}}); acc != 1 {
 			t.Fatal("ingest not accepted")
 		}
+		// The exact frequency asserted below holds for this arrival order;
+		// without the barrier the two site goroutines may interleave another
+		// way and the coordinator's (under)estimate reads 9.
+		s.Flush()
 	}
 	s.Close()
 

@@ -181,12 +181,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	// common unlimited tenant would only bloat the payload).
 	qos := map[string]tenantQoS{}
 	for _, t := range s.reg.all() {
-		if !t.cfg.limited() {
+		if !t.limited {
 			continue
 		}
-		qos[t.cfg.Name] = tenantQoS{
-			RateLimit:  t.cfg.RateLimit,
-			QueueShare: t.cfg.QueueShare,
+		cfg := t.Config()
+		qos[cfg.Name] = tenantQoS{
+			RateLimit:  cfg.RateLimit,
+			QueueShare: cfg.QueueShare,
 			Throttled:  t.throttled.Load(),
 			Queued:     t.queued.Load(),
 		}

@@ -1,34 +1,22 @@
 package service
 
 import (
+	"fmt"
 	"sync"
 	"testing"
+
+	"disttrack/internal/stream"
 )
 
 // BenchmarkShardedIngest measures the multi-tenant ingest pipeline end to
-// end: concurrent producers submit mixed-tenant record batches, the
-// sharder partitions them onto worker shards, and each tenant's cluster
-// ingests through the lock-free site-local fast path. This is the
-// standalone trackd hot path (HTTP decoding excluded).
+// end: concurrent producers submit mixed-tenant record batches, Ingest
+// groups them onto worker shards, and each tenant's cluster ingests through
+// the lock-free site-local fast path. This is the standalone trackd hot path
+// (HTTP decoding excluded). Four tenants rotate record by record, so every
+// group holds several values.
 func BenchmarkShardedIngest(b *testing.B) {
-	const (
-		tenants   = 4
-		sites     = 8
-		batchLen  = 256
-		producers = 4
-	)
-	srv := New(Config{Shards: 4, ShardQueue: 64, SiteBuffer: 64})
-	defer srv.Close()
+	const tenants, sites, batchLen, producers = 4, 8, 256, 4
 	names := []string{"alpha", "beta", "gamma", "delta"}
-	for _, name := range names[:tenants] {
-		if _, err := srv.Registry().Create(TenantConfig{
-			Name: name, Kind: KindHH, K: sites, Eps: 0.02,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Pre-build one template batch per producer: records rotate over
-	// tenants and sites, values follow a skewed-ish pattern.
 	templates := make([][]Record, producers)
 	for p := range templates {
 		recs := make([]Record, batchLen)
@@ -36,28 +24,63 @@ func BenchmarkShardedIngest(b *testing.B) {
 			recs[i] = Record{
 				Tenant: names[(p+i)%tenants],
 				Site:   (p * 31 & (sites - 1)) ^ (i & (sites - 1)),
-				Value:  uint64((i*2654435761 + p) % 4096),
+				Value:  (uint64(i)*2654435761 + uint64(p)) % 4096,
 			}
 		}
 		templates[p] = recs
 	}
+	benchShardedIngest(b, names, sites, templates)
+}
+
+// BenchmarkShardedIngestMixed is the run-free twin: 256 tenants drawn with
+// Zipf popularity, so a batch is mostly groups of one or two values and the
+// per-tenant costs (registry and index lookups, delivery gates, group
+// slices) dominate.
+func BenchmarkShardedIngestMixed(b *testing.B) {
+	const tenants, sites, batchLen, producers = 256, 4, 512, 4
+	names := make([]string, tenants)
+	for i := range names {
+		names[i] = fmt.Sprintf("t%03d", i)
+	}
+	pick := stream.Zipf(tenants, producers*batchLen, 1.1, 1)
+	templates := make([][]Record, producers)
+	for p := range templates {
+		recs := make([]Record, batchLen)
+		for i := range recs {
+			ti, _ := pick.Next()
+			recs[i] = Record{Tenant: names[ti], Site: i % sites, Value: uint64(i*7+p) % 4096}
+		}
+		templates[p] = recs
+	}
+	benchShardedIngest(b, names, sites, templates)
+}
+
+// benchShardedIngest creates one hh tenant per name and has one producer per
+// template submit it b.N/len(templates) times.
+func benchShardedIngest(b *testing.B, names []string, sites int, templates [][]Record) {
+	srv := New(Config{Shards: 4, ShardQueue: 64, SiteBuffer: 64})
+	defer srv.Close()
+	for _, name := range names {
+		if _, err := srv.Registry().Create(TenantConfig{Name: name, Kind: KindHH, K: sites, Eps: 0.02}); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ResetTimer()
 	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
+	for p, recs := range templates {
 		wg.Add(1)
-		go func(p int) {
+		go func() {
 			defer wg.Done()
-			recs := templates[p]
-			for i := p; i < b.N; i += producers {
-				if acc, errs := srv.Ingest(recs); acc != batchLen || len(errs) != 0 {
-					b.Errorf("ingest accepted %d of %d (%d errors)", acc, batchLen, len(errs))
+			for i := p; i < b.N; i += len(templates) {
+				if acc, errs := srv.Ingest(recs); acc != len(recs) || len(errs) != 0 {
+					b.Errorf("ingest accepted %d of %d (%d errors)", acc, len(recs), len(errs))
 					return
 				}
 			}
-		}(p)
+		}()
 	}
 	wg.Wait()
 	b.StopTimer()
 	srv.Flush()
-	b.ReportMetric(float64(batchLen), "records/op")
+	b.ReportMetric(float64(len(templates[0])), "records/op")
 }

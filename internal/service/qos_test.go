@@ -269,3 +269,40 @@ func TestHealthzShape(t *testing.T) {
 		t.Fatalf("last-known node state lost: %+v", n)
 	}
 }
+
+// TestHealthzDuringReconfigure scrapes /healthz while a QoS-limited tenant's
+// site count goes 2→4→2: the handler must read the tenant's configuration
+// under its lock (run under -race; ReconfigureTenant writes cfg.K).
+func TestHealthzDuringReconfigure(t *testing.T) {
+	srv := New(Config{Shards: 2, ShardQueue: 8, SiteBuffer: 8})
+	defer srv.Close()
+	mustCreate(t, srv, TenantConfig{Name: "qos", Kind: KindHH, K: 2, Eps: 0.1, RateLimit: 1000, QueueShare: 64})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			for _, k := range []int{4, 2} {
+				if err := srv.ReconfigureTenant("qos", k); err != nil {
+					t.Errorf("reconfigure to %d: %v", k, err)
+					return
+				}
+			}
+		}
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false // one last scrape after the final reconfigure
+		default:
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+		var h healthPayload
+		if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("healthz: status %d, %v", rec.Code, err)
+		}
+		if q := h.TenantQoS["qos"]; q.RateLimit != 1000 || q.QueueShare != 64 {
+			t.Fatalf("tenant_qos[qos] = %+v", q)
+		}
+	}
+}

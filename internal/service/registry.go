@@ -4,8 +4,10 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrExists is returned (wrapped) by Create when the tenant name is taken.
@@ -29,8 +31,13 @@ type Registry struct {
 	dur      *durability
 	createMu sync.Mutex
 
-	mu      sync.RWMutex
-	tenants map[string]*Tenant
+	// snap is the published name → tenant index: an immutable map that
+	// readers load and index without taking a lock or writing a shared cache
+	// line (Get runs once per run of records on the ingest path and once per
+	// delivery). Writers — create, migrate, delete, close: rare — copy it
+	// under mu and publish the copy.
+	mu   sync.Mutex
+	snap atomic.Pointer[map[string]*Tenant]
 }
 
 // NewRegistry returns an empty registry whose tenants use the given
@@ -39,7 +46,25 @@ func NewRegistry(siteBuffer int) *Registry {
 	if siteBuffer < 1 {
 		siteBuffer = 128
 	}
-	return &Registry{siteBuffer: siteBuffer, tenants: make(map[string]*Tenant)}
+	r := &Registry{siteBuffer: siteBuffer}
+	r.snap.Store(&map[string]*Tenant{})
+	return r
+}
+
+// all returns the current snapshot of live tenants, keyed by name. Callers
+// must not modify it.
+func (r *Registry) all() map[string]*Tenant { return *r.snap.Load() }
+
+// publish replaces the snapshot with a copy in which name maps to t (nil
+// removes the name). Caller holds mu.
+func (r *Registry) publish(name string, t *Tenant) {
+	m := maps.Clone(r.all())
+	if t == nil {
+		delete(m, name)
+	} else {
+		m[name] = t
+	}
+	r.snap.Store(&m)
 }
 
 // Create validates tc, builds the tracker and its cluster, and registers
@@ -86,10 +111,10 @@ func (r *Registry) Create(tc TenantConfig) (*Tenant, error) {
 func (r *Registry) insert(t *Tenant) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.tenants[t.cfg.Name]; ok {
+	if _, ok := r.all()[t.cfg.Name]; ok {
 		return fmt.Errorf("tenant %q: %w", t.cfg.Name, ErrExists)
 	}
-	r.tenants[t.cfg.Name] = t
+	r.publish(t.cfg.Name, t)
 	return nil
 }
 
@@ -101,20 +126,16 @@ func (r *Registry) insert(t *Tenant) error {
 func (r *Registry) replace(nt *Tenant) *Tenant {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old, ok := r.tenants[nt.cfg.Name]
+	old, ok := r.all()[nt.cfg.Name]
 	if !ok {
 		return nil
 	}
-	r.tenants[nt.cfg.Name] = nt
+	r.publish(nt.cfg.Name, nt)
 	return old
 }
 
-// Get returns the named tenant, or nil if absent.
-func (r *Registry) Get(name string) *Tenant {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.tenants[name]
-}
+// Get returns the named tenant, or nil if absent. It is lock-free.
+func (r *Registry) Get(name string) *Tenant { return r.all()[name] }
 
 // Delete unregisters the named tenant and stops its cluster. With drain
 // set, arrivals already enqueued are processed first; otherwise they are
@@ -125,8 +146,10 @@ func (r *Registry) Delete(name string, drain bool) bool {
 		defer r.createMu.Unlock()
 	}
 	r.mu.Lock()
-	t, ok := r.tenants[name]
-	delete(r.tenants, name)
+	t, ok := r.all()[name]
+	if ok {
+		r.publish(name, nil)
+	}
 	r.mu.Unlock()
 	if !ok {
 		return false
@@ -146,20 +169,11 @@ func (r *Registry) Delete(name string, drain bool) bool {
 }
 
 // Count returns the number of live tenants.
-func (r *Registry) Count() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.tenants)
-}
+func (r *Registry) Count() int { return len(r.all()) }
 
 // List returns the configurations of all tenants, sorted by name.
 func (r *Registry) List() []TenantConfig {
-	r.mu.RLock()
-	ts := make([]*Tenant, 0, len(r.tenants))
-	for _, t := range r.tenants {
-		ts = append(ts, t)
-	}
-	r.mu.RUnlock()
+	ts := r.all()
 	out := make([]TenantConfig, 0, len(ts))
 	for _, t := range ts {
 		out = append(out, t.Config())
@@ -168,25 +182,11 @@ func (r *Registry) List() []TenantConfig {
 	return out
 }
 
-// all returns the live tenants (unsorted), for Flush.
-func (r *Registry) all() []*Tenant {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*Tenant, 0, len(r.tenants))
-	for _, t := range r.tenants {
-		out = append(out, t)
-	}
-	return out
-}
-
 // Close drains and removes every tenant.
 func (r *Registry) Close() {
 	r.mu.Lock()
-	ts := make([]*Tenant, 0, len(r.tenants))
-	for _, t := range r.tenants {
-		ts = append(ts, t)
-	}
-	r.tenants = make(map[string]*Tenant)
+	ts := r.all()
+	r.snap.Store(&map[string]*Tenant{})
 	r.mu.Unlock()
 	for _, t := range ts {
 		t.close(true)

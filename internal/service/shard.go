@@ -10,29 +10,6 @@ import (
 	"disttrack/internal/runtime"
 )
 
-// recordBatchPool recycles the []Record partitions that carry validated
-// batches from Ingest to the shard workers: Ingest allocates from it, the
-// worker returns the slice once delivered, so steady-state HTTP ingest
-// does not allocate a partition per request per shard.
-var recordBatchPool = sync.Pool{
-	New: func() any {
-		s := make([]Record, 0, 64)
-		return &s
-	},
-}
-
-func getRecordBatch() []Record {
-	return (*recordBatchPool.Get().(*[]Record))[:0]
-}
-
-func putRecordBatch(recs []Record) {
-	if cap(recs) == 0 {
-		return
-	}
-	recs = recs[:0]
-	recordBatchPool.Put(&recs)
-}
-
 // errShuttingDown marks rejections caused by pipeline teardown rather than
 // bad input; the networked ingest path translates it into a connection drop
 // (sender retries) instead of a frame reject (sender discards).
@@ -55,11 +32,11 @@ type RecordError struct {
 	Code  string `json:"code,omitempty"`
 }
 
-// sharder is the ingest pipeline: it validates record batches, hashes each
-// tenant onto one worker shard, and the shard feeds grouped sub-batches to
-// the tenants' clusters. A tenant's records always land on the same shard,
-// preserving per-tenant arrival order and making per-tenant ingest state
-// single-writer.
+// sharder is the ingest pipeline: Ingest validates a record batch and groups
+// it by (tenant, site) in the caller's goroutine, each tenant is hashed onto
+// one worker shard, and the shard feeds the ready-made groups to the tenants'
+// clusters. A tenant's records always land on the same shard, preserving
+// per-tenant arrival order and making per-tenant ingest state single-writer.
 type sharder struct {
 	reg    *Registry
 	met    *serverMetrics // nil when uninstrumented (direct construction in tests)
@@ -72,6 +49,8 @@ type sharder struct {
 	assignMu  sync.RWMutex
 	assigned  map[string]int
 	hasAssign atomic.Bool
+
+	scratch sync.Pool // *ingestScratch
 
 	accepted  atomic.Int64
 	rejected  atomic.Int64
@@ -90,29 +69,47 @@ type shard struct {
 	wg *sync.WaitGroup
 }
 
-// shardMsg carries a record batch, a pre-grouped remote batch, or a flush
+// shardMsg carries one ingest call's groups for the shard, or a flush
 // barrier.
 type shardMsg struct {
-	recs    []Record
-	group   *remoteGroup
+	batch   *groupBatch
 	barrier chan<- struct{}
 }
 
-// remoteGroup is one already-grouped (tenant, site) value batch from the
-// networked ingest path: a site node groups records before framing them, so
-// the coordinator can skip the per-record partitioning the HTTP path pays.
-// node/nodeSeq carry the frame's provenance into the WAL, so recovery can
-// re-derive the coordinator's per-node dedup cursors from the replay tail.
-type remoteGroup struct {
-	tenant  string
-	site    int
-	values  []uint64
+// tenantGroup is one (tenant, site) value batch on its way to the tenant's
+// cluster. t is the instance the ingest call resolved; delivery re-checks it
+// against the registry.
+type tenantGroup struct {
+	t      *Tenant
+	site   int
+	values []uint64
+}
+
+// groupBatch is what one ingest call hands one shard: ready-made groups,
+// each tenant's groups adjacent so the worker takes that tenant's delivery
+// gate once. Batches from the networked path hold one group and carry the
+// frame's provenance into the WAL, so recovery can re-derive the
+// coordinator's per-node dedup cursors from the replay tail ("" / 0 on the
+// record path). The worker recycles the batch once delivered.
+type groupBatch struct {
+	groups  []tenantGroup
 	node    string
 	nodeSeq uint64
 }
 
+var groupBatchPool = sync.Pool{New: func() any { return new(groupBatch) }}
+
+// ingestScratch is the per-call state of Ingest, pooled so that steady-state
+// ingest allocates nothing: the grouper, and the batch under construction
+// for each shard (nil while the call has nothing for that shard).
+type ingestScratch struct {
+	g     grouper[*Tenant]
+	parts []*groupBatch
+}
+
 func newSharder(reg *Registry, n, queue int, met *serverMetrics) *sharder {
 	sh := &sharder{reg: reg, met: met}
+	sh.scratch.New = func() any { return &ingestScratch{parts: make([]*groupBatch, n)} }
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		s := &shard{ch: make(chan shardMsg, queue), wg: &wg}
@@ -123,32 +120,20 @@ func newSharder(reg *Registry, n, queue int, met *serverMetrics) *sharder {
 	return sh
 }
 
-// shardOf hashes a tenant name onto its owning shard (inlined FNV-1a — the
-// hash/fnv hasher would allocate once per record on the hot ingest path).
-// An explicit assignment (tenant migration) overrides the hash.
-func (sh *sharder) shardOf(tenant string) *shard {
-	if sh.hasAssign.Load() {
-		sh.assignMu.RLock()
-		idx, ok := sh.assigned[tenant]
-		sh.assignMu.RUnlock()
-		if ok {
-			return sh.shards[idx]
-		}
-	}
-	return sh.shards[sh.hashShard(tenant)]
-}
-
-// hashShard is the default tenant → shard-index hash.
+// hashShard is the default tenant → shard-index hash: FNV-1a, inlined (the
+// hash/fnv hasher would allocate), reduced in uint32 so the index cannot go
+// negative where int is 32 bits.
 func (sh *sharder) hashShard(tenant string) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(tenant); i++ {
 		h ^= uint32(tenant[i])
 		h *= 16777619
 	}
-	return int(h) % len(sh.shards)
+	return int(h % uint32(len(sh.shards)))
 }
 
-// shardIndexOf reports which shard index currently owns the tenant.
+// shardIndexOf reports which shard index currently owns the tenant: an
+// explicit assignment (tenant migration) overrides the hash.
 func (sh *sharder) shardIndexOf(tenant string) int {
 	if sh.hasAssign.Load() {
 		sh.assignMu.RLock()
@@ -187,13 +172,14 @@ func (sh *sharder) assignShard(tenant string, idx int) error {
 	return nil
 }
 
-// Ingest validates recs and enqueues the valid ones onto their owning
-// shards, blocking while a shard queue is full. Validation is synchronous
-// so callers learn about unknown tenants, out-of-range sites and
-// out-of-range values immediately; processing is asynchronous (see Flush
-// for the visibility barrier). Returns the number accepted, the per-record
-// rejections (throttles carry Code == codeThrottled), and — when any record
-// was throttled — the largest Retry-After hint among them.
+// Ingest validates recs, groups the valid ones by (tenant, site) and
+// enqueues each shard's groups as one message, blocking while a shard queue
+// is full. Validation is synchronous so callers learn about unknown tenants,
+// out-of-range sites and out-of-range values immediately; processing is
+// asynchronous (see Flush for the visibility barrier). Returns the number
+// accepted, the per-record rejections (throttles carry Code ==
+// codeThrottled), and — when any record was throttled — the largest
+// Retry-After hint among them.
 func (sh *sharder) Ingest(recs []Record) (int, []RecordError, time.Duration) {
 	if m := sh.met; m != nil {
 		m.batchRecords.Observe(float64(len(recs)))
@@ -212,51 +198,86 @@ func (sh *sharder) Ingest(recs []Record) (int, []RecordError, time.Duration) {
 		sh.rejected.Add(int64(len(errs)))
 		return 0, errs, 0
 	}
-	// Partition per shard, preserving submission order within each shard.
-	// Partitions come from the record-batch pool; the shard worker returns
-	// them once delivered.
-	parts := make(map[*shard][]Record)
+	// Group in the caller's goroutine. The registry, the grouper's index and
+	// the tenant's k / kind / QoS flag are consulted once per run of records
+	// naming the same tenant; within a run a record costs its range checks
+	// and a count into its site's slot.
+	sc := sh.scratch.Get().(*ingestScratch)
+	sc.g.begin(len(recs))
+	var (
+		cur       *Tenant // the run's tenant; nil = no such tenant
+		first     int32   // cur's first slot in the grouper
+		k         int     // the site count this call holds cur to
+		perturbed bool
+		limited   bool
+	)
 	throttles := 0
-	for i, rec := range recs {
-		t := sh.reg.Get(rec.Tenant)
-		if t == nil {
+	for i := range recs {
+		rec := &recs[i]
+		if i == 0 || rec.Tenant != recs[i-1].Tenant {
+			if cur = sh.reg.Get(rec.Tenant); cur != nil {
+				first, k = sc.g.open(cur, cur.K())
+				perturbed, limited = cur.perturbed(), cur.limited
+			}
+		}
+		if cur == nil {
 			errs = append(errs, RecordError{Index: i, Err: fmt.Sprintf("tenant %q not found", rec.Tenant)})
 			continue
 		}
-		if k := t.K(); rec.Site < 0 || rec.Site >= k {
+		if rec.Site < 0 || rec.Site >= k {
 			errs = append(errs, RecordError{Index: i,
 				Err: fmt.Sprintf("site %d out of range [0,%d)", rec.Site, k)})
 			continue
 		}
-		if t.perturbed() && rec.Value >= MaxPerturbedValue {
+		if perturbed && rec.Value >= MaxPerturbedValue {
 			errs = append(errs, RecordError{Index: i,
-				Err: fmt.Sprintf("value %d out of range [0, %d) for kind %q", rec.Value, MaxPerturbedValue, t.cfg.Kind)})
+				Err: fmt.Sprintf("value %d out of range [0, %d) for kind %q", rec.Value, MaxPerturbedValue, cur.cfg.Kind)})
 			continue
 		}
-		// QoS admission runs after validation: a throttle means "valid but
-		// not now", and only valid traffic should drain the rate bucket.
-		if ok, retry := t.admit(1); !ok {
-			throttles++
-			if retry > retryAfter {
-				retryAfter = retry
+		if limited {
+			// QoS admission is per record and runs after validation: a
+			// throttle means "valid but not now", and only valid traffic
+			// should drain the rate bucket. queued moves per record too, so
+			// the queue-share bound bites inside a batch.
+			if ok, retry := cur.admit(1); !ok {
+				throttles++
+				retryAfter = max(retryAfter, retry)
+				errs = append(errs, RecordError{Index: i, Code: codeThrottled,
+					Err: fmt.Sprintf("tenant %q over its ingest limit, retry in %v", rec.Tenant, retry)})
+				continue
 			}
-			errs = append(errs, RecordError{Index: i, Code: codeThrottled,
-				Err: fmt.Sprintf("tenant %q over its ingest limit, retry in %v", rec.Tenant, retry)})
-			continue
+			cur.queued.Add(1)
 		}
-		t.queued.Add(1)
-		s := sh.shardOf(rec.Tenant)
-		part, ok := parts[s]
-		if !ok {
-			part = getRecordBatch()
+		sc.g.add(i, first+int32(rec.Site))
+	}
+	// Hand each shard one message: its tenants' groups, each tenant's
+	// together. Tenants without QoS account queued here, once per group.
+	var (
+		last *Tenant
+		part *groupBatch
+	)
+	sc.g.emit(recs, func(t *Tenant, site int, values []uint64) {
+		if t != last {
+			last = t
+			idx := sh.shardIndexOf(t.cfg.Name)
+			if sc.parts[idx] == nil {
+				sc.parts[idx] = groupBatchPool.Get().(*groupBatch)
+			}
+			part = sc.parts[idx]
 		}
-		parts[s] = append(part, rec)
+		if !t.limited {
+			t.queued.Add(int64(len(values)))
+		}
+		part.groups = append(part.groups, tenantGroup{t: t, site: site, values: values})
+	})
+	for i, part := range sc.parts {
+		if part != nil {
+			sc.parts[i] = nil
+			sh.shards[i].ch <- shardMsg{batch: part}
+		}
 	}
-	accepted := 0
-	for s, part := range parts {
-		s.ch <- shardMsg{recs: part}
-		accepted += len(part)
-	}
+	sh.scratch.Put(sc)
+	accepted := len(recs) - len(errs)
 	sh.accepted.Add(int64(accepted))
 	sh.throttled.Add(int64(throttles))
 	sh.rejected.Add(int64(len(errs) - throttles))
@@ -326,158 +347,93 @@ func (sh *sharder) IngestGrouped(tenant string, site int, values []uint64, node 
 		return 0, rejected, throttled, nil
 	}
 	t.queued.Add(int64(len(values)))
-	s := sh.shardOf(tenant)
-	s.ch <- shardMsg{group: &remoteGroup{tenant: tenant, site: site, values: values,
-		node: node, nodeSeq: nodeSeq}}
+	b := groupBatchPool.Get().(*groupBatch)
+	b.groups = append(b.groups, tenantGroup{t: t, site: site, values: values})
+	b.node, b.nodeSeq = node, nodeSeq
+	sh.shards[sh.shardIndexOf(tenant)].ch <- shardMsg{batch: b}
 	sh.accepted.Add(int64(len(values)))
 	return len(values), rejected, 0, nil
 }
 
-// worker drains one shard queue: group each batch by (tenant, site), apply
-// the tenant's perturbation, and feed each group through the cluster's
-// batched path. Pre-grouped remote batches skip the grouping pass. The
-// grouping scratch (map, order, group structs) lives per worker and is
-// reused across batches, so steady-state delivery does not allocate.
+// worker drains one shard queue, feeding each batch's groups to the tenants'
+// clusters. Owning a tenant's deliveries is what makes the worker the single
+// writer of its perturbation state.
 func (sh *sharder) worker(s *shard) {
 	defer s.wg.Done()
-	scratch := &deliverScratch{groups: make(map[groupKey]*group)}
 	for msg := range s.ch {
 		if msg.barrier != nil {
 			msg.barrier <- struct{}{}
 			continue
 		}
-		if msg.group != nil {
-			sh.deliverGroup(msg.group)
-			continue
+		sh.deliverBatch(msg.batch)
+	}
+}
+
+// deliverBatch delivers one ingest call's groups, one tenant's at a time,
+// and recycles the batch.
+func (sh *sharder) deliverBatch(b *groupBatch) {
+	gs := b.groups
+	for len(gs) > 0 {
+		n := 1
+		for n < len(gs) && gs[n].t == gs[0].t {
+			n++
 		}
-		sh.deliver(msg.recs, scratch)
-		putRecordBatch(msg.recs)
+		sh.deliverGroups(gs[:n], b.node, b.nodeSeq)
+		gs = gs[n:]
 	}
+	clear(b.groups)
+	*b = groupBatch{groups: b.groups[:0]}
+	groupBatchPool.Put(b)
 }
 
-// groupKey addresses one (tenant, site) sub-batch within a shard delivery.
-type groupKey struct {
-	tenant string
-	site   int
-}
-
-// group is one (tenant, site) sub-batch being assembled for SendBatch.
-type group struct {
-	t    *Tenant
-	site int
-	keys []uint64
-}
-
-// deliverScratch is a shard worker's reusable grouping state.
-type deliverScratch struct {
-	groups map[groupKey]*group
-	order  []*group  // encounter order, for deterministic delivery
-	free   []*group  // recycled group structs
-	locked []*Tenant // durable tenants whose durMu this delivery holds
-}
-
-// lockTenant resolves a tenant name to its live instance with its delivery
-// gate (durMu) held, once per delivery (the scratch list is tiny — a
-// delivery touches a handful of tenants — so a linear scan beats a map).
-// Holding durMu across {perturb, WAL append, send} for the whole delivery
-// keeps the checkpointer from capturing state mid-batch, and the
-// get-lock-recheck loop makes delivery safe against membership operations:
-// if the registry swapped the instance (tenant migration restores a fresh
-// Tenant) between the lookup and the lock, the delivery would otherwise land
-// on a drained tracker and the records would vanish. nil means the tenant is
-// gone.
-func (sh *sharder) lockTenant(name string, ds *deliverScratch) *Tenant {
-	for _, l := range ds.locked {
-		if l.cfg.Name == name {
-			return l
-		}
-	}
-	for {
-		t := sh.reg.Get(name)
-		if t == nil {
-			return nil
-		}
-		t.durMu.Lock()
-		if sh.reg.Get(name) == t {
-			ds.locked = append(ds.locked, t)
-			return t
-		}
-		t.durMu.Unlock() // lost a migration race; retry against the new instance
-	}
-}
-
-// unlockTenants releases every delivery gate taken this delivery.
-func (ds *deliverScratch) unlockTenants() {
-	for i, t := range ds.locked {
-		t.durMu.Unlock()
-		ds.locked[i] = nil
-	}
-	ds.locked = ds.locked[:0]
-}
-
-// take returns a zeroed group struct, recycling one when available.
-func (ds *deliverScratch) take() *group {
-	if n := len(ds.free); n > 0 {
-		g := ds.free[n-1]
-		ds.free = ds.free[:n-1]
-		return g
-	}
-	return &group{}
-}
-
-// reset recycles the round's group structs and clears the index for the
-// next batch. Key slices are not touched: their ownership passed to the
-// clusters on delivery.
-func (ds *deliverScratch) reset() {
-	for _, g := range ds.order {
-		g.t, g.keys = nil, nil
-		ds.free = append(ds.free, g)
-	}
-	ds.order = ds.order[:0]
-	clear(ds.groups)
-}
-
-// deliverGroup feeds one pre-grouped remote batch: perturb in place on the
-// owning shard goroutine (which owns the tenant's perturbation state), then
-// one SendBatch. The {perturb, WAL append, send} step runs under the
-// tenant's delivery gate (durMu, with the same get-lock-recheck loop as
-// lockTenant) so neither a checkpoint nor a membership operation captures
-// state mid-batch.
-func (sh *sharder) deliverGroup(g *remoteGroup) {
-	var t *Tenant
-	for {
-		t = sh.reg.Get(g.tenant)
-		if t == nil {
-			sh.lost.Add(int64(len(g.values))) // tenant deleted between accept and delivery
-			runtime.PutBatch(g.values)
+// deliverGroups is the one delivery path: it feeds one tenant's groups from
+// one ingest call to the tenant's cluster — per group, perturb in place
+// (this goroutine owns the tenant's perturbation state), WAL append, one
+// SendBatch, the cluster taking ownership of the values. The whole step runs
+// under the tenant's delivery gate (durMu), so neither a checkpoint nor a
+// membership operation captures state between a tenant's groups, and the
+// get-lock-recheck loop makes it safe against the registry swapping the
+// instance (tenant migration restores a fresh Tenant) between the ingest
+// call's lookup and the lock: the delivery would otherwise land on a drained
+// tracker and the records would vanish.
+func (sh *sharder) deliverGroups(gs []tenantGroup, node string, nodeSeq uint64) {
+	t, name := gs[0].t, gs[0].t.cfg.Name
+	t.durMu.Lock()
+	for sh.reg.Get(name) != t {
+		t.durMu.Unlock() // deleted, or lost a migration race: retry against the new instance
+		if t = sh.reg.Get(name); t == nil {
+			for _, g := range gs {
+				sh.lost.Add(int64(len(g.values))) // tenant deleted between accept and delivery
+				runtime.PutBatch(g.values)
+			}
 			return
 		}
 		t.durMu.Lock()
-		if sh.reg.Get(g.tenant) == t {
-			break
-		}
-		t.durMu.Unlock() // lost a migration race; retry against the new instance
 	}
 	defer t.durMu.Unlock()
-	// The batch leaves the shard pipeline: release its queue-share. (If the
-	// tenant was deleted and recreated in flight, the release lands on the
-	// new instance — a transient undercount the >= share check tolerates.)
-	t.queued.Add(-int64(len(g.values)))
-	site := g.site
-	if site >= t.K() {
-		// Membership shrank between accept and delivery: fold onto site 0,
-		// matching the engine's Reconfigure fold, so no arrival is lost.
-		site = 0
-	}
-	if t.perturbed() {
-		for i, v := range g.values {
-			g.values[i] = t.perturb(v)
+	k, perturbed := t.K(), t.perturbed()
+	for _, g := range gs {
+		// The group leaves the shard pipeline: release its queue-share. (If
+		// the tenant was deleted and recreated in flight, the release lands
+		// on the new instance — a transient undercount the >= share check
+		// tolerates.)
+		t.queued.Add(-int64(len(g.values)))
+		site := g.site
+		if site >= k {
+			// Membership shrank between accept and delivery: fold onto site
+			// 0, matching the engine's Reconfigure fold, so no arrival is
+			// lost.
+			site = 0
 		}
-	}
-	sh.walAppend(t, site, g.values, g.node, g.nodeSeq)
-	// Ownership of the values slice passes to the cluster.
-	if err := t.sendBatch(site, g.values); err != nil {
-		sh.lost.Add(int64(len(g.values)))
+		if perturbed {
+			for i, v := range g.values {
+				g.values[i] = t.perturb(v)
+			}
+		}
+		sh.walAppend(t, site, g.values, node, nodeSeq)
+		if err := t.sendBatch(site, g.values); err != nil {
+			sh.lost.Add(int64(len(g.values)))
+		}
 	}
 }
 
@@ -494,58 +450,6 @@ func (sh *sharder) walAppend(t *Tenant, site int, keys []uint64, node string, no
 	if _, err := t.dur.Append(site, keys, node, nodeSeq); err != nil && sh.met != nil {
 		sh.met.walErrors.Inc()
 	}
-}
-
-// deliver feeds one shard batch, grouped by (tenant, site) across the whole
-// batch so interleaved workloads still amortize into one SendBatch per
-// group. Record order is preserved within each (tenant, site) pair — the
-// only order the runtime observes, since each site has its own ingestion
-// queue.
-func (sh *sharder) deliver(recs []Record, ds *deliverScratch) {
-	var (
-		cur     *Tenant
-		curName string
-		looked  bool
-	)
-	for _, rec := range recs {
-		if !looked || rec.Tenant != curName {
-			curName, looked = rec.Tenant, true
-			cur = sh.lockTenant(rec.Tenant, ds)
-		}
-		if cur == nil {
-			sh.lost.Add(1) // tenant deleted between accept and delivery
-			continue
-		}
-		cur.queued.Add(-1) // leaving the shard pipeline: release queue-share
-		v := rec.Value
-		if cur.perturbed() {
-			v = cur.perturb(v)
-		}
-		site := rec.Site
-		if site >= cur.K() {
-			site = 0 // membership shrank in flight: fold, matching the engine
-		}
-		gk := groupKey{rec.Tenant, site}
-		g := ds.groups[gk]
-		if g == nil {
-			// Key slices come from the runtime batch pool; the cluster's
-			// site goroutine recycles them after feeding.
-			g = ds.take()
-			g.t, g.site, g.keys = cur, site, runtime.GetBatch(16)
-			ds.groups[gk] = g
-			ds.order = append(ds.order, g)
-		}
-		g.keys = append(g.keys, v)
-	}
-	for _, g := range ds.order {
-		sh.walAppend(g.t, g.site, g.keys, "", 0)
-		// Ownership of keys passes to the cluster.
-		if err := g.t.sendBatch(g.site, g.keys); err != nil {
-			sh.lost.Add(int64(len(g.keys)))
-		}
-	}
-	ds.unlockTenants()
-	ds.reset()
 }
 
 // Flush blocks until every record accepted before the call is visible to

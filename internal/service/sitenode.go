@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -62,6 +63,8 @@ type SiteNode struct {
 	mux *http.ServeMux
 	met *nodeMetrics
 
+	groupers sync.Pool // *grouper[fwdKey], Ingest's per-call scratch
+
 	accepted atomic.Int64
 	rejected atomic.Int64
 	closing  atomic.Bool
@@ -88,6 +91,7 @@ func NewSiteNode(cfg SiteNodeConfig) (*SiteNode, error) {
 		return nil, err
 	}
 	n := &SiteNode{cfg: cfg, cl: cl}
+	n.groupers.New = func() any { return new(grouper[fwdKey]) }
 	n.fw, err = runtime.NewForwarder(func(tenant string, site int, kind byte, values []uint64) error {
 		return cl.SendBatch(tenant, site, kind, values)
 	}, cfg.Forward)
@@ -121,21 +125,17 @@ func (n *SiteNode) Ingest(recs []Record) (int, []RecordError) {
 		n.rejected.Add(int64(len(errs)))
 		return 0, errs
 	}
-	// Group per (tenant, site) before handing to the forwarder — one
-	// buffer append and lock acquisition per group instead of per record,
-	// mirroring the standalone sharder's batching.
-	type groupKey struct {
-		tenant string
-		site   int
-	}
-	type group struct {
-		key    groupKey
-		values []uint64
-		idx    []int // original record indices, for error reporting
-	}
-	var errs []RecordError
-	groups := make(map[groupKey]*group)
-	var order []*group
+	// Group per (tenant, site) before handing to the forwarder — one buffer
+	// append and lock acquisition per group instead of per record — with the
+	// sharder's grouper. The node does not know a tenant's k, so a row is one
+	// (tenant, site) pair with a single slot.
+	g := n.groupers.Get().(*grouper[fwdKey])
+	g.begin(len(recs))
+	var (
+		errs []RecordError
+		cur  fwdKey
+		slot int32 = -1
+	)
 	for i, rec := range recs {
 		switch {
 		case rec.Tenant == "":
@@ -143,34 +143,40 @@ func (n *SiteNode) Ingest(recs []Record) (int, []RecordError) {
 		case rec.Site < 0:
 			errs = append(errs, RecordError{Index: i, Err: fmt.Sprintf("site %d must be >= 0", rec.Site)})
 		default:
-			gk := groupKey{rec.Tenant, rec.Site}
-			g := groups[gk]
-			if g == nil {
-				g = &group{key: gk, values: runtime.GetBatch(16)}
-				groups[gk] = g
-				order = append(order, g)
+			if key := (fwdKey{rec.Tenant, rec.Site}); slot < 0 || key != cur {
+				cur = key
+				slot, _ = g.open(key, 1)
 			}
-			g.values = append(g.values, rec.Value)
-			g.idx = append(g.idx, i)
+			g.add(i, slot)
 		}
 	}
 	accepted := 0
-	for _, g := range order {
-		err := n.fw.AddBatch(g.key.tenant, g.key.site, remote.TKindUnknown, g.values)
+	g.emit(recs, func(key fwdKey, _ int, values []uint64) {
+		err := n.fw.AddBatch(key.tenant, key.site, remote.TKindUnknown, values)
 		// AddBatch copies from the slice, so it goes straight back to the
 		// batch pool either way.
-		runtime.PutBatch(g.values)
+		runtime.PutBatch(values)
 		if err != nil {
-			for _, i := range g.idx {
-				errs = append(errs, RecordError{Index: i, Err: err.Error()})
+			// The forwarder is closed or failed: report the group's records.
+			for i, rec := range recs {
+				if rec.Tenant == key.tenant && rec.Site == key.site {
+					errs = append(errs, RecordError{Index: i, Err: err.Error()})
+				}
 			}
-			continue
+			return
 		}
-		accepted += len(g.values)
-	}
+		accepted += len(values)
+	})
+	n.groupers.Put(g)
 	n.accepted.Add(int64(accepted))
 	n.rejected.Add(int64(len(errs)))
 	return accepted, errs
+}
+
+// fwdKey is one (tenant, site) stream as the node sees it.
+type fwdKey struct {
+	tenant string
+	site   int
 }
 
 // Flush is the distributed visibility barrier: local buffers are pushed

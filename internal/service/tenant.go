@@ -120,9 +120,6 @@ func (tc TenantConfig) validate() error {
 	return nil
 }
 
-// limited reports whether the tenant has any QoS admission configured.
-func (tc TenantConfig) limited() bool { return tc.RateLimit > 0 || tc.QueueShare > 0 }
-
 // queryAdapter is the per-kind query shape over a tenant's tracker: a fixed
 // set of closures built once at construction — the single place the service
 // switches on kind. A nil closure means the kind does not answer that query
@@ -147,63 +144,85 @@ type queryAdapter struct {
 // map safe without a lock. All kind-independent state flows through the
 // unified core.Tracker handle; the per-kind query shapes live in qa.
 type Tenant struct {
+	// Line group 1 — read-mostly. Everything the ingest path (any producer
+	// goroutine, once per run of records) and the delivery path (the owning
+	// shard worker, once per group) only READ lives here, away from the
+	// counters below, so a producer validating against kLive never waits for
+	// a cache line the worker just wrote.
+
 	cfg TenantConfig
 	// gen is a process-unique instance nonce baked into the tenant's query
 	// ETags: a deleted-and-recreated tenant restarts its tracker version at
 	// zero, so version alone would let a stale client 304 against a
 	// different stream. The nonce makes the two instances' ETags disjoint.
 	gen uint64
+	// limited caches "any QoS admission configured" (RateLimit or
+	// QueueShare), fixed at construction: unlimited tenants skip admit on
+	// the ingest path, and readers need no cfgMu for it.
+	limited bool
+	// kLive mirrors cfg.K for lock-free site validation on the ingest path.
+	kLive atomic.Int32
+	// clu is the tenant's runtime cluster, swapped atomically on reconfigure
+	// (the new cluster is built at the new k, the old one drained). Read it
+	// through cluster(); every swap is serialized by the server's memberMu.
+	clu atomic.Pointer[runtime.Cluster]
+	tr  core.Tracker
+	qa  queryAdapter
+	tm  *tenantMetrics // nil when the owning registry is uninstrumented
+	// seq is the symbolic-perturbation state for quantile/allq tenants:
+	// per-value occurrence counters (see stream.Perturb). The map's entries
+	// are touched only by the owning shard goroutine; the field itself is
+	// fixed at construction (nil = kind not perturbed).
+	seq map[uint64]uint32
+	// limiter is the rate limiter; nil without a rate limit.
+	limiter *fault.Limiter
+	// dur is the tenant's durable state (WAL + checkpoints); nil without a
+	// data directory.
+	dur *durable.Tenant
+
+	_ cacheLinePad
+
+	// Line group 2 — counters the pipeline writes: queued by producers
+	// (once per group; once per record for QoS-limited tenants) and by the
+	// worker, the rest by the worker alone.
+
+	// queued tracks records accepted into the shard pipeline but not yet
+	// delivered (the QueueShare bound); throttled counts records denied
+	// admission by the queue-share bound or the rate limiter.
+	queued    atomic.Int64
+	throttled atomic.Int64
+	sent      atomic.Int64 // arrivals successfully enqueued to the cluster
+	dropped   atomic.Int64 // arrivals lost because the tenant closed mid-send
+	ties      atomic.Int64 // perturbation overflows (> 2^24 copies of a value)
+	// procBase rebases Processed across cluster swaps: a fresh cluster's
+	// counter starts at zero, so the old cluster's final count is folded in
+	// here, keeping synced()'s processed >= sent invariant meaningful.
+	procBase atomic.Int64
+
+	_ cacheLinePad
+
+	// Line group 3 — locks (their state words are written on every
+	// acquisition) and the query cache.
+
 	// cfgMu guards cfg against the one writer that exists: ReconfigureTenant
 	// updating cfg.K on a live site add/remove. Reads that must see a
 	// consistent config (Config, Stats headers) take the read side; the hot
 	// ingest path never touches it — site validation reads kLive instead.
 	cfgMu sync.RWMutex
-	// clu is the tenant's runtime cluster, swapped atomically on reconfigure
-	// (the new cluster is built at the new k, the old one drained). Read it
-	// through cluster(); every swap is serialized by the server's memberMu.
-	clu atomic.Pointer[runtime.Cluster]
-	// kLive mirrors cfg.K for lock-free site validation on the ingest path.
-	kLive atomic.Int32
-	// procBase rebases Processed across cluster swaps: a fresh cluster's
-	// counter starts at zero, so the old cluster's final count is folded in
-	// here, keeping synced()'s processed >= sent invariant meaningful.
-	procBase atomic.Int64
-	tr       core.Tracker
-	qa       queryAdapter
-	tm       *tenantMetrics // nil when the owning registry is uninstrumented
 
-	// seq is the symbolic-perturbation state for quantile/allq tenants:
-	// per-value occurrence counters (see stream.Perturb). Touched only by
-	// the owning shard goroutine.
-	seq map[uint64]uint32
-
-	// dur is the tenant's durable state (WAL + checkpoints); nil without a
-	// data directory. durMu is the tenant's delivery gate: every shard
-	// delivery holds it across the {perturb, WAL append, cluster send} step,
-	// making that step atomic against (a) checkpoint capture — the
-	// checkpointer takes it, waits for the cluster to absorb everything
-	// sent, and snapshots state that matches the WAL prefix exactly — and
-	// (b) membership operations (reconfigure's cluster swap, migration's
-	// registry swap), which take it to fence out in-flight deliveries.
-	// Deliverers use a get-lock-recheck loop (look the tenant up again after
-	// locking; retry if the registry now holds a different instance) so a
-	// delivery can never land on a tenant that was migrated away under it.
-	// Only the owning shard goroutine and the (rare) checkpoint/membership
-	// paths contend, so the ingest path's lock is almost always uncontended.
-	dur   *durable.Tenant
+	// durMu is the tenant's delivery gate: every shard delivery holds it
+	// across the {perturb, WAL append, cluster send} step, making that step
+	// atomic against (a) checkpoint capture — the checkpointer takes it,
+	// waits for the cluster to absorb everything sent, and snapshots state
+	// that matches the WAL prefix exactly — and (b) membership operations
+	// (reconfigure's cluster swap, migration's registry swap), which take it
+	// to fence out in-flight deliveries. Deliverers use a get-lock-recheck
+	// loop (look the tenant up again after locking; retry if the registry
+	// now holds a different instance) so a delivery can never land on a
+	// tenant that was migrated away under it. Only the owning shard
+	// goroutine and the (rare) checkpoint/membership paths contend, so the
+	// ingest path's lock is almost always uncontended.
 	durMu sync.Mutex
-
-	sent    atomic.Int64 // arrivals successfully enqueued to the cluster
-	dropped atomic.Int64 // arrivals lost because the tenant closed mid-send
-	ties    atomic.Int64 // perturbation overflows (> 2^24 copies of a value)
-
-	// QoS admission state: limiter is nil without a rate limit; queued
-	// tracks records accepted into the shard pipeline but not yet delivered
-	// (the QueueShare bound); throttled counts records denied admission by
-	// either mechanism.
-	limiter   *fault.Limiter
-	queued    atomic.Int64
-	throttled atomic.Int64
 
 	// sendMu serializes sends against close: sends hold the read side, so
 	// close's write lock waits for in-flight sends before draining the
@@ -223,11 +242,16 @@ type Tenant struct {
 	qcQuant   map[float64]uint64
 }
 
+// cacheLinePad separates field groups of a struct so that no byte of one
+// shares a 64-byte cache line with a byte of the next, whatever the
+// allocation's alignment.
+type cacheLinePad [64]byte
+
 // tenantGen issues the per-process instance nonces for query ETags.
 var tenantGen atomic.Uint64
 
 func newTenant(tc TenantConfig, siteBuffer int, sm *serverMetrics) (*Tenant, error) {
-	t := &Tenant{cfg: tc, gen: tenantGen.Add(1)}
+	t := &Tenant{cfg: tc, gen: tenantGen.Add(1), limited: tc.RateLimit > 0 || tc.QueueShare > 0}
 	if tc.RateLimit > 0 {
 		t.limiter = fault.NewLimiter(tc.RateLimit, tc.RateBurst)
 	}
