@@ -20,8 +20,7 @@ fmt-fix:
 vet:
 	$(GO) vet ./...
 
-# The second line compiles internal/service where int is 32 bits (shard
-# placement reduces a uint32 hash; see TestHashShardMatchesFNV).
+# The second line compiles internal/service where int is 32 bits.
 build:
 	$(GO) build ./...
 	GOARCH=386 $(GO) vet ./internal/service
@@ -35,8 +34,12 @@ test:
 test-shuffle:
 	$(GO) test -shuffle=on -count=1 ./...
 
+# The second line repeats the tests that put several goroutines on one
+# tenant's gate (concurrent producers, delete/recreate and reconfigure under
+# fire), so a single-writer violation cannot land on a lucky schedule.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
 
 # Run every benchmark exactly once so they cannot bit-rot.
 bench-smoke:
@@ -47,7 +50,7 @@ bench-smoke:
 # PR runs it with checking on. The FeedBatch pattern also matches the
 # metrics-enabled *Obs twins and the burst-heavy coalescing twins, so the
 # instrumented fast path and the coalesced slow path run with checking on
-# too; ServiceMacro drives the whole service pipeline the same way.
+# too; ServiceMacro drives the whole service the same way.
 bench-race-smoke:
 	$(GO) test -race -run '^$$' -bench 'FeedParallel|FeedBatch|ClusterSendBatchParallel' -benchtime 1x .
 	$(GO) test -race -run '^$$' -bench 'ShardedIngest|ServiceMacro' -benchtime 1x ./internal/service/
@@ -78,8 +81,8 @@ fault-smoke:
 crash-smoke:
 	./scripts/crash_smoke.sh
 
-# Elastic-membership smoke: live site add + tenant migration under the
-# networked ingest path, then kill -9 the durable coordinator and verify
+# Elastic-membership smoke: live site add under the networked ingest path,
+# then kill -9 the durable coordinator and verify
 # exactly-once totals and membership-epoch continuity after restart
 # (docs/operations.md scaling runbook).
 membership-smoke:

@@ -55,7 +55,7 @@ func TestParseFlags(t *testing.T) {
 // TestRunHTTP drives the real run loop — tenant create, concurrent ingest,
 // flush, exactly-once check — against an in-process trackd.
 func TestRunHTTP(t *testing.T) {
-	srv := service.New(service.Config{Shards: 2})
+	srv := service.New(service.Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()

@@ -1,7 +1,7 @@
 // Command trackd runs the multi-tenant tracking service (internal/service)
 // as an HTTP daemon: many named tracker instances — heavy-hitter, quantile
-// and all-quantile tenants — behind one batched, sharded ingest pipeline
-// and a JSON query API. See docs/service.md for the wire protocol,
+// and all-quantile tenants — behind one batched ingest path and a JSON
+// query API. See docs/service.md for the wire protocol,
 // docs/distributed.md for the distributed topology, and
 // docs/observability.md for the metrics plane.
 //
@@ -48,7 +48,7 @@
 //	curl localhost:8080/metrics
 //
 // On SIGINT/SIGTERM every role drains gracefully: a server stops accepting
-// requests and flushes its pipeline into the tenants' clusters; a site node
+// requests and drains the tenants' clusters; a site node
 // pushes its buffered batches upstream and fences the coordinator before
 // exiting, so everything acknowledged is processed.
 package main
@@ -132,8 +132,6 @@ type config struct {
 	pprofAddr   string
 	metricsAddr string
 	logFormat   string
-	shards      int
-	shardQueue  int
 	siteBuffer  int
 	grace       time.Duration
 
@@ -167,9 +165,7 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
 	fs.StringVar(&cfg.metricsAddr, "metrics", "", "serve GET /metrics on a dedicated address too (empty = main listener only)")
 	fs.StringVar(&cfg.logFormat, "log-format", "text", "log output format: text | json")
-	fs.IntVar(&cfg.shards, "shards", 4, "ingest worker shards (standalone/coord)")
-	fs.IntVar(&cfg.shardQueue, "shard-queue", 64, "per-shard queue capacity (batches)")
-	fs.IntVar(&cfg.siteBuffer, "site-buffer", 128, "per-site cluster channel capacity")
+	fs.IntVar(&cfg.siteBuffer, "site-buffer", 128, "per-site cluster channel capacity (batches)")
 	fs.DurationVar(&cfg.grace, "grace", 10*time.Second, "shutdown grace period for in-flight HTTP requests")
 	fs.StringVar(&cfg.dataDir, "data-dir", "", "durable plane: per-tenant WAL + checkpoints under this directory, with crash recovery on boot (empty = off)")
 	fs.DurationVar(&cfg.ckptEvery, "checkpoint-interval", 30*time.Second, "per-tenant checkpoint cadence (needs -data-dir)")
@@ -214,8 +210,8 @@ func (c *config) validate() error {
 			return fmt.Errorf("-role site requires -node (a stable name; it keys replay dedup across reconnects)")
 		}
 	}
-	if c.shards < 1 || c.shardQueue < 1 || c.siteBuffer < 1 {
-		return fmt.Errorf("-shards, -shard-queue and -site-buffer must be >= 1")
+	if c.siteBuffer < 1 {
+		return fmt.Errorf("-site-buffer must be >= 1")
 	}
 	if c.forwardBatch < 1 || c.window < 1 {
 		return fmt.Errorf("-forward-batch and -window must be >= 1")
@@ -272,8 +268,6 @@ func main() {
 func runServer(cfg config, logger *slog.Logger) error {
 	startPprof(cfg.pprofAddr, logger)
 	svc, err := service.Open(service.Config{
-		Shards:                 cfg.shards,
-		ShardQueue:             cfg.shardQueue,
 		SiteBuffer:             cfg.siteBuffer,
 		NodeBreakerFailures:    cfg.breakerFail,
 		NodeBreakerOpenTimeout: cfg.breakerOpen,
@@ -315,7 +309,7 @@ func runServer(cfg config, logger *slog.Logger) error {
 	hs := &http.Server{Addr: cfg.listen, Handler: svc.Handler()}
 	errc := make(chan error, 1)
 	go func() {
-		logger.Info("trackd listening", "role", cfg.role, "addr", cfg.listen, "shards", cfg.shards)
+		logger.Info("trackd listening", "role", cfg.role, "addr", cfg.listen)
 		errc <- hs.ListenAndServe()
 	}()
 

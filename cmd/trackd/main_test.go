@@ -19,8 +19,8 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.listen != "127.0.0.1:8080" || cfg.ingestListen != "127.0.0.1:7171" {
 		t.Fatalf("default addresses = %q / %q", cfg.listen, cfg.ingestListen)
 	}
-	if cfg.shards != 4 || cfg.shardQueue != 64 || cfg.siteBuffer != 128 {
-		t.Fatalf("default pipeline sizing = %d/%d/%d", cfg.shards, cfg.shardQueue, cfg.siteBuffer)
+	if cfg.siteBuffer != 128 {
+		t.Fatalf("default site buffer = %d", cfg.siteBuffer)
 	}
 	if cfg.forwardBatch != 256 || cfg.window != 64 || cfg.forwardDelay != 50*time.Millisecond {
 		t.Fatalf("default forwarding = %d/%d/%v", cfg.forwardBatch, cfg.window, cfg.forwardDelay)
@@ -50,8 +50,9 @@ func TestParseFlagsRoles(t *testing.T) {
 		{"unknown role", []string{"-role", "proxy"}, "unknown -role"},
 		{"site missing upstream", []string{"-role", "site", "-node", "e"}, "requires -upstream"},
 		{"site missing node", []string{"-role", "site", "-upstream", "h:1"}, "requires -node"},
-		{"bad shards", []string{"-shards", "0"}, "must be >= 1"},
-		{"bad queue", []string{"-shard-queue", "-1"}, "must be >= 1"},
+		{"bad site buffer", []string{"-site-buffer", "0"}, "must be >= 1"},
+		{"removed -shards", []string{"-shards", "4"}, "flag provided but not defined"},
+		{"removed -shard-queue", []string{"-shard-queue", "64"}, "flag provided but not defined"},
 		{"bad window", []string{"-role", "site", "-upstream", "h:1", "-node", "e", "-window", "0"}, "must be >= 1"},
 		{"bad grace", []string{"-grace", "-1s"}, "must be positive"},
 		{"bad forward delay", []string{"-forward-delay", "0s"}, "must be positive"},

@@ -17,8 +17,8 @@
 //   - internal/core/hh, internal/core/quantile, internal/core/allq — the
 //     paper's protocols (see each package's documentation);
 //   - internal/service, cmd/trackd — the multi-tenant tracking service:
-//     many named trackers behind a sharded batched ingest pipeline and an
-//     HTTP+JSON query API (docs/service.md);
+//     many named trackers behind a batched ingest path and an HTTP+JSON
+//     query API (docs/service.md);
 //   - cmd/hhtrack, cmd/quantiletrack — CLIs over generated streams;
 //   - cmd/experiments — regenerates every experiment table (EXPERIMENTS.md);
 //   - cmd/coordd, cmd/sited — the TCP coordinator and site agents;

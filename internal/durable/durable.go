@@ -38,7 +38,7 @@ const (
 	// default): bounded data loss, negligible overhead.
 	FsyncInterval FsyncMode = iota
 	// FsyncAlways syncs every append: zero acknowledged-record loss, pays
-	// one fsync per shard dispatch.
+	// one fsync per (tenant, site) group inside the ingest call.
 	FsyncAlways
 	// FsyncNever leaves flushing to the OS: fastest, loses the page cache
 	// on power failure (a clean process crash loses nothing).

@@ -44,9 +44,9 @@ const (
 	walExt    = ".log"
 )
 
-// wal is the append side of one tenant's log. Appends from the shard
-// worker are serialized by mu; stats counters are atomics so the metrics
-// scraper never takes the append lock.
+// wal is the append side of one tenant's log. Appends (from ingest calls,
+// under the tenant's gate) are serialized by mu; stats counters are atomics
+// so the metrics scraper never takes the append lock.
 type wal struct {
 	mu       sync.Mutex
 	dir      string

@@ -8,15 +8,10 @@ import (
 
 // Config parameterizes a Server.
 type Config struct {
-	// Shards is the number of ingest worker goroutines tenants are hashed
-	// across (default 4).
-	Shards int
-	// ShardQueue is the per-shard queue capacity, in record batches
-	// (default 64). Ingest blocks when the owning shard's queue is full —
-	// backpressure rather than unbounded buffering.
-	ShardQueue int
 	// SiteBuffer is the per-site ingestion channel capacity of each
-	// tenant's runtime.Cluster (default 128).
+	// tenant's runtime.Cluster, in batches (default 128). Ingest blocks while
+	// the site's channel is full — backpressure rather than unbounded
+	// buffering.
 	SiteBuffer int
 
 	// RemoteWriteTimeout bounds each ack/welcome write on the networked
@@ -51,12 +46,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards < 1 {
-		c.Shards = 4
-	}
-	if c.ShardQueue < 1 {
-		c.ShardQueue = 64
-	}
 	if c.SiteBuffer < 1 {
 		c.SiteBuffer = 128
 	}

@@ -46,8 +46,8 @@ type durability struct {
 	// cursors is the coordinator's per-node ingest dedup table as recovered
 	// at boot: the persisted cursor file merged with the max provenance seen
 	// per node across every tenant's on-disk WAL (the file may lag the WAL by
-	// up to one checkpoint cycle; the WAL never lags the file, because
-	// cursors are only saved after a pipeline flush barrier). It seeds the
+	// up to one checkpoint cycle; the WAL never lags the file, because a
+	// node's cursor advances only after its frame's WAL append). It seeds the
 	// ingest server's lastSeq table so a node replaying a tail the previous
 	// incarnation applied is deduplicated exactly. cursorsFound records
 	// whether the cursor file existed (false on a pre-cursor data dir: boot
@@ -457,13 +457,12 @@ func (s *Server) checkpointCycle() {
 	}
 }
 
-// saveCursors persists the coordinator cursor table at an applied == durable
-// safe point. The snapshot is taken FIRST, then the pipeline flush barrier
-// runs: cursors advance when a frame is accepted into the shard queue
-// (before its WAL append on the worker), so the barrier is what guarantees
-// every record the snapshot claims applied has reached the WAL. Snapshot
-// after flush would leave a window where a cursor covers an un-logged
-// record — a silent drop on recovery.
+// saveCursors persists the coordinator cursor table. Any snapshot is an
+// applied == durable safe point: a node's cursor advances only after
+// IngestGrouped has returned for its frame, and that call appends the frame
+// to the WAL before returning — so every record the snapshot claims applied
+// has reached the WAL, and a cursor never covers an un-logged record (which
+// would be a silent drop on recovery).
 func (s *Server) saveCursors() error {
 	if s.dur == nil {
 		return nil
@@ -476,7 +475,6 @@ func (s *Server) saveCursors() error {
 		// pure-HTTP restart still carries epoch and cursor state forward.
 		nodes = s.dur.cursorSnapshot()
 	}
-	s.sh.Flush()
 	return s.dur.store.SaveCursors(durable.CursorTable{
 		Epoch: s.epoch.Load(),
 		Nodes: nodes,

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"disttrack/internal/durable"
+	"disttrack/internal/remote"
 )
 
 // openDurable opens a durable server on dir. The checkpoint interval is an
@@ -400,5 +402,64 @@ func TestDurableCheckpointConcurrentIngest(t *testing.T) {
 	rank, total, err := r.reg.Get("cc").Rank(1000)
 	if err != nil || total != n || rank < 1000-200 || rank > 1000+200 {
 		t.Fatalf("rank after recovery: rank=%d total=%d err=%v", rank, total, err)
+	}
+}
+
+// TestDurableAckedMeansAppended pins the order docs/durability.md promises: an
+// ingest call appends to the WAL before it returns, so whatever has been
+// acknowledged — an Ingest return on the record path, a TypeBatchAck on the
+// TCP edge — is already in the log, with no Flush in between. A crash right
+// after the last ack then recovers every acknowledged record.
+func TestDurableAckedMeansAppended(t *testing.T) {
+	dir := t.TempDir()
+	s := openDurable(t, dir)
+	mustCreate(t, s, TenantConfig{Name: "h", Kind: KindHH, K: 2, Eps: 0.1})
+	mustCreate(t, s, TenantConfig{Name: "q", Kind: KindQuantile, K: 2, Eps: 0.1})
+	names := []string{"h", "q"}
+	accepted := map[string]int64{}
+	checkAppended := func(when string) {
+		t.Helper()
+		for _, name := range names {
+			if got := s.reg.Get(name).dur.WALStats().AppendedValues; got != accepted[name] {
+				t.Fatalf("%s: tenant %s has %d values in its WAL, %d acknowledged", when, name, got, accepted[name])
+			}
+		}
+	}
+	for b := 0; b < 300; b++ {
+		recs := make([]Record, 1+b%7)
+		for i := range recs {
+			recs[i] = Record{Tenant: names[(b+i)%2], Site: i % 2, Value: uint64(b % 11)}
+			accepted[recs[i].Tenant]++
+		}
+		if acc, errs := s.Ingest(recs); acc != len(recs) {
+			t.Fatalf("batch %d: accepted %d, errs %+v", b, acc, errs)
+		}
+		checkAppended(fmt.Sprintf("after Ingest %d returned", b))
+	}
+
+	ri, err := s.ServeRemote("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, welcome := nodeDial(t, ri.Addr(), "n1", 0)
+	if welcome.Type != remote.TypeNodeWelcome {
+		t.Fatalf("welcome %+v", welcome)
+	}
+	for seq := uint64(1); seq <= 50; seq++ {
+		sendBatches(t, conn, "h", seq, seq) // returns once the frame is acked
+		accepted["h"]++
+		checkAppended(fmt.Sprintf("after the ack of frame %d", seq))
+	}
+
+	// Crash with the last acks barely out: no Flush, no Close.
+	conn.Close()
+	ri.Close()
+	abandon(s)
+	r := openDurable(t, dir)
+	defer r.Close()
+	for _, name := range names {
+		if got := r.reg.Get(name).Stats().Processed; got != accepted[name] {
+			t.Errorf("tenant %s: recovered %d records, %d were acknowledged", name, got, accepted[name])
+		}
 	}
 }

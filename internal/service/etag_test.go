@@ -54,7 +54,7 @@ func etagHits(t *testing.T, client *http.Client, base string) int {
 }
 
 func TestQueryETag(t *testing.T) {
-	srv := service.New(service.Config{Shards: 1})
+	srv := service.New(service.Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()

@@ -9,15 +9,15 @@ import (
 // pooledGroupLen is the group size from which a group's value slice comes
 // from the runtime batch pool. The pool hands out 256-value slices and takes
 // back nothing smaller than this, so drawing from it for a smaller group
-// would pin 2 KiB through the shard queue and the site channel to carry a
-// handful of values; smaller groups share one exact-size allocation per call.
+// would pin 2 KiB through the site channel to carry a handful of values;
+// smaller groups share one exact-size allocation per call.
 const pooledGroupLen = runtime.MinPooledCap
 
 // grouper sorts the records of one ingest call into per-(key, site) value
 // groups by counting: the caller's pass over the records assigns each
 // accepted record a slot and counts it (add), then emit sizes every group's
 // slice exactly and copies the values in. A key is whatever the caller
-// resolves a tenant name to — the sharder uses the live *Tenant, the site
+// resolves a tenant name to — the ingester uses the live *Tenant, the site
 // node (which has no registry) the (name, site) pair — and owns a row of
 // per-site slots.
 //

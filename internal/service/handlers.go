@@ -69,7 +69,6 @@ func newMux(s *Server) *http.ServeMux {
 	mux.HandleFunc("POST /v1/flush", s.handleFlush)
 	mux.HandleFunc("GET /v1/remote", s.handleRemote)
 	mux.HandleFunc("POST /v1/admin/membership", s.handleMembership)
-	mux.HandleFunc("POST /v1/admin/migrate", s.handleMigrate)
 	return mux
 }
 
@@ -109,40 +108,6 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleMigrate moves the named tenant onto another shard worker, using the
-// checkpoint payload as the transfer format.
-func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
-	if s.closing.Load() {
-		writeErr(w, http.StatusServiceUnavailable, codeClosing, "server shutting down")
-		return
-	}
-	var req struct {
-		Tenant string `json:"tenant"`
-		Shard  int    `json:"shard"`
-	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, codeInvalid, "bad migrate request: "+err.Error())
-		return
-	}
-	if req.Tenant == "" {
-		writeErr(w, http.StatusBadRequest, codeInvalid, "missing tenant")
-		return
-	}
-	if s.reg.Get(req.Tenant) == nil {
-		writeErr(w, http.StatusNotFound, codeNotFound, "tenant "+strconv.Quote(req.Tenant)+" not found")
-		return
-	}
-	if err := s.MigrateTenant(req.Tenant, req.Shard); err != nil {
-		writeErr(w, http.StatusBadRequest, codeInvalid, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"tenant": req.Tenant, "shard": req.Shard, "epoch": s.epoch.Load(),
-	})
-}
-
 // handleRemote serves the networked ingest path's stats (coord role only).
 func (s *Server) handleRemote(w http.ResponseWriter, r *http.Request) {
 	ri := s.remote.Load()
@@ -163,19 +128,16 @@ type tenantQoS struct {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	version, goVersion := buildMeta()
-	depths := s.sh.QueueDepths()
 	body := map[string]any{
-		"ok":                !s.closing.Load(),
-		"tenants":           s.reg.Count(),
-		"accepted":          s.sh.Accepted(),
-		"rejected":          s.sh.Rejected(),
-		"throttled":         s.sh.Throttled(),
-		"lost":              s.sh.Lost(),
-		"uptime_seconds":    time.Since(s.met.start).Seconds(),
-		"version":           version,
-		"go":                goVersion,
-		"shards":            len(depths),
-		"shard_queue_depth": depths,
+		"ok":             !s.closing.Load(),
+		"tenants":        s.reg.Count(),
+		"accepted":       s.ing.Accepted(),
+		"rejected":       s.ing.Rejected(),
+		"throttled":      s.ing.Throttled(),
+		"lost":           s.ing.Lost(),
+		"uptime_seconds": time.Since(s.met.start).Seconds(),
+		"version":        version,
+		"go":             goVersion,
 	}
 	// Per-tenant throttle status, for tenants with QoS configured (the
 	// common unlimited tenant would only bloat the payload).
@@ -189,7 +151,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			RateLimit:  cfg.RateLimit,
 			QueueShare: cfg.QueueShare,
 			Throttled:  t.throttled.Load(),
-			Queued:     t.queued.Load(),
+			Queued:     t.backlog(),
 		}
 	}
 	if len(qos) > 0 {
@@ -444,7 +406,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, codeInvalid, "bad ingest body: "+err.Error())
 		return
 	}
-	accepted, errs, retryAfter := s.sh.Ingest(req.Records)
+	accepted, errs, retryAfter := s.ing.Ingest(req.Records)
 	// Entirely-throttled batches answer 429 with a Retry-After hint; a
 	// partial batch stays 200 (some records landed — a blanket retry would
 	// double-ingest them) with per-record codes distinguishing throttles.
@@ -475,6 +437,6 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, codeClosing, "server shutting down")
 		return
 	}
-	s.sh.Flush()
+	s.ing.Flush()
 	writeJSON(w, http.StatusOK, map[string]any{"flushed": true})
 }

@@ -8,10 +8,11 @@ import (
 	"disttrack/internal/stream"
 )
 
-// BenchmarkShardedIngest measures the multi-tenant ingest pipeline end to
-// end: concurrent producers submit mixed-tenant record batches, Ingest
-// groups them onto worker shards, and each tenant's cluster ingests through
-// the lock-free site-local fast path. This is the standalone trackd hot path
+// BenchmarkShardedIngest measures the multi-tenant ingest path end to end:
+// concurrent producers submit mixed-tenant record batches, Ingest groups them
+// and delivers each tenant's groups under its gate, and each tenant's cluster
+// ingests through the lock-free site-local fast path. (Nothing shards any
+// more; the name is kept so the BENCH_*.json trajectory stays comparable.) This is the standalone trackd hot path
 // (HTTP decoding excluded). Four tenants rotate record by record, so every
 // group holds several values.
 func BenchmarkShardedIngest(b *testing.B) {
@@ -58,7 +59,7 @@ func BenchmarkShardedIngestMixed(b *testing.B) {
 // benchShardedIngest creates one hh tenant per name and has one producer per
 // template submit it b.N/len(templates) times.
 func benchShardedIngest(b *testing.B, names []string, sites int, templates [][]Record) {
-	srv := New(Config{Shards: 4, ShardQueue: 64, SiteBuffer: 64})
+	srv := New(Config{SiteBuffer: 64})
 	defer srv.Close()
 	for _, name := range names {
 		if _, err := srv.Registry().Create(TenantConfig{Name: name, Kind: KindHH, K: sites, Eps: 0.02}); err != nil {

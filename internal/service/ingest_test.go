@@ -2,11 +2,12 @@ package service
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 )
 
 func TestIngestValidation(t *testing.T) {
-	s := New(Config{Shards: 2, ShardQueue: 8, SiteBuffer: 8})
+	s := New(Config{SiteBuffer: 8})
 	defer s.Close()
 	if _, err := s.Registry().Create(TenantConfig{Name: "t", Kind: KindQuantile, K: 2, Eps: 0.1}); err != nil {
 		t.Fatal(err)
@@ -46,9 +47,9 @@ func TestIngestValidation(t *testing.T) {
 	}
 }
 
-func TestShardedIngestPreservesPerTenantTotals(t *testing.T) {
+func TestMixedBatchIngestPreservesPerTenantTotals(t *testing.T) {
 	const tenants, perTenant = 6, 3000
-	s := New(Config{Shards: 3, ShardQueue: 16, SiteBuffer: 32})
+	s := New(Config{SiteBuffer: 32})
 	defer s.Close()
 	names := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
 	for i, n := range names {
@@ -99,7 +100,7 @@ func TestShardedIngestPreservesPerTenantTotals(t *testing.T) {
 }
 
 func TestPerturbationKeepsDuplicatesDistinct(t *testing.T) {
-	s := New(Config{Shards: 1, ShardQueue: 4, SiteBuffer: 8})
+	s := New(Config{SiteBuffer: 8})
 	defer s.Close()
 	if _, err := s.Registry().Create(TenantConfig{Name: "q", Kind: KindQuantile, K: 1, Eps: 0.1}); err != nil {
 		t.Fatal(err)
@@ -126,7 +127,7 @@ func TestPerturbationKeepsDuplicatesDistinct(t *testing.T) {
 }
 
 func TestFlushBarrierMakesIngestVisible(t *testing.T) {
-	s := New(Config{Shards: 2, ShardQueue: 4, SiteBuffer: 4})
+	s := New(Config{SiteBuffer: 4})
 	defer s.Close()
 	if _, err := s.Registry().Create(TenantConfig{Name: "h", Kind: KindHH, K: 2, Eps: 0.1}); err != nil {
 		t.Fatal(err)
@@ -148,11 +149,11 @@ func TestFlushBarrierMakesIngestVisible(t *testing.T) {
 type refTenant struct {
 	cfg    TenantConfig
 	lim    *fault.Limiter // same frozen clock as the server's, so verdicts and hints match exactly
-	queued int            // records this call admitted (the pipeline is flushed between calls)
+	queued int            // records this call admitted (the service is flushed between calls)
 	sites  []int64
 }
 
-// refIngest is sharder.Ingest as a per-record specification: validate, admit,
+// refIngest is ingester.Ingest as a per-record specification: validate, admit,
 // count, in submission order, with no grouping and no runs.
 func refIngest(model map[string]*refTenant, recs []Record) (int, []RecordError) {
 	var errs []RecordError
@@ -202,7 +203,7 @@ func TestGroupedIngestMatchesPerRecordReference(t *testing.T) {
 	}{{1, 1}, {2, 7}, {3, 64}, {4, 64}} {
 		t.Run(fmt.Sprintf("seed%d_tenants%d", tc.seed, tc.tenants), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(tc.seed))
-			srv := New(Config{Shards: 3, ShardQueue: 4, SiteBuffer: 8})
+			srv := New(Config{SiteBuffer: 8})
 			defer srv.Close()
 			frozen := time.Unix(1_700_000_000, 0)
 			clock := func() time.Time { return frozen }
@@ -253,7 +254,7 @@ func TestGroupedIngestMatchesPerRecordReference(t *testing.T) {
 					}
 				}
 				wantAcc, wantErrs := refIngest(model, recs)
-				gotAcc, gotErrs, _ := srv.sh.Ingest(recs)
+				gotAcc, gotErrs, _ := srv.ing.Ingest(recs)
 				if gotAcc != wantAcc || !slices.Equal(gotErrs, wantErrs) {
 					t.Fatalf("batch %d (%d records): accepted %d, want %d\n got  %+v\n want %+v",
 						b, len(recs), gotAcc, wantAcc, gotErrs, wantErrs)
@@ -261,8 +262,8 @@ func TestGroupedIngestMatchesPerRecordReference(t *testing.T) {
 				accepted += int64(gotAcc)
 				srv.Flush()
 			}
-			if got := srv.sh.Accepted(); got != accepted {
-				t.Errorf("sharder accepted %d, want %d", got, accepted)
+			if got := srv.ing.Accepted(); got != accepted {
+				t.Errorf("ingester accepted %d, want %d", got, accepted)
 			}
 			for name, ref := range model {
 				tn := srv.Registry().Get(name)
@@ -286,16 +287,16 @@ func TestGroupedIngestMatchesPerRecordReference(t *testing.T) {
 // Server.Ingest call: nothing for a batch whose groups are large enough for
 // pooled slices, and for a batch spread thin over many tenants exactly one —
 // the shared backing array of its small groups — never one per tenant or per
-// group. (AllocsPerRun counts the whole process, so the pipeline behind
-// Ingest is held to the same budget while it absorbs the batches.)
+// group. (AllocsPerRun counts the whole process, so the site goroutines behind
+// Ingest are held to the same budget while they absorb the batches.)
 func TestIngestAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	// A short pipeline bounds what can be in flight, so the warm-up reaches
+	// Short site channels bound what can be in flight, so the warm-up reaches
 	// the pools' high-water mark; no collection, so the pools keep it.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	srv := New(Config{Shards: 2, ShardQueue: 1, SiteBuffer: 1})
+	srv := New(Config{SiteBuffer: 1})
 	defer srv.Close()
 	single := make([]Record, 512)
 	for i := range single {
@@ -328,26 +329,175 @@ func TestIngestAllocations(t *testing.T) {
 	}
 }
 
-// TestHashShardMatchesFNV pins the default placement to FNV-1a reduced in
-// uint32. Converting the hash to int first goes negative where int is 32
-// bits, for every name whose hash has the top bit set — an index panic.
-func TestHashShardMatchesFNV(t *testing.T) {
-	sh := newSharder(NewRegistry(0), 7, 1, nil)
-	defer sh.Close()
-	topBit := 0
-	for i := 0; i < 200; i++ {
-		name := fmt.Sprintf("tenant-%d", i)
-		h := fnv.New32a()
-		h.Write([]byte(name))
-		sum := h.Sum32()
-		if sum>>31 == 1 {
-			topBit++
+// TestNewStartsNoIngestGoroutines pins the actor picture: the server runs no
+// goroutines of its own whatever its settings, and a tenant is exactly its k
+// site goroutines.
+func TestNewStartsNoIngestGoroutines(t *testing.T) {
+	// started reports how many goroutines f leaves running. Goroutines of
+	// earlier tests may still be winding down, so a mismatch is retried.
+	started := func(want int, f func()) int {
+		var got int
+		for attempt := 0; attempt < 50; attempt++ {
+			base := runtime.NumGoroutine()
+			f()
+			if got = runtime.NumGoroutine() - base; got == want {
+				break
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
-		if got, want := sh.hashShard(name), int(sum%7); got != want {
-			t.Errorf("hashShard(%q) = %d, want %d (fnv32a %#x)", name, got, want, sum)
+		return got
+	}
+	for _, cfg := range []Config{{}, {SiteBuffer: 1}, {SiteBuffer: 4096}} {
+		var s *Server
+		if got := started(0, func() { s = New(cfg) }); got != 0 {
+			t.Errorf("New(%+v) started %d goroutines, want 0", cfg, got)
+		}
+		name := 0
+		create := func() {
+			name++
+			mustCreate(t, s, TenantConfig{Name: fmt.Sprint("t", name), Kind: KindHH, K: 5, Eps: 0.1})
+		}
+		if got := started(5, create); got != 5 {
+			t.Errorf("creating a k=5 tenant started %d goroutines, want 5", got)
+		}
+		s.Close()
+	}
+}
+
+// TestConcurrentProducersOneTenant has 8 goroutines ingest the same quantile
+// tenant at once. The tenant's gate is what keeps its perturbation counters
+// single-writer now, so the total must be exact and every perturbed key
+// distinct: each value's counter equals the number of times it was ingested
+// (a lost update would reuse a key), nothing tied, and the site stores hold
+// exactly the accepted records. Run with -race.
+func TestConcurrentProducersOneTenant(t *testing.T) {
+	const producers, calls, batch, values = 8, 40, 64, 16
+	s := New(Config{SiteBuffer: 4})
+	defer s.Close()
+	mustCreate(t, s, TenantConfig{Name: "q", Kind: KindQuantile, K: 4, Eps: 0.1})
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			recs := make([]Record, batch)
+			for c := 0; c < calls; c++ {
+				for i := range recs {
+					recs[i] = Record{Tenant: "q", Site: (p + i) % 4, Value: uint64((c + i) % values)}
+				}
+				if acc, errs := s.Ingest(recs); acc != batch || len(errs) != 0 {
+					t.Errorf("producer %d: accepted %d, errs %v", p, acc, errs)
+					return
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	s.Flush()
+	const accepted = producers * calls * batch
+	tn := s.Registry().Get("q")
+	st := tn.Stats()
+	if st.Processed != accepted || st.Ties != 0 || st.Dropped != 0 {
+		t.Fatalf("processed %d ties %d dropped %d, want %d/0/0", st.Processed, st.Ties, st.Dropped, accepted)
+	}
+	stored := 0
+	tn.cluster().Query(func() {
+		for j := 0; j < 4; j++ {
+			stored += tn.tr.SiteSpace(j)
+		}
+	})
+	if stored != accepted {
+		t.Errorf("site stores hold %d keys, want %d", stored, accepted)
+	}
+	tn.durMu.Lock()
+	defer tn.durMu.Unlock()
+	if len(tn.seq) != values {
+		t.Fatalf("%d distinct values perturbed, want %d", len(tn.seq), values)
+	}
+	for v, n := range tn.seq {
+		if n != accepted/values {
+			t.Errorf("value %d: perturbation counter %d, want %d", v, n, accepted/values)
 		}
 	}
-	if topBit == 0 {
-		t.Fatal("no test name hashes with the top bit set")
+}
+
+// TestDeleteRecreateUnderFire has producers ingest one perturbed tenant name
+// while it is deleted and recreated: the get-lock-recheck loop in
+// deliverGroups must land every accepted record on a live instance or count
+// it lost — never apply it to an instance after its delete drained it. Run
+// with -race.
+func TestDeleteRecreateUnderFire(t *testing.T) {
+	s := New(Config{SiteBuffer: 4})
+	defer s.Close()
+	create := func() *Tenant {
+		tn, err := s.Registry().Create(TenantConfig{Name: "dr", Kind: KindQuantile, K: 2, Eps: 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tn
+	}
+	instances := []*Tenant{create()}
+
+	var wg sync.WaitGroup
+	var accepted atomic.Int64
+	stop := make(chan struct{})
+	for p := 0; p < 4; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			// Batches large enough that a delete can fall between the call's
+			// registry lookup and its delivery.
+			recs := make([]Record, 256)
+			for c := 0; ; c++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := range recs {
+					recs[i] = Record{Tenant: "dr", Site: i % 2, Value: uint64((p + c + i) % 32)}
+				}
+				acc, _ := s.Ingest(recs) // "not found" rejections while the name is absent
+				accepted.Add(int64(acc))
+			}
+		}(p)
+	}
+	// closedAt is each deleted instance's processed count when Delete returned.
+	var closedAt []int64
+	for cycle := 0; cycle < 5; cycle++ {
+		time.Sleep(2 * time.Millisecond)
+		if !s.Registry().Delete("dr", true) {
+			t.Fatal("delete: tenant missing")
+		}
+		closedAt = append(closedAt, instances[cycle].processed())
+		instances = append(instances, create())
+	}
+	time.Sleep(2 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	s.Flush()
+
+	var processed int64
+	for i, tn := range instances {
+		n := tn.processed()
+		processed += n
+		if i < len(closedAt) && n != closedAt[i] {
+			t.Errorf("instance %d: processed moved %d -> %d after its delete returned", i, closedAt[i], n)
+		}
+		if got := tn.sent.Load(); got != n {
+			t.Errorf("instance %d: sent %d, processed %d", i, got, n)
+		}
+		if ties := tn.ties.Load(); ties != 0 {
+			t.Errorf("instance %d: %d ties", i, ties)
+		}
+	}
+	if accepted.Load() == 0 {
+		t.Fatal("nothing was accepted")
+	}
+	if got := s.ing.Accepted(); got != accepted.Load() {
+		t.Errorf("ingester accepted %d, producers saw %d", got, accepted.Load())
+	}
+	if lost := s.ing.Lost(); accepted.Load() != processed+lost {
+		t.Errorf("accepted %d != processed %d + lost %d", accepted.Load(), processed, lost)
 	}
 }

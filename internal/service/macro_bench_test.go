@@ -7,10 +7,10 @@ import (
 )
 
 // BenchmarkServiceMacro is the fixed-rng macro benchmark: one full service
-// pass per iteration — a million-record skewed stream ingested through the
-// sharder in wire-sized batches, a flush, then the kind's query spread —
+// pass per iteration — a million-record skewed stream ingested in
+// wire-sized batches, a flush, then the kind's query spread —
 // for each of the three tracker kinds. Everything above HTTP decoding runs:
-// shard partitioning, per-tenant admission, the engine's batched fast path
+// grouping, per-tenant admission, the engine's batched fast path
 // and (coalesced) slow path, and the version-keyed query caches. The rng
 // seed is pinned so runs are comparable within a session (make
 // bench-compare); ns/item is the headline metric.
@@ -71,7 +71,7 @@ func BenchmarkServiceMacro(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				srv := New(Config{Shards: 4, ShardQueue: 64, SiteBuffer: 64})
+				srv := New(Config{SiteBuffer: 64})
 				if _, err := srv.Registry().Create(kind.tc); err != nil {
 					b.Fatal(err)
 				}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"disttrack/internal/runtime"
 )
@@ -15,9 +14,8 @@ import (
 // — core.Tracker.Reconfigure implements exactly that, folding removed
 // sites' counts into site 0 so totals are preserved. This file lifts that
 // engine capability to the service: live site add/remove on a running
-// tenant (ReconfigureTenant), moving a tenant between shard workers with a
-// checkpoint as the transfer format (MigrateTenant), and the membership
-// epoch both advertise to site nodes.
+// tenant (ReconfigureTenant), and the membership epoch it advertises to site
+// nodes.
 //
 // Every membership operation is serialized by Server.memberMu and ends with
 // an epoch bump: the new epoch is advertised to the ingest listener,
@@ -147,107 +145,10 @@ func (s *Server) persistReconfigured(t *Tenant) error {
 	return t.dur.Create(meta)
 }
 
-// MigrateTenant moves a tenant onto shard worker target, using the durable
-// checkpoint payload as the transfer format: route new ingest to the target
-// shard, run the pipeline barrier so the old worker's queue drains, fence
-// deliveries (durMu), capture the tenant's state, restore it into a fresh
-// instance, swap the registry entry, resume. A delivery in flight during
-// the swap re-resolves the tenant through the registry after taking the
-// gate (shard.go's get-lock-recheck), so no record is lost and none is
-// applied twice. Works for non-durable tenants too — the checkpoint
-// payload is an in-memory format first, a disk format second.
-func (s *Server) MigrateTenant(name string, target int) error {
-	if target < 0 || target >= s.sh.numShards() {
-		return fmt.Errorf("shard %d out of range [0,%d)", target, s.sh.numShards())
-	}
-	s.memberMu.Lock()
-	defer s.memberMu.Unlock()
-	t := s.reg.Get(name)
-	if t == nil {
-		return fmt.Errorf("tenant %q not found", name)
-	}
-	if s.sh.shardIndexOf(name) == target {
-		return nil // already placed; no epoch bump
-	}
-	t0 := time.Now()
-	if err := s.sh.assignShard(name, target); err != nil {
-		return err
-	}
-	// Records already queued on the old worker drain through the barrier and
-	// land on the old instance; records accepted from here on queue on the
-	// target worker and block on durMu until the swap publishes the new one.
-	s.sh.Flush()
-	t.durMu.Lock()
-	unwind := func() {
-		t.durMu.Unlock()
-		_ = s.sh.assignShard(name, -1)
-	}
-	if s.reg.Get(name) != t || t.isClosed() {
-		unwind()
-		return fmt.Errorf("tenant %q is closing", name)
-	}
-	for !t.synced() {
-		if t.isClosed() {
-			unwind()
-			return fmt.Errorf("tenant %q is closing", name)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	payload, err := t.encodeDurable()
-	if err != nil {
-		unwind()
-		return err
-	}
-	nt, err := newTenant(t.Config(), s.cfg.SiteBuffer, s.met)
-	if err != nil {
-		unwind()
-		return err
-	}
-	if err := nt.restoreDurable(payload); err != nil {
-		nt.close(false)
-		unwind()
-		return fmt.Errorf("restore into migrated instance: %w", err)
-	}
-	// Hand over the durable state: same WAL handle, plus a checkpoint at the
-	// cut point so a crash right after the swap recovers the migrated state
-	// from the checkpoint alone. The old instance keeps its (now unused)
-	// pointer — it is never closed through it.
-	nt.dur = t.dur
-	if nt.dur != nil {
-		if _, _, err := nt.dur.WriteCheckpoint(nt.dur.NextSeq()-1, payload); err != nil {
-			s.met.ckptErrors.Inc()
-		}
-	}
-	nt.queued.Store(t.queued.Load())
-	if old := s.reg.replace(nt); old == nil {
-		// A concurrent delete removed the name; discard the rebuilt instance
-		// (its durable handle belongs to the deleted tenant — leave it).
-		nt.close(false)
-		unwind()
-		return fmt.Errorf("tenant %q was deleted during migration", name)
-	}
-	// Close the old instance BEFORE releasing its gate: it still points at
-	// the now-shared WAL handle, and a checkpointer that won the durMu race
-	// after us would otherwise capture the stale tracker under a cover that
-	// already includes the new instance's appends — silent data loss on
-	// recovery. Closed tenants are skipped by the checkpointer. The instance
-	// is private now (nothing reaches it through the registry), its cluster
-	// absorbed everything before the capture, and its durable handle lives
-	// on in nt — no dur teardown here.
-	t.close(false)
-	t.durMu.Unlock()
-	s.migrations.Add(1)
-	s.met.migrations.Inc()
-	s.met.migrationSecs.Observe(time.Since(t0).Seconds())
-	s.bumpEpoch()
-	return nil
-}
-
 // MembershipStatus is the /healthz membership section.
 type MembershipStatus struct {
 	Epoch          uint64 `json:"epoch"`
 	Changes        int64  `json:"changes"`         // completed site add/remove reconfigurations
-	Migrations     int64  `json:"migrations"`      // completed tenant migrations
 	DurableCursors bool   `json:"durable_cursors"` // persisted cursor table loaded at boot
 	CursorNodes    int    `json:"cursor_nodes"`    // per-node dedup cursors held
 }
@@ -255,9 +156,8 @@ type MembershipStatus struct {
 // membershipStatus snapshots the membership plane for /healthz.
 func (s *Server) membershipStatus() MembershipStatus {
 	ms := MembershipStatus{
-		Epoch:      s.epoch.Load(),
-		Changes:    s.memChanges.Load(),
-		Migrations: s.migrations.Load(),
+		Epoch:   s.epoch.Load(),
+		Changes: s.memChanges.Load(),
 	}
 	if ri := s.remote.Load(); ri != nil {
 		ms.CursorNodes = len(ri.srv.Cursors())

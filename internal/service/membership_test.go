@@ -98,10 +98,14 @@ func TestReconfigureUnderFire(t *testing.T) {
 	if med, err := s.reg.Get("quant").Quantile(0.5); err != nil || med < 64-14 || med > 64+14 {
 		t.Errorf("quant median %d err=%v, want ≈ 63", med, err)
 	}
+	// The allq coordinator's total is an estimate (it lags the true total by
+	// at most eps·n, visibly so after a round restart); the exact check is the
+	// site-count sum above.
 	nq := sent[2].Load()
-	if rank, total, err := s.reg.Get("allq").Rank(64); err != nil || total != nq ||
+	if rank, total, err := s.reg.Get("allq").Rank(64); err != nil ||
+		absDiff(total, nq) > int64(eps*float64(nq))+1 ||
 		absDiff(rank, nq/2) > int64(2*eps*float64(nq))+1 {
-		t.Errorf("allq rank(64)=%d/%d err=%v, want ≈ %d", rank, total, err, nq/2)
+		t.Errorf("allq rank(64)=%d/%d err=%v, want ≈ %d/%d", rank, total, err, nq/2, nq)
 	}
 }
 
@@ -110,78 +114,6 @@ func absDiff(a, b int64) int64 {
 		return a - b
 	}
 	return b - a
-}
-
-// TestMigrateUnderFire moves a tenant between shard workers while ingest
-// runs, several hops, and checks nothing is lost or doubled and the tenant
-// keeps answering queries from the migrated state.
-func TestMigrateUnderFire(t *testing.T) {
-	s := New(Config{Shards: 4})
-	defer s.Close()
-	mustCreate(t, s, TenantConfig{Name: "m", Kind: KindHH, K: 2, Eps: 0.1})
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	var sent atomic.Int64
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for v := uint64(0); ; v++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if acc, _ := s.Ingest([]Record{{Tenant: "m", Site: int(v % 2), Value: v % 16}}); acc == 1 {
-				sent.Add(1)
-			}
-		}
-	}()
-
-	hops := 0
-	for _, target := range []int{1, 3, 0, 2} {
-		time.Sleep(2 * time.Millisecond)
-		if s.sh.shardIndexOf("m") == target {
-			continue
-		}
-		if err := s.MigrateTenant("m", target); err != nil {
-			t.Fatalf("migrate to shard %d: %v", target, err)
-		}
-		hops++
-		if got := s.sh.shardIndexOf("m"); got != target {
-			t.Fatalf("tenant on shard %d after migration, want %d", got, target)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	s.Flush()
-
-	if hops == 0 {
-		t.Fatal("schedule produced zero migrations")
-	}
-	if got := s.migrations.Load(); got != int64(hops) {
-		t.Errorf("migrations counter %d, want %d", got, hops)
-	}
-	if got := s.Epoch(); got != 1+uint64(hops) {
-		t.Errorf("epoch %d after %d migrations, want %d", got, hops, 1+hops)
-	}
-	st := s.reg.Get("m").Stats()
-	var sum int64
-	for _, c := range st.SiteCounts {
-		sum += int64(c)
-	}
-	if sum != sent.Load() {
-		t.Errorf("site counts sum %d after %d migrations, want %d", sum, hops, sent.Load())
-	}
-	n := sent.Load()
-	if f, err := s.reg.Get("m").Frequency(7); err != nil ||
-		absDiff(int64(f), n/16) > int64(0.1*float64(n))+1 {
-		t.Errorf("frequency(7)=%d err=%v after migrations, want %d ± %d", f, err, n/16, int64(0.1*float64(n))+1)
-	}
-	// Migration must not leave a stale pin dangling for other tenants.
-	if s.sh.shardIndexOf("absent") != s.sh.hashShard("absent") {
-		t.Error("unrelated tenant not on its hash shard")
-	}
 }
 
 // nodeDial performs a raw site-node handshake and returns the open
@@ -349,10 +281,10 @@ func TestDurableCursorRestartExactlyOnce(t *testing.T) {
 	conn.Close()
 }
 
-// TestMembershipAdminAPI exercises the admin endpoints end to end and the
+// TestMembershipAdminAPI exercises the admin endpoint end to end and the
 // /healthz membership block.
 func TestMembershipAdminAPI(t *testing.T) {
-	s := New(Config{Shards: 2})
+	s := New(Config{})
 	defer s.Close()
 	mustCreate(t, s, TenantConfig{Name: "api", Kind: KindHH, K: 2, Eps: 0.1})
 	ingestN(t, s, "api", 10)
@@ -368,15 +300,9 @@ func TestMembershipAdminAPI(t *testing.T) {
 	if got := s.reg.Get("api").K(); got != 4 {
 		t.Fatalf("k %d after admin reconfigure, want 4", got)
 	}
-	target := (s.sh.shardIndexOf("api") + 1) % 2
-	code = jsonDo(t, ts.Client(), "POST", ts.URL+"/v1/admin/migrate",
-		map[string]any{"tenant": "api", "shard": target}, &resp)
-	if code != 200 || resp["epoch"].(float64) != 3 {
-		t.Fatalf("migrate: code %d resp %v", code, resp)
-	}
 	s.Flush()
 	if sum := siteSum(t, s, "api"); sum != 10 {
-		t.Fatalf("sum %d after admin migrate, want 10", sum)
+		t.Fatalf("sum %d after admin reconfigure, want 10", sum)
 	}
 
 	// Error mapping: unknown tenant 404, bad k 400, unknown field 400.
@@ -388,9 +314,14 @@ func TestMembershipAdminAPI(t *testing.T) {
 		map[string]any{"tenant": "api", "k": 0}, nil); code != 400 {
 		t.Fatalf("bad k: code %d, want 400", code)
 	}
+	if code := jsonDo(t, ts.Client(), "POST", ts.URL+"/v1/admin/membership",
+		map[string]any{"tenant": "api", "k": 2, "shard": 1}, nil); code != 400 {
+		t.Fatalf("unknown field: code %d, want 400", code)
+	}
+	// The migrate endpoint is gone, not stubbed.
 	if code := jsonDo(t, ts.Client(), "POST", ts.URL+"/v1/admin/migrate",
-		map[string]any{"tenant": "api", "shard": 99}, nil); code != 400 {
-		t.Fatalf("bad shard: code %d, want 400", code)
+		map[string]any{"tenant": "api", "shard": 0}, nil); code != 404 {
+		t.Fatalf("removed migrate endpoint: code %d, want 404", code)
 	}
 
 	var h struct {
@@ -399,9 +330,8 @@ func TestMembershipAdminAPI(t *testing.T) {
 	if code := jsonDo(t, ts.Client(), "GET", ts.URL+"/healthz", nil, &h); code != 200 {
 		t.Fatalf("healthz: code %d", code)
 	}
-	if h.Membership == nil || h.Membership.Epoch != 3 ||
-		h.Membership.Changes != 1 || h.Membership.Migrations != 1 {
-		t.Fatalf("healthz membership %+v, want epoch 3, 1 change, 1 migration", h.Membership)
+	if h.Membership == nil || h.Membership.Epoch != 2 || h.Membership.Changes != 1 {
+		t.Fatalf("healthz membership %+v, want epoch 2, 1 change", h.Membership)
 	}
 }
 

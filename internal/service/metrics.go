@@ -24,7 +24,7 @@ import (
 //   - Direct histogram observes on the per-request ingest paths, where one
 //     time.Now pair per batch is noise.
 //   - Scrape-time mirrors for counters owned elsewhere (cluster stats,
-//     sharder totals, wire meters, transport byte counts): a hook runs
+//     ingest totals, wire meters, transport byte counts): a hook runs
 //     before each exposition, serialized by the registry, and adds monotone
 //     deltas — zero cost off the scrape path.
 //
@@ -70,8 +70,7 @@ type serverMetrics struct {
 	// accounting) under that tenant's quiescent query lock.
 	bridge *wireobs.Bridge
 
-	// Ingest pipeline (sharder) instrumentation.
-	shardDepth   []*obs.Gauge // per shard, resolved at construction
+	// Ingest path instrumentation.
 	accepted     *obs.Counter
 	rejected     *obs.Counter
 	throttled    *obs.Counter
@@ -110,10 +109,8 @@ type serverMetrics struct {
 	walFsync    *obs.Counter
 	walErrors   *obs.Counter
 
-	// Membership plane (site add/remove, tenant migration).
-	memChanges    *obs.Counter
-	migrations    *obs.Counter
-	migrationSecs *obs.Histogram
+	// Membership plane (site add/remove).
+	memChanges *obs.Counter
 
 	// HTTP API instrumentation.
 	httpReqs     *obs.CounterVec   // {route, method, code}
@@ -135,8 +132,8 @@ type serverMetrics struct {
 }
 
 // newServerMetrics registers the server's full metric catalog on a fresh
-// registry. shards fixes the shard-depth gauge set.
-func newServerMetrics(shards int) *serverMetrics {
+// registry.
+func newServerMetrics() *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{reg: reg, start: time.Now()}
 
@@ -182,7 +179,7 @@ func newServerMetrics(shards int) *serverMetrics {
 	m.tenThrottled = reg.NewCounterVec("disttrack_admission_throttled_total",
 		"Records denied by the tenant's QoS admission (rate limit or queue share).", "tenant")
 	m.tenQueued = reg.NewGaugeVec("disttrack_admission_queued",
-		"Records accepted into the shard pipeline but not yet delivered, per tenant.", "tenant")
+		"Records admitted but not yet applied to the tenant's tracker (what queue_share bounds).", "tenant")
 
 	m.queries = reg.NewCounterVec("disttrack_queries_total",
 		"Tenant queries served, by query shape.", "tenant", "query")
@@ -195,14 +192,8 @@ func newServerMetrics(shards int) *serverMetrics {
 
 	m.bridge = wireobs.New(reg, "disttrack_wire")
 
-	m.shardDepth = make([]*obs.Gauge, shards)
-	depth := reg.NewGaugeVec("disttrack_shard_queue_depth",
-		"Messages queued on each ingest worker shard.", "shard")
-	for i := range m.shardDepth {
-		m.shardDepth[i] = depth.With(strconv.Itoa(i))
-	}
 	m.accepted = reg.NewCounter("disttrack_ingest_accepted_total",
-		"Records accepted by the ingest pipeline.")
+		"Records accepted by the ingest path.")
 	m.rejected = reg.NewCounter("disttrack_ingest_rejected_total",
 		"Records rejected at validation.")
 	m.throttled = reg.NewCounter("disttrack_ingest_throttled_total",
@@ -212,18 +203,18 @@ func newServerMetrics(shards int) *serverMetrics {
 	m.batchRecords = reg.NewHistogram("disttrack_ingest_batch_records",
 		"Records per ingest batch.", obs.SizeBuckets())
 	m.ingestSecs = reg.NewHistogram("disttrack_ingest_seconds",
-		"Seconds spent validating and enqueuing one ingest batch.", obs.DurationBuckets())
+		"Seconds spent validating, logging and delivering one ingest batch to its site channels.", obs.DurationBuckets())
 
 	m.remoteNodes = reg.NewGauge("disttrack_remote_nodes",
 		"Live site-node connections on the networked ingest listener.")
 	m.remoteFrames = reg.NewCounter("disttrack_remote_frames_total",
 		"Batch frames applied by the networked ingest path.")
 	m.remoteValues = reg.NewCounter("disttrack_remote_values_total",
-		"Values delivered to the pipeline by the networked ingest path.")
+		"Values delivered to the tenants' clusters by the networked ingest path.")
 	m.remoteDups = reg.NewCounter("disttrack_remote_duplicates_total",
 		"Replayed frames dropped by sequence deduplication.")
 	m.remoteRejFrames = reg.NewCounter("disttrack_remote_rejected_frames_total",
-		"Frames refused by the ingest pipeline.")
+		"Frames refused by ingest validation.")
 	m.remoteRefused = reg.NewCounter("disttrack_remote_refused_hellos_total",
 		"Node handshakes refused by an open per-node reconnect breaker.")
 	m.remoteEpochRefused = reg.NewCounter("disttrack_remote_epoch_refused_hellos_total",
@@ -268,10 +259,6 @@ func newServerMetrics(shards int) *serverMetrics {
 
 	m.memChanges = reg.NewCounter("disttrack_membership_changes_total",
 		"Completed live site add/remove reconfigurations (each bumps the membership epoch).")
-	m.migrations = reg.NewCounter("disttrack_migrations_total",
-		"Completed tenant migrations between shard workers.")
-	m.migrationSecs = reg.NewHistogram("disttrack_migration_duration_seconds",
-		"Seconds per tenant migration, reroute through registry swap.", obs.DurationBuckets())
 
 	m.httpReqs = reg.NewCounterVec("disttrack_http_requests_total",
 		"HTTP API requests, by mux route, method and status code.", "route", "method", "code")
@@ -413,13 +400,10 @@ func (s *Server) syncObs() {
 	for _, t := range s.reg.all() {
 		t.syncObs()
 	}
-	addDelta(m.accepted, &m.lastAccepted, s.sh.Accepted())
-	addDelta(m.rejected, &m.lastRejected, s.sh.Rejected())
-	addDelta(m.throttled, &m.lastThrottled, s.sh.Throttled())
-	addDelta(m.lost, &m.lastLost, s.sh.Lost())
-	for i, d := range s.sh.QueueDepths() {
-		m.shardDepth[i].SetInt(int64(d))
-	}
+	addDelta(m.accepted, &m.lastAccepted, s.ing.Accepted())
+	addDelta(m.rejected, &m.lastRejected, s.ing.Rejected())
+	addDelta(m.throttled, &m.lastThrottled, s.ing.Throttled())
+	addDelta(m.lost, &m.lastLost, s.ing.Lost())
 	if ri := s.remote.Load(); ri != nil {
 		ri.syncObs(m)
 	}
@@ -449,7 +433,7 @@ func (t *Tenant) syncObs() {
 	addDelta(tm.dropped, &tm.lastDropped, t.dropped.Load())
 	addDelta(tm.ties, &tm.lastTies, t.ties.Load())
 	addDelta(tm.throttled, &tm.lastThrottled, t.throttled.Load())
-	tm.queued.SetInt(t.queued.Load())
+	tm.queued.SetInt(t.backlog())
 	t.cluster().Query(func() {
 		tm.sm.bridge.Sync(t.cfg.Name, t.meter())
 	})

@@ -75,9 +75,9 @@ outer:
 	return sum
 }
 
-// waitProcessed polls the tenant stats endpoint until the pipeline has fully
-// fed want arrivals to the tracker (ingest is asynchronous past the shard
-// queues).
+// waitProcessed polls the tenant stats endpoint until the site goroutines
+// have fed want arrivals to the tracker (ingest is asynchronous past the site
+// channels).
 func waitProcessed(t *testing.T, client *http.Client, url string, want int64) service.TenantStats {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -97,7 +97,7 @@ func waitProcessed(t *testing.T, client *http.Client, url string, want int64) se
 }
 
 func TestMetricsScrapeAndConservation(t *testing.T) {
-	srv := service.New(service.Config{Shards: 2, ShardQueue: 16, SiteBuffer: 32})
+	srv := service.New(service.Config{SiteBuffer: 32})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -138,7 +138,8 @@ func TestMetricsScrapeAndConservation(t *testing.T) {
 		"disttrack_wire_msgs_total",
 		"disttrack_ingest_accepted_total",
 		"disttrack_ingest_batch_records_count",
-		"disttrack_shard_queue_depth",
+		"disttrack_cluster_queue_depth",
+		"disttrack_admission_queued",
 		"disttrack_http_requests_total",
 		"disttrack_remote_frames_total",
 		"disttrack_uptime_seconds",
@@ -150,7 +151,18 @@ func TestMetricsScrapeAndConservation(t *testing.T) {
 		}
 	}
 
-	// Pipeline counters match the ingest that happened.
+	// The shard-worker layer's families went with it.
+	for _, fam := range []string{
+		"disttrack_shard_queue_depth",
+		"disttrack_migrations_total",
+		"disttrack_migration_duration_seconds",
+	} {
+		if hasFamily(m1, fam) {
+			t.Errorf("scrape still exports family %s", fam)
+		}
+	}
+
+	// Ingest counters match the ingest that happened.
 	if got := m1["disttrack_ingest_accepted_total"]; got != n {
 		t.Errorf("accepted_total = %g, want %d", got, n)
 	}
@@ -216,7 +228,7 @@ func hasFamily(m map[string]float64, family string) bool {
 }
 
 func TestMetricsTenantDeleteRemovesSeries(t *testing.T) {
-	srv := service.New(service.Config{Shards: 1, ShardQueue: 8, SiteBuffer: 16})
+	srv := service.New(service.Config{SiteBuffer: 16})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -248,7 +260,7 @@ func TestMetricsTenantDeleteRemovesSeries(t *testing.T) {
 }
 
 func TestQueryErrorStatusMapping(t *testing.T) {
-	srv := service.New(service.Config{Shards: 1, ShardQueue: 8, SiteBuffer: 16})
+	srv := service.New(service.Config{SiteBuffer: 16})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -294,7 +306,7 @@ func TestQueryErrorStatusMapping(t *testing.T) {
 }
 
 func TestHealthzEnriched(t *testing.T) {
-	srv := service.New(service.Config{Shards: 3, ShardQueue: 8, SiteBuffer: 16})
+	srv := service.New(service.Config{SiteBuffer: 16})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -310,15 +322,24 @@ func TestHealthzEnriched(t *testing.T) {
 		Uptime     float64 `json:"uptime_seconds"`
 		Version    string  `json:"version"`
 		Go         string  `json:"go"`
-		Shards     int     `json:"shards"`
-		QueueDepth []int   `json:"shard_queue_depth"`
+		Membership *struct {
+			Epoch uint64 `json:"epoch"`
+		} `json:"membership"`
 	}
 	for _, path := range []string{"/healthz", "/v1/healthz"} {
 		if code := jsonCall(t, client, "GET", ts.URL+path, nil, &hz); code != http.StatusOK {
 			t.Fatalf("GET %s: status %d", path, code)
 		}
-		if !hz.OK || hz.Tenants != 1 || hz.Shards != 3 || len(hz.QueueDepth) != 3 {
+		if !hz.OK || hz.Tenants != 1 || hz.Membership == nil || hz.Membership.Epoch != 1 {
 			t.Fatalf("GET %s: %+v", path, hz)
+		}
+		// The worker layer's fields are gone with it.
+		var raw map[string]any
+		jsonCall(t, client, "GET", ts.URL+path, nil, &raw)
+		for _, gone := range []string{"shards", "shard_queue_depth"} {
+			if _, ok := raw[gone]; ok {
+				t.Errorf("GET %s still reports %q", path, gone)
+			}
 		}
 		if hz.Uptime <= 0 || hz.Version == "" || hz.Go == "" {
 			t.Fatalf("GET %s missing build/uptime metadata: %+v", path, hz)
@@ -331,7 +352,7 @@ func TestHealthzEnriched(t *testing.T) {
 // update discipline (inline atomics, direct observes, scrape-hook mirrors)
 // against concurrent exposition.
 func TestMetricsFeedWhileScraping(t *testing.T) {
-	srv := service.New(service.Config{Shards: 2, ShardQueue: 16, SiteBuffer: 32})
+	srv := service.New(service.Config{SiteBuffer: 32})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()

@@ -28,7 +28,7 @@ func jsonBody(t *testing.T, v any) io.Reader {
 // rate_limited codes, a fully-throttled batch answers 429 with Retry-After —
 // while a second, unlimited tenant ingests at parity the whole time.
 func TestTenantRateLimit429(t *testing.T) {
-	srv := New(Config{Shards: 2, ShardQueue: 8, SiteBuffer: 8})
+	srv := New(Config{SiteBuffer: 8})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -112,63 +112,83 @@ func TestTenantRateLimit429(t *testing.T) {
 	}
 }
 
-// TestTenantQueueShare pins the queue-share bound: a tenant at its queued
-// cap is denied admission with the short queue-share retry hint, without
-// consuming rate tokens, and is admitted again once the queue drains.
+// TestTenantQueueShare pins the queue-share bound against a real backlog: with
+// the tenant's site goroutines stalled (a quiescent query held open), records
+// sent to the cluster stay unapplied, so a tenant at its share is denied
+// admission with the short queue-share retry hint — inside a batch as well as
+// across calls — and is admitted again once the backlog drains.
 func TestTenantQueueShare(t *testing.T) {
-	srv := New(Config{Shards: 1, ShardQueue: 8, SiteBuffer: 8})
+	srv := New(Config{SiteBuffer: 8})
 	defer srv.Close()
 	mustCreate(t, srv, TenantConfig{Name: "q", Kind: KindHH, K: 2, Eps: 0.1, QueueShare: 4})
 	tn := srv.Registry().Get("q")
 	if tn == nil {
 		t.Fatal("tenant not found")
 	}
+	batch := func(n int) []Record {
+		recs := make([]Record, n)
+		for i := range recs {
+			recs[i] = Record{Tenant: "q", Site: i % 2, Value: uint64(i)}
+		}
+		return recs
+	}
 
-	// Simulate a backed-up pipeline by pinning the queued gauge at the cap.
-	tn.queued.Store(4)
-	acc, errs, retry := srv.sh.Ingest([]Record{{Tenant: "q", Site: 0, Value: 1}})
-	if acc != 0 || len(errs) != 1 || errs[0].Code != codeThrottled {
-		t.Fatalf("at cap: accepted %d errs %+v, want full throttle", acc, errs)
+	// Stall the tracker: Query holds the engine's quiescent lock set, so the
+	// site goroutines block on their first batch.
+	held, release := make(chan struct{}), make(chan struct{})
+	go tn.cluster().Query(func() { close(held); <-release })
+	<-held
+
+	// One call, six records against a share of four: the bound bites inside
+	// the batch.
+	acc, errs, retry := srv.ing.Ingest(batch(6))
+	if acc != 4 || len(errs) != 2 || errs[0].Index != 4 || errs[0].Code != codeThrottled || errs[1].Code != codeThrottled {
+		t.Fatalf("over share in one call: accepted %d errs %+v, want 4 accepted, records 4 and 5 throttled", acc, errs)
 	}
 	if retry != queueShareRetry {
 		t.Fatalf("retry hint %v, want %v", retry, queueShareRetry)
 	}
-	if got := tn.throttled.Load(); got != 1 {
-		t.Fatalf("throttled %d, want 1", got)
+	// The four are sent but unapplied: the next call is throttled whole.
+	if got := tn.backlog(); got != 4 {
+		t.Fatalf("backlog %d with the tracker stalled, want 4", got)
+	}
+	acc, errs, _ = srv.ing.Ingest(batch(1))
+	if acc != 0 || len(errs) != 1 || errs[0].Code != codeThrottled {
+		t.Fatalf("at share: accepted %d errs %+v, want full throttle", acc, errs)
+	}
+	if got := tn.throttled.Load(); got != 3 {
+		t.Fatalf("throttled %d, want 3", got)
 	}
 
-	// Queue drains → admission resumes.
-	tn.queued.Store(0)
-	acc, errs, _ = srv.sh.Ingest([]Record{{Tenant: "q", Site: 0, Value: 1}})
+	// Backlog drains → admission resumes.
+	close(release)
+	srv.Flush()
+	if got := tn.backlog(); got != 0 {
+		t.Fatalf("backlog %d after flush, want 0", got)
+	}
+	acc, errs, _ = srv.ing.Ingest(batch(1))
 	if acc != 1 || len(errs) != 0 {
 		t.Fatalf("after drain: accepted %d errs %+v, want 1 accepted", acc, errs)
 	}
 	srv.Flush()
-	// Delivery must return the queued gauge to zero.
-	deadline := time.Now().Add(2 * time.Second)
-	for tn.queued.Load() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queued gauge stuck at %d after flush", tn.queued.Load())
-		}
-		time.Sleep(time.Millisecond)
+	if st := tn.Stats(); st.Processed != 5 || st.Queued != 0 {
+		t.Fatalf("processed %d queued %d, want 5/0", st.Processed, st.Queued)
 	}
 }
 
 // healthPayload pins the enriched /healthz JSON shape.
 type healthPayload struct {
-	OK              bool                  `json:"ok"`
-	Tenants         int                   `json:"tenants"`
-	Accepted        int64                 `json:"accepted"`
-	Rejected        int64                 `json:"rejected"`
-	Throttled       int64                 `json:"throttled"`
-	Lost            int64                 `json:"lost"`
-	UptimeSeconds   float64               `json:"uptime_seconds"`
-	Shards          int                   `json:"shards"`
-	ShardQueueDepth []int                 `json:"shard_queue_depth"`
-	TenantQoS       map[string]tenantQoS  `json:"tenant_qos"`
-	RemoteNodes     map[string]nodeHealth `json:"remote_nodes"`
-	Degraded        *bool                 `json:"degraded"`
-	Durability      *durabilityHealth     `json:"durability"`
+	OK            bool                  `json:"ok"`
+	Tenants       int                   `json:"tenants"`
+	Accepted      int64                 `json:"accepted"`
+	Rejected      int64                 `json:"rejected"`
+	Throttled     int64                 `json:"throttled"`
+	Lost          int64                 `json:"lost"`
+	UptimeSeconds float64               `json:"uptime_seconds"`
+	TenantQoS     map[string]tenantQoS  `json:"tenant_qos"`
+	RemoteNodes   map[string]nodeHealth `json:"remote_nodes"`
+	Degraded      *bool                 `json:"degraded"`
+	Durability    *durabilityHealth     `json:"durability"`
 }
 
 // durabilityHealth pins the /healthz durability section (durable servers
@@ -215,7 +235,7 @@ func TestHealthzShape(t *testing.T) {
 	if code := jsonDo(t, client, "GET", ts.URL+"/healthz", nil, &h); code != http.StatusOK {
 		t.Fatalf("healthz: status %d", code)
 	}
-	if !h.OK || h.Tenants != 2 || h.Accepted != 1 || h.Shards == 0 || len(h.ShardQueueDepth) != h.Shards {
+	if !h.OK || h.Tenants != 2 || h.Accepted != 1 || h.UptimeSeconds <= 0 {
 		t.Fatalf("healthz core shape: %+v", h)
 	}
 	// No data directory → no durability section.
@@ -274,7 +294,7 @@ func TestHealthzShape(t *testing.T) {
 // site count goes 2→4→2: the handler must read the tenant's configuration
 // under its lock (run under -race; ReconfigureTenant writes cfg.K).
 func TestHealthzDuringReconfigure(t *testing.T) {
-	srv := New(Config{Shards: 2, ShardQueue: 8, SiteBuffer: 8})
+	srv := New(Config{SiteBuffer: 8})
 	defer srv.Close()
 	mustCreate(t, srv, TenantConfig{Name: "qos", Kind: KindHH, K: 2, Eps: 0.1, RateLimit: 1000, QueueShare: 64})
 	done := make(chan struct{})

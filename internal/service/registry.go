@@ -34,7 +34,7 @@ type Registry struct {
 	// snap is the published name → tenant index: an immutable map that
 	// readers load and index without taking a lock or writing a shared cache
 	// line (Get runs once per run of records on the ingest path and once per
-	// delivery). Writers — create, migrate, delete, close: rare — copy it
+	// delivery). Writers — create, delete, close: rare — copy it
 	// under mu and publish the copy.
 	mu   sync.Mutex
 	snap atomic.Pointer[map[string]*Tenant]
@@ -116,22 +116,6 @@ func (r *Registry) insert(t *Tenant) error {
 	}
 	r.publish(t.cfg.Name, t)
 	return nil
-}
-
-// replace swaps in a rebuilt instance of an existing tenant (tenant
-// migration: same name, fresh Tenant restored from a checkpoint) and
-// returns the displaced instance, or nil if the name is no longer
-// registered (the swap is then refused — a racing Delete wins). Unlike
-// Delete it does not close or drop anything: the caller owns the handoff.
-func (r *Registry) replace(nt *Tenant) *Tenant {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old, ok := r.all()[nt.cfg.Name]
-	if !ok {
-		return nil
-	}
-	r.publish(nt.cfg.Name, nt)
-	return old
 }
 
 // Get returns the named tenant, or nil if absent. It is lock-free.

@@ -13,9 +13,8 @@ import (
 
 // RemoteIngest is the coordinator side of the distributed deployment: a
 // remote.IngestServer terminating multi-tenant site-node connections,
-// feeding decoded batch frames into the service's sharded ingest pipeline
-// (the remoteShard path), and answering network flush fences with a full
-// pipeline barrier. Communication is accounted per tenant on a wire.Meter,
+// feeding decoded batch frames to the tenants' clusters (IngestGrouped), and
+// answering network flush fences with the service-wide visibility barrier. Communication is accounted per tenant on a wire.Meter,
 // extending the paper's word-cost bookkeeping across the real network hop.
 type RemoteIngest struct {
 	s   *Server
@@ -65,21 +64,21 @@ func (s *Server) ServeRemote(addr string) (*RemoteIngest, error) {
 // Addr returns the ingest listener's address.
 func (ri *RemoteIngest) Addr() string { return ri.srv.Addr() }
 
-// onBatch applies one decoded batch frame through the remoteShard path. A
+// onBatch applies one decoded batch frame through IngestGrouped — the WAL
+// append happens inside that call, so the transport's ack follows it. A
 // non-nil return refuses the whole frame (the transport sends a reject) —
 // except during shutdown, where ErrIngestUnavailable makes the transport
 // drop the connection with the frame unconsumed, so the site node keeps it
 // buffered and resyncs against the coordinator's replacement. The frame's
-// pooled values slice is owned here: on success it flows through the
-// sharder into the tenant's cluster (which recycles it), on failure it
-// goes back to the batch pool.
+// pooled values slice is owned here: on success it flows into the tenant's
+// cluster (which recycles it), on failure it goes back to the batch pool.
 func (ri *RemoteIngest) onBatch(node string, f remote.TFrame) error {
 	words := f.Words()
 	if ri.s.closing.Load() {
 		runtime.PutBatch(f.Values)
 		return remote.ErrIngestUnavailable
 	}
-	_, rejected, throttled, err := ri.s.sh.IngestGrouped(f.Tenant, int(f.Site), f.Values, node, f.Seq)
+	_, rejected, throttled, err := ri.s.ing.IngestGrouped(f.Tenant, int(f.Site), f.Values, node, f.Seq)
 	if errors.Is(err, errShuttingDown) {
 		return fmt.Errorf("%w: %v", remote.ErrIngestUnavailable, err)
 	}
@@ -108,11 +107,10 @@ func (ri *RemoteIngest) onBatch(node string, f remote.TFrame) error {
 	return nil
 }
 
-// onFlush backs a node's network fence with the service-wide barrier:
-// every accepted batch is delivered to the clusters and processed by the
-// trackers before the ack goes out.
+// onFlush backs a node's network fence with the service-wide barrier: every
+// batch acked so far is processed by the trackers before the ack goes out.
 func (ri *RemoteIngest) onFlush(node string) {
-	ri.s.sh.Flush()
+	ri.s.ing.Flush()
 	ri.mu.Lock()
 	ri.meter.Up(-1, "tflush", 1)
 	ri.meter.Down(-1, "tflush", 1)

@@ -82,7 +82,7 @@ func mustCreate(t *testing.T, srv *Server, tc TenantConfig) {
 // TestDistributedMatchesInProcess is the distributed end-to-end test the
 // tentpole demands: a coordinator and two site nodes over localhost TCP
 // must serve the same heavy-hitter and quantile answers (within tracker
-// error bounds) as the in-process shard path fed identical records — and
+// error bounds) as the in-process path fed identical records — and
 // keep doing so across a site disconnect/reconnect, with no arrival lost or
 // double-counted.
 func TestDistributedMatchesInProcess(t *testing.T) {

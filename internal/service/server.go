@@ -10,14 +10,14 @@ import (
 	"disttrack/internal/obs"
 )
 
-// Server ties the registry, the sharded ingest pipeline, the metrics plane
-// and the HTTP API together. Create one with New (or Open for the durable
-// plane), mount Handler on any http.Server (or use cmd/trackd), and Close
-// it for a graceful drain.
+// Server ties the registry, the ingest path, the metrics plane and the HTTP
+// API together. Create one with New (or Open for the durable plane), mount
+// Handler on any http.Server (or use cmd/trackd), and Close it for a graceful
+// drain.
 type Server struct {
 	cfg     Config
 	reg     *Registry
-	sh      *sharder
+	ing     *ingester
 	met     *serverMetrics
 	dur     *durability // nil without Config.DataDir
 	mux     *http.ServeMux
@@ -27,13 +27,12 @@ type Server struct {
 
 	// Membership plane (membership.go): epoch is the coordinator's current
 	// membership configuration epoch (≥ 1; recovered from the durable cursor
-	// table, advertised to site nodes, bumped on every site add/remove or
-	// tenant migration). memberMu serializes membership operations — they
-	// are rare, multi-step, and must not interleave.
+	// table, advertised to site nodes, bumped on every site add/remove).
+	// memberMu serializes membership operations — they are rare, multi-step,
+	// and must not interleave.
 	epoch      atomic.Uint64
 	memberMu   sync.Mutex
 	memChanges atomic.Int64 // completed membership reconfigurations
-	migrations atomic.Int64 // completed tenant migrations
 }
 
 // New builds a Server from cfg (zero values take defaults) with durability
@@ -61,10 +60,10 @@ func New(cfg Config) *Server {
 func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg}
-	s.met = newServerMetrics(cfg.Shards)
+	s.met = newServerMetrics()
 	s.reg = NewRegistry(cfg.SiteBuffer)
 	s.reg.met = s.met
-	s.sh = newSharder(s.reg, cfg.Shards, cfg.ShardQueue, s.met)
+	s.ing = newIngester(s.reg, s.met)
 	s.mux = newMux(s)
 	s.handler = s.met.instrumentHTTP(s.mux)
 	s.met.reg.OnScrape(s.syncObs)
@@ -72,7 +71,7 @@ func Open(cfg Config) (*Server, error) {
 		"Live tenants in the registry.",
 		func() float64 { return float64(s.reg.Count()) })
 	s.met.reg.NewGaugeFunc("disttrack_membership_epoch",
-		"Current membership configuration epoch (bumped on every site add/remove and tenant migration).",
+		"Current membership configuration epoch (bumped on every site add/remove).",
 		func() float64 { return float64(s.epoch.Load()) })
 	s.epoch.Store(1)
 	if cfg.DataDir != "" {
@@ -124,40 +123,39 @@ func (s *Server) Registry() *Registry { return s.reg }
 // GET /metrics — so embedders can add their own instrumentation to it.
 func (s *Server) Metrics() *obs.Registry { return s.met.reg }
 
-// Ingest feeds records through the pipeline without HTTP (embedded use).
+// Ingest feeds records to their tenants without HTTP (embedded use).
 // Rejections with Code == "rate_limited" were throttled by the tenant's QoS
 // admission and are retryable; other rejections are permanent.
 func (s *Server) Ingest(recs []Record) (int, []RecordError) {
-	accepted, errs, _ := s.sh.Ingest(recs)
+	accepted, errs, _ := s.ing.Ingest(recs)
 	return accepted, errs
 }
 
 // Flush blocks until everything accepted so far is visible to queries.
-func (s *Server) Flush() { s.sh.Flush() }
+func (s *Server) Flush() { s.ing.Flush() }
 
-// Close drains the service: new ingest/create requests are refused, shard
-// queues are flushed into the clusters, and every tenant's cluster drains
+// Close drains the service: new ingest/create requests are refused,
+// in-flight ingest calls finish delivering, and every tenant's cluster drains
 // its remaining arrivals. With the durable plane open, Close then takes a
 // final checkpoint of every tenant — a graceful restart recovers from the
-// checkpoint alone, with zero WAL replay. Queries keep working until the
-// caller stops the HTTP listener; Close is idempotent only in that second
-// calls panic-free no-op via the registry being empty, so call it once
-// after the listener has shut down.
+// checkpoint alone, with zero WAL replay. Queries keep working until Close
+// returns, so call it after the HTTP listener has shut down. A second call
+// is a no-op.
 func (s *Server) Close() {
 	if s.closing.Swap(true) {
 		return
 	}
 	// Stop the networked ingest first so no site-node frame races the
-	// pipeline teardown; site nodes keep unacknowledged frames buffered
-	// and resync against whatever replaces this server.
+	// teardown; site nodes keep unacknowledged frames buffered and resync
+	// against whatever replaces this server.
 	if ri := s.remote.Load(); ri != nil {
 		ri.Close()
 	}
-	s.sh.Close()
+	s.ing.Close()
 	if d := s.dur; d != nil {
 		d.stopLoop()
-		// The pipeline is closed, so nothing new reaches the clusters: the
-		// final checkpoints cover everything ever accepted.
+		// Ingest is closed, so nothing new reaches the clusters: the final
+		// checkpoints cover everything ever accepted.
 		for _, t := range s.reg.all() {
 			if err := s.checkpointTenant(t); err != nil {
 				s.met.ckptErrors.Inc()
@@ -167,9 +165,9 @@ func (s *Server) Close() {
 			}
 		}
 		// Persist the final cursor table (the ingest server's lastSeq map
-		// outlives its Close, and the drained pipeline means every applied
-		// record is already in a checkpoint or the WAL): a graceful restart
-		// recovers the dedup floor without any WAL provenance scan.
+		// outlives its Close, and every applied record is already in a
+		// checkpoint or the WAL): a graceful restart recovers the dedup floor
+		// without any WAL provenance scan.
 		if err := s.saveCursors(); err != nil {
 			s.met.ckptErrors.Inc()
 		}

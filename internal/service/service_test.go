@@ -61,7 +61,7 @@ func TestServiceEndToEnd(t *testing.T) {
 		perG  = 4000
 		batch = 250
 	)
-	srv := service.New(service.Config{Shards: 3, ShardQueue: 32, SiteBuffer: 64})
+	srv := service.New(service.Config{SiteBuffer: 64})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -287,7 +287,7 @@ func TestServiceEndToEnd(t *testing.T) {
 }
 
 func TestServiceEmptyTenantQueries(t *testing.T) {
-	srv := service.New(service.Config{Shards: 1, ShardQueue: 4, SiteBuffer: 4})
+	srv := service.New(service.Config{SiteBuffer: 4})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()

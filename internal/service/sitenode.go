@@ -127,7 +127,7 @@ func (n *SiteNode) Ingest(recs []Record) (int, []RecordError) {
 	}
 	// Group per (tenant, site) before handing to the forwarder — one buffer
 	// append and lock acquisition per group instead of per record — with the
-	// sharder's grouper. The node does not know a tenant's k, so a row is one
+	// ingester's grouper. The node does not know a tenant's k, so a row is one
 	// (tenant, site) pair with a single slot.
 	g := n.groupers.Get().(*grouper[fwdKey])
 	g.begin(len(recs))

@@ -68,9 +68,11 @@ type TenantConfig struct {
 	// admissible at once (default max(RateLimit, 1); only meaningful with
 	// RateLimit set).
 	RateBurst float64 `json:"rate_burst,omitempty"`
-	// QueueShare bounds this tenant's records queued in the shard pipeline
-	// but not yet delivered (0 = unbounded). It keeps one backed-up tenant
-	// from occupying every shard queue slot and starving its neighbours.
+	// QueueShare bounds this tenant's records admitted but not yet applied
+	// to its tracker — in an ingest call still delivering, or waiting on its
+	// site channels (0 = unbounded). A tenant at its share is throttled
+	// instead of blocking its callers (and, in a mixed batch, the other
+	// tenants' records behind it) on a full site channel.
 	QueueShare int `json:"queue_share,omitempty"`
 }
 
@@ -139,16 +141,15 @@ type queryAdapter struct {
 
 // Tenant is one named tracker instance: a core tracker wrapped in a
 // runtime.Cluster, plus the service-side perturbation and send bookkeeping.
-// Ingestion for a tenant is owned by exactly one shard goroutine (tenants
-// are hashed across shards), which is what makes the perturbation sequence
-// map safe without a lock. All kind-independent state flows through the
-// unified core.Tracker handle; the per-kind query shapes live in qa.
+// Every delivery to a tenant runs under its gate (durMu), which is what makes
+// the perturbation sequence map single-writer. All kind-independent state
+// flows through the unified core.Tracker handle; the per-kind query shapes
+// live in qa.
 type Tenant struct {
-	// Line group 1 — read-mostly. Everything the ingest path (any producer
-	// goroutine, once per run of records) and the delivery path (the owning
-	// shard worker, once per group) only READ lives here, away from the
-	// counters below, so a producer validating against kLive never waits for
-	// a cache line the worker just wrote.
+	// Line group 1 — read-mostly. Everything validation (once per run of
+	// records) and delivery (once per group) only READ lives here, away from
+	// the counters below, so a producer validating against kLive never waits
+	// for a cache line another producer's delivery just wrote.
 
 	cfg TenantConfig
 	// gen is a process-unique instance nonce baked into the tenant's query
@@ -171,8 +172,8 @@ type Tenant struct {
 	tm  *tenantMetrics // nil when the owning registry is uninstrumented
 	// seq is the symbolic-perturbation state for quantile/allq tenants:
 	// per-value occurrence counters (see stream.Perturb). The map's entries
-	// are touched only by the owning shard goroutine; the field itself is
-	// fixed at construction (nil = kind not perturbed).
+	// are touched only under durMu; the field itself is fixed at construction
+	// (nil = kind not perturbed).
 	seq map[uint64]uint32
 	// limiter is the rate limiter; nil without a rate limit.
 	limiter *fault.Limiter
@@ -182,13 +183,13 @@ type Tenant struct {
 
 	_ cacheLinePad
 
-	// Line group 2 — counters the pipeline writes: queued by producers
-	// (once per group; once per record for QoS-limited tenants) and by the
-	// worker, the rest by the worker alone.
+	// Line group 2 — counters ingest calls write: queued and throttled
+	// during admission (QoS-limited tenants only), the rest under durMu.
 
-	// queued tracks records accepted into the shard pipeline but not yet
-	// delivered (the QueueShare bound); throttled counts records denied
-	// admission by the queue-share bound or the rate limiter.
+	// queued counts records QoS admission let into ingest calls that have
+	// not finished delivering them (the in-call part of backlog; stays zero
+	// for unlimited tenants); throttled counts records denied admission by
+	// the queue-share bound or the rate limiter.
 	queued    atomic.Int64
 	throttled atomic.Int64
 	sent      atomic.Int64 // arrivals successfully enqueued to the cluster
@@ -210,18 +211,18 @@ type Tenant struct {
 	// ingest path never touches it — site validation reads kLive instead.
 	cfgMu sync.RWMutex
 
-	// durMu is the tenant's delivery gate: every shard delivery holds it
-	// across the {perturb, WAL append, cluster send} step, making that step
-	// atomic against (a) checkpoint capture — the checkpointer takes it,
-	// waits for the cluster to absorb everything sent, and snapshots state
-	// that matches the WAL prefix exactly — and (b) membership operations
-	// (reconfigure's cluster swap, migration's registry swap), which take it
-	// to fence out in-flight deliveries. Deliverers use a get-lock-recheck
-	// loop (look the tenant up again after locking; retry if the registry
-	// now holds a different instance) so a delivery can never land on a
-	// tenant that was migrated away under it. Only the owning shard
-	// goroutine and the (rare) checkpoint/membership paths contend, so the
-	// ingest path's lock is almost always uncontended.
+	// durMu is the tenant's delivery gate: every ingest call holds it across
+	// the {perturb, WAL append, cluster send} step for the tenant's groups,
+	// making that step single-writer among concurrent callers and atomic
+	// against (a) checkpoint capture — the checkpointer takes it, waits for
+	// the cluster to absorb everything sent, and snapshots state that matches
+	// the WAL prefix exactly — and (b) reconfigure's cluster swap, which
+	// takes it to fence out in-flight deliveries. Deliverers use a
+	// get-lock-recheck loop (look the tenant up again after locking; retry if
+	// the registry now holds a different instance) so a delivery can never
+	// land on an instance that was deleted under it. Site goroutines never
+	// take it, so a holder may block on a full site channel or wait for
+	// synced().
 	durMu sync.Mutex
 
 	// sendMu serializes sends against close: sends hold the read side, so
@@ -504,7 +505,7 @@ const queueShareRetry = 50 * time.Millisecond
 // the returned duration is the caller's Retry-After hint. Tenants with no
 // QoS configured always admit.
 func (t *Tenant) admit(n int) (bool, time.Duration) {
-	if t.cfg.QueueShare > 0 && t.queued.Load() >= int64(t.cfg.QueueShare) {
+	if t.cfg.QueueShare > 0 && t.backlog() >= int64(t.cfg.QueueShare) {
 		t.throttled.Add(int64(n))
 		return false, queueShareRetry
 	}
@@ -521,10 +522,10 @@ func (t *Tenant) admit(n int) (bool, time.Duration) {
 func (t *Tenant) perturbed() bool { return t.seq != nil }
 
 // perturb maps a raw value to a distinct key (stream.Perturb semantics).
-// Only the owning shard goroutine may call it. Past 2^PerturbBits copies of
-// one value the key space is exhausted; the key is then reused and the
-// occurrence counted in Ties (the protocol stays safe, the ε guarantee
-// degrades — see package quantile's distinctness note).
+// The caller holds durMu. Past 2^PerturbBits copies of one value the key
+// space is exhausted; the key is then reused and the occurrence counted in
+// Ties (the protocol stays safe, the ε guarantee degrades — see package
+// quantile's distinctness note).
 func (t *Tenant) perturb(v uint64) uint64 {
 	s := t.seq[v]
 	if s+1 < 1<<stream.PerturbBits {
@@ -581,11 +582,23 @@ func (t *Tenant) isClosed() bool {
 	return t.closed
 }
 
+// processed counts the arrivals the tracker has absorbed. procBase carries
+// counts absorbed by clusters drained in earlier reconfigurations.
+func (t *Tenant) processed() int64 {
+	return t.procBase.Load() + t.cluster().Processed()
+}
+
 // synced reports whether every successfully enqueued arrival has been
-// processed by the tracker (used by Flush). procBase carries counts absorbed
-// by clusters drained in earlier reconfigurations.
-func (t *Tenant) synced() bool {
-	return t.procBase.Load()+t.cluster().Processed() >= t.sent.Load()
+// processed by the tracker (used by Flush).
+func (t *Tenant) synced() bool { return t.processed() >= t.sent.Load() }
+
+// backlog is the quantity QueueShare bounds: records admitted but not yet
+// applied to the tracker — still in an ingest call (queued), or sent to the
+// cluster and waiting on a site channel. The loads are not one snapshot, so
+// a racing delivery can skew it by a call's worth for an instant; the >=
+// share check tolerates that.
+func (t *Tenant) backlog() int64 {
+	return max(0, t.queued.Load()+t.sent.Load()-t.processed())
 }
 
 // Config returns the tenant's configuration (Phis filled with defaults).
@@ -771,7 +784,7 @@ type TenantStats struct {
 	RateLimit  float64 `json:"rate_limit,omitempty"`  // configured records/second cap
 	QueueShare int     `json:"queue_share,omitempty"` // configured queue-share bound
 	Throttled  int64   `json:"throttled,omitempty"`   // records denied admission
-	Queued     int64   `json:"queued,omitempty"`      // records accepted, not yet delivered
+	Queued     int64   `json:"queued,omitempty"`      // records admitted, not yet applied to the tracker
 }
 
 // Stats captures the tenant's current statistics under a consistent
@@ -795,7 +808,7 @@ func (t *Tenant) Stats() TenantStats {
 	st.RateLimit = cfg.RateLimit
 	st.QueueShare = cfg.QueueShare
 	st.Throttled = t.throttled.Load()
-	st.Queued = t.queued.Load()
+	st.Queued = t.backlog()
 	t.cluster().Query(func() {
 		st.EstTotal = t.tr.EstTotal()
 		st.Rounds = t.tr.Rounds()

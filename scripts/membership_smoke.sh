@@ -9,9 +9,7 @@
 #   2. add a site mid-stream (POST /v1/admin/membership k 2 -> 3): the
 #      membership epoch bumps, the node fleet re-handshakes, and further
 #      ingest lands exactly-once on the reconfigured tenant;
-#   3. migrate the tenant to another shard worker (POST /v1/admin/migrate):
-#      another epoch bump, totals still exact;
-#   4. kill -9 the coordinator and restart it on the same -data-dir: the
+#   3. kill -9 the coordinator and restart it on the same -data-dir: the
 #      durable seq cursors and the membership epoch survive — the node
 #      resyncs without a single lost or doubled record, /healthz shows
 #      epoch continuity, and the membership metric families are live.
@@ -65,12 +63,12 @@ wait_health() {
 }
 
 # The 1h checkpoint interval keeps the background checkpointer out of the
-# picture: the cursor table is persisted only by the membership operations
-# themselves, so the post-crash resync below genuinely exercises the
+# picture: the cursor table is persisted only by the membership operation
+# itself, so the post-crash resync below genuinely exercises the
 # cursor-file ∨ WAL-provenance merge.
 start_coord() {
     "$workdir/trackd" -role coord -listen "$COORD_HTTP" -ingest-listen "$COORD_INGEST" \
-        -shards 4 -data-dir "$workdir/data" -checkpoint-interval 1h -fsync always \
+        -data-dir "$workdir/data" -checkpoint-interval 1h -fsync always \
         -breaker-fail 3 -breaker-open 300ms \
         -log-format json >>"$workdir/coord.log" 2>&1 &
     coord_pid=$!
@@ -130,32 +128,19 @@ wait_health '"epoch":2'
 ingest_site 100 7
 expect_counts "150,150,0"
 
-echo "== tenant migration to another shard worker"
-# "clicks" hashes to shard 0 of 4 (FNV-1a), so shard 1 is a real move.
-curl -fsS -X POST "http://$COORD_HTTP/v1/admin/migrate" \
-    -d '{"tenant":"clicks","shard":1}' | grep -q '"epoch":3' || {
-    echo "migration should report epoch 3" >&2; exit 1; }
-wait_health '"migrations":1'
-ingest_site 100 3
-expect_counts "200,200,0"
-
 echo "== membership metric families"
 curl -fsS "http://$COORD_HTTP/metrics" >"$workdir/coord.metrics"
 for fam in \
     disttrack_membership_epoch \
-    disttrack_membership_changes_total \
-    disttrack_migrations_total \
-    disttrack_migration_duration_seconds; do
+    disttrack_membership_changes_total; do
     grep -q "^# TYPE $fam " "$workdir/coord.metrics" || {
         echo "coordinator /metrics missing family $fam" >&2; exit 1; }
 done
-grep -q '^disttrack_membership_epoch 3' "$workdir/coord.metrics" || {
-    echo "membership epoch gauge should read 3" >&2
+grep -q '^disttrack_membership_epoch 2' "$workdir/coord.metrics" || {
+    echo "membership epoch gauge should read 2" >&2
     grep '^disttrack_membership' "$workdir/coord.metrics" >&2 || true; exit 1; }
 grep -q '^disttrack_membership_changes_total 1' "$workdir/coord.metrics" || {
     echo "membership changes counter should read 1" >&2; exit 1; }
-grep -q '^disttrack_migrations_total 1' "$workdir/coord.metrics" || {
-    echo "migrations counter should read 1" >&2; exit 1; }
 
 echo "== kill -9 the coordinator, restart on the same -data-dir"
 kill -9 "$coord_pid"
@@ -163,9 +148,9 @@ wait "$coord_pid" 2>/dev/null || true
 coord_pid=""
 start_coord
 # Epoch continuity + durable cursors: the restarted coordinator resumes at
-# epoch 3 with edge-1's seq cursor recovered, so the node's replayed tail
+# epoch 2 with edge-1's seq cursor recovered, so the node's replayed tail
 # (if any) is deduplicated and the totals stay exact.
-wait_health '"epoch":3'
+wait_health '"epoch":2'
 curl -fsS "http://$COORD_HTTP/healthz" >"$workdir/health.json"
 grep -q '"durable_cursors":true' "$workdir/health.json" || {
     echo "/healthz should report the recovered cursor table" >&2
@@ -173,12 +158,12 @@ grep -q '"durable_cursors":true' "$workdir/health.json" || {
 grep -q '"cursor_nodes":1' "$workdir/health.json" || {
     echo "/healthz should report 1 cursor node" >&2
     cat "$workdir/health.json" >&2; exit 1; }
-expect_counts "200,200,0"
+expect_counts "150,150,0"
 
 echo "== the reconnected node keeps streaming exactly-once"
 wait_health '"degraded":false'
 ingest_site 100 11
-expect_counts "250,250,0"
+expect_counts "200,200,0"
 curl -fsS "http://$COORD_HTTP/v1/tenants/clicks/heavy?phi=0.2" | grep -q '"items"' || {
     echo "restarted coordinator not serving queries" >&2; exit 1; }
 

@@ -82,7 +82,6 @@ for fam in \
     disttrack_wire_msgs_total \
     disttrack_wire_words_total \
     disttrack_ingest_accepted_total \
-    disttrack_shard_queue_depth \
     disttrack_remote_frames_total \
     disttrack_remote_bytes_in_total \
     disttrack_remote_wire_msgs_total \
