@@ -36,10 +36,13 @@ test-shuffle:
 
 # The second line repeats the tests that put several goroutines on one
 # tenant's gate (concurrent producers, delete/recreate and reconfigure under
-# fire), so a single-writer violation cannot land on a lucky schedule.
+# fire), so a single-writer violation cannot land on a lucky schedule; the
+# third repeats the engine's concurrent conformance laws on the mock policy,
+# where an arrival straddling the bootstrap handoff shows 1 run in 6-12.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
+	$(GO) test -race -count=20 -run 'TestEngineConformanceMockPolicy/(ConcurrentStress|ConcurrentBatchStress)' ./internal/core/engine
 
 # Run every benchmark exactly once so they cannot bit-rot.
 bench-smoke:
@@ -114,8 +117,9 @@ bench-compare: bench-json
 
 # Short fuzz pass over the wire-protocol and durability decoders — every
 # byte format that crosses a trust boundary (network frames, WAL records,
-# checkpoint frames, snapshot encodings).
+# checkpoint frames, snapshot encodings, POST /v1/ingest bodies).
 fuzz-smoke:
+	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s
 	$(GO) test ./internal/remote/ -run '^$$' -fuzz FuzzReadTFrame -fuzztime 10s
 	$(GO) test ./internal/remote/ -run '^$$' -fuzz FuzzReadMsg -fuzztime 10s
 	$(GO) test ./internal/summary/gk/ -run '^$$' -fuzz Fuzz -fuzztime 10s

@@ -26,7 +26,11 @@ type countPolicy struct {
 	flushes int     // completed "cnt" reports (the mock's "rounds")
 }
 
-func (p *countPolicy) ApplyBoot(int, uint64) {}
+// ApplyBoot holds the arrival as pending until its escalation forwards it. If
+// another site's escalation ends bootstrap in between, the arrival reaches
+// OnEscalate instead of OnBootEscalate and simply stays pending for the
+// site's next report — it must be counted here, or it is counted nowhere.
+func (p *countPolicy) ApplyBoot(site int, _ uint64) { p.pending[site]++ }
 
 func (p *countPolicy) ApplyLocal(site int, _ uint64) bool {
 	p.pending[site]++
@@ -43,7 +47,8 @@ func (p *countPolicy) ApplyRun(site int, xs []uint64) (consumed int, crossed boo
 	return len(xs), false
 }
 
-func (p *countPolicy) OnBootEscalate(int, uint64) (done bool) {
+func (p *countPolicy) OnBootEscalate(site int, _ uint64) (done bool) {
+	p.pending[site]--
 	p.total++
 	return p.total >= p.bootTarget
 }

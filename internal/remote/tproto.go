@@ -115,7 +115,7 @@ func WriteTFrame(w io.Writer, f TFrame) error {
 // ReadTFrame reads one multi-tenant frame, rejecting malformed or oversized
 // input without unbounded allocation. Batch value slices are drawn from the
 // shared runtime batch pool, so a decoded frame can flow through the ingest
-// pipeline (sharder → cluster → site goroutine) and be recycled at the end
+// pipeline (ingester → cluster → site goroutine) and be recycled at the end
 // without a per-frame allocation; whoever consumes the frame takes
 // ownership of f.Values and must hand it on or return it with
 // runtime.PutBatch.

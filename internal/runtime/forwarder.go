@@ -58,7 +58,7 @@ type Forwarder struct {
 	// sendMu serializes channel sends (read side) against Close (write
 	// side): a sender holds the read lock across its send, so Close cannot
 	// close the dispatch channel underneath it (same discipline as the
-	// service sharder).
+	// service ingester).
 	sendMu sync.RWMutex
 	closed bool
 

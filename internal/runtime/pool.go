@@ -12,11 +12,11 @@ const MinPooledCap = 64
 // transport decodes frames of up to 2^20 values into pooled slices, and
 // without an upper bound a peer sending near-limit batches would leave
 // multi-megabyte backing arrays circulating among the 16-value groups the
-// sharder draws. Oversized slices fall back to the garbage collector.
+// service's grouper draws. Oversized slices fall back to the garbage collector.
 const maxPooledCap = 1 << 16
 
 // batchPool recycles the value-batch slices that flow through the ingest
-// hot path (service sharder → tenant cluster → site goroutine). SendBatch
+// hot path (service ingester → tenant cluster → site goroutine). SendBatch
 // transfers slice ownership to the cluster, and the site goroutine is the
 // final consumer — the trackers copy what they keep — so the cluster
 // returns every processed batch here and producers allocate from it,

@@ -18,6 +18,7 @@ const (
 	codeNoData      = "no_data"
 	codeClosing     = "shutting_down"
 	codeThrottled   = "rate_limited"
+	codeTooLarge    = "too_large"
 )
 
 type errBody struct {
@@ -401,12 +402,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, codeClosing, "server shutting down")
 		return
 	}
-	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, codeInvalid, "bad ingest body: "+err.Error())
+	body := readIngest(w, r, s.met.decode)
+	if body == nil {
 		return
 	}
-	accepted, errs, retryAfter := s.ing.Ingest(req.Records)
+	accepted, errs, retryAfter := s.ing.Ingest(body.recs)
+	body.release() // Ingest copied the values out and keeps no record
 	// Entirely-throttled batches answer 429 with a Retry-After hint; a
 	// partial batch stays 200 (some records landed — a blanket retry would
 	// double-ingest them) with per-record codes distinguishing throttles.

@@ -77,6 +77,7 @@ type serverMetrics struct {
 	lost         *obs.Counter
 	batchRecords *obs.Histogram
 	ingestSecs   *obs.Histogram
+	decode       decodeCounters // POST /v1/ingest bodies by decoder
 
 	// Networked ingest mirrors (coord role; zero-valued otherwise).
 	remoteNodes        *obs.Gauge
@@ -204,6 +205,7 @@ func newServerMetrics() *serverMetrics {
 		"Records per ingest batch.", obs.SizeBuckets())
 	m.ingestSecs = reg.NewHistogram("disttrack_ingest_seconds",
 		"Seconds spent validating, logging and delivering one ingest batch to its site channels.", obs.DurationBuckets())
+	m.decode = newDecodeCounters(reg)
 
 	m.remoteNodes = reg.NewGauge("disttrack_remote_nodes",
 		"Live site-node connections on the networked ingest listener.")

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -257,6 +256,7 @@ type nodeMetrics struct {
 	dialAttempts *obs.Counter
 	budgetDenied *obs.Counter
 	breakerTrips *obs.Counter
+	decode       decodeCounters
 
 	last struct {
 		accepted, rejected, batches, reconnects, resent, upstreamRej int64
@@ -298,6 +298,7 @@ func newNodeMetrics(n *SiteNode) *nodeMetrics {
 		"Redials refused (throttled to the slow cadence) by an exhausted retry budget.")
 	m.breakerTrips = reg.NewCounter("disttrack_node_breaker_trips_total",
 		"Upstream dial circuit-breaker trips (closed/half-open to open).")
+	m.decode = newDecodeCounters(reg)
 	reg.NewGaugeFunc("disttrack_node_breaker_state",
 		"Upstream dial circuit-breaker state (0 closed, 1 open, 2 half-open).",
 		func() float64 { return float64(n.cl.FaultStats().Breaker.State) })
@@ -346,12 +347,12 @@ func (n *SiteNode) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, codeClosing, "site node shutting down")
 		return
 	}
-	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, codeInvalid, "bad ingest body: "+err.Error())
+	body := readIngest(w, r, n.met.decode)
+	if body == nil {
 		return
 	}
-	accepted, errs := n.Ingest(req.Records)
+	accepted, errs := n.Ingest(body.recs)
+	body.release() // Ingest copied the values out and keeps no record
 	writeJSON(w, http.StatusOK, ingestResponse{Accepted: accepted, Rejected: errs})
 }
 
