@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: all ci fmt fmt-fix vet build test test-shuffle race bench-smoke bench-race-smoke bench-e2e-smoke bench-json bench-compare obs-smoke fault-smoke crash-smoke membership-smoke load-smoke staticcheck vuln fuzz-smoke
+.PHONY: all ci fmt fmt-fix vet build test test-shuffle race experiments-diff bench-smoke bench-race-smoke bench-e2e-smoke bench-json bench-compare obs-smoke fault-smoke crash-smoke membership-smoke load-smoke staticcheck vuln fuzz-smoke
 
 all: build
 
-ci: fmt vet build test test-shuffle race bench-smoke bench-race-smoke bench-e2e-smoke obs-smoke fault-smoke crash-smoke membership-smoke load-smoke
+ci: fmt vet build test test-shuffle race experiments-diff bench-smoke bench-race-smoke bench-e2e-smoke obs-smoke fault-smoke crash-smoke membership-smoke load-smoke
 
 # fmt fails if any file needs formatting (what CI runs); fmt-fix rewrites.
 fmt:
@@ -38,11 +38,23 @@ test-shuffle:
 # tenant's gate (concurrent producers, delete/recreate and reconfigure under
 # fire), so a single-writer violation cannot land on a lucky schedule; the
 # third repeats the engine's concurrent conformance laws on the mock policy,
-# where an arrival straddling the bootstrap handoff shows 1 run in 6-12.
+# where an arrival straddling the bootstrap handoff shows 1 run in 6-12; the
+# fourth repeats the forwarder's producers-against-the-ticker test, which
+# caught a buffer being taken out and enqueued in two steps (reordered or
+# late batches; at -count=40 under -race it failed every time).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
 	$(GO) test -race -count=20 -run 'TestEngineConformanceMockPolicy/(ConcurrentStress|ConcurrentBatchStress)' ./internal/core/engine
+	$(GO) test -race -count=40 -run TestForwarderConcurrentProducers ./internal/runtime
+
+# The quick experiment tables are a pure function of the protocols' decisions
+# (every wire.Meter count, round, split and served answer on seeded streams):
+# any change to a site store or a policy that alters one of them shows up as a
+# diff against the committed output. Regenerate the file only with a change
+# that means to move the protocol, and say so.
+experiments-diff:
+	$(GO) run ./cmd/experiments -quick -csv | cmp - testdata/experiments_quick.csv
 
 # Run every benchmark exactly once so they cannot bit-rot.
 bench-smoke:
@@ -117,7 +129,8 @@ bench-compare: bench-json
 
 # Short fuzz pass over the wire-protocol and durability decoders — every
 # byte format that crosses a trust boundary (network frames, WAL records,
-# checkpoint frames, snapshot encodings, POST /v1/ingest bodies).
+# checkpoint frames, snapshot encodings, POST /v1/ingest bodies) — and over
+# the exact site store against a sorted-slice reference.
 fuzz-smoke:
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s
 	$(GO) test ./internal/remote/ -run '^$$' -fuzz FuzzReadTFrame -fuzztime 10s
@@ -128,6 +141,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/hh/ -run '^$$' -fuzz FuzzRestore -fuzztime 10s
 	$(GO) test ./internal/core/quantile/ -run '^$$' -fuzz FuzzRestore -fuzztime 10s
 	$(GO) test ./internal/core/allq/ -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 10s
+	$(GO) test ./internal/sitestore/ -run '^$$' -fuzz FuzzExactStore -fuzztime 10s
 
 # Optional: require the tools only when the target is invoked.
 staticcheck:

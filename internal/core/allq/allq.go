@@ -77,7 +77,7 @@ type Config struct {
 	K    int     // number of sites, >= 1
 	Eps  float64 // approximation error, in (0, 1)
 	Mode Mode    // per-site store; default ModeExact
-	Seed int64   // seed for per-site treaps (ModeExact)
+	Seed int64   // seed for the coordinator's bootstrap tree
 
 	// Coalesce tunes the engine's slow-path coalescing for batched ingest
 	// (zero value: on, default budgets). See engine.CoalesceConfig.
@@ -164,7 +164,7 @@ func New(cfg Config) (*Tracker, error) {
 			theta := cfg.Eps / (2 * float64(heightCap(cfg.Eps)))
 			st = sitestore.NewGK(theta / gkEpsFraction)
 		} else {
-			st = sitestore.NewExact(cfg.Seed + int64(j) + 1)
+			st = sitestore.NewExact()
 		}
 		p.sites = append(p.sites, &site{st: st})
 	}
@@ -312,7 +312,7 @@ func (p *policy) OnReconfigure(oldK, newK int) {
 				theta := p.cfg.Eps / (2 * float64(heightCap(p.cfg.Eps)))
 				st = sitestore.NewGK(theta / gkEpsFraction)
 			} else {
-				st = sitestore.NewExact(p.cfg.Seed + int64(j) + 1)
+				st = sitestore.NewExact()
 			}
 			p.sites = append(p.sites, &site{st: st})
 		}

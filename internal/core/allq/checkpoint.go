@@ -94,7 +94,9 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 		}
 	}
 	p.bootTree = rank.New(p.cfg.Seed ^ 0xA11)
-	p.bootTree.InsertSorted(bootItems)
+	for _, x := range bootItems {
+		p.bootTree.Insert(x)
+	}
 
 	// Each encoded node is 3*8 + 8 + 2*4 = 40 bytes.
 	n := dec.Count(40)
@@ -150,7 +152,7 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 	p.pathScratch = nil
 
 	for j, s := range p.sites {
-		st, err := sitestore.Decode(dec, p.cfg.Seed+int64(j)+1)
+		st, err := sitestore.Decode(dec)
 		if err != nil {
 			return fmt.Errorf("allq: restore site %d: %w", j, err)
 		}

@@ -116,9 +116,11 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 		}
 	}
 	p.bootTree = rank.New(p.cfg.Seed ^ 0x5EED)
-	p.bootTree.InsertSorted(bootItems)
+	for _, x := range bootItems {
+		p.bootTree.Insert(x)
+	}
 	for j, s := range p.sites {
-		st, err := sitestore.Decode(dec, p.cfg.Seed+int64(j)+1)
+		st, err := sitestore.Decode(dec)
 		if err != nil {
 			return fmt.Errorf("quantile: restore site %d: %w", j, err)
 		}

@@ -45,7 +45,7 @@
 //
 // # Modes
 //
-// ModeExact stores all local items in an order-statistics treap per site.
+// ModeExact stores all local items at each site, in a few sorted runs.
 // ModeSketch stores a Greenwald–Khanna summary per site (space
 // O(1/ε·log εn)), answering the same queries with an extra, budgeted,
 // ε/32-relative error — the paper's "implementing with small space" remark.
@@ -89,7 +89,7 @@ type Config struct {
 	Phi  float64   // the quantile to track (used when Phis is empty)
 	Phis []float64 // multiple quantiles sharing one tracker (optional)
 	Mode Mode      // per-site store; default ModeExact
-	Seed int64     // seed for per-site treaps (ModeExact)
+	Seed int64     // seed for the coordinator's bootstrap tree
 
 	// BatchDivisor overrides the 8 in the εm/8k site report batches (0
 	// means 8). Smaller values batch more aggressively (less communication,
@@ -190,7 +190,7 @@ func New(cfg Config) (*Tracker, error) {
 		if cfg.Mode == ModeSketch {
 			st = newGKStore(cfg.Eps / gkEpsFraction)
 		} else {
-			st = newExactStore(cfg.Seed + int64(j) + 1)
+			st = newExactStore()
 		}
 		p.sites = append(p.sites, &site{st: st, drift: make([][2]int64, len(phis))})
 	}
@@ -356,7 +356,7 @@ func (p *policy) OnReconfigure(oldK, newK int) {
 			if p.cfg.Mode == ModeSketch {
 				st = newGKStore(p.cfg.Eps / gkEpsFraction)
 			} else {
-				st = newExactStore(p.cfg.Seed + int64(j) + 1)
+				st = newExactStore()
 			}
 			p.sites = append(p.sites, &site{st: st, drift: make([][2]int64, len(p.phis))})
 		}

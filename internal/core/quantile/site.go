@@ -3,8 +3,8 @@ package quantile
 import "disttrack/internal/sitestore"
 
 // store aliases the shared per-site item store; see package sitestore for
-// the exact (treap) and sketched (Greenwald–Khanna) implementations.
+// the exact (sorted runs) and sketched (Greenwald–Khanna) implementations.
 type store = sitestore.Store
 
-func newExactStore(seed int64) store { return sitestore.NewExact(seed) }
-func newGKStore(eps float64) store   { return sitestore.NewGK(eps) }
+func newExactStore() store         { return sitestore.NewExact() }
+func newGKStore(eps float64) store { return sitestore.NewGK(eps) }

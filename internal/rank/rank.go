@@ -1,12 +1,14 @@
 // Package rank implements an order-statistics multiset over uint64 keys,
 // backed by a treap with subtree sizes.
 //
-// The exact-mode trackers use it as the per-site store: the quantile
-// protocols of the paper repeatedly ask a site for the rank of a value among
-// its local items, for the count of local items inside an interval, and for
-// evenly spaced "separating items" of an interval (§3.1 and §4). All of these
-// are O(log n) here, and Separators(g) is O((c/g)·log n) for an interval
-// holding c items.
+// It backs the exact references: the coordinator's bootstrap tree in the
+// quantile trackers, internal/oracle and internal/baseline. The queries are
+// the ones the paper's quantile protocols ask (§3.1 and §4) — the rank of a
+// value, the count of items inside an interval, and evenly spaced "separating
+// items" of an interval. All of these are O(log n) here, and Separators(g) is
+// O((c/g)·log n) for an interval holding c items. (The per-site stores, which
+// insert far more often than they are asked anything, live in
+// internal/sitestore.)
 //
 // Duplicate keys are supported via per-node multiplicities, although the
 // paper's quantile protocols assume (symbolically perturbed) distinct items;
@@ -16,9 +18,8 @@ package rank
 // Tree is an order-statistics multiset. The zero value is NOT ready to use;
 // construct with New. Tree is not safe for concurrent use.
 type Tree struct {
-	root  *node
-	rng   uint64  // splitmix64 state for priorities; explicit seed → deterministic
-	spine []*node // scratch for InsertSorted's Cartesian-tree build
+	root *node
+	rng  uint64 // splitmix64 state for priorities; explicit seed → deterministic
 }
 
 type node struct {
@@ -105,115 +106,6 @@ func (t *Tree) InsertN(key uint64, n int) {
 	nn := &node{key: key, prio: t.nextPrio(), cnt: n, size: n}
 	l, r := split(t.root, key)
 	t.root = merge(merge(l, nn), r)
-}
-
-// InsertSorted adds one occurrence of every key in xs, which must be sorted
-// ascending (equal keys allowed). It is equivalent to calling Insert for
-// each key but far cheaper for a batch: the batch becomes a treap in O(B)
-// (nodes allocated from one contiguous slab), which is then united with the
-// tree in O(B·log(n/B)) expected node visits — versus the ~3 full descents
-// (find, split, merge) every single-key insert of a fresh key pays. This is
-// the per-site bulk path behind the trackers' FeedLocalBatch. The tree does
-// not retain xs.
-//
-// Because a treap's shape is uniquely determined by its (key, priority)
-// pairs and priorities are drawn per distinct new key either way, only the
-// order the seeded priority stream is consumed in differs from sequential
-// Insert calls; every query answer is content-determined and identical.
-func (t *Tree) InsertSorted(xs []uint64) {
-	if len(xs) == 0 {
-		return
-	}
-	t.root = union(t.root, t.buildSorted(xs))
-}
-
-// buildSorted builds a treap from sorted keys with a right-spine stack:
-// each node is pushed once and popped once, so the build is O(B).
-func (t *Tree) buildSorted(xs []uint64) *node {
-	distinct := 1
-	for i := 1; i < len(xs); i++ {
-		if xs[i] < xs[i-1] {
-			panic("rank: InsertSorted with unsorted input")
-		}
-		if xs[i] != xs[i-1] {
-			distinct++
-		}
-	}
-	slab := make([]node, distinct)
-	spine := t.spine[:0]
-	si := 0
-	for i := 0; i < len(xs); {
-		j := i + 1
-		for j < len(xs) && xs[j] == xs[i] {
-			j++
-		}
-		nn := &slab[si]
-		si++
-		nn.key, nn.prio, nn.cnt = xs[i], t.nextPrio(), j-i
-		var last *node
-		for len(spine) > 0 && spine[len(spine)-1].prio < nn.prio {
-			last = spine[len(spine)-1]
-			last.fix()
-			spine = spine[:len(spine)-1]
-		}
-		nn.left = last
-		if len(spine) > 0 {
-			spine[len(spine)-1].right = nn
-		}
-		spine = append(spine, nn)
-		i = j
-	}
-	root := spine[0]
-	for len(spine) > 0 {
-		spine[len(spine)-1].fix()
-		spine = spine[:len(spine)-1]
-	}
-	t.spine = spine
-	return root
-}
-
-// split3 partitions n into (< key), (== key, or nil) and (> key).
-func split3(n *node, key uint64) (l, m, r *node) {
-	if n == nil {
-		return nil, nil, nil
-	}
-	switch {
-	case n.key < key:
-		n.right, m, r = split3(n.right, key)
-		n.fix()
-		return n, m, r
-	case n.key > key:
-		l, m, n.left = split3(n.left, key)
-		n.fix()
-		return l, m, n
-	default:
-		l, r = n.left, n.right
-		n.left, n.right = nil, nil
-		n.fix()
-		return l, n, r
-	}
-}
-
-// union merges two treaps over the same key space, folding multiplicities
-// of shared keys. Expected cost O(min·log(max/min)) node visits.
-func union(a, b *node) *node {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	if a.prio < b.prio {
-		a, b = b, a
-	}
-	l, m, r := split3(b, a.key)
-	if m != nil {
-		a.cnt += m.cnt
-	}
-	a.left = union(a.left, l)
-	a.right = union(a.right, r)
-	a.fix()
-	return a
 }
 
 // bubbleSizes adds delta to the size of every node on the search path to key.

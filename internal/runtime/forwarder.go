@@ -142,15 +142,13 @@ func (f *Forwarder) AddBatch(tenant string, site int, kind byte, vs []uint64) er
 		f.bufs[key] = b
 	}
 	b.vals = append(b.vals, vs...)
-	var full *fwdBatch
 	if len(b.vals) >= f.cfg.BatchSize {
-		full = &fwdBatch{key: key, kind: b.kind, vals: b.vals}
 		delete(f.bufs, key)
+		// Sent under bufMu, like every enqueue (see enqueueOlder). Blocks
+		// when the queue is full: backpressure.
+		f.ch <- fwdBatch{key: key, kind: b.kind, vals: b.vals}
 	}
 	f.bufMu.Unlock()
-	if full != nil {
-		f.ch <- *full // blocks when the queue is full: backpressure
-	}
 	return nil
 }
 
@@ -163,17 +161,21 @@ func (f *Forwarder) Flush() error {
 	if f.closed {
 		return ErrForwarderClosed
 	}
-	for _, batch := range f.drain(time.Time{}) {
-		f.ch <- batch
-	}
+	f.enqueueOlder(time.Time{})
 	barrier := make(chan error, 1)
 	f.ch <- fwdBatch{barrier: barrier}
 	return <-barrier
 }
 
-// drain removes and returns buffers whose oldest value predates cutoff
-// (zero cutoff: all), in deterministic key order.
-func (f *Forwarder) drain(cutoff time.Time) []fwdBatch {
+// enqueueOlder removes every buffer whose oldest value predates cutoff (zero
+// cutoff: all) and puts it on the dispatch queue, in deterministic key order.
+//
+// bufMu stays held across the sends, here and in AddBatch: taking a buffer
+// out of bufs and enqueuing it are one step, so neither a newer batch of the
+// same (tenant, site) nor a Flush barrier can enter the queue ahead of it.
+// The dispatch goroutine never takes bufMu, so a full queue blocks the
+// holder, and producers behind it on bufMu, until downstream drains.
+func (f *Forwarder) enqueueOlder(cutoff time.Time) {
 	f.bufMu.Lock()
 	defer f.bufMu.Unlock()
 	var out []fwdBatch
@@ -190,7 +192,9 @@ func (f *Forwarder) drain(cutoff time.Time) []fwdBatch {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
-	return out
+	for _, batch := range out {
+		f.ch <- batch
+	}
 }
 
 func fwdLess(a, b fwdKey) bool {
@@ -216,9 +220,7 @@ func (f *Forwarder) tick() {
 			f.sendMu.RUnlock()
 			return
 		}
-		for _, batch := range f.drain(time.Now().Add(-f.cfg.MaxDelay)) {
-			f.ch <- batch
-		}
+		f.enqueueOlder(time.Now().Add(-f.cfg.MaxDelay))
 		f.sendMu.RUnlock()
 	}
 }
@@ -271,9 +273,7 @@ func (f *Forwarder) Close() error {
 	close(f.done)
 	// No sender can be in flight past this point (they check closed under
 	// the read lock), so draining and closing the channel is safe.
-	for _, batch := range f.drain(time.Time{}) {
-		f.ch <- batch
-	}
+	f.enqueueOlder(time.Time{})
 	close(f.ch)
 	f.wg.Wait()
 	return nil

@@ -4,15 +4,13 @@ import (
 	"fmt"
 
 	"disttrack/internal/ckpt"
-	"disttrack/internal/rank"
 	"disttrack/internal/summary/gk"
 )
 
 // Store serialization for engine checkpoints. The exact store round-trips
-// through the treap's sorted item dump: treap answers are content-
-// determined, so a store rebuilt by bulk-inserting the sorted items is
-// observationally identical to the captured one (the internal rng position
-// differs, which only perturbs future tree shapes, never answers).
+// through its sorted item dump: its answers are content-determined, so a
+// store that adopts the sorted items as its single run is observationally
+// identical to the captured one, however that one's runs were cut.
 
 const (
 	storeKindExact = uint8(0)
@@ -24,7 +22,7 @@ func Encode(enc *ckpt.Encoder, s Store) {
 	switch st := s.(type) {
 	case *exactStore:
 		enc.U8(storeKindExact)
-		enc.U64s(st.tree.Items())
+		enc.U64s(st.items())
 	case *gkStore:
 		enc.U8(storeKindGK)
 		encodeGK(enc, st.sum.State())
@@ -33,11 +31,9 @@ func Encode(enc *ckpt.Encoder, s Store) {
 	}
 }
 
-// Decode rebuilds a store written by Encode. exactSeed re-seeds the exact
-// store's treap balancing (callers pass the same derivation they used at
-// construction). Decode validates everything it reads and never panics on
-// corrupt input.
-func Decode(dec *ckpt.Decoder, exactSeed int64) (Store, error) {
+// Decode rebuilds a store written by Encode. It validates everything it
+// reads and never panics on corrupt input.
+func Decode(dec *ckpt.Decoder) (Store, error) {
 	switch kind := dec.U8(); kind {
 	case storeKindExact:
 		items := dec.U64s()
@@ -49,8 +45,10 @@ func Decode(dec *ckpt.Decoder, exactSeed int64) (Store, error) {
 				return nil, fmt.Errorf("sitestore: restore: exact items out of order at %d", i)
 			}
 		}
-		s := &exactStore{tree: rank.New(exactSeed)}
-		s.tree.InsertSorted(items)
+		s := &exactStore{n: len(items)}
+		if len(items) > 0 {
+			s.runs = [][]uint64{items}
+		}
 		return s, nil
 	case storeKindGK:
 		st, err := decodeGK(dec)

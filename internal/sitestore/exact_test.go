@@ -1,0 +1,249 @@
+package sitestore
+
+import (
+	"bytes"
+	"encoding/hex"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"disttrack/internal/ckpt"
+)
+
+// checkShape asserts the exact store's layout invariants: every run and the
+// tail sorted, run sizes at least halving left to right, the tail under its
+// cap, the item count consistent, and no more than 2x slack in capacity.
+func checkShape(t *testing.T, s *exactStore) {
+	t.Helper()
+	sum, capSum := len(s.tail), 0
+	if !slices.IsSorted(s.tail) || len(s.tail) >= tailCap {
+		t.Fatalf("tail unsorted or over cap (len %d)", len(s.tail))
+	}
+	for i, run := range s.runs {
+		if len(run) == 0 || !slices.IsSorted(run) {
+			t.Fatalf("run %d empty or unsorted (len %d)", i, len(run))
+		}
+		if i > 0 && len(s.runs[i-1]) < 2*len(run) {
+			t.Fatalf("run %d has %d items after one of %d: sizes must at least halve", i, len(run), len(s.runs[i-1]))
+		}
+		sum += len(run)
+		capSum += cap(run)
+	}
+	if sum != s.Space() {
+		t.Fatalf("runs and tail hold %d items, Space() = %d", sum, s.Space())
+	}
+	if capSum > 2*s.Space()+cap(s.tail) {
+		t.Fatalf("run capacity %d exceeds 2*%d + %d", capSum, s.Space(), cap(s.tail))
+	}
+}
+
+// sortedRef is the brute-force reference: one sorted slice.
+type sortedRef []uint64
+
+func (r sortedRef) rank(x uint64) int64 {
+	i, _ := slices.BinarySearch(r, x)
+	return int64(i)
+}
+
+func (r sortedRef) count(lo, hi uint64) int64 {
+	if hi <= lo {
+		return 0
+	}
+	return r.rank(hi) - r.rank(lo)
+}
+
+func (r sortedRef) separators(lo, hi uint64, step int64) []uint64 {
+	var out []uint64
+	if hi <= lo {
+		return out
+	}
+	in := r[r.rank(lo):r.rank(hi)]
+	for i := step - 1; i < int64(len(in)); i += step {
+		out = append(out, in[i])
+	}
+	return out
+}
+
+func (r sortedRef) with(xs ...uint64) sortedRef {
+	r = append(r, xs...)
+	slices.Sort(r)
+	return r
+}
+
+// opFeed turns fuzz bytes into operations; an exhausted feed yields zeros.
+type opFeed struct{ data []byte }
+
+func (f *opFeed) next() byte {
+	if len(f.data) == 0 {
+		return 0
+	}
+	b := f.data[0]
+	f.data = f.data[1:]
+	return b
+}
+
+// value draws from a dense domain (forcing duplicates), a wide one, or the
+// maximum key.
+func (f *opFeed) value() uint64 {
+	switch b := f.next(); {
+	case b < 16:
+		return math.MaxUint64
+	case b < 144:
+		return uint64(b % 32)
+	default:
+		return uint64(b)<<40 | uint64(f.next())<<16 | uint64(f.next())
+	}
+}
+
+// batch expands two feed bytes into n values of the same three kinds.
+func (f *opFeed) batch(n int) []uint64 {
+	dense := f.next()%2 == 0
+	rng := rand.New(rand.NewSource(int64(f.next())))
+	xs := make([]uint64, n)
+	for i := range xs {
+		switch z := rng.Uint64(); {
+		case z%97 == 0:
+			xs[i] = math.MaxUint64
+		case dense:
+			xs[i] = z % 64
+		default:
+			xs[i] = z >> 20
+		}
+	}
+	return xs
+}
+
+var fuzzBatchSizes = []int{0, 1, smallBatch - 1, smallBatch, smallBatch + 1, 4096}
+
+// FuzzExactStore drives a byte-chosen interleaving of every store operation
+// — single and batched inserts, the three queries, a checkpoint round trip
+// and a drain — and checks each answer against a sorted slice and the layout
+// invariants after every step.
+func FuzzExactStore(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 5, 0, 9, 1, 3, 1, 4, 4, 0, 0, 0, 5, 6, 1, 2, 3, 4, 200, 1, 2})
+	f.Add([]byte{1, 5, 1, 1, 1, 5, 1, 2, 1, 4, 0, 3, 4, 3, 20, 220, 0, 0, 1, 2, 17, 1, 1, 9, 4, 0, 0, 0, 1, 6, 5})
+	f.Add(bytes.Repeat([]byte{0, 150, 7, 7, 1, 3, 0, 8}, 80))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Every step costs O(items held); a bounded script keeps one
+		// execution in the milliseconds.
+		feed := &opFeed{data: data[:min(len(data), 256)]}
+		s := NewExact().(*exactStore)
+		var ref sortedRef
+		for len(feed.data) > 0 {
+			switch feed.next() % 7 {
+			case 0:
+				x := feed.value()
+				s.Insert(x)
+				ref = ref.with(x)
+			case 1:
+				xs := feed.batch(fuzzBatchSizes[int(feed.next())%len(fuzzBatchSizes)])
+				before := slices.Clone(xs)
+				s.InsertBatch(xs)
+				if !slices.Equal(xs, before) {
+					t.Fatal("InsertBatch modified its argument")
+				}
+				ref = ref.with(xs...)
+			case 2:
+				x := feed.value()
+				if got, want := s.RankOf(x), ref.rank(x); got != want {
+					t.Fatalf("RankOf(%d) = %d, want %d", x, got, want)
+				}
+			case 3:
+				lo, hi := feed.value(), feed.value()
+				if got, want := s.CountRange(lo, hi), ref.count(lo, hi); got != want {
+					t.Fatalf("CountRange(%d, %d) = %d, want %d", lo, hi, got, want)
+				}
+			case 4:
+				lo, hi := feed.value(), feed.value()
+				if feed.next()%2 == 0 {
+					lo, hi = 0, math.MaxUint64
+				}
+				step := []int64{1, 7, int64(len(ref)) + 1}[int(feed.next())%3]
+				got, want := s.Separators(lo, hi, step), ref.separators(lo, hi, step)
+				if !slices.Equal(got, want) {
+					t.Fatalf("Separators(%d, %d, %d) = %v, want %v", lo, hi, step, got, want)
+				}
+			case 5:
+				var enc ckpt.Encoder
+				Encode(&enc, s)
+				var want ckpt.Encoder
+				want.U8(storeKindExact)
+				want.U64s(ref)
+				if !bytes.Equal(enc.Bytes(), want.Bytes()) {
+					t.Fatalf("Encode wrote %d bytes that are not kind + the %d sorted items", enc.Len(), len(ref))
+				}
+				back, err := Decode(ckpt.NewDecoder(enc.Bytes()))
+				if err != nil {
+					t.Fatalf("Decode of own encoding: %v", err)
+				}
+				s = back.(*exactStore)
+			case 6:
+				dst := NewExact().(*exactStore)
+				pre := feed.batch(int(feed.next()) % 40)
+				dst.InsertBatch(pre)
+				Drain(s, dst)
+				s, ref = dst, ref.with(pre...)
+			}
+			checkShape(t, s)
+			if got := s.RankOf(math.MaxUint64); got != ref.rank(math.MaxUint64) {
+				t.Fatalf("RankOf(max) = %d, want %d", got, ref.rank(math.MaxUint64))
+			}
+		}
+	})
+}
+
+// TestExactEncodeGolden pins the exact store's checkpoint bytes (written at
+// the commit before the store became sorted runs), in both directions:
+// Encode still produces them, and Decode still restores them.
+func TestExactEncodeGolden(t *testing.T) {
+	golden, err := hex.DecodeString("000b000000" +
+		"0000000000000000" + "0300000000000000" + "0300000000000000" + "0300000000000000" +
+		"0500000000000000" + "0900000000000000" + "2a00000000000000" + "4d00000000000000" +
+		"0000000000010000" + "0100000000010000" + "ffffffffffffffff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewExact()
+	for _, x := range []uint64{9, 3, math.MaxUint64, 3, 0, 1 << 40, 77} {
+		s.Insert(x)
+	}
+	s.InsertBatch([]uint64{5, 1<<40 | 1, 3, 42})
+	var enc ckpt.Encoder
+	Encode(&enc, s)
+	if !bytes.Equal(enc.Bytes(), golden) {
+		t.Fatalf("Encode = %x\nwant     %x", enc.Bytes(), golden)
+	}
+	var empty ckpt.Encoder
+	Encode(&empty, NewExact())
+	if !bytes.Equal(empty.Bytes(), []byte{0, 0, 0, 0, 0}) {
+		t.Fatalf("empty store encodes as %x", empty.Bytes())
+	}
+
+	back, err := Decode(ckpt.NewDecoder(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Space() != 11 || back.RankOf(4) != 4 || back.CountRange(5, 1<<40) != 4 {
+		t.Fatalf("restored store answers Space %d, RankOf(4) %d, CountRange(5, 2^40) %d; want 11, 4, 4",
+			back.Space(), back.RankOf(4), back.CountRange(5, 1<<40))
+	}
+	if got, want := back.Separators(0, math.MaxUint64, 3), []uint64{3, 9, 1 << 40}; !slices.Equal(got, want) {
+		t.Fatalf("restored store Separators = %v, want %v", got, want)
+	}
+}
+
+// BenchmarkExactStoreInsertBatch is the trackers' batched ingest as the store
+// sees it: 512-item batches into a store that already holds a million.
+func BenchmarkExactStoreInsertBatch(b *testing.B) {
+	const batch = 512
+	s := NewExact()
+	s.InsertBatch(randomItems(1<<20, 1))
+	xs := randomItems(batch, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.InsertBatch(xs)
+	}
+}

@@ -1,6 +1,6 @@
 // Package sitestore provides the per-site item store used by the quantile
-// protocols (§3.1 and §4): either exact (an order-statistics treap over all
-// local items) or sketched (a Greenwald–Khanna summary — the paper's
+// protocols (§3.1 and §4): either exact (every local item, in a few sorted
+// runs) or sketched (a Greenwald–Khanna summary — the paper's
 // "implementing with small space" variant). All protocol queries — ranks,
 // range counts, separator samples — go through the Store interface, so the
 // tracking logic is identical in both modes.
@@ -9,7 +9,6 @@ package sitestore
 import (
 	"slices"
 
-	"disttrack/internal/rank"
 	"disttrack/internal/summary/gk"
 )
 
@@ -20,9 +19,8 @@ type Store interface {
 	// InsertBatch records a batch of local items given in arrival order,
 	// equivalent to calling Insert for each in sequence (order matters for
 	// the GK summary, whose state is insertion-order dependent). The exact
-	// store sorts a scratch copy and bulk-merges it into the treap, which
-	// is what makes the trackers' FeedLocalBatch fast. The store does not
-	// retain xs.
+	// store sorts a copy into a new run, which is what makes the trackers'
+	// FeedLocalBatch fast. The store does not retain xs.
 	InsertBatch(xs []uint64)
 	// RankOf returns (an estimate of) the number of local items < x.
 	RankOf(x uint64) int64
@@ -35,36 +33,198 @@ type Store interface {
 	Space() int
 }
 
-// NewExact returns a Store holding every local item, with deterministic
-// internal balancing derived from seed.
-func NewExact(seed int64) Store { return &exactStore{tree: rank.New(seed)} }
+// NewExact returns a Store holding every local item.
+func NewExact() Store { return &exactStore{} }
 
+// exactStore keeps every item in sorted runs. The protocols insert on every
+// arrival but query only when a threshold fires, so the layout is
+// write-optimised: a batch becomes a new rightmost run and is merged
+// leftwards, binary-counter style, while the run before it is less than
+// twice as large. That leaves at most log2(n/batch) runs of at least halving
+// sizes, costs an amortised O(log n) sequential moves per item at 8 bytes
+// each, and makes a rank one binary search per run.
 type exactStore struct {
-	tree    *rank.Tree
-	scratch []uint64 // reused sort buffer for InsertBatch
+	runs [][]uint64 // each sorted; len(runs[i]) >= 2*len(runs[i+1])
+	tail []uint64   // sorted, under tailCap items: where single Inserts land
+	n    int        // items held, runs and tail together
 }
 
-func (s *exactStore) Insert(x uint64) { s.tree.Insert(x) }
+const (
+	// tailCap bounds the tail: an Insert moves half of it on average, so it
+	// is sized to stay a small share of L1.
+	tailCap = 256
+	// smallBatch is the batch size below which a run of its own (one
+	// allocation, one merge cascade) costs more than inserting through the
+	// tail.
+	smallBatch = 16
+)
+
+func (s *exactStore) Insert(x uint64) {
+	if s.tail == nil {
+		s.tail = make([]uint64, 0, tailCap)
+	}
+	i, _ := slices.BinarySearch(s.tail, x)
+	s.tail = slices.Insert(s.tail, i, x)
+	s.n++
+	if len(s.tail) == tailCap {
+		s.push(s.tail)
+		s.tail = s.tail[:0]
+	}
+}
 
 func (s *exactStore) InsertBatch(xs []uint64) {
-	if len(xs) == 0 {
+	if len(xs) < smallBatch {
+		for _, x := range xs {
+			s.Insert(x)
+		}
 		return
 	}
-	// The treap's answers are content-determined, so inserting the batch in
-	// sorted rather than arrival order is unobservable — and unlocks the
-	// O(B)-build + union bulk path.
-	s.scratch = append(s.scratch[:0], xs...)
-	slices.Sort(s.scratch)
-	s.tree.InsertSorted(s.scratch)
+	s.n += len(xs)
+	s.push(xs)
 }
-func (s *exactStore) RankOf(x uint64) int64 { return int64(s.tree.Rank(x)) }
+
+// push adds xs (any order, not retained) as the rightmost run, after merging
+// into it every run that would otherwise be less than twice its size.
+func (s *exactStore) push(xs []uint64) {
+	from, total := len(s.runs), len(xs)
+	for from > 0 && len(s.runs[from-1]) < 2*total {
+		from--
+		total += len(s.runs[from])
+	}
+	s.collapse(from, total, xs)
+}
+
+// collapse replaces runs[from:] and xs, total items together, by one run. It
+// allocates the result once, sorts xs into its right end and merges the runs
+// into it right to left, smallest first, so a cascade over geometrically
+// growing runs moves fewer than 2*total items.
+func (s *exactStore) collapse(from, total int, xs []uint64) {
+	out := make([]uint64, total)
+	at := total - len(xs)
+	copy(out[at:], xs)
+	slices.Sort(out[at:])
+	for i := len(s.runs) - 1; i >= from; i-- {
+		at = mergeLeft(out, at, s.runs[i])
+		s.runs[i] = nil
+	}
+	s.runs = append(s.runs[:from], out)
+}
+
+// mergeLeft merges run with the sorted out[at:] into out[at-len(run):] and
+// returns that start. The write position never passes the read position in
+// out: the gap between them is the number of run items still to place.
+func mergeLeft(out []uint64, at int, run []uint64) int {
+	start := at - len(run)
+	w, i, j := start, 0, at
+	for i < len(run) && j < len(out) {
+		if out[j] < run[i] {
+			out[w] = out[j]
+			j++
+		} else {
+			out[w] = run[i]
+			i++
+		}
+		w++
+	}
+	copy(out[w:], run[i:])
+	return start
+}
+
+// items returns every item in sorted order as one slice the store keeps
+// using (callers must not modify it), compacting the store to a single run.
+func (s *exactStore) items() []uint64 {
+	if len(s.runs) > 1 || len(s.tail) > 0 {
+		s.collapse(0, s.n, s.tail)
+		s.tail = s.tail[:0]
+	}
+	if len(s.runs) == 0 {
+		return nil
+	}
+	return s.runs[0]
+}
+
+func (s *exactStore) RankOf(x uint64) int64 {
+	r, _ := slices.BinarySearch(s.tail, x)
+	for _, run := range s.runs {
+		i, _ := slices.BinarySearch(run, x)
+		r += i
+	}
+	return int64(r)
+}
+
 func (s *exactStore) CountRange(lo, hi uint64) int64 {
-	return int64(s.tree.CountRange(lo, hi))
+	if hi <= lo {
+		return 0
+	}
+	return s.RankOf(hi) - s.RankOf(lo)
 }
+
+// restrict returns the non-empty restrictions of the runs and the tail to
+// [lo, hi), and how many items they hold together.
+func (s *exactStore) restrict(lo, hi uint64) (parts [][]uint64, total int64) {
+	parts = make([][]uint64, 0, len(s.runs)+1)
+	add := func(run []uint64) {
+		a, _ := slices.BinarySearch(run, lo)
+		b, _ := slices.BinarySearch(run, hi)
+		if b > a {
+			parts = append(parts, run[a:b])
+			total += int64(b - a)
+		}
+	}
+	for _, run := range s.runs {
+		add(run)
+	}
+	add(s.tail)
+	return parts, total
+}
+
+// Separators returns the items of ranks step-1, 2*step-1, ... within the
+// restriction of the store to [lo, hi): it cuts that interval's items into
+// chunks of step items and returns the item closing each chunk.
 func (s *exactStore) Separators(lo, hi uint64, step int64) []uint64 {
-	return s.tree.Separators(lo, hi, int(step))
+	if step <= 0 {
+		panic("sitestore: Separators with non-positive step")
+	}
+	parts, total := s.restrict(lo, hi)
+	// An interval holding at least half the store (a round rebuild asks for
+	// all of it) is answered from one run by index, which leaves the store
+	// compact for the burst of range counts that follows; walking it in
+	// merged order would cost as much as the compaction.
+	if len(parts) > 1 && 2*total >= int64(s.n) {
+		s.items()
+		parts, _ = s.restrict(lo, hi)
+	}
+	if total == 0 {
+		return nil
+	}
+	seps := make([]uint64, 0, total/step)
+	if len(parts) == 1 {
+		for r := step - 1; r < total; r += step {
+			seps = append(seps, parts[0][r])
+		}
+		return seps
+	}
+	// Walk the parts in merged order; r is the rank of the smallest head.
+	for r, next := int64(0), step-1; next < total; r++ {
+		m := 0
+		for i := 1; i < len(parts); i++ {
+			if parts[i][0] < parts[m][0] {
+				m = i
+			}
+		}
+		if r == next {
+			seps = append(seps, parts[m][0])
+			next += step
+		}
+		if parts[m] = parts[m][1:]; len(parts[m]) == 0 {
+			parts[m] = parts[len(parts)-1]
+			parts = parts[:len(parts)-1]
+		}
+	}
+	return seps
 }
-func (s *exactStore) Space() int { return s.tree.Len() }
+
+func (s *exactStore) Space() int { return s.n }
 
 // NewGK returns a Store answering from a GK summary with rank error eps·n_j.
 func NewGK(eps float64) Store { return &gkStore{sum: gk.New(eps)} }
@@ -112,8 +272,8 @@ func (s *gkStore) Space() int { return s.sum.Space() }
 
 // Drain folds src's contents into dst, emptying nothing (src is simply
 // abandoned by the caller — site removal hands the departing site's stream
-// to a surviving site). For an exact source the transfer is lossless: the
-// treap's sorted item dump is bulk-inserted. For a GK source the summary's
+// to a surviving site). For an exact source the transfer is lossless: its
+// sorted item dump is inserted as one batch. For a GK source the summary's
 // tuples are expanded — each tuple contributes its value with the tuple's
 // G-weight — which preserves the total count exactly and every rank to
 // within the source summary's own error bound; the destination absorbs that
@@ -122,7 +282,7 @@ func (s *gkStore) Space() int { return s.sum.Space() }
 func Drain(src, dst Store) {
 	switch st := src.(type) {
 	case *exactStore:
-		dst.InsertBatch(st.tree.Items())
+		dst.InsertBatch(st.items())
 	case *gkStore:
 		state := st.sum.State()
 		var batch []uint64

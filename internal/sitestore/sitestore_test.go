@@ -33,7 +33,7 @@ func trueRank(xs []uint64, q uint64) int64 {
 
 func TestExactStoreAnswers(t *testing.T) {
 	xs := randomItems(5000, 1)
-	s := NewExact(7)
+	s := NewExact()
 	fill(s, xs)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 100; i++ {
@@ -72,7 +72,7 @@ func TestGKStoreRankWithinEps(t *testing.T) {
 func TestInsertBatchMatchesSequential(t *testing.T) {
 	xs := randomItems(12000, 21)
 	for name, mk := range map[string]func() Store{
-		"exact": func() Store { return NewExact(7) },
+		"exact": func() Store { return NewExact() },
 		"gk":    func() Store { return NewGK(0.01) },
 	} {
 		seq, bat := mk(), mk()
@@ -112,7 +112,7 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 
 func TestCountRangeConsistent(t *testing.T) {
 	xs := randomItems(3000, 5)
-	for name, s := range map[string]Store{"exact": NewExact(1), "gk": NewGK(0.02)} {
+	for name, s := range map[string]Store{"exact": NewExact(), "gk": NewGK(0.02)} {
 		fill(s, xs)
 		lo, hi := uint64(1)<<36, uint64(1)<<38
 		want := trueRank(xs, hi) - trueRank(xs, lo)
@@ -132,7 +132,7 @@ func TestCountRangeConsistent(t *testing.T) {
 
 func TestSeparatorsStayInsideInterval(t *testing.T) {
 	xs := randomItems(10000, 9)
-	for name, s := range map[string]Store{"exact": NewExact(3), "gk": NewGK(0.01)} {
+	for name, s := range map[string]Store{"exact": NewExact(), "gk": NewGK(0.01)} {
 		fill(s, xs)
 		lo, hi := uint64(1)<<37, uint64(1)<<39
 		seps := s.Separators(lo, hi, 50)
@@ -152,7 +152,7 @@ func TestSeparatorsRankAccuracy(t *testing.T) {
 	// step (+ sketch error for GK).
 	xs := randomItems(10000, 11)
 	const step = 100
-	for name, s := range map[string]Store{"exact": NewExact(5), "gk": NewGK(0.005)} {
+	for name, s := range map[string]Store{"exact": NewExact(), "gk": NewGK(0.005)} {
 		fill(s, xs)
 		seps := s.Separators(0, math.MaxUint64, step)
 		slack := float64(step)
