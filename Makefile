@@ -60,15 +60,22 @@ experiments-diff:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Exercise the lock-free parallel-ingest fast path — per-item and batched
-# (FeedLocalBatch) — once under the race detector (docs/perf.md), so every
-# PR runs it with checking on. The FeedBatch pattern also matches the
+# Exercise the batched ingest fast path (FeedLocalBatch, alone and under
+# the concurrent runtime) once under the race detector (docs/perf.md), so
+# every PR runs it with checking on. The FeedBatch pattern also matches the
 # metrics-enabled *Obs twins and the burst-heavy coalescing twins, so the
 # instrumented fast path and the coalesced slow path run with checking on
-# too; ServiceMacro drives the whole service the same way.
+# too; ServiceMacro drives the whole service the same way. A -bench pattern
+# that matches nothing exits 0, so race-bench also counts the benchmarks that
+# ran and fails on zero (a rename must not turn this step into a no-op).
+define race-bench
+	@out=$$($(GO) test -race -run '^$$' -bench $(1) -benchtime 1x $(2)) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; echo "$$out" | grep -c '^Benchmark' || { echo "no benchmark matches $(1) in $(2)"; exit 1; }
+endef
+
 bench-race-smoke:
-	$(GO) test -race -run '^$$' -bench 'FeedParallel|FeedBatch|ClusterSendBatchParallel' -benchtime 1x .
-	$(GO) test -race -run '^$$' -bench 'ShardedIngest|ServiceMacro' -benchtime 1x ./internal/service/
+	$(call race-bench,'FeedBatch|ClusterSendBatchParallel',.)
+	$(call race-bench,'^BenchmarkIngest|ServiceMacro',./internal/service/)
 
 # bench/ is its own module, so build/test above do not see it: compile it and
 # run its smoke tests (~5 s), so a change to internal/service that breaks the
@@ -117,7 +124,7 @@ load-smoke:
 BENCH_JSON ?= BENCH_PR10.json
 bench-json:
 	$(GO) test -run '^$$' -bench 'Feed|Cluster' -benchtime 1s . > $(BENCH_JSON).txt
-	$(GO) test -run '^$$' -bench 'ShardedIngest|ServiceMacro' -benchtime 1s ./internal/service/ >> $(BENCH_JSON).txt
+	$(GO) test -run '^$$' -bench '^BenchmarkIngest|ServiceMacro' -benchtime 1s ./internal/service/ >> $(BENCH_JSON).txt
 	$(GO) run ./cmd/benchjson < $(BENCH_JSON).txt > $(BENCH_JSON)
 	rm -f $(BENCH_JSON).txt
 

@@ -420,29 +420,9 @@ func BenchmarkFeedBatchAllQObs(b *testing.B) {
 	benchFeedBatch(b, tr, preGen(b, true), true)
 }
 
-// Ingest throughput through the concurrent runtime: per-item Send vs the
-// batched SendBatch path (one channel operation and one protocol-lock
-// acquisition per batch) — the internal/service hot path.
-func BenchmarkClusterSend(b *testing.B) {
-	tr, err := hh.New(hh.Config{K: 8, Eps: 0.02})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := runtime.New(context.Background(), tr, 8, 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs := preGen(b, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Send(i&7, xs[i&65535]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	c.Drain()
-}
-
+// Ingest throughput through the concurrent runtime: SendBatch is one channel
+// operation and one site-lock acquisition per escalation-free run — the
+// internal/service hot path.
 func BenchmarkClusterSendBatch(b *testing.B) {
 	for _, batch := range []int{64, 256, 1024} {
 		b.Run("batch="+itoa(batch), func(b *testing.B) {

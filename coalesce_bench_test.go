@@ -21,13 +21,11 @@ func benchFeedBatchBurst(b *testing.B, disable bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		tr, err := hh.New(hh.Config{
-			K: 8, Eps: 0.02, ThresholdDivisor: 256,
-			Coalesce: engine.CoalesceConfig{Disable: disable},
-		})
+		tr, err := hh.New(hh.Config{K: 8, Eps: 0.02, ThresholdDivisor: 256})
 		if err != nil {
 			b.Fatal(err)
 		}
+		tr.SetCoalesce(engine.CoalesceConfig{Disable: disable})
 		m := fullEngineMetrics()
 		tr.SetMetrics(m)
 		b.StartTimer()

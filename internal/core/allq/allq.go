@@ -42,10 +42,10 @@
 //
 // # Concurrency
 //
-// The two-phase ingest surface (Feed, FeedLocal, FeedLocalBatch, Escalate,
-// Quiesce, Version) is owned by the shared core/engine skeleton; this
-// package supplies only the §4 algorithm as an engine policy. See package
-// engine for the concurrency contract.
+// The ingest surface (Feed, FeedLocalBatch, Quiesce, Version) is owned by
+// the shared core/engine skeleton; this package supplies only the §4
+// algorithm as an engine policy. See package engine for the concurrency
+// contract.
 package allq
 
 import (
@@ -78,10 +78,6 @@ type Config struct {
 	Eps  float64 // approximation error, in (0, 1)
 	Mode Mode    // per-site store; default ModeExact
 	Seed int64   // seed for the coordinator's bootstrap tree
-
-	// Coalesce tunes the engine's slow-path coalescing for batched ingest
-	// (zero value: on, default budgets). See engine.CoalesceConfig.
-	Coalesce engine.CoalesceConfig
 }
 
 // node is a vertex of the coordinator's tree T. Sites mirror the structure
@@ -149,7 +145,7 @@ type site struct {
 // New validates cfg and returns a Tracker.
 func New(cfg Config) (*Tracker, error) {
 	p := &policy{cfg: cfg}
-	eng, err := engine.New(engine.Config{Name: "allq", K: cfg.K, Eps: cfg.Eps, Coalesce: cfg.Coalesce}, p)
+	eng, err := engine.New(engine.Config{Name: "allq", K: cfg.K, Eps: cfg.Eps}, p)
 	if err != nil {
 		return nil, err
 	}
@@ -373,15 +369,15 @@ func (t *Tracker) Quantile(phi float64) uint64 {
 	p := t.p
 	if t.Bootstrapping() {
 		// Index against what was actually forwarded: TrueTotal counts
-		// arrivals at FeedLocal time, but a concurrent arrival reaches the
-		// bootstrap tree only in its Escalate — a quiescent query may run
+		// arrivals on the fast path, but a concurrent arrival reaches the
+		// bootstrap tree only in its escalation — a quiescent query may run
 		// in between.
 		n := int64(p.bootTree.Len())
 		if n == 0 {
 			if t.TrueTotal() == 0 {
 				panic("allq: Quantile before any arrival")
 			}
-			return 0 // every arrival so far is still in flight to Escalate
+			return 0 // every arrival so far is still in flight to its escalation
 		}
 		i := int64(phi * float64(n))
 		if i >= n {

@@ -25,24 +25,19 @@ import (
 // multi-tenant service's ingest/stats paths, the CLIs' progress output —
 // program against this interface and switch on nothing.
 //
-// Concurrency: FeedLocal/FeedLocalBatch are safe with one goroutine per
-// site; Escalate, Quiesce and Version are safe for concurrent use; Feed and
-// the stats methods are for sequential callers or inside Quiesce. EstTotal
-// never overestimates TrueTotal.
+// Concurrency: FeedLocalBatch is the one concurrent ingest entry point, safe
+// with one goroutine per site; Quiesce and Version are safe for concurrent
+// use; Feed and the stats methods are for sequential callers or inside
+// Quiesce. EstTotal never overestimates TrueTotal.
 type Tracker interface {
-	// Feed records one arrival sequentially: FeedLocal plus, when the
-	// protocol requires coordinator work, Escalate.
+	// Feed records one arrival sequentially: the site-local fast path plus,
+	// when the protocol requires coordinator work, the slow path. It is the
+	// per-arrival reference FeedLocalBatch is pinned against.
 	Feed(site int, x uint64)
-	// FeedLocal runs the site-local fast path and reports whether the
-	// caller must invoke Escalate with the same arguments.
-	FeedLocal(site int, x uint64) (escalate bool)
 	// FeedLocalBatch amortizes the fast path over a batch, running the
 	// slow path inline at exactly the sequential positions; it returns the
 	// strictly increasing batch indices that escalated.
 	FeedLocalBatch(site int, xs []uint64) (escalations []int)
-	// Escalate runs the serialized coordinator slow path for an arrival
-	// previously applied by FeedLocal.
-	Escalate(site int, x uint64)
 	// Quiesce runs f with no fast path in flight and no escalation.
 	Quiesce(f func())
 	// Version is the coordinator state version; answers computed under

@@ -9,29 +9,31 @@
 //
 // # Concurrency model
 //
-// The engine exposes the same two-phase ingest contract the trackers always
-// had:
+// Ingest is two-phase inside the engine, behind two entry points:
 //
-//   - FeedLocal is the site-local fast path. It takes only the one site's
-//     lock, applies the policy's local accounting, and reports whether the
-//     protocol requires coordinator work. Safe for concurrent use with one
-//     goroutine per site (per-site state is single-writer).
-//   - Escalate is the coordinator slow path. It serializes internally
-//     (escMu) and additionally holds every site lock for its duration, so
-//     the rare communication cascades see a quiescent cluster exactly as
-//     the paper's atomic-message model assumes. Coordinator and round state
-//     that the fast path reads therefore only changes while every fast path
-//     is excluded.
-//   - Feed is the sequential composition of the two; like queries outside
-//     Quiesce it is for single-threaded callers.
-//   - FeedLocalBatch amortizes the fast path over escalation-free runs: one
+//   - The site-local fast path (feedLocal, and ApplyRun inside
+//     FeedLocalBatch) takes only the one site's lock, applies the policy's
+//     local accounting, and reports whether the protocol requires
+//     coordinator work. Per-site state is single-writer.
+//   - The coordinator slow path (escalate, coalesce) serializes on escMu and
+//     additionally holds every site lock for its duration, so the rare
+//     communication cascades see a quiescent cluster exactly as the paper's
+//     atomic-message model assumes. Coordinator and round state that the
+//     fast path reads therefore only changes while every fast path is
+//     excluded.
+//   - Feed is the sequential composition of the two for one arrival — the
+//     per-arrival transcription of the paper and the reference the batch
+//     path is pinned against; like queries outside Quiesce it is for
+//     single-threaded callers.
+//   - FeedLocalBatch is the concurrent entry point, safe with one goroutine
+//     per site. It amortizes the fast path over escalation-free runs: one
 //     site-lock acquisition and one fold into the site/global counts per
-//     run, with Escalate run inline at exactly the logical positions a
+//     run, with the slow path run inline at exactly the logical positions a
 //     sequential Feed loop would choose — protocol state and every
 //     wire.Meter count stay bit-for-bit identical to feeding one by one.
 //
-// The lock order is escMu, then site locks in ascending index order;
-// FeedLocal takes only its own site lock, so no cycle exists.
+// The lock order is escMu, then site locks in ascending index order; the
+// fast path takes only its own site lock, so no cycle exists.
 //
 // # Versioned snapshots
 //
@@ -70,8 +72,8 @@ type Policy interface {
 
 	// ApplyLocal records one arrival in site j's local state — the store
 	// insert plus the protocol's delta/counter accounting — and reports
-	// whether a reporting threshold was reached (the caller must then run
-	// the slow path via Engine.Escalate).
+	// whether a reporting threshold was reached (the engine then runs the
+	// slow path).
 	ApplyLocal(site int, x uint64) (escalate bool)
 
 	// ApplyRun records a prefix of xs at site j, stopping at (and
@@ -107,10 +109,9 @@ type Policy interface {
 
 // Config parameterizes an Engine.
 type Config struct {
-	Name     string         // protocol name, used in panics and validation errors
-	K        int            // number of sites, >= 1
-	Eps      float64        // approximation error, in (0, 1)
-	Coalesce CoalesceConfig // slow-path coalescing knobs (zero value: on, defaults)
+	Name string  // protocol name, used in panics and validation errors
+	K    int     // number of sites, >= 1
+	Eps  float64 // approximation error, in (0, 1)
 }
 
 // CoalesceConfig bounds the coalesced slow path: when FeedLocalBatch hits a
@@ -118,11 +119,14 @@ type Config struct {
 // once and drains the rest of the batch under the already-held locks instead
 // of paying an escMu + all-site-locks round trip per crossing. The budgets
 // bound how long one entry may hold the cluster quiescent so other sites'
-// escalations and queries are not starved behind one site's burst.
+// escalations and queries are not starved behind one site's burst. Every
+// engine starts with the zero value (on, default budgets); SetCoalesce is
+// the one seam that changes it, for the conformance laws and the burst
+// benchmarks.
 type CoalesceConfig struct {
 	// Disable turns coalescing off entirely; every crossing then pays its
-	// own slow-path acquisition (the pre-PR10 behavior, and the A/B baseline
-	// for the burst benchmarks).
+	// own slow-path acquisition (the reference twin of the coalescing laws,
+	// and the A/B baseline for the burst benchmarks).
 	Disable bool
 	// MaxItems bounds the arrivals drained under a single slow-path hold
 	// (beyond the crossing that opened it). 0 means DefaultCoalesceItems.
@@ -141,19 +145,6 @@ const (
 	DefaultCoalesceItems     = 8192
 	DefaultCoalesceCrossings = 64
 )
-
-// CoalescePolicy is implemented by policies that must veto slow-path
-// coalescing. The engine's coalesced drain alternates ApplyRun and
-// OnEscalate at exactly the sequential positions, so any policy whose
-// ApplyRun re-reads round state fresh on each call (true of hh, quantile and
-// allq: thresholds are hoisted per run, never cached across runs) is safe by
-// construction. A policy whose round boundary would invalidate an
-// in-progress batch — e.g. one that renumbers the item space mid-round and
-// caches the mapping across ApplyRun calls — returns false here and keeps
-// the release/re-acquire-per-crossing path.
-type CoalescePolicy interface {
-	CoalesceBatches() bool
-}
 
 // site is the engine-owned per-site core: the lock that guards both the
 // engine's and the policy's per-site state, plus the exact local count.
@@ -177,7 +168,7 @@ type Engine struct {
 	meter wire.Meter
 	pol   Policy
 
-	// escMu serializes the coordinator slow path (Escalate, Quiesce). The
+	// escMu serializes the coordinator slow path (escalate, Quiesce). The
 	// slow path additionally holds every site lock, so coordinator state
 	// read by the fast path only changes while all fast paths are excluded.
 	escMu   sync.Mutex
@@ -202,11 +193,10 @@ type Engine struct {
 	boot bool
 
 	// coItems/coCross are the per-hold coalescing budgets (0 = coalescing
-	// off); coAllowed records the policy's CoalescePolicy verdict. Written
-	// by New/SetCoalesce before concurrent use, read on the batched path.
-	coItems   int
-	coCross   int
-	coAllowed bool
+	// off). Written by New/SetCoalesce before concurrent use, read on the
+	// batched path.
+	coItems int
+	coCross int
 
 	n atomic.Int64 // true global count (ground truth for tests/experiments)
 }
@@ -221,16 +211,12 @@ func New(cfg Config, pol Policy) (*Engine, error) {
 		return nil, fmt.Errorf("%s: Eps must be in (0,1), got %g", cfg.Name, cfg.Eps)
 	}
 	e := &Engine{
-		name:      cfg.Name,
-		eps:       cfg.Eps,
-		pol:       pol,
-		boot:      true,
-		coAllowed: true,
+		name: cfg.Name,
+		eps:  cfg.Eps,
+		pol:  pol,
+		boot: true,
 	}
-	if cp, ok := pol.(CoalescePolicy); ok {
-		e.coAllowed = cp.CoalesceBatches()
-	}
-	e.SetCoalesce(cfg.Coalesce)
+	e.SetCoalesce(CoalesceConfig{})
 	sites := make([]*site, cfg.K)
 	for j := range sites {
 		sites[j] = &site{}
@@ -240,11 +226,11 @@ func New(cfg Config, pol Policy) (*Engine, error) {
 }
 
 // SetCoalesce reconfigures the slow-path coalescing budgets (zero fields
-// mean the defaults; Disable turns coalescing off). A policy veto via
-// CoalescePolicy always wins. Like SetMetrics it must be called before the
-// engine is used concurrently; the engine does not synchronize the fields.
+// mean the defaults; Disable turns coalescing off). Like SetMetrics it must
+// be called before the engine is used concurrently; the engine does not
+// synchronize the fields.
 func (e *Engine) SetCoalesce(c CoalesceConfig) {
-	if c.Disable || !e.coAllowed {
+	if c.Disable {
 		e.coItems, e.coCross = 0, 0
 		return
 	}
@@ -279,17 +265,16 @@ func (e *Engine) siteAt(j int) *site {
 // the fast and slow paths — deterministic callers (the harness, the
 // experiments) observe exactly the pre-split behavior, message for message.
 func (e *Engine) Feed(siteID int, x uint64) {
-	if e.FeedLocal(siteID, x) {
-		e.Escalate(siteID, x)
+	if e.feedLocal(siteID, x) {
+		e.escalate(siteID, x)
 	}
 }
 
-// FeedLocal runs the site-local fast path for one arrival of x at the given
+// feedLocal runs the site-local fast path for one arrival of x at the given
 // site, with no shared state touched and no communication metered. It
-// reports whether the protocol requires coordinator work — the caller must
-// then invoke Escalate with the same arguments. Safe for concurrent use
-// with one goroutine per site.
-func (e *Engine) FeedLocal(siteID int, x uint64) (escalate bool) {
+// reports whether the protocol requires coordinator work — Feed then runs
+// escalate with the same arguments.
+func (e *Engine) feedLocal(siteID int, x uint64) (escalate bool) {
 	s := e.siteAt(siteID)
 	s.mu.Lock()
 	s.nj++
@@ -328,9 +313,8 @@ func (e *Engine) FeedLocal(siteID int, x uint64) (escalate bool) {
 // valid only until the next FeedLocalBatch call for the same site — callers
 // must not retain it. The engine does not retain xs.
 //
-// Like FeedLocal, it is safe for concurrent use with one goroutine per
-// site; it must not be interleaved with FeedLocal/Feed calls for the same
-// site from other goroutines.
+// It is safe for concurrent use with one goroutine per site; it must not be
+// interleaved with Feed calls for the same site from other goroutines.
 func (e *Engine) FeedLocalBatch(siteID int, xs []uint64) (escalations []int) {
 	s := e.siteAt(siteID)
 	esc := s.esc[:0]
@@ -349,7 +333,7 @@ func (e *Engine) FeedLocalBatch(siteID int, xs []uint64) (escalations []int) {
 			if m := e.met; m != nil {
 				m.countFeeds(1)
 			}
-			e.Escalate(siteID, x)
+			e.escalate(siteID, x)
 			esc = append(esc, i)
 			i++
 			continue
@@ -376,11 +360,11 @@ func (e *Engine) FeedLocalBatch(siteID int, xs []uint64) (escalations []int) {
 		if e.coItems > 0 && i < len(xs) {
 			// Batch remaining after the crossing: enter the slow path once
 			// and drain under the held locks. (A crossing on the last item
-			// has nothing to coalesce — plain Escalate is the same one
+			// has nothing to coalesce — plain escalate is the same one
 			// acquisition.)
 			i, esc = e.coalesce(siteID, xs, i, esc)
 		} else {
-			e.Escalate(siteID, xs[i-1])
+			e.escalate(siteID, xs[i-1])
 		}
 	}
 	s.esc = esc
@@ -465,18 +449,18 @@ func (e *Engine) coalesce(siteID int, xs []uint64, i int, esc []int) (int, []int
 	return i, esc
 }
 
-// Escalate runs the coordinator slow path for an arrival previously applied
-// by FeedLocal: under escMu plus every site lock it either forwards a
+// escalate runs the coordinator slow path for an arrival the fast path has
+// already applied: under escMu plus every site lock it either forwards a
 // bootstrap arrival (running the bootstrap→tracking handoff when the policy
 // reports it complete) or hands the arrival to Policy.OnEscalate. It
 // excludes every site's fast path for its duration.
 //
-// An arrival that straddles the bootstrap→tracking transition (FeedLocal
+// An arrival that straddles the bootstrap→tracking transition (the fast path
 // saw boot, another site's escalation ended it first) contributes to the
 // site-local stores immediately and to the delta accounting not at all; it
 // is absorbed by the protocol's next exact collection, costing at most one
 // word of staleness per site, once — within every invariant's slack.
-func (e *Engine) Escalate(siteID int, x uint64) {
+func (e *Engine) escalate(siteID int, x uint64) {
 	m := e.met
 	e.escMu.Lock()
 	e.lockSites()
@@ -606,7 +590,7 @@ type ReconfigurePolicy interface {
 // still validate. The policy's OnReconfigure then migrates protocol state
 // and restarts the round at the new k.
 //
-// Callers must exclude concurrent Feed/FeedLocal/FeedLocalBatch calls for
+// Callers must exclude concurrent Feed/FeedLocalBatch calls for
 // sites being removed (the service layer drains its ingest pipeline first);
 // calls addressing surviving sites serialize on the locks as usual but must
 // not assume a site index is still valid across the call.

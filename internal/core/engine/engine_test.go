@@ -115,9 +115,9 @@ func newCountTracker(tb testing.TB, k int, eps float64, thr int64) *countTracker
 }
 
 // TestEngineConformanceMockPolicy runs the shared conformance suite over
-// the minimal policy: everything the suite checks here (split/batch
-// equivalence, versions, concurrent conservation, meter consistency) is
-// engine behavior, with no protocol logic to hide behind.
+// the minimal policy: everything the suite checks here (batch equivalence,
+// versions, concurrent conservation, meter consistency) is engine behavior,
+// with no protocol logic to hide behind.
 func TestEngineConformanceMockPolicy(t *testing.T) {
 	const (
 		k   = 4
@@ -153,14 +153,6 @@ func TestEngineConformanceMockPolicy(t *testing.T) {
 	})
 }
 
-// vetoPolicy is a countPolicy that opts out of slow-path coalescing via the
-// CoalescePolicy interface.
-type vetoPolicy struct{ countPolicy }
-
-func (*vetoPolicy) CoalesceBatches() bool { return false }
-
-var _ engine.CoalescePolicy = (*vetoPolicy)(nil)
-
 // coalesceMetrics wires the slow-path lock-traffic counters onto an engine.
 func coalesceMetrics(reg *obs.Registry) *engine.Metrics {
 	return &engine.Metrics{
@@ -192,10 +184,22 @@ func burst(t *testing.T, tr *countTracker) *engine.Metrics {
 // TestCoalesceSavesAcquisitions pins the point of the coalesced slow path:
 // on a threshold-dense batched stream, escalations vastly outnumber lock
 // acquisitions (one hold absorbs a burst), while the identity counters
-// still balance — acquisitions + saved crossings == escalations.
+// still balance — acquisitions + saved crossings == escalations. With
+// SetCoalesce{Disable: true} the same stream pays one acquisition per
+// escalation and coalesces nothing: the reference twin really is uncoalesced.
 func TestCoalesceSavesAcquisitions(t *testing.T) {
-	tr := newCountTracker(t, 2, 0.9, 8) // eps 0.9: bootstrap ends after ⌈k/ε⌉=3 items
-	m := burst(t, tr)
+	off := newCountTracker(t, 2, 0.9, 8) // eps 0.9: bootstrap ends after ⌈k/ε⌉=3 items
+	off.SetCoalesce(engine.CoalesceConfig{Disable: true})
+	m := burst(t, off)
+	if m.SavedAcquires.Value() != 0 || m.CoalescedRuns.Value() != 0 {
+		t.Fatalf("coalescing engaged while disabled: saved=%d coalescedRuns=%d",
+			m.SavedAcquires.Value(), m.CoalescedRuns.Value())
+	}
+	if esc, acq := m.Escalations.Value(), m.SlowPathAcquires.Value(); esc != acq {
+		t.Fatalf("escalations %d != acquisitions %d on the uncoalesced path", esc, acq)
+	}
+
+	m = burst(t, newCountTracker(t, 2, 0.9, 8))
 	esc, acq, saved := m.Escalations.Value(), m.SlowPathAcquires.Value(), m.SavedAcquires.Value()
 	if saved == 0 || m.CoalescedRuns.Value() == 0 {
 		t.Fatalf("coalescing never engaged: saved=%d coalescedRuns=%d", saved, m.CoalescedRuns.Value())
@@ -206,42 +210,6 @@ func TestCoalesceSavesAcquisitions(t *testing.T) {
 	if acq*2 > esc {
 		t.Fatalf("burst stream still paid %d acquisitions for %d escalations", acq, esc)
 	}
-}
-
-// TestCoalescePolicyVeto pins the CoalescePolicy opt-out: a policy that
-// reports CoalesceBatches()==false keeps the release/re-acquire-per-crossing
-// path even though engine coalescing defaults on, as does an engine
-// configured with Disable. In both cases every escalation pays its own
-// acquisition and nothing is coalesced.
-func TestCoalescePolicyVeto(t *testing.T) {
-	uncoalesced := func(t *testing.T, tr *countTracker) {
-		t.Helper()
-		m := burst(t, tr)
-		if m.SavedAcquires.Value() != 0 || m.CoalescedRuns.Value() != 0 {
-			t.Fatalf("coalescing engaged: saved=%d coalescedRuns=%d",
-				m.SavedAcquires.Value(), m.CoalescedRuns.Value())
-		}
-		if esc, acq := m.Escalations.Value(), m.SlowPathAcquires.Value(); esc != acq {
-			t.Fatalf("escalations %d != acquisitions %d on the uncoalesced path", esc, acq)
-		}
-	}
-	t.Run("policyVeto", func(t *testing.T) {
-		p := &vetoPolicy{countPolicy{thr: 8, pending: make([]int64, 2)}}
-		eng, err := engine.New(engine.Config{Name: "count", K: 2, Eps: 0.9}, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.eng = eng
-		p.bootTarget = eng.BootTarget()
-		// A veto wins even over an explicit re-enable.
-		eng.SetCoalesce(engine.CoalesceConfig{MaxItems: 1 << 20})
-		uncoalesced(t, &countTracker{Engine: eng, p: &p.countPolicy})
-	})
-	t.Run("configDisable", func(t *testing.T) {
-		tr := newCountTracker(t, 2, 0.9, 8)
-		tr.SetCoalesce(engine.CoalesceConfig{Disable: true})
-		uncoalesced(t, tr)
-	})
 }
 
 // TestEngineValidation pins the constructor errors and the site bounds
@@ -259,5 +227,5 @@ func TestEngineValidation(t *testing.T) {
 			t.Fatal("out-of-range site did not panic")
 		}
 	}()
-	tr.FeedLocal(2, 1)
+	tr.Feed(2, 1)
 }

@@ -2,8 +2,9 @@
 // on the core/engine two-phase skeleton. It pins the engine contract that
 // the per-protocol test suites used to re-implement three times over:
 //
-//   - sequential equivalence: Feed ≡ FeedLocal + conditional Escalate,
-//     meter and version included;
+//   - single-item batches: Feed ≡ FeedLocalBatch of one-item slices from
+//     the first bootstrap arrival on, meter and version included, the batch
+//     reporting index 0 exactly when Feed escalated;
 //   - batch equivalence: FeedLocalBatch over a random (site, chunk)
 //     schedule matches sequential Feed bit-for-bit — every meter count,
 //     per kind and per site — with strictly increasing, in-range
@@ -15,8 +16,9 @@
 //     positions are caught) and the escalation indices, under the default
 //     and deliberately tiny coalescing budgets; plus a -race stress arm
 //     hammering budget-exhausting coalesced holds against quiescent queries;
-//   - concurrent stress: one fast-path goroutine per site racing quiescent
-//     queries (run the package's tests under -race), with exact
+//   - concurrent stress: one FeedLocalBatch goroutine per site — one-item
+//     batches for the maximal interleaving, then random chunks — racing
+//     quiescent queries (run the package's tests under -race), with exact
 //     conservation of TrueTotal and per-site counts afterwards;
 //   - meter conservation: up+down, per-site and per-kind accounting all
 //     sum to the same totals;
@@ -78,11 +80,14 @@ func Run(t *testing.T, cfg Config) {
 	if cfg.PerSite == 0 {
 		cfg.PerSite = 8000
 	}
-	t.Run("SplitFeedMatchesFeed", func(t *testing.T) { runSplitFeed(t, cfg) })
+	t.Run("SingleItemBatchMatchesFeed", func(t *testing.T) { runSingleItemBatch(t, cfg) })
 	t.Run("BatchMatchesFeed", func(t *testing.T) { runBatchMatch(t, cfg) })
 	t.Run("CoalescedMatchesSequential", func(t *testing.T) { runCoalesced(t, cfg) })
-	t.Run("ConcurrentStress", func(t *testing.T) { runConcurrent(t, cfg, false) })
-	t.Run("ConcurrentBatchStress", func(t *testing.T) { runConcurrent(t, cfg, true) })
+	// One-item batches are the maximal interleaving — every arrival takes
+	// and releases the locks on its own, the schedule that found the arrival
+	// dropped across the bootstrap handoff; then random chunks of up to 600.
+	t.Run("ConcurrentStress", func(t *testing.T) { runConcurrentOn(t, cfg, cfg.New(t), 42, 1, "concurrent") })
+	t.Run("ConcurrentBatchStress", func(t *testing.T) { runConcurrentOn(t, cfg, cfg.New(t), 43, 600, "concurrent-batch") })
 	t.Run("CoalescedStress", func(t *testing.T) { runCoalescedStress(t, cfg) })
 	t.Run("MeterConservation", func(t *testing.T) { runMeterConservation(t, cfg) })
 	t.Run("CheckpointRestore", func(t *testing.T) { runCheckpointRestore(t, cfg) })
@@ -124,8 +129,7 @@ func dealStreams(cfg Config, seed int64) [][]uint64 {
 }
 
 // checkMetersEqual asserts two trackers' meters agree in total, per kind
-// and per site — the bit-for-bit pin for split/batched vs sequential
-// feeding.
+// and per site — the bit-for-bit pin for batched vs sequential feeding.
 func checkMetersEqual(t *testing.T, label string, a, b core.Tracker, k int) {
 	t.Helper()
 	am, bm := a.Meter(), b.Meter()
@@ -170,20 +174,34 @@ func checkEngineEqual(t *testing.T, label string, a, b core.Tracker, k int) {
 	}
 }
 
-// runSplitFeed verifies the sequential identity Feed ≡ FeedLocal +
-// conditional Escalate, meter and version included.
-func runSplitFeed(t *testing.T, cfg Config) {
+// runSingleItemBatch verifies the degenerate-batch identity: from a fresh
+// tracker, through the bootstrap handoff, Feed ≡ FeedLocalBatch of a
+// one-item slice — meter and version included — and the batch reports
+// escalation index 0 exactly when Feed escalated (Version bumps once per
+// escalation, which is how the sequential side is observed).
+func runSingleItemBatch(t *testing.T, cfg Config) {
 	a, b := cfg.New(t), cfg.New(t)
 	items := genStream(cfg, cfg.K*cfg.PerSite, 17)
-	for i, x := range items {
+	for i := range items {
 		site := i % cfg.K
-		a.Feed(site, x)
-		if b.FeedLocal(site, x) {
-			b.Escalate(site, x)
+		before := a.Version()
+		a.Feed(site, items[i])
+		escalated := a.Version() != before
+		esc := b.FeedLocalBatch(site, items[i:i+1])
+		want := 0
+		if escalated {
+			want = 1
+		}
+		if len(esc) != want || (escalated && esc[0] != 0) {
+			t.Fatalf("item %d (boot %v): Feed escalated = %v, one-item batch returned %v",
+				i, a.Bootstrapping(), escalated, esc)
 		}
 	}
-	checkMetersEqual(t, "split", a, b, cfg.K)
-	checkEngineEqual(t, "split", a, b, cfg.K)
+	if a.Bootstrapping() {
+		t.Fatalf("stream of %d items never left bootstrap: the handoff went untested", len(items))
+	}
+	checkMetersEqual(t, "single-item", a, b, cfg.K)
+	checkEngineEqual(t, "single-item", a, b, cfg.K)
 	if cfg.CheckEquiv != nil {
 		cfg.CheckEquiv(t, a, b)
 	}
@@ -293,14 +311,6 @@ func runCoalesced(t *testing.T, cfg Config) {
 	}
 }
 
-// runConcurrent hammers one fast-path goroutine per site (per-item, or
-// batched when batch is set) against two query goroutines doing quiescent
-// reads, then asserts exact conservation and the protocol contract.
-func runConcurrent(t *testing.T, cfg Config, batch bool) {
-	tr := cfg.New(t)
-	runConcurrentOn(t, cfg, tr, batch, 42+int64(boolToInt(batch)), 600, label(batch))
-}
-
 // runCoalescedStress is the -race arm of the coalescing law: coalesced
 // batches large enough to span many crossings, under deliberately small
 // budgets so holds exhaust and re-enter constantly, racing quiescent
@@ -312,10 +322,13 @@ func runCoalescedStress(t *testing.T, cfg Config) {
 		t.Skip("tracker does not expose SetCoalesce")
 	}
 	cs.SetCoalesce(engine.CoalesceConfig{MaxItems: 256, MaxCrossings: 3})
-	runConcurrentOn(t, cfg, tr, true, 61, 2500, "coalesced-stress")
+	runConcurrentOn(t, cfg, tr, 61, 2500, "coalesced-stress")
 }
 
-func runConcurrentOn(t *testing.T, cfg Config, tr core.Tracker, batch bool, seed int64, chunkMax int, lbl string) {
+// runConcurrentOn hammers one FeedLocalBatch goroutine per site (site j's
+// stream in chunks of 1..chunkMax items) against two query goroutines doing
+// quiescent reads, then asserts exact conservation and the protocol contract.
+func runConcurrentOn(t *testing.T, cfg Config, tr core.Tracker, seed int64, chunkMax int, lbl string) {
 	streams := dealStreams(cfg, seed)
 
 	done := make(chan struct{})
@@ -347,14 +360,6 @@ func runConcurrentOn(t *testing.T, cfg Config, tr core.Tracker, batch bool, seed
 		wg.Add(1)
 		go func(site int, xs []uint64) {
 			defer wg.Done()
-			if !batch {
-				for _, x := range xs {
-					if tr.FeedLocal(site, x) {
-						tr.Escalate(site, x)
-					}
-				}
-				return
-			}
 			rng := rand.New(rand.NewSource(int64(site)))
 			for pos := 0; pos < len(xs); {
 				sz := 1 + rng.Intn(chunkMax)
@@ -390,20 +395,6 @@ func runConcurrentOn(t *testing.T, cfg Config, tr core.Tracker, batch bool, seed
 			cfg.CheckFinal(t, lbl, tr, streams)
 		})
 	}
-}
-
-func label(batch bool) string {
-	if batch {
-		return "concurrent-batch"
-	}
-	return "concurrent"
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // runCheckpointRestore pins the checkpoint/restore round-trip law:

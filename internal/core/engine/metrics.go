@@ -8,18 +8,18 @@ import (
 
 // Metrics is the engine's observability surface: pre-resolved obs metrics
 // the skeleton updates as it runs. Fast-path updates are counters only —
-// one atomic add per FeedLocal call or per escalation-free batch run, no
+// one atomic add per Feed call or per escalation-free batch run, no
 // locks, no map lookups (children are resolved by the caller, typically
 // once per tenant) — pinned by the BenchmarkFeedBatch*Obs A/B against the
 // uninstrumented benches. Duration histograms exist only on the slow path
-// (Escalate, Quiesce), where a time.Now pair is noise against the lock
+// (escalations, Quiesce), where a time.Now pair is noise against the lock
 // acquisition they measure.
 //
 // Any field may be nil; the engine skips what is not wired. Attach with
 // Engine.SetMetrics before concurrent use.
 type Metrics struct {
-	// Feeds counts fast-path arrivals applied (items, both the per-item
-	// and the batched path, including bootstrap forwards).
+	// Feeds counts fast-path arrivals applied (items, through Feed and
+	// FeedLocalBatch alike, including bootstrap forwards).
 	Feeds *obs.Counter
 	// BatchRuns counts escalation-free runs consumed by FeedLocalBatch;
 	// Feeds/BatchRuns is the realized amortization factor.
@@ -31,7 +31,7 @@ type Metrics struct {
 	// bootstrap forwards.
 	Escalations *obs.Counter
 	// SlowPathAcquires counts escMu + all-site-locks acquisitions made by
-	// the escalation path (Escalate calls plus coalesced holds). Without
+	// the escalation path (single escalations plus coalesced holds). Without
 	// coalescing it equals Escalations; with it, Escalations −
 	// SlowPathAcquires is the lock traffic the coalesced drain removed.
 	SlowPathAcquires *obs.Counter
@@ -45,7 +45,7 @@ type Metrics struct {
 	// BootHandoffs counts bootstrap→tracking transitions (0 or 1 per
 	// engine; across a fleet, how many tenants have left bootstrap).
 	BootHandoffs *obs.Counter
-	// SlowPathHold observes the seconds Escalate held escMu plus every
+	// SlowPathHold observes the seconds an escalation held escMu plus every
 	// site lock — the cluster-wide stall each escalation imposes.
 	SlowPathHold *obs.Histogram
 	// QuiesceHold observes the seconds each Quiesce held the same locks —

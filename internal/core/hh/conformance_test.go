@@ -68,7 +68,7 @@ func TestEngineConformance(t *testing.T) {
 
 // checkHHContract asserts the paper's invariants (2)–(3) and the
 // classification guarantee against exact ground truth, with slack 2k words
-// for arrivals that straddle concurrent escalations (see engine.Escalate).
+// for arrivals that straddle concurrent escalations (see package engine).
 func checkHHContract(t *testing.T, label string, ctr core.Tracker, streams [][]uint64) {
 	t.Helper()
 	const (

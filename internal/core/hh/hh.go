@@ -37,10 +37,10 @@
 //
 // # Concurrency
 //
-// The two-phase ingest surface (Feed, FeedLocal, FeedLocalBatch, Escalate,
-// Quiesce, Version) is owned by the shared core/engine skeleton; this
-// package supplies only the §2.1 algorithm as an engine policy. See package
-// engine for the concurrency contract.
+// The ingest surface (Feed, FeedLocalBatch, Quiesce, Version) is owned by
+// the shared core/engine skeleton; this package supplies only the §2.1
+// algorithm as an engine policy. See package engine for the concurrency
+// contract.
 package hh
 
 import (
@@ -89,15 +89,11 @@ type Config struct {
 	// communication, smaller staleness); values below 3 void the paper's
 	// worst-case invariants (2)–(3). Exists for the A1 ablation.
 	ThresholdDivisor float64
-
-	// Coalesce tunes the engine's slow-path coalescing for batched ingest
-	// (zero value: on, default budgets). See engine.CoalesceConfig.
-	Coalesce engine.CoalesceConfig
 }
 
 // Tracker tracks heavy hitters across K sites. The embedded engine provides
-// the whole ingest and quiescence surface (Feed, FeedLocal, FeedLocalBatch,
-// Escalate, Quiesce, Version, Meter, TrueTotal, SiteCount, Bootstrapping);
+// the whole ingest and quiescence surface (Feed, FeedLocalBatch, Quiesce,
+// Version, Meter, TrueTotal, SiteCount, Bootstrapping);
 // the methods defined here are the §2.1 queries.
 type Tracker struct {
 	*engine.Engine
@@ -139,7 +135,7 @@ type site struct {
 // New validates cfg and returns a Tracker.
 func New(cfg Config) (*Tracker, error) {
 	p := &policy{cfg: cfg, cmx: make(map[uint64]int64)}
-	eng, err := engine.New(engine.Config{Name: "hh", K: cfg.K, Eps: cfg.Eps, Coalesce: cfg.Coalesce}, p)
+	eng, err := engine.New(engine.Config{Name: "hh", K: cfg.K, Eps: cfg.Eps}, p)
 	if err != nil {
 		return nil, err
 	}

@@ -52,10 +52,10 @@
 //
 // # Concurrency
 //
-// The two-phase ingest surface (Feed, FeedLocal, FeedLocalBatch, Escalate,
-// Quiesce, Version) is owned by the shared core/engine skeleton; this
-// package supplies only the §3.1 algorithm as an engine policy. See package
-// engine for the concurrency contract.
+// The ingest surface (Feed, FeedLocalBatch, Quiesce, Version) is owned by
+// the shared core/engine skeleton; this package supplies only the §3.1
+// algorithm as an engine policy. See package engine for the concurrency
+// contract.
 package quantile
 
 import (
@@ -96,10 +96,6 @@ type Config struct {
 	// more staleness); below 8 the worst-case error analysis no longer
 	// closes. Exists for the A4 ablation.
 	BatchDivisor float64
-
-	// Coalesce tunes the engine's slow-path coalescing for batched ingest
-	// (zero value: on, default budgets). See engine.CoalesceConfig.
-	Coalesce engine.CoalesceConfig
 }
 
 // quantState is the coordinator's per-tracked-quantile state.
@@ -169,7 +165,7 @@ func New(cfg Config) (*Tracker, error) {
 		phis = []float64{cfg.Phi}
 	}
 	p := &policy{cfg: cfg, phis: phis}
-	eng, err := engine.New(engine.Config{Name: "quantile", K: cfg.K, Eps: cfg.Eps, Coalesce: cfg.Coalesce}, p)
+	eng, err := engine.New(engine.Config{Name: "quantile", K: cfg.K, Eps: cfg.Eps}, p)
 	if err != nil {
 		return nil, err
 	}
@@ -403,15 +399,15 @@ func (t *Tracker) QuantileAt(i int) uint64 {
 	p := t.p
 	if t.Bootstrapping() {
 		// Index against what was actually forwarded: TrueTotal counts
-		// arrivals at FeedLocal time, but a concurrent arrival reaches the
-		// bootstrap tree only in its Escalate — a quiescent query may run
+		// arrivals on the fast path, but a concurrent arrival reaches the
+		// bootstrap tree only in its escalation — a quiescent query may run
 		// in between.
 		n := int64(p.bootTree.Len())
 		if n == 0 {
 			if t.TrueTotal() == 0 {
 				panic("quantile: Quantile before any arrival")
 			}
-			return 0 // every arrival so far is still in flight to Escalate
+			return 0 // every arrival so far is still in flight to its escalation
 		}
 		idx := int64(p.phis[i] * float64(n))
 		if idx >= n {

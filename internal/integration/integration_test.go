@@ -44,7 +44,7 @@ func TestAllQUnderConcurrentRuntime(t *testing.T) {
 				if !ok {
 					return
 				}
-				if err := c.Send(j, x); err != nil {
+				if err := c.SendBatch(j, []uint64{x}); err != nil {
 					t.Errorf("send: %v", err)
 					return
 				}
@@ -56,7 +56,7 @@ func TestAllQUnderConcurrentRuntime(t *testing.T) {
 	}
 	wg.Wait()
 	c.Drain()
-	c.Query(func() {
+	tr.Quiesce(func() {
 		for _, phi := range []float64{0.1, 0.5, 0.9} {
 			v := tr.Quantile(phi)
 			if e := o.QuantileRankError(v, phi); e > 1.5*eps {
@@ -86,7 +86,7 @@ func TestQuantileUnderConcurrentRuntime(t *testing.T) {
 				if !ok {
 					return
 				}
-				if c.Send(j, x) != nil {
+				if c.SendBatch(j, []uint64{x}) != nil {
 					return
 				}
 				omu.Lock()
@@ -97,7 +97,7 @@ func TestQuantileUnderConcurrentRuntime(t *testing.T) {
 	}
 	wg.Wait()
 	c.Drain()
-	c.Query(func() {
+	tr.Quiesce(func() {
 		for qi, phi := range []float64{0.25, 0.75} {
 			if e := o.QuantileRankError(tr.QuantileAt(qi), phi); e > 0.05 {
 				t.Errorf("phi=%g: rank error %.4f", phi, e)

@@ -6,8 +6,8 @@
 // remains lock-free on the protocol side.
 //
 // Sync must run while the meter is externally quiescent (inside
-// Engine.Quiesce / Cluster.Query for tracker meters, or under the owning
-// mutex for transport meters) and serialized across callers — the natural
+// Engine.Quiesce for tracker meters, or under the owning mutex for transport
+// meters) and serialized across callers — the natural
 // place is an obs scrape hook, which the Registry already serializes.
 package wireobs
 

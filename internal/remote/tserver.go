@@ -173,9 +173,9 @@ func (s *IngestServer) serve(conn net.Conn) {
 	// Membership epoch gate: a hello's Seq carries the node's last known
 	// epoch (0 = fresh node, accepted unconditionally — it learns the epoch
 	// from the welcome). A stale nonzero epoch means the node missed a site
-	// add/remove or a tenant migration; refuse it with a goodbye naming the
-	// current epoch so it adopts the new configuration and redials, instead
-	// of streaming under assumptions the coordinator no longer holds.
+	// add/remove; refuse it with a goodbye naming the current epoch so it
+	// adopts the new configuration and redials, instead of streaming under
+	// assumptions the coordinator no longer holds.
 	if e := s.epoch.Load(); hello.Seq != 0 && hello.Seq != e {
 		s.epochRefused.Add(1)
 		_ = s.writeFrame(conn, TFrame{Type: TypeNodeGoodbye, Seq: e})

@@ -9,11 +9,11 @@ import (
 	"disttrack/internal/stream"
 )
 
-// All three core trackers expose the engine's two-phase surface; the
-// cluster requires it, with no capability triage.
+// Every core tracker satisfies the cluster's Tracker through the shared
+// engine.
 var _ Tracker = (*hh.Tracker)(nil)
 
-// TestClusterFastPath runs the full concurrent runtime over the lock-free
+// TestClusterFastPath runs the full concurrent runtime over the site-local
 // fast path with concurrent queries, then checks the result against a
 // sequential replay of the same per-site streams.
 func TestClusterFastPath(t *testing.T) {
@@ -51,7 +51,7 @@ func TestClusterFastPath(t *testing.T) {
 				return
 			default:
 			}
-			c.Query(func() {
+			tr.Quiesce(func() {
 				if tr.EstTotal() > tr.TrueTotal() {
 					t.Error("EstTotal overtook TrueTotal mid-stream")
 				}
@@ -118,30 +118,5 @@ func TestClusterFastPath(t *testing.T) {
 	}
 	if seq.TrueTotal() != tr.TrueTotal() {
 		t.Fatalf("replay TrueTotal = %d, want %d", seq.TrueTotal(), tr.TrueTotal())
-	}
-}
-
-// TestClusterSendPath verifies the per-item Send queue ingests through the
-// FeedLocal fast path with escalations counted.
-func TestClusterSendPath(t *testing.T) {
-	tr, err := hh.New(hh.Config{K: 2, Eps: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(context.Background(), tr, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5000; i++ {
-		if err := c.Send(i%2, uint64(i%37)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Drain()
-	if got := tr.TrueTotal(); got != 5000 {
-		t.Fatalf("TrueTotal = %d, want 5000", got)
-	}
-	if esc := c.Escalations(); esc == 0 {
-		t.Fatal("per-item fast path recorded no escalations")
 	}
 }

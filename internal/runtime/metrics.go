@@ -5,8 +5,8 @@ import "disttrack/internal/obs"
 // ClusterMetrics mirrors a Cluster's ingestion counters into obs metrics.
 // The counter fields receive deltas against the last sync (so the exported
 // series are valid monotone Prometheus counters); QueueDepth, when set, is
-// refreshed with the cluster's current total queued arrivals. Any field may
-// be nil.
+// refreshed with the cluster's current total of queued batches. Any field
+// may be nil.
 //
 // Sync is not safe for concurrent use with itself — run it from an obs
 // scrape hook, which the registry serializes.
@@ -15,7 +15,7 @@ type ClusterMetrics struct {
 	Batches     *obs.Counter // batch deliveries processed
 	Dropped     *obs.Counter // queued arrivals discarded by Stop
 	Escalations *obs.Counter // fast-path arrivals that escalated
-	QueueDepth  *obs.Gauge   // items+batches currently queued across sites
+	QueueDepth  *obs.Gauge   // batches currently queued across sites
 
 	last Stats
 }
@@ -41,15 +41,11 @@ func (c *Cluster) SyncMetrics(m *ClusterMetrics) {
 	}
 }
 
-// QueueDepth returns the number of queued deliveries across all site
-// channels (single arrivals plus batch deliveries; a batch counts once).
-// Safe for concurrent use; the value is inherently racy against the site
-// goroutines, which is fine for a gauge.
+// QueueDepth returns the number of batches queued across all site channels
+// — at most k times the per-site buffer. Safe for concurrent use; the value
+// is inherently racy against the site goroutines, which is fine for a gauge.
 func (c *Cluster) QueueDepth() int {
 	n := 0
-	for _, ch := range c.ingest {
-		n += len(ch)
-	}
 	for _, ch := range c.batches {
 		n += len(ch)
 	}

@@ -1,16 +1,16 @@
 // Package runtime runs a tracker as a concurrent cluster: one goroutine per
-// site consuming from a per-site ingestion channel, a shared coordinator,
-// and thread-safe queries.
+// site consuming batches from one per-site channel, over a shared
+// coordinator.
 //
 // The paper's model assumes communication is instant and atomic — when an
 // arrival triggers a message cascade, the cascade completes before the next
 // arrival is processed. The paper's central result is that such cascades
 // are rare: almost every arrival is absorbed by site-local counters. The
-// cluster exploits exactly that split: every tracker exposes the engine's
-// two-phase surface (core.Tracker), so k site goroutines ingest fully in
-// parallel through the lock-free site-local fast path, and only the rare
-// escalations and the queries serialize, inside the tracker itself. Batches
-// delivered via SendBatch flow through FeedLocalBatch, amortizing the
+// cluster exploits exactly that split: k site goroutines ingest fully in
+// parallel through the tracker's site-local fast path, and only the rare
+// escalations and the queries (the tracker's own Quiesce) serialize, inside
+// the tracker itself. There is one way in: SendBatch hands a batch to its
+// site's goroutine, which feeds it through FeedLocalBatch, amortizing the
 // per-arrival lock and store costs over each escalation-free run. (For a
 // deployment across real processes and sockets, see the remote package.)
 package runtime
@@ -23,30 +23,26 @@ import (
 	"sync/atomic"
 )
 
-// Tracker is the two-phase protocol surface the cluster drives — the feed
-// half of core.Tracker, which every core tracker implements via the shared
-// engine. FeedLocal and FeedLocalBatch must be safe for concurrent use with
-// one goroutine per site; Escalate runs the (internally serialized)
-// coordinator slow path; Quiesce runs f with the whole tracker quiescent,
-// for consistent queries.
+// Tracker is the half of core.Tracker a running cluster depends on.
+// FeedLocalBatch is the ingest side: safe for concurrent use with one
+// goroutine per site, returning the batch indices that escalated. Quiesce is
+// the query side of the same contract: whoever holds the tracker reads it
+// consistently while the cluster ingests by running f with every site's
+// fast path excluded (the cluster itself never calls it).
 type Tracker interface {
-	Feed(site int, x uint64)
-	FeedLocal(site int, x uint64) (escalate bool)
 	FeedLocalBatch(site int, xs []uint64) (escalations []int)
-	Escalate(site int, x uint64)
 	Quiesce(f func())
 }
 
-// ErrStopped is returned by Send after the cluster has been stopped or its
-// context cancelled.
+// ErrStopped is returned by SendBatch after the cluster has been stopped or
+// its context cancelled.
 var ErrStopped = errors.New("runtime: cluster stopped")
 
 // Cluster runs k site goroutines feeding a shared tracker.
 type Cluster struct {
 	tr Tracker
 
-	ingest      []chan uint64
-	batches     []chan []uint64
+	batches     []chan []uint64 // one queue per site; its length is the site count
 	wg          sync.WaitGroup
 	ctx         context.Context
 	cancel      context.CancelFunc
@@ -58,7 +54,7 @@ type Cluster struct {
 }
 
 // New starts a cluster of k sites over tr. buf is the per-site channel
-// capacity (≥ 1). Always call Stop (or Drain) when done.
+// capacity in batches (≥ 1). Always call Stop (or Drain) when done.
 func New(ctx context.Context, tr Tracker, k, buf int) (*Cluster, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("runtime: k must be >= 1, got %d", k)
@@ -69,39 +65,25 @@ func New(ctx context.Context, tr Tracker, k, buf int) (*Cluster, error) {
 	cctx, cancel := context.WithCancel(ctx)
 	c := &Cluster{tr: tr, ctx: cctx, cancel: cancel}
 	for j := 0; j < k; j++ {
-		ch := make(chan uint64, buf)
-		bch := make(chan []uint64, buf)
-		c.ingest = append(c.ingest, ch)
-		c.batches = append(c.batches, bch)
+		// buf batches of slack let the producer run ahead of the site
+		// goroutine (the service's -site-buffer).
+		ch := make(chan []uint64, buf)
+		c.batches = append(c.batches, ch)
 		c.wg.Add(1)
-		go c.site(j, ch, bch)
+		go c.site(j, ch)
 	}
 	return c, nil
 }
 
-// feedOne processes one arrival at site j through the fast path.
-func (c *Cluster) feedOne(j int, x uint64) {
-	if c.tr.FeedLocal(j, x) {
-		c.tr.Escalate(j, x)
-		c.escalations.Add(1)
-	}
-}
-
-// feedBatch processes a batch at site j through the tracker's amortized
-// FeedLocalBatch: one site lock and one store bulk-insert per
-// escalation-free run.
-func (c *Cluster) feedBatch(j int, xs []uint64) {
-	c.escalations.Add(int64(len(c.tr.FeedLocalBatch(j, xs))))
-}
-
-// site is the per-site goroutine: it observes its local stream and runs the
-// protocol for each arrival. Single items and batches arrive on separate
-// queues. Batch slices are returned to the shared batch pool once
-// processed — SendBatch transfers ownership to the cluster.
-func (c *Cluster) site(j int, ch <-chan uint64, bch <-chan []uint64) {
+// site is the per-site goroutine: it feeds each batch of its local stream
+// through the tracker's amortized FeedLocalBatch — one site lock and one
+// store bulk-insert per escalation-free run. Batch slices are returned to
+// the shared batch pool once processed — SendBatch transfers ownership to
+// the cluster.
+func (c *Cluster) site(j int, ch <-chan []uint64) {
 	defer c.wg.Done()
-	for ch != nil || bch != nil {
-		// Check cancellation first: when both a queue and Done are ready,
+	for {
+		// Check cancellation first: when both the queue and Done are ready,
 		// select picks randomly, and Stop promises queued items are dropped
 		// rather than raced against.
 		select {
@@ -112,19 +94,11 @@ func (c *Cluster) site(j int, ch <-chan uint64, bch <-chan []uint64) {
 		select {
 		case <-c.ctx.Done():
 			return
-		case x, ok := <-ch:
+		case xs, ok := <-ch:
 			if !ok {
-				ch = nil
-				continue
+				return
 			}
-			c.feedOne(j, x)
-			c.processed.Add(1)
-		case xs, ok := <-bch:
-			if !ok {
-				bch = nil
-				continue
-			}
-			c.feedBatch(j, xs)
+			c.escalations.Add(int64(len(c.tr.FeedLocalBatch(j, xs))))
 			c.processed.Add(int64(len(xs)))
 			c.batched.Add(1)
 			PutBatch(xs)
@@ -132,34 +106,12 @@ func (c *Cluster) site(j int, ch <-chan uint64, bch <-chan []uint64) {
 	}
 }
 
-// Send delivers one arrival to a site's ingestion queue, blocking while the
-// queue is full. It returns ErrStopped after cancellation or Stop.
-func (c *Cluster) Send(site int, x uint64) error {
-	if site < 0 || site >= len(c.ingest) {
-		return fmt.Errorf("runtime: site %d out of range [0,%d)", site, len(c.ingest))
-	}
-	// Check cancellation first: when both the queue and Done are ready,
-	// select would pick randomly, and an enqueue after Stop would be
-	// silently dropped.
-	select {
-	case <-c.ctx.Done():
-		return ErrStopped
-	default:
-	}
-	select {
-	case <-c.ctx.Done():
-		return ErrStopped
-	case c.ingest[site] <- x:
-		return nil
-	}
-}
-
 // SendBatch delivers a batch of arrivals to a site's ingestion queue in one
 // channel operation; the site processes the whole batch without per-item
 // synchronization. The cluster takes ownership of xs — the caller must not
 // reuse the slice (it is recycled through the batch pool once processed).
-// Empty batches are a no-op. Like Send, it blocks while the queue is full
-// and returns ErrStopped after cancellation or Stop.
+// Empty batches are a no-op. It blocks while the queue is full and returns
+// ErrStopped after cancellation or Stop.
 func (c *Cluster) SendBatch(site int, xs []uint64) error {
 	if site < 0 || site >= len(c.batches) {
 		return fmt.Errorf("runtime: site %d out of range [0,%d)", site, len(c.batches))
@@ -167,6 +119,9 @@ func (c *Cluster) SendBatch(site int, xs []uint64) error {
 	if len(xs) == 0 {
 		return nil
 	}
+	// Check cancellation first: when both the queue and Done are ready,
+	// select would pick randomly, and an enqueue after Stop would be
+	// silently dropped.
 	select {
 	case <-c.ctx.Done():
 		return ErrStopped
@@ -180,22 +135,11 @@ func (c *Cluster) SendBatch(site int, xs []uint64) error {
 	}
 }
 
-// Query runs f while the protocol is quiescent, so any tracker reads inside
-// f see a consistent coordinator state: the tracker's own Quiesce excludes
-// every site's fast path. Heavy query traffic should go through a
-// version-keyed snapshot cache instead (see the service layer).
-func (c *Cluster) Query(f func()) {
-	c.tr.Quiesce(f)
-}
-
 // Drain closes the ingestion queues and waits for the sites to finish
-// processing everything already sent. Send and SendBatch must not be called
+// processing everything already sent. SendBatch must not be called
 // concurrently with or after Drain.
 func (c *Cluster) Drain() {
 	c.stopOnce.Do(func() {
-		for _, ch := range c.ingest {
-			close(ch)
-		}
 		for _, ch := range c.batches {
 			close(ch)
 		}
@@ -206,24 +150,16 @@ func (c *Cluster) Drain() {
 
 // Stop cancels processing immediately, dropping anything still queued, and
 // waits for the site goroutines to exit. Dropped arrivals are counted in
-// Stats. Send and SendBatch must not be called concurrently with Stop (late
-// senders get ErrStopped; their items are not counted as dropped).
+// Stats. SendBatch must not be called concurrently with Stop (late senders
+// get ErrStopped; their items are not counted as dropped).
 func (c *Cluster) Stop() {
 	c.cancel()
 	c.wg.Wait()
 	c.stopOnce.Do(func() {
-		for _, ch := range c.ingest {
-			close(ch)
-		}
 		for _, ch := range c.batches {
 			close(ch)
 		}
 	})
-	for _, ch := range c.ingest {
-		for range ch {
-			c.dropped.Add(1)
-		}
-	}
 	for _, ch := range c.batches {
 		for xs := range ch {
 			c.dropped.Add(int64(len(xs)))
@@ -234,7 +170,7 @@ func (c *Cluster) Stop() {
 // Stats is a point-in-time snapshot of the cluster's ingestion counters.
 type Stats struct {
 	Processed   int64 // arrivals fully fed to the tracker
-	Batches     int64 // batch deliveries processed (SendBatch path)
+	Batches     int64 // batch deliveries processed
 	Dropped     int64 // queued arrivals discarded by Stop
 	Escalations int64 // fast-path arrivals that required coordinator work
 }
@@ -260,4 +196,4 @@ func (c *Cluster) Dropped() int64 { return c.dropped.Load() }
 func (c *Cluster) Escalations() int64 { return c.escalations.Load() }
 
 // K returns the number of sites.
-func (c *Cluster) K() int { return len(c.ingest) }
+func (c *Cluster) K() int { return len(c.batches) }

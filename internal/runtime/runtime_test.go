@@ -31,18 +31,25 @@ func TestConcurrentIngestionPreservesContract(t *testing.T) {
 		go func(j int) {
 			defer wg.Done()
 			g := stream.Zipf(10000, 5000, 1.4, int64(j))
+			buf := GetBatch(64)
 			for {
 				x, ok := g.Next()
 				if !ok {
-					return
-				}
-				if err := c.Send(j, x); err != nil {
-					t.Errorf("send: %v", err)
-					return
+					break
 				}
 				omu.Lock()
 				o.Add(x)
 				omu.Unlock()
+				if buf = append(buf, x); len(buf) == 64 {
+					if err := c.SendBatch(j, buf); err != nil {
+						t.Errorf("send: %v", err)
+						return
+					}
+					buf = GetBatch(64)
+				}
+			}
+			if err := c.SendBatch(j, buf); err != nil {
+				t.Errorf("send: %v", err)
 			}
 		}(j)
 	}
@@ -53,20 +60,25 @@ func TestConcurrentIngestionPreservesContract(t *testing.T) {
 		t.Fatalf("processed %d, want %d", got, k*5000)
 	}
 	// Contract at the end (the oracle total matches exactly after Drain).
-	c.Query(func() {
-		reported := map[uint64]bool{}
-		for _, x := range tr.HeavyHitters(phi) {
-			reported[x] = true
-			if float64(o.Count(x)) < (phi-eps)*float64(o.Len()) {
-				t.Errorf("false positive %d", x)
-			}
+	tr.Quiesce(func() { checkHeavyHitters(t, tr, o, phi, eps) })
+}
+
+// checkHeavyHitters asserts the φ-heavy-hitter contract against the oracle:
+// nothing below (φ-ε)n reported, nothing at or above φn missed.
+func checkHeavyHitters(t *testing.T, tr *hh.Tracker, o *oracle.Oracle, phi, eps float64) {
+	t.Helper()
+	reported := map[uint64]bool{}
+	for _, x := range tr.HeavyHitters(phi) {
+		reported[x] = true
+		if float64(o.Count(x)) < (phi-eps)*float64(o.Len()) {
+			t.Errorf("false positive %d", x)
 		}
-		for _, x := range o.HeavyHitters(phi) {
-			if !reported[x] {
-				t.Errorf("missed heavy hitter %d", x)
-			}
+	}
+	for _, x := range o.HeavyHitters(phi) {
+		if !reported[x] {
+			t.Errorf("missed heavy hitter %d", x)
 		}
-	})
+	}
 }
 
 func TestQueryWhileIngesting(t *testing.T) {
@@ -77,7 +89,7 @@ func TestQueryWhileIngesting(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 20000; i++ {
-			if err := c.Send(i%k, uint64(i%100)); err != nil {
+			if err := c.SendBatch(i%k, []uint64{uint64(i % 100)}); err != nil {
 				return
 			}
 		}
@@ -86,7 +98,7 @@ func TestQueryWhileIngesting(t *testing.T) {
 	// (EstTotal is monotone under the lock).
 	var last int64
 	for i := 0; i < 200; i++ {
-		c.Query(func() {
+		tr.Quiesce(func() {
 			if et := tr.EstTotal(); et < last {
 				t.Errorf("EstTotal went backwards: %d after %d", et, last)
 			} else {
@@ -102,8 +114,8 @@ func TestStopCancelsPromptly(t *testing.T) {
 	tr, _ := hh.New(hh.Config{K: 2, Eps: 0.1})
 	c, _ := New(context.Background(), tr, 2, 1)
 	c.Stop()
-	if err := c.Send(0, 1); err != ErrStopped {
-		t.Fatalf("Send after Stop = %v, want ErrStopped", err)
+	if err := c.SendBatch(0, []uint64{1}); err != ErrStopped {
+		t.Fatalf("SendBatch after Stop = %v, want ErrStopped", err)
 	}
 }
 
@@ -114,25 +126,16 @@ func TestContextCancellation(t *testing.T) {
 	cancel()
 	deadline := time.After(2 * time.Second)
 	for {
-		if err := c.Send(0, 1); err == ErrStopped {
+		if err := c.SendBatch(0, []uint64{1}); err == ErrStopped {
 			break
 		}
 		select {
 		case <-deadline:
-			t.Fatal("Send did not observe cancellation")
+			t.Fatal("SendBatch did not observe cancellation")
 		default:
 		}
 	}
 	c.Stop()
-}
-
-func TestSendValidation(t *testing.T) {
-	tr, _ := hh.New(hh.Config{K: 2, Eps: 0.1})
-	c, _ := New(context.Background(), tr, 2, 1)
-	defer c.Drain()
-	if err := c.Send(5, 1); err == nil {
-		t.Fatal("out-of-range site should error")
-	}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -142,100 +145,58 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestSendBatchMatchesSend feeds per-site Zipf streams through SendBatch in
+// 64-value batches and checks the cluster's accounting and the tracker's
+// heavy-hitter contract against the oracle. (The name predates the removal
+// of the per-item Send path it was once compared with.)
 func TestSendBatchMatchesSend(t *testing.T) {
 	const k, eps, phi = 4, 0.05, 0.1
-	mk := func() *hh.Tracker {
-		tr, err := hh.New(hh.Config{K: k, Eps: eps})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
+	tr, err := hh.New(hh.Config{K: k, Eps: eps})
+	if err != nil {
+		t.Fatal(err)
 	}
-	feed := func(tr *hh.Tracker, batch bool) *Cluster {
-		c, err := New(context.Background(), tr, k, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < k; j++ {
-			g := stream.Zipf(10000, 4000, 1.4, int64(j))
-			var buf []uint64
-			for {
-				x, ok := g.Next()
-				if !ok {
-					break
-				}
-				if !batch {
-					if err := c.Send(j, x); err != nil {
-						t.Fatal(err)
-					}
-					continue
-				}
-				buf = append(buf, x)
-				if len(buf) == 64 {
-					if err := c.SendBatch(j, buf); err != nil {
-						t.Fatal(err)
-					}
-					buf = nil
-				}
-			}
-			if err := c.SendBatch(j, buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-		c.Drain()
-		return c
-	}
-
-	trS, trB := mk(), mk()
-	feed(trS, false)
-	cB := feed(trB, true)
-
-	// The tracker is deterministic, and per-site arrival order is identical
-	// on both paths, but site interleaving differs; compare the contract
-	// surface, not internal state: both runs saw the same multiset per site,
-	// so totals agree exactly and heavy-hitter sets agree.
-	if trS.TrueTotal() != trB.TrueTotal() {
-		t.Fatalf("true totals differ: %d vs %d", trS.TrueTotal(), trB.TrueTotal())
-	}
-	st := cB.Stats()
-	if st.Processed != trB.TrueTotal() {
-		t.Errorf("batched cluster processed %d, want %d", st.Processed, trB.TrueTotal())
-	}
-	if st.Batches == 0 {
-		t.Error("batched cluster reports zero batch deliveries")
-	}
-	if st.Dropped != 0 {
-		t.Errorf("drained cluster reports %d dropped", st.Dropped)
+	c, err := New(context.Background(), tr, k, 16)
+	if err != nil {
+		t.Fatal(err)
 	}
 	o := oracle.New()
 	for j := 0; j < k; j++ {
 		g := stream.Zipf(10000, 4000, 1.4, int64(j))
+		var buf []uint64
 		for {
 			x, ok := g.Next()
 			if !ok {
 				break
 			}
 			o.Add(x)
-		}
-	}
-	for _, tr := range []*hh.Tracker{trS, trB} {
-		for _, x := range tr.HeavyHitters(phi) {
-			if float64(o.Count(x)) < (phi-eps)*float64(o.Len()) {
-				t.Errorf("false positive %d", x)
-			}
-		}
-		for _, x := range o.HeavyHitters(phi) {
-			found := false
-			for _, y := range tr.HeavyHitters(phi) {
-				if x == y {
-					found = true
+			buf = append(buf, x)
+			if len(buf) == 64 {
+				if err := c.SendBatch(j, buf); err != nil {
+					t.Fatal(err)
 				}
-			}
-			if !found {
-				t.Errorf("missed heavy hitter %d", x)
+				buf = nil
 			}
 		}
+		if err := c.SendBatch(j, buf); err != nil {
+			t.Fatal(err)
+		}
 	}
+	c.Drain()
+
+	if tr.TrueTotal() != int64(o.Len()) {
+		t.Fatalf("TrueTotal = %d, want %d", tr.TrueTotal(), o.Len())
+	}
+	st := c.Stats()
+	if st.Processed != tr.TrueTotal() {
+		t.Errorf("cluster processed %d, want %d", st.Processed, tr.TrueTotal())
+	}
+	if st.Batches == 0 {
+		t.Error("cluster reports zero batch deliveries")
+	}
+	if st.Dropped != 0 {
+		t.Errorf("drained cluster reports %d dropped", st.Dropped)
+	}
+	checkHeavyHitters(t, tr, o, phi, eps)
 }
 
 func TestSendBatchValidation(t *testing.T) {
@@ -250,40 +211,63 @@ func TestSendBatchValidation(t *testing.T) {
 	}
 }
 
+// TestStopCountsDropped fills one site's queue behind a stalled site
+// goroutine and pins the one queue's accounting: QueueDepth counts batches
+// and stops at the buffer size, Stop counts exactly the queued values as
+// Dropped, and a late SendBatch gets ErrStopped.
 func TestStopCountsDropped(t *testing.T) {
-	tr, _ := hh.New(hh.Config{K: 1, Eps: 0.1})
+	const k, buf = 2, 8
+	tr, _ := hh.New(hh.Config{K: k, Eps: 0.1})
+	c, _ := New(context.Background(), tr, k, buf)
+	// Hold the protocol lock so site 0's goroutine stalls inside the first
+	// batch it takes, leaving everything sent after it queued.
 	locked := make(chan struct{})
 	block := make(chan struct{})
-	c, _ := New(context.Background(), tr, 1, 8)
-	// Hold the protocol lock so the site goroutine stalls mid-feed, letting
-	// the queues fill with items that Stop will then discard.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c.Query(func() { close(locked); <-block })
+		tr.Quiesce(func() { close(locked); <-block })
 	}()
 	<-locked
-	// The site goroutine may pull at most one queued message — possibly the
-	// whole 3-item batch — before blocking on the protocol lock, so at
-	// least 4+3-3 of these items stay queued.
-	for i := 0; i < 4; i++ {
-		c.ingest[0] <- uint64(i)
+	inFlight := []uint64{1, 2, 3}
+	if err := c.SendBatch(0, inFlight); err != nil {
+		t.Fatal(err)
 	}
-	c.batches[0] <- []uint64{7, 8, 9}
-	// Cancel before releasing the lock: the site feeds its at-most-one
-	// in-flight item, then the priority Done check exits the loop, leaving
-	// everything still queued for Stop to count.
+	for c.QueueDepth() != 0 { // until the site goroutine has taken it
+		time.Sleep(time.Millisecond)
+	}
+	var queued int64
+	for i := 0; i < buf; i++ {
+		xs := make([]uint64, i+1) // uneven sizes: Dropped counts values, not batches
+		queued += int64(len(xs))
+		if err := c.SendBatch(0, xs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(c.batches[0]); got != buf {
+		t.Fatalf("site 0 holds %d queued batches, want the full buffer %d", got, buf)
+	}
+	if got := c.QueueDepth(); got != buf || got > k*buf {
+		t.Fatalf("QueueDepth = %d, want %d (one full site, ceiling k*buf = %d)", got, buf, k*buf)
+	}
+	// Cancel before releasing the lock: the site finishes its in-flight
+	// batch, then the priority Done check exits the loop, leaving the whole
+	// queue for Stop to count.
 	c.cancel()
 	close(block)
 	c.Stop()
 	wg.Wait()
 	st := c.Stats()
-	if st.Dropped < 4 {
-		t.Fatalf("Stop with 7 queued items dropped %d, want >= 4 (stats %+v)", st.Dropped, st)
+	if st.Dropped != queued || st.Dropped != c.Dropped() {
+		t.Fatalf("Stop dropped %d (Dropped() %d), want exactly the %d queued values (stats %+v)",
+			st.Dropped, c.Dropped(), queued, st)
 	}
-	if st.Dropped != c.Dropped() {
-		t.Fatalf("Stats.Dropped %d != Dropped() %d", st.Dropped, c.Dropped())
+	if st.Processed != int64(len(inFlight)) {
+		t.Fatalf("processed %d, want the %d in-flight values", st.Processed, len(inFlight))
+	}
+	if err := c.SendBatch(0, []uint64{9}); err != ErrStopped {
+		t.Fatalf("SendBatch after Stop = %v, want ErrStopped", err)
 	}
 }
 
@@ -291,7 +275,7 @@ func TestDrainIdempotentAfterProducers(t *testing.T) {
 	tr, _ := hh.New(hh.Config{K: 2, Eps: 0.1})
 	c, _ := New(context.Background(), tr, 2, 8)
 	for i := 0; i < 100; i++ {
-		if err := c.Send(i%2, uint64(i)); err != nil {
+		if err := c.SendBatch(i%2, []uint64{uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

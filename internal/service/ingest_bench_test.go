@@ -8,14 +8,14 @@ import (
 	"disttrack/internal/stream"
 )
 
-// BenchmarkShardedIngest measures the multi-tenant ingest path end to end:
+// BenchmarkIngest measures the multi-tenant ingest path end to end:
 // concurrent producers submit mixed-tenant record batches, Ingest groups them
 // and delivers each tenant's groups under its gate, and each tenant's cluster
-// ingests through the lock-free site-local fast path. (Nothing shards any
-// more; the name is kept so the BENCH_*.json trajectory stays comparable.) This is the standalone trackd hot path
-// (HTTP decoding excluded). Four tenants rotate record by record, so every
-// group holds several values.
-func BenchmarkShardedIngest(b *testing.B) {
+// ingests through the site-local fast path. This is the standalone trackd
+// hot path (HTTP decoding excluded); BENCH_PR*.json record it under its old
+// name, BenchmarkIngest. Four tenants rotate record by record, so
+// every group holds several values.
+func BenchmarkIngest(b *testing.B) {
 	const tenants, sites, batchLen, producers = 4, 8, 256, 4
 	names := []string{"alpha", "beta", "gamma", "delta"}
 	templates := make([][]Record, producers)
@@ -30,14 +30,14 @@ func BenchmarkShardedIngest(b *testing.B) {
 		}
 		templates[p] = recs
 	}
-	benchShardedIngest(b, names, sites, templates)
+	benchIngest(b, names, sites, templates)
 }
 
-// BenchmarkShardedIngestMixed is the run-free twin: 256 tenants drawn with
+// BenchmarkIngestMixed is the run-free twin: 256 tenants drawn with
 // Zipf popularity, so a batch is mostly groups of one or two values and the
 // per-tenant costs (registry and index lookups, delivery gates, group
 // slices) dominate.
-func BenchmarkShardedIngestMixed(b *testing.B) {
+func BenchmarkIngestMixed(b *testing.B) {
 	const tenants, sites, batchLen, producers = 256, 4, 512, 4
 	names := make([]string, tenants)
 	for i := range names {
@@ -53,12 +53,12 @@ func BenchmarkShardedIngestMixed(b *testing.B) {
 		}
 		templates[p] = recs
 	}
-	benchShardedIngest(b, names, sites, templates)
+	benchIngest(b, names, sites, templates)
 }
 
-// benchShardedIngest creates one hh tenant per name and has one producer per
+// benchIngest creates one hh tenant per name and has one producer per
 // template submit it b.N/len(templates) times.
-func benchShardedIngest(b *testing.B, names []string, sites int, templates [][]Record) {
+func benchIngest(b *testing.B, names []string, sites int, templates [][]Record) {
 	srv := New(Config{SiteBuffer: 64})
 	defer srv.Close()
 	for _, name := range names {

@@ -401,7 +401,7 @@ func TestConcurrentProducersOneTenant(t *testing.T) {
 		t.Fatalf("processed %d ties %d dropped %d, want %d/0/0", st.Processed, st.Ties, st.Dropped, accepted)
 	}
 	stored := 0
-	tn.cluster().Query(func() {
+	tn.tr.Quiesce(func() {
 		for j := 0; j < 4; j++ {
 			stored += tn.tr.SiteSpace(j)
 		}

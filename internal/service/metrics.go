@@ -170,7 +170,7 @@ func newServerMetrics() *serverMetrics {
 	m.clEsc = reg.NewCounterVec("disttrack_cluster_escalations_total",
 		"Fast-path arrivals that escalated, as observed by the cluster.", "tenant")
 	m.clQueue = reg.NewGaugeVec("disttrack_cluster_queue_depth",
-		"Deliveries currently queued across the tenant's site channels.", "tenant")
+		"Batches currently queued across the tenant's site channels (at most k x -site-buffer).", "tenant")
 	m.tenSent = reg.NewCounterVec("disttrack_tenant_sent_total",
 		"Arrivals successfully enqueued to the tenant's cluster.", "tenant")
 	m.tenDropped = reg.NewCounterVec("disttrack_tenant_dropped_total",
@@ -436,7 +436,7 @@ func (t *Tenant) syncObs() {
 	addDelta(tm.ties, &tm.lastTies, t.ties.Load())
 	addDelta(tm.throttled, &tm.lastThrottled, t.throttled.Load())
 	tm.queued.SetInt(t.backlog())
-	t.cluster().Query(func() {
+	t.tr.Quiesce(func() {
 		tm.sm.bridge.Sync(t.cfg.Name, t.meter())
 	})
 }

@@ -347,6 +347,79 @@ func TestHealthzEnriched(t *testing.T) {
 	}
 }
 
+// TestClusterQueueDepthCountsBatches scrapes under the load of
+// TestConcurrentProducersOneTenant: a tenant has one queue per site, so
+// disttrack_cluster_queue_depth is a number of batches (the help text says
+// so) and can never exceed k x SiteBuffer.
+func TestClusterQueueDepthCountsBatches(t *testing.T) {
+	const k, siteBuffer = 4, 4
+	const producers, calls, batch, values = 8, 40, 64, 16
+	srv := service.New(service.Config{SiteBuffer: siteBuffer})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+	client := ts.Client()
+	if code := jsonCall(t, client, "POST", ts.URL+"/v1/tenants",
+		service.TenantConfig{Name: "q", Kind: service.KindQuantile, K: k, Eps: 0.1}, nil); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			recs := make([]service.Record, batch)
+			for c := 0; c < calls; c++ {
+				for i := range recs {
+					recs[i] = service.Record{Tenant: "q", Site: (p + i) % k, Value: uint64((c + i) % values)}
+				}
+				if acc, errs := srv.Ingest(recs); acc != batch || len(errs) != 0 {
+					t.Errorf("producer %d: accepted %d, errs %v", p, acc, errs)
+					return
+				}
+			}
+		}(p)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	const series = `disttrack_cluster_queue_depth{tenant="q"}`
+	for loading := true; loading; {
+		select {
+		case <-done:
+			loading = false // one more scrape, after the load
+		default:
+		}
+		m := scrape(t, client, ts.URL+"/metrics")
+		depth, ok := m[series]
+		if !ok {
+			t.Fatalf("scrape has no %s", series)
+		}
+		if depth > k*siteBuffer {
+			t.Fatalf("%s = %g, above the k x SiteBuffer ceiling %d", series, depth, k*siteBuffer)
+		}
+	}
+
+	resp, err := client.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	help := ""
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "# HELP disttrack_cluster_queue_depth ") {
+			help = line
+		}
+	}
+	if !strings.Contains(strings.ToLower(help), "batches") {
+		t.Fatalf("queue depth help does not name its unit (batches): %q", help)
+	}
+}
+
 // TestMetricsFeedWhileScraping hammers ingest from several goroutines while
 // continuously scraping /metrics; run under -race this exercises every
 // update discipline (inline atomics, direct observes, scrape-hook mirrors)

@@ -136,7 +136,7 @@ func TestTenantQueueShare(t *testing.T) {
 	// Stall the tracker: Query holds the engine's quiescent lock set, so the
 	// site goroutines block on their first batch.
 	held, release := make(chan struct{}), make(chan struct{})
-	go tn.cluster().Query(func() { close(held); <-release })
+	go tn.tr.Quiesce(func() { close(held); <-release })
 	<-held
 
 	// One call, six records against a share of four: the bound bites inside

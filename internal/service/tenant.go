@@ -227,7 +227,7 @@ type Tenant struct {
 
 	// sendMu serializes sends against close: sends hold the read side, so
 	// close's write lock waits for in-flight sends before draining the
-	// cluster (runtime forbids Send concurrent with Drain).
+	// cluster (runtime forbids SendBatch concurrent with Drain).
 	sendMu sync.RWMutex
 	closed bool
 
@@ -650,7 +650,7 @@ func (t *Tenant) heavyHittersAt(phi float64) ([]Entry, uint64, error) {
 	t.countCache(false)
 	var out []Entry
 	var ver uint64
-	t.cluster().Query(func() {
+	t.tr.Quiesce(func() {
 		ver = t.version()
 		out = t.qa.heavyHitters(phi)
 	})
@@ -696,7 +696,7 @@ func (t *Tenant) quantileAt(phi float64) (uint64, uint64, error) {
 	var key uint64
 	var ver uint64
 	var err error
-	t.cluster().Query(func() {
+	t.tr.Quiesce(func() {
 		ver = t.version()
 		key, err = t.qa.quantile(phi)
 	})
@@ -729,7 +729,7 @@ func (t *Tenant) rankAt(v uint64) (rank, total int64, ver uint64, err error) {
 	if v >= MaxPerturbedValue {
 		return 0, 0, 0, fmt.Errorf("value %d out of range [0, 2^%d)", v, 64-stream.PerturbBits)
 	}
-	t.cluster().Query(func() {
+	t.tr.Quiesce(func() {
 		ver = t.version()
 		rank, total = t.qa.rank(v)
 	})
@@ -755,7 +755,7 @@ func (t *Tenant) frequencyAt(item uint64) (int64, uint64, error) {
 	}
 	var c int64
 	var ver uint64
-	t.cluster().Query(func() {
+	t.tr.Quiesce(func() {
 		ver = t.version()
 		c = t.qa.frequency(item)
 	})
@@ -809,7 +809,7 @@ func (t *Tenant) Stats() TenantStats {
 	st.QueueShare = cfg.QueueShare
 	st.Throttled = t.throttled.Load()
 	st.Queued = t.backlog()
-	t.cluster().Query(func() {
+	t.tr.Quiesce(func() {
 		st.EstTotal = t.tr.EstTotal()
 		st.Rounds = t.tr.Rounds()
 		c := t.tr.Meter().Total()

@@ -1,8 +1,6 @@
-// Parallel-ingest benchmarks for the lock-free site-local fast path
-// (docs/perf.md): k site goroutines drive FeedLocal/Escalate concurrently,
-// against the seed's global-mutex path (every Feed serialized) as the
-// baseline. The headline number is the Parallel/GlobalMutex ratio at k=8
-// on a multi-core runner. `make bench-json` records these in BENCH_PR3.json.
+// Parallel ingest through the concurrent runtime (docs/perf.md): one
+// producer per site batching into runtime.Cluster, whose k site goroutines
+// feed the tracker concurrently through FeedLocalBatch.
 package disttrack_test
 
 import (
@@ -10,142 +8,20 @@ import (
 	"sync"
 	"testing"
 
-	"disttrack/internal/core/allq"
 	"disttrack/internal/core/hh"
-	"disttrack/internal/core/quantile"
 	"disttrack/internal/runtime"
 )
 
 const benchSites = 8
 
-// parallelTracker is the two-phase surface the benchmarks drive; all three
-// core trackers implement it via the shared engine (a subset of
-// core.Tracker).
-type parallelTracker interface {
-	Feed(site int, x uint64)
-	FeedLocal(site int, x uint64) bool
-	Escalate(site int, x uint64)
-}
-
-// prewarm advances the tracker past its bootstrap and through the early
-// small-threshold rounds, so the measured region reflects steady-state
-// ingest where escalations are rare — the paper's asymptotic regime.
-func prewarm(tr parallelTracker, xs []uint64, n int, distinct bool) {
-	for i := 0; i < n; i++ {
-		x := xs[i&65535]
-		if distinct {
-			x += uint64(i) << 24
-		}
-		tr.Feed(i&(benchSites-1), x)
-	}
-}
-
-// benchParallel measures k site goroutines feeding concurrently through
-// the fast path. Each goroutine owns one site, as the runtime does.
-func benchParallel(b *testing.B, tr parallelTracker, xs []uint64, distinct bool) {
-	b.Helper()
-	prewarm(tr, xs, 1<<17, distinct)
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for j := 0; j < benchSites; j++ {
-		wg.Add(1)
-		go func(site int) {
-			defer wg.Done()
-			for i := site; i < b.N; i += benchSites {
-				x := xs[i&65535]
-				if distinct {
-					// Keep keys globally distinct across goroutines and laps
-					// (quantile/allq assume symbolic perturbation).
-					x += uint64(i+1<<18) << 24
-				}
-				if tr.FeedLocal(site, x) {
-					tr.Escalate(site, x)
-				}
-			}
-		}(j)
-	}
-	wg.Wait()
-}
-
-// benchGlobalMutex measures the same workload with every Feed serialized
-// under one mutex — the seed runtime.Cluster concurrency model.
-func benchGlobalMutex(b *testing.B, tr parallelTracker, xs []uint64, distinct bool) {
-	b.Helper()
-	prewarm(tr, xs, 1<<17, distinct)
-	var mu sync.Mutex
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for j := 0; j < benchSites; j++ {
-		wg.Add(1)
-		go func(site int) {
-			defer wg.Done()
-			for i := site; i < b.N; i += benchSites {
-				x := xs[i&65535]
-				if distinct {
-					x += uint64(i+1<<18) << 24
-				}
-				mu.Lock()
-				tr.Feed(site, x)
-				mu.Unlock()
-			}
-		}(j)
-	}
-	wg.Wait()
-}
-
-func newBenchHH(b *testing.B) *hh.Tracker {
+// BenchmarkClusterSendBatchParallel runs the full concurrent runtime over
+// the fast path: producers batch per site, site goroutines ingest through
+// FeedLocalBatch with no cluster lock.
+func BenchmarkClusterSendBatchParallel(b *testing.B) {
 	tr, err := hh.New(hh.Config{K: benchSites, Eps: 0.02})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return tr
-}
-
-func newBenchQuantile(b *testing.B) *quantile.Tracker {
-	tr, err := quantile.New(quantile.Config{K: benchSites, Eps: 0.02, Phi: 0.5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tr
-}
-
-func newBenchAllQ(b *testing.B) *allq.Tracker {
-	tr, err := allq.New(allq.Config{K: benchSites, Eps: 0.05})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tr
-}
-
-func BenchmarkFeedParallelHH(b *testing.B) {
-	benchParallel(b, newBenchHH(b), preGen(b, false), false)
-}
-
-func BenchmarkFeedGlobalMutexHH(b *testing.B) {
-	benchGlobalMutex(b, newBenchHH(b), preGen(b, false), false)
-}
-
-func BenchmarkFeedParallelQuantile(b *testing.B) {
-	benchParallel(b, newBenchQuantile(b), preGen(b, true), true)
-}
-
-func BenchmarkFeedGlobalMutexQuantile(b *testing.B) {
-	benchGlobalMutex(b, newBenchQuantile(b), preGen(b, true), true)
-}
-
-func BenchmarkFeedParallelAllQ(b *testing.B) {
-	benchParallel(b, newBenchAllQ(b), preGen(b, true), true)
-}
-
-func BenchmarkFeedGlobalMutexAllQ(b *testing.B) {
-	benchGlobalMutex(b, newBenchAllQ(b), preGen(b, true), true)
-}
-
-// BenchmarkClusterSendBatchParallel runs the full concurrent runtime over
-// the fast path: producers batch per site, site goroutines ingest through
-// FeedLocal/Escalate with no cluster lock.
-func BenchmarkClusterSendBatchParallel(b *testing.B) {
-	tr := newBenchHH(b)
 	c, err := runtime.New(context.Background(), tr, benchSites, 64)
 	if err != nil {
 		b.Fatal(err)
