@@ -1,12 +1,22 @@
 package remote
 
 import (
+	"fmt"
 	"net"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"disttrack/internal/fault"
 )
+
+// rawPeer is a hand-driven node connection: the socket to write frames to
+// and the one frame reader that may read from it.
+type rawPeer struct {
+	net.Conn
+	rd *TFrameReader
+}
 
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
@@ -159,22 +169,23 @@ func TestServerBreakerRefusesFlappingNode(t *testing.T) {
 
 	// handshake dials raw, says hello, and reports whether the coordinator
 	// welcomed us (an open breaker drops the connection instead).
-	handshake := func() (net.Conn, bool) {
+	handshake := func() (*rawPeer, bool) {
 		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteTFrame(conn, TFrame{Type: TypeNodeHello, Tenant: "flappy"}); err != nil {
+		peer := &rawPeer{Conn: conn, rd: NewTFrameReader(conn)}
+		if err := WriteTFrame(conn, TFrame{Type: TypeNodeHello, Kind: ProtoVersion, Tenant: "flappy"}); err != nil {
 			conn.Close()
 			return nil, false
 		}
 		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		f, err := ReadTFrame(conn)
+		f, _, err := peer.rd.Read()
 		if err != nil || f.Type != TypeNodeWelcome {
 			conn.Close()
 			return nil, false
 		}
-		return conn, true
+		return peer, true
 	}
 
 	// Two connections that die without progress trip the breaker.
@@ -213,12 +224,11 @@ func TestServerBreakerRefusesFlappingNode(t *testing.T) {
 		Tenant: "clicks", Values: []uint64{1}}); err != nil {
 		t.Fatal(err)
 	}
-	if f, err := ReadTFrame(conn); err != nil || f.Type != TypeBatchAck {
+	if f, _, err := conn.rd.Read(); err != nil || f.Type != TypeBatchAck {
 		t.Fatalf("probe batch ack = %+v, %v", f, err)
 	}
-	// The server writes the ack inside applyBatch and marks the connection
-	// good just after, so the ack can arrive a moment before the breaker
-	// closes.
+	// Nothing orders the ack's arrival here against the server marking the
+	// connection good.
 	waitFor(t, 2*time.Second, "probe progress to close the breaker", func() bool {
 		return srv.NodeStates()["flappy"].Breaker.State == fault.StateClosed
 	})
@@ -271,4 +281,189 @@ func TestRestartedNodeAdoptsSeqCursor(t *testing.T) {
 	if d := srv.Stats().Duplicates; d != 0 {
 		t.Fatalf("%d duplicates recorded; the restarted node must resume, not replay", d)
 	}
+}
+
+// countingConn counts the bytes that actually crossed a socket.
+type countingConn struct {
+	net.Conn
+	read, wrote *atomic.Int64
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.read.Add(int64(n))
+	return n, err
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.wrote.Add(int64(n))
+	return n, err
+}
+
+// TestLinkByteAccounting checks the transport's byte counters against the
+// sockets: over a run with a forced disconnect and a replay, what the clients
+// say they wrote is what the server says it read and what the sockets carried,
+// and the same downstream. The fault lands while the link is quiet (after a
+// Flush) and fails a write before any byte of it is sent, so no byte is in
+// flight when the connection dies and the identity is exact.
+func TestLinkByteAccounting(t *testing.T) {
+	col := newCollector()
+	srv := startIngest(t, IngestServerConfig{OnBatch: col.onBatch})
+
+	var sockRead, sockWrote atomic.Int64
+	inj := &fault.Injector{}
+	dial := inj.Dial(func(addr string) (net.Conn, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return countingConn{conn, &sockRead, &sockWrote}, nil
+	})
+	clients := make([]*NodeClient, 2)
+	for i := range clients {
+		cl, err := DialNode(srv.Addr(), NodeConfig{Node: fmt.Sprintf("edge-%d", i), Window: 4,
+			RetryMin: time.Millisecond, RetryMax: 5 * time.Millisecond, Dial: dial})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		clients[i] = cl
+	}
+	var want uint64
+	send := func(cl *NodeClient, frames int) {
+		for i := 0; i < frames; i++ {
+			vals := make([]uint64, 1+i%50)
+			for j := range vals {
+				vals[j] = uint64(1) << ((i + j) % 64) // every varint length
+				want += vals[j]
+			}
+			if err := cl.SendBatch("clicks", i%3, TKindHH, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	flushAll := func() {
+		for _, cl := range clients {
+			if err := cl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	send(clients[0], 200)
+	send(clients[1], 120)
+	flushAll()
+	// Both links are quiet and both ack readers are parked inside Read, past
+	// the injector: the next operation to meet it is client 0's next write.
+	inj.FailNext(1)
+	send(clients[0], 60)
+	flushAll()
+	send(clients[1], 30)
+	flushAll()
+
+	if got := col.total(); got != want {
+		t.Fatalf("delivered sum %d, want %d (exactly once)", got, want)
+	}
+	if clients[0].Reconnects() != 1 || clients[0].Resent() == 0 {
+		t.Fatalf("client 0: %d reconnects, %d frames resent; the run should include one replay",
+			clients[0].Reconnects(), clients[0].Resent())
+	}
+	var up, down int64
+	for _, cl := range clients {
+		u, d := cl.Bytes()
+		up, down = up+u, down+d
+	}
+	// The server counts a write once the socket has taken it, which can be a
+	// moment after the client has read the bytes.
+	waitFor(t, 2*time.Second, "the server to count its last write", func() bool { return srv.Stats().BytesOut >= down })
+	st := srv.Stats()
+	if up != st.BytesIn || up != sockWrote.Load() {
+		t.Errorf("upstream bytes: clients wrote %d, server read %d, sockets carried %d", up, st.BytesIn, sockWrote.Load())
+	}
+	if down != st.BytesOut || down != sockRead.Load() {
+		t.Errorf("downstream bytes: clients read %d, server wrote %d, sockets carried %d", down, st.BytesOut, sockRead.Load())
+	}
+	// The link-efficiency ratio of docs/observability.md: varints make it a
+	// function of the values, and it can no longer be 8.
+	if perValue := float64(st.BytesIn) / float64(st.Values); perValue >= 8 {
+		t.Errorf("%.2f bytes per value on the link", perValue)
+	}
+}
+
+// TestVersionMismatchRefusedAtHandshake drives both ends against a peer of
+// another wire-format version: the coordinator refuses an old node's hello
+// with a reason and applies nothing, and a node refused by a coordinator
+// surfaces the reason — as DialNode's error on first contact, in Rejected
+// when the refusal meets a redial.
+func TestVersionMismatchRefusedAtHandshake(t *testing.T) {
+	col := newCollector()
+	srv := startIngest(t, IngestServerConfig{OnBatch: col.onBatch})
+
+	// An old node: its hello leaves the version byte zero.
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := WriteTFrame(conn, TFrame{Type: TypeNodeHello, Tenant: "old-node"}); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	refusal, _, err := NewTFrameReader(conn).Read()
+	if err != nil || refusal.Type != TypeBatchReject || !strings.Contains(refusal.Tenant, "version") {
+		t.Fatalf("old hello answered with %+v, %v; want a reject naming the version", refusal, err)
+	}
+	waitFor(t, 2*time.Second, "the refused hello to be counted", func() bool { return srv.Stats().Refused == 1 })
+	if st := srv.Stats(); st.Nodes != 0 || len(srv.NodeStates()) != 0 {
+		t.Fatalf("a refused node was admitted: %+v, %v", st, srv.NodeStates())
+	}
+
+	// A coordinator of another version, two ways: one that refuses the hello
+	// with a reason, and one old enough to welcome anybody (version byte 0).
+	var welcomeAnyone atomic.Bool
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if _, _, err := NewTFrameReader(conn).Read(); err == nil {
+				if welcomeAnyone.Load() {
+					WriteTFrame(conn, TFrame{Type: TypeNodeWelcome})
+				} else {
+					WriteTFrame(conn, TFrame{Type: TypeBatchReject, Tenant: "transport version mismatch: test"})
+				}
+			}
+			conn.Close()
+		}
+	}()
+	for _, old := range []bool{false, true} {
+		welcomeAnyone.Store(old)
+		if _, err := DialNode(ln.Addr().String(), NodeConfig{Node: "edge-v"}); err == nil ||
+			!strings.Contains(err.Error(), "version mismatch") {
+			t.Fatalf("DialNode against a mismatched coordinator (welcomes anyone: %v): %v", old, err)
+		}
+	}
+
+	// A running node whose coordinator is replaced by another version: the
+	// redials are refused, and the node's stats say why.
+	var target atomic.Value
+	target.Store(srv.Addr())
+	cl, err := DialNode(srv.Addr(), NodeConfig{Node: "edge-v", RetryMin: time.Millisecond, RetryMax: 5 * time.Millisecond,
+		Dial: func(string) (net.Conn, error) { return net.Dial("tcp", target.Load().(string)) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	target.Store(ln.Addr().String())
+	srv.DisconnectNode("edge-v")
+	waitFor(t, 2*time.Second, "the refusal to surface in Rejected", func() bool {
+		n, reason := cl.Rejected()
+		return n >= 1 && strings.Contains(reason, "version mismatch")
+	})
 }

@@ -2,7 +2,11 @@ package remote
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"testing"
+
+	"disttrack/internal/runtime"
 )
 
 // FuzzReadMsg ensures arbitrary bytes never panic the frame decoder and
@@ -29,33 +33,45 @@ func FuzzReadMsg(f *testing.F) {
 }
 
 // FuzzReadTFrame ensures arbitrary bytes never panic the multi-tenant frame
-// decoder (variable-length payloads make this the riskier parser) and that
-// whatever decodes re-encodes to the identical byte prefix.
+// decoder (variable-length payloads make this the riskier parser), that a
+// failed decode keeps no pooled slice, and that whatever decodes is the one
+// encoding of its frame: it re-encodes to the identical bytes, of the length
+// the decoder reported, and those bytes decode to the same frame again.
 func FuzzReadTFrame(f *testing.F) {
 	for _, fr := range []TFrame{
-		{Type: TypeNodeHello, Tenant: "edge-0"},
+		{Type: TypeNodeHello, Kind: ProtoVersion, Tenant: "edge-0"},
 		{Type: TypeBatch, Seq: 7, Kind: TKindQuantile, Site: 2, Tenant: "t",
-			Values: []uint64{1, 99, 1 << 63}},
+			Values: []uint64{0, 1, 99, 127, 128, 1<<20 - 1, 1<<40 - 1, 1 << 63, math.MaxUint64}},
 		{Type: TypeBatchAck, Seq: 7},
 		{Type: TypeNetFlush, Seq: 1},
+		{Type: TypeBatchReject, Seq: 3, Tenant: "tenant \"x\" not found"},
 	} {
-		var seed bytes.Buffer
-		_ = WriteTFrame(&seed, fr)
-		f.Add(seed.Bytes())
+		f.Add(encode(f, fr))
 	}
 	f.Add([]byte{TypeBatch, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := ReadTFrame(bytes.NewReader(data))
+		out := runtime.BatchesOut()
+		fr, n, err := readOne(data)
 		if err != nil {
+			if fr.Values != nil || runtime.BatchesOut() != out {
+				t.Fatalf("failed decode kept a pooled slice (%v)", err)
+			}
 			return
 		}
-		var buf bytes.Buffer
-		if err := WriteTFrame(&buf, fr); err != nil {
+		enc, err := AppendTFrame(nil, fr)
+		if err != nil {
 			t.Fatalf("decoded frame failed to re-encode: %v", err)
 		}
-		if !bytes.Equal(buf.Bytes(), data[:buf.Len()]) {
-			t.Fatalf("re-encode mismatch: %x vs %x", buf.Bytes(), data[:buf.Len()])
+		if n != len(enc) || !bytes.Equal(enc, data[:n]) {
+			t.Fatalf("decoder reported %d bytes; re-encode mismatch: %x vs %x", n, enc, data[:min(n, len(data))])
 		}
+		back, m, err := readOne(enc)
+		if err != nil || m != n || back.Type != fr.Type || back.Seq != fr.Seq || back.Kind != fr.Kind ||
+			back.Site != fr.Site || back.Tenant != fr.Tenant || !slices.Equal(back.Values, fr.Values) {
+			t.Fatalf("Read(Write(f)) = %+v (%d bytes, %v), want %+v (%d bytes)", back, m, err, fr, n)
+		}
+		runtime.PutBatch(fr.Values)
+		runtime.PutBatch(back.Values)
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"disttrack/internal/fault"
+	"disttrack/internal/runtime"
 )
 
 // ErrNodeClosed is returned by NodeClient operations after Close.
@@ -96,13 +97,21 @@ type NodeClient struct {
 	addr string
 	cfg  NodeConfig
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	conn     net.Conn // nil while disconnected
-	connGen  int      // bumped on every established connection
-	pending  []TFrame // unacked batch frames, ascending seq
-	nextSeq  uint64
-	acked    uint64 // highest frame seq acknowledged (or rejected)
+	mu      sync.Mutex
+	cond    *sync.Cond
+	conn    net.Conn // nil while disconnected
+	connGen int      // bumped on every established connection
+	pending []TFrame // unacked batch frames, ascending seq
+	nextSeq uint64
+	acked   uint64 // highest frame seq acknowledged (or rejected)
+	// out holds encoded frames not yet handed to the kernel on conn, and
+	// wrote is the highest batch seq that has been. A frame waits in out only
+	// while earlier ones are on the wire unanswered (acked < wrote): their
+	// acknowledgements wake readAcks, which sends what collected meanwhile in
+	// one write. Nothing waits on a timer, so the bytes on the link are the
+	// same whatever the pace — only their grouping into writes differs.
+	out      []byte
+	wrote    uint64
 	flushReq uint64 // last NetFlush seq issued
 	flushAck uint64
 	closed   bool
@@ -149,48 +158,46 @@ func DialNode(addr string, cfg NodeConfig) (*NodeClient, error) {
 		OpenTimeout:      c.cfg.BreakerOpenTimeout,
 	})
 	c.budget = fault.NewBudget(c.cfg.RetryBudgetRatio, c.cfg.RetryBudgetBurst)
-	conn, err := c.establish()
+	conn, rd, err := c.establish()
 	if err != nil {
 		return nil, err
 	}
 	c.wg.Add(1)
-	go c.run(conn)
+	go c.run(conn, rd)
 	return c, nil
 }
 
 // establish dials, handshakes and resyncs: unacked frames the coordinator
 // already applied are retired, the rest are replayed in order.
-func (c *NodeClient) establish() (net.Conn, error) {
+func (c *NodeClient) establish() (net.Conn, *TFrameReader, error) {
 	conn, err := c.cfg.Dial(c.addr)
 	if err != nil {
-		return nil, fmt.Errorf("remote: dial node: %w", err)
+		return nil, nil, fmt.Errorf("remote: dial node: %w", err)
 	}
 	// The hello's Seq carries the last membership epoch this node saw (0 on
-	// a fresh client: accepted unconditionally, the welcome teaches it).
-	if err := c.writeFrame(conn, TFrame{Type: TypeNodeHello, Tenant: c.cfg.Node, Seq: c.epoch.Load()}); err != nil {
+	// a fresh client: accepted unconditionally, the welcome teaches it), its
+	// Kind this end's wire-format version.
+	hello, err := AppendTFrame(nil, TFrame{Type: TypeNodeHello, Kind: ProtoVersion, Tenant: c.cfg.Node, Seq: c.epoch.Load()})
+	if err == nil {
+		err = c.write(conn, hello)
+	}
+	if err != nil {
 		conn.Close()
-		return nil, err
+		return nil, nil, err
 	}
 	// The handshake read is bounded too; the ack read loop afterwards may
 	// legitimately idle forever, so the deadline is cleared below.
 	conn.SetReadDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	welcome, err := ReadTFrame(conn)
-	if err != nil || welcome.Type != TypeNodeWelcome {
-		conn.Close()
-		if err == nil && welcome.Type == TypeNodeGoodbye {
-			// The coordinator refused our epoch as stale: adopt the current
-			// one it named and report a retryable error — the redial loop
-			// re-handshakes immediately with the fresh epoch.
-			if welcome.Seq != 0 {
-				c.epoch.Store(welcome.Seq)
-			}
-			err = fmt.Errorf("remote: refused for stale membership epoch, adopted %d", welcome.Seq)
-		} else if err == nil {
-			err = fmt.Errorf("remote: unexpected handshake frame type %d", welcome.Type)
-		}
-		return nil, err
+	rd := NewTFrameReader(conn)
+	welcome, n, err := rd.Read()
+	c.bytesDown.Add(int64(n))
+	if err == nil {
+		err = c.checkWelcome(welcome)
 	}
-	c.bytesDown.Add(int64(welcome.EncodedSize()))
+	if err != nil {
+		conn.Close()
+		return nil, nil, err
+	}
 	// welcome.Site carries the coordinator's membership epoch.
 	if welcome.Site != 0 {
 		c.epoch.Store(uint64(welcome.Site))
@@ -200,7 +207,7 @@ func (c *NodeClient) establish() (net.Conn, error) {
 	defer c.mu.Unlock()
 	if c.closed {
 		conn.Close()
-		return nil, ErrNodeClosed
+		return nil, nil, ErrNodeClosed
 	}
 	if c.nextSeq == 0 && welcome.Seq > 0 {
 		// A fresh process reusing a stable node name (a site killed and
@@ -212,17 +219,56 @@ func (c *NodeClient) establish() (net.Conn, error) {
 		c.acked = welcome.Seq
 	}
 	c.retireLocked(welcome.Seq)
+	// Resync: whatever the previous connection left in out is void; the
+	// unacknowledged tail is encoded afresh and replayed in one write.
+	c.out, c.wrote = c.out[:0], c.acked
 	for _, f := range c.pending {
-		if err := c.writeFrame(conn, f); err != nil {
-			conn.Close()
-			return nil, err
-		}
-		c.resent++
+		c.enqueueLocked(f)
 	}
+	if err := c.flushLocked(conn); err != nil {
+		conn.Close()
+		return nil, nil, err
+	}
+	c.resent += int64(len(c.pending))
 	c.conn = conn
 	c.connGen++
 	c.cond.Broadcast()
-	return conn, nil
+	return conn, rd, nil
+}
+
+// checkWelcome judges the coordinator's answer to a hello. A refusal is an
+// error the redial loop retries: a stale membership epoch is adopted on the
+// spot, a version mismatch is recorded for Rejected and the node's stats —
+// it persists until one side is upgraded, and the dial breaker paces the
+// retries meanwhile.
+func (c *NodeClient) checkWelcome(f TFrame) error {
+	switch {
+	case f.Type == TypeNodeGoodbye:
+		// The coordinator refused our epoch as stale: adopt the current one
+		// it named — the redial loop re-handshakes with it immediately.
+		if f.Seq != 0 {
+			c.epoch.Store(f.Seq)
+		}
+		return fmt.Errorf("remote: refused for stale membership epoch, adopted %d", f.Seq)
+	case f.Type == TypeBatchReject:
+		return c.refused(f.Tenant)
+	case f.Type != TypeNodeWelcome:
+		return fmt.Errorf("remote: unexpected handshake frame type %d", f.Type)
+	case f.Kind != ProtoVersion:
+		// A coordinator that predates the version gate welcomes anyone.
+		return c.refused(fmt.Sprintf(
+			"transport version mismatch: coordinator speaks %d, node %d; upgrade both together", f.Kind, ProtoVersion))
+	}
+	return nil
+}
+
+// refused records a handshake refusal and returns it as an error.
+func (c *NodeClient) refused(reason string) error {
+	c.mu.Lock()
+	c.rejected++
+	c.lastReject = reason
+	c.mu.Unlock()
+	return fmt.Errorf("remote: coordinator refused the handshake: %s", reason)
 }
 
 // run owns the connection lifecycle: read acknowledgements until the
@@ -230,11 +276,11 @@ func (c *NodeClient) establish() (net.Conn, error) {
 // attempts, a circuit breaker that stops dialing a dead coordinator after
 // BreakerFailures consecutive failures (recovering via half-open probes),
 // and a retry budget that bounds total retry traffic — until Close.
-func (c *NodeClient) run(conn net.Conn) {
+func (c *NodeClient) run(conn net.Conn, rd *TFrameReader) {
 	defer c.wg.Done()
 	bo := fault.Backoff{Min: c.cfg.RetryMin, Max: c.cfg.RetryMax}
 	for {
-		c.readAcks(conn)
+		c.readAcks(conn, rd)
 		c.mu.Lock()
 		if c.conn == conn {
 			c.conn = nil
@@ -273,7 +319,7 @@ func (c *NodeClient) run(conn net.Conn) {
 			}
 			c.dialAttempts.Add(1)
 			var err error
-			conn, err = c.establish()
+			conn, rd, err = c.establish()
 			if err == nil {
 				c.breaker.OnSuccess()
 				c.mu.Lock()
@@ -319,45 +365,47 @@ func (c *NodeClient) sleepUnlessClosed(d time.Duration) bool {
 }
 
 // readAcks drains coordinator → node frames until the connection errors.
-func (c *NodeClient) readAcks(conn net.Conn) {
+func (c *NodeClient) readAcks(conn net.Conn, rd *TFrameReader) {
 	for {
-		f, err := ReadTFrame(conn)
+		f, n, err := rd.Read()
+		c.bytesDown.Add(int64(n))
 		if err != nil {
 			return
 		}
-		c.bytesDown.Add(int64(f.EncodedSize()))
+		c.mu.Lock()
 		switch f.Type {
 		case TypeBatchAck:
-			c.mu.Lock()
 			c.retireLocked(f.Seq)
-			c.cond.Broadcast()
-			c.mu.Unlock()
-			// Acknowledged work earns retry budget: a healthy stream keeps
-			// the bucket full, a struggling one earns retries in proportion
-			// to what actually lands.
-			c.budget.Deposit(1)
 		case TypeBatchReject:
-			c.mu.Lock()
 			c.rejected++
 			c.lastReject = f.Tenant
 			c.retireLocked(f.Seq)
-			c.cond.Broadcast()
-			c.mu.Unlock()
 		case TypeNetFlushAck:
-			c.mu.Lock()
 			if f.Seq > c.flushAck {
 				c.flushAck = f.Seq
 			}
-			c.cond.Broadcast()
-			c.mu.Unlock()
 		case TypeNodeGoodbye:
 			// A mid-stream goodbye carrying an epoch is the coordinator
 			// announcing a membership change before cutting us off; adopt it
 			// so the redial handshakes under the new epoch straight away.
+			c.mu.Unlock()
 			if f.Seq != 0 {
 				c.epoch.Store(f.Seq)
 			}
 			return
+		}
+		c.cond.Broadcast()
+		// About to wait for the coordinator: frames that collected behind
+		// the ones just answered go out now, in one write.
+		if rd.Buffered() == 0 && c.conn == conn {
+			c.flushOrDropLocked()
+		}
+		c.mu.Unlock()
+		if f.Type == TypeBatchAck {
+			// Acknowledged work earns retry budget: a healthy stream keeps
+			// the bucket full, a struggling one earns retries in proportion
+			// to what actually lands.
+			c.budget.Deposit(1)
 		}
 	}
 }
@@ -374,10 +422,15 @@ func (c *NodeClient) retireLocked(seq uint64) {
 	}
 	i := 0
 	for i < len(c.pending) && c.pending[i].Seq <= seq {
+		// The client owns a sent batch's values (SendBatch); once the frame
+		// is answered nothing reads them again.
+		runtime.PutBatch(c.pending[i].Values)
 		i++
 	}
 	if i > 0 {
-		c.pending = append(c.pending[:0], c.pending[i:]...)
+		n := copy(c.pending, c.pending[i:])
+		clear(c.pending[n:])
+		c.pending = c.pending[:n]
 	}
 }
 
@@ -390,9 +443,18 @@ func (c *NodeClient) SendBatch(tenant string, site int, kind byte, values []uint
 	if site < 0 {
 		return fmt.Errorf("remote: site %d must be >= 0", site)
 	}
+	// A frame that cannot be encoded must not enter pending: every resync
+	// would fail on it again.
+	if len(tenant) > maxTenantLen || len(values) > maxBatchLen {
+		return fmt.Errorf("remote: batch of %d values for a %d-byte tenant name exceeds the frame limits (%d, %d)",
+			len(values), len(tenant), maxBatchLen, maxTenantLen)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for !c.closed && len(c.pending) >= c.cfg.Window {
+		// The window frees only through acknowledgements, and those only
+		// come for frames the coordinator has seen.
+		c.flushOrDropLocked()
 		c.cond.Wait()
 	}
 	if c.closed {
@@ -403,12 +465,12 @@ func (c *NodeClient) SendBatch(tenant string, site int, kind byte, values []uint
 		Tenant: tenant, Values: values}
 	c.pending = append(c.pending, f)
 	if c.conn != nil {
-		if err := c.writeFrame(c.conn, f); err != nil {
-			// The frame stays pending; the run loop notices the broken
-			// connection and replays it after the redial.
-			c.conn.Close()
-			c.conn = nil
-			c.cond.Broadcast()
+		c.enqueueLocked(f)
+		// An idle link (everything written is answered) has nobody coming to
+		// send this frame later, and a large buffer gains nothing by waiting.
+		// Otherwise it rides with the next write: see out.
+		if c.acked >= c.wrote || len(c.out) >= frameFlushBytes {
+			c.flushOrDropLocked()
 		}
 	}
 	return nil
@@ -438,6 +500,7 @@ func (c *NodeClient) FlushContext(ctx context.Context) error {
 	target := c.nextSeq // frames sent before the call
 	for {
 		for !c.closed && ctx.Err() == nil && (c.acked < target || c.conn == nil) {
+			c.flushOrDropLocked() // the fence waits on acks: nothing may sit behind it
 			c.cond.Wait()
 		}
 		if c.closed {
@@ -449,10 +512,8 @@ func (c *NodeClient) FlushContext(ctx context.Context) error {
 		gen := c.connGen
 		c.flushReq++
 		seq := c.flushReq
-		if err := c.writeFrame(c.conn, TFrame{Type: TypeNetFlush, Seq: seq}); err != nil {
-			c.conn.Close()
-			c.conn = nil
-			c.cond.Broadcast()
+		c.enqueueLocked(TFrame{Type: TypeNetFlush, Seq: seq})
+		if !c.flushOrDropLocked() {
 			continue
 		}
 		for !c.closed && ctx.Err() == nil && c.flushAck < seq && c.connGen == gen && c.conn != nil {
@@ -472,16 +533,51 @@ func (c *NodeClient) FlushContext(ctx context.Context) error {
 	}
 }
 
-// writeFrame writes one frame under the configured write deadline, so a
-// peer that stops reading breaks the connection instead of blocking the
-// sender forever.
-func (c *NodeClient) writeFrame(conn net.Conn, f TFrame) error {
-	conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	if err := WriteTFrame(conn, f); err != nil {
-		return err
+// frameFlushBytes bounds how much encoded data waits in out for the next
+// acknowledgement before SendBatch writes it anyway.
+const frameFlushBytes = 32 << 10
+
+// enqueueLocked encodes f into out. Callers have checked the frame limits
+// (SendBatch) or send a value-free control frame, so encoding cannot fail.
+func (c *NodeClient) enqueueLocked(f TFrame) {
+	c.out, _ = AppendTFrame(c.out, f)
+}
+
+// flushLocked hands out to the kernel on conn in one write.
+func (c *NodeClient) flushLocked(conn net.Conn) error {
+	if len(c.out) == 0 {
+		return nil
 	}
-	c.bytesUp.Add(int64(f.EncodedSize()))
-	return nil
+	err := c.write(conn, c.out)
+	c.out, c.wrote = c.out[:0], c.nextSeq
+	return err
+}
+
+// flushOrDropLocked flushes to the live connection, if any, and reports
+// whether it is still usable. On a write error the connection is dropped:
+// the frames stay pending, the run loop notices the broken connection and
+// replays them after the redial.
+func (c *NodeClient) flushOrDropLocked() bool {
+	if c.conn == nil {
+		return false
+	}
+	if err := c.flushLocked(c.conn); err != nil {
+		c.conn.Close()
+		c.conn = nil
+		c.cond.Broadcast()
+		return false
+	}
+	return true
+}
+
+// write writes p under the configured write deadline, so a peer that stops
+// reading breaks the connection instead of blocking the sender forever, and
+// counts the bytes the socket took.
+func (c *NodeClient) write(conn net.Conn, p []byte) error {
+	conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
+	n, err := conn.Write(p)
+	c.bytesUp.Add(int64(n))
+	return err
 }
 
 // Pending returns how many batch frames await acknowledgement.
@@ -540,8 +636,8 @@ func (c *NodeClient) Resent() int64 {
 	return c.resent
 }
 
-// Rejected returns how many frames the coordinator refused, and the most
-// recent refusal reason.
+// Rejected returns how many frames and handshakes the coordinator refused,
+// and the most recent refusal reason.
 func (c *NodeClient) Rejected() (int64, string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -558,7 +654,8 @@ func (c *NodeClient) Close() error {
 	}
 	c.closed = true
 	if c.conn != nil && len(c.pending) == 0 {
-		_ = WriteTFrame(c.conn, TFrame{Type: TypeNodeGoodbye})
+		c.enqueueLocked(TFrame{Type: TypeNodeGoodbye})
+		_ = c.flushLocked(c.conn) // best effort: the connection closes next
 	}
 	if c.conn != nil {
 		c.conn.Close()

@@ -70,7 +70,7 @@ type IngestStats struct {
 	Values       int64  `json:"values"`        // values delivered to the pipeline
 	Duplicates   int64  `json:"duplicates"`    // replayed frames dropped by seq dedupe
 	Rejected     int64  `json:"rejected"`      // frames refused by OnBatch
-	Refused      int64  `json:"refused"`       // hellos refused by an open node breaker
+	Refused      int64  `json:"refused"`       // hellos refused by an open node breaker or for another wire-format version
 	EpochRefused int64  `json:"epoch_refused"` // hellos refused for a stale membership epoch
 	Flushes      int64  `json:"flushes"`       // network flush barriers served
 	BytesIn      int64  `json:"bytes_in"`      // encoded frame bytes read from nodes
@@ -157,19 +157,46 @@ func (s *IngestServer) accept() {
 	}
 }
 
+// nodeConn is one node connection's buffered I/O: frames are decoded through
+// a read buffer, and outgoing frames (acks, mostly) collect in out until the
+// serve goroutine — the connection's only writer — hands them to the kernel
+// in one write.
+type nodeConn struct {
+	net.Conn
+	rd  *TFrameReader
+	out []byte
+}
+
+// ackFlushBytes bounds a connection's outgoing buffer: past it the serve loop
+// writes even though more input is already buffered.
+const ackFlushBytes = 16 << 10
+
 // serve handles one node connection: handshake, then frames until error.
 func (s *IngestServer) serve(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
-	hello, err := ReadTFrame(conn)
+	nc := &nodeConn{Conn: conn, rd: NewTFrameReader(conn)}
+	hello, n, err := nc.rd.Read()
 	// No first frame legitimately carries values (a hello has none, and a
 	// batch before the handshake is rejected): recycle unconditionally.
 	runtime.PutBatch(hello.Values)
+	s.bytesIn.Add(int64(n))
 	if err != nil || hello.Type != TypeNodeHello || hello.Tenant == "" {
 		return
 	}
-	s.bytesIn.Add(int64(hello.EncodedSize()))
 	node := hello.Tenant
+	// Version gate, before anything is decoded on the strength of the peer's
+	// format: a hello's Kind names the sender's wire-format version. The
+	// refusal is a control frame, which every version lays out alike, so the
+	// reason reaches the node whatever it speaks.
+	if hello.Kind != ProtoVersion {
+		s.refused.Add(1)
+		s.queue(nc, TFrame{Type: TypeBatchReject, Tenant: fmt.Sprintf(
+			"transport version mismatch: node speaks %d, coordinator %d; upgrade both together",
+			hello.Kind, ProtoVersion)})
+		_ = s.flush(nc) // the connection is dropped either way
+		return
+	}
 	// Membership epoch gate: a hello's Seq carries the node's last known
 	// epoch (0 = fresh node, accepted unconditionally — it learns the epoch
 	// from the welcome). A stale nonzero epoch means the node missed a site
@@ -178,7 +205,8 @@ func (s *IngestServer) serve(conn net.Conn) {
 	// assumptions the coordinator no longer holds.
 	if e := s.epoch.Load(); hello.Seq != 0 && hello.Seq != e {
 		s.epochRefused.Add(1)
-		_ = s.writeFrame(conn, TFrame{Type: TypeNodeGoodbye, Seq: e})
+		s.queue(nc, TFrame{Type: TypeNodeGoodbye, Seq: e})
+		_ = s.flush(nc) // the connection is dropped either way
 		return
 	}
 	br := s.nodeBreaker(node)
@@ -228,10 +256,11 @@ func (s *IngestServer) serve(conn net.Conn) {
 	s.conns[node] = conn
 	last := s.lastSeq[node]
 	s.mu.Unlock()
-	// The welcome carries the applied cursor (Seq) and the membership epoch
-	// (Site, u32 on the wire): the node retires everything ≤ Seq and adopts
-	// the epoch for its next hello.
-	err = s.writeFrame(conn, TFrame{Type: TypeNodeWelcome, Seq: last, Site: uint32(s.epoch.Load())})
+	// The welcome carries the applied cursor (Seq), the membership epoch
+	// (Site, u32 on the wire) and this end's format version (Kind): the node
+	// retires everything ≤ Seq and adopts the epoch for its next hello.
+	s.queue(nc, TFrame{Type: TypeNodeWelcome, Seq: last, Kind: ProtoVersion, Site: uint32(s.epoch.Load())})
+	err = s.flush(nc)
 	lk.Unlock()
 	if err != nil {
 		s.removeConn(node, conn)
@@ -239,12 +268,12 @@ func (s *IngestServer) serve(conn net.Conn) {
 	}
 
 	for {
-		f, err := ReadTFrame(conn)
+		f, n, err := nc.rd.Read()
+		s.bytesIn.Add(int64(n))
 		if err != nil {
 			s.removeConn(node, conn)
 			return
 		}
-		s.bytesIn.Add(int64(f.EncodedSize()))
 		if f.Type != TypeBatch {
 			// Only batch frames legitimately carry values, but the decoder
 			// accepts a payload on any type — recycle it so a buggy or
@@ -253,7 +282,10 @@ func (s *IngestServer) serve(conn net.Conn) {
 		}
 		switch f.Type {
 		case TypeBatch:
-			if !s.applyBatch(node, conn, f, lk) {
+			if !s.applyBatch(node, nc, f, lk) {
+				// Frames applied earlier in this burst still get their
+				// acks if the socket takes them: fewer replays to dedupe.
+				_ = s.flush(nc)
 				s.removeConn(node, conn)
 				return
 			}
@@ -263,15 +295,22 @@ func (s *IngestServer) serve(conn net.Conn) {
 				s.cfg.OnFlush(node)
 			}
 			s.flushes.Add(1)
-			if s.writeFrame(conn, TFrame{Type: TypeNetFlushAck, Seq: f.Seq}) != nil {
-				s.removeConn(node, conn)
-				return
-			}
+			s.queue(nc, TFrame{Type: TypeNetFlushAck, Seq: f.Seq})
 			progress()
 		case TypeNodeGoodbye:
 			clean = true
 			s.removeConn(node, conn)
 			return
+		}
+		// Answers wait for the input already buffered: a burst of frames
+		// that arrived in one read is acknowledged with one write. They
+		// never wait for the peer — before the loop blocks in Read, and
+		// whenever the buffer grows large, they go out.
+		if nc.rd.Buffered() == 0 || len(nc.out) >= ackFlushBytes {
+			if s.flush(nc) != nil {
+				s.removeConn(node, conn)
+				return
+			}
 		}
 	}
 }
@@ -304,12 +343,13 @@ func (s *IngestServer) nodeBreaker(node string) *fault.Breaker {
 	return br
 }
 
-// applyBatch deduplicates, delivers and acknowledges one batch frame. It
-// reports whether the connection is still usable. The node lock is held
-// across deliver-then-advance, so the sequence state never reflects a
-// frame whose delivery is still undecided — a concurrent reconnect
-// handshake waits and welcomes with settled state.
-func (s *IngestServer) applyBatch(node string, conn net.Conn, f TFrame, lk *sync.Mutex) bool {
+// applyBatch deduplicates and delivers one batch frame and queues its
+// acknowledgement — one per frame, only after OnBatch has returned; the serve
+// loop sends it. It reports whether the connection is still usable. The node
+// lock is held across deliver-then-advance, so the sequence state never
+// reflects a frame whose delivery is still undecided — a concurrent
+// reconnect handshake waits and welcomes with settled state.
+func (s *IngestServer) applyBatch(node string, nc *nodeConn, f TFrame, lk *sync.Mutex) bool {
 	lk.Lock()
 	defer lk.Unlock()
 	s.mu.Lock()
@@ -321,7 +361,8 @@ func (s *IngestServer) applyBatch(node string, conn net.Conn, f TFrame, lk *sync
 		// go straight back to the batch pool.
 		s.dups.Add(1)
 		runtime.PutBatch(f.Values)
-		return s.writeFrame(conn, TFrame{Type: TypeBatchAck, Seq: f.Seq}) == nil
+		s.queue(nc, TFrame{Type: TypeBatchAck, Seq: f.Seq})
+		return true
 	}
 	nvalues := len(f.Values) // OnBatch takes ownership of f.Values
 	err := s.cfg.OnBatch(node, f)
@@ -337,24 +378,38 @@ func (s *IngestServer) applyBatch(node string, conn net.Conn, f TFrame, lk *sync
 	s.mu.Unlock()
 	if err != nil {
 		s.rejects.Add(1)
-		return s.writeFrame(conn, TFrame{Type: TypeBatchReject, Seq: f.Seq, Tenant: err.Error()}) == nil
+		s.queue(nc, TFrame{Type: TypeBatchReject, Seq: f.Seq, Tenant: err.Error()})
+		return true
 	}
 	s.frames.Add(1)
 	s.values.Add(int64(nvalues))
-	return s.writeFrame(conn, TFrame{Type: TypeBatchAck, Seq: f.Seq}) == nil
+	s.queue(nc, TFrame{Type: TypeBatchAck, Seq: f.Seq})
+	return true
 }
 
-// writeFrame writes one frame to a node under the write deadline, counting
-// its encoded bytes. The deadline matters doubly here: ack writes happen
-// while holding the per-node apply lock, so a node that stops reading would
-// otherwise wedge both this serve goroutine and the node's reconnects.
-func (s *IngestServer) writeFrame(conn net.Conn, f TFrame) error {
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	if err := WriteTFrame(conn, f); err != nil {
-		return err
+// queue appends one coordinator → node frame to the connection's outgoing
+// buffer. These frames carry no values and at most a reason, which is cut to
+// what a frame may hold, so encoding cannot fail.
+func (s *IngestServer) queue(nc *nodeConn, f TFrame) {
+	if len(f.Tenant) > maxTenantLen {
+		f.Tenant = f.Tenant[:maxTenantLen]
 	}
-	s.bytesOut.Add(int64(f.EncodedSize()))
-	return nil
+	nc.out, _ = AppendTFrame(nc.out, f)
+}
+
+// flush hands the connection's outgoing buffer to the kernel in one write
+// under the write deadline, counting what the socket took. The deadline
+// keeps a node that stops reading from wedging the serve goroutine — and,
+// during the handshake, the per-node apply lock with it.
+func (s *IngestServer) flush(nc *nodeConn) error {
+	if len(nc.out) == 0 {
+		return nil
+	}
+	nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	n, err := nc.Write(nc.out)
+	s.bytesOut.Add(int64(n))
+	nc.out = nc.out[:0]
+	return err
 }
 
 // removeConn forgets a connection if it is still the registered one for the

@@ -1,6 +1,9 @@
 package runtime
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // MinPooledCap keeps tiny one-off slices out of the pool: recycling them
 // would pin undersized buffers that immediately reallocate on reuse. It is
@@ -35,10 +38,23 @@ var batchPool = sync.Pool{
 
 var headerPool = sync.Pool{New: func() any { return new([]uint64) }}
 
+// batchesOut counts GetBatch calls minus PutBatch calls: see BatchesOut.
+var batchesOut atomic.Int64
+
+// BatchesOut returns how many batches have been drawn with GetBatch and not
+// (yet) returned with PutBatch, process-wide. Owners may legitimately leave a
+// batch to the garbage collector, or return a slice of their own making (it
+// counts if it is at least MinPooledCap long), so the level means nothing by
+// itself; its change across a quiet stretch of code is how a test shows that
+// every path through that code — error paths above all — returns what it
+// drew.
+func BatchesOut() int64 { return batchesOut.Load() }
+
 // GetBatch returns an empty value slice with at least the given capacity,
 // reusing a pooled buffer when one is available. The slice is owned by the
 // caller until handed to Cluster.SendBatch (or returned with PutBatch).
 func GetBatch(capacity int) []uint64 {
+	batchesOut.Add(1)
 	p := batchPool.Get().(*[]uint64)
 	if s := *p; cap(s) >= capacity {
 		*p = nil
@@ -55,7 +71,11 @@ func GetBatch(capacity int) []uint64 {
 // ownership; the slice contents may be overwritten at any time afterwards.
 // Slices outside the pooled capacity band are dropped.
 func PutBatch(xs []uint64) {
-	if cap(xs) < MinPooledCap || cap(xs) > maxPooledCap {
+	if cap(xs) < MinPooledCap {
+		return // not from GetBatch, which hands out nothing this small
+	}
+	batchesOut.Add(-1)
+	if cap(xs) > maxPooledCap {
 		return
 	}
 	p := headerPool.Get().(*[]uint64)

@@ -116,36 +116,55 @@ func absDiff(a, b int64) int64 {
 	return b - a
 }
 
+// rawNode is a hand-driven site-node connection: the socket to write frames
+// to and the one frame reader that may read from it.
+type rawNode struct {
+	net.Conn
+	rd *remote.TFrameReader
+}
+
+// send encodes one frame and writes it.
+func (n *rawNode) send(f remote.TFrame) error {
+	buf, err := remote.AppendTFrame(nil, f)
+	if err != nil {
+		return err
+	}
+	_, err = n.Write(buf)
+	return err
+}
+
 // nodeDial performs a raw site-node handshake and returns the open
 // connection plus the coordinator's welcome (or goodbye) frame.
-func nodeDial(t *testing.T, addr, node string, epoch uint64) (net.Conn, remote.TFrame) {
+func nodeDial(t *testing.T, addr, node string, epoch uint64) (*rawNode, remote.TFrame) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := remote.WriteTFrame(conn, remote.TFrame{Type: remote.TypeNodeHello, Tenant: node, Seq: epoch}); err != nil {
+	n := &rawNode{Conn: conn, rd: remote.NewTFrameReader(conn)}
+	hello := remote.TFrame{Type: remote.TypeNodeHello, Kind: remote.ProtoVersion, Tenant: node, Seq: epoch}
+	if err := n.send(hello); err != nil {
 		t.Fatal(err)
 	}
-	f, err := remote.ReadTFrame(conn)
+	f, _, err := n.rd.Read()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return conn, f
+	return n, f
 }
 
 // sendBatches streams value batches [from,to] (one value per frame, seq ==
 // frame number, value == seq-1, site == (seq-1) % 2) and requires an ack for
 // each.
-func sendBatches(t *testing.T, conn net.Conn, tenant string, from, to uint64) {
+func sendBatches(t *testing.T, conn *rawNode, tenant string, from, to uint64) {
 	t.Helper()
 	for seq := from; seq <= to; seq++ {
 		f := remote.TFrame{Type: remote.TypeBatch, Seq: seq, Tenant: tenant,
 			Site: uint32((seq - 1) % 2), Kind: remote.TKindHH, Values: []uint64{seq - 1}}
-		if err := remote.WriteTFrame(conn, f); err != nil {
+		if err := conn.send(f); err != nil {
 			t.Fatalf("write batch %d: %v", seq, err)
 		}
-		ack, err := remote.ReadTFrame(conn)
+		ack, _, err := conn.rd.Read()
 		if err != nil || ack.Type != remote.TypeBatchAck || ack.Seq != seq {
 			t.Fatalf("batch %d: ack %+v err=%v", seq, ack, err)
 		}
@@ -153,12 +172,12 @@ func sendBatches(t *testing.T, conn net.Conn, tenant string, from, to uint64) {
 }
 
 // netFlush runs the network flush fence.
-func netFlush(t *testing.T, conn net.Conn) {
+func netFlush(t *testing.T, conn *rawNode) {
 	t.Helper()
-	if err := remote.WriteTFrame(conn, remote.TFrame{Type: remote.TypeNetFlush, Seq: 1}); err != nil {
+	if err := conn.send(remote.TFrame{Type: remote.TypeNetFlush, Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if ack, err := remote.ReadTFrame(conn); err != nil || ack.Type != remote.TypeNetFlushAck {
+	if ack, _, err := conn.rd.Read(); err != nil || ack.Type != remote.TypeNetFlushAck {
 		t.Fatalf("flush ack %+v err=%v", ack, err)
 	}
 }

@@ -218,7 +218,7 @@ func newServerMetrics() *serverMetrics {
 	m.remoteRejFrames = reg.NewCounter("disttrack_remote_rejected_frames_total",
 		"Frames refused by ingest validation.")
 	m.remoteRefused = reg.NewCounter("disttrack_remote_refused_hellos_total",
-		"Node handshakes refused by an open per-node reconnect breaker.")
+		"Node handshakes refused by an open per-node reconnect breaker or for a wire-format version mismatch.")
 	m.remoteEpochRefused = reg.NewCounter("disttrack_remote_epoch_refused_hellos_total",
 		"Node handshakes refused for carrying a stale membership epoch.")
 	m.remoteFlushes = reg.NewCounter("disttrack_remote_flushes_total",

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -280,6 +281,47 @@ func TestDistributedRejections(t *testing.T) {
 	coord.Flush()
 	if got := coord.Registry().Get("q").Stats().Processed; got != 1 {
 		t.Fatalf("processed %d, want 1", got)
+	}
+}
+
+// TestSiteNodeIngestGroupsInterleavedRecords feeds one Ingest call whose
+// records switch tenant and site in every pattern the per-tenant slot memo in
+// SiteNode.Ingest has to get right — alternating sites, a site id past the
+// memo, a tenant left and come back to — and requires every record to reach
+// exactly its own (tenant, site) at the coordinator.
+func TestSiteNodeIngestGroupsInterleavedRecords(t *testing.T) {
+	coord, ri := startCoord(t)
+	mustCreate(t, coord, TenantConfig{Name: "a", Kind: KindHH, K: cachedSites + 4, Eps: 0.1})
+	mustCreate(t, coord, TenantConfig{Name: "b", Kind: KindHH, K: 2, Eps: 0.1})
+	node := startSiteNode(t, "edge", ri.Addr())
+
+	want := map[string][]int64{"a": make([]int64, cachedSites+4), "b": make([]int64, 2)}
+	var recs []Record
+	add := func(tenant string, site int) {
+		recs = append(recs, Record{Tenant: tenant, Site: site, Value: uint64(len(recs))})
+		want[tenant][site]++
+	}
+	for i := 0; i < 300; i++ {
+		add("a", i%3)               // a run alternating between remembered sites
+		add("a", cachedSites+1+i%2) // and sites past the memo
+		if i%7 == 0 {
+			add("b", i%2) // leave tenant a, then come back to slots it already opened
+		}
+	}
+	recs = append(recs, Record{Tenant: "a", Site: -1}) // refused locally, groups nothing
+	if acc, errs := node.Ingest(recs); acc != len(recs)-1 || len(errs) != 1 {
+		t.Fatalf("accepted %d of %d, errors %v", acc, len(recs), errs)
+	}
+	if err := node.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for name, sites := range want {
+		if got := coord.Registry().Get(name).Stats().SiteCounts; !slices.Equal(got, sites) {
+			t.Errorf("tenant %s: site counts %v, want %v", name, got, sites)
+		}
+	}
+	if st := node.Stats(); st.UpstreamReject != 0 {
+		t.Fatalf("coordinator refused frames: %+v", st)
 	}
 }
 

@@ -128,12 +128,17 @@ func (n *SiteNode) Ingest(recs []Record) (int, []RecordError) {
 	// append and lock acquisition per group instead of per record — with the
 	// ingester's grouper. The node does not know a tenant's k, so a row is one
 	// (tenant, site) pair with a single slot.
+	//
+	// Records of one tenant usually alternate between a few sites, so the
+	// slots of the tenant being looked at are remembered by site: the
+	// grouper's index (a hash of the name) is consulted once per site of a
+	// run of records naming the same tenant, not once per record.
 	g := n.groupers.Get().(*grouper[fwdKey])
 	g.begin(len(recs))
 	var (
-		errs []RecordError
-		cur  fwdKey
-		slot int32 = -1
+		errs   []RecordError
+		tenant string             // whose slots bySite holds; "" (never valid) before the first
+		bySite [cachedSites]int32 // slot of (tenant, site), or -1 if not opened in this run
 	)
 	for i, rec := range recs {
 		switch {
@@ -142,9 +147,18 @@ func (n *SiteNode) Ingest(recs []Record) (int, []RecordError) {
 		case rec.Site < 0:
 			errs = append(errs, RecordError{Index: i, Err: fmt.Sprintf("site %d must be >= 0", rec.Site)})
 		default:
-			if key := (fwdKey{rec.Tenant, rec.Site}); slot < 0 || key != cur {
-				cur = key
-				slot, _ = g.open(key, 1)
+			if rec.Tenant != tenant {
+				tenant = rec.Tenant
+				for j := range bySite {
+					bySite[j] = -1
+				}
+			}
+			var slot int32
+			if rec.Site >= cachedSites {
+				slot, _ = g.open(fwdKey{rec.Tenant, rec.Site}, 1)
+			} else if slot = bySite[rec.Site]; slot < 0 {
+				slot, _ = g.open(fwdKey{rec.Tenant, rec.Site}, 1)
+				bySite[rec.Site] = slot
 			}
 			g.add(i, slot)
 		}
@@ -171,6 +185,10 @@ func (n *SiteNode) Ingest(recs []Record) (int, []RecordError) {
 	n.rejected.Add(int64(len(errs)))
 	return accepted, errs
 }
+
+// cachedSites is how many of a tenant's sites Ingest remembers slots for;
+// records for higher site ids look their slot up in the grouper every time.
+const cachedSites = 16
 
 // fwdKey is one (tenant, site) stream as the node sees it.
 type fwdKey struct {
