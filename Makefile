@@ -148,6 +148,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/hh/ -run '^$$' -fuzz FuzzRestore -fuzztime 10s
 	$(GO) test ./internal/core/quantile/ -run '^$$' -fuzz FuzzRestore -fuzztime 10s
 	$(GO) test ./internal/core/allq/ -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 10s
+	$(GO) test ./internal/core/allq/ -run '^$$' -fuzz FuzzRestore -fuzztime 10s
 	$(GO) test ./internal/sitestore/ -run '^$$' -fuzz FuzzExactStore -fuzztime 10s
 
 # Optional: require the tools only when the target is invoked.

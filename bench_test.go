@@ -1,7 +1,7 @@
-// Benchmarks regenerating the reproduction experiments (DESIGN.md §5):
-// one benchmark per experiment E1–E10 and F1, reporting communication in
-// words/run via b.ReportMetric, plus per-item feed throughput benches for
-// the three core trackers.
+// Benchmarks regenerating the reproduction experiments ("Experiments" in
+// docs/architecture.md): one benchmark per experiment E1–E10 and F1,
+// reporting communication in words/run via b.ReportMetric, plus per-item
+// feed throughput benches for the three core trackers.
 //
 // Run with: go test -bench=. -benchmem
 package disttrack_test

@@ -1,5 +1,5 @@
 // Command experiments regenerates every experiment table of the
-// reproduction (DESIGN.md §5, EXPERIMENTS.md): the cost scalings of
+// reproduction (docs/architecture.md, "Experiments"): the cost scalings of
 // Theorems 2.1, 3.1 and 4.1, the lower-bound constructions of Theorems 2.4
 // and 3.2, the baseline comparisons, the accuracy audit, and the Figure 1
 // tree-shape statistics.

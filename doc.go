@@ -20,7 +20,8 @@
 //     many named trackers behind a batched ingest path and an HTTP+JSON
 //     query API (docs/service.md);
 //   - cmd/hhtrack, cmd/quantiletrack — CLIs over generated streams;
-//   - cmd/experiments — regenerates every experiment table (EXPERIMENTS.md);
+//   - cmd/experiments — regenerates every experiment table
+//     (docs/architecture.md, "Experiments");
 //   - cmd/coordd, cmd/sited — the TCP coordinator and site agents;
 //   - examples/ — quickstart plus network-monitoring, sensor-median and
 //     latency-SLA scenarios.

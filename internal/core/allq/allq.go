@@ -17,7 +17,7 @@
 //     between 3/8 and 5/8 of the parent's items at build time);
 //   - each node carries s_u, an underestimate of |A ∩ I_u| with absolute
 //     error at most θm, where θ = ε/2h and h bounds the tree height
-//     (h = Θ(log 1/ε));
+//     (h = Θ(log 1/ε); see Height cap below);
 //   - each leaf covers at most εm/2 items.
 //
 // Sites report per-node arrival counts in batches of θm/k. The coordinator
@@ -32,10 +32,14 @@
 //
 // # Height cap
 //
-// The paper sets h via a chain of loose constants; here h =
-// ⌈1.5·log₂(16/ε)⌉ + 4 and the tests verify the two real contracts
-// directly: tree height stays ≤ h and rank error stays ≤ εm (DESIGN.md,
-// deviation 3).
+// The paper sets h via a chain of loose constants. Here heightCap(ε) =
+// ⌈1.5·log₂(16/ε)⌉ + 4 bounds every round, and a round uses the smaller
+// h = min(heightCap(ε), max(height of its freshly built tree + 2, height
+// the replaced tree grew to, 5)) when that raises the site batch θm/k. A
+// rebuild that leaves the tree taller than h starts a new round, so
+// depth ≤ h holds at all times and the rank error stays ≤ εm.
+// Leaf splits sample separators only as finely as the split needs. See
+// "Deviations from the paper" in docs/architecture.md.
 //
 // Items are assumed distinct (stream.Perturb); see the package quantile
 // documentation for how ties degrade and are reported.
@@ -114,7 +118,7 @@ type policy struct {
 
 	// Round state.
 	m           int64   // |A| at round start
-	h           int     // height cap for this round
+	h           int     // height cap for this round, ≤ heightCap(ε)
 	theta       float64 // θ = ε/2h
 	thrNode     int64   // site batch size per node: θm/k
 	leafSplitAt int64   // leaf split trigger: (ε/2 − θ)m
@@ -123,10 +127,11 @@ type policy struct {
 	pathScratch []*node // reused by OnEscalate's path walk (under escMu)
 
 	// Statistics.
-	rounds      int
-	rebuilds    int
-	leafSplits  int
-	cannotSplit int
+	rounds         int
+	rebuilds       int
+	leafSplits     int
+	cannotSplit    int
+	heightRebuilds int // rounds started because the tree outgrew h
 }
 
 // site is the per-site protocol state, guarded by the engine's site locks.
@@ -153,21 +158,24 @@ func New(cfg Config) (*Tracker, error) {
 	p.bootTarget = eng.BootTarget()
 	p.bootTree = rank.New(cfg.Seed ^ 0xA11)
 	for j := 0; j < cfg.K; j++ {
-		var st sitestore.Store
-		if cfg.Mode == ModeSketch {
-			// θ depends on the round; ε/(2·h_max)/gkEpsFraction is a safe
-			// static choice since h only shrinks as m grows.
-			theta := cfg.Eps / (2 * float64(heightCap(cfg.Eps)))
-			st = sitestore.NewGK(theta / gkEpsFraction)
-		} else {
-			st = sitestore.NewExact()
-		}
-		p.sites = append(p.sites, &site{st: st})
+		p.sites = append(p.sites, &site{st: p.newStore()})
 	}
 	return &Tracker{Engine: eng, p: p}, nil
 }
 
-// heightCap returns the height bound h = ⌈1.5·log₂(16/ε)⌉ + 4.
+// newStore returns an empty site store for the configured mode.
+func (p *policy) newStore() sitestore.Store {
+	if p.cfg.Mode != ModeSketch {
+		return sitestore.NewExact()
+	}
+	// θ = ε/2h varies by round; the smallest θ, at h = heightCap(ε), is a
+	// safe static choice because every round's h is at most heightCap(ε).
+	theta := p.cfg.Eps / (2 * float64(heightCap(p.cfg.Eps)))
+	return sitestore.NewGK(theta / gkEpsFraction)
+}
+
+// heightCap returns ⌈1.5·log₂(16/ε)⌉ + 4, the height condition (6) lets a
+// tree reach and the largest cap any round uses.
 func heightCap(eps float64) int {
 	return int(math.Ceil(1.5*math.Log2(16/eps))) + 4
 }
@@ -261,6 +269,7 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 		if p.checkConditions(u) {
 			// The subtree containing the deeper path nodes was rebuilt with
 			// exact counts; stop processing stale nodes.
+			p.enforceHeight()
 			break
 		}
 	}
@@ -303,14 +312,7 @@ func (p *policy) OnReconfigure(oldK, newK int) {
 		p.sites = p.sites[:newK]
 	} else {
 		for j := oldK; j < newK; j++ {
-			var st sitestore.Store
-			if p.cfg.Mode == ModeSketch {
-				theta := p.cfg.Eps / (2 * float64(heightCap(p.cfg.Eps)))
-				st = sitestore.NewGK(theta / gkEpsFraction)
-			} else {
-				st = sitestore.NewExact()
-			}
-			p.sites = append(p.sites, &site{st: st})
+			p.sites = append(p.sites, &site{st: p.newStore()})
 		}
 	}
 	p.cfg.K = newK
@@ -462,6 +464,11 @@ func (t *Tracker) RoundM() int64 { return t.p.m }
 
 // HeightBound returns the current round's height cap h.
 func (t *Tracker) HeightBound() int { return t.p.h }
+
+// HeightRebuilds counts the rounds started early because a rebuild left
+// the tree taller than its round's height cap. It is not checkpointed: a
+// restored tracker counts from zero.
+func (t *Tracker) HeightRebuilds() int { return t.p.heightRebuilds }
 
 // SiteSpace returns the number of stored entries at site j (store plus
 // pending per-node deltas — the nonzero entries of the dense delta slice,

@@ -16,14 +16,21 @@ func distinctUniform(n int64, seed int64) stream.Generator {
 // runAndCheckRanks drives tracker and oracle, asserting at sampled prefixes
 // that Rank(x) is within ε|A| of the truth for random probes — the §4
 // contract "extract the rank of any x with additive error at most ε|A|".
-func runAndCheckRanks(t *testing.T, cfg Config, gen stream.Generator, assign stream.Assigner) *Tracker {
+func runAndCheckRanks(t *testing.T, cfg Config, gen stream.Generator, assign stream.Assigner) {
 	t.Helper()
 	tr, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := oracle.New()
+	feedAndCheckRanks(t, tr, oracle.New(), gen, assign)
+}
+
+// feedAndCheckRanks continues tr (whose arrivals so far o holds) with gen,
+// checking the rank contract at sampled prefixes.
+func feedAndCheckRanks(t *testing.T, tr *Tracker, o *oracle.Oracle, gen stream.Generator, assign stream.Assigner) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(999))
+	probes := make([]uint64, 8)
 	for i := 0; ; i++ {
 		x, ok := gen.Next()
 		if !ok {
@@ -34,21 +41,28 @@ func runAndCheckRanks(t *testing.T, cfg Config, gen stream.Generator, assign str
 		if i%251 != 0 && i >= 50 {
 			continue
 		}
-		bound := cfg.Eps * float64(o.Len())
-		for probe := 0; probe < 8; probe++ {
-			q := rng.Uint64() % (1 << (30 + stream.PerturbBits))
-			got := tr.Rank(q)
-			want := o.Rank(q)
-			if got > want {
-				t.Fatalf("step %d: Rank(%d)=%d overestimates true %d", i, q, got, want)
-			}
-			if float64(want-got) > bound+1 {
-				t.Fatalf("step %d (|A|=%d): Rank(%d)=%d lags true %d beyond ε|A|=%.1f",
-					i, o.Len(), q, got, want, bound)
-			}
+		for j := range probes {
+			probes[j] = rng.Uint64() % (1 << (30 + stream.PerturbBits))
+		}
+		checkRanks(t, tr, o, probes)
+	}
+}
+
+// checkRanks asserts the rank contract at each probe: Rank never
+// overestimates and lags the truth by at most ε|A| (+1 for rounding).
+func checkRanks(t *testing.T, tr *Tracker, o *oracle.Oracle, probes []uint64) {
+	t.Helper()
+	bound := tr.Eps() * float64(o.Len())
+	for _, q := range probes {
+		got, want := tr.Rank(q), o.Rank(q)
+		if got > want {
+			t.Fatalf("|A|=%d: Rank(%d)=%d overestimates true %d", o.Len(), q, got, want)
+		}
+		if float64(want-got) > bound+1 {
+			t.Fatalf("|A|=%d: Rank(%d)=%d lags true %d beyond ε|A|=%.1f",
+				o.Len(), q, got, want, bound)
 		}
 	}
-	return tr
 }
 
 func TestRankContractUniformExact(t *testing.T) {

@@ -107,7 +107,14 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 	for i := range nodes {
 		nodes[i] = &node{id: i}
 	}
+	depth := make([]int, n)
+	treeHeight := 0
 	for i := 0; i < n; i++ {
+		// The parent precedes i in preorder, so its depth is final.
+		if par := nodes[i].parent; par != nil {
+			depth[i] = depth[par.id] + 1
+			treeHeight = max(treeHeight, depth[i])
+		}
 		u := nodes[i]
 		u.lo = dec.U64()
 		u.hi = dec.U64()
@@ -145,8 +152,13 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 	// The engine commits its own fields (including the bootstrap flag)
 	// before the policy decodes, so the cross-check is available here: a
 	// tracking-phase policy without a tree would nil-deref on first feed.
-	if p.root == nil && !p.eng.Bootstrapping() {
-		return fmt.Errorf("allq: restore: tracking phase but no interval tree")
+	if !p.eng.Bootstrapping() {
+		if p.root == nil {
+			return fmt.Errorf("allq: restore: tracking phase but no interval tree")
+		}
+		if err := p.checkRound(treeHeight); err != nil {
+			return err
+		}
 	}
 	p.nextID = n
 	p.pathScratch = nil
@@ -168,4 +180,23 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 		s.deltaScratch = make([]int64, nd)
 	}
 	return dec.Err()
+}
+
+// checkRound rejects round parameters no tracker writes. The ε bound rests
+// on depth ≤ h, minHeight ≤ h ≤ heightCap(ε), with θ, the site batch and
+// the leaf split trigger derived from that h, so a checkpoint breaking any
+// of these would restore a tracker that silently answers outside ε.
+func (p *policy) checkRound(treeHeight int) error {
+	if hCap := heightCap(p.cfg.Eps); p.h < minHeight || p.h > hCap {
+		return fmt.Errorf("allq: restore: height cap %d outside [%d, %d]", p.h, minHeight, hCap)
+	}
+	theta, thr, split := roundParams(p.cfg.Eps, p.cfg.K, p.m, p.h)
+	if p.theta != theta || p.thrNode != thr || p.leafSplitAt != split {
+		return fmt.Errorf("allq: restore: round parameters θ=%g, batch %d, leaf split %d; h=%d, m=%d give %g, %d, %d",
+			p.theta, p.thrNode, p.leafSplitAt, p.h, p.m, theta, thr, split)
+	}
+	if treeHeight > p.h {
+		return fmt.Errorf("allq: restore: tree height %d exceeds its cap %d", treeHeight, p.h)
+	}
+	return nil
 }

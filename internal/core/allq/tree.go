@@ -45,8 +45,9 @@ func violated(p, c *node) bool {
 	return 4*c.s < p.s || 4*c.s > 3*p.s
 }
 
-// newRound starts a fresh round: collect the exact |A|, fix the round
-// parameters, and rebuild the whole tree. Cost O(k/ε).
+// newRound starts a fresh round: collect the exact |A|, rebuild the whole
+// tree, and fix the round parameters from the height of the tree just built.
+// Cost O(k/ε).
 func (p *policy) newRound() {
 	meter := p.eng.Meter()
 	var total int64
@@ -57,19 +58,92 @@ func (p *policy) newRound() {
 	}
 	p.m = total
 	p.rounds++
-	p.h = heightCap(p.cfg.Eps)
-	p.theta = p.cfg.Eps / (2 * float64(p.h))
-	p.thrNode = maxi64(1, int64(p.theta*float64(p.m)/float64(p.cfg.K)))
-	p.leafSplitAt = maxi64(1, int64((p.cfg.Eps/2-p.theta)*float64(p.m)))
-
-	p.root = p.buildSubtree(nil, 0, math.MaxUint64)
+	grown := 0 // height the replaced tree reached within its round
+	if p.root != nil {
+		grown = height(p.root)
+	}
+	p.root = p.buildSubtree(nil, 0, math.MaxUint64, p.sampleStep())
 	p.gcDeltas()
+
+	// The round's cap h_r is the built height plus two levels of slack for
+	// the rebuilds to come, and at least the height the replaced tree grew
+	// to (skewed and sorted streams deepen the tree at their hot spots every
+	// round), never below minHeight or above heightCap. A shorter cap pays
+	// only if it raises the site batch θm/k: at the same batch, reports cost
+	// the same and the smaller leaf split trigger would only add splits.
+	hCap := heightCap(p.cfg.Eps)
+	h := min(hCap, max(height(p.root)+2, grown, minHeight))
+	_, thrCap, _ := roundParams(p.cfg.Eps, p.cfg.K, p.m, hCap)
+	if _, thr, _ := roundParams(p.cfg.Eps, p.cfg.K, p.m, h); thr <= thrCap {
+		h = hCap
+	}
+	p.h = h
+	p.theta, p.thrNode, p.leafSplitAt = roundParams(p.cfg.Eps, p.cfg.K, p.m, h)
+}
+
+// minHeight is the smallest height cap a round uses. At h ≥ 5, θ ≤ ε/10, so
+// a leaf built from εm/64k samples, at most 3εm/8 + εm/64 items, starts
+// below its split trigger (ε/2 − θ)m ≥ 2εm/5. A tree built for ε ≤ 0.6 is
+// at least three levels tall (its leaves of at most 3εm/8 items hold all m),
+// so the floor binds only above that.
+const minHeight = 5
+
+// roundParams derives a round's thresholds from its height cap h and its
+// size m: θ = ε/2h, the per-node site batch θm/k and the leaf split trigger
+// (ε/2 − θ)m.
+func roundParams(eps float64, k int, m int64, h int) (theta float64, thrNode, leafSplitAt int64) {
+	theta = eps / (2 * float64(h))
+	thrNode = max(1, int64(theta*float64(m)/float64(k)))
+	leafSplitAt = max(1, int64((eps/2-theta)*float64(m)))
+	return theta, thrNode, leafSplitAt
+}
+
+// sampleStep is the separator sampling step εm/64k of a full or internal
+// rebuild: fine enough that the weighted medians keep invariant (5) at
+// every level of the subtree built.
+func (p *policy) sampleStep() int64 {
+	return max(1, int64(p.cfg.Eps*float64(p.m)/(64*float64(p.cfg.K))))
+}
+
+// leafCap is the sampled weight 3εm/8 up to which buildSubtree leaves an
+// interval as one leaf.
+func (p *policy) leafCap() int64 {
+	return max(1, int64(3*p.cfg.Eps*float64(p.m)/8))
+}
+
+// leafStep is the separator sampling step of a leaf's rebuild, which runs
+// once the leaf's count passes leafSplitAt. A leaf is sampled only as finely
+// as its split needs. Invariant (5)'s 3/8–5/8 cut holds if the k sites'
+// summed sampling error k·step stays within an eighth of leafSplitAt, a step
+// about four times coarser than εm/64k. The step also keeps k·step ≤
+// leafSplitAt − leafCap: then the sampled weight of a leaf past its trigger
+// stays above leafCap, so the rebuild splits it, and each new leaf holds
+// fewer than leafSplitAt items. Invariant (5) bears on cost only, never on
+// the ε bound.
+func (p *policy) leafStep() int64 {
+	return max(1, min(p.leafSplitAt/8, p.leafSplitAt-p.leafCap())/int64(p.cfg.K))
+}
+
+// enforceHeight keeps depth ≤ h after a structural change: a tree that
+// outgrew its cap is rebuilt in a new round, whose cap covers the height
+// this one reached. Rank error sums at most one θm error per level of the
+// path, so the cap is what the ε bound rests on.
+func (p *policy) enforceHeight() {
+	if height(p.root) > p.h {
+		p.heightRebuilds++
+		p.newRound()
+	}
 }
 
 // rebuild replaces the subtree rooted at u — the paper's partial rebuilding,
-// also used for leaf splits. Cost O(k·|A ∩ I_u|/(εm) + k·h) words.
+// also used for leaf splits (sampled at leafStep). Cost O(k·|A ∩ I_u|/(εm)
+// + k·h) words.
 func (p *policy) rebuild(u *node) {
-	fresh := p.buildSubtree(u.parent, u.lo, u.hi)
+	step := p.sampleStep()
+	if u.isLeaf() {
+		step = p.leafStep()
+	}
+	fresh := p.buildSubtree(u.parent, u.lo, u.hi, step)
 	if par := u.parent; par == nil {
 		p.root = fresh
 	} else if par.left == u {
@@ -93,15 +167,15 @@ func (p *policy) rebuild(u *node) {
 
 // buildSubtree runs the §4 initialization restricted to [lo, hi):
 //
-//  1. collect weighted separator samples at absolute step εm/64k, plus the
-//     exact per-site counts of the interval;
+//  1. collect weighted separator samples every step items (εm/64k, or
+//     coarser for a leaf split: see rebuild), plus the exact per-site
+//     counts of the interval;
 //  2. recursively split at weighted medians while the estimated count
 //     exceeds 3εm/8, keeping invariant (5);
 //  3. broadcast the new structure to the sites;
 //  4. collect exact counts for every new node.
-func (p *policy) buildSubtree(parent *node, lo, hi uint64) *node {
+func (p *policy) buildSubtree(parent *node, lo, hi uint64, step int64) *node {
 	meter := p.eng.Meter()
-	step := maxi64(1, int64(p.cfg.Eps*float64(p.m)/(64*float64(p.cfg.K))))
 	var merged []wsep
 	var exact int64
 	for j, s := range p.sites {
@@ -119,11 +193,7 @@ func (p *policy) buildSubtree(parent *node, lo, hi uint64) *node {
 	}
 	slices.SortFunc(merged, func(a, b wsep) int { return cmp.Compare(a.v, b.v) })
 
-	leafCap := int64(3 * p.cfg.Eps * float64(p.m) / 8)
-	if leafCap < 1 {
-		leafCap = 1
-	}
-	fresh := p.buildRec(parent, lo, hi, merged, leafCap)
+	fresh := p.buildRec(parent, lo, hi, merged, p.leafCap())
 
 	// Broadcast the new structure (id, lo, hi, split per node) and collect
 	// exact per-node counts.
@@ -223,9 +293,10 @@ func collectNodes(u *node) []*node {
 	return out
 }
 
-func maxi64(a, b int64) int64 {
-	if a > b {
-		return a
+// height returns the depth of the deepest leaf below u (0 for a leaf).
+func height(u *node) int {
+	if u.isLeaf() {
+		return 0
 	}
-	return b
+	return 1 + max(height(u.left), height(u.right))
 }

@@ -26,7 +26,8 @@
 // but under invariants (2)–(3) a true heavy hitter's ratio can be as low as
 // φ−ε/3, so that printed threshold would produce false negatives. Any
 // threshold in [φ−ε/2, φ−ε/3] yields the ε-approximation guarantee in both
-// directions; this implementation uses φ − 0.4ε (see DESIGN.md, deviation 1).
+// directions; this implementation uses φ − 0.4ε (see "Deviations from the
+// paper" in docs/architecture.md).
 //
 // # Modes
 //
@@ -71,7 +72,8 @@ const (
 )
 
 // classifySlack positions the classification threshold at φ − classifySlack·ε,
-// inside the valid interval [φ−ε/2, φ−ε/3] (DESIGN.md deviation 1).
+// inside the valid interval [φ−ε/2, φ−ε/3] (docs/architecture.md,
+// "Deviations from the paper").
 const classifySlack = 0.4
 
 // sketchEpsFraction is the fraction of ε given to the per-site sketch in

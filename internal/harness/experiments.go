@@ -12,9 +12,9 @@ import (
 	"disttrack/internal/stream"
 )
 
-// Experiments regenerates every experiment table (DESIGN.md §5). quick
-// shrinks stream lengths for test/bench runs; the full sizes are used by
-// cmd/experiments.
+// Experiments regenerates every experiment table ("Experiments" in
+// docs/architecture.md). quick shrinks stream lengths for test/bench runs;
+// the full sizes are used by cmd/experiments.
 func Experiments(quick bool) []*Table {
 	return []*Table{
 		E1(quick), E2K(quick), E2Eps(quick), E3(quick), E4(quick),

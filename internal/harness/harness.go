@@ -4,9 +4,9 @@
 // and collects communication and accuracy metrics.
 //
 // The paper (PODS 2009) is theoretical and has no empirical tables; the
-// experiments here regenerate its *claims* — see DESIGN.md §5 for the
-// experiment index E1–E10 and F1, and the Experiments function in this
-// package for the implementations.
+// experiments here regenerate its *claims* — see "Experiments" in
+// docs/architecture.md for the index (E1–E11, F1, A1–A4), and the
+// Experiments function in this package for the implementations.
 package harness
 
 import (

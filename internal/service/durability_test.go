@@ -396,12 +396,19 @@ func TestDurableCheckpointConcurrentIngest(t *testing.T) {
 
 	r := openDurable(t, dir)
 	defer r.Close()
-	if st := r.reg.Get("cc").Stats(); st.SiteCounts[0] != n {
+	st := r.reg.Get("cc").Stats()
+	if st.SiteCounts[0] != n {
 		t.Fatalf("site count %d after concurrent checkpoint crash, want %d", st.SiteCounts[0], n)
 	}
+	// total is the root's count: short of n only by the site's pending root
+	// reports, fewer than θm ≤ εn/2h items (h = the round's height cap).
 	rank, total, err := r.reg.Get("cc").Rank(1000)
-	if err != nil || total != n || rank < 1000-200 || rank > 1000+200 {
-		t.Fatalf("rank after recovery: rank=%d total=%d err=%v", rank, total, err)
+	if st.HeightBound == 0 {
+		t.Fatal("recovered allq tenant reports no height cap")
+	}
+	if slack := 0.1 * n / float64(2*st.HeightBound); err != nil || total > n || float64(total) <= n-slack ||
+		rank < 1000-200 || rank > 1000+200 {
+		t.Fatalf("rank after recovery: rank=%d total=%d (want within %.1f of %d) err=%v", rank, total, slack, n, err)
 	}
 }
 

@@ -253,6 +253,13 @@ func TestServiceEndToEnd(t *testing.T) {
 		if st.EstTotal <= 0 || st.EstTotal > o.Len() {
 			t.Errorf("%s est_total %d outside (0, %d]", name, st.EstTotal, o.Len())
 		}
+		// Only the allq tenant keeps a rebuilt tree to report on; its
+		// uniform values never deepen the tree past a round's cap.
+		if hasTree := st.HeightBound > 0 && st.Rebuilds >= st.LeafSplits; hasTree != (name == "sizes") ||
+			st.HeightRebuilds != 0 {
+			t.Errorf("%s tree maintenance: rebuilds %d, leaf splits %d, height bound %d, height rebuilds %d in %d rounds",
+				name, st.Rebuilds, st.LeafSplits, st.HeightBound, st.HeightRebuilds, st.Rounds)
+		}
 	}
 
 	// --- List + delete + error paths. ---

@@ -785,6 +785,21 @@ type TenantStats struct {
 	QueueShare int     `json:"queue_share,omitempty"` // configured queue-share bound
 	Throttled  int64   `json:"throttled,omitempty"`   // records denied admission
 	Queued     int64   `json:"queued,omitempty"`      // records admitted, not yet applied to the tracker
+
+	// Tree maintenance (allq tenants; zero for the other kinds).
+	Rebuilds       int `json:"rebuilds,omitempty"`        // partial tree rebuilds, leaf splits included
+	LeafSplits     int `json:"leaf_splits,omitempty"`     // rebuilds that split a full leaf
+	HeightBound    int `json:"height_bound,omitempty"`    // the current round's tree height cap
+	HeightRebuilds int `json:"height_rebuilds,omitempty"` // rounds started because the tree outgrew its cap
+}
+
+// treeMaintainer is the tracker surface behind TenantStats' tree
+// maintenance counters; only trackers that keep a rebuilt tree have it.
+type treeMaintainer interface {
+	Rebuilds() int
+	LeafSplits() int
+	HeightBound() int
+	HeightRebuilds() int
 }
 
 // Stats captures the tenant's current statistics under a consistent
@@ -812,6 +827,10 @@ func (t *Tenant) Stats() TenantStats {
 	t.tr.Quiesce(func() {
 		st.EstTotal = t.tr.EstTotal()
 		st.Rounds = t.tr.Rounds()
+		if tm, ok := t.tr.(treeMaintainer); ok {
+			st.Rebuilds, st.LeafSplits = tm.Rebuilds(), tm.LeafSplits()
+			st.HeightBound, st.HeightRebuilds = tm.HeightBound(), tm.HeightRebuilds()
+		}
 		c := t.tr.Meter().Total()
 		st.Msgs, st.Words = c.Msgs, c.Words
 		// Read k inside the quiescent section: Quiesce excludes Reconfigure,
