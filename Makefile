@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all ci fmt fmt-fix vet build test test-shuffle race experiments-diff bench-smoke bench-race-smoke bench-e2e-smoke bench-json bench-compare obs-smoke fault-smoke crash-smoke membership-smoke load-smoke staticcheck vuln fuzz-smoke
+.PHONY: all ci fmt fmt-fix vet build test test-shuffle race experiments-diff bench-smoke bench-race-smoke bench-e2e-smoke obs-smoke fault-smoke crash-smoke membership-smoke load-smoke staticcheck vuln fuzz-smoke
 
 all: build
 
@@ -116,23 +116,6 @@ membership-smoke:
 # path.
 load-smoke:
 	./scripts/load_smoke.sh
-
-# Record the ingest-throughput benchmarks as a JSON trajectory point
-# (BENCH_PR3.json and successors; see cmd/benchjson). Staged through a
-# text file so a benchmark failure fails make instead of silently writing
-# a partial JSON.
-BENCH_JSON ?= BENCH_PR10.json
-bench-json:
-	$(GO) test -run '^$$' -bench 'Feed|Cluster' -benchtime 1s . > $(BENCH_JSON).txt
-	$(GO) test -run '^$$' -bench '^BenchmarkIngest|ServiceMacro' -benchtime 1s ./internal/service/ >> $(BENCH_JSON).txt
-	$(GO) run ./cmd/benchjson < $(BENCH_JSON).txt > $(BENCH_JSON)
-	rm -f $(BENCH_JSON).txt
-
-# Re-run the benchmark suite and print per-benchmark ns/op deltas against
-# the previous PR's recorded trajectory point.
-BENCH_PREV ?= BENCH_PR9.json
-bench-compare: bench-json
-	$(GO) run ./cmd/benchjson -diff $(BENCH_PREV) $(BENCH_JSON)
 
 # Short fuzz pass over the wire-protocol and durability decoders — every
 # byte format that crosses a trust boundary (network frames, WAL records,

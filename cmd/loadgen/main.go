@@ -17,9 +17,6 @@
 // counter against what it sent, exiting nonzero on a mismatch — a live
 // exactly-once check for the whole ingest path.
 //
-// With -bench, a `go test -bench`-shaped line is appended to stdout so
-// cmd/benchjson can ingest a loadgen run next to the in-process suite.
-//
 // Example session (against the docs/operations.md pair):
 //
 //	trackd -role coord -listen :8080 -ingest-listen :7171 &
@@ -62,7 +59,6 @@ type config struct {
 	domain   int64
 	skew     float64
 	check    bool
-	bench    bool
 	create   bool
 }
 
@@ -83,7 +79,6 @@ func parseFlags(args []string) (config, error) {
 	fs.Int64Var(&cfg.domain, "domain", 1<<20, "value domain size")
 	fs.Float64Var(&cfg.skew, "skew", 1.3, "Zipf skew (> 1)")
 	fs.BoolVar(&cfg.check, "check-total", false, "after the run, flush and verify the tenant processed exactly what was sent")
-	fs.BoolVar(&cfg.bench, "bench", false, "also print a go test -bench shaped line (for cmd/benchjson)")
 	fs.BoolVar(&cfg.create, "create", true, "create the tenant if it does not exist")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
@@ -403,14 +398,6 @@ func run(cfg config) error {
 	}
 	if total.sent == 0 {
 		return errors.New("no records sent")
-	}
-	if cfg.bench {
-		// A go test -bench shaped line, so `loadgen -bench >> bench.txt`
-		// lands this run in the cmd/benchjson corpus next to the in-process
-		// suite. Iterations = records; ns/op = per-record wall time.
-		fmt.Printf("BenchmarkLoadgen/mode=%s \t%d\t%.1f ns/op\t%.0f recs/s\t%d p99-ns\n",
-			cfg.mode, total.sent, float64(elapsed.Nanoseconds())/float64(total.sent),
-			rps, total.lat.quantile(0.99).Nanoseconds())
 	}
 	if cfg.check {
 		return checkTotals(cfg, total.sent)

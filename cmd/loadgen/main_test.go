@@ -62,7 +62,7 @@ func TestRunHTTP(t *testing.T) {
 
 	cfg, err := parseFlags([]string{
 		"-url", ts.URL, "-duration", "200ms", "-conns", "2", "-batch", "64",
-		"-check-total", "-bench",
+		"-check-total",
 	})
 	if err != nil {
 		t.Fatal(err)

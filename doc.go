@@ -7,10 +7,10 @@
 // φ-heavy hitters (Theorem 2.1), single φ-quantiles (Theorem 3.1), and all
 // quantiles simultaneously (Theorem 4.1) — together with every substrate
 // they stand on (Space-Saving and Greenwald–Khanna sketches,
-// order-statistics stores, distributed counters), the prior-art baselines
-// they are measured against, the lower-bound constructions of Theorems 2.4
-// and 3.2, the §5 extensions (randomized sampling, sliding windows), a
-// concurrent runtime, and a TCP deployment of the heavy-hitter protocol.
+// order-statistics stores), the prior-art baselines they are measured
+// against, the lower-bound constructions of Theorems 2.4 and 3.2, the §5
+// randomized-sampling baseline, a concurrent runtime, and a TCP deployment
+// of the heavy-hitter protocol.
 //
 // Entry points:
 //
@@ -19,12 +19,11 @@
 //   - internal/service, cmd/trackd — the multi-tenant tracking service:
 //     many named trackers behind a batched ingest path and an HTTP+JSON
 //     query API (docs/service.md);
-//   - cmd/hhtrack, cmd/quantiletrack — CLIs over generated streams;
 //   - cmd/experiments — regenerates every experiment table
 //     (docs/architecture.md, "Experiments");
 //   - cmd/coordd, cmd/sited — the TCP coordinator and site agents;
-//   - examples/ — quickstart plus network-monitoring, sensor-median and
-//     latency-SLA scenarios.
+//   - Example (example_test.go) — the three trackers over one stream,
+//     executed by go test.
 //
 // See README.md for an overview, quickstart and package map; each core
 // package's doc comment maps its code to the paper's theorems and records

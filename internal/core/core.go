@@ -22,7 +22,7 @@ import (
 // ingest and quiescence half (Feed through Version) is implemented by the
 // shared core/engine skeleton; the stats half is uniform across protocols.
 // Deployments that need no per-kind queries — runtime.Cluster, the
-// multi-tenant service's ingest/stats paths, the CLIs' progress output —
+// multi-tenant service's ingest/stats paths, the conformance suite —
 // program against this interface and switch on nothing.
 //
 // Concurrency: FeedLocalBatch is the one concurrent ingest entry point, safe

@@ -1,21 +1,15 @@
 // Package integration_test exercises cross-module scenarios: trackers under
-// the concurrent runtime, trace record/replay determinism, histogram over a
-// live tracker, window trackers over hash-sharded streams, and the harness
-// driving everything end to end.
+// the concurrent runtime, and the harness driving a tracker end to end.
 package integration_test
 
 import (
-	"bytes"
 	"context"
 	"sync"
 	"testing"
 
 	"disttrack/internal/core/allq"
-	"disttrack/internal/core/hh"
 	"disttrack/internal/core/quantile"
-	"disttrack/internal/ext/window"
 	"disttrack/internal/harness"
-	"disttrack/internal/histogram"
 	"disttrack/internal/oracle"
 	"disttrack/internal/runtime"
 	"disttrack/internal/stream"
@@ -104,126 +98,6 @@ func TestQuantileUnderConcurrentRuntime(t *testing.T) {
 			}
 		}
 	})
-}
-
-func harnessHH(k int, eps float64) (*hh.Tracker, error) {
-	return hh.New(hh.Config{K: k, Eps: eps})
-}
-
-func TestTraceReplayIsByteIdentical(t *testing.T) {
-	// Record a run, replay it, and require identical cost and answers.
-	evs := stream.Events(stream.Zipf(10000, 20000, 1.3, 301), stream.RandomAssign(8, 302))
-	var buf bytes.Buffer
-	if err := stream.WriteEvents(&buf, evs); err != nil {
-		t.Fatal(err)
-	}
-	run := func(evs []stream.Event) (int64, []uint64) {
-		tr, err := harnessHH(8, 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ev := range evs {
-			tr.Feed(ev.Site, ev.Item)
-		}
-		return tr.Meter().Total().Words, tr.HeavyHitters(0.1)
-	}
-	w1, hh1 := run(evs)
-	back, err := stream.ReadEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, hh2 := run(back)
-	if w1 != w2 {
-		t.Fatalf("replay cost %d != original %d", w2, w1)
-	}
-	if len(hh1) != len(hh2) {
-		t.Fatalf("replay answers differ: %v vs %v", hh1, hh2)
-	}
-	for i := range hh1 {
-		if hh1[i] != hh2[i] {
-			t.Fatalf("replay answers differ: %v vs %v", hh1, hh2)
-		}
-	}
-}
-
-func TestHistogramTracksLiveDistributionChange(t *testing.T) {
-	tr, err := allq.New(allq.Config{K: 4, Eps: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := stream.Perturb(stream.Uniform(1000, 30000, 303))
-	for i := 0; ; i++ {
-		x, ok := g.Next()
-		if !ok {
-			break
-		}
-		tr.Feed(i%4, x)
-	}
-	h1 := histogram.Build(tr, 8)
-	// Shift all mass two orders of magnitude up.
-	g = stream.Perturb(&offset{g: stream.Uniform(1000, 90000, 304), off: 1 << 30})
-	for i := 0; ; i++ {
-		x, ok := g.Next()
-		if !ok {
-			break
-		}
-		tr.Feed(i%4, x)
-	}
-	h2 := histogram.Build(tr, 8)
-	if h2.Buckets[4].Lo <= h1.Buckets[4].Lo {
-		t.Fatal("histogram did not follow the distribution shift")
-	}
-	if h2.MaxSkew() > 0.6 {
-		t.Fatalf("post-shift histogram skew %.3f", h2.MaxSkew())
-	}
-}
-
-type offset struct {
-	g   stream.Generator
-	off uint64
-}
-
-func (o *offset) Next() (uint64, bool) {
-	x, ok := o.g.Next()
-	return x + o.off, ok
-}
-
-func TestWindowOverHashShardedStream(t *testing.T) {
-	// Hash sharding sends all occurrences of a value to one site — the
-	// realistic ingest pattern; window eviction must still work.
-	const k = 8
-	tr, err := window.NewHH(window.Config{K: k, Eps: 0.1, Window: 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assign := stream.ByHash(k)
-	feed := func(hot uint64, n int, seed int64) {
-		g := stream.Uniform(100000, int64(n), seed)
-		for i := 0; ; i++ {
-			x, ok := g.Next()
-			if !ok {
-				return
-			}
-			tr.Feed(assign.Site(0, x), x)
-			tr.Feed(assign.Site(0, hot), hot)
-		}
-	}
-	feed(11, 8000, 305)
-	found := false
-	for _, x := range tr.HeavyHitters(0.3) {
-		if x == 11 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("hot item missing from window")
-	}
-	feed(22, 30000, 306)
-	for _, x := range tr.HeavyHitters(0.3) {
-		if x == 11 {
-			t.Fatal("stale hot item still reported after the window slid")
-		}
-	}
 }
 
 func TestHarnessTraceableSpecReproduces(t *testing.T) {

@@ -12,9 +12,8 @@ import (
 // concurrent producers submit mixed-tenant record batches, Ingest groups them
 // and delivers each tenant's groups under its gate, and each tenant's cluster
 // ingests through the site-local fast path. This is the standalone trackd
-// hot path (HTTP decoding excluded); BENCH_PR*.json record it under its old
-// name, BenchmarkIngest. Four tenants rotate record by record, so
-// every group holds several values.
+// hot path (HTTP decoding excluded). Four tenants rotate record by record,
+// so every group holds several values.
 func BenchmarkIngest(b *testing.B) {
 	const tenants, sites, batchLen, producers = 4, 8, 256, 4
 	names := []string{"alpha", "beta", "gamma", "delta"}

@@ -12,8 +12,8 @@ import (
 // for each of the three tracker kinds. Everything above HTTP decoding runs:
 // grouping, per-tenant admission, the engine's batched fast path
 // and (coalesced) slow path, and the version-keyed query caches. The rng
-// seed is pinned so runs are comparable within a session (make
-// bench-compare); ns/item is the headline metric.
+// seed is pinned so runs are comparable within a session (compare medians
+// over -count runs); ns/item is the headline metric.
 func BenchmarkServiceMacro(b *testing.B) {
 	const (
 		sites    = 8

@@ -28,24 +28,6 @@ type Assigner interface {
 	Site(i int, item Item) int
 }
 
-// Event is one arrival: an item observed at a site.
-type Event struct {
-	Site int
-	Item Item
-}
-
-// Events drains gen through assign and returns the arrival sequence.
-func Events(gen Generator, assign Assigner) []Event {
-	var evs []Event
-	for i := 0; ; i++ {
-		x, ok := gen.Next()
-		if !ok {
-			return evs
-		}
-		evs = append(evs, Event{Site: assign.Site(i, x), Item: x})
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Generators
 // ---------------------------------------------------------------------------

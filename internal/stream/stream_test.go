@@ -232,16 +232,6 @@ func TestByHashStable(t *testing.T) {
 	}
 }
 
-func TestEvents(t *testing.T) {
-	evs := Events(FromSlice([]Item{10, 20, 30}), RoundRobin(2))
-	if len(evs) != 3 {
-		t.Fatalf("len=%d", len(evs))
-	}
-	if evs[0] != (Event{0, 10}) || evs[1] != (Event{1, 20}) || evs[2] != (Event{0, 30}) {
-		t.Fatalf("events %v", evs)
-	}
-}
-
 func TestGeneratorPanics(t *testing.T) {
 	cases := []func(){
 		func() { Uniform(0, 5, 1) },

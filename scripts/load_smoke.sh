@@ -55,19 +55,27 @@ echo "== starting site"
 site_pid=$!
 wait_http "http://$SITE_HTTP/healthz"
 
+# run_loadgen NAME ARGS...: run loadgen with its output in $workdir/NAME.out,
+# fail on its own exit status (printing the output first), then require the
+# exactly-once fence and a nonzero "sent N records" summary line.
+run_loadgen() {
+    out="$workdir/$1.out"
+    shift
+    "$workdir/loadgen" "$@" >"$out" 2>&1 || {
+        cat "$out"; echo "loadgen exited nonzero" >&2; exit 1; }
+    cat "$out"
+    grep -q 'exactly-once check ok' "$out"
+    grep -Eq '^  sent +[1-9][0-9]* records' "$out" || {
+        echo "loadgen sent no records" >&2; exit 1; }
+}
+
 echo "== loadgen over HTTP (coordinator ingest API)"
-"$workdir/loadgen" -url "http://$COORD_HTTP" -mode http -tenant lg-http \
-    -conns 2 -batch 128 -duration 2s -check-total -bench | tee "$workdir/http.out"
-grep -q 'exactly-once check ok' "$workdir/http.out"
-grep -Eq '^BenchmarkLoadgen/mode=http 	[1-9]' "$workdir/http.out" || {
-    echo "loadgen http sent no records" >&2; exit 1; }
+run_loadgen http -url "http://$COORD_HTTP" -mode http -tenant lg-http \
+    -conns 2 -batch 128 -duration 2s -check-total
 
 echo "== loadgen over TCP (site-node delta frames)"
-"$workdir/loadgen" -url "http://$COORD_HTTP" -mode tcp -tcp "$COORD_INGEST" -tenant lg-tcp \
-    -conns 2 -batch 128 -duration 2s -check-total -bench | tee "$workdir/tcp.out"
-grep -q 'exactly-once check ok' "$workdir/tcp.out"
-grep -Eq '^BenchmarkLoadgen/mode=tcp 	[1-9]' "$workdir/tcp.out" || {
-    echo "loadgen tcp sent no records" >&2; exit 1; }
+run_loadgen tcp -url "http://$COORD_HTTP" -mode tcp -tcp "$COORD_INGEST" -tenant lg-tcp \
+    -conns 2 -batch 128 -duration 2s -check-total
 
 echo "== ETag conditional GET round-trip"
 curl -fsS -D "$workdir/heavy.hdrs" -o /dev/null "http://$COORD_HTTP/v1/tenants/lg-http/heavy?phi=0.2"
