@@ -120,7 +120,8 @@ load-smoke:
 # Short fuzz pass over the wire-protocol and durability decoders — every
 # byte format that crosses a trust boundary (network frames, WAL records,
 # checkpoint frames, snapshot encodings, POST /v1/ingest bodies) — and over
-# the exact site store against a sorted-slice reference.
+# the exact site store against a sorted-slice reference and the hh slot table
+# against a map.
 fuzz-smoke:
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s
 	$(GO) test ./internal/remote/ -run '^$$' -fuzz FuzzReadTFrame -fuzztime 10s
@@ -129,6 +130,7 @@ fuzz-smoke:
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz FuzzCursorTable -fuzztime 10s
 	$(GO) test ./internal/core/hh/ -run '^$$' -fuzz FuzzRestore -fuzztime 10s
+	$(GO) test ./internal/core/hh/ -run '^$$' -fuzz FuzzSlotTable -fuzztime 10s
 	$(GO) test ./internal/core/quantile/ -run '^$$' -fuzz FuzzRestore -fuzztime 10s
 	$(GO) test ./internal/core/allq/ -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 10s
 	$(GO) test ./internal/core/allq/ -run '^$$' -fuzz FuzzRestore -fuzztime 10s

@@ -67,7 +67,7 @@ import (
 type Policy interface {
 	// ApplyBoot records one bootstrap arrival in site j's local store.
 	// During bootstrap every arrival is forwarded to the coordinator, so no
-	// delta accounting happens here; the engine escalates unconditionally.
+	// threshold is checked here; the engine escalates unconditionally.
 	ApplyBoot(site int, x uint64)
 
 	// ApplyLocal records one arrival in site j's local state — the store
@@ -456,10 +456,12 @@ func (e *Engine) coalesce(siteID int, xs []uint64, i int, esc []int) (int, []int
 // excludes every site's fast path for its duration.
 //
 // An arrival that straddles the bootstrap→tracking transition (the fast path
-// saw boot, another site's escalation ended it first) contributes to the
-// site-local stores immediately and to the delta accounting not at all; it
-// is absorbed by the protocol's next exact collection, costing at most one
-// word of staleness per site, once — within every invariant's slack.
+// saw boot, another site's escalation ended it first) reaches OnEscalate
+// instead of OnBootEscalate and is never forwarded. core/hh keeps such an
+// arrival in the site's pending deltas from ApplyBoot on, so its next report
+// carries it; core/quantile and core/allq absorb it at their next exact
+// collection, costing at most one word of staleness per site, once — within
+// every invariant's slack.
 func (e *Engine) escalate(siteID int, x uint64) {
 	m := e.met
 	e.escMu.Lock()

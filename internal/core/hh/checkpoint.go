@@ -29,8 +29,9 @@ func (p *policy) EncodeState(enc *ckpt.Encoder) {
 		enc.I64(s.dm)
 		switch p.cfg.Mode {
 		case ModeExact:
-			enc.MapU64I64(s.local)
-			enc.MapU64I64(s.dx)
+			slots := s.tab.sorted()
+			encodeColumn(enc, slots, func(sl slot) int64 { return sl.local })
+			encodeColumn(enc, slots, func(sl slot) int64 { return sl.dx })
 		case ModeSketch:
 			encodeSS(enc, s.ss.State())
 			enc.MapU64I64(s.lastRep)
@@ -56,8 +57,12 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 		s.dm = dec.I64()
 		switch p.cfg.Mode {
 		case ModeExact:
-			s.local = dec.MapU64I64()
-			s.dx = dec.MapU64I64()
+			for x, c := range dec.MapU64I64() {
+				s.tab.get(x).local = c
+			}
+			for x, d := range dec.MapU64I64() {
+				s.tab.get(x).dx = d
+			}
 		case ModeSketch:
 			st, err := decodeSS(dec)
 			if err != nil {
@@ -83,6 +88,25 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 		}
 	}
 	return dec.Err()
+}
+
+// encodeColumn writes one counter of the key-sorted slots as
+// ckpt.Encoder.MapU64I64 writes a map — nonzero values only, ascending
+// keys — so DecodeState reads it back with Decoder.MapU64I64.
+func encodeColumn(enc *ckpt.Encoder, slots []slot, col func(slot) int64) {
+	n := 0
+	for _, sl := range slots {
+		if col(sl) != 0 {
+			n++
+		}
+	}
+	enc.U32(uint32(n))
+	for _, sl := range slots {
+		if v := col(sl); v != 0 {
+			enc.U64(sl.key)
+			enc.I64(v)
+		}
+	}
 }
 
 func encodeSS(enc *ckpt.Encoder, st spacesaving.State) {

@@ -4,15 +4,23 @@
 //
 // # Protocol
 //
-// Each site S_j keeps S_j.m — its last-synchronized value of the global
-// count m — plus counters Δ(m) and Δ(m_x) for the arrivals since it last
+// Each site S_j keeps S_j.m — the global count the coordinator last
+// broadcast — plus counters Δ(m) and Δ(m_x) for the arrivals since it last
 // reported. When either counter reaches the threshold ε·S_j.m/3k the site
 // sends the accumulated increment to the coordinator ("all" messages for
 // Δ(m), "freq" messages for Δ(m_x)). After k "all" signals the coordinator
-// collects the exact global count and broadcasts it, starting a new round;
-// the global count grows by a (1+ε/3) factor per round, so there are
-// O(log n / ε) rounds of k "all" messages each, and no more "freq" than
-// "all" messages — O(k/ε · log n) total.
+// broadcasts its own count C.m, starting a new round. Each "all" report
+// carries exactly the threshold, so a round adds ε·S.m/3 to C.m: the count
+// grows by a (1+ε/3) factor per round, so there are O(log n / ε) rounds of k
+// "all" messages each, and no more "freq" than "all" messages —
+// O(k/ε · log n) total.
+//
+// The paper ends each round by collecting every site's exact count. This
+// implementation does not: every site's unreported Δ(m) stays below its
+// threshold, so C.m already satisfies invariant (3), and the sequence of
+// round-start counts depends only on k, ε and the bootstrap count — never
+// on how arrivals interleave across sites (docs/architecture.md,
+// "Deviations from the paper").
 //
 // The coordinator's estimates satisfy the paper's invariants (2) and (3):
 //
@@ -32,9 +40,10 @@
 // # Modes
 //
 // In ModeExact each site stores its exact local frequencies (O(distinct)
-// space). In ModeSketch each site stores a Space-Saving sketch with error
-// ε/8 (the "implementing with small space" remark), keeping site space at
-// O(1/ε) counters while preserving the guarantees with adjusted constants.
+// space) in a slot table, one slot per item. In ModeSketch each site stores
+// a Space-Saving sketch with error ε/8 (the "implementing with small space"
+// remark), keeping site space at O(1/ε) counters while preserving the
+// guarantees with adjusted constants.
 //
 // # Concurrency
 //
@@ -114,19 +123,20 @@ type policy struct {
 	// Coordinator state, touched only on the slow path.
 	cm         int64            // C.m — underestimate of the global count
 	cmx        map[uint64]int64 // C.m_x — underestimates of global frequencies
-	allSignals int              // "all" messages since the last sync
+	allSignals int              // "all" messages in the current round
 	bootTarget int64
-	rounds     int // completed coordinator syncs (for experiments)
+	rounds     int // completed rounds (for experiments)
 }
 
 // site is the per-site protocol state, guarded by the engine's site locks.
+// Every arrival is counted in dm (and, in exact mode, in its slot's dx) until
+// a report carries it, so C.m + Σ_j Δ_j(m) = m at all times.
 type site struct {
 	m  int64 // S_j.m — global count at last broadcast
 	dm int64 // Δ(m) — arrivals since the last "all" report
 
-	// ModeExact state.
-	local map[uint64]int64 // exact m_{x,j}
-	dx    map[uint64]int64 // Δ(m_x) — unreported per-item increments
+	// ModeExact state: one slot per item, holding m_{x,j} and Δ(m_x).
+	tab slotTable
 
 	// ModeSketch / ModeMGSketch state.
 	ss      *spacesaving.Sketch
@@ -147,21 +157,25 @@ func New(cfg Config) (*Tracker, error) {
 	p.eng = eng
 	p.bootTarget = eng.BootTarget()
 	for j := 0; j < cfg.K; j++ {
-		s := &site{}
-		switch cfg.Mode {
-		case ModeSketch:
-			s.ss = spacesaving.NewEps(cfg.Eps / sketchEpsFraction)
-			s.lastRep = make(map[uint64]int64)
-		case ModeMGSketch:
-			s.mgs = mg.NewEps(cfg.Eps / sketchEpsFraction)
-			s.lastRep = make(map[uint64]int64)
-		default:
-			s.local = make(map[uint64]int64)
-			s.dx = make(map[uint64]int64)
-		}
-		p.sites = append(p.sites, s)
+		p.sites = append(p.sites, p.newSite())
 	}
 	return &Tracker{Engine: eng, p: p}, nil
+}
+
+// newSite returns an empty site with the configured mode's store.
+func (p *policy) newSite() *site {
+	s := &site{}
+	switch p.cfg.Mode {
+	case ModeSketch:
+		s.ss = spacesaving.NewEps(p.cfg.Eps / sketchEpsFraction)
+		s.lastRep = make(map[uint64]int64)
+	case ModeMGSketch:
+		s.mgs = mg.NewEps(p.cfg.Eps / sketchEpsFraction)
+		s.lastRep = make(map[uint64]int64)
+	default:
+		s.tab = newSlotTable()
+	}
+	return s
 }
 
 // threshold returns site s's current reporting threshold ε·S_j.m/3k
@@ -178,17 +192,32 @@ func (p *policy) threshold(s *site) int64 {
 	return thr
 }
 
-// ApplyBoot records one bootstrap arrival in site j's frequency store.
+// ApplyBoot records one bootstrap arrival in site j's frequency store and
+// counts it as pending in the site's deltas until OnBootEscalate forwards
+// it. An arrival that straddles the bootstrap handoff (applied here, but
+// escalated after another site ended the bootstrap) is never forwarded; it
+// stays in the deltas, and the site's next reports carry it.
 func (p *policy) ApplyBoot(siteID int, x uint64) {
-	p.applyStore(p.sites[siteID], x)
+	s := p.sites[siteID]
+	s.dm++
+	switch p.cfg.Mode {
+	case ModeSketch:
+		s.ss.Add(x)
+	case ModeMGSketch:
+		s.mgs.Add(x)
+	default:
+		sl := s.tab.get(x)
+		sl.local++
+		sl.dx++
+	}
 }
 
 // ApplyLocal runs the site-local fast path for one arrival: the store
-// update plus the Δ(m_x)/Δ(m) accounting and threshold checks.
+// update plus the Δ(m_x)/Δ(m) accounting and threshold checks. It is
+// ApplyRun over one item, so the per-item and batched paths cannot drift.
 func (p *policy) ApplyLocal(siteID int, x uint64) (escalate bool) {
-	s := p.sites[siteID]
-	p.applyStore(s, x)
-	return p.bumpDeltas(s, x, p.threshold(s))
+	_, escalate = p.ApplyRun(siteID, []uint64{x})
+	return escalate
 }
 
 // ApplyRun applies the fast path to a prefix of xs with the threshold
@@ -197,70 +226,57 @@ func (p *policy) ApplyLocal(siteID int, x uint64) (escalate bool) {
 func (p *policy) ApplyRun(siteID int, xs []uint64) (consumed int, crossed bool) {
 	s := p.sites[siteID]
 	thr := p.threshold(s)
-	consumed = len(xs)
+	if p.cfg.Mode == ModeExact {
+		// One slot probe per arrival; Δ(m) stays in a register for the run.
+		dm := s.dm
+		for i, x := range xs {
+			sl := s.tab.get(x)
+			sl.local++
+			sl.dx++
+			dm++
+			if sl.dx >= thr || dm >= thr {
+				s.dm = dm
+				return i + 1, true
+			}
+		}
+		s.dm = dm
+		return len(xs), false
+	}
 	for i, x := range xs {
-		p.applyStore(s, x)
-		if p.bumpDeltas(s, x, thr) {
+		var d int64
+		if p.cfg.Mode == ModeSketch {
+			s.ss.Add(x)
+			d = s.ss.Est(x) - s.lastRep[x]
+		} else {
+			s.mgs.Add(x)
+			d = s.mgs.Est(x) - s.lastRep[x]
+		}
+		s.dm++
+		if d >= thr || s.dm >= thr {
 			return i + 1, true
 		}
 	}
-	return consumed, false
-}
-
-// applyStore records one arrival of x in site s's frequency store.
-func (p *policy) applyStore(s *site, x uint64) {
-	switch p.cfg.Mode {
-	case ModeSketch:
-		s.ss.Add(x)
-	case ModeMGSketch:
-		s.mgs.Add(x)
-	default:
-		s.local[x]++
-	}
-}
-
-// bumpDeltas applies one arrival's Δ(m_x) and Δ(m) accounting and reports
-// whether a reporting threshold was reached; thr is the site's current
-// threshold, constant while the site lock is held. Shared by the per-item
-// and batched fast paths so their semantics cannot drift.
-func (p *policy) bumpDeltas(s *site, x uint64, thr int64) (escalate bool) {
-	// Per-item increment Δ(m_x).
-	switch p.cfg.Mode {
-	case ModeExact:
-		s.dx[x]++
-		escalate = s.dx[x] >= thr
-	case ModeSketch:
-		escalate = s.ss.Est(x)-s.lastRep[x] >= thr
-	case ModeMGSketch:
-		escalate = s.mgs.Est(x)-s.lastRep[x] >= thr
-	}
-
-	// Total increment Δ(m).
-	s.dm++
-	return escalate || s.dm >= thr
+	return len(xs), false
 }
 
 // OnEscalate re-checks the reporting thresholds under the protocol lock and
 // runs the (rare) communication cascade — delta reports, "all" signals,
-// round syncs — with all wire.Meter accounting.
+// round changes — with all wire.Meter accounting.
 func (p *policy) OnEscalate(siteID int, x uint64) {
 	s := p.sites[siteID]
-	meter := p.eng.Meter()
 	thr := p.threshold(s)
 
 	// Per-item report Δ(m_x).
 	switch p.cfg.Mode {
 	case ModeExact:
-		if s.dx[x] >= thr {
-			meter.Up(siteID, "freq", 2)
-			p.cmx[x] += s.dx[x]
-			delete(s.dx, x)
+		if sl := s.tab.find(x); sl != nil && sl.dx >= thr {
+			p.reportFreq(siteID, x, sl.dx)
+			sl.dx = 0
 		}
 	case ModeSketch:
 		est := s.ss.Est(x)
 		if d := est - s.lastRep[x]; d >= thr {
-			meter.Up(siteID, "freq", 2)
-			p.cmx[x] += d
+			p.reportFreq(siteID, x, d)
 			s.lastRep[x] = est
 		}
 	case ModeMGSketch:
@@ -268,27 +284,43 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 		// reporting (d < thr); reported deltas stay valid lower bounds.
 		est := s.mgs.Est(x)
 		if d := est - s.lastRep[x]; d >= thr {
-			meter.Up(siteID, "freq", 2)
-			p.cmx[x] += d
+			p.reportFreq(siteID, x, d)
 			s.lastRep[x] = est
 		}
 	}
 
 	// Total report Δ(m).
 	if s.dm >= thr {
-		meter.Up(siteID, "all", 1)
-		p.cm += s.dm
-		s.dm = 0
+		p.reportAll(siteID)
 		p.allSignals++
 		if p.allSignals >= p.cfg.K {
-			p.sync()
+			p.newRound()
 		}
 	}
 }
 
-// OnBootEscalate forwards one bootstrap arrival; the bootstrap ends once
-// the coordinator holds k/ε items.
-func (p *policy) OnBootEscalate(_ int, x uint64) (done bool) {
+// reportFreq sends site j's unreported increment d of item x ("freq").
+func (p *policy) reportFreq(j int, x uint64, d int64) {
+	p.eng.Meter().Up(j, "freq", 2)
+	p.cmx[x] += d
+}
+
+// reportAll sends site j's unreported Δ(m) ("all").
+func (p *policy) reportAll(j int) {
+	s := p.sites[j]
+	p.eng.Meter().Up(j, "all", 1)
+	p.cm += s.dm
+	s.dm = 0
+}
+
+// OnBootEscalate forwards one bootstrap arrival, taking it out of the site's
+// pending deltas; the bootstrap ends once the coordinator holds k/ε items.
+func (p *policy) OnBootEscalate(siteID int, x uint64) (done bool) {
+	s := p.sites[siteID]
+	s.dm--
+	if p.cfg.Mode == ModeExact {
+		s.tab.find(x).dx--
+	}
 	p.cm++
 	p.cmx[x]++
 	return p.cm >= p.bootTarget
@@ -298,7 +330,7 @@ func (p *policy) OnBootEscalate(_ int, x uint64) (done bool) {
 // baselines the sketch reporting marks: everything so far was reported
 // exactly, so deltas start from here.
 func (p *policy) OnBootDone() {
-	p.broadcastM(p.cm)
+	p.broadcastM()
 	switch p.cfg.Mode {
 	case ModeSketch:
 		for _, st := range p.sites {
@@ -315,104 +347,112 @@ func (p *policy) OnBootDone() {
 	}
 }
 
-// sync runs the coordinator's round refresh: collect the exact global count
-// from every site and broadcast it.
-func (p *policy) sync() {
-	meter := p.eng.Meter()
-	var m int64
-	for j := range p.sites {
-		meter.Down(j, "sync", 1) // request
-		meter.Up(j, "sync", 1)   // exact local count
-		m += p.eng.SiteCount(j)
-	}
-	// The collected count also covers each site's unreported Δ(m).
-	for _, s := range p.sites {
-		s.dm = 0
-	}
-	p.broadcastM(m)
+// newRound starts the next round: the coordinator broadcasts its own C.m,
+// with no exact collect — each site's unreported Δ(m) is below its
+// threshold, so C.m is already within εm/3 of m, and the sites keep their
+// Δ(m) for their next report.
+func (p *policy) newRound() {
+	p.broadcastM()
 	p.allSignals = 0
 	p.rounds++
 }
 
-func (p *policy) broadcastM(m int64) {
-	p.cm = m
+// broadcastM sends C.m to every site, which adopts it as S_j.m.
+func (p *policy) broadcastM() {
 	p.eng.Meter().Broadcast("newm", 1, p.cfg.K)
 	for _, s := range p.sites {
-		s.m = m
-		s.dm = 0
+		s.m = p.cm
+	}
+}
+
+// flushItems reports every item whose unreported increment at site j is at
+// least thr.
+func (p *policy) flushItems(j int, thr int64) {
+	s := p.sites[j]
+	switch p.cfg.Mode {
+	case ModeExact:
+		for sl := range s.tab.all {
+			if sl.dx >= thr {
+				p.reportFreq(j, sl.key, sl.dx)
+				sl.dx = 0
+			}
+		}
+	case ModeSketch:
+		for _, e := range s.ss.Top() {
+			if d := e.Count - s.lastRep[e.Item]; d >= thr {
+				p.reportFreq(j, e.Item, d)
+				s.lastRep[e.Item] = e.Count
+			}
+		}
+	case ModeMGSketch:
+		for _, e := range s.mgs.Top() {
+			if d := e.Count - s.lastRep[e.Item]; d >= thr {
+				p.reportFreq(j, e.Item, d)
+				s.lastRep[e.Item] = e.Count
+			}
+		}
 	}
 }
 
 // OnReconfigure implements engine.ReconfigurePolicy: resize the per-site
 // protocol state to newK sites and restart the round — the §2.1 thresholds
-// ε·S_j.m/3k depend on k, so a membership change forces a fresh sync and
-// broadcast (the paper's protocols restart their round on reconfiguration).
-// Runs under the quiescent lock set, after the engine has folded the removed
-// sites' arrival counts into site 0.
+// ε·S_j.m/3k depend on k, so a membership change forces a fresh broadcast
+// (the paper's protocols restart their round on reconfiguration). Runs under
+// the quiescent lock set, after the engine has folded the removed sites'
+// arrival counts into site 0.
+//
+// The restart is exact: every site, departing or staying, reports its
+// unreported Δ(m), so the new round starts from C.m = m. Departing sites also
+// flush every unreported Δ(m_x). Growth lowers the threshold, so surviving
+// sites then report any Δ(m_x) at or above the new one, and every pending
+// delta is again below its site's threshold, as invariant (2) needs.
 func (p *policy) OnReconfigure(oldK, newK int) {
-	meter := p.eng.Meter()
+	tracking := !p.eng.Bootstrapping()
+	// Departing sites flush their unreported per-item deltas so the
+	// coordinator's underestimates keep covering everything an exact-mode
+	// site counted. Sketch-mode residual error below the last report is
+	// abandoned with the sketch — bounded by the sketch slice of the ε
+	// budget, exactly as if the site had simply stopped receiving arrivals.
+	for j := newK; j < oldK; j++ {
+		p.flushItems(j, 1)
+		if p.cfg.Mode == ModeExact {
+			// Hand the exact store to site 0, mirroring the engine's count
+			// fold so SiteSpace and checkpoints stay coherent.
+			s0, handed := p.sites[0], 0
+			for sl := range p.sites[j].tab.all {
+				if sl.local != 0 {
+					s0.tab.get(sl.key).local += sl.local
+					handed++
+				}
+			}
+			p.eng.Meter().Up(j, "handoff", handed)
+		}
+	}
+	if tracking {
+		// During bootstrap Δ(m) holds only arrivals whose forward is still
+		// in flight; OnBootEscalate takes them out.
+		for j, s := range p.sites {
+			if s.dm != 0 {
+				p.reportAll(j)
+			}
+		}
+	}
 	if newK < oldK {
-		// Departing sites flush their unreported per-item deltas so the
-		// coordinator's underestimates keep covering everything an
-		// exact-mode site counted. Sketch-mode residual error below the
-		// last report is abandoned with the sketch — bounded by the sketch
-		// slice of the ε budget, exactly as if the site had simply stopped
-		// receiving arrivals.
-		for j := newK; j < oldK; j++ {
-			s := p.sites[j]
-			switch p.cfg.Mode {
-			case ModeExact:
-				for x, d := range s.dx {
-					if d > 0 {
-						meter.Up(j, "freq", 2)
-						p.cmx[x] += d
-					}
-				}
-				// Hand the exact store to site 0, mirroring the engine's
-				// count fold so SiteSpace and checkpoints stay coherent.
-				s0 := p.sites[0]
-				for x, c := range s.local {
-					s0.local[x] += c
-				}
-				meter.Up(j, "handoff", len(s.local))
-			case ModeSketch:
-				for _, e := range s.ss.Top() {
-					if d := e.Count - s.lastRep[e.Item]; d > 0 {
-						meter.Up(j, "freq", 2)
-						p.cmx[e.Item] += d
-					}
-				}
-			case ModeMGSketch:
-				for _, e := range s.mgs.Top() {
-					if d := e.Count - s.lastRep[e.Item]; d > 0 {
-						meter.Up(j, "freq", 2)
-						p.cmx[e.Item] += d
-					}
-				}
-			}
-		}
 		p.sites = p.sites[:newK]
-	} else {
-		for j := oldK; j < newK; j++ {
-			s := &site{}
-			switch p.cfg.Mode {
-			case ModeSketch:
-				s.ss = spacesaving.NewEps(p.cfg.Eps / sketchEpsFraction)
-				s.lastRep = make(map[uint64]int64)
-			case ModeMGSketch:
-				s.mgs = mg.NewEps(p.cfg.Eps / sketchEpsFraction)
-				s.lastRep = make(map[uint64]int64)
-			default:
-				s.local = make(map[uint64]int64)
-				s.dx = make(map[uint64]int64)
-			}
-			p.sites = append(p.sites, s)
-		}
+	}
+	for j := oldK; j < newK; j++ {
+		p.sites = append(p.sites, p.newSite())
 	}
 	p.cfg.K = newK
 	p.bootTarget = p.eng.BootTarget()
-	if !p.eng.Bootstrapping() {
-		p.sync()
+	if !tracking {
+		return
+	}
+	p.newRound()
+	if newK > oldK {
+		for j := 0; j < oldK; j++ {
+			p.flushItems(j, p.threshold(p.sites[j]))
+		}
 	}
 }
 
@@ -475,12 +515,14 @@ func (t *Tracker) EstFrequency(x uint64) int64 { return t.p.cmx[x] }
 // EstTotal returns the coordinator's estimate C.m.
 func (t *Tracker) EstTotal() int64 { return t.p.cm }
 
-// Rounds returns the number of completed coordinator syncs.
+// Rounds returns the number of completed rounds (broadcasts after the
+// bootstrap's).
 func (t *Tracker) Rounds() int { return t.p.rounds }
 
-// SiteSpace returns the number of state entries held at site j — frequency
-// counters plus pending deltas in exact mode, sketch counters plus reporting
-// marks in sketch mode. Used by the space experiments (E9).
+// SiteSpace returns the number of state entries held at site j — nonzero
+// frequency counters plus nonzero pending deltas in exact mode, sketch
+// counters plus reporting marks in sketch mode. Used by the space
+// experiments (E9).
 func (t *Tracker) SiteSpace(j int) int {
 	s := t.p.sites[j]
 	switch t.p.cfg.Mode {
@@ -489,7 +531,7 @@ func (t *Tracker) SiteSpace(j int) int {
 	case ModeMGSketch:
 		return s.mgs.Space() + len(s.lastRep)
 	default:
-		return len(s.local) + len(s.dx)
+		return s.tab.space()
 	}
 }
 
@@ -510,7 +552,9 @@ func (t *Tracker) ItemThreshold(j int, x uint64) int64 {
 	case ModeMGSketch:
 		dx = s.mgs.Est(x) - s.lastRep[x]
 	default:
-		dx = s.dx[x]
+		if sl := s.tab.find(x); sl != nil {
+			dx = sl.dx
+		}
 	}
 	remItem := thr - dx
 	remAll := thr - s.dm

@@ -100,6 +100,30 @@ func TestContractShiftingDistribution(t *testing.T) {
 	runContractTest(t, ModeExact, 8, 0.05, 0.3, gen, stream.RoundRobin(8))
 }
 
+// checkInvariants asserts the paper's invariants (3) and (2) for an
+// exact-mode tracker that has seen n arrivals with frequencies truth:
+// m − εm/3 < C.m ≤ m, and m_x − εm/3 < C.m_x ≤ m_x for every seen item.
+func checkInvariants(t *testing.T, tr *Tracker, truth map[uint64]int64, n int64, step int) {
+	t.Helper()
+	slack := tr.Eps() * float64(n) / 3
+	cm := tr.EstTotal()
+	if cm > n {
+		t.Fatalf("step %d: C.m=%d exceeds m=%d", step, cm, n)
+	}
+	if float64(n-cm) >= slack {
+		t.Fatalf("step %d: C.m=%d lags m=%d beyond εm/3", step, cm, n)
+	}
+	for x, mx := range truth {
+		cmx := tr.EstFrequency(x)
+		if cmx > mx {
+			t.Fatalf("step %d: C.m_%d=%d exceeds true %d (exact mode)", step, x, cmx, mx)
+		}
+		if float64(mx-cmx) >= slack {
+			t.Fatalf("step %d: C.m_%d=%d lags true %d beyond εm/3", step, x, cmx, mx)
+		}
+	}
+}
+
 func TestInvariants2And3(t *testing.T) {
 	const k, eps = 8, 0.05
 	tr, _ := New(Config{K: k, Eps: eps})
@@ -114,26 +138,11 @@ func TestInvariants2And3(t *testing.T) {
 		tr.Feed(i%k, x)
 		truth[x]++
 		n++
-		// Invariant (3): m − εm/3 < C.m ≤ m.
-		cm := tr.EstTotal()
-		if cm > n {
-			t.Fatalf("step %d: C.m=%d exceeds m=%d", i, cm, n)
-		}
-		if float64(n-cm) >= eps*float64(n)/3 {
-			t.Fatalf("step %d: C.m=%d lags m=%d beyond εm/3", i, cm, n)
-		}
+		var items map[uint64]int64 // invariant (3) on every arrival, (2) every 211th
 		if i%211 == 0 {
-			// Invariant (2) for every seen item: m_x − εm/3 < C.m_x ≤ m_x.
-			for x, mx := range truth {
-				cmx := tr.EstFrequency(x)
-				if cmx > mx {
-					t.Fatalf("step %d: C.m_%d=%d exceeds true %d (exact mode)", i, x, cmx, mx)
-				}
-				if float64(mx-cmx) >= eps*float64(n)/3 {
-					t.Fatalf("step %d: C.m_%d=%d lags true %d beyond εm/3", i, x, cmx, mx)
-				}
-			}
+			items = truth
 		}
+		checkInvariants(t, tr, items, n, i)
 	}
 }
 

@@ -2,6 +2,12 @@
 // coordinator daemon and k site agents speaking a small length-prefixed
 // binary protocol over TCP (stdlib net only).
 //
+// This plane keeps the paper's end-of-round collect: after k "all" signals
+// the coordinator requests every site's exact count (TypeSyncReq /
+// TypeSyncResp) and broadcasts their sum. Package core/hh does not: its
+// rounds broadcast the coordinator's own C.m (docs/architecture.md,
+// "Deviations from the paper"), so the two planes' word counts differ.
+//
 // Unlike the in-process simulator (package core/hh), communication here is
 // not instant: "all" signals, sync collections and threshold broadcasts
 // race with ongoing arrivals. The protocol tolerates this with epochs:
