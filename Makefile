@@ -120,8 +120,8 @@ load-smoke:
 # Short fuzz pass over the wire-protocol and durability decoders — every
 # byte format that crosses a trust boundary (network frames, WAL records,
 # checkpoint frames, snapshot encodings, POST /v1/ingest bodies) — and over
-# the exact site store against a sorted-slice reference and the hh slot table
-# against a map.
+# the exact site store against a sorted-slice reference and the slot table
+# (hh's counters and the perturbation counters) against a map.
 fuzz-smoke:
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s
 	$(GO) test ./internal/remote/ -run '^$$' -fuzz FuzzReadTFrame -fuzztime 10s
@@ -130,11 +130,11 @@ fuzz-smoke:
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz FuzzCursorTable -fuzztime 10s
 	$(GO) test ./internal/core/hh/ -run '^$$' -fuzz FuzzRestore -fuzztime 10s
-	$(GO) test ./internal/core/hh/ -run '^$$' -fuzz FuzzSlotTable -fuzztime 10s
 	$(GO) test ./internal/core/quantile/ -run '^$$' -fuzz FuzzRestore -fuzztime 10s
 	$(GO) test ./internal/core/allq/ -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 10s
 	$(GO) test ./internal/core/allq/ -run '^$$' -fuzz FuzzRestore -fuzztime 10s
 	$(GO) test ./internal/sitestore/ -run '^$$' -fuzz FuzzExactStore -fuzztime 10s
+	$(GO) test ./internal/slots/ -run '^$$' -fuzz FuzzSlotTable -fuzztime 10s
 
 # Optional: require the tools only when the target is invoked.
 staticcheck:

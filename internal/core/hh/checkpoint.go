@@ -5,6 +5,7 @@ import (
 
 	"disttrack/internal/ckpt"
 	"disttrack/internal/core/engine"
+	"disttrack/internal/slots"
 	"disttrack/internal/summary/mg"
 	"disttrack/internal/summary/spacesaving"
 )
@@ -29,9 +30,9 @@ func (p *policy) EncodeState(enc *ckpt.Encoder) {
 		enc.I64(s.dm)
 		switch p.cfg.Mode {
 		case ModeExact:
-			slots := s.tab.sorted()
-			encodeColumn(enc, slots, func(sl slot) int64 { return sl.local })
-			encodeColumn(enc, slots, func(sl slot) int64 { return sl.dx })
+			sorted := s.tab.Sorted()
+			encodeColumn(enc, sorted, func(c counts) int64 { return c.local })
+			encodeColumn(enc, sorted, func(c counts) int64 { return c.dx })
 		case ModeSketch:
 			encodeSS(enc, s.ss.State())
 			enc.MapU64I64(s.lastRep)
@@ -58,10 +59,10 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 		switch p.cfg.Mode {
 		case ModeExact:
 			for x, c := range dec.MapU64I64() {
-				s.tab.get(x).local = c
+				s.tab.Get(x).Val.local = c
 			}
 			for x, d := range dec.MapU64I64() {
-				s.tab.get(x).dx = d
+				s.tab.Get(x).Val.dx = d
 			}
 		case ModeSketch:
 			st, err := decodeSS(dec)
@@ -93,17 +94,17 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 // encodeColumn writes one counter of the key-sorted slots as
 // ckpt.Encoder.MapU64I64 writes a map — nonzero values only, ascending
 // keys — so DecodeState reads it back with Decoder.MapU64I64.
-func encodeColumn(enc *ckpt.Encoder, slots []slot, col func(slot) int64) {
+func encodeColumn(enc *ckpt.Encoder, sorted []slots.Slot[counts], col func(counts) int64) {
 	n := 0
-	for _, sl := range slots {
-		if col(sl) != 0 {
+	for _, sl := range sorted {
+		if col(sl.Val) != 0 {
 			n++
 		}
 	}
 	enc.U32(uint32(n))
-	for _, sl := range slots {
-		if v := col(sl); v != 0 {
-			enc.U64(sl.key)
+	for _, sl := range sorted {
+		if v := col(sl.Val); v != 0 {
+			enc.U64(sl.Key)
 			enc.I64(v)
 		}
 	}

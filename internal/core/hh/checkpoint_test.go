@@ -2,9 +2,12 @@ package hh
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"os"
 	"testing"
 
+	"disttrack/internal/ckpt"
+	"disttrack/internal/slots"
 	"disttrack/internal/stream"
 )
 
@@ -71,5 +74,38 @@ func TestRestoreGolden(t *testing.T) {
 	}
 	if tr.Rounds() <= 109 {
 		t.Fatalf("restored tracker never started a round of its own (rounds %d)", tr.Rounds())
+	}
+}
+
+// TestEncodeColumnMatchesMap checks that the slot table's two columns encode
+// as ckpt's MapU64I64 encodes the same counters held in maps: nonzero values
+// only, ascending keys, item 0 included.
+func TestEncodeColumnMatchesMap(t *testing.T) {
+	tab := slots.New[counts]()
+	local, dx := map[uint64]int64{}, map[uint64]int64{}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 2000; i++ {
+		x := rng.Uint64N(300)
+		if i%7 == 0 {
+			x = rng.Uint64()
+		}
+		sl := tab.Get(x)
+		sl.Val.local++
+		sl.Val.dx++
+		local[x]++
+		dx[x]++
+		if i%5 == 0 { // a report
+			sl.Val.dx = 0
+			delete(dx, x)
+		}
+	}
+	var got, want ckpt.Encoder
+	sorted := tab.Sorted()
+	encodeColumn(&got, sorted, func(c counts) int64 { return c.local })
+	encodeColumn(&got, sorted, func(c counts) int64 { return c.dx })
+	want.MapU64I64(local)
+	want.MapU64I64(dx)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("encoded slot table differs from the reference maps' encoding")
 	}
 }

@@ -59,6 +59,7 @@ import (
 	"slices"
 
 	"disttrack/internal/core/engine"
+	"disttrack/internal/slots"
 	"disttrack/internal/summary/mg"
 	"disttrack/internal/summary/spacesaving"
 )
@@ -136,7 +137,7 @@ type site struct {
 	dm int64 // Δ(m) — arrivals since the last "all" report
 
 	// ModeExact state: one slot per item, holding m_{x,j} and Δ(m_x).
-	tab slotTable
+	tab slots.Table[counts]
 
 	// ModeSketch / ModeMGSketch state.
 	ss      *spacesaving.Sketch
@@ -162,6 +163,13 @@ func New(cfg Config) (*Tracker, error) {
 	return &Tracker{Engine: eng, p: p}, nil
 }
 
+// counts is one item's exact-mode state at a site: the local frequency
+// m_{x,j} and the unreported increment Δ(m_x).
+type counts struct {
+	local int64
+	dx    int64
+}
+
 // newSite returns an empty site with the configured mode's store.
 func (p *policy) newSite() *site {
 	s := &site{}
@@ -173,7 +181,7 @@ func (p *policy) newSite() *site {
 		s.mgs = mg.NewEps(p.cfg.Eps / sketchEpsFraction)
 		s.lastRep = make(map[uint64]int64)
 	default:
-		s.tab = newSlotTable()
+		s.tab = slots.New[counts]()
 	}
 	return s
 }
@@ -206,9 +214,9 @@ func (p *policy) ApplyBoot(siteID int, x uint64) {
 	case ModeMGSketch:
 		s.mgs.Add(x)
 	default:
-		sl := s.tab.get(x)
-		sl.local++
-		sl.dx++
+		sl := s.tab.Get(x)
+		sl.Val.local++
+		sl.Val.dx++
 	}
 }
 
@@ -230,11 +238,11 @@ func (p *policy) ApplyRun(siteID int, xs []uint64) (consumed int, crossed bool) 
 		// One slot probe per arrival; Δ(m) stays in a register for the run.
 		dm := s.dm
 		for i, x := range xs {
-			sl := s.tab.get(x)
-			sl.local++
-			sl.dx++
+			sl := s.tab.Get(x)
+			sl.Val.local++
+			sl.Val.dx++
 			dm++
-			if sl.dx >= thr || dm >= thr {
+			if sl.Val.dx >= thr || dm >= thr {
 				s.dm = dm
 				return i + 1, true
 			}
@@ -269,9 +277,9 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 	// Per-item report Δ(m_x).
 	switch p.cfg.Mode {
 	case ModeExact:
-		if sl := s.tab.find(x); sl != nil && sl.dx >= thr {
-			p.reportFreq(siteID, x, sl.dx)
-			sl.dx = 0
+		if sl := s.tab.Find(x); sl != nil && sl.Val.dx >= thr {
+			p.reportFreq(siteID, x, sl.Val.dx)
+			sl.Val.dx = 0
 		}
 	case ModeSketch:
 		est := s.ss.Est(x)
@@ -319,7 +327,7 @@ func (p *policy) OnBootEscalate(siteID int, x uint64) (done bool) {
 	s := p.sites[siteID]
 	s.dm--
 	if p.cfg.Mode == ModeExact {
-		s.tab.find(x).dx--
+		s.tab.Find(x).Val.dx--
 	}
 	p.cm++
 	p.cmx[x]++
@@ -371,10 +379,10 @@ func (p *policy) flushItems(j int, thr int64) {
 	s := p.sites[j]
 	switch p.cfg.Mode {
 	case ModeExact:
-		for sl := range s.tab.all {
-			if sl.dx >= thr {
-				p.reportFreq(j, sl.key, sl.dx)
-				sl.dx = 0
+		for sl := range s.tab.All {
+			if sl.Val.dx >= thr {
+				p.reportFreq(j, sl.Key, sl.Val.dx)
+				sl.Val.dx = 0
 			}
 		}
 	case ModeSketch:
@@ -419,9 +427,9 @@ func (p *policy) OnReconfigure(oldK, newK int) {
 			// Hand the exact store to site 0, mirroring the engine's count
 			// fold so SiteSpace and checkpoints stay coherent.
 			s0, handed := p.sites[0], 0
-			for sl := range p.sites[j].tab.all {
-				if sl.local != 0 {
-					s0.tab.get(sl.key).local += sl.local
+			for sl := range p.sites[j].tab.All {
+				if sl.Val.local != 0 {
+					s0.tab.Get(sl.Key).Val.local += sl.Val.local
 					handed++
 				}
 			}
@@ -531,7 +539,17 @@ func (t *Tracker) SiteSpace(j int) int {
 	case ModeMGSketch:
 		return s.mgs.Space() + len(s.lastRep)
 	default:
-		return s.tab.space()
+		// One entry per counter the checkpoint writes.
+		n := 0
+		for sl := range s.tab.All {
+			if sl.Val.local != 0 {
+				n++
+			}
+			if sl.Val.dx != 0 {
+				n++
+			}
+		}
+		return n
 	}
 }
 
@@ -552,8 +570,8 @@ func (t *Tracker) ItemThreshold(j int, x uint64) int64 {
 	case ModeMGSketch:
 		dx = s.mgs.Est(x) - s.lastRep[x]
 	default:
-		if sl := s.tab.find(x); sl != nil {
-			dx = sl.dx
+		if sl := s.tab.Find(x); sl != nil {
+			dx = sl.Val.dx
 		}
 	}
 	remItem := thr - dx

@@ -61,7 +61,6 @@ package quantile
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"disttrack/internal/core/engine"
 	"disttrack/internal/rank"
@@ -372,8 +371,19 @@ func driftKind(side int) string {
 }
 
 // ivIndex returns the interval index of x: the number of separators <= x.
+// It is an upper-bound binary search written out, with no closure to call
+// per probe: it runs for every arrival that leaves its predecessor's interval.
 func (p *policy) ivIndex(x uint64) int {
-	return sort.Search(len(p.seps), func(i int) bool { return p.seps[i] > x })
+	lo, hi := 0, len(p.seps)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p.seps[m] > x {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }
 
 // maybeRelocate fires the paper's |Δ(L) − Δ(R)| ≥ εm/2 trigger, generalized

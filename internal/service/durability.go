@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"maps"
-	"slices"
 	"sync"
 	"time"
 
@@ -332,8 +330,8 @@ func (t *Tenant) replayBatch(site int, keys []uint64) error {
 		for _, k := range keys {
 			v := k >> stream.PerturbBits
 			low := uint32(k & (1<<stream.PerturbBits - 1))
-			if t.seq[v] <= low {
-				t.seq[v] = low + 1
+			if c := &t.seq.Get(v).Val; *c <= low {
+				*c = low + 1
 			}
 		}
 	}
@@ -352,10 +350,10 @@ func (t *Tenant) encodeDurable() ([]byte, error) {
 		enc.Bool(false)
 	} else {
 		enc.Bool(true)
-		enc.U32(uint32(len(t.seq)))
-		for _, v := range slices.Sorted(maps.Keys(t.seq)) {
-			enc.U64(v)
-			enc.U32(t.seq[v])
+		enc.U32(uint32(t.seq.Len()))
+		for _, sl := range t.seq.Sorted() {
+			enc.U64(sl.Key)
+			enc.U32(sl.Val)
 		}
 	}
 	var buf bytes.Buffer
@@ -390,7 +388,7 @@ func (t *Tenant) restoreDurable(payload []byte) error {
 			if err := dec.Err(); err != nil {
 				return err
 			}
-			t.seq[v] = q
+			t.seq.Get(v).Val = q
 		}
 	}
 	blob := dec.Blob()

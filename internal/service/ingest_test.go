@@ -411,12 +411,12 @@ func TestConcurrentProducersOneTenant(t *testing.T) {
 	}
 	tn.durMu.Lock()
 	defer tn.durMu.Unlock()
-	if len(tn.seq) != values {
-		t.Fatalf("%d distinct values perturbed, want %d", len(tn.seq), values)
+	if tn.seq.Len() != values {
+		t.Fatalf("%d distinct values perturbed, want %d", tn.seq.Len(), values)
 	}
-	for v, n := range tn.seq {
-		if n != accepted/values {
-			t.Errorf("value %d: perturbation counter %d, want %d", v, n, accepted/values)
+	for sl := range tn.seq.All {
+		if sl.Val != accepted/values {
+			t.Errorf("value %d: perturbation counter %d, want %d", sl.Key, sl.Val, accepted/values)
 		}
 	}
 }

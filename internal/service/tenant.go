@@ -17,6 +17,7 @@ import (
 	"disttrack/internal/durable"
 	"disttrack/internal/fault"
 	"disttrack/internal/runtime"
+	"disttrack/internal/slots"
 	"disttrack/internal/stream"
 	"disttrack/internal/wire"
 )
@@ -142,7 +143,7 @@ type queryAdapter struct {
 // Tenant is one named tracker instance: a core tracker wrapped in a
 // runtime.Cluster, plus the service-side perturbation and send bookkeeping.
 // Every delivery to a tenant runs under its gate (durMu), which is what makes
-// the perturbation sequence map single-writer. All kind-independent state
+// the perturbation counters single-writer. All kind-independent state
 // flows through the unified core.Tracker handle; the per-kind query shapes
 // live in qa.
 type Tenant struct {
@@ -171,10 +172,10 @@ type Tenant struct {
 	qa  queryAdapter
 	tm  *tenantMetrics // nil when the owning registry is uninstrumented
 	// seq is the symbolic-perturbation state for quantile/allq tenants:
-	// per-value occurrence counters (see stream.Perturb). The map's entries
-	// are touched only under durMu; the field itself is fixed at construction
-	// (nil = kind not perturbed).
-	seq map[uint64]uint32
+	// per-value occurrence counters (see stream.Perturb), one slot per
+	// distinct value. The table is touched only under durMu; the field itself
+	// is fixed at construction (nil = kind not perturbed).
+	seq *slots.Table[uint32]
 	// limiter is the rate limiter; nil without a rate limit.
 	limiter *fault.Limiter
 	// dur is the tenant's durable state (WAL + checkpoints); nil without a
@@ -295,7 +296,7 @@ func newTenant(tc TenantConfig, siteBuffer int, sm *serverMetrics) (*Tenant, err
 			break
 		}
 		t.tr = tr
-		t.seq = make(map[uint64]uint32)
+		t.seq = newSeqTable()
 		t.qa = queryAdapter{
 			checkQuantile: func(phi float64) error {
 				if slices.Index(phis, phi) < 0 {
@@ -322,7 +323,7 @@ func newTenant(tc TenantConfig, siteBuffer int, sm *serverMetrics) (*Tenant, err
 			break
 		}
 		t.tr = tr
-		t.seq = make(map[uint64]uint32)
+		t.seq = newSeqTable()
 		t.qa = queryAdapter{
 			heavyHitters: func(phi float64) []Entry {
 				total := tr.EstTotal()
@@ -518,6 +519,12 @@ func (t *Tenant) admit(n int) (bool, time.Duration) {
 	return true, 0
 }
 
+// newSeqTable returns an empty table of perturbation counters.
+func newSeqTable() *slots.Table[uint32] {
+	tab := slots.New[uint32]()
+	return &tab
+}
+
 // perturbed reports whether values are symbolically perturbed on ingest.
 func (t *Tenant) perturbed() bool { return t.seq != nil }
 
@@ -527,9 +534,10 @@ func (t *Tenant) perturbed() bool { return t.seq != nil }
 // Ties (the protocol stays safe, the ε guarantee degrades — see package
 // quantile's distinctness note).
 func (t *Tenant) perturb(v uint64) uint64 {
-	s := t.seq[v]
+	c := &t.seq.Get(v).Val
+	s := *c
 	if s+1 < 1<<stream.PerturbBits {
-		t.seq[v] = s + 1
+		*c = s + 1
 	} else {
 		t.ties.Add(1)
 	}

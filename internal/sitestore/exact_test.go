@@ -11,15 +11,15 @@ import (
 	"disttrack/internal/ckpt"
 )
 
-// checkShape asserts the exact store's layout invariants: every run and the
-// tail sorted, run sizes at least halving left to right, the tail under its
-// cap, the item count consistent, and no more than 2x slack in capacity.
+// checkShape asserts the exact store's layout invariants: every run sorted
+// and non-empty, run sizes at least halving left to right, pend under its
+// cap, the item count consistent, and no slack in the runs' capacity.
 func checkShape(t *testing.T, s *exactStore) {
 	t.Helper()
-	sum, capSum := len(s.tail), 0
-	if !slices.IsSorted(s.tail) || len(s.tail) >= tailCap {
-		t.Fatalf("tail unsorted or over cap (len %d)", len(s.tail))
+	if len(s.pend) >= pendCap || cap(s.pend) > pendCap {
+		t.Fatalf("pend holds %d items in capacity %d, cap is %d", len(s.pend), cap(s.pend), pendCap)
 	}
+	sum := len(s.pend)
 	for i, run := range s.runs {
 		if len(run) == 0 || !slices.IsSorted(run) {
 			t.Fatalf("run %d empty or unsorted (len %d)", i, len(run))
@@ -27,14 +27,13 @@ func checkShape(t *testing.T, s *exactStore) {
 		if i > 0 && len(s.runs[i-1]) < 2*len(run) {
 			t.Fatalf("run %d has %d items after one of %d: sizes must at least halve", i, len(run), len(s.runs[i-1]))
 		}
+		if cap(run) != len(run) {
+			t.Fatalf("run %d has capacity %d for %d items", i, cap(run), len(run))
+		}
 		sum += len(run)
-		capSum += cap(run)
 	}
-	if sum != s.Space() {
-		t.Fatalf("runs and tail hold %d items, Space() = %d", sum, s.Space())
-	}
-	if capSum > 2*s.Space()+cap(s.tail) {
-		t.Fatalf("run capacity %d exceeds 2*%d + %d", capSum, s.Space(), cap(s.tail))
+	if sum != s.n || s.n != s.Space() {
+		t.Fatalf("runs and pend hold %d items, n = %d, Space() = %d", sum, s.n, s.Space())
 	}
 }
 
@@ -114,7 +113,7 @@ func (f *opFeed) batch(n int) []uint64 {
 	return xs
 }
 
-var fuzzBatchSizes = []int{0, 1, smallBatch - 1, smallBatch, smallBatch + 1, 4096}
+var fuzzBatchSizes = []int{0, 1, 36, radixMin - 1, radixMin, pendCap - 1, pendCap, pendCap + 1}
 
 // FuzzExactStore drives a byte-chosen interleaving of every store operation
 // — single and batched inserts, the three queries, a checkpoint round trip
@@ -234,16 +233,74 @@ func TestExactEncodeGolden(t *testing.T) {
 	}
 }
 
-// BenchmarkExactStoreInsertBatch is the trackers' batched ingest as the store
-// sees it: 512-item batches into a store that already holds a million.
-func BenchmarkExactStoreInsertBatch(b *testing.B) {
-	const batch = 512
-	s := NewExact()
-	s.InsertBatch(randomItems(1<<20, 1))
-	xs := randomItems(batch, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.InsertBatch(xs)
+// TestSortInto checks sortInto against slices.Sort on the inputs its digit
+// skipping and its cutover to a comparison sort must get right, at lengths
+// on both sides of radixMin.
+func TestSortInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	gen := map[string]func(i int) uint64{
+		"all equal":         func(int) uint64 { return 0xdeadbeef },
+		"all max":           func(int) uint64 { return math.MaxUint64 },
+		"one byte differs":  func(int) uint64 { return 0x1122334455667788 ^ uint64(rng.Intn(256))<<24 },
+		"top byte only":     func(int) uint64 { return uint64(rng.Intn(256)) << 56 },
+		"top and low bytes": func(int) uint64 { return uint64(rng.Intn(256))<<56 | uint64(rng.Intn(3)) },
+		"with max":          func(i int) uint64 { return []uint64{math.MaxUint64, rng.Uint64()}[i%2] },
+		"perturbed":         func(i int) uint64 { return uint64(rng.Intn(1<<20))<<24 | uint64(i%5) },
+		"descending":        func(i int) uint64 { return uint64(1<<40 - i) },
+		"random":            func(int) uint64 { return rng.Uint64() },
 	}
+	for name, next := range gen {
+		for _, n := range []int{0, 1, 2, radixMin - 1, radixMin, radixMin + 1, 1000, pendCap} {
+			a := make([]uint64, n)
+			for i := range a {
+				a[i] = next(i)
+			}
+			want := slices.Clone(a)
+			slices.Sort(want)
+			got := make([]uint64, n)
+			if sortInto(got, a); !slices.Equal(got, want) {
+				t.Fatalf("%s, %d keys: sortInto differs from slices.Sort", name, n)
+			}
+		}
+	}
+}
+
+// BenchmarkExactStoreInsertBatch is the trackers' batched ingest as the store
+// sees it, into a store holding between one and two million items (it is
+// reset to the first million, off the clock, whenever it reaches two). One
+// op is one settle of pend. batch512 feeds eight 512-item batches with no
+// query, so pend settles on reaching its cap. settled feeds 42 batches of 36
+// items and then a RankOf: the run length and query cadence of
+// quantile_stream's sites.
+func BenchmarkExactStoreInsertBatch(b *testing.B) {
+	base := randomItems(1<<20, 1)
+	slices.Sort(base)
+	// The batches are cut from a million fresh items, so merges interleave
+	// runs as distinct random keys do.
+	fresh := randomItems(1<<20, 2)
+	bench := func(b *testing.B, batch, batches int, query bool) {
+		var s *exactStore
+		at := 0
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if s == nil || s.n >= 2*len(base) {
+				b.StopTimer()
+				s = &exactStore{runs: [][]uint64{base}, n: len(base)}
+				b.StartTimer()
+			}
+			for range batches {
+				if at+batch > len(fresh) {
+					at = 0
+				}
+				s.InsertBatch(fresh[at : at+batch])
+				at += batch
+			}
+			if query {
+				s.RankOf(fresh[at])
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch*batches), "ns/item")
+	}
+	b.Run("batch512", func(b *testing.B) { bench(b, 512, pendCap/512, false) })
+	b.Run("settled", func(b *testing.B) { bench(b, 36, 42, true) })
 }

@@ -1,26 +1,29 @@
 // Package sitestore provides the per-site item store used by the quantile
 // protocols (§3.1 and §4): either exact (every local item, in a few sorted
-// runs) or sketched (a Greenwald–Khanna summary — the paper's
-// "implementing with small space" variant). All protocol queries — ranks,
-// range counts, separator samples — go through the Store interface, so the
-// tracking logic is identical in both modes.
+// runs behind an unsorted staging buffer) or sketched (a Greenwald–Khanna
+// summary — the paper's "implementing with small space" variant). All
+// protocol queries — ranks, range counts, separator samples — go through the
+// Store interface, so the tracking logic is identical in both modes.
 package sitestore
 
 import (
 	"slices"
+	"sync"
 
 	"disttrack/internal/summary/gk"
 )
 
-// Store answers rank-structure queries over a site's local items.
+// Store answers rank-structure queries over a site's local items. A query may
+// reorganise the store (the exact store sorts its staged arrivals first), so
+// queries need the same exclusive access as inserts; the trackers run both
+// under the engine's site locks.
 type Store interface {
 	// Insert records one local item.
 	Insert(x uint64)
 	// InsertBatch records a batch of local items given in arrival order,
 	// equivalent to calling Insert for each in sequence (order matters for
-	// the GK summary, whose state is insertion-order dependent). The exact
-	// store sorts a copy into a new run, which is what makes the trackers'
-	// FeedLocalBatch fast. The store does not retain xs.
+	// the GK summary, whose state is insertion-order dependent). The store
+	// does not retain xs.
 	InsertBatch(xs []uint64)
 	// RankOf returns (an estimate of) the number of local items < x.
 	RankOf(x uint64) int64
@@ -36,73 +39,69 @@ type Store interface {
 // NewExact returns a Store holding every local item.
 func NewExact() Store { return &exactStore{} }
 
-// exactStore keeps every item in sorted runs. The protocols insert on every
-// arrival but query only when a threshold fires, so the layout is
-// write-optimised: a batch becomes a new rightmost run and is merged
-// leftwards, binary-counter style, while the run before it is less than
-// twice as large. That leaves at most log2(n/batch) runs of at least halving
-// sizes, costs an amortised O(log n) sequential moves per item at 8 bytes
-// each, and makes a rank one binary search per run.
+// exactStore keeps every item, in sorted runs plus a staging buffer. The
+// protocols insert on every arrival but query only when a threshold fires
+// (a split, a relocation, a round change), so the layout is write-optimised
+// twice over. Arrivals are copied unsorted into pend; the first query after
+// them, or pend reaching pendCap, settles it: one radix sort, then the sorted
+// items become a new rightmost run that is merged leftwards, binary-counter
+// style, while the run before it is less than twice as large. That leaves at
+// most log2(n) runs of at least halving sizes, costs an amortised O(log n)
+// sequential moves per item at 8 bytes each, and makes a rank one binary
+// search per run. Every answer depends only on the items held.
 type exactStore struct {
 	runs [][]uint64 // each sorted; len(runs[i]) >= 2*len(runs[i+1])
-	tail []uint64   // sorted, under tailCap items: where single Inserts land
-	n    int        // items held, runs and tail together
+	pend []uint64   // unsorted arrivals not yet settled; len < pendCap between calls
+	n    int        // items held, runs and pend together
 }
 
-const (
-	// tailCap bounds the tail: an Insert moves half of it on average, so it
-	// is sized to stay a small share of L1.
-	tailCap = 256
-	// smallBatch is the batch size below which a run of its own (one
-	// allocation, one merge cascade) costs more than inserting through the
-	// tail.
-	smallBatch = 16
-)
+// pendCap bounds the staging buffer at 32 KiB. pend grows with use up to it,
+// so a store that is queried often never holds that much.
+const pendCap = 4096
 
-func (s *exactStore) Insert(x uint64) {
-	if s.tail == nil {
-		s.tail = make([]uint64, 0, tailCap)
-	}
-	i, _ := slices.BinarySearch(s.tail, x)
-	s.tail = slices.Insert(s.tail, i, x)
-	s.n++
-	if len(s.tail) == tailCap {
-		s.push(s.tail)
-		s.tail = s.tail[:0]
-	}
-}
+func (s *exactStore) Insert(x uint64) { s.InsertBatch([]uint64{x}) }
 
 func (s *exactStore) InsertBatch(xs []uint64) {
-	if len(xs) < smallBatch {
-		for _, x := range xs {
-			s.Insert(x)
-		}
-		return
-	}
 	s.n += len(xs)
-	s.push(xs)
+	for len(xs) > 0 {
+		k := min(len(xs), pendCap-len(s.pend))
+		// Grow by doubling, as append would, but never past pendCap.
+		if need := len(s.pend) + k; need > cap(s.pend) {
+			grown := make([]uint64, len(s.pend), min(max(need, 2*cap(s.pend)), pendCap))
+			copy(grown, s.pend)
+			s.pend = grown
+		}
+		s.pend = append(s.pend, xs[:k]...)
+		xs = xs[k:]
+		if len(s.pend) == pendCap {
+			s.settle()
+		}
+	}
 }
 
-// push adds xs (any order, not retained) as the rightmost run, after merging
-// into it every run that would otherwise be less than twice its size.
-func (s *exactStore) push(xs []uint64) {
-	from, total := len(s.runs), len(xs)
+// settle sorts pend into the runs: it becomes the rightmost run, after
+// merging into it every run that would otherwise be less than twice its size.
+func (s *exactStore) settle() {
+	if len(s.pend) == 0 {
+		return
+	}
+	from, total := len(s.runs), len(s.pend)
 	for from > 0 && len(s.runs[from-1]) < 2*total {
 		from--
 		total += len(s.runs[from])
 	}
-	s.collapse(from, total, xs)
+	s.collapse(from, total)
 }
 
-// collapse replaces runs[from:] and xs, total items together, by one run. It
-// allocates the result once, sorts xs into its right end and merges the runs
-// into it right to left, smallest first, so a cascade over geometrically
-// growing runs moves fewer than 2*total items.
-func (s *exactStore) collapse(from, total int, xs []uint64) {
+// collapse replaces runs[from:] and pend, total items together, by one run,
+// and empties pend. It allocates the result once, sorts pend into its right
+// end and merges the runs into it right to left, smallest first, so a
+// cascade over geometrically growing runs moves fewer than 2*total items.
+func (s *exactStore) collapse(from, total int) {
 	out := make([]uint64, total)
-	at := total - len(xs)
-	copy(out[at:], xs)
-	slices.Sort(out[at:])
+	at := total - len(s.pend)
+	sortInto(out[at:], s.pend)
+	s.pend = s.pend[:0]
 	for i := len(s.runs) - 1; i >= from; i-- {
 		at = mergeLeft(out, at, s.runs[i])
 		s.runs[i] = nil
@@ -110,20 +109,83 @@ func (s *exactStore) collapse(from, total int, xs []uint64) {
 	s.runs = append(s.runs[:from], out)
 }
 
+// radixMin is the length from which sortInto radix-sorts; below it a
+// comparison sort is cheaper than the histogram and its prefix sums.
+const radixMin = 128
+
+// digitCounts holds the radix sort's eight 256-entry histograms. They come
+// from a pool rather than the stack: an 8 KiB frame would grow the stack of
+// every site goroutine that ever settles a store, and a process with
+// hundreds of quantile and allq tenants keeps those stacks.
+var digitCounts = sync.Pool{New: func() any { return new([8][256]uint32) }}
+
+// sortInto writes the keys of src, sorted, into dst (as long as src), and
+// leaves src in no particular order. From radixMin keys up it is an LSD radix
+// sort with 8-bit digits that ping-pongs between the two slices: one pass
+// counts all eight digits, a digit that is the same in every key is skipped
+// (perturbed keys v<<24|s vary in about four of their eight bytes), and each
+// remaining digit is one stable scatter from one slice to the other.
+func sortInto(dst, src []uint64) {
+	if len(src) < radixMin {
+		slices.Sort(src)
+		copy(dst, src)
+		return
+	}
+	counts := digitCounts.Get().(*[8][256]uint32)
+	defer digitCounts.Put(counts)
+	*counts = [8][256]uint32{}
+	for _, x := range src {
+		counts[0][byte(x)]++
+		counts[1][byte(x>>8)]++
+		counts[2][byte(x>>16)]++
+		counts[3][byte(x>>24)]++
+		counts[4][byte(x>>32)]++
+		counts[5][byte(x>>40)]++
+		counts[6][byte(x>>48)]++
+		counts[7][byte(x>>56)]++
+	}
+	from, to, passes := src, dst[:len(src)], 0
+	for d := range counts {
+		c := &counts[d]
+		shift := uint(8 * d)
+		if c[byte(from[0]>>shift)] == uint32(len(from)) {
+			continue // every key has this digit
+		}
+		var sum uint32
+		for i, n := range c {
+			c[i] = sum
+			sum += n
+		}
+		for _, x := range from {
+			k := byte(x >> shift)
+			to[c[k]] = x
+			c[k]++
+		}
+		from, to = to, from
+		passes++
+	}
+	if passes%2 == 0 { // the sorted keys ended in src
+		copy(dst, src)
+	}
+}
+
 // mergeLeft merges run with the sorted out[at:] into out[at-len(run):] and
 // returns that start. The write position never passes the read position in
-// out: the gap between them is the number of run items still to place.
+// out: the gap between them is the number of run items still to place. The
+// loop body has no data-dependent branch: which side advances is a
+// conditional move, so unpredictable comparisons cost no mispredictions.
 func mergeLeft(out []uint64, at int, run []uint64) int {
 	start := at - len(run)
 	w, i, j := start, 0, at
 	for i < len(run) && j < len(out) {
-		if out[j] < run[i] {
-			out[w] = out[j]
-			j++
-		} else {
-			out[w] = run[i]
-			i++
+		a, b := run[i], out[j]
+		v, di := a, 1
+		if b < a {
+			v, di = b, 0
 		}
+		out[w] = v
+		i += di
+		j += 1 - di
 		w++
 	}
 	copy(out[w:], run[i:])
@@ -133,9 +195,8 @@ func mergeLeft(out []uint64, at int, run []uint64) int {
 // items returns every item in sorted order as one slice the store keeps
 // using (callers must not modify it), compacting the store to a single run.
 func (s *exactStore) items() []uint64 {
-	if len(s.runs) > 1 || len(s.tail) > 0 {
-		s.collapse(0, s.n, s.tail)
-		s.tail = s.tail[:0]
+	if len(s.runs) > 1 || len(s.pend) > 0 {
+		s.collapse(0, s.n)
 	}
 	if len(s.runs) == 0 {
 		return nil
@@ -144,7 +205,8 @@ func (s *exactStore) items() []uint64 {
 }
 
 func (s *exactStore) RankOf(x uint64) int64 {
-	r, _ := slices.BinarySearch(s.tail, x)
+	s.settle()
+	r := 0
 	for _, run := range s.runs {
 		i, _ := slices.BinarySearch(run, x)
 		r += i
@@ -159,11 +221,11 @@ func (s *exactStore) CountRange(lo, hi uint64) int64 {
 	return s.RankOf(hi) - s.RankOf(lo)
 }
 
-// restrict returns the non-empty restrictions of the runs and the tail to
-// [lo, hi), and how many items they hold together.
+// restrict returns the non-empty restrictions of the runs to [lo, hi), and
+// how many items they hold together.
 func (s *exactStore) restrict(lo, hi uint64) (parts [][]uint64, total int64) {
-	parts = make([][]uint64, 0, len(s.runs)+1)
-	add := func(run []uint64) {
+	parts = make([][]uint64, 0, len(s.runs))
+	for _, run := range s.runs {
 		a, _ := slices.BinarySearch(run, lo)
 		b, _ := slices.BinarySearch(run, hi)
 		if b > a {
@@ -171,10 +233,6 @@ func (s *exactStore) restrict(lo, hi uint64) (parts [][]uint64, total int64) {
 			total += int64(b - a)
 		}
 	}
-	for _, run := range s.runs {
-		add(run)
-	}
-	add(s.tail)
 	return parts, total
 }
 
@@ -185,6 +243,7 @@ func (s *exactStore) Separators(lo, hi uint64, step int64) []uint64 {
 	if step <= 0 {
 		panic("sitestore: Separators with non-positive step")
 	}
+	s.settle()
 	parts, total := s.restrict(lo, hi)
 	// An interval holding at least half the store (a round rebuild asks for
 	// all of it) is answered from one run by index, which leaves the store
