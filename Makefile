@@ -37,14 +37,18 @@ test-shuffle:
 # The second line repeats the tests that put several goroutines on one
 # tenant's gate (concurrent producers, delete/recreate and reconfigure under
 # fire), so a single-writer violation cannot land on a lucky schedule; the
-# third repeats the engine's concurrent conformance laws on the mock policy,
-# where an arrival straddling the bootstrap handoff shows 1 run in 6-12; the
-# fourth repeats the forwarder's producers-against-the-ticker test, which
-# caught a buffer being taken out and enqueued in two steps (reordered or
-# late batches; at -count=40 under -race it failed every time).
+# third repeats the quantile and allq bootstrap reads against concurrent
+# arrivals (the first read after an arrival sorts the bootstrap list, which
+# is safe only under the quiescent lock set); the fourth repeats the
+# engine's concurrent conformance laws on the mock policy, where an arrival
+# straddling the bootstrap handoff shows 1 run in 6-12; the fifth repeats the
+# forwarder's producers-against-the-ticker test, which caught a buffer being
+# taken out and enqueued in two steps (reordered or late batches; at
+# -count=40 under -race it failed every time).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
+	$(GO) test -race -count=10 -run TestBootstrapReadsChangeNoState ./internal/core/quantile ./internal/core/allq
 	$(GO) test -race -count=20 -run 'TestEngineConformanceMockPolicy/(ConcurrentStress|ConcurrentBatchStress)' ./internal/core/engine
 	$(GO) test -race -count=40 -run TestForwarderConcurrentProducers ./internal/runtime
 
@@ -119,9 +123,9 @@ load-smoke:
 
 # Short fuzz pass over the wire-protocol and durability decoders — every
 # byte format that crosses a trust boundary (network frames, WAL records,
-# checkpoint frames, snapshot encodings, POST /v1/ingest bodies) — and over
-# the exact site store against a sorted-slice reference and the slot table
-# (hh's counters and the perturbation counters) against a map.
+# checkpoint frames, POST /v1/ingest bodies) — and over the exact site store
+# against a sorted-slice reference and the slot table (hh's counters and the
+# perturbation counters) against a map.
 fuzz-smoke:
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s
 	$(GO) test ./internal/remote/ -run '^$$' -fuzz FuzzReadTFrame -fuzztime 10s
@@ -131,7 +135,6 @@ fuzz-smoke:
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz FuzzCursorTable -fuzztime 10s
 	$(GO) test ./internal/core/hh/ -run '^$$' -fuzz FuzzRestore -fuzztime 10s
 	$(GO) test ./internal/core/quantile/ -run '^$$' -fuzz FuzzRestore -fuzztime 10s
-	$(GO) test ./internal/core/allq/ -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 10s
 	$(GO) test ./internal/core/allq/ -run '^$$' -fuzz FuzzRestore -fuzztime 10s
 	$(GO) test ./internal/sitestore/ -run '^$$' -fuzz FuzzExactStore -fuzztime 10s
 	$(GO) test ./internal/slots/ -run '^$$' -fuzz FuzzSlotTable -fuzztime 10s

@@ -6,8 +6,8 @@
 // The library implements the paper's three continuous tracking protocols —
 // φ-heavy hitters (Theorem 2.1), single φ-quantiles (Theorem 3.1), and all
 // quantiles simultaneously (Theorem 4.1) — together with every substrate
-// they stand on (Space-Saving and Greenwald–Khanna sketches,
-// order-statistics stores), the prior-art baselines they are measured
+// they stand on (Space-Saving and Greenwald–Khanna sketches, exact
+// sorted-run site stores), the prior-art baselines they are measured
 // against, the lower-bound constructions of Theorems 2.4 and 3.2, the §5
 // randomized-sampling baseline, a concurrent runtime, and a TCP deployment
 // of the heavy-hitter protocol.

@@ -28,7 +28,7 @@ import (
 	"slices"
 	"sort"
 
-	"disttrack/internal/rank"
+	"disttrack/internal/oracle"
 	"disttrack/internal/summary/gk"
 	"disttrack/internal/summary/spacesaving"
 	"disttrack/internal/wire"
@@ -47,51 +47,20 @@ type Tracker interface {
 // Naive
 // ---------------------------------------------------------------------------
 
-// Naive forwards every item; the coordinator is exact.
+// Naive forwards every item to a coordinator that keeps them all in an
+// oracle, so its answers are exact.
 type Naive struct {
-	k     int
+	*oracle.Oracle
 	meter wire.Meter
-	count map[uint64]int64
-	tree  *rank.Tree
-	n     int64
 }
 
 // NewNaive returns the forward-everything baseline.
-func NewNaive(k int) *Naive {
-	return &Naive{k: k, count: make(map[uint64]int64), tree: rank.New(0xBA5E)}
-}
+func NewNaive() *Naive { return &Naive{Oracle: oracle.New()} }
 
 // Feed forwards the arrival to the coordinator.
 func (t *Naive) Feed(site int, x uint64) {
 	t.meter.Up(site, "item", 1)
-	t.count[x]++
-	t.tree.Insert(x)
-	t.n++
-}
-
-// HeavyHitters returns the exact φ-heavy hitters.
-func (t *Naive) HeavyHitters(phi float64) []uint64 {
-	var out []uint64
-	thresh := phi * float64(t.n)
-	for x, c := range t.count {
-		if float64(c) >= thresh {
-			out = append(out, x)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-// Quantile returns the exact φ-quantile.
-func (t *Naive) Quantile(phi float64) uint64 {
-	if t.n == 0 {
-		panic("baseline: Quantile before any arrival")
-	}
-	i := int64(phi * float64(t.n))
-	if i >= t.n {
-		i = t.n - 1
-	}
-	return t.tree.Select(int(i))
+	t.Add(x)
 }
 
 // Meter returns the communication meter.

@@ -27,7 +27,7 @@ func checkHH(t *testing.T, name string, got []uint64, o *oracle.Oracle, phi, eps
 }
 
 func TestNaiveIsExact(t *testing.T) {
-	tr := NewNaive(4)
+	tr := NewNaive()
 	o := oracle.New()
 	g := stream.Zipf(1000, 20000, 1.3, 1)
 	for i := 0; ; i++ {
@@ -168,7 +168,7 @@ func TestValidation(t *testing.T) {
 				t.Error("Quantile before shipment should panic")
 			}
 		}()
-		NewNaive(2).Quantile(0.5)
+		NewNaive().Quantile(0.5)
 	}()
 }
 

@@ -58,7 +58,6 @@ import (
 	"slices"
 
 	"disttrack/internal/core/engine"
-	"disttrack/internal/rank"
 	"disttrack/internal/sitestore"
 )
 
@@ -81,7 +80,6 @@ type Config struct {
 	K    int     // number of sites, >= 1
 	Eps  float64 // approximation error, in (0, 1)
 	Mode Mode    // per-site store; default ModeExact
-	Seed int64   // seed for the coordinator's bootstrap tree
 }
 
 // node is a vertex of the coordinator's tree T. Sites mirror the structure
@@ -113,8 +111,11 @@ type policy struct {
 
 	sites []*site
 
+	// Bootstrap: until |A| >= k/ε every arrival is forwarded into boot, in
+	// arrival order until a read sorts it (see bootKeys).
 	bootTarget int64
-	bootTree   *rank.Tree
+	boot       []uint64
+	bootSorted bool
 
 	// Round state.
 	m           int64   // |A| at round start
@@ -156,7 +157,6 @@ func New(cfg Config) (*Tracker, error) {
 	}
 	p.eng = eng
 	p.bootTarget = eng.BootTarget()
-	p.bootTree = rank.New(cfg.Seed ^ 0xA11)
 	for j := 0; j < cfg.K; j++ {
 		p.sites = append(p.sites, &site{st: p.newStore()})
 	}
@@ -282,10 +282,22 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 }
 
 // OnBootEscalate forwards one bootstrap arrival into the coordinator's
-// exact tree; the bootstrap ends once |A| reaches k/ε.
+// exact list; the bootstrap ends once |A| reaches k/ε.
 func (p *policy) OnBootEscalate(_ int, x uint64) (done bool) {
-	p.bootTree.Insert(x)
+	p.boot = append(p.boot, x)
+	p.bootSorted = false
 	return p.eng.TrueTotal() >= p.bootTarget
+}
+
+// bootKeys returns the forwarded bootstrap arrivals in ascending order,
+// sorting them in place on the first read after an arrival. Like every
+// query it runs under the quiescent lock set.
+func (p *policy) bootKeys() []uint64 {
+	if !p.bootSorted {
+		slices.Sort(p.boot)
+		p.bootSorted = true
+	}
+	return p.boot
 }
 
 // OnBootDone builds the first round.
@@ -344,7 +356,8 @@ func appendPath(dst []*node, root *node, x uint64) []*node {
 func (t *Tracker) Rank(x uint64) int64 {
 	p := t.p
 	if t.Bootstrapping() {
-		return int64(p.bootTree.Rank(x))
+		r, _ := slices.BinarySearch(p.bootKeys(), x)
+		return int64(r)
 	}
 	var acc int64
 	for u := p.root; !u.isLeaf(); {
@@ -372,9 +385,10 @@ func (t *Tracker) Quantile(phi float64) uint64 {
 	if t.Bootstrapping() {
 		// Index against what was actually forwarded: TrueTotal counts
 		// arrivals on the fast path, but a concurrent arrival reaches the
-		// bootstrap tree only in its escalation — a quiescent query may run
+		// bootstrap list only in its escalation — a quiescent query may run
 		// in between.
-		n := int64(p.bootTree.Len())
+		keys := p.bootKeys()
+		n := int64(len(keys))
 		if n == 0 {
 			if t.TrueTotal() == 0 {
 				panic("allq: Quantile before any arrival")
@@ -385,7 +399,7 @@ func (t *Tracker) Quantile(phi float64) uint64 {
 		if i >= n {
 			i = n - 1
 		}
-		return p.bootTree.Select(int(i))
+		return keys[i]
 	}
 	target := phi * float64(p.root.s)
 	u := p.root
@@ -421,7 +435,7 @@ func (t *Tracker) HeavyHittersFromRanks(phi float64, shift uint) []uint64 {
 	// candidate set.
 	cand := make(map[uint64]bool)
 	if t.Bootstrapping() {
-		for _, key := range p.bootTree.Items() {
+		for _, key := range p.bootKeys() {
 			cand[key>>shift] = true
 		}
 	} else {

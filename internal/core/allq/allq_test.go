@@ -329,7 +329,7 @@ func TestBootstrapExactRanks(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() (int64, int64) {
-		tr, _ := New(Config{K: 4, Eps: 0.08, Seed: 7})
+		tr, _ := New(Config{K: 4, Eps: 0.08})
 		g := distinctUniform(20000, 27)
 		for i := 0; ; i++ {
 			x, ok := g.Next()

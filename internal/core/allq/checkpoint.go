@@ -5,22 +5,19 @@ import (
 
 	"disttrack/internal/ckpt"
 	"disttrack/internal/core/engine"
-	"disttrack/internal/rank"
 	"disttrack/internal/sitestore"
 )
 
-// Engine checkpoint support (engine.CheckpointPolicy): the generalization
-// of the Snapshot format to full tracker state. Where Snapshot freezes only
-// the coordinator's query structure, this captures the live round — the
-// interval tree with per-node counts, the round parameters, and every
-// site's store and unreported per-node deltas — so a restored tracker
-// continues the protocol mid-round, not just answers stale queries.
+// Engine checkpoint support (engine.CheckpointPolicy). A checkpoint captures
+// the live round — the interval tree with per-node counts, the round
+// parameters, the bootstrap list, and every site's store and unreported
+// per-node deltas — so a restored tracker continues the protocol mid-round.
 //
-// The tree is encoded in preorder with child links as preorder indices,
-// exactly like Snapshot. Per-site deltas are re-indexed to preorder
-// position during encode (delta[pos] = delta[node.id]); on decode, node
-// ids are assigned from preorder position, which restores the dense-id
-// invariant gcDeltas maintains.
+// The tree is encoded in preorder with child links as preorder indices, so
+// a decoded child always follows its parent. Per-site deltas are re-indexed
+// to preorder position during encode (delta[pos] = delta[node.id]); on
+// decode, node ids are assigned from preorder position, which restores the
+// dense-id invariant gcDeltas maintains.
 
 var _ engine.CheckpointPolicy = (*policy)(nil)
 
@@ -36,7 +33,7 @@ func (p *policy) EncodeState(enc *ckpt.Encoder) {
 	enc.I64(int64(p.rebuilds))
 	enc.I64(int64(p.leafSplits))
 	enc.I64(int64(p.cannotSplit))
-	enc.U64s(p.bootTree.Items())
+	enc.U64s(p.bootKeys())
 
 	order := collectNodes(p.root)
 	pos := make(map[*node]int32, len(order))
@@ -93,10 +90,7 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 			return fmt.Errorf("allq: restore: bootstrap items out of order at %d", i)
 		}
 	}
-	p.bootTree = rank.New(p.cfg.Seed ^ 0xA11)
-	for _, x := range bootItems {
-		p.bootTree.Insert(x)
-	}
+	p.boot, p.bootSorted = bootItems, true
 
 	// Each encoded node is 3*8 + 8 + 2*4 = 40 bytes.
 	n := dec.Count(40)

@@ -13,7 +13,7 @@ import (
 // the first goldenN items of goldenStream round robin, at the commit before
 // rounds sized their height cap from the tree they build: every round used
 // h = heightCap(0.05) = 17.
-var goldenCfg = Config{K: 2, Eps: 0.05, Seed: 5}
+var goldenCfg = Config{K: 2, Eps: 0.05}
 
 const goldenN = 300
 

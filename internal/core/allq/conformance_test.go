@@ -29,7 +29,7 @@ func TestEngineConformance(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := enginetest.Config{
 				New: func(tb testing.TB) core.Tracker {
-					tr, err := New(Config{K: k, Eps: eps, Mode: tc.mode, Seed: 3})
+					tr, err := New(Config{K: k, Eps: eps, Mode: tc.mode})
 					if err != nil {
 						tb.Fatal(err)
 					}

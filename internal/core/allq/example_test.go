@@ -1,7 +1,6 @@
 package allq_test
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 
@@ -30,34 +29,6 @@ func Example() {
 	// Output:
 	// p50 near 10000: true
 	// p99 near 19800: true
-}
-
-// Snapshots freeze the structure for checkpointing or shipping elsewhere.
-func Example_snapshot() {
-	tr, err := allq.New(allq.Config{K: 2, Eps: 0.05})
-	if err != nil {
-		log.Fatal(err)
-	}
-	gen := stream.Perturb(stream.FromSlice(ramp(20000)))
-	for i := 0; ; i++ {
-		key, ok := gen.Next()
-		if !ok {
-			break
-		}
-		tr.Feed(i%2, key)
-	}
-	var buf bytes.Buffer
-	if err := tr.Snapshot().Encode(&buf); err != nil {
-		log.Fatal(err)
-	}
-	back, err := allq.DecodeSnapshot(&buf)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("round trip preserves answers:",
-		back.Quantile(0.5) == tr.Snapshot().Quantile(0.5))
-	// Output:
-	// round trip preserves answers: true
 }
 
 func ramp(n int) []uint64 {

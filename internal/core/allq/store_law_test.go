@@ -23,7 +23,7 @@ func TestBatchedFeedMatchesPerItemAtScale(t *testing.T) {
 		n     = 200_000
 		batch = 512
 	)
-	cfg := Config{K: k, Eps: 0.02, Seed: 3}
+	cfg := Config{K: k, Eps: 0.02}
 	per, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestBatchedFeedMatchesPerItemAtScale(t *testing.T) {
 // was lost in total.
 func TestReconfigureShrinkDrainsIntoSiteZero(t *testing.T) {
 	const k, n = 4, 30_000
-	tr, err := New(Config{K: k, Eps: 0.05, Seed: 9})
+	tr, err := New(Config{K: k, Eps: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestContractSweep(t *testing.T) {
 					name := fmt.Sprintf("%s/eps=%.4g/k=%d/batched=%v", s.name, eps, k, batched)
 					t.Run(name, func(t *testing.T) {
 						t.Parallel() // items is shared read-only
-						tr := sweepOne(t, Config{K: k, Eps: eps, Seed: 1}, items, batched)
+						tr := sweepOne(t, Config{K: k, Eps: eps}, items, batched)
 						if !s.heightRounds && tr.HeightRebuilds() != 0 {
 							t.Fatalf("%d of %d rounds forced by the height cap", tr.HeightRebuilds(), tr.Rounds())
 						}

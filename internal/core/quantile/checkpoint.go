@@ -5,7 +5,6 @@ import (
 
 	"disttrack/internal/ckpt"
 	"disttrack/internal/core/engine"
-	"disttrack/internal/rank"
 	"disttrack/internal/sitestore"
 )
 
@@ -45,7 +44,7 @@ func (p *policy) EncodeState(enc *ckpt.Encoder) {
 	enc.I64(int64(p.relocations))
 	enc.I64(int64(p.splits))
 	enc.I64(int64(p.cannotSplit))
-	enc.U64s(p.bootTree.Items())
+	enc.U64s(p.bootKeys())
 	for _, s := range p.sites {
 		sitestore.Encode(enc, s.st)
 		enc.I64s(s.ivDelta)
@@ -115,10 +114,7 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 			return fmt.Errorf("quantile: restore: bootstrap items out of order at %d", i)
 		}
 	}
-	p.bootTree = rank.New(p.cfg.Seed ^ 0x5EED)
-	for _, x := range bootItems {
-		p.bootTree.Insert(x)
-	}
+	p.boot, p.bootSorted = bootItems, true
 	for j, s := range p.sites {
 		st, err := sitestore.Decode(dec)
 		if err != nil {

@@ -1,0 +1,125 @@
+package quantile
+
+import (
+	"bytes"
+	"os"
+	"reflect"
+	"slices"
+	"testing"
+
+	"disttrack/internal/stream"
+)
+
+// The golden checkpoints were written by a tracker built from goldenCfg and
+// fed goldenStream round robin, while the coordinator's bootstrap list was
+// still an order-statistics tree: checkpoint-boot.bin after the bootstrap
+// keys alone, checkpoint-round.bin after goldenRoundN items. Never
+// regenerate them.
+var goldenCfg = Config{K: 2, Eps: 0.05, Phis: []float64{0.1, 0.5, 0.99}}
+
+// goldenBootKeys open the stream out of order and with 1<<40 twice, so the
+// bootstrap checkpoint pins the sorted order of an unsorted arrival sequence
+// and a duplicate.
+var goldenBootKeys = []uint64{1 << 40, 7 << 24, 0, 1<<54 - 1, 1 << 40, 3<<30 | 5, 12345 << 24, 9}
+
+const goldenRoundN = 400
+
+func goldenStream() stream.Generator {
+	return stream.Concat(stream.FromSlice(goldenBootKeys), distinctUniform(20000, 43))
+}
+
+// TestRestoreGolden pins the checkpoint format in and after bootstrap: the
+// golden bytes restore and re-encode bit for bit, a twin fed the same prefix
+// from scratch writes the same bytes, and fed on in lockstep the restored
+// tracker and the twin agree on every meter, round count and quantile.
+func TestRestoreGolden(t *testing.T) {
+	for _, g := range []struct {
+		file string
+		n    int
+		boot bool
+	}{
+		{"checkpoint-boot.bin", len(goldenBootKeys), true},
+		{"checkpoint-round.bin", goldenRoundN, false},
+	} {
+		t.Run(g.file, func(t *testing.T) {
+			golden, err := os.ReadFile("testdata/" + g.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := New(goldenCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Restore(bytes.NewReader(golden)); err != nil {
+				t.Fatal(err)
+			}
+			if tr.Bootstrapping() != g.boot || tr.TrueTotal() != int64(g.n) {
+				t.Fatalf("restored bootstrapping %v, n %d; want %v, %d", tr.Bootstrapping(), tr.TrueTotal(), g.boot, g.n)
+			}
+			if g.boot {
+				sorted := slices.Sorted(slices.Values(goldenBootKeys))
+				for i, phi := range goldenCfg.Phis {
+					want := sorted[min(int(phi*float64(len(sorted))), len(sorted)-1)]
+					if got := tr.QuantileAt(i); got != want {
+						t.Fatalf("restored bootstrap quantile %g = %d, want %d", phi, got, want)
+					}
+				}
+			}
+			if got := checkpointBytes(t, tr); !bytes.Equal(got, golden) {
+				t.Fatal("re-encoding the restored tracker does not reproduce the golden bytes")
+			}
+
+			twin, err := New(goldenCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := goldenStream()
+			for i := 0; i < g.n; i++ {
+				x, _ := gen.Next()
+				twin.Feed(i%goldenCfg.K, x)
+			}
+			if got := checkpointBytes(t, twin); !bytes.Equal(got, golden) {
+				t.Fatal("a twin fed the same prefix does not write the golden bytes")
+			}
+			restoredRounds := tr.Rounds()
+			for i := g.n; ; i++ {
+				x, ok := gen.Next()
+				if !ok {
+					break
+				}
+				tr.Feed(i%goldenCfg.K, x)
+				twin.Feed(i%goldenCfg.K, x)
+				if i%97 == 0 {
+					sameState(t, i, tr, twin)
+				}
+			}
+			sameState(t, -1, tr, twin)
+			if tr.Rounds() <= restoredRounds {
+				t.Fatalf("restored tracker never started a round of its own (rounds %d)", tr.Rounds())
+			}
+		})
+	}
+}
+
+func checkpointBytes(t *testing.T, tr *Tracker) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sameState fails unless a and b agree on meters, rounds and quantiles.
+func sameState(t *testing.T, step int, a, b *Tracker) {
+	t.Helper()
+	if !reflect.DeepEqual(a.Meter().State(), b.Meter().State()) {
+		t.Fatalf("step %d: meters differ: %+v vs %+v", step, a.Meter().State(), b.Meter().State())
+	}
+	if a.Rounds() != b.Rounds() {
+		t.Fatalf("step %d: rounds %d vs %d", step, a.Rounds(), b.Rounds())
+	}
+	if qa, qb := a.Quantiles(), b.Quantiles(); !slices.Equal(qa, qb) {
+		t.Fatalf("step %d: quantiles %v vs %v", step, qa, qb)
+	}
+}

@@ -30,7 +30,7 @@ func TestEngineConformance(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := enginetest.Config{
 				New: func(tb testing.TB) core.Tracker {
-					tr, err := New(Config{K: k, Eps: eps, Phis: phis, Mode: tc.mode, Seed: 5})
+					tr, err := New(Config{K: k, Eps: eps, Phis: phis, Mode: tc.mode})
 					if err != nil {
 						tb.Fatal(err)
 					}

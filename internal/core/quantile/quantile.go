@@ -61,9 +61,9 @@ package quantile
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"disttrack/internal/core/engine"
-	"disttrack/internal/rank"
 	"disttrack/internal/sitestore"
 )
 
@@ -88,7 +88,6 @@ type Config struct {
 	Phi  float64   // the quantile to track (used when Phis is empty)
 	Phis []float64 // multiple quantiles sharing one tracker (optional)
 	Mode Mode      // per-site store; default ModeExact
-	Seed int64     // seed for the coordinator's bootstrap tree
 
 	// BatchDivisor overrides the 8 in the εm/8k site report batches (0
 	// means 8). Smaller values batch more aggressively (less communication,
@@ -125,9 +124,11 @@ type policy struct {
 
 	sites []*site
 
-	// Bootstrap: until |A| >= k/ε every arrival is forwarded.
+	// Bootstrap: until |A| >= k/ε every arrival is forwarded into boot, in
+	// arrival order until a read sorts it (see bootKeys).
 	bootTarget int64
-	bootTree   *rank.Tree
+	boot       []uint64
+	bootSorted bool
 
 	// Round state (§3.1). m is |A| at round start and fixes all thresholds.
 	m         int64
@@ -175,7 +176,6 @@ func New(cfg Config) (*Tracker, error) {
 	}
 	p.eng = eng
 	p.bootTarget = eng.BootTarget()
-	p.bootTree = rank.New(cfg.Seed ^ 0x5EED)
 	p.qs = make([]quantState, len(phis))
 	for i, phi := range phis {
 		p.qs[i].phi = phi
@@ -317,10 +317,22 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 }
 
 // OnBootEscalate forwards one bootstrap arrival into the coordinator's
-// exact tree; the bootstrap ends once |A| reaches k/ε.
+// exact list; the bootstrap ends once |A| reaches k/ε.
 func (p *policy) OnBootEscalate(_ int, x uint64) (done bool) {
-	p.bootTree.Insert(x)
+	p.boot = append(p.boot, x)
+	p.bootSorted = false
 	return p.eng.TrueTotal() >= p.bootTarget
+}
+
+// bootKeys returns the forwarded bootstrap arrivals in ascending order,
+// sorting them in place on the first read after an arrival. Like every
+// query it runs under the quiescent lock set.
+func (p *policy) bootKeys() []uint64 {
+	if !p.bootSorted {
+		slices.Sort(p.boot)
+		p.bootSorted = true
+	}
+	return p.boot
 }
 
 // OnBootDone builds the first round.
@@ -410,9 +422,10 @@ func (t *Tracker) QuantileAt(i int) uint64 {
 	if t.Bootstrapping() {
 		// Index against what was actually forwarded: TrueTotal counts
 		// arrivals on the fast path, but a concurrent arrival reaches the
-		// bootstrap tree only in its escalation — a quiescent query may run
+		// bootstrap list only in its escalation — a quiescent query may run
 		// in between.
-		n := int64(p.bootTree.Len())
+		keys := p.bootKeys()
+		n := int64(len(keys))
 		if n == 0 {
 			if t.TrueTotal() == 0 {
 				panic("quantile: Quantile before any arrival")
@@ -423,7 +436,7 @@ func (t *Tracker) QuantileAt(i int) uint64 {
 		if idx >= n {
 			idx = n - 1
 		}
-		return p.bootTree.Select(int(idx))
+		return keys[idx]
 	}
 	return p.qs[i].m0
 }

@@ -241,7 +241,7 @@ func TestSketchModeSpace(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() (int64, uint64) {
-		tr, _ := New(Config{K: 4, Eps: 0.05, Phi: 0.5, Seed: 42})
+		tr, _ := New(Config{K: 4, Eps: 0.05, Phi: 0.5})
 		g := distinctUniform(20000, 41)
 		for i := 0; ; i++ {
 			x, ok := g.Next()

@@ -20,7 +20,7 @@ func TestBatchedFeedMatchesPerItemAtScale(t *testing.T) {
 		n     = 200_000
 		batch = 512
 	)
-	cfg := Config{K: k, Eps: 0.02, Phis: []float64{0.1, 0.5, 0.99}, Seed: 3}
+	cfg := Config{K: k, Eps: 0.02, Phis: []float64{0.1, 0.5, 0.99}}
 	per, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestBatchedFeedMatchesPerItemAtScale(t *testing.T) {
 // was lost in total.
 func TestReconfigureShrinkDrainsIntoSiteZero(t *testing.T) {
 	const k, n = 4, 30_000
-	tr, err := New(Config{K: k, Eps: 0.05, Phi: 0.5, Seed: 9})
+	tr, err := New(Config{K: k, Eps: 0.05, Phi: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

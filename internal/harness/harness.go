@@ -158,7 +158,7 @@ func (s Spec) build() (*runner, error) {
 		if s.Algo == QuantSketch {
 			mode = quantile.ModeSketch
 		}
-		t, err := quantile.New(quantile.Config{K: s.K, Eps: s.Eps, Phi: s.Phi, Mode: mode, Seed: s.Seed})
+		t, err := quantile.New(quantile.Config{K: s.K, Eps: s.Eps, Phi: s.Phi, Mode: mode})
 		if err != nil {
 			return nil, err
 		}
@@ -179,7 +179,7 @@ func (s Spec) build() (*runner, error) {
 		if s.Algo == AllQSketch {
 			mode = allq.ModeSketch
 		}
-		t, err := allq.New(allq.Config{K: s.K, Eps: s.Eps, Mode: mode, Seed: s.Seed})
+		t, err := allq.New(allq.Config{K: s.K, Eps: s.Eps, Mode: mode})
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +199,7 @@ func (s Spec) build() (*runner, error) {
 			},
 		}, nil
 	case Naive:
-		t := baseline.NewNaive(s.K)
+		t := baseline.NewNaive()
 		return &runner{feed: t.Feed, meter: t.Meter, hh: t.HeavyHitters, quant: t.Quantile}, nil
 	case Push:
 		t, err := baseline.NewPush(s.K, s.Eps)

@@ -8,27 +8,74 @@ package oracle
 
 import (
 	"slices"
-
-	"disttrack/internal/rank"
+	"sort"
 )
 
-// Oracle holds the exact multiset A(t).
+// Oracle holds the exact multiset A(t). Add only counts; the first rank or
+// quantile read after it brings the sorted view up to date in O(distinct),
+// so an Oracle is not safe for concurrent use, reads included.
 type Oracle struct {
 	counts map[uint64]int64
-	tree   *rank.Tree
 	n      int64
+
+	// The sorted view as of the last read: ascending distinct keys and, for
+	// each, the number of items below it. fresh stages the keys first seen
+	// since then; settledN is n at that read.
+	keys     []uint64
+	below    []int64
+	fresh    []uint64
+	settledN int64
 }
 
 // New returns an empty oracle.
 func New() *Oracle {
-	return &Oracle{counts: make(map[uint64]int64), tree: rank.New(0xFACE)}
+	return &Oracle{counts: make(map[uint64]int64)}
 }
 
 // Add records one arrival of x.
 func (o *Oracle) Add(x uint64) {
-	o.counts[x]++
-	o.tree.Insert(x)
+	c := o.counts[x]
+	if c == 0 {
+		o.fresh = append(o.fresh, x)
+	}
+	o.counts[x] = c + 1
 	o.n++
+}
+
+// settle merges the staged keys into keys and recounts below.
+func (o *Oracle) settle() {
+	if o.settledN == o.n {
+		return
+	}
+	if len(o.fresh) > 0 {
+		slices.Sort(o.fresh)
+		o.keys = mergeDisjoint(o.keys, o.fresh)
+		o.fresh = nil // released, so each distinct key is held once
+	}
+	o.below = slices.Grow(o.below[:0], len(o.keys))[:len(o.keys)]
+	var acc int64
+	for i, x := range o.keys {
+		o.below[i] = acc
+		acc += o.counts[x]
+	}
+	o.settledN = o.n
+}
+
+// mergeDisjoint merges the ascending add into the ascending keys, which hold
+// none of its values, in place from the back.
+func mergeDisjoint(keys, add []uint64) []uint64 {
+	i := len(keys) - 1
+	keys = slices.Grow(keys, len(add))[:len(keys)+len(add)]
+	for j, w := len(add)-1, len(keys)-1; j >= 0; w-- {
+		if i >= 0 && keys[i] > add[j] {
+			keys[w] = keys[i]
+			i--
+		} else {
+			keys[w] = add[j]
+			j--
+		}
+	}
+	return keys
 }
 
 // Len returns |A|.
@@ -38,13 +85,13 @@ func (o *Oracle) Len() int64 { return o.n }
 func (o *Oracle) Count(x uint64) int64 { return o.counts[x] }
 
 // Rank returns the exact number of items strictly less than x.
-func (o *Oracle) Rank(x uint64) int64 { return int64(o.tree.Rank(x)) }
-
-// RankOfValue returns the exact number of items whose Unperturb-ed value is
-// strictly less than v, assuming keys were produced by stream.Perturb with
-// the given shift.
-func (o *Oracle) RankOfValue(v uint64, shift uint) int64 {
-	return int64(o.tree.Rank(v << shift))
+func (o *Oracle) Rank(x uint64) int64 {
+	o.settle()
+	i, _ := slices.BinarySearch(o.keys, x)
+	if i == len(o.keys) {
+		return o.n
+	}
+	return o.below[i]
 }
 
 // HeavyHitters returns the exact set Hφ = {x : m_x >= φ|A|}, sorted.
@@ -63,11 +110,6 @@ func (o *Oracle) HeavyHitters(phi float64) []uint64 {
 	return out
 }
 
-// IsHeavy reports whether m_x >= φ|A|.
-func (o *Oracle) IsHeavy(x uint64, phi float64) bool {
-	return o.n > 0 && float64(o.counts[x]) >= phi*float64(o.n)
-}
-
 // Quantile returns the exact φ-quantile: the item of rank ⌊φ·|A|⌋ in sorted
 // order (0-based), clamped to the ends — an item with at most φ|A| items
 // smaller and at most (1−φ)|A| greater. It panics on an empty oracle.
@@ -82,7 +124,9 @@ func (o *Oracle) Quantile(phi float64) uint64 {
 	if i >= o.n {
 		i = o.n - 1
 	}
-	return o.tree.Select(int(i))
+	o.settle()
+	// The key holding rank i is the last one with fewer than i+1 items below.
+	return o.keys[sort.Search(len(o.below), func(j int) bool { return o.below[j] > i })-1]
 }
 
 // QuantileRankError returns |rank(x) − φ|A|| as a fraction of |A| — the
@@ -94,7 +138,7 @@ func (o *Oracle) QuantileRankError(x uint64, phi float64) float64 {
 	if o.n == 0 {
 		return 0
 	}
-	lo := float64(o.tree.Rank(x))     // items < x
+	lo := float64(o.Rank(x))          // items < x
 	hi := lo + float64(o.counts[x])   // items <= x
 	target := phi * float64(o.n)      // ideal rank
 	if target >= lo && target <= hi { // target falls inside x's run

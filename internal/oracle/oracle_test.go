@@ -1,10 +1,10 @@
 package oracle
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
-
-	"disttrack/internal/stream"
 )
 
 func TestCountsAndLen(t *testing.T) {
@@ -33,9 +33,6 @@ func TestHeavyHitters(t *testing.T) {
 	got = o.HeavyHitters(0.35)
 	if len(got) != 1 || got[0] != 5 {
 		t.Fatalf("HH(0.35)=%v want [5]", got)
-	}
-	if !o.IsHeavy(5, 0.4) || o.IsHeavy(7, 0.4) {
-		t.Fatal("IsHeavy misclassifies")
 	}
 	if New().HeavyHitters(0.1) != nil {
 		t.Fatal("empty oracle should have no heavy hitters")
@@ -108,44 +105,81 @@ func TestQuantileRankErrorWithDuplicates(t *testing.T) {
 	}
 }
 
-func TestRankOfValue(t *testing.T) {
+// TestAgainstBruteForce checks every query against a sorted copy of the
+// arrivals: full 64-bit keys, 0 and math.MaxUint64 among them, half drawn
+// from a small pool so they repeat. Reads follow every Add for one stretch,
+// so each merge stages a single key, and otherwise follow long runs of adds,
+// so a merge interleaves many new keys with the old.
+func TestAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	pool := []uint64{0, math.MaxUint64, 1, math.MaxUint64 - 1}
+	for len(pool) < 300 {
+		pool = append(pool, rng.Uint64())
+	}
 	o := New()
-	g := stream.Perturb(stream.FromSlice([]uint64{3, 3, 5, 4}))
-	for {
-		x, ok := g.Next()
-		if !ok {
-			break
+	var sorted []uint64
+	for i := 0; i < 6000; i++ {
+		x := rng.Uint64()
+		if i%2 == 0 {
+			x = pool[rng.Intn(len(pool))]
 		}
 		o.Add(x)
-	}
-	if got := o.RankOfValue(4, stream.PerturbBits); got != 2 {
-		t.Fatalf("RankOfValue(4)=%d want 2", got)
-	}
-	if got := o.RankOfValue(6, stream.PerturbBits); got != 4 {
-		t.Fatalf("RankOfValue(6)=%d want 4", got)
+		at, _ := slices.BinarySearch(sorted, x)
+		sorted = slices.Insert(sorted, at, x)
+		if (i >= 1000 && i < 1300) || i%997 == 0 || i == 5999 {
+			checkAgainstSorted(t, i, o, sorted, append(pool, rng.Uint64(), x, x+1, x-1))
+		}
 	}
 }
 
-func TestAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	o := New()
-	var items []uint64
-	for i := 0; i < 2000; i++ {
-		x := uint64(rng.Intn(300))
-		o.Add(x)
-		items = append(items, x)
-		if i%101 != 0 {
-			continue
+// checkAgainstSorted compares every oracle query with the answer read off
+// sorted, the arrivals so far in ascending order, at the given probes.
+func checkAgainstSorted(t *testing.T, step int, o *Oracle, sorted, probes []uint64) {
+	t.Helper()
+	n := int64(len(sorted))
+	if o.Len() != n {
+		t.Fatalf("step %d: Len=%d want %d", step, o.Len(), n)
+	}
+	for _, q := range probes {
+		lo, _ := slices.BinarySearch(sorted, q)
+		hi := lo
+		for hi < len(sorted) && sorted[hi] == q {
+			hi++
 		}
-		q := uint64(rng.Intn(310))
-		want := int64(0)
-		for _, y := range items {
-			if y < q {
-				want++
+		if got := o.Rank(q); got != int64(lo) {
+			t.Fatalf("step %d: Rank(%d)=%d want %d", step, q, got, lo)
+		}
+		if got := o.Count(q); got != int64(hi-lo) {
+			t.Fatalf("step %d: Count(%d)=%d want %d", step, q, got, hi-lo)
+		}
+		for _, phi := range []float64{0, 0.3, 0.5, 1} {
+			target := phi * float64(n)
+			want := max(float64(lo)-target, target-float64(hi), 0) / float64(n)
+			if got := o.QuantileRankError(q, phi); got != want {
+				t.Fatalf("step %d: QuantileRankError(%d, %g)=%g want %g", step, q, phi, got, want)
 			}
 		}
-		if got := o.Rank(q); got != want {
-			t.Fatalf("step %d: Rank(%d)=%d want %d", i, q, got, want)
+	}
+	for _, phi := range []float64{0, 0.001, 0.1, 0.25, 0.5, 0.9, 0.999, 1} {
+		want := sorted[min(int64(phi*float64(n)), n-1)]
+		if got := o.Quantile(phi); got != want {
+			t.Fatalf("step %d: Quantile(%g)=%d want %d", step, phi, got, want)
+		}
+	}
+	for _, phi := range []float64{0.001, 0.004, 0.01} {
+		var want []uint64
+		for i := 0; i < len(sorted); {
+			j := i
+			for j < len(sorted) && sorted[j] == sorted[i] {
+				j++
+			}
+			if float64(j-i) >= phi*float64(n) {
+				want = append(want, sorted[i])
+			}
+			i = j
+		}
+		if got := o.HeavyHitters(phi); !slices.Equal(got, want) {
+			t.Fatalf("step %d: HeavyHitters(%g)=%v want %v", step, phi, got, want)
 		}
 	}
 }
