@@ -122,14 +122,13 @@ load-smoke:
 	./scripts/load_smoke.sh
 
 # Short fuzz pass over the wire-protocol and durability decoders — every
-# byte format that crosses a trust boundary (network frames, WAL records,
-# checkpoint frames, POST /v1/ingest bodies) — and over the exact site store
-# against a sorted-slice reference and the slot table (hh's counters and the
-# perturbation counters) against a map.
+# byte format that crosses a trust boundary (TFrame network frames, WAL
+# records, checkpoint frames, POST /v1/ingest bodies) — and over the exact
+# site store against a sorted-slice reference and the slot table (hh's
+# counters and the perturbation counters) against a map.
 fuzz-smoke:
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s
 	$(GO) test ./internal/remote/ -run '^$$' -fuzz FuzzReadTFrame -fuzztime 10s
-	$(GO) test ./internal/remote/ -run '^$$' -fuzz FuzzReadMsg -fuzztime 10s
 	$(GO) test ./internal/summary/gk/ -run '^$$' -fuzz Fuzz -fuzztime 10s
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz FuzzCursorTable -fuzztime 10s

@@ -9,8 +9,8 @@
 // they stand on (Space-Saving and Greenwald–Khanna sketches, exact
 // sorted-run site stores), the prior-art baselines they are measured
 // against, the lower-bound constructions of Theorems 2.4 and 3.2, the §5
-// randomized-sampling baseline, a concurrent runtime, and a TCP deployment
-// of the heavy-hitter protocol.
+// randomized-sampling baseline, a concurrent runtime, and a multi-tenant
+// tracking service whose site and coordinator nodes talk over TCP.
 //
 // Entry points:
 //
@@ -21,7 +21,6 @@
 //     query API (docs/service.md);
 //   - cmd/experiments — regenerates every experiment table
 //     (docs/architecture.md, "Experiments");
-//   - cmd/coordd, cmd/sited — the TCP coordinator and site agents;
 //   - Example (example_test.go) — the three trackers over one stream,
 //     executed by go test.
 //

@@ -18,6 +18,28 @@ func TestRunDefaults(t *testing.T) {
 	}
 }
 
+// TestHHFarBelowNaive checks that the heavy-hitter protocol's traffic is
+// sublinear: at k = 4, ε = 0.05 it sends about a tenth of what forwarding
+// every arrival costs, so a quarter leaves room without hiding a regression
+// to per-arrival reports.
+func TestHHFarBelowNaive(t *testing.T) {
+	const k, eps, n = 4, 0.05, 40_000
+	for _, w := range []Workload{WZipf, WUniform} {
+		run := func(algo Algo) Result {
+			r, err := Run(Spec{Algo: algo, K: k, Eps: eps, N: n, Workload: w, Seed: 1})
+			if err != nil {
+				t.Fatalf("%s on %s: %v", algo, w.Name, err)
+			}
+			return r
+		}
+		hh, naive := run(HHExact), run(Naive)
+		if hh.Msgs > naive.Msgs/4 || hh.Words > naive.Words/4 {
+			t.Errorf("%s: hh sent %d msgs / %d words, naive %d / %d: not far below naive",
+				w.Name, hh.Msgs, hh.Words, naive.Msgs, naive.Words)
+		}
+	}
+}
+
 func TestRunAllAlgosWithChecking(t *testing.T) {
 	for _, algo := range []Algo{
 		HHExact, HHSketch, QuantExact, QuantSketch, AllQ, AllQSketch,

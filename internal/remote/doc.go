@@ -1,25 +1,15 @@
-// Package remote moves disttrack's tracking protocols onto real sockets.
-// It contains two independent planes, both speaking small length-prefixed
-// binary protocols over TCP (stdlib net only):
+// Package remote is disttrack's multi-tenant transport: the TCP link
+// between cmd/trackd's site and coord roles, speaking a small
+// length-prefixed binary protocol (stdlib net only; tproto.go, tclient.go,
+// tserver.go).
 //
-// # The §2.1 protocol plane (proto.go, coord.go, client.go)
-//
-// A faithful deployment of the paper's single-tenant heavy-hitter protocol:
-// a Coordinator daemon and k SiteAgent processes exchanging frequency
-// deltas, count signals and threshold broadcasts, with epochs absorbing the
-// races a real network introduces. See the file comment in proto.go for the
-// staleness and pacing semantics.
-//
-// # The multi-tenant transport plane (tproto.go, tclient.go, tserver.go)
-//
-// The production ingest path used by cmd/trackd's coord and site roles: a
-// site-node NodeClient pushes per-(tenant,site) value batches as TFrame
+// A site-node NodeClient pushes per-(tenant,site) value batches as TFrame
 // streams to the coordinator's IngestServer, which deduplicates replays by
 // per-node sequence number and acknowledges applied frames — at-least-once
 // on the wire, exactly-once after deduplication, across any number of
 // disconnects.
 //
-// The plane is fault-tolerant by construction (see internal/fault):
+// The transport is fault-tolerant by construction (see internal/fault):
 //
 //   - NodeClient redials through a circuit breaker (stop hammering a dead
 //     coordinator; recover via half-open probes), jittered exponential

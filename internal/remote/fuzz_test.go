@@ -9,29 +9,6 @@ import (
 	"disttrack/internal/runtime"
 )
 
-// FuzzReadMsg ensures arbitrary bytes never panic the frame decoder and
-// that valid frames round-trip.
-func FuzzReadMsg(f *testing.F) {
-	var seed bytes.Buffer
-	_ = WriteMsg(&seed, Msg{Type: TypeFreq, A: 1, B: 2, C: 3})
-	f.Add(seed.Bytes())
-	f.Add([]byte{0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ReadMsg(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Whatever decoded must re-encode to the same first frame.
-		var buf bytes.Buffer
-		if err := WriteMsg(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), data[:frameSize]) {
-			t.Fatalf("re-encode mismatch: %x vs %x", buf.Bytes(), data[:frameSize])
-		}
-	})
-}
-
 // FuzzReadTFrame ensures arbitrary bytes never panic the multi-tenant frame
 // decoder (variable-length payloads make this the riskier parser), that a
 // failed decode keeps no pooled slice, and that whatever decodes is the one

@@ -12,9 +12,7 @@ import (
 
 // Multi-tenant transport frames (site node ↔ coordinator node).
 //
-// The §2.1 frames above are fixed-size and single-tenant: one coordinator,
-// one protocol instance, one item per message. The multi-tenant transport
-// instead carries batched delta frames for many tenants over one
+// The transport carries batched delta frames for many tenants over one
 // connection: each frame names the tenant, the site id within that tenant's
 // protocol instance, the tracker kind, and a batch of values. Frames are
 // variable-length and sequenced per connection so the receiver can

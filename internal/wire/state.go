@@ -3,10 +3,7 @@ package wire
 import "maps"
 
 // MeterState is an exported deep copy of a Meter's counters, the unit of
-// meter serialization for engine checkpoints. The trace is deliberately
-// excluded: it is a debugging aid bounded to one process lifetime, not
-// protocol state, and restoring it would let a checkpoint re-enable an
-// unbounded buffer.
+// meter serialization for engine checkpoints.
 type MeterState struct {
 	Up, Down Cost
 	KindsOff bool
@@ -27,9 +24,9 @@ func (m *Meter) State() MeterState {
 	}
 }
 
-// SetState replaces the meter's counters with a deep copy of st, leaving
-// the trace configuration untouched. Like every other Meter method it is
-// not safe for concurrent use; engines call it under their slow-path locks.
+// SetState replaces the meter's counters with a deep copy of st. Like every
+// other Meter method it is not safe for concurrent use; engines call it
+// under their slow-path locks.
 func (m *Meter) SetState(st MeterState) {
 	m.up = st.Up
 	m.down = st.Down

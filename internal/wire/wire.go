@@ -32,33 +32,7 @@ type Meter struct {
 	byKind   map[string]Cost
 	bySite   []Cost // grown on demand, indexed by site
 	byTenant map[string]Cost
-
-	// trace, when enabled, records every message for debugging and for the
-	// lower-bound adversary, bounded by traceCap.
-	trace    []Msg
-	traceOn  bool
-	traceCap int
 }
-
-// Msg is a traced message.
-type Msg struct {
-	Up    bool // site→coordinator if true
-	Site  int
-	Kind  string
-	Words int
-}
-
-// EnableTrace starts recording messages, keeping at most cap entries
-// (cap <= 0 means unbounded).
-func (m *Meter) EnableTrace(cap int) {
-	m.traceOn = true
-	m.traceCap = cap
-	m.trace = m.trace[:0]
-}
-
-// Trace returns the recorded messages. The returned slice is owned by the
-// meter; callers must not retain it across further protocol activity.
-func (m *Meter) Trace() []Msg { return m.trace }
 
 // Up records one site→coordinator message of the given kind and size.
 func (m *Meter) Up(site int, kind string, words int) { m.record(true, site, kind, words) }
@@ -119,9 +93,6 @@ func (m *Meter) record(up bool, site int, kind string, words int) {
 	if site >= 0 {
 		m.bySite[site] = m.bySite[site].Add(c)
 	}
-	if m.traceOn && (m.traceCap <= 0 || len(m.trace) < m.traceCap) {
-		m.trace = append(m.trace, Msg{Up: up, Site: site, Kind: kind, Words: words})
-	}
 }
 
 // DisableKindBreakdown stops per-kind accounting: record skips the map
@@ -176,13 +147,12 @@ func (m *Meter) Site(j int) Cost {
 	return m.bySite[j]
 }
 
-// Reset clears all counters and the trace.
+// Reset clears all counters.
 func (m *Meter) Reset() {
 	m.up, m.down = Cost{}, Cost{}
 	m.byKind = nil
 	m.bySite = nil
 	m.byTenant = nil
-	m.trace = nil
 }
 
 // String renders a compact human-readable summary.

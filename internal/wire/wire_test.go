@@ -100,21 +100,6 @@ func TestMeterByTenant(t *testing.T) {
 	}
 }
 
-func TestMeterTrace(t *testing.T) {
-	var m Meter
-	m.EnableTrace(2)
-	m.Up(0, "a", 1)
-	m.Down(1, "b", 2)
-	m.Up(2, "c", 3) // beyond cap, dropped
-	tr := m.Trace()
-	if len(tr) != 2 {
-		t.Fatalf("trace length = %d, want 2 (capped)", len(tr))
-	}
-	if !tr[0].Up || tr[0].Kind != "a" || tr[1].Up || tr[1].Site != 1 {
-		t.Fatalf("unexpected trace contents: %+v", tr)
-	}
-}
-
 func TestMeterReset(t *testing.T) {
 	var m Meter
 	m.Up(0, "x", 7)
