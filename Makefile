@@ -41,7 +41,8 @@ test-shuffle:
 # arrivals (the first read after an arrival sorts the bootstrap list, which
 # is safe only under the quiescent lock set); the fourth repeats the
 # engine's concurrent conformance laws on the mock policy, where an arrival
-# straddling the bootstrap handoff shows 1 run in 6-12; the fifth repeats the
+# straddling the bootstrap handoff shows 1 run in 6-12, plus the slow path's
+# drain budgets driven by one long batch; the fifth repeats the
 # forwarder's producers-against-the-ticker test, which caught a buffer being
 # taken out and enqueued in two steps (reordered or late batches; at
 # -count=40 under -race it failed every time).
@@ -49,7 +50,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
 	$(GO) test -race -count=10 -run TestBootstrapReadsChangeNoState ./internal/core/quantile ./internal/core/allq
-	$(GO) test -race -count=20 -run 'TestEngineConformanceMockPolicy/(ConcurrentStress|ConcurrentBatchStress)' ./internal/core/engine
+	$(GO) test -race -count=20 -run 'TestEngineConformanceMockPolicy/(ConcurrentStress|ConcurrentBatchStress)|TestSlowPathBudgets' ./internal/core/engine
 	$(GO) test -race -count=40 -run TestForwarderConcurrentProducers ./internal/runtime
 
 # The quick experiment tables are a pure function of the protocols' decisions
@@ -67,7 +68,7 @@ bench-smoke:
 # Exercise the batched ingest fast path (FeedLocalBatch, alone and under
 # the concurrent runtime) once under the race detector (docs/perf.md), so
 # every PR runs it with checking on. The FeedBatch pattern also matches the
-# metrics-enabled *Obs twins and the burst-heavy coalescing twins, so the
+# metrics-enabled *Obs twins and the burst-heavy coalescing benchmark, so the
 # instrumented fast path and the coalesced slow path run with checking on
 # too; ServiceMacro drives the whole service the same way. A -bench pattern
 # that matches nothing exits 0, so race-bench also counts the benchmarks that

@@ -5,9 +5,9 @@
 //     make bench-race-smoke ('FeedBatch') runs them under -race, and the
 //     plain/Obs pairs are the ≤5% instrumentation-overhead gate of
 //     docs/perf.md "Instrumentation overhead";
-//   - BenchmarkFeedBatchBurst{Coalesced,Uncoalesced}: the coalescing A/B of
-//     docs/perf.md "The coalesced slow path", also under -race via
-//     'FeedBatch';
+//   - BenchmarkFeedBatchBurstCoalesced: the burst-heavy workload of
+//     docs/perf.md "The coalesced slow path", reporting its lock traffic,
+//     also under -race via 'FeedBatch';
 //   - BenchmarkClusterSendBatchParallel: make bench-race-smoke
 //     ('ClusterSendBatchParallel'), the concurrent runtime over the batched
 //     fast path.
@@ -33,9 +33,7 @@ import (
 // benchFeedBatch measures the per-arrival cost of FeedLocalBatch at batch
 // 256: one site-lock acquisition and one store bulk-insert per
 // escalation-free run.
-func benchFeedBatch(b *testing.B, tr interface {
-	FeedLocalBatch(site int, xs []uint64) []int
-}, xs []uint64, distinct bool) {
+func benchFeedBatch(b *testing.B, tr runtime.Tracker, xs []uint64, distinct bool) {
 	b.Helper()
 	const batch = 256
 	bufs := make([][]uint64, 8)
@@ -131,14 +129,14 @@ func BenchmarkFeedBatchAllQObs(b *testing.B) {
 	benchFeedBatch(b, tr, preGen(b, true), true)
 }
 
-// Burst-heavy batched ingest, the workload slow-path coalescing exists for:
-// an eager reporting threshold (ThresholdDivisor 256 in place of the
-// paper's 3) makes a crossing land every few items, so every 256-item batch
-// spans dozens of escalations. The coalesced/uncoalesced twins are A/B'd in
-// one session; the counters surface the lock traffic directly — uncoalesced
-// pays one lock-set acquisition per escalation, coalesced absorbs the burst
-// under one hold.
-func benchFeedBatchBurst(b *testing.B, disable bool) {
+// BenchmarkFeedBatchBurstCoalesced is burst-heavy batched ingest, the
+// workload slow-path coalescing exists for: an eager reporting threshold
+// (ThresholdDivisor 256 in place of the paper's 3) makes a crossing land
+// every few items, so every 256-item batch spans dozens of escalations. The
+// counters surface the lock traffic directly: escalations/run is what one
+// acquisition per escalation (sequential Feed) would pay, acquires/run what
+// the coalesced holds paid.
+func BenchmarkFeedBatchBurstCoalesced(b *testing.B) {
 	xs := preGen(b, false)
 	const batch = 256
 	var acq, saved, esc float64
@@ -149,7 +147,6 @@ func benchFeedBatchBurst(b *testing.B, disable bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tr.SetCoalesce(engine.CoalesceConfig{Disable: disable})
 		m := fullEngineMetrics()
 		tr.SetMetrics(m)
 		b.StartTimer()
@@ -169,9 +166,6 @@ func benchFeedBatchBurst(b *testing.B, disable bool) {
 	b.ReportMetric(saved, "saved/run")
 	b.ReportMetric(esc, "escalations/run")
 }
-
-func BenchmarkFeedBatchBurstCoalesced(b *testing.B)   { benchFeedBatchBurst(b, false) }
-func BenchmarkFeedBatchBurstUncoalesced(b *testing.B) { benchFeedBatchBurst(b, true) }
 
 const benchSites = 8
 

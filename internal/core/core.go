@@ -35,9 +35,8 @@ type Tracker interface {
 	// per-arrival reference FeedLocalBatch is pinned against.
 	Feed(site int, x uint64)
 	// FeedLocalBatch amortizes the fast path over a batch, running the
-	// slow path inline at exactly the sequential positions; it returns the
-	// strictly increasing batch indices that escalated.
-	FeedLocalBatch(site int, xs []uint64) (escalations []int)
+	// slow path inline at exactly the sequential positions.
+	FeedLocalBatch(site int, xs []uint64)
 	// Quiesce runs f with no fast path in flight and no escalation.
 	Quiesce(f func())
 	// Version is the coordinator state version; answers computed under

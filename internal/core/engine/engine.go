@@ -15,12 +15,12 @@
 //     FeedLocalBatch) takes only the one site's lock, applies the policy's
 //     local accounting, and reports whether the protocol requires
 //     coordinator work. Per-site state is single-writer.
-//   - The coordinator slow path (escalate, coalesce) serializes on escMu and
-//     additionally holds every site lock for its duration, so the rare
-//     communication cascades see a quiescent cluster exactly as the paper's
-//     atomic-message model assumes. Coordinator and round state that the
-//     fast path reads therefore only changes while every fast path is
-//     excluded.
+//   - The coordinator slow path (slowPath, the one function both entry
+//     points escalate through) serializes on escMu and additionally holds
+//     every site lock for its duration, so the rare communication cascades
+//     see a quiescent cluster exactly as the paper's atomic-message model
+//     assumes. Coordinator and round state that the fast path reads
+//     therefore only changes while every fast path is excluded.
 //   - Feed is the sequential composition of the two for one arrival — the
 //     per-arrival transcription of the paper and the reference the batch
 //     path is pinned against; like queries outside Quiesce it is for
@@ -30,14 +30,17 @@
 //     site-lock acquisition and one fold into the site/global counts per
 //     run, with the slow path run inline at exactly the logical positions a
 //     sequential Feed loop would choose — protocol state and every
-//     wire.Meter count stay bit-for-bit identical to feeding one by one.
+//     wire.Meter count stay bit-for-bit identical to feeding one by one. A
+//     slow-path entry at a crossing drains the rest of the batch under the
+//     same hold, up to fixed budgets (coalesceItems, coalesceCrossings), so
+//     a burst of crossings costs one lock-set acquisition, not one each.
 //
 // The lock order is escMu, then site locks in ascending index order; the
 // fast path takes only its own site lock, so no cycle exists.
 //
 // # Versioned snapshots
 //
-// The engine bumps a coordinator state version after every slow-path entry,
+// The engine bumps a coordinator state version after every escalation,
 // before releasing the locks: a reader that still observes the old version
 // is guaranteed the escalation has not yet published, so answers computed
 // under Quiesce remain valid while Version is unchanged (the service
@@ -114,36 +117,18 @@ type Config struct {
 	Eps  float64 // approximation error, in (0, 1)
 }
 
-// CoalesceConfig bounds the coalesced slow path: when FeedLocalBatch hits a
-// threshold crossing with batch remaining, the engine enters the slow path
-// once and drains the rest of the batch under the already-held locks instead
-// of paying an escMu + all-site-locks round trip per crossing. The budgets
-// bound how long one entry may hold the cluster quiescent so other sites'
-// escalations and queries are not starved behind one site's burst. Every
-// engine starts with the zero value (on, default budgets); SetCoalesce is
-// the one seam that changes it, for the conformance laws and the burst
-// benchmarks.
-type CoalesceConfig struct {
-	// Disable turns coalescing off entirely; every crossing then pays its
-	// own slow-path acquisition (the reference twin of the coalescing laws,
-	// and the A/B baseline for the burst benchmarks).
-	Disable bool
-	// MaxItems bounds the arrivals drained under a single slow-path hold
-	// (beyond the crossing that opened it). 0 means DefaultCoalesceItems.
-	MaxItems int
-	// MaxCrossings bounds the threshold crossings absorbed by a single
-	// hold. 0 means DefaultCoalesceCrossings.
-	MaxCrossings int
-}
-
-// Default coalescing budgets: one hold may drain up to 8192 arrivals and
-// absorb up to 64 crossings before releasing the cluster. Both are far above
-// the common batch sizes (the runtime and service deliver 256–4096 item
-// batches), so in practice one burst = one acquisition, while a pathological
-// threshold-dense megabatch still yields the locks periodically.
+// The coalescing budgets bound one slow-path hold: when FeedLocalBatch hits
+// a threshold crossing with batch remaining, the engine drains the rest of
+// the batch under the already-held locks, but releases the cluster after
+// coalesceItems drained arrivals or coalesceCrossings crossings, so other
+// sites' escalations and queries are not starved behind one site's burst.
+// Both are far above the common batch sizes (the runtime and service deliver
+// 256–4096 item batches), so in practice one burst is one acquisition, while
+// a pathological threshold-dense megabatch still yields the locks
+// periodically.
 const (
-	DefaultCoalesceItems     = 8192
-	DefaultCoalesceCrossings = 64
+	coalesceItems     = 8192
+	coalesceCrossings = 64
 )
 
 // site is the engine-owned per-site core: the lock that guards both the
@@ -153,12 +138,6 @@ const (
 type site struct {
 	mu sync.Mutex
 	nj int64 // exact local count |S_j|
-
-	// esc is the per-site scratch backing FeedLocalBatch's escalation-index
-	// return slice, reused across calls so an escalating batch costs zero
-	// steady-state allocations. Only FeedLocalBatch touches it, and the
-	// batch contract is single-writer per site, so no lock guards it.
-	esc []int
 }
 
 // Engine runs the two-phase protocol skeleton over a Policy.
@@ -168,7 +147,7 @@ type Engine struct {
 	meter wire.Meter
 	pol   Policy
 
-	// escMu serializes the coordinator slow path (escalate, Quiesce). The
+	// escMu serializes the coordinator slow path (slowPath, Quiesce). The
 	// slow path additionally holds every site lock, so coordinator state
 	// read by the fast path only changes while all fast paths are excluded.
 	escMu   sync.Mutex
@@ -192,12 +171,6 @@ type Engine struct {
 	// changed only on the slow path.
 	boot bool
 
-	// coItems/coCross are the per-hold coalescing budgets (0 = coalescing
-	// off). Written by New/SetCoalesce before concurrent use, read on the
-	// batched path.
-	coItems int
-	coCross int
-
 	n atomic.Int64 // true global count (ground truth for tests/experiments)
 }
 
@@ -216,31 +189,12 @@ func New(cfg Config, pol Policy) (*Engine, error) {
 		pol:  pol,
 		boot: true,
 	}
-	e.SetCoalesce(CoalesceConfig{})
 	sites := make([]*site, cfg.K)
 	for j := range sites {
 		sites[j] = &site{}
 	}
 	e.sites.Store(&sites)
 	return e, nil
-}
-
-// SetCoalesce reconfigures the slow-path coalescing budgets (zero fields
-// mean the defaults; Disable turns coalescing off). Like SetMetrics it must
-// be called before the engine is used concurrently; the engine does not
-// synchronize the fields.
-func (e *Engine) SetCoalesce(c CoalesceConfig) {
-	if c.Disable {
-		e.coItems, e.coCross = 0, 0
-		return
-	}
-	e.coItems, e.coCross = c.MaxItems, c.MaxCrossings
-	if e.coItems <= 0 {
-		e.coItems = DefaultCoalesceItems
-	}
-	if e.coCross <= 0 {
-		e.coCross = DefaultCoalesceCrossings
-	}
 }
 
 // BootTarget returns ⌈k/ε⌉ — the coordinator item count at which the
@@ -264,16 +218,19 @@ func (e *Engine) siteAt(j int) *site {
 // communication the protocol triggers. It is the sequential composition of
 // the fast and slow paths — deterministic callers (the harness, the
 // experiments) observe exactly the pre-split behavior, message for message.
+// With nothing after the arrival to drain, every escalation it runs is one
+// slow-path acquisition: it is the uncoalesced reference FeedLocalBatch is
+// pinned against.
 func (e *Engine) Feed(siteID int, x uint64) {
 	if e.feedLocal(siteID, x) {
-		e.escalate(siteID, x)
+		e.slowPath(siteID, x, nil)
 	}
 }
 
 // feedLocal runs the site-local fast path for one arrival of x at the given
 // site, with no shared state touched and no communication metered. It
 // reports whether the protocol requires coordinator work — Feed then runs
-// escalate with the same arguments.
+// the slow path for the same arrival.
 func (e *Engine) feedLocal(siteID int, x uint64) (escalate bool) {
 	s := e.siteAt(siteID)
 	s.mu.Lock()
@@ -299,31 +256,26 @@ func (e *Engine) feedLocal(siteID int, x uint64) (escalate bool) {
 // FeedLocalBatch records a batch of arrivals at one site, amortizing the
 // fast path: one site-lock acquisition and one global-count update per
 // escalation-free run, with the policy's per-item accounting applied in
-// arrival order. The batch splits at every threshold crossing, and — unless
-// coalescing is disabled — the first crossing with batch remaining enters
-// the slow path once and drains the rest of the batch under the already-held
-// locks, alternating ApplyRun and OnEscalate inline at exactly the logical
-// positions the sequential Feed loop would choose. Coordinator state and
-// every wire.Meter count are therefore bit-for-bit identical to feeding the
-// items one by one (see docs/perf.md for the identity argument); what
-// changes is only the lock traffic: one escMu + all-site-locks acquisition
-// per burst instead of one per crossing, bounded by the CoalesceConfig
-// budgets. It returns the (strictly increasing) batch indices that
-// escalated, nil when none did; the returned slice is per-site scratch,
-// valid only until the next FeedLocalBatch call for the same site — callers
-// must not retain it. The engine does not retain xs.
+// arrival order. The batch splits at every threshold crossing, and the slow
+// path entered at a crossing drains the rest of the batch under the
+// already-held locks, alternating ApplyRun and OnEscalate inline at exactly
+// the logical positions the sequential Feed loop would choose. Coordinator
+// state and every wire.Meter count are therefore bit-for-bit identical to
+// feeding the items one by one (see docs/perf.md for the identity argument);
+// what changes is only the lock traffic: one escMu + all-site-locks
+// acquisition per burst instead of one per crossing, bounded by the
+// coalescing budgets. The engine does not retain xs.
 //
 // It is safe for concurrent use with one goroutine per site; it must not be
 // interleaved with Feed calls for the same site from other goroutines.
-func (e *Engine) FeedLocalBatch(siteID int, xs []uint64) (escalations []int) {
+func (e *Engine) FeedLocalBatch(siteID int, xs []uint64) {
 	s := e.siteAt(siteID)
-	esc := s.esc[:0]
 	for i := 0; i < len(xs); {
 		s.mu.Lock()
 		if e.boot {
 			// Bootstrap forwards every arrival: apply one item and escalate,
-			// exactly the sequential composition. No coalescing here — the
-			// handoff cascade rebuilds round state, and bootstrap is a
+			// exactly the sequential composition. Nothing is drained here —
+			// the handoff cascade rebuilds round state, and bootstrap is a
 			// once-per-tracker O(k/ε) prefix, not a hot path.
 			x := xs[i]
 			s.nj++
@@ -333,8 +285,7 @@ func (e *Engine) FeedLocalBatch(siteID int, xs []uint64) (escalations []int) {
 			if m := e.met; m != nil {
 				m.countFeeds(1)
 			}
-			e.escalate(siteID, x)
-			esc = append(esc, i)
+			e.slowPath(siteID, x, nil)
 			i++
 			continue
 		}
@@ -356,34 +307,34 @@ func (e *Engine) FeedLocalBatch(siteID int, xs []uint64) (escalations []int) {
 		if !crossed {
 			break
 		}
-		esc = append(esc, i-1)
-		if e.coItems > 0 && i < len(xs) {
-			// Batch remaining after the crossing: enter the slow path once
-			// and drain under the held locks. (A crossing on the last item
-			// has nothing to coalesce — plain escalate is the same one
-			// acquisition.)
-			i, esc = e.coalesce(siteID, xs, i, esc)
-		} else {
-			e.escalate(siteID, xs[i-1])
-		}
+		i += e.slowPath(siteID, xs[i-1], xs[i:])
 	}
-	s.esc = esc
-	if len(esc) == 0 {
-		return nil
-	}
-	return esc
 }
 
-// coalesce runs the coordinator slow path for the crossing at xs[i-1] and
-// then keeps draining the batch under the already-held escMu + all-site
-// locks: ApplyRun and OnEscalate alternate at exactly the positions the
-// release/re-acquire loop would produce, so protocol state and metering are
-// identical — only the lock round trips per crossing are saved. The hold is
-// bounded by the coalescing budgets; on budget exhaustion the remaining tail
-// returns to the caller's normal split loop. Never called during bootstrap
-// (boot can only transition true→false, and the caller observed tracking
-// mode under its site lock).
-func (e *Engine) coalesce(siteID int, xs []uint64, i int, esc []int) (int, []int) {
+// slowPath runs the coordinator slow path for an arrival x the fast path has
+// already applied, then drains rest — the arrivals after x in its batch —
+// under the same hold. It takes escMu plus every site lock, excluding every
+// site's fast path for its duration, and returns how many arrivals of rest it
+// consumed; the caller's split loop feeds the remainder.
+//
+// x either forwards a bootstrap arrival (running the bootstrap→tracking
+// handoff when the policy reports it complete) or goes to Policy.OnEscalate.
+// Bootstrap entries pass no rest, so they never drain. A tracking entry then
+// alternates ApplyRun and OnEscalate over rest at exactly the positions the
+// release/re-acquire-per-crossing loop would produce, so protocol state and
+// metering are identical — only the lock round trips per crossing are saved.
+// The hold ends when rest is exhausted, a run ends without a crossing, or the
+// coalescing budgets run out. A crossing on a batch's last item, and every
+// Feed escalation, is the same single acquisition with nothing to drain.
+//
+// An arrival that straddles the bootstrap→tracking transition (the fast path
+// saw boot, another site's escalation ended it first) reaches OnEscalate
+// instead of OnBootEscalate and is never forwarded. core/hh keeps such an
+// arrival in the site's pending deltas from ApplyBoot on, so its next report
+// carries it; core/quantile and core/allq absorb it at their next exact
+// collection, costing at most one word of staleness per site, once — within
+// every invariant's slack.
+func (e *Engine) slowPath(siteID int, x uint64, rest []uint64) (drained int) {
 	m := e.met
 	e.escMu.Lock()
 	e.lockSites()
@@ -395,22 +346,33 @@ func (e *Engine) coalesce(siteID int, xs []uint64, i int, esc []int) (int, []int
 		t0 = slowPathStart(m.SlowPathHold)
 	}
 	s := e.siteAt(siteID)
-	items := e.coItems
-	crossings := e.coCross
+	items, crossings := coalesceItems, coalesceCrossings
 	for {
-		// Coordinator work for the crossing at xs[i-1]. The version bump per
-		// escalation (not per hold) keeps Version identical to the
-		// sequential path — enginetest pins this.
-		e.pol.OnEscalate(siteID, xs[i-1])
+		if e.boot {
+			e.meter.Up(siteID, "item", 1)
+			if e.pol.OnBootEscalate(siteID, x) {
+				e.boot = false
+				e.pol.OnBootDone()
+				if m != nil && m.BootHandoffs != nil {
+					m.BootHandoffs.Inc()
+				}
+			}
+		} else {
+			e.pol.OnEscalate(siteID, x)
+		}
+		// One version bump per escalation, before the locks are released: a
+		// reader that still observes the old version is guaranteed the
+		// escalation has not yet published, and Version stays identical to
+		// the sequential path (enginetest pins this).
 		e.version.Add(1)
 		crossings--
 		if m != nil && m.Escalations != nil {
 			m.Escalations.Inc()
 		}
-		if i == len(xs) || crossings == 0 || items <= 0 {
+		if drained == len(rest) || crossings == 0 || items <= 0 {
 			break
 		}
-		run := xs[i:]
+		run := rest[drained:]
 		if len(run) > items {
 			run = run[:items]
 		}
@@ -429,14 +391,14 @@ func (e *Engine) coalesce(siteID int, xs []uint64, i int, esc []int) (int, []int
 				m.CoalescedRuns.Inc()
 			}
 		}
-		i += consumed
+		drained += consumed
 		items -= consumed
 		if !crossed {
 			// Run ended without a crossing: either the batch is done, or the
 			// item budget clamped the run — both hand back to the caller.
 			break
 		}
-		esc = append(esc, i-1)
+		x = run[consumed-1]
 		if m != nil && m.SavedAcquires != nil {
 			m.SavedAcquires.Inc()
 		}
@@ -446,52 +408,7 @@ func (e *Engine) coalesce(siteID int, xs []uint64, i int, esc []int) (int, []int
 	}
 	e.unlockSites()
 	e.escMu.Unlock()
-	return i, esc
-}
-
-// escalate runs the coordinator slow path for an arrival the fast path has
-// already applied: under escMu plus every site lock it either forwards a
-// bootstrap arrival (running the bootstrap→tracking handoff when the policy
-// reports it complete) or hands the arrival to Policy.OnEscalate. It
-// excludes every site's fast path for its duration.
-//
-// An arrival that straddles the bootstrap→tracking transition (the fast path
-// saw boot, another site's escalation ended it first) reaches OnEscalate
-// instead of OnBootEscalate and is never forwarded. core/hh keeps such an
-// arrival in the site's pending deltas from ApplyBoot on, so its next report
-// carries it; core/quantile and core/allq absorb it at their next exact
-// collection, costing at most one word of staleness per site, once — within
-// every invariant's slack.
-func (e *Engine) escalate(siteID int, x uint64) {
-	m := e.met
-	e.escMu.Lock()
-	e.lockSites()
-	if m != nil && m.SlowPathAcquires != nil {
-		m.SlowPathAcquires.Inc()
-	}
-	var t0 time.Time
-	if m != nil {
-		t0 = slowPathStart(m.SlowPathHold)
-	}
-	if e.boot {
-		e.meter.Up(siteID, "item", 1)
-		if e.pol.OnBootEscalate(siteID, x) {
-			e.boot = false
-			e.pol.OnBootDone()
-			if m != nil && m.BootHandoffs != nil {
-				m.BootHandoffs.Inc()
-			}
-		}
-	} else {
-		e.pol.OnEscalate(siteID, x)
-	}
-	if m != nil {
-		if m.Escalations != nil {
-			m.Escalations.Inc()
-		}
-		slowPathDone(m.SlowPathHold, t0)
-	}
-	e.finishSlowPath()
+	return drained
 }
 
 // lockSites acquires every site lock in index order. Callers hold escMu, so
@@ -506,17 +423,6 @@ func (e *Engine) unlockSites() {
 	for _, s := range *e.sites.Load() {
 		s.mu.Unlock()
 	}
-}
-
-// finishSlowPath publishes the new coordinator state version and releases
-// the slow-path locks. The version is bumped before release so a reader
-// that still observes the old version is guaranteed the escalation has not
-// yet published — its cached answers correspond to the pre-escalation
-// state, a valid linearization.
-func (e *Engine) finishSlowPath() {
-	e.version.Add(1)
-	e.unlockSites()
-	e.escMu.Unlock()
 }
 
 // Quiesce runs f with the whole cluster quiescent — no fast path in flight,
@@ -625,15 +531,18 @@ func (e *Engine) Reconfigure(newK int) error {
 	} else {
 		for j := oldK; j < newK; j++ {
 			s := &site{}
-			s.mu.Lock() // pre-locked: finishSlowPath unlocks the new slice
+			s.mu.Lock() // pre-locked: unlockSites below walks the new slice
 			fresh[j] = s
 		}
 	}
 	e.sites.Store(&fresh)
 	rp.OnReconfigure(oldK, newK)
 	for _, s := range removed {
-		s.mu.Unlock() // no longer in the slice finishSlowPath walks
+		s.mu.Unlock() // no longer in the slice unlockSites walks
 	}
-	e.finishSlowPath()
+	// Publish the new version before release, as the slow path does.
+	e.version.Add(1)
+	e.unlockSites()
+	e.escMu.Unlock()
 	return nil
 }

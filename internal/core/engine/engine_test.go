@@ -153,29 +153,38 @@ func TestEngineConformanceMockPolicy(t *testing.T) {
 	})
 }
 
-// coalesceMetrics wires the slow-path lock-traffic counters onto an engine.
-func coalesceMetrics(reg *obs.Registry) *engine.Metrics {
-	return &engine.Metrics{
+// coalesceMetrics wires the slow-path lock-traffic counters onto tr.
+func coalesceMetrics(tr *countTracker) *engine.Metrics {
+	reg := obs.NewRegistry()
+	m := &engine.Metrics{
 		Escalations:      reg.NewCounter("test_escalations_total", "test"),
 		SlowPathAcquires: reg.NewCounter("test_slow_path_acquires_total", "test"),
 		CoalescedRuns:    reg.NewCounter("test_coalesced_runs_total", "test"),
 		SavedAcquires:    reg.NewCounter("test_saved_acquires_total", "test"),
 	}
+	tr.SetMetrics(m)
+	return m
 }
 
 // burst feeds threshold-dense batches (thr=8 on the count policy, chunks of
-// 512) so every batch spans dozens of crossings, and returns the metrics.
-func burst(t *testing.T, tr *countTracker) *engine.Metrics {
+// 512) so every batch spans dozens of crossings: through FeedLocalBatch, or
+// item by item through Feed when seq is set, and returns the metrics.
+func burst(t *testing.T, tr *countTracker, seq bool) *engine.Metrics {
 	t.Helper()
-	m := coalesceMetrics(obs.NewRegistry())
-	tr.SetMetrics(m)
+	m := coalesceMetrics(tr)
 	xs := make([]uint64, 512)
 	for i := range xs {
 		xs[i] = uint64(i)
 	}
 	for r := 0; r < 8; r++ {
 		for j := 0; j < tr.K(); j++ {
-			tr.FeedLocalBatch(j, xs)
+			if !seq {
+				tr.FeedLocalBatch(j, xs)
+				continue
+			}
+			for _, x := range xs {
+				tr.Feed(j, x)
+			}
 		}
 	}
 	return m
@@ -184,23 +193,24 @@ func burst(t *testing.T, tr *countTracker) *engine.Metrics {
 // TestCoalesceSavesAcquisitions pins the point of the coalesced slow path:
 // on a threshold-dense batched stream, escalations vastly outnumber lock
 // acquisitions (one hold absorbs a burst), while the identity counters
-// still balance — acquisitions + saved crossings == escalations. With
-// SetCoalesce{Disable: true} the same stream pays one acquisition per
-// escalation and coalesces nothing: the reference twin really is uncoalesced.
+// still balance — acquisitions + saved crossings == escalations. The
+// reference is a sequential Feed replay of the same stream, which pays one
+// acquisition per escalation and coalesces nothing.
 func TestCoalesceSavesAcquisitions(t *testing.T) {
-	off := newCountTracker(t, 2, 0.9, 8) // eps 0.9: bootstrap ends after ⌈k/ε⌉=3 items
-	off.SetCoalesce(engine.CoalesceConfig{Disable: true})
-	m := burst(t, off)
-	if m.SavedAcquires.Value() != 0 || m.CoalescedRuns.Value() != 0 {
-		t.Fatalf("coalescing engaged while disabled: saved=%d coalescedRuns=%d",
-			m.SavedAcquires.Value(), m.CoalescedRuns.Value())
+	seq := burst(t, newCountTracker(t, 2, 0.9, 8), true) // eps 0.9: bootstrap ends after ⌈k/ε⌉=3 items
+	if seq.SavedAcquires.Value() != 0 || seq.CoalescedRuns.Value() != 0 {
+		t.Fatalf("sequential Feed coalesced: saved=%d coalescedRuns=%d",
+			seq.SavedAcquires.Value(), seq.CoalescedRuns.Value())
 	}
-	if esc, acq := m.Escalations.Value(), m.SlowPathAcquires.Value(); esc != acq {
-		t.Fatalf("escalations %d != acquisitions %d on the uncoalesced path", esc, acq)
+	if esc, acq := seq.Escalations.Value(), seq.SlowPathAcquires.Value(); esc != acq {
+		t.Fatalf("escalations %d != acquisitions %d on sequential Feed", esc, acq)
 	}
 
-	m = burst(t, newCountTracker(t, 2, 0.9, 8))
+	m := burst(t, newCountTracker(t, 2, 0.9, 8), false)
 	esc, acq, saved := m.Escalations.Value(), m.SlowPathAcquires.Value(), m.SavedAcquires.Value()
+	if esc != seq.Escalations.Value() {
+		t.Fatalf("batched escalations %d != sequential %d", esc, seq.Escalations.Value())
+	}
 	if saved == 0 || m.CoalescedRuns.Value() == 0 {
 		t.Fatalf("coalescing never engaged: saved=%d coalescedRuns=%d", saved, m.CoalescedRuns.Value())
 	}
@@ -209,6 +219,45 @@ func TestCoalesceSavesAcquisitions(t *testing.T) {
 	}
 	if acq*2 > esc {
 		t.Fatalf("burst stream still paid %d acquisitions for %d escalations", acq, esc)
+	}
+}
+
+// TestSlowPathBudgets pins the two budgets that bound one slow-path hold —
+// 8,192 drained arrivals and 64 crossings — by input alone: one batch of
+// more than 8,192 items and more than 64 crossings at one site of the count
+// policy (crossings exactly every thr items), asserting the exact number of
+// acquisitions each budget implies.
+//
+//   - thr=8, 16,384 items: 2,048 crossings, 63 runs of 8 items per hold, so
+//     the crossing budget ends every hold: 2,048/64 = 32 acquisitions.
+//   - thr=1000, 100,000 items: 100 crossings. A hold opened at crossing c
+//     drains 8,192 items (crossings c+1..c+8, then 192 items short of the
+//     next), so the item budget ends it after 9 crossings: holds open at
+//     crossings 1, 10, …, 91 and 100 — 12 acquisitions.
+func TestSlowPathBudgets(t *testing.T) {
+	for _, tc := range []struct {
+		thr         int64
+		n           int
+		escalations int64
+		acquires    int64
+	}{
+		{thr: 8, n: 16384, escalations: 2048, acquires: 32},
+		{thr: 1000, n: 100000, escalations: 100, acquires: 12},
+	} {
+		tr := newCountTracker(t, 2, 0.9, tc.thr)
+		for i := 0; i < 3; i++ { // bootstrap ends after ⌈k/ε⌉=3 items
+			tr.Feed(0, 0)
+		}
+		if tr.Bootstrapping() {
+			t.Fatal("still bootstrapping")
+		}
+		m := coalesceMetrics(tr)
+		tr.FeedLocalBatch(0, make([]uint64, tc.n))
+		esc, acq, saved := m.Escalations.Value(), m.SlowPathAcquires.Value(), m.SavedAcquires.Value()
+		if esc != tc.escalations || acq != tc.acquires || acq+saved != esc {
+			t.Fatalf("thr=%d, %d items: escalations %d, acquisitions %d, saved %d; want %d escalations in %d acquisitions",
+				tc.thr, tc.n, esc, acq, saved, tc.escalations, tc.acquires)
+		}
 	}
 }
 

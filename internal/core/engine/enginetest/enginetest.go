@@ -4,22 +4,23 @@
 //
 //   - single-item batches: Feed ≡ FeedLocalBatch of one-item slices from
 //     the first bootstrap arrival on, meter and version included, the batch
-//     reporting index 0 exactly when Feed escalated;
+//     bumping Version exactly when Feed did;
 //   - batch equivalence: FeedLocalBatch over a random (site, chunk)
 //     schedule matches sequential Feed bit-for-bit — every meter count,
-//     per kind and per site — with strictly increasing, in-range
-//     escalation indices;
-//   - coalescing identity: a coalesced batched feeding (the default), an
-//     explicitly uncoalesced one, and a sequential replay of the same
-//     burst-heavy schedule agree on every meter count, the engine state
-//     (Version included — one bump per escalation, so diverging escalation
-//     positions are caught) and the escalation indices, under the default
-//     and deliberately tiny coalescing budgets; plus a -race stress arm
-//     hammering budget-exhausting coalesced holds against quiescent queries;
+//     per kind and per site, and the engine state — after every chunk;
+//   - coalescing identity: a batched feeding and a sequential Feed replay
+//     (the uncoalesced reference: Feed never drains) of the same
+//     burst-heavy schedule agree on every meter count and the engine state
+//     after every chunk (Version included — one bump per escalation, so
+//     diverging escalation positions are caught), with chunks under and
+//     over the slow path's item budget; plus a -race stress arm hammering
+//     bursts of crossings against quiescent queries;
 //   - concurrent stress: one FeedLocalBatch goroutine per site — one-item
 //     batches for the maximal interleaving, then random chunks — racing
 //     quiescent queries (run the package's tests under -race), with exact
-//     conservation of TrueTotal and per-site counts afterwards;
+//     conservation of TrueTotal and per-site counts afterwards, and the
+//     engine's accounting identities (acquisitions + saved acquisitions ==
+//     escalations == Version, fast-path feeds == TrueTotal);
 //   - meter conservation: up+down, per-site and per-kind accounting all
 //     sum to the same totals;
 //   - checkpoint/restore round trip: a tracker restored from a checkpoint
@@ -45,6 +46,7 @@ import (
 
 	"disttrack/internal/core"
 	"disttrack/internal/core/engine"
+	"disttrack/internal/obs"
 	"disttrack/internal/stream"
 )
 
@@ -176,25 +178,20 @@ func checkEngineEqual(t *testing.T, label string, a, b core.Tracker, k int) {
 
 // runSingleItemBatch verifies the degenerate-batch identity: from a fresh
 // tracker, through the bootstrap handoff, Feed ≡ FeedLocalBatch of a
-// one-item slice — meter and version included — and the batch reports
-// escalation index 0 exactly when Feed escalated (Version bumps once per
-// escalation, which is how the sequential side is observed).
+// one-item slice — meter and version included. Version bumps once per
+// escalation, so each side's escalations are observed through it: the batch
+// must escalate exactly when Feed did.
 func runSingleItemBatch(t *testing.T, cfg Config) {
 	a, b := cfg.New(t), cfg.New(t)
 	items := genStream(cfg, cfg.K*cfg.PerSite, 17)
 	for i := range items {
 		site := i % cfg.K
-		before := a.Version()
+		av, bv := a.Version(), b.Version()
 		a.Feed(site, items[i])
-		escalated := a.Version() != before
-		esc := b.FeedLocalBatch(site, items[i:i+1])
-		want := 0
-		if escalated {
-			want = 1
-		}
-		if len(esc) != want || (escalated && esc[0] != 0) {
-			t.Fatalf("item %d (boot %v): Feed escalated = %v, one-item batch returned %v",
-				i, a.Bootstrapping(), escalated, esc)
+		b.FeedLocalBatch(site, items[i:i+1])
+		if fed, batched := a.Version()-av, b.Version()-bv; fed > 1 || fed != batched {
+			t.Fatalf("item %d (boot %v): Feed bumped Version by %d, one-item batch by %d",
+				i, a.Bootstrapping(), fed, batched)
 		}
 	}
 	if a.Bootstrapping() {
@@ -207,10 +204,24 @@ func runSingleItemBatch(t *testing.T, cfg Config) {
 	}
 }
 
+// feedBoth feeds one chunk at site to seq item by item through Feed and to
+// bat through FeedLocalBatch, then asserts the two agree on the engine state
+// and every meter count. Comparing after every chunk, not only at the end,
+// pins where the batch escalated: Version bumps once per escalation.
+func feedBoth(t *testing.T, label string, cfg Config, seq, bat core.Tracker, site int, chunk []uint64) {
+	t.Helper()
+	for _, x := range chunk {
+		seq.Feed(site, x)
+	}
+	bat.FeedLocalBatch(site, chunk)
+	checkEngineEqual(t, label, seq, bat, cfg.K)
+	checkMetersEqual(t, label, seq, bat, cfg.K)
+}
+
 // runBatchMatch drives one tracker through sequential Feed and a second
 // through FeedLocalBatch over the same random (site, chunk) schedule,
-// asserting coordinator state and every meter count stay identical, and
-// that escalation indices are strictly increasing and in range.
+// asserting coordinator state and every meter count stay identical after
+// every chunk.
 func runBatchMatch(t *testing.T, cfg Config) {
 	seq, bat := cfg.New(t), cfg.New(t)
 	items := genStream(cfg, cfg.K*cfg.PerSite, 19)
@@ -224,112 +235,78 @@ func runBatchMatch(t *testing.T, cfg Config) {
 		if pos+sz > len(items) {
 			sz = len(items) - pos
 		}
-		chunk := items[pos : pos+sz]
+		feedBoth(t, "batch", cfg, seq, bat, site, items[pos:pos+sz])
 		pos += sz
-		for _, x := range chunk {
-			seq.Feed(site, x)
-		}
-		last := -1
-		for _, idx := range bat.FeedLocalBatch(site, chunk) {
-			if idx <= last || idx >= len(chunk) {
-				t.Fatalf("escalation index %d out of order (prev %d, chunk %d)", idx, last, len(chunk))
-			}
-			last = idx
-		}
 	}
-	checkMetersEqual(t, "batch", seq, bat, cfg.K)
-	checkEngineEqual(t, "batch", seq, bat, cfg.K)
 	if cfg.CheckEquiv != nil {
 		cfg.CheckEquiv(t, seq, bat)
 	}
 }
 
-// coalesceSetter is the engine knob the coalescing laws tune; every
-// engine-backed tracker promotes it from the embedded *engine.Engine.
-type coalesceSetter interface {
-	SetCoalesce(engine.CoalesceConfig)
-}
+// itemBudget is the engine's per-hold drain budget in arrivals: a batch
+// longer than this cannot be drained under one slow-path hold.
+const itemBudget = 8192
 
-// runCoalesced pins the coalescing identity law: a coalesced batched
-// feeding (the default), an explicitly uncoalesced one, and a sequential
-// Feed replay of the same burst-heavy (site, chunk) schedule must agree
-// bit-for-bit — every meter count (total, per kind, per site), the engine
-// state including Version (one bump per escalation, so any divergence in
-// escalation positions is caught), and the escalation indices themselves.
-// The tiny-budget variant forces the coalesced hold to exhaust its item and
-// crossing budgets and re-enter mid-batch, exercising the budget boundary.
+// runCoalesced pins the coalescing identity law: a batched feeding and a
+// sequential Feed replay of the same burst-heavy (site, chunk) schedule must
+// agree bit-for-bit after every chunk — every meter count (total, per kind,
+// per site) and the engine state including Version (one bump per
+// escalation, so any divergence in escalation positions is caught). Feed
+// never drains, so it is the uncoalesced reference. The longBatches variant
+// makes every chunk outrun the item budget, so the hold exhausts a budget
+// and the slow path is re-entered mid-batch.
 func runCoalesced(t *testing.T, cfg Config) {
-	if _, ok := cfg.New(t).(coalesceSetter); !ok {
-		t.Skip("tracker does not expose SetCoalesce")
-	}
 	for _, tc := range []struct {
-		name string
-		co   engine.CoalesceConfig
+		name     string
+		min, max int // chunk size range
 	}{
-		{"default", engine.CoalesceConfig{}},
-		{"tinyBudget", engine.CoalesceConfig{MaxItems: 48, MaxCrossings: 2}},
+		{"default", 64, 64 + 3000},
+		{"longBatches", itemBudget + 1, 2 * itemBudget},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			seq, bat, off := cfg.New(t), cfg.New(t), cfg.New(t)
-			bat.(coalesceSetter).SetCoalesce(tc.co)
-			off.(coalesceSetter).SetCoalesce(engine.CoalesceConfig{Disable: true})
+			seq, bat := cfg.New(t), cfg.New(t)
 			items := genStream(cfg, cfg.K*cfg.PerSite, 53)
 			rng := rand.New(rand.NewSource(59))
 			for pos := 0; pos < len(items); {
 				site := rng.Intn(cfg.K)
 				// Burst-heavy: large chunks, so single batches span many
 				// crossings and the drain loops under one hold.
-				sz := 64 + rng.Intn(3000)
+				sz := tc.min + rng.Intn(tc.max-tc.min)
 				if pos+sz > len(items) {
 					sz = len(items) - pos
 				}
-				chunk := items[pos : pos+sz]
+				feedBoth(t, "coalesced-vs-seq", cfg, seq, bat, site, items[pos:pos+sz])
 				pos += sz
-				for _, x := range chunk {
-					seq.Feed(site, x)
-				}
-				be := bat.FeedLocalBatch(site, chunk)
-				oe := off.FeedLocalBatch(site, chunk)
-				if len(be) != len(oe) {
-					t.Fatalf("escalation counts diverged: coalesced %d vs uncoalesced %d", len(be), len(oe))
-				}
-				for i := range be {
-					if be[i] != oe[i] {
-						t.Fatalf("escalation index %d diverged: coalesced %d vs uncoalesced %d", i, be[i], oe[i])
-					}
-				}
 			}
-			checkMetersEqual(t, "coalesced-vs-seq", seq, bat, cfg.K)
-			checkEngineEqual(t, "coalesced-vs-seq", seq, bat, cfg.K)
-			checkMetersEqual(t, "coalesced-vs-uncoalesced", off, bat, cfg.K)
-			checkEngineEqual(t, "coalesced-vs-uncoalesced", off, bat, cfg.K)
 			if cfg.CheckEquiv != nil {
 				cfg.CheckEquiv(t, seq, bat)
-				cfg.CheckEquiv(t, off, bat)
 			}
 		})
 	}
 }
 
-// runCoalescedStress is the -race arm of the coalescing law: coalesced
-// batches large enough to span many crossings, under deliberately small
-// budgets so holds exhaust and re-enter constantly, racing quiescent
-// queries — conservation and the protocol contract must survive.
+// runCoalescedStress is the -race arm of the coalescing law: batches large
+// enough to span many crossings, so slow-path holds drain bursts while
+// quiescent queries race them — conservation, the accounting identities and
+// the protocol contract must survive.
 func runCoalescedStress(t *testing.T, cfg Config) {
-	tr := cfg.New(t)
-	cs, ok := tr.(coalesceSetter)
-	if !ok {
-		t.Skip("tracker does not expose SetCoalesce")
-	}
-	cs.SetCoalesce(engine.CoalesceConfig{MaxItems: 256, MaxCrossings: 3})
-	runConcurrentOn(t, cfg, tr, 61, 2500, "coalesced-stress")
+	runConcurrentOn(t, cfg, cfg.New(t), 61, 2500, "coalesced-stress")
 }
 
 // runConcurrentOn hammers one FeedLocalBatch goroutine per site (site j's
 // stream in chunks of 1..chunkMax items) against two query goroutines doing
-// quiescent reads, then asserts exact conservation and the protocol contract.
+// quiescent reads, then asserts exact conservation, the engine's accounting
+// identities and the protocol contract.
 func runConcurrentOn(t *testing.T, cfg Config, tr core.Tracker, seed int64, chunkMax int, lbl string) {
 	streams := dealStreams(cfg, seed)
+	reg := obs.NewRegistry()
+	met := &engine.Metrics{
+		Feeds:            reg.NewCounter("feeds_total", "test"),
+		Escalations:      reg.NewCounter("escalations_total", "test"),
+		SlowPathAcquires: reg.NewCounter("slow_path_acquires_total", "test"),
+		SavedAcquires:    reg.NewCounter("saved_acquires_total", "test"),
+	}
+	tr.SetMetrics(met)
 
 	done := make(chan struct{})
 	var qwg sync.WaitGroup
@@ -389,6 +366,19 @@ func runConcurrentOn(t *testing.T, cfg Config, tr core.Tracker, seed int64, chun
 	}
 	if est := tr.EstTotal(); est > n {
 		t.Fatalf("EstTotal = %d overestimates TrueTotal %d", est, n)
+	}
+	// Every arrival passes the fast path once; every escalation is either
+	// the one that opened a slow-path hold or one a hold absorbed, and bumps
+	// Version once.
+	if f := met.Feeds.Value(); f != n {
+		t.Fatalf("%s: engine counted %d fast-path feeds, want TrueTotal %d", lbl, f, n)
+	}
+	esc, acq, saved := met.Escalations.Value(), met.SlowPathAcquires.Value(), met.SavedAcquires.Value()
+	if esc == 0 || acq+saved != esc {
+		t.Fatalf("%s: acquisitions %d + saved %d != escalations %d", lbl, acq, saved, esc)
+	}
+	if v := tr.Version(); v != uint64(esc) {
+		t.Fatalf("%s: Version %d != escalations %d", lbl, v, esc)
 	}
 	if cfg.CheckFinal != nil {
 		tr.Quiesce(func() {

@@ -31,9 +31,9 @@ type Metrics struct {
 	// bootstrap forwards.
 	Escalations *obs.Counter
 	// SlowPathAcquires counts escMu + all-site-locks acquisitions made by
-	// the escalation path (single escalations plus coalesced holds). Without
-	// coalescing it equals Escalations; with it, Escalations −
-	// SlowPathAcquires is the lock traffic the coalesced drain removed.
+	// the escalation path, one per slow-path hold. SlowPathAcquires +
+	// SavedAcquires == Escalations always; Escalations − SlowPathAcquires is
+	// the lock traffic the coalesced drain removed.
 	SlowPathAcquires *obs.Counter
 	// CoalescedRuns counts batch runs applied inline under an already-held
 	// slow-path hold (a subset of BatchRuns).

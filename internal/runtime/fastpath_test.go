@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"disttrack/internal/core/engine"
 	"disttrack/internal/core/hh"
+	"disttrack/internal/obs"
 	"disttrack/internal/stream"
 )
 
@@ -26,6 +28,8 @@ func TestClusterFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	escalations := obs.NewRegistry().NewCounter("escalations_total", "test")
+	tr.SetMetrics(&engine.Metrics{Escalations: escalations})
 	c, err := New(context.Background(), tr, k, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -90,11 +94,12 @@ func TestClusterFastPath(t *testing.T) {
 	if st.Processed != n {
 		t.Fatalf("Processed = %d, want %d", st.Processed, n)
 	}
-	if st.Escalations == 0 {
+	esc := escalations.Value()
+	if esc == 0 {
 		t.Fatal("no escalations recorded on the fast path")
 	}
-	if st.Escalations >= n {
-		t.Fatalf("every arrival escalated (%d of %d): fast path not engaged", st.Escalations, n)
+	if esc >= n {
+		t.Fatalf("every arrival escalated (%d of %d): fast path not engaged", esc, n)
 	}
 	if tr.TrueTotal() != n {
 		t.Fatalf("TrueTotal = %d, want %d", tr.TrueTotal(), n)

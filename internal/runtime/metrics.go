@@ -11,11 +11,10 @@ import "disttrack/internal/obs"
 // Sync is not safe for concurrent use with itself — run it from an obs
 // scrape hook, which the registry serializes.
 type ClusterMetrics struct {
-	Processed   *obs.Counter // arrivals fully fed to the tracker
-	Batches     *obs.Counter // batch deliveries processed
-	Dropped     *obs.Counter // queued arrivals discarded by Stop
-	Escalations *obs.Counter // fast-path arrivals that escalated
-	QueueDepth  *obs.Gauge   // batches currently queued across sites
+	Processed  *obs.Counter // arrivals fully fed to the tracker
+	Batches    *obs.Counter // batch deliveries processed
+	Dropped    *obs.Counter // queued arrivals discarded by Stop
+	QueueDepth *obs.Gauge   // batches currently queued across sites
 
 	last Stats
 }
@@ -31,9 +30,6 @@ func (c *Cluster) SyncMetrics(m *ClusterMetrics) {
 	}
 	if m.Dropped != nil {
 		m.Dropped.Add(cur.Dropped - m.last.Dropped)
-	}
-	if m.Escalations != nil {
-		m.Escalations.Add(cur.Escalations - m.last.Escalations)
 	}
 	m.last = cur
 	if m.QueueDepth != nil {

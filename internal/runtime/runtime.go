@@ -8,8 +8,9 @@
 // are rare: almost every arrival is absorbed by site-local counters. The
 // cluster exploits exactly that split: k site goroutines ingest fully in
 // parallel through the tracker's site-local fast path, and only the rare
-// escalations and the queries (the tracker's own Quiesce) serialize, inside
-// the tracker itself. There is one way in: SendBatch hands a batch to its
+// escalations serialize, inside the tracker itself (so do the tracker's own
+// quiescent queries, which the cluster never makes). There is one way in:
+// SendBatch hands a batch to its
 // site's goroutine, which feeds it through FeedLocalBatch, amortizing the
 // per-arrival lock and store costs over each escalation-free run. (For a
 // deployment across real processes and sockets, see the remote package.)
@@ -23,15 +24,12 @@ import (
 	"sync/atomic"
 )
 
-// Tracker is the half of core.Tracker a running cluster depends on.
-// FeedLocalBatch is the ingest side: safe for concurrent use with one
-// goroutine per site, returning the batch indices that escalated. Quiesce is
-// the query side of the same contract: whoever holds the tracker reads it
-// consistently while the cluster ingests by running f with every site's
-// fast path excluded (the cluster itself never calls it).
+// Tracker is the part of core.Tracker a running cluster depends on: its
+// batched ingest entry point, safe for concurrent use with one goroutine per
+// site. Whoever holds the tracker reads it through the tracker's own query
+// surface (core.Tracker.Quiesce) while the cluster ingests.
 type Tracker interface {
-	FeedLocalBatch(site int, xs []uint64) (escalations []int)
-	Quiesce(f func())
+	FeedLocalBatch(site int, xs []uint64)
 }
 
 // ErrStopped is returned by SendBatch after the cluster has been stopped or
@@ -42,15 +40,14 @@ var ErrStopped = errors.New("runtime: cluster stopped")
 type Cluster struct {
 	tr Tracker
 
-	batches     []chan []uint64 // one queue per site; its length is the site count
-	wg          sync.WaitGroup
-	ctx         context.Context
-	cancel      context.CancelFunc
-	processed   atomic.Int64
-	batched     atomic.Int64
-	dropped     atomic.Int64
-	escalations atomic.Int64
-	stopOnce    sync.Once
+	batches   []chan []uint64 // one queue per site; its length is the site count
+	wg        sync.WaitGroup
+	ctx       context.Context
+	cancel    context.CancelFunc
+	processed atomic.Int64
+	batched   atomic.Int64
+	dropped   atomic.Int64
+	stopOnce  sync.Once
 }
 
 // New starts a cluster of k sites over tr. buf is the per-site channel
@@ -98,7 +95,7 @@ func (c *Cluster) site(j int, ch <-chan []uint64) {
 			if !ok {
 				return
 			}
-			c.escalations.Add(int64(len(c.tr.FeedLocalBatch(j, xs))))
+			c.tr.FeedLocalBatch(j, xs)
 			c.processed.Add(int64(len(xs)))
 			c.batched.Add(1)
 			PutBatch(xs)
@@ -169,19 +166,17 @@ func (c *Cluster) Stop() {
 
 // Stats is a point-in-time snapshot of the cluster's ingestion counters.
 type Stats struct {
-	Processed   int64 // arrivals fully fed to the tracker
-	Batches     int64 // batch deliveries processed
-	Dropped     int64 // queued arrivals discarded by Stop
-	Escalations int64 // fast-path arrivals that required coordinator work
+	Processed int64 // arrivals fully fed to the tracker
+	Batches   int64 // batch deliveries processed
+	Dropped   int64 // queued arrivals discarded by Stop
 }
 
 // Stats returns the current ingestion counters.
 func (c *Cluster) Stats() Stats {
 	return Stats{
-		Processed:   c.processed.Load(),
-		Batches:     c.batched.Load(),
-		Dropped:     c.dropped.Load(),
-		Escalations: c.escalations.Load(),
+		Processed: c.processed.Load(),
+		Batches:   c.batched.Load(),
+		Dropped:   c.dropped.Load(),
 	}
 }
 
@@ -190,10 +185,6 @@ func (c *Cluster) Processed() int64 { return c.processed.Load() }
 
 // Dropped returns how many queued arrivals were discarded by Stop.
 func (c *Cluster) Dropped() int64 { return c.dropped.Load() }
-
-// Escalations returns how many fast-path arrivals escalated to the
-// coordinator slow path.
-func (c *Cluster) Escalations() int64 { return c.escalations.Load() }
 
 // K returns the number of sites.
 func (c *Cluster) K() int { return len(c.batches) }

@@ -50,7 +50,6 @@ type serverMetrics struct {
 	clProcessed *obs.CounterVec // {tenant}
 	clBatches   *obs.CounterVec // {tenant}
 	clDropped   *obs.CounterVec // {tenant}
-	clEsc       *obs.CounterVec // {tenant}
 	clQueue     *obs.GaugeVec   // {tenant}
 	tenSent     *obs.CounterVec // {tenant}
 	tenDropped  *obs.CounterVec // {tenant}
@@ -147,7 +146,7 @@ func newServerMetrics() *serverMetrics {
 	m.engEsc = reg.NewCounterVec("disttrack_engine_escalations_total",
 		"Coordinator slow-path entries.", "tenant")
 	m.engAcquires = reg.NewCounterVec("disttrack_engine_slow_path_acquires_total",
-		"Full lock-set acquisitions by the escalation path (== escalations without coalescing).", "tenant")
+		"Full lock-set acquisitions by the escalation path (slow-path holds; plus saved acquires, equals escalations).", "tenant")
 	m.engCoalesced = reg.NewCounterVec("disttrack_engine_coalesced_runs_total",
 		"Batch runs applied inline under an already-held slow-path hold.", "tenant")
 	m.engSaved = reg.NewCounterVec("disttrack_engine_saved_acquires_total",
@@ -167,8 +166,6 @@ func newServerMetrics() *serverMetrics {
 		"Batch deliveries processed by the cluster.", "tenant")
 	m.clDropped = reg.NewCounterVec("disttrack_cluster_dropped_total",
 		"Queued arrivals discarded by a cluster stop.", "tenant")
-	m.clEsc = reg.NewCounterVec("disttrack_cluster_escalations_total",
-		"Fast-path arrivals that escalated, as observed by the cluster.", "tenant")
 	m.clQueue = reg.NewGaugeVec("disttrack_cluster_queue_depth",
 		"Batches currently queued across the tenant's site channels (at most k x -site-buffer).", "tenant")
 	m.tenSent = reg.NewCounterVec("disttrack_tenant_sent_total",
@@ -350,11 +347,10 @@ func (m *serverMetrics) tenant(name string) *tenantMetrics {
 			QuiesceHold:      m.engQuiesce.With(name),
 		},
 		cl: runtime.ClusterMetrics{
-			Processed:   m.clProcessed.With(name),
-			Batches:     m.clBatches.With(name),
-			Dropped:     m.clDropped.With(name),
-			Escalations: m.clEsc.With(name),
-			QueueDepth:  m.clQueue.With(name),
+			Processed:  m.clProcessed.With(name),
+			Batches:    m.clBatches.With(name),
+			Dropped:    m.clDropped.With(name),
+			QueueDepth: m.clQueue.With(name),
 		},
 		sent:      m.tenSent.With(name),
 		dropped:   m.tenDropped.With(name),
@@ -376,7 +372,7 @@ func (m *serverMetrics) forgetTenant(name string) {
 	for _, v := range []*obs.CounterVec{
 		m.engFeeds, m.engRuns, m.engSplits, m.engEsc, m.engBoot,
 		m.engAcquires, m.engCoalesced, m.engSaved,
-		m.clProcessed, m.clBatches, m.clDropped, m.clEsc,
+		m.clProcessed, m.clBatches, m.clDropped,
 		m.tenSent, m.tenDropped, m.tenTies, m.tenThrottled,
 	} {
 		v.Remove(name)
