@@ -53,6 +53,6 @@ func Example() {
 	// Output:
 	// φ=0.1 heavy hitters: [0 1]
 	// median: 2
-	// p90: 118
-	// p99: 4978
+	// p90: 98
+	// p99: 2535
 }

@@ -111,9 +111,8 @@ type policy struct {
 
 	sites []*site
 
-	// Bootstrap: until |A| >= k/ε every arrival is forwarded into boot, in
-	// arrival order until a read sorts it (see bootKeys).
-	bootTarget int64
+	// Bootstrap: until |A| reaches bootTarget every arrival is forwarded into
+	// boot, in arrival order until a read sorts it (see bootKeys).
 	boot       []uint64
 	bootSorted bool
 
@@ -156,7 +155,6 @@ func New(cfg Config) (*Tracker, error) {
 		return nil, err
 	}
 	p.eng = eng
-	p.bootTarget = eng.BootTarget()
 	for j := 0; j < cfg.K; j++ {
 		p.sites = append(p.sites, &site{st: p.newStore()})
 	}
@@ -282,11 +280,11 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 }
 
 // OnBootEscalate forwards one bootstrap arrival into the coordinator's
-// exact list; the bootstrap ends once |A| reaches k/ε.
+// exact list; the bootstrap ends once |A| reaches bootTarget.
 func (p *policy) OnBootEscalate(_ int, x uint64) (done bool) {
 	p.boot = append(p.boot, x)
 	p.bootSorted = false
-	return p.eng.TrueTotal() >= p.bootTarget
+	return p.eng.TrueTotal() >= p.bootTarget()
 }
 
 // bootKeys returns the forwarded bootstrap arrivals in ascending order,
@@ -327,8 +325,7 @@ func (p *policy) OnReconfigure(oldK, newK int) {
 			p.sites = append(p.sites, &site{st: p.newStore()})
 		}
 	}
-	p.cfg.K = newK
-	p.bootTarget = p.eng.BootTarget()
+	p.cfg.K = newK // bootTarget follows the new k
 	if !p.eng.Bootstrapping() {
 		p.newRound()
 	}

@@ -19,7 +19,7 @@ import (
 // after an arrival sorts the bootstrap list, so a read outside the quiescent
 // lock set would race the arrivals.
 func TestBootstrapReadsChangeNoState(t *testing.T) {
-	cfg := Config{K: 2, Eps: 0.05} // bootstrap target 40
+	cfg := Config{K: 2, Eps: 0.05} // bootstrap target 64k/ε = 2560
 	queried, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestBootstrapReadsChangeNoState(t *testing.T) {
 		wg.Wait()
 	}()
 
-	gen := stream.Perturb(stream.Zipf(50, 1000, 1.1, 59)) // out of order, with repeated values
+	gen := stream.Perturb(stream.Zipf(50, 4000, 1.1, 59)) // out of order, with repeated values
 	o := oracle.New()
 	handoff := false
 	for i := 0; ; i++ {

@@ -84,6 +84,9 @@ func TestEngineConformance(t *testing.T) {
 func checkRankContract(t *testing.T, label string, ctr core.Tracker, streams [][]uint64) {
 	t.Helper()
 	tr := ctr.(*Tracker)
+	if tr.Rounds() < 2 {
+		t.Fatalf("%s: %d rounds: the contract was never checked in the tracking phase", label, tr.Rounds())
+	}
 	k := len(streams)
 	eps := tr.Eps()
 	var sorted []uint64

@@ -9,7 +9,7 @@ import (
 	"disttrack/internal/stream"
 )
 
-// TestBatchedFeedMatchesPerItemAtScale feeds one seeded 200k-item stream
+// TestBatchedFeedMatchesPerItemAtScale feeds one seeded 400k-item stream
 // twice — per item, where every store insert goes through the exact store's
 // tail, and in 512-item batches, where it becomes sorted runs — and asserts
 // the two trackers cannot be told apart: rank and quantile answers at every
@@ -20,7 +20,7 @@ import (
 func TestBatchedFeedMatchesPerItemAtScale(t *testing.T) {
 	const (
 		k     = 4
-		n     = 200_000
+		n     = 400_000 // five rounds past the 12,800-item bootstrap
 		batch = 512
 	)
 	cfg := Config{K: k, Eps: 0.02}

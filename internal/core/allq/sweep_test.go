@@ -14,32 +14,45 @@ import (
 // round's height cap. After every structural change no leaf holds more than
 // its split trigger and a leaf split adds leaves. Uniform and drift streams
 // never deepen the tree past a round's cap, so they start no round for it.
+// Each stream is at least 2^14 items and 2.25 bootstrap targets long, so the
+// tracker reaches a second round and the contract is checked while tracking.
 func TestContractSweep(t *testing.T) {
-	const n = 1 << 14
 	streams := []struct {
 		name         string
-		gen          stream.Generator
+		gen          func(n int64) stream.Generator
 		heightRounds bool // may start rounds because the tree outgrew its cap
 	}{
-		{"zipf", stream.Perturb(stream.Zipf(1<<20, n, 1.2, 31)), true},
-		{"uniform", distinctUniform(n, 32), false},
-		{"sorted", stream.Sequential(n), true},
+		{"zipf", func(n int64) stream.Generator { return stream.Perturb(stream.Zipf(1<<20, n, 1.2, 31)) }, true},
+		{"uniform", func(n int64) stream.Generator { return distinctUniform(n, 32) }, false},
+		{"sorted", stream.Sequential, true},
 		// Mass jumps to a disjoint value range a third of the way in.
-		{"drift", stream.Perturb(stream.Concat(stream.Uniform(1<<20, n/3, 33),
-			&offsetGen{g: stream.Uniform(1<<20, n-n/3, 34), off: 1 << 41})), false},
+		{"drift", func(n int64) stream.Generator {
+			return stream.Perturb(stream.Concat(stream.Uniform(1<<20, n/3, 33),
+				&offsetGen{g: stream.Uniform(1<<20, n-n/3, 34), off: 1 << 41}))
+		}, false},
 	}
 	for _, s := range streams {
-		var items []uint64
-		for x, ok := s.gen.Next(); ok; x, ok = s.gen.Next() {
-			items = append(items, x)
-		}
+		cache := map[int64][]uint64{}
 		for _, eps := range []float64{0.2, 0.05, 0.02, 1.0 / 64} {
 			for _, k := range []int{1, 8, 32} {
+				cfg := Config{K: k, Eps: eps}
+				n := max(1<<14, 9*(&policy{cfg: cfg}).bootTarget()/4)
+				items, ok := cache[n]
+				if !ok {
+					g := s.gen(n)
+					for x, more := g.Next(); more; x, more = g.Next() {
+						items = append(items, x)
+					}
+					cache[n] = items
+				}
 				for _, batched := range []bool{false, true} {
 					name := fmt.Sprintf("%s/eps=%.4g/k=%d/batched=%v", s.name, eps, k, batched)
 					t.Run(name, func(t *testing.T) {
 						t.Parallel() // items is shared read-only
-						tr := sweepOne(t, Config{K: k, Eps: eps}, items, batched)
+						tr := sweepOne(t, cfg, items, batched)
+						if tr.Rounds() < 2 {
+							t.Fatalf("%d items, %d rounds: the contract was never checked in the tracking phase", n, tr.Rounds())
+						}
 						if !s.heightRounds && tr.HeightRebuilds() != 0 {
 							t.Fatalf("%d of %d rounds forced by the height cap", tr.HeightRebuilds(), tr.Rounds())
 						}

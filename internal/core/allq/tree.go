@@ -98,11 +98,25 @@ func roundParams(eps float64, k int, m int64, h int) (theta float64, thrNode, le
 	return theta, thrNode, leafSplitAt
 }
 
+// rebuildSampleDiv is the 64 of a rebuild's sampling step εm/64k.
+const rebuildSampleDiv = 64
+
 // sampleStep is the separator sampling step εm/64k of a full or internal
 // rebuild: fine enough that the weighted medians keep invariant (5) at
 // every level of the subtree built.
 func (p *policy) sampleStep() int64 {
-	return max(1, int64(p.cfg.Eps*float64(p.m)/(64*float64(p.cfg.K))))
+	return max(1, int64(p.cfg.Eps*float64(p.m)/(rebuildSampleDiv*float64(p.cfg.K))))
+}
+
+// bootTarget returns ⌈max(64, 2·heightCap(ε))·k/ε⌉, the count at which
+// neither the sampling step εm/64k nor the node batch θm/k, at any height
+// cap a round may use (θ = ε/2h, h ≤ heightCap), is floored at one item.
+// Below it a rebuild ships every item and a tracked arrival reports at every
+// level of its path, where forwarding costs one word; so the bootstrap
+// forwards until then. It is derived from the config, never stored.
+func (p *policy) bootTarget() int64 {
+	c := max(rebuildSampleDiv, 2*heightCap(p.cfg.Eps))
+	return int64(math.Ceil(float64(c) * float64(p.cfg.K) / p.cfg.Eps))
 }
 
 // leafCap is the sampled weight 3εm/8 up to which buildSubtree leaves an

@@ -31,12 +31,21 @@
 //     run, with the slow path run inline at exactly the logical positions a
 //     sequential Feed loop would choose — protocol state and every
 //     wire.Meter count stay bit-for-bit identical to feeding one by one. A
-//     slow-path entry at a crossing drains the rest of the batch under the
-//     same hold, up to fixed budgets (coalesceItems, coalesceCrossings), so
-//     a burst of crossings costs one lock-set acquisition, not one each.
+//     slow-path entry at a crossing, or at a bootstrap forward, drains the
+//     rest of the batch under the same hold, up to fixed budgets
+//     (coalesceItems, coalesceCrossings), so a burst of crossings or a
+//     bootstrap batch costs one lock-set acquisition, not one per arrival.
 //
 // The lock order is escMu, then site locks in ascending index order; the
 // fast path takes only its own site lock, so no cycle exists.
+//
+// # Bootstrap
+//
+// The engine starts in a forward-everything phase: every arrival escalates,
+// and the policy's OnBootEscalate reports when it is over. Each policy ends
+// it at its own target, the smallest count at which none of its per-arrival
+// thresholds is floored at one item; before that, a tracked arrival would
+// cost more words than forwarding it does.
 //
 // # Versioned snapshots
 //
@@ -50,7 +59,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,9 +126,10 @@ type Config struct {
 }
 
 // The coalescing budgets bound one slow-path hold: when FeedLocalBatch hits
-// a threshold crossing with batch remaining, the engine drains the rest of
-// the batch under the already-held locks, but releases the cluster after
-// coalesceItems drained arrivals or coalesceCrossings crossings, so other
+// a threshold crossing or a bootstrap forward with batch remaining, the
+// engine drains the rest of the batch under the already-held locks, but
+// releases the cluster after coalesceItems drained arrivals or
+// coalesceCrossings crossings, so other
 // sites' escalations and queries are not starved behind one site's burst.
 // Both are far above the common batch sizes (the runtime and service deliver
 // 256–4096 item batches), so in practice one burst is one acquisition, while
@@ -166,8 +175,8 @@ type Engine struct {
 	// on the batched path) — see Metrics.
 	met *Metrics
 
-	// boot is the initial forward-everything phase: until the coordinator
-	// holds ~k/ε items, every arrival escalates. Read on the fast path,
+	// boot is the initial forward-everything phase: until the policy reports
+	// its bootstrap done, every arrival escalates. Read on the fast path,
 	// changed only on the slow path.
 	boot bool
 
@@ -195,14 +204,6 @@ func New(cfg Config, pol Policy) (*Engine, error) {
 	}
 	e.sites.Store(&sites)
 	return e, nil
-}
-
-// BootTarget returns ⌈k/ε⌉ — the coordinator item count at which the
-// protocols end their bootstrap phase. The engine does not apply it itself;
-// policies check it in OnBootEscalate (core/hh against the coordinator's
-// count, core/quantile and core/allq against the true total).
-func (e *Engine) BootTarget() int64 {
-	return int64(math.Ceil(float64(e.K()) / e.eps))
 }
 
 // siteAt bounds-checks and returns site j.
@@ -273,10 +274,9 @@ func (e *Engine) FeedLocalBatch(siteID int, xs []uint64) {
 	for i := 0; i < len(xs); {
 		s.mu.Lock()
 		if e.boot {
-			// Bootstrap forwards every arrival: apply one item and escalate,
-			// exactly the sequential composition. Nothing is drained here —
-			// the handoff cascade rebuilds round state, and bootstrap is a
-			// once-per-tracker O(k/ε) prefix, not a hot path.
+			// Bootstrap forwards every arrival: apply one item and escalate
+			// it, exactly the sequential composition. The slow path forwards
+			// the rest of the batch under the same hold.
 			x := xs[i]
 			s.nj++
 			e.n.Add(1)
@@ -285,8 +285,8 @@ func (e *Engine) FeedLocalBatch(siteID int, xs []uint64) {
 			if m := e.met; m != nil {
 				m.countFeeds(1)
 			}
-			e.slowPath(siteID, x, nil)
 			i++
+			i += e.slowPath(siteID, x, xs[i:])
 			continue
 		}
 		consumed, crossed := e.pol.ApplyRun(siteID, xs[i:])
@@ -319,13 +319,18 @@ func (e *Engine) FeedLocalBatch(siteID int, xs []uint64) {
 //
 // x either forwards a bootstrap arrival (running the bootstrap→tracking
 // handoff when the policy reports it complete) or goes to Policy.OnEscalate.
-// Bootstrap entries pass no rest, so they never drain. A tracking entry then
-// alternates ApplyRun and OnEscalate over rest at exactly the positions the
+// While the bootstrap lasts, the hold then applies and forwards the next
+// arrival of rest exactly as a sequential Feed would (ApplyBoot, the "item"
+// forward, one version bump each), so a bootstrap batch costs one
+// acquisition, not one per arrival. Once tracking, it alternates ApplyRun and
+// OnEscalate over rest at exactly the positions the
 // release/re-acquire-per-crossing loop would produce, so protocol state and
-// metering are identical — only the lock round trips per crossing are saved.
-// The hold ends when rest is exhausted, a run ends without a crossing, or the
-// coalescing budgets run out. A crossing on a batch's last item, and every
-// Feed escalation, is the same single acquisition with nothing to drain.
+// metering are identical — only the lock round trips per escalation are
+// saved. The hold ends when rest is exhausted, a run ends without a crossing,
+// or the coalescing budgets run out (bootstrap forwards spend the item
+// budget, not the crossing budget: each one is O(1) coordinator work). A
+// crossing on a batch's last item, and every Feed escalation, is the same
+// single acquisition with nothing to drain.
 //
 // An arrival that straddles the bootstrap→tracking transition (the fast path
 // saw boot, another site's escalation ended it first) reaches OnEscalate
@@ -359,18 +364,35 @@ func (e *Engine) slowPath(siteID int, x uint64, rest []uint64) (drained int) {
 			}
 		} else {
 			e.pol.OnEscalate(siteID, x)
+			crossings--
 		}
 		// One version bump per escalation, before the locks are released: a
 		// reader that still observes the old version is guaranteed the
 		// escalation has not yet published, and Version stays identical to
 		// the sequential path (enginetest pins this).
 		e.version.Add(1)
-		crossings--
 		if m != nil && m.Escalations != nil {
 			m.Escalations.Inc()
 		}
 		if drained == len(rest) || crossings == 0 || items <= 0 {
 			break
+		}
+		if e.boot {
+			// The next arrival is a bootstrap forward too: apply it as the
+			// fast path would and escalate it under this hold.
+			x = rest[drained]
+			s.nj++
+			e.n.Add(1)
+			e.pol.ApplyBoot(siteID, x)
+			drained++
+			items--
+			if m != nil {
+				m.countFeeds(1)
+				if m.SavedAcquires != nil {
+					m.SavedAcquires.Inc()
+				}
+			}
+			continue
 		}
 		run := rest[drained:]
 		if len(run) > items {

@@ -2,6 +2,8 @@ package engine_test
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"disttrack/internal/ckpt"
@@ -110,7 +112,7 @@ func newCountTracker(tb testing.TB, k int, eps float64, thr int64) *countTracker
 		tb.Fatal(err)
 	}
 	p.eng = eng
-	p.bootTarget = eng.BootTarget()
+	p.bootTarget = int64(math.Ceil(float64(k) / eps)) // the policy's own target: ⌈k/ε⌉
 	return &countTracker{Engine: eng, p: p}
 }
 
@@ -258,6 +260,63 @@ func TestSlowPathBudgets(t *testing.T) {
 			t.Fatalf("thr=%d, %d items: escalations %d, acquisitions %d, saved %d; want %d escalations in %d acquisitions",
 				tc.thr, tc.n, esc, acq, saved, tc.escalations, tc.acquires)
 		}
+	}
+}
+
+// TestBootstrapBatchDrain pins the bootstrap drain: one batch of B arrivals
+// at one site, fed while the engine bootstraps, is forwarded under as few
+// slow-path holds as the item budget allows — one for B ≤ 8,193 (the entry
+// arrival plus 8,192 drained), so B−1 acquisitions are saved — and a batch
+// that crosses the handoff continues into the tracking drain under the same
+// hold. Version and every meter count equal a sequential Feed of the same
+// arrivals, so the drain changes lock traffic only.
+func TestBootstrapBatchDrain(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		eps      float64 // bootstrap target ⌈k/ε⌉ at k = 2
+		b        int
+		boot     bool // still bootstrapping after the batch
+		acquires int64
+	}{
+		{"in-bootstrap", 0.01, 100, true, 1},             // target 200
+		{"through-handoff", 0.01, 300, false, 1},         // 200 forwards, then 12 crossings at thr=8
+		{"over-item-budget", 0.0002, 9000, true, 2},      // target 10,000: 8,193 + 807 arrivals
+		{"handoff-on-last-arrival", 0.01, 200, false, 1}, // the handoff ends the batch
+		{"long-after-handoff", 0.01, 2000, false, 4},     // 200 forwards + 64 crossings, then 161 crossings in holds of 64
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			xs := make([]uint64, tc.b)
+			for i := range xs {
+				xs[i] = uint64(i)
+			}
+			seq := newCountTracker(t, 2, tc.eps, 8)
+			for _, x := range xs {
+				seq.Feed(0, x)
+			}
+			bat := newCountTracker(t, 2, tc.eps, 8)
+			m := coalesceMetrics(bat)
+			bat.FeedLocalBatch(0, xs)
+
+			if bat.Bootstrapping() != tc.boot || seq.Bootstrapping() != tc.boot {
+				t.Fatalf("bootstrapping after the batch: batched %v, sequential %v, want %v",
+					bat.Bootstrapping(), seq.Bootstrapping(), tc.boot)
+			}
+			esc, acq, saved := m.Escalations.Value(), m.SlowPathAcquires.Value(), m.SavedAcquires.Value()
+			if acq != tc.acquires || acq+saved != esc {
+				t.Fatalf("%d escalations in %d acquisitions (%d saved), want %d acquisitions",
+					esc, acq, saved, tc.acquires)
+			}
+			if bat.Version() != seq.Version() || uint64(esc) != seq.Version() {
+				t.Fatalf("Version: batched %d, sequential %d, escalations %d", bat.Version(), seq.Version(), esc)
+			}
+			if !reflect.DeepEqual(bat.Meter().State(), seq.Meter().State()) {
+				t.Fatalf("meters differ: batched %+v, sequential %+v", bat.Meter().State(), seq.Meter().State())
+			}
+			if bat.TrueTotal() != int64(tc.b) || bat.SiteCount(0) != int64(tc.b) || bat.p.total != seq.p.total {
+				t.Fatalf("batched total %d, site 0 %d, coordinator %d; sequential coordinator %d",
+					bat.TrueTotal(), bat.SiteCount(0), bat.p.total, seq.p.total)
+			}
+		})
 	}
 }
 

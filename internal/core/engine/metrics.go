@@ -38,9 +38,10 @@ type Metrics struct {
 	// CoalescedRuns counts batch runs applied inline under an already-held
 	// slow-path hold (a subset of BatchRuns).
 	CoalescedRuns *obs.Counter
-	// SavedAcquires counts threshold crossings absorbed by an already-held
-	// coalesced hold — each one is a full lock-set round trip the
-	// release/re-acquire-per-crossing path would have paid.
+	// SavedAcquires counts escalations (threshold crossings and bootstrap
+	// forwards) absorbed by an already-held coalesced hold — each one is a
+	// full lock-set round trip the release/re-acquire-per-escalation path
+	// would have paid.
 	SavedAcquires *obs.Counter
 	// BootHandoffs counts bootstrap→tracking transitions (0 or 1 per
 	// engine; across a fleet, how many tenants have left bootstrap).

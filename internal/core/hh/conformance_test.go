@@ -88,6 +88,9 @@ func checkHHContract(t *testing.T, label string, ctr core.Tracker, streams [][]u
 	if got := tr.TrueTotal(); got != n {
 		t.Fatalf("%s: TrueTotal = %d, want %d", label, got, n)
 	}
+	if tr.Rounds() < 2 {
+		t.Fatalf("%s: %d rounds: the contract was never checked in the tracking phase", label, tr.Rounds())
+	}
 	slack := eps*float64(n)/3 + float64(2*k)
 	if est := tr.EstTotal(); est > n || float64(n-est) > slack {
 		t.Errorf("%s: EstTotal = %d, want in [%d - %g, %d]", label, est, n, slack, n)

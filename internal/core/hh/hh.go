@@ -56,6 +56,7 @@ package hh
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"disttrack/internal/core/engine"
@@ -125,8 +126,7 @@ type policy struct {
 	cm         int64            // C.m — underestimate of the global count
 	cmx        map[uint64]int64 // C.m_x — underestimates of global frequencies
 	allSignals int              // "all" messages in the current round
-	bootTarget int64
-	rounds     int // completed rounds (for experiments)
+	rounds     int              // completed rounds (for experiments)
 }
 
 // site is the per-site protocol state, guarded by the engine's site locks.
@@ -156,7 +156,6 @@ func New(cfg Config) (*Tracker, error) {
 		return nil, fmt.Errorf("hh: ThresholdDivisor must be >= 0, got %g", cfg.ThresholdDivisor)
 	}
 	p.eng = eng
-	p.bootTarget = eng.BootTarget()
 	for j := 0; j < cfg.K; j++ {
 		p.sites = append(p.sites, p.newSite())
 	}
@@ -186,18 +185,32 @@ func (p *policy) newSite() *site {
 	return s
 }
 
-// threshold returns site s's current reporting threshold ε·S_j.m/3k
-// (ThresholdDivisor replacing the 3 when set), floored at one item.
-func (p *policy) threshold(s *site) int64 {
-	div := p.cfg.ThresholdDivisor
-	if div == 0 {
-		div = 3
+// divisor returns the d of the reporting threshold ε·S_j.m/dk: 3, or
+// ThresholdDivisor when set.
+func (p *policy) divisor() float64 {
+	if p.cfg.ThresholdDivisor != 0 {
+		return p.cfg.ThresholdDivisor
 	}
-	thr := int64(p.cfg.Eps * float64(s.m) / (div * float64(p.cfg.K)))
+	return 3
+}
+
+// threshold returns site s's current reporting threshold ε·S_j.m/dk, floored
+// at one item.
+func (p *policy) threshold(s *site) int64 {
+	thr := int64(p.cfg.Eps * float64(s.m) / (p.divisor() * float64(p.cfg.K)))
 	if thr < 1 {
 		thr = 1
 	}
 	return thr
+}
+
+// bootTarget returns ⌈d·k/ε⌉, the coordinator count at which the reporting
+// threshold ε·S.m/dk reaches one item. Below it every tracked arrival would
+// cross the one-item floor and pay an "all" report, a "freq" report and its
+// share of the round's broadcast, where forwarding costs one word; so the
+// bootstrap forwards until then. It is derived from the config, never stored.
+func (p *policy) bootTarget() int64 {
+	return int64(math.Ceil(p.divisor() * float64(p.cfg.K) / p.cfg.Eps))
 }
 
 // ApplyBoot records one bootstrap arrival in site j's frequency store and
@@ -322,7 +335,8 @@ func (p *policy) reportAll(j int) {
 }
 
 // OnBootEscalate forwards one bootstrap arrival, taking it out of the site's
-// pending deltas; the bootstrap ends once the coordinator holds k/ε items.
+// pending deltas; the bootstrap ends once the coordinator holds bootTarget
+// items.
 func (p *policy) OnBootEscalate(siteID int, x uint64) (done bool) {
 	s := p.sites[siteID]
 	s.dm--
@@ -331,7 +345,7 @@ func (p *policy) OnBootEscalate(siteID int, x uint64) (done bool) {
 	}
 	p.cm++
 	p.cmx[x]++
-	return p.cm >= p.bootTarget
+	return p.cm >= p.bootTarget()
 }
 
 // OnBootDone broadcasts the exact count collected during bootstrap and
@@ -451,8 +465,7 @@ func (p *policy) OnReconfigure(oldK, newK int) {
 	for j := oldK; j < newK; j++ {
 		p.sites = append(p.sites, p.newSite())
 	}
-	p.cfg.K = newK
-	p.bootTarget = p.eng.BootTarget()
+	p.cfg.K = newK // bootTarget follows the new k
 	if !tracking {
 		return
 	}

@@ -106,8 +106,8 @@ func TestGrowthReportsStaleItemDeltas(t *testing.T) {
 // per-site sequences are fed under four schedules — round-robin single
 // arrivals, 64-item lockstep batches, 4,096-item one-site bursts, and a
 // seeded random schedule. Every "all" report carries exactly its threshold,
-// so each round starts at M_{r+1} = M_r + k·⌊ε·M_r/3k⌋ (at least one per
-// site) from M_0 = ⌈k/ε⌉: the broadcast values are one sequence for every
+// so each round starts at M_{r+1} = M_r + k·⌊ε·M_r/3k⌋ from the bootstrap
+// target M_0 = ⌈3k/ε⌉: the broadcast values are one sequence for every
 // schedule, round counts differ by at most one, and "all" + "newm" words by
 // at most one round's 2k.
 func TestRoundsIndependentOfSchedule(t *testing.T) {
@@ -125,10 +125,10 @@ func TestRoundsIndependentOfSchedule(t *testing.T) {
 		}
 		streams[i%k] = append(streams[i%k], x)
 	}
-	seq := []int64{int64(math.Ceil(k / eps))}
+	seq := []int64{int64(math.Ceil(3 * k / eps))}
 	for len(seq) < 2000 {
 		m := seq[len(seq)-1]
-		seq = append(seq, m+k*max(1, int64(eps*float64(m)/(3*k))))
+		seq = append(seq, m+k*int64(eps*float64(m)/(3*k)))
 	}
 
 	type chunk struct{ site, size int }

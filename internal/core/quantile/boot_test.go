@@ -18,7 +18,7 @@ import (
 // with -race: the first read after an arrival sorts the bootstrap list, so a
 // read outside the quiescent lock set would race the arrivals.
 func TestBootstrapReadsChangeNoState(t *testing.T) {
-	cfg := Config{K: 2, Eps: 0.05, Phis: []float64{0, 0.3, 0.5, 1}} // bootstrap target 40
+	cfg := Config{K: 2, Eps: 0.05, Phis: []float64{0, 0.3, 0.5, 1}} // bootstrap target 32k/ε = 1280
 	queried, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestBootstrapReadsChangeNoState(t *testing.T) {
 		wg.Wait()
 	}()
 
-	gen := stream.Zipf(1000, 1000, 1.1, 53) // out of order, with duplicates
+	gen := stream.Zipf(1000, 3000, 1.1, 53) // out of order, with duplicates
 	o := oracle.New()
 	handoff := false
 	for i := 0; ; i++ {

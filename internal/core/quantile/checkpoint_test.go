@@ -7,14 +7,16 @@ import (
 	"slices"
 	"testing"
 
+	"disttrack/internal/oracle"
 	"disttrack/internal/stream"
 )
 
 // The golden checkpoints were written by a tracker built from goldenCfg and
-// fed goldenStream round robin, while the coordinator's bootstrap list was
-// still an order-statistics tree: checkpoint-boot.bin after the bootstrap
-// keys alone, checkpoint-round.bin after goldenRoundN items. Never
-// regenerate them.
+// fed goldenStream round robin. checkpoint-boot.bin (the bootstrap keys
+// alone) and checkpoint-round.bin (400 items) date from when the
+// coordinator's bootstrap list was still an order-statistics tree and the
+// bootstrap ended at ⌈k/ε⌉ = 40 items; checkpoint-round-2000.bin was written
+// after the bootstrap moved to 32k/ε = 1,280 items. Never regenerate them.
 var goldenCfg = Config{K: 2, Eps: 0.05, Phis: []float64{0.1, 0.5, 0.99}}
 
 // goldenBootKeys open the stream out of order and with 1<<40 twice, so the
@@ -22,24 +24,28 @@ var goldenCfg = Config{K: 2, Eps: 0.05, Phis: []float64{0.1, 0.5, 0.99}}
 // and a duplicate.
 var goldenBootKeys = []uint64{1 << 40, 7 << 24, 0, 1<<54 - 1, 1 << 40, 3<<30 | 5, 12345 << 24, 9}
 
-const goldenRoundN = 400
-
 func goldenStream() stream.Generator {
 	return stream.Concat(stream.FromSlice(goldenBootKeys), distinctUniform(20000, 43))
 }
 
 // TestRestoreGolden pins the checkpoint format in and after bootstrap: the
-// golden bytes restore and re-encode bit for bit, a twin fed the same prefix
-// from scratch writes the same bytes, and fed on in lockstep the restored
-// tracker and the twin agree on every meter, round count and quantile.
+// golden bytes restore and re-encode bit for bit, and fed on, the restored
+// tracker starts rounds of its own. Where today's protocol still writes the
+// golden from scratch (twin), a twin fed the same prefix writes the same
+// bytes, and fed on in lockstep the restored tracker and the twin agree on
+// every meter, round count and quantile. checkpoint-round.bin holds a round
+// the bootstrap now still covers, so it has no twin; its restored tracker is
+// checked against the exact quantiles instead.
 func TestRestoreGolden(t *testing.T) {
 	for _, g := range []struct {
 		file string
 		n    int
 		boot bool
+		twin bool
 	}{
-		{"checkpoint-boot.bin", len(goldenBootKeys), true},
-		{"checkpoint-round.bin", goldenRoundN, false},
+		{"checkpoint-boot.bin", len(goldenBootKeys), true, true},
+		{"checkpoint-round.bin", 400, false, false},
+		{"checkpoint-round-2000.bin", 2000, false, true},
 	} {
 		t.Run(g.file, func(t *testing.T) {
 			golden, err := os.ReadFile("testdata/" + g.file)
@@ -73,12 +79,14 @@ func TestRestoreGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			o := oracle.New()
 			gen := goldenStream()
 			for i := 0; i < g.n; i++ {
 				x, _ := gen.Next()
 				twin.Feed(i%goldenCfg.K, x)
+				o.Add(x)
 			}
-			if got := checkpointBytes(t, twin); !bytes.Equal(got, golden) {
+			if got := checkpointBytes(t, twin); g.twin && !bytes.Equal(got, golden) {
 				t.Fatal("a twin fed the same prefix does not write the golden bytes")
 			}
 			restoredRounds := tr.Rounds()
@@ -89,11 +97,19 @@ func TestRestoreGolden(t *testing.T) {
 				}
 				tr.Feed(i%goldenCfg.K, x)
 				twin.Feed(i%goldenCfg.K, x)
-				if i%97 == 0 {
+				o.Add(x)
+				if i%97 == 0 && g.twin {
 					sameState(t, i, tr, twin)
 				}
 			}
-			sameState(t, -1, tr, twin)
+			if g.twin {
+				sameState(t, -1, tr, twin)
+			}
+			for i, phi := range goldenCfg.Phis {
+				if e := o.QuantileRankError(tr.QuantileAt(i), phi); e > goldenCfg.Eps {
+					t.Fatalf("restored quantile %g is %.3f·n off its rank, want <= ε", phi, e)
+				}
+			}
 			if tr.Rounds() <= restoredRounds {
 				t.Fatalf("restored tracker never started a round of its own (rounds %d)", tr.Rounds())
 			}

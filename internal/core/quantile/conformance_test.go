@@ -73,6 +73,9 @@ func TestEngineConformance(t *testing.T) {
 func checkQuantContract(t *testing.T, label string, ctr core.Tracker, streams [][]uint64) {
 	t.Helper()
 	tr := ctr.(*Tracker)
+	if tr.Rounds() < 2 {
+		t.Fatalf("%s: %d rounds: the contract was never checked in the tracking phase", label, tr.Rounds())
+	}
 	k := len(streams)
 	var sorted []uint64
 	for _, xs := range streams {

@@ -65,23 +65,42 @@ func cutsEvery(merged []wsep, target int64) []uint64 {
 	return cuts
 }
 
+// roundSampleDiv is the 32 of a round build's per-site sampling step
+// ε·n_j/32.
+const roundSampleDiv = 32.0
+
+// batchDivisor returns the b of the site report batches εm/bk: 8, or
+// BatchDivisor when set.
+func (p *policy) batchDivisor() float64 {
+	if p.cfg.BatchDivisor != 0 {
+		return p.cfg.BatchDivisor
+	}
+	return 8
+}
+
+// bootTarget returns ⌈max(32, b)·k/ε⌉, the count at which neither a round
+// build's sampling step ε·n_j/32 (with n_j ≈ m/k) nor the εm/bk batch is
+// floored at one item. Below it a round build ships every item and every
+// tracked arrival crosses a batch, where forwarding costs one word; so the
+// bootstrap forwards until then. It is derived from the config, never
+// stored.
+func (p *policy) bootTarget() int64 {
+	return int64(math.Ceil(max(roundSampleDiv, p.batchDivisor()) * float64(p.cfg.K) / p.cfg.Eps))
+}
+
 // newRound rebuilds all round state: fresh separators sized for the new m,
 // exact interval counts, exact quantile baselines, new thresholds. Cost
 // O(k/ε) — the paper's per-round initialization.
 func (p *policy) newRound() {
 	// 1. Collect weighted separator samples over the whole universe, each
 	// site cutting its local items every ε·n_j/32.
-	merged, total, _ := p.sepSamples(0, math.MaxUint64, 32/p.cfg.Eps, "round")
+	merged, total, _ := p.sepSamples(0, math.MaxUint64, roundSampleDiv/p.cfg.Eps, "round")
 	p.m = total
 	p.rounds++
 
 	// Fix thresholds for the round.
 	em := p.cfg.Eps * float64(p.m)
-	div := p.cfg.BatchDivisor
-	if div == 0 {
-		div = 8
-	}
-	p.thrIv = maxi64(1, int64(em/(div*float64(p.cfg.K))))
+	p.thrIv = maxi64(1, int64(em/(p.batchDivisor()*float64(p.cfg.K))))
 	p.thrTot = p.thrIv
 	p.thrLR = p.thrIv
 	p.splitAt = maxi64(1, int64(3*em/8))

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -40,17 +41,32 @@ func TestHHFarBelowNaive(t *testing.T) {
 	}
 }
 
+// coreAlgo reports whether algo is one of the paper's trackers, which
+// bootstrap exactly and report Rounds.
+func coreAlgo(algo Algo) bool {
+	switch algo {
+	case HHExact, HHSketch, QuantExact, QuantSketch, AllQ, AllQSketch:
+		return true
+	}
+	return false
+}
+
 func TestRunAllAlgosWithChecking(t *testing.T) {
 	for _, algo := range []Algo{
 		HHExact, HHSketch, QuantExact, QuantSketch, AllQ, AllQSketch,
 		Naive, Push, Poll, Sampling,
 	} {
-		r, err := Run(Spec{Algo: algo, N: 15000, CheckEvery: 499, Seed: 7})
+		// 24,000 items take allq at k=8, ε=0.05 past its 10,240-item
+		// bootstrap and into its second round.
+		r, err := Run(Spec{Algo: algo, N: 24000, CheckEvery: 499, Seed: 7})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
 		if r.Violations != 0 {
 			t.Errorf("%s: %d contract violations (max err %.4f)", algo, r.Violations, r.MaxErr)
+		}
+		if coreAlgo(algo) && r.Extra["rounds"] < 2 {
+			t.Errorf("%s: %g rounds: the contract was never checked in the tracking phase", algo, r.Extra["rounds"])
 		}
 	}
 }
@@ -128,6 +144,9 @@ func TestE8AccuracyHolds(t *testing.T) {
 	for _, row := range tb.Rows {
 		if row[3] != "0" {
 			t.Errorf("E8 violation count nonzero: %v", row)
+		}
+		if rounds, _ := strconv.Atoi(row[4]); coreAlgo(Algo(row[0])) && rounds < 2 {
+			t.Errorf("E8 row never reached the tracking phase's second round: %v", row)
 		}
 	}
 }
