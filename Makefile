@@ -42,17 +42,19 @@ test-shuffle:
 # is safe only under the quiescent lock set); the fourth repeats the
 # engine's concurrent conformance laws on the mock policy, where an arrival
 # straddling the bootstrap handoff shows 1 run in 6-12, plus the slow path's
-# drain budgets driven by one long batch and the bootstrap drain (one hold
-# per bootstrap batch); the fifth repeats the
-# forwarder's producers-against-the-ticker test, which caught a buffer being
-# taken out and enqueued in two steps (reordered or late batches; at
-# -count=40 under -race it failed every time).
+# drain budgets driven by one long batch, the bootstrap drain (one hold
+# per bootstrap batch) and the sampled slow-path hold timing; the fifth
+# repeats the forwarder's producers-against-the-ticker test, which caught a
+# buffer being taken out and enqueued in two steps (reordered or late
+# batches; at -count=40 under -race it failed every time), and the cluster's
+# senders against a cancelled context (no sender blocks, every accepted
+# value is counted once as processed or dropped).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
 	$(GO) test -race -count=10 -run TestBootstrapReadsChangeNoState ./internal/core/quantile ./internal/core/allq
-	$(GO) test -race -count=20 -run 'TestEngineConformanceMockPolicy/(ConcurrentStress|ConcurrentBatchStress)|TestSlowPathBudgets|TestBootstrapBatchDrain' ./internal/core/engine
-	$(GO) test -race -count=40 -run TestForwarderConcurrentProducers ./internal/runtime
+	$(GO) test -race -count=20 -run 'TestEngineConformanceMockPolicy/(ConcurrentStress|ConcurrentBatchStress)|TestSlowPathBudgets|TestBootstrapBatchDrain|TestSlowPathHoldSampled' ./internal/core/engine
+	$(GO) test -race -count=40 -run 'TestForwarderConcurrentProducers|TestStopUnderLoad' ./internal/runtime
 
 # The quick experiment tables are a pure function of the protocols' decisions
 # (every wire.Meter count, round, split and served answer on seeded streams):

@@ -140,6 +140,10 @@ const (
 	coalesceCrossings = 64
 )
 
+// holdSample is the slow-path hold timing rate: the 1st, 65th, 129th, …
+// hold of each engine is timed into Metrics.SlowPathHold (Metrics says why).
+const holdSample = 64
+
 // site is the engine-owned per-site core: the lock that guards both the
 // engine's and the policy's per-site state, plus the exact local count.
 // Sites are heap-allocated and pointer-stable: Reconfigure swaps the slice
@@ -161,6 +165,7 @@ type Engine struct {
 	// read by the fast path only changes while all fast paths are excluded.
 	escMu   sync.Mutex
 	version atomic.Uint64 // bumped after every slow-path entry (see Version)
+	holds   uint64        // slow-path holds taken; written only under escMu
 
 	// sites holds the current membership behind one atomic pointer: the
 	// fast path pays a single atomic load to resolve its site, and
@@ -343,13 +348,16 @@ func (e *Engine) slowPath(siteID int, x uint64, rest []uint64) (drained int) {
 	m := e.met
 	e.escMu.Lock()
 	e.lockSites()
-	if m != nil && m.SlowPathAcquires != nil {
-		m.SlowPathAcquires.Inc()
-	}
 	var t0 time.Time
 	if m != nil {
-		t0 = slowPathStart(m.SlowPathHold)
+		if m.SlowPathAcquires != nil {
+			m.SlowPathAcquires.Inc()
+		}
+		if e.holds%holdSample == 0 {
+			t0 = slowPathStart(m.SlowPathHold)
+		}
 	}
+	e.holds++
 	s := e.siteAt(siteID)
 	items, crossings := coalesceItems, coalesceCrossings
 	for {

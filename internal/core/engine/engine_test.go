@@ -320,6 +320,46 @@ func TestBootstrapBatchDrain(t *testing.T) {
 	}
 }
 
+// TestSlowPathHoldSampled pins the hold timing rate: with the metrics wired
+// from the start, the SlowPathHold histogram times the 1st, 65th, 129th, …
+// slow-path hold, so after every arrival its count is exactly
+// ⌈SlowPathAcquires/64⌉, while QuiesceHold times every Quiesce. Sequential
+// Feed on the count policy pays one acquisition per escalation: 3 bootstrap
+// forwards, then a crossing every 8th arrival, 200 in all — not a multiple
+// of 64, so an untimed first hold shows as well as an unsampled one.
+func TestSlowPathHoldSampled(t *testing.T) {
+	tr := newCountTracker(t, 2, 0.9, 8) // eps 0.9: bootstrap ends after ⌈k/ε⌉=3 items
+	reg := obs.NewRegistry()
+	m := &engine.Metrics{
+		SlowPathAcquires: reg.NewCounter("test_slow_path_acquires_total", "test"),
+		SlowPathHold:     reg.NewHistogram("test_slow_path_hold_seconds", "test", obs.DurationBuckets()),
+		QuiesceHold:      reg.NewHistogram("test_quiesce_hold_seconds", "test", obs.DurationBuckets()),
+	}
+	tr.SetMetrics(m)
+	const n = 3 + 8*197
+	quiesces := int64(0)
+	for i := 0; i < n; i++ {
+		tr.Feed(0, uint64(i))
+		acq := m.SlowPathAcquires.Value()
+		if got, want := m.SlowPathHold.Count(), (acq+63)/64; got != want {
+			t.Fatalf("after %d arrivals and %d acquisitions: %d holds timed, want %d", i+1, acq, got, want)
+		}
+		if i%100 == 0 {
+			tr.Quiesce(func() {})
+			quiesces++
+		}
+	}
+	if acq := m.SlowPathAcquires.Value(); acq != 200 {
+		t.Fatalf("%d slow-path acquisitions, want 200", acq)
+	}
+	if got := m.SlowPathHold.Count(); got != 4 {
+		t.Fatalf("%d slow-path holds timed, want ⌈200/64⌉ = 4", got)
+	}
+	if got := m.QuiesceHold.Count(); got != quiesces {
+		t.Fatalf("%d Quiesce holds timed, want all %d", got, quiesces)
+	}
+}
+
 // TestEngineValidation pins the constructor errors and the site bounds
 // panic that the engine now produces on behalf of every tracker.
 func TestEngineValidation(t *testing.T) {

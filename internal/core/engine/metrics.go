@@ -12,8 +12,10 @@ import (
 // locks, no map lookups (children are resolved by the caller, typically
 // once per tenant) — pinned by the BenchmarkFeedBatch*Obs A/B against the
 // uninstrumented benches. Duration histograms exist only on the slow path
-// (escalations, Quiesce), where a time.Now pair is noise against the lock
-// acquisition they measure.
+// (escalations, Quiesce). A time.Now pair is not noise there: it costs about
+// as much as a short hh or small-tenant escalation hold, so SlowPathHold
+// times one hold in 64 (SlowPathAcquires counts them all), while
+// QuiesceHold, around query work, times every Quiesce.
 //
 // Any field may be nil; the engine skips what is not wired. Attach with
 // Engine.SetMetrics before concurrent use.
@@ -47,7 +49,9 @@ type Metrics struct {
 	// engine; across a fleet, how many tenants have left bootstrap).
 	BootHandoffs *obs.Counter
 	// SlowPathHold observes the seconds an escalation held escMu plus every
-	// site lock — the cluster-wide stall each escalation imposes.
+	// site lock — the cluster-wide stall each escalation imposes — for the
+	// 1st, 65th, 129th, … hold of the engine; its count is
+	// ⌈SlowPathAcquires/64⌉ when both are wired from the start.
 	SlowPathHold *obs.Histogram
 	// QuiesceHold observes the seconds each Quiesce held the same locks —
 	// the stall a consistent query imposes.

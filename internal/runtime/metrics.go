@@ -13,7 +13,7 @@ import "disttrack/internal/obs"
 type ClusterMetrics struct {
 	Processed  *obs.Counter // arrivals fully fed to the tracker
 	Batches    *obs.Counter // batch deliveries processed
-	Dropped    *obs.Counter // queued arrivals discarded by Stop
+	Dropped    *obs.Counter // arrivals discarded unbegun by Stop or cancellation
 	QueueDepth *obs.Gauge   // batches currently queued across sites
 
 	last Stats

@@ -14,6 +14,15 @@
 // site's goroutine, which feeds it through FeedLocalBatch, amortizing the
 // per-arrival lock and store costs over each escalation-free run. (For a
 // deployment across real processes and sockets, see the remote package.)
+//
+// Each hop costs one plain channel operation per side: no select, and no
+// look at a shared Done channel. Stopping is an atomic flag instead, set by
+// Stop or, through context.AfterFunc, by cancelling New's context. A sender
+// checks it before enqueueing; a site goroutine checks it before each
+// batch and drops the batch, counted, when it is set, so a batch that has
+// begun is always fed to the end and everything else is dropped. The site
+// goroutines keep consuming their channels until Stop or Drain closes them,
+// so a sender that enqueued just before the flag was set never blocks.
 package runtime
 
 import (
@@ -32,26 +41,30 @@ type Tracker interface {
 	FeedLocalBatch(site int, xs []uint64)
 }
 
-// ErrStopped is returned by SendBatch after the cluster has been stopped or
-// its context cancelled.
+// ErrStopped is returned by SendBatch after the cluster has been stopped,
+// drained or its context cancelled.
 var ErrStopped = errors.New("runtime: cluster stopped")
 
-// Cluster runs k site goroutines feeding a shared tracker.
+// Cluster runs k site goroutines feeding a shared tracker. A batch a site
+// has begun is fed to the end; once the cluster is stopped (Stop, or New's
+// context cancelled) every batch not yet begun is dropped and counted.
 type Cluster struct {
 	tr Tracker
 
 	batches   []chan []uint64 // one queue per site; its length is the site count
 	wg        sync.WaitGroup
-	ctx       context.Context
-	cancel    context.CancelFunc
+	stopped   atomic.Bool // set by Stop, a cancelled context or a finished Drain
+	unwatch   func() bool // releases the context.AfterFunc watching New's ctx
 	processed atomic.Int64
 	batched   atomic.Int64
 	dropped   atomic.Int64
-	stopOnce  sync.Once
+	closeOnce sync.Once
 }
 
 // New starts a cluster of k sites over tr. buf is the per-site channel
-// capacity in batches (≥ 1). Always call Stop (or Drain) when done.
+// capacity in batches (≥ 1). Cancelling ctx stops the cluster as Stop does,
+// except that nothing waits for the site goroutines: call Stop (or Drain)
+// when done either way.
 func New(ctx context.Context, tr Tracker, k, buf int) (*Cluster, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("runtime: k must be >= 1, got %d", k)
@@ -59,8 +72,8 @@ func New(ctx context.Context, tr Tracker, k, buf int) (*Cluster, error) {
 	if buf < 1 {
 		buf = 1
 	}
-	cctx, cancel := context.WithCancel(ctx)
-	c := &Cluster{tr: tr, ctx: cctx, cancel: cancel}
+	c := &Cluster{tr: tr}
+	c.unwatch = context.AfterFunc(ctx, func() { c.stopped.Store(true) })
 	for j := 0; j < k; j++ {
 		// buf batches of slack let the producer run ahead of the site
 		// goroutine (the service's -site-buffer).
@@ -74,32 +87,22 @@ func New(ctx context.Context, tr Tracker, k, buf int) (*Cluster, error) {
 
 // site is the per-site goroutine: it feeds each batch of its local stream
 // through the tracker's amortized FeedLocalBatch — one site lock and one
-// store bulk-insert per escalation-free run. Batch slices are returned to
-// the shared batch pool once processed — SendBatch transfers ownership to
-// the cluster.
+// store bulk-insert per escalation-free run — until its channel is closed.
+// Once the cluster is stopped it drops each batch instead (counting its
+// values), so senders caught mid-enqueue never block. Batch slices are
+// returned to the shared batch pool either way — SendBatch transfers
+// ownership to the cluster.
 func (c *Cluster) site(j int, ch <-chan []uint64) {
 	defer c.wg.Done()
-	for {
-		// Check cancellation first: when both the queue and Done are ready,
-		// select picks randomly, and Stop promises queued items are dropped
-		// rather than raced against.
-		select {
-		case <-c.ctx.Done():
-			return
-		default:
-		}
-		select {
-		case <-c.ctx.Done():
-			return
-		case xs, ok := <-ch:
-			if !ok {
-				return
-			}
+	for xs := range ch {
+		if c.stopped.Load() {
+			c.dropped.Add(int64(len(xs)))
+		} else {
 			c.tr.FeedLocalBatch(j, xs)
 			c.processed.Add(int64(len(xs)))
 			c.batched.Add(1)
-			PutBatch(xs)
 		}
+		PutBatch(xs)
 	}
 }
 
@@ -108,7 +111,8 @@ func (c *Cluster) site(j int, ch <-chan []uint64) {
 // synchronization. The cluster takes ownership of xs — the caller must not
 // reuse the slice (it is recycled through the batch pool once processed).
 // Empty batches are a no-op. It blocks while the queue is full and returns
-// ErrStopped after cancellation or Stop.
+// ErrStopped after cancellation, Stop or Drain. A batch it accepts is
+// counted exactly once, as Processed or as Dropped.
 func (c *Cluster) SendBatch(site int, xs []uint64) error {
 	if site < 0 || site >= len(c.batches) {
 		return fmt.Errorf("runtime: site %d out of range [0,%d)", site, len(c.batches))
@@ -116,59 +120,48 @@ func (c *Cluster) SendBatch(site int, xs []uint64) error {
 	if len(xs) == 0 {
 		return nil
 	}
-	// Check cancellation first: when both the queue and Done are ready,
-	// select would pick randomly, and an enqueue after Stop would be
-	// silently dropped.
-	select {
-	case <-c.ctx.Done():
+	if c.stopped.Load() {
 		return ErrStopped
-	default:
 	}
-	select {
-	case <-c.ctx.Done():
-		return ErrStopped
-	case c.batches[site] <- xs:
-		return nil
-	}
+	c.batches[site] <- xs
+	return nil
 }
 
 // Drain closes the ingestion queues and waits for the sites to finish
-// processing everything already sent. SendBatch must not be called
-// concurrently with or after Drain.
+// processing everything already sent (unless the context is cancelled
+// meanwhile, which drops what is not yet begun). SendBatch must not be
+// called concurrently with Drain; after it, SendBatch returns ErrStopped.
 func (c *Cluster) Drain() {
-	c.stopOnce.Do(func() {
-		for _, ch := range c.batches {
-			close(ch)
-		}
-	})
-	c.wg.Wait()
-	c.cancel()
+	c.close()
+	c.stopped.Store(true)
 }
 
-// Stop cancels processing immediately, dropping anything still queued, and
-// waits for the site goroutines to exit. Dropped arrivals are counted in
-// Stats. SendBatch must not be called concurrently with Stop (late senders
-// get ErrStopped; their items are not counted as dropped).
+// Stop stops the cluster: each site finishes the batch it has begun, every
+// batch not yet begun is dropped and counted in Stats, and Stop returns once
+// the site goroutines have exited. SendBatch must not be called concurrently
+// with Stop; after it, SendBatch returns ErrStopped.
 func (c *Cluster) Stop() {
-	c.cancel()
-	c.wg.Wait()
-	c.stopOnce.Do(func() {
+	c.stopped.Store(true)
+	c.close()
+}
+
+// close closes the site queues once and waits for the site goroutines to
+// consume them.
+func (c *Cluster) close() {
+	c.closeOnce.Do(func() {
 		for _, ch := range c.batches {
 			close(ch)
 		}
 	})
-	for _, ch := range c.batches {
-		for xs := range ch {
-			c.dropped.Add(int64(len(xs)))
-		}
-	}
+	c.wg.Wait()
+	c.unwatch()
 }
 
 // Stats is a point-in-time snapshot of the cluster's ingestion counters.
 type Stats struct {
 	Processed int64 // arrivals fully fed to the tracker
 	Batches   int64 // batch deliveries processed
-	Dropped   int64 // queued arrivals discarded by Stop
+	Dropped   int64 // arrivals discarded unbegun by Stop or cancellation
 }
 
 // Stats returns the current ingestion counters.
@@ -183,7 +176,8 @@ func (c *Cluster) Stats() Stats {
 // Processed returns how many arrivals have been fully processed.
 func (c *Cluster) Processed() int64 { return c.processed.Load() }
 
-// Dropped returns how many queued arrivals were discarded by Stop.
+// Dropped returns how many arrivals were discarded unbegun by Stop or
+// cancellation.
 func (c *Cluster) Dropped() int64 { return c.dropped.Load() }
 
 // K returns the number of sites.

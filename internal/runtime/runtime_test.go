@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -211,14 +212,30 @@ func TestSendBatchValidation(t *testing.T) {
 	}
 }
 
+// feedSignal wraps a Tracker and closes entered when the first
+// FeedLocalBatch call begins, so a test can wait until a site has begun a
+// batch, not merely dequeued it.
+type feedSignal struct {
+	Tracker
+	once    sync.Once
+	entered chan struct{}
+}
+
+func (f *feedSignal) FeedLocalBatch(site int, xs []uint64) {
+	f.once.Do(func() { close(f.entered) })
+	f.Tracker.FeedLocalBatch(site, xs)
+}
+
 // TestStopCountsDropped fills one site's queue behind a stalled site
 // goroutine and pins the one queue's accounting: QueueDepth counts batches
-// and stops at the buffer size, Stop counts exactly the queued values as
-// Dropped, and a late SendBatch gets ErrStopped.
+// and stops at the buffer size, Stop processes the batch the site has begun
+// and counts exactly the queued values as Dropped, and a late SendBatch
+// gets ErrStopped.
 func TestStopCountsDropped(t *testing.T) {
 	const k, buf = 2, 8
 	tr, _ := hh.New(hh.Config{K: k, Eps: 0.1})
-	c, _ := New(context.Background(), tr, k, buf)
+	sig := &feedSignal{Tracker: tr, entered: make(chan struct{})}
+	c, _ := New(context.Background(), sig, k, buf)
 	// Hold the protocol lock so site 0's goroutine stalls inside the first
 	// batch it takes, leaving everything sent after it queued.
 	locked := make(chan struct{})
@@ -234,9 +251,7 @@ func TestStopCountsDropped(t *testing.T) {
 	if err := c.SendBatch(0, inFlight); err != nil {
 		t.Fatal(err)
 	}
-	for c.QueueDepth() != 0 { // until the site goroutine has taken it
-		time.Sleep(time.Millisecond)
-	}
+	<-sig.entered // the site has begun the in-flight batch
 	var queued int64
 	for i := 0; i < buf; i++ {
 		xs := make([]uint64, i+1) // uneven sizes: Dropped counts values, not batches
@@ -251,10 +266,9 @@ func TestStopCountsDropped(t *testing.T) {
 	if got := c.QueueDepth(); got != buf || got > k*buf {
 		t.Fatalf("QueueDepth = %d, want %d (one full site, ceiling k*buf = %d)", got, buf, k*buf)
 	}
-	// Cancel before releasing the lock: the site finishes its in-flight
-	// batch, then the priority Done check exits the loop, leaving the whole
-	// queue for Stop to count.
-	c.cancel()
+	// Set the stop flag before releasing the lock: the site finishes its
+	// in-flight batch, then drops every queued one for Stop to count.
+	c.stopped.Store(true)
 	close(block)
 	c.Stop()
 	wg.Wait()
@@ -268,6 +282,72 @@ func TestStopCountsDropped(t *testing.T) {
 	}
 	if err := c.SendBatch(0, []uint64{9}); err != ErrStopped {
 		t.Fatalf("SendBatch after Stop = %v, want ErrStopped", err)
+	}
+}
+
+// TestStopUnderLoad cancels the cluster's context while producers keep
+// sending, then drains: no sender may block forever, every value SendBatch
+// accepted is counted exactly once (Processed + Dropped), and every later
+// send returns ErrStopped.
+func TestStopUnderLoad(t *testing.T) {
+	const k, producers, batch = 4, 8, 16
+	tr, err := hh.New(hh.Config{K: k, Eps: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	c, err := New(ctx, tr, k, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted atomic.Int64
+	started := make(chan struct{}, producers)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				xs := GetBatch(batch)
+				for v := 0; v < batch; v++ {
+					xs = append(xs, uint64(p*batch+v))
+				}
+				err := c.SendBatch((p+i)%k, xs)
+				if err == ErrStopped {
+					return
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				accepted.Add(batch)
+				if i == 8 {
+					started <- struct{}{}
+				}
+			}
+		}(p)
+	}
+	for p := 0; p < producers; p++ {
+		<-started
+	}
+	cancel()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a sender blocked after cancellation")
+	}
+	c.Drain()
+	st := c.Stats()
+	if st.Processed+st.Dropped != accepted.Load() {
+		t.Fatalf("processed %d + dropped %d = %d, want the %d accepted values",
+			st.Processed, st.Dropped, st.Processed+st.Dropped, accepted.Load())
+	}
+	for j := 0; j < k; j++ {
+		if err := c.SendBatch(j, []uint64{1}); err != ErrStopped {
+			t.Fatalf("SendBatch(%d) after cancellation and Drain = %v, want ErrStopped", j, err)
+		}
 	}
 }
 

@@ -154,7 +154,7 @@ func newServerMetrics() *serverMetrics {
 	m.engBoot = reg.NewCounterVec("disttrack_engine_boot_handoffs_total",
 		"Bootstrap-to-tracking transitions.", "tenant")
 	m.engSlow = reg.NewHistogramVec("disttrack_engine_slow_path_hold_seconds",
-		"Seconds each escalation held the coordinator and every site lock.",
+		"Seconds an escalation held the coordinator and every site lock, timed for one hold in 64; disttrack_engine_slow_path_acquires_total is the count.",
 		obs.DurationBuckets(), "tenant")
 	m.engQuiesce = reg.NewHistogramVec("disttrack_engine_quiesce_hold_seconds",
 		"Seconds each quiescent section (consistent query) held the protocol locks.",
