@@ -2,10 +2,12 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
 	"math"
+	"math/bits"
 	"net/http"
 	"sync"
 
@@ -128,7 +130,9 @@ func (b *ingestBody) decode(m decodeCounters) error {
 // JSON whitespace anywhere, appending to recs. A run of records naming the
 // same tenant shares one string, so a single-tenant body costs one allocation.
 // Bytes after the closing brace are ignored, as encoding/json's Decoder
-// ignores them.
+// ignores them. Each record is first tried in the exact layout above, which is
+// json.Marshal's, in one pass over its bytes (compact); any other layout of a
+// record goes through the general token loop (fields).
 //
 // It is deliberately strict: it reports false for anything it does not
 // positively recognise — an escape or a non-ASCII byte in a string, an unknown,
@@ -142,32 +146,35 @@ func scanIngest(body []byte, recs []Record) ([]Record, bool) {
 	if !s.next('{') {
 		return nil, false
 	}
-	if key, ok := s.str(); !ok || string(key) != "records" {
-		return nil, false
-	}
-	if !s.next(':') || !s.next('[') {
+	s.ws()
+	if !s.lit(`"records"`) || !s.next(':') || !s.next('[') {
 		return nil, false
 	}
 	if s.ws() == ']' {
 		s.i++
 		return recs, s.next('}')
 	}
-	var tenant string // the current run's name
+	var run string // the current run's tenant name
 	for {
-		if !s.next('{') {
-			return nil, false
-		}
-		var rec Record
-		if s.ws() == '}' {
-			s.i++
-		} else if !s.fields(&rec, &tenant) {
-			return nil, false
+		rec, ok := s.compact(&run)
+		if !ok {
+			if !s.next('{') {
+				return nil, false
+			}
+			if s.ws() == '}' {
+				s.i++
+			} else if !s.fields(&rec, &run) {
+				return nil, false
+			}
 		}
 		recs = append(recs, rec)
-		if s.next(']') {
+		switch s.ws() {
+		case ',':
+			s.i++
+		case ']':
+			s.i++
 			return recs, s.next('}')
-		}
-		if !s.next(',') {
+		default:
 			return nil, false
 		}
 	}
@@ -183,7 +190,7 @@ type scanner struct {
 // the input (a literal NUL matches nothing the scanner looks for either).
 func (s *scanner) ws() byte {
 	for ; s.i < len(s.b); s.i++ {
-		if c := s.b[s.i]; c != ' ' && c != '\n' && c != '\t' && c != '\r' {
+		if c := s.b[s.i]; c > ' ' || c != ' ' && c != '\n' && c != '\t' && c != '\r' {
 			return c
 		}
 	}
@@ -199,48 +206,65 @@ func (s *scanner) next(c byte) bool {
 	return true
 }
 
-// str consumes a string made only of unescaped printable ASCII and returns
-// the bytes between its quotes.
-func (s *scanner) str() ([]byte, bool) {
-	if !s.next('"') {
-		return nil, false
+// lit consumes l if the input continues with exactly it.
+func (s *scanner) lit(l string) bool {
+	if !hasPrefix(s.b[s.i:], l) {
+		return false
 	}
-	rest := s.b[s.i:]
-	for n, c := range rest {
-		if c == '"' {
-			s.i += n + 1
-			return rest[:n], true
-		}
-		if c-0x20 >= 0x60 || c == '\\' { // a control byte, non-ASCII, or an escape
-			break
-		}
-	}
-	return nil, false
+	s.i += len(l)
+	return true
 }
 
-// uint consumes a run of digits that is a JSON integer no larger than max.
-// What may follow a number is the caller's check: it looks for ',' or '}'
-// next, so a fraction or an exponent is not recognised.
-func (s *scanner) uint(max uint64) (v uint64, ok bool) {
-	start := s.i
-	for ; s.i < len(s.b); s.i++ {
-		d := uint64(s.b[s.i] - '0')
-		if d > 9 {
-			break
-		}
-		if v > (max-d)/10 {
-			return 0, false
-		}
-		v = v*10 + d
+// compact consumes one record in json.Marshal's layout of a Record,
+// {"tenant":"…","site":N,"value":N} with no whitespace and numbers of fewer
+// than eight digits, the cursor being at its opening brace. On any other
+// bytes it consumes nothing and reports false, and the record is the general
+// loop's. It keeps its place in a local slice rather than the cursor, calls
+// nothing for a name that continues the run, and cuts the literals into
+// pieces of at most 8 bytes, which the compiler compares as one word each.
+func (s *scanner) compact(run *string) (rec Record, ok bool) {
+	b := s.b[s.i:]
+	if !hasPrefix(b, `{"tenant`) || !hasPrefix(b[8:], `":`) {
+		return rec, false
 	}
-	n := s.i - start
-	return v, n == 1 || (n > 1 && s.b[start] != '0')
+	b = b[10:]
+	n := runName(b, *run)
+	if n == 0 {
+		n = newName(b, run)
+	}
+	if n == 0 || !hasPrefix(b[n:], `,"site":`) {
+		return rec, false
+	}
+	b = b[n+8:]
+	neg := hasPrefix(b, "-")
+	if neg {
+		b = b[1:]
+	}
+	if len(b) < 8 {
+		return rec, false
+	}
+	site, n := shortNumber(binary.LittleEndian.Uint64(b))
+	if n == 0 || !hasPrefix(b[n:], `,"value"`) || !hasPrefix(b[n+8:], `:`) {
+		return rec, false
+	}
+	if rec.Site = int(site); neg {
+		rec.Site = -rec.Site
+	}
+	if b = b[n+9:]; len(b) < 8 {
+		return rec, false
+	}
+	if rec.Value, n = shortNumber(binary.LittleEndian.Uint64(b)); n == 0 || !hasPrefix(b[n:], `}`) {
+		return rec, false
+	}
+	s.i = len(s.b) - len(b) + n + 1
+	rec.Tenant = *run
+	return rec, true
 }
 
 // fields consumes one record's members and closing brace, the cursor being
-// past the opening one. tenant is the previous record's name: rec shares it
+// past the opening one. run is the previous record's name: rec shares it
 // when it names the same tenant, and replaces it otherwise.
-func (s *scanner) fields(rec *Record, tenant *string) bool {
+func (s *scanner) fields(rec *Record, run *string) bool {
 	const (
 		sawTenant = 1 << iota
 		sawSite
@@ -248,50 +272,147 @@ func (s *scanner) fields(rec *Record, tenant *string) bool {
 	)
 	seen := 0
 	for {
-		key, ok := s.str()
-		if !ok || !s.next(':') {
-			return false
-		}
+		s.ws()
 		var saw int
-		switch string(key) {
-		case "tenant":
+		switch {
+		case s.lit(`"tenant"`):
 			saw = sawTenant
-			name, ok := s.str()
-			if !ok {
-				return false
-			}
-			if string(name) != *tenant {
-				*tenant = string(name)
-			}
-			rec.Tenant = *tenant
-		case "site":
+		case s.lit(`"site"`):
 			saw = sawSite
-			neg := s.next('-')
-			v, ok := s.uint(math.MaxInt)
-			if !ok {
-				return false
-			}
-			if rec.Site = int(v); neg {
-				rec.Site = -rec.Site
-			}
-		case "value":
+		case s.lit(`"value"`):
 			saw = sawValue
-			s.ws()
-			if rec.Value, ok = s.uint(math.MaxUint64); !ok {
-				return false
-			}
-		default:
-			return false
 		}
-		if seen&saw != 0 {
+		if saw == 0 || seen&saw != 0 || !s.next(':') {
 			return false
 		}
 		seen |= saw
-		if s.next('}') {
-			return true
+		s.ws()
+		var n int
+		switch rest := s.b[s.i:]; saw {
+		case sawTenant:
+			if n = runName(rest, *run); n == 0 {
+				n = newName(rest, run)
+			}
+			rec.Tenant = *run
+		case sawSite:
+			rec.Site, n = site(rest)
+		default:
+			rec.Value, n = number(rest, math.MaxUint64)
 		}
-		if !s.next(',') {
+		if n == 0 {
+			return false
+		}
+		s.i += n
+		switch s.ws() {
+		case '}':
+			s.i++
+			return true
+		case ',':
+			s.i++
+		default:
 			return false
 		}
 	}
+}
+
+// The parsers below read the input from the cursor on, b (shortNumber its
+// first eight bytes as one word), and return how many bytes they recognise,
+// 0 when the input does not start with what they want. What may follow is
+// the caller's check: it looks for ',' or '}' after a number, so a fraction
+// or an exponent is not recognised.
+
+// hasPrefix reports whether b starts with l.
+func hasPrefix(b []byte, l string) bool {
+	return len(b) >= len(l) && string(b[:len(l)]) == l
+}
+
+// runName returns the length, quotes included, of the string b starts with
+// if it spells run, and 0 otherwise. A run of records naming one tenant
+// thus shares one string, and is compared before any per-byte scan.
+func runName(b []byte, run string) int {
+	if n := len(run) + 1; len(b) > n && b[0] == '"' && b[n] == '"' && string(b[1:n]) == run {
+		return n + 1
+	}
+	return 0
+}
+
+// newName parses a string made only of unescaped printable ASCII into a new
+// *run, and returns its length with the quotes.
+func newName(b []byte, run *string) int {
+	if len(b) == 0 || b[0] != '"' {
+		return 0
+	}
+	for n, c := range b[1:] {
+		if c == '"' {
+			*run = string(b[1 : n+1])
+			return n + 2
+		}
+		if c-0x20 >= 0x60 || c == '\\' { // a control byte, non-ASCII, or an escape
+			return 0
+		}
+	}
+	return 0
+}
+
+// site parses a JSON integer that fits an int.
+func site(b []byte) (int, int) {
+	if !hasPrefix(b, "-") {
+		v, n := number(b, math.MaxInt)
+		return int(v), n
+	}
+	if v, n := number(b[1:], math.MaxInt); n > 0 {
+		return -int(v), n + 1
+	}
+	return 0, 0
+}
+
+// number parses a JSON integer no larger than max, which is at least
+// math.MaxInt32.
+func number(b []byte, max uint64) (uint64, int) {
+	if len(b) >= 8 {
+		if v, n := shortNumber(binary.LittleEndian.Uint64(b)); n > 0 {
+			return v, n
+		}
+	}
+	return longNumber(b, max)
+}
+
+// shortNumber parses the number of fewer than eight digits that x, eight
+// input bytes read little-endian, starts with, without a branch per digit.
+// Such a number fits any max. It returns 0 for a longer number, a leading
+// zero or no digit at all.
+func shortNumber(x uint64) (v uint64, n int) {
+	// A byte is a digit when its high nibble is 3 and adding 6 leaves it 3.
+	// Only a non-digit byte carries into the next one, which is not counted.
+	const hi, three = 0xf0f0f0f0f0f0f0f0, 0x3030303030303030
+	n = bits.TrailingZeros64((x&hi^three)|((x+0x0606060606060606)&hi^three)) / 8
+	if uint(n-1) >= 7 || n > 1 && x&0xff == '0' {
+		return 0, 0
+	}
+	// Shift the digits to the top, so the bytes below read as leading
+	// zeros, then combine neighbouring lanes: pairs, quads, all eight.
+	x = (x & 0x0f0f0f0f0f0f0f0f) << (64 - 8*n)
+	x = (x * (10<<8 + 1) >> 8) & 0x00ff00ff00ff00ff
+	x = (x * (100<<16 + 1) >> 16) & 0x0000ffff0000ffff
+	return x * (10000<<32 + 1) >> 32, n
+}
+
+// longNumber is number digit by digit, for the end of the body and for
+// eight digits or more. Eighteen digits cannot overflow a uint64, so only a
+// longer run is checked as it goes.
+func longNumber(b []byte, max uint64) (v uint64, n int) {
+	for ; n < len(b); n++ {
+		d := uint64(b[n] - '0')
+		if d > 9 {
+			break
+		}
+		if n >= 18 && v > (max-d)/10 {
+			return 0, 0
+		}
+		v = v*10 + d
+	}
+	if v > max || n > 1 && b[0] == '0' {
+		return 0, 0
+	}
+	return v, n
 }

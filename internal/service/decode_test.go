@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -52,6 +54,35 @@ func streamRecs(tenant string, n, k int) []Record {
 	return recs
 }
 
+// mixedRecs is n records whose tenant changes every one to three records,
+// and the number of tenant runs in them. Names are longer than one byte, so
+// each run's string is an allocation of its own.
+func mixedRecs(n int) (recs []Record, runs int) {
+	for len(recs) < n {
+		tenant := fmt.Sprintf("tenant-%d", runs%5)
+		for i := 0; i <= runs%3 && len(recs) < n; i++ {
+			recs = append(recs, Record{Tenant: tenant, Site: len(recs) % 4, Value: uint64(len(recs)) * 2654435761 % 100000})
+		}
+		runs++
+	}
+	return recs, runs
+}
+
+// spacedBody encodes recs with the separators of Python's json.dumps, ", "
+// and ": ", which the compact layout does not match.
+func spacedBody(recs []Record) []byte {
+	var b strings.Builder
+	b.WriteString(`{"records": [`)
+	for i, r := range recs {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, `{"tenant": %q, "site": %d, "value": %d}`, r.Tenant, r.Site, r.Value)
+	}
+	b.WriteString("]}")
+	return []byte(b.String())
+}
+
 // decodeCases are bodies on both sides of the scanner's line. scan says which
 // decoder must take the body: the ones real clients send have to stay on the
 // scanner, or the speed-up is gone with nothing failing.
@@ -74,6 +105,16 @@ var decodeCases = []struct {
 	{"trailing garbage", `{"records":[{"tenant":"a","site":0,"value":1}]}garbage`, true},
 	{"trailing value", `{"records":[]} {"records":[{"tenant":"a"}]}`, true},
 	{"DEL in tenant", "{\"records\":[{\"tenant\":\"a\x7fb\"}]}", true},
+	{"names sharing the run's prefix", `{"records":[{"tenant":"a","site":0,"value":1},{"tenant":"ab","site":1,"value":2},{"tenant":"a","site":2,"value":3},{"tenant":"ab","site":3,"value":4},{"tenant":"abc","site":0,"value":5},{"tenant":"ab","site":1,"value":6}]}`, true},
+	{"value 7 and 8 digits", `{"records":[{"tenant":"a","site":0,"value":1234567},{"tenant":"a","site":0,"value":12345678}]}`, true},
+	{"value 18 digits", `{"records":[{"tenant":"a","site":0,"value":999999999999999999}]}`, true},
+	{"value 19 digits", `{"records":[{"tenant":"a","site":0,"value":9999999999999999999}]}`, true},
+	{"value 20 digits", `{"records":[{"tenant":"a","site":0,"value":10000000000000000000}]}`, true},
+	{"value zero", `{"records":[{"tenant":"a","site":0,"value":0}]}`, true},
+	{"site MaxInt", `{"records":[{"tenant":"a","site":` + strconv.Itoa(math.MaxInt) + `,"value":1}]}`, true},
+	{"site MinInt+1", `{"records":[{"tenant":"a","site":` + strconv.Itoa(-math.MaxInt) + `,"value":1}]}`, true},
+	{"site -1", `{"records":[{"tenant":"a","site":-1,"value":1}]}`, true},
+	{"number at the end of the body", `{"records":[{"value":12}]}`, true},
 
 	{"value max+1", `{"records":[{"tenant":"a","site":0,"value":18446744073709551616}]}`, false},
 	{"value 20 nines", `{"records":[{"value":99999999999999999999}]}`, false},
@@ -114,6 +155,29 @@ var decodeCases = []struct {
 	{"truncated number", `{"records":[{"value":12`, false},
 	{"unclosed", `{"records":[{"tenant":"a"}]`, false},
 	{"bad literal", `{"records":[{"value":7x}]}`, false},
+	{"escaped name after its prefix's run", `{"records":[{"tenant":"a","site":0,"value":1},{"tenant":"ab","site":0,"value":1},{"tenant":"a\"","site":0,"value":1},{"tenant":"ab","site":0,"value":1}]}`, false},
+	{"key tenants", `{"records":[{"tenants":"a","site":0,"value":1}]}`, false},
+	{"key Tenant", `{"records":[{"Tenant":"a","site":0,"value":1}]}`, false},
+	{"key site with a space", `{"records":[{"tenant":"a","site ":0,"value":1}]}`, false},
+	{"duplicate value in canonical order", `{"records":[{"tenant":"a","site":1,"value":2,"value":3}]}`, false},
+	{"site MaxInt+1", `{"records":[{"tenant":"a","site":` + strconv.FormatUint(math.MaxInt+1, 10) + `,"value":1}]}`, false},
+	{"site 01", `{"records":[{"tenant":"a","site":01,"value":1}]}`, false},
+	{"site minus alone", `{"records":[{"tenant":"a","site":-,"value":1}]}`, false},
+	{"value 00", `{"records":[{"tenant":"a","site":0,"value":00}]}`, false},
+	{"colon after digits", `{"records":[{"tenant":"a","site":0,"value":12:}]}`, false},
+	{"slash after digits", `{"records":[{"tenant":"a","site":0,"value":12/}]}`, false},
+	{"high bytes after digits", "{\"records\":[{\"tenant\":\"a\",\"site\":0,\"value\":1\xff\xfa\xff\xff\xff\xff\xff}]}", false},
+	{"truncated in records", `{"rec`, false},
+	{"truncated in key tenant", `{"records":[{"ten`, false},
+	{"truncated in name", `{"records":[{"tenant":"cl`, false},
+	{"truncated in the run's name", `{"records":[{"tenant":"ab","site":0,"value":1},{"tenant":"ab`, false},
+	{"truncated in the run's name, short", `{"records":[{"tenant":"ab","site":0,"value":1},{"tenant":"a`, false},
+	{"truncated in key site", `{"records":[{"tenant":"a","si`, false},
+	{"truncated after minus", `{"records":[{"tenant":"a","site":-`, false},
+	{"truncated in key value", `{"records":[{"tenant":"a","site":1,"valu`, false},
+	{"truncated before value", `{"records":[{"tenant":"a","site":1,"value":`, false},
+	{"truncated in value", `{"records":[{"tenant":"a","site":1,"value":1234`, false},
+	{"truncated before brace", `{"records":[{"tenant":"a","site":1,"value":1234567890`, false},
 }
 
 // checkAgainstJSON decodes body with the service's decoder and with the
@@ -153,11 +217,25 @@ func TestDecodeIngestCases(t *testing.T) {
 			}
 		})
 	}
-	// The two encodings clients actually produce, at benchmark size.
+	// The encodings clients actually produce, at benchmark size.
 	recs := streamRecs("clicks", 512, 4)
-	for name, body := range map[string][]byte{"compact": compactBody(t, recs), "sorted keys": sortedKeyBody(t, recs)} {
+	mixed, _ := mixedRecs(512)
+	for name, body := range map[string][]byte{
+		"compact":     compactBody(t, recs),
+		"sorted keys": sortedKeyBody(t, recs),
+		"mixed":       compactBody(t, mixed),
+		"spaced":      spacedBody(mixed),
+	} {
 		if !checkAgainstJSON(t, body) {
 			t.Fatalf("the %s encoding of a 512-record batch fell back to encoding/json", name)
+		}
+	}
+	// Every cut of a compact body, wherever it falls in a literal, a name or
+	// a number, goes to encoding/json.
+	body := compactBody(t, []Record{{"clicks", 3, 12345678}, {"clicks", -1, 7}, {"click", 0, 0}})
+	for n := range body {
+		if checkAgainstJSON(t, body[:n]) {
+			t.Fatalf("the scanner took a body cut at %d bytes: %q", n, body[:n])
 		}
 	}
 }
@@ -184,14 +262,27 @@ func FuzzDecodeIngest(f *testing.F) {
 // TestDecodeIngestSharesTenantStrings pins what makes the scanner cheap: one
 // string per run of records naming the same tenant, none per record.
 func TestDecodeIngestSharesTenantStrings(t *testing.T) {
-	body := compactBody(t, streamRecs("clicks", 512, 4))
-	b := ingestBody{buf: body}
-	m := newDecodeCounters(obs.NewRegistry())
-	if err := b.decode(m); err != nil { // sizes b.recs
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(20, func() { b.decode(m) }); allocs > 1 {
-		t.Fatalf("decoding a single-tenant body allocates %v times, want 1 (the tenant's name)", allocs)
+	mixed, runs := mixedRecs(512)
+	for _, c := range []struct {
+		name string
+		body []byte
+		runs int
+	}{
+		{"single tenant", compactBody(t, streamRecs("clicks", 512, 4)), 1},
+		{"tenant changing every 1-3 records", compactBody(t, mixed), runs},
+		{"same, spaced", spacedBody(mixed), runs},
+	} {
+		b := ingestBody{buf: c.body}
+		m := newDecodeCounters(obs.NewRegistry())
+		if err := b.decode(m); err != nil { // sizes b.recs
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { b.decode(m) }); allocs != float64(c.runs) {
+			t.Errorf("%s: decoding allocates %v times, want %d (one name per tenant run)", c.name, allocs, c.runs)
+		}
+		if m.json.Value() != 0 {
+			t.Errorf("%s: the body fell back to encoding/json", c.name)
+		}
 	}
 }
 
@@ -371,35 +462,24 @@ func TestIngestBodyTooLarge(t *testing.T) {
 }
 
 // BenchmarkDecodeIngest is the bit-rot guard on the HTTP edge's largest cost:
-// one bench-shaped 512-record body through the decoder as the handlers call
-// it (scan), and through encoding/json as they did before (json). The scan
-// case reports at most 4 allocs/op.
+// 512-record bodies through the decoder as the handlers call it, and through
+// encoding/json as they did before (json). scan is the bench-shaped body, one
+// tenant in json.Marshal's layout; mixed changes tenant every 1-3 records in
+// the same layout; spaced is mixed with Python's separators, which only the
+// general token loop reads. The scan case reports at most 4 allocs/op.
 func BenchmarkDecodeIngest(b *testing.B) {
 	body := compactBody(b, streamRecs("clicks", 512, 4))
-	m := newDecodeCounters(obs.NewRegistry())
-	b.Run("scan", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(body)))
-		// The first pass sizes the pooled buffer and record slice; it runs
-		// untimed so that `-benchtime 1x` (make bench-smoke) reports the
-		// steady state too.
-		for i := -1; i < b.N; i++ {
-			if i == 0 {
-				b.ResetTimer()
-			}
-			ib := ingestBodies.Get().(*ingestBody)
-			if err := ib.read(bytes.NewReader(body), int64(len(body))); err != nil {
-				b.Fatal(err)
-			}
-			if err := ib.decode(m); err != nil || len(ib.recs) != 512 {
-				b.Fatalf("decoded %d records, err %v", len(ib.recs), err)
-			}
-			ib.release()
-		}
-		if m.json.Value() != 0 {
-			b.Fatal("the bench-shaped body fell back to encoding/json")
-		}
-	})
+	mixed, _ := mixedRecs(512)
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"scan", body},
+		{"mixed", compactBody(b, mixed)},
+		{"spaced", spacedBody(mixed)},
+	} {
+		b.Run(c.name, func(b *testing.B) { benchDecode(b, c.body) })
+	}
 	b.Run("json", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(body)))
@@ -410,4 +490,31 @@ func BenchmarkDecodeIngest(b *testing.B) {
 			}
 		}
 	})
+}
+
+// benchDecode reads and decodes a 512-record body through a pooled
+// ingestBody, as readIngest does.
+func benchDecode(b *testing.B, body []byte) {
+	m := newDecodeCounters(obs.NewRegistry())
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	// The first pass sizes the pooled buffer and record slice; it runs
+	// untimed so that `-benchtime 1x` (make bench-smoke) reports the steady
+	// state too.
+	for i := -1; i < b.N; i++ {
+		if i == 0 {
+			b.ResetTimer()
+		}
+		ib := ingestBodies.Get().(*ingestBody)
+		if err := ib.read(bytes.NewReader(body), int64(len(body))); err != nil {
+			b.Fatal(err)
+		}
+		if err := ib.decode(m); err != nil || len(ib.recs) != 512 {
+			b.Fatalf("decoded %d records, err %v", len(ib.recs), err)
+		}
+		ib.release()
+	}
+	if m.json.Value() != 0 {
+		b.Fatal("the body fell back to encoding/json")
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"time"
 
 	"disttrack/internal/core/engine"
@@ -112,10 +113,13 @@ type serverMetrics struct {
 	// Membership plane (site add/remove).
 	memChanges *obs.Counter
 
-	// HTTP API instrumentation.
-	httpReqs     *obs.CounterVec   // {route, method, code}
-	httpSecs     *obs.HistogramVec // {route}
-	httpInflight *obs.Gauge
+	// HTTP API instrumentation. The children are resolved once per series
+	// and cached by instrumentHTTP, so a request touches no family map.
+	httpReqs      *obs.CounterVec   // {route, method, code}
+	httpSecs      *obs.HistogramVec // {route}
+	httpInflight  *obs.Gauge
+	httpSecsCache sync.Map // route → *obs.Histogram
+	httpReqsCache sync.Map // httpReqKey → *obs.Counter
 
 	// Scrape-hook mirror state (guarded by the registry's hook serialization
 	// plus forgetTenant, see syncObs).
@@ -488,9 +492,33 @@ func (m *serverMetrics) instrumentHTTP(mux *http.ServeMux) http.Handler {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		mux.ServeHTTP(sw, r)
 		m.httpInflight.Add(-1)
-		m.httpSecs.With(route).Observe(time.Since(t0).Seconds())
-		m.httpReqs.With(route, r.Method, strconv.Itoa(sw.status)).Inc()
+		m.httpSeconds(route).Observe(time.Since(t0).Seconds())
+		m.httpRequests(httpReqKey{route, r.Method, sw.status}).Inc()
 	})
+}
+
+// httpReqKey names one disttrack_http_requests_total series.
+type httpReqKey struct {
+	route, method string
+	status        int
+}
+
+// httpSeconds returns route's latency histogram, resolved on first use.
+func (m *serverMetrics) httpSeconds(route string) *obs.Histogram {
+	if h, ok := m.httpSecsCache.Load(route); ok {
+		return h.(*obs.Histogram)
+	}
+	h, _ := m.httpSecsCache.LoadOrStore(route, m.httpSecs.With(route))
+	return h.(*obs.Histogram)
+}
+
+// httpRequests returns k's request counter, resolved on first use.
+func (m *serverMetrics) httpRequests(k httpReqKey) *obs.Counter {
+	if c, ok := m.httpReqsCache.Load(k); ok {
+		return c.(*obs.Counter)
+	}
+	c, _ := m.httpReqsCache.LoadOrStore(k, m.httpReqs.With(k.route, k.method, strconv.Itoa(k.status)))
+	return c.(*obs.Counter)
 }
 
 // statusWriter records the status code written by a handler.

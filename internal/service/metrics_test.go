@@ -112,14 +112,16 @@ func TestMetricsScrapeAndConservation(t *testing.T) {
 		}
 	}
 
-	const n = 2000
+	const n, posts = 2000, 4
 	recs := make([]service.Record, 0, n)
 	for i := 0; i < n; i++ {
 		recs = append(recs, service.Record{Tenant: "clicks", Site: i % 4, Value: uint64(i % 37)})
 	}
-	if code := jsonCall(t, client, "POST", ts.URL+"/v1/ingest",
-		map[string]any{"records": recs}, nil); code != http.StatusOK {
-		t.Fatalf("ingest: status %d", code)
+	for p := 0; p < posts; p++ {
+		if code := jsonCall(t, client, "POST", ts.URL+"/v1/ingest",
+			map[string]any{"records": recs[p*n/posts : (p+1)*n/posts]}, nil); code != http.StatusOK {
+			t.Fatalf("ingest: status %d", code)
+		}
 	}
 	if code := jsonCall(t, client, "POST", ts.URL+"/v1/flush", nil, nil); code != http.StatusOK {
 		t.Fatalf("flush: status %d", code)
@@ -171,6 +173,14 @@ func TestMetricsScrapeAndConservation(t *testing.T) {
 	}
 	if got := m1[`disttrack_tenants`]; got != 2 {
 		t.Errorf("disttrack_tenants = %g, want 2", got)
+	}
+	// Every ingest request lands in its route's series, resolved once and
+	// then reused.
+	if got := m1[`disttrack_http_request_seconds_count{route="POST /v1/ingest"}`]; got != posts {
+		t.Errorf("ingest latency count = %g, want %d", got, posts)
+	}
+	if got := m1[`disttrack_http_requests_total{route="POST /v1/ingest",method="POST",code="200"}`]; got != posts {
+		t.Errorf("ingest request counter = %g, want %d", got, posts)
 	}
 
 	// Conservation: the bridge-mirrored wire counters must equal the meter's
