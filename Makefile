@@ -42,8 +42,12 @@ test-shuffle:
 # is safe only under the quiescent lock set); the fourth repeats the
 # engine's concurrent conformance laws on the mock policy, where an arrival
 # straddling the bootstrap handoff shows 1 run in 6-12, plus the slow path's
-# drain budgets driven by one long batch, the bootstrap drain (one hold
-# per bootstrap batch) and the sampled slow-path hold timing; the fifth
+# bootstrap drain budget driven by one long batch, the bootstrap drain (one
+# hold per bootstrap batch), the sampled slow-path hold timing and the
+# two-tier hold (a report locks only its own site until All); the fifth
+# repeats the three kinds' concurrent conformance laws, where a report or
+# cascade that touches another site without Engine.All races with that
+# site's fast path (deleting one All call per kind fails this line); the sixth
 # repeats the forwarder's producers-against-the-ticker test, which caught a
 # buffer being taken out and enqueued in two steps (reordered or late
 # batches; at -count=40 under -race it failed every time), and the cluster's
@@ -53,7 +57,8 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
 	$(GO) test -race -count=10 -run TestBootstrapReadsChangeNoState ./internal/core/quantile ./internal/core/allq
-	$(GO) test -race -count=20 -run 'TestEngineConformanceMockPolicy/(ConcurrentStress|ConcurrentBatchStress)|TestSlowPathBudgets|TestBootstrapBatchDrain|TestSlowPathHoldSampled' ./internal/core/engine
+	$(GO) test -race -count=20 -run 'TestEngineConformanceMockPolicy/(ConcurrentStress|ConcurrentBatchStress)|TestSlowPathBudgets|TestBootstrapBatchDrain|TestSlowPathHoldSampled|TestReportHoldsOnlyItsSite' ./internal/core/engine
+	$(GO) test -race -count=10 -run 'TestEngineConformance/.*/(ConcurrentStress|ConcurrentBatchStress)' ./internal/core/quantile ./internal/core/allq ./internal/core/hh
 	$(GO) test -race -count=40 -run 'TestForwarderConcurrentProducers|TestStopUnderLoad' ./internal/runtime
 
 # The quick experiment tables are a pure function of the protocols' decisions
@@ -71,8 +76,8 @@ bench-smoke:
 # Exercise the batched ingest fast path (FeedLocalBatch, alone and under
 # the concurrent runtime) once under the race detector (docs/perf.md), so
 # every PR runs it with checking on. The FeedBatch pattern also matches the
-# metrics-enabled *Obs twins and the burst-heavy coalescing benchmark, so the
-# instrumented fast path and the coalesced slow path run with checking on
+# metrics-enabled *Obs twins and the burst-heavy benchmark, so the
+# instrumented fast path and a crossing-dense slow path run with checking on
 # too; ServiceMacro drives the whole service the same way. A -bench pattern
 # that matches nothing exits 0, so race-bench also counts the benchmarks that
 # ran and fails on zero (a rename must not turn this step into a no-op).

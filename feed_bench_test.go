@@ -5,9 +5,9 @@
 //     make bench-race-smoke ('FeedBatch') runs them under -race, and the
 //     plain/Obs pairs are the ≤5% instrumentation-overhead gate of
 //     docs/perf.md "Instrumentation overhead";
-//   - BenchmarkFeedBatchBurstCoalesced: the burst-heavy workload of
-//     docs/perf.md "The coalesced slow path", reporting its lock traffic,
-//     also under -race via 'FeedBatch';
+//   - BenchmarkFeedBatchBurst: the burst-heavy workload of docs/perf.md
+//     "The slow path", reporting its lock traffic, also under -race via
+//     'FeedBatch';
 //   - BenchmarkClusterSendBatchParallel: make bench-race-smoke
 //     ('ClusterSendBatchParallel'), the concurrent runtime over the batched
 //     fast path.
@@ -94,7 +94,6 @@ func fullEngineMetrics() *engine.Metrics {
 		QuiesceHold:  reg.NewHistogram("bench_quiesce_hold_seconds", "bench", obs.DurationBuckets()),
 
 		SlowPathAcquires: reg.NewCounter("bench_slow_path_acquires_total", "bench"),
-		CoalescedRuns:    reg.NewCounter("bench_coalesced_runs_total", "bench"),
 		SavedAcquires:    reg.NewCounter("bench_saved_acquires_total", "bench"),
 	}
 }
@@ -129,14 +128,14 @@ func BenchmarkFeedBatchAllQObs(b *testing.B) {
 	benchFeedBatch(b, tr, preGen(b, true), true)
 }
 
-// BenchmarkFeedBatchBurstCoalesced is burst-heavy batched ingest, the
-// workload slow-path coalescing exists for: an eager reporting threshold
-// (ThresholdDivisor 256 in place of the paper's 3) makes a crossing land
-// every few items, so every 256-item batch spans dozens of escalations. The
-// counters surface the lock traffic directly: escalations/run is what one
-// acquisition per escalation (sequential Feed) would pay, acquires/run what
-// the coalesced holds paid.
-func BenchmarkFeedBatchBurstCoalesced(b *testing.B) {
+// BenchmarkFeedBatchBurst is burst-heavy batched ingest in one goroutine: an
+// eager reporting threshold (ThresholdDivisor 256 in place of the paper's 3,
+// which no service tenant can set) makes a crossing land every few items, so
+// every 256-item batch spans dozens of escalations. The counters surface the
+// lock traffic directly: every tracking escalation is one hold, so
+// acquires/run equals escalations/run less the bootstrap forwards saved/run
+// counts (docs/perf.md "The slow path").
+func BenchmarkFeedBatchBurst(b *testing.B) {
 	xs := preGen(b, false)
 	const batch = 256
 	var acq, saved, esc float64

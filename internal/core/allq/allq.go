@@ -183,35 +183,11 @@ func (p *policy) ApplyBoot(siteID int, x uint64) {
 	p.sites[siteID].st.Insert(x)
 }
 
-// ApplyLocal runs the site-local fast path for one arrival: the store
-// insert and the per-node counter updates along the root-to-leaf path of x.
-// The tree it walks only changes while every site lock is held.
-func (p *policy) ApplyLocal(siteID int, x uint64) (escalate bool) {
-	s := p.sites[siteID]
-	s.st.Insert(x)
-	d := s.delta
-	for u := p.root; ; {
-		d[u.id]++
-		if d[u.id] >= p.thrNode {
-			escalate = true
-		}
-		if u.isLeaf() {
-			break
-		}
-		if x < u.split {
-			u = u.left
-		} else {
-			u = u.right
-		}
-	}
-	return escalate
-}
-
 // ApplyRun applies the site-local fast path to a prefix of xs:
 // root-to-leaf delta counting per item in arrival order until the first
 // threshold crossing (inclusive), then one store bulk-insert for the whole
-// consumed prefix. The tree it walks only changes while every site lock is
-// held.
+// consumed prefix. The tree it walks only changes after a cascade's
+// Engine.All, while every site lock is held.
 func (p *policy) ApplyRun(siteID int, xs []uint64) (consumed int, crossed bool) {
 	s := p.sites[siteID]
 	d := s.delta
@@ -247,7 +223,9 @@ func (p *policy) ApplyRun(siteID int, xs []uint64) (consumed int, crossed bool) 
 // (6) maintenance and rebuilds, leaf splits, round changes — with all
 // wire.Meter accounting. When a rebuild replaces a subtree, pending deltas
 // for the replaced nodes (including ones this arrival just incremented) are
-// garbage-collected; the rebuild's exact counts already cover them.
+// garbage-collected; the rebuild's exact counts already cover them. A node
+// report ("nd") touches only site siteID's deltas and the coordinator's
+// counts; rebuild and newRound consult every site and call Engine.All first.
 func (p *policy) OnEscalate(siteID int, x uint64) {
 	s := p.sites[siteID]
 	meter := p.eng.Meter()

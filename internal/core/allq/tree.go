@@ -49,6 +49,7 @@ func violated(p, c *node) bool {
 // tree, and fix the round parameters from the height of the tree just built.
 // Cost O(k/ε).
 func (p *policy) newRound() {
+	p.eng.All()
 	meter := p.eng.Meter()
 	var total int64
 	for j := range p.sites {
@@ -153,6 +154,7 @@ func (p *policy) enforceHeight() {
 // also used for leaf splits (sampled at leafStep). Cost O(k·|A ∩ I_u|/(εm)
 // + k·h) words.
 func (p *policy) rebuild(u *node) {
+	p.eng.All()
 	step := p.sampleStep()
 	if u.isLeaf() {
 		step = p.leafStep()

@@ -11,16 +11,19 @@
 //
 // Ingest is two-phase inside the engine, behind two entry points:
 //
-//   - The site-local fast path (feedLocal, and ApplyRun inside
-//     FeedLocalBatch) takes only the one site's lock, applies the policy's
-//     local accounting, and reports whether the protocol requires
+//   - The site-local fast path (ApplyRun, for one arrival in Feed or a run of
+//     a batch in FeedLocalBatch) takes only the one site's lock, applies the
+//     policy's local accounting, and reports whether the protocol requires
 //     coordinator work. Per-site state is single-writer.
 //   - The coordinator slow path (slowPath, the one function both entry
-//     points escalate through) serializes on escMu and additionally holds
-//     every site lock for its duration, so the rare communication cascades
-//     see a quiescent cluster exactly as the paper's atomic-message model
-//     assumes. Coordinator and round state that the fast path reads
-//     therefore only changes while every fast path is excluded.
+//     points escalate through) serializes on escMu and holds the escalating
+//     site's lock: that is all a site→coordinator report touches, as the
+//     paper delivers each such message atomically. A cascade that consults
+//     every site (a round build, a split, a relocation, a rebuild, a
+//     broadcast) first calls All, which locks the remaining sites for the
+//     rest of the hold. Round structure the fast path reads therefore only
+//     changes while every fast path is excluded, and a report never waits
+//     for, or stalls, another site's arrivals.
 //   - Feed is the sequential composition of the two for one arrival — the
 //     per-arrival transcription of the paper and the reference the batch
 //     path is pinned against; like queries outside Quiesce it is for
@@ -31,13 +34,16 @@
 //     run, with the slow path run inline at exactly the logical positions a
 //     sequential Feed loop would choose — protocol state and every
 //     wire.Meter count stay bit-for-bit identical to feeding one by one. A
-//     slow-path entry at a crossing, or at a bootstrap forward, drains the
-//     rest of the batch under the same hold, up to fixed budgets
-//     (coalesceItems, coalesceCrossings), so a burst of crossings or a
-//     bootstrap batch costs one lock-set acquisition, not one per arrival.
+//     tracking escalation is one hold; a bootstrap forward drains the rest of
+//     the batch's forwards under the same hold, up to coalesceItems and no
+//     further than the handoff, so a bootstrap batch costs one acquisition,
+//     not one per arrival.
 //
-// The lock order is escMu, then site locks in ascending index order; the
-// fast path takes only its own site lock, so no cycle exists.
+// The lock order is escMu, then the escalating site's lock, then (in All)
+// the other sites in ascending index order; Quiesce, Reconfigure and the
+// checkpoint paths take escMu and then every site in index order. Under
+// escMu no other goroutine holds more than one lock, and a fast path holds
+// one site lock and waits on nothing, so no cycle exists.
 //
 // # Bootstrap
 //
@@ -45,7 +51,8 @@
 // and the policy's OnBootEscalate reports when it is over. Each policy ends
 // it at its own target, the smallest count at which none of its per-arrival
 // thresholds is floored at one item; before that, a tracked arrival would
-// cost more words than forwarding it does.
+// cost more words than forwarding it does. The phase flag is read by every
+// fast path, so the engine calls All before it ends the phase.
 //
 // # Versioned snapshots
 //
@@ -68,9 +75,15 @@ import (
 
 // Policy is the per-protocol algorithm the engine drives. All methods are
 // invoked by the engine under its locks — Apply* under the one site's lock,
-// On* under escMu plus every site lock — so policy state needs no locking
-// of its own: per-site state is guarded by the engine's site locks and
-// coordinator state by the slow path's total exclusion.
+// On* under escMu plus the escalating site's lock — so policy state needs no
+// locking of its own: per-site state is guarded by the engine's site locks
+// and coordinator state by escMu. An On* method that reads or writes another
+// site's state, or changes round structure the fast path reads, calls
+// Engine.All first; OnReconfigure and the checkpoint hooks run under every
+// lock already.
+//
+// The On* methods are the paper's site→coordinator messages, and every All
+// call site is a coordinator→site request (docs/architecture.md lists both).
 //
 // Policies meter their own protocol messages through Engine.Meter; the
 // engine itself meters only the bootstrap "item" forwards, which are
@@ -81,21 +94,17 @@ type Policy interface {
 	// threshold is checked here; the engine escalates unconditionally.
 	ApplyBoot(site int, x uint64)
 
-	// ApplyLocal records one arrival in site j's local state — the store
-	// insert plus the protocol's delta/counter accounting — and reports
-	// whether a reporting threshold was reached (the engine then runs the
-	// slow path).
-	ApplyLocal(site int, x uint64) (escalate bool)
-
-	// ApplyRun records a prefix of xs at site j, stopping at (and
-	// including) the first arrival that reaches a reporting threshold. It
-	// returns how many items were consumed and whether the last one
-	// crossed. Contract (engine-enforced): xs is non-empty, consumed is in
-	// [1, len(xs)], and crossed=false means the whole slice was consumed.
-	// Policies hoist per-run invariants here (thresholds only change under
-	// every site lock, so they are constant for a run) and may bulk-insert
-	// the consumed prefix into the site store. The engine folds the
-	// consumed count into the site and global totals.
+	// ApplyRun records a prefix of xs at site j — the store insert plus the
+	// protocol's delta/counter accounting — stopping at (and including) the
+	// first arrival that reaches a reporting threshold. It returns how many
+	// items were consumed and whether the last one crossed. Contract
+	// (engine-enforced): xs is non-empty, consumed is in [1, len(xs)], and
+	// crossed=false means the whole slice was consumed. Feed passes a
+	// one-item slice. Policies hoist per-run invariants here (thresholds only
+	// change under every site lock, so they are constant for a run) and may
+	// bulk-insert the consumed prefix into the site store; they must not
+	// retain xs. The engine folds the consumed count into the site and global
+	// totals.
 	ApplyRun(site int, xs []uint64) (consumed int, crossed bool)
 
 	// OnBootEscalate forwards one bootstrap arrival to the coordinator
@@ -105,16 +114,17 @@ type Policy interface {
 
 	// OnBootDone runs the bootstrap→tracking handoff — the first round
 	// build, broadcast, baselining — immediately after the engine has
-	// marked bootstrap over.
+	// marked bootstrap over (with every site locked).
 	OnBootDone()
 
 	// OnEscalate runs the coordinator slow path for an arrival previously
-	// applied by ApplyLocal/ApplyRun: re-check the reporting thresholds and
-	// run the (rare) communication cascade with all wire.Meter accounting.
-	// In a sequential Feed the re-checks see exactly the state the fast
-	// path left, so the combined behavior is identical to the unsplit
-	// protocol; under concurrency a report may additionally absorb deltas
-	// from arrivals that raced in, which only makes reporting fresher.
+	// applied by ApplyRun: re-check the reporting thresholds and run the
+	// (rare) communication cascade with all wire.Meter accounting. In a
+	// sequential Feed the re-checks see exactly the state the fast path left,
+	// so the combined behavior is identical to the unsplit protocol; under
+	// concurrency a report may additionally absorb deltas from arrivals that
+	// raced in at its own site, and other sites keep ingesting until a
+	// cascade calls All, which only makes reporting fresher.
 	OnEscalate(site int, x uint64)
 }
 
@@ -125,20 +135,16 @@ type Config struct {
 	Eps  float64 // approximation error, in (0, 1)
 }
 
-// The coalescing budgets bound one slow-path hold: when FeedLocalBatch hits
-// a threshold crossing or a bootstrap forward with batch remaining, the
-// engine drains the rest of the batch under the already-held locks, but
-// releases the cluster after coalesceItems drained arrivals or
-// coalesceCrossings crossings, so other
-// sites' escalations and queries are not starved behind one site's burst.
-// Both are far above the common batch sizes (the runtime and service deliver
-// 256–4096 item batches), so in practice one burst is one acquisition, while
-// a pathological threshold-dense megabatch still yields the locks
-// periodically.
-const (
-	coalesceItems     = 8192
-	coalesceCrossings = 64
-)
+// coalesceItems bounds one bootstrap hold: when FeedLocalBatch forwards a
+// bootstrap arrival with batch remaining, the engine forwards the rest of the
+// batch under the already-held locks, but releases them after coalesceItems
+// drained arrivals, so other sites' escalations and queries are not starved
+// behind one site's bootstrap batch. It is far above the common batch sizes
+// (the runtime and service deliver 256–4096 item batches), so in practice a
+// bootstrap batch is one acquisition. Tracking escalations drain nothing:
+// their hold ends after OnEscalate, and the split loop feeds the rest of the
+// batch under the site lock alone.
+const coalesceItems = 8192
 
 // holdSample is the slow-path hold timing rate: the 1st, 65th, 129th, …
 // hold of each engine is timed into Metrics.SlowPathHold (Metrics says why).
@@ -149,8 +155,9 @@ const holdSample = 64
 // Sites are heap-allocated and pointer-stable: Reconfigure swaps the slice
 // header, never moves a live site struct (moving one would copy its mutex).
 type site struct {
-	mu sync.Mutex
-	nj int64 // exact local count |S_j|
+	mu  sync.Mutex
+	nj  int64     // exact local count |S_j|
+	one [1]uint64 // Feed's one-item ApplyRun slice, so Feed allocates nothing
 }
 
 // Engine runs the two-phase protocol skeleton over a Policy.
@@ -161,11 +168,16 @@ type Engine struct {
 	pol   Policy
 
 	// escMu serializes the coordinator slow path (slowPath, Quiesce). The
-	// slow path additionally holds every site lock, so coordinator state
-	// read by the fast path only changes while all fast paths are excluded.
+	// slow path additionally holds the escalating site's lock, and every
+	// other site's once a cascade calls All, so coordinator state read by the
+	// fast path only changes while all fast paths are excluded.
 	escMu   sync.Mutex
 	version atomic.Uint64 // bumped after every slow-path entry (see Version)
 	holds   uint64        // slow-path holds taken; written only under escMu
+	// partial is the one site a slow-path hold has locked until All locks
+	// the rest; nil whenever every site is locked or no hold is open. Written
+	// and read only under escMu.
+	partial *site
 
 	// sites holds the current membership behind one atomic pointer: the
 	// fast path pays a single atomic load to resolve its site, and
@@ -223,10 +235,9 @@ func (e *Engine) siteAt(j int) *site {
 // Feed records one arrival of item x at the given site and runs any
 // communication the protocol triggers. It is the sequential composition of
 // the fast and slow paths — deterministic callers (the harness, the
-// experiments) observe exactly the pre-split behavior, message for message.
-// With nothing after the arrival to drain, every escalation it runs is one
-// slow-path acquisition: it is the uncoalesced reference FeedLocalBatch is
-// pinned against.
+// experiments) observe exactly the pre-split behavior, message for message,
+// and every escalation it runs is one slow-path acquisition: it is the
+// reference FeedLocalBatch is pinned against.
 func (e *Engine) Feed(siteID int, x uint64) {
 	if e.feedLocal(siteID, x) {
 		e.slowPath(siteID, x, nil)
@@ -240,18 +251,16 @@ func (e *Engine) Feed(siteID int, x uint64) {
 func (e *Engine) feedLocal(siteID int, x uint64) (escalate bool) {
 	s := e.siteAt(siteID)
 	s.mu.Lock()
-	s.nj++
-	e.n.Add(1)
 	if e.boot {
 		// Bootstrap: every arrival is forwarded, so every arrival escalates.
+		s.nj++
+		e.n.Add(1)
 		e.pol.ApplyBoot(siteID, x)
-		s.mu.Unlock()
-		if m := e.met; m != nil {
-			m.countFeeds(1)
-		}
-		return true
+		escalate = true
+	} else {
+		s.one[0] = x
+		_, escalate = e.applyRun(s, siteID, s.one[:])
 	}
-	escalate = e.pol.ApplyLocal(siteID, x)
 	s.mu.Unlock()
 	if m := e.met; m != nil {
 		m.countFeeds(1)
@@ -259,18 +268,33 @@ func (e *Engine) feedLocal(siteID int, x uint64) (escalate bool) {
 	return escalate
 }
 
+// applyRun runs the policy's ApplyRun over xs at site s, whose lock the
+// caller holds, enforces its contract and folds the consumed count into the
+// site and global totals.
+func (e *Engine) applyRun(s *site, siteID int, xs []uint64) (consumed int, crossed bool) {
+	consumed, crossed = e.pol.ApplyRun(siteID, xs)
+	if consumed < 1 || consumed > len(xs) || (!crossed && consumed != len(xs)) {
+		// A nonconforming policy would otherwise corrupt the counts or drop
+		// the batch tail silently; fail loudly instead.
+		s.mu.Unlock()
+		panic(fmt.Sprintf("%s: ApplyRun contract violation: consumed %d of %d, crossed %v",
+			e.name, consumed, len(xs), crossed))
+	}
+	s.nj += int64(consumed)
+	e.n.Add(int64(consumed))
+	return consumed, crossed
+}
+
 // FeedLocalBatch records a batch of arrivals at one site, amortizing the
 // fast path: one site-lock acquisition and one global-count update per
 // escalation-free run, with the policy's per-item accounting applied in
-// arrival order. The batch splits at every threshold crossing, and the slow
-// path entered at a crossing drains the rest of the batch under the
-// already-held locks, alternating ApplyRun and OnEscalate inline at exactly
-// the logical positions the sequential Feed loop would choose. Coordinator
-// state and every wire.Meter count are therefore bit-for-bit identical to
-// feeding the items one by one (see docs/perf.md for the identity argument);
-// what changes is only the lock traffic: one escMu + all-site-locks
-// acquisition per burst instead of one per crossing, bounded by the
-// coalescing budgets. The engine does not retain xs.
+// arrival order. The batch splits at every threshold crossing and runs the
+// slow path inline at exactly the logical positions the sequential Feed loop
+// would choose, so coordinator state and every wire.Meter count are
+// bit-for-bit identical to feeding the items one by one (see docs/perf.md
+// for the identity argument). A tracking crossing is one hold; a bootstrap
+// forward drains the batch's further forwards under its hold (see slowPath).
+// The engine does not retain xs.
 //
 // It is safe for concurrent use with one goroutine per site; it must not be
 // interleaved with Feed calls for the same site from other goroutines.
@@ -294,16 +318,7 @@ func (e *Engine) FeedLocalBatch(siteID int, xs []uint64) {
 			i += e.slowPath(siteID, x, xs[i:])
 			continue
 		}
-		consumed, crossed := e.pol.ApplyRun(siteID, xs[i:])
-		if consumed < 1 || consumed > len(xs)-i || (!crossed && consumed != len(xs)-i) {
-			// A nonconforming policy would otherwise corrupt the counts or
-			// drop the batch tail silently; fail loudly instead.
-			s.mu.Unlock()
-			panic(fmt.Sprintf("%s: ApplyRun contract violation: consumed %d of %d, crossed %v",
-				e.name, consumed, len(xs)-i, crossed))
-		}
-		s.nj += int64(consumed)
-		e.n.Add(int64(consumed))
+		consumed, crossed := e.applyRun(s, siteID, xs[i:])
 		s.mu.Unlock()
 		if m := e.met; m != nil {
 			m.countRun(int64(consumed), crossed)
@@ -312,30 +327,24 @@ func (e *Engine) FeedLocalBatch(siteID int, xs []uint64) {
 		if !crossed {
 			break
 		}
-		i += e.slowPath(siteID, xs[i-1], xs[i:])
+		e.slowPath(siteID, xs[i-1], nil)
 	}
 }
 
 // slowPath runs the coordinator slow path for an arrival x the fast path has
-// already applied, then drains rest — the arrivals after x in its batch —
-// under the same hold. It takes escMu plus every site lock, excluding every
-// site's fast path for its duration, and returns how many arrivals of rest it
-// consumed; the caller's split loop feeds the remainder.
+// already applied. It takes escMu plus the escalating site's lock; a cascade
+// inside the policy widens the hold to every site through All. It returns how
+// many arrivals of rest — the arrivals after x in its batch — it consumed;
+// the caller's split loop feeds the remainder.
 //
 // x either forwards a bootstrap arrival (running the bootstrap→tracking
 // handoff when the policy reports it complete) or goes to Policy.OnEscalate.
-// While the bootstrap lasts, the hold then applies and forwards the next
-// arrival of rest exactly as a sequential Feed would (ApplyBoot, the "item"
-// forward, one version bump each), so a bootstrap batch costs one
-// acquisition, not one per arrival. Once tracking, it alternates ApplyRun and
-// OnEscalate over rest at exactly the positions the
-// release/re-acquire-per-crossing loop would produce, so protocol state and
-// metering are identical — only the lock round trips per escalation are
-// saved. The hold ends when rest is exhausted, a run ends without a crossing,
-// or the coalescing budgets run out (bootstrap forwards spend the item
-// budget, not the crossing budget: each one is O(1) coordinator work). A
-// crossing on a batch's last item, and every Feed escalation, is the same
-// single acquisition with nothing to drain.
+// A tracking escalation ends the hold and consumes nothing of rest. While the
+// bootstrap lasts, the hold instead applies and forwards the next arrival of
+// rest exactly as a sequential Feed would (ApplyBoot, the "item" forward, one
+// version bump each), so a bootstrap batch costs one acquisition, not one per
+// arrival; it stops at the handoff, when rest is exhausted, or after
+// coalesceItems drained arrivals.
 //
 // An arrival that straddles the bootstrap→tracking transition (the fast path
 // saw boot, another site's escalation ended it first) reaches OnEscalate
@@ -347,7 +356,9 @@ func (e *Engine) FeedLocalBatch(siteID int, xs []uint64) {
 func (e *Engine) slowPath(siteID int, x uint64, rest []uint64) (drained int) {
 	m := e.met
 	e.escMu.Lock()
-	e.lockSites()
+	s := e.siteAt(siteID)
+	s.mu.Lock()
+	e.partial = s
 	var t0 time.Time
 	if m != nil {
 		if m.SlowPathAcquires != nil {
@@ -358,12 +369,12 @@ func (e *Engine) slowPath(siteID int, x uint64, rest []uint64) (drained int) {
 		}
 	}
 	e.holds++
-	s := e.siteAt(siteID)
-	items, crossings := coalesceItems, coalesceCrossings
 	for {
 		if e.boot {
 			e.meter.Up(siteID, "item", 1)
 			if e.pol.OnBootEscalate(siteID, x) {
+				// Every fast path reads the phase flag: exclude them all.
+				e.All()
 				e.boot = false
 				e.pol.OnBootDone()
 				if m != nil && m.BootHandoffs != nil {
@@ -372,7 +383,6 @@ func (e *Engine) slowPath(siteID int, x uint64, rest []uint64) (drained int) {
 			}
 		} else {
 			e.pol.OnEscalate(siteID, x)
-			crossings--
 		}
 		// One version bump per escalation, before the locks are released: a
 		// reader that still observes the old version is guaranteed the
@@ -382,63 +392,54 @@ func (e *Engine) slowPath(siteID int, x uint64, rest []uint64) (drained int) {
 		if m != nil && m.Escalations != nil {
 			m.Escalations.Inc()
 		}
-		if drained == len(rest) || crossings == 0 || items <= 0 {
+		if !e.boot || drained == len(rest) || drained == coalesceItems {
 			break
 		}
-		if e.boot {
-			// The next arrival is a bootstrap forward too: apply it as the
-			// fast path would and escalate it under this hold.
-			x = rest[drained]
-			s.nj++
-			e.n.Add(1)
-			e.pol.ApplyBoot(siteID, x)
-			drained++
-			items--
-			if m != nil {
-				m.countFeeds(1)
-				if m.SavedAcquires != nil {
-					m.SavedAcquires.Inc()
-				}
-			}
-			continue
-		}
-		run := rest[drained:]
-		if len(run) > items {
-			run = run[:items]
-		}
-		consumed, crossed := e.pol.ApplyRun(siteID, run)
-		if consumed < 1 || consumed > len(run) || (!crossed && consumed != len(run)) {
-			e.unlockSites()
-			e.escMu.Unlock()
-			panic(fmt.Sprintf("%s: ApplyRun contract violation: consumed %d of %d, crossed %v",
-				e.name, consumed, len(run), crossed))
-		}
-		s.nj += int64(consumed)
-		e.n.Add(int64(consumed))
+		// The next arrival is a bootstrap forward too: apply it as the fast
+		// path would and escalate it under this hold.
+		x = rest[drained]
+		s.nj++
+		e.n.Add(1)
+		e.pol.ApplyBoot(siteID, x)
+		drained++
 		if m != nil {
-			m.countRun(int64(consumed), crossed)
-			if m.CoalescedRuns != nil {
-				m.CoalescedRuns.Inc()
+			m.countFeeds(1)
+			if m.SavedAcquires != nil {
+				m.SavedAcquires.Inc()
 			}
-		}
-		drained += consumed
-		items -= consumed
-		if !crossed {
-			// Run ended without a crossing: either the batch is done, or the
-			// item budget clamped the run — both hand back to the caller.
-			break
-		}
-		x = run[consumed-1]
-		if m != nil && m.SavedAcquires != nil {
-			m.SavedAcquires.Inc()
 		}
 	}
 	if m != nil {
 		slowPathDone(m.SlowPathHold, t0)
 	}
-	e.unlockSites()
+	if e.partial == nil {
+		e.unlockSites()
+	} else {
+		e.partial = nil
+		s.mu.Unlock()
+	}
 	e.escMu.Unlock()
 	return drained
+}
+
+// All locks every site the current slow-path hold does not hold yet, for the
+// rest of the hold. A policy calls it before any cascade that reads or writes
+// another site's state or changes round structure the fast path reads — the
+// coordinator→site requests and broadcasts of the paper. It may be called
+// from Policy callbacks only; a second call in the same hold, and every call
+// under Quiesce, Reconfigure, Checkpoint or Restore (which hold every site
+// already), is a no-op.
+func (e *Engine) All() {
+	own := e.partial
+	if own == nil {
+		return
+	}
+	for _, s := range *e.sites.Load() {
+		if s != own {
+			s.mu.Lock()
+		}
+	}
+	e.partial = nil
 }
 
 // lockSites acquires every site lock in index order. Callers hold escMu, so

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"disttrack/internal/ckpt"
 	"disttrack/internal/core"
@@ -26,6 +27,8 @@ type countPolicy struct {
 	pending []int64 // per-site unreported arrivals (engine site locks guard)
 	total   int64   // coordinator's count — an underestimate of TrueTotal
 	flushes int     // completed "cnt" reports (the mock's "rounds")
+
+	onEscalate func() // if set, runs first in every OnEscalate
 }
 
 // ApplyBoot holds the arrival as pending until its escalation forwards it. If
@@ -33,11 +36,6 @@ type countPolicy struct {
 // OnEscalate instead of OnBootEscalate and simply stays pending for the
 // site's next report — it must be counted here, or it is counted nowhere.
 func (p *countPolicy) ApplyBoot(site int, _ uint64) { p.pending[site]++ }
-
-func (p *countPolicy) ApplyLocal(site int, _ uint64) bool {
-	p.pending[site]++
-	return p.pending[site] >= p.thr
-}
 
 func (p *countPolicy) ApplyRun(site int, xs []uint64) (consumed int, crossed bool) {
 	for i := range xs {
@@ -58,6 +56,9 @@ func (p *countPolicy) OnBootEscalate(site int, _ uint64) (done bool) {
 func (p *countPolicy) OnBootDone() {}
 
 func (p *countPolicy) OnEscalate(site int, _ uint64) {
+	if p.onEscalate != nil {
+		p.onEscalate()
+	}
 	if p.pending[site] >= p.thr {
 		p.eng.Meter().Up(site, "cnt", 1)
 		p.total += p.pending[site]
@@ -192,12 +193,12 @@ func burst(t *testing.T, tr *countTracker, seq bool) *engine.Metrics {
 	return m
 }
 
-// TestCoalesceSavesAcquisitions pins the point of the coalesced slow path:
-// on a threshold-dense batched stream, escalations vastly outnumber lock
-// acquisitions (one hold absorbs a burst), while the identity counters
-// still balance — acquisitions + saved crossings == escalations. The
-// reference is a sequential Feed replay of the same stream, which pays one
-// acquisition per escalation and coalesces nothing.
+// TestCoalesceSavesAcquisitions pins the slow path's lock-traffic identity on
+// a threshold-dense batched stream: acquisitions + saved == escalations, and
+// the only saved acquisitions are bootstrap forwards drained under the hold
+// of the forward before them (here the 2 after the first of ⌈k/ε⌉ = 3). Every
+// tracking crossing pays its own acquisition, as in the sequential Feed
+// replay of the same stream, which drains nothing.
 func TestCoalesceSavesAcquisitions(t *testing.T) {
 	seq := burst(t, newCountTracker(t, 2, 0.9, 8), true) // eps 0.9: bootstrap ends after ⌈k/ε⌉=3 items
 	if seq.SavedAcquires.Value() != 0 || seq.CoalescedRuns.Value() != 0 {
@@ -213,38 +214,42 @@ func TestCoalesceSavesAcquisitions(t *testing.T) {
 	if esc != seq.Escalations.Value() {
 		t.Fatalf("batched escalations %d != sequential %d", esc, seq.Escalations.Value())
 	}
-	if saved == 0 || m.CoalescedRuns.Value() == 0 {
-		t.Fatalf("coalescing never engaged: saved=%d coalescedRuns=%d", saved, m.CoalescedRuns.Value())
+	if saved != 2 || m.CoalescedRuns.Value() != 0 {
+		t.Fatalf("saved=%d coalescedRuns=%d, want the 2 drained bootstrap forwards and no runs",
+			saved, m.CoalescedRuns.Value())
 	}
 	if acq+saved != esc {
 		t.Fatalf("acquisitions %d + saved %d != escalations %d", acq, saved, esc)
 	}
-	if acq*2 > esc {
-		t.Fatalf("burst stream still paid %d acquisitions for %d escalations", acq, esc)
-	}
 }
 
-// TestSlowPathBudgets pins the two budgets that bound one slow-path hold —
-// 8,192 drained arrivals and 64 crossings — by input alone: one batch of
-// more than 8,192 items and more than 64 crossings at one site of the count
-// policy (crossings exactly every thr items), asserting the exact number of
-// acquisitions each budget implies.
-//
-//   - thr=8, 16,384 items: 2,048 crossings, 63 runs of 8 items per hold, so
-//     the crossing budget ends every hold: 2,048/64 = 32 acquisitions.
-//   - thr=1000, 100,000 items: 100 crossings. A hold opened at crossing c
-//     drains 8,192 items (crossings c+1..c+8, then 192 items short of the
-//     next), so the item budget ends it after 9 crossings: holds open at
-//     crossings 1, 10, …, 91 and 100 — 12 acquisitions.
+// TestSlowPathBudgets pins what bounds one slow-path hold, by input alone.
+// The item budget (8,192 drained arrivals) bounds only a bootstrap batch:
+// at k = 2 and ε = 2⁻¹⁴ the bootstrap forwards ⌈k/ε⌉ = 32,768 arrivals, and
+// one batch of exactly that many is forwarded in holds of 8,193, 8,193,
+// 8,193 and 8,189 (the handoff ends the last) — 4 acquisitions. A tracking
+// batch drains nothing: one batch at one site of the count policy, crossing
+// exactly every thr items, pays exactly one acquisition per crossing.
 func TestSlowPathBudgets(t *testing.T) {
+	boot := newCountTracker(t, 2, 1.0/(1<<14), 8)
+	m := coalesceMetrics(boot)
+	boot.FeedLocalBatch(0, make([]uint64, 1<<15))
+	if boot.Bootstrapping() {
+		t.Fatal("bootstrap batch did not reach the handoff")
+	}
+	esc, acq, saved := m.Escalations.Value(), m.SlowPathAcquires.Value(), m.SavedAcquires.Value()
+	if esc != 1<<15 || acq != 4 || acq+saved != esc {
+		t.Fatalf("bootstrap batch: escalations %d, acquisitions %d, saved %d; want %d escalations in 4 acquisitions",
+			esc, acq, saved, 1<<15)
+	}
+
 	for _, tc := range []struct {
 		thr         int64
 		n           int
 		escalations int64
-		acquires    int64
 	}{
-		{thr: 8, n: 16384, escalations: 2048, acquires: 32},
-		{thr: 1000, n: 100000, escalations: 100, acquires: 12},
+		{thr: 8, n: 16384, escalations: 2048},
+		{thr: 1000, n: 100000, escalations: 100},
 	} {
 		tr := newCountTracker(t, 2, 0.9, tc.thr)
 		for i := 0; i < 3; i++ { // bootstrap ends after ⌈k/ε⌉=3 items
@@ -256,9 +261,9 @@ func TestSlowPathBudgets(t *testing.T) {
 		m := coalesceMetrics(tr)
 		tr.FeedLocalBatch(0, make([]uint64, tc.n))
 		esc, acq, saved := m.Escalations.Value(), m.SlowPathAcquires.Value(), m.SavedAcquires.Value()
-		if esc != tc.escalations || acq != tc.acquires || acq+saved != esc {
-			t.Fatalf("thr=%d, %d items: escalations %d, acquisitions %d, saved %d; want %d escalations in %d acquisitions",
-				tc.thr, tc.n, esc, acq, saved, tc.escalations, tc.acquires)
+		if esc != tc.escalations || acq != esc || saved != 0 {
+			t.Fatalf("thr=%d, %d items: escalations %d, acquisitions %d, saved %d; want %d escalations, one acquisition each",
+				tc.thr, tc.n, esc, acq, saved, tc.escalations)
 		}
 	}
 }
@@ -266,10 +271,11 @@ func TestSlowPathBudgets(t *testing.T) {
 // TestBootstrapBatchDrain pins the bootstrap drain: one batch of B arrivals
 // at one site, fed while the engine bootstraps, is forwarded under as few
 // slow-path holds as the item budget allows — one for B ≤ 8,193 (the entry
-// arrival plus 8,192 drained), so B−1 acquisitions are saved — and a batch
-// that crosses the handoff continues into the tracking drain under the same
-// hold. Version and every meter count equal a sequential Feed of the same
-// arrivals, so the drain changes lock traffic only.
+// arrival plus 8,192 drained), so B−1 acquisitions are saved. The hold ends
+// at the handoff: the rest of a batch that crosses it is tracked like any
+// batch, one acquisition per crossing. Version and every meter count equal
+// a sequential Feed of the same arrivals, so the drain changes lock traffic
+// only.
 func TestBootstrapBatchDrain(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -279,10 +285,10 @@ func TestBootstrapBatchDrain(t *testing.T) {
 		acquires int64
 	}{
 		{"in-bootstrap", 0.01, 100, true, 1},             // target 200
-		{"through-handoff", 0.01, 300, false, 1},         // 200 forwards, then 12 crossings at thr=8
+		{"through-handoff", 0.01, 300, false, 13},        // 200 forwards in one hold, then 12 crossings at thr=8
 		{"over-item-budget", 0.0002, 9000, true, 2},      // target 10,000: 8,193 + 807 arrivals
 		{"handoff-on-last-arrival", 0.01, 200, false, 1}, // the handoff ends the batch
-		{"long-after-handoff", 0.01, 2000, false, 4},     // 200 forwards + 64 crossings, then 161 crossings in holds of 64
+		{"long-after-handoff", 0.01, 2000, false, 226},   // 200 forwards in one hold, then 225 crossings
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			xs := make([]uint64, tc.b)
@@ -357,6 +363,64 @@ func TestSlowPathHoldSampled(t *testing.T) {
 	}
 	if got := m.QuiesceHold.Count(); got != quiesces {
 		t.Fatalf("%d Quiesce holds timed, want all %d", got, quiesces)
+	}
+}
+
+// TestReportHoldsOnlyItsSite pins the two-tier slow-path hold. While a
+// report at site 0 is blocked inside OnEscalate, an escalation-free batch at
+// site 1 completes: a report holds escMu and its own site only. Once the
+// policy has called All — as every cascade does — the same batch waits until
+// the hold ends.
+func TestReportHoldsOnlyItsSite(t *testing.T) {
+	for _, all := range []bool{false, true} {
+		t.Run(fmt.Sprintf("all=%v", all), func(t *testing.T) {
+			tr := newCountTracker(t, 2, 0.9, 8)
+			for i := 0; i < 3; i++ { // bootstrap ends after ⌈k/ε⌉=3 items
+				tr.Feed(0, 0)
+			}
+			entered, release := make(chan struct{}), make(chan struct{})
+			tr.p.onEscalate = func() {
+				if all {
+					tr.All()
+				}
+				close(entered)
+				<-release
+			}
+			reported := make(chan struct{})
+			go func() {
+				tr.FeedLocalBatch(0, make([]uint64, 8)) // the 8th arrival crosses thr
+				close(reported)
+			}()
+			<-entered
+			fed := make(chan struct{})
+			go func() {
+				tr.FeedLocalBatch(1, make([]uint64, 4)) // below thr: no escalation
+				close(fed)
+			}()
+			var err string
+			if all {
+				select {
+				case <-fed:
+					err = "site 1's batch completed inside a hold that called All"
+				case <-time.After(50 * time.Millisecond):
+				}
+			} else {
+				select {
+				case <-fed:
+				case <-time.After(10 * time.Second):
+					err = "site 1's batch did not complete while site 0 reported"
+				}
+			}
+			close(release)
+			<-reported
+			<-fed
+			if err != "" {
+				t.Fatal(err)
+			}
+			if tr.p.flushes != 1 || tr.SiteCount(1) != 4 {
+				t.Fatalf("flushes %d, site 1 count %d; want 1 and 4", tr.p.flushes, tr.SiteCount(1))
+			}
+		})
 	}
 }
 

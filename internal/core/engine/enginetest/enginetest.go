@@ -8,16 +8,15 @@
 //   - batch equivalence: FeedLocalBatch over a random (site, chunk)
 //     schedule matches sequential Feed bit-for-bit — every meter count,
 //     per kind and per site, and the engine state — after every chunk;
-//   - coalescing identity: a batched feeding and a sequential Feed replay
-//     (the uncoalesced reference: Feed never drains) of the same
-//     burst-heavy schedule agree on every meter count and the engine state
-//     after every chunk (Version included — one bump per escalation, so
-//     diverging escalation positions are caught), with chunks under and
-//     over the slow path's item budget; plus a -race stress arm hammering
-//     bursts of crossings against quiescent queries;
+//   - the same equivalence over burst-heavy schedules
+//     (CoalescedMatchesSequential): chunks under and over the slow path's
+//     bootstrap item budget, so bootstrap batches drain under one hold, end
+//     at the handoff, and re-enter the slow path mid-batch;
 //   - concurrent stress: one FeedLocalBatch goroutine per site — one-item
-//     batches for the maximal interleaving, then random chunks — racing
-//     quiescent queries (run the package's tests under -race), with exact
+//     batches for the maximal interleaving, then random chunks, then
+//     burst-sized chunks (CoalescedStress) — racing quiescent queries (run
+//     the package's tests under -race: a report that touches another site
+//     without Engine.All races with that site's fast path), with exact
 //     conservation of TrueTotal and per-site counts afterwards, and the
 //     engine's accounting identities (acquisitions + saved acquisitions ==
 //     escalations == Version, fast-path feeds == TrueTotal);
@@ -83,14 +82,23 @@ func Run(t *testing.T, cfg Config) {
 		cfg.PerSite = 8000
 	}
 	t.Run("SingleItemBatchMatchesFeed", func(t *testing.T) { runSingleItemBatch(t, cfg) })
-	t.Run("BatchMatchesFeed", func(t *testing.T) { runBatchMatch(t, cfg) })
-	t.Run("CoalescedMatchesSequential", func(t *testing.T) { runCoalesced(t, cfg) })
+	t.Run("BatchMatchesFeed", func(t *testing.T) { runBatchMatch(t, cfg, 19, 31, mixedChunks) })
+	// The same law on burst-heavy schedules: large chunks, so single batches
+	// span many crossings, and chunks that outrun the bootstrap item budget,
+	// so a bootstrap hold ends mid-batch and the slow path is re-entered.
+	t.Run("CoalescedMatchesSequential", func(t *testing.T) {
+		t.Run("default", func(t *testing.T) { runBatchMatch(t, cfg, 53, 59, chunksIn(64, 64+3000)) })
+		t.Run("longBatches", func(t *testing.T) {
+			runBatchMatch(t, cfg, 53, 59, chunksIn(itemBudget+1, 2*itemBudget))
+		})
+	})
 	// One-item batches are the maximal interleaving — every arrival takes
 	// and releases the locks on its own, the schedule that found the arrival
-	// dropped across the bootstrap handoff; then random chunks of up to 600.
+	// dropped across the bootstrap handoff; then random chunks of up to 600,
+	// and bursts of up to 2,500 that span many crossings per batch.
 	t.Run("ConcurrentStress", func(t *testing.T) { runConcurrentOn(t, cfg, cfg.New(t), 42, 1, "concurrent") })
 	t.Run("ConcurrentBatchStress", func(t *testing.T) { runConcurrentOn(t, cfg, cfg.New(t), 43, 600, "concurrent-batch") })
-	t.Run("CoalescedStress", func(t *testing.T) { runCoalescedStress(t, cfg) })
+	t.Run("CoalescedStress", func(t *testing.T) { runConcurrentOn(t, cfg, cfg.New(t), 61, 2500, "coalesced-stress") })
 	t.Run("MeterConservation", func(t *testing.T) { runMeterConservation(t, cfg) })
 	t.Run("CheckpointRestore", func(t *testing.T) { runCheckpointRestore(t, cfg) })
 	t.Run("ReconfigureMatchesSequential", func(t *testing.T) { runReconfigure(t, cfg) })
@@ -218,79 +226,42 @@ func feedBoth(t *testing.T, label string, cfg Config, seq, bat core.Tracker, sit
 	checkMetersEqual(t, label, seq, bat, cfg.K)
 }
 
+// itemBudget is the engine's per-hold bootstrap drain budget in arrivals: a
+// bootstrap batch longer than this cannot be forwarded under one hold.
+const itemBudget = 8192
+
+// mixedChunks draws mostly small chunks, occasionally one spanning many
+// thresholds.
+func mixedChunks(rng *rand.Rand) int {
+	if sz := 1 + rng.Intn(130); rng.Intn(16) != 0 {
+		return sz
+	}
+	return 1 + rng.Intn(2000)
+}
+
+// chunksIn draws chunk sizes uniformly from [lo, hi).
+func chunksIn(lo, hi int) func(*rand.Rand) int {
+	return func(rng *rand.Rand) int { return lo + rng.Intn(hi-lo) }
+}
+
 // runBatchMatch drives one tracker through sequential Feed and a second
-// through FeedLocalBatch over the same random (site, chunk) schedule,
-// asserting coordinator state and every meter count stay identical after
-// every chunk.
-func runBatchMatch(t *testing.T, cfg Config) {
+// through FeedLocalBatch over the same random (site, chunk) schedule — chunk
+// sizes drawn by size — asserting coordinator state and every meter count
+// stay identical after every chunk. Version bumps once per escalation, so any
+// divergence in escalation positions is caught.
+func runBatchMatch(t *testing.T, cfg Config, streamSeed, schedSeed int64, size func(*rand.Rand) int) {
 	seq, bat := cfg.New(t), cfg.New(t)
-	items := genStream(cfg, cfg.K*cfg.PerSite, 19)
-	rng := rand.New(rand.NewSource(31))
+	items := genStream(cfg, cfg.K*cfg.PerSite, streamSeed)
+	rng := rand.New(rand.NewSource(schedSeed))
 	for pos := 0; pos < len(items); {
 		site := rng.Intn(cfg.K)
-		sz := 1 + rng.Intn(130)
-		if rng.Intn(16) == 0 {
-			sz = 1 + rng.Intn(2000) // occasionally span many thresholds
-		}
-		if pos+sz > len(items) {
-			sz = len(items) - pos
-		}
+		sz := min(size(rng), len(items)-pos)
 		feedBoth(t, "batch", cfg, seq, bat, site, items[pos:pos+sz])
 		pos += sz
 	}
 	if cfg.CheckEquiv != nil {
 		cfg.CheckEquiv(t, seq, bat)
 	}
-}
-
-// itemBudget is the engine's per-hold drain budget in arrivals: a batch
-// longer than this cannot be drained under one slow-path hold.
-const itemBudget = 8192
-
-// runCoalesced pins the coalescing identity law: a batched feeding and a
-// sequential Feed replay of the same burst-heavy (site, chunk) schedule must
-// agree bit-for-bit after every chunk — every meter count (total, per kind,
-// per site) and the engine state including Version (one bump per
-// escalation, so any divergence in escalation positions is caught). Feed
-// never drains, so it is the uncoalesced reference. The longBatches variant
-// makes every chunk outrun the item budget, so the hold exhausts a budget
-// and the slow path is re-entered mid-batch.
-func runCoalesced(t *testing.T, cfg Config) {
-	for _, tc := range []struct {
-		name     string
-		min, max int // chunk size range
-	}{
-		{"default", 64, 64 + 3000},
-		{"longBatches", itemBudget + 1, 2 * itemBudget},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			seq, bat := cfg.New(t), cfg.New(t)
-			items := genStream(cfg, cfg.K*cfg.PerSite, 53)
-			rng := rand.New(rand.NewSource(59))
-			for pos := 0; pos < len(items); {
-				site := rng.Intn(cfg.K)
-				// Burst-heavy: large chunks, so single batches span many
-				// crossings and the drain loops under one hold.
-				sz := tc.min + rng.Intn(tc.max-tc.min)
-				if pos+sz > len(items) {
-					sz = len(items) - pos
-				}
-				feedBoth(t, "coalesced-vs-seq", cfg, seq, bat, site, items[pos:pos+sz])
-				pos += sz
-			}
-			if cfg.CheckEquiv != nil {
-				cfg.CheckEquiv(t, seq, bat)
-			}
-		})
-	}
-}
-
-// runCoalescedStress is the -race arm of the coalescing law: batches large
-// enough to span many crossings, so slow-path holds drain bursts while
-// quiescent queries race them — conservation, the accounting identities and
-// the protocol contract must survive.
-func runCoalescedStress(t *testing.T, cfg Config) {
-	runConcurrentOn(t, cfg, cfg.New(t), 61, 2500, "coalesced-stress")
 }
 
 // runConcurrentOn hammers one FeedLocalBatch goroutine per site (site j's

@@ -32,24 +32,23 @@ type Metrics struct {
 	// Escalations counts slow-path entries (coordinator work), including
 	// bootstrap forwards.
 	Escalations *obs.Counter
-	// SlowPathAcquires counts escMu + all-site-locks acquisitions made by
-	// the escalation path, one per slow-path hold. SlowPathAcquires +
-	// SavedAcquires == Escalations always; Escalations − SlowPathAcquires is
-	// the lock traffic the coalesced drain removed.
+	// SlowPathAcquires counts slow-path holds (escMu plus the escalating
+	// site's lock, widened to every site when a cascade calls All).
+	// SlowPathAcquires + SavedAcquires == Escalations always.
 	SlowPathAcquires *obs.Counter
-	// CoalescedRuns counts batch runs applied inline under an already-held
-	// slow-path hold (a subset of BatchRuns).
+	// CoalescedRuns is never counted: no batch run is applied under a
+	// slow-path hold. The field stays only because the repository benchmark
+	// still wires it.
 	CoalescedRuns *obs.Counter
-	// SavedAcquires counts escalations (threshold crossings and bootstrap
-	// forwards) absorbed by an already-held coalesced hold — each one is a
-	// full lock-set round trip the release/re-acquire-per-escalation path
-	// would have paid.
+	// SavedAcquires counts bootstrap forwards absorbed by an already-held
+	// slow-path hold — each one a hold the one-per-escalation path would have
+	// paid.
 	SavedAcquires *obs.Counter
 	// BootHandoffs counts bootstrap→tracking transitions (0 or 1 per
 	// engine; across a fleet, how many tenants have left bootstrap).
 	BootHandoffs *obs.Counter
-	// SlowPathHold observes the seconds an escalation held escMu plus every
-	// site lock — the cluster-wide stall each escalation imposes — for the
+	// SlowPathHold observes the seconds an escalation held escMu and its
+	// site lock (plus every other site's, once a cascade called All) for the
 	// 1st, 65th, 129th, … hold of the engine; its count is
 	// ⌈SlowPathAcquires/64⌉ when both are wired from the start.
 	SlowPathHold *obs.Histogram

@@ -233,17 +233,10 @@ func (p *policy) ApplyBoot(siteID int, x uint64) {
 	}
 }
 
-// ApplyLocal runs the site-local fast path for one arrival: the store
-// update plus the Δ(m_x)/Δ(m) accounting and threshold checks. It is
-// ApplyRun over one item, so the per-item and batched paths cannot drift.
-func (p *policy) ApplyLocal(siteID int, x uint64) (escalate bool) {
-	_, escalate = p.ApplyRun(siteID, []uint64{x})
-	return escalate
-}
-
 // ApplyRun applies the fast path to a prefix of xs with the threshold
-// hoisted once per run: it depends only on S_j.m, which changes only under
-// every site lock — constant for the whole run.
+// hoisted once per run: it depends only on S_j.m, which changes only in a
+// broadcast after Engine.All — constant for the whole run. Feed passes one
+// item, so the per-item and batched paths cannot drift.
 func (p *policy) ApplyRun(siteID int, xs []uint64) (consumed int, crossed bool) {
 	s := p.sites[siteID]
 	thr := p.threshold(s)
@@ -282,7 +275,9 @@ func (p *policy) ApplyRun(siteID int, xs []uint64) (consumed int, crossed bool) 
 
 // OnEscalate re-checks the reporting thresholds under the protocol lock and
 // runs the (rare) communication cascade — delta reports, "all" signals,
-// round changes — with all wire.Meter accounting.
+// round changes — with all wire.Meter accounting. The "freq" and "all"
+// reports touch only site siteID and coordinator counters; the round change's
+// broadcast writes every site and calls Engine.All first.
 func (p *policy) OnEscalate(siteID int, x uint64) {
 	s := p.sites[siteID]
 	thr := p.threshold(s)
@@ -352,6 +347,7 @@ func (p *policy) OnBootEscalate(siteID int, x uint64) (done bool) {
 // baselines the sketch reporting marks: everything so far was reported
 // exactly, so deltas start from here.
 func (p *policy) OnBootDone() {
+	p.eng.All()
 	p.broadcastM()
 	switch p.cfg.Mode {
 	case ModeSketch:
@@ -374,6 +370,7 @@ func (p *policy) OnBootDone() {
 // threshold, so C.m is already within εm/3 of m, and the sites keep their
 // Δ(m) for their next report.
 func (p *policy) newRound() {
+	p.eng.All()
 	p.broadcastM()
 	p.allSignals = 0
 	p.rounds++

@@ -195,40 +195,11 @@ func (p *policy) ApplyBoot(siteID int, x uint64) {
 	p.sites[siteID].st.Insert(x)
 }
 
-// ApplyLocal runs the site-local fast path for one arrival: the store
-// insert and the interval/total/drift counter updates. The separator
-// structure it reads is stable: splits and round changes only happen while
-// every site lock is held.
-func (p *policy) ApplyLocal(siteID int, x uint64) (escalate bool) {
-	s := p.sites[siteID]
-	s.st.Insert(x)
-
-	// Interval arrival counting.
-	iv := p.ivIndex(x)
-	s.ivDelta[iv]++
-	escalate = s.ivDelta[iv] >= p.thrIv
-
-	// Total counting.
-	s.totDelta++
-	escalate = escalate || s.totDelta >= p.thrTot
-
-	// Per-quantile drift counting.
-	for qi := range p.qs {
-		side := 0
-		if x >= p.qs[qi].m0 {
-			side = 1
-		}
-		s.drift[qi][side]++
-		escalate = escalate || s.drift[qi][side] >= p.thrLR
-	}
-	return escalate
-}
-
 // ApplyRun applies the site-local fast path to a prefix of xs: counters are
 // updated per item in arrival order until the first threshold crossing
 // (inclusive), then the consumed prefix is bulk-inserted into the store
 // once. The round state it reads (seps, thresholds, m0) is stable: it only
-// changes while every site lock is held.
+// changes after a cascade's Engine.All, while every site lock is held.
 func (p *policy) ApplyRun(siteID int, xs []uint64) (consumed int, crossed bool) {
 	s := p.sites[siteID]
 	ivIdx := -1
@@ -266,7 +237,9 @@ func (p *policy) ApplyRun(siteID int, xs []uint64) (consumed int, crossed bool) 
 // OnEscalate re-checks the batch thresholds under the protocol lock and
 // runs the communication the protocol triggers — interval reports and
 // splits, total reports and round changes, drift reports and relocations —
-// with all wire.Meter accounting.
+// with all wire.Meter accounting. The reports ("iv", "tot", "dl"/"dr") touch
+// only site siteID and coordinator counters; split, newRound and relocate
+// consult every site and call Engine.All first.
 func (p *policy) OnEscalate(siteID int, x uint64) {
 	s := p.sites[siteID]
 	meter := p.eng.Meter()

@@ -92,6 +92,7 @@ func (p *policy) bootTarget() int64 {
 // exact interval counts, exact quantile baselines, new thresholds. Cost
 // O(k/ε) — the paper's per-round initialization.
 func (p *policy) newRound() {
+	p.eng.All()
 	// 1. Collect weighted separator samples over the whole universe, each
 	// site cutting its local items every ε·n_j/32.
 	merged, total, _ := p.sepSamples(0, math.MaxUint64, roundSampleDiv/p.cfg.Eps, "round")
@@ -194,6 +195,7 @@ func (p *policy) localIntervalCounts(s *site) []int64 {
 // interval, choose a weighted median, then collect exact half counts. Cost
 // O(k).
 func (p *policy) split(iv int) {
+	p.eng.All()
 	lo, hi := p.ivBounds(iv)
 	merged, totalEst, _ := p.sepSamples(lo, hi, 9, "split")
 	if len(merged) == 0 {
@@ -268,6 +270,7 @@ func (p *policy) ivBounds(iv int) (lo, hi uint64) {
 // separators toward the target rank with O(1) exact-count probes (step 2),
 // reset the drift counters (step 3).
 func (p *policy) relocate(qi int) {
+	p.eng.All()
 	q := &p.qs[qi]
 	meter := p.eng.Meter()
 	// Step 1: exact L = rank(M) and T = |A| (2 words per site).

@@ -36,16 +36,15 @@ type serverMetrics struct {
 	start time.Time
 
 	// Engine fast-path instrumentation, per tenant (see engine.Metrics).
-	engFeeds     *obs.CounterVec   // {tenant}
-	engRuns      *obs.CounterVec   // {tenant}
-	engSplits    *obs.CounterVec   // {tenant}
-	engEsc       *obs.CounterVec   // {tenant}
-	engAcquires  *obs.CounterVec   // {tenant}
-	engCoalesced *obs.CounterVec   // {tenant}
-	engSaved     *obs.CounterVec   // {tenant}
-	engBoot      *obs.CounterVec   // {tenant}
-	engSlow      *obs.HistogramVec // {tenant}
-	engQuiesce   *obs.HistogramVec // {tenant}
+	engFeeds    *obs.CounterVec   // {tenant}
+	engRuns     *obs.CounterVec   // {tenant}
+	engSplits   *obs.CounterVec   // {tenant}
+	engEsc      *obs.CounterVec   // {tenant}
+	engAcquires *obs.CounterVec   // {tenant}
+	engSaved    *obs.CounterVec   // {tenant}
+	engBoot     *obs.CounterVec   // {tenant}
+	engSlow     *obs.HistogramVec // {tenant}
+	engQuiesce  *obs.HistogramVec // {tenant}
 
 	// Cluster and tenant bookkeeping mirrors, per tenant.
 	clProcessed *obs.CounterVec // {tenant}
@@ -150,15 +149,13 @@ func newServerMetrics() *serverMetrics {
 	m.engEsc = reg.NewCounterVec("disttrack_engine_escalations_total",
 		"Coordinator slow-path entries.", "tenant")
 	m.engAcquires = reg.NewCounterVec("disttrack_engine_slow_path_acquires_total",
-		"Full lock-set acquisitions by the escalation path (slow-path holds; plus saved acquires, equals escalations).", "tenant")
-	m.engCoalesced = reg.NewCounterVec("disttrack_engine_coalesced_runs_total",
-		"Batch runs applied inline under an already-held slow-path hold.", "tenant")
+		"Slow-path holds taken by the escalation path (plus saved acquires, equals escalations).", "tenant")
 	m.engSaved = reg.NewCounterVec("disttrack_engine_saved_acquires_total",
-		"Lock-set round trips avoided by slow-path coalescing.", "tenant")
+		"Bootstrap forwards absorbed by an already-held slow-path hold.", "tenant")
 	m.engBoot = reg.NewCounterVec("disttrack_engine_boot_handoffs_total",
 		"Bootstrap-to-tracking transitions.", "tenant")
 	m.engSlow = reg.NewHistogramVec("disttrack_engine_slow_path_hold_seconds",
-		"Seconds an escalation held the coordinator and every site lock, timed for one hold in 64; disttrack_engine_slow_path_acquires_total is the count.",
+		"Seconds an escalation held the coordinator lock and its site's (every site's once a cascade ran), timed for one hold in 64; disttrack_engine_slow_path_acquires_total is the count.",
 		obs.DurationBuckets(), "tenant")
 	m.engQuiesce = reg.NewHistogramVec("disttrack_engine_quiesce_hold_seconds",
 		"Seconds each quiescent section (consistent query) held the protocol locks.",
@@ -344,7 +341,6 @@ func (m *serverMetrics) tenant(name string) *tenantMetrics {
 			BatchSplits:      m.engSplits.With(name),
 			Escalations:      m.engEsc.With(name),
 			SlowPathAcquires: m.engAcquires.With(name),
-			CoalescedRuns:    m.engCoalesced.With(name),
 			SavedAcquires:    m.engSaved.With(name),
 			BootHandoffs:     m.engBoot.With(name),
 			SlowPathHold:     m.engSlow.With(name),
@@ -375,7 +371,7 @@ func (m *serverMetrics) tenant(name string) *tenantMetrics {
 func (m *serverMetrics) forgetTenant(name string) {
 	for _, v := range []*obs.CounterVec{
 		m.engFeeds, m.engRuns, m.engSplits, m.engEsc, m.engBoot,
-		m.engAcquires, m.engCoalesced, m.engSaved,
+		m.engAcquires, m.engSaved,
 		m.clProcessed, m.clBatches, m.clDropped,
 		m.tenSent, m.tenDropped, m.tenTies, m.tenThrottled,
 	} {
