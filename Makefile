@@ -1,5 +1,6 @@
-# Mirrors .github/workflows/ci.yml so contributors can run the same checks
-# locally: `make ci` is the full gate, individual targets below.
+# The one list of checks: every .github/workflows/ci.yml job runs these
+# targets (CI adds only tool installs and the Go version matrix), so `make
+# ci` locally is the full gate.
 
 GO ?= go
 
@@ -28,7 +29,7 @@ build:
 test:
 	$(GO) test ./...
 
-# Randomize test execution order (mirrors the CI shuffle job), to catch
+# Randomize test execution order (the CI shuffle job runs it), to catch
 # inter-test ordering assumptions — e.g. state the engine refactor could
 # accidentally share across conformance subtests.
 test-shuffle:
@@ -97,38 +98,21 @@ bench-e2e-smoke:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-# End-to-end metrics-plane smoke: boot a live coord + site pair, push data
-# through the networked ingest path and grep both /metrics endpoints for
-# the required families (docs/observability.md).
-obs-smoke:
-	./scripts/obs_smoke.sh
-
-# Fault-tolerance smoke: live run of the docs/operations.md runbook —
-# per-tenant 429 throttling, kill -9 a site, degraded-but-serving
-# coordinator, exactly-once reconvergence after restart.
-fault-smoke:
-	./scripts/fault_smoke.sh
-
-# Durability smoke: live run of the docs/durability.md crash-recovery
-# walkthrough — kill -9 a durable trackd mid-stream, restart on the same
-# -data-dir, verify exactly-once totals from WAL replay, then a SIGTERM
-# cycle whose final checkpoint makes the next boot replay nothing.
-crash-smoke:
-	./scripts/crash_smoke.sh
-
-# Elastic-membership smoke: live site add under the networked ingest path,
-# then kill -9 the durable coordinator and verify
-# exactly-once totals and membership-epoch continuity after restart
-# (docs/operations.md scaling runbook).
-membership-smoke:
-	./scripts/membership_smoke.sh
-
-# Load-harness smoke: drive a live coord + site pair with cmd/loadgen over
-# both ingest planes (HTTP and TCP delta frames), asserting nonzero
-# throughput, clean exactly-once totals, and a working ETag conditional-GET
-# path.
-load-smoke:
-	./scripts/load_smoke.sh
+# Live smokes: cmd/smoke builds trackd, boots real processes on 127.0.0.1:0
+# and compares JSON fields and /metrics samples exactly (each takes ~1 s
+# after the first build; they can run in parallel).
+#   obs: a coord + site pair, the families docs/observability.md promises on
+#     both /metrics endpoints and the dedicated -metrics listener.
+#   fault: the docs/operations.md runbook — per-tenant 429 throttling, kill
+#     -9 a site, degraded-but-serving coordinator, exactly-once after restart.
+#   crash: the docs/durability.md walkthrough — kill -9 a durable trackd, WAL
+#     replay, then a SIGTERM cycle whose final checkpoint replays nothing.
+#   membership: live site add, then kill -9 the durable coordinator; exact
+#     totals and membership-epoch continuity after restart.
+#   load: fixed HTTP batches and remote.DialNode frames (the live check that
+#     both ends speak one frame version), exactly-once totals, ETag 304s.
+obs-smoke fault-smoke crash-smoke membership-smoke load-smoke:
+	$(GO) run ./cmd/smoke $(@:-smoke=)
 
 # Short fuzz pass over the wire-protocol and durability decoders — every
 # byte format that crosses a trust boundary (TFrame network frames, WAL

@@ -59,6 +59,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -86,12 +87,38 @@ func setupLogger(format string) *slog.Logger {
 	return logger
 }
 
+// listen binds addr and logs the address it bound under msg, so an address
+// like 127.0.0.1:0 works: the log line names the port the kernel picked.
+func listen(logger *slog.Logger, addr, msg string, attrs ...any) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	logger.Info(msg, append(attrs, "addr", ln.Addr().String())...)
+	return ln, nil
+}
+
+// serveSide serves h on a dedicated listener (-pprof, -metrics) for the
+// life of the process. A bind failure fails the boot.
+func serveSide(logger *slog.Logger, name, addr string, h http.Handler) error {
+	ln, err := listen(logger, addr, name+" listening")
+	if err != nil {
+		return fmt.Errorf("-%s: %w", name, err)
+	}
+	go func() {
+		if err := http.Serve(ln, h); err != nil {
+			logger.Error(name+" serve failed", "addr", ln.Addr().String(), "err", err)
+		}
+	}()
+	return nil
+}
+
 // startPprof serves the net/http/pprof handlers on their own listener when
 // -pprof is set, so profiling never shares a port (or a mux) with the
 // public API. Off by default.
-func startPprof(addr string, logger *slog.Logger) {
+func startPprof(addr string, logger *slog.Logger) error {
 	if addr == "" {
-		return
+		return nil
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -99,30 +126,20 @@ func startPprof(addr string, logger *slog.Logger) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go func() {
-		logger.Info("pprof listening", "addr", addr)
-		if err := http.ListenAndServe(addr, mux); err != nil {
-			logger.Error("pprof serve failed", "addr", addr, "err", err)
-		}
-	}()
+	return serveSide(logger, "pprof", addr, mux)
 }
 
 // startMetrics serves GET /metrics on its own listener when -metrics is
 // set — the same dedicated-listener pattern as -pprof, for deployments that
 // keep the scrape endpoint off the public API port. The main listener
 // serves /metrics in every role regardless.
-func startMetrics(addr string, reg *obs.Registry, logger *slog.Logger) {
+func startMetrics(addr string, reg *obs.Registry, logger *slog.Logger) error {
 	if addr == "" {
-		return
+		return nil
 	}
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", reg.Handler())
-	go func() {
-		logger.Info("metrics listening", "addr", addr)
-		if err := http.ListenAndServe(addr, mux); err != nil {
-			logger.Error("metrics serve failed", "addr", addr, "err", err)
-		}
-	}()
+	return serveSide(logger, "metrics", addr, mux)
 }
 
 // config is trackd's parsed command line.
@@ -266,7 +283,9 @@ func main() {
 
 // runServer runs the standalone and coord roles.
 func runServer(cfg config, logger *slog.Logger) error {
-	startPprof(cfg.pprofAddr, logger)
+	if err := startPprof(cfg.pprofAddr, logger); err != nil {
+		return err
+	}
 	svc, err := service.Open(service.Config{
 		SiteBuffer:             cfg.siteBuffer,
 		NodeBreakerFailures:    cfg.breakerFail,
@@ -298,7 +317,9 @@ func runServer(cfg config, logger *slog.Logger) error {
 				"data-dir", cfg.dataDir, "cursor-nodes", rs.CursorNodes)
 		}
 	}
-	startMetrics(cfg.metricsAddr, svc.Metrics(), logger)
+	if err := startMetrics(cfg.metricsAddr, svc.Metrics(), logger); err != nil {
+		return err
+	}
 	if cfg.role == "coord" {
 		ri, err := svc.ServeRemote(cfg.ingestListen)
 		if err != nil {
@@ -306,12 +327,13 @@ func runServer(cfg config, logger *slog.Logger) error {
 		}
 		logger.Info("coord ingest listening", "addr", ri.Addr())
 	}
-	hs := &http.Server{Addr: cfg.listen, Handler: svc.Handler()}
+	ln, err := listen(logger, cfg.listen, "trackd listening", "role", cfg.role)
+	if err != nil {
+		return err
+	}
+	hs := &http.Server{Handler: svc.Handler()}
 	errc := make(chan error, 1)
-	go func() {
-		logger.Info("trackd listening", "role", cfg.role, "addr", cfg.listen)
-		errc <- hs.ListenAndServe()
-	}()
+	go func() { errc <- hs.Serve(ln) }()
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -334,7 +356,9 @@ func runServer(cfg config, logger *slog.Logger) error {
 
 // runSite runs the site role: HTTP ingest in, batched frames upstream.
 func runSite(cfg config, logger *slog.Logger) error {
-	startPprof(cfg.pprofAddr, logger)
+	if err := startPprof(cfg.pprofAddr, logger); err != nil {
+		return err
+	}
 	node, err := service.NewSiteNode(service.SiteNodeConfig{
 		Node:               cfg.node,
 		Upstream:           cfg.upstream,
@@ -352,13 +376,18 @@ func runSite(cfg config, logger *slog.Logger) error {
 	if err != nil {
 		return err
 	}
-	startMetrics(cfg.metricsAddr, node.Metrics(), logger)
-	hs := &http.Server{Addr: cfg.listen, Handler: node.Handler()}
+	if err := startMetrics(cfg.metricsAddr, node.Metrics(), logger); err != nil {
+		node.Close()
+		return err
+	}
+	ln, err := listen(logger, cfg.listen, "trackd site listening", "node", cfg.node, "upstream", cfg.upstream)
+	if err != nil {
+		node.Close()
+		return err
+	}
+	hs := &http.Server{Handler: node.Handler()}
 	errc := make(chan error, 1)
-	go func() {
-		logger.Info("trackd site listening", "node", cfg.node, "addr", cfg.listen, "upstream", cfg.upstream)
-		errc <- hs.ListenAndServe()
-	}()
+	go func() { errc <- hs.Serve(ln) }()
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

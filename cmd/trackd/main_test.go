@@ -1,11 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"log/slog"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"disttrack/internal/durable"
+	"disttrack/internal/obs"
 )
 
 func TestParseFlagsDefaults(t *testing.T) {
@@ -106,5 +112,40 @@ func TestParseFlagsValues(t *testing.T) {
 	}
 	if cfg.grace != 3*time.Second {
 		t.Fatalf("grace = %v", cfg.grace)
+	}
+}
+
+// TestStartMetricsLogsBoundAddress serves the dedicated -metrics listener on
+// port 0: the log line must name the port the kernel picked, and that port
+// must serve the registry.
+func TestStartMetricsLogsBoundAddress(t *testing.T) {
+	var buf bytes.Buffer
+	logger := slog.New(slog.NewJSONHandler(&buf, nil))
+	reg := obs.NewRegistry()
+	reg.NewCounter("smoke_total", "A test counter.").Add(3)
+	if err := startMetrics("127.0.0.1:0", reg, logger); err != nil {
+		t.Fatal(err)
+	}
+	var line struct{ Msg, Addr string }
+	if err := json.Unmarshal(buf.Bytes(), &line); err != nil {
+		t.Fatalf("log %q: %v", buf.String(), err)
+	}
+	if line.Msg != "metrics listening" || strings.HasSuffix(line.Addr, ":0") {
+		t.Fatalf("logged %+v, want the bound metrics address", line)
+	}
+	resp, err := http.Get("http://" + line.Addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), "\nsmoke_total 3\n") {
+		t.Fatalf("GET /metrics on the logged address:\n%s", body)
+	}
+	if err := startMetrics(line.Addr, reg, logger); err == nil {
+		t.Fatal("second bind of the same address succeeded")
 	}
 }

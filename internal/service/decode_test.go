@@ -29,9 +29,9 @@ func compactBody(t testing.TB, recs []Record) []byte {
 	return body
 }
 
-// sortedKeyBody encodes recs the way cmd/loadgen, the smoke scripts and the
-// package's own HTTP tests do: through map[string]any, so keys come sorted
-// (site, tenant, value).
+// sortedKeyBody encodes recs the way the package's own HTTP tests do:
+// through map[string]any, so keys come sorted (site, tenant, value). Other
+// clients in this repository encode a struct, in field order.
 func sortedKeyBody(t testing.TB, recs []Record) []byte {
 	t.Helper()
 	ms := make([]map[string]any, len(recs))
