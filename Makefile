@@ -44,21 +44,21 @@ test-shuffle:
 # engine's concurrent conformance laws on the mock policy, where an arrival
 # straddling the bootstrap handoff shows 1 run in 6-12, plus the slow path's
 # bootstrap drain budget driven by one long batch, the bootstrap drain (one
-# hold per bootstrap batch), the sampled slow-path hold timing and the
-# two-tier hold (a report locks only its own site until All); the fifth
-# repeats the three kinds' concurrent conformance laws, where a report or
-# cascade that touches another site without Engine.All races with that
-# site's fast path (deleting one All call per kind fails this line); the sixth
-# repeats the forwarder's producers-against-the-ticker test, which caught a
-# buffer being taken out and enqueued in two steps (reordered or late
-# batches; at -count=40 under -race it failed every time), and the cluster's
-# senders against a cancelled context (no sender blocks, every accepted
-# value is counted once as processed or dropped).
+# hold per bootstrap batch), the sampled slow-path hold timing, the
+# two-tier hold (a report locks only its own site until All) and the cascade
+# timing; the fifth repeats the three kinds' concurrent conformance laws,
+# where a report or cascade that touches another site without Engine.All
+# races with that site's fast path (deleting one All call per kind fails this
+# line); the sixth repeats the forwarder's producers-against-the-ticker test,
+# which caught a buffer being taken out and enqueued in two steps (reordered
+# or late batches; at -count=40 under -race it failed every time), and the
+# cluster's senders against a cancelled context (no sender blocks, every
+# accepted value is counted once as processed or dropped).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
 	$(GO) test -race -count=10 -run TestBootstrapReadsChangeNoState ./internal/core/quantile ./internal/core/allq
-	$(GO) test -race -count=20 -run 'TestEngineConformanceMockPolicy/(ConcurrentStress|ConcurrentBatchStress)|TestSlowPathBudgets|TestBootstrapBatchDrain|TestSlowPathHoldSampled|TestReportHoldsOnlyItsSite' ./internal/core/engine
+	$(GO) test -race -count=20 -run 'TestEngineConformanceMockPolicy/(ConcurrentStress|ConcurrentBatchStress)|TestSlowPathBudgets|TestBootstrapBatchDrain|TestSlowPathHoldSampled|TestReportHoldsOnlyItsSite|TestCascadesCounted' ./internal/core/engine
 	$(GO) test -race -count=10 -run 'TestEngineConformance/.*/(ConcurrentStress|ConcurrentBatchStress)' ./internal/core/quantile ./internal/core/allq ./internal/core/hh
 	$(GO) test -race -count=40 -run 'TestForwarderConcurrentProducers|TestStopUnderLoad' ./internal/runtime
 

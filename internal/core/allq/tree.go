@@ -1,17 +1,9 @@
 package allq
 
 import (
-	"cmp"
 	"math"
 	"slices"
-	"sort"
 )
-
-// wsep is a site-provided separator sample with the rank weight it carries.
-type wsep struct {
-	v uint64
-	w int64
-}
 
 // checkConditions enforces the paper's maintenance rules after s_u changed:
 //
@@ -183,8 +175,8 @@ func (p *policy) rebuild(u *node) {
 
 // buildSubtree runs the §4 initialization restricted to [lo, hi):
 //
-//  1. collect weighted separator samples every step items (εm/64k, or
-//     coarser for a leaf split: see rebuild), plus the exact per-site
+//  1. collect separator samples every step items (εm/64k, or coarser for a
+//     leaf split: see rebuild), each of weight step, plus the exact per-site
 //     counts of the interval;
 //  2. recursively split at weighted medians while the estimated count
 //     exceeds 3εm/8, keeping invariant (5);
@@ -192,24 +184,20 @@ func (p *policy) rebuild(u *node) {
 //  4. collect exact counts for every new node.
 func (p *policy) buildSubtree(parent *node, lo, hi uint64, step int64) *node {
 	meter := p.eng.Meter()
-	var merged []wsep
-	var exact int64
+	var merged []uint64
 	for j, s := range p.sites {
 		meter.Down(j, "rb-req", 2)
-		c := s.st.CountRange(lo, hi)
 		var ss []uint64
-		if c > 0 {
+		if s.st.CountRange(lo, hi) > 0 {
 			ss = s.st.Separators(lo, hi, step)
 		}
 		meter.Up(j, "rb-seps", len(ss)+2)
-		exact += c
-		for _, v := range ss {
-			merged = append(merged, wsep{v: v, w: step})
-		}
+		merged = append(merged, ss...)
 	}
-	slices.SortFunc(merged, func(a, b wsep) int { return cmp.Compare(a.v, b.v) })
+	// Every sample carries the same weight, step: sort the values alone.
+	slices.Sort(merged)
 
-	fresh := p.buildRec(parent, lo, hi, merged, p.leafCap())
+	fresh := p.buildRec(parent, lo, hi, merged, step, p.leafCap())
 
 	// Broadcast the new structure (id, lo, hi, split per node) and collect
 	// exact per-node counts.
@@ -255,16 +243,14 @@ func (p *policy) gcDeltas() {
 	p.nextID = len(nodes)
 }
 
-// buildRec recursively splits [lo, hi) at the weighted median of the sample
-// segment until the estimated count is at most leafCap.
-func (p *policy) buildRec(parent *node, lo, hi uint64, merged []wsep, leafCap int64) *node {
+// buildRec recursively splits [lo, hi) at the weighted median of the sorted
+// sample segment, each sample of weight w, until the estimated count is at
+// most leafCap.
+func (p *policy) buildRec(parent *node, lo, hi uint64, merged []uint64, w, leafCap int64) *node {
 	u := &node{id: p.nextID, lo: lo, hi: hi, parent: parent}
 	p.nextID++
 
-	var weight int64
-	for _, ws := range merged {
-		weight += ws.w
-	}
+	weight := int64(len(merged)) * w
 	if weight <= leafCap {
 		return u
 	}
@@ -272,10 +258,10 @@ func (p *policy) buildRec(parent *node, lo, hi uint64, merged []wsep, leafCap in
 	var acc int64
 	split := uint64(0)
 	found := false
-	for _, ws := range merged {
-		acc += ws.w
-		if acc*2 >= weight && ws.v > lo && ws.v < hi {
-			split = ws.v
+	for _, v := range merged {
+		acc += w
+		if acc*2 >= weight && v > lo && v < hi {
+			split = v
 			found = true
 			break
 		}
@@ -286,10 +272,10 @@ func (p *policy) buildRec(parent *node, lo, hi uint64, merged []wsep, leafCap in
 		p.cannotSplit++
 		return u
 	}
-	cut := sort.Search(len(merged), func(i int) bool { return merged[i].v >= split })
+	cut, _ := slices.BinarySearch(merged, split)
 	u.split = split
-	u.left = p.buildRec(u, lo, split, merged[:cut], leafCap)
-	u.right = p.buildRec(u, split, hi, merged[cut:], leafCap)
+	u.left = p.buildRec(u, lo, split, merged[:cut], w, leafCap)
+	u.right = p.buildRec(u, split, hi, merged[cut:], w, leafCap)
 	return u
 }
 

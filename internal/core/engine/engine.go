@@ -178,6 +178,9 @@ type Engine struct {
 	// the rest; nil whenever every site is locked or no hold is open. Written
 	// and read only under escMu.
 	partial *site
+	// cascadeT0 is when the open hold called All, if Metrics.CascadeHold is
+	// wired; zero otherwise. Written and read only under escMu.
+	cascadeT0 time.Time
 
 	// sites holds the current membership behind one atomic pointer: the
 	// fast path pays a single atomic load to resolve its site, and
@@ -413,6 +416,11 @@ func (e *Engine) slowPath(siteID int, x uint64, rest []uint64) (drained int) {
 		slowPathDone(m.SlowPathHold, t0)
 	}
 	if e.partial == nil {
+		// The hold called All: a cascade.
+		if m != nil {
+			slowPathDone(m.CascadeHold, e.cascadeT0)
+			e.cascadeT0 = time.Time{}
+		}
 		e.unlockSites()
 	} else {
 		e.partial = nil
@@ -433,6 +441,9 @@ func (e *Engine) All() {
 	own := e.partial
 	if own == nil {
 		return
+	}
+	if m := e.met; m != nil {
+		e.cascadeT0 = slowPathStart(m.CascadeHold)
 	}
 	for _, s := range *e.sites.Load() {
 		if s != own {

@@ -366,6 +366,39 @@ func TestSlowPathHoldSampled(t *testing.T) {
 	}
 }
 
+// TestCascadesCounted pins the cascade timing on a scripted sequence: the
+// bootstrap handoff calls All, and so does every third report after it, while
+// a Quiesce (which holds every site without All) is no cascade. CascadeHold
+// times every cascade and nothing else, so its count is exact.
+func TestCascadesCounted(t *testing.T) {
+	tr := newCountTracker(t, 2, 0.9, 8) // eps 0.9: bootstrap ends after ⌈k/ε⌉=3 items
+	reg := obs.NewRegistry()
+	m := &engine.Metrics{
+		SlowPathAcquires: reg.NewCounter("test_slow_path_acquires_total", "test"),
+		CascadeHold:      reg.NewHistogram("test_cascade_hold_seconds", "test", obs.DurationBuckets()),
+	}
+	tr.SetMetrics(m)
+	reports := 0
+	tr.p.onEscalate = func() {
+		if reports++; reports%3 == 0 {
+			tr.All()
+			tr.All() // a second call in the same hold is no second cascade
+		}
+	}
+	for i := 0; i < 3+8*30; i++ {
+		tr.Feed(i%2, uint64(i))
+		if i%50 == 0 {
+			tr.Quiesce(func() { tr.All() })
+		}
+	}
+	if acq := m.SlowPathAcquires.Value(); acq != 3+30 {
+		t.Fatalf("%d slow-path acquisitions, want 33", acq)
+	}
+	if got, want := m.CascadeHold.Count(), int64(1+30/3); got != want {
+		t.Fatalf("%d cascade holds timed, want %d (the handoff and every third report)", got, want)
+	}
+}
+
 // TestReportHoldsOnlyItsSite pins the two-tier slow-path hold. While a
 // report at site 0 is blocked inside OnEscalate, an escalation-free batch at
 // site 1 completes: a report holds escMu and its own site only. Once the

@@ -15,7 +15,8 @@ import (
 // (escalations, Quiesce). A time.Now pair is not noise there: it costs about
 // as much as a short hh or small-tenant escalation hold, so SlowPathHold
 // times one hold in 64 (SlowPathAcquires counts them all), while
-// QuiesceHold, around query work, times every Quiesce.
+// QuiesceHold, around query work, and CascadeHold, around holds that stall
+// every site, time every one.
 //
 // Any field may be nil; the engine skips what is not wired. Attach with
 // Engine.SetMetrics before concurrent use.
@@ -55,6 +56,14 @@ type Metrics struct {
 	// QuiesceHold observes the seconds each Quiesce held the same locks —
 	// the stall a consistent query imposes.
 	QuiesceHold *obs.Histogram
+	// CascadeHold observes, for every cascade (a slow-path hold that called
+	// All: the round builds, splits, relocations, rebuilds, broadcasts and
+	// the bootstrap handoff), the seconds from its All call to the end of its
+	// hold: how long it stalled all k sites, the wait for their locks
+	// included. Cascades are rare enough to time them all, so its count is
+	// the number of cascades; the other holds are reports, which hold one
+	// site.
+	CascadeHold *obs.Histogram
 }
 
 // SetMetrics attaches m (which may be nil to detach) to the engine. It must

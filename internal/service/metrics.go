@@ -46,6 +46,9 @@ type serverMetrics struct {
 	engSlow     *obs.HistogramVec // {tenant}
 	engQuiesce  *obs.HistogramVec // {tenant}
 
+	// Cascades: the slow-path holds that locked every site.
+	engCascadeHold *obs.HistogramVec // {tenant}
+
 	// Cluster and tenant bookkeeping mirrors, per tenant.
 	clProcessed *obs.CounterVec // {tenant}
 	clBatches   *obs.CounterVec // {tenant}
@@ -159,6 +162,9 @@ func newServerMetrics() *serverMetrics {
 		obs.DurationBuckets(), "tenant")
 	m.engQuiesce = reg.NewHistogramVec("disttrack_engine_quiesce_hold_seconds",
 		"Seconds each quiescent section (consistent query) held the protocol locks.",
+		obs.DurationBuckets(), "tenant")
+	m.engCascadeHold = reg.NewHistogramVec("disttrack_engine_cascade_hold_seconds",
+		"Seconds each cascade (a slow-path hold that locked every site: round builds, splits, relocations, rebuilds, broadcasts, the bootstrap handoff) held every site's lock, from locking them to release; every cascade is timed, so the count is the number of cascades.",
 		obs.DurationBuckets(), "tenant")
 
 	m.clProcessed = reg.NewCounterVec("disttrack_cluster_processed_total",
@@ -345,6 +351,7 @@ func (m *serverMetrics) tenant(name string) *tenantMetrics {
 			BootHandoffs:     m.engBoot.With(name),
 			SlowPathHold:     m.engSlow.With(name),
 			QuiesceHold:      m.engQuiesce.With(name),
+			CascadeHold:      m.engCascadeHold.With(name),
 		},
 		cl: runtime.ClusterMetrics{
 			Processed:  m.clProcessed.With(name),
@@ -379,6 +386,7 @@ func (m *serverMetrics) forgetTenant(name string) {
 	}
 	m.engSlow.Remove(name)
 	m.engQuiesce.Remove(name)
+	m.engCascadeHold.Remove(name)
 	m.clQueue.Remove(name)
 	m.tenQueued.Remove(name)
 	for _, q := range []string{"heavy", "quantile", "rank", "frequency"} {

@@ -124,6 +124,14 @@ func FuzzExactStore(f *testing.F) {
 	f.Add([]byte{1, 5, 0, 9, 1, 3, 1, 4, 4, 0, 0, 0, 5, 6, 1, 2, 3, 4, 200, 1, 2})
 	f.Add([]byte{1, 5, 1, 1, 1, 5, 1, 2, 1, 4, 0, 3, 4, 3, 20, 220, 0, 0, 1, 2, 17, 1, 1, 9, 4, 0, 0, 0, 1, 6, 5})
 	f.Add(bytes.Repeat([]byte{0, 150, 7, 7, 1, 3, 0, 8}, 80))
+	// Four runs (batches of 4,096, 128, 36 and 1 items, each settled by the
+	// check after it), then Separators over the whole store and over [5, 20),
+	// about a quarter of it: a range of at least half the store and a smaller
+	// one. Wide values first, then dense ones with many duplicates across the
+	// runs.
+	f.Add([]byte{1, 6, 1, 5, 1, 4, 1, 6, 1, 2, 1, 7, 1, 1, 1, 8, 4, 0, 0, 0, 1, 4, 0, 0, 0, 0})
+	f.Add([]byte{1, 6, 0, 3, 1, 4, 2, 4, 1, 2, 4, 5, 1, 1, 6, 9,
+		4, 0, 0, 0, 1, 4, 37, 52, 1, 1, 4, 37, 52, 1, 0, 4, 0, 0, 0, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Every step costs O(items held); a bounded script keeps one
 		// execution in the milliseconds.
@@ -303,4 +311,32 @@ func BenchmarkExactStoreInsertBatch(b *testing.B) {
 	}
 	b.Run("batch512", func(b *testing.B) { bench(b, 512, pendCap/512, false) })
 	b.Run("settled", func(b *testing.B) { bench(b, 36, 42, true) })
+}
+
+// BenchmarkExactStoreSeparators is a round rebuild's and a leaf split's read
+// of one site: a million random items in eight runs of halving sizes, cut
+// every 1,024 items over the whole store (all) and over a sixteenth of its
+// key range (sixteenth). One op is one Separators call on a fresh store
+// header over the same runs, so no call sees another's reorganisation.
+func BenchmarkExactStoreSeparators(b *testing.B) {
+	items := randomItems(1<<20, 3)
+	var runs [][]uint64
+	for size := 1 << 19; len(runs) < 8; size /= 2 {
+		run := slices.Clone(items[:size])
+		slices.Sort(run)
+		runs, items = append(runs, run), items[size:]
+	}
+	n := 0
+	for _, run := range runs {
+		n += len(run)
+	}
+	bench := func(b *testing.B, lo, hi uint64) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := &exactStore{runs: slices.Clone(runs), n: n}
+			s.Separators(lo, hi, 1<<10)
+		}
+	}
+	b.Run("all", func(b *testing.B) { bench(b, 0, math.MaxUint64) })
+	b.Run("sixteenth", func(b *testing.B) { bench(b, 1<<36, 2<<36) })
 }

@@ -8,15 +8,17 @@ package sitestore
 
 import (
 	"slices"
+	"sort"
 	"sync"
 
 	"disttrack/internal/summary/gk"
 )
 
-// Store answers rank-structure queries over a site's local items. A query may
-// reorganise the store (the exact store sorts its staged arrivals first), so
-// queries need the same exclusive access as inserts; the trackers run both
-// under the engine's site locks.
+// Store answers rank-structure queries over a site's local items. A read may
+// reorganise its own store (the exact store sorts its staged arrivals first),
+// so a read needs the same exclusive access as an insert: one goroutine at a
+// time per store. The trackers give it that through the engine's site locks:
+// nothing touches a store without its site's lock.
 type Store interface {
 	// Insert records one local item.
 	Insert(x uint64)
@@ -238,49 +240,78 @@ func (s *exactStore) restrict(lo, hi uint64) (parts [][]uint64, total int64) {
 
 // Separators returns the items of ranks step-1, 2*step-1, ... within the
 // restriction of the store to [lo, hi): it cuts that interval's items into
-// chunks of step items and returns the item closing each chunk.
+// chunks of step items and returns the item closing each chunk. The store
+// keeps its runs. The largest restricted run is read in place; the others,
+// when there are several, are merged into a pooled scratch buffer; and each
+// separator is selected from the two sorted slices by a binary search.
 func (s *exactStore) Separators(lo, hi uint64, step int64) []uint64 {
 	if step <= 0 {
 		panic("sitestore: Separators with non-positive step")
 	}
 	s.settle()
 	parts, total := s.restrict(lo, hi)
-	// An interval holding at least half the store (a round rebuild asks for
-	// all of it) is answered from one run by index, which leaves the store
-	// compact for the burst of range counts that follows; walking it in
-	// merged order would cost as much as the compaction.
-	if len(parts) > 1 && 2*total >= int64(s.n) {
-		s.items()
-		parts, _ = s.restrict(lo, hi)
-	}
 	if total == 0 {
 		return nil
 	}
-	seps := make([]uint64, 0, total/step)
-	if len(parts) == 1 {
-		for r := step - 1; r < total; r += step {
-			seps = append(seps, parts[0][r])
-		}
-		return seps
+	slices.SortFunc(parts, func(a, b []uint64) int { return len(b) - len(a) })
+	var rest []uint64
+	switch len(parts) {
+	case 1:
+	case 2:
+		rest = parts[1]
+	default:
+		buf := mergeBufs.Get().(*[]uint64)
+		defer mergeBufs.Put(buf)
+		rest = mergeParts(buf, parts[1:], int(total)-len(parts[0]))
 	}
-	// Walk the parts in merged order; r is the rank of the smallest head.
-	for r, next := int64(0), step-1; next < total; r++ {
-		m := 0
-		for i := 1; i < len(parts); i++ {
-			if parts[i][0] < parts[m][0] {
-				m = i
-			}
-		}
-		if r == next {
-			seps = append(seps, parts[m][0])
-			next += step
-		}
-		if parts[m] = parts[m][1:]; len(parts[m]) == 0 {
-			parts[m] = parts[len(parts)-1]
-			parts = parts[:len(parts)-1]
-		}
+	seps := make([]uint64, 0, total/step)
+	for r := step - 1; r < total; r += step {
+		seps = append(seps, selectRank(parts[0], rest, int(r)))
 	}
 	return seps
+}
+
+// mergeBufs holds Separators' merge buffers. A buffer is as large as the
+// runs it merged, so it lives in a pool, which the garbage collector
+// empties, rather than beside a store that would keep it for good.
+var mergeBufs = sync.Pool{New: func() any { return new([]uint64) }}
+
+// mergeParts merges the sorted parts, largest first and total items
+// together, into *buf, growing it if needed, and returns the merged items.
+// It merges them smallest first, as collapse does: fewer than 2*total moves
+// when the parts halve in size, as the runs they restrict do.
+func mergeParts(buf *[]uint64, parts [][]uint64, total int) []uint64 {
+	if cap(*buf) < total {
+		*buf = make([]uint64, total)
+	}
+	out := (*buf)[:total]
+	at := total
+	for i := len(parts) - 1; i >= 0; i-- {
+		at = mergeLeft(out, at, parts[i])
+	}
+	return out
+}
+
+// selectRank returns the item of rank r, counted from 0, among the items of
+// the sorted slices a and b together. The first r+1 items of their merge
+// are some i items of a and r+1-i of b, and i is the first count at which
+// taking one more item of a would skip a smaller item of b.
+func selectRank(a, b []uint64, r int) uint64 {
+	lo, hi := max(0, r+1-len(b)), min(r+1, len(a))
+	i := lo + sort.Search(hi-lo, func(d int) bool {
+		i := lo + d
+		j := r + 1 - i
+		return j == 0 || i == len(a) || a[i] >= b[j-1]
+	})
+	j := r + 1 - i
+	switch {
+	case i == 0:
+		return b[j-1]
+	case j == 0:
+		return a[i-1]
+	default:
+		return max(a[i-1], b[j-1])
+	}
 }
 
 func (s *exactStore) Space() int { return s.n }
