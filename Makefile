@@ -49,18 +49,20 @@ test-shuffle:
 # timing; the fifth repeats the three kinds' concurrent conformance laws,
 # where a report or cascade that touches another site without Engine.All
 # races with that site's fast path (deleting one All call per kind fails this
-# line); the sixth repeats the forwarder's producers-against-the-ticker test,
-# which caught a buffer being taken out and enqueued in two steps (reordered
-# or late batches; at -count=40 under -race it failed every time), and the
-# cluster's senders against a cancelled context (no sender blocks, every
-# accepted value is counted once as processed or dropped).
+# line); the sixth repeats the site node's producers-against-the-ticker
+# test, which catches a buffer shipped after the node's lock is released
+# (reordered or lost values; under -race about a third of runs fail);
+# the seventh repeats the cluster's senders against a cancelled context (no
+# sender blocks, every accepted value is counted once as processed or
+# dropped).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
 	$(GO) test -race -count=10 -run TestBootstrapReadsChangeNoState ./internal/core/quantile ./internal/core/allq
 	$(GO) test -race -count=20 -run 'TestEngineConformanceMockPolicy/(ConcurrentStress|ConcurrentBatchStress)|TestSlowPathBudgets|TestBootstrapBatchDrain|TestSlowPathHoldSampled|TestReportHoldsOnlyItsSite|TestCascadesCounted' ./internal/core/engine
 	$(GO) test -race -count=10 -run 'TestEngineConformance/.*/(ConcurrentStress|ConcurrentBatchStress)' ./internal/core/quantile ./internal/core/allq ./internal/core/hh
-	$(GO) test -race -count=40 -run 'TestForwarderConcurrentProducers|TestStopUnderLoad' ./internal/runtime
+	$(GO) test -race -count=40 -run TestSiteNodeConcurrentProducers ./internal/service
+	$(GO) test -race -count=40 -run TestStopUnderLoad ./internal/runtime
 
 # The quick experiment tables are a pure function of the protocols' decisions
 # (every wire.Meter count, round, split and served answer on seeded streams):

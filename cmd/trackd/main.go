@@ -69,7 +69,7 @@ import (
 
 	"disttrack/internal/durable"
 	"disttrack/internal/obs"
-	"disttrack/internal/runtime"
+	"disttrack/internal/remote"
 	"disttrack/internal/service"
 )
 
@@ -233,6 +233,9 @@ func (c *config) validate() error {
 	if c.forwardBatch < 1 || c.window < 1 {
 		return fmt.Errorf("-forward-batch and -window must be >= 1")
 	}
+	if c.forwardBatch > remote.MaxBatchLen {
+		return fmt.Errorf("-forward-batch %d exceeds the frame limit %d", c.forwardBatch, remote.MaxBatchLen)
+	}
 	if c.forwardDelay <= 0 {
 		return fmt.Errorf("-forward-delay must be positive")
 	}
@@ -368,10 +371,8 @@ func runSite(cfg config, logger *slog.Logger) error {
 		BreakerOpenTimeout: cfg.breakerOpen,
 		RetryBudgetRatio:   cfg.budgetRatio,
 		RetryBudgetBurst:   cfg.budgetBurst,
-		Forward: runtime.ForwarderConfig{
-			BatchSize: cfg.forwardBatch,
-			MaxDelay:  cfg.forwardDelay,
-		},
+		BatchSize:          cfg.forwardBatch,
+		MaxDelay:           cfg.forwardDelay,
 	})
 	if err != nil {
 		return err

@@ -62,6 +62,7 @@ func TestParseFlagsRoles(t *testing.T) {
 		{"bad window", []string{"-role", "site", "-upstream", "h:1", "-node", "e", "-window", "0"}, "must be >= 1"},
 		{"bad grace", []string{"-grace", "-1s"}, "must be positive"},
 		{"bad forward delay", []string{"-forward-delay", "0s"}, "must be positive"},
+		{"forward batch over the frame limit", []string{"-forward-batch", "1048577"}, "exceeds the frame limit"},
 		{"json logs ok", []string{"-log-format", "json"}, ""},
 		{"durable ok", []string{"-data-dir", "/tmp/dt", "-fsync", "always", "-checkpoint-interval", "5s"}, ""},
 		{"bad fsync", []string{"-data-dir", "/tmp/dt", "-fsync", "sometimes"}, "-fsync"},

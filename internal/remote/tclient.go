@@ -445,9 +445,9 @@ func (c *NodeClient) SendBatch(tenant string, site int, kind byte, values []uint
 	}
 	// A frame that cannot be encoded must not enter pending: every resync
 	// would fail on it again.
-	if len(tenant) > maxTenantLen || len(values) > maxBatchLen {
+	if len(tenant) > MaxTenantLen || len(values) > MaxBatchLen {
 		return fmt.Errorf("remote: batch of %d values for a %d-byte tenant name exceeds the frame limits (%d, %d)",
-			len(values), len(tenant), maxBatchLen, maxTenantLen)
+			len(values), len(tenant), MaxBatchLen, MaxTenantLen)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

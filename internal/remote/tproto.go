@@ -71,15 +71,17 @@ type TFrame struct {
 // shipped values as fixed 8-byte words; version 1 ships them as varints.
 const ProtoVersion = byte(1)
 
-// Frame size limits: a tenant name is bounded by the service's validation
-// (well under this), and a batch is bounded so a corrupt length prefix
-// cannot make the reader allocate unboundedly.
+// Frame size limits. MaxTenantLen caps a tenant name in bytes: the service
+// refuses longer names at tenant creation and in a site node's records.
+// MaxBatchLen caps the values in one batch frame, so a corrupt length prefix
+// cannot make the reader allocate unboundedly; a site node refuses a batch
+// size above it.
 const (
-	maxTenantLen = 1 << 10
-	maxBatchLen  = 1 << 20
+	MaxTenantLen = 1 << 10
+	MaxBatchLen  = 1 << 20
 	tframeHeader = 1 + 4             // type + payload length
 	tframeFixed  = 8 + 1 + 4 + 2 + 4 // seq + kind + site + tenant len + count
-	maxTFramePay = tframeFixed + maxTenantLen + binary.MaxVarintLen64*maxBatchLen
+	maxTFramePay = tframeFixed + MaxTenantLen + binary.MaxVarintLen64*MaxBatchLen
 )
 
 // Words returns the frame's accounted size in protocol words, in the same
@@ -98,11 +100,11 @@ func (f TFrame) Words() int { return 3 + len(f.Values) }
 // control frame is 24 bytes and a batch frame costs 24 + len(tenant) plus
 // one to ten bytes per value. On error dst is returned unchanged.
 func AppendTFrame(dst []byte, f TFrame) ([]byte, error) {
-	if len(f.Tenant) > maxTenantLen {
-		return dst, fmt.Errorf("remote: tenant name %d bytes exceeds %d", len(f.Tenant), maxTenantLen)
+	if len(f.Tenant) > MaxTenantLen {
+		return dst, fmt.Errorf("remote: tenant name %d bytes exceeds %d", len(f.Tenant), MaxTenantLen)
 	}
-	if len(f.Values) > maxBatchLen {
-		return dst, fmt.Errorf("remote: batch of %d values exceeds %d", len(f.Values), maxBatchLen)
+	if len(f.Values) > MaxBatchLen {
+		return dst, fmt.Errorf("remote: batch of %d values exceeds %d", len(f.Values), MaxBatchLen)
 	}
 	if !validTType(f.Type) {
 		return dst, fmt.Errorf("remote: unknown tframe type %d", f.Type)
@@ -121,7 +123,7 @@ func AppendTFrame(dst []byte, f TFrame) ([]byte, error) {
 }
 
 // tframeReadBuf is the read buffer of a TFrameReader: large enough that a
-// burst of forwarder-sized frames (or a window's worth of acks) arrives in
+// burst of full site-node frames (or a window's worth of acks) arrives in
 // one read syscall. It is also the decode window for values, so it must hold
 // at least one maximal varint.
 const tframeReadBuf = 32 << 10
@@ -185,14 +187,14 @@ func (d *TFrameReader) Read() (TFrame, int, error) {
 	tlen := int(binary.BigEndian.Uint16(p[13:15]))
 	count := int(binary.BigEndian.Uint32(p[15:19]))
 	vbytes := payload - tframeFixed - tlen // what the payload leaves for values
-	if tlen > maxTenantLen || count > maxBatchLen || count > vbytes ||
+	if tlen > MaxTenantLen || count > MaxBatchLen || count > vbytes ||
 		vbytes > binary.MaxVarintLen64*count {
 		return TFrame{}, 0, fmt.Errorf("remote: tframe length mismatch (tenant %d, count %d, payload %d)",
 			tlen, count, payload)
 	}
 	d.br.Discard(len(hdr)) // cannot fail: the bytes are buffered
 	if tlen > 0 {
-		name, err := d.br.Peek(tlen) // tlen <= maxTenantLen < the buffer size
+		name, err := d.br.Peek(tlen) // tlen <= MaxTenantLen < the buffer size
 		if err != nil {
 			return TFrame{}, 0, unexpectedEOF(err)
 		}

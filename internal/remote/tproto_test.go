@@ -126,11 +126,11 @@ func TestTFrameWriteValidation(t *testing.T) {
 	if err := WriteTFrame(&buf, TFrame{Type: 0x7f}); err == nil {
 		t.Fatal("unknown type should error")
 	}
-	big := make([]byte, maxTenantLen+1)
+	big := make([]byte, MaxTenantLen+1)
 	if err := WriteTFrame(&buf, TFrame{Type: TypeBatch, Tenant: string(big)}); err == nil {
 		t.Fatal("oversized tenant should error")
 	}
-	if err := WriteTFrame(&buf, TFrame{Type: TypeBatch, Values: make([]uint64, maxBatchLen+1)}); err == nil {
+	if err := WriteTFrame(&buf, TFrame{Type: TypeBatch, Values: make([]uint64, MaxBatchLen+1)}); err == nil {
 		t.Fatal("oversized batch should error")
 	}
 }
@@ -208,7 +208,7 @@ func TestTFrameValuesSpanReadBuffer(t *testing.T) {
 }
 
 // TestTFrameCodecDoesNotAllocate is the steady-state guard for the link's hot
-// path: encoding a forwarder-sized frame into a connection-owned buffer and
+// path: encoding a full site-node frame into a connection-owned buffer and
 // decoding it from a connection's reader into a pooled slice allocate nothing.
 func TestTFrameCodecDoesNotAllocate(t *testing.T) {
 	vals := make([]uint64, 256)

@@ -391,8 +391,8 @@ func (s *IngestServer) applyBatch(node string, nc *nodeConn, f TFrame, lk *sync.
 // buffer. These frames carry no values and at most a reason, which is cut to
 // what a frame may hold, so encoding cannot fail.
 func (s *IngestServer) queue(nc *nodeConn, f TFrame) {
-	if len(f.Tenant) > maxTenantLen {
-		f.Tenant = f.Tenant[:maxTenantLen]
+	if len(f.Tenant) > MaxTenantLen {
+		f.Tenant = f.Tenant[:MaxTenantLen]
 	}
 	nc.out, _ = AppendTFrame(nc.out, f)
 }

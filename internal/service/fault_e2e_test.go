@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"disttrack/internal/fault"
-	"disttrack/internal/runtime"
 )
 
 // waitCond polls cond until it holds or the deadline passes.
@@ -79,7 +78,8 @@ func TestFaultE2EKillSite(t *testing.T) {
 	siteB, err := NewSiteNode(SiteNodeConfig{
 		Node:               "site-b",
 		Upstream:           ri.Addr(),
-		Forward:            runtime.ForwarderConfig{BatchSize: 8, MaxDelay: time.Millisecond},
+		BatchSize:          8,
+		MaxDelay:           time.Millisecond,
 		BreakerFailures:    2,
 		BreakerOpenTimeout: 30 * time.Millisecond,
 		Dial: inj.Dial(func(addr string) (net.Conn, error) {

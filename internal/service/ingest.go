@@ -69,7 +69,7 @@ type tenantGroup struct {
 // ingest allocates nothing: the grouper, and the call's group list (each
 // tenant's groups adjacent).
 type ingestScratch struct {
-	g      grouper[*Tenant]
+	g      grouper
 	groups []tenantGroup
 }
 

@@ -3,6 +3,8 @@ package service
 import (
 	"strings"
 	"testing"
+
+	"disttrack/internal/remote"
 )
 
 func TestRegistryLifecycle(t *testing.T) {
@@ -56,10 +58,15 @@ func TestTenantConfigValidation(t *testing.T) {
 		{Name: "x", Kind: KindHH, K: 2, Eps: 1},
 		{Name: "x", Kind: KindQuantile, K: 2, Eps: 0.1, Phis: []float64{1.5}},
 		{Name: "x", Kind: KindHH, K: 2, Eps: 0.1, Phis: []float64{0.5}},
+		// A name no site node frame could carry.
+		{Name: strings.Repeat("x", remote.MaxTenantLen+1), Kind: KindHH, K: 2, Eps: 0.1},
 	}
 	for _, tc := range bad {
 		if _, err := r.Create(tc); err == nil {
 			t.Errorf("Create(%+v) should fail", tc)
 		}
+	}
+	if _, err := r.Create(TenantConfig{Name: strings.Repeat("x", remote.MaxTenantLen), Kind: KindHH, K: 2, Eps: 0.1}); err != nil {
+		t.Errorf("a %d-byte name should be accepted: %v", remote.MaxTenantLen, err)
 	}
 }

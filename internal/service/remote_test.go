@@ -7,11 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"disttrack/internal/oracle"
-	"disttrack/internal/runtime"
+	"disttrack/internal/remote"
 	"disttrack/internal/stream"
 )
 
@@ -62,9 +63,10 @@ func startCoord(t *testing.T) (*Server, *RemoteIngest) {
 func startSiteNode(t *testing.T, name, upstream string) *SiteNode {
 	t.Helper()
 	n, err := NewSiteNode(SiteNodeConfig{
-		Node:     name,
-		Upstream: upstream,
-		Forward:  runtime.ForwarderConfig{BatchSize: 64, MaxDelay: 2 * time.Millisecond},
+		Node:      name,
+		Upstream:  upstream,
+		BatchSize: 64,
+		MaxDelay:  2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -245,14 +247,19 @@ func TestDistributedRejections(t *testing.T) {
 	mustCreate(t, coord, TenantConfig{Name: "q", Kind: KindQuantile, K: 2, Eps: 0.1})
 	node := startSiteNode(t, "edge", ri.Addr())
 
-	// Locally detectable rejects.
+	// Locally detectable rejects, a tenant name no frame could carry among
+	// them.
 	acc, errs := node.Ingest([]Record{
 		{Tenant: "", Site: 0, Value: 1},
 		{Tenant: "q", Site: -1, Value: 1},
+		{Tenant: strings.Repeat("q", remote.MaxTenantLen+1), Site: 0, Value: 1},
 		{Tenant: "q", Site: 0, Value: 1},
 	})
-	if acc != 1 || len(errs) != 2 {
-		t.Fatalf("accepted %d rejected %d, want 1/2: %v", acc, len(errs), errs)
+	if acc != 1 || len(errs) != 3 || errs[2].Index != 2 {
+		t.Fatalf("accepted %d rejected %d, want 1/3: %v", acc, len(errs), errs)
+	}
+	if st := node.Stats(); st.Rejected != 3 {
+		t.Fatalf("node counted %d rejected, want 3", st.Rejected)
 	}
 
 	// Unknown tenant: accepted locally, refused upstream.
@@ -393,7 +400,7 @@ func TestSiteNodeCloseTimeout(t *testing.T) {
 		Node:         "doomed",
 		Upstream:     ri.Addr(),
 		DrainTimeout: 200 * time.Millisecond,
-		Forward:      runtime.ForwarderConfig{BatchSize: 1},
+		BatchSize:    1,
 	})
 	if err != nil {
 		t.Fatal(err)

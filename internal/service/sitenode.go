@@ -22,8 +22,13 @@ type SiteNodeConfig struct {
 	Node string
 	// Upstream is the coordinator's remote-ingest address. Required.
 	Upstream string
-	// Forward tunes local batching (zero values take defaults).
-	Forward runtime.ForwarderConfig
+	// BatchSize is the values a (tenant, site) buffer collects before it is
+	// shipped upstream as one frame (default 256, at most
+	// remote.MaxBatchLen).
+	BatchSize int
+	// MaxDelay bounds how long a partial buffer waits to fill before it is
+	// shipped anyway (default 50ms).
+	MaxDelay time.Duration
 	// Window bounds unacknowledged frames in flight to the coordinator
 	// (default 64).
 	Window int
@@ -47,26 +52,47 @@ type SiteNodeConfig struct {
 }
 
 // SiteNode is the site role of a distributed trackd deployment: it accepts
-// the same ingest records as a standalone server, accumulates them into
-// per-(tenant, site) batches (runtime.Forwarder), and pushes batched delta
-// frames upstream to the coordinator over the multi-tenant transport
+// the same ingest records as a standalone server, appends their values to
+// per-(tenant, site) buffers, and ships each buffer upstream to the
+// coordinator as one batch frame over the multi-tenant transport
 // (remote.NodeClient). Tenant configuration lives at the coordinator; the
 // node validates only what it can know locally, and upstream rejections are
 // surfaced through Stats. Backpressure propagates end to end: a stalled
-// coordinator fills the transport window, which stalls the forwarder, which
-// blocks Ingest.
+// coordinator fills the transport window, SendBatch blocks under the node's
+// lock, and Ingest blocks behind it.
 type SiteNode struct {
 	cfg SiteNodeConfig
 	cl  *remote.NodeClient
-	fw  *runtime.Forwarder
 	mux *http.ServeMux
 	met *nodeMetrics
 
-	groupers sync.Pool // *grouper[fwdKey], Ingest's per-call scratch
+	// mu guards bufs and shipErr. A buffer is shipped with SendBatch while
+	// mu is held, so leaving bufs and entering the transport are one step:
+	// no later value of the same (tenant, site), and no Flush, can overtake
+	// it.
+	mu      sync.Mutex
+	bufs    map[bufKey]*siteBuf
+	shipErr error // the first failed ship since the last Flush
+
+	stop chan struct{} // closed by Close: ends the delay ticker
+	wg   sync.WaitGroup
 
 	accepted atomic.Int64
 	rejected atomic.Int64
+	batches  atomic.Int64 // frames SendBatch took
 	closing  atomic.Bool
+}
+
+// bufKey is one (tenant, site) stream as the node sees it.
+type bufKey struct {
+	tenant string
+	site   int
+}
+
+// siteBuf collects one (tenant, site) stream's values for its next frame.
+type siteBuf struct {
+	vals  []uint64 // nil once shipped, until the next value arrives
+	since time.Time
 }
 
 // NewSiteNode connects a site node to its coordinator.
@@ -76,6 +102,15 @@ func NewSiteNode(cfg SiteNodeConfig) (*SiteNode, error) {
 	}
 	if cfg.Upstream == "" {
 		return nil, fmt.Errorf("service: SiteNodeConfig.Upstream is required")
+	}
+	if cfg.BatchSize > remote.MaxBatchLen {
+		return nil, fmt.Errorf("service: SiteNodeConfig.BatchSize %d exceeds the frame limit %d", cfg.BatchSize, remote.MaxBatchLen)
+	}
+	if cfg.BatchSize < 1 {
+		cfg.BatchSize = 256
+	}
+	if cfg.MaxDelay <= 0 {
+		cfg.MaxDelay = 50 * time.Millisecond
 	}
 	cl, err := remote.DialNode(cfg.Upstream, remote.NodeConfig{
 		Node:               cfg.Node,
@@ -89,15 +124,9 @@ func NewSiteNode(cfg SiteNodeConfig) (*SiteNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &SiteNode{cfg: cfg, cl: cl}
-	n.groupers.New = func() any { return new(grouper[fwdKey]) }
-	n.fw, err = runtime.NewForwarder(func(tenant string, site int, kind byte, values []uint64) error {
-		return cl.SendBatch(tenant, site, kind, values)
-	}, cfg.Forward)
-	if err != nil {
-		cl.Close()
-		return nil, err
-	}
+	n := &SiteNode{cfg: cfg, cl: cl, bufs: make(map[bufKey]*siteBuf), stop: make(chan struct{})}
+	n.wg.Add(1)
+	go n.tick()
 	n.met = newNodeMetrics(n)
 	n.mux = http.NewServeMux()
 	n.mux.HandleFunc("GET /healthz", n.handleHealth)
@@ -112,88 +141,128 @@ func NewSiteNode(cfg SiteNodeConfig) (*SiteNode, error) {
 func (n *SiteNode) Metrics() *obs.Registry { return n.met.reg }
 
 // Ingest accepts records for upstream delivery. Validation is local-only
-// (the tenant registry lives at the coordinator): empty tenant names and
-// negative sites are rejected here; unknown tenants and out-of-range
-// values are rejected upstream and counted in Stats.
+// (the tenant registry lives at the coordinator): empty or over-long tenant
+// names and negative sites are rejected here; unknown tenants and
+// out-of-range values are rejected upstream and counted in Stats.
 func (n *SiteNode) Ingest(recs []Record) (int, []RecordError) {
+	var errs []RecordError
+	accepted := 0
+	n.mu.Lock()
+	// Close sets closing before its flush takes mu, so a call that gets mu
+	// after that flush sees it: nothing is appended once the last ship ran.
 	if n.closing.Load() {
-		errs := make([]RecordError, len(recs))
+		n.mu.Unlock()
+		errs = make([]RecordError, len(recs))
 		for i := range recs {
 			errs[i] = RecordError{Index: i, Err: "site node shutting down"}
 		}
 		n.rejected.Add(int64(len(errs)))
 		return 0, errs
 	}
-	// Group per (tenant, site) before handing to the forwarder — one buffer
-	// append and lock acquisition per group instead of per record — with the
-	// ingester's grouper. The node does not know a tenant's k, so a row is one
-	// (tenant, site) pair with a single slot.
-	//
 	// Records of one tenant usually alternate between a few sites, so the
-	// slots of the tenant being looked at are remembered by site: the
-	// grouper's index (a hash of the name) is consulted once per site of a
-	// run of records naming the same tenant, not once per record.
-	g := n.groupers.Get().(*grouper[fwdKey])
-	g.begin(len(recs))
+	// buffers of the tenant being looked at are remembered by site: the map
+	// (a hash of the name) is consulted once per site of a run of records
+	// naming the same tenant, not once per record. Only shipAged removes
+	// buffers from the map, and it needs mu, so a remembered one stays there
+	// for the rest of the call.
 	var (
-		errs   []RecordError
-		tenant string             // whose slots bySite holds; "" (never valid) before the first
-		bySite [cachedSites]int32 // slot of (tenant, site), or -1 if not opened in this run
+		tenant string                // whose buffers bySite holds; "" (never valid) before the first
+		bySite [cachedSites]*siteBuf // buffer of (tenant, site), or nil if not looked up in this run
 	)
 	for i, rec := range recs {
 		switch {
 		case rec.Tenant == "":
 			errs = append(errs, RecordError{Index: i, Err: "tenant name must be non-empty"})
+			continue
+		case len(rec.Tenant) > remote.MaxTenantLen:
+			errs = append(errs, RecordError{Index: i, Err: fmt.Sprintf("tenant name is %d bytes, over the %d-byte limit", len(rec.Tenant), remote.MaxTenantLen)})
+			continue
 		case rec.Site < 0:
 			errs = append(errs, RecordError{Index: i, Err: fmt.Sprintf("site %d must be >= 0", rec.Site)})
-		default:
-			if rec.Tenant != tenant {
-				tenant = rec.Tenant
-				for j := range bySite {
-					bySite[j] = -1
-				}
-			}
-			var slot int32
-			if rec.Site >= cachedSites {
-				slot, _ = g.open(fwdKey{rec.Tenant, rec.Site}, 1)
-			} else if slot = bySite[rec.Site]; slot < 0 {
-				slot, _ = g.open(fwdKey{rec.Tenant, rec.Site}, 1)
-				bySite[rec.Site] = slot
-			}
-			g.add(i, slot)
+			continue
 		}
+		if rec.Tenant != tenant {
+			tenant = rec.Tenant
+			clear(bySite[:])
+		}
+		var b *siteBuf
+		if rec.Site < cachedSites {
+			b = bySite[rec.Site]
+		}
+		if b == nil {
+			key := bufKey{rec.Tenant, rec.Site}
+			if b = n.bufs[key]; b == nil {
+				b = new(siteBuf)
+				n.bufs[key] = b
+			}
+			if rec.Site < cachedSites {
+				bySite[rec.Site] = b
+			}
+		}
+		if b.vals == nil {
+			b.vals, b.since = runtime.GetBatch(n.cfg.BatchSize), time.Now()
+		}
+		b.vals = append(b.vals, rec.Value)
+		if len(b.vals) == n.cfg.BatchSize {
+			n.shipLocked(bufKey{rec.Tenant, rec.Site}, b)
+		}
+		accepted++
 	}
-	accepted := 0
-	g.emit(recs, func(key fwdKey, _ int, values []uint64) {
-		err := n.fw.AddBatch(key.tenant, key.site, remote.TKindUnknown, values)
-		// AddBatch copies from the slice, so it goes straight back to the
-		// batch pool either way.
-		runtime.PutBatch(values)
-		if err != nil {
-			// The forwarder is closed or failed: report the group's records.
-			for i, rec := range recs {
-				if rec.Tenant == key.tenant && rec.Site == key.site {
-					errs = append(errs, RecordError{Index: i, Err: err.Error()})
-				}
-			}
-			return
-		}
-		accepted += len(values)
-	})
-	n.groupers.Put(g)
+	n.mu.Unlock()
 	n.accepted.Add(int64(accepted))
 	n.rejected.Add(int64(len(errs)))
 	return accepted, errs
 }
 
-// cachedSites is how many of a tenant's sites Ingest remembers slots for;
-// records for higher site ids look their slot up in the grouper every time.
+// cachedSites is how many of a tenant's sites Ingest remembers buffers for;
+// records for higher site ids look their buffer up in the map every time.
 const cachedSites = 16
 
-// fwdKey is one (tenant, site) stream as the node sees it.
-type fwdKey struct {
-	tenant string
-	site   int
+// shipLocked hands b's values to the transport as one frame and empties b.
+// SendBatch blocks while the window is full: this is the node's only
+// backpressure bound, and it holds mu, so Ingest blocks behind it. A failed
+// ship is kept for the next Flush to report.
+func (n *SiteNode) shipLocked(key bufKey, b *siteBuf) {
+	vals := b.vals
+	b.vals = nil
+	if err := n.cl.SendBatch(key.tenant, key.site, remote.TKindUnknown, vals); err != nil {
+		if n.shipErr == nil {
+			n.shipErr = fmt.Errorf("service: ship %d values for %s/%d: %w", len(vals), key.tenant, key.site, err)
+		}
+		runtime.PutBatch(vals) // a refused frame stays the caller's
+		return
+	}
+	n.batches.Add(1)
+}
+
+// shipAged ships every buffer whose oldest value arrived before cutoff (zero
+// cutoff: all of them) and forgets every buffer it emptied or found empty.
+func (n *SiteNode) shipAged(cutoff time.Time) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for key, b := range n.bufs {
+		if b.vals == nil {
+			delete(n.bufs, key)
+		} else if cutoff.IsZero() || b.since.Before(cutoff) {
+			n.shipLocked(key, b)
+			delete(n.bufs, key)
+		}
+	}
+}
+
+// tick ships partial buffers that have waited MaxDelay.
+func (n *SiteNode) tick() {
+	defer n.wg.Done()
+	t := time.NewTicker(n.cfg.MaxDelay)
+	defer t.Stop()
+	for {
+		select {
+		case <-n.stop:
+			return
+		case now := <-t.C:
+			n.shipAged(now.Add(-n.cfg.MaxDelay))
+		}
+	}
 }
 
 // Flush is the distributed visibility barrier: local buffers are pushed
@@ -208,7 +277,12 @@ func (n *SiteNode) Flush() error { return n.FlushContext(context.Background()) }
 func (n *SiteNode) FlushContext(ctx context.Context) error {
 	done := make(chan error, 1)
 	go func() {
-		if err := n.fw.Flush(); err != nil {
+		n.shipAged(time.Time{})
+		n.mu.Lock()
+		err := n.shipErr
+		n.shipErr = nil
+		n.mu.Unlock()
+		if err != nil {
 			done <- err
 			return
 		}
@@ -218,7 +292,7 @@ func (n *SiteNode) FlushContext(ctx context.Context) error {
 	case err := <-done:
 		return err
 	case <-ctx.Done():
-		// The forwarder barrier itself is not cancellable; the goroutine
+		// A ship blocked on a full window is not cancellable; the goroutine
 		// finishes (or fails) once the transport heals or the node closes.
 		return ctx.Err()
 	}
@@ -246,7 +320,7 @@ func (n *SiteNode) Stats() SiteNodeStats {
 		Node:           n.cfg.Node,
 		Accepted:       n.accepted.Load(),
 		Rejected:       n.rejected.Load(),
-		Batches:        n.fw.Batches(),
+		Batches:        n.batches.Load(),
 		Pending:        n.cl.Pending(),
 		Reconnects:     n.cl.Reconnects(),
 		Resent:         n.cl.Resent(),
@@ -258,7 +332,7 @@ func (n *SiteNode) Stats() SiteNodeStats {
 
 // nodeMetrics is the site node's obs instrumentation. The node has no
 // per-arrival hot path worth inline counters — Ingest already batches — so
-// everything is mirrored from the transport and forwarder counters by a
+// everything is mirrored from the node and transport counters by a
 // scrape hook, plus gauge funcs for the instantaneous window state.
 type nodeMetrics struct {
 	reg *obs.Registry
@@ -339,7 +413,7 @@ func (n *SiteNode) syncObs() {
 	up, down := n.cl.Bytes()
 	addDelta(m.accepted, &m.last.accepted, n.accepted.Load())
 	addDelta(m.rejected, &m.last.rejected, n.rejected.Load())
-	addDelta(m.batches, &m.last.batches, n.fw.Batches())
+	addDelta(m.batches, &m.last.batches, n.batches.Load())
 	addDelta(m.reconnects, &m.last.reconnects, n.cl.Reconnects())
 	addDelta(m.resent, &m.last.resent, n.cl.Resent())
 	addDelta(m.upstreamRej, &m.last.upstreamRej, rej)
@@ -403,13 +477,15 @@ func (n *SiteNode) Close() error {
 	defer cancel()
 	flushErr := n.FlushContext(ctx)
 	if errors.Is(flushErr, context.DeadlineExceeded) {
-		// Closing the transport unblocks any forwarder dispatch stuck in
-		// SendBatch, letting the forwarder close cleanly.
+		// Closing the transport unblocks any ship stuck in SendBatch, and
+		// the ticker with it.
 		n.cl.Close()
-		n.fw.Close()
+		close(n.stop)
+		n.wg.Wait()
 		return fmt.Errorf("service: drain timed out after %v; unacknowledged batches abandoned", timeout)
 	}
-	n.fw.Close()
+	close(n.stop)
+	n.wg.Wait()
 	if err := n.cl.Close(); err != nil {
 		return err
 	}

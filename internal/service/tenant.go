@@ -16,6 +16,7 @@ import (
 	"disttrack/internal/core/quantile"
 	"disttrack/internal/durable"
 	"disttrack/internal/fault"
+	"disttrack/internal/remote"
 	"disttrack/internal/runtime"
 	"disttrack/internal/slots"
 	"disttrack/internal/stream"
@@ -80,6 +81,10 @@ type TenantConfig struct {
 func (tc TenantConfig) validate() error {
 	if tc.Name == "" {
 		return fmt.Errorf("tenant name must be non-empty")
+	}
+	if len(tc.Name) > remote.MaxTenantLen {
+		// A site node's frames could not carry the name.
+		return fmt.Errorf("tenant name is %d bytes, over the %d-byte limit", len(tc.Name), remote.MaxTenantLen)
 	}
 	for _, r := range tc.Name {
 		switch {
