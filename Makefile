@@ -54,7 +54,9 @@ test-shuffle:
 # (reordered or lost values; under -race about a third of runs fail);
 # the seventh repeats the cluster's senders against a cancelled context (no
 # sender blocks, every accepted value is counted once as processed or
-# dropped).
+# dropped); the eighth repeats the site node client's redial loop, whose
+# backoff wait races Close through a channel, beside the coordinator's
+# per-node breaker that damps a flapping node.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
@@ -63,6 +65,7 @@ race:
 	$(GO) test -race -count=10 -run 'TestEngineConformance/.*/(ConcurrentStress|ConcurrentBatchStress)' ./internal/core/quantile ./internal/core/allq ./internal/core/hh
 	$(GO) test -race -count=40 -run TestSiteNodeConcurrentProducers ./internal/service
 	$(GO) test -race -count=40 -run TestStopUnderLoad ./internal/runtime
+	$(GO) test -race -count=20 -run 'TestClientRedialPartitionAndHeal|TestCloseDuringBackoff|TestServerBreakerRefusesFlappingNode' ./internal/remote
 
 # The quick experiment tables are a pure function of the protocols' decisions
 # (every wire.Meter count, round, split and served answer on seeded streams):

@@ -22,7 +22,8 @@ func siteArgs(coord *proc, extra ...string) []string {
 		"-upstream", coord.ingest, "-forward-delay", "5ms"}, extra...)
 }
 
-// breaker makes a tripped breaker recover within the scenario.
+// breaker makes a coordinator's tripped per-node breaker recover within
+// the scenario. A site node has no breaker: backoff alone paces its redials.
 var breaker = []string{"-breaker-fail", "3", "-breaker-open", "300ms"}
 
 // durableArgs run a node durably on dir. The 1 h checkpoint interval keeps
@@ -113,7 +114,7 @@ func obsScenario(r *run) {
 // node name and require exactly-once totals.
 func faultScenario(r *run) {
 	coord := r.start("coord", coordArgs(breaker...)...)
-	site := r.start("site", siteArgs(coord, breaker...)...)
+	site := r.start("site", siteArgs(coord)...)
 
 	r.step("creating tenants (one QoS-limited)")
 	r.createTenant(coord, map[string]any{"name": "clicks", "kind": "hh", "k": 2, "eps": 0.05})
@@ -176,13 +177,10 @@ func faultScenario(r *run) {
 
 	s = r.scrape("site /metrics", site.http)
 	s.families(
-		"disttrack_node_breaker_state",
-		"disttrack_node_breaker_trips_total",
+		"disttrack_node_connected",
 		"disttrack_node_dial_attempts_total",
-		"disttrack_node_retry_budget_tokens",
-		"disttrack_node_retry_budget_denied_total",
 	)
-	s.want("disttrack_node_breaker_state", 0)
+	s.want("disttrack_node_connected", 1)
 }
 
 // crashScenario is the docs/durability.md walkthrough live on a standalone
@@ -249,7 +247,7 @@ func crashScenario(r *run) {
 // itself, so the resync exercises the cursor-file ∨ WAL-provenance merge.
 func membershipScenario(r *run) {
 	coord := r.start("coord", coordArgs(append(durableArgs(filepath.Join(r.dir, "data")), breaker...)...)...)
-	site := r.start("site", siteArgs(coord, breaker...)...)
+	site := r.start("site", siteArgs(coord)...)
 	r.createTenant(coord, map[string]any{"name": "clicks", "kind": "hh", "k": 2, "eps": 0.05})
 
 	r.step("baseline ingest through the site node (k=2)")
@@ -271,6 +269,9 @@ func membershipScenario(r *run) {
 	s.want("disttrack_membership_epoch", 2)
 	s.want("disttrack_membership_changes_total", 1)
 
+	// The epoch change cut the site's connection once already; the restart
+	// below must cost it exactly one more reconnect.
+	reconnects := r.scrape("site /metrics", site.http).samples["disttrack_node_reconnects_total"]
 	r.kill9(coord)
 	r.boot(coord)
 	// The restarted coordinator resumes at epoch 2 with edge-1's cursor, so
@@ -284,6 +285,11 @@ func membershipScenario(r *run) {
 	r.waitHealth(coord, "site reconnected", func(h health) bool { return !h.Degraded })
 	r.ingest(site, "clicks", 100, 2, 11)
 	r.wantCounts(coord, "clicks", 200, 200, 0)
+	// The site's side of the heal: its flush just crossed a live link, made
+	// by one successful redial.
+	s = r.scrape("site /metrics", site.http)
+	s.want("disttrack_node_connected", 1)
+	s.want("disttrack_node_reconnects_total", reconnects+1)
 	r.heavy(coord, "clicks")
 }
 

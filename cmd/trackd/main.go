@@ -26,12 +26,12 @@
 // replays the WAL tail; a graceful SIGTERM drain takes final checkpoints so
 // restarts replay nothing. See docs/durability.md.
 //
-// The distributed roles carry fault-tolerance machinery — circuit breakers
-// on both ends of the site↔coordinator link, a retry budget pacing site
-// redials, and per-tenant admission control — tuned by -breaker-fail,
-// -breaker-open, -retry-budget and -retry-budget-burst plus the per-tenant
-// QoS fields of the tenant-create API. docs/operations.md is the operator
-// runbook for all of it.
+// The distributed roles carry fault-tolerance machinery — a site redials its
+// coordinator on capped, jittered exponential backoff, the coordinator runs
+// a per-node circuit breaker that damps a flapping site (-breaker-fail,
+// -breaker-open; coord role only), and per-tenant admission control is set
+// by the QoS fields of the tenant-create API. docs/operations.md is the
+// operator runbook for all of it.
 //
 // Usage:
 //
@@ -169,8 +169,6 @@ type config struct {
 	forwardBatch int
 	forwardDelay time.Duration
 	window       int
-	budgetRatio  float64
-	budgetBurst  float64
 }
 
 // parseFlags parses args (without the program name) into a config.
@@ -193,10 +191,8 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&cfg.forwardBatch, "forward-batch", 256, "site: values per upstream batch frame")
 	fs.DurationVar(&cfg.forwardDelay, "forward-delay", 50*time.Millisecond, "site: max buffering delay before a partial batch is sent")
 	fs.IntVar(&cfg.window, "window", 64, "site: max unacknowledged frames in flight")
-	fs.IntVar(&cfg.breakerFail, "breaker-fail", 0, "consecutive failures tripping a circuit breaker: coord per flapping node, site on the upstream dial (0 = default 5)")
-	fs.DurationVar(&cfg.breakerOpen, "breaker-open", 0, "how long a tripped breaker holds off before a probe (0 = default 5s)")
-	fs.Float64Var(&cfg.budgetRatio, "retry-budget", 0, "site: retry-budget deposit per acked frame; redials past the budget slow to the max backoff (0 = default 0.1)")
-	fs.Float64Var(&cfg.budgetBurst, "retry-budget-burst", 0, "site: retry-budget token cap (0 = default 10)")
+	fs.IntVar(&cfg.breakerFail, "breaker-fail", 0, "coord: consecutive no-progress connections that trip a site node's breaker (0 = default 5)")
+	fs.DurationVar(&cfg.breakerOpen, "breaker-open", 0, "coord: how long a tripped node breaker refuses handshakes before a probe (0 = default 5s)")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
@@ -256,8 +252,8 @@ func (c *config) validate() error {
 	if c.breakerFail < 0 || c.breakerOpen < 0 {
 		return fmt.Errorf("-breaker-fail and -breaker-open must be >= 0 (0 = package default)")
 	}
-	if c.budgetRatio < 0 || c.budgetBurst < 0 {
-		return fmt.Errorf("-retry-budget and -retry-budget-burst must be >= 0 (0 = package default)")
+	if (c.breakerFail != 0 || c.breakerOpen != 0) && c.role == "site" {
+		return fmt.Errorf("-breaker-fail and -breaker-open tune the coordinator's per-node breaker (a site node's redials are paced by backoff alone)")
 	}
 	return nil
 }
@@ -363,16 +359,12 @@ func runSite(cfg config, logger *slog.Logger) error {
 		return err
 	}
 	node, err := service.NewSiteNode(service.SiteNodeConfig{
-		Node:               cfg.node,
-		Upstream:           cfg.upstream,
-		Window:             cfg.window,
-		DrainTimeout:       cfg.grace,
-		BreakerFailures:    cfg.breakerFail,
-		BreakerOpenTimeout: cfg.breakerOpen,
-		RetryBudgetRatio:   cfg.budgetRatio,
-		RetryBudgetBurst:   cfg.budgetBurst,
-		BatchSize:          cfg.forwardBatch,
-		MaxDelay:           cfg.forwardDelay,
+		Node:         cfg.node,
+		Upstream:     cfg.upstream,
+		Window:       cfg.window,
+		DrainTimeout: cfg.grace,
+		BatchSize:    cfg.forwardBatch,
+		MaxDelay:     cfg.forwardDelay,
 	})
 	if err != nil {
 		return err

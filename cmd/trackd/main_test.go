@@ -68,6 +68,11 @@ func TestParseFlagsRoles(t *testing.T) {
 		{"bad fsync", []string{"-data-dir", "/tmp/dt", "-fsync", "sometimes"}, "-fsync"},
 		{"bad checkpoint interval", []string{"-checkpoint-interval", "0s"}, "must be positive"},
 		{"site with data dir", []string{"-role", "site", "-upstream", "h:1", "-node", "e", "-data-dir", "/tmp/dt"}, "standalone and coord"},
+		{"coord breaker ok", []string{"-role", "coord", "-breaker-fail", "3", "-breaker-open", "300ms"}, ""},
+		{"site with breaker-fail", []string{"-role", "site", "-upstream", "h:1", "-node", "e", "-breaker-fail", "3"}, "coordinator's per-node breaker"},
+		{"site with breaker-open", []string{"-role", "site", "-upstream", "h:1", "-node", "e", "-breaker-open", "1s"}, "coordinator's per-node breaker"},
+		{"removed -retry-budget", []string{"-retry-budget", "0.1"}, "flag provided but not defined"},
+		{"removed -retry-budget-burst", []string{"-retry-budget-burst", "10"}, "flag provided but not defined"},
 		{"bad log format", []string{"-log-format", "xml"}, "unknown -log-format"},
 		{"unknown flag", []string{"-nope"}, "flag provided but not defined"},
 		{"positional junk", []string{"extra"}, "unexpected arguments"},

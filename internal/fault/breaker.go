@@ -1,14 +1,10 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 )
-
-// ErrOpen is returned by Breaker.Do while the breaker refuses calls.
-var ErrOpen = errors.New("fault: circuit open")
 
 // State is a Breaker's position in the closed → open → half-open machine.
 type State int32
@@ -18,8 +14,8 @@ const (
 	StateClosed State = iota
 	// StateOpen: calls are refused until OpenTimeout has elapsed.
 	StateOpen
-	// StateHalfOpen: one probe call at a time is admitted; enough
-	// consecutive probe successes close the breaker, any failure reopens it.
+	// StateHalfOpen: one probe call at a time is admitted; a successful
+	// probe closes the breaker, a failed one reopens it.
 	StateHalfOpen
 )
 
@@ -44,9 +40,6 @@ type BreakerConfig struct {
 	// OpenTimeout is how long the breaker stays open before admitting a
 	// half-open probe (default 5s).
 	OpenTimeout time.Duration
-	// HalfOpenProbes is how many consecutive probe successes close the
-	// breaker again (default 1).
-	HalfOpenProbes int
 	// Now is the clock (default time.Now); injectable for tests.
 	Now func() time.Time
 }
@@ -57,9 +50,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.OpenTimeout <= 0 {
 		c.OpenTimeout = 5 * time.Second
-	}
-	if c.HalfOpenProbes < 1 {
-		c.HalfOpenProbes = 1
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -79,22 +69,21 @@ type BreakerStats struct {
 // Breaker is a circuit breaker: it watches a caller-reported
 // success/failure stream and refuses calls while the guarded dependency
 // looks dead, so callers fail fast instead of piling onto a sick peer.
-// Recovery is automatic: after OpenTimeout one probe is admitted, and
-// consecutive probe successes re-close the breaker.
+// Recovery is automatic: after OpenTimeout one probe is admitted, and a
+// successful probe re-closes the breaker.
 //
-// Callers either use the Allow/OnSuccess/OnFailure triple around their own
-// call, or wrap it with Do. Safe for concurrent use.
+// Callers use the Allow/OnSuccess/OnFailure triple around their own call.
+// Safe for concurrent use.
 type Breaker struct {
 	cfg BreakerConfig
 
-	mu        sync.Mutex
-	state     State
-	failures  int       // consecutive failures (closed) / probe failures trigger
-	successes int       // consecutive probe successes (half-open)
-	openedAt  time.Time // when the breaker last tripped
-	probing   bool      // a half-open probe is in flight
-	trips     int64
-	probes    int64
+	mu       sync.Mutex
+	state    State
+	failures int       // consecutive failures (closed) / probe failures trigger
+	openedAt time.Time // when the breaker last tripped
+	probing  bool      // a half-open probe is in flight
+	trips    int64
+	probes   int64
 }
 
 // NewBreaker returns a closed breaker.
@@ -117,7 +106,6 @@ func (b *Breaker) Allow() bool {
 			return false
 		}
 		b.state = StateHalfOpen
-		b.successes = 0
 		b.probing = true
 		b.probes++
 		return true
@@ -131,30 +119,8 @@ func (b *Breaker) Allow() bool {
 	}
 }
 
-// RetryIn returns how long until the breaker will next admit a call: zero
-// when it would admit one now, the remaining open window otherwise (or the
-// full OpenTimeout while a half-open probe is undecided). Reconnect loops
-// use it to sleep exactly as long as the breaker holds them out.
-func (b *Breaker) RetryIn() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case StateOpen:
-		if d := b.cfg.OpenTimeout - b.cfg.Now().Sub(b.openedAt); d > 0 {
-			return d
-		}
-		return 0
-	case StateHalfOpen:
-		if b.probing {
-			return b.cfg.OpenTimeout
-		}
-	}
-	return 0
-}
-
 // OnSuccess reports a successful call: it resets the failure streak
-// (closed) or advances the probe streak (half-open), closing the breaker
-// once HalfOpenProbes consecutive probes succeeded.
+// (closed) or, for the half-open probe, closes the breaker.
 func (b *Breaker) OnSuccess() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -163,11 +129,8 @@ func (b *Breaker) OnSuccess() {
 	case StateClosed:
 		b.failures = 0
 	case StateHalfOpen:
-		b.successes++
-		if b.successes >= b.cfg.HalfOpenProbes {
-			b.state = StateClosed
-			b.failures = 0
-		}
+		b.state = StateClosed
+		b.failures = 0
 	case StateOpen:
 		// A call admitted before the trip finished after it: the success is
 		// stale evidence; stay open until the timeout probes properly.
@@ -197,22 +160,7 @@ func (b *Breaker) OnFailure() {
 func (b *Breaker) tripLocked() {
 	b.state = StateOpen
 	b.openedAt = b.cfg.Now()
-	b.successes = 0
 	b.trips++
-}
-
-// Do runs fn behind the breaker: ErrOpen without calling it when the
-// breaker refuses, fn's own error (reported to the breaker) otherwise.
-func (b *Breaker) Do(fn func() error) error {
-	if !b.Allow() {
-		return ErrOpen
-	}
-	if err := fn(); err != nil {
-		b.OnFailure()
-		return err
-	}
-	b.OnSuccess()
-	return nil
 }
 
 // State returns the breaker's current state (open flips to half-open only

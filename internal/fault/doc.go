@@ -1,34 +1,31 @@
 // Package fault is the stdlib-only fault-tolerance toolkit for the
 // service/remote plane: the mechanisms that keep a coordinator serving when
-// site nodes die, and keep a site node's retries from amplifying an outage.
-// It has four independent pieces, composed by internal/remote and
-// internal/service (see docs/operations.md for the operator's view):
+// site nodes die or flap, and pace a site node's redials. It has three
+// independent pieces, composed by internal/remote and internal/service (see
+// docs/operations.md for the operator's view):
 //
 //   - Breaker: a circuit breaker with the classic closed → open → half-open
 //     state machine. Consecutive failures trip it open; after OpenTimeout it
-//     admits a single half-open probe; probe successes close it again. Both
-//     the site node's dial loop and the coordinator's per-node connection
-//     acceptance run behind one.
+//     admits a single half-open probe; a successful probe closes it again.
+//     The coordinator runs one per site node to refuse the handshakes of a
+//     node whose connections keep dying before they make progress.
 //
-//   - Budget: a token-bucket retry budget. Successful work deposits
-//     fractional tokens, each retry spends one; when the bucket is empty the
-//     retry is denied and the caller backs off at its maximum interval. This
-//     bounds retry traffic to a fraction of successful traffic, so retries
-//     cannot amplify an outage into a retry storm.
+//   - Backoff: jittered exponential backoff delays, the one rule that paces
+//     a site node's redials. Jitter decorrelates the retry times of many
+//     clients that observed the same failure at the same instant (the
+//     thundering-herd reconnect); the cap bounds a dead coordinator's dial
+//     rate.
 //
-//   - Backoff: jittered exponential backoff delays for reconnect loops.
-//     Jitter decorrelates the retry times of many clients that observed the
-//     same failure at the same instant (the thundering-herd reconnect).
-//
-//   - Limiter: a token-bucket rate limiter with a RetryAfter estimate, the
+//   - Limiter: a token-bucket rate limiter with a retry-after estimate, the
 //     admission-control primitive behind the service's per-tenant QoS
 //     (HTTP 429 + Retry-After; silent drop accounting on the TCP edge).
 //
-// An Injector is also provided for tests and smoke scripts: it wraps a
-// net.Conn and induces errors, latency or a full partition on demand, so the
-// breaker/budget/backoff machinery can be exercised deterministically
-// against real connections.
+// An Injector is also provided for tests: it wraps a net.Conn and induces
+// errors or a full partition on demand, so the redial and resync machinery
+// can be exercised deterministically against real connections.
 //
-// All clocks are injectable (Now fields) so the state machines are testable
-// without sleeping; zero configs take production-sensible defaults.
+// The breaker's and limiter's clocks are injectable (BreakerConfig.Now,
+// Limiter.SetClock) and the backoff's jitter source (Backoff.Rand), so the
+// state machines are testable without sleeping; zero configs take
+// production-sensible defaults.
 package fault

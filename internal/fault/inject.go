@@ -4,7 +4,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"time"
 )
 
 // ErrInjected marks failures induced by an Injector, so tests can tell
@@ -12,17 +11,16 @@ import (
 var ErrInjected = errors.New("fault: injected failure")
 
 // Injector induces faults on wrapped connections: a full partition (every
-// operation fails until healed), a bounded burst of failures, or added
-// per-operation latency. It is the test/smoke-script counterpart of the
-// breaker machinery — internal/remote's dial hook lets a test route a node
-// client's connections through one and watch the breaker respond.
+// operation fails until healed) or a bounded burst of failures. It is the
+// test counterpart of the redial machinery — internal/remote's dial hook
+// lets a test route a node client's connections through one and watch the
+// client back off and resync.
 //
 // Safe for concurrent use; the zero value is a transparent no-op injector.
 type Injector struct {
 	mu          sync.Mutex
 	partitioned bool
 	failNext    int
-	latency     time.Duration
 	injected    int64
 }
 
@@ -52,13 +50,6 @@ func (i *Injector) FailNext(n int) {
 	i.mu.Unlock()
 }
 
-// SetLatency adds d of delay to every subsequent operation (0 clears).
-func (i *Injector) SetLatency(d time.Duration) {
-	i.mu.Lock()
-	i.latency = d
-	i.mu.Unlock()
-}
-
 // Injected returns how many faults the injector has induced.
 func (i *Injector) Injected() int64 {
 	i.mu.Lock()
@@ -66,27 +57,21 @@ func (i *Injector) Injected() int64 {
 	return i.injected
 }
 
-// check applies the per-operation policy: sleep the configured latency,
-// then report whether to inject a failure.
+// check applies the per-operation policy: it reports whether to inject a
+// failure.
 func (i *Injector) check() error {
 	i.mu.Lock()
-	lat := i.latency
+	defer i.mu.Unlock()
 	fail := i.partitioned
 	if !fail && i.failNext > 0 {
 		i.failNext--
 		fail = true
 	}
-	if fail {
-		i.injected++
+	if !fail {
+		return nil
 	}
-	i.mu.Unlock()
-	if lat > 0 {
-		time.Sleep(lat)
-	}
-	if fail {
-		return ErrInjected
-	}
-	return nil
+	i.injected++
+	return ErrInjected
 }
 
 // Dial wraps a dial function: while partitioned it fails immediately, and

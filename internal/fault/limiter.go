@@ -6,24 +6,24 @@ import (
 )
 
 // Limiter is a token-bucket rate limiter, the admission-control primitive
-// behind per-tenant QoS: tokens refill continuously at Rate per second up
-// to Burst, and admitting n records costs n tokens. Unlike Budget (whose
-// deposits are event-driven), refill here is purely time-driven.
+// behind per-tenant QoS: tokens refill continuously at rate per second up
+// to burst, and admitting n records costs n tokens.
 //
-// Admission is all-or-nothing and never debts: a denied batch costs no
-// tokens, and RetryAfter tells the caller when the full batch would fit —
-// the number the HTTP edge surfaces as a Retry-After header. Safe for
-// concurrent use; one mutex acquisition per decision (admission runs per
-// batch or per record on an already-synchronous validation path).
+// Admission is all-or-nothing: a denied request costs no tokens, and the
+// returned hint tells the caller when it would fit — the number the HTTP
+// edge surfaces as a Retry-After header. A request larger than the bucket
+// is admitted only from a full bucket and leaves it in debt (burst − n
+// tokens), so it waits out its own refill and admitted volume stays within
+// rate·t plus the largest request. Safe for concurrent use; one mutex
+// acquisition per decision (admission runs per batch or per record on an
+// already-synchronous validation path).
 type Limiter struct {
 	mu     sync.Mutex
 	rate   float64 // tokens per second
 	burst  float64
-	tokens float64
+	tokens float64 // negative while an over-size request's debt is repaid
 	last   time.Time
 	now    func() time.Time
-
-	throttled int64 // records denied admission
 }
 
 // NewLimiter returns a full bucket admitting rate records/second with depth
@@ -62,17 +62,10 @@ func (l *Limiter) refillLocked() {
 	l.last = t
 }
 
-// Allow admits n records if the bucket holds n tokens, spending them;
-// otherwise it spends nothing, counts the n records throttled, and reports
-// false.
-func (l *Limiter) Allow(n int) bool {
-	ok, _ := l.Admit(n)
-	return ok
-}
-
-// Admit is Allow plus the retry hint: when denied, the returned duration is
-// how long until n tokens will have refilled (capped at the time to refill
-// a full burst, for n beyond the bucket's depth).
+// Admit admits n records if the bucket holds n tokens — or, for n beyond
+// the bucket's depth, if the bucket is full — spending them. Otherwise it
+// spends nothing and returns how long until the request would be admitted:
+// until n tokens have refilled, or the whole bucket for an over-size n.
 func (l *Limiter) Admit(n int) (bool, time.Duration) {
 	if n <= 0 {
 		return true, 0
@@ -80,27 +73,10 @@ func (l *Limiter) Admit(n int) (bool, time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.refillLocked()
-	if float64(n) <= l.tokens {
+	need := min(float64(n), l.burst)
+	if need <= l.tokens {
 		l.tokens -= float64(n)
 		return true, 0
 	}
-	l.throttled += int64(n)
-	need := float64(n)
-	if need > l.burst {
-		need = l.burst
-	}
 	return false, time.Duration((need - l.tokens) / l.rate * float64(time.Second))
 }
-
-// Throttled returns how many records the limiter has denied.
-func (l *Limiter) Throttled() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.throttled
-}
-
-// Rate returns the configured refill rate (records per second).
-func (l *Limiter) Rate() float64 { return l.rate }
-
-// Burst returns the configured bucket depth.
-func (l *Limiter) Burst() float64 { return l.burst }

@@ -11,11 +11,10 @@
 //
 // The transport is fault-tolerant by construction (see internal/fault):
 //
-//   - NodeClient redials through a circuit breaker (stop hammering a dead
-//     coordinator; recover via half-open probes), jittered exponential
-//     backoff (no thundering herd after a coordinator restart), and a
-//     retry budget (retry traffic bounded by acknowledged work, so retries
-//     cannot amplify an outage). NodeConfig.Dial lets tests inject faults.
+//   - NodeClient redials paced by one rule: capped, jittered exponential
+//     backoff (a dead coordinator sees about one dial per RetryMax per node,
+//     and no thundering herd after it restarts). NodeConfig.Dial lets tests
+//     inject faults.
 //   - IngestServer bounds every ack write with a deadline (a node that
 //     stops reading cannot wedge its serve goroutine, which holds the
 //     node's apply lock) and keeps a per-node breaker that refuses hellos

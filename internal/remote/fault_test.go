@@ -31,21 +31,35 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestClientBreakerTripsAndRecovers partitions a node client away from the
-// coordinator, watches its dial breaker trip open, heals the partition, and
-// asserts the breaker recovers via a half-open probe with every batch
-// delivered exactly once.
-func TestClientBreakerTripsAndRecovers(t *testing.T) {
+// maxDials is the most redials the backoff schedule admits within elapsed
+// of the first one, counting it: every wait lasts at least its jittered
+// minimum (rand 0). A client that waits less than the schedule — or not at
+// all — dials more often; a slow machine only dials less.
+func maxDials(bo fault.Backoff, elapsed time.Duration) int64 {
+	bo.Rand = func() float64 { return 0 }
+	n := int64(1)
+	for attempt := 0; ; attempt++ {
+		if elapsed -= bo.Delay(attempt); elapsed < 0 {
+			return n
+		}
+		n++
+	}
+}
+
+// TestClientRedialPartitionAndHeal partitions a node client away from the
+// coordinator, checks that backoff alone paces its redials — it reports
+// itself disconnected and keeps dialing, never faster than the schedule —
+// then heals the partition and asserts every batch arrives exactly once.
+func TestClientRedialPartitionAndHeal(t *testing.T) {
+	const retryMin, retryMax = time.Millisecond, 20 * time.Millisecond
 	col := newCollector()
 	srv := startIngest(t, IngestServerConfig{OnBatch: col.onBatch})
 
 	inj := &fault.Injector{}
 	cl, err := DialNode(srv.Addr(), NodeConfig{
-		Node:               "edge-a",
-		RetryMin:           time.Millisecond,
-		RetryMax:           5 * time.Millisecond,
-		BreakerFailures:    2,
-		BreakerOpenTimeout: 30 * time.Millisecond,
+		Node:     "edge-a",
+		RetryMin: retryMin,
+		RetryMax: retryMax,
 		Dial: inj.Dial(func(addr string) (net.Conn, error) {
 			return net.Dial("tcp", addr)
 		}),
@@ -65,18 +79,27 @@ func TestClientBreakerTripsAndRecovers(t *testing.T) {
 	if err := cl.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	if !cl.Connected() || cl.DialAttempts() != 0 {
+		t.Fatalf("healthy client: connected %v, %d redials; want connected, none", cl.Connected(), cl.DialAttempts())
+	}
 
 	// Partition: new dials fail, and the established connection is severed
 	// from the coordinator side (a partition looks like silence, not a
 	// close, to blocked reads — the server kick stands in for the TCP
 	// keepalive that would eventually fire).
+	start := time.Now()
 	inj.Partition()
 	srv.DisconnectNode("edge-a")
 
-	waitFor(t, 2*time.Second, "client breaker to trip open", func() bool {
-		st := cl.FaultStats()
-		return st.Breaker.Trips >= 1 && st.Breaker.State == fault.StateOpen
-	})
+	waitFor(t, 2*time.Second, "the client to redial", func() bool { return cl.DialAttempts() >= 2 })
+	if cl.Connected() {
+		t.Fatal("partitioned client reports itself connected")
+	}
+	time.Sleep(200 * time.Millisecond)
+	dials := cl.DialAttempts()
+	if limit := maxDials(fault.Backoff{Min: retryMin, Max: retryMax}, time.Since(start)); dials > limit {
+		t.Fatalf("%d redials in %v, the backoff schedule allows at most %d", dials, time.Since(start), limit)
+	}
 
 	// Disconnected is degraded, not gone: the coordinator still reports the
 	// node with its applied state, and still accepts batches client-side.
@@ -97,31 +120,20 @@ func TestClientBreakerTripsAndRecovers(t *testing.T) {
 	if got := col.total(); got != want {
 		t.Fatalf("delivered sum after recovery = %d, want %d (exactly once)", got, want)
 	}
-	st := cl.FaultStats()
-	if st.Breaker.State != fault.StateClosed || st.Breaker.Probes < 1 {
-		t.Fatalf("breaker after recovery = %+v, want closed with >= 1 probe", st.Breaker)
-	}
-	if st.DialAttempts < 3 {
-		t.Fatalf("dial attempts = %d, want >= 3 (failures + probe)", st.DialAttempts)
+	if !cl.Connected() || cl.Reconnects() != 1 {
+		t.Fatalf("healed client: connected %v, %d reconnects; want connected, 1", cl.Connected(), cl.Reconnects())
 	}
 }
 
-// TestClientRetryBudget exhausts a tiny retry budget during an outage and
-// asserts retries are denied (throttled to RetryMax cadence) yet recovery
-// still completes once the link heals.
-func TestClientRetryBudget(t *testing.T) {
-	col := newCollector()
-	srv := startIngest(t, IngestServerConfig{OnBatch: col.onBatch})
-
+// TestCloseDuringBackoff closes a client whose redial loop is waiting out a
+// backoff far longer than the test: Close must end the wait, not sit it out.
+func TestCloseDuringBackoff(t *testing.T) {
+	srv := startIngest(t, IngestServerConfig{OnBatch: newCollector().onBatch})
 	inj := &fault.Injector{}
 	cl, err := DialNode(srv.Addr(), NodeConfig{
-		Node:     "edge-b",
-		RetryMin: time.Millisecond,
-		RetryMax: 10 * time.Millisecond,
-		// Breaker effectively disabled so the budget is what paces retries.
-		BreakerFailures:  1 << 20,
-		RetryBudgetRatio: 1e-9,
-		RetryBudgetBurst: 1,
+		Node:     "edge-c",
+		RetryMin: time.Hour,
+		RetryMax: time.Hour,
 		Dial: inj.Dial(func(addr string) (net.Conn, error) {
 			return net.Dial("tcp", addr)
 		}),
@@ -129,30 +141,23 @@ func TestClientRetryBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-
-	if err := cl.SendBatch("clicks", 0, TKindHH, []uint64{7}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
 	inj.Partition()
-	srv.DisconnectNode("edge-b")
-	waitFor(t, 2*time.Second, "retry budget to deny", func() bool {
-		return cl.FaultStats().BudgetDenied >= 2
-	})
+	srv.DisconnectNode("edge-c")
+	// The first redial goes at once and fails; the next waits an hour.
+	waitFor(t, 2*time.Second, "the first redial", func() bool { return cl.DialAttempts() == 1 })
 
-	inj.Heal()
-	if err := cl.SendBatch("clicks", 0, TKindHH, []uint64{8}); err != nil {
-		t.Fatal(err)
+	closed := make(chan struct{})
+	go func() {
+		cl.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return while the redial loop waited out its backoff")
 	}
-	if err := cl.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := col.total(); got != 15 {
-		t.Fatalf("delivered sum = %d, want 15", got)
+	if n := cl.DialAttempts(); n != 1 {
+		t.Fatalf("%d redials, want 1: the loop dialed again instead of waiting", n)
 	}
 }
 

@@ -26,28 +26,15 @@ type NodeConfig struct {
 	// blocks while the window is full, propagating coordinator-side
 	// backpressure to the producer (default 64).
 	Window int
-	// RetryMin/RetryMax bound the reconnect backoff (defaults 20ms / 2s).
+	// RetryMin/RetryMax bound the reconnect backoff (defaults 20ms / 2s):
+	// the wait after each failed redial doubles from RetryMin up to
+	// RetryMax, ±20% jitter. It is the only thing that paces redials, so
+	// RetryMax is a dead coordinator's dial interval.
 	RetryMin, RetryMax time.Duration
 	// WriteTimeout bounds each socket write (and the handshake read), so a
 	// wedged peer breaks the connection instead of blocking senders — and
 	// everything serialized behind them — indefinitely (default 10s).
 	WriteTimeout time.Duration
-	// BreakerFailures is the consecutive reconnect failures that trip the
-	// dial circuit breaker open (default 5). While open, the client stops
-	// dialing entirely until BreakerOpenTimeout elapses, then sends a single
-	// half-open probe; a successful probe closes the breaker.
-	BreakerFailures int
-	// BreakerOpenTimeout is how long a tripped breaker holds off before
-	// probing the coordinator again (default 5s).
-	BreakerOpenTimeout time.Duration
-	// RetryBudgetRatio and RetryBudgetBurst parameterize the retry budget:
-	// each acknowledged frame earns Ratio retry tokens (capped at Burst),
-	// and each reconnect attempt past the first spends one. An exhausted
-	// budget holds retries at RetryMax instead of the backoff schedule, so
-	// retry traffic is bounded by Ratio × successes + Burst and cannot
-	// amplify an outage (defaults 0.1 / 10). Breaker recovery probes are
-	// exempt — they are already paced at BreakerOpenTimeout intervals.
-	RetryBudgetRatio, RetryBudgetBurst float64
 	// Dial opens the coordinator connection (default: net.Dial "tcp").
 	// Tests and fault drills route it through a fault.Injector to simulate
 	// partitions and flaky links without touching the kernel.
@@ -69,18 +56,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 10 * time.Second
-	}
-	if c.BreakerFailures < 1 {
-		c.BreakerFailures = 5
-	}
-	if c.BreakerOpenTimeout <= 0 {
-		c.BreakerOpenTimeout = 5 * time.Second
-	}
-	if c.RetryBudgetRatio <= 0 {
-		c.RetryBudgetRatio = 0.1
-	}
-	if c.RetryBudgetBurst < 1 {
-		c.RetryBudgetBurst = 10
 	}
 	if c.Dial == nil {
 		c.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
@@ -115,17 +90,14 @@ type NodeClient struct {
 	flushReq uint64 // last NetFlush seq issued
 	flushAck uint64
 	closed   bool
+	done     chan struct{} // closed by Close: ends a redial wait
 
 	reconnects int64
 	resent     int64
 	rejected   int64
 	lastReject string
 
-	// Fault-tolerance machinery around the redial loop: the breaker stops
-	// dialing a dead coordinator, the budget bounds total retry traffic, and
 	// dialAttempts counts every reconnect dial (successful or not).
-	breaker      *fault.Breaker
-	budget       *fault.Budget
 	dialAttempts atomic.Int64
 
 	// Transport byte counters (encoded frame sizes, both directions), for
@@ -151,13 +123,8 @@ func DialNode(addr string, cfg NodeConfig) (*NodeClient, error) {
 	if cfg.Node == "" {
 		return nil, fmt.Errorf("remote: NodeConfig.Node is required")
 	}
-	c := &NodeClient{addr: addr, cfg: cfg.withDefaults()}
+	c := &NodeClient{addr: addr, cfg: cfg.withDefaults(), done: make(chan struct{})}
 	c.cond = sync.NewCond(&c.mu)
-	c.breaker = fault.NewBreaker(fault.BreakerConfig{
-		FailureThreshold: c.cfg.BreakerFailures,
-		OpenTimeout:      c.cfg.BreakerOpenTimeout,
-	})
-	c.budget = fault.NewBudget(c.cfg.RetryBudgetRatio, c.cfg.RetryBudgetBurst)
 	conn, rd, err := c.establish()
 	if err != nil {
 		return nil, err
@@ -239,8 +206,8 @@ func (c *NodeClient) establish() (net.Conn, *TFrameReader, error) {
 // checkWelcome judges the coordinator's answer to a hello. A refusal is an
 // error the redial loop retries: a stale membership epoch is adopted on the
 // spot, a version mismatch is recorded for Rejected and the node's stats —
-// it persists until one side is upgraded, and the dial breaker paces the
-// retries meanwhile.
+// it persists until one side is upgraded, and the backoff paces the retries
+// meanwhile.
 func (c *NodeClient) checkWelcome(f TFrame) error {
 	switch {
 	case f.Type == TypeNodeGoodbye:
@@ -272,10 +239,10 @@ func (c *NodeClient) refused(reason string) error {
 }
 
 // run owns the connection lifecycle: read acknowledgements until the
-// connection dies, then redial — jittered exponential backoff between
-// attempts, a circuit breaker that stops dialing a dead coordinator after
-// BreakerFailures consecutive failures (recovering via half-open probes),
-// and a retry budget that bounds total retry traffic — until Close.
+// connection dies, then redial until a connection is established or the
+// client closes. The first redial goes at once; after each failed one the
+// loop waits out the jittered exponential backoff, which restarts from
+// RetryMin with every established connection.
 func (c *NodeClient) run(conn net.Conn, rd *TFrameReader) {
 	defer c.wg.Done()
 	bo := fault.Backoff{Min: c.cfg.RetryMin, Max: c.cfg.RetryMax}
@@ -292,75 +259,24 @@ func (c *NodeClient) run(conn net.Conn, rd *TFrameReader) {
 		if closed {
 			return
 		}
-		attempt := 0
-		for {
-			if !c.breaker.Allow() {
-				wait := c.breaker.RetryIn()
-				if wait <= 0 {
-					wait = c.cfg.RetryMin
-				}
-				if !c.sleepUnlessClosed(wait) {
-					return
-				}
-				continue
-			}
-			// With the breaker closed, attempts past the first spend retry
-			// budget; an exhausted budget throttles the dial to RetryMax
-			// cadence instead of the fast-restarting backoff schedule, so a
-			// flapping link cannot burn unbounded retries. Half-open probes
-			// are exempt (the breaker already paces them), which also keeps
-			// an empty budget from ever blocking recovery. Only this
-			// goroutine dials, so the State/Allow/Spend reads cannot
-			// interleave with another dialer.
-			if attempt > 0 && c.breaker.State() == fault.StateClosed && !c.budget.Spend() {
-				if !c.sleepUnlessClosed(c.cfg.RetryMax) {
-					return
-				}
-			}
+		for attempt := 0; ; attempt++ {
 			c.dialAttempts.Add(1)
 			var err error
-			conn, rd, err = c.establish()
-			if err == nil {
-				c.breaker.OnSuccess()
-				c.mu.Lock()
-				c.reconnects++
-				c.mu.Unlock()
+			if conn, rd, err = c.establish(); err == nil {
 				break
 			}
 			if errors.Is(err, ErrNodeClosed) {
 				return
 			}
-			c.breaker.OnFailure()
-			delay := bo.Delay(attempt)
-			attempt++
-			if !c.sleepUnlessClosed(delay) {
+			select {
+			case <-time.After(bo.Delay(attempt)):
+			case <-c.done:
 				return
 			}
 		}
-	}
-}
-
-// sleepUnlessClosed sleeps for d, returning early (false) if the client is
-// closed. Close broadcasts on cond, but this goroutine sleeps outside the
-// lock, so it polls in small slices instead of waiting on the condition.
-func (c *NodeClient) sleepUnlessClosed(d time.Duration) bool {
-	const slice = 10 * time.Millisecond
-	deadline := time.Now().Add(d)
-	for {
 		c.mu.Lock()
-		closed := c.closed
+		c.reconnects++
 		c.mu.Unlock()
-		if closed {
-			return false
-		}
-		rest := time.Until(deadline)
-		if rest <= 0 {
-			return true
-		}
-		if rest > slice {
-			rest = slice
-		}
-		time.Sleep(rest)
 	}
 }
 
@@ -401,12 +317,6 @@ func (c *NodeClient) readAcks(conn net.Conn, rd *TFrameReader) {
 			c.flushOrDropLocked()
 		}
 		c.mu.Unlock()
-		if f.Type == TypeBatchAck {
-			// Acknowledged work earns retry budget: a healthy stream keeps
-			// the bucket full, a struggling one earns retries in proportion
-			// to what actually lands.
-			c.budget.Deposit(1)
-		}
 	}
 }
 
@@ -597,28 +507,17 @@ func (c *NodeClient) Bytes() (up, down int64) {
 	return c.bytesUp.Load(), c.bytesDown.Load()
 }
 
-// NodeFaultStats is a point-in-time snapshot of a NodeClient's
-// fault-tolerance machinery, for health endpoints and metrics.
-type NodeFaultStats struct {
-	// Breaker is the dial circuit breaker's state and lifetime counters.
-	Breaker fault.BreakerStats `json:"breaker"`
-	// DialAttempts counts reconnect dials (successful or not); the initial
-	// synchronous DialNode connection is not included.
-	DialAttempts int64 `json:"dial_attempts"`
-	// BudgetTokens is the current retry-budget balance.
-	BudgetTokens float64 `json:"retry_budget_tokens"`
-	// BudgetDenied counts retries refused by an exhausted budget.
-	BudgetDenied int64 `json:"retry_budget_denied"`
-}
+// DialAttempts returns how many reconnect dials the client has made
+// (successful or not); the initial synchronous DialNode connection is not
+// included.
+func (c *NodeClient) DialAttempts() int64 { return c.dialAttempts.Load() }
 
-// FaultStats returns the client's breaker and retry-budget snapshot.
-func (c *NodeClient) FaultStats() NodeFaultStats {
-	return NodeFaultStats{
-		Breaker:      c.breaker.Stats(),
-		DialAttempts: c.dialAttempts.Load(),
-		BudgetTokens: c.budget.Tokens(),
-		BudgetDenied: c.budget.Denied(),
-	}
+// Connected reports whether the client holds a live connection to the
+// coordinator.
+func (c *NodeClient) Connected() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.conn != nil
 }
 
 // Reconnects returns how many times the client re-established the
@@ -653,6 +552,7 @@ func (c *NodeClient) Close() error {
 		return nil
 	}
 	c.closed = true
+	close(c.done)
 	if c.conn != nil && len(c.pending) == 0 {
 		c.enqueueLocked(TFrame{Type: TypeNodeGoodbye})
 		_ = c.flushLocked(c.conn) // best effort: the connection closes next

@@ -1,8 +1,8 @@
 // Fault-injection end-to-end test: a coordinator and two site nodes over
 // real localhost TCP, one site partitioned away mid-stream. The coordinator
 // must keep serving queries from last-known state (degraded, stale), the
-// partitioned site's dial breaker must trip open and recover through a
-// half-open probe once the partition heals, and the reconverged totals must
+// partitioned site must report itself disconnected and keep redialing on
+// its backoff until the partition heals, and the reconverged totals must
 // be exactly-once — no arrival lost or double-counted — with the whole
 // episode visible on both /metrics planes.
 package service
@@ -76,12 +76,10 @@ func TestFaultE2EKillSite(t *testing.T) {
 	siteA := startSiteNode(t, "site-a", ri.Addr())
 	inj := &fault.Injector{}
 	siteB, err := NewSiteNode(SiteNodeConfig{
-		Node:               "site-b",
-		Upstream:           ri.Addr(),
-		BatchSize:          8,
-		MaxDelay:           time.Millisecond,
-		BreakerFailures:    2,
-		BreakerOpenTimeout: 30 * time.Millisecond,
+		Node:      "site-b",
+		Upstream:  ri.Addr(),
+		BatchSize: 8,
+		MaxDelay:  time.Millisecond,
 		Dial: inj.Dial(func(addr string) (net.Conn, error) {
 			return net.Dial("tcp", addr)
 		}),
@@ -124,10 +122,13 @@ func TestFaultE2EKillSite(t *testing.T) {
 	// close; the kick stands in for the TCP keepalive).
 	inj.Partition()
 	ri.DisconnectNode("site-b")
-	waitCond(t, 5*time.Second, "site-b dial breaker to trip open", func() bool {
-		st := siteB.Stats().Fault
-		return st.Breaker.Trips >= 1 && st.Breaker.State == fault.StateOpen
+	waitCond(t, 5*time.Second, "site-b to redial", func() bool {
+		st := siteB.Stats()
+		return !st.Connected && st.DialAttempts >= 2
 	})
+	if m := scrapeHandler(t, siteB.Metrics().Handler()); m["disttrack_node_connected"] != 0 {
+		t.Fatalf("partitioned site connected gauge %v, want 0", m["disttrack_node_connected"])
+	}
 
 	// Degraded, not down: the coordinator reports the node disconnected
 	// with its applied state intact and keeps answering queries from
@@ -156,14 +157,10 @@ func TestFaultE2EKillSite(t *testing.T) {
 	// the transport window).
 	ingest(siteB, 1, extra, 2*perSite)
 
-	// Heal. The breaker admits a half-open probe after its open timeout,
-	// the probe dial succeeds, resync replays the buffered frames, and the
-	// flush barrier proves end-to-end reconvergence.
+	// Heal. The next redial succeeds, resync replays the buffered frames,
+	// and the flush barrier proves end-to-end reconvergence.
 	inj.Heal()
-	waitCond(t, 5*time.Second, "site-b breaker to close after probe", func() bool {
-		st := siteB.Stats().Fault
-		return st.Breaker.State == fault.StateClosed && st.Breaker.Probes >= 1
-	})
+	waitCond(t, 5*time.Second, "site-b to reconnect", func() bool { return siteB.Stats().Connected })
 	if err := siteB.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,13 +183,13 @@ func TestFaultE2EKillSite(t *testing.T) {
 		t.Fatalf("site counts sum %d, want %d", siteSum, want)
 	}
 
-	// The redial loop was paced (breaker + backoff), not a hot loop.
-	fs := siteB.Stats().Fault
-	if fs.DialAttempts < 1 || fs.DialAttempts > 200 {
-		t.Fatalf("dial attempts %d, want a paced redial loop", fs.DialAttempts)
+	// The redial loop was paced by its backoff, not a hot loop.
+	sb := siteB.Stats()
+	if sb.DialAttempts < 2 || sb.DialAttempts > 200 {
+		t.Fatalf("dial attempts %d, want a paced redial loop", sb.DialAttempts)
 	}
-	if siteB.Stats().Reconnects < 1 {
-		t.Fatal("no reconnect recorded after heal")
+	if sb.Reconnects != 1 {
+		t.Fatalf("%d reconnects recorded after heal, want 1", sb.Reconnects)
 	}
 
 	// Both metrics planes reflect the recovery.
@@ -205,18 +202,15 @@ func TestFaultE2EKillSite(t *testing.T) {
 			m[`disttrack_remote_node_breaker_state{node="site-b"}`])
 	}
 	mb := scrapeHandler(t, siteB.Metrics().Handler())
-	if mb["disttrack_node_breaker_trips_total"] < 1 {
-		t.Fatalf("node breaker trips %v, want >= 1", mb["disttrack_node_breaker_trips_total"])
+	if mb["disttrack_node_dial_attempts_total"] != float64(sb.DialAttempts) {
+		t.Fatalf("node dial attempts %v, want %d", mb["disttrack_node_dial_attempts_total"], sb.DialAttempts)
 	}
-	if mb["disttrack_node_dial_attempts_total"] < 1 {
-		t.Fatalf("node dial attempts %v, want >= 1", mb["disttrack_node_dial_attempts_total"])
-	}
-	if mb["disttrack_node_breaker_state"] != 0 {
-		t.Fatalf("node breaker state %v, want closed (0)", mb["disttrack_node_breaker_state"])
+	if mb["disttrack_node_connected"] != 1 {
+		t.Fatalf("node connected gauge %v, want 1", mb["disttrack_node_connected"])
 	}
 
 	// And the healthy site was never disturbed.
-	if sa := siteA.Stats(); sa.Fault.Breaker.Trips != 0 || sa.Rejected != 0 {
+	if sa := siteA.Stats(); !sa.Connected || sa.DialAttempts != 0 || sa.Rejected != 0 {
 		t.Fatalf("site-a disturbed by site-b's partition: %+v", sa)
 	}
 }

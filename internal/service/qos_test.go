@@ -112,6 +112,48 @@ func TestTenantRateLimit429(t *testing.T) {
 	}
 }
 
+// TestGroupedFrameOverBurst sends frames larger than the tenant's bucket
+// through the TCP edge's ingest path, below the tenant's rate: each frame is
+// admitted whole from a full bucket, and only a frame sent before the
+// previous one's debt is repaid is throttled.
+func TestGroupedFrameOverBurst(t *testing.T) {
+	srv := New(Config{SiteBuffer: 8})
+	defer srv.Close()
+	// rate_burst defaults to rate_limit: a 100-token bucket, smaller than
+	// the site node's default 256-value frame.
+	mustCreate(t, srv, TenantConfig{Name: "edge", Kind: KindHH, K: 1, Eps: 0.1, RateLimit: 100})
+	now := time.Unix(1000, 0)
+	srv.Registry().Get("edge").limiter.SetClock(func() time.Time { return now })
+	frame := func() []uint64 {
+		vals := make([]uint64, 256)
+		for i := range vals {
+			vals[i] = uint64(i)
+		}
+		return vals
+	}
+
+	// One frame per 2.85 s is 0.9x the rate.
+	for i := 0; i < 5; i++ {
+		if i > 0 {
+			now = now.Add(2850 * time.Millisecond)
+		}
+		acc, rej, thr, err := srv.ing.IngestGrouped("edge", 0, frame(), "", 0)
+		if err != nil || acc != 256 || rej != 0 || thr != 0 {
+			t.Fatalf("frame %d under the rate: accepted %d, rejected %d, throttled %d, err %v", i, acc, rej, thr, err)
+		}
+	}
+	// 2.55 s after the last frame the bucket holds 99 of its 100 tokens:
+	// the next frame waits for it to fill.
+	now = now.Add(2550 * time.Millisecond)
+	if acc, _, thr, _ := srv.ing.IngestGrouped("edge", 0, frame(), "", 0); acc != 0 || thr != 256 {
+		t.Fatalf("frame before the bucket refilled: accepted %d, throttled %d; want 0, 256", acc, thr)
+	}
+	srv.Flush()
+	if st := srv.Registry().Get("edge").Stats(); st.Processed != 5*256 || st.Throttled != 256 {
+		t.Fatalf("processed %d, throttled %d; want %d, 256", st.Processed, st.Throttled, 5*256)
+	}
+}
+
 // TestTenantQueueShare pins the queue-share bound against a real backlog: with
 // the tenant's site goroutines stalled (a quiescent query held open), records
 // sent to the cluster stay unapplied, so a tenant at its share is denied

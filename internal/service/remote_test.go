@@ -374,9 +374,16 @@ func TestDistributedHTTP(t *testing.T) {
 	if rs.Nodes != 1 || rs.Frames == 0 {
 		t.Fatalf("remote stats = %+v", rs)
 	}
-	var health map[string]any
+	var health struct {
+		OK    bool                       `json:"ok"`
+		Stats map[string]json.RawMessage `json:"stats"`
+	}
 	if code := jsonDo(t, client, http.MethodGet, nodeSrv.URL+"/healthz", nil, &health); code != http.StatusOK {
 		t.Fatal("site node healthz failed")
+	}
+	// The upstream link's state is two top-level stats fields.
+	if !health.OK || string(health.Stats["connected"]) != "true" || string(health.Stats["dial_attempts"]) != "0" {
+		t.Fatalf("site node healthz = %+v, want ok, connected, no redials", health)
 	}
 
 	// A server without remote ingest reports the endpoint unsupported.

@@ -37,15 +37,6 @@ type SiteNodeConfig struct {
 	// the coordinator unreachable the transport would otherwise retry
 	// forever and Close would never return.
 	DrainTimeout time.Duration
-
-	// BreakerFailures and BreakerOpenTimeout tune the upstream dial
-	// circuit breaker; RetryBudgetRatio and RetryBudgetBurst tune the
-	// retry budget that paces redials. Zero values take the remote/fault
-	// package defaults (see docs/operations.md).
-	BreakerFailures    int
-	BreakerOpenTimeout time.Duration
-	RetryBudgetRatio   float64
-	RetryBudgetBurst   float64
 	// Dial overrides the upstream dial function (tests inject faults
 	// through it; default net.Dial tcp).
 	Dial func(addr string) (net.Conn, error)
@@ -113,13 +104,9 @@ func NewSiteNode(cfg SiteNodeConfig) (*SiteNode, error) {
 		cfg.MaxDelay = 50 * time.Millisecond
 	}
 	cl, err := remote.DialNode(cfg.Upstream, remote.NodeConfig{
-		Node:               cfg.Node,
-		Window:             cfg.Window,
-		BreakerFailures:    cfg.BreakerFailures,
-		BreakerOpenTimeout: cfg.BreakerOpenTimeout,
-		RetryBudgetRatio:   cfg.RetryBudgetRatio,
-		RetryBudgetBurst:   cfg.RetryBudgetBurst,
-		Dial:               cfg.Dial,
+		Node:   cfg.Node,
+		Window: cfg.Window,
+		Dial:   cfg.Dial,
 	})
 	if err != nil {
 		return nil, err
@@ -309,8 +296,8 @@ type SiteNodeStats struct {
 	Resent         int64  `json:"resent"`          // frames replayed during resyncs
 	UpstreamReject int64  `json:"upstream_reject"` // frames the coordinator refused
 	LastReject     string `json:"last_reject,omitempty"`
-	// Fault is the upstream transport's breaker and retry-budget state.
-	Fault remote.NodeFaultStats `json:"fault"`
+	Connected      bool   `json:"connected"`     // the upstream connection is live
+	DialAttempts   int64  `json:"dial_attempts"` // upstream redials, successful or not
 }
 
 // Stats returns the node's counters.
@@ -326,7 +313,8 @@ func (n *SiteNode) Stats() SiteNodeStats {
 		Resent:         n.cl.Resent(),
 		UpstreamReject: rej,
 		LastReject:     reason,
-		Fault:          n.cl.FaultStats(),
+		Connected:      n.cl.Connected(),
+		DialAttempts:   n.cl.DialAttempts(),
 	}
 }
 
@@ -346,14 +334,11 @@ type nodeMetrics struct {
 	bytesUp      *obs.Counter
 	bytesDown    *obs.Counter
 	dialAttempts *obs.Counter
-	budgetDenied *obs.Counter
-	breakerTrips *obs.Counter
 	decode       decodeCounters
 
 	last struct {
 		accepted, rejected, batches, reconnects, resent, upstreamRej int64
-		bytesUp, bytesDown                                           int64
-		dialAttempts, budgetDenied, breakerTrips                     int64
+		bytesUp, bytesDown, dialAttempts                             int64
 	}
 }
 
@@ -386,17 +371,15 @@ func newNodeMetrics(n *SiteNode) *nodeMetrics {
 		func() float64 { return float64(n.cl.Pending()) / float64(n.cl.Window()) })
 	m.dialAttempts = reg.NewCounter("disttrack_node_dial_attempts_total",
 		"Upstream reconnect dials (successful or not).")
-	m.budgetDenied = reg.NewCounter("disttrack_node_retry_budget_denied_total",
-		"Redials refused (throttled to the slow cadence) by an exhausted retry budget.")
-	m.breakerTrips = reg.NewCounter("disttrack_node_breaker_trips_total",
-		"Upstream dial circuit-breaker trips (closed/half-open to open).")
 	m.decode = newDecodeCounters(reg)
-	reg.NewGaugeFunc("disttrack_node_breaker_state",
-		"Upstream dial circuit-breaker state (0 closed, 1 open, 2 half-open).",
-		func() float64 { return float64(n.cl.FaultStats().Breaker.State) })
-	reg.NewGaugeFunc("disttrack_node_retry_budget_tokens",
-		"Current retry-budget balance (redials spend 1; acked work deposits).",
-		func() float64 { return n.cl.FaultStats().BudgetTokens })
+	reg.NewGaugeFunc("disttrack_node_connected",
+		"Upstream connection state (1 connected, 0 redialing).",
+		func() float64 {
+			if n.cl.Connected() {
+				return 1
+			}
+			return 0
+		})
 	reg.NewGaugeFunc("disttrack_node_uptime_seconds",
 		"Seconds since the site node was created.",
 		func() float64 { return time.Since(start).Seconds() })
@@ -419,10 +402,7 @@ func (n *SiteNode) syncObs() {
 	addDelta(m.upstreamRej, &m.last.upstreamRej, rej)
 	addDelta(m.bytesUp, &m.last.bytesUp, up)
 	addDelta(m.bytesDown, &m.last.bytesDown, down)
-	fs := n.cl.FaultStats()
-	addDelta(m.dialAttempts, &m.last.dialAttempts, fs.DialAttempts)
-	addDelta(m.budgetDenied, &m.last.budgetDenied, fs.BudgetDenied)
-	addDelta(m.breakerTrips, &m.last.breakerTrips, fs.Breaker.Trips)
+	addDelta(m.dialAttempts, &m.last.dialAttempts, n.cl.DialAttempts())
 }
 
 // Handler returns the node's HTTP API: the same /v1/ingest and /v1/flush

@@ -66,9 +66,10 @@ type TenantConfig struct {
 	// HTTP ingest answers 429 with a Retry-After hint, networked ingest
 	// drops and counts them (see docs/operations.md).
 	RateLimit float64 `json:"rate_limit,omitempty"`
-	// RateBurst is the rate limiter's bucket depth — the largest batch
-	// admissible at once (default max(RateLimit, 1); only meaningful with
-	// RateLimit set).
+	// RateBurst is the rate limiter's bucket depth — the burst admissible
+	// at once (default max(RateLimit, 1); only meaningful with RateLimit
+	// set). A networked frame larger than the bucket is admitted whole from
+	// a full bucket and repaid before anything else is admitted.
 	RateBurst float64 `json:"rate_burst,omitempty"`
 	// QueueShare bounds this tenant's records admitted but not yet applied
 	// to its tracker — in an ingest call still delivering, or waiting on its
