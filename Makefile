@@ -56,7 +56,9 @@ test-shuffle:
 # sender blocks, every accepted value is counted once as processed or
 # dropped); the eighth repeats the site node client's redial loop, whose
 # backoff wait races Close through a channel, beside the coordinator's
-# per-node breaker that damps a flapping node.
+# per-node breaker that damps a flapping node; the ninth repeats stats
+# requests against membership changes that swap k between 8 and 1 (a stats
+# loop bounded by the wrong k panics with every protocol lock held).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
@@ -66,6 +68,7 @@ race:
 	$(GO) test -race -count=40 -run TestSiteNodeConcurrentProducers ./internal/service
 	$(GO) test -race -count=40 -run TestStopUnderLoad ./internal/runtime
 	$(GO) test -race -count=20 -run 'TestClientRedialPartitionAndHeal|TestCloseDuringBackoff|TestServerBreakerRefusesFlappingNode' ./internal/remote
+	$(GO) test -race -count=20 -run TestStatsRacingReconfigure ./internal/service
 
 # The quick experiment tables are a pure function of the protocols' decisions
 # (every wire.Meter count, round, split and served answer on seeded streams):

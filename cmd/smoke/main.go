@@ -456,6 +456,21 @@ func (m metrics) families(names ...string) {
 	}
 }
 
+// exactlyOnce requires a coordinator's exactly-once identity after a
+// flush: every record it accepted was processed by its tenant's tracker or
+// counted lost. Only a coordinator that has not restarted satisfies it: a
+// restart zeroes accepted, while replay brings processed back.
+func (m metrics) exactlyOnce() {
+	processed := 0.0
+	for series, v := range m.samples {
+		if strings.HasPrefix(series, "disttrack_cluster_processed_total{") {
+			processed += v
+		}
+	}
+	want(m.r, m.where+" accepted = processed + lost", m.samples["disttrack_ingest_accepted_total"],
+		processed+m.samples["disttrack_ingest_lost_total"])
+}
+
 // want requires series to be exposed with value exp.
 func (m metrics) want(series string, exp float64) {
 	got, ok := m.samples[series]

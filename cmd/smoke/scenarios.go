@@ -66,9 +66,7 @@ func obsScenario(r *run) {
 	r.post(coord.url("/v1/flush"), nil, nil)
 
 	coordFamilies := []string{
-		"disttrack_engine_feeds_total",
 		"disttrack_cluster_processed_total",
-		"disttrack_tenant_sent_total",
 		"disttrack_wire_msgs_total",
 		"disttrack_wire_words_total",
 		"disttrack_ingest_accepted_total",
@@ -89,7 +87,8 @@ func obsScenario(r *run) {
 	} {
 		s.families(coordFamilies...)
 		s.want("disttrack_remote_values_total", 200)
-		s.want(`disttrack_engine_feeds_total{tenant="clicks"}`, 200)
+		s.want(`disttrack_cluster_processed_total{tenant="clicks"}`, 200)
+		s.exactlyOnce()
 	}
 
 	s := r.scrape("site /metrics", site.http)
@@ -98,7 +97,6 @@ func obsScenario(r *run) {
 		"disttrack_node_batches_total",
 		"disttrack_node_reconnects_total",
 		"disttrack_node_bytes_total",
-		"disttrack_node_pending_frames",
 		"disttrack_node_window_occupancy",
 		"disttrack_node_uptime_seconds",
 		"disttrack_build_info",
@@ -174,6 +172,7 @@ func faultScenario(r *run) {
 	r.waitHealth(coord, "coordinator recovered after the site's restart", func(h health) bool { return !h.Degraded })
 	r.ingest(site, "clicks", 100, 2, 200)
 	want(r, "clicks processed across the kill and restart", r.stats(coord, "clicks").Processed, 300)
+	r.scrape("coordinator /metrics", coord.http).exactlyOnce()
 
 	s = r.scrape("site /metrics", site.http)
 	s.families(
@@ -268,6 +267,9 @@ func membershipScenario(r *run) {
 	s.families("disttrack_membership_epoch", "disttrack_membership_changes_total")
 	s.want("disttrack_membership_epoch", 2)
 	s.want("disttrack_membership_changes_total", 1)
+	// The change swapped the tenant's cluster; its processed count must
+	// carry the drained cluster's 200 over.
+	s.exactlyOnce()
 
 	// The epoch change cut the site's connection once already; the restart
 	// below must cost it exactly one more reconnect.
@@ -369,6 +371,7 @@ func loadScenario(r *run) {
 	s := r.scrape("coordinator /metrics", coord.http)
 	s.want("disttrack_query_cache_etag_hits_total", 1)
 	s.want("disttrack_remote_refused_hellos_total", 0)
+	s.exactlyOnce()
 }
 
 // parallel runs f(0) … f(n-1) concurrently and fails on the first error,

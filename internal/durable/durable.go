@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -91,10 +92,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Store is a handle on one data directory.
+// Store is a handle on one data directory. Its counters total the WAL
+// work of every tenant it has opened, deleted tenants included, so they
+// never go backwards.
 type Store struct {
 	dir  string
 	opts Options
+
+	appended atomic.Int64 // WAL records appended
+	fsyncs   atomic.Int64 // WAL fsyncs issued
 }
 
 // Open creates (if needed) and returns the store rooted at dir.
@@ -110,6 +116,12 @@ func Open(dir string, opts Options) (*Store, error) {
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
+
+// AppendedRecords returns the WAL records appended through the store.
+func (s *Store) AppendedRecords() int64 { return s.appended.Load() }
+
+// Fsyncs returns the WAL fsyncs issued through the store.
+func (s *Store) Fsyncs() int64 { return s.fsyncs.Load() }
 
 // ListTenants returns the names of tenants with a durable directory,
 // sorted.

@@ -49,6 +49,7 @@ const (
 // so the metrics scraper never takes the append lock.
 type wal struct {
 	mu       sync.Mutex
+	store    *Store // totals every tenant's appends and fsyncs
 	dir      string
 	opts     Options
 	f        *os.File
@@ -60,7 +61,6 @@ type wal struct {
 
 	appendedRecs atomic.Int64
 	appendedVals atomic.Int64
-	fsyncs       atomic.Int64
 	segments     atomic.Int64
 }
 
@@ -69,7 +69,6 @@ type WALStats struct {
 	Segments        int64
 	AppendedRecords int64
 	AppendedValues  int64
-	Fsyncs          int64
 	NextSeq         uint64
 }
 
@@ -84,7 +83,7 @@ func (t *Tenant) OpenWAL(nextSeq uint64) error {
 	if nextSeq == 0 {
 		nextSeq = 1
 	}
-	w := &wal{dir: t.dir, opts: t.store.opts, nextSeq: nextSeq}
+	w := &wal{store: t.store, dir: t.dir, opts: t.store.opts, nextSeq: nextSeq}
 	segs, err := listSeqFiles(t.dir, walPrefix, walExt)
 	if err != nil {
 		return err
@@ -155,6 +154,7 @@ func (t *Tenant) Append(site int, keys []uint64, node string, nodeSeq uint64) (u
 	w.nextSeq = seq + 1
 	w.appendedRecs.Add(1)
 	w.appendedVals.Add(int64(len(keys)))
+	w.store.appended.Add(1)
 
 	switch w.opts.Fsync {
 	case FsyncAlways:
@@ -205,7 +205,6 @@ func (t *Tenant) WALStats() WALStats {
 		Segments:        w.segments.Load(),
 		AppendedRecords: w.appendedRecs.Load(),
 		AppendedValues:  w.appendedVals.Load(),
-		Fsyncs:          w.fsyncs.Load(),
 		NextSeq:         next,
 	}
 }
@@ -247,7 +246,7 @@ func (w *wal) sync() error {
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("durable: WAL fsync: %w", err)
 	}
-	w.fsyncs.Add(1)
+	w.store.fsyncs.Add(1)
 	return nil
 }
 

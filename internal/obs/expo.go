@@ -64,13 +64,6 @@ func (f *family) expose(w *bufio.Writer) error {
 	w.WriteByte(' ')
 	w.WriteString(string(f.typ))
 	w.WriteByte('\n')
-	if f.gaugeFn != nil {
-		w.WriteString(f.name)
-		w.WriteByte(' ')
-		w.WriteString(formatFloat(f.gaugeFn()))
-		w.WriteByte('\n')
-		return nil
-	}
 	for _, key := range f.sortedKeys() {
 		f.mu.RLock()
 		c := f.children[key]
@@ -81,7 +74,7 @@ func (f *family) expose(w *bufio.Writer) error {
 		switch f.typ {
 		case typeCounter:
 			writeSample(w, f.name, "", f.labels, c.labelValues, "", "",
-				strconv.FormatInt(c.val.Load(), 10))
+				strconv.FormatInt(counterValue(c), 10))
 		case typeGauge:
 			writeSample(w, f.name, "", f.labels, c.labelValues, "", "",
 				formatFloat(gaugeValue(c)))
@@ -104,8 +97,23 @@ func (f *family) expose(w *bufio.Writer) error {
 	return nil
 }
 
-func gaugeValue(c *child) float64 { return (&Gauge{c}).Value() }
-func histSum(c *child) float64    { return (&Histogram{c: c}).Sum() }
+func histSum(c *child) float64 { return (&Histogram{c: c}).Sum() }
+
+// counterValue and gaugeValue read a child's sample: its read function
+// when it is func-backed, its stored value otherwise.
+func counterValue(c *child) int64 {
+	if c.counterFn != nil {
+		return c.counterFn()
+	}
+	return c.val.Load()
+}
+
+func gaugeValue(c *child) float64 {
+	if c.gaugeFn != nil {
+		return c.gaugeFn()
+	}
+	return (&Gauge{c}).Value()
+}
 
 // writeSample writes one sample line: name[suffix]{labels...} value.
 func writeSample(w *bufio.Writer, name, suffix string, labels, values []string, extraLabel, extraValue, sample string) {

@@ -24,13 +24,20 @@
 // stopping writers — a scrape observes each sample at some point during the
 // scrape, which is all Prometheus asks.
 //
+// # Func-backed metrics
+//
+// A count another component already keeps (a cluster's processed
+// arrivals, a transport's byte totals) is not copied: NewCounterFunc,
+// NewGaugeFunc and the vectors' WithFunc export it by calling a read
+// function at exposition, so the series is exactly the owner's value and
+// there is no copy to fall behind or to rebase.
+//
 // # Scrape hooks
 //
-// Sources that cannot be updated in-line (a wire.Meter read under protocol
-// quiescence, channel queue depths, another subsystem's counters) register
-// a hook with Registry.OnScrape; hooks run serialized immediately before
-// each exposition and mirror their source into stored metrics. Hook state
-// therefore needs no locking of its own.
+// Sources that need more than a read function (a wire.Meter read under
+// protocol quiescence, a label set discovered at scrape time) register a
+// hook with Registry.OnScrape; hooks run serialized immediately before each
+// exposition. Hook state therefore needs no locking of its own.
 package obs
 
 import (
@@ -110,8 +117,6 @@ type family struct {
 	mu       sync.RWMutex
 	children map[string]*child
 	keys     []string // sorted lazily at exposition
-
-	gaugeFn func() float64 // NewGaugeFunc families sample this at scrape
 }
 
 // child is one concrete metric: a label-value tuple plus its atomics. The
@@ -119,9 +124,11 @@ type family struct {
 type child struct {
 	labelValues []string
 
-	val atomic.Int64 // counter value
+	val       atomic.Int64 // counter value
+	counterFn func() int64 // func-backed counter: read at exposition instead of val
 
-	bits atomic.Uint64 // gauge value (float64 bits)
+	bits    atomic.Uint64  // gauge value (float64 bits)
+	gaugeFn func() float64 // func-backed gauge: read at exposition instead of bits
 
 	// histogram: per-bucket (non-cumulative) counts, one extra for +Inf;
 	// cumulated at exposition so Observe touches a single slot.
@@ -177,12 +184,17 @@ func mustValidName(name string) {
 // \xff never appears in valid UTF-8.
 func childKey(values []string) string { return strings.Join(values, "\xff") }
 
-// with returns (creating on first use) the child for a label-value tuple.
-func (f *family) with(values []string) *child {
+// checkArity panics unless values has one entry per label of the family.
+func (f *family) checkArity(values []string) {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d",
 			f.name, len(f.labels), len(values)))
 	}
+}
+
+// with returns (creating on first use) the child for a label-value tuple.
+func (f *family) with(values []string) *child {
+	f.checkArity(values)
 	key := childKey(values)
 	f.mu.RLock()
 	c := f.children[key]
@@ -202,6 +214,21 @@ func (f *family) with(values []string) *child {
 	f.children[key] = c
 	f.keys = nil // resorted at next exposition
 	return c
+}
+
+// bind installs c as the child for a label-value tuple, replacing any child
+// already there. Func-backed children are bound this way: rebinding points
+// the series at a new owner (a tenant recreated under the same name).
+func (f *family) bind(values []string, c *child) {
+	f.checkArity(values)
+	c.labelValues = append([]string(nil), values...)
+	key := childKey(values)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if _, ok := f.children[key]; !ok {
+		f.keys = nil // resorted at next exposition
+	}
+	f.children[key] = c
 }
 
 // remove drops the child for a label-value tuple, reporting whether it
@@ -263,6 +290,14 @@ type CounterVec struct{ f *family }
 // use. Resolve once at construction time — With takes the family lock.
 func (v *CounterVec) With(values ...string) *Counter { return &Counter{v.f.with(values)} }
 
+// WithFunc exports fn's value as the series for a label-value tuple,
+// replacing any series already there. fn is called at every exposition
+// and must be monotone and safe for concurrent use. Remove drops it like
+// any other series.
+func (v *CounterVec) WithFunc(fn func() int64, values ...string) {
+	v.f.bind(values, &child{counterFn: fn})
+}
+
 // Remove drops the series for a label-value tuple (e.g. a deleted tenant).
 func (v *CounterVec) Remove(values ...string) bool { return v.f.remove(values) }
 
@@ -270,6 +305,13 @@ func (v *CounterVec) Remove(values ...string) bool { return v.f.remove(values) }
 func (r *Registry) NewCounter(name, help string) *Counter {
 	f := r.register(name, help, typeCounter, nil, nil)
 	return &Counter{f.with(nil)}
+}
+
+// NewCounterFunc registers an unlabeled counter whose value is fn's, read
+// at every exposition — for a count its owner already keeps. fn must be
+// monotone and safe for concurrent use.
+func (r *Registry) NewCounterFunc(name, help string, fn func() int64) {
+	r.register(name, help, typeCounter, nil, nil).bind(nil, &child{counterFn: fn})
 }
 
 // NewCounterVec registers a labeled counter family.
@@ -309,6 +351,12 @@ type GaugeVec struct{ f *family }
 // With returns the gauge for a label-value tuple, creating it on first use.
 func (v *GaugeVec) With(values ...string) *Gauge { return &Gauge{v.f.with(values)} }
 
+// WithFunc exports fn's value as the series for a label-value tuple,
+// replacing any series already there; fn is called at every exposition.
+func (v *GaugeVec) WithFunc(fn func() float64, values ...string) {
+	v.f.bind(values, &child{gaugeFn: fn})
+}
+
 // Remove drops the series for a label-value tuple.
 func (v *GaugeVec) Remove(values ...string) bool { return v.f.remove(values) }
 
@@ -327,8 +375,7 @@ func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
 // for values that are cheap to read but wasteful to mirror continuously
 // (uptime, queue lengths owned elsewhere).
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
-	f := r.register(name, help, typeGauge, nil, nil)
-	f.gaugeFn = fn
+	r.register(name, help, typeGauge, nil, nil).bind(nil, &child{gaugeFn: fn})
 }
 
 // ---------------------------------------------------------------------------

@@ -145,6 +145,49 @@ func TestGaugeFunc(t *testing.T) {
 	}
 }
 
+// TestFuncBacked checks that func-backed counters and gauges export their
+// owner's value at each exposition, that rebinding a label tuple points its
+// series at the new function, and that Remove drops a func-backed series.
+func TestFuncBacked(t *testing.T) {
+	reg := NewRegistry()
+	var n, a, b int64 = 7, 1, 2
+	reg.NewCounterFunc("fn_total", "help", func() int64 { return n })
+	vec := reg.NewCounterVec("fn_vec_total", "help", "tenant")
+	vec.WithFunc(func() int64 { return a }, "x")
+	vec.WithFunc(func() int64 { return b }, "y")
+	gv := reg.NewGaugeVec("fn_vec", "help", "tenant")
+	gv.WithFunc(func() float64 { return 0.5 }, "x")
+	expose := func() string {
+		var sb strings.Builder
+		if err := reg.Expose(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	n, a = 9, 3
+	out := expose()
+	for _, want := range []string{
+		"fn_total 9\n",
+		`fn_vec_total{tenant="x"} 3` + "\n",
+		`fn_vec_total{tenant="y"} 2` + "\n",
+		`fn_vec{tenant="x"} 0.5` + "\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("exposition missing %q:\n%s", want, out)
+		}
+	}
+
+	vec.WithFunc(func() int64 { return 40 }, "x") // a new owner under the same name
+	if !vec.Remove("y") || !gv.Remove("x") {
+		t.Fatal("Remove did not find a func-backed series")
+	}
+	out = expose()
+	if !strings.Contains(out, `fn_vec_total{tenant="x"} 40`) ||
+		strings.Contains(out, `tenant="y"`) || strings.Contains(out, `fn_vec{`) {
+		t.Fatalf("rebind or remove not reflected:\n%s", out)
+	}
+}
+
 func TestScrapeHooksRunBeforeExposition(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.NewCounter("hooked_total", "help")

@@ -18,14 +18,12 @@ import (
 
 // Bridge mirrors one or more wire.Meters into obs counters. The "owner"
 // label distinguishes meters sharing the bridge (the service uses the
-// tenant name); meters with per-kind or per-tenant breakdowns additionally
-// populate the kind- and tenant-labeled families.
+// tenant name); a bridge built with byTenant also exports a transport
+// meter's per-tenant attribution.
 type Bridge struct {
 	msgs       *obs.CounterVec // {owner, dir}
 	words      *obs.CounterVec // {owner, dir}
-	kindMsgs   *obs.CounterVec // {owner, kind} (both directions combined)
-	kindWords  *obs.CounterVec // {owner, kind}
-	byTenMsgs  *obs.CounterVec // {owner, tenant} — Meter.*Tenant attribution
+	byTenMsgs  *obs.CounterVec // {owner, tenant} — Meter.*Tenant attribution; nil without byTenant
 	byTenWords *obs.CounterVec // {owner, tenant}
 
 	last map[lkey]wire.Cost
@@ -34,29 +32,29 @@ type Bridge struct {
 // lkey addresses one mirrored series in the delta state.
 type lkey struct {
 	owner string
-	dim   string // "dir", "kind" or "tenant"
+	dim   string // "dir" or "tenant"
 	val   string
 }
 
 // New registers the bridge's counter families under the given name prefix
-// (e.g. "disttrack_wire" → disttrack_wire_msgs_total, ...). One bridge per
+// (e.g. "disttrack_wire" → disttrack_wire_msgs_total, ...), plus the
+// per-tenant attribution families when byTenant is set. One bridge per
 // prefix per registry.
-func New(reg *obs.Registry, prefix string) *Bridge {
-	return &Bridge{
+func New(reg *obs.Registry, prefix string, byTenant bool) *Bridge {
+	b := &Bridge{
 		msgs: reg.NewCounterVec(prefix+"_msgs_total",
 			"Protocol messages by direction (up = site to coordinator).", "owner", "dir"),
 		words: reg.NewCounterVec(prefix+"_words_total",
 			"Protocol words (Theta(log n) bits each) by direction.", "owner", "dir"),
-		kindMsgs: reg.NewCounterVec(prefix+"_kind_msgs_total",
-			"Protocol messages by message kind, both directions.", "owner", "kind"),
-		kindWords: reg.NewCounterVec(prefix+"_kind_words_total",
-			"Protocol words by message kind, both directions.", "owner", "kind"),
-		byTenMsgs: reg.NewCounterVec(prefix+"_tenant_msgs_total",
-			"Protocol messages attributed to a tenant by the transport meter.", "owner", "tenant"),
-		byTenWords: reg.NewCounterVec(prefix+"_tenant_words_total",
-			"Protocol words attributed to a tenant by the transport meter.", "owner", "tenant"),
 		last: make(map[lkey]wire.Cost),
 	}
+	if byTenant {
+		b.byTenMsgs = reg.NewCounterVec(prefix+"_tenant_msgs_total",
+			"Protocol messages attributed to a tenant by the transport meter.", "owner", "tenant")
+		b.byTenWords = reg.NewCounterVec(prefix+"_tenant_words_total",
+			"Protocol words attributed to a tenant by the transport meter.", "owner", "tenant")
+	}
+	return b
 }
 
 // Sync mirrors m's current totals into the bridge's counters, attributing
@@ -65,8 +63,8 @@ func New(reg *obs.Registry, prefix string) *Bridge {
 func (b *Bridge) Sync(owner string, m *wire.Meter) {
 	b.sync(b.msgs, b.words, owner, "dir", "up", m.UpCost())
 	b.sync(b.msgs, b.words, owner, "dir", "down", m.DownCost())
-	for _, k := range m.Kinds() {
-		b.sync(b.kindMsgs, b.kindWords, owner, "kind", k, m.Kind(k))
+	if b.byTenMsgs == nil {
+		return
 	}
 	for _, t := range m.Tenants() {
 		b.sync(b.byTenMsgs, b.byTenWords, owner, "tenant", t, m.Tenant(t))
@@ -82,14 +80,10 @@ func (b *Bridge) Forget(owner string) {
 			continue
 		}
 		delete(b.last, k)
-		switch k.dim {
-		case "dir":
+		if k.dim == "dir" {
 			b.msgs.Remove(owner, k.val)
 			b.words.Remove(owner, k.val)
-		case "kind":
-			b.kindMsgs.Remove(owner, k.val)
-			b.kindWords.Remove(owner, k.val)
-		case "tenant":
+		} else {
 			b.byTenMsgs.Remove(owner, k.val)
 			b.byTenWords.Remove(owner, k.val)
 		}

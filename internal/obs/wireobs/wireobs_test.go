@@ -19,7 +19,7 @@ func expose(t *testing.T, reg *obs.Registry) string {
 
 func TestBridgeSyncMirrorsMeter(t *testing.T) {
 	reg := obs.NewRegistry()
-	b := New(reg, "test_wire")
+	b := New(reg, "test_wire", true)
 	var m wire.Meter
 	m.Up(0, "delta", 3)
 	m.Down(0, "adjust", 2)
@@ -32,8 +32,6 @@ func TestBridgeSyncMirrorsMeter(t *testing.T) {
 		`test_wire_msgs_total{owner="siteA",dir="down"} 1`,
 		`test_wire_words_total{owner="siteA",dir="up"} 8`,
 		`test_wire_words_total{owner="siteA",dir="down"} 2`,
-		`test_wire_kind_msgs_total{owner="siteA",kind="delta"} 1`,
-		`test_wire_kind_msgs_total{owner="siteA",kind="tbatch"} 1`,
 		`test_wire_tenant_words_total{owner="siteA",tenant="clicks"} 5`,
 	} {
 		if !strings.Contains(out, want) {
@@ -44,7 +42,7 @@ func TestBridgeSyncMirrorsMeter(t *testing.T) {
 
 func TestBridgeSyncIsIdempotentAndDeltaBased(t *testing.T) {
 	reg := obs.NewRegistry()
-	b := New(reg, "test_wire")
+	b := New(reg, "test_wire", true)
 	var m wire.Meter
 	m.Up(0, "delta", 3)
 
@@ -64,7 +62,7 @@ func TestBridgeSyncIsIdempotentAndDeltaBased(t *testing.T) {
 
 func TestBridgeStaysMonotoneAcrossMeterReset(t *testing.T) {
 	reg := obs.NewRegistry()
-	b := New(reg, "test_wire")
+	b := New(reg, "test_wire", true)
 	var m wire.Meter
 	m.Up(0, "delta", 10)
 	b.Sync("s", &m)
@@ -84,7 +82,7 @@ func TestBridgeStaysMonotoneAcrossMeterReset(t *testing.T) {
 
 func TestBridgeForgetDropsSeriesAndState(t *testing.T) {
 	reg := obs.NewRegistry()
-	b := New(reg, "test_wire")
+	b := New(reg, "test_wire", true)
 	var ma, mb wire.Meter
 	ma.UpTenant("t1", 0, "tbatch", 4)
 	mb.Up(0, "delta", 1)
@@ -103,5 +101,20 @@ func TestBridgeForgetDropsSeriesAndState(t *testing.T) {
 		if k.owner == "gone" {
 			t.Fatalf("stale delta state for %v", k)
 		}
+	}
+}
+
+func TestBridgeWithoutTenantFamilies(t *testing.T) {
+	reg := obs.NewRegistry()
+	b := New(reg, "test_wire", false)
+	var m wire.Meter
+	m.UpTenant("clicks", 0, "tbatch", 5)
+	b.Sync("s", &m)
+	out := expose(t, reg)
+	if strings.Contains(out, "test_wire_tenant_") {
+		t.Fatalf("bridge without byTenant exports tenant families:\n%s", out)
+	}
+	if !strings.Contains(out, `test_wire_words_total{owner="s",dir="up"} 5`) {
+		t.Fatalf("direction totals missing:\n%s", out)
 	}
 }

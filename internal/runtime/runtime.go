@@ -182,3 +182,14 @@ func (c *Cluster) Dropped() int64 { return c.dropped.Load() }
 
 // K returns the number of sites.
 func (c *Cluster) K() int { return len(c.batches) }
+
+// QueueDepth returns the number of batches queued across all site channels
+// — at most k times the per-site buffer. Safe for concurrent use; the value
+// is inherently racy against the site goroutines, which is fine for a gauge.
+func (c *Cluster) QueueDepth() int {
+	n := 0
+	for _, ch := range c.batches {
+		n += len(ch)
+	}
+	return n
+}

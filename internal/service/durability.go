@@ -72,6 +72,14 @@ func (d *durability) checkpointAge() float64 {
 	return time.Since(d.lastCkpt).Seconds()
 }
 
+// replayedRecords reports the WAL records replayed at boot, for the
+// disttrack_wal_replayed_total counter.
+func (d *durability) replayedRecords() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.replayed
+}
+
 func (d *durability) noteCheckpoint() {
 	d.mu.Lock()
 	d.lastCkpt = time.Now()
@@ -311,7 +319,6 @@ func (s *Server) recoverTenant(name string) error {
 		s.dur.tornTails++
 	}
 	s.dur.mu.Unlock()
-	s.met.walReplayed.Add(applied)
 	return nil
 }
 

@@ -470,3 +470,43 @@ func TestDurableAckedMeansAppended(t *testing.T) {
 		}
 	}
 }
+
+// TestWALCountersSurviveTenantDelete checks that the WAL counters count
+// every append the server made: deleting a tenant takes its WAL away, not
+// the appends it already logged.
+func TestWALCountersSurviveTenantDelete(t *testing.T) {
+	s, err := Open(Config{DataDir: t.TempDir(), CheckpointInterval: time.Hour, Fsync: durable.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mustCreate(t, s, TenantConfig{Name: "a", Kind: KindHH, K: 1, Eps: 0.1})
+	mustCreate(t, s, TenantConfig{Name: "b", Kind: KindHH, K: 1, Eps: 0.1})
+	appendTo := func(name string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ { // one record per call: one WAL append each
+			if acc, errs := s.Ingest([]Record{{Tenant: name, Value: uint64(i)}}); acc != 1 {
+				t.Fatalf("ingest %s: %+v", name, errs)
+			}
+		}
+	}
+	appendTo("a", 6)
+	appendTo("b", 5)
+	// With -fsync always every append syncs once.
+	for _, series := range []string{"disttrack_wal_appended_total", "disttrack_wal_fsync_total"} {
+		if got := sample(t, s, series); got != 11 {
+			t.Fatalf("%s = %g before the delete, want 11", series, got)
+		}
+	}
+	if !s.reg.Delete("b", true) {
+		t.Fatal("delete b: tenant missing")
+	}
+	appendTo("a", 5)
+	if got := sample(t, s, "disttrack_wal_appended_total"); got != 16 {
+		t.Errorf("disttrack_wal_appended_total = %g after the delete, want 16", got)
+	}
+	// b's WAL syncs once more as the delete closes it.
+	if got := sample(t, s, "disttrack_wal_fsync_total"); got != 17 {
+		t.Errorf("disttrack_wal_fsync_total = %g after the delete, want 17", got)
+	}
+}

@@ -168,15 +168,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	// when a node it has heard from is not currently connected.
 	if ri := s.remote.Load(); ri != nil {
 		nodes := ri.srv.NodeStates()
-		degraded := false
-		for _, n := range nodes {
-			if !n.Connected {
-				degraded = true
-				break
-			}
-		}
 		body["remote_nodes"] = nodes
-		body["degraded"] = degraded
+		body["degraded"] = degraded(nodes)
 	}
 	writeJSON(w, http.StatusOK, body)
 }

@@ -91,21 +91,23 @@ func (s *Server) ReconfigureTenant(name string, newK int) error {
 		newClu.Stop()
 		return fmt.Errorf("tenant %q is closing", name)
 	}
-	old := t.cluster()
-	old.Drain()
-	t.procBase.Add(old.Stats().Processed)
+	old := t.clu.Load()
+	old.c.Drain()
+	// The drained cluster's counts are final: fold them into the base the
+	// replacement carries, so the tenant's counts survive the swap.
+	base := old.stats()
 	if err := t.tr.Reconfigure(newK); err != nil {
 		// Validation failures only (newK ≥ 1 is pre-checked, so this is
 		// effectively unreachable): rebuild a cluster at the old k so the
 		// tenant keeps working — the old one is already drained.
 		newClu.Stop()
 		if rb, rerr := runtime.New(context.Background(), t.tr, t.K(), s.cfg.SiteBuffer); rerr == nil {
-			t.clu.Store(rb)
+			t.clu.Store(&liveCluster{c: rb, base: base})
 		}
 		t.durMu.Unlock()
 		return err
 	}
-	t.clu.Store(newClu)
+	t.clu.Store(&liveCluster{c: newClu, base: base})
 	t.kLive.Store(int32(newK))
 	t.cfgMu.Lock()
 	t.cfg.K = newK
@@ -121,7 +123,6 @@ func (s *Server) ReconfigureTenant(name string, newK int) error {
 	}
 	t.durMu.Unlock()
 	s.memChanges.Add(1)
-	s.met.memChanges.Inc()
 	s.bumpEpoch()
 	return nil
 }

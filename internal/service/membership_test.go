@@ -3,6 +3,8 @@ package service
 import (
 	"net"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -393,4 +395,115 @@ func TestDurableReconfigureRestart(t *testing.T) {
 	if r.Epoch() != 2 {
 		t.Fatalf("recovered epoch %d, want 2", r.Epoch())
 	}
+}
+
+// sample returns the value of one series in s's exposition, failing the test
+// when the series is absent.
+func sample(t *testing.T, s *Server, series string) float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := s.Metrics().Expose(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", series, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("exposition has no series %s", series)
+	return 0
+}
+
+// TestReconfigureKeepsCounts checks that a tenant's counts survive the
+// cluster swap of a membership change, in its stats and on /metrics: the
+// replacement cluster starts from zero, so the drained cluster's processed
+// arrivals and batches must carry over, and a scrape taken before the swap
+// must not pin the exported counter to the drained cluster's count.
+func TestReconfigureKeepsCounts(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	mustCreate(t, s, TenantConfig{Name: "t", Kind: KindHH, K: 2, Eps: 0.1})
+	ingest := func() {
+		t.Helper()
+		for b := 0; b < 2; b++ {
+			recs := make([]Record, 1000)
+			for i := range recs {
+				recs[i] = Record{Tenant: "t", Site: 0, Value: uint64(i % 17)}
+			}
+			if acc, errs := s.Ingest(recs); acc != len(recs) {
+				t.Fatalf("accepted %d, errs %+v", acc, errs)
+			}
+		}
+		s.Flush()
+	}
+	const processed = `disttrack_cluster_processed_total{tenant="t"}`
+	const batches = `disttrack_cluster_batches_total{tenant="t"}`
+
+	ingest()
+	if got := sample(t, s, processed); got != 2000 {
+		t.Fatalf("%s = %g before the swap, want 2000", processed, got)
+	}
+	if err := s.ReconfigureTenant("t", 3); err != nil {
+		t.Fatal(err)
+	}
+	ingest()
+	st := s.reg.Get("t").Stats()
+	if st.Processed != 4000 || st.Batches != 4 || st.Dropped != 0 {
+		t.Errorf("stats after the swap: processed %d, batches %d, dropped %d; want 4000, 4, 0",
+			st.Processed, st.Batches, st.Dropped)
+	}
+	if got := sample(t, s, processed); got != 4000 {
+		t.Errorf("%s = %g after the swap, want 4000", processed, got)
+	}
+	if got := sample(t, s, batches); got != 4 {
+		t.Errorf("%s = %g after the swap, want 4", batches, got)
+	}
+}
+
+// TestStatsRacingReconfigure runs stats requests against membership changes
+// that swap k between 8 and 1. Stats reads the site counts under Quiesce,
+// which excludes the engine's Reconfigure; the tenant's live k is stored
+// only after Reconfigure returns, so the loop must take k from the tracker
+// inside the section. Reading the live k instead indexes past the new k and
+// panics with every protocol lock held, wedging the tenant.
+func TestStatsRacingReconfigure(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	mustCreate(t, s, TenantConfig{Name: "t", Kind: KindHH, K: 8, Eps: 0.1})
+	tn := s.reg.Get("t")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if n := len(tn.Stats().SiteCounts); n != 1 && n != 8 {
+					t.Errorf("stats report %d site counts, want 1 or 8", n)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 400; i++ {
+		k := 1
+		if i%2 == 1 {
+			k = 8
+		}
+		if err := s.ReconfigureTenant("t", k); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -11,32 +11,32 @@ import (
 	"disttrack/internal/obs"
 	"disttrack/internal/obs/wireobs"
 	"disttrack/internal/remote"
-	"disttrack/internal/runtime"
 )
 
 // serverMetrics is the server's obs instrumentation: one registry exposed at
 // GET /metrics, every family registered up front (so scrapes always see the
-// full catalog), and children resolved once per labeled entity. Three update
-// disciplines coexist, chosen by path cost:
+// full catalog), and children resolved once per labeled entity. Each fact is
+// exported once, by whichever discipline matches who keeps it:
 //
-//   - Inline atomics for the engine fast path (engine.Metrics children,
-//     resolved per tenant at creation) and the HTTP middleware — lock-free,
-//     one atomic per event.
+//   - Inline atomics where the metrics plane is the only keeper: the engine
+//     fast path (engine.Metrics children, resolved per tenant at creation),
+//     the query counters, checkpoints and the HTTP middleware — one atomic
+//     per event.
 //   - Direct histogram observes on the per-request ingest paths, where one
 //     time.Now pair per batch is noise.
-//   - Scrape-time mirrors for counters owned elsewhere (cluster stats,
-//     ingest totals, wire meters, transport byte counts): a hook runs
-//     before each exposition, serialized by the registry, and adds monotone
-//     deltas — zero cost off the scrape path.
+//   - Func-backed series for counts their owner already keeps (ingest
+//     totals, each tenant's cluster and admission counters, transport and
+//     WAL counts): read from the owner at exposition, never copied.
 //
-// mu guards the mirror state shared between the scrape hook and tenant
-// deletion (bridge delta maps, last-seen totals).
+// One scrape hook (syncObs) covers what a read function cannot: the
+// tenants' wire meters, which must be read under Quiesce, and the remote
+// ingest path's per-node series and transport meter, whose label sets are
+// discovered at scrape time.
 type serverMetrics struct {
 	reg   *obs.Registry
 	start time.Time
 
 	// Engine fast-path instrumentation, per tenant (see engine.Metrics).
-	engFeeds    *obs.CounterVec   // {tenant}
 	engRuns     *obs.CounterVec   // {tenant}
 	engSplits   *obs.CounterVec   // {tenant}
 	engEsc      *obs.CounterVec   // {tenant}
@@ -49,16 +49,12 @@ type serverMetrics struct {
 	// Cascades: the slow-path holds that locked every site.
 	engCascadeHold *obs.HistogramVec // {tenant}
 
-	// Cluster and tenant bookkeeping mirrors, per tenant.
-	clProcessed *obs.CounterVec // {tenant}
-	clBatches   *obs.CounterVec // {tenant}
-	clDropped   *obs.CounterVec // {tenant}
-	clQueue     *obs.GaugeVec   // {tenant}
-	tenSent     *obs.CounterVec // {tenant}
-	tenDropped  *obs.CounterVec // {tenant}
-	tenTies     *obs.CounterVec // {tenant}
-
-	// QoS admission mirrors, per tenant.
+	// Per-tenant series read from the tenant itself (bindTenant).
+	clProcessed  *obs.CounterVec // {tenant}
+	clBatches    *obs.CounterVec // {tenant}
+	clQueue      *obs.GaugeVec   // {tenant}
+	tenDropped   *obs.CounterVec // {tenant}
+	tenTies      *obs.CounterVec // {tenant}
 	tenThrottled *obs.CounterVec // {tenant}
 	tenQueued    *obs.GaugeVec   // {tenant}
 
@@ -73,47 +69,23 @@ type serverMetrics struct {
 	bridge *wireobs.Bridge
 
 	// Ingest path instrumentation.
-	accepted     *obs.Counter
-	rejected     *obs.Counter
-	throttled    *obs.Counter
-	lost         *obs.Counter
 	batchRecords *obs.Histogram
 	ingestSecs   *obs.Histogram
 	decode       decodeCounters // POST /v1/ingest bodies by decoder
 
-	// Networked ingest mirrors (coord role; zero-valued otherwise).
-	remoteNodes        *obs.Gauge
-	remoteFrames       *obs.Counter
-	remoteValues       *obs.Counter
-	remoteDups         *obs.Counter
-	remoteRejFrames    *obs.Counter
-	remoteRefused      *obs.Counter
-	remoteEpochRefused *obs.Counter
-	remoteFlushes      *obs.Counter
-	remoteRejValues    *obs.Counter
-	remoteThrValues    *obs.Counter
-	remoteBytesIn      *obs.Counter
-	remoteBytesOut     *obs.Counter
-	remoteDegraded     *obs.Gauge
-	remoteBridge       *wireobs.Bridge
-
-	// Per-site-node fault state (coord role): connection and breaker.
+	// Networked ingest (coord role): the per-node fault state and the
+	// transport meter, synced by the scrape hook.
 	nodeConnected    *obs.GaugeVec   // {node}
 	nodeBreakerState *obs.GaugeVec   // {node}; 0 closed, 1 open, 2 half-open
 	nodeBreakerTrips *obs.CounterVec // {node}
+	remoteBridge     *wireobs.Bridge
 
 	// Durable plane (checkpoints + WAL; zero-valued without a data dir).
-	ckptTotal   *obs.Counter
-	ckptBytes   *obs.Counter
-	ckptSecs    *obs.Histogram
-	ckptErrors  *obs.Counter
-	walAppended *obs.Counter
-	walReplayed *obs.Counter
-	walFsync    *obs.Counter
-	walErrors   *obs.Counter
-
-	// Membership plane (site add/remove).
-	memChanges *obs.Counter
+	ckptTotal  *obs.Counter
+	ckptBytes  *obs.Counter
+	ckptSecs   *obs.Histogram
+	ckptErrors *obs.Counter
+	walErrors  *obs.Counter
 
 	// HTTP API instrumentation. The children are resolved once per series
 	// and cached by instrumentHTTP, so a request touches no family map.
@@ -122,29 +94,15 @@ type serverMetrics struct {
 	httpInflight  *obs.Gauge
 	httpSecsCache sync.Map // route → *obs.Histogram
 	httpReqsCache sync.Map // httpReqKey → *obs.Counter
-
-	// Scrape-hook mirror state (guarded by the registry's hook serialization
-	// plus forgetTenant, see syncObs).
-	lastAccepted    int64
-	lastRejected    int64
-	lastThrottled   int64
-	lastLost        int64
-	lastRemote      remote.IngestStats
-	lastRemoteRejVs int64
-	lastRemoteThrVs int64
-	lastNodeTrips   map[string]int64
-	lastWALAppended int64
-	lastWALFsync    int64
 }
 
-// newServerMetrics registers the server's full metric catalog on a fresh
-// registry.
-func newServerMetrics() *serverMetrics {
+// newServerMetrics registers s's full metric catalog on a fresh registry.
+// The func-backed series read s's parts at exposition, so they may be
+// registered before those parts exist.
+func newServerMetrics(s *Server) *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{reg: reg, start: time.Now()}
 
-	m.engFeeds = reg.NewCounterVec("disttrack_engine_feeds_total",
-		"Fast-path arrivals applied by the tracker engine.", "tenant")
 	m.engRuns = reg.NewCounterVec("disttrack_engine_batch_runs_total",
 		"Escalation-free runs consumed by FeedLocalBatch.", "tenant")
 	m.engSplits = reg.NewCounterVec("disttrack_engine_batch_splits_total",
@@ -168,17 +126,13 @@ func newServerMetrics() *serverMetrics {
 		obs.DurationBuckets(), "tenant")
 
 	m.clProcessed = reg.NewCounterVec("disttrack_cluster_processed_total",
-		"Arrivals fully fed to the tracker by the cluster's site goroutines.", "tenant")
+		"Arrivals fully fed to the tracker by the tenant's site goroutines, across membership changes.", "tenant")
 	m.clBatches = reg.NewCounterVec("disttrack_cluster_batches_total",
-		"Batch deliveries processed by the cluster.", "tenant")
-	m.clDropped = reg.NewCounterVec("disttrack_cluster_dropped_total",
-		"Queued arrivals discarded by a cluster stop.", "tenant")
+		"Batch deliveries processed by the tenant's site goroutines, across membership changes.", "tenant")
 	m.clQueue = reg.NewGaugeVec("disttrack_cluster_queue_depth",
 		"Batches currently queued across the tenant's site channels (at most k x -site-buffer).", "tenant")
-	m.tenSent = reg.NewCounterVec("disttrack_tenant_sent_total",
-		"Arrivals successfully enqueued to the tenant's cluster.", "tenant")
 	m.tenDropped = reg.NewCounterVec("disttrack_tenant_dropped_total",
-		"Arrivals lost because the tenant closed mid-send.", "tenant")
+		"Arrivals lost to a tenant close: refused mid-send or discarded unbegun by the cluster stop.", "tenant")
 	m.tenTies = reg.NewCounterVec("disttrack_tenant_ties_total",
 		"Symbolic-perturbation overflows (ε guarantee degrades past 2^24 copies).", "tenant")
 	m.tenThrottled = reg.NewCounterVec("disttrack_admission_throttled_total",
@@ -195,56 +149,91 @@ func newServerMetrics() *serverMetrics {
 	m.etagHits = reg.NewCounter("disttrack_query_cache_etag_hits_total",
 		"Conditional queries answered 304 Not Modified from the version ETag.")
 
-	m.bridge = wireobs.New(reg, "disttrack_wire")
+	m.bridge = wireobs.New(reg, "disttrack_wire", false)
 
-	m.accepted = reg.NewCounter("disttrack_ingest_accepted_total",
-		"Records accepted by the ingest path.")
-	m.rejected = reg.NewCounter("disttrack_ingest_rejected_total",
-		"Records rejected at validation.")
-	m.throttled = reg.NewCounter("disttrack_ingest_throttled_total",
-		"Records denied by per-tenant QoS admission, both edges.")
-	m.lost = reg.NewCounter("disttrack_ingest_lost_total",
-		"Records accepted but undeliverable (tenant deleted mid-flight).")
+	reg.NewCounterFunc("disttrack_ingest_accepted_total",
+		"Records accepted by the ingest path.", func() int64 { return s.ing.Accepted() })
+	reg.NewCounterFunc("disttrack_ingest_rejected_total",
+		"Records rejected at validation.", func() int64 { return s.ing.Rejected() })
+	reg.NewCounterFunc("disttrack_ingest_throttled_total",
+		"Records denied by per-tenant QoS admission, both edges.", func() int64 { return s.ing.Throttled() })
+	reg.NewCounterFunc("disttrack_ingest_lost_total",
+		"Records accepted but undeliverable (tenant deleted mid-flight).", func() int64 { return s.ing.Lost() })
 	m.batchRecords = reg.NewHistogram("disttrack_ingest_batch_records",
 		"Records per ingest batch.", obs.SizeBuckets())
 	m.ingestSecs = reg.NewHistogram("disttrack_ingest_seconds",
 		"Seconds spent validating, logging and delivering one ingest batch to its site channels.", obs.DurationBuckets())
 	m.decode = newDecodeCounters(reg)
 
-	m.remoteNodes = reg.NewGauge("disttrack_remote_nodes",
-		"Live site-node connections on the networked ingest listener.")
-	m.remoteFrames = reg.NewCounter("disttrack_remote_frames_total",
-		"Batch frames applied by the networked ingest path.")
-	m.remoteValues = reg.NewCounter("disttrack_remote_values_total",
-		"Values delivered to the tenants' clusters by the networked ingest path.")
-	m.remoteDups = reg.NewCounter("disttrack_remote_duplicates_total",
-		"Replayed frames dropped by sequence deduplication.")
-	m.remoteRejFrames = reg.NewCounter("disttrack_remote_rejected_frames_total",
-		"Frames refused by ingest validation.")
-	m.remoteRefused = reg.NewCounter("disttrack_remote_refused_hellos_total",
-		"Node handshakes refused by an open per-node reconnect breaker or for a wire-format version mismatch.")
-	m.remoteEpochRefused = reg.NewCounter("disttrack_remote_epoch_refused_hellos_total",
-		"Node handshakes refused for carrying a stale membership epoch.")
-	m.remoteFlushes = reg.NewCounter("disttrack_remote_flushes_total",
-		"Network flush barriers served.")
-	m.remoteRejValues = reg.NewCounter("disttrack_remote_rejected_values_total",
-		"Values filtered by per-value validation on the networked ingest path.")
-	m.remoteThrValues = reg.NewCounter("disttrack_remote_throttled_values_total",
-		"Values dropped by per-tenant QoS admission on the networked ingest path.")
-	m.remoteBytesIn = reg.NewCounter("disttrack_remote_bytes_in_total",
-		"Encoded frame bytes read from site nodes.")
-	m.remoteBytesOut = reg.NewCounter("disttrack_remote_bytes_out_total",
-		"Encoded frame bytes written to site nodes.")
-	m.remoteDegraded = reg.NewGauge("disttrack_remote_degraded",
-		"1 while a known site node is disconnected (queries served from its last state).")
+	// The networked ingest counters read the listener ServeRemote started,
+	// and zero before it.
+	remoteCount := func(name, help string, read func(*RemoteIngest) int64) {
+		reg.NewCounterFunc(name, help, func() int64 {
+			if ri := s.remote.Load(); ri != nil {
+				return read(ri)
+			}
+			return 0
+		})
+	}
+	remoteStat := func(name, help string, field func(remote.IngestStats) int64) {
+		remoteCount(name, help, func(ri *RemoteIngest) int64 { return field(ri.srv.Stats()) })
+	}
+	reg.NewGaugeFunc("disttrack_remote_nodes",
+		"Live site-node connections on the networked ingest listener.",
+		func() float64 {
+			if ri := s.remote.Load(); ri != nil {
+				return float64(ri.srv.Stats().Nodes)
+			}
+			return 0
+		})
+	remoteStat("disttrack_remote_frames_total",
+		"Batch frames applied by the networked ingest path.",
+		func(st remote.IngestStats) int64 { return st.Frames })
+	remoteStat("disttrack_remote_values_total",
+		"Values delivered to the tenants' clusters by the networked ingest path.",
+		func(st remote.IngestStats) int64 { return st.Values })
+	remoteStat("disttrack_remote_duplicates_total",
+		"Replayed frames dropped by sequence deduplication.",
+		func(st remote.IngestStats) int64 { return st.Duplicates })
+	remoteStat("disttrack_remote_rejected_frames_total",
+		"Frames refused by ingest validation.",
+		func(st remote.IngestStats) int64 { return st.Rejected })
+	remoteStat("disttrack_remote_refused_hellos_total",
+		"Node handshakes refused by an open per-node reconnect breaker or for a wire-format version mismatch.",
+		func(st remote.IngestStats) int64 { return st.Refused })
+	remoteStat("disttrack_remote_epoch_refused_hellos_total",
+		"Node handshakes refused for carrying a stale membership epoch.",
+		func(st remote.IngestStats) int64 { return st.EpochRefused })
+	remoteStat("disttrack_remote_flushes_total",
+		"Network flush barriers served.",
+		func(st remote.IngestStats) int64 { return st.Flushes })
+	remoteCount("disttrack_remote_rejected_values_total",
+		"Values filtered by per-value validation on the networked ingest path.",
+		func(ri *RemoteIngest) int64 { return ri.rejected.Load() })
+	remoteCount("disttrack_remote_throttled_values_total",
+		"Values dropped by per-tenant QoS admission on the networked ingest path.",
+		func(ri *RemoteIngest) int64 { return ri.throttled.Load() })
+	remoteStat("disttrack_remote_bytes_in_total",
+		"Encoded frame bytes read from site nodes.",
+		func(st remote.IngestStats) int64 { return st.BytesIn })
+	remoteStat("disttrack_remote_bytes_out_total",
+		"Encoded frame bytes written to site nodes.",
+		func(st remote.IngestStats) int64 { return st.BytesOut })
+	reg.NewGaugeFunc("disttrack_remote_degraded",
+		"1 while a known site node is disconnected (queries served from its last state).",
+		func() float64 {
+			if ri := s.remote.Load(); ri != nil && degraded(ri.srv.NodeStates()) {
+				return 1
+			}
+			return 0
+		})
 	m.nodeConnected = reg.NewGaugeVec("disttrack_remote_node_connected",
 		"1 while the site node's connection is live.", "node")
 	m.nodeBreakerState = reg.NewGaugeVec("disttrack_remote_node_breaker_state",
 		"Per-node reconnect breaker state: 0 closed, 1 open, 2 half-open.", "node")
 	m.nodeBreakerTrips = reg.NewCounterVec("disttrack_remote_node_breaker_trips_total",
 		"Times the node's reconnect breaker tripped open.", "node")
-	m.lastNodeTrips = make(map[string]int64)
-	m.remoteBridge = wireobs.New(reg, "disttrack_remote_wire")
+	m.remoteBridge = wireobs.New(reg, "disttrack_remote_wire", true)
 
 	m.ckptTotal = reg.NewCounter("disttrack_checkpoint_total",
 		"Durable checkpoints completed.")
@@ -254,17 +243,35 @@ func newServerMetrics() *serverMetrics {
 		"Seconds per durable checkpoint, capture through disk write.", obs.DurationBuckets())
 	m.ckptErrors = reg.NewCounter("disttrack_checkpoint_errors_total",
 		"Durable checkpoint or durable-state cleanup failures.")
-	m.walAppended = reg.NewCounter("disttrack_wal_appended_total",
-		"Record batches appended to tenant ingest WALs.")
-	m.walReplayed = reg.NewCounter("disttrack_wal_replayed_total",
-		"WAL record batches replayed during boot recovery.")
-	m.walFsync = reg.NewCounter("disttrack_wal_fsync_total",
-		"fsync calls issued by tenant ingest WALs.")
+	durableCount := func(name, help string, read func(*durability) int64) {
+		reg.NewCounterFunc(name, help, func() int64 {
+			if s.dur != nil {
+				return read(s.dur)
+			}
+			return 0
+		})
+	}
+	durableCount("disttrack_wal_appended_total",
+		"Record batches appended to tenant ingest WALs, deleted tenants' included.",
+		func(d *durability) int64 { return d.store.AppendedRecords() })
+	durableCount("disttrack_wal_replayed_total",
+		"WAL record batches replayed during boot recovery.",
+		func(d *durability) int64 { return d.replayedRecords() })
+	durableCount("disttrack_wal_fsync_total",
+		"fsync calls issued by tenant ingest WALs, deleted tenants' included.",
+		func(d *durability) int64 { return d.store.Fsyncs() })
 	m.walErrors = reg.NewCounter("disttrack_wal_errors_total",
 		"WAL append failures (the batch was still delivered; durability fails open).")
 
-	m.memChanges = reg.NewCounter("disttrack_membership_changes_total",
-		"Completed live site add/remove reconfigurations (each bumps the membership epoch).")
+	reg.NewCounterFunc("disttrack_membership_changes_total",
+		"Completed live site add/remove reconfigurations (each bumps the membership epoch).",
+		s.memChanges.Load)
+	reg.NewGaugeFunc("disttrack_membership_epoch",
+		"Current membership configuration epoch (bumped on every site add/remove).",
+		func() float64 { return float64(s.epoch.Load()) })
+	reg.NewGaugeFunc("disttrack_tenants",
+		"Live tenants in the registry.",
+		func() float64 { return float64(s.reg.Count()) })
 
 	m.httpReqs = reg.NewCounterVec("disttrack_http_requests_total",
 		"HTTP API requests, by mux route, method and status code.", "route", "method", "code")
@@ -277,6 +284,7 @@ func newServerMetrics() *serverMetrics {
 		"Seconds since the server's metrics plane was created.",
 		func() float64 { return time.Since(m.start).Seconds() })
 	registerBuildInfo(reg)
+	reg.OnScrape(s.syncObs)
 	return m
 }
 
@@ -304,45 +312,27 @@ func buildMeta() (version, goVersion string) {
 	return version, goVersion
 }
 
-// addDelta adds the monotone delta between cur and *last to c and advances
-// *last. A source reset (cur below last) re-bases without a negative add, so
-// the exported counter stays monotone.
-func addDelta(c *obs.Counter, last *int64, cur int64) {
-	if cur > *last {
-		c.Add(cur - *last)
-	}
-	*last = cur
-}
-
-// tenantMetrics is one tenant's resolved instrumentation: the engine's
-// fast-path children (updated inline by the tracker), the cluster mirror
-// state, and the query counters. Children are resolved exactly once here, at
-// tenant creation, so no hot path ever touches a family map.
+// tenantMetrics is one tenant's resolved inline instrumentation: the
+// engine's fast-path children (updated by the tracker) and the query
+// counters. Children are resolved exactly once here, at tenant creation, so
+// no hot path ever touches a family map.
 type tenantMetrics struct {
 	sm  *serverMetrics
 	eng engine.Metrics
-	cl  runtime.ClusterMetrics
-
-	sent      *obs.Counter
-	dropped   *obs.Counter
-	ties      *obs.Counter
-	throttled *obs.Counter
-	queued    *obs.Gauge
 
 	qHeavy    *obs.Counter
 	qQuantile *obs.Counter
 	qRank     *obs.Counter
 	qFreq     *obs.Counter
-
-	lastSent, lastDropped, lastTies, lastThrottled int64
 }
 
-// tenant resolves the per-tenant children for name.
+// tenant resolves the per-tenant inline children for name. The arrivals
+// the engine applies are the cluster's processed count, exported once by
+// bindTenant, so engine.Metrics.Feeds stays unwired.
 func (m *serverMetrics) tenant(name string) *tenantMetrics {
 	return &tenantMetrics{
 		sm: m,
 		eng: engine.Metrics{
-			Feeds:            m.engFeeds.With(name),
 			BatchRuns:        m.engRuns.With(name),
 			BatchSplits:      m.engSplits.With(name),
 			Escalations:      m.engEsc.With(name),
@@ -353,22 +343,26 @@ func (m *serverMetrics) tenant(name string) *tenantMetrics {
 			QuiesceHold:      m.engQuiesce.With(name),
 			CascadeHold:      m.engCascadeHold.With(name),
 		},
-		cl: runtime.ClusterMetrics{
-			Processed:  m.clProcessed.With(name),
-			Batches:    m.clBatches.With(name),
-			Dropped:    m.clDropped.With(name),
-			QueueDepth: m.clQueue.With(name),
-		},
-		sent:      m.tenSent.With(name),
-		dropped:   m.tenDropped.With(name),
-		ties:      m.tenTies.With(name),
-		throttled: m.tenThrottled.With(name),
-		queued:    m.tenQueued.With(name),
 		qHeavy:    m.queries.With(name, "heavy"),
 		qQuantile: m.queries.With(name, "quantile"),
 		qRank:     m.queries.With(name, "rank"),
 		qFreq:     m.queries.With(name, "frequency"),
 	}
+}
+
+// bindTenant exports t's own counters under its name, replacing the series
+// of any earlier tenant of that name. The registry binds a tenant when it
+// publishes it and forgets it when it unpublishes it, both under its lock,
+// so the series always read the published instance.
+func (m *serverMetrics) bindTenant(t *Tenant) {
+	name := t.cfg.Name
+	m.clProcessed.WithFunc(t.processed, name)
+	m.clBatches.WithFunc(func() int64 { return t.stats().Batches }, name)
+	m.clQueue.WithFunc(func() float64 { return float64(t.cluster().QueueDepth()) }, name)
+	m.tenDropped.WithFunc(t.droppedTotal, name)
+	m.tenTies.WithFunc(t.ties.Load, name)
+	m.tenThrottled.WithFunc(t.throttled.Load, name)
+	m.tenQueued.WithFunc(func() float64 { return float64(t.backlog()) }, name)
 }
 
 // forgetTenant removes a deleted tenant's exported series and mirror state,
@@ -377,10 +371,8 @@ func (m *serverMetrics) tenant(name string) *tenantMetrics {
 // otherwise owned by the scrape hook.
 func (m *serverMetrics) forgetTenant(name string) {
 	for _, v := range []*obs.CounterVec{
-		m.engFeeds, m.engRuns, m.engSplits, m.engEsc, m.engBoot,
-		m.engAcquires, m.engSaved,
-		m.clProcessed, m.clBatches, m.clDropped,
-		m.tenSent, m.tenDropped, m.tenTies, m.tenThrottled,
+		m.engRuns, m.engSplits, m.engEsc, m.engBoot, m.engAcquires, m.engSaved,
+		m.clProcessed, m.clBatches, m.tenDropped, m.tenTies, m.tenThrottled,
 	} {
 		v.Remove(name)
 	}
@@ -395,88 +387,34 @@ func (m *serverMetrics) forgetTenant(name string) {
 	m.reg.WithHookLock(func() { m.bridge.Forget(name) })
 }
 
-// syncObs is the server's scrape hook: it mirrors every externally-owned
-// counter into the metrics plane immediately before an exposition. The
-// registry serializes hooks, so the mirror state needs no locking of its
-// own. Per-tenant meter reads run under each tenant's quiescent query lock —
-// the only safe way to read a wire.Meter — which briefly stalls that
-// tenant's ingest, same as a stats request.
+// syncObs is the server's scrape hook. Each tenant's wire meter is read
+// under that tenant's quiescent query lock — the only safe way to read a
+// wire.Meter — which briefly stalls the tenant's ingest, same as a stats
+// request. The registry serializes hooks, so the bridges' delta state needs
+// no locking of its own.
 func (s *Server) syncObs() {
-	m := s.met
 	for _, t := range s.reg.all() {
-		t.syncObs()
+		t.tr.Quiesce(func() { s.met.bridge.Sync(t.cfg.Name, t.meter()) })
 	}
-	addDelta(m.accepted, &m.lastAccepted, s.ing.Accepted())
-	addDelta(m.rejected, &m.lastRejected, s.ing.Rejected())
-	addDelta(m.throttled, &m.lastThrottled, s.ing.Throttled())
-	addDelta(m.lost, &m.lastLost, s.ing.Lost())
 	if ri := s.remote.Load(); ri != nil {
-		ri.syncObs(m)
-	}
-	if s.dur != nil {
-		var appended, fsyncs int64
-		for _, t := range s.reg.all() {
-			if t.dur != nil {
-				st := t.dur.WALStats()
-				appended += st.AppendedRecords
-				fsyncs += st.Fsyncs
-			}
-		}
-		addDelta(m.walAppended, &m.lastWALAppended, appended)
-		addDelta(m.walFsync, &m.lastWALFsync, fsyncs)
+		ri.syncObs(s.met)
 	}
 }
 
-// syncObs mirrors the tenant's cluster counters, send bookkeeping and
-// communication meter. Runs only from the registry's scrape hook.
-func (t *Tenant) syncObs() {
-	tm := t.tm
-	if tm == nil {
-		return
-	}
-	t.cluster().SyncMetrics(&tm.cl)
-	addDelta(tm.sent, &tm.lastSent, t.sent.Load())
-	addDelta(tm.dropped, &tm.lastDropped, t.dropped.Load())
-	addDelta(tm.ties, &tm.lastTies, t.ties.Load())
-	addDelta(tm.throttled, &tm.lastThrottled, t.throttled.Load())
-	tm.queued.SetInt(t.backlog())
-	t.tr.Quiesce(func() {
-		tm.sm.bridge.Sync(t.cfg.Name, t.meter())
-	})
-}
-
-// syncObs mirrors the networked ingest path's transport counters and its
-// per-tenant wire meter. Runs only from the registry's scrape hook.
+// syncObs exports the per-node series for every node the listener knows
+// (the node set is discovered here) and mirrors the transport meter. Runs
+// only from the registry's scrape hook.
 func (ri *RemoteIngest) syncObs(m *serverMetrics) {
-	st := ri.srv.Stats()
-	m.remoteNodes.SetInt(int64(st.Nodes))
-	addDelta(m.remoteFrames, &m.lastRemote.Frames, st.Frames)
-	addDelta(m.remoteValues, &m.lastRemote.Values, st.Values)
-	addDelta(m.remoteDups, &m.lastRemote.Duplicates, st.Duplicates)
-	addDelta(m.remoteRejFrames, &m.lastRemote.Rejected, st.Rejected)
-	addDelta(m.remoteRefused, &m.lastRemote.Refused, st.Refused)
-	addDelta(m.remoteEpochRefused, &m.lastRemote.EpochRefused, st.EpochRefused)
-	addDelta(m.remoteFlushes, &m.lastRemote.Flushes, st.Flushes)
-	addDelta(m.remoteBytesIn, &m.lastRemote.BytesIn, st.BytesIn)
-	addDelta(m.remoteBytesOut, &m.lastRemote.BytesOut, st.BytesOut)
-	degraded := int64(0)
 	for node, ns := range ri.srv.NodeStates() {
+		connected := int64(0)
 		if ns.Connected {
-			m.nodeConnected.With(node).SetInt(1)
-		} else {
-			m.nodeConnected.With(node).SetInt(0)
-			degraded = 1
+			connected = 1
 		}
+		m.nodeConnected.With(node).SetInt(connected)
 		m.nodeBreakerState.With(node).SetInt(int64(ns.Breaker.State))
-		last := m.lastNodeTrips[node]
-		trips := m.nodeBreakerTrips.With(node)
-		addDelta(trips, &last, ns.Breaker.Trips)
-		m.lastNodeTrips[node] = last
+		m.nodeBreakerTrips.WithFunc(func() int64 { return ri.srv.NodeStates()[node].Breaker.Trips }, node)
 	}
-	m.remoteDegraded.SetInt(degraded)
 	ri.mu.Lock()
-	addDelta(m.remoteRejValues, &m.lastRemoteRejVs, ri.rejected)
-	addDelta(m.remoteThrValues, &m.lastRemoteThrVs, ri.throttled)
 	m.remoteBridge.Sync("ingest", &ri.meter)
 	ri.mu.Unlock()
 }

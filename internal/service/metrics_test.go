@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -134,9 +135,7 @@ func TestMetricsScrapeAndConservation(t *testing.T) {
 	// least one parsed sample (unlabeled counters and histogram _count exist
 	// even before events).
 	for _, fam := range []string{
-		"disttrack_engine_feeds_total",
 		"disttrack_cluster_processed_total",
-		"disttrack_tenant_sent_total",
 		"disttrack_wire_msgs_total",
 		"disttrack_ingest_accepted_total",
 		"disttrack_ingest_batch_records_count",
@@ -153,12 +152,9 @@ func TestMetricsScrapeAndConservation(t *testing.T) {
 		}
 	}
 
-	// The shard-worker layer's families went with it.
-	for _, fam := range []string{
-		"disttrack_shard_queue_depth",
-		"disttrack_migrations_total",
-		"disttrack_migration_duration_seconds",
-	} {
+	// The shard-worker layer's families went with it, and so did the ones
+	// that repeated another family's count or never carried a sample.
+	for _, fam := range deletedFamilies {
 		if hasFamily(m1, fam) {
 			t.Errorf("scrape still exports family %s", fam)
 		}
@@ -168,8 +164,8 @@ func TestMetricsScrapeAndConservation(t *testing.T) {
 	if got := m1["disttrack_ingest_accepted_total"]; got != n {
 		t.Errorf("accepted_total = %g, want %d", got, n)
 	}
-	if got := sumSeries(m1, "disttrack_engine_feeds_total", `tenant="clicks"`); got != n {
-		t.Errorf("engine feeds for clicks = %g, want %d", got, n)
+	if got := sumSeries(m1, "disttrack_cluster_processed_total", `tenant="clicks"`); got != n {
+		t.Errorf("processed for clicks = %g, want %d", got, n)
 	}
 	if got := m1[`disttrack_tenants`]; got != 2 {
 		t.Errorf("disttrack_tenants = %g, want 2", got)
@@ -254,7 +250,7 @@ func TestMetricsTenantDeleteRemovesSeries(t *testing.T) {
 	jsonCall(t, client, "POST", ts.URL+"/v1/flush", nil, nil)
 	waitProcessed(t, client, ts.URL+"/v1/tenants/ephemeral", 1)
 	m1 := scrape(t, client, ts.URL+"/metrics")
-	if sumSeries(m1, "disttrack_engine_feeds_total", `tenant="ephemeral"`) != 1 {
+	if sumSeries(m1, "disttrack_cluster_processed_total", `tenant="ephemeral"`) != 1 {
 		t.Fatalf("tenant series missing before delete:\n%v", m1)
 	}
 
@@ -432,7 +428,8 @@ func TestClusterQueueDepthCountsBatches(t *testing.T) {
 
 // TestMetricsFeedWhileScraping hammers ingest from several goroutines while
 // continuously scraping /metrics; run under -race this exercises every
-// update discipline (inline atomics, direct observes, scrape-hook mirrors)
+// update discipline (inline atomics, direct observes, func-backed reads,
+// scrape-hook mirrors)
 // against concurrent exposition.
 func TestMetricsFeedWhileScraping(t *testing.T) {
 	srv := service.New(service.Config{SiteBuffer: 32})
@@ -497,10 +494,10 @@ func TestMetricsFeedWhileScraping(t *testing.T) {
 			if got := m["disttrack_ingest_accepted_total"]; int64(got) != total {
 				t.Fatalf("accepted_total = %g, want %d", got, total)
 			}
-			feeds := sumSeries(m, "disttrack_engine_feeds_total", `tenant="a"`) +
-				sumSeries(m, "disttrack_engine_feeds_total", `tenant="b"`)
-			if int64(feeds) != total {
-				t.Fatalf("engine feeds = %g, want %d", feeds, total)
+			processed := sumSeries(m, "disttrack_cluster_processed_total", `tenant="a"`) +
+				sumSeries(m, "disttrack_cluster_processed_total", `tenant="b"`)
+			if int64(processed) != total {
+				t.Fatalf("processed = %g, want %d", processed, total)
 			}
 			return
 		default:
@@ -516,6 +513,168 @@ func TestMetricsFeedWhileScraping(t *testing.T) {
 				t.Fatalf("scrape status %d", resp.StatusCode)
 			}
 			scrapes++
+		}
+	}
+}
+
+// deletedFamilies must stay absent from every scrape: the shard-worker
+// layer's families, and the ones that repeated another family's count or
+// never carried a sample.
+var deletedFamilies = []string{
+	"disttrack_shard_queue_depth",
+	"disttrack_migrations_total",
+	"disttrack_migration_duration_seconds",
+	// Same count as disttrack_cluster_processed_total.
+	"disttrack_engine_feeds_total",
+	// Sent minus processed is disttrack_admission_queued.
+	"disttrack_tenant_sent_total",
+	// Folded into disttrack_tenant_dropped_total.
+	"disttrack_cluster_dropped_total",
+	// Tenant meters keep no kind breakdown, and only the transport meter
+	// attributes traffic to tenants.
+	"disttrack_wire_kind_msgs_total",
+	"disttrack_wire_kind_words_total",
+	"disttrack_wire_tenant_msgs_total",
+	"disttrack_wire_tenant_words_total",
+	// The transport meter's kinds repeat the remote frame, reject and flush
+	// counters.
+	"disttrack_remote_wire_kind_msgs_total",
+	"disttrack_remote_wire_kind_words_total",
+	// Occupancy times -window.
+	"disttrack_node_pending_frames",
+}
+
+// catalog returns the sorted family names reg exposes (its # TYPE lines).
+func catalog(t *testing.T, expose func(io.Writer) error) []string {
+	t.Helper()
+	var sb strings.Builder
+	if err := expose(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	return names
+}
+
+// TestMetricsCatalog pins the exact family list of a durable coordinator
+// with a TCP listener and of a site node: a family added or deleted must
+// show up here.
+func TestMetricsCatalog(t *testing.T) {
+	srv, err := service.Open(service.Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ri, err := srv.ServeRemote("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := service.NewSiteNode(service.SiteNodeConfig{Node: "edge", Upstream: ri.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+
+	server := catalog(t, srv.Metrics().Expose)
+	site := catalog(t, node.Metrics().Expose)
+	wantServer := []string{
+		"disttrack_admission_queued",
+		"disttrack_admission_throttled_total",
+		"disttrack_build_info",
+		"disttrack_checkpoint_bytes",
+		"disttrack_checkpoint_duration_seconds",
+		"disttrack_checkpoint_errors_total",
+		"disttrack_checkpoint_total",
+		"disttrack_cluster_batches_total",
+		"disttrack_cluster_processed_total",
+		"disttrack_cluster_queue_depth",
+		"disttrack_engine_batch_runs_total",
+		"disttrack_engine_batch_splits_total",
+		"disttrack_engine_boot_handoffs_total",
+		"disttrack_engine_cascade_hold_seconds",
+		"disttrack_engine_escalations_total",
+		"disttrack_engine_quiesce_hold_seconds",
+		"disttrack_engine_saved_acquires_total",
+		"disttrack_engine_slow_path_acquires_total",
+		"disttrack_engine_slow_path_hold_seconds",
+		"disttrack_http_inflight_requests",
+		"disttrack_http_request_seconds",
+		"disttrack_http_requests_total",
+		"disttrack_ingest_accepted_total",
+		"disttrack_ingest_batch_records",
+		"disttrack_ingest_decode_total",
+		"disttrack_ingest_lost_total",
+		"disttrack_ingest_rejected_total",
+		"disttrack_ingest_seconds",
+		"disttrack_ingest_throttled_total",
+		"disttrack_last_checkpoint_age_seconds",
+		"disttrack_membership_changes_total",
+		"disttrack_membership_epoch",
+		"disttrack_queries_total",
+		"disttrack_query_cache_etag_hits_total",
+		"disttrack_query_cache_hits_total",
+		"disttrack_query_cache_misses_total",
+		"disttrack_remote_bytes_in_total",
+		"disttrack_remote_bytes_out_total",
+		"disttrack_remote_degraded",
+		"disttrack_remote_duplicates_total",
+		"disttrack_remote_epoch_refused_hellos_total",
+		"disttrack_remote_flushes_total",
+		"disttrack_remote_frames_total",
+		"disttrack_remote_node_breaker_state",
+		"disttrack_remote_node_breaker_trips_total",
+		"disttrack_remote_node_connected",
+		"disttrack_remote_nodes",
+		"disttrack_remote_refused_hellos_total",
+		"disttrack_remote_rejected_frames_total",
+		"disttrack_remote_rejected_values_total",
+		"disttrack_remote_throttled_values_total",
+		"disttrack_remote_values_total",
+		"disttrack_remote_wire_msgs_total",
+		"disttrack_remote_wire_tenant_msgs_total",
+		"disttrack_remote_wire_tenant_words_total",
+		"disttrack_remote_wire_words_total",
+		"disttrack_tenant_dropped_total",
+		"disttrack_tenant_ties_total",
+		"disttrack_tenants",
+		"disttrack_uptime_seconds",
+		"disttrack_wal_appended_total",
+		"disttrack_wal_errors_total",
+		"disttrack_wal_fsync_total",
+		"disttrack_wal_replayed_total",
+		"disttrack_wire_msgs_total",
+		"disttrack_wire_words_total",
+	}
+	wantSite := []string{
+		"disttrack_build_info",
+		"disttrack_ingest_decode_total",
+		"disttrack_node_accepted_total",
+		"disttrack_node_batches_total",
+		"disttrack_node_bytes_total",
+		"disttrack_node_connected",
+		"disttrack_node_dial_attempts_total",
+		"disttrack_node_reconnects_total",
+		"disttrack_node_rejected_total",
+		"disttrack_node_resent_frames_total",
+		"disttrack_node_upstream_rejects_total",
+		"disttrack_node_uptime_seconds",
+		"disttrack_node_window_occupancy",
+	}
+	if !slices.Equal(server, wantServer) {
+		t.Errorf("server catalog (%d families):\n%q\nwant (%d):\n%q", len(server), server, len(wantServer), wantServer)
+	}
+	if !slices.Equal(site, wantSite) {
+		t.Errorf("site catalog (%d families):\n%q\nwant (%d):\n%q", len(site), site, len(wantSite), wantSite)
+	}
+	for _, fam := range deletedFamilies {
+		if slices.Contains(server, fam) || slices.Contains(site, fam) {
+			t.Errorf("catalog still has deleted family %s", fam)
 		}
 	}
 }

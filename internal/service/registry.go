@@ -115,6 +115,9 @@ func (r *Registry) insert(t *Tenant) error {
 		return fmt.Errorf("tenant %q: %w", t.cfg.Name, ErrExists)
 	}
 	r.publish(t.cfg.Name, t)
+	if r.met != nil {
+		r.met.bindTenant(t)
+	}
 	return nil
 }
 
@@ -133,6 +136,9 @@ func (r *Registry) Delete(name string, drain bool) bool {
 	t, ok := r.all()[name]
 	if ok {
 		r.publish(name, nil)
+		if r.met != nil {
+			r.met.forgetTenant(name)
+		}
 	}
 	r.mu.Unlock()
 	if !ok {
@@ -145,9 +151,6 @@ func (r *Registry) Delete(name string, drain bool) bool {
 		if err := t.dur.Drop(); err != nil && r.met != nil {
 			r.met.ckptErrors.Inc()
 		}
-	}
-	if r.met != nil {
-		r.met.forgetTenant(name)
 	}
 	return true
 }

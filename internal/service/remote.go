@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"disttrack/internal/fault"
 	"disttrack/internal/remote"
@@ -20,16 +21,19 @@ type RemoteIngest struct {
 	s   *Server
 	srv *remote.IngestServer
 
-	mu        sync.Mutex
-	meter     wire.Meter
-	rejected  int64 // values filtered by per-value validation
-	throttled int64 // values dropped by per-tenant QoS admission
+	mu    sync.Mutex
+	meter wire.Meter // guarded by mu
+
+	rejected  atomic.Int64 // values filtered by per-value validation
+	throttled atomic.Int64 // values dropped by per-tenant QoS admission
 }
 
 // ServeRemote starts the networked ingest listener on addr (e.g.
 // ":7171"). One listener per server; a second call fails.
 func (s *Server) ServeRemote(addr string) (*RemoteIngest, error) {
 	ri := &RemoteIngest{s: s}
+	// Only the direction totals and the per-tenant attribution are read.
+	ri.meter.DisableKindBreakdown()
 	// With the durable plane open, seed the listener's dedup table from the
 	// recovered cursor state (file ∨ WAL provenance) and advertise the
 	// recovered membership epoch: a node replaying a tail the previous
@@ -98,9 +102,9 @@ func (ri *RemoteIngest) onBatch(node string, f remote.TFrame) error {
 	// the frame is acked (the sender must not replay it; that would turn a
 	// transient throttle into an amplification loop) and the drop is
 	// visible here and in the tenant's throttle counters.
+	ri.rejected.Add(int64(rejected))
+	ri.throttled.Add(int64(throttled))
 	ri.mu.Lock()
-	ri.rejected += int64(rejected)
-	ri.throttled += int64(throttled)
 	ri.meter.UpTenant(f.Tenant, int(f.Site), "tbatch", words)
 	ri.meter.DownTenant(f.Tenant, int(f.Site), "tack", 1)
 	ri.mu.Unlock()
@@ -137,22 +141,30 @@ type RemoteStats struct {
 // Stats snapshots the transport counters, per-node health and the
 // per-tenant communication accounting.
 func (ri *RemoteIngest) Stats() RemoteStats {
-	st := RemoteStats{IngestStats: ri.srv.Stats(), NodeStates: ri.srv.NodeStates()}
-	for _, n := range st.NodeStates {
-		if !n.Connected {
-			st.Degraded = true
-			break
-		}
+	st := RemoteStats{
+		IngestStats:     ri.srv.Stats(),
+		RejectedValues:  ri.rejected.Load(),
+		ThrottledValues: ri.throttled.Load(),
+		NodeStates:      ri.srv.NodeStates(),
 	}
+	st.Degraded = degraded(st.NodeStates)
 	ri.mu.Lock()
-	st.RejectedValues = ri.rejected
-	st.ThrottledValues = ri.throttled
 	for _, name := range ri.meter.Tenants() {
 		c := ri.meter.Tenant(name)
 		st.Tenants = append(st.Tenants, TenantCost{Tenant: name, Msgs: c.Msgs, Words: c.Words})
 	}
 	ri.mu.Unlock()
 	return st
+}
+
+// degraded reports whether a known site node is disconnected.
+func degraded(nodes map[string]remote.NodeHealth) bool {
+	for _, n := range nodes {
+		if !n.Connected {
+			return true
+		}
+	}
+	return false
 }
 
 // DisconnectNode forcibly drops a site node's connection (it will resync on

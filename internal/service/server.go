@@ -60,19 +60,12 @@ func New(cfg Config) *Server {
 func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg}
-	s.met = newServerMetrics()
+	s.met = newServerMetrics(s)
 	s.reg = NewRegistry(cfg.SiteBuffer)
 	s.reg.met = s.met
 	s.ing = newIngester(s.reg, s.met)
 	s.mux = newMux(s)
 	s.handler = s.met.instrumentHTTP(s.mux)
-	s.met.reg.OnScrape(s.syncObs)
-	s.met.reg.NewGaugeFunc("disttrack_tenants",
-		"Live tenants in the registry.",
-		func() float64 { return float64(s.reg.Count()) })
-	s.met.reg.NewGaugeFunc("disttrack_membership_epoch",
-		"Current membership configuration epoch (bumped on every site add/remove).",
-		func() float64 { return float64(s.epoch.Load()) })
 	s.epoch.Store(1)
 	if cfg.DataDir != "" {
 		store, err := durable.Open(cfg.DataDir, durable.Options{

@@ -318,59 +318,41 @@ func (n *SiteNode) Stats() SiteNodeStats {
 	}
 }
 
-// nodeMetrics is the site node's obs instrumentation. The node has no
-// per-arrival hot path worth inline counters — Ingest already batches — so
-// everything is mirrored from the node and transport counters by a
-// scrape hook, plus gauge funcs for the instantaneous window state.
+// nodeMetrics is the site node's obs instrumentation. The node and its
+// transport already count everything it exports, so every series reads
+// them at exposition: no copies, no scrape hook.
 type nodeMetrics struct {
-	reg *obs.Registry
-
-	accepted     *obs.Counter
-	rejected     *obs.Counter
-	batches      *obs.Counter
-	reconnects   *obs.Counter
-	resent       *obs.Counter
-	upstreamRej  *obs.Counter
-	bytesUp      *obs.Counter
-	bytesDown    *obs.Counter
-	dialAttempts *obs.Counter
-	decode       decodeCounters
-
-	last struct {
-		accepted, rejected, batches, reconnects, resent, upstreamRej int64
-		bytesUp, bytesDown, dialAttempts                             int64
-	}
+	reg    *obs.Registry
+	decode decodeCounters
 }
 
-// newNodeMetrics registers the node's metric catalog and its scrape hook.
+// newNodeMetrics registers the node's metric catalog.
 func newNodeMetrics(n *SiteNode) *nodeMetrics {
 	reg := obs.NewRegistry()
 	m := &nodeMetrics{reg: reg}
 	start := time.Now()
-	m.accepted = reg.NewCounter("disttrack_node_accepted_total",
-		"Records accepted locally for upstream delivery.")
-	m.rejected = reg.NewCounter("disttrack_node_rejected_total",
-		"Records refused by local validation.")
-	m.batches = reg.NewCounter("disttrack_node_batches_total",
-		"Batches handed to the upstream transport.")
-	m.reconnects = reg.NewCounter("disttrack_node_reconnects_total",
-		"Healed upstream transport failures.")
-	m.resent = reg.NewCounter("disttrack_node_resent_frames_total",
-		"Frames replayed during reconnect resyncs.")
-	m.upstreamRej = reg.NewCounter("disttrack_node_upstream_rejects_total",
-		"Frames the coordinator refused.")
+	reg.NewCounterFunc("disttrack_node_accepted_total",
+		"Records accepted locally for upstream delivery.", n.accepted.Load)
+	reg.NewCounterFunc("disttrack_node_rejected_total",
+		"Records refused by local validation.", n.rejected.Load)
+	reg.NewCounterFunc("disttrack_node_batches_total",
+		"Batches handed to the upstream transport.", n.batches.Load)
+	reg.NewCounterFunc("disttrack_node_reconnects_total",
+		"Healed upstream transport failures.", n.cl.Reconnects)
+	reg.NewCounterFunc("disttrack_node_resent_frames_total",
+		"Frames replayed during reconnect resyncs.", n.cl.Resent)
+	reg.NewCounterFunc("disttrack_node_upstream_rejects_total",
+		"Frames the coordinator refused.",
+		func() int64 { rej, _ := n.cl.Rejected(); return rej })
 	bytes := reg.NewCounterVec("disttrack_node_bytes_total",
 		"Encoded transport bytes by direction (up = toward the coordinator).", "dir")
-	m.bytesUp = bytes.With("up")
-	m.bytesDown = bytes.With("down")
-	reg.NewGaugeFunc("disttrack_node_pending_frames",
-		"Batch frames awaiting coordinator acknowledgement.",
-		func() float64 { return float64(n.cl.Pending()) })
+	bytes.WithFunc(func() int64 { up, _ := n.cl.Bytes(); return up }, "up")
+	bytes.WithFunc(func() int64 { _, down := n.cl.Bytes(); return down }, "down")
 	reg.NewGaugeFunc("disttrack_node_window_occupancy",
 		"Pending frames over the transport window bound (1 = saturated, ingest stalls).",
 		func() float64 { return float64(n.cl.Pending()) / float64(n.cl.Window()) })
-	m.dialAttempts = reg.NewCounter("disttrack_node_dial_attempts_total",
-		"Upstream reconnect dials (successful or not).")
+	reg.NewCounterFunc("disttrack_node_dial_attempts_total",
+		"Upstream reconnect dials (successful or not).", n.cl.DialAttempts)
 	m.decode = newDecodeCounters(reg)
 	reg.NewGaugeFunc("disttrack_node_connected",
 		"Upstream connection state (1 connected, 0 redialing).",
@@ -384,25 +366,7 @@ func newNodeMetrics(n *SiteNode) *nodeMetrics {
 		"Seconds since the site node was created.",
 		func() float64 { return time.Since(start).Seconds() })
 	registerBuildInfo(reg)
-	reg.OnScrape(n.syncObs)
 	return m
-}
-
-// syncObs mirrors the node's counters into the metrics plane. Runs only
-// from the registry's scrape hook (serialized).
-func (n *SiteNode) syncObs() {
-	m := n.met
-	rej, _ := n.cl.Rejected()
-	up, down := n.cl.Bytes()
-	addDelta(m.accepted, &m.last.accepted, n.accepted.Load())
-	addDelta(m.rejected, &m.last.rejected, n.rejected.Load())
-	addDelta(m.batches, &m.last.batches, n.batches.Load())
-	addDelta(m.reconnects, &m.last.reconnects, n.cl.Reconnects())
-	addDelta(m.resent, &m.last.resent, n.cl.Resent())
-	addDelta(m.upstreamRej, &m.last.upstreamRej, rej)
-	addDelta(m.bytesUp, &m.last.bytesUp, up)
-	addDelta(m.bytesDown, &m.last.bytesDown, down)
-	addDelta(m.dialAttempts, &m.last.dialAttempts, n.cl.DialAttempts())
 }
 
 // Handler returns the node's HTTP API: the same /v1/ingest and /v1/flush

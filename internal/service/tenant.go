@@ -170,10 +170,11 @@ type Tenant struct {
 	limited bool
 	// kLive mirrors cfg.K for lock-free site validation on the ingest path.
 	kLive atomic.Int32
-	// clu is the tenant's runtime cluster, swapped atomically on reconfigure
-	// (the new cluster is built at the new k, the old one drained). Read it
-	// through cluster(); every swap is serialized by the server's memberMu.
-	clu atomic.Pointer[runtime.Cluster]
+	// clu is the tenant's runtime cluster with its predecessors' counts,
+	// swapped atomically on reconfigure (the new cluster is built at the new
+	// k, the old one drained). Every swap is serialized by the server's
+	// memberMu.
+	clu atomic.Pointer[liveCluster]
 	tr  core.Tracker
 	qa  queryAdapter
 	tm  *tenantMetrics // nil when the owning registry is uninstrumented
@@ -202,10 +203,6 @@ type Tenant struct {
 	sent      atomic.Int64 // arrivals successfully enqueued to the cluster
 	dropped   atomic.Int64 // arrivals lost because the tenant closed mid-send
 	ties      atomic.Int64 // perturbation overflows (> 2^24 copies of a value)
-	// procBase rebases Processed across cluster swaps: a fresh cluster's
-	// counter starts at zero, so the old cluster's final count is folded in
-	// here, keeping synced()'s processed >= sent invariant meaningful.
-	procBase atomic.Int64
 
 	_ cacheLinePad
 
@@ -378,15 +375,37 @@ func newTenant(tc TenantConfig, siteBuffer int, sm *serverMetrics) (*Tenant, err
 	if err != nil {
 		return nil, err
 	}
-	t.clu.Store(clu)
+	t.clu.Store(&liveCluster{c: clu})
 	t.kLive.Store(int32(tc.K))
 	return t, nil
+}
+
+// liveCluster is a tenant's current runtime cluster plus the final counts
+// of the clusters earlier reconfigurations drained. One atomic store swaps
+// both, so the tenant's counts never dip or double across a swap.
+type liveCluster struct {
+	c    *runtime.Cluster
+	base runtime.Stats
+}
+
+// stats returns the cluster's counters with its predecessors' folded in.
+func (lc *liveCluster) stats() runtime.Stats {
+	s := lc.c.Stats()
+	return runtime.Stats{
+		Processed: lc.base.Processed + s.Processed,
+		Batches:   lc.base.Batches + s.Batches,
+		Dropped:   lc.base.Dropped + s.Dropped,
+	}
 }
 
 // cluster returns the tenant's current runtime cluster. The pointer is
 // swapped on reconfigure; holders of a stale pointer get ErrStopped from
 // sends (the old cluster is drained first) and retry through the registry.
-func (t *Tenant) cluster() *runtime.Cluster { return t.clu.Load() }
+func (t *Tenant) cluster() *runtime.Cluster { return t.clu.Load().c }
+
+// stats returns the tenant's cluster counters over its whole life,
+// membership changes included.
+func (t *Tenant) stats() runtime.Stats { return t.clu.Load().stats() }
 
 // K returns the tenant's live site count, lock-free (the ingest path
 // validates sites against it on every record).
@@ -596,11 +615,16 @@ func (t *Tenant) isClosed() bool {
 	return t.closed
 }
 
-// processed counts the arrivals the tracker has absorbed. procBase carries
-// counts absorbed by clusters drained in earlier reconfigurations.
+// processed counts the arrivals the tracker has absorbed, clusters drained
+// in earlier reconfigurations included.
 func (t *Tenant) processed() int64 {
-	return t.procBase.Load() + t.cluster().Processed()
+	lc := t.clu.Load()
+	return lc.base.Processed + lc.c.Processed()
 }
+
+// droppedTotal counts the arrivals lost to a close: refused mid-send, or
+// discarded unbegun by the cluster stop.
+func (t *Tenant) droppedTotal() int64 { return t.stats().Dropped + t.dropped.Load() }
 
 // synced reports whether every successfully enqueued arrival has been
 // processed by the tracker (used by Flush).
@@ -829,8 +853,8 @@ func (t *Tenant) Stats() TenantStats {
 		Phis:   cfg.Phis,
 		Sketch: cfg.Sketch,
 	}
-	cs := t.cluster().Stats()
-	st.Processed = t.procBase.Load() + cs.Processed
+	cs := t.stats()
+	st.Processed = cs.Processed
 	st.Batches = cs.Batches
 	st.Dropped = cs.Dropped + t.dropped.Load()
 	st.Ties = t.ties.Load()
@@ -847,10 +871,11 @@ func (t *Tenant) Stats() TenantStats {
 		}
 		c := t.tr.Meter().Total()
 		st.Msgs, st.Words = c.Msgs, c.Words
-		// Read k inside the quiescent section: Quiesce excludes Reconfigure,
-		// so the tracker's site count cannot change under the loop even if a
-		// membership change raced the header snapshot above.
-		k := t.K()
+		// Read k from the tracker inside the quiescent section: Quiesce
+		// excludes Reconfigure, so its site count cannot change under the
+		// loop. The tenant's kLive is stored only after Reconfigure returns,
+		// so it can still name the old k here.
+		k := t.tr.K()
 		st.SiteCounts = make([]int64, k)
 		for j := 0; j < k; j++ {
 			st.SiteCounts[j] = t.tr.SiteCount(j)
