@@ -58,7 +58,12 @@ test-shuffle:
 # backoff wait races Close through a channel, beside the coordinator's
 # per-node breaker that damps a flapping node; the ninth repeats stats
 # requests against membership changes that swap k between 8 and 1 (a stats
-# loop bounded by the wrong k panics with every protocol lock held).
+# loop bounded by the wrong k panics with every protocol lock held); the
+# tenth repeats every query shape of an hh and an allq tenant, through the
+# one snapshot cache all four shapes share and the HTTP ETag path, against
+# two producers and membership changes that swap k between 2 and 3 (a race
+# in the cache would corrupt served answers; the served versions must never
+# decrease).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
@@ -69,6 +74,7 @@ race:
 	$(GO) test -race -count=40 -run TestStopUnderLoad ./internal/runtime
 	$(GO) test -race -count=20 -run 'TestClientRedialPartitionAndHeal|TestCloseDuringBackoff|TestServerBreakerRefusesFlappingNode' ./internal/remote
 	$(GO) test -race -count=20 -run TestStatsRacingReconfigure ./internal/service
+	$(GO) test -race -count=20 -run TestQueryCacheUnderFire ./internal/service
 
 # The quick experiment tables are a pure function of the protocols' decisions
 # (every wire.Meter count, round, split and served answer on seeded streams):

@@ -35,8 +35,8 @@ import (
 type FsyncMode int
 
 const (
-	// FsyncInterval syncs at most once per Options.FsyncInterval (the
-	// default): bounded data loss, negligible overhead.
+	// FsyncInterval syncs at most once per fsyncEvery (the default):
+	// bounded data loss, negligible overhead.
 	FsyncInterval FsyncMode = iota
 	// FsyncAlways syncs every append: zero acknowledged-record loss, pays
 	// one fsync per (tenant, site) group inside the ingest call.
@@ -73,16 +73,15 @@ func (m FsyncMode) String() string {
 
 // Options tunes a Store; zero values select the defaults.
 type Options struct {
-	Fsync         FsyncMode
-	FsyncInterval time.Duration // FsyncInterval mode cadence (default 100ms)
-	SegmentBytes  int64         // WAL segment roll size (default 4 MiB)
-	Keep          int           // checkpoints retained per tenant (default 2)
+	Fsync        FsyncMode
+	SegmentBytes int64 // WAL segment roll size (default 4 MiB)
+	Keep         int   // checkpoints retained per tenant (default 2)
 }
 
+// fsyncEvery is the FsyncInterval mode's sync cadence.
+const fsyncEvery = 100 * time.Millisecond
+
 func (o Options) withDefaults() Options {
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = 100 * time.Millisecond
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
 	}

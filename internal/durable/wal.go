@@ -162,7 +162,7 @@ func (t *Tenant) Append(site int, keys []uint64, node string, nodeSeq uint64) (u
 			return 0, err
 		}
 	case FsyncInterval:
-		if now := time.Now(); now.Sub(w.lastSync) >= w.opts.FsyncInterval {
+		if now := time.Now(); now.Sub(w.lastSync) >= fsyncEvery {
 			if err := w.sync(); err != nil {
 				return 0, err
 			}
@@ -180,16 +180,6 @@ func (t *Tenant) NextSeq() uint64 {
 	t.wal.mu.Lock()
 	defer t.wal.mu.Unlock()
 	return t.wal.nextSeq
-}
-
-// SyncWAL forces an fsync of the open segment.
-func (t *Tenant) SyncWAL() error {
-	if t.wal == nil {
-		return nil
-	}
-	t.wal.mu.Lock()
-	defer t.wal.mu.Unlock()
-	return t.wal.sync()
 }
 
 // WALStats snapshots the tenant's WAL counters.

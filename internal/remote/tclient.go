@@ -31,10 +31,6 @@ type NodeConfig struct {
 	// RetryMax, ±20% jitter. It is the only thing that paces redials, so
 	// RetryMax is a dead coordinator's dial interval.
 	RetryMin, RetryMax time.Duration
-	// WriteTimeout bounds each socket write (and the handshake read), so a
-	// wedged peer breaks the connection instead of blocking senders — and
-	// everything serialized behind them — indefinitely (default 10s).
-	WriteTimeout time.Duration
 	// Dial opens the coordinator connection (default: net.Dial "tcp").
 	// Tests and fault drills route it through a fault.Injector to simulate
 	// partitions and flaky links without touching the kernel.
@@ -53,9 +49,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	}
 	if c.RetryMax < c.RetryMin {
 		c.RetryMax = c.RetryMin
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
 	}
 	if c.Dial == nil {
 		c.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
@@ -154,7 +147,7 @@ func (c *NodeClient) establish() (net.Conn, *TFrameReader, error) {
 	}
 	// The handshake read is bounded too; the ack read loop afterwards may
 	// legitimately idle forever, so the deadline is cleared below.
-	conn.SetReadDeadline(time.Now().Add(c.cfg.WriteTimeout))
+	conn.SetReadDeadline(time.Now().Add(writeTimeout))
 	rd := NewTFrameReader(conn)
 	welcome, n, err := rd.Read()
 	c.bytesDown.Add(int64(n))
@@ -480,11 +473,11 @@ func (c *NodeClient) flushOrDropLocked() bool {
 	return true
 }
 
-// write writes p under the configured write deadline, so a peer that stops
+// write writes p under writeTimeout's deadline, so a peer that stops
 // reading breaks the connection instead of blocking the sender forever, and
 // counts the bytes the socket took.
 func (c *NodeClient) write(conn net.Conn, p []byte) error {
-	conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	n, err := conn.Write(p)
 	c.bytesUp.Add(int64(n))
 	return err

@@ -34,11 +34,6 @@ type IngestServerConfig struct {
 	// returns, everything delivered via OnBatch before the flush frame must
 	// be visible to queries. The ack is sent after it returns. Optional.
 	OnFlush func(node string)
-	// WriteTimeout bounds each ack/welcome write, so a node that stops
-	// reading cannot wedge the serve goroutine — which would otherwise hold
-	// the per-node apply lock and stall the node's reconnects forever
-	// (default 10s).
-	WriteTimeout time.Duration
 	// Breaker parameterizes the per-node reconnect circuit breakers. A node
 	// whose connections repeatedly die without applying a single frame (a
 	// crash loop, a broken build, a mangling middlebox) trips its breaker
@@ -108,6 +103,13 @@ type IngestServer struct {
 	wg sync.WaitGroup
 }
 
+// writeTimeout bounds each socket write on either end of the link (and a
+// node's handshake read). On the coordinator it keeps a node that stops
+// reading from wedging the serve goroutine, which would otherwise hold the
+// per-node apply lock and stall the node's reconnects forever; on a node it
+// breaks a wedged connection instead of blocking senders indefinitely.
+const writeTimeout = 10 * time.Second
+
 // NewIngestServer starts an ingest listener on addr (e.g. "127.0.0.1:0").
 func NewIngestServer(addr string, cfg IngestServerConfig) (*IngestServer, error) {
 	if cfg.OnBatch == nil {
@@ -116,9 +118,6 @@ func NewIngestServer(addr string, cfg IngestServerConfig) (*IngestServer, error)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("remote: ingest listen: %w", err)
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 10 * time.Second
 	}
 	s := &IngestServer{
 		cfg:      cfg,
@@ -405,7 +404,7 @@ func (s *IngestServer) flush(nc *nodeConn) error {
 	if len(nc.out) == 0 {
 		return nil
 	}
-	nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 	n, err := nc.Write(nc.out)
 	s.bytesOut.Add(int64(n))
 	nc.out = nc.out[:0]

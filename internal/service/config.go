@@ -14,10 +14,6 @@ type Config struct {
 	// buffering.
 	SiteBuffer int
 
-	// RemoteWriteTimeout bounds each ack/welcome write on the networked
-	// ingest listener, so a site node that stops reading cannot wedge its
-	// serve goroutine (default 10s; coord role only).
-	RemoteWriteTimeout time.Duration
 	// NodeBreakerFailures is how many consecutive no-progress connections
 	// from one site node trip its reconnect breaker (default 5; coord role
 	// only). While tripped, the node's handshakes are refused until
@@ -37,12 +33,9 @@ type Config struct {
 	// CheckpointInterval is the per-tenant checkpoint cadence (default
 	// 30s; needs DataDir).
 	CheckpointInterval time.Duration
-	// Fsync is the WAL sync policy (default durable.FsyncInterval; needs
-	// DataDir).
+	// Fsync is the WAL sync policy (default durable.FsyncInterval, at most
+	// one sync per 100ms; needs DataDir).
 	Fsync durable.FsyncMode
-	// FsyncInterval is the sync cadence in durable.FsyncInterval mode
-	// (default 100ms).
-	FsyncInterval time.Duration
 }
 
 func (c Config) withDefaults() Config {

@@ -38,9 +38,8 @@ func writeErr(w http.ResponseWriter, status int, code, msg string) {
 }
 
 // writeQueryErr maps a tenant query error onto its HTTP status by sentinel:
-// the tenant's constructor-built adapters encode kind capability
-// (ErrUnsupported) and data availability (ErrNoData), so the handlers never
-// switch on kind.
+// the tenant's checks encode kind capability (ErrUnsupported) and data
+// availability (ErrNoData), so the handler never switches on kind.
 func writeQueryErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrUnsupported):
@@ -62,10 +61,10 @@ func newMux(s *Server) *http.ServeMux {
 	mux.HandleFunc("POST /v1/tenants", s.handleCreateTenant)
 	mux.HandleFunc("GET /v1/tenants/{name}", s.handleTenantStats)
 	mux.HandleFunc("DELETE /v1/tenants/{name}", s.handleDeleteTenant)
-	mux.HandleFunc("GET /v1/tenants/{name}/heavy", s.handleHeavy)
-	mux.HandleFunc("GET /v1/tenants/{name}/quantile", s.handleQuantile)
-	mux.HandleFunc("GET /v1/tenants/{name}/rank", s.handleRank)
-	mux.HandleFunc("GET /v1/tenants/{name}/freq", s.handleFreq)
+	mux.HandleFunc("GET /v1/tenants/{name}/heavy", s.handleQuery(shapeHeavy))
+	mux.HandleFunc("GET /v1/tenants/{name}/quantile", s.handleQuery(shapeQuantile))
+	mux.HandleFunc("GET /v1/tenants/{name}/rank", s.handleQuery(shapeRank))
+	mux.HandleFunc("GET /v1/tenants/{name}/freq", s.handleQuery(shapeFreq))
 	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	mux.HandleFunc("POST /v1/flush", s.handleFlush)
 	mux.HandleFunc("GET /v1/remote", s.handleRemote)
@@ -248,12 +247,14 @@ func etagMatches(header, etag string) bool {
 // the client's If-None-Match still names the tenant's current coordinator
 // version, the representation it holds cannot have changed (coordinator
 // state changes only on escalations, which tick the version), so a 304 is
-// served from one atomic load — no quiescent read, no snapshot-cache
-// lookup, no body. Extends the version-keyed snapshot cache across the HTTP
-// boundary; see docs/service.md.
-func notModified(w http.ResponseWriter, r *http.Request, t *Tenant) bool {
+// served with no quiescent read, no snapshot-cache lookup and no body. The
+// precondition applies only to a query that would otherwise succeed (RFC
+// 9110 §13.2.1): one that fails q's checks answers its own status instead.
+// Extends the version-keyed snapshot cache across the HTTP boundary; see
+// docs/service.md.
+func notModified(w http.ResponseWriter, r *http.Request, t *Tenant, q query) bool {
 	inm := r.Header.Get("If-None-Match")
-	if inm == "" {
+	if inm == "" || t.check(q) != nil {
 		return false
 	}
 	etag := t.etag()
@@ -266,118 +267,60 @@ func notModified(w http.ResponseWriter, r *http.Request, t *Tenant) bool {
 	return true
 }
 
-// phiParam parses the required ?phi= query parameter.
-func phiParam(w http.ResponseWriter, r *http.Request) (float64, bool) {
-	raw := r.URL.Query().Get("phi")
-	if raw == "" {
-		writeErr(w, http.StatusBadRequest, codeInvalid, "missing phi parameter")
-		return 0, false
-	}
-	phi, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, codeInvalid, "bad phi: "+err.Error())
-		return 0, false
-	}
-	return phi, true
-}
+// queryParams names each shape's one required URL parameter: a φ for heavy
+// and quantile, an unsigned integer for rank and freq.
+var queryParams = [nShapes]string{"phi", "phi", "value", "item"}
 
-func (s *Server) handleHeavy(w http.ResponseWriter, r *http.Request) {
-	t := s.tenant(w, r)
-	if t == nil {
-		return
+// handleQuery serves the query endpoint of shape sh.
+func (s *Server) handleQuery(sh shape) http.HandlerFunc {
+	param := queryParams[sh]
+	return func(w http.ResponseWriter, r *http.Request) {
+		t := s.tenant(w, r)
+		if t == nil {
+			return
+		}
+		raw := r.URL.Query().Get(param)
+		if raw == "" {
+			writeErr(w, http.StatusBadRequest, codeInvalid, "missing "+param+" parameter")
+			return
+		}
+		q := query{shape: sh}
+		var err error
+		if param == "phi" {
+			q.phi, err = strconv.ParseFloat(raw, 64)
+		} else {
+			q.x, err = strconv.ParseUint(raw, 10, 64)
+		}
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, codeInvalid, "bad "+param+": "+err.Error())
+			return
+		}
+		if notModified(w, r, t, q) {
+			return
+		}
+		a, err := t.ask(q)
+		if err != nil {
+			writeQueryErr(w, err)
+			return
+		}
+		var body map[string]any
+		switch sh {
+		case shapeHeavy:
+			items := a.entries
+			if items == nil {
+				items = []Entry{}
+			}
+			body = map[string]any{"phi": q.phi, "items": items}
+		case shapeQuantile:
+			body = map[string]any{"phi": q.phi, "value": a.value}
+		case shapeRank:
+			body = map[string]any{"value": q.x, "rank": a.count, "total": a.total}
+		case shapeFreq:
+			body = map[string]any{"item": q.x, "count": a.count}
+		}
+		w.Header().Set("ETag", t.etagFor(a.ver))
+		writeJSON(w, http.StatusOK, body)
 	}
-	phi, ok := phiParam(w, r)
-	if !ok {
-		return
-	}
-	if notModified(w, r, t) {
-		return
-	}
-	entries, ver, err := t.heavyHittersAt(phi)
-	if err != nil {
-		writeQueryErr(w, err)
-		return
-	}
-	if entries == nil {
-		entries = []Entry{}
-	}
-	w.Header().Set("ETag", t.etagFor(ver))
-	writeJSON(w, http.StatusOK, map[string]any{"phi": phi, "items": entries})
-}
-
-func (s *Server) handleQuantile(w http.ResponseWriter, r *http.Request) {
-	t := s.tenant(w, r)
-	if t == nil {
-		return
-	}
-	phi, ok := phiParam(w, r)
-	if !ok {
-		return
-	}
-	if notModified(w, r, t) {
-		return
-	}
-	v, ver, err := t.quantileAt(phi)
-	if err != nil {
-		writeQueryErr(w, err)
-		return
-	}
-	w.Header().Set("ETag", t.etagFor(ver))
-	writeJSON(w, http.StatusOK, map[string]any{"phi": phi, "value": v})
-}
-
-func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	t := s.tenant(w, r)
-	if t == nil {
-		return
-	}
-	raw := r.URL.Query().Get("value")
-	if raw == "" {
-		writeErr(w, http.StatusBadRequest, codeInvalid, "missing value parameter")
-		return
-	}
-	v, err := strconv.ParseUint(raw, 10, 64)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, codeInvalid, "bad value: "+err.Error())
-		return
-	}
-	if notModified(w, r, t) {
-		return
-	}
-	rank, total, ver, err := t.rankAt(v)
-	if err != nil {
-		writeQueryErr(w, err)
-		return
-	}
-	w.Header().Set("ETag", t.etagFor(ver))
-	writeJSON(w, http.StatusOK, map[string]any{"value": v, "rank": rank, "total": total})
-}
-
-func (s *Server) handleFreq(w http.ResponseWriter, r *http.Request) {
-	t := s.tenant(w, r)
-	if t == nil {
-		return
-	}
-	raw := r.URL.Query().Get("item")
-	if raw == "" {
-		writeErr(w, http.StatusBadRequest, codeInvalid, "missing item parameter")
-		return
-	}
-	item, err := strconv.ParseUint(raw, 10, 64)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, codeInvalid, "bad item: "+err.Error())
-		return
-	}
-	if notModified(w, r, t) {
-		return
-	}
-	c, ver, err := t.frequencyAt(item)
-	if err != nil {
-		writeQueryErr(w, err)
-		return
-	}
-	w.Header().Set("ETag", t.etagFor(ver))
-	writeJSON(w, http.StatusOK, map[string]any{"item": item, "count": c})
 }
 
 // ingestRequest is the batch wire format: an array of records.

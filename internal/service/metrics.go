@@ -317,20 +317,16 @@ func buildMeta() (version, goVersion string) {
 // counters. Children are resolved exactly once here, at tenant creation, so
 // no hot path ever touches a family map.
 type tenantMetrics struct {
-	sm  *serverMetrics
-	eng engine.Metrics
-
-	qHeavy    *obs.Counter
-	qQuantile *obs.Counter
-	qRank     *obs.Counter
-	qFreq     *obs.Counter
+	sm      *serverMetrics
+	eng     engine.Metrics
+	queries [nShapes]*obs.Counter // by query shape
 }
 
 // tenant resolves the per-tenant inline children for name. The arrivals
 // the engine applies are the cluster's processed count, exported once by
 // bindTenant, so engine.Metrics.Feeds stays unwired.
 func (m *serverMetrics) tenant(name string) *tenantMetrics {
-	return &tenantMetrics{
+	tm := &tenantMetrics{
 		sm: m,
 		eng: engine.Metrics{
 			BatchRuns:        m.engRuns.With(name),
@@ -343,11 +339,11 @@ func (m *serverMetrics) tenant(name string) *tenantMetrics {
 			QuiesceHold:      m.engQuiesce.With(name),
 			CascadeHold:      m.engCascadeHold.With(name),
 		},
-		qHeavy:    m.queries.With(name, "heavy"),
-		qQuantile: m.queries.With(name, "quantile"),
-		qRank:     m.queries.With(name, "rank"),
-		qFreq:     m.queries.With(name, "frequency"),
 	}
+	for sh, n := range shapeNames {
+		tm.queries[sh] = m.queries.With(name, n.label)
+	}
+	return tm
 }
 
 // bindTenant exports t's own counters under its name, replacing the series
@@ -381,8 +377,8 @@ func (m *serverMetrics) forgetTenant(name string) {
 	m.engCascadeHold.Remove(name)
 	m.clQueue.Remove(name)
 	m.tenQueued.Remove(name)
-	for _, q := range []string{"heavy", "quantile", "rank", "frequency"} {
-		m.queries.Remove(name, q)
+	for _, n := range shapeNames {
+		m.queries.Remove(name, n.label)
 	}
 	m.reg.WithHookLock(func() { m.bridge.Forget(name) })
 }

@@ -307,6 +307,12 @@ func TestQueryErrorStatusMapping(t *testing.T) {
 			if code := jsonCall(t, client, "GET", ts.URL+tc.url, nil, &body); code != tc.want {
 				t.Fatalf("GET %s: status %d (code %q), want %d", tc.url, code, body.Code, tc.want)
 			}
+			// A precondition applies only to a request that would otherwise
+			// succeed (RFC 9110 §13.2.1): a validator matching any version
+			// must not turn a failing query into a 304.
+			if code, _, raw := getWithETag(t, client, ts.URL+tc.url, "*"); code != tc.want {
+				t.Fatalf("GET %s with If-None-Match: *: status %d (%s), want %d", tc.url, code, raw, tc.want)
+			}
 		})
 	}
 }

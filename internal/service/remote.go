@@ -44,9 +44,8 @@ func (s *Server) ServeRemote(addr string) (*RemoteIngest, error) {
 		cursors = s.dur.cursorSnapshot()
 	}
 	srv, err := remote.NewIngestServer(addr, remote.IngestServerConfig{
-		OnBatch:      ri.onBatch,
-		OnFlush:      ri.onFlush,
-		WriteTimeout: s.cfg.RemoteWriteTimeout,
+		OnBatch: ri.onBatch,
+		OnFlush: ri.onFlush,
 		Breaker: fault.BreakerConfig{
 			FailureThreshold: s.cfg.NodeBreakerFailures,
 			OpenTimeout:      s.cfg.NodeBreakerOpenTimeout,

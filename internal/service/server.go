@@ -68,10 +68,7 @@ func Open(cfg Config) (*Server, error) {
 	s.handler = s.met.instrumentHTTP(s.mux)
 	s.epoch.Store(1)
 	if cfg.DataDir != "" {
-		store, err := durable.Open(cfg.DataDir, durable.Options{
-			Fsync:         cfg.Fsync,
-			FsyncInterval: cfg.FsyncInterval,
-		})
+		store, err := durable.Open(cfg.DataDir, durable.Options{Fsync: cfg.Fsync})
 		if err != nil {
 			return nil, err
 		}

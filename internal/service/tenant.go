@@ -26,7 +26,7 @@ import (
 // ErrUnsupported marks (wrapped) a query shape the tenant's kind cannot
 // answer. The HTTP layer maps it to 422 by sentinel, so adding a kind never
 // touches the handlers: capability lives entirely in the constructor-built
-// query adapters.
+// answer functions.
 var ErrUnsupported = errors.New("query not supported by tenant kind")
 
 // ErrNoData marks (wrapped) a query that needs at least one ingested
@@ -129,21 +129,42 @@ func (tc TenantConfig) validate() error {
 	return nil
 }
 
-// queryAdapter is the per-kind query shape over a tenant's tracker: a fixed
-// set of closures built once at construction — the single place the service
-// switches on kind. A nil closure means the kind does not answer that query
-// shape; the closures themselves must run inside cluster.Query (they read
-// tracker state), except checkQuantile, which only validates phi.
-type queryAdapter struct {
-	heavyHitters func(phi float64) []Entry          // hh, allq
-	quantile     func(phi float64) (uint64, error)  // quantile, allq; returns the perturbed key
-	rank         func(v uint64) (rank, total int64) // allq
-	frequency    func(item uint64) int64            // hh
+// shape is one of the four questions a tenant can be asked.
+type shape uint8
 
-	// checkQuantile validates phi BEFORE the quiescent section (quantile
-	// kind: the tracked-phi restriction). phi is untrusted client input, so
-	// rejecting it must not cost a cluster-wide quiesce that stalls ingest.
-	checkQuantile func(phi float64) error
+const (
+	shapeHeavy    shape = iota // φ-heavy hitters (hh, allq)
+	shapeQuantile              // φ-quantile (quantile, allq)
+	shapeRank                  // rank of a value (allq)
+	shapeFreq                  // point frequency of an item (hh)
+	nShapes
+)
+
+// shapeNames name each shape in capability errors (noun) and in the
+// disttrack_queries_total query label (label).
+var shapeNames = [nShapes]struct{ noun, label string }{
+	{"heavy-hitter", "heavy"},
+	{"quantile", "quantile"},
+	{"rank", "rank"},
+	{"frequency", "frequency"},
+}
+
+// query is one question to a tenant, and its snapshot-cache key: phi for the
+// heavy and quantile shapes, x (the value or the item) for rank and freq.
+type query struct {
+	shape shape
+	phi   float64
+	x     uint64
+}
+
+// answer is a query's result, computed (or cache-validated) at coordinator
+// version ver. Each shape fills its own fields.
+type answer struct {
+	ver     uint64
+	entries []Entry // heavy; shared with the cache, never mutated
+	value   uint64  // quantile: the raw (unperturbed) value
+	count   int64   // rank: the values below x; freq: the item's count
+	total   int64   // rank: the coordinator's total estimate
 }
 
 // Tenant is one named tracker instance: a core tracker wrapped in a
@@ -151,7 +172,7 @@ type queryAdapter struct {
 // Every delivery to a tenant runs under its gate (durMu), which is what makes
 // the perturbation counters single-writer. All kind-independent state
 // flows through the unified core.Tracker handle; the per-kind query shapes
-// live in qa.
+// live in answers.
 type Tenant struct {
 	// Line group 1 — read-mostly. Everything validation (once per run of
 	// records) and delivery (once per group) only READ lives here, away from
@@ -176,8 +197,12 @@ type Tenant struct {
 	// memberMu.
 	clu atomic.Pointer[liveCluster]
 	tr  core.Tracker
-	qa  queryAdapter
-	tm  *tenantMetrics // nil when the owning registry is uninstrumented
+	// answers holds the kind's answer function per query shape, built once
+	// at construction (the single place the service switches on kind); nil
+	// means the kind does not answer that shape. They read tracker state, so
+	// they run only inside Quiesce.
+	answers [nShapes]func(query) answer
+	tm      *tenantMetrics // nil when the owning registry is uninstrumented
 	// seq is the symbolic-perturbation state for quantile/allq tenants:
 	// per-value occurrence counters (see stream.Perturb), one slot per
 	// distinct value. The table is touched only under durMu; the field itself
@@ -239,12 +264,11 @@ type Tenant struct {
 	// escalations, and the trackers publish a version that ticks exactly
 	// then — so an answer computed under a quiescent query stays valid
 	// while the version is unchanged, and heavy query traffic is served
-	// from this cache without stalling ingest. All entries in the maps
-	// were computed at qcVersion; a version change clears them.
+	// from this cache without stalling ingest. Every answer in qc was
+	// computed at qcVersion; a newer answer's store clears it.
 	qcMu      sync.Mutex
 	qcVersion uint64
-	qcHH      map[float64][]Entry
-	qcQuant   map[float64]uint64
+	qc        map[query]answer
 }
 
 // cacheLinePad separates field groups of a struct so that no byte of one
@@ -273,16 +297,13 @@ func newTenant(tc TenantConfig, siteBuffer int, sm *serverMetrics) (*Tenant, err
 			break
 		}
 		t.tr = tr
-		t.qa = queryAdapter{
-			heavyHitters: func(phi float64) []Entry {
-				var out []Entry
-				for _, e := range tr.HeavyHitterEntries(phi) {
-					out = append(out, Entry{Item: e.Item, Count: e.Count, Ratio: e.Ratio})
-				}
-				return out
-			},
-			frequency: tr.EstFrequency,
+		t.answers[shapeHeavy] = func(q query) (a answer) {
+			for _, e := range tr.HeavyHitterEntries(q.phi) {
+				a.entries = append(a.entries, Entry{Item: e.Item, Count: e.Count, Ratio: e.Ratio})
+			}
+			return a
 		}
+		t.answers[shapeFreq] = func(q query) answer { return answer{count: tr.EstFrequency(q.x)} }
 	case KindQuantile:
 		mode := quantile.ModeExact
 		if tc.Sketch {
@@ -300,20 +321,9 @@ func newTenant(tc TenantConfig, siteBuffer int, sm *serverMetrics) (*Tenant, err
 		}
 		t.tr = tr
 		t.seq = newSeqTable()
-		t.qa = queryAdapter{
-			checkQuantile: func(phi float64) error {
-				if slices.Index(phis, phi) < 0 {
-					return fmt.Errorf("phi %g is not tracked (configured: %v)", phi, phis)
-				}
-				return nil
-			},
-			quantile: func(phi float64) (uint64, error) {
-				if tr.TrueTotal() == 0 {
-					return 0, fmt.Errorf("tenant %q has %w", tc.Name, ErrNoData)
-				}
-				// checkQuantile admitted phi, so the index exists.
-				return tr.QuantileAt(slices.Index(phis, phi)), nil
-			},
+		t.answers[shapeQuantile] = func(q query) answer {
+			// check admitted only tracked phis, so the index exists.
+			return answer{value: stream.Unperturb(tr.QuantileAt(slices.Index(phis, q.phi)))}
 		}
 	case KindAllQ:
 		mode := allq.ModeExact
@@ -327,35 +337,28 @@ func newTenant(tc TenantConfig, siteBuffer int, sm *serverMetrics) (*Tenant, err
 		}
 		t.tr = tr
 		t.seq = newSeqTable()
-		t.qa = queryAdapter{
-			heavyHitters: func(phi float64) []Entry {
-				total := tr.EstTotal()
-				if total == 0 {
-					return nil
+		t.answers[shapeHeavy] = func(q query) (a answer) {
+			total := tr.EstTotal()
+			if total == 0 {
+				return a
+			}
+			for _, v := range tr.HeavyHittersFromRanks(q.phi, stream.PerturbBits) {
+				// For the maximum valid value, (v+1)<<PerturbBits would wrap
+				// to 0; every key >= v<<PerturbBits carries value v then.
+				hi := total
+				if v+1 < MaxPerturbedValue {
+					hi = tr.Rank((v + 1) << stream.PerturbBits)
 				}
-				var out []Entry
-				for _, v := range tr.HeavyHittersFromRanks(phi, stream.PerturbBits) {
-					// For the maximum valid value, (v+1)<<PerturbBits would
-					// wrap to 0; every key >= v<<PerturbBits carries value v
-					// then.
-					hi := total
-					if v+1 < MaxPerturbedValue {
-						hi = tr.Rank((v + 1) << stream.PerturbBits)
-					}
-					c := hi - tr.Rank(v<<stream.PerturbBits)
-					out = append(out, Entry{Item: v, Count: c, Ratio: float64(c) / float64(total)})
-				}
-				return out
-			},
-			quantile: func(phi float64) (uint64, error) {
-				if tr.TrueTotal() == 0 {
-					return 0, fmt.Errorf("tenant %q has %w", tc.Name, ErrNoData)
-				}
-				return tr.Quantile(phi), nil
-			},
-			rank: func(v uint64) (int64, int64) {
-				return tr.Rank(stream.PerturbValue(v)), tr.EstTotal()
-			},
+				c := hi - tr.Rank(v<<stream.PerturbBits)
+				a.entries = append(a.entries, Entry{Item: v, Count: c, Ratio: float64(c) / float64(total)})
+			}
+			return a
+		}
+		t.answers[shapeQuantile] = func(q query) answer {
+			return answer{value: stream.Unperturb(tr.Quantile(q.phi))}
+		}
+		t.answers[shapeRank] = func(q query) answer {
+			return answer{count: tr.Rank(stream.PerturbValue(q.x)), total: tr.EstTotal()}
 		}
 	}
 	if err != nil {
@@ -429,75 +432,40 @@ func (t *Tenant) etagFor(ver uint64) string {
 // etag returns the ETag for the current coordinator version, lock-free.
 func (t *Tenant) etag() string { return t.etagFor(t.version()) }
 
-// cachedHH returns a cached heavy-hitter answer still valid at the current
-// coordinator version, and that version. The returned slice is shared —
-// callers must not mutate it (the HTTP handlers only serialize it).
-func (t *Tenant) cachedHH(phi float64) ([]Entry, uint64, bool) {
+// cached returns the cached answer to q if it is still valid at the current
+// coordinator version.
+func (t *Tenant) cached(q query) (answer, bool) {
 	cur := t.version()
 	t.qcMu.Lock()
 	defer t.qcMu.Unlock()
 	if t.qcVersion != cur {
-		return nil, 0, false
+		return answer{}, false
 	}
-	e, ok := t.qcHH[phi]
-	return e, cur, ok
+	a, ok := t.qc[q]
+	return a, ok
 }
 
-// qcMaxEntries bounds each snapshot map: phi is client-supplied, so
-// without a cap a scanner probing distinct phis against an idle tenant
-// (whose version never changes) would grow the cache without bound.
+// qcMaxEntries bounds the snapshot cache: phi, values and items are
+// client-supplied, so without a cap a scanner probing distinct queries
+// against an idle tenant (whose version never changes) would grow the cache
+// without bound.
 const qcMaxEntries = 1024
 
-// qcAdvance prepares the cache to accept an answer computed at version ver
-// (caller holds qcMu). Tracker versions are monotonic, so an answer older
-// than the cached generation must not clobber fresher ones — it reports
-// false and the caller drops the store. A newer ver starts a fresh
-// generation, clearing both maps.
-func (t *Tenant) qcAdvance(ver uint64) bool {
-	if t.qcHH != nil && ver < t.qcVersion {
-		return false
-	}
-	if t.qcHH == nil || ver > t.qcVersion {
-		t.qcHH = make(map[float64][]Entry)
-		t.qcQuant = make(map[float64]uint64)
-		t.qcVersion = ver
-	}
-	return true
-}
-
-// storeHH records a heavy-hitter answer computed at version ver.
-func (t *Tenant) storeHH(phi float64, ver uint64, out []Entry) {
+// store keeps a, computed at version a.ver, as the answer to q. Tracker
+// versions only grow, so an answer older than the cached generation is
+// dropped rather than clobber fresher ones; a newer one (or a full cache)
+// starts a fresh generation.
+func (t *Tenant) store(q query, a answer) {
 	t.qcMu.Lock()
 	defer t.qcMu.Unlock()
-	if t.qcAdvance(ver) {
-		if len(t.qcHH) >= qcMaxEntries {
-			t.qcHH = make(map[float64][]Entry)
-		}
-		t.qcHH[phi] = out
+	if a.ver < t.qcVersion {
+		return
 	}
-}
-
-// cachedQuant and storeQuant are the quantile-answer counterparts.
-func (t *Tenant) cachedQuant(phi float64) (uint64, uint64, bool) {
-	cur := t.version()
-	t.qcMu.Lock()
-	defer t.qcMu.Unlock()
-	if t.qcVersion != cur {
-		return 0, 0, false
+	if t.qc == nil || a.ver > t.qcVersion || len(t.qc) >= qcMaxEntries {
+		t.qc = make(map[query]answer)
+		t.qcVersion = a.ver
 	}
-	v, ok := t.qcQuant[phi]
-	return v, cur, ok
-}
-
-func (t *Tenant) storeQuant(phi float64, ver uint64, v uint64) {
-	t.qcMu.Lock()
-	defer t.qcMu.Unlock()
-	if t.qcAdvance(ver) {
-		if len(t.qcQuant) >= qcMaxEntries {
-			t.qcQuant = make(map[float64]uint64)
-		}
-		t.qcQuant[phi] = v
-	}
+	t.qc[q] = a
 }
 
 // countETag records a conditional query answered 304 from the version ETag.
@@ -655,149 +623,99 @@ type Entry struct {
 
 // HeavyHitters answers a φ-heavy-hitter query. Supported by hh tenants
 // (directly) and allq tenants (extracted from ranks); phi must exceed eps.
-// Answers are served from the version-keyed snapshot cache when coordinator
-// state has not changed since they were computed, so query traffic between
-// escalations never stalls ingest. The returned slice is shared with the
-// cache — callers must not mutate it.
+// Like every query it is served from the version-keyed snapshot cache when
+// coordinator state has not changed since the answer was computed, so query
+// traffic between escalations never stalls ingest. The returned slice is
+// shared with the cache — callers must not mutate it.
 func (t *Tenant) HeavyHitters(phi float64) ([]Entry, error) {
-	out, _, err := t.heavyHittersAt(phi)
-	return out, err
-}
-
-// heavyHittersAt additionally reports the tracker version the answer was
-// computed (or cache-validated) at — the HTTP edge's ETag.
-func (t *Tenant) heavyHittersAt(phi float64) ([]Entry, uint64, error) {
-	if tm := t.tm; tm != nil {
-		tm.qHeavy.Inc()
-	}
-	// Capability before argument validation: a kind that cannot answer at
-	// all reports ErrUnsupported whatever the arguments.
-	if t.qa.heavyHitters == nil {
-		return nil, 0, fmt.Errorf("tenant kind %q does not answer heavy-hitter queries: %w",
-			t.cfg.Kind, ErrUnsupported)
-	}
-	// The negated form also rejects NaN, which would otherwise slip past
-	// the range check and poison the snapshot cache with unmatchable keys.
-	if !(phi > t.cfg.Eps && phi <= 1) {
-		return nil, 0, fmt.Errorf("phi must be in (eps, 1], got %g (eps %g)", phi, t.cfg.Eps)
-	}
-	if out, ver, ok := t.cachedHH(phi); ok {
-		t.countCache(true)
-		return out, ver, nil
-	}
-	t.countCache(false)
-	var out []Entry
-	var ver uint64
-	t.tr.Quiesce(func() {
-		ver = t.version()
-		out = t.qa.heavyHitters(phi)
-	})
-	t.storeHH(phi, ver, out)
-	return out, ver, nil
+	a, err := t.ask(query{shape: shapeHeavy, phi: phi})
+	return a.entries, err
 }
 
 // Quantile answers a φ-quantile query with the raw (unperturbed) value.
 // Quantile tenants answer only their configured Phis; allq tenants answer
-// any φ in [0,1]. It errors before the first arrival. Like HeavyHitters,
-// answers are served from the version-keyed snapshot cache between
-// escalations.
+// any φ in [0,1]. It errors before the first arrival.
 func (t *Tenant) Quantile(phi float64) (uint64, error) {
-	v, _, err := t.quantileAt(phi)
-	return v, err
-}
-
-// quantileAt additionally reports the tracker version the answer was
-// computed (or cache-validated) at — the HTTP edge's ETag.
-func (t *Tenant) quantileAt(phi float64) (uint64, uint64, error) {
-	if tm := t.tm; tm != nil {
-		tm.qQuantile.Inc()
-	}
-	// Capability before argument validation (see HeavyHitters).
-	if t.qa.quantile == nil {
-		return 0, 0, fmt.Errorf("tenant kind %q does not answer quantile queries: %w",
-			t.cfg.Kind, ErrUnsupported)
-	}
-	// The negated form also rejects NaN (see HeavyHitters).
-	if !(phi >= 0 && phi <= 1) {
-		return 0, 0, fmt.Errorf("phi must be in [0,1], got %g", phi)
-	}
-	if t.qa.checkQuantile != nil {
-		if err := t.qa.checkQuantile(phi); err != nil {
-			return 0, 0, err
-		}
-	}
-	if v, ver, ok := t.cachedQuant(phi); ok {
-		t.countCache(true)
-		return v, ver, nil
-	}
-	t.countCache(false)
-	var key uint64
-	var ver uint64
-	var err error
-	t.tr.Quiesce(func() {
-		ver = t.version()
-		key, err = t.qa.quantile(phi)
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	v := stream.Unperturb(key)
-	t.storeQuant(phi, ver, v)
-	return v, ver, nil
+	a, err := t.ask(query{shape: shapeQuantile, phi: phi})
+	return a.value, err
 }
 
 // Rank answers "how many ingested values are < v" (allq tenants only),
 // together with the coordinator's total estimate.
 func (t *Tenant) Rank(v uint64) (rank, total int64, err error) {
-	rank, total, _, err = t.rankAt(v)
-	return rank, total, err
-}
-
-// rankAt additionally reports the tracker version the answer was computed
-// at. Rank answers are exact per-request (no snapshot cache), so the version
-// is captured inside the quiescent read.
-func (t *Tenant) rankAt(v uint64) (rank, total int64, ver uint64, err error) {
-	if tm := t.tm; tm != nil {
-		tm.qRank.Inc()
-	}
-	if t.qa.rank == nil {
-		return 0, 0, 0, fmt.Errorf("tenant kind %q does not answer rank queries: %w",
-			t.cfg.Kind, ErrUnsupported)
-	}
-	if v >= MaxPerturbedValue {
-		return 0, 0, 0, fmt.Errorf("value %d out of range [0, 2^%d)", v, 64-stream.PerturbBits)
-	}
-	t.tr.Quiesce(func() {
-		ver = t.version()
-		rank, total = t.qa.rank(v)
-	})
-	return rank, total, ver, nil
+	a, err := t.ask(query{shape: shapeRank, x: v})
+	return a.count, a.total, err
 }
 
 // Frequency answers a point frequency query (hh tenants only): the
 // coordinator's underestimate of the item's global count.
 func (t *Tenant) Frequency(item uint64) (int64, error) {
-	c, _, err := t.frequencyAt(item)
-	return c, err
+	a, err := t.ask(query{shape: shapeFreq, x: item})
+	return a.count, err
 }
 
-// frequencyAt additionally reports the tracker version the answer was
-// computed at (see rankAt).
-func (t *Tenant) frequencyAt(item uint64) (int64, uint64, error) {
+// ask answers q: the request checks, then the snapshot cache, then a
+// quiescent read of the tracker, whose answer the cache keeps.
+func (t *Tenant) ask(q query) (answer, error) {
 	if tm := t.tm; tm != nil {
-		tm.qFreq.Inc()
+		tm.queries[q.shape].Inc()
 	}
-	if t.qa.frequency == nil {
-		return 0, 0, fmt.Errorf("tenant kind %q does not answer frequency queries: %w",
-			t.cfg.Kind, ErrUnsupported)
+	if err := t.check(q); err != nil {
+		return answer{}, err
 	}
-	var c int64
-	var ver uint64
+	if a, ok := t.cached(q); ok {
+		t.countCache(true)
+		return a, nil
+	}
+	t.countCache(false)
+	// Declared only on a miss: the closure captures it, which moves it to
+	// the heap, and a cache hit must not allocate.
+	var a answer
 	t.tr.Quiesce(func() {
-		ver = t.version()
-		c = t.qa.frequency(item)
+		a = t.answers[q.shape](q)
+		a.ver = t.version()
 	})
-	return c, ver, nil
+	t.store(q, a)
+	return a, nil
+}
+
+// check runs q's request checks in order: capability (a kind that cannot
+// answer the shape reports ErrUnsupported whatever the arguments), the
+// arguments, then data (ErrNoData). None takes a lock: the arguments are
+// untrusted client input, so rejecting them must not cost a quiescent
+// section that stalls ingest.
+func (t *Tenant) check(q query) error {
+	if t.answers[q.shape] == nil {
+		return fmt.Errorf("tenant kind %q does not answer %s queries: %w",
+			t.cfg.Kind, shapeNames[q.shape].noun, ErrUnsupported)
+	}
+	// The negated range forms also reject NaN, which would otherwise slip
+	// past them and poison the snapshot cache with unmatchable keys.
+	switch q.shape {
+	case shapeHeavy:
+		if !(q.phi > t.cfg.Eps && q.phi <= 1) {
+			return fmt.Errorf("phi must be in (eps, 1], got %g (eps %g)", q.phi, t.cfg.Eps)
+		}
+	case shapeQuantile:
+		if !(q.phi >= 0 && q.phi <= 1) {
+			return fmt.Errorf("phi must be in [0,1], got %g", q.phi)
+		}
+		// A tenant that tracks a fixed set of phis (the quantile kind)
+		// answers only those.
+		if phis := t.cfg.Phis; len(phis) > 0 && !slices.Contains(phis, q.phi) {
+			return fmt.Errorf("phi %g is not tracked (configured: %v)", q.phi, phis)
+		}
+		// The true total only grows, so a tracker that has seen an arrival
+		// here still has when the quiescent read runs.
+		if t.tr.TrueTotal() == 0 {
+			return fmt.Errorf("tenant %q has %w", t.cfg.Name, ErrNoData)
+		}
+	case shapeRank:
+		if q.x >= MaxPerturbedValue {
+			return fmt.Errorf("value %d out of range [0, 2^%d)", q.x, 64-stream.PerturbBits)
+		}
+	}
+	return nil
 }
 
 // TenantStats is the observability snapshot served by the stats endpoint.
