@@ -94,12 +94,18 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 		}
 	}
 	for i := range p.qs {
-		p.qs[i].phi = dec.F64()
+		if got := dec.F64(); dec.Err() == nil && got != p.phis[i] {
+			return fmt.Errorf("quantile: restore: quantile %d tracks phi %g in checkpoint, %g in tracker", i, got, p.phis[i])
+		}
+		p.qs[i].phi = p.phis[i]
 		p.qs[i].m0 = dec.U64()
 		p.qs[i].lBase = dec.I64()
 		p.qs[i].tBase = dec.I64()
 		p.qs[i].dL = dec.I64()
 		p.qs[i].dR = dec.I64()
+		if dec.Err() == nil && (p.qs[i].dL < 0 || p.qs[i].dR < 0) {
+			return fmt.Errorf("quantile: restore: negative drift %d/%d for phi %g", p.qs[i].dL, p.qs[i].dR, p.qs[i].phi)
+		}
 	}
 	p.rounds = int(dec.I64())
 	p.relocations = int(dec.I64())
@@ -121,6 +127,7 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 			return fmt.Errorf("quantile: restore site %d: %w", j, err)
 		}
 		s.st = st
+		s.quiet = 0
 		s.ivDelta = dec.I64s()
 		s.totDelta = dec.I64()
 		if dec.Err() == nil && len(s.ivDelta) != len(p.ivCount) {
@@ -130,6 +137,37 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 			s.drift[i][0] = dec.I64()
 			s.drift[i][1] = dec.I64()
 		}
+		if err := dec.Err(); err != nil {
+			return err
+		}
+		if err := p.checkSiteDeltas(s); err != nil {
+			return fmt.Errorf("quantile: restore site %d: %w", j, err)
+		}
 	}
 	return dec.Err()
+}
+
+// checkSiteDeltas refuses a site's unreported counts that no run of the
+// protocol leaves behind: a negative count, or a drift pair the site would
+// already have reported. The second is the invariant the ε bound rests on
+// (every site's signed drift below thrLR), so a tracker restored past it
+// would answer outside ε without knowing.
+func (p *policy) checkSiteDeltas(s *site) error {
+	if s.totDelta < 0 {
+		return fmt.Errorf("negative total delta %d", s.totDelta)
+	}
+	for i, d := range s.ivDelta {
+		if d < 0 {
+			return fmt.Errorf("negative delta %d for interval %d", d, i)
+		}
+	}
+	for qi, d := range s.drift {
+		if d[0] < 0 || d[1] < 0 {
+			return fmt.Errorf("negative drift %v for phi %g", d, p.phis[qi])
+		}
+		if !p.eng.Bootstrapping() && absDrift(p.phis[qi], d) >= float64(p.thrLR) {
+			return fmt.Errorf("drift %v for phi %g is past its report threshold %d", d, p.phis[qi], p.thrLR)
+		}
+	}
+	return nil
 }

@@ -16,7 +16,11 @@ import (
 // alone) and checkpoint-round.bin (400 items) date from when the
 // coordinator's bootstrap list was still an order-statistics tree and the
 // bootstrap ended at ⌈k/ε⌉ = 40 items; checkpoint-round-2000.bin was written
-// after the bootstrap moved to 32k/ε = 1,280 items. Never regenerate them.
+// after the bootstrap moved to 32k/ε = 1,280 items, while a site still
+// reported each side of M on its own. checkpoint-drift-2000.bin holds the
+// same prefix under the signed drift rule: its sites carry unreported
+// arrivals past thrLR on one side whose signed drift is still below it.
+// Never regenerate them.
 var goldenCfg = Config{K: 2, Eps: 0.05, Phis: []float64{0.1, 0.5, 0.99}}
 
 // goldenBootKeys open the stream out of order and with 1<<40 twice, so the
@@ -34,8 +38,9 @@ func goldenStream() stream.Generator {
 // golden from scratch (twin), a twin fed the same prefix writes the same
 // bytes, and fed on in lockstep the restored tracker and the twin agree on
 // every meter, round count and quantile. checkpoint-round.bin holds a round
-// the bootstrap now still covers, so it has no twin; its restored tracker is
-// checked against the exact quantiles instead.
+// the bootstrap now still covers, and checkpoint-round-2000.bin was written
+// while each side of M was reported on its own, so neither has a twin;
+// their restored trackers are checked against the exact quantiles instead.
 func TestRestoreGolden(t *testing.T) {
 	for _, g := range []struct {
 		file string
@@ -45,7 +50,8 @@ func TestRestoreGolden(t *testing.T) {
 	}{
 		{"checkpoint-boot.bin", len(goldenBootKeys), true, true},
 		{"checkpoint-round.bin", 400, false, false},
-		{"checkpoint-round-2000.bin", 2000, false, true},
+		{"checkpoint-round-2000.bin", 2000, false, false},
+		{"checkpoint-drift-2000.bin", 2000, false, true},
 	} {
 		t.Run(g.file, func(t *testing.T) {
 			golden, err := os.ReadFile("testdata/" + g.file)

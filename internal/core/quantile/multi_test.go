@@ -121,7 +121,7 @@ func TestMultiQuantileDistributionShift(t *testing.T) {
 	tr, _ := New(Config{K: 4, Eps: 0.05, Phis: phis})
 	o := oracle.New()
 	low := stream.Uniform(1<<20, 12000, 57)
-	high := &offsetGen{g: stream.Uniform(1<<20, 25000, 59), off: 1 << 40}
+	high := &offsetGen{g: stream.Uniform(1<<20, 25000, 59), off: 1 << 36}
 	g := stream.Perturb(stream.Concat(low, high))
 	for i := 0; ; i++ {
 		x, ok := g.Next()

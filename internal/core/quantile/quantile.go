@@ -21,6 +21,16 @@
 //     each) to land within εm/4 of the target — possible because every
 //     interval holds at most εm/2 items.
 //
+//   - That estimate moves only with the signed drift (1−φ)·Δ(L) − φ·Δ(R),
+//     so a site reports its unreported arrivals left and right of M (L_j,
+//     R_j, one "drift" message) when |(1−φ)·L_j − φ·R_j| reaches εm/8k,
+//     not when either side alone does, as the paper's batches would. Every
+//     site's unreported signed drift stays below εm/8k, so the estimate is
+//     within k·εm/8k = εm/8 of the truth, as with the paper's rule; and one
+//     arrival moves the signed drift by at most max(φ, 1−φ) ≤ 1, so a report
+//     still needs εm/8k arrivals at its site and no stream costs more
+//     reports than the paper's rule.
+//
 //   - Each relocation requires Ω(εm) fresh arrivals, so there are O(1/ε)
 //     relocations and O(1/ε) splits per round: O(k/ε) words per round and
 //     O(k/ε · log n) total.
@@ -99,11 +109,12 @@ type Config struct {
 // quantState is the coordinator's per-tracked-quantile state.
 type quantState struct {
 	phi   float64
-	m0    uint64 // M — the tracked approximate φ-quantile
-	lBase int64  // exact rank(M) at last relocation
-	tBase int64  // exact |A| at last relocation
-	dL    int64  // reported arrivals < M since last relocation
-	dR    int64  // reported arrivals >= M since last relocation
+	reach float64 // 1/max(φ, 1−φ): the fewest arrivals that move the signed drift by one
+	m0    uint64  // M — the tracked approximate φ-quantile
+	lBase int64   // exact rank(M) at last relocation
+	tBase int64   // exact |A| at last relocation
+	dL    int64   // reported arrivals < M since last relocation
+	dR    int64   // reported arrivals >= M since last relocation
 }
 
 // Tracker continuously tracks one or more φ-quantiles of the union of k
@@ -155,6 +166,40 @@ type site struct {
 	ivDelta  []int64    // unreported arrivals per interval
 	totDelta int64      // unreported arrivals (total)
 	drift    [][2]int64 // per-quantile unreported arrivals [left, right] of M
+
+	// quiet counts down the arrivals that cannot bring any drift pair to
+	// thrLR (see driftDue); ApplyRun checks the pairs only once it is spent.
+	// Resets only lower a pair's drift, so it stays valid until newRound
+	// changes thrLR.
+	quiet int64
+}
+
+// absDrift is the size of the signed drift |(1−φ)·L − φ·R| of a site's
+// unreported arrivals d = [L, R] left and right of M, written L − φ·(L+R):
+// one multiply-add, no division. The explicit conversion rounds the product,
+// so no architecture fuses it and every caller computes the same value.
+func absDrift(phi float64, d [2]int64) float64 {
+	return math.Abs(float64(d[0]) - float64(phi*float64(d[0]+d[1])))
+}
+
+// driftDue reports whether any of site s's drift pairs is due for a report.
+// If none is, it sets s.quiet to the arrivals that provably cannot make one
+// due: one arrival moves φ's signed drift by at most max(φ, 1−φ), so a pair
+// at drift v needs (thrLR − v)/max(φ, 1−φ) more. One arrival of margin
+// absorbs the rounding of the products.
+func (p *policy) driftDue(s *site) bool {
+	thr := float64(p.thrLR)
+	quiet := int64(math.MaxInt64)
+	for qi := range p.qs {
+		q := &p.qs[qi]
+		v := absDrift(q.phi, s.drift[qi])
+		if v >= thr {
+			return true
+		}
+		quiet = min(quiet, int64((thr-v)*q.reach)-1)
+	}
+	s.quiet = quiet
+	return false
 }
 
 // New validates cfg and returns a Tracker.
@@ -177,6 +222,7 @@ func New(cfg Config) (*Tracker, error) {
 	p.qs = make([]quantState, len(phis))
 	for i, phi := range phis {
 		p.qs[i].phi = phi
+		p.qs[i].reach = 1 / max(phi, 1-phi)
 	}
 	for j := 0; j < cfg.K; j++ {
 		var st store
@@ -214,18 +260,15 @@ func (p *policy) ApplyRun(siteID int, xs []uint64) (consumed int, crossed bool) 
 		}
 		s.ivDelta[ivIdx]++
 		s.totDelta++
-		esc := s.ivDelta[ivIdx] >= p.thrIv || s.totDelta >= p.thrTot
 		for qi := range p.qs {
 			side := 0
 			if x >= p.qs[qi].m0 {
 				side = 1
 			}
 			s.drift[qi][side]++
-			if s.drift[qi][side] >= p.thrLR {
-				esc = true
-			}
 		}
-		if esc {
+		s.quiet--
+		if s.ivDelta[ivIdx] >= p.thrIv || s.totDelta >= p.thrTot || (s.quiet < 0 && p.driftDue(s)) {
 			consumed, crossed = i+1, true
 			break
 		}
@@ -237,9 +280,11 @@ func (p *policy) ApplyRun(siteID int, xs []uint64) (consumed int, crossed bool) 
 // OnEscalate re-checks the batch thresholds under the protocol lock and
 // runs the communication the protocol triggers — interval reports and
 // splits, total reports and round changes, drift reports and relocations —
-// with all wire.Meter accounting. The reports ("iv", "tot", "dl"/"dr") touch
-// only site siteID and coordinator counters; split, newRound and relocate
-// consult every site and call Engine.All first.
+// with all wire.Meter accounting. A drift report fires on the signed drift
+// (absDrift) and carries both sides, L_j and R_j, in one 2-word "drift"
+// message. The reports ("iv", "tot", "drift") touch only site siteID and
+// coordinator counters; split, newRound and relocate consult every site and
+// call Engine.All first.
 func (p *policy) OnEscalate(siteID int, x uint64) {
 	s := p.sites[siteID]
 	meter := p.eng.Meter()
@@ -269,20 +314,14 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 	// Per-quantile drift reports → possible relocations.
 	for qi := range p.qs {
 		q := &p.qs[qi]
-		side := 0
-		if x >= q.m0 {
-			side = 1
-		}
-		if s.drift[qi][side] < p.thrLR {
+		d := s.drift[qi]
+		if absDrift(q.phi, d) < float64(p.thrLR) {
 			continue
 		}
-		meter.Up(siteID, driftKind(side), 2)
-		if side == 0 {
-			q.dL += s.drift[qi][side]
-		} else {
-			q.dR += s.drift[qi][side]
-		}
-		s.drift[qi][side] = 0
+		meter.Up(siteID, "drift", 2)
+		q.dL += d[0]
+		q.dR += d[1]
+		s.drift[qi] = [2]int64{}
 		p.maybeRelocate(qi)
 	}
 }
@@ -343,13 +382,6 @@ func (p *policy) OnReconfigure(oldK, newK int) {
 	if !p.eng.Bootstrapping() {
 		p.newRound()
 	}
-}
-
-func driftKind(side int) string {
-	if side == 0 {
-		return "dl"
-	}
-	return "dr"
 }
 
 // ivIndex returns the interval index of x: the number of separators <= x.

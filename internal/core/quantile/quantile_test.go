@@ -75,13 +75,8 @@ func TestSortedArrivals(t *testing.T) {
 }
 
 func TestReverseSortedArrivals(t *testing.T) {
-	n := int64(30000)
-	items := make([]uint64, n)
-	for i := range items {
-		items[i] = uint64(int64(len(items)) - int64(i))
-	}
 	runAndCheck(t, Config{K: 4, Eps: 0.05, Phi: 0.5},
-		stream.FromSlice(items), stream.RoundRobin(4), 1)
+		reverseSorted(30000), stream.RoundRobin(4), 1)
 }
 
 func TestSingleSitePlacement(t *testing.T) {
@@ -96,10 +91,12 @@ func TestWeightedPlacement(t *testing.T) {
 
 func TestDistributionShift(t *testing.T) {
 	// The value distribution jumps between disjoint ranges mid-stream, so
-	// the true median teleports — rounds and relocations must chase it.
+	// the true median teleports — rounds and relocations must chase it. The
+	// offset keeps values below 2^40: perturbation shifts them left 24 bits,
+	// and a larger one would wrap back onto the low range.
 	lowRange := stream.Uniform(1<<20, 15000, 13)
 	highRange := stream.Uniform(1<<20, 30000, 17)
-	shifted := &offsetGen{g: highRange, off: 1 << 40}
+	shifted := &offsetGen{g: highRange, off: 1 << 36}
 	runAndCheck(t, Config{K: 8, Eps: 0.05, Phi: 0.5},
 		stream.Perturb(stream.Concat(lowRange, shifted)), stream.RoundRobin(8), 1)
 }

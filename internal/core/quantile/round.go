@@ -127,6 +127,7 @@ func (p *policy) newRound() {
 		for qi := range s.drift {
 			s.drift[qi] = [2]int64{}
 		}
+		s.quiet = 0
 	}
 
 	// 4. Pick each M: the separator whose estimated rank is nearest φm,

@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"disttrack/internal/baseline"
 	"disttrack/internal/core/allq"
@@ -19,7 +22,7 @@ func Experiments(quick bool) []*Table {
 	return []*Table{
 		E1(quick), E2K(quick), E2Eps(quick), E3(quick), E4(quick),
 		E5N(quick), E5Phi(quick), E6(quick), E7(quick), E8(quick),
-		E9(quick), E10(quick), E11(quick), F1(quick),
+		E9(quick), E10(quick), E11(quick), F1(quick), E13(quick),
 	}
 }
 
@@ -42,7 +45,9 @@ func mustRun(s Spec) Result {
 func E1(quick bool) *Table {
 	t := NewTable("E1: HH tracking cost vs n (k=16, eps=0.01, zipf)",
 		"n", "words", "msgs", "words/(k/eps)", "per-log2n")
-	t.Note = "Theorem 2.1 predicts words ≈ C·(k/eps)·log n: the last column should be ~flat."
+	t.Note = "Theorem 2.1 predicts words ≈ C·(k/eps)·log n, but the last column rises toward C from below, not flat: " +
+		"the first n0 = ⌈3k/eps⌉ arrivals are a bootstrap that forwards each one and runs no rounds, so words ≈ n0 + C·(k/eps)·log2(n/n0). " +
+		"Compare words per doubling of n: the difference of two rows over the doublings between them."
 	const k, eps = 16, 0.01
 	for _, n := range []int64{1 << 14, 1 << 16, 1 << 18, 1 << 20} {
 		n = scaleN(quick, n)
@@ -134,7 +139,8 @@ func E4(quick bool) *Table {
 func E5N(quick bool) *Table {
 	t := NewTable("E5a: median tracking cost vs n (k=8, eps=0.02)",
 		"n", "words", "rounds", "per-log2n")
-	t.Note = "Theorem 3.1 predicts O(k/eps·log n): last column ~flat."
+	t.Note = "Theorem 3.1 predicts O(k/eps·log n), but the last column rises toward the per-round constant from below, not flat: " +
+		"the first ⌈32k/eps⌉ arrivals are a bootstrap that runs no rounds, yet count in log2 n. E13 reads the per-round constant directly."
 	const k, eps = 8, 0.02
 	for _, n := range []int64{1 << 15, 1 << 17, 1 << 19} {
 		n = scaleN(quick, n)
@@ -367,6 +373,73 @@ func F1(quick bool) *Table {
 			t.Add(n, st.Leaves, 0.02*float64(st.Leaves), st.Height, st.HeightCap,
 				float64(st.MinLeafS)/em, float64(st.MaxLeafS)/em)
 		}
+	}
+	return t
+}
+
+// E13 — Theorem 3.1's constant, by message kind: the quantile tracker's
+// words per round. Each window runs from just after one round change to
+// just after the next, so it holds one round's reports and one round build;
+// the bootstrap and the unfinished last round are left out.
+func E13(quick bool) *Table {
+	t := NewTable("E13: quantile words per round by message kind (k=8, eps=0.05, phis 0.5 0.99, n=2^22)",
+		"workload", "kind", "words/round/(k/eps)", "share")
+	t.Note = "Theorem 3.1: O(k/eps) words per round. A change to the protocol's cost moves the rows of the message kinds it touches."
+	const k, eps = 8, 0.05
+	n := scaleN(quick, 1<<22)
+	for _, w := range []Workload{WUniform, WZipf} {
+		tr, err := quantile.New(quantile.Config{K: k, Eps: eps, Phis: []float64{0.5, 0.99}})
+		if err != nil {
+			panic(err)
+		}
+		snapshot := func() map[string]int64 {
+			words := map[string]int64{}
+			for _, kind := range tr.Meter().Kinds() {
+				words[kind] = tr.Meter().Kind(kind).Words
+			}
+			return words
+		}
+		var first, last map[string]int64
+		firstRound, rounds := 0, 0
+		g := stream.Perturb(w.Make(n, 5))
+		for i := 0; ; i++ {
+			x, ok := g.Next()
+			if !ok {
+				break
+			}
+			tr.Feed(i%k, x)
+			if tr.Rounds() != rounds {
+				rounds = tr.Rounds()
+				last = snapshot()
+				if first == nil {
+					first, firstRound = last, rounds
+				}
+			}
+		}
+		windows := float64(rounds - firstRound)
+		if windows < 1 {
+			panic("E13: no complete round")
+		}
+		perRound := func(words int64) float64 { return float64(words) / windows / (k / eps) }
+		kinds := make([]string, 0, len(last))
+		var words int64 // summed as integers, so map order cannot move the last digit
+		for kind := range last {
+			if last[kind] != first[kind] {
+				kinds = append(kinds, kind)
+				words += last[kind] - first[kind]
+			}
+		}
+		total := perRound(words)
+		slices.SortFunc(kinds, func(a, b string) int {
+			if c := cmp.Compare(last[b]-first[b], last[a]-first[a]); c != 0 {
+				return c
+			}
+			return strings.Compare(a, b)
+		})
+		for _, kind := range kinds {
+			t.Add(w.Name, kind, perRound(last[kind]-first[kind]), float64(last[kind]-first[kind])/float64(words))
+		}
+		t.Add(w.Name, "total", total, 1.0)
 	}
 	return t
 }

@@ -5,7 +5,7 @@
 //
 // The paper (PODS 2009) is theoretical and has no empirical tables; the
 // experiments here regenerate its *claims* — see "Experiments" in
-// docs/architecture.md for the index (E1–E11, F1, A1–A4), and the
+// docs/architecture.md for the index (E1–E11, E13, F1, A1–A4), and the
 // Experiments function in this package for the implementations.
 package harness
 
