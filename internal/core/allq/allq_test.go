@@ -94,7 +94,7 @@ func TestRankContractDistributionShift(t *testing.T) {
 	// Mass jumps to a disjoint value range mid-stream: splitting elements
 	// must chase it via condition-(6) rebuilds.
 	low := stream.Uniform(1<<20, 12000, 7)
-	high := &offsetGen{g: stream.Uniform(1<<20, 25000, 8), off: 1 << 41}
+	high := &offsetGen{g: stream.Uniform(1<<20, 25000, 8), off: 1 << 36}
 	runAndCheckRanks(t, Config{K: 8, Eps: 0.05},
 		stream.Perturb(stream.Concat(low, high)), stream.RoundRobin(8))
 }

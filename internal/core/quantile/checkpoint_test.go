@@ -19,7 +19,10 @@ import (
 // after the bootstrap moved to 32k/ε = 1,280 items, while a site still
 // reported each side of M on its own. checkpoint-drift-2000.bin holds the
 // same prefix under the signed drift rule: its sites carry unreported
-// arrivals past thrLR on one side whose signed drift is still below it.
+// arrivals past thrLR on one side whose signed drift is still below it. It
+// was written while a round build sampled each site every ε·n_j/32 items;
+// checkpoint-step16-2000.bin holds the same prefix with the step at
+// ε·n_j/16, so its separators are cut from half as many samples.
 // Never regenerate them.
 var goldenCfg = Config{K: 2, Eps: 0.05, Phis: []float64{0.1, 0.5, 0.99}}
 
@@ -38,9 +41,10 @@ func goldenStream() stream.Generator {
 // golden from scratch (twin), a twin fed the same prefix writes the same
 // bytes, and fed on in lockstep the restored tracker and the twin agree on
 // every meter, round count and quantile. checkpoint-round.bin holds a round
-// the bootstrap now still covers, and checkpoint-round-2000.bin was written
-// while each side of M was reported on its own, so neither has a twin;
-// their restored trackers are checked against the exact quantiles instead.
+// the bootstrap now still covers, checkpoint-round-2000.bin was written
+// while each side of M was reported on its own, and checkpoint-drift-2000.bin
+// while a round build sampled at ε·n_j/32, so none of them has a twin; their
+// restored trackers are checked against the exact quantiles instead.
 func TestRestoreGolden(t *testing.T) {
 	for _, g := range []struct {
 		file string
@@ -51,7 +55,8 @@ func TestRestoreGolden(t *testing.T) {
 		{"checkpoint-boot.bin", len(goldenBootKeys), true, true},
 		{"checkpoint-round.bin", 400, false, false},
 		{"checkpoint-round-2000.bin", 2000, false, false},
-		{"checkpoint-drift-2000.bin", 2000, false, true},
+		{"checkpoint-drift-2000.bin", 2000, false, false},
+		{"checkpoint-step16-2000.bin", 2000, false, true},
 	} {
 		t.Run(g.file, func(t *testing.T) {
 			golden, err := os.ReadFile("testdata/" + g.file)

@@ -65,9 +65,19 @@ func cutsEvery(merged []wsep, target int64) []uint64 {
 	return cuts
 }
 
-// roundSampleDiv is the 32 of a round build's per-site sampling step
-// ε·n_j/32.
-const roundSampleDiv = 32.0
+// roundSampleDiv is the 16 of a round build's per-site sampling step
+// ε·n_j/16, the sampling error's share of ε. A value's sampled weight trails
+// its rank by under step_j at each site, and not at all at the site whose
+// sample it is; a cut passes cutsEvery's target 3εm/16 by under that site's
+// step. So a fresh interval holds at most 3εm/16 + Σ_j step_j − k ≤ εm/4
+// items (5εm/16 with ModeSketch's GK error), below splitAt = 3εm/8, and at
+// least εm/8 − 2 (docs/architecture.md, "Quantile round builds sample at
+// ε·n_j/16"). At 8, ModeSketch's bound would reach splitAt itself.
+const roundSampleDiv = 16.0
+
+// bootDiv is the 32 of the bootstrap target ⌈max(32, b)·k/ε⌉, a constant of
+// its own: the target must not follow roundSampleDiv (see bootTarget).
+const bootDiv = 32.0
 
 // batchDivisor returns the b of the site report batches εm/bk: 8, or
 // BatchDivisor when set.
@@ -78,23 +88,25 @@ func (p *policy) batchDivisor() float64 {
 	return 8
 }
 
-// bootTarget returns ⌈max(32, b)·k/ε⌉, the count at which neither a round
-// build's sampling step ε·n_j/32 (with n_j ≈ m/k) nor the εm/bk batch is
-// floored at one item. Below it a round build ships every item and every
-// tracked arrival crosses a batch, where forwarding costs one word; so the
-// bootstrap forwards until then. It is derived from the config, never
-// stored.
+// bootTarget returns ⌈max(32, b)·k/ε⌉, the count at which the bootstrap hands
+// off to the first round. A round costs ~50 k/ε words and covers m arrivals,
+// forwarding one word per arrival, so below m ≈ 50k/ε forwarding is the
+// cheaper of the two; a target that followed the sampling step down to 16k/ε
+// raised the words of short streams. At the target the εm/bk batch is at
+// least one item and the first build samples every 2 items per site
+// (ε·n_j/16 with n_j ≈ m/k). It is derived from the config, never stored.
 func (p *policy) bootTarget() int64 {
-	return int64(math.Ceil(max(roundSampleDiv, p.batchDivisor()) * float64(p.cfg.K) / p.cfg.Eps))
+	return int64(math.Ceil(max(bootDiv, p.batchDivisor()) * float64(p.cfg.K) / p.cfg.Eps))
 }
 
 // newRound rebuilds all round state: fresh separators sized for the new m,
 // exact interval counts, exact quantile baselines, new thresholds. Cost
-// O(k/ε) — the paper's per-round initialization.
+// O(k/ε) — the paper's per-round initialization; its largest part is the
+// "round-resp" samples, about 16·k/ε words (one per ε·n_j/16 items).
 func (p *policy) newRound() {
 	p.eng.All()
 	// 1. Collect weighted separator samples over the whole universe, each
-	// site cutting its local items every ε·n_j/32.
+	// site cutting its local items every ε·n_j/16 (roundSampleDiv).
 	merged, total, _ := p.sepSamples(0, math.MaxUint64, roundSampleDiv/p.cfg.Eps, "round")
 	p.m = total
 	p.rounds++
@@ -107,7 +119,8 @@ func (p *policy) newRound() {
 	p.splitAt = maxi64(1, int64(3*em/8))
 	p.driftTrig = em / 2
 
-	// 2. Build separators targeting ~3εm/16 items per interval.
+	// 2. Cut every 3εm/16 of sampled weight: each fresh interval holds
+	// between εm/8 − 2 and εm/4 items (roundSampleDiv), all but the last.
 	p.seps = cutsEvery(merged, int64(3*em/16))
 	if len(p.seps) == 0 {
 		// Degenerate round (tiny m or massive ties): fall back to the

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"disttrack/internal/baseline"
+	"disttrack/internal/core"
 	"disttrack/internal/core/allq"
 	"disttrack/internal/core/hh"
 	"disttrack/internal/core/quantile"
@@ -140,7 +141,8 @@ func E5N(quick bool) *Table {
 	t := NewTable("E5a: median tracking cost vs n (k=8, eps=0.02)",
 		"n", "words", "rounds", "per-log2n")
 	t.Note = "Theorem 3.1 predicts O(k/eps·log n), but the last column rises toward the per-round constant from below, not flat: " +
-		"the first ⌈32k/eps⌉ arrivals are a bootstrap that runs no rounds, yet count in log2 n. E13 reads the per-round constant directly."
+		"the first ⌈32k/eps⌉ arrivals are a bootstrap that runs no rounds, yet count in log2 n. " +
+		"The target is where a round starts to cost fewer words than forwarding, not the round build's step (eps·n_j/16). E13 reads the per-round constant directly."
 	const k, eps = 8, 0.02
 	for _, n := range []int64{1 << 15, 1 << 17, 1 << 19} {
 		n = scaleN(quick, n)
@@ -377,69 +379,90 @@ func F1(quick bool) *Table {
 	return t
 }
 
-// E13 — Theorem 3.1's constant, by message kind: the quantile tracker's
-// words per round. Each window runs from just after one round change to
-// just after the next, so it holds one round's reports and one round build;
-// the bootstrap and the unfinished last round are left out.
+// E13 — Theorems 2.1, 3.1 and 4.1's constants, by message kind: each
+// tracker's words per round and per doubling of n. Each window runs from just
+// after one round change to just after the last, so it holds whole rounds'
+// reports and round builds; the bootstrap and the unfinished last round are
+// left out. A doubling is log2 of the arrivals at the window's end over those
+// at its start: quantile and allq rounds are doublings, hh's grow |A| by
+// about 1+eps/3.
 func E13(quick bool) *Table {
-	t := NewTable("E13: quantile words per round by message kind (k=8, eps=0.05, phis 0.5 0.99, n=2^22)",
-		"workload", "kind", "words/round/(k/eps)", "share")
-	t.Note = "Theorem 3.1: O(k/eps) words per round. A change to the protocol's cost moves the rows of the message kinds it touches."
+	t := NewTable("E13: words per round by message kind (k=8, eps=0.05, n=2^22; quantile tracks phis 0.5 0.99)",
+		"tracker", "workload", "kind", "words/round/(k/eps)", "words/doubling/(k/eps)", "share")
+	t.Note = "Theorems 2.1, 3.1 and 4.1: O(k/eps) words per doubling of n (allq: times log^2(1/eps)). " +
+		"A change to a protocol's cost moves the rows of the message kinds it touches."
 	const k, eps = 8, 0.05
 	n := scaleN(quick, 1<<22)
-	for _, w := range []Workload{WUniform, WZipf} {
-		tr, err := quantile.New(quantile.Config{K: k, Eps: eps, Phis: []float64{0.5, 0.99}})
-		if err != nil {
-			panic(err)
-		}
-		snapshot := func() map[string]int64 {
-			words := map[string]int64{}
-			for _, kind := range tr.Meter().Kinds() {
-				words[kind] = tr.Meter().Kind(kind).Words
+	trackers := []struct {
+		name string
+		new  func() (core.Tracker, error)
+	}{
+		{"hh", func() (core.Tracker, error) { return hh.New(hh.Config{K: k, Eps: eps}) }},
+		{"quantile", func() (core.Tracker, error) {
+			return quantile.New(quantile.Config{K: k, Eps: eps, Phis: []float64{0.5, 0.99}})
+		}},
+		{"allq", func() (core.Tracker, error) { return allq.New(allq.Config{K: k, Eps: eps}) }},
+	}
+	for _, tk := range trackers {
+		for _, w := range []Workload{WUniform, WZipf} {
+			tr, err := tk.new()
+			if err != nil {
+				panic(err)
 			}
-			return words
-		}
-		var first, last map[string]int64
-		firstRound, rounds := 0, 0
-		g := stream.Perturb(w.Make(n, 5))
-		for i := 0; ; i++ {
-			x, ok := g.Next()
-			if !ok {
-				break
+			snapshot := func() map[string]int64 {
+				words := map[string]int64{}
+				for _, kind := range tr.Meter().Kinds() {
+					words[kind] = tr.Meter().Kind(kind).Words
+				}
+				return words
 			}
-			tr.Feed(i%k, x)
-			if tr.Rounds() != rounds {
-				rounds = tr.Rounds()
-				last = snapshot()
-				if first == nil {
-					first, firstRound = last, rounds
+			var first, last map[string]int64
+			var firstN, lastN int64
+			firstRound, rounds := 0, 0
+			g := w.Make(n, 5)
+			if tk.name != "hh" {
+				g = stream.Perturb(g)
+			}
+			for i := int64(0); ; i++ {
+				x, ok := g.Next()
+				if !ok {
+					break
+				}
+				tr.Feed(int(i%k), x)
+				if tr.Rounds() != rounds {
+					rounds = tr.Rounds()
+					last, lastN = snapshot(), i+1
+					if first == nil {
+						first, firstN, firstRound = last, lastN, rounds
+					}
 				}
 			}
-		}
-		windows := float64(rounds - firstRound)
-		if windows < 1 {
-			panic("E13: no complete round")
-		}
-		perRound := func(words int64) float64 { return float64(words) / windows / (k / eps) }
-		kinds := make([]string, 0, len(last))
-		var words int64 // summed as integers, so map order cannot move the last digit
-		for kind := range last {
-			if last[kind] != first[kind] {
-				kinds = append(kinds, kind)
-				words += last[kind] - first[kind]
+			windows := float64(rounds - firstRound)
+			if windows < 1 {
+				panic("E13: no complete round")
 			}
-		}
-		total := perRound(words)
-		slices.SortFunc(kinds, func(a, b string) int {
-			if c := cmp.Compare(last[b]-first[b], last[a]-first[a]); c != 0 {
-				return c
+			doublings := math.Log2(float64(lastN) / float64(firstN))
+			unit := func(words int64, per float64) float64 { return float64(words) / per / (k / eps) }
+			kinds := make([]string, 0, len(last))
+			var words int64 // summed as integers, so map order cannot move the last digit
+			for kind := range last {
+				if last[kind] != first[kind] {
+					kinds = append(kinds, kind)
+					words += last[kind] - first[kind]
+				}
 			}
-			return strings.Compare(a, b)
-		})
-		for _, kind := range kinds {
-			t.Add(w.Name, kind, perRound(last[kind]-first[kind]), float64(last[kind]-first[kind])/float64(words))
+			slices.SortFunc(kinds, func(a, b string) int {
+				if c := cmp.Compare(last[b]-first[b], last[a]-first[a]); c != 0 {
+					return c
+				}
+				return strings.Compare(a, b)
+			})
+			for _, kind := range kinds {
+				d := last[kind] - first[kind]
+				t.Add(tk.name, w.Name, kind, unit(d, windows), unit(d, doublings), float64(d)/float64(words))
+			}
+			t.Add(tk.name, w.Name, "total", unit(words, windows), unit(words, doublings), 1.0)
 		}
-		t.Add(w.Name, "total", total, 1.0)
 	}
 	return t
 }

@@ -12,8 +12,10 @@ import (
 
 // TestBootstrapCostsForwarding pins each kind's bootstrap target at the
 // many_tenants parameters (k = 4; hh at ε = 0.02, quantile and allq at
-// ε = 0.05). The target is the smallest count at which none of the kind's
-// per-arrival thresholds is floored at one item. Until it, a sequential feed
+// ε = 0.05). hh's and allq's target is the smallest count at which none of
+// the kind's per-arrival thresholds is floored at one item; quantile's is
+// where a round starts to cost fewer words than forwarding. Until it, a
+// sequential feed
 // costs exactly one "item" word per arrival and nothing else, and the
 // tracker leaves bootstrap on the target-th arrival, not one before.
 func TestBootstrapCostsForwarding(t *testing.T) {
@@ -25,8 +27,9 @@ func TestBootstrapCostsForwarding(t *testing.T) {
 	}{
 		// ⌈3k/ε⌉: the reporting threshold ε·S.m/3k reaches one item.
 		{"hh", func() (core.Tracker, error) { return hh.New(hh.Config{K: k, Eps: 0.02}) }, 600},
-		// ⌈32k/ε⌉: the round build's per-site step ε·n_j/32 reaches one item
-		// (and the εm/8k batch with it).
+		// ⌈32k/ε⌉: a round costs ~50 k/ε words and covers m arrivals, so
+		// below m ≈ 50k/ε forwarding (one word per arrival) is cheaper. The
+		// round build's step ε·n_j/16 is 2 here, and the εm/8k batch 4.
 		{"quantile", func() (core.Tracker, error) {
 			return quantile.New(quantile.Config{K: k, Eps: 0.05, Phis: []float64{0.5, 0.99}})
 		}, 2560},

@@ -143,7 +143,9 @@ const PerturbBits = 24
 // shifted left by PerturbBits and a per-value sequence number occupies the
 // low bits. This is the paper's "symbolic perturbation": quantile ranks over
 // perturbed keys equal item-level ranks with ties broken by arrival order.
-// Unperturb recovers the original value.
+// Unperturb recovers the original value. Next panics on a value at or above
+// 2^(64−PerturbBits), whose shift would wrap, and on the 2^PerturbBits-th
+// repeat of a value.
 func Perturb(gen Generator) Generator {
 	return &perturber{gen: gen, seq: make(map[Item]uint32)}
 }
@@ -157,6 +159,9 @@ func (p *perturber) Next() (Item, bool) {
 	x, ok := p.gen.Next()
 	if !ok {
 		return 0, false
+	}
+	if x >= 1<<(64-PerturbBits) {
+		panic(fmt.Sprintf("stream: item %d does not fit in %d bits and would wrap when perturbed", x, 64-PerturbBits))
 	}
 	s := p.seq[x]
 	p.seq[x] = s + 1

@@ -238,6 +238,7 @@ func TestGeneratorPanics(t *testing.T) {
 		func() { Zipf(10, 5, 1.0, 1) },
 		func() { HotSet(10, 5, 20, 0.5, 1) },
 		func() { HotSet(10, 5, 2, 1.5, 1) },
+		func() { Perturb(FromSlice([]Item{1 << (64 - PerturbBits)})).Next() },
 	}
 	for i, f := range cases {
 		func() {
