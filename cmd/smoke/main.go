@@ -184,8 +184,8 @@ func (r *run) boot(p *proc) {
 	go func() { p.cmd.Wait(); close(p.done) }()
 
 	// The main HTTP listener is bound and logged last in every role: as
-	// "trackd listening" by a standalone or coord node, "trackd site
-	// listening" by a site node.
+	// "trackd listening" by a coordinator, "trackd site listening" by a
+	// site node.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		addrs := listeners(p.log, st.Size())

@@ -182,12 +182,15 @@ func faultScenario(r *run) {
 	s.want("disttrack_node_connected", 1)
 }
 
-// crashScenario is the docs/durability.md walkthrough live on a standalone
-// durable node: kill -9 before any checkpoint (recovery is pure WAL
-// replay), then SIGTERM (a final checkpoint, so the next boot replays
-// nothing), with exactly-once totals after each boot.
+// crashScenario is the docs/durability.md walkthrough live on a durable
+// node started in the default role without -ingest-listen: kill -9 before
+// any checkpoint (recovery is pure WAL replay), then SIGTERM (a final
+// checkpoint, so the next boot replays nothing), with exactly-once totals
+// after each boot.
 func crashScenario(r *run) {
 	node := r.start("trackd", append([]string{"-listen", anyAddr}, durableArgs(filepath.Join(r.dir, "data"))...)...)
+	// Without -ingest-listen a coordinator serves HTTP alone.
+	want(r, "TCP ingest listener of a node without -ingest-listen", node.ingest, "")
 	r.createTenant(node, map[string]any{"name": "clicks", "kind": "hh", "k": 1, "eps": 0.05})
 	r.createTenant(node, map[string]any{"name": "ranks", "kind": "allq", "k": 1, "eps": 0.1})
 	r.ingest(node, "clicks", 120, 1, 0)

@@ -5,11 +5,11 @@
 // docs/distributed.md for the distributed topology, and
 // docs/observability.md for the metrics plane.
 //
-// trackd runs in one of three roles:
+// trackd runs in one of two roles:
 //
-//   - standalone (default): the full service in one process.
-//   - coord: the full service plus a TCP ingest listener terminating
-//     site-node connections (-ingest-listen).
+//   - coord (default): the full service. With -ingest-listen it also
+//     terminates site-node connections on a TCP ingest listener; without
+//     it the process serves HTTP alone.
 //   - site: an edge node accepting the same HTTP ingest API, batching
 //     records per (tenant, site) and pushing delta frames upstream to a
 //     coordinator (-upstream), with reconnect-and-resync.
@@ -19,12 +19,12 @@
 // same pattern as -pprof). Logs are structured (log/slog); -log-format
 // selects text (default) or json.
 //
-// With -data-dir, the standalone and coord roles run durably: every
-// accepted ingest batch is logged to a per-tenant WAL (-fsync picks the
-// sync policy) and tenants are checkpointed on -checkpoint-interval. After
-// a crash, boot recovers each tenant from its newest valid checkpoint and
-// replays the WAL tail; a graceful SIGTERM drain takes final checkpoints so
-// restarts replay nothing. See docs/durability.md.
+// With -data-dir, the coord role runs durably: every accepted ingest batch
+// is logged to a per-tenant WAL (-fsync picks the sync policy) and tenants
+// are checkpointed on -checkpoint-interval. After a crash, boot recovers
+// each tenant from its newest valid checkpoint and replays the WAL tail; a
+// graceful SIGTERM drain takes final checkpoints so restarts replay
+// nothing. See docs/durability.md.
 //
 // The distributed roles carry fault-tolerance machinery — a site redials its
 // coordinator on capped, jittered exponential backoff, the coordinator runs
@@ -35,7 +35,7 @@
 //
 // Usage:
 //
-//	trackd [-role standalone|coord|site] [-listen 127.0.0.1:8080] ...
+//	trackd [-role coord|site] [-listen 127.0.0.1:8080] ...
 //
 // Example distributed session:
 //
@@ -152,7 +152,7 @@ type config struct {
 	siteBuffer  int
 	grace       time.Duration
 
-	// durable plane (standalone/coord)
+	// durable plane (coord role)
 	dataDir   string
 	ckptEvery time.Duration
 	fsync     string
@@ -175,7 +175,7 @@ type config struct {
 func parseFlags(args []string) (config, error) {
 	var cfg config
 	fs := flag.NewFlagSet("trackd", flag.ContinueOnError)
-	fs.StringVar(&cfg.role, "role", "standalone", "standalone | coord | site")
+	fs.StringVar(&cfg.role, "role", "coord", "coord | site")
 	fs.StringVar(&cfg.listen, "listen", "127.0.0.1:8080", "HTTP listen address")
 	fs.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
 	fs.StringVar(&cfg.metricsAddr, "metrics", "", "serve GET /metrics on a dedicated address too (empty = main listener only)")
@@ -185,7 +185,7 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.dataDir, "data-dir", "", "durable plane: per-tenant WAL + checkpoints under this directory, with crash recovery on boot (empty = off)")
 	fs.DurationVar(&cfg.ckptEvery, "checkpoint-interval", 30*time.Second, "per-tenant checkpoint cadence (needs -data-dir)")
 	fs.StringVar(&cfg.fsync, "fsync", "interval", "WAL sync policy: always | interval | never (needs -data-dir)")
-	fs.StringVar(&cfg.ingestListen, "ingest-listen", "127.0.0.1:7171", "coord: TCP listen address for site-node ingest")
+	fs.StringVar(&cfg.ingestListen, "ingest-listen", "", "coord: TCP listen address for site-node ingest (empty = no TCP listener)")
 	fs.StringVar(&cfg.upstream, "upstream", "", "site: coordinator ingest address (required)")
 	fs.StringVar(&cfg.node, "node", "", "site: stable node name (required; keys reconnect resync)")
 	fs.IntVar(&cfg.forwardBatch, "forward-batch", 256, "site: values per upstream batch frame")
@@ -206,9 +206,9 @@ func parseFlags(args []string) (config, error) {
 // (fsyncMode), hence the pointer receiver.
 func (c *config) validate() error {
 	switch c.role {
-	case "standalone", "coord", "site":
+	case "coord", "site":
 	default:
-		return fmt.Errorf("unknown -role %q (want standalone, coord or site)", c.role)
+		return fmt.Errorf("unknown -role %q (want coord or site)", c.role)
 	}
 	switch c.logFormat {
 	case "text", "json":
@@ -247,7 +247,7 @@ func (c *config) validate() error {
 	}
 	c.fsyncMode = mode
 	if c.dataDir != "" && c.role == "site" {
-		return fmt.Errorf("-data-dir applies to the standalone and coord roles (a site node holds no tracker state)")
+		return fmt.Errorf("-data-dir applies to the coord role (a site node holds no tracker state)")
 	}
 	if c.breakerFail < 0 || c.breakerOpen < 0 {
 		return fmt.Errorf("-breaker-fail and -breaker-open must be >= 0 (0 = package default)")
@@ -280,7 +280,7 @@ func main() {
 	}
 }
 
-// runServer runs the standalone and coord roles.
+// runServer runs the coord role.
 func runServer(cfg config, logger *slog.Logger) error {
 	if err := startPprof(cfg.pprofAddr, logger); err != nil {
 		return err
@@ -311,7 +311,7 @@ func runServer(cfg config, logger *slog.Logger) error {
 		// any) still seeds the dedup floor; absent both, replay protection
 		// falls back to the in-memory dedup window, which a long enough
 		// site-node replay tail can outrun.
-		if cfg.role == "coord" && rs.RecoveredTenants > 0 && !rs.DurableCursors {
+		if cfg.ingestListen != "" && rs.RecoveredTenants > 0 && !rs.DurableCursors {
 			logger.Warn("no durable cursor table found; node replay dedup falls back to the in-memory window until the first checkpoint cycle persists one",
 				"data-dir", cfg.dataDir, "cursor-nodes", rs.CursorNodes)
 		}
@@ -319,7 +319,7 @@ func runServer(cfg config, logger *slog.Logger) error {
 	if err := startMetrics(cfg.metricsAddr, svc.Metrics(), logger); err != nil {
 		return err
 	}
-	if cfg.role == "coord" {
+	if cfg.ingestListen != "" {
 		ri, err := svc.ServeRemote(cfg.ingestListen)
 		if err != nil {
 			return err

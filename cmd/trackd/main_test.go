@@ -19,10 +19,11 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.role != "standalone" {
+	if cfg.role != "coord" {
 		t.Fatalf("default role = %q", cfg.role)
 	}
-	if cfg.listen != "127.0.0.1:8080" || cfg.ingestListen != "127.0.0.1:7171" {
+	// A coordinator binds no TCP ingest listener unless asked to.
+	if cfg.listen != "127.0.0.1:8080" || cfg.ingestListen != "" {
 		t.Fatalf("default addresses = %q / %q", cfg.listen, cfg.ingestListen)
 	}
 	if cfg.siteBuffer != 128 {
@@ -54,6 +55,7 @@ func TestParseFlagsRoles(t *testing.T) {
 		{"coord ok", []string{"-role", "coord", "-ingest-listen", ":7171"}, ""},
 		{"site ok", []string{"-role", "site", "-upstream", "h:7171", "-node", "edge-1"}, ""},
 		{"unknown role", []string{"-role", "proxy"}, "unknown -role"},
+		{"removed standalone role", []string{"-role", "standalone"}, "unknown -role \"standalone\" (want coord or site)"},
 		{"site missing upstream", []string{"-role", "site", "-node", "e"}, "requires -upstream"},
 		{"site missing node", []string{"-role", "site", "-upstream", "h:1"}, "requires -node"},
 		{"bad site buffer", []string{"-site-buffer", "0"}, "must be >= 1"},
@@ -67,7 +69,7 @@ func TestParseFlagsRoles(t *testing.T) {
 		{"durable ok", []string{"-data-dir", "/tmp/dt", "-fsync", "always", "-checkpoint-interval", "5s"}, ""},
 		{"bad fsync", []string{"-data-dir", "/tmp/dt", "-fsync", "sometimes"}, "-fsync"},
 		{"bad checkpoint interval", []string{"-checkpoint-interval", "0s"}, "must be positive"},
-		{"site with data dir", []string{"-role", "site", "-upstream", "h:1", "-node", "e", "-data-dir", "/tmp/dt"}, "standalone and coord"},
+		{"site with data dir", []string{"-role", "site", "-upstream", "h:1", "-node", "e", "-data-dir", "/tmp/dt"}, "applies to the coord role"},
 		{"coord breaker ok", []string{"-role", "coord", "-breaker-fail", "3", "-breaker-open", "300ms"}, ""},
 		{"site with breaker-fail", []string{"-role", "site", "-upstream", "h:1", "-node", "e", "-breaker-fail", "3"}, "coordinator's per-node breaker"},
 		{"site with breaker-open", []string{"-role", "site", "-upstream", "h:1", "-node", "e", "-breaker-open", "1s"}, "coordinator's per-node breaker"},

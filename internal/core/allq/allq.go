@@ -279,7 +279,7 @@ func (p *policy) bootKeys() []uint64 {
 // OnBootDone builds the first round.
 func (p *policy) OnBootDone() { p.newRound() }
 
-// OnReconfigure implements engine.ReconfigurePolicy: resize the per-site
+// OnReconfigure implements engine.Policy: resize the per-site
 // state to newK sites and rebuild the whole tree — the §4 batch size θm/k
 // depends on k, and a full-tree rebuild with exact counts is the round
 // boundary the paper prescribes on membership change. Runs under the

@@ -4,22 +4,20 @@ import (
 	"fmt"
 
 	"disttrack/internal/ckpt"
-	"disttrack/internal/core/engine"
 	"disttrack/internal/sitestore"
 )
 
-// Engine checkpoint support (engine.CheckpointPolicy). A checkpoint captures
-// the live round — the interval tree with per-node counts, the round
-// parameters, the bootstrap list, and every site's store and unreported
-// per-node deltas — so a restored tracker continues the protocol mid-round.
+// Engine checkpoint support (engine.Policy.EncodeState/DecodeState). A
+// checkpoint captures the live round — the interval tree with per-node
+// counts, the round parameters, the bootstrap list, and every site's store
+// and unreported per-node deltas — so a restored tracker continues the
+// protocol mid-round.
 //
 // The tree is encoded in preorder with child links as preorder indices, so
 // a decoded child always follows its parent. Per-site deltas are re-indexed
 // to preorder position during encode (delta[pos] = delta[node.id]); on
 // decode, node ids are assigned from preorder position, which restores the
 // dense-id invariant gcDeltas maintains.
-
-var _ engine.CheckpointPolicy = (*policy)(nil)
 
 // EncodeState appends the policy state; runs under the quiescent lock set.
 func (p *policy) EncodeState(enc *ckpt.Encoder) {

@@ -67,13 +67,13 @@ type Tracker interface {
 	// Checkpoint writes a versioned, checksummed snapshot of the tracker
 	// under the quiescent lock set; Restore rebuilds a freshly constructed
 	// tracker (same config, before the first feed) from one. See
-	// engine.CheckpointPolicy for the contract.
+	// engine.Policy's EncodeState and DecodeState for the contract.
 	Checkpoint(w io.Writer) error
 	Restore(r io.Reader) error
 
 	// Reconfigure changes the number of sites to newK under the quiescent
 	// lock set and restarts the protocol round at the new k (the paper's
 	// membership-change rule). Removed sites' state is folded into site 0.
-	// See engine.ReconfigurePolicy for the contract.
+	// See engine.Policy's OnReconfigure for the contract.
 	Reconfigure(newK int) error
 }

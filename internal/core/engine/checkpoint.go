@@ -11,27 +11,6 @@ import (
 	"disttrack/internal/wire"
 )
 
-// CheckpointPolicy is the optional policy extension behind engine
-// checkpoints. A policy that implements it can be serialized into — and
-// rebuilt from — a stable byte form:
-//
-//   - EncodeState is called under the full quiescent lock set (escMu plus
-//     every site lock, the same discipline as Quiesce), so it can read
-//     coordinator and per-site state freely and must not block or feed.
-//   - DecodeState is called on a freshly constructed policy (same config,
-//     before any arrival) and must rebuild exactly the state EncodeState
-//     captured. On error the policy may be left partially mutated; the
-//     caller discards the whole tracker, it is never used after a failed
-//     restore.
-//
-// Decoders run on untrusted bytes (a corrupt disk is an adversary): they
-// must validate what they read and return errors — the ckpt.Decoder
-// primitives make never-panic the default.
-type CheckpointPolicy interface {
-	EncodeState(enc *ckpt.Encoder)
-	DecodeState(dec *ckpt.Decoder) error
-}
-
 // Checkpoint frame: magic/version for the engine envelope; the policy blob
 // is nested inside the same payload. maxCheckpointBytes bounds decode-side
 // allocation against corrupt length fields (1 GiB is far above any real
@@ -42,19 +21,11 @@ const (
 	maxCheckpointBytes = 1 << 30
 )
 
-// ErrNotCheckpointable reports a policy without the CheckpointPolicy
-// extension.
-var ErrNotCheckpointable = errors.New("engine: policy does not implement CheckpointPolicy")
-
 // Checkpoint writes a versioned, checksummed snapshot of the engine and its
 // policy to w. Capture runs under the quiescent lock set (exactly like
 // Quiesce), so the bytes are a consistent cut: they reflect every arrival
 // fed before the call and none fed after. The engine remains live.
 func (e *Engine) Checkpoint(w io.Writer) error {
-	cp, ok := e.pol.(CheckpointPolicy)
-	if !ok {
-		return fmt.Errorf("%w (%T)", ErrNotCheckpointable, e.pol)
-	}
 	var enc ckpt.Encoder
 	e.Quiesce(func() {
 		sites := *e.sites.Load()
@@ -68,7 +39,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 			enc.I64(s.nj)
 		}
 		encodeMeterState(&enc, e.meter.State())
-		cp.EncodeState(&enc)
+		e.pol.EncodeState(&enc)
 	})
 	return ckpt.WriteFrame(w, ckptMagic, ckptVersion, enc.Bytes())
 }
@@ -80,10 +51,6 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 // may be partially mutated and must be discarded; Restore never panics on
 // corrupt input.
 func (e *Engine) Restore(r io.Reader) error {
-	cp, ok := e.pol.(CheckpointPolicy)
-	if !ok {
-		return fmt.Errorf("%w (%T)", ErrNotCheckpointable, e.pol)
-	}
 	if e.n.Load() != 0 || e.version.Load() != 0 {
 		return errors.New("engine: Restore on an engine that has already run")
 	}
@@ -143,7 +110,7 @@ func (e *Engine) Restore(r io.Reader) error {
 		s.nj = nj[i]
 	}
 	e.meter.SetState(ms)
-	if err := cp.DecodeState(dec); err != nil {
+	if err := e.pol.DecodeState(dec); err != nil {
 		return fmt.Errorf("engine: restore %s policy: %w", e.name, err)
 	}
 	if err := dec.Err(); err != nil {

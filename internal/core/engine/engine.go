@@ -64,12 +64,12 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"disttrack/internal/ckpt"
 	"disttrack/internal/wire"
 )
 
@@ -126,6 +126,29 @@ type Policy interface {
 	// raced in at its own site, and other sites keep ingesting until a
 	// cascade calls All, which only makes reporting fresher.
 	OnEscalate(site int, x uint64)
+
+	// OnReconfigure runs under escMu plus every site lock (old and new
+	// membership both locked), after the engine has already resized its own
+	// site set: the policy must resize its per-site state to newK — folding
+	// a removed site's local state into site 0, whose engine-level count
+	// already absorbed the removed sites' counts — and restart its current
+	// round so every threshold and error budget is re-derived for the new k.
+	// During bootstrap no round exists; the policy only resizes.
+	OnReconfigure(oldK, newK int)
+
+	// EncodeState and DecodeState serialize the policy into, and rebuild it
+	// from, a stable byte form (Engine.Checkpoint, Engine.Restore).
+	// EncodeState is called under the full quiescent lock set, so it can
+	// read coordinator and per-site state freely and must not block or feed.
+	// DecodeState is called on a freshly constructed policy (same config,
+	// before any arrival) and must rebuild exactly the state EncodeState
+	// captured. On error the policy may be left partially mutated; the
+	// caller discards the whole tracker, it is never used after a failed
+	// restore. Decoders run on untrusted bytes (a corrupt disk is an
+	// adversary): they must validate what they read and return errors — the
+	// ckpt.Decoder primitives make never-panic the default.
+	EncodeState(enc *ckpt.Encoder)
+	DecodeState(dec *ckpt.Decoder) error
 }
 
 // Config parameterizes an Engine.
@@ -514,22 +537,6 @@ func (e *Engine) TrueTotal() int64 { return e.n.Load() }
 // the query methods it is consistent only under Quiesce (or sequentially).
 func (e *Engine) SiteCount(j int) int64 { return (*e.sites.Load())[j].nj }
 
-// ErrNotReconfigurable is returned by Reconfigure when the engine's policy
-// does not implement ReconfigurePolicy.
-var ErrNotReconfigurable = errors.New("engine: policy does not support reconfiguration")
-
-// ReconfigurePolicy is implemented by policies that support live membership
-// changes. OnReconfigure runs under escMu plus every site lock (old and new
-// membership both locked), after the engine has already resized its own
-// site set: the policy must resize its per-site state to newK — folding a
-// removed site's local state into site 0, whose engine-level count already
-// absorbed the removed sites' counts — and restart its current round so
-// every threshold and error budget is re-derived for the new k. During
-// bootstrap no round exists; the policy only resizes.
-type ReconfigurePolicy interface {
-	OnReconfigure(oldK, newK int)
-}
-
 // Reconfigure changes the number of sites to newK — the paper's membership
 // change, which every protocol handles by restarting its current round. It
 // runs as a slow-path entry: under escMu plus every site lock, so all fast
@@ -547,10 +554,6 @@ type ReconfigurePolicy interface {
 func (e *Engine) Reconfigure(newK int) error {
 	if newK < 1 {
 		return fmt.Errorf("%s: Reconfigure: K must be >= 1, got %d", e.name, newK)
-	}
-	rp, ok := e.pol.(ReconfigurePolicy)
-	if !ok {
-		return fmt.Errorf("%s: %w", e.name, ErrNotReconfigurable)
 	}
 	e.escMu.Lock()
 	e.lockSites()
@@ -578,7 +581,7 @@ func (e *Engine) Reconfigure(newK int) error {
 		}
 	}
 	e.sites.Store(&fresh)
-	rp.OnReconfigure(oldK, newK)
+	e.pol.OnReconfigure(oldK, newK)
 	for _, s := range removed {
 		s.mu.Unlock() // no longer in the slice unlockSites walks
 	}

@@ -90,7 +90,19 @@ func (p *countPolicy) DecodeState(dec *ckpt.Decoder) error {
 	return nil
 }
 
-var _ engine.CheckpointPolicy = (*countPolicy)(nil)
+// OnReconfigure folds the removed sites' pending counts into site 0, as
+// the engine folds their exact counts, so the mock runs the suite's
+// membership law too. The mock has no round to restart.
+func (p *countPolicy) OnReconfigure(oldK, newK int) {
+	if newK < oldK {
+		for _, c := range p.pending[newK:] {
+			p.pending[0] += c
+		}
+		p.pending = p.pending[:newK]
+		return
+	}
+	p.pending = append(p.pending, make([]int64, newK-oldK)...)
+}
 
 // countTracker assembles the mock policy into the same shape as the real
 // trackers: engine embed for the ingest surface, plus the stats methods

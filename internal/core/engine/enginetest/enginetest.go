@@ -38,7 +38,6 @@ package enginetest
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -425,19 +424,8 @@ func runCheckpointRestore(t *testing.T, cfg Config) {
 // conserve arrivals — TrueTotal is untouched by a membership change and the
 // per-site counts always sum to it (a removed site's count folds into site
 // 0); (3) keep the coordinator honest — EstTotal never overtakes TrueTotal
-// across the change. Policies without ReconfigurePolicy skip.
+// across the change.
 func runReconfigure(t *testing.T, cfg Config) {
-	probe := cfg.New(t)
-	if err := probe.Reconfigure(cfg.K + 1); err != nil {
-		if errors.Is(err, engine.ErrNotReconfigurable) {
-			t.Skipf("policy is not reconfigurable: %v", err)
-		}
-		t.Fatalf("Reconfigure probe: %v", err)
-	}
-	if got := probe.K(); got != cfg.K+1 {
-		t.Fatalf("K() = %d after Reconfigure(%d)", got, cfg.K+1)
-	}
-
 	seq, bat := cfg.New(t), cfg.New(t)
 	items := genStream(cfg, cfg.K*cfg.PerSite, 37)
 	grow, shrink := len(items)/3, 2*len(items)/3

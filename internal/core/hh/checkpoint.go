@@ -4,19 +4,16 @@ import (
 	"fmt"
 
 	"disttrack/internal/ckpt"
-	"disttrack/internal/core/engine"
 	"disttrack/internal/slots"
 	"disttrack/internal/summary/mg"
 	"disttrack/internal/summary/spacesaving"
 )
 
-// Engine checkpoint support (engine.CheckpointPolicy): the §2.1 policy's
-// state is the coordinator underestimates plus, per site, the broadcast
-// mark, the unreported delta, and the mode-specific frequency store.
-// Thresholds are derived from broadcast state (m), so nothing else needs
-// capturing. See docs/durability.md for the format.
-
-var _ engine.CheckpointPolicy = (*policy)(nil)
+// Engine checkpoint support (engine.Policy.EncodeState/DecodeState): the
+// §2.1 policy's state is the coordinator underestimates plus, per site, the
+// broadcast mark, the unreported delta, and the mode-specific frequency
+// store. Thresholds are derived from broadcast state (m), so nothing else
+// needs capturing. See docs/durability.md for the format.
 
 // EncodeState appends the policy state; runs under the quiescent lock set.
 func (p *policy) EncodeState(enc *ckpt.Encoder) {

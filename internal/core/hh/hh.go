@@ -413,7 +413,7 @@ func (p *policy) flushItems(j int, thr int64) {
 	}
 }
 
-// OnReconfigure implements engine.ReconfigurePolicy: resize the per-site
+// OnReconfigure implements engine.Policy: resize the per-site
 // protocol state to newK sites and restart the round — the §2.1 thresholds
 // ε·S_j.m/3k depend on k, so a membership change forces a fresh broadcast
 // (the paper's protocols restart their round on reconfiguration). Runs under

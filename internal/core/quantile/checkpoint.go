@@ -4,17 +4,14 @@ import (
 	"fmt"
 
 	"disttrack/internal/ckpt"
-	"disttrack/internal/core/engine"
 	"disttrack/internal/sitestore"
 )
 
-// Engine checkpoint support (engine.CheckpointPolicy). Round thresholds
-// (thrIv/thrTot/thrLR/splitAt/driftTrig) are serialized rather than
-// recomputed from m: they depend on the BatchDivisor ablation knob and on
-// float arithmetic, and storing them guarantees the restored tracker
+// Engine checkpoint support (engine.Policy.EncodeState/DecodeState). Round
+// thresholds (thrIv/thrTot/thrLR/splitAt/driftTrig) are serialized rather
+// than recomputed from m: they depend on the BatchDivisor ablation knob and
+// on float arithmetic, and storing them guarantees the restored tracker
 // escalates at exactly the captured round's boundaries.
-
-var _ engine.CheckpointPolicy = (*policy)(nil)
 
 // EncodeState appends the policy state; runs under the quiescent lock set.
 func (p *policy) EncodeState(enc *ckpt.Encoder) {

@@ -348,7 +348,7 @@ func (p *policy) bootKeys() []uint64 {
 // OnBootDone builds the first round.
 func (p *policy) OnBootDone() { p.newRound() }
 
-// OnReconfigure implements engine.ReconfigurePolicy: resize the per-site
+// OnReconfigure implements engine.Policy: resize the per-site
 // state to newK sites and rebuild the round from scratch — every §3.1
 // threshold (εm/8k batches, split trigger, drift trigger) depends on k, so a
 // membership change is handled exactly like a round boundary. Runs under the

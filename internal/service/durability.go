@@ -294,10 +294,9 @@ func (s *Server) recoverTenant(name string) error {
 		return err
 	}
 	// Wait for the cluster to absorb the replay so the tenant answers
-	// queries consistently the moment recovery returns.
-	for !t.synced() {
-		time.Sleep(100 * time.Microsecond)
-	}
+	// queries consistently the moment recovery returns. Nothing can close
+	// the tenant here: it is not in the registry yet.
+	t.awaitSynced()
 	next := cover + 1
 	if stats.LastSeq >= next {
 		next = stats.LastSeq + 1
@@ -421,12 +420,9 @@ func (s *Server) checkpointTenant(t *Tenant) error {
 	t0 := time.Now()
 	t.durMu.Lock()
 	cover := d.NextSeq() - 1
-	for !t.synced() {
-		if t.isClosed() {
-			t.durMu.Unlock()
-			return nil
-		}
-		time.Sleep(100 * time.Microsecond)
+	if !t.awaitSynced() {
+		t.durMu.Unlock()
+		return nil
 	}
 	payload, err := t.encodeDurable()
 	t.durMu.Unlock()

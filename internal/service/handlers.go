@@ -146,10 +146,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		if !t.limited {
 			continue
 		}
-		cfg := t.Config()
-		qos[cfg.Name] = tenantQoS{
-			RateLimit:  cfg.RateLimit,
-			QueueShare: cfg.QueueShare,
+		qos[t.cfg.Name] = tenantQoS{
+			RateLimit:  t.cfg.RateLimit,
+			QueueShare: t.cfg.QueueShare,
 			Throttled:  t.throttled.Load(),
 			Queued:     t.backlog(),
 		}

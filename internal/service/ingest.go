@@ -333,9 +333,7 @@ func (in *ingester) Flush() {
 		return
 	}
 	for _, t := range in.reg.all() {
-		for !t.isClosed() && !t.synced() {
-			time.Sleep(100 * time.Microsecond)
-		}
+		t.awaitSynced()
 	}
 }
 

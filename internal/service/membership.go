@@ -109,9 +109,6 @@ func (s *Server) ReconfigureTenant(name string, newK int) error {
 	}
 	t.clu.Store(&liveCluster{c: newClu, base: base})
 	t.kLive.Store(int32(newK))
-	t.cfgMu.Lock()
-	t.cfg.K = newK
-	t.cfgMu.Unlock()
 	if t.dur != nil {
 		// Persist the new shape: checkpoint first (see the doc comment),
 		// meta second. Failures degrade durability, not the reconfiguration

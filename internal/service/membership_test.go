@@ -318,8 +318,19 @@ func TestMembershipAdminAPI(t *testing.T) {
 	if code != 200 || resp["epoch"].(float64) != 2 {
 		t.Fatalf("membership: code %d resp %v", code, resp)
 	}
-	if got := s.reg.Get("api").K(); got != 4 {
+	tn := s.reg.Get("api")
+	if got := tn.K(); got != 4 {
 		t.Fatalf("k %d after admin reconfigure, want 4", got)
+	}
+	// The live k has one home: every view of the tenant reads it.
+	if got := tn.Config().K; got != 4 {
+		t.Fatalf("Config().K %d after admin reconfigure, want 4", got)
+	}
+	if got := tn.Stats().K; got != 4 {
+		t.Fatalf("Stats().K %d after admin reconfigure, want 4", got)
+	}
+	if list := s.reg.List(); len(list) != 1 || list[0].K != 4 {
+		t.Fatalf("List() %+v after admin reconfigure, want one tenant at k 4", list)
 	}
 	s.Flush()
 	if sum := siteSum(t, s, "api"); sum != 10 {
@@ -494,6 +505,25 @@ func TestStatsRacingReconfigure(t *testing.T) {
 			}
 		}()
 	}
+	// Config and List read the live k while ReconfigureTenant writes it;
+	// under -race this checks that they need no lock of their own.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, k := range []int{tn.Config().K, s.reg.List()[0].K} {
+				if k != 1 && k != 8 {
+					t.Errorf("config reports k %d, want 1 or 8", k)
+					return
+				}
+			}
+		}
+	}()
 	for i := 0; i < 400; i++ {
 		k := 1
 		if i%2 == 1 {

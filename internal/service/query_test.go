@@ -1,15 +1,19 @@
 package service
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"disttrack/internal/stream"
 )
 
 // cacheAsk is one query to one tenant.
@@ -114,6 +118,57 @@ func TestQueryCache(t *testing.T) {
 			})
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("after the version ticked: answered %+v, a fresh read %+v", got, want)
+			}
+		})
+	}
+}
+
+// kindFacts is each kind's capability written out by hand: the shapes it
+// answers, whether its values are perturbed and whether it takes phis.
+var kindFacts = map[Kind]struct {
+	answers         []shape
+	perturbed, phis bool
+}{
+	KindHH:       {answers: []shape{shapeHeavy, shapeFreq}},
+	KindQuantile: {answers: []shape{shapeQuantile}, perturbed: true, phis: true},
+	KindAllQ:     {answers: []shape{shapeHeavy, shapeQuantile, shapeRank}, perturbed: true},
+}
+
+// TestKindTable ranges over the kind table and checks each kind against
+// kindFacts: a kind added to the table without its answers, or whose facts
+// drift, fails here. Each fact is checked by its effect: every shape is
+// asked, phis are offered to validate, and a value past MaxPerturbedValue
+// is ingested.
+func TestKindTable(t *testing.T) {
+	s := New(Config{SiteBuffer: 16})
+	defer s.Close()
+	for kind := range kinds {
+		t.Run(string(kind), func(t *testing.T) {
+			want, ok := kindFacts[kind]
+			if !ok {
+				t.Fatalf("kind %q has no row in kindFacts", kind)
+			}
+			tc := TenantConfig{Name: string(kind), Kind: kind, K: 2, Eps: 0.1}
+			mustCreate(t, s, tc)
+			feedTenant(t, s, tc.Name, 0, 100)
+			tn := s.reg.Get(tc.Name)
+			for sh := range nShapes {
+				_, err := tn.ask(query{shape: sh, phi: 0.5, x: 1})
+				if slices.Contains(want.answers, sh) {
+					if err != nil {
+						t.Errorf("%s query: %v", shapeNames[sh].noun, err)
+					}
+				} else if !errors.Is(err, ErrUnsupported) {
+					t.Errorf("%s query: err %v, want ErrUnsupported", shapeNames[sh].noun, err)
+				}
+			}
+			tc.Phis = []float64{0.5}
+			if err := tc.validate(); (err == nil) != want.phis {
+				t.Errorf("validate with phis: %v", err)
+			}
+			acc, _ := s.Ingest([]Record{{Tenant: tc.Name, Value: MaxPerturbedValue}})
+			if (acc == 0) != want.perturbed {
+				t.Errorf("a value of 2^%d: accepted %d", 64-stream.PerturbBits, acc)
 			}
 		})
 	}

@@ -95,9 +95,8 @@ func (tc TenantConfig) validate() error {
 			return fmt.Errorf("tenant name %q: only [A-Za-z0-9._-] allowed", tc.Name)
 		}
 	}
-	switch tc.Kind {
-	case KindHH, KindQuantile, KindAllQ:
-	default:
+	kind, ok := kinds[tc.Kind]
+	if !ok {
 		return fmt.Errorf("unknown tenant kind %q (want hh, quantile or allq)", tc.Kind)
 	}
 	if tc.K < 1 {
@@ -111,7 +110,7 @@ func (tc TenantConfig) validate() error {
 			return fmt.Errorf("every phi must be in [0,1], got %g", phi)
 		}
 	}
-	if tc.Kind != KindQuantile && len(tc.Phis) > 0 {
+	if !kind.phis && len(tc.Phis) > 0 {
 		return fmt.Errorf("phis only applies to quantile tenants")
 	}
 	if tc.RateLimit < 0 {
@@ -179,6 +178,8 @@ type Tenant struct {
 	// the counters below, so a producer validating against kLive never waits
 	// for a cache line another producer's delivery just wrote.
 
+	// cfg is fixed at construction. Its K is the k the tenant was created
+	// at: the live k is kLive, which Config and Stats report.
 	cfg TenantConfig
 	// gen is a process-unique instance nonce baked into the tenant's query
 	// ETags: a deleted-and-recreated tenant restarts its tracker version at
@@ -187,9 +188,10 @@ type Tenant struct {
 	gen uint64
 	// limited caches "any QoS admission configured" (RateLimit or
 	// QueueShare), fixed at construction: unlimited tenants skip admit on
-	// the ingest path, and readers need no cfgMu for it.
+	// the ingest path.
 	limited bool
-	// kLive mirrors cfg.K for lock-free site validation on the ingest path.
+	// kLive is the tenant's live site count. ReconfigureTenant is its one
+	// writer; the ingest path validates sites against it lock-free.
 	kLive atomic.Int32
 	// clu is the tenant's runtime cluster with its predecessors' counts,
 	// swapped atomically on reconfigure (the new cluster is built at the new
@@ -197,10 +199,8 @@ type Tenant struct {
 	// memberMu.
 	clu atomic.Pointer[liveCluster]
 	tr  core.Tracker
-	// answers holds the kind's answer function per query shape, built once
-	// at construction (the single place the service switches on kind); nil
-	// means the kind does not answer that shape. They read tracker state, so
-	// they run only inside Quiesce.
+	// answers holds the kind's answer function per query shape (see
+	// kindSpec.build); nil means the kind does not answer that shape.
 	answers [nShapes]func(query) answer
 	tm      *tenantMetrics // nil when the owning registry is uninstrumented
 	// seq is the symbolic-perturbation state for quantile/allq tenants:
@@ -233,12 +233,6 @@ type Tenant struct {
 
 	// Line group 3 — locks (their state words are written on every
 	// acquisition) and the query cache.
-
-	// cfgMu guards cfg against the one writer that exists: ReconfigureTenant
-	// updating cfg.K on a live site add/remove. Reads that must see a
-	// consistent config (Config, Stats headers) take the read side; the hot
-	// ingest path never touches it — site validation reads kLive instead.
-	cfgMu sync.RWMutex
 
 	// durMu is the tenant's delivery gate: every ingest call holds it across
 	// the {perturb, WAL append, cluster send} step for the tenant's groups,
@@ -279,89 +273,111 @@ type cacheLinePad [64]byte
 // tenantGen issues the per-process instance nonces for query ETags.
 var tenantGen atomic.Uint64
 
+// kindSpec is what the service knows about one tenant kind.
+type kindSpec struct {
+	// build constructs the kind's tracker for a validated config (Phis
+	// defaulted) and its answer function per query shape; a nil function
+	// means the kind does not answer that shape. The answers read tracker
+	// state, so they run only inside Quiesce.
+	build func(tc TenantConfig) (core.Tracker, [nShapes]func(query) answer, error)
+	// perturbed: ingested values are symbolically perturbed (stream.Perturb),
+	// so they must stay below MaxPerturbedValue.
+	perturbed bool
+	// phis: the kind tracks a configured set of φs (default 0.5); the other
+	// kinds refuse phis.
+	phis bool
+}
+
+// kinds is the one table of tenant kinds: validation and construction read
+// it, and nothing else in the service tells the kinds apart.
+var kinds = map[Kind]kindSpec{
+	KindHH:       {build: buildHH},
+	KindQuantile: {build: buildQuantile, perturbed: true, phis: true},
+	KindAllQ:     {build: buildAllQ, perturbed: true},
+}
+
+// modeFor maps TenantConfig.Sketch to a tracker package's store mode.
+func modeFor[M any](sketch bool, exact, small M) M {
+	if sketch {
+		return small
+	}
+	return exact
+}
+
+func buildHH(tc TenantConfig) (_ core.Tracker, ans [nShapes]func(query) answer, err error) {
+	tr, err := hh.New(hh.Config{K: tc.K, Eps: tc.Eps, Mode: modeFor(tc.Sketch, hh.ModeExact, hh.ModeSketch)})
+	if err != nil {
+		return nil, ans, err
+	}
+	ans[shapeHeavy] = func(q query) (a answer) {
+		for _, e := range tr.HeavyHitterEntries(q.phi) {
+			a.entries = append(a.entries, Entry{Item: e.Item, Count: e.Count, Ratio: e.Ratio})
+		}
+		return a
+	}
+	ans[shapeFreq] = func(q query) answer { return answer{count: tr.EstFrequency(q.x)} }
+	return tr, ans, nil
+}
+
+func buildQuantile(tc TenantConfig) (_ core.Tracker, ans [nShapes]func(query) answer, err error) {
+	mode := modeFor(tc.Sketch, quantile.ModeExact, quantile.ModeSketch)
+	tr, err := quantile.New(quantile.Config{K: tc.K, Eps: tc.Eps, Phis: tc.Phis, Mode: mode})
+	if err != nil {
+		return nil, ans, err
+	}
+	ans[shapeQuantile] = func(q query) answer {
+		// check admitted only tracked phis, so the index exists.
+		return answer{value: stream.Unperturb(tr.QuantileAt(slices.Index(tc.Phis, q.phi)))}
+	}
+	return tr, ans, nil
+}
+
+func buildAllQ(tc TenantConfig) (_ core.Tracker, ans [nShapes]func(query) answer, err error) {
+	tr, err := allq.New(allq.Config{K: tc.K, Eps: tc.Eps, Mode: modeFor(tc.Sketch, allq.ModeExact, allq.ModeSketch)})
+	if err != nil {
+		return nil, ans, err
+	}
+	ans[shapeHeavy] = func(q query) (a answer) {
+		total := tr.EstTotal()
+		if total == 0 {
+			return a
+		}
+		for _, v := range tr.HeavyHittersFromRanks(q.phi, stream.PerturbBits) {
+			// For the maximum valid value, (v+1)<<PerturbBits would wrap
+			// to 0; every key >= v<<PerturbBits carries value v then.
+			hi := total
+			if v+1 < MaxPerturbedValue {
+				hi = tr.Rank((v + 1) << stream.PerturbBits)
+			}
+			c := hi - tr.Rank(v<<stream.PerturbBits)
+			a.entries = append(a.entries, Entry{Item: v, Count: c, Ratio: float64(c) / float64(total)})
+		}
+		return a
+	}
+	ans[shapeQuantile] = func(q query) answer {
+		return answer{value: stream.Unperturb(tr.Quantile(q.phi))}
+	}
+	ans[shapeRank] = func(q query) answer {
+		return answer{count: tr.Rank(stream.PerturbValue(q.x)), total: tr.EstTotal()}
+	}
+	return tr, ans, nil
+}
+
 func newTenant(tc TenantConfig, siteBuffer int, sm *serverMetrics) (*Tenant, error) {
+	kind := kinds[tc.Kind]
+	if kind.phis && len(tc.Phis) == 0 {
+		tc.Phis = []float64{0.5}
+	}
 	t := &Tenant{cfg: tc, gen: tenantGen.Add(1), limited: tc.RateLimit > 0 || tc.QueueShare > 0}
 	if tc.RateLimit > 0 {
 		t.limiter = fault.NewLimiter(tc.RateLimit, tc.RateBurst)
 	}
-	var err error
-	switch tc.Kind {
-	case KindHH:
-		mode := hh.ModeExact
-		if tc.Sketch {
-			mode = hh.ModeSketch
-		}
-		var tr *hh.Tracker
-		tr, err = hh.New(hh.Config{K: tc.K, Eps: tc.Eps, Mode: mode})
-		if err != nil {
-			break
-		}
-		t.tr = tr
-		t.answers[shapeHeavy] = func(q query) (a answer) {
-			for _, e := range tr.HeavyHitterEntries(q.phi) {
-				a.entries = append(a.entries, Entry{Item: e.Item, Count: e.Count, Ratio: e.Ratio})
-			}
-			return a
-		}
-		t.answers[shapeFreq] = func(q query) answer { return answer{count: tr.EstFrequency(q.x)} }
-	case KindQuantile:
-		mode := quantile.ModeExact
-		if tc.Sketch {
-			mode = quantile.ModeSketch
-		}
-		phis := tc.Phis
-		if len(phis) == 0 {
-			phis = []float64{0.5}
-			t.cfg.Phis = phis
-		}
-		var tr *quantile.Tracker
-		tr, err = quantile.New(quantile.Config{K: tc.K, Eps: tc.Eps, Phis: phis, Mode: mode})
-		if err != nil {
-			break
-		}
-		t.tr = tr
-		t.seq = newSeqTable()
-		t.answers[shapeQuantile] = func(q query) answer {
-			// check admitted only tracked phis, so the index exists.
-			return answer{value: stream.Unperturb(tr.QuantileAt(slices.Index(phis, q.phi)))}
-		}
-	case KindAllQ:
-		mode := allq.ModeExact
-		if tc.Sketch {
-			mode = allq.ModeSketch
-		}
-		var tr *allq.Tracker
-		tr, err = allq.New(allq.Config{K: tc.K, Eps: tc.Eps, Mode: mode})
-		if err != nil {
-			break
-		}
-		t.tr = tr
-		t.seq = newSeqTable()
-		t.answers[shapeHeavy] = func(q query) (a answer) {
-			total := tr.EstTotal()
-			if total == 0 {
-				return a
-			}
-			for _, v := range tr.HeavyHittersFromRanks(q.phi, stream.PerturbBits) {
-				// For the maximum valid value, (v+1)<<PerturbBits would wrap
-				// to 0; every key >= v<<PerturbBits carries value v then.
-				hi := total
-				if v+1 < MaxPerturbedValue {
-					hi = tr.Rank((v + 1) << stream.PerturbBits)
-				}
-				c := hi - tr.Rank(v<<stream.PerturbBits)
-				a.entries = append(a.entries, Entry{Item: v, Count: c, Ratio: float64(c) / float64(total)})
-			}
-			return a
-		}
-		t.answers[shapeQuantile] = func(q query) answer {
-			return answer{value: stream.Unperturb(tr.Quantile(q.phi))}
-		}
-		t.answers[shapeRank] = func(q query) answer {
-			return answer{count: tr.Rank(stream.PerturbValue(q.x)), total: tr.EstTotal()}
-		}
+	if kind.perturbed {
+		seq := slots.New[uint32]()
+		t.seq = &seq
 	}
-	if err != nil {
+	var err error
+	if t.tr, t.answers, err = kind.build(tc); err != nil {
 		return nil, err
 	}
 	// The service only ever reads meter totals (and per-tenant attribution
@@ -512,12 +528,6 @@ func (t *Tenant) admit(n int) (bool, time.Duration) {
 	return true, 0
 }
 
-// newSeqTable returns an empty table of perturbation counters.
-func newSeqTable() *slots.Table[uint32] {
-	tab := slots.New[uint32]()
-	return &tab
-}
-
 // perturbed reports whether values are symbolically perturbed on ingest.
 func (t *Tenant) perturbed() bool { return t.seq != nil }
 
@@ -595,8 +605,22 @@ func (t *Tenant) processed() int64 {
 func (t *Tenant) droppedTotal() int64 { return t.stats().Dropped + t.dropped.Load() }
 
 // synced reports whether every successfully enqueued arrival has been
-// processed by the tracker (used by Flush).
+// processed by the tracker.
 func (t *Tenant) synced() bool { return t.processed() >= t.sent.Load() }
+
+// awaitSynced waits until the cluster has absorbed everything sent to it
+// (Flush, checkpoint capture, recovery's replay). It reports false instead
+// once the tenant has closed: a closed tenant's cluster may have dropped
+// what it had not begun, so it may never catch up.
+func (t *Tenant) awaitSynced() bool {
+	for !t.synced() {
+		if t.isClosed() {
+			return false
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return true
+}
 
 // backlog is the quantity QueueShare bounds: records admitted but not yet
 // applied to the tracker — still in an ingest call (queued), or sent to the
@@ -607,11 +631,12 @@ func (t *Tenant) backlog() int64 {
 	return max(0, t.queued.Load()+t.sent.Load()-t.processed())
 }
 
-// Config returns the tenant's configuration (Phis filled with defaults).
+// Config returns the tenant's configuration (Phis filled with defaults) at
+// its live k.
 func (t *Tenant) Config() TenantConfig {
-	t.cfgMu.RLock()
-	defer t.cfgMu.RUnlock()
-	return t.cfg
+	cfg := t.cfg
+	cfg.K = t.K()
+	return cfg
 }
 
 // Entry is one heavy hitter in a query response.
