@@ -79,10 +79,11 @@ race:
 # The quick experiment tables are a pure function of the protocols' decisions
 # (every wire.Meter count, round, split and served answer on seeded streams):
 # any change to a site store or a policy that alters one of them shows up as a
-# diff against the committed output. Regenerate the file only with a change
-# that means to move the protocol, and say so.
+# diff against the committed output, printed as a unified diff so the moved
+# rows can be named from it (non-zero exit on any difference). Regenerate the
+# file only with a change that means to move the protocol, and say so.
 experiments-diff:
-	$(GO) run ./cmd/experiments -quick -csv | cmp - testdata/experiments_quick.csv
+	$(GO) run ./cmd/experiments -quick -csv | diff -u testdata/experiments_quick.csv -
 
 # Run every benchmark exactly once so they cannot bit-rot.
 bench-smoke:

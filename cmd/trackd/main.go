@@ -29,9 +29,10 @@
 // The distributed roles carry fault-tolerance machinery — a site redials its
 // coordinator on capped, jittered exponential backoff, the coordinator runs
 // a per-node circuit breaker that damps a flapping site (-breaker-fail,
-// -breaker-open; coord role only), and per-tenant admission control is set
-// by the QoS fields of the tenant-create API. docs/operations.md is the
-// operator runbook for all of it.
+// -breaker-open; coord role with -ingest-listen only), and per-tenant
+// admission control is set by the QoS fields of the tenant-create API.
+// docs/operations.md is the operator runbook for all of it. A flag the
+// chosen role ignores is refused when given on the command line.
 //
 // Usage:
 //
@@ -169,6 +170,8 @@ type config struct {
 	forwardBatch int
 	forwardDelay time.Duration
 	window       int
+
+	given map[string]bool // flags set on the command line (flag.FlagSet.Visit)
 }
 
 // parseFlags parses args (without the program name) into a config.
@@ -199,6 +202,8 @@ func parseFlags(args []string) (config, error) {
 	if len(fs.Args()) > 0 {
 		return config{}, fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
+	cfg.given = map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { cfg.given[f.Name] = true })
 	return cfg, cfg.validate()
 }
 
@@ -249,11 +254,19 @@ func (c *config) validate() error {
 	if c.dataDir != "" && c.role == "site" {
 		return fmt.Errorf("-data-dir applies to the coord role (a site node holds no tracker state)")
 	}
+	for _, f := range []string{"ingest-listen", "fsync", "checkpoint-interval"} {
+		if c.given[f] && c.role == "site" {
+			return fmt.Errorf("-%s applies to the coord role (a site node binds no TCP listener and holds no WAL)", f)
+		}
+	}
 	if c.breakerFail < 0 || c.breakerOpen < 0 {
 		return fmt.Errorf("-breaker-fail and -breaker-open must be >= 0 (0 = package default)")
 	}
 	if (c.breakerFail != 0 || c.breakerOpen != 0) && c.role == "site" {
 		return fmt.Errorf("-breaker-fail and -breaker-open tune the coordinator's per-node breaker (a site node's redials are paced by backoff alone)")
+	}
+	if (c.given["breaker-fail"] || c.given["breaker-open"]) && c.ingestListen == "" {
+		return fmt.Errorf("-breaker-fail and -breaker-open need -ingest-listen (the breaker damps site nodes on the TCP ingest listener)")
 	}
 	return nil
 }

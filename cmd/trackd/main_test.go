@@ -70,7 +70,12 @@ func TestParseFlagsRoles(t *testing.T) {
 		{"bad fsync", []string{"-data-dir", "/tmp/dt", "-fsync", "sometimes"}, "-fsync"},
 		{"bad checkpoint interval", []string{"-checkpoint-interval", "0s"}, "must be positive"},
 		{"site with data dir", []string{"-role", "site", "-upstream", "h:1", "-node", "e", "-data-dir", "/tmp/dt"}, "applies to the coord role"},
-		{"coord breaker ok", []string{"-role", "coord", "-breaker-fail", "3", "-breaker-open", "300ms"}, ""},
+		{"coord breaker ok", []string{"-role", "coord", "-ingest-listen", ":7171", "-breaker-fail", "3", "-breaker-open", "300ms"}, ""},
+		{"coord breaker-fail without ingest listener", []string{"-breaker-fail", "3"}, "need -ingest-listen"},
+		{"coord breaker-open without ingest listener", []string{"-role", "coord", "-breaker-open", "1s"}, "need -ingest-listen"},
+		{"site with ingest listener", []string{"-role", "site", "-upstream", "h:1", "-node", "e", "-ingest-listen", ":7171"}, "-ingest-listen applies to the coord role"},
+		{"site with fsync", []string{"-role", "site", "-upstream", "h:1", "-node", "e", "-fsync", "always"}, "-fsync applies to the coord role"},
+		{"site with checkpoint interval", []string{"-role", "site", "-upstream", "h:1", "-node", "e", "-checkpoint-interval", "1s"}, "-checkpoint-interval applies to the coord role"},
 		{"site with breaker-fail", []string{"-role", "site", "-upstream", "h:1", "-node", "e", "-breaker-fail", "3"}, "coordinator's per-node breaker"},
 		{"site with breaker-open", []string{"-role", "site", "-upstream", "h:1", "-node", "e", "-breaker-open", "1s"}, "coordinator's per-node breaker"},
 		{"removed -retry-budget", []string{"-retry-budget", "0.1"}, "flag provided but not defined"},

@@ -54,5 +54,5 @@ func Example() {
 	// φ=0.1 heavy hitters: [0 1]
 	// median: 2
 	// p90: 98
-	// p99: 2535
+	// p99: 2526
 }

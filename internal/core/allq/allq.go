@@ -35,7 +35,7 @@
 // The paper sets h via a chain of loose constants. Here heightCap(ε) =
 // ⌈1.5·log₂(16/ε)⌉ + 4 bounds every round, and a round uses the smaller
 // h = min(heightCap(ε), max(height of its freshly built tree + 2, height
-// the replaced tree grew to, 5)) when that raises the site batch θm/k. A
+// the replaced tree grew to, 6)) when that raises the site batch θm/k. A
 // rebuild that leaves the tree taller than h starts a new round, so
 // depth ≤ h holds at all times and the rank error stays ≤ εm.
 // Leaf splits sample separators only as finely as the split needs. See

@@ -175,12 +175,12 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 }
 
 // checkRound rejects round parameters no tracker writes. The ε bound rests
-// on depth ≤ h, minHeight ≤ h ≤ heightCap(ε), with θ, the site batch and
-// the leaf split trigger derived from that h, so a checkpoint breaking any
-// of these would restore a tracker that silently answers outside ε.
+// on depth ≤ h, restoreMinHeight ≤ h ≤ heightCap(ε), with θ, the site batch
+// and the leaf split trigger derived from that h, so a checkpoint breaking
+// any of these would restore a tracker that silently answers outside ε.
 func (p *policy) checkRound(treeHeight int) error {
-	if hCap := heightCap(p.cfg.Eps); p.h < minHeight || p.h > hCap {
-		return fmt.Errorf("allq: restore: height cap %d outside [%d, %d]", p.h, minHeight, hCap)
+	if hCap := heightCap(p.cfg.Eps); p.h < restoreMinHeight || p.h > hCap {
+		return fmt.Errorf("allq: restore: height cap %d outside [%d, %d]", p.h, restoreMinHeight, hCap)
 	}
 	theta, thr, split := roundParams(p.cfg.Eps, p.cfg.K, p.m, p.h)
 	if p.theta != theta || p.thrNode != thr || p.leafSplitAt != split {

@@ -93,7 +93,7 @@ func TestRestoreRejectsRoundParams(t *testing.T) {
 		{"cap", consistent(hCap), true},
 		{"tree height", consistent(max(treeHeight, minHeight)), true},
 		{"h zero", consistent(0), false},
-		{"h below floor", consistent(minHeight - 1), false},
+		{"h below floor", consistent(restoreMinHeight - 1), false},
 		{"h above cap", consistent(hCap + 1), false},
 		{"h below tree height", consistent(treeHeight - 1), false},
 		{"theta for another h", func(p *policy) { p.theta = p.cfg.Eps / (2 * float64(p.h-1)) }, false},
@@ -120,5 +120,120 @@ func TestRestoreRejectsRoundParams(t *testing.T) {
 					src.p.h, src.p.theta, src.p.thrNode, src.p.leafSplitAt)
 			}
 		})
+	}
+}
+
+// checkpoint-h5.bin was written by a tracker built from h5Cfg and fed the
+// first h5N items of goldenStream round robin, while minHeight was 5 and
+// rebuilds sampled at εm/64k: its round runs at h = 5, the floor a
+// checkpoint may still carry (restoreMinHeight).
+var h5Cfg = Config{K: 2, Eps: 0.4}
+
+const h5N = 1938
+
+// TestRestoreGoldenH5 restores a round at h = 5, below the floor new rounds
+// use. It re-encodes to the same bytes, keeps the rank contract as it
+// continues, and every subtree its rebuilds build before the next round
+// starts with its leaves below the restored round's trigger (rebuildStep
+// caps the step there); the next round takes a cap of at least minHeight.
+func TestRestoreGoldenH5(t *testing.T) {
+	golden, err := os.ReadFile("testdata/checkpoint-h5.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := New(h5Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Restore(bytes.NewReader(golden)); err != nil {
+		t.Fatal(err)
+	}
+	if tr.HeightBound() != 5 || tr.Rounds() != 3 || tr.RoundM() != 1292 || tr.TrueTotal() != h5N {
+		t.Fatalf("restored h %d, rounds %d, m %d, n %d; want 5, 3, 1292, %d",
+			tr.HeightBound(), tr.Rounds(), tr.RoundM(), tr.TrueTotal(), h5N)
+	}
+	var again bytes.Buffer
+	if err := tr.Checkpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), golden) {
+		t.Fatal("re-encoding the restored tracker does not reproduce the golden bytes")
+	}
+
+	gen := goldenStream(20000)
+	o := oracle.New()
+	for i := 0; i < h5N; i++ {
+		x, _ := gen.Next()
+		o.Add(x)
+	}
+	p := tr.p
+	w := newBuildWatch(tr)
+	w.next() // the restored tree is not fresh
+	w.rounds, w.rebuild = tr.Rounds(), tr.Rebuilds()
+	probes := make([]uint64, 0, 258)
+	capped := 0
+	for i := h5N; ; i++ {
+		x, ok := gen.Next()
+		if !ok {
+			break
+		}
+		tr.Feed(i%h5Cfg.K, x)
+		o.Add(x)
+		if fresh, _, _ := w.next(); fresh != nil && tr.Rounds() == 3 {
+			capped++
+			for _, u := range collectNodes(fresh) {
+				if u.isLeaf() && u.s >= p.leafSplitAt {
+					t.Fatalf("|A|=%d: a leaf rebuilt at h = 5 holds %d, not below its trigger %d", i+1, u.s, p.leafSplitAt)
+				}
+			}
+		}
+		if i%97 == 0 {
+			probes = probes[:0]
+			for j := 0; j <= 128; j++ {
+				q := o.Quantile(float64(j) / 128)
+				probes = append(probes, q, q+1)
+			}
+			checkRanks(t, tr, o, probes)
+		}
+	}
+	if capped == 0 {
+		t.Fatal("no rebuild ran in the restored h = 5 round")
+	}
+	if tr.Rounds() <= 3 || tr.HeightBound() < minHeight {
+		t.Fatalf("rounds %d, h %d: want a new round at h ≥ %d", tr.Rounds(), tr.HeightBound(), minHeight)
+	}
+}
+
+// TestRestoreHeightFloor re-encodes the h = 5 golden state at neighbouring
+// caps: h = 4, below restoreMinHeight, is refused although the tree is only
+// four levels tall; 5 and 6 restore.
+func TestRestoreHeightFloor(t *testing.T) {
+	golden, err := os.ReadFile("testdata/checkpoint-h5.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		h  int
+		ok bool
+	}{{restoreMinHeight - 1, false}, {restoreMinHeight, true}, {minHeight, true}} {
+		h, ok := tc.h, tc.ok
+		src, _ := New(h5Cfg)
+		if err := src.Restore(bytes.NewReader(golden)); err != nil {
+			t.Fatal(err)
+		}
+		if th := src.TreeStats().Height; th > restoreMinHeight-1 {
+			t.Fatalf("golden tree height %d: h = %d would be refused for the tree, not the floor", th, restoreMinHeight-1)
+		}
+		p := src.p
+		p.h = h
+		p.theta, p.thrNode, p.leafSplitAt = roundParams(p.cfg.Eps, p.cfg.K, p.m, h)
+		var buf bytes.Buffer
+		if err := src.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		dst, _ := New(h5Cfg)
+		if err := dst.Restore(&buf); (err == nil) != ok {
+			t.Fatalf("h = %d: restore error %v, want ok = %v", h, err, ok)
+		}
 	}
 }

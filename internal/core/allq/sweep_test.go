@@ -72,12 +72,17 @@ func TestContractSweep(t *testing.T) {
 // height cap a round can take, with every site's separators losing as much
 // as they can (step − 1 items each): a leaf one item past its split trigger
 // still samples above leafCap, so its rebuild splits it, and a leaf built at
-// either sampling step starts no higher than its trigger.
+// any sampling step starts no higher than its trigger. The round builds'
+// step sampleStep is checked from minHeight up; a rebuild's (rebuildStep)
+// also at restoreMinHeight, the floor a restored round may carry. At every
+// m from the bootstrap target up, the cut error k·sampleStep stays within
+// an eighth of leafCap, the smallest weight a build splits (invariant (5)).
 func TestLeafLoadsAtEveryCap(t *testing.T) {
 	for _, eps := range []float64{0.9, 0.6, 0.4, 0.2, 0.05, 1.0 / 64} {
 		for _, k := range []int{1, 8, 32} {
-			for _, m := range []int64{1, 100, 1000, 12345, 1 << 20} {
-				for h := minHeight; h <= heightCap(eps); h++ {
+			boot := (&policy{cfg: Config{K: k, Eps: eps}}).bootTarget()
+			for _, m := range []int64{1, 100, 1000, 12345, boot, boot + 1, 3 * boot / 2, 1 << 20, 1 << 30} {
+				for h := restoreMinHeight; h <= heightCap(eps); h++ {
 					p := &policy{cfg: Config{K: k, Eps: eps}, m: m, h: h}
 					p.theta, p.thrNode, p.leafSplitAt = roundParams(eps, k, m, h)
 					loss := func(step int64) int64 { return int64(k) * (step - 1) }
@@ -85,12 +90,20 @@ func TestLeafLoadsAtEveryCap(t *testing.T) {
 						t.Errorf("ε=%g k=%d m=%d h=%d: a leaf past its trigger %d samples %d ≤ leafCap %d",
 							eps, k, m, h, p.leafSplitAt, w, p.leafCap())
 					}
-					for _, step := range []int64{p.leafStep(), p.sampleStep()} {
+					steps := []int64{p.leafStep(), p.rebuildStep(&node{left: &node{}})}
+					if h >= minHeight {
+						steps = append(steps, p.sampleStep())
+					}
+					for _, step := range steps {
 						if c := p.leafCap() + loss(step); c > p.leafSplitAt {
 							t.Errorf("ε=%g k=%d m=%d h=%d: a leaf built at step %d holds up to %d, past its trigger %d",
 								eps, k, m, h, step, c, p.leafSplitAt)
 						}
 					}
+				}
+				if p := (&policy{cfg: Config{K: k, Eps: eps}, m: m}); m >= boot && 8*int64(k)*p.sampleStep() > p.leafCap() {
+					t.Errorf("ε=%g k=%d m=%d: k·sampleStep = %d exceeds leafCap/8 = %.1f",
+						eps, k, m, int64(k)*p.sampleStep(), float64(p.leafCap())/8)
 				}
 			}
 		}

@@ -74,12 +74,19 @@ func (p *policy) newRound() {
 	p.theta, p.thrNode, p.leafSplitAt = roundParams(p.cfg.Eps, p.cfg.K, p.m, h)
 }
 
-// minHeight is the smallest height cap a round uses. At h ≥ 5, θ ≤ ε/10, so
-// a leaf built from εm/64k samples, at most 3εm/8 + εm/64 items, starts
-// below its split trigger (ε/2 − θ)m ≥ 2εm/5. A tree built for ε ≤ 0.6 is
-// at least three levels tall (its leaves of at most 3εm/8 items hold all m),
-// so the floor binds only above that.
-const minHeight = 5
+// minHeight is the smallest height cap a round uses. At h ≥ 6, θ ≤ ε/12, so
+// a leaf built from εm/32k samples, at most 3εm/8 + εm/32 = 13εm/32 items,
+// starts below its split trigger (ε/2 − θ)m ≥ 5εm/12; at h = 5 the trigger
+// is 2εm/5, below 13εm/32. A tree built for ε < 1/3 is at least four
+// levels tall (its leaves of at most 3εm/8 items hold all m, so there are
+// more than 8), so the floor binds only above that.
+const minHeight = 6
+
+// restoreMinHeight is the smallest height cap a checkpoint may carry: the
+// floor was 5 while rebuilds sampled at εm/64k. A round restored at h = 5
+// stays sound because rebuild caps its step by the round's own leaf split
+// trigger (rebuildStep).
+const restoreMinHeight = 5
 
 // roundParams derives a round's thresholds from its height cap h and its
 // size m: θ = ε/2h, the per-node site batch θm/k and the leaf split trigger
@@ -91,24 +98,37 @@ func roundParams(eps float64, k int, m int64, h int) (theta float64, thrNode, le
 	return theta, thrNode, leafSplitAt
 }
 
-// rebuildSampleDiv is the 64 of a rebuild's sampling step εm/64k.
-const rebuildSampleDiv = 64
+// rebuildSampleDiv is the 32 of a rebuild's sampling step εm/32k, the
+// sampling error's share of ε: the k sites' summed sampling error k·step =
+// εm/32 stays within an eighth of the smallest weight 3εm/8 that
+// buildSubtree splits, which keeps invariant (5), and a fresh leaf holds
+// under 3εm/8 + εm/32 = 13εm/32 items, below its split trigger from
+// minHeight up (docs/architecture.md, "allq rebuilds sample at εm/32k").
+// At 16 the cut error εm/16 exceeds that eighth.
+const rebuildSampleDiv = 32
 
-// sampleStep is the separator sampling step εm/64k of a full or internal
-// rebuild: fine enough that the weighted medians keep invariant (5) at
-// every level of the subtree built.
+// bootDiv is the 64 of the bootstrap target ⌈max(64, 2·heightCap)·k/ε⌉, a
+// constant of its own: the target must not follow rebuildSampleDiv (see
+// bootTarget).
+const bootDiv = 64
+
+// sampleStep is the separator sampling step εm/32k of a whole-tree rebuild
+// (and, capped, of an internal one: rebuildStep): fine enough that the
+// weighted medians keep invariant (5) at every level of the subtree built.
 func (p *policy) sampleStep() int64 {
 	return max(1, int64(p.cfg.Eps*float64(p.m)/(rebuildSampleDiv*float64(p.cfg.K))))
 }
 
-// bootTarget returns ⌈max(64, 2·heightCap(ε))·k/ε⌉, the count at which
-// neither the sampling step εm/64k nor the node batch θm/k, at any height
-// cap a round may use (θ = ε/2h, h ≤ heightCap), is floored at one item.
-// Below it a rebuild ships every item and a tracked arrival reports at every
-// level of its path, where forwarding costs one word; so the bootstrap
-// forwards until then. It is derived from the config, never stored.
+// bootTarget returns ⌈max(64, 2·heightCap(ε))·k/ε⌉, the count at which the
+// bootstrap hands off to the first round. The 2·heightCap term keeps the
+// node batch θm/k at least one item at every height cap a round may use
+// (θ = ε/2h, h ≤ heightCap): below it a tracked arrival reports at every
+// level of its path, where forwarding costs one word. The 64 (bootDiv) was
+// the floor of the rebuild step εm/64k; the step is now εm/32k, so the
+// handoff build samples every 2 items. It is derived from the config, never
+// stored.
 func (p *policy) bootTarget() int64 {
-	c := max(rebuildSampleDiv, 2*heightCap(p.cfg.Eps))
+	c := max(bootDiv, 2*heightCap(p.cfg.Eps))
 	return int64(math.Ceil(float64(c) * float64(p.cfg.K) / p.cfg.Eps))
 }
 
@@ -122,13 +142,27 @@ func (p *policy) leafCap() int64 {
 // once the leaf's count passes leafSplitAt. A leaf is sampled only as finely
 // as its split needs. Invariant (5)'s 3/8–5/8 cut holds if the k sites'
 // summed sampling error k·step stays within an eighth of leafSplitAt, a step
-// about four times coarser than εm/64k. The step also keeps k·step ≤
+// about twice as coarse as εm/32k from h = 7 up. The step also keeps k·step ≤
 // leafSplitAt − leafCap: then the sampled weight of a leaf past its trigger
 // stays above leafCap, so the rebuild splits it, and each new leaf holds
 // fewer than leafSplitAt items. Invariant (5) bears on cost only, never on
 // the ε bound.
 func (p *policy) leafStep() int64 {
 	return max(1, min(p.leafSplitAt/8, p.leafSplitAt-p.leafCap())/int64(p.cfg.K))
+}
+
+// rebuildStep is the sampling step of a rebuild at u within the current
+// round: leafStep for a leaf, else sampleStep capped, as leafStep caps its
+// own, so that k·step ≤ leafSplitAt − leafCap and every fresh leaf starts
+// below its trigger. From minHeight up the cap binds only while εm < 96
+// (leafSplitAt − leafCap ≥ εm/24 − 1 there); it is what keeps a round
+// restored at restoreMinHeight sound. newRound samples at sampleStep: its
+// round's height, at least minHeight, is known only once the tree is built.
+func (p *policy) rebuildStep(u *node) int64 {
+	if u.isLeaf() {
+		return p.leafStep()
+	}
+	return min(p.sampleStep(), max(1, (p.leafSplitAt-p.leafCap())/int64(p.cfg.K)))
 }
 
 // enforceHeight keeps depth ≤ h after a structural change: a tree that
@@ -147,11 +181,7 @@ func (p *policy) enforceHeight() {
 // + k·h) words.
 func (p *policy) rebuild(u *node) {
 	p.eng.All()
-	step := p.sampleStep()
-	if u.isLeaf() {
-		step = p.leafStep()
-	}
-	fresh := p.buildSubtree(u.parent, u.lo, u.hi, step)
+	fresh := p.buildSubtree(u.parent, u.lo, u.hi, p.rebuildStep(u))
 	if par := u.parent; par == nil {
 		p.root = fresh
 	} else if par.left == u {
@@ -175,13 +205,14 @@ func (p *policy) rebuild(u *node) {
 
 // buildSubtree runs the §4 initialization restricted to [lo, hi):
 //
-//  1. collect separator samples every step items (εm/64k, or coarser for a
-//     leaf split: see rebuild), each of weight step, plus the exact per-site
-//     counts of the interval;
+//  1. send [lo, hi) ("rb-req") and collect separator samples every step
+//     items (εm/32k, or coarser for a leaf split: see rebuildStep), each of
+//     weight step, plus the exact per-site counts of the interval;
 //  2. recursively split at weighted medians while the estimated count
 //     exceeds 3εm/8, keeping invariant (5);
-//  3. broadcast the new structure to the sites;
-//  4. collect exact counts for every new node.
+//  3. broadcast the new structure to the sites ("rb-tree", encodeSubtree);
+//  4. collect from every site its rank at each leaf boundary ("rb-counts"),
+//     from which every new node's exact count follows.
 func (p *policy) buildSubtree(parent *node, lo, hi uint64, step int64) *node {
 	meter := p.eng.Meter()
 	var merged []uint64
@@ -199,17 +230,53 @@ func (p *policy) buildSubtree(parent *node, lo, hi uint64, step int64) *node {
 
 	fresh := p.buildRec(parent, lo, hi, merged, step, p.leafCap())
 
-	// Broadcast the new structure (id, lo, hi, split per node) and collect
-	// exact per-node counts.
-	nodes := collectNodes(fresh)
-	meter.Broadcast("rb-tree", 4*len(nodes), p.cfg.K)
-	for j, s := range p.sites {
-		for _, u := range nodes {
-			u.s += s.st.CountRange(u.lo, u.hi)
+	meter.Broadcast("rb-tree", len(encodeSubtree(fresh)), p.cfg.K)
+	// The leaf boundaries lo < split … < hi, left to right: a node spans
+	// bounds[i..j] and counts r[j] − r[i] items at a site whose ranks are r,
+	// clamped at zero exactly as Store.CountRange clamps its own difference.
+	bounds := []uint64{lo}
+	for _, u := range collectNodes(fresh) {
+		if u.isLeaf() {
+			bounds = append(bounds, u.hi)
 		}
-		meter.Up(j, "rb-counts", len(nodes))
+	}
+	r := make([]int64, len(bounds))
+	var add func(u *node, i int) int // returns the index of u.hi
+	add = func(u *node, i int) int {
+		j := i + 1
+		if !u.isLeaf() {
+			j = add(u.right, add(u.left, i))
+		}
+		u.s += max(0, r[j]-r[i])
+		return j
+	}
+	for j, s := range p.sites {
+		for i, b := range bounds {
+			r[i] = s.st.RankOf(b)
+		}
+		add(fresh, 0)
+		meter.Up(j, "rb-counts", len(bounds))
 	}
 	return fresh
+}
+
+// encodeSubtree returns the "rb-tree" broadcast of the subtree u: a preorder
+// shape bitmap, bit i of word i/64 set when the i-th node in preorder is
+// internal, followed by the split of every internal node in preorder. That
+// is I + ⌈N/64⌉ words for N nodes, I of them internal. A site mirrors the
+// tree and knows the replaced node's [lo, hi) from "rb-req", so the splits
+// give it every interval, and it renumbers the live tree in preorder as
+// gcDeltas does, so no id is sent.
+func encodeSubtree(u *node) []uint64 {
+	nodes := collectNodes(u)
+	words := make([]uint64, (len(nodes)+63)/64, (len(nodes)+63)/64+len(nodes)/2)
+	for i, v := range nodes {
+		if !v.isLeaf() {
+			words[i/64] |= 1 << (i % 64)
+			words = append(words, v.split)
+		}
+	}
+	return words
 }
 
 // gcDeltas renumbers the live tree's node ids to the dense range 0..N-1 and
