@@ -20,7 +20,8 @@
 //     (h = Θ(log 1/ε); see Height cap below);
 //   - each leaf covers at most εm/2 items.
 //
-// Sites report per-node arrival counts in batches of θm/k. The coordinator
+// Sites report per-node arrival counts in batches of θm/k; a report names
+// its node, since the coordinator knows the batch size. The coordinator
 // maintains condition (6) — s_v ∈ [s_u/4, 3s_u/4] for every child edge — by
 // partially rebuilding the subtree at the highest violated node, and splits
 // any leaf whose count reaches (ε/2 − θ)m. Rebuild costs are amortized
@@ -224,8 +225,12 @@ func (p *policy) ApplyRun(siteID int, xs []uint64) (consumed int, crossed bool) 
 // wire.Meter accounting. When a rebuild replaces a subtree, pending deltas
 // for the replaced nodes (including ones this arrival just incremented) are
 // garbage-collected; the rebuild's exact counts already cover them. A node
-// report ("nd") touches only site siteID's deltas and the coordinator's
-// counts; rebuild and newRound consult every site and call Engine.All first.
+// report ("nd") is one word, the node's id: a site counter rises by one per
+// arrival, ApplyRun stops at its first crossing and only newRound, which
+// drops every delta, changes thrNode, so a reported counter holds exactly
+// thrNode and the coordinator adds that. A report touches only site siteID's
+// deltas and the coordinator's counts; rebuild and newRound consult every
+// site and call Engine.All first.
 func (p *policy) OnEscalate(siteID int, x uint64) {
 	s := p.sites[siteID]
 	meter := p.eng.Meter()
@@ -239,9 +244,9 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 		if s.delta[u.id] < p.thrNode {
 			continue
 		}
-		meter.Up(siteID, "nd", 2)
-		u.s += s.delta[u.id]
 		s.delta[u.id] = 0
+		meter.Up(siteID, "nd", 1)
+		u.s += p.thrNode
 		if p.checkConditions(u) {
 			// The subtree containing the deeper path nodes was rebuilt with
 			// exact counts; stop processing stale nodes.

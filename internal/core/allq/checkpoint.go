@@ -169,9 +169,32 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 		for i := range s.delta {
 			s.delta[i] = dec.I64()
 		}
+		if err := dec.Err(); err != nil {
+			return err
+		}
+		if err := p.checkSiteDeltas(s); err != nil {
+			return fmt.Errorf("allq: restore site %d: %w", j, err)
+		}
 		s.deltaScratch = make([]int64, nd)
 	}
 	return dec.Err()
+}
+
+// checkSiteDeltas refuses a site's unreported per-node counts that no run of
+// the protocol leaves behind: a negative count, or one at or past thrNode,
+// which the site would already have reported. A report adds exactly thrNode
+// to the node's count, so a restored delta past it would be lost without
+// notice.
+func (p *policy) checkSiteDeltas(s *site) error {
+	if p.eng.Bootstrapping() {
+		return nil
+	}
+	for i, d := range s.delta {
+		if d < 0 || d >= p.thrNode {
+			return fmt.Errorf("delta %d for node %d outside [0, %d)", d, i, p.thrNode)
+		}
+	}
+	return nil
 }
 
 // checkRound rejects round parameters no tracker writes. The ε bound rests

@@ -8,9 +8,72 @@ import (
 	"disttrack/internal/ckpt"
 )
 
+// deltaTracker is a goldenCfg tracker fed far enough past its bootstrap
+// that a node report batches more than one arrival (thrNode ≥ 2).
+func deltaTracker(tb testing.TB) *Tracker {
+	tr, err := New(goldenCfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gen := goldenStream(20000)
+	for i := 0; ; i++ {
+		x, ok := gen.Next()
+		if !ok {
+			break
+		}
+		tr.Feed(i%goldenCfg.K, x)
+	}
+	if tr.Bootstrapping() || tr.p.thrNode < 2 {
+		tb.Fatalf("bootstrapping %v, thrNode %d: want a tracking round batching ≥ 2 arrivals", tr.Bootstrapping(), tr.p.thrNode)
+	}
+	return tr
+}
+
+// deltaCheckpoint returns deltaTracker's checkpoint with site j's delta for
+// the node at preorder position i set to d, as a hand edit would leave it.
+func deltaCheckpoint(tb testing.TB, j, i int, d func(p *policy) int64) []byte {
+	tr := deltaTracker(tb)
+	p := tr.p
+	p.sites[j].delta[collectNodes(p.root)[i].id] = d(p)
+	var buf bytes.Buffer
+	if err := tr.Checkpoint(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// refusedCheckpoints returns one checkpoint per refusal of DecodeState's
+// delta check: a negative node delta, and one at thrNode, which the site
+// would already have reported.
+func refusedCheckpoints(tb testing.TB) map[string][]byte {
+	return map[string][]byte{
+		"negative node delta":   deltaCheckpoint(tb, 0, 0, func(*policy) int64 { return -1 }),
+		"node delta at thrNode": deltaCheckpoint(tb, 1, 2, func(p *policy) int64 { return p.thrNode }),
+	}
+}
+
+// TestRestoreRefusesImpossibleDeltas: a checkpoint whose site holds a
+// negative per-node count, or one at its report threshold, does not
+// restore: a report adds exactly thrNode, so a delta at or past it would be
+// lost without notice. A delta one below the threshold restores.
+func TestRestoreRefusesImpossibleDeltas(t *testing.T) {
+	for name, data := range refusedCheckpoints(t) {
+		tr, _ := New(goldenCfg)
+		if err := tr.Restore(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: restored without error", name)
+		}
+	}
+	tr, _ := New(goldenCfg)
+	below := deltaCheckpoint(t, 1, 2, func(p *policy) int64 { return p.thrNode - 1 })
+	if err := tr.Restore(bytes.NewReader(below)); err != nil {
+		t.Fatalf("a delta one below thrNode refused: %v", err)
+	}
+}
+
 // FuzzRestore is the allq counterpart of hh's FuzzRestore, seeded with the
-// golden checkpoint: arbitrary bytes through the checkpoint restore path, raw
-// and re-framed with a valid checksum so the policy decoder itself sees the
+// golden checkpoint and one checkpoint per refusal of DecodeState's delta
+// check: arbitrary bytes through the checkpoint restore path, raw and
+// re-framed with a valid checksum so the policy decoder itself sees the
 // garbage. Must error, never panic.
 func FuzzRestore(f *testing.F) {
 	fresh := func(tb testing.TB) *Tracker {
@@ -28,6 +91,9 @@ func FuzzRestore(f *testing.F) {
 	f.Add(flipped)
 	f.Add(append([]byte(nil), valid[10:len(valid)-4]...)) // bare payload
 	f.Add([]byte{})
+	for _, data := range refusedCheckpoints(f) {
+		f.Add(data)
+	}
 
 	magic := binary.LittleEndian.Uint32(valid[0:4])
 	version := binary.LittleEndian.Uint16(valid[4:6])

@@ -206,7 +206,8 @@ func TestRestoreGoldenH5(t *testing.T) {
 
 // TestRestoreHeightFloor re-encodes the h = 5 golden state at neighbouring
 // caps: h = 4, below restoreMinHeight, is refused although the tree is only
-// four levels tall; 5 and 6 restore.
+// four levels tall; 5 and 6 restore (their deltas clamped below the cap's
+// site batch, which DecodeState checks on its own).
 func TestRestoreHeightFloor(t *testing.T) {
 	golden, err := os.ReadFile("testdata/checkpoint-h5.bin")
 	if err != nil {
@@ -227,6 +228,13 @@ func TestRestoreHeightFloor(t *testing.T) {
 		p := src.p
 		p.h = h
 		p.theta, p.thrNode, p.leafSplitAt = roundParams(p.cfg.Eps, p.cfg.K, p.m, h)
+		// A taller cap shrinks the site batch: keep every delta below it, so
+		// the height alone decides.
+		for _, s := range p.sites {
+			for i, d := range s.delta {
+				s.delta[i] = min(d, p.thrNode-1)
+			}
+		}
 		var buf bytes.Buffer
 		if err := src.Checkpoint(&buf); err != nil {
 			t.Fatal(err)

@@ -207,7 +207,8 @@ func (p *policy) rebuild(u *node) {
 //
 //  1. send [lo, hi) ("rb-req") and collect separator samples every step
 //     items (εm/32k, or coarser for a leaf split: see rebuildStep), each of
-//     weight step, plus the exact per-site counts of the interval;
+//     weight step: a reply ("rb-seps") is its samples alone, since the
+//     exact counts arrive in step 4;
 //  2. recursively split at weighted medians while the estimated count
 //     exceeds 3εm/8, keeping invariant (5);
 //  3. broadcast the new structure to the sites ("rb-tree", encodeSubtree);
@@ -222,7 +223,7 @@ func (p *policy) buildSubtree(parent *node, lo, hi uint64, step int64) *node {
 		if s.st.CountRange(lo, hi) > 0 {
 			ss = s.st.Separators(lo, hi, step)
 		}
-		meter.Up(j, "rb-seps", len(ss)+2)
+		meter.Up(j, "rb-seps", len(ss))
 		merged = append(merged, ss...)
 	}
 	// Every sample carries the same weight, step: sort the values alone.

@@ -33,7 +33,8 @@
 //
 // Protocol-specific accuracy contracts plug in through the Check* hooks;
 // the suite runs against all three core trackers and a minimal mock policy
-// (see the engine package's tests).
+// (see the engine package's tests). RunLaw, run on its own, checks a
+// protocol's invariant against the exact arrivals after every feed call.
 package enginetest
 
 import (

@@ -145,24 +145,33 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 }
 
 // checkSiteDeltas refuses a site's unreported counts that no run of the
-// protocol leaves behind: a negative count, or a drift pair the site would
-// already have reported. The second is the invariant the ε bound rests on
-// (every site's signed drift below thrLR), so a tracker restored past it
-// would answer outside ε without knowing.
+// protocol leaves behind: a negative count, or a count or drift pair the
+// site would already have reported. A report adds exactly its threshold to
+// the coordinator's count, so an interval or total delta at or past it would
+// be lost without notice; a drift pair past thrLR breaks the invariant the
+// ε bound rests on (every site's signed drift below thrLR), so a tracker
+// restored past it would answer outside ε without knowing.
 func (p *policy) checkSiteDeltas(s *site) error {
+	tracking := !p.eng.Bootstrapping()
 	if s.totDelta < 0 {
 		return fmt.Errorf("negative total delta %d", s.totDelta)
+	}
+	if tracking && s.totDelta >= p.thrTot {
+		return fmt.Errorf("total delta %d is at or past its report threshold %d", s.totDelta, p.thrTot)
 	}
 	for i, d := range s.ivDelta {
 		if d < 0 {
 			return fmt.Errorf("negative delta %d for interval %d", d, i)
+		}
+		if tracking && d >= p.thrIv {
+			return fmt.Errorf("delta %d for interval %d is at or past its report threshold %d", d, i, p.thrIv)
 		}
 	}
 	for qi, d := range s.drift {
 		if d[0] < 0 || d[1] < 0 {
 			return fmt.Errorf("negative drift %v for phi %g", d, p.phis[qi])
 		}
-		if !p.eng.Bootstrapping() && absDrift(p.phis[qi], d) >= float64(p.thrLR) {
+		if tracking && absDrift(p.phis[qi], d) >= float64(p.thrLR) {
 			return fmt.Errorf("drift %v for phi %g is past its report threshold %d", d, p.phis[qi], p.thrLR)
 		}
 	}

@@ -40,6 +40,8 @@ func refusedCheckpoints(tb testing.TB) []refusedCheckpoint {
 	}{
 		{"negative total delta", func(p *policy) { p.sites[0].totDelta = -1 }},
 		{"negative interval delta", func(p *policy) { p.sites[1].ivDelta[0] = -1 }},
+		{"interval delta at thrIv", func(p *policy) { p.sites[1].ivDelta[len(p.seps)] = p.thrIv }},
+		{"total delta at thrTot", func(p *policy) { p.sites[2].totDelta = p.thrTot }},
 		{"negative site drift", func(p *policy) { p.sites[2].drift[0] = [2]int64{-1, 0} }},
 		// φ = 0.75: L − 0.75·(L+R) with L = 4·thrLR, R = 0 is thrLR exactly.
 		{"site drift at thrLR", func(p *policy) { p.sites[0].drift[1] = [2]int64{4 * p.thrLR, 0} }},
@@ -58,8 +60,10 @@ func refusedCheckpoints(tb testing.TB) []refusedCheckpoint {
 }
 
 // TestRestoreRefusesImpossibleDeltas: a checkpoint whose site holds a
-// negative count, or a drift pair it would already have reported, does not
-// restore. The drift rule is the invariant the ε bound rests on.
+// negative count, or a count or drift pair it would already have reported,
+// does not restore. A report adds exactly its threshold, so an interval or
+// total delta at it would be lost; the drift rule is the invariant the ε
+// bound rests on. Deltas one below their thresholds still restore.
 func TestRestoreRefusesImpossibleDeltas(t *testing.T) {
 	for _, c := range refusedCheckpoints(t) {
 		tr, err := New(fuzzCfg)
@@ -69,6 +73,21 @@ func TestRestoreRefusesImpossibleDeltas(t *testing.T) {
 		if err := tr.Restore(bytes.NewReader(c.data)); err == nil {
 			t.Errorf("%s: restored without error", c.name)
 		}
+	}
+	src := fuzzTracker(t)
+	p := src.p
+	if p.thrIv < 2 {
+		t.Fatalf("thrIv %d: no delta below it to keep", p.thrIv)
+	}
+	p.sites[1].ivDelta[len(p.seps)] = p.thrIv - 1
+	p.sites[2].totDelta = p.thrTot - 1
+	var buf bytes.Buffer
+	if err := src.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dst, _ := New(fuzzCfg)
+	if err := dst.Restore(&buf); err != nil {
+		t.Fatalf("deltas one below their thresholds refused: %v", err)
 	}
 }
 

@@ -22,7 +22,10 @@ import (
 // arrivals past thrLR on one side whose signed drift is still below it. It
 // was written while a round build sampled each site every ε·n_j/32 items;
 // checkpoint-step16-2000.bin holds the same prefix with the step at
-// ε·n_j/16, so its separators are cut from half as many samples.
+// ε·n_j/16, so its separators are cut from half as many samples. It was
+// written while an interval report carried its count (2 words);
+// checkpoint-iv1-2000.bin holds the same prefix, and the same protocol
+// state, under the 1-word report, so only its checkpointed meter differs.
 // Never regenerate them.
 var goldenCfg = Config{K: 2, Eps: 0.05, Phis: []float64{0.1, 0.5, 0.99}}
 
@@ -42,8 +45,9 @@ func goldenStream() stream.Generator {
 // bytes, and fed on in lockstep the restored tracker and the twin agree on
 // every meter, round count and quantile. checkpoint-round.bin holds a round
 // the bootstrap now still covers, checkpoint-round-2000.bin was written
-// while each side of M was reported on its own, and checkpoint-drift-2000.bin
-// while a round build sampled at ε·n_j/32, so none of them has a twin; their
+// while each side of M was reported on its own, checkpoint-drift-2000.bin
+// while a round build sampled at ε·n_j/32, and checkpoint-step16-2000.bin
+// while an interval report cost 2 words, so none of them has a twin; their
 // restored trackers are checked against the exact quantiles instead.
 func TestRestoreGolden(t *testing.T) {
 	for _, g := range []struct {
@@ -56,7 +60,8 @@ func TestRestoreGolden(t *testing.T) {
 		{"checkpoint-round.bin", 400, false, false},
 		{"checkpoint-round-2000.bin", 2000, false, false},
 		{"checkpoint-drift-2000.bin", 2000, false, false},
-		{"checkpoint-step16-2000.bin", 2000, false, true},
+		{"checkpoint-step16-2000.bin", 2000, false, false},
+		{"checkpoint-iv1-2000.bin", 2000, false, true},
 	} {
 		t.Run(g.file, func(t *testing.T) {
 			golden, err := os.ReadFile("testdata/" + g.file)

@@ -9,9 +9,10 @@
 //
 //   - The coordinator maintains a set of separator items cutting the
 //     universe into intervals whose true counts stay within [Θ(εm), εm/2].
-//     Sites report interval arrivals in batches of εm/8k; when an interval's
-//     count reaches 3εm/8 the coordinator splits it via a localized O(k)
-//     rebuild (the paper's "rebuilding applied to the interval I").
+//     Sites report interval arrivals in batches of εm/8k, naming the
+//     interval alone; when an interval's count reaches 3εm/8 the
+//     coordinator splits it via a localized O(k) rebuild (the paper's
+//     "rebuilding applied to the interval I").
 //
 //   - The coordinator keeps an approximate quantile M plus drift counters —
 //     the paper's Δ(L) and Δ(R), generalized from the median to arbitrary φ
@@ -280,7 +281,11 @@ func (p *policy) ApplyRun(siteID int, xs []uint64) (consumed int, crossed bool) 
 // OnEscalate re-checks the batch thresholds under the protocol lock and
 // runs the communication the protocol triggers — interval reports and
 // splits, total reports and round changes, drift reports and relocations —
-// with all wire.Meter accounting. A drift report fires on the signed drift
+// with all wire.Meter accounting. An interval ("iv") or total ("tot")
+// report is one word: its counter rises by one per arrival, ApplyRun stops
+// at its first crossing and the thresholds change only in newRound, which
+// drops every delta, so a reported counter holds exactly its threshold and
+// the coordinator adds that. A drift report fires on the signed drift
 // (absDrift) and carries both sides, L_j and R_j, in one 2-word "drift"
 // message. The reports ("iv", "tot", "drift") touch only site siteID and
 // coordinator counters; split, newRound and relocate consult every site and
@@ -292,9 +297,9 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 	// Interval report → possible split.
 	iv := p.ivIndex(x)
 	if s.ivDelta[iv] >= p.thrIv {
-		meter.Up(siteID, "iv", 2)
-		p.ivCount[iv] += s.ivDelta[iv]
 		s.ivDelta[iv] = 0
+		meter.Up(siteID, "iv", 1)
+		p.ivCount[iv] += p.thrIv
 		if p.ivCount[iv] >= p.splitAt {
 			p.split(iv)
 		}
@@ -302,9 +307,9 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 
 	// Total report → possible round change.
 	if s.totDelta >= p.thrTot {
-		meter.Up(siteID, "tot", 1)
-		p.totEst += s.totDelta
 		s.totDelta = 0
+		meter.Up(siteID, "tot", 1)
+		p.totEst += p.thrTot
 		if p.totEst >= 2*p.m {
 			p.newRound()
 			return

@@ -183,3 +183,27 @@ func checkAgainstSorted(t *testing.T, step int, o *Oracle, sorted, probes []uint
 		}
 	}
 }
+
+// TestCounterMatchesOracle feeds a Counter and an Oracle the same arrivals,
+// repeats included, and compares every rank and range count on the way.
+func TestCounterMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	universe := make([]uint64, 300)
+	for i := range universe {
+		universe[i] = uint64(rng.Intn(1000))
+	}
+	c, o := NewCounter(universe), New()
+	for step := 0; step < 2000; step++ {
+		x := universe[rng.Intn(len(universe))]
+		c.Add(x)
+		o.Add(x)
+		lo, hi := uint64(rng.Intn(1100)), uint64(rng.Intn(1100))
+		if got, want := c.Rank(lo), o.Rank(lo); got != want {
+			t.Fatalf("step %d: Rank(%d) = %d, want %d", step, lo, got, want)
+		}
+		want := max(0, o.Rank(hi)-o.Rank(lo))
+		if got := c.CountRange(lo, hi); got != want {
+			t.Fatalf("step %d: CountRange(%d, %d) = %d, want %d", step, lo, hi, got, want)
+		}
+	}
+}
