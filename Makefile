@@ -51,7 +51,9 @@ test-shuffle:
 # races with that site's fast path (deleting one All call per kind fails this
 # line), beside quantile's and allq's delta law after concurrent feeders (a
 # report adds exactly its threshold, so every unreported count stays below it
-# and coordinator plus site counts sum to the exact counts); the sixth repeats the site node's producers-against-the-ticker
+# and coordinator plus site counts sum to the exact counts) and quantile's
+# ε-contract law after them (every tracked quantile within ε·n of its rank,
+# in exact and sketch mode); the sixth repeats the site node's producers-against-the-ticker
 # test, which catches a buffer shipped after the node's lock is released
 # (reordered or lost values; under -race about a third of runs fail);
 # the seventh repeats the cluster's senders against a cancelled context (no
@@ -71,7 +73,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
 	$(GO) test -race -count=10 -run TestBootstrapReadsChangeNoState ./internal/core/quantile ./internal/core/allq
 	$(GO) test -race -count=20 -run 'TestEngineConformanceMockPolicy/(ConcurrentStress|ConcurrentBatchStress)|TestSlowPathBudgets|TestBootstrapBatchDrain|TestSlowPathHoldSampled|TestReportHoldsOnlyItsSite|TestCascadesCounted' ./internal/core/engine
-	$(GO) test -race -count=10 -run 'TestEngineConformance/.*/(ConcurrentStress|ConcurrentBatchStress)|TestDeltaLaw/.*/Concurrent' ./internal/core/quantile ./internal/core/allq ./internal/core/hh
+	$(GO) test -race -count=10 -run 'TestEngineConformance/.*/(ConcurrentStress|ConcurrentBatchStress)|TestDeltaLaw/.*/Concurrent|TestEpsLaw/.*/Concurrent' ./internal/core/quantile ./internal/core/allq ./internal/core/hh
 	$(GO) test -race -count=40 -run TestSiteNodeConcurrentProducers ./internal/service
 	$(GO) test -race -count=40 -run TestStopUnderLoad ./internal/runtime
 	$(GO) test -race -count=20 -run 'TestClientRedialPartitionAndHeal|TestCloseDuringBackoff|TestServerBreakerRefusesFlappingNode' ./internal/remote

@@ -281,8 +281,12 @@ func (p *policy) bootKeys() []uint64 {
 	return p.boot
 }
 
-// OnBootDone builds the first round.
-func (p *policy) OnBootDone() { p.newRound() }
+// OnBootDone builds the first round and drops the bootstrap list: only
+// bootstrap queries read it, and the round holds every count they answered.
+func (p *policy) OnBootDone() {
+	p.newRound()
+	p.boot, p.bootSorted = nil, true
+}
 
 // OnReconfigure implements engine.Policy: resize the per-site
 // state to newK sites and rebuild the whole tree — the §4 batch size θm/k

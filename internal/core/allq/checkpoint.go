@@ -9,9 +9,10 @@ import (
 
 // Engine checkpoint support (engine.Policy.EncodeState/DecodeState). A
 // checkpoint captures the live round — the interval tree with per-node
-// counts, the round parameters, the bootstrap list, and every site's store
-// and unreported per-node deltas — so a restored tracker continues the
-// protocol mid-round.
+// counts, the round parameters, the bootstrap list (empty once the first
+// round is built; a checkpoint written while the list outlived the handoff
+// restores it as written), and every site's store and unreported per-node
+// deltas — so a restored tracker continues the protocol mid-round.
 //
 // The tree is encoded in preorder with child links as preorder indices, so
 // a decoded child always follows its parent. Per-site deltas are re-indexed

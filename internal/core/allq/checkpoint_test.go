@@ -65,6 +65,67 @@ func TestRestoreGolden(t *testing.T) {
 	}
 }
 
+// checkpoint-noboot.bin was written by a tracker built from goldenCfg and
+// fed the first nobootN items of goldenStream round robin, after the
+// coordinator began dropping its bootstrap list at the handoff: its list is
+// empty. checkpoint-h17.bin, written while the list outlived the handoff,
+// still restores with its list (TestRestoreGolden).
+const nobootN = 4000
+
+// TestRestoreGoldenNoBoot pins the checkpoint a tracker writes after the
+// handoff today: the golden bytes restore with no bootstrap list and
+// re-encode bit for bit, a twin fed the same prefix writes the same bytes,
+// and the restored tracker keeps the rank contract as it continues.
+func TestRestoreGoldenNoBoot(t *testing.T) {
+	golden, err := os.ReadFile("testdata/checkpoint-noboot.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := New(goldenCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Restore(bytes.NewReader(golden)); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Bootstrapping() || tr.TrueTotal() != nobootN || len(tr.p.boot) != 0 {
+		t.Fatalf("restored bootstrapping %v, n %d, %d bootstrap keys; want false, %d, 0",
+			tr.Bootstrapping(), tr.TrueTotal(), len(tr.p.boot), nobootN)
+	}
+	var again bytes.Buffer
+	if err := tr.Checkpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), golden) {
+		t.Fatal("re-encoding the restored tracker does not reproduce the golden bytes")
+	}
+
+	twin, err := New(goldenCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := goldenStream(20000)
+	o := oracle.New()
+	for i := 0; i < nobootN; i++ {
+		x, _ := gen.Next()
+		twin.Feed(i%goldenCfg.K, x)
+		o.Add(x)
+	}
+	var twinBytes bytes.Buffer
+	if err := twin.Checkpoint(&twinBytes); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(twinBytes.Bytes(), golden) {
+		t.Fatal("a twin fed the same prefix does not write the golden bytes")
+	}
+	rounds := tr.Rounds()
+	// nobootN is even, so round robin from 0 continues the golden site order.
+	feedAndCheckRanks(t, tr, o, gen, stream.RoundRobin(goldenCfg.K))
+	if tr.Rounds() <= rounds {
+		t.Fatalf("restored tracker never started a round of its own (rounds %d)", tr.Rounds())
+	}
+}
+
 // TestRestoreRejectsRoundParams re-encodes the golden state with round
 // parameters no tracker writes — each would void the ε bound — and checks
 // that Restore refuses every one, while consistent parameters at any h from

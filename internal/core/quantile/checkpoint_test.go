@@ -26,7 +26,11 @@ import (
 // written while an interval report carried its count (2 words);
 // checkpoint-iv1-2000.bin holds the same prefix, and the same protocol
 // state, under the 1-word report, so only its checkpointed meter differs.
-// Never regenerate them.
+// It was written while a round build sampled every site and the coordinator
+// kept its bootstrap list after the handoff; checkpoint-merge-3000.bin holds
+// 3,000 items under the first round cut from that list, which is then
+// dropped, and one doubling rebuilt by merging intervals. Never regenerate
+// them.
 var goldenCfg = Config{K: 2, Eps: 0.05, Phis: []float64{0.1, 0.5, 0.99}}
 
 // goldenBootKeys open the stream out of order and with 1<<40 twice, so the
@@ -46,8 +50,9 @@ func goldenStream() stream.Generator {
 // every meter, round count and quantile. checkpoint-round.bin holds a round
 // the bootstrap now still covers, checkpoint-round-2000.bin was written
 // while each side of M was reported on its own, checkpoint-drift-2000.bin
-// while a round build sampled at ε·n_j/32, and checkpoint-step16-2000.bin
-// while an interval report cost 2 words, so none of them has a twin; their
+// while a round build sampled at ε·n_j/32, checkpoint-step16-2000.bin
+// while an interval report cost 2 words and checkpoint-iv1-2000.bin while
+// round builds sampled every site, so none of them has a twin; their
 // restored trackers are checked against the exact quantiles instead.
 func TestRestoreGolden(t *testing.T) {
 	for _, g := range []struct {
@@ -61,7 +66,8 @@ func TestRestoreGolden(t *testing.T) {
 		{"checkpoint-round-2000.bin", 2000, false, false},
 		{"checkpoint-drift-2000.bin", 2000, false, false},
 		{"checkpoint-step16-2000.bin", 2000, false, false},
-		{"checkpoint-iv1-2000.bin", 2000, false, true},
+		{"checkpoint-iv1-2000.bin", 2000, false, false},
+		{"checkpoint-merge-3000.bin", 3000, false, true},
 	} {
 		t.Run(g.file, func(t *testing.T) {
 			golden, err := os.ReadFile("testdata/" + g.file)

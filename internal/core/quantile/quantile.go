@@ -8,11 +8,21 @@
 // has doubled. Within a round (m = |A| at round start):
 //
 //   - The coordinator maintains a set of separator items cutting the
-//     universe into intervals whose true counts stay within [Θ(εm), εm/2].
+//     universe into O(1/ε) intervals whose true counts stay below εm/2.
 //     Sites report interval arrivals in batches of εm/8k, naming the
 //     interval alone; when an interval's count reaches 3εm/8 the
 //     coordinator splits it via a localized O(k) rebuild (the paper's
 //     "rebuilding applied to the interval I").
+//
+//   - A round is built from what the coordinator already knows. The first
+//     cuts the bootstrap list, which holds every arrival, exactly every
+//     3εm/16 keys. Each later one asks every site for its exact count in
+//     each current interval and merges adjacent intervals while a merged
+//     count stays within 3εm/16, broadcasting the kept separators as a
+//     bitmap: a fresh interval holds under εm/4, below the split trigger,
+//     and adjacent ones more than 3εm/16 together, so a round opens with at
+//     most 32/(3ε) + 1 intervals. Counts and M's rank stay exact, with no
+//     sample sent.
 //
 //   - The coordinator keeps an approximate quantile M plus drift counters —
 //     the paper's Δ(L) and Δ(R), generalized from the median to arbitrary φ
@@ -153,6 +163,10 @@ type policy struct {
 	driftTrig float64  // relocation trigger: εm/2
 
 	qs []quantState // one entry per tracked quantile
+
+	// tap, when set, sees every message that up and down meter, as sent.
+	// Tests set it to replay the round-build messages; nil otherwise.
+	tap func(kind string, site int, words []uint64)
 
 	// Statistics for experiments.
 	rounds      int
@@ -311,7 +325,7 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 		meter.Up(siteID, "tot", 1)
 		p.totEst += p.thrTot
 		if p.totEst >= 2*p.m {
-			p.newRound()
+			p.newRound(len(p.sites))
 			return
 		}
 	}
@@ -350,15 +364,15 @@ func (p *policy) bootKeys() []uint64 {
 	return p.boot
 }
 
-// OnBootDone builds the first round.
-func (p *policy) OnBootDone() { p.newRound() }
-
 // OnReconfigure implements engine.Policy: resize the per-site
-// state to newK sites and rebuild the round from scratch — every §3.1
-// threshold (εm/8k batches, split trigger, drift trigger) depends on k, so a
-// membership change is handled exactly like a round boundary. Runs under the
-// quiescent lock set, after the engine has folded the removed sites' arrival
-// counts into site 0.
+// state to newK sites and rebuild the round — every §3.1 threshold (εm/8k
+// batches, split trigger, drift trigger) depends on k, so a membership change
+// is handled like a round boundary, by newRound's merge. Sites that join hold
+// nothing, so they send no counts and receive the kept separators
+// themselves; |A| may be under twice the round's m, so the merge splits any
+// interval at or over the new split trigger. Runs under the quiescent lock
+// set, after the engine has folded the removed sites' arrival counts into
+// site 0.
 func (p *policy) OnReconfigure(oldK, newK int) {
 	if newK < oldK {
 		// Hand each departing site's items to site 0 (exact: lossless;
@@ -385,7 +399,7 @@ func (p *policy) OnReconfigure(oldK, newK int) {
 	}
 	p.cfg.K = newK // bootTarget follows the new k
 	if !p.eng.Bootstrapping() {
-		p.newRound()
+		p.newRound(min(oldK, newK))
 	}
 }
 

@@ -13,70 +13,36 @@ type wsep struct {
 	w int64
 }
 
-// sepSamples collects ~n_j/step local separators of [lo, hi) from every
-// site, metering the exchange under the given kind. Each returned separator
-// from site j carries weight step_j, so cumulative weights estimate global
-// ranks within Σ_j step_j.
-func (p *policy) sepSamples(lo, hi uint64, denom float64, kind string) (merged []wsep, total int64, maxStep int64) {
+// sepSamples collects about nine local separators of [lo, hi) from every
+// site for a split ("split-req", "split-resp"). Each returned separator from
+// site j carries weight step_j = ⌈n_j/9⌉, so cumulative weights estimate
+// global ranks within Σ_j step_j.
+func (p *policy) sepSamples(lo, hi uint64) (merged []wsep, total int64) {
 	meter := p.eng.Meter()
 	for j, s := range p.sites {
-		meter.Down(j, kind+"-req", 1)
+		meter.Down(j, "split-req", 1)
 		nLocal := s.st.CountRange(lo, hi)
-		step := int64(math.Ceil(float64(nLocal) / denom))
+		step := int64(math.Ceil(float64(nLocal) / 9))
 		if step < 1 {
 			step = 1
-		}
-		if step > maxStep {
-			maxStep = step
 		}
 		var ss []uint64
 		if nLocal > 0 {
 			ss = s.st.Separators(lo, hi, step)
 		}
-		meter.Up(j, kind+"-resp", len(ss)+1)
+		meter.Up(j, "split-resp", len(ss)+1)
 		total += nLocal
 		for _, v := range ss {
 			merged = append(merged, wsep{v: v, w: step})
 		}
 	}
 	slices.SortFunc(merged, func(a, b wsep) int { return cmp.Compare(a.v, b.v) })
-	return merged, total, maxStep
+	return merged, total
 }
-
-// cutsEvery cuts the merged weighted separator list every `target` weight,
-// returning strictly increasing cut values.
-func cutsEvery(merged []wsep, target int64) []uint64 {
-	if target < 1 {
-		target = 1
-	}
-	var cuts []uint64
-	var acc int64
-	for _, ws := range merged {
-		acc += ws.w
-		if acc >= target {
-			if len(cuts) == 0 || ws.v > cuts[len(cuts)-1] {
-				cuts = append(cuts, ws.v)
-				acc = 0
-			}
-			// A tie with the previous cut keeps accumulating; the next
-			// distinct value absorbs the weight.
-		}
-	}
-	return cuts
-}
-
-// roundSampleDiv is the 16 of a round build's per-site sampling step
-// ε·n_j/16, the sampling error's share of ε. A value's sampled weight trails
-// its rank by under step_j at each site, and not at all at the site whose
-// sample it is; a cut passes cutsEvery's target 3εm/16 by under that site's
-// step. So a fresh interval holds at most 3εm/16 + Σ_j step_j − k ≤ εm/4
-// items (5εm/16 with ModeSketch's GK error), below splitAt = 3εm/8, and at
-// least εm/8 − 2 (docs/architecture.md, "Quantile round builds sample at
-// ε·n_j/16"). At 8, ModeSketch's bound would reach splitAt itself.
-const roundSampleDiv = 16.0
 
 // bootDiv is the 32 of the bootstrap target ⌈max(32, b)·k/ε⌉, a constant of
-// its own: the target must not follow roundSampleDiv (see bootTarget).
+// its own: it was set while a round build sampled every site, and is kept
+// (see bootTarget).
 const bootDiv = 32.0
 
 // batchDivisor returns the b of the site report batches εm/bk: 8, or
@@ -89,51 +55,153 @@ func (p *policy) batchDivisor() float64 {
 }
 
 // bootTarget returns ⌈max(32, b)·k/ε⌉, the count at which the bootstrap hands
-// off to the first round. A round costs ~50 k/ε words and covers m arrivals,
-// forwarding one word per arrival, so below m ≈ 50k/ε forwarding is the
-// cheaper of the two; a target that followed the sampling step down to 16k/ε
-// raised the words of short streams. At the target the εm/bk batch is at
-// least one item and the first build samples every 2 items per site
-// (ε·n_j/16 with n_j ≈ m/k). It is derived from the config, never stored.
+// off to the first round. It was set where a round (then ~50 k/ε words, most
+// of them separator samples) began to cost fewer words than forwarding the m
+// arrivals it covers. Rounds now merge instead of resampling (newRound) and
+// the first round is cut from the bootstrap list for one broadcast
+// (OnBootDone), so the target is kept for its other job: at it the εm/bk
+// batch is at least one item. It is derived from the config, never stored.
 func (p *policy) bootTarget() int64 {
 	return int64(math.Ceil(max(bootDiv, p.batchDivisor()) * float64(p.cfg.K) / p.cfg.Eps))
 }
 
-// newRound rebuilds all round state: fresh separators sized for the new m,
-// exact interval counts, exact quantile baselines, new thresholds. Cost
-// O(k/ε) — the paper's per-round initialization; its largest part is the
-// "round-resp" samples, about 16·k/ε words (one per ε·n_j/16 items).
-func (p *policy) newRound() {
-	p.eng.All()
-	// 1. Collect weighted separator samples over the whole universe, each
-	// site cutting its local items every ε·n_j/16 (roundSampleDiv).
-	merged, total, _ := p.sepSamples(0, math.MaxUint64, roundSampleDiv/p.cfg.Eps, "round")
-	p.m = total
+// setRound starts round state for m arrivals: the round count and every
+// threshold the sites and the coordinator compare against.
+func (p *policy) setRound(m int64) {
+	p.m = m
 	p.rounds++
-
-	// Fix thresholds for the round.
-	em := p.cfg.Eps * float64(p.m)
+	em := p.cfg.Eps * float64(m)
 	p.thrIv = maxi64(1, int64(em/(p.batchDivisor()*float64(p.cfg.K))))
 	p.thrTot = p.thrIv
 	p.thrLR = p.thrIv
 	p.splitAt = maxi64(1, int64(3*em/8))
 	p.driftTrig = em / 2
+}
 
-	// 2. Cut every 3εm/16 of sampled weight: each fresh interval holds
-	// between εm/8 − 2 and εm/4 items (roundSampleDiv), all but the last.
-	p.seps = cutsEvery(merged, int64(3*em/16))
-	if len(p.seps) == 0 {
-		// Degenerate round (tiny m or massive ties): fall back to the
-		// median of the merged samples so M has a candidate.
-		if len(merged) > 0 {
-			p.seps = []uint64{merged[len(merged)/2].v}
-		} else {
-			p.seps = []uint64{0}
+// roundCap returns ⌊3εm/16⌋ (at least 1), the most a round build puts in one
+// interval by cutting or merging: half the split trigger, so a fresh
+// interval has 3εm/16 arrivals of room before it splits.
+func (p *policy) roundCap() int64 {
+	return maxi64(1, int64(3*p.cfg.Eps*float64(p.m)/16))
+}
+
+// OnBootDone builds the first round from the bootstrap list, which holds
+// every forwarded arrival: it cuts the sorted keys exactly every roundCap
+// keys, so each interval's count and each M's rank are known without asking
+// the sites, and the one message is the "seps" broadcast of the separators.
+// The list is dropped afterwards. An arrival that straddles the handoff (its
+// site applied it before the bootstrap ended and forwards it after) is in
+// its site's store but not in the list; the next round's exact counts take
+// it in, one item per site at most against εm ≥ 32k of slack.
+func (p *policy) OnBootDone() {
+	keys := p.bootKeys()
+	p.setRound(int64(len(keys)))
+	c := int(p.roundCap())
+	var seps []uint64
+	for i := c; i < len(keys); i += c {
+		for i < len(keys) && keys[i] == keys[i-1] {
+			i++ // a cut between equal keys would not separate them
+		}
+		if i < len(keys) {
+			seps = append(seps, keys[i])
 		}
 	}
+	if len(seps) == 0 && len(keys) > 0 {
+		seps = []uint64{keys[len(keys)/2]} // massive ties: still give M a candidate
+	}
+	words := encodeSeps(nil, seps)
+	for j := range p.sites {
+		p.down(j, "seps", words)
+	}
+	p.seps = seps
+	p.ivCount = make([]int64, len(p.seps)+1)
+	prev := 0
+	for i, sep := range p.seps {
+		r, _ := slices.BinarySearch(keys, sep)
+		p.ivCount[i] = int64(r - prev)
+		prev = r
+	}
+	p.ivCount[len(p.seps)] = int64(len(keys) - prev)
+	p.resetSites()
+	p.startRound()
+	p.boot, p.bootSorted = nil, true
+}
 
-	// 3. Broadcast separators; sites reset their per-interval state.
-	p.eng.Meter().Broadcast("seps", len(p.seps)+1, p.cfg.K)
+// newRound rebuilds the round when |A| has doubled, from the intervals the
+// coordinator already has. Sites [0, old) reply with their exact count in
+// each current interval ("round-counts", L + 1 words for L separators);
+// sites from old on joined in a Reconfigure and hold nothing. The
+// coordinator merges adjacent intervals while a merged count stays within
+// roundCap (mergeIntervals) and broadcasts which separators it kept as a
+// bitmap ("seps", ⌈L/64⌉ words; a joining site gets the kept separators
+// themselves). Merging adds exact counts, so the new intervals' counts and
+// each M's rank are exact with no further message (with ModeSketch sites,
+// within GK's error, as every count they send is). Every interval of the
+// ending round holds under εm/2 ≤ εm′/4 when |A| has doubled to m′, below
+// the new splitAt; after a Reconfigure m′ may be under 2m, so an interval
+// at or over splitAt is split at once (docs/architecture.md, "Quantile
+// rounds merge, not resample").
+func (p *policy) newRound(old int) {
+	p.eng.All()
+	meter := p.eng.Meter()
+	counts := make([]int64, len(p.seps)+1)
+	for j, s := range p.sites[:old] {
+		meter.Down(j, "round-req", 1)
+		words := encodeCounts(nil, p.localIntervalCounts(s))
+		p.up(j, "round-counts", words)
+		for i, c := range decodeCounts(words) {
+			counts[i] += c
+		}
+	}
+	var m int64
+	for _, c := range counts {
+		m += c
+	}
+	p.setRound(m)
+	keep, merged := mergeIntervals(counts, p.roundCap())
+	words := encodeKeep(nil, keep)
+	seps := decodeKeep(p.seps, words)
+	for j := range p.sites {
+		if j < old {
+			p.down(j, "seps", words)
+		} else {
+			p.down(j, "seps", encodeSeps(nil, seps))
+		}
+	}
+	p.seps, p.ivCount = seps, merged
+	p.resetSites()
+	for iv := 0; iv < len(p.ivCount); {
+		if p.ivCount[iv] >= p.splitAt && p.split(iv) {
+			continue // both halves are checked again
+		}
+		iv++
+	}
+	p.startRound()
+}
+
+// mergeIntervals merges adjacent intervals, whose exact counts are counts,
+// left to right while a merged count stays within limit. keep[i] reports
+// whether the separator between intervals i and i+1 survives, and merged
+// holds the counts of the intervals left. A merged interval is one interval
+// of counts (which may exceed limit) or holds at most limit, and any two
+// adjacent ones hold more than limit together, so there are at most
+// 2·Σcounts/limit + 1 of them.
+func mergeIntervals(counts []int64, limit int64) (keep []bool, merged []int64) {
+	keep = make([]bool, len(counts)-1)
+	cur := counts[0]
+	for i, c := range counts[1:] {
+		if cur+c > limit {
+			keep[i] = true
+			merged = append(merged, cur)
+			cur = 0
+		}
+		cur += c
+	}
+	return keep, append(merged, cur)
+}
+
+// resetSites drops every site's unreported counts for a fresh round.
+func (p *policy) resetSites() {
 	for _, s := range p.sites {
 		s.ivDelta = make([]int64, len(p.seps)+1)
 		s.totDelta = 0
@@ -142,29 +210,22 @@ func (p *policy) newRound() {
 		}
 		s.quiet = 0
 	}
+}
 
-	// 4. Pick each M: the separator whose estimated rank is nearest φm,
-	// then collect exact interval counts and the exact rank of every M.
+// startRound finishes a round build whose separators and exact interval
+// counts are installed: it picks each M as the separator whose exact rank is
+// nearest φm, sets the coordinator's baselines, and relocates any M that
+// starts the round more than εm/4 off target (fresh intervals are far below
+// that, so this is a guard for degenerate rounds, O(k) each).
+func (p *policy) startRound() {
 	for qi := range p.qs {
 		q := &p.qs[qi]
-		q.m0 = p.nearestSepByWeight(merged, q.phi*float64(p.m))
-		q.lBase, q.tBase = 0, p.m
+		q.m0, q.lBase = p.nearestSep(q.phi * float64(p.m))
+		q.tBase = p.m
 		q.dL, q.dR = 0, 0
 	}
-	p.ivCount = make([]int64, len(p.seps)+1)
-	for j, s := range p.sites {
-		counts := p.localIntervalCounts(s)
-		p.eng.Meter().Up(j, "round-counts", len(counts)+1+len(p.qs))
-		for i, c := range counts {
-			p.ivCount[i] += c
-		}
-		for qi := range p.qs {
-			p.qs[qi].lBase += s.st.RankOf(p.qs[qi].m0)
-		}
-	}
 	p.totEst = p.m
-
-	// 5. Relocate any M that starts the round off target (still O(k) each).
+	em := p.cfg.Eps * float64(p.m)
 	for qi := range p.qs {
 		q := &p.qs[qi]
 		if math.Abs(float64(q.lBase)-q.phi*float64(q.tBase)) > em/4 {
@@ -173,24 +234,18 @@ func (p *policy) newRound() {
 	}
 }
 
-// nearestSepByWeight picks the separator whose cumulative-weight rank
-// estimate is closest to target.
-func (p *policy) nearestSepByWeight(merged []wsep, target float64) uint64 {
-	best := p.seps[0]
-	bestErr := math.Inf(1)
+// nearestSep returns the separator whose exact rank, read from the exact
+// interval counts, is nearest target, and that rank; with no separator, 0.
+func (p *policy) nearestSep(target float64) (v uint64, rank int64) {
+	best := math.Inf(1)
 	var acc int64
-	mi := 0
-	for _, sep := range p.seps {
-		for mi < len(merged) && merged[mi].v <= sep {
-			acc += merged[mi].w
-			mi++
-		}
-		if err := math.Abs(float64(acc) - target); err < bestErr {
-			bestErr = err
-			best = sep
+	for i, sep := range p.seps {
+		acc += p.ivCount[i]
+		if d := math.Abs(float64(acc) - target); d < best {
+			best, v, rank = d, sep, acc
 		}
 	}
-	return best
+	return v, rank
 }
 
 func (p *policy) localIntervalCounts(s *site) []int64 {
@@ -207,14 +262,14 @@ func (p *policy) localIntervalCounts(s *site) []int64 {
 // split divides interval iv (whose coordinator count reached 3εm/8) into
 // two, via the paper's localized rebuild: collect local separators of the
 // interval, choose a weighted median, then collect exact half counts. Cost
-// O(k).
-func (p *policy) split(iv int) {
+// O(k). It reports whether the interval was split: ties can defeat it.
+func (p *policy) split(iv int) bool {
 	p.eng.All()
 	lo, hi := p.ivBounds(iv)
-	merged, totalEst, _ := p.sepSamples(lo, hi, 9, "split")
+	merged, totalEst := p.sepSamples(lo, hi)
 	if len(merged) == 0 {
 		p.cannotSplit++
-		return
+		return false
 	}
 	// Weighted median of the interval's items.
 	var acc int64
@@ -232,15 +287,16 @@ func (p *policy) split(iv int) {
 	}
 	if y >= hi {
 		p.cannotSplit++
-		return
+		return false
 	}
 
 	// Collect exact half counts (these include all unreported deltas, so
 	// site deltas for both halves restart at zero).
 	meter := p.eng.Meter()
 	var c1, c2 int64
+	apply := encodeSplit(nil, iv, y)
 	for j, s := range p.sites {
-		meter.Down(j, "split-apply", 2)
+		p.down(j, "split-apply", apply)
 		a := s.st.CountRange(lo, y)
 		b := s.st.CountRange(y, hi)
 		meter.Up(j, "split-counts", 2)
@@ -265,6 +321,7 @@ func (p *policy) split(iv int) {
 		s.ivDelta[iv+1] = 0
 	}
 	p.splits++
+	return true
 }
 
 // ivBounds returns interval iv as [lo, hi).

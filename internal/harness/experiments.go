@@ -142,7 +142,7 @@ func E5N(quick bool) *Table {
 		"n", "words", "rounds", "per-log2n")
 	t.Note = "Theorem 3.1 predicts O(k/eps·log n), but the last column rises toward the per-round constant from below, not flat: " +
 		"the first ⌈32k/eps⌉ arrivals are a bootstrap that runs no rounds, yet count in log2 n. " +
-		"The target is where a round starts to cost fewer words than forwarding, not the round build's step (eps·n_j/16). E13 reads the per-round constant directly."
+		"The target was set where a round built from samples began to cost fewer words than forwarding; rounds now merge the last round's intervals by exact count, and the target is kept. E13 reads the per-round constant directly."
 	const k, eps = 8, 0.02
 	for _, n := range []int64{1 << 15, 1 << 17, 1 << 19} {
 		n = scaleN(quick, n)

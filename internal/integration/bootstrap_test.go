@@ -27,9 +27,9 @@ func TestBootstrapCostsForwarding(t *testing.T) {
 	}{
 		// ⌈3k/ε⌉: the reporting threshold ε·S.m/3k reaches one item.
 		{"hh", func() (core.Tracker, error) { return hh.New(hh.Config{K: k, Eps: 0.02}) }, 600},
-		// ⌈32k/ε⌉: a round costs ~50 k/ε words and covers m arrivals, so
-		// below m ≈ 50k/ε forwarding (one word per arrival) is cheaper. The
-		// round build's step ε·n_j/16 is 2 here, and the εm/8k batch 4.
+		// ⌈32k/ε⌉: set where a round built from samples (~50 k/ε words)
+		// began to cost less than forwarding its m arrivals, and kept now
+		// that rounds merge; the εm/8k batch is 4 here.
 		{"quantile", func() (core.Tracker, error) {
 			return quantile.New(quantile.Config{K: k, Eps: 0.05, Phis: []float64{0.5, 0.99}})
 		}, 2560},
