@@ -20,7 +20,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	medTr, err := quantile.New(quantile.Config{K: k, Eps: eps, Phi: 0.5})
+	medTr, err := quantile.New(quantile.Config{K: k, Eps: eps, Phis: []float64{0.5}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func BenchmarkFeedBatchHH(b *testing.B) {
 }
 
 func BenchmarkFeedBatchQuantile(b *testing.B) {
-	tr, err := quantile.New(quantile.Config{K: 8, Eps: 0.02, Phi: 0.5})
+	tr, err := quantile.New(quantile.Config{K: 8, Eps: 0.02, Phis: []float64{0.5}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func BenchmarkFeedBatchHHObs(b *testing.B) {
 }
 
 func BenchmarkFeedBatchQuantileObs(b *testing.B) {
-	tr, err := quantile.New(quantile.Config{K: 8, Eps: 0.02, Phi: 0.5})
+	tr, err := quantile.New(quantile.Config{K: 8, Eps: 0.02, Phis: []float64{0.5}})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -140,6 +140,15 @@ func (d *Decoder) U8() uint8 {
 	return p[0]
 }
 
+// PeekU8 returns the next byte without consuming it, or 0 after a failure
+// or at the end (recording nothing: the read that follows fails instead).
+func (d *Decoder) PeekU8() uint8 {
+	if d.err != nil || d.Remaining() < 1 {
+		return 0
+	}
+	return d.b[d.off]
+}
+
 func (d *Decoder) U32() uint32 {
 	p := d.take(4)
 	if p == nil {

@@ -163,3 +163,19 @@ func TestStickyErr(t *testing.T) {
 		t.Fatalf("short read: err %v", d.Err())
 	}
 }
+
+func TestPeekU8(t *testing.T) {
+	d := NewDecoder([]byte{2, 1})
+	if d.PeekU8() != 2 || d.Remaining() != 2 {
+		t.Fatalf("peek read %d and left %d bytes, want 2 and 2", d.PeekU8(), d.Remaining())
+	}
+	if d.Bool(); d.Err() == nil {
+		t.Fatal("the peeked byte 2 decoded as a bool")
+	}
+	if d.PeekU8() != 0 {
+		t.Fatal("peek after a failure returned a byte")
+	}
+	if d = NewDecoder(nil); d.PeekU8() != 0 || d.Err() != nil {
+		t.Fatalf("peek at the end: err %v, want none", d.Err())
+	}
+}

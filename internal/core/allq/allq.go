@@ -62,25 +62,15 @@ import (
 	"disttrack/internal/sitestore"
 )
 
-// Mode selects the per-site item store.
-type Mode int
-
-const (
-	// ModeExact keeps all local items at each site.
-	ModeExact Mode = iota
-	// ModeSketch keeps a GK quantile summary at each site.
-	ModeSketch
-)
-
-// gkEpsFraction: in ModeSketch each site's GK summary uses θ/gkEpsFraction
+// gkEpsFraction: in sketch mode each site's GK summary uses θ/gkEpsFraction
 // as its error so sketch noise stays below the per-node error budget.
 const gkEpsFraction = 4.0
 
 // Config parameterizes a Tracker.
 type Config struct {
-	K    int     // number of sites, >= 1
-	Eps  float64 // approximation error, in (0, 1)
-	Mode Mode    // per-site store; default ModeExact
+	K      int     // number of sites, >= 1
+	Eps    float64 // approximation error, in (0, 1)
+	Sketch bool    // a GK summary per site instead of every local item
 }
 
 // node is a vertex of the coordinator's tree T. Sites mirror the structure
@@ -162,9 +152,9 @@ func New(cfg Config) (*Tracker, error) {
 	return &Tracker{Engine: eng, p: p}, nil
 }
 
-// newStore returns an empty site store for the configured mode.
+// newStore returns an empty site store of the configured kind.
 func (p *policy) newStore() sitestore.Store {
-	if p.cfg.Mode != ModeSketch {
+	if !p.cfg.Sketch {
 		return sitestore.NewExact()
 	}
 	// θ = ε/2h varies by round; the smallest θ, at h = heightCap(ε), is a

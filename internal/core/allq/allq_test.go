@@ -71,7 +71,7 @@ func TestRankContractUniformExact(t *testing.T) {
 }
 
 func TestRankContractUniformSketch(t *testing.T) {
-	runAndCheckRanks(t, Config{K: 8, Eps: 0.05, Mode: ModeSketch},
+	runAndCheckRanks(t, Config{K: 8, Eps: 0.05, Sketch: true},
 		distinctUniform(40000, 2), stream.RoundRobin(8))
 }
 

@@ -22,7 +22,7 @@ import (
 
 // EncodeState appends the policy state; runs under the quiescent lock set.
 func (p *policy) EncodeState(enc *ckpt.Encoder) {
-	enc.U8(uint8(p.cfg.Mode))
+	enc.Bool(p.cfg.Sketch)
 	enc.I64(p.m)
 	enc.I64(int64(p.h))
 	enc.F64(p.theta)
@@ -68,8 +68,8 @@ func (p *policy) EncodeState(enc *ckpt.Encoder) {
 // DecodeState rebuilds the policy state on a fresh tracker; on error the
 // tracker must be discarded.
 func (p *policy) DecodeState(dec *ckpt.Decoder) error {
-	if mode := Mode(dec.U8()); dec.Err() == nil && mode != p.cfg.Mode {
-		return fmt.Errorf("allq: restore: checkpoint mode %d, tracker mode %d", mode, p.cfg.Mode)
+	if sketch := dec.Bool(); dec.Err() == nil && sketch != p.cfg.Sketch {
+		return fmt.Errorf("allq: restore: checkpoint has Sketch %t, tracker %t", sketch, p.cfg.Sketch)
 	}
 	p.m = dec.I64()
 	p.h = int(dec.I64())

@@ -20,16 +20,16 @@ func TestEngineConformance(t *testing.T) {
 		eps = 0.08
 	)
 	for _, tc := range []struct {
-		name string
-		mode Mode
+		name   string
+		sketch bool
 	}{
-		{"exact", ModeExact},
-		{"sketch", ModeSketch},
+		{"exact", false},
+		{"sketch", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := enginetest.Config{
 				New: func(tb testing.TB) core.Tracker {
-					tr, err := New(Config{K: k, Eps: eps, Mode: tc.mode})
+					tr, err := New(Config{K: k, Eps: eps, Sketch: tc.sketch})
 					if err != nil {
 						tb.Fatal(err)
 					}
@@ -67,7 +67,7 @@ func TestEngineConformance(t *testing.T) {
 					}
 				},
 			}
-			if tc.mode == ModeExact {
+			if !tc.sketch {
 				// The sketch mode's accuracy contract is covered by the
 				// sequential tests; under concurrency it pins conservation
 				// and underestimation only (the suite's built-in checks).

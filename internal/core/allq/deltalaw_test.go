@@ -11,10 +11,10 @@ import (
 // checkDeltaLaw asserts that every node report carried exactly thrNode, the
 // count the coordinator adds for it. A build sets s_u to u's exact count, and
 // every later arrival in I_u either still waits in some site's δ_j[u] or was
-// reported in a batch of thrNode, so in ModeExact s_u + Σ_j δ_j[u] is
+// reported in a batch of thrNode, so with the exact store s_u + Σ_j δ_j[u] is
 // |A ∩ I_u| for every node of the live tree (truth counts A). In either mode
 // every δ_j[u] lies in [0, thrNode): a counter rises one arrival at a time
-// and reports when it reaches thrNode. truth is nil in ModeSketch, whose
+// and reports when it reaches thrNode. truth is nil in sketch mode, whose
 // build counts are estimates.
 func checkDeltaLaw(tb testing.TB, label string, tr *Tracker, truth *oracle.Counter) {
 	tb.Helper()
@@ -48,14 +48,14 @@ func checkDeltaLaw(tb testing.TB, label string, tr *Tracker, truth *oracle.Count
 // and shrink, and one goroutine per site under -race), in both store modes.
 func TestDeltaLaw(t *testing.T) {
 	for _, mode := range []struct {
-		name string
-		mode Mode
-	}{{"exact", ModeExact}, {"sketch", ModeSketch}} {
+		name   string
+		sketch bool
+	}{{"exact", false}, {"sketch", true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			maxThr := int64(0)
 			cfg := enginetest.Config{
 				New: func(tb testing.TB) core.Tracker {
-					tr, err := New(Config{K: 4, Eps: 0.1, Mode: mode.mode})
+					tr, err := New(Config{K: 4, Eps: 0.1, Sketch: mode.sketch})
 					if err != nil {
 						tb.Fatal(err)
 					}
@@ -66,7 +66,7 @@ func TestDeltaLaw(t *testing.T) {
 			}
 			fed := enginetest.RunLaw(t, cfg, func(tb testing.TB, label string, ctr core.Tracker, truth *oracle.Counter) {
 				tr := ctr.(*Tracker)
-				if mode.mode != ModeExact {
+				if mode.sketch {
 					truth = nil
 				}
 				checkDeltaLaw(tb, label, tr, truth)

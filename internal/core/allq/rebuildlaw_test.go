@@ -278,8 +278,8 @@ func TestSubtreeBroadcast(t *testing.T) {
 // from one rank per leaf boundary equal what per-node range counts give,
 // in both store modes, for a whole tree built on a uniform stream.
 func TestRankPerBoundaryCounts(t *testing.T) {
-	for _, mode := range []Mode{ModeExact, ModeSketch} {
-		tr, err := New(Config{K: 4, Eps: 0.05, Mode: mode})
+	for _, sketch := range []bool{false, true} {
+		tr, err := New(Config{K: 4, Eps: 0.05, Sketch: sketch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,11 +299,11 @@ func TestRankPerBoundaryCounts(t *testing.T) {
 				want += s.st.CountRange(u.lo, u.hi)
 			}
 			if u.s != want {
-				t.Fatalf("mode %d: node [%d,%d) counts %d from boundary ranks, %d from range counts", mode, u.lo, u.hi, u.s, want)
+				t.Fatalf("sketch %t: node [%d,%d) counts %d from boundary ranks, %d from range counts", sketch, u.lo, u.hi, u.s, want)
 			}
 		}
 		if n := len(collectNodes(fresh)); n < 64 {
-			t.Fatalf("mode %d: a tree of %d nodes checks nothing", mode, n)
+			t.Fatalf("sketch %t: a tree of %d nodes checks nothing", sketch, n)
 		}
 	}
 }

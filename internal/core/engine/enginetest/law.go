@@ -3,6 +3,7 @@ package enginetest
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,6 +16,41 @@ import (
 // feed in flight: between sequential calls, and inside Quiesce once the
 // concurrent feeders have finished.
 type Law func(tb testing.TB, label string, tr core.Tracker, truth *oracle.Counter)
+
+// Sparse returns law checked only on every n-th call at rest of the
+// schedules named (RunLaw's subtest names: "feed", "B1", ...), and always
+// after a restore or membership change there (a new tracker or a new K);
+// the other schedules, and the end of each, are checked on every call.
+// It keeps a costly law inside a tier-1 budget on the per-item schedules.
+func Sparse(law Law, n int, schedules ...string) Law {
+	type seen struct {
+		calls int
+		tr    core.Tracker
+		k     int
+	}
+	sched := map[string]*seen{}
+	return func(tb testing.TB, label string, tr core.Tracker, truth *oracle.Counter) {
+		name := tb.Name()
+		for _, sc := range schedules {
+			if !strings.HasSuffix(name, "/"+sc) {
+				continue
+			}
+			s := sched[name]
+			if s == nil {
+				s = &seen{}
+				sched[name] = s
+			}
+			s.calls++
+			changed := s.tr != tr || s.k != tr.K()
+			s.tr, s.k = tr, tr.K()
+			if label == "at rest" && !changed && s.calls%n != 0 {
+				return
+			}
+			break
+		}
+		law(tb, label, tr, truth)
+	}
+}
 
 // RunLaw checks law on cfg's stream of K·PerSite items, from the first
 // arrival to the last, as subtests of t:

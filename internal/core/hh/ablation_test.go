@@ -7,17 +7,6 @@ import (
 	"disttrack/internal/stream"
 )
 
-func TestMGSketchModeContract(t *testing.T) {
-	runContractTest(t, ModeMGSketch, 8, 0.05, 0.1,
-		stream.Zipf(10000, 40000, 1.4, 61), stream.RoundRobin(8))
-}
-
-func TestMGSketchModeChurnyStream(t *testing.T) {
-	// Heavy churn maximizes MG counter decay — the laziest reporting case.
-	runContractTest(t, ModeMGSketch, 8, 0.06, 0.2,
-		stream.HotSet(1_000_000, 50000, 2, 0.5, 63), stream.RandomAssign(8, 64))
-}
-
 func TestThresholdDivisorValidation(t *testing.T) {
 	if _, err := New(Config{K: 2, Eps: 0.1, ThresholdDivisor: -1}); err == nil {
 		t.Fatal("negative divisor should error")

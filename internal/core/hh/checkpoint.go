@@ -1,11 +1,11 @@
 package hh
 
 import (
+	"errors"
 	"fmt"
 
 	"disttrack/internal/ckpt"
 	"disttrack/internal/slots"
-	"disttrack/internal/summary/mg"
 	"disttrack/internal/summary/spacesaving"
 )
 
@@ -15,9 +15,14 @@ import (
 // store. Thresholds are derived from broadcast state (m), so nothing else
 // needs capturing. See docs/durability.md for the format.
 
+// storeMisraGries is the store byte a checkpoint of the removed
+// Misra–Gries site sketch starts its policy state with. DecodeState names it
+// when it refuses one; every other byte above 1 fails as an invalid bool.
+const storeMisraGries = 2
+
 // EncodeState appends the policy state; runs under the quiescent lock set.
 func (p *policy) EncodeState(enc *ckpt.Encoder) {
-	enc.U8(uint8(p.cfg.Mode))
+	enc.Bool(p.cfg.Sketch)
 	enc.I64(p.cm)
 	enc.MapU64I64(p.cmx)
 	enc.I64(int64(p.allSignals))
@@ -25,26 +30,25 @@ func (p *policy) EncodeState(enc *ckpt.Encoder) {
 	for _, s := range p.sites {
 		enc.I64(s.m)
 		enc.I64(s.dm)
-		switch p.cfg.Mode {
-		case ModeExact:
-			sorted := s.tab.Sorted()
-			encodeColumn(enc, sorted, func(c counts) int64 { return c.local })
-			encodeColumn(enc, sorted, func(c counts) int64 { return c.dx })
-		case ModeSketch:
+		if p.cfg.Sketch {
 			encodeSS(enc, s.ss.State())
 			enc.MapU64I64(s.lastRep)
-		case ModeMGSketch:
-			encodeMG(enc, s.mgs.State())
-			enc.MapU64I64(s.lastRep)
+			continue
 		}
+		sorted := s.tab.Sorted()
+		encodeColumn(enc, sorted, func(c counts) int64 { return c.local })
+		encodeColumn(enc, sorted, func(c counts) int64 { return c.dx })
 	}
 }
 
 // DecodeState rebuilds the policy state on a fresh tracker; on error the
 // tracker must be discarded.
 func (p *policy) DecodeState(dec *ckpt.Decoder) error {
-	if mode := Mode(dec.U8()); dec.Err() == nil && mode != p.cfg.Mode {
-		return fmt.Errorf("hh: restore: checkpoint mode %d, tracker mode %d", mode, p.cfg.Mode)
+	if dec.PeekU8() == storeMisraGries {
+		return errors.New("hh: restore: checkpoint holds Misra–Gries site sketches, a store hh no longer has")
+	}
+	if sketch := dec.Bool(); dec.Err() == nil && sketch != p.cfg.Sketch {
+		return fmt.Errorf("hh: restore: checkpoint has Sketch %t, tracker %t", sketch, p.cfg.Sketch)
 	}
 	p.cm = dec.I64()
 	p.cmx = dec.MapU64I64()
@@ -53,37 +57,25 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 	for i, s := range p.sites {
 		s.m = dec.I64()
 		s.dm = dec.I64()
-		switch p.cfg.Mode {
-		case ModeExact:
+		if !p.cfg.Sketch {
 			for x, c := range dec.MapU64I64() {
 				s.tab.Get(x).Val.local = c
 			}
 			for x, d := range dec.MapU64I64() {
 				s.tab.Get(x).Val.dx = d
 			}
-		case ModeSketch:
-			st, err := decodeSS(dec)
-			if err != nil {
-				return fmt.Errorf("hh: restore site %d: %w", i, err)
-			}
-			ss, err := spacesaving.FromState(st)
-			if err != nil {
-				return fmt.Errorf("hh: restore site %d: %w", i, err)
-			}
-			s.ss = ss
-			s.lastRep = dec.MapU64I64()
-		case ModeMGSketch:
-			st, err := decodeMG(dec)
-			if err != nil {
-				return fmt.Errorf("hh: restore site %d: %w", i, err)
-			}
-			mgs, err := mg.FromState(st)
-			if err != nil {
-				return fmt.Errorf("hh: restore site %d: %w", i, err)
-			}
-			s.mgs = mgs
-			s.lastRep = dec.MapU64I64()
+			continue
 		}
+		st, err := decodeSS(dec)
+		if err != nil {
+			return fmt.Errorf("hh: restore site %d: %w", i, err)
+		}
+		ss, err := spacesaving.FromState(st)
+		if err != nil {
+			return fmt.Errorf("hh: restore site %d: %w", i, err)
+		}
+		s.ss = ss
+		s.lastRep = dec.MapU64I64()
 	}
 	return dec.Err()
 }
@@ -130,19 +122,5 @@ func decodeSS(dec *ckpt.Decoder) (spacesaving.State, error) {
 	for i := range st.Entries {
 		st.Entries[i] = spacesaving.Entry{Item: dec.U64(), Count: dec.I64(), Err: dec.I64()}
 	}
-	return st, dec.Err()
-}
-
-func encodeMG(enc *ckpt.Encoder, st mg.State) {
-	enc.I64(int64(st.Cap))
-	enc.I64(st.N)
-	enc.MapU64I64(st.Counters)
-}
-
-func decodeMG(dec *ckpt.Decoder) (mg.State, error) {
-	var st mg.State
-	st.Cap = int(dec.I64())
-	st.N = dec.I64()
-	st.Counters = dec.MapU64I64()
 	return st, dec.Err()
 }

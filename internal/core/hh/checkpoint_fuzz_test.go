@@ -37,6 +37,10 @@ func FuzzRestore(f *testing.F) {
 	f.Add(flipped)
 	f.Add(append([]byte(nil), valid[10:len(valid)-4]...)) // bare payload
 	f.Add([]byte{})
+	for _, b := range []byte{storeMisraGries, 3} { // refused store bytes
+		_, _, payload := storeBytePayload(f, tr, b)
+		f.Add(payload)
+	}
 
 	magic := binary.LittleEndian.Uint32(valid[0:4])
 	version := binary.LittleEndian.Uint16(valid[4:6])

@@ -2,8 +2,10 @@ package hh
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand/v2"
 	"os"
+	"strings"
 	"testing"
 
 	"disttrack/internal/ckpt"
@@ -107,5 +109,64 @@ func TestEncodeColumnMatchesMap(t *testing.T) {
 	want.MapU64I64(dx)
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatal("encoded slot table differs from the reference maps' encoding")
+	}
+}
+
+// storeBytePayload checkpoints tr and returns the frame's magic and version
+// and its payload with the byte that opens the policy state, the site
+// store's, set to b.
+func storeBytePayload(tb testing.TB, tr *Tracker, b byte) (magic uint32, version uint16, payload []byte) {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := tr.Checkpoint(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	magic = binary.LittleEndian.Uint32(buf.Bytes()[0:4])
+	version, payload, err := ckpt.ReadFrame(&buf, magic, buf.Len())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var pol ckpt.Encoder
+	tr.Quiesce(func() { tr.p.EncodeState(&pol) })
+	payload[len(payload)-pol.Len()] = b
+	return magic, version, payload
+}
+
+// TestRestoreRefusesStoreByte checks that a checkpoint restores only into
+// the store it names: byte 2, the removed Misra–Gries sketch's, is refused
+// by name, any other byte above 1 as an invalid bool, and 0 (exact) or 1
+// (Space-Saving) only into a tracker with that store.
+func TestRestoreRefusesStoreByte(t *testing.T) {
+	src, err := New(Config{K: 3, Eps: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		src.Feed(i%3, uint64(i%13))
+	}
+	for _, tc := range []struct {
+		b      byte
+		sketch bool
+		want   string
+	}{
+		{2, false, "Misra–Gries"},
+		{2, true, "Misra–Gries"},
+		{3, false, "invalid bool"},
+		{255, true, "invalid bool"},
+		{1, false, "checkpoint has Sketch true, tracker false"},
+		{0, true, "checkpoint has Sketch false, tracker true"},
+	} {
+		magic, version, payload := storeBytePayload(t, src, tc.b)
+		var buf bytes.Buffer
+		if err := ckpt.WriteFrame(&buf, magic, version, payload); err != nil {
+			t.Fatal(err)
+		}
+		dst, err := New(Config{K: 3, Eps: 0.1, Sketch: tc.sketch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.Restore(&buf); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("store byte %d into Sketch %t: restore error %v, want one naming %q", tc.b, tc.sketch, err, tc.want)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // TestEngineConformance runs the shared engine conformance suite
 // (sequential/batch equivalence, concurrent -race stress, meter
-// conservation — see package enginetest) over every site-store mode, with
+// conservation — see package enginetest) over both site stores, with
 // the §2.1 accuracy contract and state-equality checks plugged in.
 func TestEngineConformance(t *testing.T) {
 	const (
@@ -18,17 +18,16 @@ func TestEngineConformance(t *testing.T) {
 		phi = 0.1
 	)
 	for _, tc := range []struct {
-		name string
-		mode Mode
+		name   string
+		sketch bool
 	}{
-		{"exact", ModeExact},
-		{"sketch", ModeSketch},
-		{"mgsketch", ModeMGSketch},
+		{"exact", false},
+		{"sketch", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := enginetest.Config{
 				New: func(tb testing.TB) core.Tracker {
-					tr, err := New(Config{K: k, Eps: eps, Mode: tc.mode})
+					tr, err := New(Config{K: k, Eps: eps, Sketch: tc.sketch})
 					if err != nil {
 						tb.Fatal(err)
 					}
@@ -55,8 +54,8 @@ func TestEngineConformance(t *testing.T) {
 					}
 				},
 			}
-			if tc.mode == ModeExact {
-				// The sketch modes' accuracy contract is covered by the
+			if !tc.sketch {
+				// The sketch store's accuracy contract is covered by the
 				// sequential tests; under concurrency they pin conservation
 				// and underestimation only (the suite's built-in checks).
 				cfg.CheckFinal = checkHHContract

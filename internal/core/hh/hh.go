@@ -37,12 +37,12 @@
 // directions; this implementation uses φ − 0.4ε (see "Deviations from the
 // paper" in docs/architecture.md).
 //
-// # Modes
+// # Site stores
 //
-// In ModeExact each site stores its exact local frequencies (O(distinct)
-// space) in a slot table, one slot per item. In ModeSketch each site stores
-// a Space-Saving sketch with error ε/8 (the "implementing with small space"
-// remark), keeping site space at O(1/ε) counters while preserving the
+// By default each site stores its exact local frequencies (O(distinct)
+// space) in a slot table, one slot per item. With Config.Sketch each site
+// stores a Space-Saving sketch with error ε/8 (the "implementing with small
+// space" remark), keeping site space at O(1/ε) counters while preserving the
 // guarantees with adjusted constants.
 //
 // # Concurrency
@@ -61,25 +61,7 @@ import (
 
 	"disttrack/internal/core/engine"
 	"disttrack/internal/slots"
-	"disttrack/internal/summary/mg"
 	"disttrack/internal/summary/spacesaving"
-)
-
-// Mode selects the per-site frequency store.
-type Mode int
-
-const (
-	// ModeExact keeps exact local frequencies at each site.
-	ModeExact Mode = iota
-	// ModeSketch keeps a Space-Saving sketch at each site (space O(1/ε)).
-	ModeSketch
-	// ModeMGSketch keeps a Misra–Gries summary at each site instead of
-	// Space-Saving (the A2 ablation). MG's estimates are underestimates
-	// and non-monotone (counters decay), so reporting is lazier; since
-	// every reported delta is still a lower bound on the true increment,
-	// C.m_x remains an underestimate and the contract holds with slightly
-	// different slack — the ablation measures the difference.
-	ModeMGSketch
 )
 
 // classifySlack positions the classification threshold at φ − classifySlack·ε,
@@ -88,14 +70,14 @@ const (
 const classifySlack = 0.4
 
 // sketchEpsFraction is the fraction of ε given to the per-site sketch in
-// ModeSketch; the remainder absorbs reporting staleness.
+// sketch mode; the remainder absorbs reporting staleness.
 const sketchEpsFraction = 8.0
 
 // Config parameterizes a Tracker.
 type Config struct {
-	K    int     // number of sites, >= 1
-	Eps  float64 // approximation error, in (0, 1)
-	Mode Mode    // per-site store; default ModeExact
+	K      int     // number of sites, >= 1
+	Eps    float64 // approximation error, in (0, 1)
+	Sketch bool    // a Space-Saving sketch per site (space O(1/ε)) instead of exact counts
 
 	// ThresholdDivisor overrides the 3 in the paper's ε·S_j.m/3k reporting
 	// threshold (0 means 3). Larger values report more eagerly (more
@@ -136,12 +118,11 @@ type site struct {
 	m  int64 // S_j.m — global count at last broadcast
 	dm int64 // Δ(m) — arrivals since the last "all" report
 
-	// ModeExact state: one slot per item, holding m_{x,j} and Δ(m_x).
+	// Exact store: one slot per item, holding m_{x,j} and Δ(m_x).
 	tab slots.Table[counts]
 
-	// ModeSketch / ModeMGSketch state.
+	// Sketch store.
 	ss      *spacesaving.Sketch
-	mgs     *mg.Summary
 	lastRep map[uint64]int64 // last sketch estimate reported per item
 }
 
@@ -169,20 +150,12 @@ type counts struct {
 	dx    int64
 }
 
-// newSite returns an empty site with the configured mode's store.
+// newSite returns an empty site with the configured store.
 func (p *policy) newSite() *site {
-	s := &site{}
-	switch p.cfg.Mode {
-	case ModeSketch:
-		s.ss = spacesaving.NewEps(p.cfg.Eps / sketchEpsFraction)
-		s.lastRep = make(map[uint64]int64)
-	case ModeMGSketch:
-		s.mgs = mg.NewEps(p.cfg.Eps / sketchEpsFraction)
-		s.lastRep = make(map[uint64]int64)
-	default:
-		s.tab = slots.New[counts]()
+	if p.cfg.Sketch {
+		return &site{ss: spacesaving.NewEps(p.cfg.Eps / sketchEpsFraction), lastRep: make(map[uint64]int64)}
 	}
-	return s
+	return &site{tab: slots.New[counts]()}
 }
 
 // divisor returns the d of the reporting threshold ε·S_j.m/dk: 3, or
@@ -221,16 +194,13 @@ func (p *policy) bootTarget() int64 {
 func (p *policy) ApplyBoot(siteID int, x uint64) {
 	s := p.sites[siteID]
 	s.dm++
-	switch p.cfg.Mode {
-	case ModeSketch:
+	if p.cfg.Sketch {
 		s.ss.Add(x)
-	case ModeMGSketch:
-		s.mgs.Add(x)
-	default:
-		sl := s.tab.Get(x)
-		sl.Val.local++
-		sl.Val.dx++
+		return
 	}
+	sl := s.tab.Get(x)
+	sl.Val.local++
+	sl.Val.dx++
 }
 
 // ApplyRun applies the fast path to a prefix of xs with the threshold
@@ -240,7 +210,7 @@ func (p *policy) ApplyBoot(siteID int, x uint64) {
 func (p *policy) ApplyRun(siteID int, xs []uint64) (consumed int, crossed bool) {
 	s := p.sites[siteID]
 	thr := p.threshold(s)
-	if p.cfg.Mode == ModeExact {
+	if !p.cfg.Sketch {
 		// One slot probe per arrival; Δ(m) stays in a register for the run.
 		dm := s.dm
 		for i, x := range xs {
@@ -257,14 +227,8 @@ func (p *policy) ApplyRun(siteID int, xs []uint64) (consumed int, crossed bool) 
 		return len(xs), false
 	}
 	for i, x := range xs {
-		var d int64
-		if p.cfg.Mode == ModeSketch {
-			s.ss.Add(x)
-			d = s.ss.Est(x) - s.lastRep[x]
-		} else {
-			s.mgs.Add(x)
-			d = s.mgs.Est(x) - s.lastRep[x]
-		}
+		s.ss.Add(x)
+		d := s.ss.Est(x) - s.lastRep[x]
 		s.dm++
 		if d >= thr || s.dm >= thr {
 			return i + 1, true
@@ -283,26 +247,15 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 	thr := p.threshold(s)
 
 	// Per-item report Δ(m_x).
-	switch p.cfg.Mode {
-	case ModeExact:
-		if sl := s.tab.Find(x); sl != nil && sl.Val.dx >= thr {
-			p.reportFreq(siteID, x, sl.Val.dx)
-			sl.Val.dx = 0
-		}
-	case ModeSketch:
+	if p.cfg.Sketch {
 		est := s.ss.Est(x)
 		if d := est - s.lastRep[x]; d >= thr {
 			p.reportFreq(siteID, x, d)
 			s.lastRep[x] = est
 		}
-	case ModeMGSketch:
-		// MG estimates are non-monotone: a decayed estimate simply defers
-		// reporting (d < thr); reported deltas stay valid lower bounds.
-		est := s.mgs.Est(x)
-		if d := est - s.lastRep[x]; d >= thr {
-			p.reportFreq(siteID, x, d)
-			s.lastRep[x] = est
-		}
+	} else if sl := s.tab.Find(x); sl != nil && sl.Val.dx >= thr {
+		p.reportFreq(siteID, x, sl.Val.dx)
+		sl.Val.dx = 0
 	}
 
 	// Total report Δ(m).
@@ -335,7 +288,7 @@ func (p *policy) reportAll(j int) {
 func (p *policy) OnBootEscalate(siteID int, x uint64) (done bool) {
 	s := p.sites[siteID]
 	s.dm--
-	if p.cfg.Mode == ModeExact {
+	if !p.cfg.Sketch {
 		s.tab.Find(x).Val.dx--
 	}
 	p.cm++
@@ -349,18 +302,12 @@ func (p *policy) OnBootEscalate(siteID int, x uint64) (done bool) {
 func (p *policy) OnBootDone() {
 	p.eng.All()
 	p.broadcastM()
-	switch p.cfg.Mode {
-	case ModeSketch:
-		for _, st := range p.sites {
-			for _, e := range st.ss.Top() {
-				st.lastRep[e.Item] = e.Count
-			}
-		}
-	case ModeMGSketch:
-		for _, st := range p.sites {
-			for _, e := range st.mgs.Top() {
-				st.lastRep[e.Item] = e.Count
-			}
+	if !p.cfg.Sketch {
+		return
+	}
+	for _, st := range p.sites {
+		for _, e := range st.ss.Top() {
+			st.lastRep[e.Item] = e.Count
 		}
 	}
 }
@@ -388,27 +335,19 @@ func (p *policy) broadcastM() {
 // least thr.
 func (p *policy) flushItems(j int, thr int64) {
 	s := p.sites[j]
-	switch p.cfg.Mode {
-	case ModeExact:
-		for sl := range s.tab.All {
-			if sl.Val.dx >= thr {
-				p.reportFreq(j, sl.Key, sl.Val.dx)
-				sl.Val.dx = 0
-			}
-		}
-	case ModeSketch:
+	if p.cfg.Sketch {
 		for _, e := range s.ss.Top() {
 			if d := e.Count - s.lastRep[e.Item]; d >= thr {
 				p.reportFreq(j, e.Item, d)
 				s.lastRep[e.Item] = e.Count
 			}
 		}
-	case ModeMGSketch:
-		for _, e := range s.mgs.Top() {
-			if d := e.Count - s.lastRep[e.Item]; d >= thr {
-				p.reportFreq(j, e.Item, d)
-				s.lastRep[e.Item] = e.Count
-			}
+		return
+	}
+	for sl := range s.tab.All {
+		if sl.Val.dx >= thr {
+			p.reportFreq(j, sl.Key, sl.Val.dx)
+			sl.Val.dx = 0
 		}
 	}
 }
@@ -434,7 +373,7 @@ func (p *policy) OnReconfigure(oldK, newK int) {
 	// budget, exactly as if the site had simply stopped receiving arrivals.
 	for j := newK; j < oldK; j++ {
 		p.flushItems(j, 1)
-		if p.cfg.Mode == ModeExact {
+		if !p.cfg.Sketch {
 			// Hand the exact store to site 0, mirroring the engine's count
 			// fold so SiteSpace and checkpoints stay coherent.
 			s0, handed := p.sites[0], 0
@@ -543,24 +482,20 @@ func (t *Tracker) Rounds() int { return t.p.rounds }
 // experiments (E9).
 func (t *Tracker) SiteSpace(j int) int {
 	s := t.p.sites[j]
-	switch t.p.cfg.Mode {
-	case ModeSketch:
+	if t.p.cfg.Sketch {
 		return s.ss.Space() + len(s.lastRep)
-	case ModeMGSketch:
-		return s.mgs.Space() + len(s.lastRep)
-	default:
-		// One entry per counter the checkpoint writes.
-		n := 0
-		for sl := range s.tab.All {
-			if sl.Val.local != 0 {
-				n++
-			}
-			if sl.Val.dx != 0 {
-				n++
-			}
-		}
-		return n
 	}
+	// One entry per counter the checkpoint writes.
+	n := 0
+	for sl := range s.tab.All {
+		if sl.Val.local != 0 {
+			n++
+		}
+		if sl.Val.dx != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // ItemThreshold returns how many further copies of x site j must receive
@@ -574,15 +509,10 @@ func (t *Tracker) ItemThreshold(j int, x uint64) int64 {
 	s := p.sites[j]
 	thr := p.threshold(s)
 	var dx int64
-	switch p.cfg.Mode {
-	case ModeSketch:
+	if p.cfg.Sketch {
 		dx = s.ss.Est(x) - s.lastRep[x]
-	case ModeMGSketch:
-		dx = s.mgs.Est(x) - s.lastRep[x]
-	default:
-		if sl := s.tab.Find(x); sl != nil {
-			dx = sl.Val.dx
-		}
+	} else if sl := s.tab.Find(x); sl != nil {
+		dx = sl.Val.dx
 	}
 	remItem := thr - dx
 	remAll := thr - s.dm

@@ -30,10 +30,10 @@ func checkContract(t *testing.T, tr *Tracker, o *oracle.Oracle, phi float64, ste
 	}
 }
 
-func runContractTest(t *testing.T, mode Mode, k int, eps, phi float64,
+func runContractTest(t *testing.T, cfg Config, phi float64,
 	gen stream.Generator, assign stream.Assigner) *Tracker {
 	t.Helper()
-	tr, err := New(Config{K: k, Eps: eps, Mode: mode})
+	tr, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,29 +54,37 @@ func runContractTest(t *testing.T, mode Mode, k int, eps, phi float64,
 }
 
 func TestContractZipfExact(t *testing.T) {
-	runContractTest(t, ModeExact, 8, 0.05, 0.1,
+	runContractTest(t, Config{K: 8, Eps: 0.05}, 0.1,
 		stream.Zipf(10000, 40000, 1.4, 1), stream.RoundRobin(8))
 }
 
 func TestContractZipfSketch(t *testing.T) {
-	runContractTest(t, ModeSketch, 8, 0.05, 0.1,
+	runContractTest(t, Config{K: 8, Eps: 0.05, Sketch: true}, 0.1,
 		stream.Zipf(10000, 40000, 1.4, 2), stream.RoundRobin(8))
 }
 
 func TestContractHotSetRandomAssign(t *testing.T) {
-	runContractTest(t, ModeExact, 16, 0.04, 0.15,
+	runContractTest(t, Config{K: 16, Eps: 0.04}, 0.15,
 		stream.HotSet(100000, 50000, 3, 0.7, 3), stream.RandomAssign(16, 4))
+}
+
+func TestContractChurnySketch(t *testing.T) {
+	// Two hot items beside a churning cold range of a million, placed at
+	// random: nearly every cold arrival evicts a Space-Saving counter, whose
+	// newcomer inherits the evicted count as overestimate.
+	runContractTest(t, Config{K: 8, Eps: 0.06, Sketch: true}, 0.2,
+		stream.HotSet(1_000_000, 50000, 2, 0.5, 63), stream.RandomAssign(8, 64))
 }
 
 func TestContractSingleSite(t *testing.T) {
 	// All arrivals at one site: the degenerate placement must still satisfy
 	// the global guarantee.
-	runContractTest(t, ModeExact, 8, 0.05, 0.1,
+	runContractTest(t, Config{K: 8, Eps: 0.05}, 0.1,
 		stream.Zipf(5000, 30000, 1.5, 5), stream.SingleSite(3))
 }
 
 func TestContractByHashAssign(t *testing.T) {
-	runContractTest(t, ModeSketch, 8, 0.06, 0.12,
+	runContractTest(t, Config{K: 8, Eps: 0.06, Sketch: true}, 0.12,
 		stream.HotSet(50000, 40000, 4, 0.6, 6), stream.ByHash(8))
 }
 
@@ -97,7 +105,7 @@ func TestContractShiftingDistribution(t *testing.T) {
 		return stream.FromSlice(items)
 	}
 	gen := stream.Concat(phase(7, 8000, 1), phase(13, 16000, 2), phase(99, 32000, 3))
-	runContractTest(t, ModeExact, 8, 0.05, 0.3, gen, stream.RoundRobin(8))
+	runContractTest(t, Config{K: 8, Eps: 0.05}, 0.3, gen, stream.RoundRobin(8))
 }
 
 // checkInvariants asserts the paper's invariants (3) and (2) for an
@@ -148,7 +156,7 @@ func TestInvariants2And3(t *testing.T) {
 
 func TestSketchModeEstimateError(t *testing.T) {
 	const k, eps = 4, 0.08
-	tr, _ := New(Config{K: k, Eps: eps, Mode: ModeSketch})
+	tr, _ := New(Config{K: k, Eps: eps, Sketch: true})
 	truth := map[uint64]int64{}
 	g := stream.Zipf(2000, 40000, 1.4, 9)
 	var n int64
@@ -178,7 +186,7 @@ func TestSketchModeEstimateError(t *testing.T) {
 
 func TestSketchModeSiteSpace(t *testing.T) {
 	const k, eps = 4, 0.05
-	tr, _ := New(Config{K: k, Eps: eps, Mode: ModeSketch})
+	tr, _ := New(Config{K: k, Eps: eps, Sketch: true})
 	g := stream.Zipf(1000000, 60000, 1.2, 11)
 	for i := 0; ; i++ {
 		x, ok := g.Next()
@@ -197,7 +205,7 @@ func TestSketchModeSiteSpace(t *testing.T) {
 		}
 	}
 	// Exact mode, by contrast, holds ~distinct-many entries.
-	tre, _ := New(Config{K: k, Eps: eps, Mode: ModeExact})
+	tre, _ := New(Config{K: k, Eps: eps})
 	g = stream.Zipf(1000000, 60000, 1.2, 11)
 	for i := 0; ; i++ {
 		x, ok := g.Next()

@@ -15,9 +15,9 @@ import (
 
 // EncodeState appends the policy state; runs under the quiescent lock set.
 func (p *policy) EncodeState(enc *ckpt.Encoder) {
-	enc.U8(uint8(p.cfg.Mode))
-	enc.U32(uint32(len(p.phis)))
-	for _, phi := range p.phis {
+	enc.Bool(p.cfg.Sketch)
+	enc.U32(uint32(len(p.cfg.Phis)))
+	for _, phi := range p.cfg.Phis {
 		enc.F64(phi)
 	}
 	enc.I64(p.m)
@@ -56,13 +56,13 @@ func (p *policy) EncodeState(enc *ckpt.Encoder) {
 // DecodeState rebuilds the policy state on a fresh tracker; on error the
 // tracker must be discarded.
 func (p *policy) DecodeState(dec *ckpt.Decoder) error {
-	if mode := Mode(dec.U8()); dec.Err() == nil && mode != p.cfg.Mode {
-		return fmt.Errorf("quantile: restore: checkpoint mode %d, tracker mode %d", mode, p.cfg.Mode)
+	if sketch := dec.Bool(); dec.Err() == nil && sketch != p.cfg.Sketch {
+		return fmt.Errorf("quantile: restore: checkpoint has Sketch %t, tracker %t", sketch, p.cfg.Sketch)
 	}
-	if n := int(dec.U32()); dec.Err() == nil && n != len(p.phis) {
-		return fmt.Errorf("quantile: restore: checkpoint tracks %d quantiles, tracker %d", n, len(p.phis))
+	if n := int(dec.U32()); dec.Err() == nil && n != len(p.cfg.Phis) {
+		return fmt.Errorf("quantile: restore: checkpoint tracks %d quantiles, tracker %d", n, len(p.cfg.Phis))
 	}
-	for i, phi := range p.phis {
+	for i, phi := range p.cfg.Phis {
 		if got := dec.F64(); dec.Err() == nil && got != phi {
 			return fmt.Errorf("quantile: restore: phi[%d] is %g in checkpoint, %g in tracker", i, got, phi)
 		}
@@ -91,10 +91,10 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 		}
 	}
 	for i := range p.qs {
-		if got := dec.F64(); dec.Err() == nil && got != p.phis[i] {
-			return fmt.Errorf("quantile: restore: quantile %d tracks phi %g in checkpoint, %g in tracker", i, got, p.phis[i])
+		if got := dec.F64(); dec.Err() == nil && got != p.cfg.Phis[i] {
+			return fmt.Errorf("quantile: restore: quantile %d tracks phi %g in checkpoint, %g in tracker", i, got, p.cfg.Phis[i])
 		}
-		p.qs[i].phi = p.phis[i]
+		p.qs[i].phi = p.cfg.Phis[i]
 		p.qs[i].m0 = dec.U64()
 		p.qs[i].lBase = dec.I64()
 		p.qs[i].tBase = dec.I64()
@@ -169,10 +169,10 @@ func (p *policy) checkSiteDeltas(s *site) error {
 	}
 	for qi, d := range s.drift {
 		if d[0] < 0 || d[1] < 0 {
-			return fmt.Errorf("negative drift %v for phi %g", d, p.phis[qi])
+			return fmt.Errorf("negative drift %v for phi %g", d, p.cfg.Phis[qi])
 		}
-		if tracking && absDrift(p.phis[qi], d) >= float64(p.thrLR) {
-			return fmt.Errorf("drift %v for phi %g is past its report threshold %d", d, p.phis[qi], p.thrLR)
+		if tracking && absDrift(p.cfg.Phis[qi], d) >= float64(p.thrLR) {
+			return fmt.Errorf("drift %v for phi %g is past its report threshold %d", d, p.cfg.Phis[qi], p.thrLR)
 		}
 	}
 	return nil

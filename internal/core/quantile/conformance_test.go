@@ -21,16 +21,16 @@ func TestEngineConformance(t *testing.T) {
 	)
 	phis := []float64{0.25, 0.5, 0.9}
 	for _, tc := range []struct {
-		name string
-		mode Mode
+		name   string
+		sketch bool
 	}{
-		{"exact", ModeExact},
-		{"sketch", ModeSketch},
+		{"exact", false},
+		{"sketch", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := enginetest.Config{
 				New: func(tb testing.TB) core.Tracker {
-					tr, err := New(Config{K: k, Eps: eps, Phis: phis, Mode: tc.mode})
+					tr, err := New(Config{K: k, Eps: eps, Phis: phis, Sketch: tc.sketch})
 					if err != nil {
 						tb.Fatal(err)
 					}
@@ -57,7 +57,7 @@ func TestEngineConformance(t *testing.T) {
 					}
 				},
 			}
-			if tc.mode == ModeExact {
+			if !tc.sketch {
 				// The sketch mode's accuracy contract is covered by the
 				// sequential tests; under concurrency it pins conservation
 				// and underestimation only (the suite's built-in checks).

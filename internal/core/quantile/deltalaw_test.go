@@ -12,11 +12,11 @@ import (
 // exactly its threshold, the count the coordinator adds for it. A round
 // build and a split set ivCount to exact counts and newRound sets totEst to
 // the exact |A|; every later arrival either still waits in a site's delta or
-// was reported in a batch of thrIv (thrTot). So in ModeExact
+// was reported in a batch of thrIv (thrTot). So with the exact store
 // ivCount[i] + Σ_j ivDelta_j[i] is the exact count of interval i, and
 // totEst + Σ_j totDelta_j is |A| (truth counts A). In either mode every
 // delta lies in [0, threshold): a counter rises one arrival at a time and
-// reports when it reaches its threshold. truth is nil in ModeSketch, whose
+// reports when it reaches its threshold. truth is nil in sketch mode, whose
 // build counts are estimates.
 func checkDeltaLaw(tb testing.TB, label string, tr *Tracker, truth *oracle.Counter) {
 	tb.Helper()
@@ -59,14 +59,14 @@ func checkDeltaLaw(tb testing.TB, label string, tr *Tracker, truth *oracle.Count
 // and shrink, and one goroutine per site under -race), in both store modes.
 func TestDeltaLaw(t *testing.T) {
 	for _, mode := range []struct {
-		name string
-		mode Mode
-	}{{"exact", ModeExact}, {"sketch", ModeSketch}} {
+		name   string
+		sketch bool
+	}{{"exact", false}, {"sketch", true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			maxThr := int64(0)
 			cfg := enginetest.Config{
 				New: func(tb testing.TB) core.Tracker {
-					tr, err := New(Config{K: 4, Eps: 0.1, Phis: []float64{0.5, 0.99}, Mode: mode.mode})
+					tr, err := New(Config{K: 4, Eps: 0.1, Phis: []float64{0.5, 0.99}, Sketch: mode.sketch})
 					if err != nil {
 						tb.Fatal(err)
 					}
@@ -77,7 +77,7 @@ func TestDeltaLaw(t *testing.T) {
 			}
 			fed := enginetest.RunLaw(t, cfg, func(tb testing.TB, label string, ctr core.Tracker, truth *oracle.Counter) {
 				tr := ctr.(*Tracker)
-				if mode.mode != ModeExact {
+				if mode.sketch {
 					truth = nil
 				}
 				checkDeltaLaw(tb, label, tr, truth)

@@ -2,7 +2,6 @@ package quantile
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"disttrack/internal/core"
@@ -51,20 +50,14 @@ func checkEpsLaw(tb testing.TB, label string, tr *Tracker, truth *oracle.Counter
 // the per-item schedules it checks every epsLawStride-th call.
 func TestEpsLaw(t *testing.T) {
 	for _, mode := range []struct {
-		name string
-		mode Mode
-	}{{"exact", ModeExact}, {"sketch", ModeSketch}} {
+		name   string
+		sketch bool
+	}{{"exact", false}, {"sketch", true}} {
 		t.Run(mode.name, func(t *testing.T) {
-			type seen struct {
-				calls int
-				tr    *Tracker
-				k     int
-			}
-			sched := map[string]*seen{}
 			worst := 0.0
 			cfg := enginetest.Config{
 				New: func(tb testing.TB) core.Tracker {
-					tr, err := New(Config{K: 4, Eps: 0.1, Phis: []float64{0.01, 0.5, 0.99}, Mode: mode.mode})
+					tr, err := New(Config{K: 4, Eps: 0.1, Phis: []float64{0.01, 0.5, 0.99}, Sketch: mode.sketch})
 					if err != nil {
 						tb.Fatal(err)
 					}
@@ -73,23 +66,9 @@ func TestEpsLaw(t *testing.T) {
 				K:        4,
 				Distinct: true,
 			}
-			fed := enginetest.RunLaw(t, cfg, func(tb testing.TB, label string, ctr core.Tracker, truth *oracle.Counter) {
-				tr := ctr.(*Tracker)
-				if name := tb.Name(); strings.HasSuffix(name, "/feed") || strings.HasSuffix(name, "/B1") {
-					s := sched[name]
-					if s == nil {
-						s = &seen{}
-						sched[name] = s
-					}
-					s.calls++
-					changed := s.tr != tr || s.k != tr.K() // a restore or a Reconfigure
-					s.tr, s.k = tr, tr.K()
-					if label == "at rest" && !changed && s.calls%epsLawStride != 0 {
-						return
-					}
-				}
-				worst = max(worst, checkEpsLaw(tb, label, tr, truth))
-			})
+			fed := enginetest.RunLaw(t, cfg, enginetest.Sparse(func(tb testing.TB, label string, tr core.Tracker, truth *oracle.Counter) {
+				worst = max(worst, checkEpsLaw(tb, label, tr.(*Tracker), truth))
+			}, epsLawStride, "feed", "B1"))
 			for _, ctr := range fed {
 				if tr := ctr.(*Tracker); tr.Rounds() < 3 {
 					t.Fatalf("%d rounds: too short a stream", tr.Rounds())

@@ -11,7 +11,7 @@ import (
 // Track the median of a distributed stream. Items must be distinct, so the
 // raw values are symbolically perturbed and recovered afterwards.
 func Example() {
-	tr, err := quantile.New(quantile.Config{K: 2, Eps: 0.1, Phi: 0.5})
+	tr, err := quantile.New(quantile.Config{K: 2, Eps: 0.1, Phis: []float64{0.5}})
 	if err != nil {
 		log.Fatal(err)
 	}

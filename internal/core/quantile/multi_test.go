@@ -65,7 +65,7 @@ func TestMultiQuantileSharesIntervalMachinery(t *testing.T) {
 	multi := run(Config{K: 8, Eps: 0.05, Phis: phis})
 	var separate int64
 	for _, phi := range phis {
-		separate += run(Config{K: 8, Eps: 0.05, Phi: phi})
+		separate += run(Config{K: 8, Eps: 0.05, Phis: []float64{phi}})
 	}
 	// Sharing separators, splits and total counting must beat three
 	// independent trackers.

@@ -64,10 +64,10 @@
 // separators and void the interval-size invariant (the implementation stays
 // safe but the ε guarantee degrades); CannotSplit reports such events.
 //
-// # Modes
+// # Site stores
 //
-// ModeExact stores all local items at each site, in a few sorted runs.
-// ModeSketch stores a Greenwald–Khanna summary per site (space
+// By default each site stores all its local items, in a few sorted runs.
+// With Config.Sketch each site stores a Greenwald–Khanna summary (space
 // O(1/ε·log εn)), answering the same queries with an extra, budgeted,
 // ε/32-relative error — the paper's "implementing with small space" remark.
 //
@@ -80,6 +80,7 @@
 package quantile
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -88,27 +89,16 @@ import (
 	"disttrack/internal/sitestore"
 )
 
-// Mode selects the per-site item store.
-type Mode int
-
-const (
-	// ModeExact keeps all local items at each site.
-	ModeExact Mode = iota
-	// ModeSketch keeps a GK quantile summary at each site.
-	ModeSketch
-)
-
-// gkEpsFraction: in ModeSketch each site's GK summary uses ε/gkEpsFraction,
+// gkEpsFraction: in sketch mode each site's GK summary uses ε/gkEpsFraction,
 // keeping all sketch-induced rank errors within the protocol's slack.
 const gkEpsFraction = 32.0
 
 // Config parameterizes a Tracker.
 type Config struct {
-	K    int       // number of sites, >= 1
-	Eps  float64   // approximation error, in (0, 1)
-	Phi  float64   // the quantile to track (used when Phis is empty)
-	Phis []float64 // multiple quantiles sharing one tracker (optional)
-	Mode Mode      // per-site store; default ModeExact
+	K      int       // number of sites, >= 1
+	Eps    float64   // approximation error, in (0, 1)
+	Phis   []float64 // the quantiles to track, at least one, each in [0, 1]
+	Sketch bool      // a GK summary per site instead of every local item
 
 	// BatchDivisor overrides the 8 in the εm/8k site report batches (0
 	// means 8). Smaller values batch more aggressively (less communication,
@@ -140,9 +130,8 @@ type Tracker struct {
 // the engine's locks (see engine.Policy), so no field needs locking of its
 // own.
 type policy struct {
-	eng  *engine.Engine
-	cfg  Config
-	phis []float64
+	eng *engine.Engine
+	cfg Config
 
 	sites []*site
 
@@ -177,7 +166,7 @@ type policy struct {
 
 // site is the per-site protocol state, guarded by the engine's site locks.
 type site struct {
-	st       store
+	st       sitestore.Store
 	ivDelta  []int64    // unreported arrivals per interval
 	totDelta int64      // unreported arrivals (total)
 	drift    [][2]int64 // per-quantile unreported arrivals [left, right] of M
@@ -219,36 +208,37 @@ func (p *policy) driftDue(s *site) bool {
 
 // New validates cfg and returns a Tracker.
 func New(cfg Config) (*Tracker, error) {
-	phis := cfg.Phis
-	if len(phis) == 0 {
-		phis = []float64{cfg.Phi}
-	}
-	p := &policy{cfg: cfg, phis: phis}
+	p := &policy{cfg: cfg}
 	eng, err := engine.New(engine.Config{Name: "quantile", K: cfg.K, Eps: cfg.Eps}, p)
 	if err != nil {
 		return nil, err
 	}
-	for _, phi := range phis {
+	if len(cfg.Phis) == 0 {
+		return nil, errors.New("quantile: Phis must name at least one quantile")
+	}
+	for _, phi := range cfg.Phis {
 		if phi < 0 || phi > 1 {
 			return nil, fmt.Errorf("quantile: every phi must be in [0,1], got %g", phi)
 		}
 	}
 	p.eng = eng
-	p.qs = make([]quantState, len(phis))
-	for i, phi := range phis {
+	p.qs = make([]quantState, len(cfg.Phis))
+	for i, phi := range cfg.Phis {
 		p.qs[i].phi = phi
 		p.qs[i].reach = 1 / max(phi, 1-phi)
 	}
 	for j := 0; j < cfg.K; j++ {
-		var st store
-		if cfg.Mode == ModeSketch {
-			st = newGKStore(cfg.Eps / gkEpsFraction)
-		} else {
-			st = newExactStore()
-		}
-		p.sites = append(p.sites, &site{st: st, drift: make([][2]int64, len(phis))})
+		p.sites = append(p.sites, &site{st: p.newStore(), drift: make([][2]int64, len(cfg.Phis))})
 	}
 	return &Tracker{Engine: eng, p: p}, nil
+}
+
+// newStore returns an empty site store of the configured kind.
+func (p *policy) newStore() sitestore.Store {
+	if p.cfg.Sketch {
+		return sitestore.NewGK(p.cfg.Eps / gkEpsFraction)
+	}
+	return sitestore.NewExact()
 }
 
 // ApplyBoot records one bootstrap arrival in site j's item store.
@@ -388,13 +378,7 @@ func (p *policy) OnReconfigure(oldK, newK int) {
 		p.sites = p.sites[:newK]
 	} else {
 		for j := oldK; j < newK; j++ {
-			var st store
-			if p.cfg.Mode == ModeSketch {
-				st = newGKStore(p.cfg.Eps / gkEpsFraction)
-			} else {
-				st = newExactStore()
-			}
-			p.sites = append(p.sites, &site{st: st, drift: make([][2]int64, len(p.phis))})
+			p.sites = append(p.sites, &site{st: p.newStore(), drift: make([][2]int64, len(p.cfg.Phis))})
 		}
 	}
 	p.cfg.K = newK // bootTarget follows the new k
@@ -453,7 +437,7 @@ func (t *Tracker) QuantileAt(i int) uint64 {
 			}
 			return 0 // every arrival so far is still in flight to its escalation
 		}
-		idx := int64(p.phis[i] * float64(n))
+		idx := int64(p.cfg.Phis[i] * float64(n))
 		if idx >= n {
 			idx = n - 1
 		}
@@ -465,18 +449,18 @@ func (t *Tracker) QuantileAt(i int) uint64 {
 // QuantileOf returns the tracked quantile for the given φ, which must be
 // one of the configured Phis.
 func (t *Tracker) QuantileOf(phi float64) uint64 {
-	for i, p := range t.p.phis {
+	for i, p := range t.p.cfg.Phis {
 		if p == phi {
 			return t.QuantileAt(i)
 		}
 	}
-	panic(fmt.Sprintf("quantile: phi %g is not tracked (configured: %v)", phi, t.p.phis))
+	panic(fmt.Sprintf("quantile: phi %g is not tracked (configured: %v)", phi, t.p.cfg.Phis))
 }
 
 // Quantiles returns all tracked quantiles, parallel to Phis().
 func (t *Tracker) Quantiles() []uint64 {
-	out := make([]uint64, len(t.p.phis))
-	for i := range t.p.phis {
+	out := make([]uint64, len(t.p.cfg.Phis))
+	for i := range t.p.cfg.Phis {
 		out[i] = t.QuantileAt(i)
 	}
 	return out
@@ -491,8 +475,8 @@ func (t *Tracker) EstTotal() int64 {
 }
 
 // Phi returns the first tracked quantile's φ; Phis all of them.
-func (t *Tracker) Phi() float64    { return t.p.phis[0] }
-func (t *Tracker) Phis() []float64 { return append([]float64(nil), t.p.phis...) }
+func (t *Tracker) Phi() float64    { return t.p.cfg.Phis[0] }
+func (t *Tracker) Phis() []float64 { return append([]float64(nil), t.p.cfg.Phis...) }
 
 // Rounds, Relocations and Splits return protocol statistics.
 func (t *Tracker) Rounds() int      { return t.p.rounds }
@@ -523,7 +507,7 @@ func (t *Tracker) IntervalTrueCounts() []int64 {
 	return counts
 }
 
-// localTrueCount is exact in ModeExact and sketch-estimated in ModeSketch.
+// localTrueCount is exact with the exact store and estimated with a sketch.
 func (s *site) localTrueCount(lo, hi uint64) int64 { return s.st.CountRange(lo, hi) }
 
 // SiteSpace returns the number of stored entries at site j.

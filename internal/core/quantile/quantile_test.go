@@ -26,14 +26,14 @@ func runAndCheck(t *testing.T, cfg Config, gen stream.Generator, assign stream.A
 		o.Add(x)
 		if i%89 == 0 || i < 30 {
 			m := tr.Quantile()
-			if errFrac := o.QuantileRankError(m, cfg.Phi); errFrac > cfg.Eps*slack {
+			if errFrac := o.QuantileRankError(m, cfg.Phis[0]); errFrac > cfg.Eps*slack {
 				t.Fatalf("step %d (|A|=%d): quantile %d has rank error %.5f > eps %g (phi=%g)",
-					i, o.Len(), m, errFrac, cfg.Eps, cfg.Phi)
+					i, o.Len(), m, errFrac, cfg.Eps, cfg.Phis[0])
 			}
 		}
 	}
 	m := tr.Quantile()
-	if errFrac := o.QuantileRankError(m, cfg.Phi); errFrac > cfg.Eps*slack {
+	if errFrac := o.QuantileRankError(m, cfg.Phis[0]); errFrac > cfg.Eps*slack {
 		t.Fatalf("final: quantile %d has rank error %.5f > eps %g", m, errFrac, cfg.Eps)
 	}
 	return tr
@@ -44,18 +44,18 @@ func distinctUniform(n int64, seed int64) stream.Generator {
 }
 
 func TestMedianUniformExact(t *testing.T) {
-	runAndCheck(t, Config{K: 8, Eps: 0.05, Phi: 0.5},
+	runAndCheck(t, Config{K: 8, Eps: 0.05, Phis: []float64{0.5}},
 		distinctUniform(40000, 1), stream.RoundRobin(8), 1)
 }
 
 func TestMedianUniformSketch(t *testing.T) {
-	runAndCheck(t, Config{K: 8, Eps: 0.05, Phi: 0.5, Mode: ModeSketch},
+	runAndCheck(t, Config{K: 8, Eps: 0.05, Phis: []float64{0.5}, Sketch: true},
 		distinctUniform(40000, 2), stream.RoundRobin(8), 1)
 }
 
 func TestTailQuantiles(t *testing.T) {
 	for _, phi := range []float64{0, 0.01, 0.1, 0.9, 0.99, 1} {
-		runAndCheck(t, Config{K: 4, Eps: 0.05, Phi: phi},
+		runAndCheck(t, Config{K: 4, Eps: 0.05, Phis: []float64{phi}},
 			distinctUniform(25000, int64(phi*100)+3), stream.RoundRobin(4), 1)
 	}
 }
@@ -63,29 +63,29 @@ func TestTailQuantiles(t *testing.T) {
 func TestSkewedValuesZipf(t *testing.T) {
 	// Heavily duplicated values, perturbed to distinctness — the perturbed
 	// key space is extremely non-uniform.
-	runAndCheck(t, Config{K: 8, Eps: 0.05, Phi: 0.5},
+	runAndCheck(t, Config{K: 8, Eps: 0.05, Phis: []float64{0.5}},
 		stream.Perturb(stream.Zipf(1000, 40000, 1.2, 5)), stream.RoundRobin(8), 1)
 }
 
 func TestSortedArrivals(t *testing.T) {
 	// Monotone arrivals constantly push the quantile rightward — maximal
 	// drift pressure on the relocation machinery.
-	runAndCheck(t, Config{K: 4, Eps: 0.05, Phi: 0.5},
+	runAndCheck(t, Config{K: 4, Eps: 0.05, Phis: []float64{0.5}},
 		stream.Sequential(30000), stream.RoundRobin(4), 1)
 }
 
 func TestReverseSortedArrivals(t *testing.T) {
-	runAndCheck(t, Config{K: 4, Eps: 0.05, Phi: 0.5},
+	runAndCheck(t, Config{K: 4, Eps: 0.05, Phis: []float64{0.5}},
 		reverseSorted(30000), stream.RoundRobin(4), 1)
 }
 
 func TestSingleSitePlacement(t *testing.T) {
-	runAndCheck(t, Config{K: 8, Eps: 0.06, Phi: 0.5},
+	runAndCheck(t, Config{K: 8, Eps: 0.06, Phis: []float64{0.5}},
 		distinctUniform(30000, 7), stream.SingleSite(5), 1)
 }
 
 func TestWeightedPlacement(t *testing.T) {
-	runAndCheck(t, Config{K: 4, Eps: 0.05, Phi: 0.25},
+	runAndCheck(t, Config{K: 4, Eps: 0.05, Phis: []float64{0.25}},
 		distinctUniform(30000, 9), stream.WeightedAssign([]float64{8, 1, 1, 1}, 11), 1)
 }
 
@@ -97,7 +97,7 @@ func TestDistributionShift(t *testing.T) {
 	lowRange := stream.Uniform(1<<20, 15000, 13)
 	highRange := stream.Uniform(1<<20, 30000, 17)
 	shifted := &offsetGen{g: highRange, off: 1 << 36}
-	runAndCheck(t, Config{K: 8, Eps: 0.05, Phi: 0.5},
+	runAndCheck(t, Config{K: 8, Eps: 0.05, Phis: []float64{0.5}},
 		stream.Perturb(stream.Concat(lowRange, shifted)), stream.RoundRobin(8), 1)
 }
 
@@ -112,7 +112,7 @@ func (o *offsetGen) Next() (uint64, bool) {
 }
 
 func TestBootstrapExact(t *testing.T) {
-	cfg := Config{K: 4, Eps: 0.1, Phi: 0.5} // bootstrap target 40
+	cfg := Config{K: 4, Eps: 0.1, Phis: []float64{0.5}} // bootstrap target 40
 	tr, _ := New(cfg)
 	o := oracle.New()
 	g := distinctUniform(30, 19)
@@ -130,7 +130,7 @@ func TestBootstrapExact(t *testing.T) {
 }
 
 func TestIntervalInvariants(t *testing.T) {
-	cfg := Config{K: 8, Eps: 0.05, Phi: 0.5}
+	cfg := Config{K: 8, Eps: 0.05, Phis: []float64{0.5}}
 	tr, _ := New(cfg)
 	g := distinctUniform(60000, 23)
 	for i := 0; ; i++ {
@@ -160,7 +160,7 @@ func TestIntervalInvariants(t *testing.T) {
 func TestCostBoundAndLogGrowth(t *testing.T) {
 	const k, eps = 8, 0.05
 	run := func(n int64) int64 {
-		tr, _ := New(Config{K: k, Eps: eps, Phi: 0.5})
+		tr, _ := New(Config{K: k, Eps: eps, Phis: []float64{0.5}})
 		g := distinctUniform(n, 29)
 		for i := 0; ; i++ {
 			x, ok := g.Next()
@@ -191,7 +191,7 @@ func TestCostBoundAndLogGrowth(t *testing.T) {
 
 func TestRoundsRelocationsSplitsScale(t *testing.T) {
 	const k, eps = 4, 0.05
-	tr, _ := New(Config{K: k, Eps: eps, Phi: 0.5})
+	tr, _ := New(Config{K: k, Eps: eps, Phis: []float64{0.5}})
 	g := distinctUniform(1<<18, 31)
 	for i := 0; ; i++ {
 		x, ok := g.Next()
@@ -216,8 +216,8 @@ func TestRoundsRelocationsSplitsScale(t *testing.T) {
 
 func TestSketchModeSpace(t *testing.T) {
 	const k, eps = 4, 0.05
-	trS, _ := New(Config{K: k, Eps: eps, Phi: 0.5, Mode: ModeSketch})
-	trE, _ := New(Config{K: k, Eps: eps, Phi: 0.5, Mode: ModeExact})
+	trS, _ := New(Config{K: k, Eps: eps, Phis: []float64{0.5}, Sketch: true})
+	trE, _ := New(Config{K: k, Eps: eps, Phis: []float64{0.5}})
 	g1 := distinctUniform(60000, 37)
 	g2 := distinctUniform(60000, 37)
 	for i := 0; ; i++ {
@@ -238,7 +238,7 @@ func TestSketchModeSpace(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() (int64, uint64) {
-		tr, _ := New(Config{K: 4, Eps: 0.05, Phi: 0.5})
+		tr, _ := New(Config{K: 4, Eps: 0.05, Phis: []float64{0.5}})
 		g := distinctUniform(20000, 41)
 		for i := 0; ; i++ {
 			x, ok := g.Next()
@@ -258,11 +258,12 @@ func TestDeterminism(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{K: 0, Eps: 0.1, Phi: 0.5},
-		{K: 2, Eps: 0, Phi: 0.5},
-		{K: 2, Eps: 1, Phi: 0.5},
-		{K: 2, Eps: 0.1, Phi: -0.1},
-		{K: 2, Eps: 0.1, Phi: 1.1},
+		{K: 2, Eps: 0.1}, // no quantile to track
+		{K: 0, Eps: 0.1, Phis: []float64{0.5}},
+		{K: 2, Eps: 0, Phis: []float64{0.5}},
+		{K: 2, Eps: 1, Phis: []float64{0.5}},
+		{K: 2, Eps: 0.1, Phis: []float64{-0.1}},
+		{K: 2, Eps: 0.1, Phis: []float64{1.1}},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -272,7 +273,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestPanics(t *testing.T) {
-	tr, _ := New(Config{K: 2, Eps: 0.1, Phi: 0.5})
+	tr, _ := New(Config{K: 2, Eps: 0.1, Phis: []float64{0.5}})
 	func() {
 		defer func() {
 			if recover() == nil {

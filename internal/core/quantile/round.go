@@ -135,7 +135,7 @@ func (p *policy) OnBootDone() {
 // roundCap (mergeIntervals) and broadcasts which separators it kept as a
 // bitmap ("seps", ⌈L/64⌉ words; a joining site gets the kept separators
 // themselves). Merging adds exact counts, so the new intervals' counts and
-// each M's rank are exact with no further message (with ModeSketch sites,
+// each M's rank are exact with no further message (with sketch sites,
 // within GK's error, as every count they send is). Every interval of the
 // ending round holds under εm/2 ≤ εm′/4 when |A| has doubled to m′, below
 // the new splitAt; after a Reconfigure m′ may be under 2m, so an interval

@@ -232,7 +232,7 @@ func TestRoundBuildSketch(t *testing.T) {
 		{"zipf", func(n int64) stream.Generator { return stream.Perturb(stream.Zipf(1<<20, n, 1.3, 54)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{K: 8, Eps: 0.05, Phis: sweepPhis, Mode: ModeSketch}
+			cfg := Config{K: 8, Eps: 0.05, Phis: sweepPhis, Sketch: true}
 			tr, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

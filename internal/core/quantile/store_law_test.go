@@ -85,7 +85,7 @@ func TestBatchedFeedMatchesPerItemAtScale(t *testing.T) {
 // was lost in total.
 func TestReconfigureShrinkDrainsIntoSiteZero(t *testing.T) {
 	const k, n = 4, 30_000
-	tr, err := New(Config{K: k, Eps: 0.05, Phi: 0.5})
+	tr, err := New(Config{K: k, Eps: 0.05, Phis: []float64{0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}

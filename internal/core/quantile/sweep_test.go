@@ -163,7 +163,7 @@ func checkDriftBelowThreshold(t *testing.T, tr *Tracker) {
 	thr := float64(tr.p.thrLR)
 	for j, s := range tr.p.sites {
 		for qi, d := range s.drift {
-			phi := tr.p.phis[qi]
+			phi := tr.p.cfg.Phis[qi]
 			signed := (1-phi)*float64(d[0]) - phi*float64(d[1])
 			if d[0] < 0 || d[1] < 0 || math.Abs(signed) >= thr*(1+1e-12) {
 				t.Fatalf("|A|=%d: site %d holds unreported drift L=%d R=%d for phi %g, signed %.3f, thrLR %d",

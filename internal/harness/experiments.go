@@ -177,7 +177,7 @@ func E6(quick bool) *Table {
 		target = scaleN(quick, target)
 		items, _ := lowerbound.MedianNemesis(eps, target)
 		changes := lowerbound.CountMedianChanges(items)
-		tr, err := quantile.New(quantile.Config{K: k, Eps: eps, Phi: 0.5})
+		tr, err := quantile.New(quantile.Config{K: k, Eps: eps, Phis: []float64{0.5}})
 		if err != nil {
 			panic(err)
 		}
@@ -247,14 +247,14 @@ func E9(quick bool) *Table {
 		eps := 1 / float64(inv)
 		// Heavy hitters.
 		te, _ := hh.New(hh.Config{K: 8, Eps: eps})
-		ts, _ := hh.New(hh.Config{K: 8, Eps: eps, Mode: hh.ModeSketch})
+		ts, _ := hh.New(hh.Config{K: 8, Eps: eps, Sketch: true})
 		feedBoth(te.Feed, ts.Feed, n, 9)
 		t.Add("hh", inv, te.SiteSpace(0), ts.SiteSpace(0),
 			float64(te.SiteSpace(0))/float64(ts.SiteSpace(0)),
 			te.Meter().Total().Words, ts.Meter().Total().Words)
 		// Single quantile.
-		qe, _ := quantile.New(quantile.Config{K: 8, Eps: eps, Phi: 0.5})
-		qs, _ := quantile.New(quantile.Config{K: 8, Eps: eps, Phi: 0.5, Mode: quantile.ModeSketch})
+		qe, _ := quantile.New(quantile.Config{K: 8, Eps: eps, Phis: []float64{0.5}})
+		qs, _ := quantile.New(quantile.Config{K: 8, Eps: eps, Phis: []float64{0.5}, Sketch: true})
 		feedBothPerturbed(qe.Feed, qs.Feed, n, 10)
 		t.Add("quantile", inv, qe.SiteSpace(0), qs.SiteSpace(0),
 			float64(qe.SiteSpace(0))/float64(qs.SiteSpace(0)),

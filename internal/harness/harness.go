@@ -137,11 +137,7 @@ func (s Spec) defaults() Spec {
 func (s Spec) build() (*runner, error) {
 	switch s.Algo {
 	case HHExact, HHSketch:
-		mode := hh.ModeExact
-		if s.Algo == HHSketch {
-			mode = hh.ModeSketch
-		}
-		t, err := hh.New(hh.Config{K: s.K, Eps: s.Eps, Mode: mode})
+		t, err := hh.New(hh.Config{K: s.K, Eps: s.Eps, Sketch: s.Algo == HHSketch})
 		if err != nil {
 			return nil, err
 		}
@@ -154,11 +150,7 @@ func (s Spec) build() (*runner, error) {
 			},
 		}, nil
 	case QuantExact, QuantSketch:
-		mode := quantile.ModeExact
-		if s.Algo == QuantSketch {
-			mode = quantile.ModeSketch
-		}
-		t, err := quantile.New(quantile.Config{K: s.K, Eps: s.Eps, Phi: s.Phi, Mode: mode})
+		t, err := quantile.New(quantile.Config{K: s.K, Eps: s.Eps, Phis: []float64{s.Phi}, Sketch: s.Algo == QuantSketch})
 		if err != nil {
 			return nil, err
 		}
@@ -175,11 +167,7 @@ func (s Spec) build() (*runner, error) {
 			},
 		}, nil
 	case AllQ, AllQSketch:
-		mode := allq.ModeExact
-		if s.Algo == AllQSketch {
-			mode = allq.ModeSketch
-		}
-		t, err := allq.New(allq.Config{K: s.K, Eps: s.Eps, Mode: mode})
+		t, err := allq.New(allq.Config{K: s.K, Eps: s.Eps, Sketch: s.Algo == AllQSketch})
 		if err != nil {
 			return nil, err
 		}

@@ -185,7 +185,8 @@ func checkAgainstSorted(t *testing.T, step int, o *Oracle, sorted, probes []uint
 }
 
 // TestCounterMatchesOracle feeds a Counter and an Oracle the same arrivals,
-// repeats included, and compares every rank and range count on the way.
+// repeats included, and compares every rank, range count, item count and
+// heavy-hitter set on the way.
 func TestCounterMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	universe := make([]uint64, 300)
@@ -204,6 +205,13 @@ func TestCounterMatchesOracle(t *testing.T) {
 		want := max(0, o.Rank(hi)-o.Rank(lo))
 		if got := c.CountRange(lo, hi); got != want {
 			t.Fatalf("step %d: CountRange(%d, %d) = %d, want %d", step, lo, hi, got, want)
+		}
+		if got, want := c.Count(lo), o.Count(lo); got != want {
+			t.Fatalf("step %d: Count(%d) = %d, want %d", step, lo, got, want)
+		}
+		phi := float64(rng.Intn(40)) / 1000
+		if got, want := c.HeavyHitters(phi), o.HeavyHitters(phi); !slices.Equal(got, want) {
+			t.Fatalf("step %d: HeavyHitters(%g) = %v, want %v", step, phi, got, want)
 		}
 	}
 }

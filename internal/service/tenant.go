@@ -296,16 +296,8 @@ var kinds = map[Kind]kindSpec{
 	KindAllQ:     {build: buildAllQ, perturbed: true},
 }
 
-// modeFor maps TenantConfig.Sketch to a tracker package's store mode.
-func modeFor[M any](sketch bool, exact, small M) M {
-	if sketch {
-		return small
-	}
-	return exact
-}
-
 func buildHH(tc TenantConfig) (_ core.Tracker, ans [nShapes]func(query) answer, err error) {
-	tr, err := hh.New(hh.Config{K: tc.K, Eps: tc.Eps, Mode: modeFor(tc.Sketch, hh.ModeExact, hh.ModeSketch)})
+	tr, err := hh.New(hh.Config{K: tc.K, Eps: tc.Eps, Sketch: tc.Sketch})
 	if err != nil {
 		return nil, ans, err
 	}
@@ -320,8 +312,7 @@ func buildHH(tc TenantConfig) (_ core.Tracker, ans [nShapes]func(query) answer, 
 }
 
 func buildQuantile(tc TenantConfig) (_ core.Tracker, ans [nShapes]func(query) answer, err error) {
-	mode := modeFor(tc.Sketch, quantile.ModeExact, quantile.ModeSketch)
-	tr, err := quantile.New(quantile.Config{K: tc.K, Eps: tc.Eps, Phis: tc.Phis, Mode: mode})
+	tr, err := quantile.New(quantile.Config{K: tc.K, Eps: tc.Eps, Phis: tc.Phis, Sketch: tc.Sketch})
 	if err != nil {
 		return nil, ans, err
 	}
@@ -333,7 +324,7 @@ func buildQuantile(tc TenantConfig) (_ core.Tracker, ans [nShapes]func(query) an
 }
 
 func buildAllQ(tc TenantConfig) (_ core.Tracker, ans [nShapes]func(query) answer, err error) {
-	tr, err := allq.New(allq.Config{K: tc.K, Eps: tc.Eps, Mode: modeFor(tc.Sketch, allq.ModeExact, allq.ModeSketch)})
+	tr, err := allq.New(allq.Config{K: tc.K, Eps: tc.Eps, Sketch: tc.Sketch})
 	if err != nil {
 		return nil, ans, err
 	}
