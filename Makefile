@@ -51,10 +51,11 @@ test-shuffle:
 # races with that site's fast path (deleting one All call per kind fails this
 # line), beside quantile's and allq's delta law after concurrent feeders (a
 # report adds exactly its threshold, so every unreported count stays below it
-# and coordinator plus site counts sum to the exact counts) and quantile's
-# and hh's ε-contract laws after them (every tracked quantile within ε·n of
+# and coordinator plus site counts sum to the exact counts) and the three
+# kinds' ε-contract laws after them (every tracked quantile within ε·n of
 # its rank; every φ-heavy hitter reported and nothing under (φ−ε)·n, on a φ
-# grid from ε to 0.3), in exact and sketch mode; the sixth repeats the site
+# grid from ε to 0.3; allq's ranks within ε·n at every leaf edge), in exact
+# and sketch mode; the sixth repeats the site
 # node's producers-against-the-ticker
 # test, which catches a buffer shipped after the node's lock is released
 # (reordered or lost values; under -race about a third of runs fail);

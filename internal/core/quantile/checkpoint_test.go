@@ -29,8 +29,11 @@ import (
 // It was written while a round build sampled every site and the coordinator
 // kept its bootstrap list after the handoff; checkpoint-merge-3000.bin holds
 // 3,000 items under the first round cut from that list, which is then
-// dropped, and one doubling rebuilt by merging intervals. Never regenerate
-// them.
+// dropped, and one doubling rebuilt by merging intervals. It was written
+// while a total report fired every εm/8k arrivals, as an interval report
+// does; checkpoint-tot-6000.bin holds 6,000 items, three rounds in, under
+// the total report every m/8k arrivals and 1-word "split-apply" and
+// "split-counts" messages. Never regenerate them.
 var goldenCfg = Config{K: 2, Eps: 0.05, Phis: []float64{0.1, 0.5, 0.99}}
 
 // goldenBootKeys open the stream out of order and with 1<<40 twice, so the
@@ -52,8 +55,9 @@ func goldenStream() stream.Generator {
 // while each side of M was reported on its own, checkpoint-drift-2000.bin
 // while a round build sampled at ε·n_j/32, checkpoint-step16-2000.bin
 // while an interval report cost 2 words and checkpoint-iv1-2000.bin while
-// round builds sampled every site, so none of them has a twin; their
-// restored trackers are checked against the exact quantiles instead.
+// round builds sampled every site and checkpoint-merge-3000.bin while a
+// total report fired every εm/8k arrivals, so none of them has a twin;
+// their restored trackers are checked against the exact quantiles instead.
 func TestRestoreGolden(t *testing.T) {
 	for _, g := range []struct {
 		file string
@@ -67,7 +71,8 @@ func TestRestoreGolden(t *testing.T) {
 		{"checkpoint-drift-2000.bin", 2000, false, false},
 		{"checkpoint-step16-2000.bin", 2000, false, false},
 		{"checkpoint-iv1-2000.bin", 2000, false, false},
-		{"checkpoint-merge-3000.bin", 3000, false, true},
+		{"checkpoint-merge-3000.bin", 3000, false, false},
+		{"checkpoint-tot-6000.bin", 6000, false, true},
 	} {
 		t.Run(g.file, func(t *testing.T) {
 			golden, err := os.ReadFile("testdata/" + g.file)
@@ -159,5 +164,45 @@ func sameState(t *testing.T, step int, a, b *Tracker) {
 	}
 	if qa, qb := a.Quantiles(), b.Quantiles(); !slices.Equal(qa, qb) {
 		t.Fatalf("step %d: quantiles %v vs %v", step, qa, qb)
+	}
+}
+
+// TestRestoreFinishesRoundOnStoredThreshold restores checkpoint-merge-3000.bin,
+// written while a total report fired every εm/8k arrivals: the restored
+// round keeps its stored thrTot, equal to thrIv, and the next round, whose
+// thresholds this build sets, reports the total every m/8k arrivals.
+func TestRestoreFinishesRoundOnStoredThreshold(t *testing.T) {
+	golden, err := os.ReadFile("testdata/checkpoint-merge-3000.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := New(goldenCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Restore(bytes.NewReader(golden)); err != nil {
+		t.Fatal(err)
+	}
+	p := tr.p
+	if p.thrTot != p.thrIv {
+		t.Fatalf("restored thrTot %d, want the stored εm/8k = thrIv = %d", p.thrTot, p.thrIv)
+	}
+	rounds, stored := tr.Rounds(), p.thrTot
+	gen := goldenStream()
+	for i := 0; tr.Rounds() == rounds; i++ {
+		x, ok := gen.Next()
+		if !ok {
+			t.Fatalf("the golden stream ended before the restored round (m = %d)", p.m)
+		}
+		if i >= 3000 {
+			tr.Feed(i%goldenCfg.K, x)
+		}
+		if tr.Rounds() == rounds && p.thrTot != stored {
+			t.Fatalf("|A|=%d: thrTot %d inside the restored round, want the stored %d", tr.TrueTotal(), p.thrTot, stored)
+		}
+	}
+	want := max(1, p.m/(8*int64(goldenCfg.K)))
+	if p.thrTot != want || p.thrTot <= p.thrIv {
+		t.Fatalf("next round (m = %d): thrTot %d, thrIv %d; want thrTot = m/8k = %d", p.m, p.thrTot, p.thrIv, want)
 	}
 }

@@ -1,6 +1,7 @@
 package quantile
 
 import (
+	"strings"
 	"testing"
 
 	"disttrack/internal/core"
@@ -53,10 +54,53 @@ func checkDeltaLaw(tb testing.TB, label string, tr *Tracker, truth *oracle.Count
 	}
 }
 
+// roundLag follows one tracker's rounds from call to call at rest and
+// asserts the round-lag law: a round opened because |A| doubled (not by a
+// Reconfigure, which changes k) opens with m′ ∈ [2m, 2m + k·thrTot), m and
+// thrTot the ending round's. totEst only rises, by thrTot a report, and the round ends
+// at the report that brings it to 2m, so totEst < 2m + thrTot then; every
+// other site holds under thrTot unreported. m′ is the exact |A| with the
+// exact store.
+type roundLag struct {
+	tr        core.Tracker
+	k, rounds int
+	m, thrTot int64
+	checked   map[string]int // rounds checked, by schedule
+	lates     int            // rounds that opened past 2m
+}
+
+func (l *roundLag) check(tb testing.TB, label string, tr *Tracker) {
+	tb.Helper()
+	p := tr.p
+	if label == "concurrent" {
+		return // one call at rest: no round change to see
+	}
+	if _, ok := l.checked[tb.Name()]; !ok {
+		l.checked[tb.Name()] = 0
+	}
+	if tr.Bootstrapping() {
+		return
+	}
+	if l.tr == tr && l.k == tr.K() && l.rounds > 0 && tr.Rounds() != l.rounds {
+		if tr.Rounds() != l.rounds+1 {
+			tb.Fatalf("%s: |A|=%d: %d rounds in one call", label, tr.TrueTotal(), tr.Rounds()-l.rounds)
+		}
+		if lag := p.m - 2*l.m; lag < 0 || lag >= int64(tr.K())*l.thrTot {
+			tb.Fatalf("%s: round %d opened at m′ = %d after m = %d: lag %d outside [0, k·thrTot = %d)",
+				label, tr.Rounds(), p.m, l.m, lag, int64(tr.K())*l.thrTot)
+		} else if lag > 0 {
+			l.lates++
+		}
+		l.checked[tb.Name()]++
+	}
+	l.tr, l.k, l.rounds, l.m, l.thrTot = tr, tr.K(), tr.Rounds(), p.m, p.thrTot
+}
+
 // TestDeltaLaw runs checkDeltaLaw through the engine's law schedules
 // (enginetest.RunLaw: every Feed and FeedLocalBatch call, B ∈ {1, 16, 512},
 // round robin and one-site bursts, a checkpoint restore, a Reconfigure grow
-// and shrink, and one goroutine per site under -race), in both store modes.
+// and shrink, and one goroutine per site under -race), in both store modes;
+// with the exact store it also checks the round-lag law (roundLag).
 func TestDeltaLaw(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
@@ -64,6 +108,7 @@ func TestDeltaLaw(t *testing.T) {
 	}{{"exact", false}, {"sketch", true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			maxThr := int64(0)
+			lag := roundLag{checked: map[string]int{}}
 			cfg := enginetest.Config{
 				New: func(tb testing.TB) core.Tracker {
 					tr, err := New(Config{K: 4, Eps: 0.1, Phis: []float64{0.5, 0.99}, Sketch: mode.sketch})
@@ -81,6 +126,9 @@ func TestDeltaLaw(t *testing.T) {
 					truth = nil
 				}
 				checkDeltaLaw(tb, label, tr, truth)
+				if !mode.sketch {
+					lag.check(tb, label, tr)
+				}
 				if !tr.Bootstrapping() {
 					maxThr = max(maxThr, tr.p.thrIv)
 				}
@@ -96,6 +144,18 @@ func TestDeltaLaw(t *testing.T) {
 			}
 			if maxThr < 4 {
 				t.Fatalf("largest interval batch %d: the law was never tested on batched reports", maxThr)
+			}
+			// Round robin keeps the sites level, so a round can open at
+			// exactly 2m there; one-site bursts leave the others behind.
+			burst := false
+			for sched, n := range lag.checked {
+				if n < 2 {
+					t.Fatalf("%s: round-lag law checked on %d rounds: too few", sched, n)
+				}
+				burst = burst || strings.HasSuffix(sched, "-burst")
+			}
+			if burst && lag.lates == 0 {
+				t.Fatalf("no round opened past 2m: the round-lag law was never tested on a late round")
 			}
 		})
 	}

@@ -1,8 +1,11 @@
 package quantile
 
-// Round-build messages as values. A round build's separators and counts
-// travel as the words these functions write; the meter records their length
-// and the receiving half reads only what they decode to.
+import "slices"
+
+// Round-build and split messages as values. A round build's and a split's
+// separators and counts travel as the words these functions write; the meter
+// records their length and the receiving half reads only what they decode
+// to.
 
 // up meters site j's reply of the given kind, words long.
 func (p *policy) up(j int, kind string, words []uint64) {
@@ -71,10 +74,47 @@ func decodeCounts(words []uint64) []int64 {
 	return counts
 }
 
-// encodeSplit appends the "split-apply" message that installs separator y
-// inside interval iv: the index and the value, 2 words.
-func encodeSplit(dst []uint64, iv int, y uint64) []uint64 { return append(dst, uint64(iv), y) }
+// encodeSplitReq appends the "split-req" message that opens the split of
+// interval iv: the index alone, 1 word. A site reads the interval's bounds
+// off its own separators.
+func encodeSplitReq(dst []uint64, iv int) []uint64 { return append(dst, uint64(iv)) }
 
-// decodeSplit returns the interval index and separator of a "split-apply"
-// message from encodeSplit.
-func decodeSplit(words []uint64) (iv int, y uint64) { return int(words[0]), words[1] }
+// decodeSplitReq returns the interval index of a "split-req" message.
+func decodeSplitReq(words []uint64) (iv int) { return int(words[0]) }
+
+// encodeSplitResp appends site j's "split-resp" reply: its local separators
+// of the interval, one word each, then its count n_j in the interval, 1 word.
+func encodeSplitResp(dst, seps []uint64, n int64) []uint64 {
+	return append(append(dst, seps...), uint64(n))
+}
+
+// decodeSplitResp returns the separators and the count of a "split-resp"
+// reply from encodeSplitResp.
+func decodeSplitResp(words []uint64) (seps []uint64, n int64) {
+	last := len(words) - 1
+	return words[:last], int64(words[last])
+}
+
+// encodeSplit appends the "split-apply" message that installs separator y:
+// the value alone, 1 word. y lies strictly inside the interval being split,
+// so a site finds the interval among its own separators (decodeSplit).
+func encodeSplit(dst []uint64, y uint64) []uint64 { return append(dst, y) }
+
+// decodeSplit returns the separator of a "split-apply" message and the
+// index iv of the interval of seps, a site's separators, that it splits:
+// the number of separators below y. Installing y at iv splits iv into iv
+// and iv + 1.
+func decodeSplit(seps, words []uint64) (iv int, y uint64) {
+	y = words[0]
+	iv, _ = slices.BinarySearch(seps, y)
+	return iv, y
+}
+
+// encodeSplitCounts appends site j's "split-counts" reply: a_j, its count
+// in the split interval's left half [lo, y), at most the n_j of its
+// "split-resp", 1 word. The coordinator takes the right half's count as
+// n_j − a_j.
+func encodeSplitCounts(dst []uint64, a int64) []uint64 { return append(dst, uint64(a)) }
+
+// decodeSplitCounts returns a_j of a "split-counts" reply.
+func decodeSplitCounts(words []uint64) (a int64) { return int64(words[0]) }

@@ -12,7 +12,16 @@
 //     Sites report interval arrivals in batches of εm/8k, naming the
 //     interval alone; when an interval's count reaches 3εm/8 the
 //     coordinator splits it via a localized O(k) rebuild (the paper's
-//     "rebuilding applied to the interval I").
+//     "rebuilding applied to the interval I"). A split's messages carry
+//     only what their receiver cannot work out: the new separator alone,
+//     which a site places among its own separators, and each site's count
+//     left of it, the right half's being the rest of the interval count it
+//     already sent.
+//
+//   - The round needs |A| only to a constant factor: no ε bound reads the
+//     coordinator's total, which only ends the round. So sites report
+//     their totals in batches of m/8k, O(k) words per round, and the round
+//     opens with m′ in [2m, 2m + m/8).
 //
 //   - A round is built from what the coordinator already knows. The first
 //     cuts the bootstrap list, which holds every arrival, exactly every
@@ -100,10 +109,12 @@ type Config struct {
 	Phis   []float64 // the quantiles to track, at least one, each in [0, 1]
 	Sketch bool      // a GK summary per site instead of every local item
 
-	// BatchDivisor overrides the 8 in the εm/8k site report batches (0
-	// means 8). Smaller values batch more aggressively (less communication,
-	// more staleness); below 8 the worst-case error analysis no longer
-	// closes. Exists for the A4 ablation.
+	// BatchDivisor overrides the 8 in the site report batches, εm/8k for
+	// interval and drift reports and m/8k for total reports (0 means 8).
+	// Smaller values batch more aggressively (less communication, more
+	// staleness); below 8 the worst-case error analysis no longer closes,
+	// and the round opens up to m/BatchDivisor late. Exists for the A4
+	// ablation.
 	BatchDivisor float64
 }
 
@@ -144,9 +155,9 @@ type policy struct {
 	m         int64
 	seps      []uint64 // sorted separator items; intervals are the gaps
 	ivCount   []int64  // per-interval coordinator underestimates
-	totEst    int64    // coordinator underestimate of |A|
+	totEst    int64    // coordinator underestimate of |A|, within k·thrTot
 	thrIv     int64    // site batch size for interval reports: εm/8k
-	thrTot    int64    // site batch size for total reports: εm/8k
+	thrTot    int64    // site batch size for total reports: m/8k
 	thrLR     int64    // site batch size for drift reports: εm/8k
 	splitAt   int64    // coordinator split trigger: 3εm/8
 	driftTrig float64  // relocation trigger: εm/2

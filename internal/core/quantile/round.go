@@ -13,14 +13,17 @@ type wsep struct {
 	w int64
 }
 
-// sepSamples collects about nine local separators of [lo, hi) from every
+// sepSamples collects about nine local separators of interval iv from every
 // site for a split ("split-req", "split-resp"). Each returned separator from
 // site j carries weight step_j = ⌈n_j/9⌉, so cumulative weights estimate
-// global ranks within Σ_j step_j.
-func (p *policy) sepSamples(lo, hi uint64) (merged []wsep, total int64) {
-	meter := p.eng.Meter()
+// global ranks within Σ_j step_j. counts holds each site's n_j, the count of
+// the interval it sent, and total their sum.
+func (p *policy) sepSamples(iv int) (merged []wsep, counts []int64, total int64) {
+	req := encodeSplitReq(nil, iv)
+	counts = make([]int64, len(p.sites))
 	for j, s := range p.sites {
-		meter.Down(j, "split-req", 1)
+		p.down(j, "split-req", req)
+		lo, hi := p.ivBounds(decodeSplitReq(req))
 		nLocal := s.st.CountRange(lo, hi)
 		step := int64(math.Ceil(float64(nLocal) / 9))
 		if step < 1 {
@@ -30,14 +33,16 @@ func (p *policy) sepSamples(lo, hi uint64) (merged []wsep, total int64) {
 		if nLocal > 0 {
 			ss = s.st.Separators(lo, hi, step)
 		}
-		meter.Up(j, "split-resp", len(ss)+1)
-		total += nLocal
+		resp := encodeSplitResp(nil, ss, nLocal)
+		p.up(j, "split-resp", resp)
+		ss, counts[j] = decodeSplitResp(resp)
+		total += counts[j]
 		for _, v := range ss {
 			merged = append(merged, wsep{v: v, w: step})
 		}
 	}
 	slices.SortFunc(merged, func(a, b wsep) int { return cmp.Compare(a.v, b.v) })
-	return merged, total
+	return merged, counts, total
 }
 
 // bootDiv is the 32 of the bootstrap target ⌈max(32, b)·k/ε⌉, a constant of
@@ -66,13 +71,16 @@ func (p *policy) bootTarget() int64 {
 }
 
 // setRound starts round state for m arrivals: the round count and every
-// threshold the sites and the coordinator compare against.
+// threshold the sites and the coordinator compare against. The total batch
+// is m/bk, not εm/bk: totEst only ends the round, which needs |A| to a
+// constant factor, and k·thrTot ≤ m/b bounds how late the round ends
+// (docs/architecture.md, "A round needs |A| only to a constant factor").
 func (p *policy) setRound(m int64) {
 	p.m = m
 	p.rounds++
 	em := p.cfg.Eps * float64(m)
 	p.thrIv = maxi64(1, int64(em/(p.batchDivisor()*float64(p.cfg.K))))
-	p.thrTot = p.thrIv
+	p.thrTot = maxi64(1, int64(float64(m)/(p.batchDivisor()*float64(p.cfg.K))))
 	p.thrLR = p.thrIv
 	p.splitAt = maxi64(1, int64(3*em/8))
 	p.driftTrig = em / 2
@@ -261,12 +269,14 @@ func (p *policy) localIntervalCounts(s *site) []int64 {
 
 // split divides interval iv (whose coordinator count reached 3εm/8) into
 // two, via the paper's localized rebuild: collect local separators of the
-// interval, choose a weighted median, then collect exact half counts. Cost
-// O(k). It reports whether the interval was split: ties can defeat it.
+// interval and each site's count n_j in it, choose a weighted median y,
+// then collect each site's count a_j left of y; the right half's is
+// n_j − a_j. Cost O(k). It reports whether the interval was split: ties can
+// defeat it.
 func (p *policy) split(iv int) bool {
 	p.eng.All()
 	lo, hi := p.ivBounds(iv)
-	merged, totalEst := p.sepSamples(lo, hi)
+	merged, counts, totalEst := p.sepSamples(iv)
 	if len(merged) == 0 {
 		p.cannotSplit++
 		return false
@@ -291,17 +301,19 @@ func (p *policy) split(iv int) bool {
 	}
 
 	// Collect exact half counts (these include all unreported deltas, so
-	// site deltas for both halves restart at zero).
-	meter := p.eng.Meter()
+	// site deltas for both halves restart at zero). A site clamps a_j to the
+	// n_j it sent: a sketch's rank estimate need not be monotone.
 	var c1, c2 int64
-	apply := encodeSplit(nil, iv, y)
+	apply := encodeSplit(nil, y)
 	for j, s := range p.sites {
 		p.down(j, "split-apply", apply)
-		a := s.st.CountRange(lo, y)
-		b := s.st.CountRange(y, hi)
-		meter.Up(j, "split-counts", 2)
+		siv, sy := decodeSplit(p.seps, apply) // site j's reading of the message
+		slo, _ := p.ivBounds(siv)
+		words := encodeSplitCounts(nil, min(s.st.CountRange(slo, sy), counts[j]))
+		p.up(j, "split-counts", words)
+		a := decodeSplitCounts(words)
 		c1 += a
-		c2 += b
+		c2 += counts[j] - a
 	}
 
 	// Install the new separator everywhere.
