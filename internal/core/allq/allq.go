@@ -31,6 +31,20 @@
 // Rank extraction walks the root-to-leaf path of x, summing s of left
 // siblings: ≤ h counts of error θm each plus the partial leaf, ≤ εm total.
 //
+// # Round builds
+//
+// The paper rebuilds the whole tree from samples at every round. Here a
+// round is built from the leaves the coordinator already has: each site
+// sends its rank at every old leaf boundary, and the coordinator cuts the
+// old boundaries at weighted medians of the exact leaf counts these give,
+// so every fresh count is exact and no site samples; the broadcast names
+// the kept boundaries and the new shape. The first round cuts the
+// bootstrap list itself. Invariant (5) then holds within one old leaf
+// rather than exactly, which bears on cost alone: a condition (6)
+// violation is rebuilt at its first report. Partial rebuilds and leaf
+// splits still sample. See "allq rounds merge, not resample" in
+// docs/architecture.md.
+//
 // # Height cap
 //
 // The paper sets h via a chain of loose constants. Here heightCap(ε) =
@@ -116,6 +130,10 @@ type policy struct {
 	root        *node
 	nextID      int
 	pathScratch []*node // reused by OnEscalate's path walk (under escMu)
+
+	// tap, when set, sees every message that up and down meter, as sent.
+	// Tests set it to replay the round-build messages; nil otherwise.
+	tap func(kind string, site int, words []uint64)
 
 	// Statistics.
 	rounds         int
@@ -248,7 +266,7 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 	// Round change: the root's count doubles. s_root underestimates |A|, so
 	// the trigger never fires early.
 	if p.root.s >= 2*p.m {
-		p.newRound()
+		p.newRound(len(p.sites))
 	}
 }
 
@@ -271,19 +289,45 @@ func (p *policy) bootKeys() []uint64 {
 	return p.boot
 }
 
-// OnBootDone builds the first round and drops the bootstrap list: only
-// bootstrap queries read it, and the round holds every count they answered.
+// OnBootDone builds the first round from the bootstrap list, which holds
+// every forwarded arrival: buildRec cuts the sorted keys, each of weight
+// one, at their exact medians, so every node's count is read off the list
+// and the one message is the "rb-tree" broadcast of the whole tree
+// (encodeSubtree). The list is dropped afterwards: only bootstrap queries
+// read it. An arrival that straddles the handoff (its site applied it before
+// the bootstrap ended and escalates it after) is in its site's store but in
+// no count; it waits like an unreported arrival, one item per site at most,
+// until the next round's exact counts take it in.
 func (p *policy) OnBootDone() {
-	p.newRound()
+	keys := p.bootKeys()
+	p.m = int64(len(keys))
+	root := p.buildRec(nil, 0, math.MaxUint64, keys, 1, p.leafCap())
+	bounds := leafBounds(root)
+	r := make([]int64, len(bounds))
+	for i, b := range bounds {
+		c, _ := slices.BinarySearch(keys, b)
+		r[i] = int64(c)
+	}
+	addCounts(root, r)
+	p.root = root
+	p.rounds++
+	p.gcDeltas()
+	p.startRound(0)
+	tree := encodeSubtree(root)
+	for j := range p.sites {
+		p.down(j, "rb-tree", tree)
+	}
+	p.splitFull()
 	p.boot, p.bootSorted = nil, true
 }
 
 // OnReconfigure implements engine.Policy: resize the per-site
-// state to newK sites and rebuild the whole tree — the §4 batch size θm/k
-// depends on k, and a full-tree rebuild with exact counts is the round
-// boundary the paper prescribes on membership change. Runs under the
-// quiescent lock set, after the engine has folded the removed sites' arrival
-// counts into site 0.
+// state to newK sites and start a new round — the §4 batch size θm/k
+// depends on k, and a round with exact counts is the boundary the paper
+// prescribes on membership change. newRound merges the old leaves from the
+// counts of the sites that hold them (a joining site holds nothing and gets
+// the whole tree). Runs under the quiescent lock set, after the engine has
+// folded the removed sites' arrival counts into site 0.
 func (p *policy) OnReconfigure(oldK, newK int) {
 	if newK < oldK {
 		// Hand each departing site's items to site 0 (exact: lossless;
@@ -304,7 +348,7 @@ func (p *policy) OnReconfigure(oldK, newK int) {
 	}
 	p.cfg.K = newK // bootTarget follows the new k
 	if !p.eng.Bootstrapping() {
-		p.newRound()
+		p.newRound(min(oldK, newK))
 	}
 }
 
@@ -324,9 +368,11 @@ func appendPath(dst []*node, root *node, x uint64) []*node {
 	}
 }
 
-// Rank returns the coordinator's estimate of the number of items < x.
-// The estimate underestimates by at most ε·max(m, |A|-ish): formally,
-// rank(x) − ε|A| ≤ Rank(x) ≤ rank(x) at all times.
+// Rank returns the coordinator's estimate of the number of items < x. With
+// exact sites it underestimates by at most ε|A|: rank(x) − ε|A| ≤ Rank(x) ≤
+// rank(x) at all times. With sketch sites every node count is built from
+// the sites' GK rank estimates, which may overestimate, so the bound is
+// two-sided: |Rank(x) − rank(x)| ≤ ε|A|.
 func (t *Tracker) Rank(x uint64) int64 {
 	p := t.p
 	if t.Bootstrapping() {

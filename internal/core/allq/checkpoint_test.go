@@ -66,63 +66,77 @@ func TestRestoreGolden(t *testing.T) {
 }
 
 // checkpoint-noboot.bin was written by a tracker built from goldenCfg and
-// fed the first nobootN items of goldenStream round robin, after the
+// fed the first 4,000 items of goldenStream round robin, after the
 // coordinator began dropping its bootstrap list at the handoff: its list is
 // empty. checkpoint-h17.bin, written while the list outlived the handoff,
-// still restores with its list (TestRestoreGolden).
-const nobootN = 4000
+// still restores with its list (TestRestoreGolden). checkpoint-noboot.bin
+// was written while round builds sampled every site; checkpoint-merge-6000.bin
+// holds the first 6,000 items under the first round cut from the bootstrap
+// list and one doubling merged from the old leaves.
 
-// TestRestoreGoldenNoBoot pins the checkpoint a tracker writes after the
-// handoff today: the golden bytes restore with no bootstrap list and
-// re-encode bit for bit, a twin fed the same prefix writes the same bytes,
-// and the restored tracker keeps the rank contract as it continues.
+// TestRestoreGoldenNoBoot pins the checkpoints a tracker writes after the
+// handoff: the golden bytes restore with no bootstrap list and re-encode bit
+// for bit, and the restored tracker keeps the rank contract as it continues.
+// Where today's protocol still writes the golden from scratch (twin), a twin
+// fed the same prefix writes the same bytes.
 func TestRestoreGoldenNoBoot(t *testing.T) {
-	golden, err := os.ReadFile("testdata/checkpoint-noboot.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := New(goldenCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Restore(bytes.NewReader(golden)); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Bootstrapping() || tr.TrueTotal() != nobootN || len(tr.p.boot) != 0 {
-		t.Fatalf("restored bootstrapping %v, n %d, %d bootstrap keys; want false, %d, 0",
-			tr.Bootstrapping(), tr.TrueTotal(), len(tr.p.boot), nobootN)
-	}
-	var again bytes.Buffer
-	if err := tr.Checkpoint(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again.Bytes(), golden) {
-		t.Fatal("re-encoding the restored tracker does not reproduce the golden bytes")
-	}
+	for _, g := range []struct {
+		file string
+		n    int
+		twin bool
+	}{
+		{"checkpoint-noboot.bin", 4000, false},
+		{"checkpoint-merge-6000.bin", 6000, true},
+	} {
+		t.Run(g.file, func(t *testing.T) {
+			golden, err := os.ReadFile("testdata/" + g.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := New(goldenCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Restore(bytes.NewReader(golden)); err != nil {
+				t.Fatal(err)
+			}
+			if tr.Bootstrapping() || tr.TrueTotal() != int64(g.n) || len(tr.p.boot) != 0 {
+				t.Fatalf("restored bootstrapping %v, n %d, %d bootstrap keys; want false, %d, 0",
+					tr.Bootstrapping(), tr.TrueTotal(), len(tr.p.boot), g.n)
+			}
+			var again bytes.Buffer
+			if err := tr.Checkpoint(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), golden) {
+				t.Fatal("re-encoding the restored tracker does not reproduce the golden bytes")
+			}
 
-	twin, err := New(goldenCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := goldenStream(20000)
-	o := oracle.New()
-	for i := 0; i < nobootN; i++ {
-		x, _ := gen.Next()
-		twin.Feed(i%goldenCfg.K, x)
-		o.Add(x)
-	}
-	var twinBytes bytes.Buffer
-	if err := twin.Checkpoint(&twinBytes); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(twinBytes.Bytes(), golden) {
-		t.Fatal("a twin fed the same prefix does not write the golden bytes")
-	}
-	rounds := tr.Rounds()
-	// nobootN is even, so round robin from 0 continues the golden site order.
-	feedAndCheckRanks(t, tr, o, gen, stream.RoundRobin(goldenCfg.K))
-	if tr.Rounds() <= rounds {
-		t.Fatalf("restored tracker never started a round of its own (rounds %d)", tr.Rounds())
+			twin, err := New(goldenCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := goldenStream(20000)
+			o := oracle.New()
+			for i := 0; i < g.n; i++ {
+				x, _ := gen.Next()
+				twin.Feed(i%goldenCfg.K, x)
+				o.Add(x)
+			}
+			var twinBytes bytes.Buffer
+			if err := twin.Checkpoint(&twinBytes); err != nil {
+				t.Fatal(err)
+			}
+			if g.twin && !bytes.Equal(twinBytes.Bytes(), golden) {
+				t.Fatal("a twin fed the same prefix does not write the golden bytes")
+			}
+			rounds := tr.Rounds()
+			// g.n is even, so round robin from 0 continues the golden site order.
+			feedAndCheckRanks(t, tr, o, gen, stream.RoundRobin(goldenCfg.K))
+			if tr.Rounds() <= rounds {
+				t.Fatalf("restored tracker never started a round of its own (rounds %d)", tr.Rounds())
+			}
+		})
 	}
 }
 

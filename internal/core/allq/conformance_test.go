@@ -35,9 +35,9 @@ func TestEngineConformance(t *testing.T) {
 					}
 					return tr
 				},
-				K:        k,
-				Distinct: true,
-				PerSite:  8000,
+				K:       k,
+				Stream:  enginetest.DistinctUniform,
+				PerSite: 8000,
 				Query: func(tb testing.TB, tr core.Tracker) {
 					if tr.TrueTotal() > 0 {
 						aq := tr.(*Tracker)

@@ -61,8 +61,8 @@ func TestDeltaLaw(t *testing.T) {
 					}
 					return tr
 				},
-				K:        4,
-				Distinct: true,
+				K:      4,
+				Stream: enginetest.DistinctUniform,
 			}
 			fed := enginetest.RunLaw(t, cfg, func(tb testing.TB, label string, ctr core.Tracker, truth *oracle.Counter) {
 				tr := ctr.(*Tracker)

@@ -108,8 +108,8 @@ func TestEpsLaw(t *testing.T) {
 					}
 					return tr
 				},
-				K:        4,
-				Distinct: true,
+				K:      4,
+				Stream: enginetest.DistinctUniform,
 			}
 			fed := enginetest.RunLaw(t, cfg, enginetest.Sparse(func(tb testing.TB, label string, tr core.Tracker, truth *oracle.Counter) {
 				r, q := checkEpsLaw(tb, label, tr.(*Tracker), truth)

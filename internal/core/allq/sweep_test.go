@@ -72,9 +72,11 @@ func TestContractSweep(t *testing.T) {
 // height cap a round can take, with every site's separators losing as much
 // as they can (step − 1 items each): a leaf one item past its split trigger
 // still samples above leafCap, so its rebuild splits it, and a leaf built at
-// any sampling step starts no higher than its trigger. The round builds'
-// step sampleStep is checked from minHeight up; a rebuild's (rebuildStep)
-// also at restoreMinHeight, the floor a restored round may carry. At every
+// any sampling step starts no higher than its trigger. The internal
+// rebuilds' uncapped step sampleStep is checked from minHeight up; a
+// rebuild's (rebuildStep) also at restoreMinHeight, the floor a restored
+// round may carry (round builds merge exact counts and sample nothing:
+// TestRoundMergeLaw). At every
 // m from the bootstrap target up, the cut error k·sampleStep stays within
 // an eighth of leafCap, the smallest weight a build splits (invariant (5)).
 func TestLeafLoadsAtEveryCap(t *testing.T) {

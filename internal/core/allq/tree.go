@@ -3,6 +3,7 @@ package allq
 import (
 	"math"
 	"slices"
+	"sort"
 )
 
 // checkConditions enforces the paper's maintenance rules after s_u changed:
@@ -37,33 +38,85 @@ func violated(p, c *node) bool {
 	return 4*c.s < p.s || 4*c.s > 3*p.s
 }
 
-// newRound starts a fresh round: collect the exact |A|, rebuild the whole
-// tree, and fix the round parameters from the height of the tree just built.
-// Cost O(k/ε).
-func (p *policy) newRound() {
+// newRound starts a fresh round when |A| has doubled, the tree has outgrown
+// its height cap or k has changed, from the leaves the coordinator already
+// has. Sites [0, old) reply with their rank at each old leaf boundary but
+// the first ("rb-counts", L words for L leaves, encodeRanks); sites from old
+// on joined in a Reconfigure and hold nothing. The ranks give every old
+// leaf's exact count, and mergeRec cuts the old boundaries at weighted
+// medians of those counts, so the fresh tree's splits are old boundaries and
+// each node's s is exact with no further message: no site samples. The
+// coordinator broadcasts which boundaries the tree keeps and its shape
+// ("rb-tree", encodeMerge; a joining site gets encodeSubtree), and startRound
+// fixes the round's parameters from the tree's height. Cost O(k/ε) words: L
+// counts per site and ⌈L/64⌉ + ⌈N/64⌉ broadcast words
+// (docs/architecture.md, "allq rounds merge, not resample").
+func (p *policy) newRound(old int) {
 	p.eng.All()
-	meter := p.eng.Meter()
-	var total int64
-	for j := range p.sites {
-		meter.Down(j, "round-req", 1)
-		total += p.eng.SiteCount(j)
-		meter.Up(j, "round-resp", 1)
+	bounds := leafBounds(p.root)
+	leaves := len(bounds) - 1
+	inner := bounds[1:leaves]
+	ranks := make([][]int64, old)
+	cum := make([]int64, leaves+1) // cum[i]: exact count of old leaves 0..i−1
+	var m int64
+	for j, s := range p.sites[:old] {
+		p.down(j, "round-req", nil)
+		words := encodeRanks(nil, s.st, bounds[1:])
+		p.up(j, "rb-counts", words)
+		r := append([]int64{0}, decodeRanks(words)...)
+		for i := 0; i < leaves; i++ {
+			cum[i+1] += max(0, r[i+1]-r[i])
+		}
+		m += r[leaves]
+		ranks[j] = r
 	}
-	p.m = total
+	for i := range leaves {
+		cum[i+1] += cum[i]
+	}
+	p.m = m
 	p.rounds++
-	grown := 0 // height the replaced tree reached within its round
-	if p.root != nil {
-		grown = height(p.root)
-	}
-	p.root = p.buildSubtree(nil, 0, math.MaxUint64, p.sampleStep())
-	p.gcDeltas()
+	grown := height(p.root) // height the replaced tree reached within its round
+	root := p.mergeRec(nil, bounds, cum, 0, leaves, p.leafCap())
 
-	// The round's cap h_r is the built height plus two levels of slack for
-	// the rebuilds to come, and at least the height the replaced tree grew
-	// to (skewed and sorted streams deepen the tree at their hot spots every
-	// round), never below minHeight or above heightCap. A shorter cap pays
-	// only if it raises the site batch θm/k: at the same batch, reports cost
-	// the same and the smaller leaf split trigger would only add splits.
+	// Each fresh leaf boundary is an old one: read every site's rank there.
+	fresh := leafBounds(root)
+	at := make([]int, len(fresh))
+	for t, i := 0, 0; t < len(fresh); t++ {
+		for bounds[i] != fresh[t] {
+			i++
+		}
+		at[t] = i
+	}
+	r := make([]int64, len(fresh))
+	for _, rj := range ranks {
+		for t, i := range at {
+			r[t] = rj[i]
+		}
+		addCounts(root, r)
+	}
+	p.root = root
+	p.gcDeltas()
+	p.startRound(grown)
+	merged, joined := encodeMerge(inner, root), encodeSubtree(root)
+	for j := range p.sites {
+		if j < old {
+			p.down(j, "rb-tree", merged)
+		} else {
+			p.down(j, "rb-tree", joined)
+		}
+	}
+	p.splitFull()
+}
+
+// startRound fixes the parameters of the round whose tree was just built,
+// with exact counts, from its height. The round's cap h_r is the built
+// height plus two levels of slack for the rebuilds to come (a splitFull
+// split adds one), and at least the height the replaced tree grew to
+// (skewed and sorted streams deepen the tree at their hot spots every
+// round), never below minHeight or above heightCap. A shorter cap pays only
+// if it raises the site batch θm/k: at the same batch, reports cost the same
+// and the smaller leaf split trigger would only add splits.
+func (p *policy) startRound(grown int) {
 	hCap := heightCap(p.cfg.Eps)
 	h := min(hCap, max(height(p.root)+2, grown, minHeight))
 	_, thrCap, _ := roundParams(p.cfg.Eps, p.cfg.K, p.m, hCap)
@@ -74,12 +127,54 @@ func (p *policy) newRound() {
 	p.theta, p.thrNode, p.leafSplitAt = roundParams(p.cfg.Eps, p.cfg.K, p.m, h)
 }
 
+// splitFull splits, by the leaf rebuild of a report-time split, every leaf of
+// a round just built that holds at least the split trigger: a round opened
+// before |A| doubled (by the height cap or a Reconfigure) can keep an old
+// leaf that full.
+func (p *policy) splitFull() {
+	var full []*node
+	for _, u := range collectNodes(p.root) {
+		if u.isLeaf() && u.s >= p.leafSplitAt {
+			full = append(full, u)
+		}
+	}
+	for _, u := range full {
+		if attached(p.root, u) { // an earlier split's rebuild may have replaced it
+			p.rebuild(u)
+			p.leafSplits++
+		}
+	}
+}
+
+// attached reports whether u is still a node of the tree rooted at root.
+func attached(root, u *node) bool {
+	for ; u.parent != nil; u = u.parent {
+		if u.parent.left != u && u.parent.right != u {
+			return false
+		}
+	}
+	return u == root
+}
+
+// leafBounds returns the leaf boundaries of the subtree u left to right: its
+// lo, then each leaf's hi.
+func leafBounds(u *node) []uint64 {
+	bounds := []uint64{u.lo}
+	for _, v := range collectNodes(u) {
+		if v.isLeaf() {
+			bounds = append(bounds, v.hi)
+		}
+	}
+	return bounds
+}
+
 // minHeight is the smallest height cap a round uses. At h ≥ 6, θ ≤ ε/12, so
 // a leaf built from εm/32k samples, at most 3εm/8 + εm/32 = 13εm/32 items,
-// starts below its split trigger (ε/2 − θ)m ≥ 5εm/12; at h = 5 the trigger
-// is 2εm/5, below 13εm/32. A tree built for ε < 1/3 is at least four
-// levels tall (its leaves of at most 3εm/8 items hold all m, so there are
-// more than 8), so the floor binds only above that.
+// starts below its split trigger (ε/2 − θ)m ≥ 5εm/12, and so does a leaf a
+// round merges from sketch sites' counts, at most 3εm/8 + θm/2 items; at
+// h = 5 the trigger is 2εm/5, below 13εm/32. A tree built for ε < 1/3 is at
+// least four levels tall (its leaves of at most 3εm/8 items hold all m, so
+// there are more than 8), so the floor binds only above that.
 const minHeight = 6
 
 // restoreMinHeight is the smallest height cap a checkpoint may carry: the
@@ -98,9 +193,9 @@ func roundParams(eps float64, k int, m int64, h int) (theta float64, thrNode, le
 	return theta, thrNode, leafSplitAt
 }
 
-// rebuildSampleDiv is the 32 of a rebuild's sampling step εm/32k, the
-// sampling error's share of ε: the k sites' summed sampling error k·step =
-// εm/32 stays within an eighth of the smallest weight 3εm/8 that
+// rebuildSampleDiv is the 32 of an internal rebuild's sampling step εm/32k,
+// the sampling error's share of ε: the k sites' summed sampling error
+// k·step = εm/32 stays within an eighth of the smallest weight 3εm/8 that
 // buildSubtree splits, which keeps invariant (5), and a fresh leaf holds
 // under 3εm/8 + εm/32 = 13εm/32 items, below its split trigger from
 // minHeight up (docs/architecture.md, "allq rebuilds sample at εm/32k").
@@ -112,9 +207,9 @@ const rebuildSampleDiv = 32
 // bootTarget).
 const bootDiv = 64
 
-// sampleStep is the separator sampling step εm/32k of a whole-tree rebuild
-// (and, capped, of an internal one: rebuildStep): fine enough that the
-// weighted medians keep invariant (5) at every level of the subtree built.
+// sampleStep is the separator sampling step εm/32k of an internal rebuild
+// before rebuildStep's cap: fine enough that the weighted medians keep
+// invariant (5) at every level of the subtree built.
 func (p *policy) sampleStep() int64 {
 	return max(1, int64(p.cfg.Eps*float64(p.m)/(rebuildSampleDiv*float64(p.cfg.K))))
 }
@@ -124,16 +219,16 @@ func (p *policy) sampleStep() int64 {
 // node batch θm/k at least one item at every height cap a round may use
 // (θ = ε/2h, h ≤ heightCap): below it a tracked arrival reports at every
 // level of its path, where forwarding costs one word. The 64 (bootDiv) was
-// the floor of the rebuild step εm/64k; the step is now εm/32k, so the
-// handoff build samples every 2 items. It is derived from the config, never
-// stored.
+// the floor of the rebuild step εm/64k the handoff build sampled at; that
+// build now cuts the bootstrap list (OnBootDone). It is derived from the
+// config, never stored.
 func (p *policy) bootTarget() int64 {
 	c := max(bootDiv, 2*heightCap(p.cfg.Eps))
 	return int64(math.Ceil(float64(c) * float64(p.cfg.K) / p.cfg.Eps))
 }
 
-// leafCap is the sampled weight 3εm/8 up to which buildSubtree leaves an
-// interval as one leaf.
+// leafCap is the weight 3εm/8 up to which a build leaves an interval as
+// one leaf: sampled in buildSubtree, exact in mergeRec and at the handoff.
 func (p *policy) leafCap() int64 {
 	return max(1, int64(3*p.cfg.Eps*float64(p.m)/8))
 }
@@ -156,8 +251,7 @@ func (p *policy) leafStep() int64 {
 // own, so that k·step ≤ leafSplitAt − leafCap and every fresh leaf starts
 // below its trigger. From minHeight up the cap binds only while εm < 96
 // (leafSplitAt − leafCap ≥ εm/24 − 1 there); it is what keeps a round
-// restored at restoreMinHeight sound. newRound samples at sampleStep: its
-// round's height, at least minHeight, is known only once the tree is built.
+// restored at restoreMinHeight sound.
 func (p *policy) rebuildStep(u *node) int64 {
 	if u.isLeaf() {
 		return p.leafStep()
@@ -172,7 +266,7 @@ func (p *policy) rebuildStep(u *node) int64 {
 func (p *policy) enforceHeight() {
 	if height(p.root) > p.h {
 		p.heightRebuilds++
-		p.newRound()
+		p.newRound(len(p.sites))
 	}
 }
 
@@ -213,17 +307,17 @@ func (p *policy) rebuild(u *node) {
 //     exceeds 3εm/8, keeping invariant (5);
 //  3. broadcast the new structure to the sites ("rb-tree", encodeSubtree);
 //  4. collect from every site its rank at each leaf boundary ("rb-counts"),
-//     from which every new node's exact count follows.
+//     from which every new node's exact count follows (addCounts).
 func (p *policy) buildSubtree(parent *node, lo, hi uint64, step int64) *node {
-	meter := p.eng.Meter()
 	var merged []uint64
+	req := []uint64{lo, hi}
 	for j, s := range p.sites {
-		meter.Down(j, "rb-req", 2)
+		p.down(j, "rb-req", req)
 		var ss []uint64
 		if s.st.CountRange(lo, hi) > 0 {
 			ss = s.st.Separators(lo, hi, step)
 		}
-		meter.Up(j, "rb-seps", len(ss))
+		p.up(j, "rb-seps", ss)
 		merged = append(merged, ss...)
 	}
 	// Every sample carries the same weight, step: sort the values alone.
@@ -231,17 +325,24 @@ func (p *policy) buildSubtree(parent *node, lo, hi uint64, step int64) *node {
 
 	fresh := p.buildRec(parent, lo, hi, merged, step, p.leafCap())
 
-	meter.Broadcast("rb-tree", len(encodeSubtree(fresh)), p.cfg.K)
-	// The leaf boundaries lo < split … < hi, left to right: a node spans
-	// bounds[i..j] and counts r[j] − r[i] items at a site whose ranks are r,
-	// clamped at zero exactly as Store.CountRange clamps its own difference.
-	bounds := []uint64{lo}
-	for _, u := range collectNodes(fresh) {
-		if u.isLeaf() {
-			bounds = append(bounds, u.hi)
-		}
+	tree := encodeSubtree(fresh)
+	for j := range p.sites {
+		p.down(j, "rb-tree", tree)
 	}
-	r := make([]int64, len(bounds))
+	bounds := leafBounds(fresh)
+	for j, s := range p.sites {
+		words := encodeRanks(nil, s.st, bounds)
+		p.up(j, "rb-counts", words)
+		addCounts(fresh, decodeRanks(words))
+	}
+	return fresh
+}
+
+// addCounts adds one site's counts to the subtree u, given r, the site's
+// ranks at u's leaf boundaries left to right (leafBounds): a node spanning
+// boundaries i..j counts r[j] − r[i] items there, clamped at zero exactly as
+// Store.CountRange clamps its own difference.
+func addCounts(u *node, r []int64) {
 	var add func(u *node, i int) int // returns the index of u.hi
 	add = func(u *node, i int) int {
 		j := i + 1
@@ -251,33 +352,7 @@ func (p *policy) buildSubtree(parent *node, lo, hi uint64, step int64) *node {
 		u.s += max(0, r[j]-r[i])
 		return j
 	}
-	for j, s := range p.sites {
-		for i, b := range bounds {
-			r[i] = s.st.RankOf(b)
-		}
-		add(fresh, 0)
-		meter.Up(j, "rb-counts", len(bounds))
-	}
-	return fresh
-}
-
-// encodeSubtree returns the "rb-tree" broadcast of the subtree u: a preorder
-// shape bitmap, bit i of word i/64 set when the i-th node in preorder is
-// internal, followed by the split of every internal node in preorder. That
-// is I + ⌈N/64⌉ words for N nodes, I of them internal. A site mirrors the
-// tree and knows the replaced node's [lo, hi) from "rb-req", so the splits
-// give it every interval, and it renumbers the live tree in preorder as
-// gcDeltas does, so no id is sent.
-func encodeSubtree(u *node) []uint64 {
-	nodes := collectNodes(u)
-	words := make([]uint64, (len(nodes)+63)/64, (len(nodes)+63)/64+len(nodes)/2)
-	for i, v := range nodes {
-		if !v.isLeaf() {
-			words[i/64] |= 1 << (i % 64)
-			words = append(words, v.split)
-		}
-	}
-	return words
+	add(u, 0)
 }
 
 // gcDeltas renumbers the live tree's node ids to the dense range 0..N-1 and
@@ -344,6 +419,32 @@ func (p *policy) buildRec(parent *node, lo, hi uint64, merged []uint64, w, leafC
 	u.split = split
 	u.left = p.buildRec(u, lo, split, merged[:cut], w, leafCap)
 	u.right = p.buildRec(u, split, hi, merged[cut:], w, leafCap)
+	return u
+}
+
+// mergeRec builds a round's subtree over old leaves a..b−1, whose
+// boundaries are bounds and whose exact counts have the prefix sums cum
+// (old leaf i holds cum[i+1] − cum[i]). A node holding at most leafCap, or
+// spanning one old leaf, is a leaf. Any other node splits at the old
+// boundary nearest its weighted median: one side of the old leaf the median
+// falls in, whichever leaves the halves closer, so each child holds within
+// half that leaf's count of half the node's.
+func (p *policy) mergeRec(parent *node, bounds []uint64, cum []int64, a, b int, leafCap int64) *node {
+	u := &node{id: p.nextID, lo: bounds[a], hi: bounds[b], parent: parent}
+	p.nextID++
+
+	weight := cum[b] - cum[a]
+	if weight <= leafCap || b-a == 1 {
+		return u
+	}
+	// c is the first boundary inside (a, b) at or past the median, or b − 1.
+	c := a + 1 + sort.Search(b-a-2, func(i int) bool { return 2*(cum[a+1+i]-cum[a]) >= weight })
+	if c > a+1 && weight-2*(cum[c-1]-cum[a]) <= 2*(cum[c]-cum[a])-weight {
+		c-- // the boundary before the median leaf leaves the halves closer
+	}
+	u.split = bounds[c]
+	u.left = p.mergeRec(u, bounds, cum, a, c, leafCap)
+	u.right = p.mergeRec(u, bounds, cum, c, b, leafCap)
 	return u
 }
 

@@ -49,6 +49,21 @@ import (
 	"disttrack/internal/stream"
 )
 
+// Stream selects the items the suite generates.
+type Stream int
+
+const (
+	// Zipf is a Zipf(1.2) stream over 2²⁰ values, repeats included (the
+	// default).
+	Zipf Stream = iota
+	// DistinctUniform is a perturbed uniform stream: globally distinct keys,
+	// as the quantile protocols assume.
+	DistinctUniform
+	// DistinctZipf is a perturbed Zipf(1.2) stream: distinct keys whose hot
+	// values deepen an allq tracker's tree.
+	DistinctZipf
+)
+
 // Config describes one tracker configuration under conformance test.
 type Config struct {
 	// New returns a fresh tracker; every call must produce an identically
@@ -56,9 +71,8 @@ type Config struct {
 	New func(t testing.TB) core.Tracker
 	// K is the site count the tracker was configured with.
 	K int
-	// Distinct requests globally distinct keys (symbolic perturbation) in
-	// the generated streams, as the quantile protocols assume.
-	Distinct bool
+	// Stream selects the generated streams.
+	Stream Stream
 	// PerSite is the per-site stream length for the stress tests
 	// (default 8000); the sequential tests use K*PerSite items.
 	PerSite int
@@ -104,13 +118,15 @@ func Run(t *testing.T, cfg Config) {
 	t.Run("ReconfigureMatchesSequential", func(t *testing.T) { runReconfigure(t, cfg) })
 }
 
-// genStream returns n deterministic items: a Zipf stream, or a perturbed
-// uniform stream (globally distinct keys) when cfg.Distinct is set.
+// genStream returns n deterministic items of the stream cfg.Stream selects.
 func genStream(cfg Config, n int, seed int64) []uint64 {
 	var g stream.Generator
-	if cfg.Distinct {
+	switch cfg.Stream {
+	case DistinctUniform:
 		g = stream.Perturb(stream.Uniform(1<<30, int64(n), seed))
-	} else {
+	case DistinctZipf:
+		g = stream.Perturb(stream.Zipf(1<<20, int64(n), 1.2, seed))
+	default:
 		g = stream.Zipf(1<<20, int64(n), 1.2, seed)
 	}
 	out := make([]uint64, 0, n)

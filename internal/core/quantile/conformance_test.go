@@ -36,9 +36,9 @@ func TestEngineConformance(t *testing.T) {
 					}
 					return tr
 				},
-				K:        k,
-				Distinct: true,
-				PerSite:  10000,
+				K:       k,
+				Stream:  enginetest.DistinctUniform,
+				PerSite: 10000,
 				Query: func(tb testing.TB, tr core.Tracker) {
 					if tr.TrueTotal() > 0 {
 						_ = tr.(*Tracker).Quantile()
