@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all ci fmt fmt-fix vet build test test-shuffle race experiments-diff bench-smoke bench-race-smoke bench-e2e-smoke obs-smoke fault-smoke crash-smoke membership-smoke load-smoke staticcheck vuln fuzz-smoke
+.PHONY: all ci fmt fmt-fix vet build test test-shuffle race experiments-diff bench-smoke bench-race-smoke bench-e2e-smoke obs-smoke fault-smoke crash-smoke membership-smoke load-smoke staticcheck vuln fuzz-smoke size
 
 all: build
 
@@ -155,6 +155,14 @@ fuzz-smoke:
 	$(GO) test ./internal/core/allq/ -run '^$$' -fuzz FuzzRestore -fuzztime 10s
 	$(GO) test ./internal/sitestore/ -run '^$$' -fuzz FuzzExactStore -fuzztime 10s
 	$(GO) test ./internal/slots/ -run '^$$' -fuzz FuzzSlotTable -fuzztime 10s
+
+# Go lines outside bench/ (its own module), non-test and test, counted as
+# wc -l counts them: the size a simplicity change reports before and after.
+# Not part of ci: it prints and never fails.
+size:
+	@printf 'non-test %s\ntest %s\n' \
+		"$$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)" \
+		"$$(find . -path ./bench -prune -o -name '*_test.go' -print | xargs cat | wc -l)"
 
 # Optional: require the tools only when the target is invoked.
 staticcheck:

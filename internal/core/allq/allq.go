@@ -59,6 +59,10 @@
 // Items are assumed distinct (stream.Perturb); see the package quantile
 // documentation for how ties degrade and are reported.
 //
+// The bootstrap list, the rank reply, the bitmap codec and the message tap
+// are shared with package quantile: see "What the rank kinds share" in
+// docs/architecture.md.
+//
 // # Concurrency
 //
 // The ingest surface (Feed, FeedLocalBatch, Quiesce, Version) is owned by
@@ -116,10 +120,7 @@ type policy struct {
 
 	sites []*site
 
-	// Bootstrap: until |A| reaches bootTarget every arrival is forwarded into
-	// boot, in arrival order until a read sorts it (see bootKeys).
-	boot       []uint64
-	bootSorted bool
+	boot sitestore.BootList // every arrival, until |A| reaches bootTarget
 
 	// Round state.
 	m           int64   // |A| at round start
@@ -130,10 +131,6 @@ type policy struct {
 	root        *node
 	nextID      int
 	pathScratch []*node // reused by OnEscalate's path walk (under escMu)
-
-	// tap, when set, sees every message that up and down meter, as sent.
-	// Tests set it to replay the round-build messages; nil otherwise.
-	tap func(kind string, site int, words []uint64)
 
 	// Statistics.
 	rounds         int
@@ -273,20 +270,8 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 // OnBootEscalate forwards one bootstrap arrival into the coordinator's
 // exact list; the bootstrap ends once |A| reaches bootTarget.
 func (p *policy) OnBootEscalate(_ int, x uint64) (done bool) {
-	p.boot = append(p.boot, x)
-	p.bootSorted = false
+	p.boot.Add(x)
 	return p.eng.TrueTotal() >= p.bootTarget()
-}
-
-// bootKeys returns the forwarded bootstrap arrivals in ascending order,
-// sorting them in place on the first read after an arrival. Like every
-// query it runs under the quiescent lock set.
-func (p *policy) bootKeys() []uint64 {
-	if !p.bootSorted {
-		slices.Sort(p.boot)
-		p.bootSorted = true
-	}
-	return p.boot
 }
 
 // OnBootDone builds the first round from the bootstrap list, which holds
@@ -299,14 +284,13 @@ func (p *policy) bootKeys() []uint64 {
 // no count; it waits like an unreported arrival, one item per site at most,
 // until the next round's exact counts take it in.
 func (p *policy) OnBootDone() {
-	keys := p.bootKeys()
+	keys := p.boot.Keys()
 	p.m = int64(len(keys))
 	root := p.buildRec(nil, 0, math.MaxUint64, keys, 1, p.leafCap())
 	bounds := leafBounds(root)
 	r := make([]int64, len(bounds))
 	for i, b := range bounds {
-		c, _ := slices.BinarySearch(keys, b)
-		r[i] = int64(c)
+		r[i] = p.boot.RankOf(b)
 	}
 	addCounts(root, r)
 	p.root = root
@@ -315,10 +299,10 @@ func (p *policy) OnBootDone() {
 	p.startRound(0)
 	tree := encodeSubtree(root)
 	for j := range p.sites {
-		p.down(j, "rb-tree", tree)
+		p.eng.Meter().DownMsg(j, "rb-tree", tree)
 	}
 	p.splitFull()
-	p.boot, p.bootSorted = nil, true
+	p.boot.Drop()
 }
 
 // OnReconfigure implements engine.Policy: resize the per-site
@@ -376,8 +360,7 @@ func appendPath(dst []*node, root *node, x uint64) []*node {
 func (t *Tracker) Rank(x uint64) int64 {
 	p := t.p
 	if t.Bootstrapping() {
-		r, _ := slices.BinarySearch(p.bootKeys(), x)
-		return int64(r)
+		return p.boot.RankOf(x)
 	}
 	var acc int64
 	for u := p.root; !u.isLeaf(); {
@@ -403,23 +386,7 @@ func (t *Tracker) Quantile(phi float64) uint64 {
 	}
 	p := t.p
 	if t.Bootstrapping() {
-		// Index against what was actually forwarded: TrueTotal counts
-		// arrivals on the fast path, but a concurrent arrival reaches the
-		// bootstrap list only in its escalation — a quiescent query may run
-		// in between.
-		keys := p.bootKeys()
-		n := int64(len(keys))
-		if n == 0 {
-			if t.TrueTotal() == 0 {
-				panic("allq: Quantile before any arrival")
-			}
-			return 0 // every arrival so far is still in flight to its escalation
-		}
-		i := int64(phi * float64(n))
-		if i >= n {
-			i = n - 1
-		}
-		return keys[i]
+		return p.boot.Select(phi, t.TrueTotal())
 	}
 	target := phi * float64(p.root.s)
 	u := p.root
@@ -455,7 +422,7 @@ func (t *Tracker) HeavyHittersFromRanks(phi float64, shift uint) []uint64 {
 	// candidate set.
 	cand := make(map[uint64]bool)
 	if t.Bootstrapping() {
-		for _, key := range p.bootKeys() {
+		for _, key := range p.boot.Keys() {
 			cand[key>>shift] = true
 		}
 	} else {

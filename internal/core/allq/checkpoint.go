@@ -32,7 +32,7 @@ func (p *policy) EncodeState(enc *ckpt.Encoder) {
 	enc.I64(int64(p.rebuilds))
 	enc.I64(int64(p.leafSplits))
 	enc.I64(int64(p.cannotSplit))
-	enc.U64s(p.bootKeys())
+	p.boot.Encode(enc)
 
 	order := collectNodes(p.root)
 	pos := make(map[*node]int32, len(order))
@@ -80,16 +80,9 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 	p.rebuilds = int(dec.I64())
 	p.leafSplits = int(dec.I64())
 	p.cannotSplit = int(dec.I64())
-	bootItems := dec.U64s()
-	if err := dec.Err(); err != nil {
-		return err
+	if err := p.boot.Decode(dec); err != nil {
+		return fmt.Errorf("allq: restore: %w", err)
 	}
-	for i := 1; i < len(bootItems); i++ {
-		if bootItems[i] < bootItems[i-1] {
-			return fmt.Errorf("allq: restore: bootstrap items out of order at %d", i)
-		}
-	}
-	p.boot, p.bootSorted = bootItems, true
 
 	// Each encoded node is 3*8 + 8 + 2*4 = 40 bytes.
 	n := dec.Count(40)

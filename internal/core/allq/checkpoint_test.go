@@ -100,9 +100,9 @@ func TestRestoreGoldenNoBoot(t *testing.T) {
 			if err := tr.Restore(bytes.NewReader(golden)); err != nil {
 				t.Fatal(err)
 			}
-			if tr.Bootstrapping() || tr.TrueTotal() != int64(g.n) || len(tr.p.boot) != 0 {
+			if tr.Bootstrapping() || tr.TrueTotal() != int64(g.n) || len(tr.p.boot.Keys()) != 0 {
 				t.Fatalf("restored bootstrapping %v, n %d, %d bootstrap keys; want false, %d, 0",
-					tr.Bootstrapping(), tr.TrueTotal(), len(tr.p.boot), g.n)
+					tr.Bootstrapping(), tr.TrueTotal(), len(tr.p.boot.Keys()), g.n)
 			}
 			var again bytes.Buffer
 			if err := tr.Checkpoint(&again); err != nil {

@@ -10,6 +10,7 @@ import (
 	"disttrack/internal/core/engine/enginetest"
 	"disttrack/internal/oracle"
 	"disttrack/internal/stream"
+	"disttrack/internal/wire"
 )
 
 // buildWatch finds, after each arrival, the subtree the arrival's cascade
@@ -161,14 +162,13 @@ func rebuildBuildLaw(t *testing.T, cfg Config, gen stream.Generator) {
 // takes N bits), and the splits that follow fill the internal nodes in
 // preorder. Node ids are left to renumber.
 func decodeSubtree(words []uint64, lo, hi uint64) (*node, error) {
-	bit := func(i int) bool { return words[i/64]>>(i%64)&1 == 1 }
 	n, open := 0, 1
 	for ; open > 0; n++ {
 		if n/64 >= len(words) {
 			return nil, fmt.Errorf("shape bitmap ends after %d nodes with %d open", n, open)
 		}
 		open--
-		if bit(n) {
+		if wire.Bit(words, n) {
 			open += 2
 		}
 	}
@@ -180,7 +180,7 @@ func decodeSubtree(words []uint64, lo, hi uint64) (*node, error) {
 	var build func(parent *node, lo, hi uint64) (*node, error)
 	build = func(parent *node, lo, hi uint64) (*node, error) {
 		u := &node{lo: lo, hi: hi, parent: parent}
-		internal := bit(next)
+		internal := wire.Bit(words, next)
 		next++
 		if !internal {
 			return u, nil
@@ -213,7 +213,7 @@ func decodeMerge(inner, words []uint64) (*node, error) {
 	}
 	var his []uint64
 	for i, b := range inner {
-		if words[i/64]>>(i%64)&1 == 1 {
+		if wire.Bit(words, i) {
 			his = append(his, b)
 		}
 	}
@@ -223,7 +223,7 @@ func decodeMerge(inner, words []uint64) (*node, error) {
 	var build func(parent *node, lo uint64) (*node, error)
 	build = func(parent *node, lo uint64) (*node, error) {
 		u := &node{lo: lo, parent: parent}
-		internal := next/64 < len(shape) && shape[next/64]>>(next%64)&1 == 1
+		internal := wire.Bit(shape, next)
 		next++
 		if !internal {
 			if leaf == len(his) {
@@ -288,7 +288,7 @@ var replayKinds = []string{"round-req", "rb-req", "rb-seps", "rb-tree", "rb-coun
 func newReplay(tb testing.TB, tr *Tracker) *replay {
 	r := &replay{tb: tb, tr: tr, base: map[string]int64{}, sent: map[string]int64{}}
 	r.begin()
-	tr.p.tap = r.tap
+	tr.Meter().SetTap(r.tap)
 	return r
 }
 
@@ -351,7 +351,7 @@ func (r *replay) tap(kind string, j int, words []uint64) {
 				r.wideMerges++
 			}
 		default:
-			if m.root == nil && r.tr.p.boot == nil {
+			if m.root == nil && len(r.tr.p.boot.Keys()) == 0 {
 				r.joins++ // not the handoff, whose list is dropped after it
 			}
 			got, err = decodeSubtree(words, 0, math.MaxUint64)

@@ -103,9 +103,7 @@ func (w *mergeWatch) check() {
 	for _, u := range collectNodes(p.root) {
 		var c int64
 		if w.cause == "first" {
-			lo, _ := slices.BinarySearch(p.boot, u.lo)
-			hi, _ := slices.BinarySearch(p.boot, u.hi)
-			c = int64(hi - lo)
+			c = p.boot.RankOf(u.hi) - p.boot.RankOf(u.lo)
 		} else {
 			for _, s := range p.sites {
 				c += s.st.CountRange(u.lo, u.hi)
@@ -117,7 +115,7 @@ func (w *mergeWatch) check() {
 		if !u.isLeaf() {
 			keys := w.old
 			if w.cause == "first" {
-				keys = p.boot
+				keys = p.boot.Keys()
 			}
 			if _, ok := slices.BinarySearch(keys, u.split); !ok {
 				w.errorf("%s round: split %d is not an old leaf boundary", w.cause, u.split)
@@ -133,8 +131,8 @@ func (w *mergeWatch) check() {
 		i, _ := slices.BinarySearch(w.old, u.lo)
 		oneOld := i+1 < len(w.old) && w.old[i] == u.lo && w.old[i+1] == u.hi
 		if w.cause == "first" {
-			lo, _ := slices.BinarySearch(p.boot, u.lo)
-			oneOld = p.boot[lo] == p.boot[lo+int(u.s)-1] // one value: the cut cannot split ties
+			keys, lo := p.boot.Keys(), p.boot.RankOf(u.lo)
+			oneOld = keys[lo] == keys[lo+u.s-1] // one value: the cut cannot split ties
 		}
 		if !oneOld {
 			w.errorf("%s round (m %d, h %d): fresh leaf [%d, %d) holds %d, not under its split trigger %d",
@@ -200,7 +198,7 @@ func TestRoundMergeLaw(t *testing.T) {
 						legs[tb.Name()] = map[string]int{}
 					}
 					w := &mergeWatch{tb: tb, tr: tr, counts: legs[tb.Name()], k: 4}
-					tr.p.tap = w.tap
+					tr.Meter().SetTap(w.tap)
 					watches[tr] = w
 					return tr
 				},
@@ -277,7 +275,7 @@ func TestRoundSplitsFullLeaves(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := &mergeWatch{tb: t, tr: c, counts: counts, k: 1, rounds: c.Rounds()}
-		c.p.tap = w.tap
+		c.Meter().SetTap(w.tap)
 		splits, full := c.LeafSplits(), counts["full leaves"]
 		if err := c.Reconfigure(2); err != nil {
 			t.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"disttrack/internal/sitestore"
 )
 
 // checkConditions enforces the paper's maintenance rules after s_u changed:
@@ -40,19 +42,20 @@ func violated(p, c *node) bool {
 
 // newRound starts a fresh round when |A| has doubled, the tree has outgrown
 // its height cap or k has changed, from the leaves the coordinator already
-// has. Sites [0, old) reply with their rank at each old leaf boundary but
-// the first ("rb-counts", L words for L leaves, encodeRanks); sites from old
-// on joined in a Reconfigure and hold nothing. The ranks give every old
-// leaf's exact count, and mergeRec cuts the old boundaries at weighted
-// medians of those counts, so the fresh tree's splits are old boundaries and
-// each node's s is exact with no further message: no site samples. The
-// coordinator broadcasts which boundaries the tree keeps and its shape
-// ("rb-tree", encodeMerge; a joining site gets encodeSubtree), and startRound
-// fixes the round's parameters from the tree's height. Cost O(k/ε) words: L
-// counts per site and ⌈L/64⌉ + ⌈N/64⌉ broadcast words
+// has. Sites [0, old) reply with their rank at each old leaf boundary but the
+// first ("rb-counts", L words for L leaves, sitestore.EncodeRanks); sites
+// from old on joined in a Reconfigure and hold nothing. The ranks give every
+// old leaf's exact count (sitestore.AddCounts), and mergeRec cuts the old
+// boundaries at weighted medians of those counts, so the fresh tree's splits
+// are old boundaries and each node's s is exact with no further message: no
+// site samples. The coordinator broadcasts which boundaries the tree keeps
+// and its shape ("rb-tree", encodeMerge; a joining site gets encodeSubtree),
+// and startRound fixes the round's parameters from the tree's height. Cost
+// O(k/ε) words: L counts per site and ⌈L/64⌉ + ⌈N/64⌉ broadcast words
 // (docs/architecture.md, "allq rounds merge, not resample").
 func (p *policy) newRound(old int) {
 	p.eng.All()
+	meter := p.eng.Meter()
 	bounds := leafBounds(p.root)
 	leaves := len(bounds) - 1
 	inner := bounds[1:leaves]
@@ -60,15 +63,13 @@ func (p *policy) newRound(old int) {
 	cum := make([]int64, leaves+1) // cum[i]: exact count of old leaves 0..i−1
 	var m int64
 	for j, s := range p.sites[:old] {
-		p.down(j, "round-req", nil)
-		words := encodeRanks(nil, s.st, bounds[1:])
-		p.up(j, "rb-counts", words)
-		r := append([]int64{0}, decodeRanks(words)...)
-		for i := 0; i < leaves; i++ {
-			cum[i+1] += max(0, r[i+1]-r[i])
-		}
-		m += r[leaves]
-		ranks[j] = r
+		meter.DownMsg(j, "round-req", nil)
+		words := sitestore.EncodeRanks(nil, s.st, bounds[1:])
+		meter.UpMsg(j, "rb-counts", words)
+		r := sitestore.DecodeRanks(words)
+		sitestore.AddCounts(cum[1:], r)
+		m += r[leaves-1]
+		ranks[j] = append([]int64{0}, r...)
 	}
 	for i := range leaves {
 		cum[i+1] += cum[i]
@@ -100,9 +101,9 @@ func (p *policy) newRound(old int) {
 	merged, joined := encodeMerge(inner, root), encodeSubtree(root)
 	for j := range p.sites {
 		if j < old {
-			p.down(j, "rb-tree", merged)
+			meter.DownMsg(j, "rb-tree", merged)
 		} else {
-			p.down(j, "rb-tree", joined)
+			meter.DownMsg(j, "rb-tree", joined)
 		}
 	}
 	p.splitFull()
@@ -309,15 +310,16 @@ func (p *policy) rebuild(u *node) {
 //  4. collect from every site its rank at each leaf boundary ("rb-counts"),
 //     from which every new node's exact count follows (addCounts).
 func (p *policy) buildSubtree(parent *node, lo, hi uint64, step int64) *node {
+	meter := p.eng.Meter()
 	var merged []uint64
 	req := []uint64{lo, hi}
 	for j, s := range p.sites {
-		p.down(j, "rb-req", req)
+		meter.DownMsg(j, "rb-req", req)
 		var ss []uint64
 		if s.st.CountRange(lo, hi) > 0 {
 			ss = s.st.Separators(lo, hi, step)
 		}
-		p.up(j, "rb-seps", ss)
+		meter.UpMsg(j, "rb-seps", ss)
 		merged = append(merged, ss...)
 	}
 	// Every sample carries the same weight, step: sort the values alone.
@@ -327,13 +329,13 @@ func (p *policy) buildSubtree(parent *node, lo, hi uint64, step int64) *node {
 
 	tree := encodeSubtree(fresh)
 	for j := range p.sites {
-		p.down(j, "rb-tree", tree)
+		meter.DownMsg(j, "rb-tree", tree)
 	}
 	bounds := leafBounds(fresh)
 	for j, s := range p.sites {
-		words := encodeRanks(nil, s.st, bounds)
-		p.up(j, "rb-counts", words)
-		addCounts(fresh, decodeRanks(words))
+		words := sitestore.EncodeRanks(nil, s.st, bounds)
+		meter.UpMsg(j, "rb-counts", words)
+		addCounts(fresh, sitestore.DecodeRanks(words))
 	}
 	return fresh
 }

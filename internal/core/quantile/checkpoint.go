@@ -8,10 +8,12 @@ import (
 )
 
 // Engine checkpoint support (engine.Policy.EncodeState/DecodeState). Round
-// thresholds (thrIv/thrTot/thrLR/splitAt/driftTrig) are serialized rather
-// than recomputed from m: they depend on the BatchDivisor ablation knob and
-// on float arithmetic, and storing them guarantees the restored tracker
-// escalates at exactly the captured round's boundaries.
+// thresholds (thrIv/thrTot/splitAt/driftTrig) are serialized rather than
+// recomputed from m: they depend on the BatchDivisor ablation knob and on
+// float arithmetic, and storing them guarantees the restored tracker
+// escalates at exactly the captured round's boundaries. The drift batch
+// is the interval batch: its slot, after thrTot, is written from thrIv, and
+// a checkpoint whose slot differs is refused.
 
 // EncodeState appends the policy state; runs under the quiescent lock set.
 func (p *policy) EncodeState(enc *ckpt.Encoder) {
@@ -26,7 +28,7 @@ func (p *policy) EncodeState(enc *ckpt.Encoder) {
 	enc.I64(p.totEst)
 	enc.I64(p.thrIv)
 	enc.I64(p.thrTot)
-	enc.I64(p.thrLR)
+	enc.I64(p.thrIv) // the drift batch's slot
 	enc.I64(p.splitAt)
 	enc.F64(p.driftTrig)
 	for _, q := range p.qs {
@@ -41,7 +43,7 @@ func (p *policy) EncodeState(enc *ckpt.Encoder) {
 	enc.I64(int64(p.relocations))
 	enc.I64(int64(p.splits))
 	enc.I64(int64(p.cannotSplit))
-	enc.U64s(p.bootKeys())
+	p.boot.Encode(enc)
 	for _, s := range p.sites {
 		sitestore.Encode(enc, s.st)
 		enc.I64s(s.ivDelta)
@@ -73,9 +75,12 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 	p.totEst = dec.I64()
 	p.thrIv = dec.I64()
 	p.thrTot = dec.I64()
-	p.thrLR = dec.I64()
+	thrDrift := dec.I64()
 	p.splitAt = dec.I64()
 	p.driftTrig = dec.F64()
+	if dec.Err() == nil && thrDrift != p.thrIv {
+		return fmt.Errorf("quantile: restore: drift batch %d differs from interval batch %d", thrDrift, p.thrIv)
+	}
 	if dec.Err() == nil && len(p.ivCount) != len(p.seps)+1 && !(len(p.seps) == 0 && len(p.ivCount) == 0) {
 		return fmt.Errorf("quantile: restore: %d separators but %d interval counts", len(p.seps), len(p.ivCount))
 	}
@@ -108,16 +113,9 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 	p.relocations = int(dec.I64())
 	p.splits = int(dec.I64())
 	p.cannotSplit = int(dec.I64())
-	bootItems := dec.U64s()
-	if err := dec.Err(); err != nil {
-		return err
+	if err := p.boot.Decode(dec); err != nil {
+		return fmt.Errorf("quantile: restore: %w", err)
 	}
-	for i := 1; i < len(bootItems); i++ {
-		if bootItems[i] < bootItems[i-1] {
-			return fmt.Errorf("quantile: restore: bootstrap items out of order at %d", i)
-		}
-	}
-	p.boot, p.bootSorted = bootItems, true
 	for j, s := range p.sites {
 		st, err := sitestore.Decode(dec)
 		if err != nil {
@@ -148,8 +146,8 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 // protocol leaves behind: a negative count, or a count or drift pair the
 // site would already have reported. A report adds exactly its threshold to
 // the coordinator's count, so an interval or total delta at or past it would
-// be lost without notice; a drift pair past thrLR breaks the invariant the
-// ε bound rests on (every site's signed drift below thrLR), so a tracker
+// be lost without notice; a drift pair past thrIv breaks the invariant the
+// ε bound rests on (every site's signed drift below thrIv), so a tracker
 // restored past it would answer outside ε without knowing.
 func (p *policy) checkSiteDeltas(s *site) error {
 	tracking := !p.eng.Bootstrapping()
@@ -171,8 +169,8 @@ func (p *policy) checkSiteDeltas(s *site) error {
 		if d[0] < 0 || d[1] < 0 {
 			return fmt.Errorf("negative drift %v for phi %g", d, p.cfg.Phis[qi])
 		}
-		if tracking && absDrift(p.cfg.Phis[qi], d) >= float64(p.thrLR) {
-			return fmt.Errorf("drift %v for phi %g is past its report threshold %d", d, p.cfg.Phis[qi], p.thrLR)
+		if tracking && absDrift(p.cfg.Phis[qi], d) >= float64(p.thrIv) {
+			return fmt.Errorf("drift %v for phi %g is past its report threshold %d", d, p.cfg.Phis[qi], p.thrIv)
 		}
 	}
 	return nil

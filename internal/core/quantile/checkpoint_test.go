@@ -19,7 +19,7 @@ import (
 // after the bootstrap moved to 32k/ε = 1,280 items, while a site still
 // reported each side of M on its own. checkpoint-drift-2000.bin holds the
 // same prefix under the signed drift rule: its sites carry unreported
-// arrivals past thrLR on one side whose signed drift is still below it. It
+// arrivals past thrIv on one side whose signed drift is still below it. It
 // was written while a round build sampled each site every ε·n_j/32 items;
 // checkpoint-step16-2000.bin holds the same prefix with the step at
 // ε·n_j/16, so its separators are cut from half as many samples. It was

@@ -1,27 +1,17 @@
 package quantile
 
-import "slices"
+import (
+	"slices"
+
+	"disttrack/internal/wire"
+)
 
 // Round-build and split messages as values. A round build's and a split's
 // separators and counts travel as the words these functions write; the meter
-// records their length and the receiving half reads only what they decode
-// to.
-
-// up meters site j's reply of the given kind, words long.
-func (p *policy) up(j int, kind string, words []uint64) {
-	p.eng.Meter().Up(j, kind, len(words))
-	if p.tap != nil {
-		p.tap(kind, j, words)
-	}
-}
-
-// down meters a coordinator message of the given kind to site j.
-func (p *policy) down(j int, kind string, words []uint64) {
-	p.eng.Meter().Down(j, kind, len(words))
-	if p.tap != nil {
-		p.tap(kind, j, words)
-	}
-}
+// records their length (wire.Meter's UpMsg and DownMsg) and the receiving
+// half reads only what they decode to. A merge's "seps" bitmap is
+// wire.AppendBits' and its "round-counts" reply sitestore.EncodeRanks'
+// (docs/architecture.md, "What the rank kinds share").
 
 // encodeSeps appends the "seps" message of a cut made from scratch, which a
 // site without separators receives: the separators, one word each.
@@ -30,48 +20,17 @@ func encodeSeps(dst, seps []uint64) []uint64 { return append(dst, seps...) }
 // decodeSeps returns the separators of a "seps" message from encodeSeps.
 func decodeSeps(words []uint64) []uint64 { return append([]uint64(nil), words...) }
 
-// encodeKeep appends the "seps" message of a merge, which a site holding the
-// old separators receives: bit i of word i/64 is set when old separator i is
-// kept, ⌈L/64⌉ words for L old separators.
-func encodeKeep(dst []uint64, keep []bool) []uint64 {
-	n := len(dst)
-	dst = append(dst, make([]uint64, (len(keep)+63)/64)...)
-	for i, k := range keep {
-		if k {
-			dst[n+i/64] |= 1 << (i % 64)
-		}
-	}
-	return dst
-}
-
 // decodeKeep returns the separators of old that a merge's "seps" message
-// keeps, in order.
+// keeps, in order. The message is a bitmap over old (wire.AppendBits), bit i
+// set when old[i] is kept: ⌈L/64⌉ words for L old separators.
 func decodeKeep(old, words []uint64) []uint64 {
 	var seps []uint64
 	for i, v := range old {
-		if words[i/64]&(1<<(i%64)) != 0 {
+		if wire.Bit(words, i) {
 			seps = append(seps, v)
 		}
 	}
 	return seps
-}
-
-// encodeCounts appends a site's "round-counts" reply: its exact count in
-// each interval of the ending round, L + 1 words for L separators.
-func encodeCounts(dst []uint64, counts []int64) []uint64 {
-	for _, c := range counts {
-		dst = append(dst, uint64(c))
-	}
-	return dst
-}
-
-// decodeCounts returns the interval counts of a "round-counts" reply.
-func decodeCounts(words []uint64) []int64 {
-	counts := make([]int64, len(words))
-	for i, w := range words {
-		counts[i] = int64(w)
-	}
-	return counts
 }
 
 // encodeSplitReq appends the "split-req" message that opens the split of

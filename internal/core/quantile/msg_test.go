@@ -7,6 +7,7 @@ import (
 	"disttrack/internal/core"
 	"disttrack/internal/core/engine/enginetest"
 	"disttrack/internal/oracle"
+	"disttrack/internal/stream"
 )
 
 // TestRoundMessages replays every round-build and split message a site
@@ -19,10 +20,11 @@ import (
 // coordinator's. Each split's half counts are rebuilt from the "split-resp"
 // and "split-counts" words alone, Σ_j a_j and Σ_j (n_j − a_j), and equal
 // what the coordinator installs. The metered words of every round-build and
-// split kind equal the summed lengths of the encodings sent. The concurrent
-// leg's replay begins once it has been fed, so the gates on merges and
-// checked halves count the other legs alone, and a run of that leg alone
-// (-run 'TestRoundMessages/Concurrent') has nothing to gate.
+// split kind, "round-req" included, equal the summed lengths of the
+// encodings the meter's tap saw, and a "round-req" reaches the tap. The
+// concurrent leg's replay begins once it has been fed, so the gates on
+// merges and checked halves count the other legs alone, and a run of that
+// leg alone (-run 'TestRoundMessages/Concurrent') has nothing to gate.
 func TestRoundMessages(t *testing.T) {
 	type replay struct {
 		views [][]uint64       // each site's separators, from messages alone
@@ -42,12 +44,12 @@ func TestRoundMessages(t *testing.T) {
 		done   bool
 		ivMsgs int64
 	}
-	kinds := []string{"seps", "round-counts", "split-req", "split-resp", "split-apply", "split-counts"}
+	kinds := []string{"round-req", "seps", "round-counts", "split-req", "split-resp", "split-apply", "split-counts"}
 	var cur *replay
 	var curTr *Tracker
 	// Counted only on the legs replayed from their first message: the
 	// concurrent leg's replay begins once it has been fed.
-	widest, merges, splits, halves, replayed := 0, 0, 0, 0, 0
+	widest, merges, splits, halves, replayed, roundReqs := 0, 0, 0, 0, 0, 0
 	// checkHalves compares a finished split's rebuilt half counts with the
 	// coordinator's. It runs at the next message or call at rest, before
 	// which only an "iv" report changes an interval count: a split followed
@@ -100,12 +102,14 @@ func TestRoundMessages(t *testing.T) {
 			for _, kind := range kinds {
 				r.base[kind] = tr.Meter().Kind(kind).Words
 			}
-			p.tap = func(kind string, j int, words []uint64) {
+			tr.Meter().SetTap(func(kind string, j int, words []uint64) {
 				checkHalves(tb, tr)
 				for len(r.views) <= j {
 					r.views = append(r.views, nil) // a site that joined
 				}
 				switch kind {
+				case "round-req":
+					roundReqs++
 				case "seps":
 					if r.views[j] == nil {
 						r.views[j] = decodeSeps(words)
@@ -139,7 +143,7 @@ func TestRoundMessages(t *testing.T) {
 					}
 				}
 				r.sent[kind] += int64(max(1, len(words))) // a message carries at least its type
-			}
+			})
 			cur = r
 			if label == "concurrent" {
 				return // fed before the replay could begin
@@ -170,6 +174,9 @@ func TestRoundMessages(t *testing.T) {
 	if replayed == 0 {
 		return // only the concurrent leg ran: nothing was replayed
 	}
+	if roundReqs == 0 {
+		t.Fatalf("no \"round-req\" reached the meter's tap")
+	}
 	if merges == 0 || widest < 2 {
 		t.Fatalf("%d merge broadcasts, the widest %d words: the bitmap was never tested past one word", merges, widest)
 	}
@@ -196,6 +203,35 @@ func TestMergeIntervals(t *testing.T) {
 		keep, merged := mergeIntervals(tc.counts, tc.limit)
 		if !slices.Equal(keep, tc.keep) || !slices.Equal(merged, tc.merged) {
 			t.Errorf("mergeIntervals(%v, %d) = %v, %v; want %v, %v", tc.counts, tc.limit, keep, merged, tc.keep, tc.merged)
+		}
+	}
+}
+
+// TestRoundCountsFromRanks is allq's TestRankPerBoundaryCounts for the
+// quantile round: the interval counts roundCounts decodes from the sites'
+// rank replies equal the per-interval CountRange values
+// (IntervalTrueCounts), with exact sites and with sketch sites, whose rank
+// differences are clamped at zero as CountRange clamps them.
+func TestRoundCountsFromRanks(t *testing.T) {
+	for _, sketch := range []bool{false, true} {
+		tr, err := New(Config{K: 4, Eps: 0.05, Phis: []float64{0.5}, Sketch: sketch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := stream.Perturb(stream.Uniform(1<<20, 30000, 73))
+		for i := 0; ; i++ {
+			x, ok := g.Next()
+			if !ok {
+				break
+			}
+			tr.Feed(i%4, x)
+		}
+		got, want := tr.p.roundCounts(tr.K()), tr.IntervalTrueCounts()
+		if !slices.Equal(got, want) {
+			t.Fatalf("sketch %t: counts from rank replies %v, from range counts %v", sketch, got, want)
+		}
+		if len(want) < 32 {
+			t.Fatalf("sketch %t: %d intervals check nothing", sketch, len(want))
 		}
 	}
 }

@@ -80,6 +80,10 @@
 // O(1/ε·log εn)), answering the same queries with an extra, budgeted,
 // ε/32-relative error — the paper's "implementing with small space" remark.
 //
+// The bootstrap list, the round's rank reply, the bitmap codec and the
+// message tap are shared with package allq: see "What the rank kinds share"
+// in docs/architecture.md.
+//
 // # Concurrency
 //
 // The ingest surface (Feed, FeedLocalBatch, Quiesce, Version) is owned by
@@ -92,7 +96,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"disttrack/internal/core/engine"
 	"disttrack/internal/sitestore"
@@ -146,27 +149,19 @@ type policy struct {
 
 	sites []*site
 
-	// Bootstrap: until |A| reaches bootTarget every arrival is forwarded into
-	// boot, in arrival order until a read sorts it (see bootKeys).
-	boot       []uint64
-	bootSorted bool
+	boot sitestore.BootList // every arrival, until |A| reaches bootTarget
 
 	// Round state (§3.1). m is |A| at round start and fixes all thresholds.
 	m         int64
 	seps      []uint64 // sorted separator items; intervals are the gaps
 	ivCount   []int64  // per-interval coordinator underestimates
 	totEst    int64    // coordinator underestimate of |A|, within k·thrTot
-	thrIv     int64    // site batch size for interval reports: εm/8k
+	thrIv     int64    // site batch size for interval and drift reports: εm/8k
 	thrTot    int64    // site batch size for total reports: m/8k
-	thrLR     int64    // site batch size for drift reports: εm/8k
 	splitAt   int64    // coordinator split trigger: 3εm/8
 	driftTrig float64  // relocation trigger: εm/2
 
 	qs []quantState // one entry per tracked quantile
-
-	// tap, when set, sees every message that up and down meter, as sent.
-	// Tests set it to replay the round-build messages; nil otherwise.
-	tap func(kind string, site int, words []uint64)
 
 	// Statistics for experiments.
 	rounds      int
@@ -183,9 +178,9 @@ type site struct {
 	drift    [][2]int64 // per-quantile unreported arrivals [left, right] of M
 
 	// quiet counts down the arrivals that cannot bring any drift pair to
-	// thrLR (see driftDue); ApplyRun checks the pairs only once it is spent.
+	// thrIv (see driftDue); ApplyRun checks the pairs only once it is spent.
 	// Resets only lower a pair's drift, so it stays valid until newRound
-	// changes thrLR.
+	// changes thrIv.
 	quiet int64
 }
 
@@ -200,10 +195,10 @@ func absDrift(phi float64, d [2]int64) float64 {
 // driftDue reports whether any of site s's drift pairs is due for a report.
 // If none is, it sets s.quiet to the arrivals that provably cannot make one
 // due: one arrival moves φ's signed drift by at most max(φ, 1−φ), so a pair
-// at drift v needs (thrLR − v)/max(φ, 1−φ) more. One arrival of margin
+// at drift v needs (thrIv − v)/max(φ, 1−φ) more. One arrival of margin
 // absorbs the rounding of the products.
 func (p *policy) driftDue(s *site) bool {
-	thr := float64(p.thrLR)
+	thr := float64(p.thrIv)
 	quiet := int64(math.MaxInt64)
 	for qi := range p.qs {
 		q := &p.qs[qi]
@@ -335,7 +330,7 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 	for qi := range p.qs {
 		q := &p.qs[qi]
 		d := s.drift[qi]
-		if absDrift(q.phi, d) < float64(p.thrLR) {
+		if absDrift(q.phi, d) < float64(p.thrIv) {
 			continue
 		}
 		meter.Up(siteID, "drift", 2)
@@ -349,20 +344,8 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 // OnBootEscalate forwards one bootstrap arrival into the coordinator's
 // exact list; the bootstrap ends once |A| reaches bootTarget.
 func (p *policy) OnBootEscalate(_ int, x uint64) (done bool) {
-	p.boot = append(p.boot, x)
-	p.bootSorted = false
+	p.boot.Add(x)
 	return p.eng.TrueTotal() >= p.bootTarget()
-}
-
-// bootKeys returns the forwarded bootstrap arrivals in ascending order,
-// sorting them in place on the first read after an arrival. Like every
-// query it runs under the quiescent lock set.
-func (p *policy) bootKeys() []uint64 {
-	if !p.bootSorted {
-		slices.Sort(p.boot)
-		p.bootSorted = true
-	}
-	return p.boot
 }
 
 // OnReconfigure implements engine.Policy: resize the per-site
@@ -436,23 +419,7 @@ func (t *Tracker) Quantile() uint64 { return t.QuantileAt(0) }
 func (t *Tracker) QuantileAt(i int) uint64 {
 	p := t.p
 	if t.Bootstrapping() {
-		// Index against what was actually forwarded: TrueTotal counts
-		// arrivals on the fast path, but a concurrent arrival reaches the
-		// bootstrap list only in its escalation — a quiescent query may run
-		// in between.
-		keys := p.bootKeys()
-		n := int64(len(keys))
-		if n == 0 {
-			if t.TrueTotal() == 0 {
-				panic("quantile: Quantile before any arrival")
-			}
-			return 0 // every arrival so far is still in flight to its escalation
-		}
-		idx := int64(p.cfg.Phis[i] * float64(n))
-		if idx >= n {
-			idx = n - 1
-		}
-		return keys[idx]
+		return p.boot.Select(p.cfg.Phis[i], t.TrueTotal())
 	}
 	return p.qs[i].m0
 }

@@ -5,6 +5,9 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"disttrack/internal/sitestore"
+	"disttrack/internal/wire"
 )
 
 // wsep is a site-provided separator with the rank weight it represents.
@@ -19,10 +22,11 @@ type wsep struct {
 // global ranks within Σ_j step_j. counts holds each site's n_j, the count of
 // the interval it sent, and total their sum.
 func (p *policy) sepSamples(iv int) (merged []wsep, counts []int64, total int64) {
+	meter := p.eng.Meter()
 	req := encodeSplitReq(nil, iv)
 	counts = make([]int64, len(p.sites))
 	for j, s := range p.sites {
-		p.down(j, "split-req", req)
+		meter.DownMsg(j, "split-req", req)
 		lo, hi := p.ivBounds(decodeSplitReq(req))
 		nLocal := s.st.CountRange(lo, hi)
 		step := int64(math.Ceil(float64(nLocal) / 9))
@@ -34,7 +38,7 @@ func (p *policy) sepSamples(iv int) (merged []wsep, counts []int64, total int64)
 			ss = s.st.Separators(lo, hi, step)
 		}
 		resp := encodeSplitResp(nil, ss, nLocal)
-		p.up(j, "split-resp", resp)
+		meter.UpMsg(j, "split-resp", resp)
 		ss, counts[j] = decodeSplitResp(resp)
 		total += counts[j]
 		for _, v := range ss {
@@ -79,10 +83,9 @@ func (p *policy) setRound(m int64) {
 	p.m = m
 	p.rounds++
 	em := p.cfg.Eps * float64(m)
-	p.thrIv = maxi64(1, int64(em/(p.batchDivisor()*float64(p.cfg.K))))
-	p.thrTot = maxi64(1, int64(float64(m)/(p.batchDivisor()*float64(p.cfg.K))))
-	p.thrLR = p.thrIv
-	p.splitAt = maxi64(1, int64(3*em/8))
+	p.thrIv = max(1, int64(em/(p.batchDivisor()*float64(p.cfg.K))))
+	p.thrTot = max(1, int64(float64(m)/(p.batchDivisor()*float64(p.cfg.K))))
+	p.splitAt = max(1, int64(3*em/8))
 	p.driftTrig = em / 2
 }
 
@@ -90,7 +93,7 @@ func (p *policy) setRound(m int64) {
 // interval by cutting or merging: half the split trigger, so a fresh
 // interval has 3εm/16 arrivals of room before it splits.
 func (p *policy) roundCap() int64 {
-	return maxi64(1, int64(3*p.cfg.Eps*float64(p.m)/16))
+	return max(1, int64(3*p.cfg.Eps*float64(p.m)/16))
 }
 
 // OnBootDone builds the first round from the bootstrap list, which holds
@@ -102,7 +105,7 @@ func (p *policy) roundCap() int64 {
 // its site's store but not in the list; the next round's exact counts take
 // it in, one item per site at most against εm ≥ 32k of slack.
 func (p *policy) OnBootDone() {
-	keys := p.bootKeys()
+	keys := p.boot.Keys()
 	p.setRound(int64(len(keys)))
 	c := int(p.roundCap())
 	var seps []uint64
@@ -119,61 +122,50 @@ func (p *policy) OnBootDone() {
 	}
 	words := encodeSeps(nil, seps)
 	for j := range p.sites {
-		p.down(j, "seps", words)
+		p.eng.Meter().DownMsg(j, "seps", words)
 	}
 	p.seps = seps
-	p.ivCount = make([]int64, len(p.seps)+1)
-	prev := 0
-	for i, sep := range p.seps {
-		r, _ := slices.BinarySearch(keys, sep)
-		p.ivCount[i] = int64(r - prev)
-		prev = r
+	ranks := make([]int64, len(seps)+1)
+	for i, sep := range seps {
+		ranks[i] = p.boot.RankOf(sep)
 	}
-	p.ivCount[len(p.seps)] = int64(len(keys) - prev)
+	ranks[len(seps)] = int64(len(keys))
+	p.ivCount = make([]int64, len(ranks))
+	sitestore.AddCounts(p.ivCount, ranks)
 	p.resetSites()
 	p.startRound()
-	p.boot, p.bootSorted = nil, true
+	p.boot.Drop()
 }
 
 // newRound rebuilds the round when |A| has doubled, from the intervals the
-// coordinator already has. Sites [0, old) reply with their exact count in
-// each current interval ("round-counts", L + 1 words for L separators);
-// sites from old on joined in a Reconfigure and hold nothing. The
-// coordinator merges adjacent intervals while a merged count stays within
+// coordinator already has: m′ is the sum of their exact counts (roundCounts).
+// The coordinator merges adjacent intervals while a merged count stays within
 // roundCap (mergeIntervals) and broadcasts which separators it kept as a
 // bitmap ("seps", ⌈L/64⌉ words; a joining site gets the kept separators
 // themselves). Merging adds exact counts, so the new intervals' counts and
-// each M's rank are exact with no further message (with sketch sites,
-// within GK's error, as every count they send is). Every interval of the
-// ending round holds under εm/2 ≤ εm′/4 when |A| has doubled to m′, below
-// the new splitAt; after a Reconfigure m′ may be under 2m, so an interval
-// at or over splitAt is split at once (docs/architecture.md, "Quantile
-// rounds merge, not resample").
+// each M's rank are exact with no further message (with sketch sites, within
+// GK's error, as every count they send is). Every interval of the ending
+// round holds under εm/2 ≤ εm′/4 when |A| has doubled to m′, below the new
+// splitAt; after a Reconfigure m′ may be under 2m, so an interval at or over
+// splitAt is split at once (docs/architecture.md, "Quantile rounds merge, not
+// resample").
 func (p *policy) newRound(old int) {
 	p.eng.All()
 	meter := p.eng.Meter()
-	counts := make([]int64, len(p.seps)+1)
-	for j, s := range p.sites[:old] {
-		meter.Down(j, "round-req", 1)
-		words := encodeCounts(nil, p.localIntervalCounts(s))
-		p.up(j, "round-counts", words)
-		for i, c := range decodeCounts(words) {
-			counts[i] += c
-		}
-	}
+	counts := p.roundCounts(old)
 	var m int64
 	for _, c := range counts {
 		m += c
 	}
 	p.setRound(m)
 	keep, merged := mergeIntervals(counts, p.roundCap())
-	words := encodeKeep(nil, keep)
+	words := wire.AppendBits(nil, len(keep), func(i int) bool { return keep[i] })
 	seps := decodeKeep(p.seps, words)
 	for j := range p.sites {
 		if j < old {
-			p.down(j, "seps", words)
+			meter.DownMsg(j, "seps", words)
 		} else {
-			p.down(j, "seps", encodeSeps(nil, seps))
+			meter.DownMsg(j, "seps", encodeSeps(nil, seps))
 		}
 	}
 	p.seps, p.ivCount = seps, merged
@@ -185,6 +177,24 @@ func (p *policy) newRound(old int) {
 		iv++
 	}
 	p.startRound()
+}
+
+// roundCounts asks sites [0, old) for their rank at each separator and at
+// the universe's end ("round-req", then "round-counts", sitestore's rank
+// reply, L + 1 words for L separators) and returns every interval's exact
+// count, the sum of the clamped rank differences. Sites from old on joined
+// in a Reconfigure and hold nothing.
+func (p *policy) roundCounts(old int) []int64 {
+	meter := p.eng.Meter()
+	bounds := append(slices.Clone(p.seps), math.MaxUint64)
+	counts := make([]int64, len(bounds))
+	for j, s := range p.sites[:old] {
+		meter.DownMsg(j, "round-req", nil)
+		words := sitestore.EncodeRanks(nil, s.st, bounds)
+		meter.UpMsg(j, "round-counts", words)
+		sitestore.AddCounts(counts, sitestore.DecodeRanks(words))
+	}
+	return counts
 }
 
 // mergeIntervals merges adjacent intervals, whose exact counts are counts,
@@ -256,17 +266,6 @@ func (p *policy) nearestSep(target float64) (v uint64, rank int64) {
 	return v, rank
 }
 
-func (p *policy) localIntervalCounts(s *site) []int64 {
-	counts := make([]int64, len(p.seps)+1)
-	prev := uint64(0)
-	for i, sep := range p.seps {
-		counts[i] = s.st.CountRange(prev, sep)
-		prev = sep
-	}
-	counts[len(p.seps)] = s.st.CountRange(prev, math.MaxUint64)
-	return counts
-}
-
 // split divides interval iv (whose coordinator count reached 3εm/8) into
 // two, via the paper's localized rebuild: collect local separators of the
 // interval and each site's count n_j in it, choose a weighted median y,
@@ -304,13 +303,14 @@ func (p *policy) split(iv int) bool {
 	// site deltas for both halves restart at zero). A site clamps a_j to the
 	// n_j it sent: a sketch's rank estimate need not be monotone.
 	var c1, c2 int64
+	meter := p.eng.Meter()
 	apply := encodeSplit(nil, y)
 	for j, s := range p.sites {
-		p.down(j, "split-apply", apply)
+		meter.DownMsg(j, "split-apply", apply)
 		siv, sy := decodeSplit(p.seps, apply) // site j's reading of the message
 		slo, _ := p.ivBounds(siv)
 		words := encodeSplitCounts(nil, min(s.st.CountRange(slo, sy), counts[j]))
-		p.up(j, "split-counts", words)
+		meter.UpMsg(j, "split-counts", words)
 		a := decodeSplitCounts(words)
 		c1 += a
 		c2 += counts[j] - a
@@ -419,11 +419,4 @@ func (p *policy) collectRange(lo, hi uint64) int64 {
 		meter.Up(j, "probe-resp", 1)
 	}
 	return c
-}
-
-func maxi64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -15,11 +15,11 @@ var sweepPhis = []float64{0.01, 0.5, 0.99}
 
 // TestContractSweep holds the §3.1 contract across ε, k, stream shape and
 // delivery path. After every call every site's unreported signed drift
-// |(1−φ)·L_j − φ·R_j| is below thrLR, the invariant the ε bound rests on. At
+// |(1−φ)·L_j − φ·R_j| is below thrIv, the invariant the ε bound rests on. At
 // every doubling of |A| (and at the end) every tracked M is within ε|A| of
 // its rank. In every round the drift reports number at most
-// Σ_φ ⌈max(φ, 1−φ)·(arrivals in the round)/thrLR⌉ + k: a report needs
-// thrLR/max(φ, 1−φ) arrivals at its site, so the signed rule never costs
+// Σ_φ ⌈max(φ, 1−φ)·(arrivals in the round)/thrIv⌉ + k: a report needs
+// thrIv/max(φ, 1−φ) arrivals at its site, so the signed rule never costs
 // more reports than the paper's per-side batches, and on sorted and
 // reverse-sorted streams, where every arrival lands on one side of M, the
 // bound is close to tight. Each stream is at least 2^14 items and 2.25
@@ -129,12 +129,12 @@ func sweepOne(t *testing.T, cfg Config, items []uint64, batched bool) *Tracker {
 					bound += int64(math.Ceil(max(phi, 1-phi) * float64(arrivals) / float64(thr)))
 				}
 				if reports > bound {
-					t.Fatalf("|A|=%d: round %d made %d drift reports over %d arrivals at thrLR %d, bound %d",
+					t.Fatalf("|A|=%d: round %d made %d drift reports over %d arrivals at thrIv %d, bound %d",
 						o.Len(), round, reports, arrivals, thr, bound)
 				}
 				startTotal, startReports = tr.TrueTotal(), tr.Meter().Kind("drift").Msgs
 			}
-			round, thr = tr.Rounds(), tr.p.thrLR
+			round, thr = tr.Rounds(), tr.p.thrIv
 		}
 		if round > 0 {
 			checkDriftBelowThreshold(t, tr)
@@ -156,18 +156,18 @@ func sweepOne(t *testing.T, cfg Config, items []uint64, batched bool) *Tracker {
 
 // checkDriftBelowThreshold fails unless every site's unreported arrivals
 // left and right of each M are non-negative and hold a signed drift
-// |(1−φ)·L_j − φ·R_j| below thrLR, computed here in the textbook form (a
+// |(1−φ)·L_j − φ·R_j| below thrIv, computed here in the textbook form (a
 // relative slack of 1e-12 absorbs the rounding of either form).
 func checkDriftBelowThreshold(t *testing.T, tr *Tracker) {
 	t.Helper()
-	thr := float64(tr.p.thrLR)
+	thr := float64(tr.p.thrIv)
 	for j, s := range tr.p.sites {
 		for qi, d := range s.drift {
 			phi := tr.p.cfg.Phis[qi]
 			signed := (1-phi)*float64(d[0]) - phi*float64(d[1])
 			if d[0] < 0 || d[1] < 0 || math.Abs(signed) >= thr*(1+1e-12) {
-				t.Fatalf("|A|=%d: site %d holds unreported drift L=%d R=%d for phi %g, signed %.3f, thrLR %d",
-					tr.TrueTotal(), j, d[0], d[1], phi, signed, tr.p.thrLR)
+				t.Fatalf("|A|=%d: site %d holds unreported drift L=%d R=%d for phi %g, signed %.3f, thrIv %d",
+					tr.TrueTotal(), j, d[0], d[1], phi, signed, tr.p.thrIv)
 			}
 		}
 	}

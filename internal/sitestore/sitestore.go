@@ -4,6 +4,10 @@
 // summary — the paper's "implementing with small space" variant). All
 // protocol queries — ranks, range counts, separator samples — go through the
 // Store interface, so the tracking logic is identical in both modes.
+//
+// It also holds what the rank protocols share beside their stores, the
+// bootstrap list and the rank reply: see "What the rank kinds share" in
+// docs/architecture.md.
 package sitestore
 
 import (

@@ -6,6 +6,10 @@
 // both directions (site→coordinator is "up", coordinator→site is "down"),
 // with an optional per-kind breakdown so experiments can attribute cost to
 // protocol phases (deltas, collects, broadcasts, rebuilds, ...).
+//
+// A message written out as words goes through UpMsg or DownMsg, which show
+// it to the one tap tests replay protocols through (docs/architecture.md,
+// "What the rank kinds share").
 package wire
 
 import (
@@ -32,6 +36,7 @@ type Meter struct {
 	byKind   map[string]Cost
 	bySite   []Cost // grown on demand, indexed by site
 	byTenant map[string]Cost
+	tap      func(kind string, site int, words []uint64)
 }
 
 // Up records one site→coordinator message of the given kind and size.
@@ -39,6 +44,25 @@ func (m *Meter) Up(site int, kind string, words int) { m.record(true, site, kind
 
 // Down records one coordinator→site message of the given kind and size.
 func (m *Meter) Down(site int, kind string, words int) { m.record(false, site, kind, words) }
+
+// UpMsg records site's message of the given kind whose payload is words: it
+// meters len(words) and shows the message to the tap.
+func (m *Meter) UpMsg(site int, kind string, words []uint64) { m.msg(true, site, kind, words) }
+
+// DownMsg records a coordinator message to site as UpMsg does.
+func (m *Meter) DownMsg(site int, kind string, words []uint64) { m.msg(false, site, kind, words) }
+
+func (m *Meter) msg(up bool, site int, kind string, words []uint64) {
+	m.record(up, site, kind, len(words))
+	if m.tap != nil {
+		m.tap(kind, site, words)
+	}
+}
+
+// SetTap installs tap to see every message UpMsg and DownMsg record, as sent
+// (nil removes it). Tests set it to replay a protocol's messages; it is not
+// part of the meter's state, so Reset and SetState keep it.
+func (m *Meter) SetTap(tap func(kind string, site int, words []uint64)) { m.tap = tap }
 
 // UpTenant records one site→coordinator message attributed to a tenant, for
 // multi-tenant transports where one link carries many tenants' deltas.

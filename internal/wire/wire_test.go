@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -128,5 +130,46 @@ func TestMeterString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("String() = %q missing %q", s, want)
 		}
+	}
+}
+
+// TestAppendBits round-trips bitmaps across word boundaries, appended after
+// other words, and reads bits past the end as clear.
+func TestAppendBits(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 200} {
+		set := func(i int) bool { return i%3 == 0 || i == n-1 }
+		words := AppendBits([]uint64{7}, n, set)
+		if want := 1 + (n+63)/64; len(words) != want {
+			t.Fatalf("n %d: %d words, want %d", n, len(words), want)
+		}
+		for i := range n + 70 {
+			if got := Bit(words[1:], i); got != (i < n && set(i)) {
+				t.Fatalf("n %d: bit %d reads %t", n, i, got)
+			}
+		}
+	}
+}
+
+// TestMeterMsgTap: UpMsg and DownMsg meter a payload's length, at least one
+// word, and show every message to the tap, which Reset keeps.
+func TestMeterMsgTap(t *testing.T) {
+	var m Meter
+	var seen []string
+	m.SetTap(func(kind string, site int, words []uint64) {
+		seen = append(seen, fmt.Sprintf("%s/%d/%d", kind, site, len(words)))
+	})
+	m.UpMsg(1, "reply", []uint64{1, 2, 3})
+	m.DownMsg(0, "req", nil)
+	if got := m.Total(); got.Msgs != 2 || got.Words != 4 {
+		t.Fatalf("Total = %+v, want {2 4}", got)
+	}
+	if m.Kind("reply").Words != 3 || m.Kind("req").Words != 1 || m.Site(1).Words != 3 {
+		t.Fatalf("per-kind or per-site words wrong: %s", m.String())
+	}
+	m.Reset()
+	m.Up(0, "plain", 2) // not a payload message: the tap does not see it
+	m.DownMsg(2, "again", []uint64{9})
+	if want := []string{"reply/1/3", "req/0/0", "again/2/1"}; !slices.Equal(seen, want) {
+		t.Fatalf("tap saw %v, want %v", seen, want)
 	}
 }
