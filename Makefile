@@ -55,10 +55,13 @@ test-shuffle:
 # kinds' ε-contract laws after them (every tracked quantile within ε·n of
 # its rank; every φ-heavy hitter reported and nothing under (φ−ε)·n, on a φ
 # grid from ε to 0.3; allq's ranks within ε·n at every leaf edge), in exact
-# and sketch mode, and allq's round-merge law on concurrent feeders (every
+# and sketch mode, on streams with and without 0 and math.MaxUint64 (the
+# universe's ends), and allq's round-merge law on concurrent feeders (every
 # round build, the handoff's cut included, gives exact counts, splits only
 # at old leaf boundaries and asks no site for samples; its tap runs inside
-# the cascade's hold); the sixth repeats the site
+# the cascade's hold), and quantile's round-message law on concurrent feeders
+# (no interval's coordinator count is left at or over the split trigger, the
+# re-split guard); the sixth repeats the site
 # node's producers-against-the-ticker
 # test, which catches a buffer shipped after the node's lock is released
 # (reordered or lost values; under -race about a third of runs fail);
@@ -79,7 +82,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
 	$(GO) test -race -count=10 -run TestBootstrapReadsChangeNoState ./internal/core/quantile ./internal/core/allq
 	$(GO) test -race -count=20 -run 'TestEngineConformanceMockPolicy/(ConcurrentStress|ConcurrentBatchStress)|TestSlowPathBudgets|TestBootstrapBatchDrain|TestSlowPathHoldSampled|TestReportHoldsOnlyItsSite|TestCascadesCounted' ./internal/core/engine
-	$(GO) test -race -count=10 -run 'TestEngineConformance/.*/(ConcurrentStress|ConcurrentBatchStress)|TestDeltaLaw/.*/Concurrent|TestEpsLaw/.*/Concurrent|TestRoundMergeLaw/.*/Concurrent' ./internal/core/quantile ./internal/core/allq ./internal/core/hh
+	$(GO) test -race -count=10 -run 'TestEngineConformance/.*/(ConcurrentStress|ConcurrentBatchStress)|TestDeltaLaw/.*/Concurrent|TestEpsLaw/.*/Concurrent|TestRoundMergeLaw/.*/Concurrent|TestRoundMessages/Concurrent' ./internal/core/quantile ./internal/core/allq ./internal/core/hh
 	$(GO) test -race -count=40 -run TestSiteNodeConcurrentProducers ./internal/service
 	$(GO) test -race -count=40 -run TestStopUnderLoad ./internal/runtime
 	$(GO) test -race -count=20 -run 'TestClientRedialPartitionAndHeal|TestCloseDuringBackoff|TestServerBreakerRefusesFlappingNode' ./internal/remote

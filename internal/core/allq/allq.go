@@ -292,6 +292,7 @@ func (p *policy) OnBootDone() {
 	for i, b := range bounds {
 		r[i] = p.boot.RankOf(b)
 	}
+	r[len(r)-1] = int64(len(keys)) // the last leaf ends at math.MaxUint64, inclusive
 	addCounts(root, r)
 	p.root = root
 	p.rounds++

@@ -3,10 +3,12 @@ package allq
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 
 	"disttrack/internal/ckpt"
+	"disttrack/internal/oracle"
 )
 
 // deltaTracker is a goldenCfg tracker fed far enough past its bootstrap
@@ -118,8 +120,72 @@ func TestRestoreRefusesImpossibleDeltas(t *testing.T) {
 	}
 }
 
+// endsValues returns the n values endsCheckpoint feeds: distinct, with 0
+// first and math.MaxUint64 at every 100th position from the 50th.
+func endsValues(n int) []uint64 {
+	xs := make([]uint64, n)
+	for i := range xs {
+		xs[i] = uint64(i) << 24
+		if i%100 == 50 {
+			xs[i] = math.MaxUint64
+		}
+	}
+	return xs
+}
+
+// endsCheckpoint returns the checkpoint of a goldenCfg tracker fed
+// endsValues(6000) round robin: past its bootstrap, with both ends of the
+// universe in its site stores and in its last leaf, which closes at
+// math.MaxUint64.
+func endsCheckpoint(tb testing.TB) []byte {
+	tr, err := New(goldenCfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, x := range endsValues(6000) {
+		tr.Feed(i%goldenCfg.K, x)
+	}
+	var buf bytes.Buffer
+	if err := tr.Checkpoint(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRestoreUniverseEnds restores endsCheckpoint: it re-encodes bit for
+// bit, and every arrival, math.MaxUint64 included, lies in a leaf, each
+// node's count plus the sites' unreported deltas being its exact count
+// (checkDeltaLaw).
+func TestRestoreUniverseEnds(t *testing.T) {
+	data := endsCheckpoint(t)
+	tr, err := New(goldenCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Restore(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), data) {
+		t.Fatal("re-encoding the restored tracker does not reproduce the checkpoint")
+	}
+	if tr.Bootstrapping() {
+		t.Fatal("restored into the bootstrap: nothing of the tree is checked")
+	}
+	xs := endsValues(6000)
+	truth := oracle.NewCounter(xs)
+	for _, x := range xs {
+		truth.Add(x)
+	}
+	checkDeltaLaw(t, "restored", tr, truth)
+}
+
 // FuzzRestore is the allq counterpart of hh's FuzzRestore, seeded with the
-// golden checkpoint and one checkpoint per refusal in refusedCheckpoints:
+// golden checkpoint, one checkpoint per refusal in refusedCheckpoints and
+// endsCheckpoint, which holds math.MaxUint64:
 // arbitrary bytes through the checkpoint restore path, raw and re-framed
 // with a valid checksum so the policy decoder itself sees the garbage. Must
 // error, never panic.
@@ -142,6 +208,7 @@ func FuzzRestore(f *testing.F) {
 	for _, c := range refusedCheckpoints(f) {
 		f.Add(c.data)
 	}
+	f.Add(endsCheckpoint(f))
 
 	magic := binary.LittleEndian.Uint32(valid[0:4])
 	version := binary.LittleEndian.Uint16(valid[4:6])

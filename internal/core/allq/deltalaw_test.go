@@ -35,7 +35,7 @@ func checkDeltaLaw(tb testing.TB, label string, tr *Tracker, truth *oracle.Count
 		if truth == nil {
 			continue
 		}
-		if want := truth.CountRange(u.lo, u.hi); sum != want {
+		if want := truth.CountPart(u.lo, u.hi); sum != want {
 			tb.Fatalf("%s: |A|=%d: node [%d, %d): s + Σδ = %d + %d, want |A ∩ I| = %d",
 				label, tr.TrueTotal(), u.lo, u.hi, u.s, sum-u.s, want)
 		}
@@ -50,7 +50,8 @@ func TestDeltaLaw(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
 		sketch bool
-	}{{"exact", false}, {"sketch", true}} {
+		ends   bool // 0 and math.MaxUint64 in the stream, 1% each
+	}{{"exact", false, false}, {"sketch", true, false}, {"exact-ends", false, true}, {"sketch-ends", true, true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			maxThr := int64(0)
 			cfg := enginetest.Config{
@@ -63,6 +64,7 @@ func TestDeltaLaw(t *testing.T) {
 				},
 				K:      4,
 				Stream: enginetest.DistinctUniform,
+				Ends:   mode.ends,
 			}
 			fed := enginetest.RunLaw(t, cfg, func(tb testing.TB, label string, ctr core.Tracker, truth *oracle.Counter) {
 				tr := ctr.(*Tracker)

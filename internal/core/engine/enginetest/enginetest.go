@@ -39,6 +39,7 @@ package enginetest
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -73,6 +74,10 @@ type Config struct {
 	K int
 	// Stream selects the generated streams.
 	Stream Stream
+	// Ends, if set, puts the universe's two ends into the stream: every
+	// 100th item becomes 0, and every 100th item halfway between them
+	// math.MaxUint64.
+	Ends bool
 	// PerSite is the per-site stream length for the stress tests
 	// (default 8000); the sequential tests use K*PerSite items.
 	PerSite int
@@ -134,6 +139,14 @@ func genStream(cfg Config, n int, seed int64) []uint64 {
 		x, ok := g.Next()
 		if !ok {
 			return out
+		}
+		if cfg.Ends {
+			switch len(out) % 100 {
+			case 0:
+				x = 0
+			case 50:
+				x = math.MaxUint64
+			}
 		}
 		out = append(out, x)
 	}

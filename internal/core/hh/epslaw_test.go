@@ -66,7 +66,8 @@ func TestEpsLaw(t *testing.T) {
 	for _, store := range []struct {
 		name   string
 		sketch bool
-	}{{"exact", false}, {"sketch", true}} {
+		ends   bool // 0 and math.MaxUint64 in the stream, 1% each
+	}{{"exact", false, false}, {"sketch", true, false}, {"exact-ends", false, true}, {"sketch-ends", true, true}} {
 		t.Run(store.name, func(t *testing.T) {
 			worst := 0.0
 			cfg := enginetest.Config{
@@ -79,6 +80,7 @@ func TestEpsLaw(t *testing.T) {
 				},
 				K:       8,
 				PerSite: 4000,
+				Ends:    store.ends,
 			}
 			fed := enginetest.RunLaw(t, cfg, enginetest.Sparse(func(tb testing.TB, label string, tr core.Tracker, truth *oracle.Counter) {
 				worst = max(worst, checkEpsLaw(tb, label, tr.(*Tracker), truth))

@@ -3,11 +3,13 @@ package quantile
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"slices"
 	"strings"
 	"testing"
 
 	"disttrack/internal/ckpt"
+	"disttrack/internal/oracle"
 )
 
 // fuzzCfg is FuzzRestore's tracker: k = 3, ε = 0.1, past its bootstrap
@@ -23,6 +25,65 @@ func fuzzTracker(tb testing.TB) *Tracker {
 		tr.Feed(i%3, uint64(i)) // distinct values, as the perturbed stream guarantees
 	}
 	return tr
+}
+
+// endsValues returns the n values endsCheckpoint feeds: distinct, with 0
+// first and math.MaxUint64 at every 100th position from the 50th.
+func endsValues(n int) []uint64 {
+	xs := make([]uint64, n)
+	for i := range xs {
+		xs[i] = uint64(i) << 24
+		if i%100 == 50 {
+			xs[i] = math.MaxUint64
+		}
+	}
+	return xs
+}
+
+// endsCheckpoint returns the checkpoint of a fuzzCfg tracker fed
+// endsValues(2000) round robin: past its bootstrap, with both ends of the
+// universe in its site stores and in its last interval, which closes at
+// math.MaxUint64.
+func endsCheckpoint(tb testing.TB) []byte {
+	tr, err := New(fuzzCfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, x := range endsValues(2000) {
+		tr.Feed(i%3, x)
+	}
+	var buf bytes.Buffer
+	if err := tr.Checkpoint(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRestoreUniverseEnds restores endsCheckpoint: it re-encodes bit for
+// bit, and every arrival, math.MaxUint64 included, lies in an interval whose
+// coordinator count plus the sites' unreported deltas is its exact count
+// (checkDeltaLaw).
+func TestRestoreUniverseEnds(t *testing.T) {
+	data := endsCheckpoint(t)
+	tr, err := New(fuzzCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Restore(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	if got := checkpointBytes(t, tr); !bytes.Equal(got, data) {
+		t.Fatal("re-encoding the restored tracker does not reproduce the checkpoint")
+	}
+	if tr.Bootstrapping() {
+		t.Fatal("restored into the bootstrap: nothing of the intervals is checked")
+	}
+	xs := endsValues(2000)
+	truth := oracle.NewCounter(xs)
+	for _, x := range xs {
+		truth.Add(x)
+	}
+	checkDeltaLaw(t, "restored", tr, truth)
 }
 
 // refusedCheckpoint is a well-framed checkpoint of fuzzTracker's state
@@ -153,7 +214,7 @@ func TestRestoreRefusesImpossibleDeltas(t *testing.T) {
 // bytes through the checkpoint restore path, raw and re-framed with a valid
 // checksum so the policy decoder itself sees the garbage. Must error, never
 // panic. The seeds include one checkpoint per refusal in
-// refusedCheckpoints.
+// refusedCheckpoints, and endsCheckpoint, which holds math.MaxUint64.
 func FuzzRestore(f *testing.F) {
 	var buf bytes.Buffer
 	if err := fuzzTracker(f).Checkpoint(&buf); err != nil {
@@ -170,6 +231,7 @@ func FuzzRestore(f *testing.F) {
 	for _, c := range refusedCheckpoints(f) {
 		f.Add(c.data)
 	}
+	f.Add(endsCheckpoint(f))
 
 	magic := binary.LittleEndian.Uint32(valid[0:4])
 	version := binary.LittleEndian.Uint16(valid[4:6])

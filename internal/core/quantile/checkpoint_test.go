@@ -33,7 +33,10 @@ import (
 // while a total report fired every εm/8k arrivals, as an interval report
 // does; checkpoint-tot-6000.bin holds 6,000 items, three rounds in, under
 // the total report every m/8k arrivals and 1-word "split-apply" and
-// "split-counts" messages. Never regenerate them.
+// "split-counts" messages. It was written while a split cut at the weighted
+// median of about nine separators from each site; checkpoint-med-6000.bin
+// holds the same prefix with every split cut at the n_j-weighted median of
+// the sites' lower local medians. Never regenerate them.
 var goldenCfg = Config{K: 2, Eps: 0.05, Phis: []float64{0.1, 0.5, 0.99}}
 
 // goldenBootKeys open the stream out of order and with 1<<40 twice, so the
@@ -54,10 +57,12 @@ func goldenStream() stream.Generator {
 // the bootstrap now still covers, checkpoint-round-2000.bin was written
 // while each side of M was reported on its own, checkpoint-drift-2000.bin
 // while a round build sampled at ε·n_j/32, checkpoint-step16-2000.bin
-// while an interval report cost 2 words and checkpoint-iv1-2000.bin while
-// round builds sampled every site and checkpoint-merge-3000.bin while a
-// total report fired every εm/8k arrivals, so none of them has a twin;
-// their restored trackers are checked against the exact quantiles instead.
+// while an interval report cost 2 words, checkpoint-iv1-2000.bin while
+// round builds sampled every site, checkpoint-merge-3000.bin while a total
+// report fired every εm/8k arrivals and checkpoint-tot-6000.bin while a
+// split sampled about nine separators per site, so none of them has a
+// twin; their restored trackers are checked against the exact quantiles
+// instead.
 func TestRestoreGolden(t *testing.T) {
 	for _, g := range []struct {
 		file string
@@ -72,7 +77,8 @@ func TestRestoreGolden(t *testing.T) {
 		{"checkpoint-step16-2000.bin", 2000, false, false},
 		{"checkpoint-iv1-2000.bin", 2000, false, false},
 		{"checkpoint-merge-3000.bin", 3000, false, false},
-		{"checkpoint-tot-6000.bin", 6000, false, true},
+		{"checkpoint-tot-6000.bin", 6000, false, false},
+		{"checkpoint-med-6000.bin", 6000, false, true},
 	} {
 		t.Run(g.file, func(t *testing.T) {
 			golden, err := os.ReadFile("testdata/" + g.file)

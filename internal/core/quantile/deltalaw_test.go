@@ -47,9 +47,9 @@ func checkDeltaLaw(tb testing.TB, label string, tr *Tracker, truth *oracle.Count
 		if truth == nil {
 			continue
 		}
-		if lo, hi := p.ivBounds(i); sum != truth.CountRange(lo, hi) {
+		if lo, hi := p.ivBounds(i); sum != truth.CountPart(lo, hi) {
 			tb.Fatalf("%s: |A|=%d: interval %d [%d, %d): ivCount + Σ ivDelta = %d + %d, want its exact count %d",
-				label, tr.TrueTotal(), i, lo, hi, c, sum-c, truth.CountRange(lo, hi))
+				label, tr.TrueTotal(), i, lo, hi, c, sum-c, truth.CountPart(lo, hi))
 		}
 	}
 }
@@ -105,7 +105,8 @@ func TestDeltaLaw(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
 		sketch bool
-	}{{"exact", false}, {"sketch", true}} {
+		ends   bool // 0 and math.MaxUint64 in the stream, 1% each
+	}{{"exact", false, false}, {"sketch", true, false}, {"exact-ends", false, true}, {"sketch-ends", true, true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			maxThr := int64(0)
 			lag := roundLag{checked: map[string]int{}}
@@ -119,6 +120,7 @@ func TestDeltaLaw(t *testing.T) {
 				},
 				K:      4,
 				Stream: enginetest.DistinctUniform,
+				Ends:   mode.ends,
 			}
 			fed := enginetest.RunLaw(t, cfg, func(tb testing.TB, label string, ctr core.Tracker, truth *oracle.Counter) {
 				tr := ctr.(*Tracker)

@@ -52,7 +52,8 @@ func TestEpsLaw(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
 		sketch bool
-	}{{"exact", false}, {"sketch", true}} {
+		ends   bool // 0 and math.MaxUint64 in the stream, 1% each
+	}{{"exact", false, false}, {"sketch", true, false}, {"exact-ends", false, true}, {"sketch-ends", true, true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			worst := 0.0
 			cfg := enginetest.Config{
@@ -65,6 +66,7 @@ func TestEpsLaw(t *testing.T) {
 				},
 				K:      4,
 				Stream: enginetest.DistinctUniform,
+				Ends:   mode.ends,
 			}
 			fed := enginetest.RunLaw(t, cfg, enginetest.Sparse(func(tb testing.TB, label string, tr core.Tracker, truth *oracle.Counter) {
 				worst = max(worst, checkEpsLaw(tb, label, tr.(*Tracker), truth))

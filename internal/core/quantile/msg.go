@@ -41,15 +41,16 @@ func encodeSplitReq(dst []uint64, iv int) []uint64 { return append(dst, uint64(i
 // decodeSplitReq returns the interval index of a "split-req" message.
 func decodeSplitReq(words []uint64) (iv int) { return int(words[0]) }
 
-// encodeSplitResp appends site j's "split-resp" reply: its local separators
-// of the interval, one word each, then its count n_j in the interval, 1 word.
-func encodeSplitResp(dst, seps []uint64, n int64) []uint64 {
-	return append(append(dst, seps...), uint64(n))
+// encodeSplitResp appends site j's "split-resp" reply: med, its lower local
+// median of the interval (1 word, or nothing when the site holds no item
+// there), then its count n_j in the interval, 1 word.
+func encodeSplitResp(dst, med []uint64, n int64) []uint64 {
+	return append(append(dst, med...), uint64(n))
 }
 
-// decodeSplitResp returns the separators and the count of a "split-resp"
-// reply from encodeSplitResp.
-func decodeSplitResp(words []uint64) (seps []uint64, n int64) {
+// decodeSplitResp returns the median, if any, and the count of a
+// "split-resp" reply from encodeSplitResp.
+func decodeSplitResp(words []uint64) (med []uint64, n int64) {
 	last := len(words) - 1
 	return words[:last], int64(words[last])
 }

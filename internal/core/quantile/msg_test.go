@@ -1,6 +1,7 @@
 package quantile
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -19,9 +20,15 @@ import (
 // separators), and after every call every site's copy equals the
 // coordinator's. Each split's half counts are rebuilt from the "split-resp"
 // and "split-counts" words alone, Σ_j a_j and Σ_j (n_j − a_j), and equal
-// what the coordinator installs. The metered words of every round-build and
-// split kind, "round-req" included, equal the summed lengths of the
-// encodings the meter's tap saw, and a "round-req" reaches the tap. The
+// what the coordinator installs. Each split also passes the split-balance
+// law's checks (TestSplitBalance): a "split-resp" is 2 words from a site
+// holding items in the interval and 1 word otherwise, each half holds
+// between N/4 − k and 3N/4 + k of the interval's N items (counted in the
+// exact site stores when the last "split-counts" is sent), and after every
+// call no interval's coordinator count is at or over splitAt. The metered
+// words of every round-build and split kind, "round-req" included, equal
+// the summed lengths of the encodings the meter's tap saw, and a
+// "round-req" reaches the tap. The
 // concurrent leg's replay begins once it has been fed, so the gates on
 // merges and checked halves count the other legs alone, and a run of that
 // leg alone (-run 'TestRoundMessages/Concurrent') has nothing to gate.
@@ -32,9 +39,11 @@ func TestRoundMessages(t *testing.T) {
 		sent  map[string]int64 // words of the encodings sent since
 
 		// The split under way, from its messages alone: the interval named
-		// by "split-req", each site's n_j from "split-resp", the separator
-		// from "split-apply" and the half counts summed from "split-counts".
+		// by "split-req" (lo, hi its bounds), each site's n_j from
+		// "split-resp", the separator from "split-apply" and the half
+		// counts summed from "split-counts".
 		splitIv  int
+		lo, hi   uint64
 		n        map[int]int64
 		y        uint64
 		c1, c2   int64
@@ -50,6 +59,7 @@ func TestRoundMessages(t *testing.T) {
 	// Counted only on the legs replayed from their first message: the
 	// concurrent leg's replay begins once it has been fed.
 	widest, merges, splits, halves, replayed, roundReqs := 0, 0, 0, 0, 0, 0
+	balance := 0.5 // the smaller half's least share of its interval
 	// checkHalves compares a finished split's rebuilt half counts with the
 	// coordinator's. It runs at the next message or call at rest, before
 	// which only an "iv" report changes an interval count: a split followed
@@ -123,8 +133,14 @@ func TestRoundMessages(t *testing.T) {
 						r.n, r.c1, r.c2, r.answered = map[int]int64{}, 0, 0, 0
 					}
 					r.splitIv = decodeSplitReq(words)
+					r.lo, r.hi = p.ivBounds(r.splitIv)
 				case "split-resp":
-					_, r.n[j] = decodeSplitResp(words)
+					var med []uint64
+					med, r.n[j] = decodeSplitResp(words)
+					if held := min(r.n[j], 1); int64(len(med)) != held || int64(len(words)) != 1+held {
+						tb.Fatalf("|A|=%d: site %d holds %d items in the split interval and answers %d words",
+							tr.TrueTotal(), j, r.n[j], len(words))
+					}
 				case "split-apply":
 					iv, y := decodeSplit(r.views[j], words)
 					if iv != r.splitIv {
@@ -140,6 +156,17 @@ func TestRoundMessages(t *testing.T) {
 					if r.answered++; r.answered == len(p.sites) {
 						r.done, r.ivMsgs = true, tr.Meter().Kind("iv").Msgs
 						splits++
+						var left, right int64
+						for _, s := range p.sites {
+							left += s.st.CountRange(r.lo, r.y)
+							right += s.st.CountRange(r.y, r.hi)
+						}
+						if left != r.c1 || right != r.c2 {
+							tb.Fatalf("|A|=%d: split at %d: the messages give halves %d and %d, the stores hold %d and %d",
+								tr.TrueTotal(), r.y, r.c1, r.c2, left, right)
+						}
+						at := fmt.Sprintf("|A|=%d: split at %d", tr.TrueTotal(), r.y)
+						balance = min(balance, checkSplitHalves(tb, at, left, right, float64(len(p.sites))))
 					}
 				}
 				r.sent[kind] += int64(max(1, len(words))) // a message carries at least its type
@@ -151,6 +178,7 @@ func TestRoundMessages(t *testing.T) {
 			replayed++
 		}
 		checkHalves(tb, tr)
+		checkResplit(tb, label, tr)
 		cur.views = cur.views[:tr.K()] // a shrink drops the departed sites
 		for j, v := range cur.views {
 			if tr.Bootstrapping() {
@@ -183,6 +211,7 @@ func TestRoundMessages(t *testing.T) {
 	if halves*4 < splits {
 		t.Fatalf("%d of %d splits' half counts checked against the coordinator's: too few", halves, splits)
 	}
+	t.Logf("%d splits; the smaller half held at least %.3f of its interval", splits, balance)
 }
 
 // TestMergeIntervals pins mergeIntervals on hand-made counts: runs merge

@@ -12,11 +12,15 @@
 //     Sites report interval arrivals in batches of εm/8k, naming the
 //     interval alone; when an interval's count reaches 3εm/8 the
 //     coordinator splits it via a localized O(k) rebuild (the paper's
-//     "rebuilding applied to the interval I"). A split's messages carry
-//     only what their receiver cannot work out: the new separator alone,
-//     which a site places among its own separators, and each site's count
-//     left of it, the right half's being the rest of the interval count it
-//     already sent.
+//     "rebuilding applied to the interval I"). A split needs only a
+//     constant-fraction cut: each site sends its lower local median and its
+//     count n_j there, and the coordinator cuts at the n_j-weighted median
+//     of the medians, which leaves each half between N/4 − k and 3N/4 + k
+//     of the interval's N items; a half still at 3εm/8 is split again at
+//     once. A split's other messages carry only what their receiver cannot
+//     work out: the new separator alone, which a site places among its own
+//     separators, and each site's count left of it, the right half's being
+//     the rest of the interval count it already sent.
 //
 //   - The round needs |A| only to a constant factor: no ε bound reads the
 //     coordinator's total, which only ends the round. So sites report
@@ -51,9 +55,11 @@
 //     still needs εm/8k arrivals at its site and no stream costs more
 //     reports than the paper's rule.
 //
-//   - Each relocation requires Ω(εm) fresh arrivals, so there are O(1/ε)
-//     relocations and O(1/ε) splits per round: O(k/ε) words per round and
-//     O(k/ε · log n) total.
+//   - Each relocation requires Ω(εm) fresh arrivals, and each split leaves
+//     two intervals of at least N/4 − k ≥ εm/16 items (εm ≥ 32k from the
+//     bootstrap on), which only grow until the round ends: there are
+//     O(1/ε) relocations and O(1/ε) splits per round, O(k/ε) words per
+//     round and O(k/ε · log n) total.
 //
 // At every instant each tracked M satisfies |rank(M) − φ|A|| ≤ ε|A|.
 //
@@ -310,9 +316,7 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 		s.ivDelta[iv] = 0
 		meter.Up(siteID, "iv", 1)
 		p.ivCount[iv] += p.thrIv
-		if p.ivCount[iv] >= p.splitAt {
-			p.split(iv)
-		}
+		p.splitFull(iv, iv+1)
 	}
 
 	// Total report → possible round change.

@@ -10,17 +10,21 @@ import (
 	"disttrack/internal/wire"
 )
 
-// wsep is a site-provided separator with the rank weight it represents.
+// wsep is a site's local median of an interval with the weight it carries,
+// the site's count n_j there.
 type wsep struct {
 	v uint64
 	w int64
 }
 
-// sepSamples collects about nine local separators of interval iv from every
-// site for a split ("split-req", "split-resp"). Each returned separator from
-// site j carries weight step_j = ⌈n_j/9⌉, so cumulative weights estimate
-// global ranks within Σ_j step_j. counts holds each site's n_j, the count of
-// the interval it sent, and total their sum.
+// sepSamples asks every site for its lower local median of interval iv and
+// its count n_j there ("split-req", then "split-resp": 2 words, or n_j alone
+// from a site that holds nothing in the interval). Each median carries
+// weight n_j, so the coordinator's n_j-weighted median of them leaves each
+// half at least N/4 − k of the interval's N = Σ n_j items
+// (docs/architecture.md, "A split sends only what its receiver cannot work
+// out"). merged holds the medians sorted, counts each site's n_j and total
+// their sum.
 func (p *policy) sepSamples(iv int) (merged []wsep, counts []int64, total int64) {
 	meter := p.eng.Meter()
 	req := encodeSplitReq(nil, iv)
@@ -29,20 +33,18 @@ func (p *policy) sepSamples(iv int) (merged []wsep, counts []int64, total int64)
 		meter.DownMsg(j, "split-req", req)
 		lo, hi := p.ivBounds(decodeSplitReq(req))
 		nLocal := s.st.CountRange(lo, hi)
-		step := int64(math.Ceil(float64(nLocal) / 9))
-		if step < 1 {
-			step = 1
-		}
-		var ss []uint64
+		var med []uint64
 		if nLocal > 0 {
-			ss = s.st.Separators(lo, hi, step)
+			// The first item of every ⌈n_j/2⌉ is the one of rank ⌈n_j/2⌉ − 1,
+			// the lower median.
+			med = s.st.Separators(lo, hi, (nLocal+1)/2)[:1]
 		}
-		resp := encodeSplitResp(nil, ss, nLocal)
+		resp := encodeSplitResp(nil, med, nLocal)
 		meter.UpMsg(j, "split-resp", resp)
-		ss, counts[j] = decodeSplitResp(resp)
+		med, counts[j] = decodeSplitResp(resp)
 		total += counts[j]
-		for _, v := range ss {
-			merged = append(merged, wsep{v: v, w: step})
+		for _, v := range med {
+			merged = append(merged, wsep{v: v, w: counts[j]})
 		}
 	}
 	slices.SortFunc(merged, func(a, b wsep) int { return cmp.Compare(a.v, b.v) })
@@ -113,11 +115,12 @@ func (p *policy) OnBootDone() {
 		for i < len(keys) && keys[i] == keys[i-1] {
 			i++ // a cut between equal keys would not separate them
 		}
-		if i < len(keys) {
-			seps = append(seps, keys[i])
+		if i == len(keys) || keys[i] == math.MaxUint64 {
+			break // the last interval ends at math.MaxUint64, inclusive
 		}
+		seps = append(seps, keys[i])
 	}
-	if len(seps) == 0 && len(keys) > 0 {
+	if len(seps) == 0 && len(keys) > 0 && keys[len(keys)/2] < math.MaxUint64 {
 		seps = []uint64{keys[len(keys)/2]} // massive ties: still give M a candidate
 	}
 	words := encodeSeps(nil, seps)
@@ -170,13 +173,23 @@ func (p *policy) newRound(old int) {
 	}
 	p.seps, p.ivCount = seps, merged
 	p.resetSites()
-	for iv := 0; iv < len(p.ivCount); {
+	p.splitFull(0, len(p.ivCount))
+	p.startRound()
+}
+
+// splitFull splits every interval of [iv, end) whose coordinator count is at
+// or over splitAt, and each half of a split the same way, so that none is
+// left there. A split cut at the weighted median of the sites' local medians
+// leaves a half up to 3N/4 + k of the interval's N, which may still reach
+// splitAt. It stops at an interval that ties defeat.
+func (p *policy) splitFull(iv, end int) {
+	for iv < end {
 		if p.ivCount[iv] >= p.splitAt && p.split(iv) {
-			continue // both halves are checked again
+			end++ // both halves are checked again
+			continue
 		}
 		iv++
 	}
-	p.startRound()
 }
 
 // roundCounts asks sites [0, old) for their rank at each separator and at
@@ -267,11 +280,11 @@ func (p *policy) nearestSep(target float64) (v uint64, rank int64) {
 }
 
 // split divides interval iv (whose coordinator count reached 3εm/8) into
-// two, via the paper's localized rebuild: collect local separators of the
-// interval and each site's count n_j in it, choose a weighted median y,
-// then collect each site's count a_j left of y; the right half's is
-// n_j − a_j. Cost O(k). It reports whether the interval was split: ties can
-// defeat it.
+// two, via the paper's localized rebuild: collect each site's lower local
+// median of the interval and its count n_j in it, cut at the n_j-weighted
+// median y of the medians, then collect each site's count a_j left of y;
+// the right half's is n_j − a_j. Cost O(k). It reports whether the
+// interval was split: ties can defeat it.
 func (p *policy) split(iv int) bool {
 	p.eng.All()
 	lo, hi := p.ivBounds(iv)
@@ -280,7 +293,7 @@ func (p *policy) split(iv int) bool {
 		p.cannotSplit++
 		return false
 	}
-	// Weighted median of the interval's items.
+	// The n_j-weighted median of the sites' medians.
 	var acc int64
 	y := merged[len(merged)-1].v
 	for _, ws := range merged {
@@ -336,7 +349,10 @@ func (p *policy) split(iv int) bool {
 	return true
 }
 
-// ivBounds returns interval iv as [lo, hi).
+// ivBounds returns interval iv as [lo, hi); the last interval's hi is
+// math.MaxUint64, where the site stores close it (sitestore.Store), so it
+// holds that value too. No separator is math.MaxUint64: a cut there would
+// leave an interval no store query can count.
 func (p *policy) ivBounds(iv int) (lo, hi uint64) {
 	lo = uint64(0)
 	hi = uint64(math.MaxUint64)

@@ -1,6 +1,9 @@
 package oracle
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // Counter counts arrivals drawn from a key set fixed in advance, in
 // O(log n) per Add and per CountRange (a Fenwick tree over the sorted
@@ -49,6 +52,18 @@ func (c *Counter) CountRange(lo, hi uint64) int64 {
 		return 0
 	}
 	return c.Rank(hi) - c.Rank(lo)
+}
+
+// CountPart returns the number of arrivals in [lo, hi), or in [lo, hi] at
+// hi = math.MaxUint64: the part of a partition of the uint64 universe that
+// the quantile protocols' site stores count, whose last part holds
+// math.MaxUint64 too.
+func (c *Counter) CountPart(lo, hi uint64) int64 {
+	n := c.CountRange(lo, hi)
+	if hi == math.MaxUint64 {
+		n += c.Count(hi)
+	}
+	return n
 }
 
 // Count returns the number of arrivals of x.

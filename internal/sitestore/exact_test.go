@@ -37,10 +37,15 @@ func checkShape(t *testing.T, s *exactStore) {
 	}
 }
 
-// sortedRef is the brute-force reference: one sorted slice.
+// sortedRef is the brute-force reference: one sorted slice. Its rank at
+// math.MaxUint64, the universe's inclusive end, is every item, as a
+// Store's is.
 type sortedRef []uint64
 
 func (r sortedRef) rank(x uint64) int64 {
+	if x == math.MaxUint64 {
+		return int64(len(r))
+	}
 	i, _ := slices.BinarySearch(r, x)
 	return int64(i)
 }

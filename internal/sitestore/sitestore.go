@@ -11,6 +11,7 @@
 package sitestore
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -18,7 +19,12 @@ import (
 	"disttrack/internal/summary/gk"
 )
 
-// Store answers rank-structure queries over a site's local items. A read may
+// Store answers rank-structure queries over a site's local items. Every
+// uint64 is an item, and math.MaxUint64 is also the universe's inclusive
+// end: RankOf there counts every local item, and a range [lo, hi) with
+// hi = math.MaxUint64 is [lo, math.MaxUint64], so the last interval of a
+// partition holds that value too. The protocols never bound a range below
+// by math.MaxUint64. A read may
 // reorganise its own store (the exact store sorts its staged arrivals first),
 // so a read needs the same exclusive access as an insert: one goroutine at a
 // time per store. The trackers give it that through the engine's site locks:
@@ -31,9 +37,11 @@ type Store interface {
 	// the GK summary, whose state is insertion-order dependent). The store
 	// does not retain xs.
 	InsertBatch(xs []uint64)
-	// RankOf returns (an estimate of) the number of local items < x.
+	// RankOf returns (an estimate of) the number of local items < x, and
+	// every local item at x = math.MaxUint64.
 	RankOf(x uint64) int64
-	// CountRange returns (an estimate of) the number of local items in [lo, hi).
+	// CountRange returns (an estimate of) the number of local items in
+	// [lo, hi), the end closed at hi = math.MaxUint64.
 	CountRange(lo, hi uint64) int64
 	// Separators returns local items cutting [lo, hi) into chunks of ~step
 	// local items each (rank error at most step plus the sketch error).
@@ -211,6 +219,9 @@ func (s *exactStore) items() []uint64 {
 }
 
 func (s *exactStore) RankOf(x uint64) int64 {
+	if x == math.MaxUint64 {
+		return int64(s.n)
+	}
 	s.settle()
 	r := 0
 	for _, run := range s.runs {
@@ -233,7 +244,10 @@ func (s *exactStore) restrict(lo, hi uint64) (parts [][]uint64, total int64) {
 	parts = make([][]uint64, 0, len(s.runs))
 	for _, run := range s.runs {
 		a, _ := slices.BinarySearch(run, lo)
-		b, _ := slices.BinarySearch(run, hi)
+		b := len(run)
+		if hi < math.MaxUint64 {
+			b, _ = slices.BinarySearch(run, hi)
+		}
 		if b > a {
 			parts = append(parts, run[a:b])
 			total += int64(b - a)
@@ -334,10 +348,15 @@ func (s *gkStore) InsertBatch(xs []uint64) {
 		s.sum.Add(x)
 	}
 }
-func (s *gkStore) RankOf(x uint64) int64 { return s.sum.RankEst(x) }
+func (s *gkStore) RankOf(x uint64) int64 {
+	if x == math.MaxUint64 {
+		return s.sum.N()
+	}
+	return s.sum.RankEst(x)
+}
 
 func (s *gkStore) CountRange(lo, hi uint64) int64 {
-	c := s.sum.RankEst(hi) - s.sum.RankEst(lo)
+	c := s.RankOf(hi) - s.RankOf(lo)
 	if c < 0 {
 		c = 0
 	}
@@ -345,7 +364,7 @@ func (s *gkStore) CountRange(lo, hi uint64) int64 {
 }
 
 func (s *gkStore) Separators(lo, hi uint64, step int64) []uint64 {
-	r0, r1 := s.sum.RankEst(lo), s.sum.RankEst(hi)
+	r0, r1 := s.RankOf(lo), s.RankOf(hi)
 	var out []uint64
 	for r := r0 + step; r <= r1; r += step {
 		v := s.sum.QueryRank(r)
@@ -354,7 +373,7 @@ func (s *gkStore) Separators(lo, hi uint64, step int64) []uint64 {
 		if v < lo {
 			v = lo
 		}
-		if hi > lo && v >= hi {
+		if hi > lo && v >= hi && hi < math.MaxUint64 {
 			v = hi - 1
 		}
 		out = append(out, v)
