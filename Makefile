@@ -144,9 +144,10 @@ obs-smoke fault-smoke crash-smoke membership-smoke load-smoke:
 
 # Short fuzz pass over the wire-protocol and durability decoders — every
 # byte format that crosses a trust boundary (TFrame network frames, WAL
-# records, checkpoint frames, POST /v1/ingest bodies) — and over the exact
-# site store against a sorted-slice reference and the slot table (hh's
-# counters and the perturbation counters) against a map.
+# records, checkpoint frames, POST /v1/ingest bodies, the rank reply a
+# site sends a round or a rebuild) — and over the exact site store against a
+# sorted-slice reference and the slot table (hh's counters and the
+# perturbation counters) against a map.
 fuzz-smoke:
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s
 	$(GO) test ./internal/remote/ -run '^$$' -fuzz FuzzReadTFrame -fuzztime 10s
@@ -157,6 +158,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/quantile/ -run '^$$' -fuzz FuzzRestore -fuzztime 10s
 	$(GO) test ./internal/core/allq/ -run '^$$' -fuzz FuzzRestore -fuzztime 10s
 	$(GO) test ./internal/sitestore/ -run '^$$' -fuzz FuzzExactStore -fuzztime 10s
+	$(GO) test ./internal/sitestore/ -run '^$$' -fuzz FuzzDecodeRanks -fuzztime 10s
 	$(GO) test ./internal/slots/ -run '^$$' -fuzz FuzzSlotTable -fuzztime 10s
 
 # Go lines outside bench/ (its own module), non-test and test, counted as

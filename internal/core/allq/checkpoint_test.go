@@ -72,7 +72,11 @@ func TestRestoreGolden(t *testing.T) {
 // still restores with its list (TestRestoreGolden). checkpoint-noboot.bin
 // was written while round builds sampled every site; checkpoint-merge-6000.bin
 // holds the first 6,000 items under the first round cut from the bootstrap
-// list and one doubling merged from the old leaves.
+// list and one doubling merged from the old leaves. It was written while an
+// "rb-counts" reply sent each rank as a word of its own;
+// checkpoint-pack-6000.bin holds the same prefix, and the same protocol
+// state, under packed rank differences, so only its checkpointed meter
+// differs.
 
 // TestRestoreGoldenNoBoot pins the checkpoints a tracker writes after the
 // handoff: the golden bytes restore with no bootstrap list and re-encode bit
@@ -86,7 +90,8 @@ func TestRestoreGoldenNoBoot(t *testing.T) {
 		twin bool
 	}{
 		{"checkpoint-noboot.bin", 4000, false},
-		{"checkpoint-merge-6000.bin", 6000, true},
+		{"checkpoint-merge-6000.bin", 6000, false},
+		{"checkpoint-pack-6000.bin", 6000, true},
 	} {
 		t.Run(g.file, func(t *testing.T) {
 			golden, err := os.ReadFile("testdata/" + g.file)

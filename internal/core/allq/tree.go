@@ -43,7 +43,8 @@ func violated(p, c *node) bool {
 // newRound starts a fresh round when |A| has doubled, the tree has outgrown
 // its height cap or k has changed, from the leaves the coordinator already
 // has. Sites [0, old) reply with their rank at each old leaf boundary but the
-// first ("rb-counts", L words for L leaves, sitestore.EncodeRanks); sites
+// first ("rb-counts", sitestore.EncodeRanks: a header word and the L rank
+// differences for L leaves, packed at the width of the widest); sites
 // from old on joined in a Reconfigure and hold nothing. The ranks give every
 // old leaf's exact count (sitestore.AddCounts), and mergeRec cuts the old
 // boundaries at weighted medians of those counts, so the fresh tree's splits
@@ -51,7 +52,7 @@ func violated(p, c *node) bool {
 // site samples. The coordinator broadcasts which boundaries the tree keeps
 // and its shape ("rb-tree", encodeMerge; a joining site gets encodeSubtree),
 // and startRound fixes the round's parameters from the tree's height. Cost
-// O(k/ε) words: L counts per site and ⌈L/64⌉ + ⌈N/64⌉ broadcast words
+// O(k/ε) words: L packed counts per site and ⌈L/64⌉ + ⌈N/64⌉ broadcast words
 // (docs/architecture.md, "allq rounds merge, not resample").
 func (p *policy) newRound(old int) {
 	p.eng.All()
@@ -66,7 +67,10 @@ func (p *policy) newRound(old int) {
 		meter.DownMsg(j, "round-req", nil)
 		words := sitestore.EncodeRanks(nil, s.st, bounds[1:])
 		meter.UpMsg(j, "rb-counts", words)
-		r := sitestore.DecodeRanks(words)
+		r, err := sitestore.DecodeRanks(words, leaves)
+		if err != nil {
+			panic(err) // encoded just above: a codec bug
+		}
 		sitestore.AddCounts(cum[1:], r)
 		m += r[leaves-1]
 		ranks[j] = append([]int64{0}, r...)
@@ -335,7 +339,11 @@ func (p *policy) buildSubtree(parent *node, lo, hi uint64, step int64) *node {
 	for j, s := range p.sites {
 		words := sitestore.EncodeRanks(nil, s.st, bounds)
 		meter.UpMsg(j, "rb-counts", words)
-		addCounts(fresh, sitestore.DecodeRanks(words))
+		r, err := sitestore.DecodeRanks(words, len(bounds))
+		if err != nil {
+			panic(err) // encoded just above: a codec bug
+		}
+		addCounts(fresh, r)
 	}
 	return fresh
 }

@@ -36,7 +36,12 @@ import (
 // "split-counts" messages. It was written while a split cut at the weighted
 // median of about nine separators from each site; checkpoint-med-6000.bin
 // holds the same prefix with every split cut at the n_j-weighted median of
-// the sites' lower local medians. Never regenerate them.
+// the sites' lower local medians. It was written while every rank of a
+// "round-counts" reply, each "split-resp" median and each "drift" and
+// "reloc-resp" count took a word of its own; checkpoint-pack-6000.bin holds
+// the same prefix, and the same protocol state, under packed replies and
+// "seps" messages that carry the round's m, so only its checkpointed meter
+// differs. Never regenerate them.
 var goldenCfg = Config{K: 2, Eps: 0.05, Phis: []float64{0.1, 0.5, 0.99}}
 
 // goldenBootKeys open the stream out of order and with 1<<40 twice, so the
@@ -59,10 +64,11 @@ func goldenStream() stream.Generator {
 // while a round build sampled at ε·n_j/32, checkpoint-step16-2000.bin
 // while an interval report cost 2 words, checkpoint-iv1-2000.bin while
 // round builds sampled every site, checkpoint-merge-3000.bin while a total
-// report fired every εm/8k arrivals and checkpoint-tot-6000.bin while a
-// split sampled about nine separators per site, so none of them has a
-// twin; their restored trackers are checked against the exact quantiles
-// instead.
+// report fired every εm/8k arrivals, checkpoint-tot-6000.bin while a
+// split sampled about nine separators per site and checkpoint-med-6000.bin
+// while a reply spent a word on every rank, median and count, so none of
+// them has a twin; their restored trackers are checked against the exact
+// quantiles instead.
 func TestRestoreGolden(t *testing.T) {
 	for _, g := range []struct {
 		file string
@@ -78,7 +84,8 @@ func TestRestoreGolden(t *testing.T) {
 		{"checkpoint-iv1-2000.bin", 2000, false, false},
 		{"checkpoint-merge-3000.bin", 3000, false, false},
 		{"checkpoint-tot-6000.bin", 6000, false, false},
-		{"checkpoint-med-6000.bin", 6000, false, true},
+		{"checkpoint-med-6000.bin", 6000, false, false},
+		{"checkpoint-pack-6000.bin", 6000, false, true},
 	} {
 		t.Run(g.file, func(t *testing.T) {
 			golden, err := os.ReadFile("testdata/" + g.file)

@@ -2,6 +2,7 @@ package quantile
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -17,26 +18,35 @@ import (
 // "seps" and "split-apply" words alone (decodeSeps when it holds none, as at
 // the handoff or after joining; decodeKeep over its old copy after a merge;
 // decodeSplit, which finds the split interval among the site's own
-// separators), and after every call every site's copy equals the
-// coordinator's. Each split's half counts are rebuilt from the "split-resp"
-// and "split-counts" words alone, Σ_j a_j and Σ_j (n_j − a_j), and equal
-// what the coordinator installs. Each split also passes the split-balance
-// law's checks (TestSplitBalance): a "split-resp" is 2 words from a site
-// holding items in the interval and 1 word otherwise, each half holds
-// between N/4 − k and 3N/4 + k of the interval's N items (counted in the
-// exact site stores when the last "split-counts" is sent), and after every
-// call no interval's coordinator count is at or over splitAt. The metered
-// words of every round-build and split kind, "round-req" included, equal
-// the summed lengths of the encodings the meter's tap saw, and a
-// "round-req" reaches the tap. The
-// concurrent leg's replay begins once it has been fed, so the gates on
-// merges and checked halves count the other legs alone, and a run of that
-// leg alone (-run 'TestRoundMessages/Concurrent') has nothing to gate.
+// separators), and its own round batches, thrIv and thrTot, derived from the
+// m each "seps" carries (roundBatches); after every call every site's copy
+// equals the coordinator's, and so do its batches. Each split's half counts
+// are rebuilt from the "split-resp" and "split-counts" words alone, Σ_j a_j
+// and Σ_j (n_j − a_j), and equal what the coordinator installs. Each split
+// also passes the split-balance law's checks (TestSplitBalance): a
+// "split-resp" has the length checkSplitResp names, each half holds between
+// N/4 − k and 3N/4 + k of the interval's N items (counted in the exact site
+// stores when the last "split-counts" is sent), and after every call no
+// interval's coordinator count is at or over splitAt. Each "drift" report
+// and each "reloc-resp" is decoded from its words alone (decodeCounts) and
+// is one word exactly when both counts fit beside the width header: a
+// drift pair is the reporting site's unreported pair, and the coordinator's
+// dL and dR rise by exactly the decoded pair; a "reloc-resp" carries the
+// site's count and its rank of a tracked M, and the relocated quantile's
+// total is the sum of the decoded counts, its rank the sum of the decoded
+// ranks when M stays. The metered words of every round-build, split, drift
+// and relocation-reply kind, "round-req" included, equal the summed lengths
+// of the encodings the meter's tap saw, and a "round-req" reaches the tap.
+// The concurrent leg's replay begins once it has been fed, so the gates on
+// merges, checked halves and drift reports count the other legs alone, and
+// a run of that leg alone (-run 'TestRoundMessages/Concurrent') has nothing
+// to gate.
 func TestRoundMessages(t *testing.T) {
 	type replay struct {
-		views [][]uint64       // each site's separators, from messages alone
-		base  map[string]int64 // meter words when the replay began
-		sent  map[string]int64 // words of the encodings sent since
+		views   [][]uint64       // each site's separators, from messages alone
+		batches [][2]int64       // each site's thrIv and thrTot, from messages alone
+		base    map[string]int64 // meter words when the replay began
+		sent    map[string]int64 // words of the encodings sent since
 
 		// The split under way, from its messages alone: the interval named
 		// by "split-req" (lo, hi its bounds), each site's n_j from
@@ -52,13 +62,15 @@ func TestRoundMessages(t *testing.T) {
 		// the "iv" reports metered when it finished.
 		done   bool
 		ivMsgs int64
+
+		reports reportReplay // drift and relocation replies
 	}
-	kinds := []string{"round-req", "seps", "round-counts", "split-req", "split-resp", "split-apply", "split-counts"}
+	kinds := []string{"round-req", "seps", "round-counts", "split-req", "split-resp", "split-apply", "split-counts", "drift", "reloc-resp"}
 	var cur *replay
 	var curTr *Tracker
 	// Counted only on the legs replayed from their first message: the
 	// concurrent leg's replay begins once it has been fed.
-	widest, merges, splits, halves, replayed, roundReqs := 0, 0, 0, 0, 0, 0
+	widest, merges, splits, halves, replayed, roundReqs, drifts := 0, 0, 0, 0, 0, 0, 0
 	balance := 0.5 // the smaller half's least share of its interval
 	// checkHalves compares a finished split's rebuilt half counts with the
 	// coordinator's. It runs at the next message or call at rest, before
@@ -100,6 +112,9 @@ func TestRoundMessages(t *testing.T) {
 		p := tr.p
 		if tr != curTr {
 			// A fresh or restored tracker: its sites hold what it holds.
+			if cur != nil {
+				drifts += cur.reports.drifts
+			}
 			curTr = tr
 			r := &replay{base: map[string]int64{}, sent: map[string]int64{}}
 			for range p.sites {
@@ -108,26 +123,32 @@ func TestRoundMessages(t *testing.T) {
 					v = slices.Clone(p.seps)
 				}
 				r.views = append(r.views, v)
+				r.batches = append(r.batches, [2]int64{p.thrIv, p.thrTot})
 			}
 			for _, kind := range kinds {
 				r.base[kind] = tr.Meter().Kind(kind).Words
 			}
 			tr.Meter().SetTap(func(kind string, j int, words []uint64) {
 				checkHalves(tb, tr)
+				r.reports.check(tb, tr)
 				for len(r.views) <= j {
 					r.views = append(r.views, nil) // a site that joined
+					r.batches = append(r.batches, [2]int64{})
 				}
 				switch kind {
 				case "round-req":
 					roundReqs++
 				case "seps":
+					var m int64
 					if r.views[j] == nil {
-						r.views[j] = decodeSeps(words)
+						m, r.views[j] = decodeSeps(words)
 					} else {
-						r.views[j] = decodeKeep(r.views[j], words)
+						m, r.views[j] = decodeKeep(r.views[j], words)
 						merges++
-						widest = max(widest, len(words))
+						widest = max(widest, len(words)-1)
 					}
+					thrIv, thrTot := p.roundBatches(m)
+					r.batches[j] = [2]int64{thrIv, thrTot}
 				case "split-req":
 					if j == 0 { // a split polls the sites in order
 						r.n, r.c1, r.c2, r.answered = map[int]int64{}, 0, 0, 0
@@ -135,12 +156,7 @@ func TestRoundMessages(t *testing.T) {
 					r.splitIv = decodeSplitReq(words)
 					r.lo, r.hi = p.ivBounds(r.splitIv)
 				case "split-resp":
-					var med []uint64
-					med, r.n[j] = decodeSplitResp(words)
-					if held := min(r.n[j], 1); int64(len(med)) != held || int64(len(words)) != 1+held {
-						tb.Fatalf("|A|=%d: site %d holds %d items in the split interval and answers %d words",
-							tr.TrueTotal(), j, r.n[j], len(words))
-					}
+					r.n[j] = checkSplitResp(tb, fmt.Sprintf("|A|=%d: site %d", tr.TrueTotal(), j), words, r.lo, r.hi)
 				case "split-apply":
 					iv, y := decodeSplit(r.views[j], words)
 					if iv != r.splitIv {
@@ -168,6 +184,8 @@ func TestRoundMessages(t *testing.T) {
 						at := fmt.Sprintf("|A|=%d: split at %d", tr.TrueTotal(), r.y)
 						balance = min(balance, checkSplitHalves(tb, at, left, right, float64(len(p.sites))))
 					}
+				case "drift", "reloc-resp":
+					r.reports.tap(tb, tr, kind, j, words)
 				}
 				r.sent[kind] += int64(max(1, len(words))) // a message carries at least its type
 			})
@@ -178,6 +196,7 @@ func TestRoundMessages(t *testing.T) {
 			replayed++
 		}
 		checkHalves(tb, tr)
+		cur.reports.check(tb, tr)
 		checkResplit(tb, label, tr)
 		cur.views = cur.views[:tr.K()] // a shrink drops the departed sites
 		for j, v := range cur.views {
@@ -191,6 +210,10 @@ func TestRoundMessages(t *testing.T) {
 				tb.Fatalf("%s: |A|=%d: site %d rebuilt %d separators from the messages, the coordinator holds %d (or they differ)",
 					label, tr.TrueTotal(), j, len(v), len(p.seps))
 			}
+			if b := cur.batches[j]; b != [2]int64{p.thrIv, p.thrTot} {
+				tb.Fatalf("%s: |A|=%d: site %d derived batches %v from the messages, the coordinator uses [%d %d]",
+					label, tr.TrueTotal(), j, b, p.thrIv, p.thrTot)
+			}
 		}
 		for _, kind := range kinds {
 			if got := tr.Meter().Kind(kind).Words - cur.base[kind]; got != cur.sent[kind] {
@@ -202,6 +225,7 @@ func TestRoundMessages(t *testing.T) {
 	if replayed == 0 {
 		return // only the concurrent leg ran: nothing was replayed
 	}
+	drifts += cur.reports.drifts
 	if roundReqs == 0 {
 		t.Fatalf("no \"round-req\" reached the meter's tap")
 	}
@@ -211,7 +235,159 @@ func TestRoundMessages(t *testing.T) {
 	if halves*4 < splits {
 		t.Fatalf("%d of %d splits' half counts checked against the coordinator's: too few", halves, splits)
 	}
-	t.Logf("%d splits; the smaller half held at least %.3f of its interval", splits, balance)
+	if drifts == 0 {
+		t.Fatal("no drift report checked")
+	}
+	t.Logf("%d splits; the smaller half held at least %.3f of its interval; %d drift reports", splits, balance, drifts)
+}
+
+// reportReplay replays a tracker's "drift" reports and "reloc-resp"
+// replies from their words alone. Its tap decodes each message: a drift
+// pair must be one of the reporting site's unreported pairs, and a
+// "reloc-resp" must carry the site's count and its rank of a tracked M. Its
+// check, run at the next message or call at rest, compares them with the
+// coordinator: a relocation resets dL and dR only after its replies, so
+// until then a drift report's quantile has gained exactly its pair, and
+// once every site has replied the relocated quantile's total is the sum of
+// the decoded counts, and its rank the sum of the decoded ranks when M
+// stays.
+type reportReplay struct {
+	drifts, relocs int // checked so far
+
+	// A drift report not yet checked: its quantile, its pair and the
+	// coordinator's dL and dR when it was sent.
+	drift                bool
+	driftQ               int
+	dL, dR, baseL, baseR int64
+	// A relocation's replies so far (sites answer in order), the tracked
+	// Ms when it began, and whether every site has answered.
+	relocL, relocT int64
+	relocM         []uint64
+	relocDone      bool
+}
+
+func (r *reportReplay) tap(tb testing.TB, tr *Tracker, kind string, j int, words []uint64) {
+	p := tr.p
+	switch kind {
+	case "drift":
+		l, rr := decodePair(tb, words)
+		// The first quantile whose unreported pair this is and is due: the
+		// site reports its due pairs in order.
+		qi := -1
+		for i, d := range p.sites[j].drift {
+			if d == [2]int64{l, rr} && absDrift(p.qs[i].phi, d) >= float64(p.thrIv) {
+				qi = i
+				break
+			}
+		}
+		if qi < 0 {
+			tb.Fatalf("|A|=%d: site %d reports drift (%d, %d), none of its unreported pairs %v",
+				tr.TrueTotal(), j, l, rr, p.sites[j].drift)
+		}
+		q := &p.qs[qi]
+		r.drift, r.driftQ, r.dL, r.dR, r.baseL, r.baseR = true, qi, l, rr, q.dL, q.dR
+	case "reloc-resp":
+		rank, n := decodePair(tb, words)
+		if n != tr.SiteCount(j) {
+			tb.Fatalf("|A|=%d: site %d reports count %d, it holds %d", tr.TrueTotal(), j, n, tr.SiteCount(j))
+		}
+		if j == 0 { // a relocation polls the sites in order
+			r.relocL, r.relocT, r.relocM = 0, 0, nil
+			for _, q := range p.qs {
+				r.relocM = append(r.relocM, q.m0)
+			}
+		}
+		if !slices.ContainsFunc(r.relocM, func(m0 uint64) bool { return p.sites[j].st.RankOf(m0) == rank }) {
+			tb.Fatalf("|A|=%d: site %d reports rank %d, its rank of no tracked M", tr.TrueTotal(), j, rank)
+		}
+		r.relocL += rank
+		r.relocT += n
+		r.relocDone = j == len(p.sites)-1
+	}
+}
+
+func (r *reportReplay) check(tb testing.TB, tr *Tracker) {
+	p := tr.p
+	if r.drift {
+		r.drift = false
+		q := &p.qs[r.driftQ]
+		if q.dL != r.baseL+r.dL || q.dR != r.baseR+r.dR {
+			tb.Fatalf("|A|=%d: drift report (%d, %d) for φ %g: the coordinator's dL, dR went %d, %d → %d, %d",
+				tr.TrueTotal(), r.dL, r.dR, q.phi, r.baseL, r.baseR, q.dL, q.dR)
+		}
+		r.drifts++
+	}
+	if r.relocDone {
+		r.relocDone = false
+		for qi := range p.qs {
+			q := &p.qs[qi]
+			if q.tBase == r.relocT && q.dL == 0 && q.dR == 0 && (q.m0 != r.relocM[qi] || q.lBase == r.relocL) {
+				r.relocs++
+				return
+			}
+		}
+		tb.Fatalf("|A|=%d: a relocation's replies give rank %d and total %d, and no quantile holds them",
+			tr.TrueTotal(), r.relocL, r.relocT)
+	}
+}
+
+// TestReportMessages replays every "drift" report and "reloc-resp" reply
+// of a tracker fed one arrival at a time, per item and in batches, through
+// reportReplay, on a stream whose mass moves to a disjoint range a third of
+// the way in (driftStream), so every M relocates; the metered words of both
+// kinds equal the summed lengths of the encodings the tap saw.
+func TestReportMessages(t *testing.T) {
+	for _, batch := range []int{1, 64} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			tr, err := New(Config{K: 4, Eps: 0.05, Phis: []float64{0.1, 0.5, 0.99}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var r reportReplay
+			sent := map[string]int64{}
+			tr.Meter().SetTap(func(kind string, j int, words []uint64) {
+				r.check(t, tr)
+				r.tap(t, tr, kind, j, words)
+				sent[kind] += int64(len(words))
+			})
+			var xs []uint64
+			g := driftStream(60000, 78)
+			for x, ok := g.Next(); ok; x, ok = g.Next() {
+				xs = append(xs, x)
+			}
+			for i := 0; i < len(xs); i += batch {
+				tr.FeedLocalBatch((i/batch)%4, xs[i:min(i+batch, len(xs))])
+				r.check(t, tr)
+			}
+			for _, kind := range []string{"drift", "reloc-resp"} {
+				if got := tr.Meter().Kind(kind).Words; got != sent[kind] {
+					t.Fatalf("metered %d %q words, the encodings sent are %d words long", got, kind, sent[kind])
+				}
+			}
+			if r.drifts == 0 || r.relocs == 0 {
+				t.Fatalf("%d drift reports and %d relocations checked: too few", r.drifts, r.relocs)
+			}
+			t.Logf("%d drift reports, %d relocations", r.drifts, r.relocs)
+		})
+	}
+}
+
+// decodePair decodes a "drift" or "reloc-resp" message and fails unless it
+// is one word exactly when both counts fit beside the 6-bit width header.
+func decodePair(tb testing.TB, words []uint64) (a, b int64) {
+	tb.Helper()
+	a, b, err := decodeCounts(words)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	want := 2
+	if 6+bits.Len64(uint64(a))+bits.Len64(uint64(b)) <= 64 {
+		want = 1
+	}
+	if len(words) != want {
+		tb.Fatalf("counts %d and %d sent as %d words, want %d", a, b, len(words), want)
+	}
+	return a, b
 }
 
 // TestMergeIntervals pins mergeIntervals on hand-made counts: runs merge

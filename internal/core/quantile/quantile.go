@@ -22,6 +22,14 @@
 //     separators, and each site's count left of it, the right half's being
 //     the rest of the interval count it already sent.
 //
+//   - A reply spends words only on bits its receiver cannot work out. A
+//     site's ranks ("round-counts") travel as first differences, interval
+//     counts far below a word, packed at the width of the widest
+//     (sitestore.EncodeRanks); a split's median travels as its offset in
+//     the interval, packed with n_j into one word when both fit, and so do
+//     a drift report's two counts and a relocation reply's rank and count.
+//     Every value arrives exact, so only the meter moves.
+//
 //   - The round needs |A| only to a constant factor: no ε bound reads the
 //     coordinator's total, which only ends the round. So sites report
 //     their totals in batches of m/8k, O(k) words per round, and the round
@@ -35,7 +43,8 @@
 //     bitmap: a fresh interval holds under εm/4, below the split trigger,
 //     and adjacent ones more than 3εm/16 together, so a round opens with at
 //     most 32/(3ε) + 1 intervals. Counts and M's rank stay exact, with no
-//     sample sent.
+//     sample sent. Every round's "seps" message also carries m, from which
+//     each site derives its batches εm/8k and m/8k.
 //
 //   - The coordinator keeps an approximate quantile M plus drift counters —
 //     the paper's Δ(L) and Δ(R), generalized from the median to arbitrary φ
@@ -302,8 +311,9 @@ func (p *policy) ApplyRun(siteID int, xs []uint64) (consumed int, crossed bool) 
 // at its first crossing and the thresholds change only in newRound, which
 // drops every delta, so a reported counter holds exactly its threshold and
 // the coordinator adds that. A drift report fires on the signed drift
-// (absDrift) and carries both sides, L_j and R_j, in one 2-word "drift"
-// message. The reports ("iv", "tot", "drift") touch only site siteID and
+// (absDrift) and carries both sides, L_j and R_j, in one "drift" message:
+// one word when both fit beside the width header (encodeCounts), else two.
+// The reports ("iv", "tot", "drift") touch only site siteID and
 // coordinator counters; split, newRound and relocate consult every site and
 // call Engine.All first.
 func (p *policy) OnEscalate(siteID int, x uint64) {
@@ -337,10 +347,15 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 		if absDrift(q.phi, d) < float64(p.thrIv) {
 			continue
 		}
-		meter.Up(siteID, "drift", 2)
-		q.dL += d[0]
-		q.dR += d[1]
+		words := encodeCounts(nil, d[0], d[1])
+		meter.UpMsg(siteID, "drift", words)
 		s.drift[qi] = [2]int64{}
+		dL, dR, err := decodeCounts(words)
+		if err != nil {
+			panic(err) // encoded just above: a codec bug
+		}
+		q.dL += dL
+		q.dR += dR
 		p.maybeRelocate(qi)
 	}
 }

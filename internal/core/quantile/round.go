@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"disttrack/internal/sitestore"
-	"disttrack/internal/wire"
 )
 
 // wsep is a site's local median of an interval with the weight it carries,
@@ -18,9 +17,10 @@ type wsep struct {
 }
 
 // sepSamples asks every site for its lower local median of interval iv and
-// its count n_j there ("split-req", then "split-resp": 2 words, or n_j alone
-// from a site that holds nothing in the interval). Each median carries
-// weight n_j, so the coordinator's n_j-weighted median of them leaves each
+// its count n_j there ("split-req", then "split-resp": n_j and the median's
+// offset in the interval, one word when they fit and two otherwise, or
+// n_j = 0 alone from a site that holds nothing in the interval). Each
+// median carries weight n_j, so the coordinator's n_j-weighted median of them leaves each
 // half at least N/4 − k of the interval's N = Σ n_j items
 // (docs/architecture.md, "A split sends only what its receiver cannot work
 // out"). merged holds the medians sorted, counts each site's n_j and total
@@ -33,18 +33,22 @@ func (p *policy) sepSamples(iv int) (merged []wsep, counts []int64, total int64)
 		meter.DownMsg(j, "split-req", req)
 		lo, hi := p.ivBounds(decodeSplitReq(req))
 		nLocal := s.st.CountRange(lo, hi)
-		var med []uint64
+		var med uint64
 		if nLocal > 0 {
 			// The first item of every ⌈n_j/2⌉ is the one of rank ⌈n_j/2⌉ − 1,
 			// the lower median.
-			med = s.st.Separators(lo, hi, (nLocal+1)/2)[:1]
+			med = s.st.Separators(lo, hi, (nLocal+1)/2)[0]
 		}
-		resp := encodeSplitResp(nil, med, nLocal)
+		resp := encodeSplitResp(nil, med, nLocal, lo, hi)
 		meter.UpMsg(j, "split-resp", resp)
-		med, counts[j] = decodeSplitResp(resp)
-		total += counts[j]
-		for _, v := range med {
-			merged = append(merged, wsep{v: v, w: counts[j]})
+		med, n, err := decodeSplitResp(resp, lo, hi)
+		if err != nil {
+			panic(err) // encoded just above: a codec bug
+		}
+		counts[j] = n
+		total += n
+		if n > 0 {
+			merged = append(merged, wsep{v: med, w: n})
 		}
 	}
 	slices.SortFunc(merged, func(a, b wsep) int { return cmp.Compare(a.v, b.v) })
@@ -77,18 +81,26 @@ func (p *policy) bootTarget() int64 {
 }
 
 // setRound starts round state for m arrivals: the round count and every
-// threshold the sites and the coordinator compare against. The total batch
-// is m/bk, not εm/bk: totEst only ends the round, which needs |A| to a
-// constant factor, and k·thrTot ≤ m/b bounds how late the round ends
-// (docs/architecture.md, "A round needs |A| only to a constant factor").
+// threshold the sites and the coordinator compare against.
 func (p *policy) setRound(m int64) {
 	p.m = m
 	p.rounds++
+	p.thrIv, p.thrTot = p.roundBatches(m)
 	em := p.cfg.Eps * float64(m)
-	p.thrIv = max(1, int64(em/(p.batchDivisor()*float64(p.cfg.K))))
-	p.thrTot = max(1, int64(float64(m)/(p.batchDivisor()*float64(p.cfg.K))))
 	p.splitAt = max(1, int64(3*em/8))
 	p.driftTrig = em / 2
+}
+
+// roundBatches returns a round's site batches for m arrivals: thrIv =
+// εm/bk for interval and drift reports and thrTot = m/bk for total reports
+// (at least 1 each). A site derives them from the m its round's "seps"
+// message carries, as the coordinator does in setRound. The total batch is
+// m/bk, not εm/bk: totEst only ends the round, which needs |A| to a constant
+// factor, and k·thrTot ≤ m/b bounds how late the round ends
+// (docs/architecture.md, "A round needs |A| only to a constant factor").
+func (p *policy) roundBatches(m int64) (thrIv, thrTot int64) {
+	bk := p.batchDivisor() * float64(p.cfg.K)
+	return max(1, int64(p.cfg.Eps*float64(m)/bk)), max(1, int64(float64(m)/bk))
 }
 
 // roundCap returns ⌊3εm/16⌋ (at least 1), the most a round build puts in one
@@ -101,7 +113,8 @@ func (p *policy) roundCap() int64 {
 // OnBootDone builds the first round from the bootstrap list, which holds
 // every forwarded arrival: it cuts the sorted keys exactly every roundCap
 // keys, so each interval's count and each M's rank are known without asking
-// the sites, and the one message is the "seps" broadcast of the separators.
+// the sites, and the one message is the "seps" broadcast of m and the
+// separators.
 // The list is dropped afterwards. An arrival that straddles the handoff (its
 // site applied it before the bootstrap ended and forwards it after) is in
 // its site's store but not in the list; the next round's exact counts take
@@ -123,7 +136,7 @@ func (p *policy) OnBootDone() {
 	if len(seps) == 0 && len(keys) > 0 && keys[len(keys)/2] < math.MaxUint64 {
 		seps = []uint64{keys[len(keys)/2]} // massive ties: still give M a candidate
 	}
-	words := encodeSeps(nil, seps)
+	words := encodeSeps(nil, p.m, seps)
 	for j := range p.sites {
 		p.eng.Meter().DownMsg(j, "seps", words)
 	}
@@ -143,15 +156,15 @@ func (p *policy) OnBootDone() {
 // newRound rebuilds the round when |A| has doubled, from the intervals the
 // coordinator already has: m′ is the sum of their exact counts (roundCounts).
 // The coordinator merges adjacent intervals while a merged count stays within
-// roundCap (mergeIntervals) and broadcasts which separators it kept as a
-// bitmap ("seps", ⌈L/64⌉ words; a joining site gets the kept separators
-// themselves). Merging adds exact counts, so the new intervals' counts and
-// each M's rank are exact with no further message (with sketch sites, within
-// GK's error, as every count they send is). Every interval of the ending
-// round holds under εm/2 ≤ εm′/4 when |A| has doubled to m′, below the new
-// splitAt; after a Reconfigure m′ may be under 2m, so an interval at or over
-// splitAt is split at once (docs/architecture.md, "Quantile rounds merge, not
-// resample").
+// roundCap (mergeIntervals) and broadcasts m′ and which separators it kept as
+// a bitmap ("seps", 1 + ⌈L/64⌉ words; a joining site gets m′ and the kept
+// separators themselves). Merging adds exact counts, so the new intervals'
+// counts and each M's rank are exact with no further message (with sketch
+// sites, within GK's error, as every count they send is). Every interval of
+// the ending round holds under εm/2 ≤ εm′/4 when |A| has doubled to m′,
+// below the new splitAt; after a Reconfigure m′ may be under 2m, so an
+// interval at or over splitAt is split at once (docs/architecture.md,
+// "Quantile rounds merge, not resample").
 func (p *policy) newRound(old int) {
 	p.eng.All()
 	meter := p.eng.Meter()
@@ -162,13 +175,13 @@ func (p *policy) newRound(old int) {
 	}
 	p.setRound(m)
 	keep, merged := mergeIntervals(counts, p.roundCap())
-	words := wire.AppendBits(nil, len(keep), func(i int) bool { return keep[i] })
-	seps := decodeKeep(p.seps, words)
+	words := encodeKeep(nil, m, keep)
+	_, seps := decodeKeep(p.seps, words)
 	for j := range p.sites {
 		if j < old {
 			meter.DownMsg(j, "seps", words)
 		} else {
-			meter.DownMsg(j, "seps", encodeSeps(nil, seps))
+			meter.DownMsg(j, "seps", encodeSeps(nil, m, seps))
 		}
 	}
 	p.seps, p.ivCount = seps, merged
@@ -194,9 +207,10 @@ func (p *policy) splitFull(iv, end int) {
 
 // roundCounts asks sites [0, old) for their rank at each separator and at
 // the universe's end ("round-req", then "round-counts", sitestore's rank
-// reply, L + 1 words for L separators) and returns every interval's exact
-// count, the sum of the clamped rank differences. Sites from old on joined
-// in a Reconfigure and hold nothing.
+// reply: one header word and the L + 1 rank differences packed at the width
+// of the widest, for L separators) and returns every interval's exact count,
+// the sum of the clamped rank differences. Sites from old on joined in a
+// Reconfigure and hold nothing.
 func (p *policy) roundCounts(old int) []int64 {
 	meter := p.eng.Meter()
 	bounds := append(slices.Clone(p.seps), math.MaxUint64)
@@ -205,7 +219,11 @@ func (p *policy) roundCounts(old int) []int64 {
 		meter.DownMsg(j, "round-req", nil)
 		words := sitestore.EncodeRanks(nil, s.st, bounds)
 		meter.UpMsg(j, "round-counts", words)
-		sitestore.AddCounts(counts, sitestore.DecodeRanks(words))
+		ranks, err := sitestore.DecodeRanks(words, len(bounds))
+		if err != nil {
+			panic(err) // encoded just above: a codec bug
+		}
+		sitestore.AddCounts(counts, ranks)
 	}
 	return counts
 }
@@ -372,13 +390,19 @@ func (p *policy) relocate(qi int) {
 	p.eng.All()
 	q := &p.qs[qi]
 	meter := p.eng.Meter()
-	// Step 1: exact L = rank(M) and T = |A| (2 words per site).
+	// Step 1: exact L = rank(M) and T = |A|: each site sends its rank of M
+	// and its count ("reloc-resp", one word when both fit, else two).
 	var l, total int64
 	for j, s := range p.sites {
 		meter.Down(j, "reloc-req", 1)
-		l += s.st.RankOf(q.m0)
-		total += p.eng.SiteCount(j)
-		meter.Up(j, "reloc-resp", 2)
+		words := encodeCounts(nil, s.st.RankOf(q.m0), p.eng.SiteCount(j))
+		meter.UpMsg(j, "reloc-resp", words)
+		r, c, err := decodeCounts(words)
+		if err != nil {
+			panic(err) // encoded just above: a codec bug
+		}
+		l += r
+		total += c
 	}
 	target := int64(q.phi * float64(total))
 

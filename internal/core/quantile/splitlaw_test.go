@@ -2,6 +2,7 @@ package quantile
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"disttrack/internal/oracle"
@@ -28,6 +29,30 @@ func checkSplitHalves(tb testing.TB, at string, left, right int64, slack float64
 	return float64(min(left, right)) / float64(n)
 }
 
+// checkSplitResp decodes site j's "split-resp" for [lo, hi) and returns
+// its n_j, failing unless the reply has the length of the rule: one word,
+// n_j = 0, from a site that holds nothing there, else one word when 6 +
+// bits(n_j) + bits(hi − lo) ≤ 64 and two otherwise; and a median, when
+// sent, lies in [lo, hi].
+func checkSplitResp(tb testing.TB, at string, words []uint64, lo, hi uint64) int64 {
+	tb.Helper()
+	med, n, err := decodeSplitResp(words, lo, hi)
+	if err != nil {
+		tb.Fatalf("%s: %v", at, err)
+	}
+	want := 1
+	if n > 0 && 6+bits.Len64(uint64(n))+bits.Len64(hi-lo) > 64 {
+		want = 2
+	}
+	if len(words) != want {
+		tb.Fatalf("%s: holds %d items in [%d, %d) and answers %d words, want %d", at, n, lo, hi, len(words), want)
+	}
+	if n > 0 && (med < lo || med > hi) {
+		tb.Fatalf("%s: median %d outside [%d, %d]", at, med, lo, hi)
+	}
+	return n
+}
+
 // checkResplit fails if an interval's coordinator count is at or over
 // splitAt: every split that leaves a half that full splits it again at once
 // (splitFull), so none is left after a call.
@@ -49,8 +74,9 @@ func checkResplit(tb testing.TB, label string, tr *Tracker) {
 // robin of TestRoundMessages never makes: every split of a tracker fed one
 // arrival at a time is rebuilt from its messages, and
 //
-//   - "split-resp" is 2 words (the lower local median and n_j) from a site
-//     holding items in the interval, and n_j alone otherwise;
+//   - "split-resp" has the length checkSplitResp names: one word when n_j
+//     and the median's offset fit beside the width header, and n_j = 0
+//     alone from a site that holds nothing in the interval;
 //   - each half's true count lies in [N/4 − k, 3N/4 + k] of the interval's
 //     true count N with exact sites, and with sketch sites within
 //     splitSketchSlack more, GK's per-end terms (docs/architecture.md);
@@ -122,10 +148,7 @@ func splitBalance(t *testing.T, cfg Config, gen func(n int64) stream.Generator, 
 		case "split-req":
 			lo, hi = p.ivBounds(decodeSplitReq(words))
 		case "split-resp":
-			med, n := decodeSplitResp(words)
-			if held := min(n, 1); int64(len(med)) != held || int64(len(words)) != 1+held {
-				t.Fatalf("|A|=%d: site %d holds %d items in the interval and answers %d words", tr.TrueTotal(), j, n, len(words))
-			}
+			checkSplitResp(t, fmt.Sprintf("|A|=%d: site %d", tr.TrueTotal(), j), words, lo, hi)
 		case "split-apply":
 			_, y = decodeSplit(p.seps, words)
 		case "split-counts":

@@ -78,7 +78,11 @@ func TestRankReplyCounts(t *testing.T) {
 	for name, st := range map[string]Store{"exact": NewExact(), "gk": NewGK(0.01)} {
 		fill(st, xs)
 		counts := make([]int64, len(bounds))
-		AddCounts(counts, DecodeRanks(EncodeRanks(nil, st, bounds)))
+		ranks, err := DecodeRanks(EncodeRanks(nil, st, bounds), len(bounds))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		AddCounts(counts, ranks)
 		prev := uint64(0)
 		for i, b := range bounds {
 			if want := st.CountRange(prev, b); counts[i] != want {

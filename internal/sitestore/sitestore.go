@@ -239,8 +239,12 @@ func (s *exactStore) CountRange(lo, hi uint64) int64 {
 }
 
 // restrict returns the non-empty restrictions of the runs to [lo, hi), and
-// how many items they hold together.
+// how many items they hold together. A range with hi <= lo is empty, as in
+// CountRange, even at hi = math.MaxUint64.
 func (s *exactStore) restrict(lo, hi uint64) (parts [][]uint64, total int64) {
+	if hi <= lo {
+		return nil, 0
+	}
 	parts = make([][]uint64, 0, len(s.runs))
 	for _, run := range s.runs {
 		a, _ := slices.BinarySearch(run, lo)

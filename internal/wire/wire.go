@@ -9,7 +9,10 @@
 //
 // A message written out as words goes through UpMsg or DownMsg, which show
 // it to the one tap tests replay protocols through (docs/architecture.md,
-// "What the rank kinds share").
+// "What the rank kinds share"). A message's words are the length of its
+// real encoding, packed fields included: a value the receiver can bound
+// travels in the bits it needs (AppendPacked, AppendPair, AppendBits), not in
+// a word of its own.
 package wire
 
 import (

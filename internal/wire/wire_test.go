@@ -150,6 +150,71 @@ func TestAppendBits(t *testing.T) {
 	}
 }
 
+// TestAppendPacked round-trips values at every width from 1 to 64, appended
+// after other words, with values that straddle word boundaries and the
+// widest value at each width, and reads values past the end as zero.
+func TestAppendPacked(t *testing.T) {
+	for w := 1; w <= 64; w++ {
+		for _, n := range []int{0, 1, 63, 64, 65} {
+			mask := ^uint64(0) >> (64 - w)
+			val := func(i int) uint64 {
+				if i%2 == 0 {
+					return mask // every bit of the width set
+				}
+				return uint64(i) * 0x9e3779b97f4a7c15 & mask
+			}
+			words := AppendPacked([]uint64{7}, n, w, val)
+			if want := 1 + (n*w+63)/64; len(words) != want || words[0] != 7 {
+				t.Fatalf("w %d n %d: %d words (first %d), want %d after the 7", w, n, len(words), words[0], want)
+			}
+			for i := range n {
+				if got := Unpack(words[1:], w, i); got != val(i) {
+					t.Fatalf("w %d n %d: value %d reads %#x, want %#x", w, n, i, got, val(i))
+				}
+			}
+			if w < 64 && n > 0 {
+				if got := Unpack(words[1:], w, n+(64/w)+1); got != 0 {
+					t.Fatalf("w %d n %d: a value past the end reads %#x", w, n, got)
+				}
+			}
+		}
+	}
+}
+
+// TestAppendPair: a pair is one word exactly when 6 + bits(a) + bits(bmax)
+// ≤ 64, and two words otherwise, and both forms round-trip; a one-word
+// width over 58, an a narrower than its width, and a length other than one
+// or two words are refused.
+func TestAppendPair(t *testing.T) {
+	for _, tc := range []struct {
+		a, b, bmax uint64
+		words      int
+	}{
+		{0, 0, 0, 1},
+		{1, 0, 0, 1},
+		{5, 9, 100, 1},
+		{1<<30 - 1, 1<<28 - 1, 1<<28 - 1, 1}, // 6 + 30 + 28 = 64
+		{1<<30 - 1, 1 << 28, 1 << 28, 2},     // 6 + 30 + 29 = 65
+		{1<<58 - 1, 0, 0, 1},
+		{1 << 58, 0, 0, 2},
+		{3, 1, 1 << 63, 2}, // the bound, not b, decides
+		{1 << 63, 1 << 63, 1 << 63, 2},
+	} {
+		words := AppendPair([]uint64{7}, tc.a, tc.b, tc.bmax)
+		if len(words) != 1+tc.words || words[0] != 7 {
+			t.Fatalf("AppendPair(%d, %d, %d) = %d words after the 7, want %d", tc.a, tc.b, tc.bmax, len(words)-1, tc.words)
+		}
+		if a, b, err := ReadPair(words[1:]); err != nil || a != tc.a || b != tc.b {
+			t.Fatalf("ReadPair(AppendPair(%d, %d)) = %d, %d, %v", tc.a, tc.b, a, b, err)
+		}
+	}
+	for _, words := range [][]uint64{nil, {59}, {63}, {3 | 1<<6}, {1}, {1, 2, 3}} {
+		if _, _, err := ReadPair(words); err == nil {
+			t.Fatalf("ReadPair(%#x) took a malformed message", words)
+		}
+	}
+}
+
 // TestMeterMsgTap: UpMsg and DownMsg meter a payload's length, at least one
 // word, and show every message to the tap, which Reset keeps.
 func TestMeterMsgTap(t *testing.T) {
