@@ -59,9 +59,11 @@ test-shuffle:
 # universe's ends), and allq's round-merge law on concurrent feeders (every
 # round build, the handoff's cut included, gives exact counts, splits only
 # at old leaf boundaries and asks no site for samples; its tap runs inside
-# the cascade's hold), and quantile's round-message law on concurrent feeders
+# the cascade's hold), quantile's round-message law on concurrent feeders
 # (no interval's coordinator count is left at or over the split trigger, the
-# re-split guard); the sixth repeats the site
+# re-split guard), and hh's message replay on concurrent feeders (C.m, every
+# C.m_x and each S_j.m rebuilt from the metered words; its tap runs on the
+# feeders' holds); the sixth repeats the site
 # node's producers-against-the-ticker
 # test, which catches a buffer shipped after the node's lock is released
 # (reordered or lost values; under -race about a third of runs fail);
@@ -82,7 +84,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
 	$(GO) test -race -count=10 -run TestBootstrapReadsChangeNoState ./internal/core/quantile ./internal/core/allq
 	$(GO) test -race -count=20 -run 'TestEngineConformanceMockPolicy/(ConcurrentStress|ConcurrentBatchStress)|TestSlowPathBudgets|TestBootstrapBatchDrain|TestSlowPathHoldSampled|TestReportHoldsOnlyItsSite|TestCascadesCounted' ./internal/core/engine
-	$(GO) test -race -count=10 -run 'TestEngineConformance/.*/(ConcurrentStress|ConcurrentBatchStress)|TestDeltaLaw/.*/Concurrent|TestEpsLaw/.*/Concurrent|TestRoundMergeLaw/.*/Concurrent|TestRoundMessages/Concurrent' ./internal/core/quantile ./internal/core/allq ./internal/core/hh
+	$(GO) test -race -count=10 -run 'TestEngineConformance/.*/(ConcurrentStress|ConcurrentBatchStress)|TestDeltaLaw/.*/Concurrent|TestEpsLaw/.*/Concurrent|TestRoundMergeLaw/.*/Concurrent|TestRoundMessages/Concurrent|TestMessageReplay/.*/Concurrent' ./internal/core/quantile ./internal/core/allq ./internal/core/hh
 	$(GO) test -race -count=40 -run TestSiteNodeConcurrentProducers ./internal/service
 	$(GO) test -race -count=40 -run TestStopUnderLoad ./internal/runtime
 	$(GO) test -race -count=20 -run 'TestClientRedialPartitionAndHeal|TestCloseDuringBackoff|TestServerBreakerRefusesFlappingNode' ./internal/remote
@@ -145,7 +147,8 @@ obs-smoke fault-smoke crash-smoke membership-smoke load-smoke:
 # Short fuzz pass over the wire-protocol and durability decoders — every
 # byte format that crosses a trust boundary (TFrame network frames, WAL
 # records, checkpoint frames, POST /v1/ingest bodies, the rank reply a
-# site sends a round or a rebuild) — and over the exact site store against a
+# site sends a round or a rebuild, the key list of a bootstrap forward, a
+# "seps" cut and an hh handoff) — and over the exact site store against a
 # sorted-slice reference and the slot table (hh's counters and the
 # perturbation counters) against a map.
 fuzz-smoke:
@@ -159,6 +162,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/allq/ -run '^$$' -fuzz FuzzRestore -fuzztime 10s
 	$(GO) test ./internal/sitestore/ -run '^$$' -fuzz FuzzExactStore -fuzztime 10s
 	$(GO) test ./internal/sitestore/ -run '^$$' -fuzz FuzzDecodeRanks -fuzztime 10s
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzDecodeKeys -fuzztime 10s
 	$(GO) test ./internal/slots/ -run '^$$' -fuzz FuzzSlotTable -fuzztime 10s
 
 # Go lines outside bench/ (its own module), non-test and test, counted as

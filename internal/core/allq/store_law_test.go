@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"disttrack/internal/core/engine/enginetest"
 	"disttrack/internal/stream"
 )
 
@@ -14,9 +15,10 @@ import (
 // tail, and in 512-item batches, where it becomes sorted runs — and asserts
 // the two trackers cannot be told apart: rank and quantile answers at every
 // batch boundary, then the protocol statistics and the wire.Meter totals per
-// message kind. (The conformance suite's BatchMatchesFeed law covers the same
-// identity at 10k items per site, before the stores have more than a few
-// runs.)
+// message kind, but for the bootstrap forwards' "item", which each side
+// meters at its own exact cost (enginetest.ItemLedger). (The conformance
+// suite's BatchMatchesFeed law covers the same identity at 10k items per
+// site, before the stores have more than a few runs.)
 func TestBatchedFeedMatchesPerItemAtScale(t *testing.T) {
 	const (
 		k     = 4
@@ -29,6 +31,7 @@ func TestBatchedFeedMatchesPerItemAtScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	bat, _ := New(cfg)
+	var l enginetest.ItemLedger
 
 	gen := distinctUniform(n, 77)
 	probes := rand.New(rand.NewSource(78))
@@ -45,11 +48,7 @@ func TestBatchedFeedMatchesPerItemAtScale(t *testing.T) {
 		if len(xs) == 0 {
 			break
 		}
-		site := c % k
-		for _, x := range xs {
-			per.Feed(site, x)
-		}
-		bat.FeedLocalBatch(site, xs)
+		l.Feed(per, bat, c%k, xs)
 		for i := 0; i < 4; i++ {
 			q := probes.Uint64() % (1 << (30 + stream.PerturbBits))
 			if p, b := per.Rank(q), bat.Rank(q); p != b {
@@ -77,7 +76,11 @@ func TestBatchedFeedMatchesPerItemAtScale(t *testing.T) {
 		t.Fatalf("message kinds: per-item %v, batched %v", per.Meter().Kinds(), bat.Meter().Kinds())
 	}
 	for _, kind := range per.Meter().Kinds() {
-		if p, b := per.Meter().Kind(kind), bat.Meter().Kind(kind); p != b {
+		p, b := per.Meter().Kind(kind), bat.Meter().Kind(kind)
+		if kind == "item" && (p != l.A || b != l.B) {
+			t.Fatalf("meter kind %q: per-item %+v, batched %+v; want %+v and %+v", kind, p, b, l.A, l.B)
+		}
+		if kind != "item" && p != b {
 			t.Fatalf("meter kind %q: per-item %+v, batched %+v", kind, p, b)
 		}
 	}

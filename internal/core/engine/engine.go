@@ -33,11 +33,12 @@
 //     site-lock acquisition and one fold into the site/global counts per
 //     run, with the slow path run inline at exactly the logical positions a
 //     sequential Feed loop would choose — protocol state and every
-//     wire.Meter count stay bit-for-bit identical to feeding one by one. A
-//     tracking escalation is one hold; a bootstrap forward drains the rest of
-//     the batch's forwards under the same hold, up to coalesceItems and no
-//     further than the handoff, so a bootstrap batch costs one acquisition,
-//     not one per arrival.
+//     wire.Meter count but the bootstrap forwards' stay bit-for-bit
+//     identical to feeding one by one. A tracking escalation is one hold; a
+//     bootstrap forward drains the rest of the batch's forwards under the
+//     same hold, up to coalesceItems and no further than the handoff, so a
+//     bootstrap batch costs one acquisition, not one per arrival, and one
+//     "item" message, the hold's keys as one key list.
 //
 // The lock order is escMu, then the escalating site's lock, then (in All)
 // the other sites in ascending index order; Quiesce, Reconfigure and the
@@ -65,6 +66,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,7 +89,10 @@ import (
 //
 // Policies meter their own protocol messages through Engine.Meter; the
 // engine itself meters only the bootstrap "item" forwards, which are
-// identical across protocols.
+// identical across protocols: all the keys one slow-path hold forwards
+// from its site travel as one message, a key list (wire.AppendKeys), so a
+// sequential Feed sends one 1-word message per arrival and a bootstrap
+// batch one list per hold.
 type Policy interface {
 	// ApplyBoot records one bootstrap arrival in site j's local store.
 	// During bootstrap every arrival is forwarded to the coordinator, so no
@@ -107,9 +112,10 @@ type Policy interface {
 	// totals.
 	ApplyRun(site int, xs []uint64) (consumed int, crossed bool)
 
-	// OnBootEscalate forwards one bootstrap arrival to the coordinator
-	// (the engine has already metered the "item" message) and reports
-	// whether the bootstrap phase is complete.
+	// OnBootEscalate forwards one bootstrap arrival to the coordinator and
+	// reports whether the bootstrap phase is complete. The engine meters the
+	// hold's "item" message once its last forward is in, before OnBootDone
+	// when the forward ends the bootstrap.
 	OnBootEscalate(site int, x uint64) (done bool)
 
 	// OnBootDone runs the bootstrap→tracking handoff — the first round
@@ -204,6 +210,10 @@ type Engine struct {
 	// cascadeT0 is when the open hold called All, if Metrics.CascadeHold is
 	// wired; zero otherwise. Written and read only under escMu.
 	cascadeT0 time.Time
+	// fwd holds the keys the open hold has forwarded and not yet metered,
+	// and fwdMsg their "item" message's words (forward). Both are scratch,
+	// written and read only under escMu.
+	fwd, fwdMsg []uint64
 
 	// sites holds the current membership behind one atomic pointer: the
 	// fast path pays a single atomic load to resolve its site, and
@@ -318,8 +328,10 @@ func (e *Engine) applyRun(s *site, siteID int, xs []uint64) (consumed int, cross
 // slow path inline at exactly the logical positions the sequential Feed loop
 // would choose, so coordinator state and every wire.Meter count are
 // bit-for-bit identical to feeding the items one by one (see docs/perf.md
-// for the identity argument). A tracking crossing is one hold; a bootstrap
-// forward drains the batch's further forwards under its hold (see slowPath).
+// for the identity argument), but for the bootstrap "item" forwards. A
+// tracking crossing is one hold; a bootstrap forward drains the batch's
+// further forwards under its hold and they travel as one "item" message
+// (see slowPath).
 // The engine does not retain xs.
 //
 // It is safe for concurrent use with one goroutine per site; it must not be
@@ -367,10 +379,11 @@ func (e *Engine) FeedLocalBatch(siteID int, xs []uint64) {
 // handoff when the policy reports it complete) or goes to Policy.OnEscalate.
 // A tracking escalation ends the hold and consumes nothing of rest. While the
 // bootstrap lasts, the hold instead applies and forwards the next arrival of
-// rest exactly as a sequential Feed would (ApplyBoot, the "item" forward, one
+// rest exactly as a sequential Feed would (ApplyBoot, the forward, one
 // version bump each), so a bootstrap batch costs one acquisition, not one per
 // arrival; it stops at the handoff, when rest is exhausted, or after
-// coalesceItems drained arrivals.
+// coalesceItems drained arrivals. The keys the hold forwards are metered as
+// one "item" message (forward).
 //
 // An arrival that straddles the bootstrap→tracking transition (the fast path
 // saw boot, another site's escalation ended it first) reaches OnEscalate
@@ -397,8 +410,10 @@ func (e *Engine) slowPath(siteID int, x uint64, rest []uint64) (drained int) {
 	e.holds++
 	for {
 		if e.boot {
-			e.meter.Up(siteID, "item", 1)
+			e.fwd = append(e.fwd, x)
 			if e.pol.OnBootEscalate(siteID, x) {
+				e.forward(siteID)
+				e.fwd, e.fwdMsg = nil, nil // no hold forwards again
 				// Every fast path reads the phase flag: exclude them all.
 				e.All()
 				e.boot = false
@@ -435,6 +450,7 @@ func (e *Engine) slowPath(siteID int, x uint64, rest []uint64) (drained int) {
 			}
 		}
 	}
+	e.forward(siteID)
 	if m != nil {
 		slowPathDone(m.SlowPathHold, t0)
 	}
@@ -451,6 +467,19 @@ func (e *Engine) slowPath(siteID int, x uint64, rest []uint64) (drained int) {
 	}
 	e.escMu.Unlock()
 	return drained
+}
+
+// forward meters the keys the open hold has forwarded from siteID since the
+// last call, if any, as one "item" message: their key list, sorted
+// (wire.AppendKeys). One key is one word.
+func (e *Engine) forward(siteID int) {
+	if len(e.fwd) == 0 {
+		return
+	}
+	slices.Sort(e.fwd)
+	e.fwdMsg = wire.AppendKeys(e.fwdMsg[:0], e.fwd)
+	e.meter.UpMsg(siteID, "item", e.fwdMsg)
+	e.fwd = e.fwd[:0]
 }
 
 // All locks every site the current slow-path hold does not hold yet, for the

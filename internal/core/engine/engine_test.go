@@ -3,7 +3,6 @@ package engine_test
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 	"time"
 
@@ -12,6 +11,7 @@ import (
 	"disttrack/internal/core/engine"
 	"disttrack/internal/core/engine/enginetest"
 	"disttrack/internal/obs"
+	"disttrack/internal/wire"
 )
 
 // countPolicy is the smallest useful engine policy: each site accumulates a
@@ -285,9 +285,12 @@ func TestSlowPathBudgets(t *testing.T) {
 // slow-path holds as the item budget allows — one for B ≤ 8,193 (the entry
 // arrival plus 8,192 drained), so B−1 acquisitions are saved. The hold ends
 // at the handoff: the rest of a batch that crosses it is tracked like any
-// batch, one acquisition per crossing. Version and every meter count equal
-// a sequential Feed of the same arrivals, so the drain changes lock traffic
-// only.
+// batch, one acquisition per crossing. Version and every meter count but
+// "item" equal a sequential Feed of the same arrivals. The sequential Feed
+// meters one 1-word "item" per forward; the batch one key list per hold,
+// here keys one apart: the first key, then a varint header and one byte a
+// gap, eight bytes a word (100 keys: 1 + ⌈(2 + 99)/8⌉ = 14 words; 200: 27;
+// 8,193 and 807: 1,026 and 102).
 func TestBootstrapBatchDrain(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -295,12 +298,14 @@ func TestBootstrapBatchDrain(t *testing.T) {
 		b        int
 		boot     bool // still bootstrapping after the batch
 		acquires int64
+		fwd      int64     // arrivals forwarded
+		item     wire.Cost // the batch's "item" messages
 	}{
-		{"in-bootstrap", 0.01, 100, true, 1},             // target 200
-		{"through-handoff", 0.01, 300, false, 13},        // 200 forwards in one hold, then 12 crossings at thr=8
-		{"over-item-budget", 0.0002, 9000, true, 2},      // target 10,000: 8,193 + 807 arrivals
-		{"handoff-on-last-arrival", 0.01, 200, false, 1}, // the handoff ends the batch
-		{"long-after-handoff", 0.01, 2000, false, 226},   // 200 forwards in one hold, then 225 crossings
+		{"in-bootstrap", 0.01, 100, true, 1, 100, wire.Cost{Msgs: 1, Words: 14}},             // target 200
+		{"through-handoff", 0.01, 300, false, 13, 200, wire.Cost{Msgs: 1, Words: 27}},        // 200 forwards in one hold, then 12 crossings at thr=8
+		{"over-item-budget", 0.0002, 9000, true, 2, 9000, wire.Cost{Msgs: 2, Words: 1128}},   // target 10,000: 8,193 + 807 arrivals
+		{"handoff-on-last-arrival", 0.01, 200, false, 1, 200, wire.Cost{Msgs: 1, Words: 27}}, // the handoff ends the batch
+		{"long-after-handoff", 0.01, 2000, false, 226, 200, wire.Cost{Msgs: 1, Words: 27}},   // 200 forwards in one hold, then 225 crossings
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			xs := make([]uint64, tc.b)
@@ -327,8 +332,12 @@ func TestBootstrapBatchDrain(t *testing.T) {
 			if bat.Version() != seq.Version() || uint64(esc) != seq.Version() {
 				t.Fatalf("Version: batched %d, sequential %d, escalations %d", bat.Version(), seq.Version(), esc)
 			}
-			if !reflect.DeepEqual(bat.Meter().State(), seq.Meter().State()) {
-				t.Fatalf("meters differ: batched %+v, sequential %+v", bat.Meter().State(), seq.Meter().State())
+			bm, sm := bat.Meter(), seq.Meter()
+			if bi, si := bm.Kind("item"), sm.Kind("item"); bi != tc.item || si != (wire.Cost{Msgs: tc.fwd, Words: tc.fwd}) {
+				t.Fatalf("\"item\": batched %+v, sequential %+v; want %+v and %d 1-word messages", bi, si, tc.item, tc.fwd)
+			}
+			if bc, sc := bm.Kind("cnt"), sm.Kind("cnt"); bc != sc || len(bm.Kinds()) != len(sm.Kinds()) {
+				t.Fatalf("meters differ: batched %v, sequential %v", bm, sm)
 			}
 			if bat.TrueTotal() != int64(tc.b) || bat.SiteCount(0) != int64(tc.b) || bat.p.total != seq.p.total {
 				t.Fatalf("batched total %d, site 0 %d, coordinator %d; sequential coordinator %d",

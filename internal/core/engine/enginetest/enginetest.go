@@ -7,7 +7,9 @@
 //     bumping Version exactly when Feed did;
 //   - batch equivalence: FeedLocalBatch over a random (site, chunk)
 //     schedule matches sequential Feed bit-for-bit — every meter count,
-//     per kind and per site, and the engine state — after every chunk;
+//     per kind and per site, and the engine state — after every chunk,
+//     except the bootstrap "item" forwards, which each side must meter at
+//     its own exact cost (ItemLedger);
 //   - the same equivalence over burst-heavy schedules
 //     (CoalescedMatchesSequential): chunks under and over the slow path's
 //     bootstrap item budget, so bootstrap batches drain under one hold, end
@@ -41,6 +43,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -48,6 +51,7 @@ import (
 	"disttrack/internal/core/engine"
 	"disttrack/internal/obs"
 	"disttrack/internal/stream"
+	"disttrack/internal/wire"
 )
 
 // Stream selects the items the suite generates.
@@ -167,22 +171,89 @@ func dealStreams(cfg Config, seed int64) [][]uint64 {
 	return out
 }
 
+// ItemLedger is what the "item" kind must read on the two sides of a feed
+// comparison, A fed item by item through Feed and B through
+// FeedLocalBatch. The engine meters the keys one slow-path hold forwards as
+// one key list (wire.AppendKeys): Feed forwards one key a hold, a 1-word
+// message per arrival, and a batch forwards its bootstrap arrivals in holds
+// of up to itemBudget + 1 keys, the last ending at the handoff. Every other
+// kind is metered alike on both sides.
+type ItemLedger struct {
+	A, B         wire.Cost
+	aSite, bSite []wire.Cost
+}
+
+// Feed feeds chunk at site to a item by item through Feed and to b through
+// FeedLocalBatch, and records the "item" messages each must meter: a's
+// arrivals fed while it bootstraps are the forwards, the same on both sides.
+func (l *ItemLedger) Feed(a, b core.Tracker, site int, chunk []uint64) {
+	f := 0
+	for _, x := range chunk {
+		if a.Bootstrapping() {
+			f++
+		}
+		a.Feed(site, x)
+	}
+	b.FeedLocalBatch(site, chunk)
+	for len(l.aSite) <= site {
+		l.aSite, l.bSite = append(l.aSite, wire.Cost{}), append(l.bSite, wire.Cost{})
+	}
+	c := wire.Cost{Msgs: int64(f), Words: int64(f)}
+	l.A, l.aSite[site] = l.A.Add(c), l.aSite[site].Add(c)
+	for fwd := chunk[:f]; len(fwd) > 0; {
+		hold := fwd[:min(len(fwd), itemBudget+1)]
+		fwd = fwd[len(hold):]
+		c := wire.Cost{Msgs: 1, Words: int64(len(wire.AppendKeys(nil, slices.Sorted(slices.Values(hold)))))}
+		l.B, l.bSite[site] = l.B.Add(c), l.bSite[site].Add(c)
+	}
+}
+
+// site returns side a's and side b's "item" cost at site j.
+func (l *ItemLedger) site(j int) (a, b wire.Cost) {
+	if j < len(l.aSite) {
+		return l.aSite[j], l.bSite[j]
+	}
+	return wire.Cost{}, wire.Cost{}
+}
+
+// minus returns c − d.
+func minus(c, d wire.Cost) wire.Cost {
+	return wire.Cost{Msgs: c.Msgs - d.Msgs, Words: c.Words - d.Words}
+}
+
 // checkMetersEqual asserts two trackers' meters agree in total, per kind
 // and per site — the bit-for-bit pin for batched vs sequential feeding.
-func checkMetersEqual(t *testing.T, label string, a, b core.Tracker, k int) {
+// With a ledger, the "item" kind must read the ledger's cost on each side
+// instead, and totals and per-site costs agree once it is taken out.
+func checkMetersEqual(t *testing.T, label string, a, b core.Tracker, k int, l *ItemLedger) {
 	t.Helper()
 	am, bm := a.Meter(), b.Meter()
-	if at, bt := am.Total(), bm.Total(); at != bt {
+	var aItem, bItem wire.Cost
+	if l != nil {
+		aItem, bItem = am.Kind("item"), bm.Kind("item")
+		if aItem != l.A || bItem != l.B {
+			t.Fatalf("%s: \"item\" metered %+v item by item and %+v batched, want %+v and %+v",
+				label, aItem, bItem, l.A, l.B)
+		}
+	}
+	if at, bt := minus(am.Total(), aItem), minus(bm.Total(), bItem); at != bt {
 		t.Fatalf("%s: meter total diverged: %+v vs %+v", label, at, bt)
 	}
 	kinds := append(am.Kinds(), bm.Kinds()...)
 	for _, kind := range kinds {
+		if l != nil && kind == "item" {
+			continue
+		}
 		if ak, bk := am.Kind(kind), bm.Kind(kind); ak != bk {
 			t.Fatalf("%s: meter kind %q diverged: %+v vs %+v", label, kind, ak, bk)
 		}
 	}
 	for j := 0; j < k; j++ {
-		if as, bs := am.Site(j), bm.Site(j); as != bs {
+		var ai, bi wire.Cost
+		if l != nil {
+			ai, bi = l.site(j)
+		}
+		if as, bs := minus(am.Site(j), ai), minus(bm.Site(j), bi); as != bs {
 			t.Fatalf("%s: meter site %d diverged: %+v vs %+v", label, j, as, bs)
 		}
 	}
@@ -234,7 +305,7 @@ func runSingleItemBatch(t *testing.T, cfg Config) {
 	if a.Bootstrapping() {
 		t.Fatalf("stream of %d items never left bootstrap: the handoff went untested", len(items))
 	}
-	checkMetersEqual(t, "single-item", a, b, cfg.K)
+	checkMetersEqual(t, "single-item", a, b, cfg.K, nil)
 	checkEngineEqual(t, "single-item", a, b, cfg.K)
 	if cfg.CheckEquiv != nil {
 		cfg.CheckEquiv(t, a, b)
@@ -243,16 +314,14 @@ func runSingleItemBatch(t *testing.T, cfg Config) {
 
 // feedBoth feeds one chunk at site to seq item by item through Feed and to
 // bat through FeedLocalBatch, then asserts the two agree on the engine state
-// and every meter count. Comparing after every chunk, not only at the end,
-// pins where the batch escalated: Version bumps once per escalation.
-func feedBoth(t *testing.T, label string, cfg Config, seq, bat core.Tracker, site int, chunk []uint64) {
+// and every meter count, "item" at the cost l names for each side.
+// Comparing after every chunk, not only at the end, pins where the batch
+// escalated: Version bumps once per escalation.
+func feedBoth(t *testing.T, label string, cfg Config, seq, bat core.Tracker, site int, chunk []uint64, l *ItemLedger) {
 	t.Helper()
-	for _, x := range chunk {
-		seq.Feed(site, x)
-	}
-	bat.FeedLocalBatch(site, chunk)
+	l.Feed(seq, bat, site, chunk)
 	checkEngineEqual(t, label, seq, bat, cfg.K)
-	checkMetersEqual(t, label, seq, bat, cfg.K)
+	checkMetersEqual(t, label, seq, bat, cfg.K, l)
 }
 
 // itemBudget is the engine's per-hold bootstrap drain budget in arrivals: a
@@ -282,10 +351,11 @@ func runBatchMatch(t *testing.T, cfg Config, streamSeed, schedSeed int64, size f
 	seq, bat := cfg.New(t), cfg.New(t)
 	items := genStream(cfg, cfg.K*cfg.PerSite, streamSeed)
 	rng := rand.New(rand.NewSource(schedSeed))
+	var l ItemLedger
 	for pos := 0; pos < len(items); {
 		site := rng.Intn(cfg.K)
 		sz := min(size(rng), len(items)-pos)
-		feedBoth(t, "batch", cfg, seq, bat, site, items[pos:pos+sz])
+		feedBoth(t, "batch", cfg, seq, bat, site, items[pos:pos+sz], &l)
 		pos += sz
 	}
 	if cfg.CheckEquiv != nil {
@@ -398,7 +468,7 @@ func runCheckpointRestore(t *testing.T, cfg Config) {
 	check := func(label string, a, b core.Tracker) {
 		t.Helper()
 		checkEngineEqual(t, label, a, b, cfg.K)
-		checkMetersEqual(t, label, a, b, cfg.K)
+		checkMetersEqual(t, label, a, b, cfg.K, nil)
 		if a.Bootstrapping() != b.Bootstrapping() {
 			t.Fatalf("%s: Bootstrapping diverged: %v vs %v", label, a.Bootstrapping(), b.Bootstrapping())
 		}
@@ -461,6 +531,7 @@ func runReconfigure(t *testing.T, cfg Config) {
 	grow, shrink := len(items)/3, 2*len(items)/3
 	rng := rand.New(rand.NewSource(41))
 	curK := cfg.K
+	var l ItemLedger
 	apply := func(newK int) {
 		for _, tr := range []core.Tracker{seq, bat} {
 			before := tr.TrueTotal()
@@ -504,14 +575,10 @@ func runReconfigure(t *testing.T, cfg Config) {
 				sz = cut - pos
 			}
 		}
-		chunk := items[pos : pos+sz]
+		l.Feed(seq, bat, site, items[pos:pos+sz])
 		pos += sz
-		for _, x := range chunk {
-			seq.Feed(site, x)
-		}
-		bat.FeedLocalBatch(site, chunk)
 	}
-	checkMetersEqual(t, "reconfigure", seq, bat, cfg.K)
+	checkMetersEqual(t, "reconfigure", seq, bat, cfg.K, &l)
 	checkEngineEqual(t, "reconfigure", seq, bat, cfg.K)
 	if cfg.CheckEquiv != nil {
 		cfg.CheckEquiv(t, seq, bat)

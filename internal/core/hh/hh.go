@@ -109,6 +109,8 @@ type policy struct {
 	cmx        map[uint64]int64 // C.m_x — underestimates of global frequencies
 	allSignals int              // "all" messages in the current round
 	rounds     int              // completed rounds (for experiments)
+
+	msg []uint64 // scratch for one report's or broadcast's words
 }
 
 // site is the per-site protocol state, guarded by the engine's site locks.
@@ -268,17 +270,29 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 	}
 }
 
-// reportFreq sends site j's unreported increment d of item x ("freq").
+// reportFreq sends site j's unreported increment d of item x ("freq",
+// encodeFreq); the coordinator adds what it decodes.
 func (p *policy) reportFreq(j int, x uint64, d int64) {
-	p.eng.Meter().Up(j, "freq", 2)
+	p.msg = encodeFreq(p.msg[:0], x, d)
+	p.eng.Meter().UpMsg(j, "freq", p.msg)
+	x, d, err := decodeFreq(p.msg)
+	if err != nil {
+		panic(err) // encoded just above: a codec bug
+	}
 	p.cmx[x] += d
 }
 
-// reportAll sends site j's unreported Δ(m) ("all").
+// reportAll sends site j's unreported Δ(m) ("all", encodeCount); the
+// coordinator adds what it decodes.
 func (p *policy) reportAll(j int) {
 	s := p.sites[j]
-	p.eng.Meter().Up(j, "all", 1)
-	p.cm += s.dm
+	p.msg = encodeCount(p.msg[:0], s.dm)
+	p.eng.Meter().UpMsg(j, "all", p.msg)
+	dm, err := decodeCount(p.msg)
+	if err != nil {
+		panic(err) // encoded just above: a codec bug
+	}
+	p.cm += dm
 	s.dm = 0
 }
 
@@ -323,11 +337,17 @@ func (p *policy) newRound() {
 	p.rounds++
 }
 
-// broadcastM sends C.m to every site, which adopts it as S_j.m.
+// broadcastM sends C.m to every site ("newm", encodeCount), which adopts
+// what it decodes as S_j.m.
 func (p *policy) broadcastM() {
-	p.eng.Meter().Broadcast("newm", 1, p.cfg.K)
-	for _, s := range p.sites {
-		s.m = p.cm
+	p.msg = encodeCount(p.msg[:0], p.cm)
+	for j, s := range p.sites {
+		p.eng.Meter().DownMsg(j, "newm", p.msg)
+		m, err := decodeCount(p.msg)
+		if err != nil {
+			panic(err) // encoded just above: a codec bug
+		}
+		s.m = m
 	}
 }
 
@@ -374,16 +394,19 @@ func (p *policy) OnReconfigure(oldK, newK int) {
 	for j := newK; j < oldK; j++ {
 		p.flushItems(j, 1)
 		if !p.cfg.Sketch {
-			// Hand the exact store to site 0, mirroring the engine's count
-			// fold so SiteSpace and checkpoints stay coherent.
-			s0, handed := p.sites[0], 0
-			for sl := range p.sites[j].tab.All {
-				if sl.Val.local != 0 {
-					s0.tab.Get(sl.Key).Val.local += sl.Val.local
-					handed++
-				}
+			// Hand the exact store to site 0 ("handoff", encodeHandoff),
+			// mirroring the engine's count fold so SiteSpace and checkpoints
+			// stay coherent; site 0 adds what it decodes.
+			keys, counts := handoffOf(p.sites[j])
+			words := encodeHandoff(nil, keys, counts)
+			p.eng.Meter().UpMsg(j, "handoff", words)
+			keys, counts, err := decodeHandoff(words)
+			if err != nil {
+				panic(err) // encoded just above: a codec bug
 			}
-			p.eng.Meter().Up(j, "handoff", handed)
+			for i, x := range keys {
+				p.sites[0].tab.Get(x).Val.local += counts[i]
+			}
 		}
 	}
 	if tracking {

@@ -41,7 +41,11 @@ import (
 // "reloc-resp" count took a word of its own; checkpoint-pack-6000.bin holds
 // the same prefix, and the same protocol state, under packed replies and
 // "seps" messages that carry the round's m, so only its checkpointed meter
-// differs. Never regenerate them.
+// differs. It was written while a cut's "seps" sent each separator as a
+// word and a "drift" report named no quantile; checkpoint-keys-6000.bin
+// holds the same prefix and state under the key-list "seps" and the
+// indexed "drift", so again only its checkpointed meter differs. Never
+// regenerate them.
 var goldenCfg = Config{K: 2, Eps: 0.05, Phis: []float64{0.1, 0.5, 0.99}}
 
 // goldenBootKeys open the stream out of order and with 1<<40 twice, so the
@@ -65,10 +69,11 @@ func goldenStream() stream.Generator {
 // while an interval report cost 2 words, checkpoint-iv1-2000.bin while
 // round builds sampled every site, checkpoint-merge-3000.bin while a total
 // report fired every εm/8k arrivals, checkpoint-tot-6000.bin while a
-// split sampled about nine separators per site and checkpoint-med-6000.bin
-// while a reply spent a word on every rank, median and count, so none of
-// them has a twin; their restored trackers are checked against the exact
-// quantiles instead.
+// split sampled about nine separators per site, checkpoint-med-6000.bin
+// while a reply spent a word on every rank, median and count and
+// checkpoint-pack-6000.bin while a cut's separators took a word each, so
+// none of them has a twin; their restored trackers are checked against the
+// exact quantiles instead.
 func TestRestoreGolden(t *testing.T) {
 	for _, g := range []struct {
 		file string
@@ -85,7 +90,8 @@ func TestRestoreGolden(t *testing.T) {
 		{"checkpoint-merge-3000.bin", 3000, false, false},
 		{"checkpoint-tot-6000.bin", 6000, false, false},
 		{"checkpoint-med-6000.bin", 6000, false, false},
-		{"checkpoint-pack-6000.bin", 6000, false, true},
+		{"checkpoint-pack-6000.bin", 6000, false, false},
+		{"checkpoint-keys-6000.bin", 6000, false, true},
 	} {
 		t.Run(g.file, func(t *testing.T) {
 			golden, err := os.ReadFile("testdata/" + g.file)

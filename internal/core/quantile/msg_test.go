@@ -27,16 +27,11 @@ import (
 // "split-resp" has the length checkSplitResp names, each half holds between
 // N/4 − k and 3N/4 + k of the interval's N items (counted in the exact site
 // stores when the last "split-counts" is sent), and after every call no
-// interval's coordinator count is at or over splitAt. Each "drift" report
-// and each "reloc-resp" is decoded from its words alone (decodeCounts) and
-// is one word exactly when both counts fit beside the width header: a
-// drift pair is the reporting site's unreported pair, and the coordinator's
-// dL and dR rise by exactly the decoded pair; a "reloc-resp" carries the
-// site's count and its rank of a tracked M, and the relocated quantile's
-// total is the sum of the decoded counts, its rank the sum of the decoded
-// ranks when M stays. The metered words of every round-build, split, drift
-// and relocation-reply kind, "round-req" included, equal the summed lengths
-// of the encodings the meter's tap saw, and a "round-req" reaches the tap.
+// interval's coordinator count is at or over splitAt. Every report and
+// relocation message is replayed from its words alone (reportReplay). The
+// metered words of every round-build, split, report and relocation kind,
+// "round-req" included, equal the summed lengths of the encodings the
+// meter's tap saw, and a "round-req" reaches the tap.
 // The concurrent leg's replay begins once it has been fed, so the gates on
 // merges, checked halves and drift reports count the other legs alone, and
 // a run of that leg alone (-run 'TestRoundMessages/Concurrent') has nothing
@@ -65,7 +60,7 @@ func TestRoundMessages(t *testing.T) {
 
 		reports reportReplay // drift and relocation replies
 	}
-	kinds := []string{"round-req", "seps", "round-counts", "split-req", "split-resp", "split-apply", "split-counts", "drift", "reloc-resp"}
+	kinds := append([]string{"round-req", "seps", "round-counts", "split-req", "split-resp", "split-apply", "split-counts"}, reportKinds...)
 	var cur *replay
 	var curTr *Tracker
 	// Counted only on the legs replayed from their first message: the
@@ -141,7 +136,10 @@ func TestRoundMessages(t *testing.T) {
 				case "seps":
 					var m int64
 					if r.views[j] == nil {
-						m, r.views[j] = decodeSeps(words)
+						var err error
+						if m, r.views[j], err = decodeSeps(words); err != nil {
+							tb.Fatalf("|A|=%d: site %d: \"seps\" %#x: %v", tr.TrueTotal(), j, words, err)
+						}
 					} else {
 						m, r.views[j] = decodeKeep(r.views[j], words)
 						merges++
@@ -166,7 +164,10 @@ func TestRoundMessages(t *testing.T) {
 					r.views[j] = slices.Insert(r.views[j], iv, y)
 					r.y = y
 				case "split-counts":
-					a := decodeSplitCounts(words)
+					a, err := decodeCount(words)
+					if err != nil {
+						tb.Fatal(err)
+					}
 					r.c1 += a
 					r.c2 += r.n[j] - a
 					if r.answered++; r.answered == len(p.sites) {
@@ -184,7 +185,7 @@ func TestRoundMessages(t *testing.T) {
 						at := fmt.Sprintf("|A|=%d: split at %d", tr.TrueTotal(), r.y)
 						balance = min(balance, checkSplitHalves(tb, at, left, right, float64(len(p.sites))))
 					}
-				case "drift", "reloc-resp":
+				default:
 					r.reports.tap(tb, tr, kind, j, words)
 				}
 				r.sent[kind] += int64(max(1, len(words))) // a message carries at least its type
@@ -241,73 +242,149 @@ func TestRoundMessages(t *testing.T) {
 	t.Logf("%d splits; the smaller half held at least %.3f of its interval; %d drift reports", splits, balance, drifts)
 }
 
-// reportReplay replays a tracker's "drift" reports and "reloc-resp"
-// replies from their words alone. Its tap decodes each message: a drift
-// pair must be one of the reporting site's unreported pairs, and a
-// "reloc-resp" must carry the site's count and its rank of a tracked M. Its
-// check, run at the next message or call at rest, compares them with the
-// coordinator: a relocation resets dL and dR only after its replies, so
-// until then a drift report's quantile has gained exactly its pair, and
-// once every site has replied the relocated quantile's total is the sum of
-// the decoded counts, and its rank the sum of the decoded ranks when M
-// stays.
+// reportReplay replays a tracker's reports ("iv", "tot", "drift") and
+// relocations ("reloc-req", "reloc-resp", "probe-req", "probe-resp",
+// "newM") from their words alone. Its tap decodes each message: an "iv"
+// report names an interval whose batch at the site is exactly thrIv; a
+// drift report names a quantile whose unreported pair at the site is the
+// decoded one and is due; a "reloc-req" names the quantile the relocation
+// moves, and each "reloc-resp" carries the site's count and its rank of
+// that quantile's M; each "probe-resp" carries the site's count in the
+// range its "probe-req" named; and a "newM" names the relocated quantile
+// and the M the coordinator installed, whose total is the sum of the
+// decoded counts, its rank the sum of the decoded ranks when M stays. Its
+// check, run at the next message or call at rest, compares the reports with
+// the coordinator: an "iv" report's interval count and a "tot" report's
+// total estimate have risen by exactly thrIv and thrTot, and a drift
+// report's quantile has gained exactly its pair (a relocation resets dL
+// and dR only after its replies).
 type reportReplay struct {
-	drifts, relocs int // checked so far
+	drifts, relocs, ivs, tots, probes int // checked so far
 
-	// A drift report not yet checked: its quantile, its pair and the
-	// coordinator's dL and dR when it was sent.
-	drift                bool
+	// Reports not yet checked: an "iv" report's interval and its count
+	// when sent; a "tot" report's total estimate when sent; a drift
+	// report's quantile, its pair and the quantile's dL and dR when sent.
+	iv, tot, drift       bool
+	ivAt                 int
+	ivBase, totBase      int64
 	driftQ               int
 	dL, dR, baseL, baseR int64
-	// A relocation's replies so far (sites answer in order), the tracked
-	// Ms when it began, and whether every site has answered.
+	// The relocation under way: its quantile and that quantile's M when
+	// it began, the replies so far (sites answer in order), and the range
+	// of the probe under way.
+	relocQ         int
+	relocM         uint64
 	relocL, relocT int64
-	relocM         []uint64
-	relocDone      bool
+	lo, hi         uint64
 }
 
 func (r *reportReplay) tap(tb testing.TB, tr *Tracker, kind string, j int, words []uint64) {
+	tb.Helper()
 	p := tr.p
-	switch kind {
-	case "drift":
-		l, rr := decodePair(tb, words)
-		// The first quantile whose unreported pair this is and is due: the
-		// site reports its due pairs in order.
-		qi := -1
-		for i, d := range p.sites[j].drift {
-			if d == [2]int64{l, rr} && absDrift(p.qs[i].phi, d) >= float64(p.thrIv) {
-				qi = i
-				break
-			}
+	at := fmt.Sprintf("|A|=%d: site %d: %q", tr.TrueTotal(), j, kind)
+	must := func(err error) {
+		tb.Helper()
+		if err != nil {
+			tb.Fatalf("%s %#x: %v", at, words, err)
 		}
-		if qi < 0 {
-			tb.Fatalf("|A|=%d: site %d reports drift (%d, %d), none of its unreported pairs %v",
-				tr.TrueTotal(), j, l, rr, p.sites[j].drift)
+	}
+	switch kind {
+	case "iv":
+		iv, err := decodeIv(words, len(p.ivCount))
+		must(err)
+		if d := p.sites[j].ivDelta[iv]; d != p.thrIv {
+			tb.Fatalf("%s names interval %d, where the site holds %d unreported arrivals, not thrIv = %d", at, iv, d, p.thrIv)
+		}
+		r.iv, r.ivAt, r.ivBase = true, iv, p.ivCount[iv]
+	case "tot":
+		must(decodeTot(words))
+		r.tot, r.totBase = true, p.totEst
+	case "drift":
+		ib := p.driftIndexBits()
+		qi, l, rr, err := decodeDrift(words, ib, len(p.qs))
+		must(err)
+		want := 2
+		if ib > 0 {
+			want = 3
+		}
+		if 6+ib+bits.Len64(uint64(l))+bits.Len64(uint64(rr)) <= 64 {
+			want = 1
+		}
+		if len(words) != want {
+			tb.Fatalf("%s (%d, %d) for quantile %d sent as %d words, want %d", at, l, rr, qi, len(words), want)
+		}
+		if d := p.sites[j].drift[qi]; d != [2]int64{l, rr} || absDrift(p.qs[qi].phi, d) < float64(p.thrIv) {
+			tb.Fatalf("%s reports (%d, %d) for φ %g, whose unreported pair is %v (due %t)",
+				at, l, rr, p.qs[qi].phi, d, absDrift(p.qs[qi].phi, d) >= float64(p.thrIv))
 		}
 		q := &p.qs[qi]
 		r.drift, r.driftQ, r.dL, r.dR, r.baseL, r.baseR = true, qi, l, rr, q.dL, q.dR
+	case "reloc-req":
+		qi, err := decodeQuantile(words, len(p.qs))
+		must(err)
+		if j == 0 { // a relocation polls the sites in order
+			r.relocQ, r.relocM, r.relocL, r.relocT = qi, p.qs[qi].m0, 0, 0
+		} else if qi != r.relocQ {
+			tb.Fatalf("%s names quantile %d inside the relocation of %d", at, qi, r.relocQ)
+		}
 	case "reloc-resp":
 		rank, n := decodePair(tb, words)
 		if n != tr.SiteCount(j) {
-			tb.Fatalf("|A|=%d: site %d reports count %d, it holds %d", tr.TrueTotal(), j, n, tr.SiteCount(j))
+			tb.Fatalf("%s reports count %d, it holds %d", at, n, tr.SiteCount(j))
 		}
-		if j == 0 { // a relocation polls the sites in order
-			r.relocL, r.relocT, r.relocM = 0, 0, nil
-			for _, q := range p.qs {
-				r.relocM = append(r.relocM, q.m0)
-			}
-		}
-		if !slices.ContainsFunc(r.relocM, func(m0 uint64) bool { return p.sites[j].st.RankOf(m0) == rank }) {
-			tb.Fatalf("|A|=%d: site %d reports rank %d, its rank of no tracked M", tr.TrueTotal(), j, rank)
+		if want := p.sites[j].st.RankOf(r.relocM); rank != want {
+			tb.Fatalf("%s reports rank %d, its rank of the requested M %d is %d", at, rank, r.relocM, want)
 		}
 		r.relocL += rank
 		r.relocT += n
-		r.relocDone = j == len(p.sites)-1
+	case "probe-req":
+		lo, hi, err := decodeRange(words)
+		must(err)
+		r.lo, r.hi = lo, hi
+	case "probe-resp":
+		c, err := decodeCount(words)
+		must(err)
+		if want := p.sites[j].st.CountRange(r.lo, r.hi); c != want {
+			tb.Fatalf("%s reports %d in [%d, %d), it holds %d", at, c, r.lo, r.hi, want)
+		}
+		r.probes++
+	case "newM":
+		qi, m0, err := decodeNewM(words, len(p.qs))
+		must(err)
+		q := &p.qs[qi]
+		if qi != r.relocQ || m0 != q.m0 {
+			tb.Fatalf("%s installs M %d for quantile %d; the relocation moved quantile %d, whose M is %d", at, m0, qi, r.relocQ, p.qs[r.relocQ].m0)
+		}
+		if j > 0 {
+			return
+		}
+		if q.tBase != r.relocT || q.dL != 0 || q.dR != 0 || (q.m0 == r.relocM && q.lBase != r.relocL) {
+			tb.Fatalf("%s: a relocation's replies give rank %d and total %d; quantile %d holds rank %d, total %d, dL %d, dR %d",
+				at, r.relocL, r.relocT, qi, q.lBase, q.tBase, q.dL, q.dR)
+		}
+		r.relocs++
 	}
 }
 
 func (r *reportReplay) check(tb testing.TB, tr *Tracker) {
+	tb.Helper()
 	p := tr.p
+	if r.iv {
+		r.iv = false
+		if got := p.ivCount[r.ivAt]; got != r.ivBase+p.thrIv {
+			tb.Fatalf("|A|=%d: \"iv\" report for interval %d: the coordinator's count went %d → %d, want +%d",
+				tr.TrueTotal(), r.ivAt, r.ivBase, got, p.thrIv)
+		}
+		r.ivs++
+	}
+	if r.tot {
+		r.tot = false
+		if p.totEst != r.totBase+p.thrTot {
+			tb.Fatalf("|A|=%d: \"tot\" report: the coordinator's total went %d → %d, want +%d",
+				tr.TrueTotal(), r.totBase, p.totEst, p.thrTot)
+		}
+		r.tots++
+	}
 	if r.drift {
 		r.drift = false
 		q := &p.qs[r.driftQ]
@@ -317,25 +394,16 @@ func (r *reportReplay) check(tb testing.TB, tr *Tracker) {
 		}
 		r.drifts++
 	}
-	if r.relocDone {
-		r.relocDone = false
-		for qi := range p.qs {
-			q := &p.qs[qi]
-			if q.tBase == r.relocT && q.dL == 0 && q.dR == 0 && (q.m0 != r.relocM[qi] || q.lBase == r.relocL) {
-				r.relocs++
-				return
-			}
-		}
-		tb.Fatalf("|A|=%d: a relocation's replies give rank %d and total %d, and no quantile holds them",
-			tr.TrueTotal(), r.relocL, r.relocT)
-	}
 }
 
-// TestReportMessages replays every "drift" report and "reloc-resp" reply
-// of a tracker fed one arrival at a time, per item and in batches, through
+// reportKinds are the kinds reportReplay decodes.
+var reportKinds = []string{"iv", "tot", "drift", "reloc-req", "reloc-resp", "probe-req", "probe-resp", "newM"}
+
+// TestReportMessages replays every report and relocation message of a
+// tracker of three quantiles fed per item and in batches of 64 through
 // reportReplay, on a stream whose mass moves to a disjoint range a third of
-// the way in (driftStream), so every M relocates; the metered words of both
-// kinds equal the summed lengths of the encodings the tap saw.
+// the way in (driftStream), so every M relocates; the metered words of each
+// kind equal the summed lengths of the encodings the tap saw.
 func TestReportMessages(t *testing.T) {
 	for _, batch := range []int{1, 64} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
@@ -348,7 +416,7 @@ func TestReportMessages(t *testing.T) {
 			tr.Meter().SetTap(func(kind string, j int, words []uint64) {
 				r.check(t, tr)
 				r.tap(t, tr, kind, j, words)
-				sent[kind] += int64(len(words))
+				sent[kind] += int64(max(1, len(words))) // a message carries at least its type
 			})
 			var xs []uint64
 			g := driftStream(60000, 78)
@@ -359,15 +427,16 @@ func TestReportMessages(t *testing.T) {
 				tr.FeedLocalBatch((i/batch)%4, xs[i:min(i+batch, len(xs))])
 				r.check(t, tr)
 			}
-			for _, kind := range []string{"drift", "reloc-resp"} {
+			for _, kind := range reportKinds {
 				if got := tr.Meter().Kind(kind).Words; got != sent[kind] {
 					t.Fatalf("metered %d %q words, the encodings sent are %d words long", got, kind, sent[kind])
 				}
 			}
-			if r.drifts == 0 || r.relocs == 0 {
-				t.Fatalf("%d drift reports and %d relocations checked: too few", r.drifts, r.relocs)
+			if r.drifts == 0 || r.relocs == 0 || r.ivs == 0 || r.tots == 0 || r.probes == 0 {
+				t.Fatalf("%d drift, %d iv and %d tot reports, %d relocations and %d probe replies checked: too few",
+					r.drifts, r.ivs, r.tots, r.relocs, r.probes)
 			}
-			t.Logf("%d drift reports, %d relocations", r.drifts, r.relocs)
+			t.Logf("%d drift, %d iv and %d tot reports, %d relocations, %d probe replies", r.drifts, r.ivs, r.tots, r.relocs, r.probes)
 		})
 	}
 }

@@ -27,8 +27,10 @@
 //     counts far below a word, packed at the width of the widest
 //     (sitestore.EncodeRanks); a split's median travels as its offset in
 //     the interval, packed with n_j into one word when both fit, and so do
-//     a drift report's two counts and a relocation reply's rank and count.
-//     Every value arrives exact, so only the meter moves.
+//     a drift report's two counts, with the index of the quantile they
+//     belong to, and a relocation reply's rank and count. A cut made from
+//     scratch sends its separators as a key list of varint gaps. Every
+//     value arrives exact, so only the meter moves.
 //
 //   - The round needs |A| only to a constant factor: no ε bound reads the
 //     coordinator's total, which only ends the round. So sites report
@@ -111,6 +113,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"disttrack/internal/core/engine"
 	"disttrack/internal/sitestore"
@@ -306,33 +309,43 @@ func (p *policy) ApplyRun(siteID int, xs []uint64) (consumed int, crossed bool) 
 // OnEscalate re-checks the batch thresholds under the protocol lock and
 // runs the communication the protocol triggers — interval reports and
 // splits, total reports and round changes, drift reports and relocations —
-// with all wire.Meter accounting. An interval ("iv") or total ("tot")
-// report is one word: its counter rises by one per arrival, ApplyRun stops
-// at its first crossing and the thresholds change only in newRound, which
-// drops every delta, so a reported counter holds exactly its threshold and
-// the coordinator adds that. A drift report fires on the signed drift
-// (absDrift) and carries both sides, L_j and R_j, in one "drift" message:
-// one word when both fit beside the width header (encodeCounts), else two.
-// The reports ("iv", "tot", "drift") touch only site siteID and
-// coordinator counters; split, newRound and relocate consult every site and
-// call Engine.All first.
+// with all wire.Meter accounting. An interval ("iv") report names its
+// interval alone and a total ("tot") report carries nothing but its kind,
+// one word each: a counter rises by one per arrival, ApplyRun stops at its
+// first crossing and the thresholds change only in newRound, which drops
+// every delta, so a reported counter holds exactly its threshold and the
+// coordinator adds that. A drift report fires on the signed drift
+// (absDrift) and carries both sides, L_j and R_j, in one "drift" message
+// with its quantile's index when more than one is tracked: one word when
+// they fit beside the width header (encodeDrift), else two or three. The
+// coordinator applies each report to what it decodes. The reports ("iv",
+// "tot", "drift") touch only site siteID and coordinator counters; split,
+// newRound and relocate consult every site and call Engine.All first.
 func (p *policy) OnEscalate(siteID int, x uint64) {
 	s := p.sites[siteID]
 	meter := p.eng.Meter()
 
 	// Interval report → possible split.
-	iv := p.ivIndex(x)
-	if s.ivDelta[iv] >= p.thrIv {
+	if iv := p.ivIndex(x); s.ivDelta[iv] >= p.thrIv {
+		words := encodeIv(nil, iv)
+		meter.UpMsg(siteID, "iv", words)
 		s.ivDelta[iv] = 0
-		meter.Up(siteID, "iv", 1)
+		iv, err := decodeIv(words, len(p.ivCount))
+		if err != nil {
+			panic(err) // encoded just above: a codec bug
+		}
 		p.ivCount[iv] += p.thrIv
 		p.splitFull(iv, iv+1)
 	}
 
 	// Total report → possible round change.
 	if s.totDelta >= p.thrTot {
+		words := encodeTot(nil)
+		meter.UpMsg(siteID, "tot", words)
 		s.totDelta = 0
-		meter.Up(siteID, "tot", 1)
+		if err := decodeTot(words); err != nil {
+			panic(err) // encoded just above: a codec bug
+		}
 		p.totEst += p.thrTot
 		if p.totEst >= 2*p.m {
 			p.newRound(len(p.sites))
@@ -341,24 +354,30 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 	}
 
 	// Per-quantile drift reports → possible relocations.
+	ib := p.driftIndexBits()
 	for qi := range p.qs {
-		q := &p.qs[qi]
 		d := s.drift[qi]
-		if absDrift(q.phi, d) < float64(p.thrIv) {
+		if absDrift(p.qs[qi].phi, d) < float64(p.thrIv) {
 			continue
 		}
-		words := encodeCounts(nil, d[0], d[1])
+		words := encodeDrift(nil, qi, ib, d[0], d[1])
 		meter.UpMsg(siteID, "drift", words)
 		s.drift[qi] = [2]int64{}
-		dL, dR, err := decodeCounts(words)
+		dq, dL, dR, err := decodeDrift(words, ib, len(p.qs))
 		if err != nil {
 			panic(err) // encoded just above: a codec bug
 		}
+		q := &p.qs[dq]
 		q.dL += dL
 		q.dR += dR
-		p.maybeRelocate(qi)
+		p.maybeRelocate(dq)
 	}
 }
+
+// driftIndexBits returns the bits a "drift" report's quantile index takes,
+// bits.Len(nq − 1) for nq tracked quantiles: 0 with one, which the report
+// then leaves out.
+func (p *policy) driftIndexBits() int { return bits.Len(uint(len(p.qs) - 1)) }
 
 // OnBootEscalate forwards one bootstrap arrival into the coordinator's
 // exact list; the bootstrap ends once |A| reaches bootTarget.

@@ -340,9 +340,12 @@ func (p *policy) split(iv int) bool {
 		meter.DownMsg(j, "split-apply", apply)
 		siv, sy := decodeSplit(p.seps, apply) // site j's reading of the message
 		slo, _ := p.ivBounds(siv)
-		words := encodeSplitCounts(nil, min(s.st.CountRange(slo, sy), counts[j]))
+		words := encodeCount(nil, min(s.st.CountRange(slo, sy), counts[j]))
 		meter.UpMsg(j, "split-counts", words)
-		a := decodeSplitCounts(words)
+		a, err := decodeCount(words)
+		if err != nil {
+			panic(err) // encoded just above: a codec bug
+		}
 		c1 += a
 		c2 += counts[j] - a
 	}
@@ -390,12 +393,18 @@ func (p *policy) relocate(qi int) {
 	p.eng.All()
 	q := &p.qs[qi]
 	meter := p.eng.Meter()
-	// Step 1: exact L = rank(M) and T = |A|: each site sends its rank of M
-	// and its count ("reloc-resp", one word when both fit, else two).
+	// Step 1: exact L = rank(M) and T = |A|: the coordinator names the
+	// quantile ("reloc-req"), and each site sends its rank of that M and its
+	// count ("reloc-resp", one word when both fit, else two).
 	var l, total int64
+	req := encodeQuantile(nil, qi)
 	for j, s := range p.sites {
-		meter.Down(j, "reloc-req", 1)
-		words := encodeCounts(nil, s.st.RankOf(q.m0), p.eng.SiteCount(j))
+		meter.DownMsg(j, "reloc-req", req)
+		sq, err := decodeQuantile(req, len(p.qs))
+		if err != nil {
+			panic(err) // encoded just above: a codec bug
+		}
+		words := encodeCounts(nil, s.st.RankOf(p.qs[sq].m0), p.eng.SiteCount(j))
 		meter.UpMsg(j, "reloc-resp", words)
 		r, c, err := decodeCounts(words)
 		if err != nil {
@@ -437,26 +446,43 @@ func (p *policy) relocate(qi int) {
 		}
 	}
 
-	// Step 3: install M and reset this quantile's drift state everywhere.
+	// Step 3: install M and reset this quantile's drift state everywhere
+	// ("newM": the index and the new M; a site resets the pair it decodes).
 	q.m0 = bestV
 	q.lBase, q.tBase = newRank, total
 	q.dL, q.dR = 0, 0
-	meter.Broadcast("newM", 2, p.cfg.K)
-	for _, s := range p.sites {
-		s.drift[qi] = [2]int64{}
+	words := encodeNewM(nil, qi, bestV)
+	for j, s := range p.sites {
+		meter.DownMsg(j, "newM", words)
+		sq, _, err := decodeNewM(words, len(p.qs))
+		if err != nil {
+			panic(err) // encoded just above: a codec bug
+		}
+		s.drift[sq] = [2]int64{}
 	}
 	p.relocations++
 }
 
 // collectRange collects the exact global count of [lo, hi) — one probe of
-// the paper's step 2, O(k) words.
+// the paper's step 2, O(k) words: each site counts the range a "probe-req"
+// names (2 words) and replies with one count ("probe-resp").
 func (p *policy) collectRange(lo, hi uint64) int64 {
 	var c int64
 	meter := p.eng.Meter()
+	req := encodeRange(nil, lo, hi)
 	for j, s := range p.sites {
-		meter.Down(j, "probe-req", 2)
-		c += s.st.CountRange(lo, hi)
-		meter.Up(j, "probe-resp", 1)
+		meter.DownMsg(j, "probe-req", req)
+		slo, shi, err := decodeRange(req)
+		if err != nil {
+			panic(err) // encoded just above: a codec bug
+		}
+		words := encodeCount(nil, s.st.CountRange(slo, shi))
+		meter.UpMsg(j, "probe-resp", words)
+		n, err := decodeCount(words)
+		if err != nil {
+			panic(err) // encoded just above: a codec bug
+		}
+		c += n
 	}
 	return c
 }

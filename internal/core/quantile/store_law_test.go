@@ -4,6 +4,8 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"disttrack/internal/core/engine/enginetest"
 )
 
 // TestBatchedFeedMatchesPerItemAtScale feeds one seeded 200k-item stream
@@ -11,9 +13,11 @@ import (
 // tail, and in 512-item batches, where it becomes sorted runs — and asserts
 // the two trackers cannot be told apart: every tracked quantile at every
 // batch boundary, then the protocol statistics and the wire.Meter totals per
-// message kind. The stream's mass moves to a disjoint range a third of the
-// way in (driftStream), so both feeds must relocate every M and agree on
-// when: a stationary stream's signed drift cancels and never relocates.
+// message kind, but for the bootstrap forwards' "item", which each side
+// meters at its own exact cost (enginetest.ItemLedger). The stream's mass
+// moves to a disjoint range a third of the way in (driftStream), so both
+// feeds must relocate every M and agree on when: a stationary stream's
+// signed drift cancels and never relocates.
 // (The conformance suite's BatchMatchesFeed law covers the same identity at
 // 10k items per site, before the stores have more than a few runs.)
 func TestBatchedFeedMatchesPerItemAtScale(t *testing.T) {
@@ -28,6 +32,7 @@ func TestBatchedFeedMatchesPerItemAtScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	bat, _ := New(cfg)
+	var l enginetest.ItemLedger
 
 	gen := driftStream(n, 77)
 	xs := make([]uint64, 0, batch)
@@ -43,11 +48,7 @@ func TestBatchedFeedMatchesPerItemAtScale(t *testing.T) {
 		if len(xs) == 0 {
 			break
 		}
-		site := c % k
-		for _, x := range xs {
-			per.Feed(site, x)
-		}
-		bat.FeedLocalBatch(site, xs)
+		l.Feed(per, bat, c%k, xs)
 		if p, b := per.Quantiles(), bat.Quantiles(); !slices.Equal(p, b) {
 			t.Fatalf("after batch %d: quantiles per-item %v, batched %v", c, p, b)
 		}
@@ -68,7 +69,11 @@ func TestBatchedFeedMatchesPerItemAtScale(t *testing.T) {
 		t.Fatalf("message kinds: per-item %v, batched %v", per.Meter().Kinds(), bat.Meter().Kinds())
 	}
 	for _, kind := range per.Meter().Kinds() {
-		if p, b := per.Meter().Kind(kind), bat.Meter().Kind(kind); p != b {
+		p, b := per.Meter().Kind(kind), bat.Meter().Kind(kind)
+		if kind == "item" && (p != l.A || b != l.B) {
+			t.Fatalf("meter kind %q: per-item %+v, batched %+v; want %+v and %+v", kind, p, b, l.A, l.B)
+		}
+		if kind != "item" && p != b {
 			t.Fatalf("meter kind %q: per-item %+v, batched %+v", kind, p, b)
 		}
 	}

@@ -62,9 +62,9 @@ func Bit(words []uint64, i int) bool { return Unpack(words, 1, i) == 1 }
 // width, 0 … 58.
 const pairWidthBits = 6
 
-// ErrBadPair reports a pair message AppendPair does not write: other than
-// one or two words, or one word whose width is over 58 or whose a does not
-// end at that width.
+// ErrBadPair reports a pair message AppendPair or AppendTaggedPair does not
+// write: of the wrong length, one word whose width is over what the word
+// leaves or whose a does not end at that width, or a tag past its width.
 var ErrBadPair = errors.New("wire: malformed pair")
 
 // AppendPair appends the pair (a, b) to dst. It is one word, [6-bit width
@@ -73,42 +73,63 @@ var ErrBadPair = errors.New("wire: malformed pair")
 // allows (b itself when it knows no bound); otherwise a and b as two words.
 // The receiver tells the forms apart by length (ReadPair).
 func AppendPair(dst []uint64, a, b, bmax uint64) []uint64 {
-	if word, ok := packPair(a, b, bmax); ok {
-		return append(dst, word)
-	}
-	return append(dst, a, b)
+	return AppendTaggedPair(dst, 0, 0, a, b, bmax)
 }
 
 // ReadPair returns the pair of a message from AppendPair, or ErrBadPair.
 func ReadPair(words []uint64) (a, b uint64, err error) {
+	_, a, b, err = ReadTaggedPair(words, 0)
+	return a, b, err
+}
+
+// AppendTaggedPair appends the pair (a, b) with a tag below 2^tagBits, a
+// width both ends know (0 ≤ tagBits ≤ 32), beside AppendPair's width
+// header: one word, [6-bit width w of a | tag | a | b], when 6 + tagBits +
+// w + bits.Len64(bmax) ≤ 64, else the words tag, a and b (with tagBits = 0
+// the tag is left out, as in AppendPair).
+func AppendTaggedPair(dst []uint64, tag uint64, tagBits int, a, b, bmax uint64) []uint64 {
+	if tagBits < 0 || tagBits > 32 || tag>>tagBits != 0 {
+		panic("wire: AppendTaggedPair: tag past its width")
+	}
+	w := bits.Len64(a)
+	if pairWidthBits+tagBits+w+bits.Len64(bmax) <= 64 {
+		return append(dst, uint64(w)|tag<<pairWidthBits|a<<(pairWidthBits+tagBits)|b<<(pairWidthBits+tagBits+w))
+	}
+	if tagBits > 0 {
+		dst = append(dst, tag)
+	}
+	return append(dst, a, b)
+}
+
+// ReadTaggedPair returns the tag and pair of a message from
+// AppendTaggedPair at tagBits, or ErrBadPair.
+func ReadTaggedPair(words []uint64, tagBits int) (tag, a, b uint64, err error) {
+	long := 2
+	if tagBits > 0 {
+		long = 3
+	}
 	switch len(words) {
 	case 1:
-		return unpackPair(words[0])
-	case 2:
-		return words[0], words[1], nil
+		word := words[0]
+		w := int(word & (1<<pairWidthBits - 1))
+		at := pairWidthBits + tagBits
+		if at+w > 64 {
+			return 0, 0, 0, ErrBadPair
+		}
+		tag = word >> pairWidthBits & (1<<tagBits - 1)
+		a = word >> at & (1<<w - 1)
+		if bits.Len64(a) != w {
+			return 0, 0, 0, ErrBadPair
+		}
+		return tag, a, word >> (at + w), nil
+	case long:
+		if tagBits > 0 {
+			tag, words = words[0], words[1:]
+			if tag>>tagBits != 0 {
+				return 0, 0, 0, ErrBadPair
+			}
+		}
+		return tag, words[0], words[1], nil
 	}
-	return 0, 0, ErrBadPair
-}
-
-// packPair returns AppendPair's one-word form of (a, b), and whether it
-// fits.
-func packPair(a, b, bmax uint64) (word uint64, ok bool) {
-	w := bits.Len64(a)
-	if pairWidthBits+w+bits.Len64(bmax) > 64 {
-		return 0, false
-	}
-	return uint64(w) | a<<pairWidthBits | b<<(pairWidthBits+w), true
-}
-
-// unpackPair returns the pair of a word from packPair, or ErrBadPair.
-func unpackPair(word uint64) (a, b uint64, err error) {
-	w := int(word & (1<<pairWidthBits - 1))
-	if pairWidthBits+w > 64 {
-		return 0, 0, ErrBadPair
-	}
-	a = word >> pairWidthBits & (1<<w - 1)
-	if bits.Len64(a) != w {
-		return 0, 0, ErrBadPair
-	}
-	return a, word >> (pairWidthBits + w), nil
+	return 0, 0, 0, ErrBadPair
 }

@@ -12,7 +12,7 @@
 // "What the rank kinds share"). A message's words are the length of its
 // real encoding, packed fields included: a value the receiver can bound
 // travels in the bits it needs (AppendPacked, AppendPair, AppendBits), not in
-// a word of its own.
+// a word of its own, and a sorted list of keys as varint gaps (AppendKeys).
 package wire
 
 import (

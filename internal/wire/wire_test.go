@@ -238,3 +238,41 @@ func TestMeterMsgTap(t *testing.T) {
 		t.Fatalf("tap saw %v, want %v", seen, want)
 	}
 }
+
+// TestAppendTaggedPair: a tagged pair is one word exactly when 6 + tagBits
+// + bits(a) + bits(bmax) ≤ 64, else the three words tag, a and b, and both
+// forms round-trip; at tagBits 0 it is AppendPair. A one-word a past what
+// the word leaves, a long tag past its width and a wrong length are
+// refused.
+func TestAppendTaggedPair(t *testing.T) {
+	for _, tc := range []struct {
+		tag     uint64
+		tagBits int
+		a, b    uint64
+		words   int
+	}{
+		{0, 0, 5, 9, 1},
+		{3, 2, 0, 0, 1},
+		{2, 2, 5, 9, 1},
+		{1, 2, 1<<28 - 1, 1<<28 - 1, 1}, // 6 + 2 + 28 + 28 = 64
+		{1, 2, 1<<29 - 1, 1<<28 - 1, 3}, // 65
+		{0, 0, 1<<29 - 1, 1<<28 - 1, 1},
+		{5, 3, 1 << 63, 1, 3},
+	} {
+		words := AppendTaggedPair([]uint64{7}, tc.tag, tc.tagBits, tc.a, tc.b, tc.b)
+		if len(words) != 1+tc.words || words[0] != 7 {
+			t.Fatalf("AppendTaggedPair(%d/%d, %d, %d) = %d words after the 7, want %d", tc.tag, tc.tagBits, tc.a, tc.b, len(words)-1, tc.words)
+		}
+		if tc.tagBits == 0 && !slices.Equal(words, AppendPair([]uint64{7}, tc.a, tc.b, tc.b)) {
+			t.Fatalf("untagged (%d, %d) differs from AppendPair", tc.a, tc.b)
+		}
+		if tag, a, b, err := ReadTaggedPair(words[1:], tc.tagBits); err != nil || tag != tc.tag || a != tc.a || b != tc.b {
+			t.Fatalf("ReadTaggedPair(AppendTaggedPair(%d, %d, %d)) = %d, %d, %d, %v", tc.tag, tc.a, tc.b, tag, a, b, err)
+		}
+	}
+	for _, words := range [][]uint64{nil, {57}, {1, 2}, {4, 1, 2}, {1, 2, 3, 4}} {
+		if _, _, _, err := ReadTaggedPair(words, 2); err == nil {
+			t.Fatalf("ReadTaggedPair(%#x, 2) took a malformed message", words)
+		}
+	}
+}
