@@ -26,14 +26,16 @@ build:
 	$(GO) build ./...
 	GOARCH=386 $(GO) vet ./internal/service
 
+# -timeout 5m: the slowest package takes about 30 s, so a test that hangs
+# fails in minutes instead of at go test's default 10.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 5m ./...
 
 # Randomize test execution order (the CI shuffle job runs it), to catch
 # inter-test ordering assumptions — e.g. state the engine refactor could
 # accidentally share across conformance subtests.
 test-shuffle:
-	$(GO) test -shuffle=on -count=1 ./...
+	$(GO) test -timeout 5m -shuffle=on -count=1 ./...
 
 # The second line repeats the tests that put several goroutines on one
 # tenant's gate (concurrent producers, delete/recreate and reconfigure under

@@ -13,7 +13,10 @@ import (
 // §2.1 policy's state is the coordinator underestimates plus, per site, the
 // broadcast mark, the unreported delta, and the mode-specific frequency
 // store. Thresholds are derived from broadcast state (m), so nothing else
-// needs capturing. See docs/durability.md for the format.
+// needs capturing: the coordinator's broadcast mark S.m is every site's
+// S_j.m, since a broadcast writes all k sites and a joining site gets one
+// before it reports, and the allSignals slot counts the "all" reports since
+// that broadcast. See docs/durability.md for the format.
 
 // storeMisraGries is the store byte a checkpoint of the removed
 // Misra–Gries site sketch starts its policy state with. DecodeState names it
@@ -77,7 +80,19 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 		s.ss = ss
 		s.lastRep = dec.MapU64I64()
 	}
-	return dec.Err()
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	p.sm = p.sites[0].m
+	for j, s := range p.sites {
+		if s.m != p.sm {
+			return fmt.Errorf("hh: restore: site %d holds S.m %d, site 0 %d: one broadcast writes every site", j, s.m, p.sm)
+		}
+	}
+	if p.sm < 0 || p.sm > p.cm {
+		return fmt.Errorf("hh: restore: S.m %d outside [0, C.m %d]: a broadcast sends C.m, which only grows", p.sm, p.cm)
+	}
+	return nil
 }
 
 // encodeColumn writes one counter of the key-sorted slots as

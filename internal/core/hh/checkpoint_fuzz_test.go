@@ -37,6 +37,8 @@ func FuzzRestore(f *testing.F) {
 	f.Add(flipped)
 	f.Add(append([]byte(nil), valid[10:len(valid)-4]...)) // bare payload
 	f.Add([]byte{})
+	// Refused: the sites' S.m differ.
+	f.Add(splitBroadcastCheckpoint(f, func(p *policy) { p.sites[1].m++ }))
 	for _, b := range []byte{storeMisraGries, 3} { // refused store bytes
 		_, _, payload := storeBytePayload(f, tr, b)
 		f.Add(payload)

@@ -170,3 +170,61 @@ func TestRestoreRefusesStoreByte(t *testing.T) {
 		}
 	}
 }
+
+// splitBroadcastCheckpoint returns the checkpoint of a tracker fed 2,000
+// arrivals after edit has changed its state: a frame whose CRC holds, so
+// only the policy decoder can refuse it.
+func splitBroadcastCheckpoint(tb testing.TB, edit func(p *policy)) []byte {
+	tb.Helper()
+	tr, err := New(Config{K: 3, Eps: 0.1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		tr.Feed(i%3, uint64(i%13))
+	}
+	tr.Quiesce(func() { edit(tr.p) })
+	var buf bytes.Buffer
+	if err := tr.Checkpoint(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRestoreRefusesSplitBroadcast checks that a restore derives the
+// coordinator's broadcast mark from the sites only when they agree: a
+// broadcast writes every site, so sites whose S.m differ, or an S.m above
+// C.m, name no state the protocol reaches.
+func TestRestoreRefusesSplitBroadcast(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(p *policy)
+		want string
+	}{
+		{"sites differ", func(p *policy) { p.sites[2].m-- }, "site 2 holds S.m"},
+		{"above C.m", func(p *policy) {
+			for _, s := range p.sites {
+				s.m = p.cm + 1
+			}
+		}, "outside [0, C.m"},
+	} {
+		dst, err := New(Config{K: 3, Eps: 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = dst.Restore(bytes.NewReader(splitBroadcastCheckpoint(t, tc.edit)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: restore error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+	dst, err := New(Config{K: 3, Eps: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Restore(bytes.NewReader(splitBroadcastCheckpoint(t, func(*policy) {}))); err != nil {
+		t.Fatalf("unedited checkpoint: %v", err)
+	}
+	if dst.p.sm != dst.p.sites[0].m || dst.p.sm == 0 {
+		t.Fatalf("restored broadcast mark %d, sites hold %d", dst.p.sm, dst.p.sites[0].m)
+	}
+}

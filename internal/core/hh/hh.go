@@ -8,12 +8,18 @@
 // broadcast — plus counters Δ(m) and Δ(m_x) for the arrivals since it last
 // reported. When either counter reaches the threshold ε·S_j.m/3k the site
 // sends the accumulated increment to the coordinator ("all" messages for
-// Δ(m), "freq" messages for Δ(m_x)). After k "all" signals the coordinator
-// broadcasts its own count C.m, starting a new round. Each "all" report
-// carries exactly the threshold, so a round adds ε·S.m/3 to C.m: the count
-// grows by a (1+ε/3) factor per round, so there are O(log n / ε) rounds of k
-// "all" messages each, and no more "freq" than "all" messages —
-// O(k/ε · log n) total.
+// Δ(m), "freq" messages for Δ(m_x)). When an "all" report brings C.m to at
+// least c·S.m, c = 1 + √(2ε/3), the coordinator broadcasts its own count
+// C.m, starting a new round. Each "all" report carries exactly the
+// threshold, ε·S.m/3k, so a round takes about k·√(6/ε) "all" messages and
+// grows the count by a factor c: O(k/ε) "all" and O(k/√ε) "newm" words per
+// doubling of m, and no more "freq" than "all" messages — O(k/ε · log n)
+// total.
+//
+// The thresholds need m only to a constant factor: a stale S_j.m ≤ m only
+// shrinks them, so the invariants below hold whatever c is, and c is the
+// one that minimises the words per doubling (docs/architecture.md, "hh's
+// thresholds need m only to a constant factor").
 //
 // The paper ends each round by collecting every site's exact count. This
 // implementation does not: every site's unreported Δ(m) stays below its
@@ -107,8 +113,9 @@ type policy struct {
 	// Coordinator state, touched only on the slow path.
 	cm         int64            // C.m — underestimate of the global count
 	cmx        map[uint64]int64 // C.m_x — underestimates of global frequencies
-	allSignals int              // "all" messages in the current round
-	rounds     int              // completed rounds (for experiments)
+	sm         int64            // S.m — the C.m last broadcast, every site's S_j.m
+	allSignals int              // "all" messages since the last broadcast
+	rounds     int              // broadcasts after the bootstrap's (for experiments)
 
 	msg []uint64 // scratch for one report's or broadcast's words
 }
@@ -179,6 +186,15 @@ func (p *policy) threshold(s *site) int64 {
 	return thr
 }
 
+// growth returns c = 1 + √(2ε/d), the factor by which C.m grows between
+// broadcasts. A round of S.m costs about d(c−1)·k/ε "all" words and k
+// "newm" words, and grows m by c, so the words per doubling are
+// (d(c−1)/ε + 1)·k/log₂c, smallest at this c (docs/architecture.md, "hh's
+// thresholds need m only to a constant factor"). Derived, never stored.
+func (p *policy) growth() float64 {
+	return 1 + math.Sqrt(2*p.cfg.Eps/p.divisor())
+}
+
 // bootTarget returns ⌈d·k/ε⌉, the coordinator count at which the reporting
 // threshold ε·S.m/dk reaches one item. Below it every tracked arrival would
 // cross the one-item floor and pay an "all" report, a "freq" report and its
@@ -242,8 +258,9 @@ func (p *policy) ApplyRun(siteID int, xs []uint64) (consumed int, crossed bool) 
 // OnEscalate re-checks the reporting thresholds under the protocol lock and
 // runs the (rare) communication cascade — delta reports, "all" signals,
 // round changes — with all wire.Meter accounting. The "freq" and "all"
-// reports touch only site siteID and coordinator counters; the round change's
-// broadcast writes every site and calls Engine.All first.
+// reports touch only site siteID and coordinator counters; the round change,
+// when an "all" report brings C.m to c·S.m, reads only the coordinator's
+// own mark, and its broadcast writes every site and calls Engine.All first.
 func (p *policy) OnEscalate(siteID int, x uint64) {
 	s := p.sites[siteID]
 	thr := p.threshold(s)
@@ -264,7 +281,7 @@ func (p *policy) OnEscalate(siteID int, x uint64) {
 	if s.dm >= thr {
 		p.reportAll(siteID)
 		p.allSignals++
-		if p.allSignals >= p.cfg.K {
+		if float64(p.cm) >= p.growth()*float64(p.sm) {
 			p.newRound()
 		}
 	}
@@ -328,8 +345,8 @@ func (p *policy) OnBootDone() {
 
 // newRound starts the next round: the coordinator broadcasts its own C.m,
 // with no exact collect — each site's unreported Δ(m) is below its
-// threshold, so C.m is already within εm/3 of m, and the sites keep their
-// Δ(m) for their next report.
+// threshold, so C.m is already within εS.m/3 ≤ εm/3 of m, and the sites
+// keep their Δ(m) for their next report.
 func (p *policy) newRound() {
 	p.eng.All()
 	p.broadcastM()
@@ -338,8 +355,9 @@ func (p *policy) newRound() {
 }
 
 // broadcastM sends C.m to every site ("newm", encodeCount), which adopts
-// what it decodes as S_j.m.
+// what it decodes as S_j.m; the coordinator keeps C.m as its mark S.m.
 func (p *policy) broadcastM() {
+	p.sm = p.cm
 	p.msg = encodeCount(p.msg[:0], p.cm)
 	for j, s := range p.sites {
 		p.eng.Meter().DownMsg(j, "newm", p.msg)
@@ -495,8 +513,9 @@ func (t *Tracker) EstFrequency(x uint64) int64 { return t.p.cmx[x] }
 // EstTotal returns the coordinator's estimate C.m.
 func (t *Tracker) EstTotal() int64 { return t.p.cm }
 
-// Rounds returns the number of completed rounds (broadcasts after the
-// bootstrap's).
+// Rounds returns the number of completed rounds: the "newm" broadcasts
+// after the bootstrap's, each when C.m reached c·S.m or the membership
+// changed.
 func (t *Tracker) Rounds() int { return t.p.rounds }
 
 // SiteSpace returns the number of state entries held at site j — nonzero

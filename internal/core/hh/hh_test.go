@@ -308,10 +308,17 @@ func TestRoundsGrowLogarithmically(t *testing.T) {
 		}
 		tr.Feed(i%k, x)
 	}
-	// Rounds ≈ log_{1+ε/3}(n / bootstrap) ≈ 3 ln(n·ε/k)/ε ≈ 260.
-	rounds := tr.Rounds()
-	if rounds < 50 || rounds > 800 {
-		t.Fatalf("rounds=%d, expected Θ(log n/ε) ≈ 260", rounds)
+	// A round grows C.m from M_r to at least c·M_r, c = 1 + √(2ε/3), and
+	// past it by less than one threshold, ε·M_r/3k, so the rounds number
+	// about log_c(C.m/M_0) from the bootstrap target M_0 = ⌈3k/ε⌉:
+	// 1/log₂c ≈ 3.0 per doubling, 32 to 34 over these 11 doublings.
+	c := 1 + math.Sqrt(2*tr.Eps()/3)
+	doublings := math.Log2(float64(tr.EstTotal()) / math.Ceil(3*k/eps))
+	lo := doublings/math.Log2(c+eps/(3*k)) - 1
+	hi := doublings/math.Log2(c) + 1
+	if rounds := float64(tr.Rounds()); rounds < lo || rounds > hi {
+		t.Fatalf("rounds=%v over %.2f doublings, want %.1f…%.1f (1/log₂c = %.2f per doubling)",
+			rounds, doublings, lo, hi, 1/math.Log2(c))
 	}
 }
 

@@ -112,6 +112,7 @@ func (r *msgReplay) check(tb testing.TB, label string, tr *Tracker) {
 		}
 		r.seeded = true
 	}
+	checkLag(tb, label, tr)
 	if tr.Version() == r.checked {
 		return
 	}
@@ -147,6 +148,27 @@ func (r *msgReplay) check(tb testing.TB, label string, tr *Tracker) {
 	}
 }
 
+// checkLag asserts the law the lazy broadcast keeps outside the bootstrap:
+// every site's S_j.m is the coordinator's last broadcast S.m, and
+// S.m ≤ C.m < c·S.m, c = 1 + √(2ε/3), so each threshold ε·S_j.m/3k reads m
+// at most a factor c stale (plus the unreported Δ(m)).
+func checkLag(tb testing.TB, label string, tr *Tracker) {
+	tb.Helper()
+	if tr.Bootstrapping() {
+		return
+	}
+	p := tr.p
+	for j, s := range p.sites {
+		if s.m != p.sm {
+			tb.Fatalf("%s: |A|=%d: site %d holds S.m %d, the coordinator last broadcast %d", label, tr.TrueTotal(), j, s.m, p.sm)
+		}
+	}
+	c := 1 + math.Sqrt(2*tr.Eps()/3)
+	if p.sm > p.cm || float64(p.cm) >= c*float64(p.sm) {
+		tb.Fatalf("%s: |A|=%d: C.m %d outside [S.m, c·S.m) = [%d, %.1f)", label, tr.TrueTotal(), p.cm, p.sm, c*float64(p.sm))
+	}
+}
+
 // TestMessageReplay replays every "item", "freq", "all" and "newm" message
 // through enginetest.RunLaw's schedules (restore, grow and shrink
 // included, and one goroutine per site, whose replay runs from the first
@@ -154,8 +176,9 @@ func (r *msgReplay) check(tb testing.TB, label string, tr *Tracker) {
 // stream with 0 and math.MaxUint64 among the keys: after every call the
 // coordinator's C.m and every C.m_x, and each site's S_j.m, equal what the
 // words alone give (msgReplay), a "freq" report is one word exactly when
-// its item and increment fit beside the width header, and the metered
-// words of each kind equal the encodings' lengths.
+// its item and increment fit beside the width header, the metered
+// words of each kind equal the encodings' lengths, and the broadcast lags
+// C.m by less than the factor c (checkLag).
 func TestMessageReplay(t *testing.T) {
 	for _, sketch := range []bool{false, true} {
 		name := "exact"

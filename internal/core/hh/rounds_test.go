@@ -20,8 +20,31 @@ func atThresholdEdge(tr *Tracker) bool {
 	return true
 }
 
+// fillToEdge feeds each site of tr, one arrival at a time from next, until
+// its Δ(m) is one below its reporting threshold. Δ(m) stays below the
+// threshold, so no "all" report fires, no broadcast moves a threshold, and
+// one pass lines every site up; it fails the test if a site takes more than
+// a threshold's arrivals or next runs dry.
+func fillToEdge(t *testing.T, tr *Tracker, next func(j int) bool) {
+	t.Helper()
+	for j, s := range tr.p.sites {
+		thr := tr.p.threshold(s)
+		for steps := int64(0); s.dm < thr-1; steps++ {
+			if steps >= thr {
+				t.Fatalf("site %d: Δ(m) %d after %d arrivals, still short of %d", j, s.dm, steps, thr-1)
+			}
+			if !next(j) {
+				t.Fatalf("stream ended with site %d at Δ(m) %d, short of %d", j, s.dm, thr-1)
+			}
+		}
+	}
+	if !atThresholdEdge(tr) {
+		t.Fatal("a site left the threshold edge while the others were fed")
+	}
+}
+
 // TestReconfigureKeepsInvariants shrinks the membership 8→3 and then grows
-// it 3→6 mid-stream, each time when every site's Δ(m) is one below its
+// it 3→6 mid-stream, each time after feeding every site to one below its
 // threshold, and checks invariants (2)–(3) after every arrival and right
 // after each change. A restart that broadcast C.m without the departing
 // sites' Δ(m) would leave C.m short by up to 5·(threshold−1) for good.
@@ -30,45 +53,46 @@ func TestReconfigureKeepsInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type change struct {
-		after int64 // earliest arrival count
-		k     int
-	}
-	changes := []change{{40000, 3}, {80000, 6}}
 	truth := map[uint64]int64{}
 	g := stream.Zipf(100, 120000, 1.3, 71)
 	var n int64
-	rr := 0 // round-robin position, restarted at each change
-	for i := 0; ; i++ {
+	feed := func(j int) bool {
 		x, ok := g.Next()
 		if !ok {
-			break
+			return false
 		}
-		tr.Feed(rr%tr.K(), x)
-		rr++
+		tr.Feed(j, x)
 		truth[x]++
 		n++
-		checkInvariants(t, tr, truth, n, i)
-		if len(changes) > 0 && n >= changes[0].after && rr%tr.K() == 0 && atThresholdEdge(tr) {
-			var pending int64
-			for _, s := range tr.p.sites {
-				pending += s.dm
-			}
-			if pending == 0 {
-				t.Fatal("no unreported arrivals at the change: the test would prove nothing")
-			}
-			if err := tr.Reconfigure(changes[0].k); err != nil {
-				t.Fatal(err)
-			}
-			if tr.EstTotal() != n {
-				t.Fatalf("after Reconfigure(%d): C.m = %d, want the exact count %d", changes[0].k, tr.EstTotal(), n)
-			}
-			checkInvariants(t, tr, truth, n, i)
-			changes, rr = changes[1:], 0
-		}
+		checkInvariants(t, tr, truth, n, int(n))
+		return true
 	}
-	if len(changes) > 0 {
-		t.Fatalf("stream ended before the change to k=%d", changes[0].k)
+	for _, c := range []struct {
+		after int64 // earliest arrival count
+		k     int
+	}{{40000, 3}, {80000, 6}} {
+		for n < c.after {
+			if !feed(int(n) % tr.K()) {
+				t.Fatalf("stream ended before the change to k=%d", c.k)
+			}
+		}
+		fillToEdge(t, tr, feed)
+		var pending int64
+		for _, s := range tr.p.sites {
+			pending += s.dm
+		}
+		if pending == 0 {
+			t.Fatal("no unreported arrivals at the change: the test would prove nothing")
+		}
+		if err := tr.Reconfigure(c.k); err != nil {
+			t.Fatal(err)
+		}
+		if tr.EstTotal() != n {
+			t.Fatalf("after Reconfigure(%d): C.m = %d, want the exact count %d", c.k, tr.EstTotal(), n)
+		}
+		checkInvariants(t, tr, truth, n, int(n))
+	}
+	for feed(int(n) % tr.K()) {
 	}
 }
 
@@ -85,18 +109,27 @@ func TestGrowthReportsStaleItemDeltas(t *testing.T) {
 	}
 	truth := map[uint64]int64{}
 	var n int64
-	for i := 0; n < 3000 || i%3 != 0 || !atThresholdEdge(tr); i++ {
-		tr.Feed(i%3, x)
+	feed := func(j int) bool {
+		tr.Feed(j, x)
 		truth[x]++
 		n++
+		return true
+	}
+	for n < 3000 {
+		feed(int(n) % 3)
+	}
+	fillToEdge(t, tr, feed)
+	for j, s := range tr.p.sites {
+		// x is the only item, so its Δ(m_x) moves with Δ(m).
+		if sl := s.tab.Find(x); sl == nil || sl.Val.dx != tr.p.threshold(s)-1 {
+			t.Fatalf("site %d: Δ(m_x) is not one below the threshold %d", j, tr.p.threshold(s))
+		}
 	}
 	if err := tr.Reconfigure(6); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
-		tr.Feed(3+i%3, x)
-		truth[x]++
-		n++
+		feed(3 + i%3)
 		checkInvariants(t, tr, truth, n, i)
 	}
 }
@@ -105,11 +138,13 @@ func TestGrowthReportsStaleItemDeltas(t *testing.T) {
 // communication independent of how far sites lag their producers. The same
 // per-site sequences are fed under four schedules — round-robin single
 // arrivals, 64-item lockstep batches, 4,096-item one-site bursts, and a
-// seeded random schedule. Every "all" report carries exactly its threshold,
-// so each round starts at M_{r+1} = M_r + k·⌊ε·M_r/3k⌋ from the bootstrap
+// seeded random schedule. Every "all" report carries exactly its threshold
+// ⌊ε·M_r/3k⌋, and the coordinator broadcasts at the first report that
+// brings C.m to c·M_r, c = 1 + √(2ε/3), so each round starts at M_{r+1},
+// the first M_r + i·⌊ε·M_r/3k⌋ at or above c·M_r, from the bootstrap
 // target M_0 = ⌈3k/ε⌉: the broadcast values are one sequence for every
-// schedule, round counts differ by at most one, and "all" + "newm" words by
-// at most one round's 2k.
+// schedule, round counts differ by at most one, and "all" + "newm" words
+// by at most 2k (fewer than k "all" reports plus one broadcast).
 func TestRoundsIndependentOfSchedule(t *testing.T) {
 	const (
 		k       = 8
@@ -125,10 +160,17 @@ func TestRoundsIndependentOfSchedule(t *testing.T) {
 		}
 		streams[i%k] = append(streams[i%k], x)
 	}
+	e := float64(eps) // computed at run time, as the tracker does
+	c := 1 + math.Sqrt(2*e/3)
 	seq := []int64{int64(math.Ceil(3 * k / eps))}
-	for len(seq) < 2000 {
+	for len(seq) < 200 {
 		m := seq[len(seq)-1]
-		seq = append(seq, m+k*int64(eps*float64(m)/(3*k)))
+		thr := max(1, int64(e*float64(m)/(3*k)))
+		next := m + thr
+		for float64(next) < c*float64(m) {
+			next += thr
+		}
+		seq = append(seq, next)
 	}
 
 	type chunk struct{ site, size int }

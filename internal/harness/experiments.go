@@ -385,7 +385,7 @@ func F1(quick bool) *Table {
 // reports and round builds; the bootstrap and the unfinished last round are
 // left out. A doubling is log2 of the arrivals at the window's end over those
 // at its start: quantile and allq rounds are doublings, hh's grow |A| by
-// about 1+eps/3.
+// about c = 1+sqrt(2eps/3), the factor at which hh broadcasts C.m.
 func E13(quick bool) *Table {
 	t := NewTable("E13: words per round by message kind (k=8, eps=0.05, n=2^22; quantile tracks phis 0.5 0.99)",
 		"tracker", "workload", "kind", "words/round/(k/eps)", "words/doubling/(k/eps)", "share")

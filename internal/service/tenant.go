@@ -749,7 +749,7 @@ type TenantStats struct {
 	Ties       int64     `json:"ties"`        // perturbation overflows
 	Msgs       int64     `json:"msgs"`        // protocol messages site↔coordinator
 	Words      int64     `json:"words"`       // protocol words site↔coordinator
-	Rounds     int       `json:"rounds"`      // completed protocol rounds
+	Rounds     int       `json:"rounds"`      // completed protocol rounds (hh: "newm" broadcasts after the bootstrap's)
 	SiteCounts []int64   `json:"site_counts"` // exact arrivals per site
 
 	// QoS admission state (zero for tenants with no limits configured).
