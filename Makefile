@@ -152,9 +152,11 @@ obs-smoke fault-smoke crash-smoke membership-smoke load-smoke:
 # site sends a round or a rebuild, the key list of a bootstrap forward, a
 # "seps" cut and an hh handoff) — and over the exact site store against a
 # sorted-slice reference and the slot table (hh's counters and the
-# perturbation counters) against a map.
+# perturbation counters) against a map, and over WAL replay into a tenant's
+# perturbation counters (no replayed key is issued again).
 fuzz-smoke:
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s
+	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzReplayKeys -fuzztime 10s
 	$(GO) test ./internal/remote/ -run '^$$' -fuzz FuzzReadTFrame -fuzztime 10s
 	$(GO) test ./internal/summary/gk/ -run '^$$' -fuzz Fuzz -fuzztime 10s
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s

@@ -77,7 +77,9 @@ func TestRebuildBuildLaw(t *testing.T) {
 		gen  func(n int64) stream.Generator
 	}{
 		{"uniform", func(n int64) stream.Generator { return distinctUniform(n, 61) }},
-		{"zipf", func(n int64) stream.Generator { return stream.Perturb(stream.Zipf(1<<20, n, 1.3, 62)) }},
+		{"zipf", func(n int64) stream.Generator {
+			return stream.PerturbTies(stream.Zipf(1<<20, n, 1.3, 62), stream.TiesAscending)
+		}},
 		{"sorted", stream.Sequential},
 	}
 	for _, s := range streams {
@@ -490,7 +492,7 @@ func TestSubtreeBroadcast(t *testing.T) {
 		gen  stream.Generator
 	}{
 		{"uniform", Config{K: 8, Eps: 0.05}, distinctUniform(60000, 71)},
-		{"zipf", Config{K: 4, Eps: 1.0 / 64}, stream.Perturb(stream.Zipf(1<<20, 120000, 1.3, 72))},
+		{"zipf", Config{K: 4, Eps: 1.0 / 64}, stream.PerturbTies(stream.Zipf(1<<20, 120000, 1.3, 72), stream.TiesAscending)},
 		{"sorted", Config{K: 1, Eps: 0.05}, stream.Sequential(40000)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -171,8 +171,9 @@ func (w *mergeWatch) checkCut(u *node, oldCount []int64) {
 // round build through the engine's law schedules (enginetest.RunLaw: Feed
 // and FeedLocalBatch at B ∈ {1, 16, 512}, round robin and one-site bursts,
 // a checkpoint restore, a Reconfigure grow and shrink, and one goroutine
-// per site under -race), in both store modes and on a perturbed Zipf
-// stream whose tree outgrows its height cap. Each tracker's tap is set when it is made,
+// per site under -race), in both store modes and on a Zipf stream perturbed
+// in ascending tie order, whose hot values' sorted runs grow the tree past
+// its height cap. Each tracker's tap is set when it is made,
 // so the concurrent schedule is checked from its first message. After each
 // call, no fresh leaf that reached its trigger is left unsplit.
 func TestRoundMergeLaw(t *testing.T) {
@@ -183,7 +184,7 @@ func TestRoundMergeLaw(t *testing.T) {
 	}{
 		{"exact", false, enginetest.DistinctUniform},
 		{"sketch", true, enginetest.DistinctUniform},
-		{"zipf", false, enginetest.DistinctZipf},
+		{"zipf", false, enginetest.AscendingTiesZipf},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			watches := map[*Tracker]*mergeWatch{}
@@ -232,7 +233,7 @@ func TestRoundMergeLaw(t *testing.T) {
 				height += counts["height"]
 				summary = append(summary, fmt.Sprintf("%s %v", leg[strings.LastIndex(leg, "/")+1:], counts))
 			}
-			if mode.stream == enginetest.DistinctZipf && len(legs) > 1 && height == 0 {
+			if mode.stream == enginetest.AscendingTiesZipf && len(legs) > 1 && height == 0 {
 				t.Errorf("no round forced by the height cap checked")
 			}
 			slices.Sort(summary)
@@ -244,7 +245,8 @@ func TestRoundMergeLaw(t *testing.T) {
 // TestRoundSplitsFullLeaves checks splitFull, which the law schedules rarely
 // reach: a Reconfigure soon after a round opened keeps old leaves that
 // filled up in it, at a trigger barely higher. Clones of one tracker, taken
-// by checkpoint every 13 arrivals of a perturbed Zipf stream, each grow to
+// by checkpoint every 13 arrivals of a Zipf stream perturbed in ascending
+// tie order (its sorted runs fill leaves within a round), each grow to
 // two sites under a mergeWatch until three rounds have split a full leaf.
 func TestRoundSplitsFullLeaves(t *testing.T) {
 	cfg := Config{K: 1, Eps: 0.05}
@@ -252,7 +254,7 @@ func TestRoundSplitsFullLeaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := stream.Perturb(stream.Zipf(1<<20, 30000, 1.2, 5))
+	g := stream.PerturbTies(stream.Zipf(1<<20, 30000, 1.2, 5), stream.TiesAscending)
 	counts := map[string]int{}
 	for i := 0; counts["full leaves"] < 3; i++ {
 		x, ok := g.Next()

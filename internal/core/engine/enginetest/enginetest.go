@@ -64,9 +64,10 @@ const (
 	// DistinctUniform is a perturbed uniform stream: globally distinct keys,
 	// as the quantile protocols assume.
 	DistinctUniform
-	// DistinctZipf is a perturbed Zipf(1.2) stream: distinct keys whose hot
-	// values deepen an allq tracker's tree.
-	DistinctZipf
+	// AscendingTiesZipf is a Zipf(1.2) stream perturbed in ascending tie
+	// order (stream.TiesAscending): distinct keys, and each hot value's
+	// copies arrive as a sorted run that deepens an allq tracker's tree.
+	AscendingTiesZipf
 )
 
 // Config describes one tracker configuration under conformance test.
@@ -133,8 +134,8 @@ func genStream(cfg Config, n int, seed int64) []uint64 {
 	switch cfg.Stream {
 	case DistinctUniform:
 		g = stream.Perturb(stream.Uniform(1<<30, int64(n), seed))
-	case DistinctZipf:
-		g = stream.Perturb(stream.Zipf(1<<20, int64(n), 1.2, seed))
+	case AscendingTiesZipf:
+		g = stream.PerturbTies(stream.Zipf(1<<20, int64(n), 1.2, seed), stream.TiesAscending)
 	default:
 		g = stream.Zipf(1<<20, int64(n), 1.2, seed)
 	}

@@ -86,9 +86,13 @@
 // # Distinctness
 //
 // As in the paper, items are assumed distinct ("symbolic perturbation");
-// wrap inputs with stream.Perturb when values repeat. Massive ties collapse
-// separators and void the interval-size invariant (the implementation stays
-// safe but the ε guarantee degrades); CannotSplit reports such events.
+// wrap inputs with stream.Perturb when values repeat. Perturb spreads a
+// value's copies over its key range in bit-reversed order, so a hot value
+// arrives like any other stretch of keys, not as a sorted run that keeps
+// its interval splitting (docs/architecture.md, "Ties spread over a value's
+// key range"). Massive ties collapse separators and void the interval-size
+// invariant (the implementation stays safe but the ε guarantee degrades);
+// CannotSplit reports such events.
 //
 // # Site stores
 //

@@ -38,7 +38,9 @@ func TestRoundBuildLaw(t *testing.T) {
 		gen  func(n int64) stream.Generator
 	}{
 		{"uniform", func(n int64) stream.Generator { return distinctUniform(n, 51) }},
-		{"zipf", func(n int64) stream.Generator { return stream.Perturb(stream.Zipf(1<<20, n, 1.3, 52)) }},
+		{"zipf", func(n int64) stream.Generator {
+			return stream.PerturbTies(stream.Zipf(1<<20, n, 1.3, 52), stream.TiesAscending)
+		}},
 		{"sorted", stream.Sequential},
 	}
 	assigns := []struct {
@@ -229,7 +231,9 @@ func TestRoundBuildSketch(t *testing.T) {
 		gen  func(n int64) stream.Generator
 	}{
 		{"uniform", func(n int64) stream.Generator { return distinctUniform(n, 53) }},
-		{"zipf", func(n int64) stream.Generator { return stream.Perturb(stream.Zipf(1<<20, n, 1.3, 54)) }},
+		{"zipf", func(n int64) stream.Generator {
+			return stream.PerturbTies(stream.Zipf(1<<20, n, 1.3, 54), stream.TiesAscending)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{K: 8, Eps: 0.05, Phis: sweepPhis, Sketch: true}

@@ -83,7 +83,8 @@ func checkResplit(tb testing.TB, label string, tr *Tracker) {
 //   - after every arrival no interval's coordinator count is at or over
 //     splitAt.
 //
-// Streams are distinct uniform and perturbed Zipf(1.3); arrivals go round
+// Streams are distinct uniform and Zipf(1.3) perturbed in ascending tie
+// order, whose sorted runs keep hot intervals splitting; arrivals go round
 // robin, or site 0 takes one in 50 and the others share the rest, so site
 // 0's few items give a median far from the others'. A cut at the smallest
 // median, not weighted, fails every exact case.
@@ -95,7 +96,9 @@ func TestSplitBalance(t *testing.T) {
 			gen  func(n int64) stream.Generator
 		}{
 			{"uniform", func(n int64) stream.Generator { return distinctUniform(n, 61) }},
-			{"zipf", func(n int64) stream.Generator { return stream.Perturb(stream.Zipf(1<<20, n, 1.3, 62)) }},
+			{"zipf", func(n int64) stream.Generator {
+				return stream.PerturbTies(stream.Zipf(1<<20, n, 1.3, 62), stream.TiesAscending)
+			}},
 		} {
 			for _, assign := range []struct {
 				name string

@@ -102,11 +102,7 @@ func (d *durability) setupTenant(t *Tenant) error {
 	if err != nil {
 		return err
 	}
-	meta, err := json.Marshal(t.cfg)
-	if err != nil {
-		return err
-	}
-	if err := ten.Create(meta); err != nil {
+	if err := writeMeta(ten, t); err != nil {
 		return err
 	}
 	if err := ten.OpenWAL(1); err != nil {
@@ -114,6 +110,32 @@ func (d *durability) setupTenant(t *Tenant) error {
 	}
 	t.dur = ten
 	return nil
+}
+
+// tenantMeta is a tenant's meta.json: its config, plus whether its keys
+// spread their ties (stream.TiesSpread). A meta.json without "spread_ties"
+// was written before ties were spread: that tenant's checkpointed counters
+// and logged keys count copies in ascending order, and it keeps issuing keys
+// in that order, so no new key lands on an old one.
+type tenantMeta struct {
+	TenantConfig
+	SpreadTies bool `json:"spread_ties,omitempty"`
+}
+
+func (m tenantMeta) order() stream.TieOrder {
+	if m.SpreadTies {
+		return stream.TiesSpread
+	}
+	return stream.TiesAscending
+}
+
+// writeMeta persists t's config and tie order as ten's meta.json.
+func writeMeta(ten *durable.Tenant, t *Tenant) error {
+	meta, err := json.Marshal(tenantMeta{TenantConfig: t.Config(), SpreadTies: t.order == stream.TiesSpread})
+	if err != nil {
+		return err
+	}
+	return ten.Create(meta)
 }
 
 // RecoveryStats reports what boot recovery did, for operator-facing boot
@@ -225,10 +247,11 @@ func (s *Server) recoverTenant(name string) error {
 	if err != nil {
 		return err
 	}
-	var tc TenantConfig
-	if err := json.Unmarshal(meta, &tc); err != nil {
+	var tm tenantMeta
+	if err := json.Unmarshal(meta, &tm); err != nil {
 		return fmt.Errorf("bad meta.json: %w", err)
 	}
+	tc := tm.TenantConfig
 	if tc.Name != name {
 		return fmt.Errorf("meta.json names tenant %q", tc.Name)
 	}
@@ -250,7 +273,7 @@ func (s *Server) recoverTenant(name string) error {
 			return err
 		}
 		s.dur.quarantined += quarantined
-		t, err = newTenant(tc, s.cfg.SiteBuffer, s.met)
+		t, err = newTenant(tc, tm.order(), s.cfg.SiteBuffer, s.met)
 		if err != nil {
 			return err
 		}
@@ -324,8 +347,10 @@ func (s *Server) recoverTenant(name string) error {
 // replayBatch re-feeds keys recovered from the WAL through the normal
 // cluster path, bypassing admission, perturbation and the WAL itself (the
 // keys are already perturbed, already admitted, already logged). It also
-// advances the perturbation counters past every replayed key, so new
+// advances each value's perturbation counter past the copy number
+// (stream.Copy, in the tenant's tie order) of every replayed key, so new
 // ingest after recovery continues the sequence instead of reusing keys.
+// Whatever the keys, a later perturb reissues one only as a counted tie.
 // A site past the live count (a WAL written before a membership shrink)
 // folds onto site 0, matching the engine's Reconfigure fold.
 func (t *Tenant) replayBatch(site int, keys []uint64) error {
@@ -334,10 +359,9 @@ func (t *Tenant) replayBatch(site int, keys []uint64) error {
 	}
 	if t.seq != nil {
 		for _, k := range keys {
-			v := k >> stream.PerturbBits
-			low := uint32(k & (1<<stream.PerturbBits - 1))
-			if c := &t.seq.Get(v).Val; *c <= low {
-				*c = low + 1
+			next := min(stream.Copy(k, t.order)+1, maxCopy)
+			if c := &t.seq.Get(stream.Unperturb(k)).Val; *c < next {
+				*c = next
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"disttrack/internal/runtime"
@@ -136,11 +135,7 @@ func (s *Server) persistReconfigured(t *Tenant) error {
 	if _, _, err := t.dur.WriteCheckpoint(cover, payload); err != nil {
 		return err
 	}
-	meta, err := json.Marshal(t.Config())
-	if err != nil {
-		return err
-	}
-	return t.dur.Create(meta)
+	return writeMeta(t.dur, t)
 }
 
 // MembershipStatus is the /healthz membership section.

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"disttrack/internal/stream"
 )
 
 // ErrExists is returned (wrapped) by Create when the tenant name is taken.
@@ -84,7 +86,7 @@ func (r *Registry) Create(tc TenantConfig) (*Tenant, error) {
 	}
 	// Build outside the lock (tracker construction allocates per-site
 	// state), then insert; racing creates of the same name lose cleanly.
-	t, err := newTenant(tc, r.siteBuffer, r.met)
+	t, err := newTenant(tc, stream.TiesSpread, r.siteBuffer, r.met)
 	if err != nil {
 		return nil, err
 	}

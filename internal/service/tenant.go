@@ -208,6 +208,11 @@ type Tenant struct {
 	// distinct value. The table is touched only under durMu; the field itself
 	// is fixed at construction (nil = kind not perturbed).
 	seq *slots.Table[uint32]
+	// order is the order stream.Key gives a value's copies their keys in:
+	// TiesSpread, or TiesAscending for a tenant whose persisted state was
+	// written before ties were spread (see tenantMeta). Fixed at
+	// construction.
+	order stream.TieOrder
 	// limiter is the rate limiter; nil without a rate limit.
 	limiter *fault.Limiter
 	// dur is the tenant's durable state (WAL + checkpoints); nil without a
@@ -354,12 +359,12 @@ func buildAllQ(tc TenantConfig) (_ core.Tracker, ans [nShapes]func(query) answer
 	return tr, ans, nil
 }
 
-func newTenant(tc TenantConfig, siteBuffer int, sm *serverMetrics) (*Tenant, error) {
+func newTenant(tc TenantConfig, order stream.TieOrder, siteBuffer int, sm *serverMetrics) (*Tenant, error) {
 	kind := kinds[tc.Kind]
 	if kind.phis && len(tc.Phis) == 0 {
 		tc.Phis = []float64{0.5}
 	}
-	t := &Tenant{cfg: tc, gen: tenantGen.Add(1), limited: tc.RateLimit > 0 || tc.QueueShare > 0}
+	t := &Tenant{cfg: tc, order: order, gen: tenantGen.Add(1), limited: tc.RateLimit > 0 || tc.QueueShare > 0}
 	if tc.RateLimit > 0 {
 		t.limiter = fault.NewLimiter(tc.RateLimit, tc.RateBurst)
 	}
@@ -522,21 +527,25 @@ func (t *Tenant) admit(n int) (bool, time.Duration) {
 // perturbed reports whether values are symbolically perturbed on ingest.
 func (t *Tenant) perturbed() bool { return t.seq != nil }
 
-// perturb maps a raw value to a distinct key (stream.Perturb semantics).
-// The caller holds durMu. Past 2^PerturbBits copies of one value the key
-// space is exhausted; the key is then reused and the occurrence counted in
-// Ties (the protocol stays safe, the ε guarantee degrades — see package
-// quantile's distinctness note).
+// perturb maps a raw value to a distinct key, stream.Key of its copy number
+// in the tenant's tie order. The caller holds durMu. Past 2^PerturbBits − 1
+// copies of one value the key space is exhausted; the last key is then
+// reused and the occurrence counted in Ties (the protocol stays safe, the ε
+// guarantee degrades — see package quantile's distinctness note).
 func (t *Tenant) perturb(v uint64) uint64 {
 	c := &t.seq.Get(v).Val
 	s := *c
-	if s+1 < 1<<stream.PerturbBits {
+	if s < maxCopy {
 		*c = s + 1
 	} else {
 		t.ties.Add(1)
 	}
-	return v<<stream.PerturbBits | uint64(s)
+	return stream.Key(v, s, t.order)
 }
+
+// maxCopy is the highest copy number a perturbation counter reaches: the
+// copy every later arrival of the value reuses, counted in Ties.
+const maxCopy = 1<<stream.PerturbBits - 1
 
 // sendBatch hands a batch of already-perturbed keys for one site to the
 // cluster; on success the cluster owns (and later recycles) the slice, on

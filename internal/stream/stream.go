@@ -9,6 +9,7 @@ package stream
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -139,20 +140,64 @@ func (c *concat) Next() (Item, bool) {
 // to break ties, giving 2^24 distinct keys per original value.
 const PerturbBits = 24
 
-// Perturb wraps gen so every emitted key is distinct: the original value is
-// shifted left by PerturbBits and a per-value sequence number occupies the
-// low bits. This is the paper's "symbolic perturbation": quantile ranks over
-// perturbed keys equal item-level ranks with ties broken by arrival order.
-// Unperturb recovers the original value. Next panics on a value at or above
-// 2^(64−PerturbBits), whose shift would wrap, and on the 2^PerturbBits-th
-// repeat of a value.
-func Perturb(gen Generator) Generator {
-	return &perturber{gen: gen, seq: make(map[Item]uint32)}
+// TieOrder is the order in which Key hands the keys of one value's range to
+// the value's successive copies. Any injective order keeps every value-level
+// rank, quantile and heavy hitter: the keys of v fill [v<<PerturbBits,
+// (v+1)<<PerturbBits) whatever their order inside it.
+type TieOrder uint8
+
+const (
+	// TiesSpread gives the s-th copy the low bits reverse₂₄(s), the van der
+	// Corput order: the first 2^j copies land one in each 2^(24−j)-wide
+	// slice of the value's range, so a hot value's copies do not arrive as
+	// a sorted run of keys.
+	TiesSpread TieOrder = iota
+	// TiesAscending gives the s-th copy the low bits s, so a value's copies
+	// arrive in ascending key order. Keys were issued in this order before
+	// ties were spread; tests that need sorted runs inside a stream use it.
+	TiesAscending
+)
+
+// Key returns the key of the s-th copy (counting from 0) of value v under
+// order: v in the high bits, the copy's tie-break in the low PerturbBits.
+// s must be below 2^PerturbBits.
+func Key(v Item, s uint32, order TieOrder) Item {
+	return v<<PerturbBits | uint64(order.tieBits(s))
+}
+
+// Copy inverts Key's low bits: the copy number s whose key under order is
+// key.
+func Copy(key Item, order TieOrder) uint32 {
+	return order.tieBits(uint32(key & (1<<PerturbBits - 1)))
+}
+
+// tieBits maps a copy number to its low bits; both orders are involutions,
+// so it maps the low bits back too.
+func (o TieOrder) tieBits(s uint32) uint32 {
+	if o == TiesSpread {
+		return bits.Reverse32(s) >> (32 - PerturbBits)
+	}
+	return s
+}
+
+// Perturb wraps gen so every emitted key is distinct: the s-th copy of value
+// v becomes Key(v, s, TiesSpread). This is the paper's "symbolic
+// perturbation": quantile ranks over perturbed keys equal item-level ranks,
+// with ties between copies of one value broken in the bit-reversed order of
+// their arrival. Unperturb recovers the original value. Next panics on a
+// value at or above 2^(64−PerturbBits), whose shift would wrap, and on the
+// 2^PerturbBits-th repeat of a value.
+func Perturb(gen Generator) Generator { return PerturbTies(gen, TiesSpread) }
+
+// PerturbTies is Perturb with the copies of each value keyed in order.
+func PerturbTies(gen Generator, order TieOrder) Generator {
+	return &perturber{gen: gen, order: order, seq: make(map[Item]uint32)}
 }
 
 type perturber struct {
-	gen Generator
-	seq map[Item]uint32
+	gen   Generator
+	order TieOrder
+	seq   map[Item]uint32
 }
 
 func (p *perturber) Next() (Item, bool) {
@@ -168,7 +213,7 @@ func (p *perturber) Next() (Item, bool) {
 	if s >= 1<<PerturbBits {
 		panic(fmt.Sprintf("stream: more than 2^%d occurrences of item %d", PerturbBits, x))
 	}
-	return x<<PerturbBits | uint64(s), true
+	return Key(x, s, p.order), true
 }
 
 // Unperturb recovers the original value from a perturbed key.

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -120,22 +121,59 @@ func TestConcat(t *testing.T) {
 	}
 }
 
+// TestPerturbDistinctAndRecoverable pins both tie orders' keys exactly: the
+// s-th copy of v is v<<24 | reverse₂₄(s) under Perturb and v<<24 | s under
+// TiesAscending.
 func TestPerturbDistinctAndRecoverable(t *testing.T) {
 	base := []Item{7, 7, 7, 2, 7, 2}
-	got := drain(Perturb(FromSlice(base)))
-	seen := map[Item]bool{}
-	for i, key := range got {
-		if seen[key] {
-			t.Fatalf("duplicate perturbed key %d", key)
+	for _, tc := range []struct {
+		name string
+		gen  Generator
+		want []Item
+	}{
+		{"spread", Perturb(FromSlice(base)),
+			[]Item{7<<24 | 0, 7<<24 | 0x800000, 7<<24 | 0x400000, 2<<24 | 0, 7<<24 | 0xC00000, 2<<24 | 0x800000}},
+		{"ascending", PerturbTies(FromSlice(base), TiesAscending),
+			[]Item{7<<24 | 0, 7<<24 | 1, 7<<24 | 2, 2<<24 | 0, 7<<24 | 3, 2<<24 | 1}},
+	} {
+		got := drain(tc.gen)
+		if !slices.Equal(got, tc.want) {
+			t.Fatalf("%s: keys %#x, want %#x", tc.name, got, tc.want)
 		}
-		seen[key] = true
-		if Unperturb(key) != base[i] {
-			t.Fatalf("Unperturb(%d)=%d want %d", key, Unperturb(key), base[i])
+		for i, key := range got {
+			if Unperturb(key) != base[i] {
+				t.Fatalf("%s: Unperturb(%#x)=%d want %d", tc.name, key, Unperturb(key), base[i])
+			}
 		}
 	}
-	// Order among same-value keys follows arrival order.
-	if !(got[0] < got[1] && got[1] < got[2] && got[2] < got[4]) {
-		t.Fatalf("perturbed keys for equal values not increasing: %v", got)
+}
+
+// TestKeyCopyInverse checks that Copy inverts Key's tie bits in both orders.
+func TestKeyCopyInverse(t *testing.T) {
+	for _, order := range []TieOrder{TiesSpread, TiesAscending} {
+		f := func(v uint32, s uint32) bool {
+			s &= 1<<PerturbBits - 1
+			key := Key(Item(v), s, order)
+			return Unperturb(key) == Item(v) && Copy(key, order) == s
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatalf("order %d: %v", order, err)
+		}
+	}
+}
+
+// TestSpreadFillsSlices checks the van der Corput property: the first 2^j
+// copies of a value land one in each 2^(24−j)-wide slice of its key range.
+func TestSpreadFillsSlices(t *testing.T) {
+	for j := 0; j <= 12; j++ {
+		seen := make([]bool, 1<<j)
+		for s := uint32(0); s < 1<<j; s++ {
+			slice := Key(0, s, TiesSpread) >> (PerturbBits - j)
+			if seen[slice] {
+				t.Fatalf("j=%d: copies %d and an earlier one share slice %d", j, s, slice)
+			}
+			seen[slice] = true
+		}
 	}
 }
 
