@@ -53,6 +53,6 @@ func Example() {
 	// Output:
 	// φ=0.1 heavy hitters: [0 1]
 	// median: 2
-	// p90: 92
+	// p90: 93
 	// p99: 3126
 }

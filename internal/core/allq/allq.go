@@ -24,7 +24,7 @@
 // its node, since the coordinator knows the batch size. The coordinator
 // maintains condition (6) — s_v ∈ [s_u/4, 3s_u/4] for every child edge — by
 // partially rebuilding the subtree at the highest violated node, and splits
-// any leaf whose count reaches (ε/2 − θ)m. Rebuild costs are amortized
+// any leaf whose count passes (ε/2 − θ)m. Rebuild costs are amortized
 // against the Ω(|A ∩ I_u|) arrivals that must occur between rebuilds of the
 // same node, giving the Theorem 4.1 bound.
 //
@@ -38,12 +38,22 @@
 // sends its rank at every old leaf boundary, and the coordinator cuts the
 // old boundaries at weighted medians of the exact leaf counts these give,
 // so every fresh count is exact and no site samples; the broadcast names
-// the kept boundaries and the new shape. The first round cuts the
-// bootstrap list itself. Invariant (5) then holds within one old leaf
-// rather than exactly, which bears on cost alone: a condition (6)
-// violation is rebuilt at its first report. Partial rebuilds and leaf
-// splits still sample. See "allq rounds merge, not resample" in
-// docs/architecture.md.
+// m′, the kept boundaries and the new shape, and each site derives the
+// round's batch from them. The first round cuts the bootstrap list itself.
+// Invariant (5) then holds within one old leaf rather than exactly, which
+// bears on cost alone: a condition (6) violation is rebuilt at its first
+// report. Partial rebuilds of internal nodes still sample. See "allq rounds
+// merge, not resample" in docs/architecture.md.
+//
+// # Leaf splits
+//
+// A leaf whose count passes its trigger is not rebuilt from samples: it is
+// cut in two at the n_j-weighted median of one lower local median per site,
+// the cut quantile's split makes (sitestore.Split), for 4 words per site,
+// and every count it sets is exact. Each half holds at most 3N/4 + k of the
+// leaf's N items, below the trigger from the bootstrap target up; a half at
+// the trigger is cut again. See "allq leaf splits cut at a median of
+// medians" in docs/architecture.md.
 //
 // # Height cap
 //
@@ -52,16 +62,15 @@
 // h = min(heightCap(ε), max(height of its freshly built tree + 2, height
 // the replaced tree grew to, 6)) when that raises the site batch θm/k. A
 // rebuild that leaves the tree taller than h starts a new round, so
-// depth ≤ h holds at all times and the rank error stays ≤ εm.
-// Leaf splits sample separators only as finely as the split needs. See
+// depth ≤ h holds at all times and the rank error stays ≤ εm. See
 // "Deviations from the paper" in docs/architecture.md.
 //
 // Items are assumed distinct (stream.Perturb); see the package quantile
 // documentation for how ties degrade and are reported.
 //
-// The bootstrap list, the rank reply, the bitmap codec and the message tap
-// are shared with package quantile: see "What the rank kinds share" in
-// docs/architecture.md.
+// The bootstrap list, the rank reply, the split, the bitmap codec and the
+// message tap are shared with package quantile: see "What the rank kinds
+// share" in docs/architecture.md.
 //
 // # Concurrency
 //
@@ -131,6 +140,7 @@ type policy struct {
 	root        *node
 	nextID      int
 	pathScratch []*node // reused by OnEscalate's path walk (under escMu)
+	nodeScratch []*node // reused by gcDeltas' preorder walk
 
 	// Statistics.
 	rounds         int
@@ -229,13 +239,14 @@ func (p *policy) ApplyRun(siteID int, xs []uint64) (consumed int, crossed bool) 
 // (6) maintenance and rebuilds, leaf splits, round changes — with all
 // wire.Meter accounting. When a rebuild replaces a subtree, pending deltas
 // for the replaced nodes (including ones this arrival just incremented) are
-// garbage-collected; the rebuild's exact counts already cover them. A node
-// report ("nd") is one word, the node's id: a site counter rises by one per
-// arrival, ApplyRun stops at its first crossing and only newRound, which
-// drops every delta, changes thrNode, so a reported counter holds exactly
-// thrNode and the coordinator adds that. A report touches only site siteID's
-// deltas and the coordinator's counts; rebuild and newRound consult every
-// site and call Engine.All first.
+// garbage-collected, and a leaf split zeroes the split leaf's; the exact
+// counts they set already cover them. A node report ("nd") is one word, the
+// node's id: a site counter rises by one per arrival, ApplyRun stops at its
+// first crossing and only newRound, which drops every delta, changes
+// thrNode, so a reported counter holds exactly thrNode and the coordinator
+// adds that. A report touches only site siteID's
+// deltas and the coordinator's counts; rebuild, cut and newRound consult
+// every site and call Engine.All first.
 func (p *policy) OnEscalate(siteID int, x uint64) {
 	s := p.sites[siteID]
 	meter := p.eng.Meter()
@@ -277,7 +288,7 @@ func (p *policy) OnBootEscalate(_ int, x uint64) (done bool) {
 // OnBootDone builds the first round from the bootstrap list, which holds
 // every forwarded arrival: buildRec cuts the sorted keys, each of weight
 // one, at their exact medians, so every node's count is read off the list
-// and the one message is the "rb-tree" broadcast of the whole tree
+// and the one message is the "rb-tree" broadcast of m and the whole tree
 // (encodeSubtree). The list is dropped afterwards: only bootstrap queries
 // read it. An arrival that straddles the handoff (its site applied it before
 // the bootstrap ended and escalates it after) is in its site's store but in
@@ -298,7 +309,7 @@ func (p *policy) OnBootDone() {
 	p.rounds++
 	p.gcDeltas()
 	p.startRound(0)
-	tree := encodeSubtree(root)
+	tree := encodeSubtree([]uint64{uint64(p.m)}, root)
 	for j := range p.sites {
 		p.eng.Meter().DownMsg(j, "rb-tree", tree)
 	}
@@ -453,12 +464,13 @@ func (t *Tracker) EstTotal() int64 {
 	return t.p.root.s
 }
 
-// Rounds, Rebuilds and LeafSplits return protocol statistics.
+// Rounds, Rebuilds and LeafSplits return protocol statistics: rounds
+// started, sampled partial rebuilds, and leaves cut in two.
 func (t *Tracker) Rounds() int     { return t.p.rounds }
 func (t *Tracker) Rebuilds() int   { return t.p.rebuilds }
 func (t *Tracker) LeafSplits() int { return t.p.leafSplits }
 
-// CannotSplit counts build steps defeated by ties.
+// CannotSplit counts build steps and leaf cuts defeated by ties.
 func (t *Tracker) CannotSplit() int { return t.p.cannotSplit }
 
 // RoundM returns m, the |A| snapshot the current round's thresholds use.

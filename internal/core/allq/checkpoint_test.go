@@ -76,7 +76,10 @@ func TestRestoreGolden(t *testing.T) {
 // "rb-counts" reply sent each rank as a word of its own;
 // checkpoint-pack-6000.bin holds the same prefix, and the same protocol
 // state, under packed rank differences, so only its checkpointed meter
-// differs.
+// differs. It was written while leaf splits rebuilt the leaf from sampled
+// separators; checkpoint-cut-6000.bin holds the same prefix with every leaf
+// split cut at the weighted median of one local median per site, and every
+// round's "rb-tree" carrying m′.
 
 // TestRestoreGoldenNoBoot pins the checkpoints a tracker writes after the
 // handoff: the golden bytes restore with no bootstrap list and re-encode bit
@@ -91,7 +94,8 @@ func TestRestoreGoldenNoBoot(t *testing.T) {
 	}{
 		{"checkpoint-noboot.bin", 4000, false},
 		{"checkpoint-merge-6000.bin", 6000, false},
-		{"checkpoint-pack-6000.bin", 6000, true},
+		{"checkpoint-pack-6000.bin", 6000, false},
+		{"checkpoint-cut-6000.bin", 6000, true},
 	} {
 		t.Run(g.file, func(t *testing.T) {
 			golden, err := os.ReadFile("testdata/" + g.file)
@@ -213,9 +217,10 @@ const h5N = 1938
 
 // TestRestoreGoldenH5 restores a round at h = 5, below the floor new rounds
 // use. It re-encodes to the same bytes, keeps the rank contract as it
-// continues, and every subtree its rebuilds build before the next round
-// starts with its leaves below the restored round's trigger (rebuildStep
-// caps the step there); the next round takes a cap of at least minHeight.
+// continues, and every leaf its rebuilds and leaf splits make before the
+// next round starts below the restored round's trigger (rebuildStep caps
+// the step there, and a cut's halves are cut again until they are); the
+// next round takes a cap of at least minHeight.
 func TestRestoreGoldenH5(t *testing.T) {
 	golden, err := os.ReadFile("testdata/checkpoint-h5.bin")
 	if err != nil {
@@ -248,8 +253,8 @@ func TestRestoreGoldenH5(t *testing.T) {
 	}
 	p := tr.p
 	w := newBuildWatch(tr)
+	w.rounds = -1
 	w.next() // the restored tree is not fresh
-	w.rounds, w.rebuild = tr.Rounds(), tr.Rebuilds()
 	probes := make([]uint64, 0, 258)
 	capped := 0
 	for i := h5N; ; i++ {
@@ -259,9 +264,9 @@ func TestRestoreGoldenH5(t *testing.T) {
 		}
 		tr.Feed(i%h5Cfg.K, x)
 		o.Add(x)
-		if fresh, _, _ := w.next(); fresh != nil && tr.Rounds() == 3 {
+		if fresh, _, _, _ := w.next(); len(fresh) > 0 && tr.Rounds() == 3 {
 			capped++
-			for _, u := range collectNodes(fresh) {
+			for _, u := range fresh {
 				if u.isLeaf() && u.s >= p.leafSplitAt {
 					t.Fatalf("|A|=%d: a leaf rebuilt at h = 5 holds %d, not below its trigger %d", i+1, u.s, p.leafSplitAt)
 				}
@@ -277,7 +282,7 @@ func TestRestoreGoldenH5(t *testing.T) {
 		}
 	}
 	if capped == 0 {
-		t.Fatal("no rebuild ran in the restored h = 5 round")
+		t.Fatal("no rebuild or leaf split ran in the restored h = 5 round")
 	}
 	if tr.Rounds() <= 3 || tr.HeightBound() < minHeight {
 		t.Fatalf("rounds %d, h %d: want a new round at h ≥ %d", tr.Rounds(), tr.HeightBound(), minHeight)

@@ -9,78 +9,83 @@ import (
 	"disttrack/internal/core"
 	"disttrack/internal/core/engine/enginetest"
 	"disttrack/internal/oracle"
+	"disttrack/internal/sitestore"
 	"disttrack/internal/stream"
 	"disttrack/internal/wire"
 )
 
-// buildWatch finds, after each arrival, the subtree the arrival's cascade
-// built last. Within one cascade the builds nest (a rebuild that violates
-// its parent edge rebuilds the parent, and a round replaces the whole tree),
-// so the fresh nodes left in the tree form one subtree, which is contiguous
-// in preorder and starts at the first node the previous tree did not hold.
+// buildWatch finds, after each call, the nodes its rebuilds and leaf splits
+// made: the nodes of the tree that the tree at the previous call did not
+// hold. Within one call the rebuilds nest (a rebuild that violates its
+// parent edge rebuilds the parent, and a round replaces the whole tree), so
+// a rebuild's fresh nodes form one subtree, contiguous in preorder; a cut
+// adds two fresh leaves under the leaf it turns internal.
 type buildWatch struct {
-	tr              *Tracker
-	prev            map[*node]bool
-	byIv            map[[2]uint64]*node // the previous tree's nodes by interval
-	rounds, rebuild int
+	tr                       *Tracker
+	prev                     map[*node]bool
+	rounds, rebuilds, splits int
 }
 
 func newBuildWatch(tr *Tracker) *buildWatch {
-	return &buildWatch{tr: tr, prev: map[*node]bool{}, byIv: map[[2]uint64]*node{}}
+	return &buildWatch{tr: tr, prev: map[*node]bool{}}
 }
 
-// next returns the fresh subtree's root, the node it replaced (nil when a
-// round rebuilt the whole tree) and how many builds ran since the last call.
-func (w *buildWatch) next() (fresh, replaced *node, builds int) {
+// next returns the fresh nodes in preorder and how many rounds, rebuilds
+// and leaf splits ran since the last call.
+func (w *buildWatch) next() (fresh []*node, rounds, rebuilds, splits int) {
 	p := w.tr.p
-	builds = w.tr.Rounds() - w.rounds + w.tr.Rebuilds() - w.rebuild
-	if builds == 0 || p.root == nil {
-		return nil, nil, 0
+	rounds, rebuilds, splits = w.tr.Rounds()-w.rounds, w.tr.Rebuilds()-w.rebuilds, w.tr.LeafSplits()-w.splits
+	if rounds+rebuilds+splits == 0 || p.root == nil {
+		return nil, 0, 0, 0
 	}
-	w.rounds, w.rebuild = w.tr.Rounds(), w.tr.Rebuilds()
+	w.rounds, w.rebuilds, w.splits = w.tr.Rounds(), w.tr.Rebuilds(), w.tr.LeafSplits()
 	nodes := collectNodes(p.root)
 	for _, u := range nodes {
 		if !w.prev[u] {
-			fresh = u
-			break
+			fresh = append(fresh, u)
 		}
 	}
-	if fresh != p.root {
-		replaced = w.byIv[[2]uint64{fresh.lo, fresh.hi}]
-	}
 	clear(w.prev)
-	clear(w.byIv)
 	for _, u := range nodes {
 		w.prev[u] = true
-		w.byIv[[2]uint64{u.lo, u.hi}] = u
 	}
-	return fresh, replaced, builds
+	return fresh, rounds, rebuilds, splits
 }
 
 // TestRebuildBuildLaw checks buildSubtree's derivation (docs/architecture.md,
-// "allq rebuilds sample at εm/32k") right after every partial rebuild and
-// leaf split; round builds merge old leaves instead (TestRoundMergeLaw).
-// Site j's separators close every w items of its part of [lo, hi), so below
-// any value its exact count exceeds its sampled weight by a residue in
-// [0, w − 1], and by exactly w − 1 at a value it sampled itself. A weighted
-// median cut leaves the left child a sampled weight in [W/2 − w, W/2), so
-// its exact count c_l lies within k(w − 1) + 1 of half the node's exact
-// count c: the per-build law. Since a node splits only above leafCap =
-// 3εm/8 sampled items, and k·w ≤ εm/32 (leafSplitAt/8 for a leaf split),
-// that slack is within c/8, so every child holds 3/8–5/8 of its parent
-// (invariant (5)). Every fresh leaf holds at most leafCap + k(w − 1) items,
-// below leafSplitAt. Each fresh node's count s is its exact count. The
-// stream runs for the handoff build and three doublings.
+// "allq rebuilds sample at εm/32k") right after every partial rebuild;
+// round builds merge old leaves instead (TestRoundMergeLaw), and leaf splits
+// cut at a median of medians (TestSplitBalance). Site j's separators close
+// every w items of its part of [lo, hi), so below any value its exact count
+// exceeds its sampled weight by a residue in [0, w − 1], and by exactly
+// w − 1 at a value it sampled itself. A weighted median cut leaves the left
+// child a sampled weight in [W/2 − w, W/2), so its exact count c_l lies
+// within k(w − 1) + 1 of half the node's exact count c: the per-build law.
+// Since a node splits only above leafCap = 3εm/8 sampled items, and
+// k·w ≤ εm/32, that slack is within c/8, so every child holds 3/8–5/8 of
+// its parent (invariant (5)). Every fresh leaf, a rebuild's or a leaf
+// split's, holds fewer than leafSplitAt items, and each fresh node's count
+// s is its exact count. The stream runs for the handoff build and three
+// doublings. Leaf splits no longer rebuild, and a uniform stream seldom
+// violates condition (6), so the streams that must rebuild at least once
+// are the ones whose hot spots do: Zipf(1.3) perturbed in ascending tie
+// order and sorted, and a uniform stream that jumps to a disjoint range a
+// third of the way in.
 func TestRebuildBuildLaw(t *testing.T) {
 	streams := []struct {
-		name string
-		gen  func(n int64) stream.Generator
+		name     string
+		gen      func(n int64) stream.Generator
+		rebuilds bool // must rebuild at least once
 	}{
-		{"uniform", func(n int64) stream.Generator { return distinctUniform(n, 61) }},
+		{"uniform", func(n int64) stream.Generator { return distinctUniform(n, 61) }, false},
 		{"zipf", func(n int64) stream.Generator {
 			return stream.PerturbTies(stream.Zipf(1<<20, n, 1.3, 62), stream.TiesAscending)
-		}},
-		{"sorted", stream.Sequential},
+		}, true},
+		{"sorted", stream.Sequential, true},
+		{"drift", func(n int64) stream.Generator {
+			return stream.Perturb(stream.Concat(stream.Uniform(1<<20, n/3, 63),
+				&offsetGen{g: stream.Uniform(1<<20, n-n/3, 64), off: 1 << 36}))
+		}, true},
 	}
 	for _, s := range streams {
 		for _, eps := range []float64{0.2, 0.05, 1.0 / 64} {
@@ -88,7 +93,7 @@ func TestRebuildBuildLaw(t *testing.T) {
 				cfg := Config{K: k, Eps: eps}
 				t.Run(fmt.Sprintf("%s/eps=%.4g/k=%d", s.name, eps, k), func(t *testing.T) {
 					t.Parallel()
-					rebuildBuildLaw(t, cfg, s.gen(9*(&policy{cfg: cfg}).bootTarget()))
+					rebuildBuildLaw(t, cfg, s.gen(9*(&policy{cfg: cfg}).bootTarget()), s.rebuilds)
 				})
 			}
 		}
@@ -96,8 +101,9 @@ func TestRebuildBuildLaw(t *testing.T) {
 }
 
 // rebuildBuildLaw feeds gen round robin and checks the build law after every
-// arrival that ran a build.
-func rebuildBuildLaw(t *testing.T, cfg Config, gen stream.Generator) {
+// arrival that ran a rebuild or a leaf split; mustRebuild fails a stream
+// that never rebuilt a split node.
+func rebuildBuildLaw(t *testing.T, cfg Config, gen stream.Generator, mustRebuild bool) {
 	t.Helper()
 	tr, err := New(cfg)
 	if err != nil {
@@ -113,21 +119,21 @@ func rebuildBuildLaw(t *testing.T, cfg Config, gen stream.Generator) {
 		return c
 	}
 	k := int64(cfg.K)
-	var builds, splitNodes int
+	var builds, splitNodes, cutLeaves int
 	for i := 0; ; i++ {
 		x, ok := gen.Next()
 		if !ok {
 			break
 		}
 		tr.Feed(i%cfg.K, x)
-		fresh, replaced, n := w.next()
-		if replaced == nil {
+		fresh, rounds, rebuilds, _ := w.next()
+		if rounds > 0 || len(fresh) == 0 {
 			continue // no build, or a round's
 		}
-		builds += n
-		step := p.rebuildStep(replaced)
+		builds += rebuilds
+		step := p.rebuildStep()
 		slack := k*(step-1) + 1
-		for _, u := range collectNodes(fresh) {
+		for _, u := range fresh {
 			c := exact(u)
 			if u.s != c {
 				t.Fatalf("|A|=%d: fresh node [%d,%d) has s %d, exact %d", i+1, u.lo, u.hi, u.s, c)
@@ -137,7 +143,13 @@ func rebuildBuildLaw(t *testing.T, cfg Config, gen stream.Generator) {
 					t.Fatalf("|A|=%d (m %d, step %d): fresh leaf holds %d items, not below its split trigger %d",
 						i+1, p.m, step, c, p.leafSplitAt)
 				}
+				if rebuilds == 0 {
+					cutLeaves++
+				}
 				continue
+			}
+			if rebuilds == 0 {
+				continue // a half cut again: TestSplitBalance's law
 			}
 			splitNodes++
 			cl := exact(u.left)
@@ -151,11 +163,12 @@ func rebuildBuildLaw(t *testing.T, cfg Config, gen stream.Generator) {
 			}
 		}
 	}
-	if tr.Rounds() < 4 || splitNodes == 0 {
-		t.Fatalf("%d round builds, %d rebuilt split nodes: want the handoff, three doublings and a rebuild", tr.Rounds(), splitNodes)
+	if tr.Rounds() < 4 || mustRebuild && splitNodes == 0 || cutLeaves == 0 {
+		t.Fatalf("%d round builds, %d rebuilt split nodes, %d cut leaves: want the handoff, three doublings, a leaf split and (rebuilds %v) a rebuild",
+			tr.Rounds(), splitNodes, cutLeaves, mustRebuild)
 	}
-	t.Logf("%d builds, %d split nodes checked; %d rounds, %d rebuilds, %d leaf splits",
-		builds, splitNodes, tr.Rounds(), tr.Rebuilds(), tr.LeafSplits())
+	t.Logf("%d rebuilds, %d split nodes, %d cut leaves checked; %d rounds, %d rebuilds, %d leaf splits",
+		builds, splitNodes, cutLeaves, tr.Rounds(), tr.Rebuilds(), tr.LeafSplits())
 }
 
 // decodeSubtree rebuilds a subtree from its "rb-tree" words and the replaced
@@ -256,22 +269,34 @@ func decodeMerge(inner, words []uint64) (*node, error) {
 	return root, nil
 }
 
-// siteMirror is one site's copy of the tree, rebuilt from the messages it
-// receives alone.
+// siteMirror is one site's copy of the tree and its round's batch, rebuilt
+// from the messages it receives alone.
 type siteMirror struct {
-	root  *node
-	req   []uint64 // [lo, hi) of the rebuild under way, from "rb-req"
-	round bool     // a "round-req" came: the next "rb-tree" is a merge
+	root   *node
+	h      int      // the round's height cap, derived as startRound does
+	thr    int64    // the round's node batch θm′/k
+	req    []uint64 // [lo, hi) of the rebuild under way, from "rb-req"
+	round  bool     // a "round-req" came: the next "rb-tree" is a merge
+	joined bool     // joined in a Reconfigure: its first "rb-tree" names h_r
+	cut    *node    // the leaf a "split-req" named
+	n      int64    // the site's count there, from its "split-resp"
 }
 
 // replay follows every tree-building message of one tracker: each site's
 // mirror takes an "rb-tree" as a rebuilt subtree after an "rb-req"
 // (decodeSubtree), as a merge of its old tree after a "round-req"
 // (decodeMerge), and otherwise, at the handoff or after joining, as the
-// whole tree (decodeSubtree over the universe). It sums the words sent of
-// every round-build and rebuild kind, and checks each "rb-tree"'s length:
-// I + ⌈N/64⌉ words for a subtree of N nodes, I internal, and
-// ⌈(L − 1)/64⌉ + ⌈N/64⌉ for a merge over L old leaves.
+// whole tree (decodeSubtree over the universe); it cuts the leaf a
+// "split-req" names at the y of the "split-apply" that follows. A round's
+// "rb-tree" opens with m′, a joining site's with m′ and h_r, and the mirror
+// derives the round's height cap and node batch from them and its own trees
+// (roundHeight, roundParams) with the k every site learns from the
+// membership. It sums the words sent of every round-build, rebuild and split
+// kind, and checks each message's length: an "rb-tree" of a subtree of N
+// nodes, I internal, I + ⌈N/64⌉ words, a merge over L old leaves
+// 1 + ⌈(L − 1)/64⌉ + ⌈N/64⌉, the handoff's whole tree 1 + I + ⌈N/64⌉ and a
+// joining site's 2 + I + ⌈N/64⌉; "split-req", "split-apply" and
+// "split-counts" 1 word and "split-resp" 1 or 2 (checkSplitResp).
 type replay struct {
 	tb     testing.TB
 	tr     *Tracker
@@ -282,10 +307,10 @@ type replay struct {
 	seen   int              // msgs at the last check
 	failed bool
 
-	merges, wideMerges, wideSubtrees, joins int
+	merges, wideMerges, wideSubtrees, joins, cuts int
 }
 
-var replayKinds = []string{"round-req", "rb-req", "rb-seps", "rb-tree", "rb-counts"}
+var replayKinds = []string{"round-req", "rb-req", "rb-seps", "rb-tree", "rb-counts", "split-req", "split-resp", "split-apply", "split-counts"}
 
 func newReplay(tb testing.TB, tr *Tracker) *replay {
 	r := &replay{tb: tb, tr: tr, base: map[string]int64{}, sent: map[string]int64{}}
@@ -302,15 +327,18 @@ func (r *replay) errorf(format string, args ...any) {
 }
 
 // begin starts the replay from the tracker's state: each site holds the
-// coordinator's tree, and the meter's words so far are not the replay's.
-// check begins again while no message has come, as after a restore.
+// coordinator's tree and batch, and the meter's words so far are not the
+// replay's. check begins again while no message has come, as after a
+// restore.
 func (r *replay) begin() {
 	r.sites = nil
+	p := r.tr.p
 	for range r.tr.K() {
 		m := &siteMirror{}
 		if !r.tr.Bootstrapping() {
-			m.root = cloneTree(r.tr.p.root, nil)
+			m.root = cloneTree(p.root, nil)
 			renumber(m.root)
+			m.h, m.thr = p.h, p.thrNode
 		}
 		r.sites = append(r.sites, m)
 	}
@@ -320,10 +348,24 @@ func (r *replay) begin() {
 	}
 }
 
+// startRound sets a mirror's round from the m′ its "rb-tree" sent: its
+// height cap (given, or derived from the tree's height and grown, the height
+// the replaced tree reached) and its node batch.
+func (r *replay) startRound(m *siteMirror, words []uint64, h, grown int) {
+	eps, k := r.tr.p.cfg.Eps, r.tr.p.cfg.K
+	if h == 0 {
+		h = roundHeight(eps, k, int64(words[0]), height(m.root), grown)
+	}
+	m.h = h
+	_, m.thr, _ = roundParams(eps, k, int64(words[0]), h)
+}
+
 func (r *replay) tap(kind string, j int, words []uint64) {
 	r.msgs++
 	for len(r.sites) <= j {
-		r.sites = append(r.sites, &siteMirror{}) // a site that joined
+		// A site that joined: after the handoff, whose list is then dropped,
+		// it gets the whole tree with m′ and h_r.
+		r.sites = append(r.sites, &siteMirror{joined: len(r.tr.p.boot.Keys()) == 0})
 	}
 	r.sent[kind] += int64(max(1, len(words))) // a message carries at least its type
 	m := r.sites[j]
@@ -333,53 +375,99 @@ func (r *replay) tap(kind string, j int, words []uint64) {
 	case "rb-req":
 		m.req = slices.Clone(words)
 	case "rb-tree":
-		var got *node
-		var err error
-		var want int
-		switch {
-		case m.req != nil:
-			if got, err = decodeSubtree(words, m.req[0], m.req[1]); err == nil {
-				m.root, err = replaceNode(m.root, got)
-			}
-			m.req = nil
-		case m.round:
-			inner := leafBounds(m.root)
-			inner = inner[1 : len(inner)-1]
-			got, err = decodeMerge(inner, words)
-			m.root, m.round = got, false
-			want = (len(inner) + 63) / 64
-			r.merges++
-			if len(inner) > 64 {
-				r.wideMerges++
-			}
-		default:
-			if m.root == nil && len(r.tr.p.boot.Keys()) == 0 {
-				r.joins++ // not the handoff, whose list is dropped after it
-			}
-			got, err = decodeSubtree(words, 0, math.MaxUint64)
-			m.root = got
-		}
-		if err != nil {
-			r.errorf("site %d: %v", j, err)
+		r.tree(j, m, words)
+	case "split-req":
+		nodes := collectNodes(m.root)
+		if len(words) != 1 || words[0] >= uint64(len(nodes)) || !nodes[words[0]].isLeaf() {
+			r.errorf("site %d: \"split-req\" %v names no leaf of its %d nodes", j, words, len(nodes))
 			return
 		}
-		renumber(m.root)
-		nodes := collectNodes(got)
-		if want == 0 {
-			want = (len(nodes) - 1) / 2 // a subtree's splits
-			if len(nodes) > 64 {
-				r.wideSubtrees++
-			}
+		m.cut = nodes[words[0]]
+	case "split-resp":
+		var err error
+		if m.n, err = checkSplitResp(words, m.cut.lo, m.cut.hi); err != nil {
+			r.errorf("site %d: %v", j, err)
 		}
-		if want += (len(nodes) + 63) / 64; len(words) != want {
-			r.errorf("site %d: a %d-node \"rb-tree\" of %d words, want %d", j, len(nodes), len(words), want)
+	case "split-apply":
+		if len(words) != 1 || leafOf(m.root, words[0]) != m.cut {
+			r.errorf("site %d: \"split-apply\" %v does not fall in the leaf [%d, %d) its \"split-req\" named", j, words, m.cut.lo, m.cut.hi)
+			return
+		}
+		u, y := m.cut, words[0]
+		u.split = y
+		u.left, u.right = &node{lo: u.lo, hi: y, parent: u}, &node{lo: y, hi: u.hi, parent: u}
+		renumber(m.root)
+		if j == 0 {
+			r.cuts++
+		}
+	case "split-counts":
+		if _, err := sitestore.DecodeSplitCount(words, m.n); err != nil {
+			r.errorf("site %d: \"split-counts\" %v after n_j = %d: %v", j, words, m.n, err)
 		}
 	}
 }
 
-// check compares every site's mirror with the coordinator's tree, and the
-// metered words of every round-build and rebuild kind with the words sent,
-// when a message came since the last check: only a message changes them.
+// tree applies an "rb-tree" to site j's mirror m and checks its length.
+func (r *replay) tree(j int, m *siteMirror, words []uint64) {
+	var got *node
+	var err error
+	var want, head int
+	switch {
+	case m.req != nil:
+		if got, err = decodeSubtree(words, m.req[0], m.req[1]); err == nil {
+			m.root, err = replaceNode(m.root, got)
+		}
+		m.req = nil
+	case m.round:
+		inner := leafBounds(m.root)
+		inner = inner[1 : len(inner)-1]
+		grown := height(m.root)
+		head, want = 1, (len(inner)+63)/64
+		if got, err = decodeMerge(inner, words[1:]); err == nil {
+			m.root = got
+			r.startRound(m, words, 0, grown)
+		}
+		m.round = false
+		r.merges++
+		if len(inner) > 64 {
+			r.wideMerges++
+		}
+	case m.joined:
+		r.joins++
+		head = 2
+		if got, err = decodeSubtree(words[2:], 0, math.MaxUint64); err == nil {
+			m.root = got
+			r.startRound(m, words, int(words[1]), 0)
+		}
+		m.joined = false
+	default: // the handoff
+		head = 1
+		if got, err = decodeSubtree(words[1:], 0, math.MaxUint64); err == nil {
+			m.root = got
+			r.startRound(m, words, 0, 0)
+		}
+	}
+	if err != nil {
+		r.errorf("site %d: %v", j, err)
+		return
+	}
+	renumber(m.root)
+	nodes := collectNodes(got)
+	if want == 0 {
+		want = (len(nodes) - 1) / 2 // a subtree's splits
+		if len(nodes) > 64 {
+			r.wideSubtrees++
+		}
+	}
+	if want += head + (len(nodes)+63)/64; len(words) != want {
+		r.errorf("site %d: a %d-node \"rb-tree\" of %d words, want %d", j, len(nodes), len(words), want)
+	}
+}
+
+// check compares every site's mirror with the coordinator's tree and its
+// round's height cap and node batch with the coordinator's, and the metered
+// words of every replayed kind with the words sent, when a message came
+// since the last check: only a message changes them.
 func (r *replay) check(label string) {
 	if r.msgs == 0 {
 		r.begin()
@@ -399,6 +487,10 @@ func (r *replay) check(label string) {
 		}
 		if err := sameTree(m.root, p.root); err != nil {
 			r.errorf("%s: site %d rebuilt from the messages: %v", label, j, err)
+		}
+		if m.h != p.h || m.thr != p.thrNode {
+			r.errorf("%s: site %d derived h %d and node batch %d from the messages, the coordinator's are %d and %d",
+				label, j, m.h, m.thr, p.h, p.thrNode)
 		}
 	}
 	for _, kind := range replayKinds {
@@ -477,14 +569,16 @@ func cloneTree(u, parent *node) *node {
 
 // TestSubtreeBroadcast replays every tree-building message into each site's
 // mirror (replay) and checks, after every call, that every mirror is the
-// coordinator's tree, its node ids renumbered in preorder as a site does, and
-// that the meter charged the words sent: "rb-tree"
-// as a rebuilt subtree, a round merged from the old leaves and the whole
-// tree at the handoff or to a joining site, and "round-req", "rb-req",
-// "rb-seps" and "rb-counts". Three streams feed one arrival a call; the
-// engine's law schedules (enginetest.RunLaw) add batches, a restore, a grow
-// and a shrink, and the concurrent schedule, replayed from its first
-// message.
+// coordinator's tree, its node ids renumbered in preorder as a site does,
+// that the height cap and node batch each site derives from the words alone
+// are the coordinator's, and that the meter charged the words sent:
+// "rb-tree" as a rebuilt subtree, a round merged from the old leaves and
+// the whole tree at the handoff or to a joining site, "round-req",
+// "rb-req", "rb-seps" and "rb-counts", and a leaf split's "split-req",
+// "split-resp", "split-apply" and "split-counts". Three streams feed one
+// arrival a call; the engine's law schedules (enginetest.RunLaw) add
+// batches, a restore, a grow and a shrink, and the concurrent schedule,
+// replayed from its first message.
 func TestSubtreeBroadcast(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -511,8 +605,9 @@ func TestSubtreeBroadcast(t *testing.T) {
 					t.FailNow()
 				}
 			}
-			if r.merges == 0 || r.wideSubtrees == 0 || tc.cfg.Eps < 0.05 && r.wideMerges == 0 {
-				t.Fatalf("%d merges (%d over 64 old leaves), %d subtrees over 64 nodes: nothing checked", r.merges, r.wideMerges, r.wideSubtrees)
+			if r.merges == 0 || r.cuts == 0 || r.wideSubtrees == 0 || tc.cfg.Eps < 0.05 && r.wideMerges == 0 {
+				t.Fatalf("%d merges (%d over 64 old leaves), %d leaf splits, %d subtrees over 64 nodes: nothing checked",
+					r.merges, r.wideMerges, r.cuts, r.wideSubtrees)
 			}
 		})
 	}
@@ -537,14 +632,16 @@ func TestSubtreeBroadcast(t *testing.T) {
 				tb.FailNow()
 			}
 		})
+		var cuts int
 		for _, r := range replays {
 			merges += r.merges
 			joins += r.joins
+			cuts += r.cuts
 		}
-		if merges == 0 {
-			t.Fatalf("%d merges, %d joining sites: nothing checked", merges, joins)
+		if merges == 0 || joins == 0 || cuts == 0 {
+			t.Fatalf("%d merges, %d joining sites, %d leaf splits: nothing checked", merges, joins, cuts)
 		}
-		t.Logf("%d merges, %d joining sites replayed", merges, joins)
+		t.Logf("%d merges, %d joining sites, %d leaf splits replayed", merges, joins, cuts)
 	})
 }
 

@@ -63,6 +63,9 @@ func (w *mergeWatch) tap(kind string, j int, words []uint64) {
 		if len(w.full) != 0 {
 			w.errorf("full leaves %v of the last round were never split", w.full)
 		}
+	case kind == "split-req" && j == 0:
+		u := collectNodes(p.root)[words[0]]
+		w.full = slices.DeleteFunc(w.full, func(iv [2]uint64) bool { return iv == [2]uint64{u.lo, u.hi} })
 	case kind == "rb-req" && j == 0:
 		w.full = slices.DeleteFunc(w.full, func(iv [2]uint64) bool { return words[0] <= iv[0] && iv[1] <= words[1] })
 	case kind == "rb-tree" && j == 0 && p.rounds != w.rounds:

@@ -1,0 +1,210 @@
+package allq
+
+import (
+	"fmt"
+	"math/bits"
+	"strings"
+	"testing"
+
+	"disttrack/internal/core"
+	"disttrack/internal/core/engine/enginetest"
+	"disttrack/internal/oracle"
+	"disttrack/internal/sitestore"
+)
+
+// checkSplitResp decodes a site's "split-resp" for [lo, hi) and returns
+// its n_j, or an error unless the reply has the length of the rule: one
+// word, n_j = 0, from a site that holds nothing there, else one word when
+// 6 + bits(n_j) + bits(hi − lo) ≤ 64 and two otherwise; and a median, when
+// sent, lies in [lo, hi]. Taps run on the feeders' goroutines too, so they
+// report failures by value.
+func checkSplitResp(words []uint64, lo, hi uint64) (int64, error) {
+	med, n, err := sitestore.DecodeSplitResp(words, lo, hi)
+	if err != nil {
+		return 0, err
+	}
+	want := 1
+	if n > 0 && 6+bits.Len64(uint64(n))+bits.Len64(hi-lo) > 64 {
+		want = 2
+	}
+	if len(words) != want {
+		return 0, fmt.Errorf("holds %d items in [%d, %d) and answers %d words, want %d", n, lo, hi, len(words), want)
+	}
+	if n > 0 && (med < lo || med > hi) {
+		return 0, fmt.Errorf("median %d outside [%d, %d]", med, lo, hi)
+	}
+	return n, nil
+}
+
+// cutWatch checks every leaf split of one tracker through the meter's tap,
+// as its messages are sent, so cuts inside a batch and on the concurrent
+// schedule are checked too.
+type cutWatch struct {
+	tb    testing.TB
+	tr    *Tracker
+	truth *oracle.Counter // sketch mode: the arrivals before the current call
+	lag   int64           // the most arrivals one call feeds (0: no truth)
+
+	lo, hi, y  uint64
+	n          []int64 // each site's n_j, from its "split-resp"
+	a1, a2     int64   // the halves' counts the messages give
+	answered   int
+	cuts       int
+	worst      float64 // the smaller half's least share of its leaf
+	sketchCuts int     // sketch cuts checked against the truth
+	failed     bool
+}
+
+func (w *cutWatch) errorf(format string, args ...any) {
+	if !w.failed {
+		w.failed = true
+		w.tb.Errorf("|A|=%d: "+format, append([]any{w.tr.TrueTotal()}, args...)...)
+	}
+}
+
+func (w *cutWatch) tap(kind string, j int, words []uint64) {
+	p := w.tr.p
+	switch kind {
+	case "split-req":
+		u := collectNodes(p.root)[words[0]]
+		if j == 0 {
+			w.lo, w.hi, w.n, w.a1, w.a2, w.answered = u.lo, u.hi, make([]int64, len(p.sites)), 0, 0, 0
+		}
+	case "split-resp":
+		var err error
+		if w.n[j], err = checkSplitResp(words, w.lo, w.hi); err != nil {
+			w.errorf("site %d: %v", j, err)
+		}
+	case "split-apply":
+		w.y = words[0]
+	case "split-counts":
+		a, err := sitestore.DecodeSplitCount(words, w.n[j])
+		if err != nil {
+			w.errorf("site %d: \"split-counts\" %v after n_j = %d: %v", j, words, w.n[j], err)
+		}
+		w.a1 += a
+		w.a2 += w.n[j] - a
+		if w.answered++; w.answered == len(p.sites) {
+			w.check()
+		}
+	}
+}
+
+// check asserts the split-balance law once the last site has answered:
+// with exact sites the halves the messages give are the stores' counts of
+// [lo, y) and [y, hi), and each lies in [N/4 − k, 3N/4 + k] of the leaf's N;
+// with sketch sites, where the truth is known, each half's true count lies
+// there within splitSketchSlack of GK's per-end terms more, and within the
+// arrivals of the call under way.
+func (w *cutWatch) check() {
+	p := w.tr.p
+	k := float64(len(p.sites))
+	at := fmt.Sprintf("cut of [%d, %d) at %d", w.lo, w.hi, w.y)
+	left, right, slack := w.a1, w.a2, k
+	if !p.cfg.Sketch {
+		var l, r int64
+		for _, s := range p.sites {
+			l += s.st.CountRange(w.lo, w.y)
+			r += s.st.CountRange(w.y, w.hi)
+		}
+		if l != left || r != right {
+			w.errorf("%s: the messages give halves %d and %d, the stores hold %d and %d", at, left, right, l, r)
+		}
+	} else {
+		if w.truth == nil || w.lag == 0 {
+			w.cuts++
+			return
+		}
+		left, right = w.truth.CountPart(w.lo, w.y), w.truth.CountPart(w.y, w.hi)
+		gk := p.cfg.Eps / (2 * float64(heightCap(p.cfg.Eps))) / gkEpsFraction
+		slack += splitSketchSlack*gk*float64(w.tr.TrueTotal()) + float64(w.lag)
+		w.sketchCuts++
+	}
+	n := float64(left + right)
+	for _, h := range []int64{left, right} {
+		if float64(h) < n/4-slack || float64(h) > 3*n/4+slack {
+			w.errorf("%s: halves %d and %d of %.0f items: one is outside [N/4 − %.1f, 3N/4 + %.1f]", at, left, right, n, slack, slack)
+		}
+	}
+	if n > 0 {
+		w.worst = min(w.worst, float64(min(left, right))/n)
+	}
+	w.cuts++
+}
+
+// splitSketchSlack is the sketch-mode slack of the split-balance law beyond
+// k, in units of GK's per-end term summed over the sites (θ_min/4 of |A|,
+// θ_min = ε/2·heightCap): the weighted median's bound with every site's
+// median, its count and its lo rank off by GK's error (docs/architecture.md,
+// "A split sends only what its receiver cannot work out").
+const splitSketchSlack = 5
+
+// TestSplitBalance is the split-balance law on allq's leaf splits, the
+// median-of-medians cut quantile's TestSplitBalance checks on its
+// intervals: through the engine's law schedules (enginetest.RunLaw: Feed
+// and FeedLocalBatch at B ∈ {1, 16, 512}, round robin and one-site bursts,
+// a checkpoint restore, a Reconfigure grow and shrink, and one goroutine
+// per site under -race), in both store modes, every cut is rebuilt from
+// its messages as they are sent, and
+//
+//   - "split-resp" has the length checkSplitResp names;
+//   - every "split-counts" a_j is at most the site's n_j (the clamp);
+//   - with exact sites the halves the messages give are the stores' exact
+//     counts, and each lies in [N/4 − k, 3N/4 + k] of the leaf's N;
+//   - with sketch sites, on the schedules that feed one arrival a call,
+//     each half's true count lies there within splitSketchSlack GK terms
+//     and one arrival more.
+//
+// After every call no leaf's count is over its split trigger.
+func TestSplitBalance(t *testing.T) {
+	for _, sketch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sketch=%t", sketch), func(t *testing.T) {
+			watches := map[*Tracker]*cutWatch{}
+			cfg := enginetest.Config{
+				New: func(tb testing.TB) core.Tracker {
+					tr, err := New(Config{K: 4, Eps: 0.1, Sketch: sketch})
+					if err != nil {
+						tb.Fatal(err)
+					}
+					w := &cutWatch{tb: tb, tr: tr, worst: 0.5}
+					if name := tb.Name(); strings.HasSuffix(name, "/feed") || strings.HasSuffix(name, "/B1") {
+						w.lag = 1
+					}
+					tr.Meter().SetTap(w.tap)
+					watches[tr] = w
+					return tr
+				},
+				K:      4,
+				Stream: enginetest.DistinctUniform,
+			}
+			enginetest.RunLaw(t, cfg, func(tb testing.TB, label string, ctr core.Tracker, truth *oracle.Counter) {
+				tr := ctr.(*Tracker)
+				if watches[tr].truth = truth; watches[tr].failed {
+					tb.FailNow()
+				}
+				if tr.Bootstrapping() {
+					return
+				}
+				for _, u := range collectNodes(tr.p.root) {
+					if u.isLeaf() && u.s > tr.p.leafSplitAt {
+						tb.Fatalf("%s: |A|=%d: leaf [%d, %d) holds %d, over its split trigger %d",
+							label, tr.TrueTotal(), u.lo, u.hi, u.s, tr.p.leafSplitAt)
+					}
+				}
+			})
+			var cuts, sketchCuts int
+			truthLegs := false // a schedule fed one arrival a call
+			worst := 0.5
+			for _, w := range watches {
+				cuts += w.cuts
+				sketchCuts += w.sketchCuts
+				truthLegs = truthLegs || w.lag > 0
+				worst = min(worst, w.worst)
+			}
+			if cuts < 30 || sketch && truthLegs && sketchCuts == 0 {
+				t.Fatalf("%d cuts (%d against the truth): too few to check", cuts, sketchCuts)
+			}
+			t.Logf("%d cuts (%d sketch cuts against the truth); the smaller half held at least %.3f of its leaf", cuts, sketchCuts, worst)
+		})
+	}
+}

@@ -12,7 +12,7 @@ import (
 // delivery path. At every doubling of |A| (and at the end) no rank is
 // overestimated or off by more than ε|A| and the tree is no taller than its
 // round's height cap. After every structural change no leaf holds more than
-// its split trigger and a leaf split adds leaves. Uniform streams never
+// its split trigger and each leaf split adds one leaf. Uniform streams never
 // deepen the tree past a round's cap, so they start no round for it. Zipf
 // and sorted streams deepen it at their hot spots, and so can the drift
 // stream's jump when it lands while tracking (it starts one such round at
@@ -69,16 +69,22 @@ func TestContractSweep(t *testing.T) {
 }
 
 // TestLeafLoadsAtEveryCap checks the leaf half of the rank bound at every
-// height cap a round can take, with every site's separators losing as much
-// as they can (step − 1 items each): a leaf one item past its split trigger
-// still samples above leafCap, so its rebuild splits it, and a leaf built at
-// any sampling step starts no higher than its trigger. The internal
-// rebuilds' uncapped step sampleStep is checked from minHeight up; a
-// rebuild's (rebuildStep) also at restoreMinHeight, the floor a restored
-// round may carry (round builds merge exact counts and sample nothing:
-// TestRoundMergeLaw). At every
-// m from the bootstrap target up, the cut error k·sampleStep stays within
-// an eighth of leafCap, the smallest weight a build splits (invariant (5)).
+// height cap a round can take. A leaf is cut when a report lifts its count
+// past the trigger, so it holds N ≤ leafSplitAt + k·thrNode + 1 items (the
+// reporting site's batch, under a batch unreported at each other site, one
+// handoff straddler per site), and the cut leaves each half at most
+// 3N/4 + k of them. From the bootstrap target up that is below the trigger
+// at every cap from minHeight, and at restoreMinHeight, the floor a restored
+// round may carry, once εm/40 ≥ k + 2 (the trigger's 2εm/5 leaves εm/40
+// over 3εm/8, less the floors and the straddler), so one cut leaves no half
+// to cut again; below that cut cuts a full half once more. A leaf an internal rebuild builds, with every site's separators
+// losing as much as they can (step − 1 items each), starts no higher than
+// its trigger: the uncapped step sampleStep from minHeight up, the capped
+// rebuildStep also at restoreMinHeight, the floor a restored round may
+// carry (round builds merge exact counts and sample nothing:
+// TestRoundMergeLaw). At every m from the bootstrap target up, the cut
+// error k·sampleStep stays within an eighth of leafCap, the smallest weight
+// a build splits (invariant (5)).
 func TestLeafLoadsAtEveryCap(t *testing.T) {
 	for _, eps := range []float64{0.9, 0.6, 0.4, 0.2, 0.05, 1.0 / 64} {
 		for _, k := range []int{1, 8, 32} {
@@ -87,12 +93,14 @@ func TestLeafLoadsAtEveryCap(t *testing.T) {
 				for h := restoreMinHeight; h <= heightCap(eps); h++ {
 					p := &policy{cfg: Config{K: k, Eps: eps}, m: m, h: h}
 					p.theta, p.thrNode, p.leafSplitAt = roundParams(eps, k, m, h)
-					loss := func(step int64) int64 { return int64(k) * (step - 1) }
-					if w := p.leafSplitAt + 1 - loss(p.leafStep()); w <= p.leafCap() {
-						t.Errorf("ε=%g k=%d m=%d h=%d: a leaf past its trigger %d samples %d ≤ leafCap %d",
-							eps, k, m, h, p.leafSplitAt, w, p.leafCap())
+					n := p.leafSplitAt + int64(k)*p.thrNode + 1
+					bound := m >= boot && (h >= minHeight || eps*float64(m)/40 >= float64(k+2))
+					if half := 3*n + 4*int64(k); bound && half >= 4*p.leafSplitAt {
+						t.Errorf("ε=%g k=%d m=%d h=%d: a cut of %d items leaves a half of up to %.1f, not below its trigger %d",
+							eps, k, m, h, n, float64(half)/4, p.leafSplitAt)
 					}
-					steps := []int64{p.leafStep(), p.rebuildStep(&node{left: &node{}})}
+					loss := func(step int64) int64 { return int64(k) * (step - 1) }
+					steps := []int64{p.rebuildStep()}
 					if h >= minHeight {
 						steps = append(steps, p.sampleStep())
 					}
@@ -139,15 +147,15 @@ func sweepOne(t *testing.T, cfg Config, items []uint64, batched bool) *Tracker {
 			o.Add(items[i])
 			i++
 		}
-		if tr.Rounds() != rounds || tr.Rebuilds() != rebuilds {
+		if tr.Rounds() != rounds || tr.Rebuilds() != rebuilds || tr.LeafSplits() != splits {
 			st := tr.TreeStats()
 			if st.MaxLeafS > tr.p.leafSplitAt {
 				t.Fatalf("|A|=%d: a leaf holds %d items past its split trigger %d",
 					o.Len(), st.MaxLeafS, tr.p.leafSplitAt)
 			}
-			// Only leaf splits ran, each in a rebuild of its own.
+			// Only leaf splits ran: each cut one leaf in two.
 			ds := tr.LeafSplits() - splits
-			if tr.Rounds() == rounds && tr.Rebuilds()-rebuilds == ds && st.Leaves < leaves+ds {
+			if tr.Rounds() == rounds && tr.Rebuilds() == rebuilds && st.Leaves != leaves+ds {
 				t.Fatalf("|A|=%d: %d leaf splits took the tree from %d to %d leaves",
 					o.Len(), ds, leaves, st.Leaves)
 			}

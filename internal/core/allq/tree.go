@@ -13,10 +13,9 @@ import (
 //   - condition (6) on the parent edge (rebuild at the parent — the highest
 //     node a single count change can newly violate),
 //   - condition (6) on u's child edges (rebuild at u),
-//   - the leaf split rule s_v > (ε/2 − θ)m (rebuild at the leaf, which
-//     splits it).
+//   - the leaf split rule s_v > (ε/2 − θ)m (splitLeaf cuts the leaf in two).
 //
-// It reports whether a rebuild happened.
+// It reports whether the tree changed.
 func (p *policy) checkConditions(u *node) bool {
 	if par := u.parent; par != nil && violated(par, u) {
 		p.rebuild(par)
@@ -27,9 +26,7 @@ func (p *policy) checkConditions(u *node) bool {
 		return true
 	}
 	if u.isLeaf() && u.s > p.leafSplitAt {
-		p.rebuild(u)
-		p.leafSplits++
-		return true
+		return p.splitLeaf(u)
 	}
 	return false
 }
@@ -49,11 +46,13 @@ func violated(p, c *node) bool {
 // old leaf's exact count (sitestore.AddCounts), and mergeRec cuts the old
 // boundaries at weighted medians of those counts, so the fresh tree's splits
 // are old boundaries and each node's s is exact with no further message: no
-// site samples. The coordinator broadcasts which boundaries the tree keeps
-// and its shape ("rb-tree", encodeMerge; a joining site gets encodeSubtree),
-// and startRound fixes the round's parameters from the tree's height. Cost
-// O(k/ε) words: L packed counts per site and ⌈L/64⌉ + ⌈N/64⌉ broadcast words
-// (docs/architecture.md, "allq rounds merge, not resample").
+// site samples. startRound fixes the round's parameters from the tree's
+// height, and the coordinator broadcasts m′, which boundaries the tree keeps
+// and its shape ("rb-tree", encodeMerge), from which a site derives the
+// round's batch as startRound does (roundHeight). A joining site holds no
+// old tree, so it gets m′, h_r and the whole tree (encodeSubtree). Cost
+// O(k/ε) words: L packed counts per site and 1 + ⌈L/64⌉ + ⌈N/64⌉ broadcast
+// words (docs/architecture.md, "allq rounds merge, not resample").
 func (p *policy) newRound(old int) {
 	p.eng.All()
 	meter := p.eng.Meter()
@@ -102,7 +101,8 @@ func (p *policy) newRound(old int) {
 	p.root = root
 	p.gcDeltas()
 	p.startRound(grown)
-	merged, joined := encodeMerge(inner, root), encodeSubtree(root)
+	merged := encodeMerge([]uint64{uint64(p.m)}, inner, root)
+	joined := encodeSubtree([]uint64{uint64(p.m), uint64(p.h)}, root)
 	for j := range p.sites {
 		if j < old {
 			meter.DownMsg(j, "rb-tree", merged)
@@ -114,28 +114,37 @@ func (p *policy) newRound(old int) {
 }
 
 // startRound fixes the parameters of the round whose tree was just built,
-// with exact counts, from its height. The round's cap h_r is the built
-// height plus two levels of slack for the rebuilds to come (a splitFull
-// split adds one), and at least the height the replaced tree grew to
+// with exact counts, from its height (roundHeight) and m, grown being the
+// height the replaced tree reached.
+func (p *policy) startRound(grown int) {
+	p.h = roundHeight(p.cfg.Eps, p.cfg.K, p.m, height(p.root), grown)
+	p.theta, p.thrNode, p.leafSplitAt = roundParams(p.cfg.Eps, p.cfg.K, p.m, p.h)
+}
+
+// roundHeight returns the height cap h_r of a round of m arrivals over k
+// sites whose tree was built built levels tall, after a tree that grew to
+// grown. It is the built height plus two levels of slack for the rebuilds
+// and splits to come, and at least the height the replaced tree grew to
 // (skewed and sorted streams deepen the tree at their hot spots every
 // round), never below minHeight or above heightCap. A shorter cap pays only
 // if it raises the site batch θm/k: at the same batch, reports cost the same
-// and the smaller leaf split trigger would only add splits.
-func (p *policy) startRound(grown int) {
-	hCap := heightCap(p.cfg.Eps)
-	h := min(hCap, max(height(p.root)+2, grown, minHeight))
-	_, thrCap, _ := roundParams(p.cfg.Eps, p.cfg.K, p.m, hCap)
-	if _, thr, _ := roundParams(p.cfg.Eps, p.cfg.K, p.m, h); thr <= thrCap {
+// and the smaller leaf split trigger would only add splits. A site derives
+// h_r the same way from the m′ a round's "rb-tree" carries and its own
+// mirror of the tree.
+func roundHeight(eps float64, k int, m int64, built, grown int) int {
+	hCap := heightCap(eps)
+	h := min(hCap, max(built+2, grown, minHeight))
+	_, thrCap, _ := roundParams(eps, k, m, hCap)
+	if _, thr, _ := roundParams(eps, k, m, h); thr <= thrCap {
 		h = hCap
 	}
-	p.h = h
-	p.theta, p.thrNode, p.leafSplitAt = roundParams(p.cfg.Eps, p.cfg.K, p.m, h)
+	return h
 }
 
-// splitFull splits, by the leaf rebuild of a report-time split, every leaf of
-// a round just built that holds at least the split trigger: a round opened
-// before |A| doubled (by the height cap or a Reconfigure) can keep an old
-// leaf that full.
+// splitFull splits, as a report-time leaf split does (splitLeaf), every leaf
+// of a round just built that holds at least the split trigger: a round
+// opened before |A| doubled (by the height cap or a Reconfigure) can keep an
+// old leaf that full.
 func (p *policy) splitFull() {
 	var full []*node
 	for _, u := range collectNodes(p.root) {
@@ -145,8 +154,7 @@ func (p *policy) splitFull() {
 	}
 	for _, u := range full {
 		if attached(p.root, u) { // an earlier split's rebuild may have replaced it
-			p.rebuild(u)
-			p.leafSplits++
+			p.splitLeaf(u)
 		}
 	}
 }
@@ -185,7 +193,7 @@ const minHeight = 6
 // restoreMinHeight is the smallest height cap a checkpoint may carry: the
 // floor was 5 while rebuilds sampled at εm/64k. A round restored at h = 5
 // stays sound because rebuild caps its step by the round's own leaf split
-// trigger (rebuildStep).
+// trigger (rebuildStep), and a leaf split cuts a half at the trigger again.
 const restoreMinHeight = 5
 
 // roundParams derives a round's thresholds from its height cap h and its
@@ -238,29 +246,12 @@ func (p *policy) leafCap() int64 {
 	return max(1, int64(3*p.cfg.Eps*float64(p.m)/8))
 }
 
-// leafStep is the separator sampling step of a leaf's rebuild, which runs
-// once the leaf's count passes leafSplitAt. A leaf is sampled only as finely
-// as its split needs. Invariant (5)'s 3/8–5/8 cut holds if the k sites'
-// summed sampling error k·step stays within an eighth of leafSplitAt, a step
-// about twice as coarse as εm/32k from h = 7 up. The step also keeps k·step ≤
-// leafSplitAt − leafCap: then the sampled weight of a leaf past its trigger
-// stays above leafCap, so the rebuild splits it, and each new leaf holds
-// fewer than leafSplitAt items. Invariant (5) bears on cost only, never on
-// the ε bound.
-func (p *policy) leafStep() int64 {
-	return max(1, min(p.leafSplitAt/8, p.leafSplitAt-p.leafCap())/int64(p.cfg.K))
-}
-
-// rebuildStep is the sampling step of a rebuild at u within the current
-// round: leafStep for a leaf, else sampleStep capped, as leafStep caps its
-// own, so that k·step ≤ leafSplitAt − leafCap and every fresh leaf starts
-// below its trigger. From minHeight up the cap binds only while εm < 96
-// (leafSplitAt − leafCap ≥ εm/24 − 1 there); it is what keeps a round
-// restored at restoreMinHeight sound.
-func (p *policy) rebuildStep(u *node) int64 {
-	if u.isLeaf() {
-		return p.leafStep()
-	}
+// rebuildStep is the sampling step of a rebuild within the current round:
+// sampleStep, capped so that k·step ≤ leafSplitAt − leafCap and every fresh
+// leaf starts below its trigger. From minHeight up the cap binds only while
+// εm < 96 (leafSplitAt − leafCap ≥ εm/24 − 1 there); it is what keeps a
+// round restored at restoreMinHeight sound.
+func (p *policy) rebuildStep() int64 {
 	return min(p.sampleStep(), max(1, (p.leafSplitAt-p.leafCap())/int64(p.cfg.K)))
 }
 
@@ -275,12 +266,12 @@ func (p *policy) enforceHeight() {
 	}
 }
 
-// rebuild replaces the subtree rooted at u — the paper's partial rebuilding,
-// also used for leaf splits (sampled at leafStep). Cost O(k·|A ∩ I_u|/(εm)
-// + k·h) words.
+// rebuild replaces the subtree rooted at u, an internal node — the paper's
+// partial rebuilding, sampled at rebuildStep. Cost O(k·|A ∩ I_u|/(εm) +
+// k·h) words.
 func (p *policy) rebuild(u *node) {
 	p.eng.All()
-	fresh := p.buildSubtree(u.parent, u.lo, u.hi, p.rebuildStep(u))
+	fresh := p.buildSubtree(u.parent, u.lo, u.hi, p.rebuildStep())
 	if par := u.parent; par == nil {
 		p.root = fresh
 	} else if par.left == u {
@@ -290,16 +281,80 @@ func (p *policy) rebuild(u *node) {
 	}
 	p.rebuilds++
 	p.gcDeltas()
+	p.restoreUp(fresh)
+}
 
-	// Setting s_u exact can only increase it, which can newly violate the
-	// parent edge; restore (6) upward.
-	for par := fresh.parent; par != nil; par = par.parent {
-		if violated(par, fresh) {
+// restoreUp restores condition (6) above u, whose count a rebuild or a leaf
+// split just set exact: an exact count can only raise an underestimate,
+// which can newly violate u's parent edge, and a rebuild there its own.
+func (p *policy) restoreUp(u *node) {
+	for par := u.parent; par != nil; par = par.parent {
+		if violated(par, u) {
 			p.rebuild(par)
 			return
 		}
-		fresh = par
+		u = par
 	}
+}
+
+// splitLeaf is the leaf split (docs/architecture.md, "allq leaf splits cut
+// at a median of medians"): it cuts leaf u in two, and each half again
+// while it holds leafSplitAt or more (cut), then restores condition (6)
+// above u as rebuild does. It reports whether the tree changed: ties can
+// defeat the cut.
+func (p *policy) splitLeaf(u *node) bool {
+	if !p.cut(u) {
+		return false
+	}
+	p.restoreUp(u)
+	return true
+}
+
+// cut turns leaf u into an internal node over two fresh leaves by
+// sitestore.Split, the median-of-medians cut quantile's split makes: the
+// coordinator names u by its preorder id ("split-req", 1 word; a site's
+// mirror is numbered as gcDeltas numbers the tree), each site sends its
+// count n_j in u and its lower local median there, the coordinator cuts at
+// the n_j-weighted median y ("split-apply", y alone: a site finds u by
+// walking y's path), and each site sends its count a_j left of y. Every
+// count it sets is exact: u's is Σ n_j and its halves' Σ a_j and
+// Σ (n_j − a_j), so every site's pending delta at u is zeroed. A half still
+// at or over leafSplitAt is cut again. Each half holds at most 3N/4 + k of
+// u's N items, under leafSplitAt from restoreMinHeight up once εm/40 > k,
+// which m ≥ bootTarget gives. Cost O(k) words. When ties leave no cut
+// strictly inside u, it counts cannotSplit and leaves u a fat leaf.
+func (p *policy) cut(u *node) bool {
+	p.eng.All()
+	sts := make([]sitestore.Store, len(p.sites))
+	for j, s := range p.sites {
+		sts[j] = s.st
+	}
+	y, left, right, ok := sitestore.Split{
+		Lo: u.lo, Hi: u.hi, Req: []uint64{uint64(u.id)},
+		Named: func(req []uint64) (uint64, uint64) {
+			v := nodeAt(p.root, int(req[0]))
+			return v.lo, v.hi
+		},
+		Placed: func(apply []uint64) (uint64, uint64) { return leafOf(p.root, apply[0]).lo, apply[0] },
+	}.Cut(p.eng.Meter(), sts)
+	if !ok {
+		p.cannotSplit++
+		return false
+	}
+	u.split, u.s = y, left+right
+	u.left = &node{id: p.nextID, lo: u.lo, hi: y, parent: u, s: left}
+	u.right = &node{id: p.nextID + 1, lo: y, hi: u.hi, parent: u, s: right}
+	for _, s := range p.sites {
+		s.delta[u.id] = 0
+	}
+	p.gcDeltas()
+	p.leafSplits++
+	for _, c := range []*node{u.left, u.right} {
+		if c.s >= p.leafSplitAt {
+			p.cut(c)
+		}
+	}
+	return true
 }
 
 // buildSubtree runs the §4 initialization restricted to [lo, hi):
@@ -331,7 +386,7 @@ func (p *policy) buildSubtree(parent *node, lo, hi uint64, step int64) *node {
 
 	fresh := p.buildRec(parent, lo, hi, merged, step, p.leafCap())
 
-	tree := encodeSubtree(fresh)
+	tree := encodeSubtree(nil, fresh)
 	for j := range p.sites {
 		meter.DownMsg(j, "rb-tree", tree)
 	}
@@ -373,7 +428,8 @@ func addCounts(u *node, r []int64) {
 // provisional ids >= nextID that are compacted here before any fast path
 // can observe them.
 func (p *policy) gcDeltas() {
-	nodes := collectNodes(p.root)
+	p.nodeScratch = appendNodes(p.nodeScratch[:0], p.root)
+	nodes := p.nodeScratch
 	for _, s := range p.sites {
 		fresh := s.deltaScratch
 		if cap(fresh) < len(nodes) {
@@ -458,20 +514,44 @@ func (p *policy) mergeRec(parent *node, bounds []uint64, cum []int64, a, b int, 
 	return u
 }
 
-// collectNodes returns all nodes of the subtree in preorder.
-func collectNodes(u *node) []*node {
-	var out []*node
-	var walk func(v *node)
-	walk = func(v *node) {
-		if v == nil {
-			return
+// nodeAt returns the node of the tree root whose id is id. gcDeltas numbers
+// the tree in preorder, as a site numbers its mirror, so every id in a left
+// subtree lies below its right sibling's.
+func nodeAt(root *node, id int) *node {
+	u := root
+	for u.id != id {
+		if id < u.right.id {
+			u = u.left
+		} else {
+			u = u.right
 		}
-		out = append(out, v)
-		walk(v.left)
-		walk(v.right)
 	}
-	walk(u)
-	return out
+	return u
+}
+
+// leafOf returns the leaf of the tree root whose interval holds x.
+func leafOf(root *node, x uint64) *node {
+	u := root
+	for !u.isLeaf() {
+		if x < u.split {
+			u = u.left
+		} else {
+			u = u.right
+		}
+	}
+	return u
+}
+
+// collectNodes returns all nodes of the subtree in preorder.
+func collectNodes(u *node) []*node { return appendNodes(nil, u) }
+
+// appendNodes appends the nodes of the subtree u to dst in preorder.
+func appendNodes(dst []*node, u *node) []*node {
+	if u == nil {
+		return dst
+	}
+	dst = append(dst, u)
+	return appendNodes(appendNodes(dst, u.left), u.right)
 }
 
 // height returns the depth of the deepest leaf below u (0 for a leaf).

@@ -12,9 +12,9 @@ import (
 // the words these functions write; the meter records their length
 // (wire.Meter's UpMsg and DownMsg) and the receiving half reads only what
 // they decode to. A cut's separators are a key list (wire.AppendKeys), a
-// merge's "seps" bitmap is wire.AppendBits' and its "round-counts" reply
-// sitestore.EncodeRanks' (docs/architecture.md, "What the rank kinds
-// share"). A pair of counts, or a count and an offset the receiver can
+// merge's "seps" bitmap is wire.AppendBits', its "round-counts" reply
+// sitestore.EncodeRanks' and a split's replies sitestore.Split's
+// (docs/architecture.md, "What the rank kinds share"). A pair of counts, or a count and an offset the receiver can
 // bound, is wire.AppendPair's one word when both fit beside its 6-bit width
 // header, and two words otherwise; a drift report's pair carries its
 // quantile's index beside that header (wire.AppendTaggedPair).
@@ -68,57 +68,18 @@ func encodeSplitReq(dst []uint64, iv int) []uint64 { return append(dst, uint64(i
 // decodeSplitReq returns the interval index of a "split-req" message.
 func decodeSplitReq(words []uint64) (iv int) { return int(words[0]) }
 
-// encodeSplitResp appends site j's "split-resp" reply for the interval
-// [lo, hi): its count n_j there and, when n_j > 0, med, its lower local
-// median there, sent as its offset med − lo, which both ends bound by
-// hi − lo. That is one word, [6-bit width of n_j | n_j | med − lo], when
-// 6 + bits(n_j) + bits(hi − lo) ≤ 64, and the two words n_j and med − lo
-// otherwise (wire.AppendPair). A site that holds nothing there sends the
-// one word n_j = 0.
-func encodeSplitResp(dst []uint64, med uint64, n int64, lo, hi uint64) []uint64 {
-	if n == 0 {
-		return append(dst, 0)
-	}
-	return wire.AppendPair(dst, uint64(n), med-lo, hi-lo)
-}
-
-// decodeSplitResp returns the count n and, when n > 0, the median of a
-// "split-resp" reply from encodeSplitResp for [lo, hi), or an error for
-// words it does not write: not one or two words, a malformed packed word, a
-// count of 0 beside a median or over math.MaxInt64, or a median past hi.
-func decodeSplitResp(words []uint64, lo, hi uint64) (med uint64, n int64, err error) {
-	c, off, err := wire.ReadPair(words)
-	switch {
-	case err != nil:
-		return 0, 0, err
-	case c == 0 && (off != 0 || len(words) != 1), c > math.MaxInt64, off > hi-lo:
-		return 0, 0, errBadMsg
-	case c == 0:
-		return 0, 0, nil
-	}
-	return lo + off, int64(c), nil
-}
-
-// encodeSplit appends the "split-apply" message that installs separator y:
-// the value alone, 1 word. y lies strictly inside the interval being split,
-// so a site finds the interval among its own separators (decodeSplit).
-func encodeSplit(dst []uint64, y uint64) []uint64 { return append(dst, y) }
-
-// decodeSplit returns the separator of a "split-apply" message and the
-// index iv of the interval of seps, a site's separators, that it splits:
-// the number of separators below y. Installing y at iv splits iv into iv
-// and iv + 1.
+// decodeSplit returns the separator of a "split-apply" message, y alone
+// (sitestore.Split), and the index iv of the interval of seps, a site's
+// separators, that it splits: the number of separators below y.
+// Installing y at iv splits iv into iv and iv + 1.
 func decodeSplit(seps, words []uint64) (iv int, y uint64) {
 	y = words[0]
 	iv, _ = slices.BinarySearch(seps, y)
 	return iv, y
 }
 
-// encodeCount appends a message of one count, 1 word: site j's
-// "split-counts" reply, a_j, its count in the split interval's left half
-// [lo, y), at most the n_j of its "split-resp" (the coordinator takes the
-// right half's count as n_j − a_j), or its "probe-resp", its count in the
-// range a "probe-req" names.
+// encodeCount appends site j's "probe-resp", its count in the range a
+// "probe-req" names, 1 word.
 func encodeCount(dst []uint64, c int64) []uint64 { return append(dst, uint64(c)) }
 
 // decodeCount returns the count of a message from encodeCount, or an error

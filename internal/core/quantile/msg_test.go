@@ -9,6 +9,7 @@ import (
 	"disttrack/internal/core"
 	"disttrack/internal/core/engine/enginetest"
 	"disttrack/internal/oracle"
+	"disttrack/internal/sitestore"
 	"disttrack/internal/stream"
 )
 
@@ -164,7 +165,7 @@ func TestRoundMessages(t *testing.T) {
 					r.views[j] = slices.Insert(r.views[j], iv, y)
 					r.y = y
 				case "split-counts":
-					a, err := decodeCount(words)
+					a, err := sitestore.DecodeSplitCount(words, r.n[j])
 					if err != nil {
 						tb.Fatal(err)
 					}

@@ -1,59 +1,12 @@
 package quantile
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sort"
 
 	"disttrack/internal/sitestore"
 )
-
-// wsep is a site's local median of an interval with the weight it carries,
-// the site's count n_j there.
-type wsep struct {
-	v uint64
-	w int64
-}
-
-// sepSamples asks every site for its lower local median of interval iv and
-// its count n_j there ("split-req", then "split-resp": n_j and the median's
-// offset in the interval, one word when they fit and two otherwise, or
-// n_j = 0 alone from a site that holds nothing in the interval). Each
-// median carries weight n_j, so the coordinator's n_j-weighted median of them leaves each
-// half at least N/4 − k of the interval's N = Σ n_j items
-// (docs/architecture.md, "A split sends only what its receiver cannot work
-// out"). merged holds the medians sorted, counts each site's n_j and total
-// their sum.
-func (p *policy) sepSamples(iv int) (merged []wsep, counts []int64, total int64) {
-	meter := p.eng.Meter()
-	req := encodeSplitReq(nil, iv)
-	counts = make([]int64, len(p.sites))
-	for j, s := range p.sites {
-		meter.DownMsg(j, "split-req", req)
-		lo, hi := p.ivBounds(decodeSplitReq(req))
-		nLocal := s.st.CountRange(lo, hi)
-		var med uint64
-		if nLocal > 0 {
-			// The first item of every ⌈n_j/2⌉ is the one of rank ⌈n_j/2⌉ − 1,
-			// the lower median.
-			med = s.st.Separators(lo, hi, (nLocal+1)/2)[0]
-		}
-		resp := encodeSplitResp(nil, med, nLocal, lo, hi)
-		meter.UpMsg(j, "split-resp", resp)
-		med, n, err := decodeSplitResp(resp, lo, hi)
-		if err != nil {
-			panic(err) // encoded just above: a codec bug
-		}
-		counts[j] = n
-		total += n
-		if n > 0 {
-			merged = append(merged, wsep{v: med, w: n})
-		}
-	}
-	slices.SortFunc(merged, func(a, b wsep) int { return cmp.Compare(a.v, b.v) })
-	return merged, counts, total
-}
 
 // bootDiv is the 32 of the bootstrap target ⌈max(32, b)·k/ε⌉, a constant of
 // its own: it was set while a round build sampled every site, and is kept
@@ -298,59 +251,38 @@ func (p *policy) nearestSep(target float64) (v uint64, rank int64) {
 }
 
 // split divides interval iv (whose coordinator count reached 3εm/8) into
-// two, via the paper's localized rebuild: collect each site's lower local
-// median of the interval and its count n_j in it, cut at the n_j-weighted
-// median y of the medians, then collect each site's count a_j left of y;
-// the right half's is n_j − a_j. Cost O(k). It reports whether the
+// two, via the paper's localized rebuild: sitestore.Split's median-of-medians
+// cut, the one allq's leaf split makes. Each site sends its lower local
+// median of the interval and its count n_j in it ("split-req" names the
+// interval by its index), the coordinator cuts at the n_j-weighted median y
+// of the medians ("split-apply", y alone: a site finds the interval among
+// its own separators, decodeSplit), and each site sends its count a_j left
+// of y; the right half's is n_j − a_j. Cost O(k). It reports whether the
 // interval was split: ties can defeat it.
 func (p *policy) split(iv int) bool {
 	p.eng.All()
 	lo, hi := p.ivBounds(iv)
-	merged, counts, totalEst := p.sepSamples(iv)
-	if len(merged) == 0 {
-		p.cannotSplit++
-		return false
-	}
-	// The n_j-weighted median of the sites' medians.
-	var acc int64
-	y := merged[len(merged)-1].v
-	for _, ws := range merged {
-		acc += ws.w
-		if acc*2 >= totalEst {
-			y = ws.v
-			break
-		}
-	}
-	// The split point must lie strictly inside (lo, hi).
-	if y <= lo {
-		y = lo + 1
-	}
-	if y >= hi {
-		p.cannotSplit++
-		return false
-	}
-
-	// Collect exact half counts (these include all unreported deltas, so
-	// site deltas for both halves restart at zero). A site clamps a_j to the
-	// n_j it sent: a sketch's rank estimate need not be monotone.
-	var c1, c2 int64
-	meter := p.eng.Meter()
-	apply := encodeSplit(nil, y)
+	sts := make([]sitestore.Store, len(p.sites))
 	for j, s := range p.sites {
-		meter.DownMsg(j, "split-apply", apply)
-		siv, sy := decodeSplit(p.seps, apply) // site j's reading of the message
-		slo, _ := p.ivBounds(siv)
-		words := encodeCount(nil, min(s.st.CountRange(slo, sy), counts[j]))
-		meter.UpMsg(j, "split-counts", words)
-		a, err := decodeCount(words)
-		if err != nil {
-			panic(err) // encoded just above: a codec bug
-		}
-		c1 += a
-		c2 += counts[j] - a
+		sts[j] = s.st
+	}
+	y, c1, c2, ok := sitestore.Split{
+		Lo: lo, Hi: hi, Req: encodeSplitReq(nil, iv),
+		Named: func(req []uint64) (uint64, uint64) { return p.ivBounds(decodeSplitReq(req)) },
+		Placed: func(apply []uint64) (uint64, uint64) {
+			siv, y := decodeSplit(p.seps, apply)
+			slo, _ := p.ivBounds(siv)
+			return slo, y
+		},
+	}.Cut(p.eng.Meter(), sts)
+	if !ok {
+		p.cannotSplit++
+		return false
 	}
 
-	// Install the new separator everywhere.
+	// Install the new separator everywhere. The half counts are exact (they
+	// include every unreported delta), so site deltas for both halves
+	// restart at zero.
 	p.seps = append(p.seps, 0)
 	copy(p.seps[iv+1:], p.seps[iv:])
 	p.seps[iv] = y

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"disttrack/internal/oracle"
+	"disttrack/internal/sitestore"
 	"disttrack/internal/stream"
 )
 
@@ -36,7 +37,7 @@ func checkSplitHalves(tb testing.TB, at string, left, right int64, slack float64
 // sent, lies in [lo, hi].
 func checkSplitResp(tb testing.TB, at string, words []uint64, lo, hi uint64) int64 {
 	tb.Helper()
-	med, n, err := decodeSplitResp(words, lo, hi)
+	med, n, err := sitestore.DecodeSplitResp(words, lo, hi)
 	if err != nil {
 		tb.Fatalf("%s: %v", at, err)
 	}

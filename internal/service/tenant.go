@@ -768,8 +768,8 @@ type TenantStats struct {
 	Queued     int64   `json:"queued,omitempty"`      // records admitted, not yet applied to the tracker
 
 	// Tree maintenance (allq tenants; zero for the other kinds).
-	Rebuilds       int `json:"rebuilds,omitempty"`        // partial tree rebuilds, leaf splits included
-	LeafSplits     int `json:"leaf_splits,omitempty"`     // rebuilds that split a full leaf
+	Rebuilds       int `json:"rebuilds,omitempty"`        // sampled partial tree rebuilds
+	LeafSplits     int `json:"leaf_splits,omitempty"`     // full leaves cut in two
 	HeightBound    int `json:"height_bound,omitempty"`    // the current round's tree height cap
 	HeightRebuilds int `json:"height_rebuilds,omitempty"` // rounds started because the tree outgrew its cap
 }

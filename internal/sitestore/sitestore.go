@@ -6,8 +6,8 @@
 // Store interface, so the tracking logic is identical in both modes.
 //
 // It also holds what the rank protocols share beside their stores, the
-// bootstrap list and the rank reply: see "What the rank kinds share" in
-// docs/architecture.md.
+// bootstrap list, the rank reply and the split: see "What the rank kinds
+// share" in docs/architecture.md.
 package sitestore
 
 import (
