@@ -48,26 +48,20 @@ test-shuffle:
 # bootstrap drain budget driven by one long batch, the bootstrap drain (one
 # hold per bootstrap batch), the sampled slow-path hold timing, the
 # two-tier hold (a report locks only its own site until All) and the cascade
-# timing; the fifth repeats the three kinds' concurrent conformance laws,
+# timing; the fifth repeats the three kinds' concurrent conformance runs,
 # where a report or cascade that touches another site without Engine.All
 # races with that site's fast path (deleting one All call per kind fails this
-# line), beside quantile's and allq's delta law after concurrent feeders (a
-# report adds exactly its threshold, so every unreported count stays below it
-# and coordinator plus site counts sum to the exact counts) and the three
-# kinds' ε-contract laws after them (every tracked quantile within ε·n of
-# its rank; every φ-heavy hitter reported and nothing under (φ−ε)·n, on a φ
-# grid from ε to 0.3; allq's ranks within ε·n at every leaf edge), in exact
-# and sketch mode, on streams with and without 0 and math.MaxUint64 (the
-# universe's ends), and allq's round-merge law on concurrent feeders (every
-# round build, the handoff's cut included, gives exact counts, splits only
-# at old leaf boundaries and asks no site for samples; its tap runs inside
-# the cascade's hold) and allq's split-balance law on concurrent feeders
-# (every leaf cut rebuilt from its messages leaves each half within
-# [N/4 − k, 3N/4 + k] of the leaf's exact count), quantile's round-message law on concurrent feeders
-# (no interval's coordinator count is left at or over the split trigger, the
-# re-split guard), and hh's message replay on concurrent feeders (C.m, every
-# C.m_x and each S_j.m rebuilt from the metered words; its tap runs on the
-# feeders' holds); the sixth repeats the site
+# line), each checked against its kind's ε-law once the feeders finish, and
+# each kind's law list (TestLaws) on concurrent feeders, in exact and sketch
+# mode, on streams with and without 0 and math.MaxUint64 (the universe's
+# ends): every law checked under Quiesce once they finish (the delta laws:
+# coordinator plus site counts sum to the exact counts; the ε-laws: every
+# tracked quantile within ε·n of its rank, every φ-heavy hitter reported and
+# nothing under (φ−ε)·n, allq's ranks within ε·n at every leaf edge), and
+# every message replayed through the laws' taps as it is sent, on the
+# feeders' goroutines inside their holds (allq's round-merge and
+# split-balance laws and tree replay, quantile's round-message replay, hh's
+# message replay); the sixth repeats the site
 # node's producers-against-the-ticker
 # test, which catches a buffer shipped after the node's lock is released
 # (reordered or lost values; under -race about a third of runs fail);
@@ -88,7 +82,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
 	$(GO) test -race -count=10 -run TestBootstrapReadsChangeNoState ./internal/core/quantile ./internal/core/allq
 	$(GO) test -race -count=20 -run 'TestEngineConformanceMockPolicy/(ConcurrentStress|ConcurrentBatchStress)|TestSlowPathBudgets|TestBootstrapBatchDrain|TestSlowPathHoldSampled|TestReportHoldsOnlyItsSite|TestCascadesCounted' ./internal/core/engine
-	$(GO) test -race -count=10 -run 'TestEngineConformance/.*/(ConcurrentStress|ConcurrentBatchStress)|TestDeltaLaw/.*/Concurrent|TestEpsLaw/.*/Concurrent|TestRoundMergeLaw/.*/Concurrent|TestSplitBalance/.*/Concurrent|TestRoundMessages/Concurrent|TestMessageReplay/.*/Concurrent' ./internal/core/quantile ./internal/core/allq ./internal/core/hh
+	$(GO) test -race -count=10 -run 'TestEngineConformance/.*/(ConcurrentStress|ConcurrentBatchStress)|TestLaws/.*/Concurrent' ./internal/core/quantile ./internal/core/allq ./internal/core/hh
 	$(GO) test -race -count=40 -run TestSiteNodeConcurrentProducers ./internal/service
 	$(GO) test -race -count=40 -run TestStopUnderLoad ./internal/runtime
 	$(GO) test -race -count=20 -run 'TestClientRedialPartitionAndHeal|TestCloseDuringBackoff|TestServerBreakerRefusesFlappingNode' ./internal/remote

@@ -2,18 +2,18 @@ package allq
 
 import (
 	"math"
-	"slices"
-	"sort"
 	"testing"
 
 	"disttrack/internal/core"
 	"disttrack/internal/core/engine/enginetest"
+	"disttrack/internal/oracle"
 )
 
 // TestEngineConformance runs the shared engine conformance suite
 // (sequential/batch equivalence, concurrent -race stress, meter
 // conservation — see package enginetest) over both site-store modes,
-// plugging in the §4 rank-error contract and tree-state equality.
+// plugging in tree-state equality and the ε-law (checkEpsLaw) after each
+// concurrent run.
 func TestEngineConformance(t *testing.T) {
 	const (
 		k   = 4
@@ -66,55 +66,14 @@ func TestEngineConformance(t *testing.T) {
 						}
 					}
 				},
-			}
-			if !tc.sketch {
-				// The sketch mode's accuracy contract is covered by the
-				// sequential tests; under concurrency it pins conservation
-				// and underestimation only (the suite's built-in checks).
-				cfg.CheckFinal = checkRankContract
+				CheckFinal: enginetest.Invariant(func(tb testing.TB, label string, tr core.Tracker, truth *oracle.Counter) {
+					if tr.Rounds() < 2 {
+						tb.Fatalf("%s: %d rounds: the ε-law was never checked in the tracking phase", label, tr.Rounds())
+					}
+					checkEpsLaw(tb, label, tr.(*Tracker), truth)
+				}),
 			}
 			enginetest.Run(t, cfg)
 		})
-	}
-}
-
-// checkRankContract asserts the §4 guarantees — Rank underestimates true
-// rank by at most ε|A|, and extracted quantiles land within the leaf-load
-// slack — with 4k extra words for concurrent boot-straddle arrivals.
-func checkRankContract(t *testing.T, label string, ctr core.Tracker, streams [][]uint64) {
-	t.Helper()
-	tr := ctr.(*Tracker)
-	if tr.Rounds() < 2 {
-		t.Fatalf("%s: %d rounds: the contract was never checked in the tracking phase", label, tr.Rounds())
-	}
-	k := len(streams)
-	eps := tr.Eps()
-	var sorted []uint64
-	for _, xs := range streams {
-		sorted = append(sorted, xs...)
-	}
-	slices.Sort(sorted)
-	n := int64(len(sorted))
-	trueRank := func(x uint64) int64 {
-		return int64(sort.Search(len(sorted), func(i int) bool { return sorted[i] >= x }))
-	}
-	bound := eps*float64(n) + float64(4*k)
-	for i := 0; i < len(sorted); i += len(sorted) / 64 {
-		x := sorted[i]
-		r, tru := tr.Rank(x), trueRank(x)
-		if r > tru {
-			t.Fatalf("%s: Rank(%d) = %d overestimates true %d", label, x, r, tru)
-		}
-		if float64(tru-r) > bound {
-			t.Errorf("%s: Rank(%d) = %d, error %d exceeds %g", label, x, r, tru-r, bound)
-		}
-	}
-	for _, phi := range []float64{0.1, 0.5, 0.9} {
-		v := tr.Quantile(phi)
-		// Leaf-edge extraction adds up to a leaf load (εm/2) of slack.
-		if diff := float64(trueRank(v)) - phi*float64(n); diff > 1.5*eps*float64(n)+float64(4*k) ||
-			diff < -1.5*eps*float64(n)-float64(4*k) {
-			t.Errorf("%s: Quantile(%g) rank off by %g", label, phi, diff)
-		}
 	}
 }

@@ -1,10 +1,9 @@
 package allq
 
 import (
+	"math"
 	"testing"
 
-	"disttrack/internal/core"
-	"disttrack/internal/core/engine/enginetest"
 	"disttrack/internal/oracle"
 )
 
@@ -22,7 +21,12 @@ func checkDeltaLaw(tb testing.TB, label string, tr *Tracker, truth *oracle.Count
 	if tr.Bootstrapping() {
 		return
 	}
-	for _, u := range collectNodes(p.root) {
+	// exact returns |A ∩ I_u| for truth, a leaf's from truth's ranks at its
+	// ends (below is the rank at the next leaf's lo) and an internal node's
+	// as its children's sum, checking every node on the way.
+	var below int64
+	var exact func(u *node) int64
+	exact = func(u *node) int64 {
 		sum := u.s
 		for j, s := range p.sites {
 			d := s.delta[u.id]
@@ -32,60 +36,23 @@ func checkDeltaLaw(tb testing.TB, label string, tr *Tracker, truth *oracle.Count
 			}
 			sum += d
 		}
-		if truth == nil {
-			continue
+		var want int64
+		if u.isLeaf() {
+			if truth != nil {
+				r := truth.Rank(u.hi)
+				if u.hi == math.MaxUint64 { // the last leaf holds math.MaxUint64 too
+					r += truth.Count(u.hi)
+				}
+				want, below = r-below, r
+			}
+		} else {
+			want = exact(u.left) + exact(u.right)
 		}
-		if want := truth.CountPart(u.lo, u.hi); sum != want {
+		if truth != nil && sum != want {
 			tb.Fatalf("%s: |A|=%d: node [%d, %d): s + Σδ = %d + %d, want |A ∩ I| = %d",
 				label, tr.TrueTotal(), u.lo, u.hi, u.s, sum-u.s, want)
 		}
+		return want
 	}
-}
-
-// TestDeltaLaw runs checkDeltaLaw through the engine's law schedules
-// (enginetest.RunLaw: every Feed and FeedLocalBatch call, B ∈ {1, 16, 512},
-// round robin and one-site bursts, a checkpoint restore, a Reconfigure grow
-// and shrink, and one goroutine per site under -race), in both store modes.
-func TestDeltaLaw(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		sketch bool
-		ends   bool // 0 and math.MaxUint64 in the stream, 1% each
-	}{{"exact", false, false}, {"sketch", true, false}, {"exact-ends", false, true}, {"sketch-ends", true, true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			maxThr := int64(0)
-			cfg := enginetest.Config{
-				New: func(tb testing.TB) core.Tracker {
-					tr, err := New(Config{K: 4, Eps: 0.1, Sketch: mode.sketch})
-					if err != nil {
-						tb.Fatal(err)
-					}
-					return tr
-				},
-				K:      4,
-				Stream: enginetest.DistinctUniform,
-				Ends:   mode.ends,
-			}
-			fed := enginetest.RunLaw(t, cfg, func(tb testing.TB, label string, ctr core.Tracker, truth *oracle.Counter) {
-				tr := ctr.(*Tracker)
-				if mode.sketch {
-					truth = nil
-				}
-				checkDeltaLaw(tb, label, tr, truth)
-				if !tr.Bootstrapping() {
-					maxThr = max(maxThr, tr.p.thrNode)
-				}
-			})
-			// 32,000 items: over three doublings past the 2,560-item
-			// bootstrap, so a node report batches several arrivals.
-			for _, ctr := range fed {
-				if tr := ctr.(*Tracker); tr.Rounds() < 3 || tr.Meter().Kind("nd").Msgs == 0 {
-					t.Fatalf("%d rounds, %d node reports: too short a stream", tr.Rounds(), tr.Meter().Kind("nd").Msgs)
-				}
-			}
-			if maxThr < 4 {
-				t.Fatalf("largest node batch %d: the law was never tested on batched reports", maxThr)
-			}
-		})
-	}
+	exact(p.root)
 }

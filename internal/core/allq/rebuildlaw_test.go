@@ -6,8 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"disttrack/internal/core"
-	"disttrack/internal/core/engine/enginetest"
 	"disttrack/internal/oracle"
 	"disttrack/internal/sitestore"
 	"disttrack/internal/stream"
@@ -54,7 +52,7 @@ func (w *buildWatch) next() (fresh []*node, rounds, rebuilds, splits int) {
 
 // TestRebuildBuildLaw checks buildSubtree's derivation (docs/architecture.md,
 // "allq rebuilds sample at εm/32k") right after every partial rebuild;
-// round builds merge old leaves instead (TestRoundMergeLaw), and leaf splits
+// round builds merge old leaves instead (the round-merge law of TestLaws), and leaf splits
 // cut at a median of medians (TestSplitBalance). Site j's separators close
 // every w items of its part of [lo, hi), so below any value its exact count
 // exceeds its sampled weight by a residue in [0, w − 1], and by exactly
@@ -298,14 +296,15 @@ type siteMirror struct {
 // joining site's 2 + I + ⌈N/64⌉; "split-req", "split-apply" and
 // "split-counts" 1 word and "split-resp" 1 or 2 (checkSplitResp).
 type replay struct {
-	tb     testing.TB
-	tr     *Tracker
-	sites  []*siteMirror
-	base   map[string]int64 // meter words when the replay began
-	sent   map[string]int64 // words of the encodings sent since
-	msgs   int              // messages seen since
-	seen   int              // msgs at the last check
-	failed bool
+	tb      testing.TB
+	tr      *Tracker
+	sites   []*siteMirror
+	base    map[string]int64 // meter words when the replay began
+	sent    map[string]int64 // words of the encodings sent since
+	msgs    int              // messages seen since
+	seen    int              // msgs at the last check
+	checked bool             // check has run
+	failed  bool
 
 	merges, wideMerges, wideSubtrees, joins, cuts int
 }
@@ -315,7 +314,6 @@ var replayKinds = []string{"round-req", "rb-req", "rb-seps", "rb-tree", "rb-coun
 func newReplay(tb testing.TB, tr *Tracker) *replay {
 	r := &replay{tb: tb, tr: tr, base: map[string]int64{}, sent: map[string]int64{}}
 	r.begin()
-	tr.Meter().SetTap(r.tap)
 	return r
 }
 
@@ -328,8 +326,8 @@ func (r *replay) errorf(format string, args ...any) {
 
 // begin starts the replay from the tracker's state: each site holds the
 // coordinator's tree and batch, and the meter's words so far are not the
-// replay's. check begins again while no message has come, as after a
-// restore.
+// replay's. The first check begins again if no message has come, as after
+// a restore.
 func (r *replay) begin() {
 	r.sites = nil
 	p := r.tr.p
@@ -469,9 +467,10 @@ func (r *replay) tree(j int, m *siteMirror, words []uint64) {
 // words of every replayed kind with the words sent, when a message came
 // since the last check: only a message changes them.
 func (r *replay) check(label string) {
-	if r.msgs == 0 {
+	if !r.checked && r.msgs == 0 {
 		r.begin()
 	}
+	r.checked = true
 	if r.msgs == r.seen {
 		return
 	}
@@ -497,6 +496,13 @@ func (r *replay) check(label string) {
 		if got := r.tr.Meter().Kind(kind).Words - r.base[kind]; got != r.sent[kind] {
 			r.errorf("%s: metered %d %q words, the encodings sent are %d words long", label, got, kind, r.sent[kind])
 		}
+	}
+}
+
+// atRest checks the replay and stops the test if it failed.
+func (r *replay) atRest(label string, _ *oracle.Counter) {
+	if r.check(label); r.failed {
+		r.tb.FailNow()
 	}
 }
 
@@ -576,9 +582,9 @@ func cloneTree(u, parent *node) *node {
 // the whole tree at the handoff or to a joining site, "round-req",
 // "rb-req", "rb-seps" and "rb-counts", and a leaf split's "split-req",
 // "split-resp", "split-apply" and "split-counts". Three streams feed one
-// arrival a call; the engine's law schedules (enginetest.RunLaw) add
-// batches, a restore, a grow and a shrink, and the concurrent schedule,
-// replayed from its first message.
+// arrival a call; TestLaws runs the same replay through the engine's law
+// schedules (batches, a restore, a grow and a shrink, and the concurrent
+// schedule, replayed from its first message).
 func TestSubtreeBroadcast(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -595,15 +601,14 @@ func TestSubtreeBroadcast(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := newReplay(t, tr)
+			tr.Meter().SetTap(r.tap)
 			for i := 0; ; i++ {
 				x, ok := tc.gen.Next()
 				if !ok {
 					break
 				}
 				tr.Feed(i%tc.cfg.K, x)
-				if r.check("feed"); r.failed {
-					t.FailNow()
-				}
+				r.atRest("feed", nil)
 			}
 			if r.merges == 0 || r.cuts == 0 || r.wideSubtrees == 0 || tc.cfg.Eps < 0.05 && r.wideMerges == 0 {
 				t.Fatalf("%d merges (%d over 64 old leaves), %d leaf splits, %d subtrees over 64 nodes: nothing checked",
@@ -611,38 +616,6 @@ func TestSubtreeBroadcast(t *testing.T) {
 			}
 		})
 	}
-	t.Run("law", func(t *testing.T) {
-		replays := map[*Tracker]*replay{}
-		var merges, joins int
-		cfg := enginetest.Config{
-			New: func(tb testing.TB) core.Tracker {
-				tr, err := New(Config{K: 4, Eps: 0.1})
-				if err != nil {
-					tb.Fatal(err)
-				}
-				replays[tr] = newReplay(tb, tr)
-				return tr
-			},
-			K:      4,
-			Stream: enginetest.DistinctUniform,
-		}
-		enginetest.RunLaw(t, cfg, func(tb testing.TB, label string, ctr core.Tracker, _ *oracle.Counter) {
-			r := replays[ctr.(*Tracker)]
-			if r.check(label); r.failed {
-				tb.FailNow()
-			}
-		})
-		var cuts int
-		for _, r := range replays {
-			merges += r.merges
-			joins += r.joins
-			cuts += r.cuts
-		}
-		if merges == 0 || joins == 0 || cuts == 0 {
-			t.Fatalf("%d merges, %d joining sites, %d leaf splits: nothing checked", merges, joins, cuts)
-		}
-		t.Logf("%d merges, %d joining sites, %d leaf splits replayed", merges, joins, cuts)
-	})
 }
 
 // TestRankPerBoundaryCounts checks that the counts buildSubtree derives

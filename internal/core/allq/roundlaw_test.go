@@ -2,13 +2,10 @@ package allq
 
 import (
 	"bytes"
-	"fmt"
+	"math"
 	"slices"
-	"strings"
 	"testing"
 
-	"disttrack/internal/core"
-	"disttrack/internal/core/engine/enginetest"
 	"disttrack/internal/oracle"
 	"disttrack/internal/stream"
 )
@@ -79,12 +76,28 @@ func (w *mergeWatch) tap(kind string, j int, words []uint64) {
 	}
 }
 
+// atRest fails if a round build failed the law or left a full leaf
+// unsplit. A restored tracker's watch takes the rounds so far as not its
+// own.
+func (w *mergeWatch) atRest(label string, _ *oracle.Counter) {
+	if w.rounds == 0 {
+		w.rounds, w.heightRounds = w.tr.p.rounds, w.tr.p.heightRebuilds
+	}
+	if len(w.full) != 0 {
+		w.tb.Fatalf("%s: |A|=%d: full leaves %v of the last round were never split", label, w.tr.TrueTotal(), w.full)
+	}
+	if w.failed {
+		w.tb.FailNow()
+	}
+}
+
 // check asserts the merge law on the tree just installed: every node's s is
 // its exact count (the sites' summed counts, GK estimates with sketch
 // sites; at the handoff the bootstrap list's), every split is an old leaf
 // boundary (at the handoff a bootstrap key), every fresh leaf is under the
 // round's split trigger unless it is one old leaf (at the handoff, copies
-// of one key), which splitFull must split before anything else happens,
+// of one key, or the last leaf cut at a copy of math.MaxUint64), which
+// splitFull must split before anything else happens,
 // and no site was asked for samples. With exact sites it also checks
 // mergeRec's cut: each child of a merged node holds within half the
 // straddled old leaf's count of half the node's.
@@ -106,7 +119,11 @@ func (w *mergeWatch) check() {
 	for _, u := range collectNodes(p.root) {
 		var c int64
 		if w.cause == "first" {
-			c = p.boot.RankOf(u.hi) - p.boot.RankOf(u.lo)
+			hi := p.boot.RankOf(u.hi)
+			if u.hi == math.MaxUint64 { // the last node holds math.MaxUint64 too
+				hi = int64(len(p.boot.Keys()))
+			}
+			c = hi - p.boot.RankOf(u.lo)
 		} else {
 			for _, s := range p.sites {
 				c += s.st.CountRange(u.lo, u.hi)
@@ -135,7 +152,11 @@ func (w *mergeWatch) check() {
 		oneOld := i+1 < len(w.old) && w.old[i] == u.lo && w.old[i+1] == u.hi
 		if w.cause == "first" {
 			keys, lo := p.boot.Keys(), p.boot.RankOf(u.lo)
-			oneOld = keys[lo] == keys[lo+u.s-1] // one value: the cut cannot split ties
+			// One value: the cut cannot split ties. buildRec cuts strictly
+			// inside (lo, hi), so the last leaf whose median is a copy of
+			// math.MaxUint64, its hi, stays whole too, though it holds the
+			// universe's end.
+			oneOld = keys[lo] == keys[lo+u.s-1] || u.hi == math.MaxUint64 && keys[lo+(u.s+1)/2-1] == math.MaxUint64
 		}
 		if !oneOld {
 			w.errorf("%s round (m %d, h %d): fresh leaf [%d, %d) holds %d, not under its split trigger %d",
@@ -166,82 +187,6 @@ func (w *mergeWatch) checkCut(u *node, oldCount []int64) {
 	if d := 2*u.left.s - u.s; d > oldCount[i] || -d > oldCount[i] {
 		w.errorf("%s round: node [%d, %d) of s %d splits at %d into %d and %d, off the median by more than half the straddled old leaf's %d",
 			w.cause, u.lo, u.hi, u.s, u.split, u.left.s, u.right.s, oldCount[i])
-	}
-}
-
-// TestRoundMergeLaw checks newRound's and OnBootDone's derivation
-// (docs/architecture.md, "allq rounds merge, not resample") after every
-// round build through the engine's law schedules (enginetest.RunLaw: Feed
-// and FeedLocalBatch at B ∈ {1, 16, 512}, round robin and one-site bursts,
-// a checkpoint restore, a Reconfigure grow and shrink, and one goroutine
-// per site under -race), in both store modes and on a Zipf stream perturbed
-// in ascending tie order, whose hot values' sorted runs grow the tree past
-// its height cap. Each tracker's tap is set when it is made,
-// so the concurrent schedule is checked from its first message. After each
-// call, no fresh leaf that reached its trigger is left unsplit.
-func TestRoundMergeLaw(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		sketch bool
-		stream enginetest.Stream
-	}{
-		{"exact", false, enginetest.DistinctUniform},
-		{"sketch", true, enginetest.DistinctUniform},
-		{"zipf", false, enginetest.AscendingTiesZipf},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			watches := map[*Tracker]*mergeWatch{}
-			legs := map[string]map[string]int{} // round builds by cause, by schedule
-			cfg := enginetest.Config{
-				New: func(tb testing.TB) core.Tracker {
-					tr, err := New(Config{K: 4, Eps: 0.1, Sketch: mode.sketch})
-					if err != nil {
-						tb.Fatal(err)
-					}
-					if legs[tb.Name()] == nil {
-						legs[tb.Name()] = map[string]int{}
-					}
-					w := &mergeWatch{tb: tb, tr: tr, counts: legs[tb.Name()], k: 4}
-					tr.Meter().SetTap(w.tap)
-					watches[tr] = w
-					return tr
-				},
-				K:      4,
-				Stream: mode.stream,
-			}
-			enginetest.RunLaw(t, cfg, func(tb testing.TB, label string, ctr core.Tracker, _ *oracle.Counter) {
-				w := watches[ctr.(*Tracker)]
-				if w.rounds == 0 { // restored: the rounds so far are not this watch's
-					w.rounds, w.heightRounds = w.tr.p.rounds, w.tr.p.heightRebuilds
-				}
-				if len(w.full) != 0 {
-					tb.Fatalf("%s: |A|=%d: full leaves %v of the last round were never split", label, w.tr.TrueTotal(), w.full)
-				}
-				if w.failed {
-					tb.FailNow()
-				}
-			})
-			var summary []string
-			height := 0
-			for leg, counts := range legs {
-				want := []string{"first", "doubling"}
-				if !strings.HasSuffix(leg, "/Concurrent") {
-					want = append(want, "grow", "shrink")
-				}
-				for _, cause := range want {
-					if counts[cause] == 0 {
-						t.Errorf("%s: no %s round checked (%v)", leg, cause, counts)
-					}
-				}
-				height += counts["height"]
-				summary = append(summary, fmt.Sprintf("%s %v", leg[strings.LastIndex(leg, "/")+1:], counts))
-			}
-			if mode.stream == enginetest.AscendingTiesZipf && len(legs) > 1 && height == 0 {
-				t.Errorf("no round forced by the height cap checked")
-			}
-			slices.Sort(summary)
-			t.Logf("round builds checked: %s", strings.Join(summary, "; "))
-		})
 	}
 }
 

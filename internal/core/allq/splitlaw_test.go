@@ -3,13 +3,11 @@ package allq
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 	"testing"
 
-	"disttrack/internal/core"
-	"disttrack/internal/core/engine/enginetest"
 	"disttrack/internal/oracle"
 	"disttrack/internal/sitestore"
+	"disttrack/internal/stream"
 )
 
 // checkSplitResp decodes a site's "split-resp" for [lo, hi) and returns
@@ -139,72 +137,88 @@ func (w *cutWatch) check() {
 // "A split sends only what its receiver cannot work out").
 const splitSketchSlack = 5
 
-// TestSplitBalance is the split-balance law on allq's leaf splits, the
-// median-of-medians cut quantile's TestSplitBalance checks on its
-// intervals: through the engine's law schedules (enginetest.RunLaw: Feed
-// and FeedLocalBatch at B ∈ {1, 16, 512}, round robin and one-site bursts,
-// a checkpoint restore, a Reconfigure grow and shrink, and one goroutine
-// per site under -race), in both store modes, every cut is rebuilt from
-// its messages as they are sent, and
-//
-//   - "split-resp" has the length checkSplitResp names;
-//   - every "split-counts" a_j is at most the site's n_j (the clamp);
-//   - with exact sites the halves the messages give are the stores' exact
-//     counts, and each lies in [N/4 − k, 3N/4 + k] of the leaf's N;
-//   - with sketch sites, on the schedules that feed one arrival a call,
-//     each half's true count lies there within splitSketchSlack GK terms
-//     and one arrival more.
-//
-// After every call no leaf's count is over its split trigger.
+// newCutWatch returns a cutWatch on tr that checks sketch cuts against the
+// truth when lag, the most arrivals one call feeds, is not 0.
+func newCutWatch(tb testing.TB, tr *Tracker, lag int64) *cutWatch {
+	return &cutWatch{tb: tb, tr: tr, lag: lag, worst: 0.5}
+}
+
+// atRest takes truth for the cuts of the next call and fails if a cut
+// failed or a leaf is over its split trigger.
+func (w *cutWatch) atRest(label string, truth *oracle.Counter) {
+	if w.truth = truth; w.failed {
+		w.tb.FailNow()
+	}
+	p := w.tr.p
+	if w.tr.Bootstrapping() {
+		return
+	}
+	var over func(u *node) *node // the first leaf under u over its trigger
+	over = func(u *node) *node {
+		switch {
+		case !u.isLeaf():
+			if v := over(u.left); v != nil {
+				return v
+			}
+			return over(u.right)
+		case u.s > p.leafSplitAt:
+			return u
+		}
+		return nil
+	}
+	if u := over(p.root); u != nil {
+		w.tb.Fatalf("%s: |A|=%d: leaf [%d, %d) holds %d, over its split trigger %d",
+			label, w.tr.TrueTotal(), u.lo, u.hi, u.s, p.leafSplitAt)
+	}
+}
+
+// TestSplitBalance is the split-balance law (cutWatch) on per-leaf site
+// loads that differ by orders of magnitude, which the law schedules of
+// TestLaws never make: the value picks the site (siteByValue), one arrival a
+// call, in both store modes. Above the lowest eighth of the key range a leaf
+// then holds nearly all its items at site 0 and one or two at each other
+// site, whose medians fall anywhere in it, so only the n_j weights place the
+// cut near site 0's median: a cut at the unweighted median of the sites'
+// medians fails both legs.
 func TestSplitBalance(t *testing.T) {
+	const k = 4
 	for _, sketch := range []bool{false, true} {
 		t.Run(fmt.Sprintf("sketch=%t", sketch), func(t *testing.T) {
-			watches := map[*Tracker]*cutWatch{}
-			cfg := enginetest.Config{
-				New: func(tb testing.TB) core.Tracker {
-					tr, err := New(Config{K: 4, Eps: 0.1, Sketch: sketch})
-					if err != nil {
-						tb.Fatal(err)
-					}
-					w := &cutWatch{tb: tb, tr: tr, worst: 0.5}
-					if name := tb.Name(); strings.HasSuffix(name, "/feed") || strings.HasSuffix(name, "/B1") {
-						w.lag = 1
-					}
-					tr.Meter().SetTap(w.tap)
-					watches[tr] = w
-					return tr
-				},
-				K:      4,
-				Stream: enginetest.DistinctUniform,
-			}
-			enginetest.RunLaw(t, cfg, func(tb testing.TB, label string, ctr core.Tracker, truth *oracle.Counter) {
-				tr := ctr.(*Tracker)
-				if watches[tr].truth = truth; watches[tr].failed {
-					tb.FailNow()
+			t.Run("by-value", func(t *testing.T) {
+				tr, err := New(Config{K: k, Eps: 0.1, Sketch: sketch})
+				if err != nil {
+					t.Fatal(err)
 				}
-				if tr.Bootstrapping() {
-					return
+				var xs []uint64
+				g := distinctUniform(40000, 64)
+				for x, ok := g.Next(); ok; x, ok = g.Next() {
+					xs = append(xs, x)
 				}
-				for _, u := range collectNodes(tr.p.root) {
-					if u.isLeaf() && u.s > tr.p.leafSplitAt {
-						tb.Fatalf("%s: |A|=%d: leaf [%d, %d) holds %d, over its split trigger %d",
-							label, tr.TrueTotal(), u.lo, u.hi, u.s, tr.p.leafSplitAt)
-					}
+				truth := oracle.NewCounter(xs)
+				w := newCutWatch(t, tr, 1)
+				tr.Meter().SetTap(w.tap)
+				for i, x := range xs {
+					w.atRest("feed", truth)
+					tr.Feed(siteByValue(i, x, k), x)
+					truth.Add(x)
 				}
+				w.atRest("end", truth)
+				if w.cuts < 30 || sketch && w.sketchCuts == 0 {
+					t.Fatalf("%d cuts (%d against the truth): too few to check", w.cuts, w.sketchCuts)
+				}
+				t.Logf("%d cuts; the smaller half held at least %.3f of its leaf", w.cuts, w.worst)
 			})
-			var cuts, sketchCuts int
-			truthLegs := false // a schedule fed one arrival a call
-			worst := 0.5
-			for _, w := range watches {
-				cuts += w.cuts
-				sketchCuts += w.sketchCuts
-				truthLegs = truthLegs || w.lag > 0
-				worst = min(worst, w.worst)
-			}
-			if cuts < 30 || sketch && truthLegs && sketchCuts == 0 {
-				t.Fatalf("%d cuts (%d against the truth): too few to check", cuts, sketchCuts)
-			}
-			t.Logf("%d cuts (%d sketch cuts against the truth); the smaller half held at least %.3f of its leaf", cuts, sketchCuts, worst)
 		})
 	}
+}
+
+// siteByValue is the site of arrival i, x, of a distinct uniform stream
+// over 2^30 values (distinctUniform): sites 1..k−1 share, in turn, every x
+// in the lowest eighth of the key range and one arrival in 50 elsewhere, and
+// site 0 takes the rest.
+func siteByValue(i int, x uint64, k int) int {
+	if x < 1<<(30+stream.PerturbBits-3) || i%50 == 0 {
+		return 1 + i%(k-1)
+	}
+	return 0
 }

@@ -11,6 +11,7 @@ import (
 	"disttrack/internal/core/engine"
 	"disttrack/internal/core/engine/enginetest"
 	"disttrack/internal/obs"
+	"disttrack/internal/oracle"
 	"disttrack/internal/wire"
 )
 
@@ -152,7 +153,7 @@ func TestEngineConformanceMockPolicy(t *testing.T) {
 				t.Fatalf("flush counts diverged: %d vs %d", fa, fb)
 			}
 		},
-		CheckFinal: func(t *testing.T, label string, tr core.Tracker, streams [][]uint64) {
+		CheckFinal: enginetest.Invariant(func(tb testing.TB, label string, tr core.Tracker, _ *oracle.Counter) {
 			// Conservation: the coordinator total plus every site's pending
 			// count must be exactly the items ingested.
 			ct := tr.(*countTracker)
@@ -161,10 +162,10 @@ func TestEngineConformanceMockPolicy(t *testing.T) {
 				sum += pend
 			}
 			if sum != ct.TrueTotal() {
-				t.Fatalf("%s: total %d + pending = %d, want %d",
+				tb.Fatalf("%s: total %d + pending = %d, want %d",
 					label, ct.p.total, sum, ct.TrueTotal())
 			}
-		},
+		}),
 	})
 }
 

@@ -33,10 +33,16 @@
 //     replay of the same schedule bit-for-bit, state and meters included,
 //     and no arrival is lost across a membership change.
 //
-// Protocol-specific accuracy contracts plug in through the Check* hooks;
-// the suite runs against all three core trackers and a minimal mock policy
-// (see the engine package's tests). RunLaw, run on its own, checks a
-// protocol's invariant against the exact arrivals after every feed call.
+// Protocol-specific state equality plugs in through CheckEquiv, and the
+// protocol's accuracy contract through CheckFinal, a Law checked after each
+// concurrent stress run; the suite runs against all three core trackers and
+// a minimal mock policy (see the engine package's tests).
+//
+// RunLaw, run on its own, checks a kind's whole law list (delta, ε, build
+// or merge, message replay) against the exact arrivals in one pass per
+// schedule: after every Feed and FeedLocalBatch call, at each law's own
+// cadence (Sparse), with every tracker's messages fanned out to each law's
+// Tap.
 package enginetest
 
 import (
@@ -94,10 +100,11 @@ type Config struct {
 	// between two trackers that ingested identical input (meters and
 	// engine state are always compared by the suite itself).
 	CheckEquiv func(t *testing.T, a, b core.Tracker)
-	// CheckFinal, if non-nil, asserts the protocol's accuracy contract on
-	// a tracker that ingested exactly streams[j] at site j (concurrently;
-	// it runs inside Quiesce).
-	CheckFinal func(t *testing.T, label string, tr core.Tracker, streams [][]uint64)
+	// CheckFinal, if non-nil, is the law the concurrent stress runs check
+	// inside Quiesce once their feeders finish, against the exact multiset
+	// of the streams: each kind passes its ε-law. It sees every message of
+	// the run through its Tap.
+	CheckFinal Law
 }
 
 // Run executes the conformance suite as subtests of t.
@@ -120,9 +127,9 @@ func Run(t *testing.T, cfg Config) {
 	// and releases the locks on its own, the schedule that found the arrival
 	// dropped across the bootstrap handoff; then random chunks of up to 600,
 	// and bursts of up to 2,500 that span many crossings per batch.
-	t.Run("ConcurrentStress", func(t *testing.T) { runConcurrentOn(t, cfg, cfg.New(t), 42, 1, "concurrent") })
-	t.Run("ConcurrentBatchStress", func(t *testing.T) { runConcurrentOn(t, cfg, cfg.New(t), 43, 600, "concurrent-batch") })
-	t.Run("CoalescedStress", func(t *testing.T) { runConcurrentOn(t, cfg, cfg.New(t), 61, 2500, "coalesced-stress") })
+	t.Run("ConcurrentStress", func(t *testing.T) { runConcurrent(t, cfg, 42, 1, "concurrent") })
+	t.Run("ConcurrentBatchStress", func(t *testing.T) { runConcurrent(t, cfg, 43, 600, "concurrent-batch") })
+	t.Run("CoalescedStress", func(t *testing.T) { runConcurrent(t, cfg, 61, 2500, "coalesced-stress") })
 	t.Run("MeterConservation", func(t *testing.T) { runMeterConservation(t, cfg) })
 	t.Run("CheckpointRestore", func(t *testing.T) { runCheckpointRestore(t, cfg) })
 	t.Run("ReconfigureMatchesSequential", func(t *testing.T) { runReconfigure(t, cfg) })
@@ -364,11 +371,16 @@ func runBatchMatch(t *testing.T, cfg Config, streamSeed, schedSeed int64, size f
 	}
 }
 
-// runConcurrentOn hammers one FeedLocalBatch goroutine per site (site j's
-// stream in chunks of 1..chunkMax items) against two query goroutines doing
-// quiescent reads, then asserts exact conservation, the engine's accounting
-// identities and the protocol contract.
-func runConcurrentOn(t *testing.T, cfg Config, tr core.Tracker, seed int64, chunkMax int, lbl string) {
+// runConcurrent hammers one FeedLocalBatch goroutine per site of a fresh
+// tracker (site j's stream in chunks of 1..chunkMax items) against two query
+// goroutines doing quiescent reads, then asserts exact conservation, the
+// engine's accounting identities and the protocol contract (CheckFinal).
+func runConcurrent(t *testing.T, cfg Config, seed int64, chunkMax int, lbl string) {
+	var laws []Law
+	if cfg.CheckFinal != nil {
+		laws = append(laws, cfg.CheckFinal)
+	}
+	tr, check := newTracker(t, cfg, laws)
 	streams := dealStreams(cfg, seed)
 	reg := obs.NewRegistry()
 	met := &engine.Metrics{
@@ -451,11 +463,8 @@ func runConcurrentOn(t *testing.T, cfg Config, tr core.Tracker, seed int64, chun
 	if v := tr.Version(); v != uint64(esc) {
 		t.Fatalf("%s: Version %d != escalations %d", lbl, v, esc)
 	}
-	if cfg.CheckFinal != nil {
-		tr.Quiesce(func() {
-			cfg.CheckFinal(t, lbl, tr, streams)
-		})
-	}
+	truth := truthOf(streams)
+	tr.Quiesce(func() { check(lbl, truth) })
 }
 
 // runCheckpointRestore pins the checkpoint/restore round-trip law:

@@ -3,6 +3,7 @@ package enginetest
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,86 +12,151 @@ import (
 	"disttrack/internal/oracle"
 )
 
-// Law is a protocol invariant checked on a tracker at rest against truth,
-// the exact multiset of every arrival fed so far. RunLaw calls it with no
-// feed in flight: between sequential calls, and inside Quiesce once the
-// concurrent feeders have finished.
-type Law func(tb testing.TB, label string, tr core.Tracker, truth *oracle.Counter)
+// A Law is a protocol invariant. The harness calls it once for every
+// tracker it makes, before the tracker is fed or restored, with the test
+// that makes it, and checks the Watch it returns: the law's state on that
+// tracker.
+type Law func(tb testing.TB, tr core.Tracker) Watch
+
+// Watch is one law on one tracker.
+type Watch struct {
+	// Tap, if non-nil, sees every message the tracker's meter records, as it
+	// is sent: the harness installs one tap on each tracker
+	// (wire.Meter.SetTap) that shows every message to every law's Tap. On a
+	// concurrent schedule it runs on the feeders' goroutines, under the
+	// engine's locks, so it must not stop the test: it reports a failure
+	// with Errorf and leaves Check to stop.
+	Tap func(kind string, site int, words []uint64)
+	// Check checks the law against truth, the exact multiset of every
+	// arrival fed so far, with no feed in flight: RunLaw calls it between
+	// sequential calls and inside Quiesce once the concurrent feeders have
+	// finished, and the conformance suite (Config.CheckFinal) after each of
+	// its concurrent stress runs. label names the point ("at rest", "end",
+	// or the concurrent run).
+	Check func(label string, truth *oracle.Counter)
+}
+
+// Invariant returns the law that checks check on every tracker, with no
+// state of its own.
+func Invariant(check func(tb testing.TB, label string, tr core.Tracker, truth *oracle.Counter)) Law {
+	return func(tb testing.TB, tr core.Tracker) Watch {
+		return Watch{Check: func(label string, truth *oracle.Counter) { check(tb, label, tr, truth) }}
+	}
+}
 
 // Sparse returns law checked only on every n-th call at rest of the
 // schedules named (RunLaw's subtest names: "feed", "B1", ...), and always
 // after a restore or membership change there (a new tracker or a new K);
-// the other schedules, and the end of each, are checked on every call.
-// It keeps a costly law inside a tier-1 budget on the per-item schedules.
+// the other schedules, and the end of each, are checked on every call. Its
+// tap sees every message. It keeps a costly law inside a tier-1 budget on
+// the per-item schedules.
 func Sparse(law Law, n int, schedules ...string) Law {
-	type seen struct {
-		calls int
-		tr    core.Tracker
-		k     int
-	}
-	sched := map[string]*seen{}
-	return func(tb testing.TB, label string, tr core.Tracker, truth *oracle.Counter) {
+	calls := map[string]int{} // by schedule, across its trackers
+	return func(tb testing.TB, tr core.Tracker) Watch {
+		w := law(tb, tr)
 		name := tb.Name()
-		for _, sc := range schedules {
-			if !strings.HasSuffix(name, "/"+sc) {
-				continue
-			}
-			s := sched[name]
-			if s == nil {
-				s = &seen{}
-				sched[name] = s
-			}
-			s.calls++
-			changed := s.tr != tr || s.k != tr.K()
-			s.tr, s.k = tr, tr.K()
-			if label == "at rest" && !changed && s.calls%n != 0 {
+		if !slices.ContainsFunc(schedules, func(s string) bool { return strings.HasSuffix(name, "/"+s) }) {
+			return w
+		}
+		check, k := w.Check, 0 // k 0: a new tracker
+		w.Check = func(label string, truth *oracle.Counter) {
+			calls[name]++
+			changed := k != tr.K()
+			k = tr.K()
+			if label == "at rest" && !changed && calls[name]%n != 0 {
 				return
 			}
-			break
+			check(label, truth)
 		}
-		law(tb, label, tr, truth)
+		return w
 	}
 }
 
-// RunLaw checks law on cfg's stream of K·PerSite items, from the first
-// arrival to the last, as subtests of t:
+// newTracker makes a tracker of cfg and one Watch of each law on it, with one
+// tap that shows every message to every law's Tap, and returns the tracker
+// and the check of every law at rest, in the order given.
+func newTracker(tb testing.TB, cfg Config, laws []Law) (core.Tracker, func(label string, truth *oracle.Counter)) {
+	tr := cfg.New(tb)
+	var taps []func(string, int, []uint64)
+	var checks []func(string, *oracle.Counter)
+	for _, law := range laws {
+		w := law(tb, tr)
+		if w.Tap != nil {
+			taps = append(taps, w.Tap)
+		}
+		if w.Check != nil {
+			checks = append(checks, w.Check)
+		}
+	}
+	if len(taps) > 0 {
+		tr.Meter().SetTap(func(kind string, site int, words []uint64) {
+			for _, tap := range taps {
+				tap(kind, site, words)
+			}
+		})
+	}
+	return tr, func(label string, truth *oracle.Counter) {
+		for _, check := range checks {
+			check(label, truth)
+		}
+	}
+}
+
+// schedule deals a stream out in calls: deal returns the site and the
+// number of items of call c on a tracker of k sites (0: one Feed).
+type schedule struct {
+	name string
+	deal func(c, k int) (site, size int)
+}
+
+// roundRobin feeds batches of batch items (Feed per item when batch is 0),
+// burst consecutive batches to one site, the sites in turn.
+func roundRobin(name string, batch, burst int) schedule {
+	return schedule{name, func(c, k int) (int, int) { return (c / burst) % k, batch }}
+}
+
+// RunLaw checks every law on cfg's stream of K·PerSite items, from the
+// first arrival to the last, in one pass per schedule, as subtests of t:
 //
 //   - after every Feed, and after every FeedLocalBatch call with batches of
-//     1, 16 and 512 dealt round robin and in bursts of 16 consecutive
-//     batches to one site, through a checkpoint restored into a fresh
-//     tracker at a third of the stream, a Reconfigure grow to K + 2 sites
-//     at half and a shrink to max(K − 1, 1) at two thirds;
+//     1, 16, 512 and 4,096 dealt round robin, in bursts of 16 consecutive
+//     batches of 16 and 512 to one site, and in random chunks of up to
+//     4,096 items to random sites from a fixed seed ("random"), through a
+//     checkpoint restored into a fresh tracker at a third of the stream, a
+//     Reconfigure grow to K + 2 sites at half and a shrink to max(K − 1, 1)
+//     at two thirds;
 //   - Concurrent: one goroutine per site feeding its share through
-//     FeedLocalBatch in random batches of up to 600, then law under Quiesce
-//     (run it under -race).
+//     FeedLocalBatch in random batches of up to 600, then every law under
+//     Quiesce (run it under -race).
 //
-// It returns every tracker it fed, last state included, so the caller can
-// assert the stream reached what the law is about.
-func RunLaw(t *testing.T, cfg Config, law Law) []core.Tracker {
+// Each law sees every message of every tracker through its Tap, and is
+// checked after every call at its own cadence (Sparse). RunLaw returns
+// every tracker it fed, last state included, so the caller can assert the
+// stream reached what the laws are about.
+func RunLaw(t *testing.T, cfg Config, laws ...Law) []core.Tracker {
 	if cfg.PerSite == 0 {
 		cfg.PerSite = 8000
 	}
 	var fed []core.Tracker
 	items := genStream(cfg, cfg.K*cfg.PerSite, 71)
-	for _, sched := range []struct {
-		name         string
-		batch, burst int // batch 0: Feed per item
-	}{
-		{"feed", 0, 1},
-		{"B1", 1, 1},
-		{"B16", 16, 1},
-		{"B512", 512, 1},
-		{"B16-burst", 16, 16},
-		{"B512-burst", 512, 16},
+	rng := rand.New(rand.NewSource(79))
+	for _, sched := range []schedule{
+		roundRobin("feed", 0, 1),
+		roundRobin("B1", 1, 1),
+		roundRobin("B16", 16, 1),
+		roundRobin("B512", 512, 1),
+		roundRobin("B4096", 4096, 1),
+		roundRobin("B16-burst", 16, 16),
+		roundRobin("B512-burst", 512, 16),
+		{"random", func(_, k int) (int, int) { return rng.Intn(k), 1 + rng.Intn(4096) }},
 	} {
 		t.Run(sched.name, func(t *testing.T) {
-			tr := runLawSchedule(t, cfg, law, items, sched.batch, sched.burst)
-			fed = append(fed, tr)
+			fed = append(fed, runLawSchedule(t, cfg, laws, items, sched))
 		})
 	}
 	t.Run("Concurrent", func(t *testing.T) {
 		streams := dealStreams(cfg, 73)
-		tr := cfg.New(t)
+		tr, check := newTracker(t, cfg, laws)
 		var wg sync.WaitGroup
 		for j := range streams {
 			wg.Add(1)
@@ -105,26 +171,28 @@ func RunLaw(t *testing.T, cfg Config, law Law) []core.Tracker {
 			}(j, streams[j])
 		}
 		wg.Wait()
-		var all []uint64
-		for _, xs := range streams {
-			all = append(all, xs...)
-		}
-		truth := oracle.NewCounter(all)
-		for _, x := range all {
-			truth.Add(x)
-		}
-		tr.Quiesce(func() { law(t, "concurrent", tr, truth) })
+		truth := truthOf(streams)
+		tr.Quiesce(func() { check("concurrent", truth) })
 		fed = append(fed, tr)
 	})
 	return fed
 }
 
-// runLawSchedule feeds items to a fresh tracker in batches of batch items
-// (Feed per item when batch is 0), burst consecutive batches to one site,
-// checking law before the first call, after every call and after each
-// membership change and restore.
-func runLawSchedule(t *testing.T, cfg Config, law Law, items []uint64, batch, burst int) core.Tracker {
-	tr := cfg.New(t)
+// truthOf returns the exact multiset of the per-site streams.
+func truthOf(streams [][]uint64) *oracle.Counter {
+	all := slices.Concat(streams...)
+	truth := oracle.NewCounter(all)
+	for _, x := range all {
+		truth.Add(x)
+	}
+	return truth
+}
+
+// runLawSchedule feeds items to a fresh tracker as sched deals them,
+// checking every law before the first call, after every call and after
+// each membership change and restore.
+func runLawSchedule(t *testing.T, cfg Config, laws []Law, items []uint64, sched schedule) core.Tracker {
+	tr, check := newTracker(t, cfg, laws)
 	truth := oracle.NewCounter(items)
 	n := len(items)
 	restored, grown, shrunk := false, false, false
@@ -136,7 +204,7 @@ func runLawSchedule(t *testing.T, cfg Config, law Law, items []uint64, batch, bu
 			if err := tr.Checkpoint(&buf); err != nil {
 				t.Fatal(err)
 			}
-			tr = cfg.New(t)
+			tr, check = newTracker(t, cfg, laws)
 			if err := tr.Restore(&buf); err != nil {
 				t.Fatal(err)
 			}
@@ -151,10 +219,10 @@ func runLawSchedule(t *testing.T, cfg Config, law Law, items []uint64, batch, bu
 				t.Fatal(err)
 			}
 		}
-		law(t, "at rest", tr, truth)
-		site := (c / burst) % tr.K()
-		xs := items[i:min(i+max(batch, 1), n)]
-		if batch == 0 {
+		check("at rest", truth)
+		site, size := sched.deal(c, tr.K())
+		xs := items[i:min(i+max(size, 1), n)]
+		if size == 0 {
 			tr.Feed(site, xs[0])
 		} else {
 			tr.FeedLocalBatch(site, xs)
@@ -164,6 +232,6 @@ func runLawSchedule(t *testing.T, cfg Config, law Law, items []uint64, batch, bu
 		}
 		i += len(xs)
 	}
-	law(t, "end", tr, truth)
+	check("end", truth)
 	return tr
 }

@@ -4,8 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"disttrack/internal/core"
-	"disttrack/internal/core/engine/enginetest"
 	"disttrack/internal/oracle"
 )
 
@@ -55,42 +53,4 @@ func checkEpsLaw(tb testing.TB, label string, tr *Tracker, truth *oracle.Counter
 		}
 	}
 	return worst
-}
-
-// TestEpsLaw runs checkEpsLaw through the engine's law schedules
-// (enginetest.RunLaw: Feed and FeedLocalBatch at B ∈ {1, 16, 512}, round
-// robin and one-site bursts, a checkpoint restore, a Reconfigure grow and
-// shrink, and one goroutine per site under -race), with both site stores.
-// On the small-batch schedules it checks every epsLawStride-th call.
-func TestEpsLaw(t *testing.T) {
-	for _, store := range []struct {
-		name   string
-		sketch bool
-		ends   bool // 0 and math.MaxUint64 in the stream, 1% each
-	}{{"exact", false, false}, {"sketch", true, false}, {"exact-ends", false, true}, {"sketch-ends", true, true}} {
-		t.Run(store.name, func(t *testing.T) {
-			worst := 0.0
-			cfg := enginetest.Config{
-				New: func(tb testing.TB) core.Tracker {
-					tr, err := New(Config{K: 8, Eps: 0.05, Sketch: store.sketch})
-					if err != nil {
-						tb.Fatal(err)
-					}
-					return tr
-				},
-				K:       8,
-				PerSite: 4000,
-				Ends:    store.ends,
-			}
-			fed := enginetest.RunLaw(t, cfg, enginetest.Sparse(func(tb testing.TB, label string, tr core.Tracker, truth *oracle.Counter) {
-				worst = max(worst, checkEpsLaw(tb, label, tr.(*Tracker), truth))
-			}, epsLawStride, "feed", "B1", "B16", "B16-burst"))
-			for _, ctr := range fed {
-				if tr := ctr.(*Tracker); tr.Rounds() < 3 {
-					t.Fatalf("%d rounds: too short a stream", tr.Rounds())
-				}
-			}
-			t.Logf("lowest reported key %.4f·ε|A| under φ|A|", worst)
-		})
-	}
 }

@@ -8,9 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"disttrack/internal/core"
-	"disttrack/internal/core/engine/enginetest"
-	"disttrack/internal/oracle"
 	"disttrack/internal/wire"
 )
 
@@ -166,60 +163,6 @@ func checkLag(tb testing.TB, label string, tr *Tracker) {
 	c := 1 + math.Sqrt(2*tr.Eps()/3)
 	if p.sm > p.cm || float64(p.cm) >= c*float64(p.sm) {
 		tb.Fatalf("%s: |A|=%d: C.m %d outside [S.m, c·S.m) = [%d, %.1f)", label, tr.TrueTotal(), p.cm, p.sm, c*float64(p.sm))
-	}
-}
-
-// TestMessageReplay replays every "item", "freq", "all" and "newm" message
-// through enginetest.RunLaw's schedules (restore, grow and shrink
-// included, and one goroutine per site, whose replay runs from the first
-// arrival and is checked once they are done), with both site stores, on a
-// stream with 0 and math.MaxUint64 among the keys: after every call the
-// coordinator's C.m and every C.m_x, and each site's S_j.m, equal what the
-// words alone give (msgReplay), a "freq" report is one word exactly when
-// its item and increment fit beside the width header, the metered
-// words of each kind equal the encodings' lengths, and the broadcast lags
-// C.m by less than the factor c (checkLag).
-func TestMessageReplay(t *testing.T) {
-	for _, sketch := range []bool{false, true} {
-		name := "exact"
-		if sketch {
-			name = "sketch"
-		}
-		t.Run(name, func(t *testing.T) {
-			replays := map[*Tracker]*msgReplay{}
-			cfg := enginetest.Config{
-				New: func(tb testing.TB) core.Tracker {
-					tr, err := New(Config{K: 4, Eps: 0.05, Sketch: sketch})
-					if err != nil {
-						tb.Fatal(err)
-					}
-					r := &msgReplay{cmx: map[uint64]int64{}, base: map[string]int64{}, sent: map[string]int64{}}
-					tr.Meter().SetTap(r.tap)
-					replays[tr] = r
-					return tr
-				},
-				K:       4,
-				PerSite: 4000,
-				Ends:    true,
-			}
-			fed := enginetest.RunLaw(t, cfg, func(tb testing.TB, label string, ctr core.Tracker, _ *oracle.Counter) {
-				tr := ctr.(*Tracker)
-				replays[tr].check(tb, label, tr)
-			})
-			var freq [3]int
-			for _, ctr := range fed {
-				tr := ctr.(*Tracker)
-				if tr.Rounds() < 3 {
-					t.Fatalf("%d rounds: too short a stream", tr.Rounds())
-				}
-				freq[1] += replays[tr].freqWords[1]
-				freq[2] += replays[tr].freqWords[2]
-			}
-			if freq[1] == 0 || freq[2] == 0 {
-				t.Fatalf("%d one-word and %d two-word \"freq\" reports: both forms must be replayed", freq[1], freq[2])
-			}
-			t.Logf("%d one-word and %d two-word \"freq\" reports", freq[1], freq[2])
-		})
 	}
 }
 

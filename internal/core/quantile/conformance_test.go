@@ -2,18 +2,18 @@ package quantile
 
 import (
 	"slices"
-	"sort"
 	"testing"
 
 	"disttrack/internal/core"
 	"disttrack/internal/core/engine/enginetest"
+	"disttrack/internal/oracle"
 )
 
 // TestEngineConformance runs the shared engine conformance suite
 // (sequential/batch equivalence, concurrent -race stress, meter
 // conservation — see package enginetest) over both site-store modes with
-// multiple tracked quantiles, plugging in the §3.1 rank-drift contract and
-// round/relocation state equality.
+// multiple tracked quantiles, plugging in round/relocation state equality
+// and the ε-law (checkEpsLaw) after each concurrent run.
 func TestEngineConformance(t *testing.T) {
 	const (
 		k   = 4
@@ -56,40 +56,14 @@ func TestEngineConformance(t *testing.T) {
 							ta.Intervals(), tb.Intervals())
 					}
 				},
-			}
-			if !tc.sketch {
-				// The sketch mode's accuracy contract is covered by the
-				// sequential tests; under concurrency it pins conservation
-				// and underestimation only (the suite's built-in checks).
-				cfg.CheckFinal = checkQuantContract
+				CheckFinal: enginetest.Invariant(func(tb testing.TB, label string, tr core.Tracker, truth *oracle.Counter) {
+					if tr.Rounds() < 2 {
+						tb.Fatalf("%s: %d rounds: the ε-law was never checked in the tracking phase", label, tr.Rounds())
+					}
+					checkEpsLaw(tb, label, tr.(*Tracker), truth)
+				}),
 			}
 			enginetest.Run(t, cfg)
 		})
-	}
-}
-
-// checkQuantContract asserts every tracked M is within ε|A| of its target
-// rank (slack 4k for concurrent boot-straddle arrivals).
-func checkQuantContract(t *testing.T, label string, ctr core.Tracker, streams [][]uint64) {
-	t.Helper()
-	tr := ctr.(*Tracker)
-	if tr.Rounds() < 2 {
-		t.Fatalf("%s: %d rounds: the contract was never checked in the tracking phase", label, tr.Rounds())
-	}
-	k := len(streams)
-	var sorted []uint64
-	for _, xs := range streams {
-		sorted = append(sorted, xs...)
-	}
-	slices.Sort(sorted)
-	n := float64(len(sorted))
-	bound := tr.Eps()*n + float64(4*k)
-	for i, phi := range tr.Phis() {
-		m := tr.QuantileAt(i)
-		r := float64(int64(sort.Search(len(sorted), func(i int) bool { return sorted[i] >= m })))
-		if diff := r - phi*n; diff > bound || diff < -bound {
-			t.Errorf("%s: phi=%g rank(M)=%g target %g, off by %g > %g",
-				label, phi, r, phi*n, diff, bound)
-		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"disttrack/internal/core"
-	"disttrack/internal/core/engine/enginetest"
 	"disttrack/internal/oracle"
 )
 
@@ -41,42 +39,4 @@ func checkEpsLaw(tb testing.TB, label string, tr *Tracker, truth *oracle.Counter
 		worst = max(worst, err/tr.Eps())
 	}
 	return worst
-}
-
-// TestEpsLaw runs checkEpsLaw through the engine's law schedules
-// (enginetest.RunLaw: Feed and FeedLocalBatch at B ∈ {1, 16, 512}, round
-// robin and one-site bursts, a checkpoint restore, a Reconfigure grow and
-// shrink, and one goroutine per site under -race), in both store modes. On
-// the per-item schedules it checks every epsLawStride-th call.
-func TestEpsLaw(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		sketch bool
-		ends   bool // 0 and math.MaxUint64 in the stream, 1% each
-	}{{"exact", false, false}, {"sketch", true, false}, {"exact-ends", false, true}, {"sketch-ends", true, true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			worst := 0.0
-			cfg := enginetest.Config{
-				New: func(tb testing.TB) core.Tracker {
-					tr, err := New(Config{K: 4, Eps: 0.1, Phis: []float64{0.01, 0.5, 0.99}, Sketch: mode.sketch})
-					if err != nil {
-						tb.Fatal(err)
-					}
-					return tr
-				},
-				K:      4,
-				Stream: enginetest.DistinctUniform,
-				Ends:   mode.ends,
-			}
-			fed := enginetest.RunLaw(t, cfg, enginetest.Sparse(func(tb testing.TB, label string, tr core.Tracker, truth *oracle.Counter) {
-				worst = max(worst, checkEpsLaw(tb, label, tr.(*Tracker), truth))
-			}, epsLawStride, "feed", "B1"))
-			for _, ctr := range fed {
-				if tr := ctr.(*Tracker); tr.Rounds() < 3 {
-					t.Fatalf("%d rounds: too short a stream", tr.Rounds())
-				}
-			}
-			t.Logf("largest error %.4f·ε", worst)
-		})
-	}
 }

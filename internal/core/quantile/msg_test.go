@@ -6,241 +6,278 @@ import (
 	"slices"
 	"testing"
 
-	"disttrack/internal/core"
-	"disttrack/internal/core/engine/enginetest"
 	"disttrack/internal/oracle"
 	"disttrack/internal/sitestore"
 	"disttrack/internal/stream"
 )
 
-// TestRoundMessages replays every round-build and split message a site
-// receives through enginetest.RunLaw's schedules (restore, grow and shrink
-// included): each site keeps its own copy of the separators, built from the
-// "seps" and "split-apply" words alone (decodeSeps when it holds none, as at
-// the handoff or after joining; decodeKeep over its old copy after a merge;
-// decodeSplit, which finds the split interval among the site's own
-// separators), and its own round batches, thrIv and thrTot, derived from the
-// m each "seps" carries (roundBatches); after every call every site's copy
-// equals the coordinator's, and so do its batches. Each split's half counts
-// are rebuilt from the "split-resp" and "split-counts" words alone, Σ_j a_j
-// and Σ_j (n_j − a_j), and equal what the coordinator installs. Each split
-// also passes the split-balance law's checks (TestSplitBalance): a
-// "split-resp" has the length checkSplitResp names, each half holds between
-// N/4 − k and 3N/4 + k of the interval's N items (counted in the exact site
-// stores when the last "split-counts" is sent), and after every call no
-// interval's coordinator count is at or over splitAt. Every report and
-// relocation message is replayed from its words alone (reportReplay). The
+// roundReplay replays every round-build and split message of one tracker
+// as its sites receive them: each site keeps its own copy of the
+// separators, built from the "seps" and "split-apply" words alone
+// (decodeSeps when it holds none, as at the handoff or after joining;
+// decodeKeep over its old copy after a merge; decodeSplit, which finds the
+// split interval among the site's own separators), and its own round
+// batches, thrIv and thrTot, derived from the m each "seps" carries
+// (roundBatches). Each split's half counts are rebuilt from the
+// "split-resp" and "split-counts" words alone, Σ_j a_j and Σ_j (n_j − a_j),
+// and must equal what the coordinator installs and, with exact sites, the
+// site stores' counts when the last "split-counts" is sent; each split also
+// passes the split-balance law's checks (TestSplitBalance): a "split-resp"
+// has the length checkSplitResp names and, with exact sites, each half holds
+// between N/4 − k and 3N/4 + k of the interval's N items. Every report and relocation message
+// is replayed from its words alone (reportReplay). Its check at rest
+// compares every site's copy and batches with the coordinator's, the
 // metered words of every round-build, split, report and relocation kind,
-// "round-req" included, equal the summed lengths of the encodings the
-// meter's tap saw, and a "round-req" reaches the tap.
-// The concurrent leg's replay begins once it has been fed, so the gates on
-// merges, checked halves and drift reports count the other legs alone, and
-// a run of that leg alone (-run 'TestRoundMessages/Concurrent') has nothing
-// to gate.
-func TestRoundMessages(t *testing.T) {
-	type replay struct {
-		views   [][]uint64       // each site's separators, from messages alone
-		batches [][2]int64       // each site's thrIv and thrTot, from messages alone
-		base    map[string]int64 // meter words when the replay began
-		sent    map[string]int64 // words of the encodings sent since
+// "round-req" included, with the summed lengths of the encodings the tap
+// saw, and fails if an interval's coordinator count is at or over splitAt
+// (checkResplit). Its tap runs on the feeders' goroutines on a concurrent
+// schedule, so it checks through tapTB.
+type roundReplay struct {
+	tb      testing.TB
+	tr      *Tracker
+	msgs    int
+	checked bool // check has run
+	failed  bool
 
-		// The split under way, from its messages alone: the interval named
-		// by "split-req" (lo, hi its bounds), each site's n_j from
-		// "split-resp", the separator from "split-apply" and the half
-		// counts summed from "split-counts".
-		splitIv  int
-		lo, hi   uint64
-		n        map[int]int64
-		y        uint64
-		c1, c2   int64
-		answered int
-		// A finished split whose halves the coordinator installs next, and
-		// the "iv" reports metered when it finished.
-		done   bool
-		ivMsgs int64
+	views   [][]uint64       // each site's separators, from messages alone
+	batches [][2]int64       // each site's thrIv and thrTot, from messages alone
+	base    map[string]int64 // meter words when the replay began
+	sent    map[string]int64 // words of the encodings sent since
 
-		reports reportReplay // drift and relocation replies
-	}
-	kinds := append([]string{"round-req", "seps", "round-counts", "split-req", "split-resp", "split-apply", "split-counts"}, reportKinds...)
-	var cur *replay
-	var curTr *Tracker
-	// Counted only on the legs replayed from their first message: the
-	// concurrent leg's replay begins once it has been fed.
-	widest, merges, splits, halves, replayed, roundReqs, drifts := 0, 0, 0, 0, 0, 0, 0
-	balance := 0.5 // the smaller half's least share of its interval
-	// checkHalves compares a finished split's rebuilt half counts with the
-	// coordinator's. It runs at the next message or call at rest, before
-	// which only an "iv" report changes an interval count: a split followed
-	// by one is skipped.
-	checkHalves := func(tb testing.TB, tr *Tracker) {
-		r := cur
-		if !r.done {
-			return
+	// The split under way, from its messages alone: the interval named by
+	// "split-req" (lo, hi its bounds), each site's n_j from "split-resp",
+	// the separator from "split-apply" and the half counts summed from
+	// "split-counts".
+	splitIv  int
+	lo, hi   uint64
+	n        map[int]int64
+	y        uint64
+	c1, c2   int64
+	answered int
+	// A finished split whose halves the coordinator installs next, and the
+	// "iv" reports metered when it finished.
+	done   bool
+	ivMsgs int64
+
+	reports reportReplay // drift and relocation replies
+
+	// What was replayed: "round-req" messages, merge broadcasts and the
+	// widest one's bitmap words, splits and the ones whose halves were
+	// checked against the coordinator's, and the smaller half's least
+	// share of its interval.
+	roundReqs, merges, widest, splits, halves int
+	balance                                   float64
+}
+
+// roundKinds are the kinds whose metered words roundReplay sums.
+var roundKinds = append([]string{"round-req", "seps", "round-counts", "split-req", "split-resp", "split-apply", "split-counts"}, reportKinds...)
+
+func newRoundReplay(tb testing.TB, tr *Tracker) *roundReplay {
+	r := &roundReplay{tb: tb, tr: tr, balance: 0.5}
+	r.begin()
+	return r
+}
+
+// begin starts the replay from the tracker's state: each site holds the
+// coordinator's separators and batches, and the meter's words so far are
+// not the replay's. The first check begins again if no message has come,
+// as after a restore.
+func (r *roundReplay) begin() {
+	p := r.tr.p
+	r.views, r.batches = nil, nil
+	for range p.sites {
+		var v []uint64
+		if !r.tr.Bootstrapping() {
+			v = slices.Clone(p.seps)
 		}
-		r.done = false
-		if tr.Meter().Kind("iv").Msgs != r.ivMsgs {
-			return
+		r.views = append(r.views, v)
+		r.batches = append(r.batches, [2]int64{p.thrIv, p.thrTot})
+	}
+	r.base, r.sent = map[string]int64{}, map[string]int64{}
+	for _, kind := range roundKinds {
+		r.base[kind] = r.tr.Meter().Kind(kind).Words
+	}
+}
+
+// checkHalves compares a finished split's rebuilt half counts with the
+// coordinator's. It runs at the next message or call at rest. Before it,
+// only an "iv" report changes an interval count, and the coordinator adds
+// a report after its tap: at the tap of the next message, that message is
+// the one "iv" report that may be metered (unapplied is 1 then) but not
+// yet added, and at rest a split followed by a report is skipped.
+func (r *roundReplay) checkHalves(tb testing.TB, unapplied int64) {
+	if !r.done {
+		return
+	}
+	r.done = false
+	tr, p := r.tr, r.tr.p
+	if tr.Meter().Kind("iv").Msgs-r.ivMsgs > unapplied {
+		return
+	}
+	i, ok := slices.BinarySearch(p.seps, r.y)
+	if !ok {
+		tb.Fatalf("|A|=%d: split separator %d is not among the coordinator's", tr.TrueTotal(), r.y)
+	}
+	if p.ivCount[i] != r.c1 || p.ivCount[i+1] != r.c2 {
+		tb.Fatalf("|A|=%d: split at %d: the messages give halves %d and %d, the coordinator holds %d and %d",
+			tr.TrueTotal(), r.y, r.c1, r.c2, p.ivCount[i], p.ivCount[i+1])
+	}
+	r.halves++
+}
+
+func (r *roundReplay) tap(kind string, j int, words []uint64) {
+	if r.failed {
+		return
+	}
+	defer guard(&r.failed)
+	tb, tr, p := tapTB{r.tb}, r.tr, r.tr.p
+	r.msgs++
+	var unapplied int64
+	if kind == "iv" {
+		unapplied = 1
+	}
+	r.checkHalves(tb, unapplied)
+	r.reports.check(tb, tr)
+	for len(r.views) <= j {
+		r.views = append(r.views, nil) // a site that joined
+		r.batches = append(r.batches, [2]int64{})
+	}
+	r.sent[kind] += int64(max(1, len(words))) // a message carries at least its type
+	switch kind {
+	case "round-req":
+		r.roundReqs++
+	case "seps":
+		var m int64
+		if r.views[j] == nil {
+			var err error
+			if m, r.views[j], err = decodeSeps(words); err != nil {
+				tb.Fatalf("|A|=%d: site %d: \"seps\" %#x: %v", tr.TrueTotal(), j, words, err)
+			}
+		} else {
+			m, r.views[j] = decodeKeep(r.views[j], words)
+			r.merges++
+			r.widest = max(r.widest, len(words)-1)
 		}
-		p := tr.p
-		i, ok := slices.BinarySearch(p.seps, r.y)
-		if !ok {
-			tb.Fatalf("|A|=%d: split separator %d is not among the coordinator's", tr.TrueTotal(), r.y)
+		thrIv, thrTot := p.roundBatches(m)
+		r.batches[j] = [2]int64{thrIv, thrTot}
+	case "split-req":
+		if j == 0 { // a split polls the sites in order
+			r.n, r.c1, r.c2, r.answered = map[int]int64{}, 0, 0, 0
 		}
-		if p.ivCount[i] != r.c1 || p.ivCount[i+1] != r.c2 {
-			tb.Fatalf("|A|=%d: split at %d: the messages give halves %d and %d, the coordinator holds %d and %d",
-				tr.TrueTotal(), r.y, r.c1, r.c2, p.ivCount[i], p.ivCount[i+1])
+		r.splitIv = decodeSplitReq(words)
+		r.lo, r.hi = p.ivBounds(r.splitIv)
+	case "split-resp":
+		r.n[j] = checkSplitResp(tb, fmt.Sprintf("|A|=%d: site %d", tr.TrueTotal(), j), words, r.lo, r.hi)
+	case "split-apply":
+		iv, y := decodeSplit(r.views[j], words)
+		if iv != r.splitIv {
+			tb.Fatalf("|A|=%d: site %d places split separator %d in interval %d, the request named %d",
+				tr.TrueTotal(), j, y, iv, r.splitIv)
 		}
-		halves++
-	}
-	cfg := enginetest.Config{
-		New: func(tb testing.TB) core.Tracker {
-			tr, err := New(Config{K: 4, Eps: 0.1, Phis: []float64{0.5, 0.99}})
-			if err != nil {
-				tb.Fatal(err)
-			}
-			return tr
-		},
-		K:      4,
-		Stream: enginetest.DistinctUniform,
-	}
-	enginetest.RunLaw(t, cfg, func(tb testing.TB, label string, ctr core.Tracker, _ *oracle.Counter) {
-		tr := ctr.(*Tracker)
-		p := tr.p
-		if tr != curTr {
-			// A fresh or restored tracker: its sites hold what it holds.
-			if cur != nil {
-				drifts += cur.reports.drifts
-			}
-			curTr = tr
-			r := &replay{base: map[string]int64{}, sent: map[string]int64{}}
-			for range p.sites {
-				var v []uint64
-				if !tr.Bootstrapping() {
-					v = slices.Clone(p.seps)
-				}
-				r.views = append(r.views, v)
-				r.batches = append(r.batches, [2]int64{p.thrIv, p.thrTot})
-			}
-			for _, kind := range kinds {
-				r.base[kind] = tr.Meter().Kind(kind).Words
-			}
-			tr.Meter().SetTap(func(kind string, j int, words []uint64) {
-				checkHalves(tb, tr)
-				r.reports.check(tb, tr)
-				for len(r.views) <= j {
-					r.views = append(r.views, nil) // a site that joined
-					r.batches = append(r.batches, [2]int64{})
-				}
-				switch kind {
-				case "round-req":
-					roundReqs++
-				case "seps":
-					var m int64
-					if r.views[j] == nil {
-						var err error
-						if m, r.views[j], err = decodeSeps(words); err != nil {
-							tb.Fatalf("|A|=%d: site %d: \"seps\" %#x: %v", tr.TrueTotal(), j, words, err)
-						}
-					} else {
-						m, r.views[j] = decodeKeep(r.views[j], words)
-						merges++
-						widest = max(widest, len(words)-1)
-					}
-					thrIv, thrTot := p.roundBatches(m)
-					r.batches[j] = [2]int64{thrIv, thrTot}
-				case "split-req":
-					if j == 0 { // a split polls the sites in order
-						r.n, r.c1, r.c2, r.answered = map[int]int64{}, 0, 0, 0
-					}
-					r.splitIv = decodeSplitReq(words)
-					r.lo, r.hi = p.ivBounds(r.splitIv)
-				case "split-resp":
-					r.n[j] = checkSplitResp(tb, fmt.Sprintf("|A|=%d: site %d", tr.TrueTotal(), j), words, r.lo, r.hi)
-				case "split-apply":
-					iv, y := decodeSplit(r.views[j], words)
-					if iv != r.splitIv {
-						tb.Fatalf("|A|=%d: site %d places split separator %d in interval %d, the request named %d",
-							tr.TrueTotal(), j, y, iv, r.splitIv)
-					}
-					r.views[j] = slices.Insert(r.views[j], iv, y)
-					r.y = y
-				case "split-counts":
-					a, err := sitestore.DecodeSplitCount(words, r.n[j])
-					if err != nil {
-						tb.Fatal(err)
-					}
-					r.c1 += a
-					r.c2 += r.n[j] - a
-					if r.answered++; r.answered == len(p.sites) {
-						r.done, r.ivMsgs = true, tr.Meter().Kind("iv").Msgs
-						splits++
-						var left, right int64
-						for _, s := range p.sites {
-							left += s.st.CountRange(r.lo, r.y)
-							right += s.st.CountRange(r.y, r.hi)
-						}
-						if left != r.c1 || right != r.c2 {
-							tb.Fatalf("|A|=%d: split at %d: the messages give halves %d and %d, the stores hold %d and %d",
-								tr.TrueTotal(), r.y, r.c1, r.c2, left, right)
-						}
-						at := fmt.Sprintf("|A|=%d: split at %d", tr.TrueTotal(), r.y)
-						balance = min(balance, checkSplitHalves(tb, at, left, right, float64(len(p.sites))))
-					}
-				default:
-					r.reports.tap(tb, tr, kind, j, words)
-				}
-				r.sent[kind] += int64(max(1, len(words))) // a message carries at least its type
-			})
-			cur = r
-			if label == "concurrent" {
-				return // fed before the replay could begin
-			}
-			replayed++
+		r.views[j] = slices.Insert(r.views[j], iv, y)
+		r.y = y
+	case "split-counts":
+		a, err := sitestore.DecodeSplitCount(words, r.n[j])
+		if err != nil {
+			tb.Fatal(err)
 		}
-		checkHalves(tb, tr)
-		cur.reports.check(tb, tr)
-		checkResplit(tb, label, tr)
-		cur.views = cur.views[:tr.K()] // a shrink drops the departed sites
-		for j, v := range cur.views {
-			if tr.Bootstrapping() {
-				if v != nil {
-					tb.Fatalf("%s: |A|=%d: site %d holds separators during the bootstrap", label, tr.TrueTotal(), j)
-				}
-				continue
+		r.c1 += a
+		r.c2 += r.n[j] - a
+		if r.answered++; r.answered == len(p.sites) {
+			r.done, r.ivMsgs = true, tr.Meter().Kind("iv").Msgs
+			r.splits++
+			if p.cfg.Sketch {
+				// A sketch's counts need not be monotone, so the clamp to
+				// n_j may move a_j off CountRange: TestSplitBalance checks
+				// sketch halves against the truth.
+				return
 			}
-			if !slices.Equal(v, p.seps) {
-				tb.Fatalf("%s: |A|=%d: site %d rebuilt %d separators from the messages, the coordinator holds %d (or they differ)",
-					label, tr.TrueTotal(), j, len(v), len(p.seps))
+			var left, right int64
+			for _, s := range p.sites {
+				left += s.st.CountRange(r.lo, r.y)
+				right += s.st.CountRange(r.y, r.hi)
 			}
-			if b := cur.batches[j]; b != [2]int64{p.thrIv, p.thrTot} {
-				tb.Fatalf("%s: |A|=%d: site %d derived batches %v from the messages, the coordinator uses [%d %d]",
-					label, tr.TrueTotal(), j, b, p.thrIv, p.thrTot)
+			if left != r.c1 || right != r.c2 {
+				tb.Fatalf("|A|=%d: split at %d: the messages give halves %d and %d, the stores hold %d and %d",
+					tr.TrueTotal(), r.y, r.c1, r.c2, left, right)
 			}
+			at := fmt.Sprintf("|A|=%d: split at %d", tr.TrueTotal(), r.y)
+			r.balance = min(r.balance, checkSplitHalves(tb, at, left, right, float64(len(p.sites))))
 		}
-		for _, kind := range kinds {
-			if got := tr.Meter().Kind(kind).Words - cur.base[kind]; got != cur.sent[kind] {
-				tb.Fatalf("%s: |A|=%d: metered %d %q words, the encodings sent are %d words long",
-					label, tr.TrueTotal(), got, kind, cur.sent[kind])
+	default:
+		r.reports.tap(tb, tr, kind, j, words)
+	}
+}
+
+// check compares the replay with the tracker at rest. The first check
+// begins it again if no message has come yet (a restored tracker).
+func (r *roundReplay) check(label string, _ *oracle.Counter) {
+	tb, tr, p := r.tb, r.tr, r.tr.p
+	tb.Helper()
+	if r.failed {
+		tb.FailNow()
+	}
+	if !r.checked && r.msgs == 0 {
+		r.begin()
+	}
+	r.checked = true
+	r.checkHalves(tb, 0)
+	r.reports.check(tb, tr)
+	checkResplit(tb, label, tr)
+	r.views = r.views[:tr.K()] // a shrink drops the departed sites
+	for j, v := range r.views {
+		if tr.Bootstrapping() {
+			if v != nil {
+				tb.Fatalf("%s: |A|=%d: site %d holds separators during the bootstrap", label, tr.TrueTotal(), j)
 			}
+			continue
 		}
-	})
-	if replayed == 0 {
-		return // only the concurrent leg ran: nothing was replayed
+		if !slices.Equal(v, p.seps) {
+			tb.Fatalf("%s: |A|=%d: site %d rebuilt %d separators from the messages, the coordinator holds %d (or they differ)",
+				label, tr.TrueTotal(), j, len(v), len(p.seps))
+		}
+		if b := r.batches[j]; b != [2]int64{p.thrIv, p.thrTot} {
+			tb.Fatalf("%s: |A|=%d: site %d derived batches %v from the messages, the coordinator uses [%d %d]",
+				label, tr.TrueTotal(), j, b, p.thrIv, p.thrTot)
+		}
 	}
-	drifts += cur.reports.drifts
-	if roundReqs == 0 {
-		t.Fatalf("no \"round-req\" reached the meter's tap")
+	for _, kind := range roundKinds {
+		if got := tr.Meter().Kind(kind).Words - r.base[kind]; got != r.sent[kind] {
+			tb.Fatalf("%s: |A|=%d: metered %d %q words, the encodings sent are %d words long",
+				label, tr.TrueTotal(), got, kind, r.sent[kind])
+		}
 	}
-	if merges == 0 || widest < 2 {
-		t.Fatalf("%d merge broadcasts, the widest %d words: the bitmap was never tested past one word", merges, widest)
+}
+
+// tapTB is the testing.TB a tap checks through. A tap may run on a feeder
+// goroutine, which must not stop the test: Fatalf and Fatal report with
+// Errorf and unwind to the tap's deferred guard, which marks the replay
+// failed for its check at rest to stop on.
+type tapTB struct{ testing.TB }
+
+// tapFault is what tapTB unwinds with.
+type tapFault struct{}
+
+func (tb tapTB) Fatalf(format string, args ...any) {
+	tb.Helper()
+	tb.Errorf(format, args...)
+	panic(tapFault{})
+}
+
+func (tb tapTB) Fatal(args ...any) {
+	tb.Helper()
+	tb.Error(args...)
+	panic(tapFault{})
+}
+
+// guard, deferred by a tap, sets *failed when the tap failed through tapTB.
+func guard(failed *bool) {
+	if f := recover(); f != nil {
+		if _, ok := f.(tapFault); !ok {
+			panic(f)
+		}
+		*failed = true
 	}
-	if halves*4 < splits {
-		t.Fatalf("%d of %d splits' half counts checked against the coordinator's: too few", halves, splits)
-	}
-	if drifts == 0 {
-		t.Fatal("no drift report checked")
-	}
-	t.Logf("%d splits; the smaller half held at least %.3f of its interval; %d drift reports", splits, balance, drifts)
 }
 
 // reportReplay replays a tracker's reports ("iv", "tot", "drift") and

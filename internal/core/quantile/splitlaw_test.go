@@ -72,8 +72,8 @@ func checkResplit(tb testing.TB, label string, tr *Tracker) {
 }
 
 // TestSplitBalance is the split-balance law on per-site loads the round
-// robin of TestRoundMessages never makes: every split of a tracker fed one
-// arrival at a time is rebuilt from its messages, and
+// robin of TestLaws' schedules never makes: every split of a tracker fed
+// one arrival at a time is rebuilt from its messages, and
 //
 //   - "split-resp" has the length checkSplitResp names: one word when n_j
 //     and the median's offset fit beside the width header, and n_j = 0
@@ -85,32 +85,44 @@ func checkResplit(tb testing.TB, label string, tr *Tracker) {
 //     splitAt.
 //
 // Streams are distinct uniform and Zipf(1.3) perturbed in ascending tie
-// order, whose sorted runs keep hot intervals splitting; arrivals go round
-// robin, or site 0 takes one in 50 and the others share the rest, so site
-// 0's few items give a median far from the others'. A cut at the smallest
-// median, not weighted, fails every exact case.
+// order, whose sorted runs keep hot intervals splitting. Arrivals go round
+// robin; or site 0 takes one in 50 and the others share the rest, so site
+// 0's few items give a median far from the others'; or the value picks the
+// site ("by-value"): sites 1..k−1 share every arrival in the lowest eighth
+// of the key range and one in 50 elsewhere, and site 0 takes the rest. Above
+// the eighth an interval then holds nearly all its items at site 0 and one
+// or two at each other site, whose medians fall anywhere in it, so only the
+// n_j weights place the cut near site 0's median: a cut at the unweighted
+// median of the sites' medians fails the exact uniform by-value case.
 func TestSplitBalance(t *testing.T) {
 	const k = 4
 	for _, sketch := range []bool{false, true} {
 		for _, gen := range []struct {
 			name string
 			gen  func(n int64) stream.Generator
+			top  uint64 // the end of the key range
 		}{
-			{"uniform", func(n int64) stream.Generator { return distinctUniform(n, 61) }},
+			{"uniform", func(n int64) stream.Generator { return distinctUniform(n, 61) }, 1 << (30 + stream.PerturbBits)},
 			{"zipf", func(n int64) stream.Generator {
 				return stream.PerturbTies(stream.Zipf(1<<20, n, 1.3, 62), stream.TiesAscending)
-			}},
+			}, 1 << (20 + stream.PerturbBits)},
 		} {
 			for _, assign := range []struct {
 				name string
-				site func(i int) int
+				site func(i int, x uint64) int
 			}{
-				{"round-robin", func(i int) int { return i % k }},
-				{"skewed", func(i int) int {
+				{"round-robin", func(i int, _ uint64) int { return i % k }},
+				{"skewed", func(i int, _ uint64) int {
 					if i%50 == 0 {
 						return 0
 					}
 					return 1 + i%(k-1)
+				}},
+				{"by-value", func(i int, x uint64) int {
+					if x < gen.top/8 || i%50 == 0 {
+						return 1 + i%(k-1)
+					}
+					return 0
 				}},
 			} {
 				name := fmt.Sprintf("sketch=%t/%s/%s", sketch, gen.name, assign.name)
@@ -128,7 +140,7 @@ func TestSplitBalance(t *testing.T) {
 // out").
 const splitSketchSlack = 5
 
-func splitBalance(t *testing.T, cfg Config, gen func(n int64) stream.Generator, site func(i int) int) {
+func splitBalance(t *testing.T, cfg Config, gen func(n int64) stream.Generator, site func(i int, x uint64) int) {
 	tr, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +184,7 @@ func splitBalance(t *testing.T, cfg Config, gen func(n int64) stream.Generator, 
 	})
 	for i, x := range xs {
 		truth.Add(x) // before the arrival: a split in its escalation sees it
-		tr.Feed(site(i), x)
+		tr.Feed(site(i, x), x)
 		checkResplit(t, "feed", tr)
 	}
 	if splits < 30 {
