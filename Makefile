@@ -52,10 +52,11 @@ test-shuffle:
 # where a report or cascade that touches another site without Engine.All
 # races with that site's fast path (deleting one All call per kind fails this
 # line), each checked against its kind's ε-law once the feeders finish, and
-# each kind's law list (TestLaws) on concurrent feeders, in exact and sketch
-# mode, on streams with and without 0 and math.MaxUint64 (the universe's
-# ends): every law checked under Quiesce once they finish (the delta laws:
-# coordinator plus site counts sum to the exact counts; the ε-laws: every
+# each kind's law list on concurrent feeders (the Concurrent leg of every
+# law test, which one concurrent pass per configuration serves), in exact
+# and sketch mode, on streams with and without 0 and math.MaxUint64 (the
+# universe's ends): every law checked under Quiesce once they finish (the
+# delta laws: coordinator plus site counts sum to the exact counts; the ε-laws: every
 # tracked quantile within ε·n of its rank, every φ-heavy hitter reported and
 # nothing under (φ−ε)·n, allq's ranks within ε·n at every leaf edge), and
 # every message replayed through the laws' taps as it is sent, on the
@@ -82,7 +83,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
 	$(GO) test -race -count=10 -run TestBootstrapReadsChangeNoState ./internal/core/quantile ./internal/core/allq
 	$(GO) test -race -count=20 -run 'TestEngineConformanceMockPolicy/(ConcurrentStress|ConcurrentBatchStress)|TestSlowPathBudgets|TestBootstrapBatchDrain|TestSlowPathHoldSampled|TestReportHoldsOnlyItsSite|TestCascadesCounted' ./internal/core/engine
-	$(GO) test -race -count=10 -run 'TestEngineConformance/.*/(ConcurrentStress|ConcurrentBatchStress)|TestLaws/.*/Concurrent' ./internal/core/quantile ./internal/core/allq ./internal/core/hh
+	$(GO) test -race -count=10 -run 'TestEngineConformance/.*/(ConcurrentStress|ConcurrentBatchStress)|TestDeltaLaw/.*/Concurrent|TestEpsLaw/.*/Concurrent|TestRoundMergeLaw/.*/Concurrent|TestSplitBalance/.*/Concurrent|TestSubtreeBroadcast/law.*/Concurrent|TestRoundMessages/Concurrent|TestRoundMessages/sketch/Concurrent|TestMessageReplay/.*/Concurrent' ./internal/core/quantile ./internal/core/allq ./internal/core/hh
 	$(GO) test -race -count=40 -run TestSiteNodeConcurrentProducers ./internal/service
 	$(GO) test -race -count=40 -run TestStopUnderLoad ./internal/runtime
 	$(GO) test -race -count=20 -run 'TestClientRedialPartitionAndHeal|TestCloseDuringBackoff|TestServerBreakerRefusesFlappingNode' ./internal/remote

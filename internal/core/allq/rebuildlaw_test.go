@@ -52,7 +52,7 @@ func (w *buildWatch) next() (fresh []*node, rounds, rebuilds, splits int) {
 
 // TestRebuildBuildLaw checks buildSubtree's derivation (docs/architecture.md,
 // "allq rebuilds sample at εm/32k") right after every partial rebuild;
-// round builds merge old leaves instead (the round-merge law of TestLaws), and leaf splits
+// round builds merge old leaves instead (TestRoundMergeLaw), and leaf splits
 // cut at a median of medians (TestSplitBalance). Site j's separators close
 // every w items of its part of [lo, hi), so below any value its exact count
 // exceeds its sampled weight by a residue in [0, w − 1], and by exactly
@@ -582,9 +582,11 @@ func cloneTree(u, parent *node) *node {
 // the whole tree at the handoff or to a joining site, "round-req",
 // "rb-req", "rb-seps" and "rb-counts", and a leaf split's "split-req",
 // "split-resp", "split-apply" and "split-counts". Three streams feed one
-// arrival a call; TestLaws runs the same replay through the engine's law
-// schedules (batches, a restore, a grow and a shrink, and the concurrent
-// schedule, replayed from its first message).
+// arrival a call; the "law" legs run the same replay through the law
+// schedules (lawConfig: batches, a restore, a grow and a shrink, and the
+// concurrent schedule, replayed from its first message) on every
+// configuration of the law tests, "law" itself on exact sites and a uniform
+// stream.
 func TestSubtreeBroadcast(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -615,6 +617,10 @@ func TestSubtreeBroadcast(t *testing.T) {
 					r.merges, r.wideMerges, r.cuts, r.wideSubtrees)
 			}
 		})
+	}
+	t.Run("law", func(t *testing.T) { runReplayLaw(t, "exact") })
+	for _, name := range []string{"sketch", "exact-ends", "sketch-ends", "zipf"} {
+		t.Run("law-"+name, func(t *testing.T) { runReplayLaw(t, name) })
 	}
 }
 

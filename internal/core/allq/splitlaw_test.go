@@ -172,14 +172,15 @@ func (w *cutWatch) atRest(label string, truth *oracle.Counter) {
 	}
 }
 
-// TestSplitBalance is the split-balance law (cutWatch) on per-leaf site
-// loads that differ by orders of magnitude, which the law schedules of
-// TestLaws never make: the value picks the site (siteByValue), one arrival a
-// call, in both store modes. Above the lowest eighth of the key range a leaf
-// then holds nearly all its items at site 0 and one or two at each other
-// site, whose medians fall anywhere in it, so only the n_j weights place the
-// cut near site 0's median: a cut at the unweighted median of the sites'
-// medians fails both legs.
+// TestSplitBalance checks the split-balance law (cutWatch) through the law
+// schedules (lawConfig: runSplitLaw) in both store modes and on the Zipf
+// stream, and, one arrival a call, on per-leaf site loads that differ by
+// orders of magnitude, which the law schedules never make: the value picks
+// the site (siteByValue), in both store modes ("by-value"). Above the lowest
+// eighth of the key range a leaf then holds nearly all its items at site 0
+// and one or two at each other site, whose medians fall anywhere in it, so
+// only the n_j weights place the cut near site 0's median: a cut at the
+// unweighted median of the sites' medians fails both "by-value" legs.
 func TestSplitBalance(t *testing.T) {
 	const k = 4
 	for _, sketch := range []bool{false, true} {
@@ -208,8 +209,14 @@ func TestSplitBalance(t *testing.T) {
 				}
 				t.Logf("%d cuts; the smaller half held at least %.3f of its leaf", w.cuts, w.worst)
 			})
+			if sketch {
+				runSplitLaw(t, "sketch")
+			} else {
+				runSplitLaw(t, "exact")
+			}
 		})
 	}
+	t.Run("zipf", func(t *testing.T) { runSplitLaw(t, "zipf") })
 }
 
 // siteByValue is the site of arrival i, x, of a distinct uniform stream

@@ -72,8 +72,8 @@ func checkResplit(tb testing.TB, label string, tr *Tracker) {
 }
 
 // TestSplitBalance is the split-balance law on per-site loads the round
-// robin of TestLaws' schedules never makes: every split of a tracker fed
-// one arrival at a time is rebuilt from its messages, and
+// robin of the law schedules (lawConfig) never makes: every split of a
+// tracker fed one arrival at a time is rebuilt from its messages, and
 //
 //   - "split-resp" has the length checkSplitResp names: one word when n_j
 //     and the median's offset fit beside the width header, and n_j = 0
