@@ -12,7 +12,7 @@ import (
 )
 
 // lawConfig is allq's law list on one configuration of its law tests, and
-// what the laws saw over every pass fed so far. The law schedules
+// what the laws saw on the last pass of each schedule. The law schedules
 // (enginetest.LawList: Feed and FeedLocalBatch at B ∈ {1, 16, 512, 4096},
 // round robin, one-site bursts and random chunks, a checkpoint restore, a
 // Reconfigure grow and shrink, and one goroutine per site under -race) feed
@@ -41,13 +41,27 @@ type lawConfig struct {
 	sketch, ends bool
 	stream       enginetest.Stream
 
-	laws                  *enginetest.LawList       // made on first use (lawsOf)
-	maxThr                int64                     // the largest node batch the delta law saw
-	rankWorst, quantWorst float64                   // the ε-law's largest errors
-	legs                  map[string]map[string]int // round builds checked by cause, by schedule
+	laws *enginetest.LawList // made on first use (lawsOf)
+	seen map[string]*seen    // by schedule, its last pass
+}
+
+// seen is what the laws saw on one pass of a schedule, for the law tests'
+// whole-run gates.
+type seen struct {
+	maxThr                int64          // the largest node batch the delta law saw
+	rankWorst, quantWorst float64        // the ε-law's largest errors
+	legs                  map[string]int // round builds checked, by cause
 	cuts                  []*cutWatch
 	replays               []*replay
-	grown                 bool // a schedule of calls ran the replay, so a site joined
+}
+
+// on returns what the laws saw on the pass tb feeds.
+func (c *lawConfig) on(tb testing.TB) *seen {
+	sched := enginetest.ScheduleOf(tb)
+	if c.seen[sched] == nil {
+		c.seen[sched] = &seen{legs: map[string]int{}}
+	}
+	return c.seen[sched]
 }
 
 // lawConfigs are the configurations of the law tests, by name: k = 4,
@@ -70,7 +84,7 @@ func lawsOf(name string) *lawConfig {
 	if c.laws != nil {
 		return c
 	}
-	c.legs = map[string]map[string]int{}
+	c.seen = map[string]*seen{}
 	cfg := enginetest.Config{
 		New: func(tb testing.TB) core.Tracker {
 			tr, err := New(Config{K: 4, Eps: 0.1, Sketch: c.sketch})
@@ -89,35 +103,34 @@ func lawsOf(name string) *lawConfig {
 			truth = nil
 		}
 		checkDeltaLaw(tb, label, tr, truth)
-		if !tr.Bootstrapping() {
-			c.maxThr = max(c.maxThr, tr.p.thrNode)
+		if s := c.on(tb); !tr.Bootstrapping() {
+			s.maxThr = max(s.maxThr, tr.p.thrNode)
 		}
 	})
 	eps := enginetest.Invariant(func(tb testing.TB, label string, tr core.Tracker, truth *oracle.Counter) {
 		r, q := checkEpsLaw(tb, label, tr.(*Tracker), truth)
-		c.rankWorst, c.quantWorst = max(c.rankWorst, r), max(c.quantWorst, q)
+		s := c.on(tb)
+		s.rankWorst, s.quantWorst = max(s.rankWorst, r), max(s.quantWorst, q)
 	})
 	merge := func(tb testing.TB, ctr core.Tracker) enginetest.Watch {
 		tr := ctr.(*Tracker)
-		if c.legs[tb.Name()] == nil {
-			c.legs[tb.Name()] = map[string]int{}
-		}
-		w := &mergeWatch{tb: tb, tr: tr, counts: c.legs[tb.Name()], k: tr.K()}
+		w := &mergeWatch{tb: tb, tr: tr, counts: c.on(tb).legs, k: tr.K()}
 		return enginetest.Watch{Tap: w.tap, Check: w.atRest}
 	}
 	split := func(tb testing.TB, ctr core.Tracker) enginetest.Watch {
 		var lag int64 // sketch cuts are checked against the truth on one arrival a call
-		if name := tb.Name(); strings.HasSuffix(name, "/feed") || strings.HasSuffix(name, "/B1") {
+		if sched := enginetest.ScheduleOf(tb); sched == "feed" || sched == "B1" {
 			lag = 1
 		}
 		w := newCutWatch(tb, ctr.(*Tracker), lag)
-		c.cuts = append(c.cuts, w)
+		s := c.on(tb)
+		s.cuts = append(s.cuts, w)
 		return enginetest.Watch{Tap: w.tap, Check: w.atRest}
 	}
 	rep := func(tb testing.TB, ctr core.Tracker) enginetest.Watch {
 		r := newReplay(tb, ctr.(*Tracker))
-		c.replays = append(c.replays, r)
-		c.grown = c.grown || !strings.HasSuffix(tb.Name(), "/Concurrent")
+		s := c.on(tb)
+		s.replays = append(s.replays, r)
 		return enginetest.Watch{Tap: r.tap, Check: r.atRest}
 	}
 	laws := []enginetest.NamedLaw{
@@ -130,6 +143,7 @@ func lawsOf(name string) *lawConfig {
 		laws = append(laws, enginetest.NamedLaw{Name: "split", Law: split})
 	}
 	c.laws = enginetest.NewLawList(cfg, laws...)
+	c.laws.Fresh = func(sched string) { delete(c.seen, sched) }
 	return c
 }
 
@@ -146,8 +160,12 @@ func TestDeltaLaw(t *testing.T) {
 					t.Fatalf("%d rounds, %d node reports: too short a stream", tr.Rounds(), tr.Meter().Kind("nd").Msgs)
 				}
 			}
-			if c.maxThr < 4 {
-				t.Fatalf("largest node batch %d: the delta law was never tested on batched reports", c.maxThr)
+			var maxThr int64
+			for _, s := range c.seen {
+				maxThr = max(maxThr, s.maxThr)
+			}
+			if maxThr < 4 {
+				t.Fatalf("largest node batch %d: the delta law was never tested on batched reports", maxThr)
 			}
 		})
 	}
@@ -164,7 +182,11 @@ func TestEpsLaw(t *testing.T) {
 					t.Fatalf("%d rounds: too short a stream", tr.Rounds())
 				}
 			}
-			t.Logf("largest Rank error %.4f of its budget, largest Quantile error %.4f·ε|A|", c.rankWorst, c.quantWorst)
+			var rankWorst, quantWorst float64
+			for _, s := range c.seen {
+				rankWorst, quantWorst = max(rankWorst, s.rankWorst), max(quantWorst, s.quantWorst)
+			}
+			t.Logf("largest Rank error %.4f of its budget, largest Quantile error %.4f·ε|A|", rankWorst, quantWorst)
 		})
 	}
 }
@@ -180,20 +202,20 @@ func TestRoundMergeLaw(t *testing.T) {
 			c.laws.Run(t, "merge")
 			var summary []string
 			heights := 0
-			for leg, counts := range c.legs {
+			for sched, s := range c.seen {
 				want := []string{"first", "doubling"}
-				if !strings.HasSuffix(leg, "/Concurrent") {
+				if sched != "Concurrent" {
 					want = append(want, "grow", "shrink")
 				}
 				for _, cause := range want {
-					if counts[cause] == 0 {
-						t.Errorf("%s: no %s round checked (%v)", leg, cause, counts)
+					if s.legs[cause] == 0 {
+						t.Errorf("%s: no %s round checked (%v)", sched, cause, s.legs)
 					}
 				}
-				heights += counts["height"]
-				summary = append(summary, fmt.Sprintf("%s %v", leg[strings.LastIndex(leg, "/")+1:], counts))
+				heights += s.legs["height"]
+				summary = append(summary, fmt.Sprintf("%s %v", sched, s.legs))
 			}
-			if c.stream == enginetest.AscendingTiesZipf && len(c.legs) > 1 && heights == 0 {
+			if c.stream == enginetest.AscendingTiesZipf && len(c.seen) > 1 && heights == 0 {
 				t.Errorf("no round forced by the height cap checked")
 			}
 			slices.Sort(summary)
@@ -212,13 +234,16 @@ func runSplitLaw(t *testing.T, name string) {
 		return // -run chose the by-value leg alone
 	}
 	var n, sketchCuts int
-	worst := 0.5
-	for _, w := range c.cuts {
-		n += w.cuts
-		sketchCuts += w.sketchCuts
-		worst = min(worst, w.worst)
+	worst, truthCut := 0.5, false
+	for _, s := range c.seen {
+		for _, w := range s.cuts {
+			n += w.cuts
+			sketchCuts += w.sketchCuts
+			worst = min(worst, w.worst)
+			truthCut = truthCut || w.lag > 0
+		}
 	}
-	if n < 30 || c.sketch && sketchCuts == 0 && slices.ContainsFunc(c.cuts, func(w *cutWatch) bool { return w.lag > 0 }) {
+	if n < 30 || c.sketch && sketchCuts == 0 && truthCut {
 		t.Fatalf("%d cuts (%d against the truth): too few to check", n, sketchCuts)
 	}
 	t.Logf("%d cuts (%d sketch cuts against the truth); the smaller half held at least %.3f of its leaf", n, sketchCuts, worst)
@@ -231,10 +256,14 @@ func runReplayLaw(t *testing.T, name string) {
 	c := lawsOf(name)
 	c.laws.Run(t, "replay")
 	var merges, joins, splits int
-	for _, r := range c.replays {
-		merges, joins, splits = merges+r.merges, joins+r.joins, splits+r.cuts
+	grown := false // a schedule of calls ran the replay, so a site joined
+	for sched, s := range c.seen {
+		for _, r := range s.replays {
+			merges, joins, splits = merges+r.merges, joins+r.joins, splits+r.cuts
+		}
+		grown = grown || sched != "Concurrent"
 	}
-	if merges == 0 || c.grown && joins == 0 || splits == 0 {
+	if merges == 0 || grown && joins == 0 || splits == 0 {
 		t.Fatalf("%d merges, %d joining sites, %d leaf splits: nothing replayed", merges, joins, splits)
 	}
 	t.Logf("%d merges, %d joining sites, %d leaf splits replayed", merges, joins, splits)

@@ -25,8 +25,9 @@ type Watch struct {
 	// is sent: the harness installs one tap on each tracker
 	// (wire.Meter.SetTap) that shows every message to every law's Tap. On a
 	// concurrent schedule it runs on the feeders' goroutines, under the
-	// engine's locks, so it must not stop the test: it reports a failure
-	// with Errorf and leaves Check to stop.
+	// engine's locks. In a LawList it may stop its own law with Fatal, as
+	// Check may (the rest of the pass goes on); a CheckFinal tap must not
+	// stop the test.
 	Tap func(kind string, site int, words []uint64)
 	// Check checks the law against truth, the exact multiset of every
 	// arrival fed so far, with no feed in flight: a LawList calls it between
@@ -56,7 +57,7 @@ func Sparse(law Law, n int, schedules ...string) Law {
 	return func(tb testing.TB, tr core.Tracker) Watch {
 		w := law(tb, tr)
 		name := tb.Name()
-		if !slices.ContainsFunc(schedules, func(s string) bool { return strings.HasSuffix(name, "/"+s) }) {
+		if !slices.Contains(schedules, ScheduleOf(tb)) {
 			return w
 		}
 		check, k := w.Check, 0 // k 0: a new tracker
@@ -71,6 +72,13 @@ func Sparse(law Law, n int, schedules ...string) Law {
 		}
 		return w
 	}
+}
+
+// ScheduleOf returns the schedule a LawList feeds in tb ("feed", "B1", ...,
+// "Concurrent"): the last element of its name.
+func ScheduleOf(tb testing.TB) string {
+	name := tb.Name()
+	return name[strings.LastIndex(name, "/")+1:]
 }
 
 // newTracker makes a tracker of cfg and one Watch of each law on it, with one
@@ -160,6 +168,12 @@ type NamedLaw struct {
 // it has reported (go test -count) feeds a fresh pass. Its tests must not
 // run in parallel.
 type LawList struct {
+	// Fresh, if non-nil, is called with a schedule's name as a pass of it
+	// begins, before its first tracker: a caller that gathers what the laws
+	// saw for its whole-run gates drops the schedule's last pass there, so
+	// a gate reads the current pass of each schedule and no other.
+	Fresh func(schedule string)
+
 	cfg   Config
 	laws  []NamedLaw
 	items []uint64            // the stream of the sequential schedules, made on first use
@@ -209,6 +223,9 @@ func (l *LawList) Run(t *testing.T, name string) []core.Tracker {
 
 // feed makes one pass of every law over sched, in the subtest t.
 func (l *LawList) feed(t *testing.T, sched schedule) *lawPass {
+	if l.Fresh != nil {
+		l.Fresh(sched.name)
+	}
 	p := &lawPass{feeder: t.Name(), harness: &lawTB{TB: t}, laws: map[string]*lawTB{}, reported: map[string]bool{}}
 	laws := make([]Law, len(l.laws))
 	for i, law := range l.laws {
@@ -270,6 +287,10 @@ func (r *lawTB) Errorf(format string, args ...any) { r.fail(fmt.Sprintf(format, 
 func (r *lawTB) Fatal(args ...any)                 { r.Error(args...); r.FailNow() }
 func (r *lawTB) Fatalf(format string, args ...any) { r.Errorf(format, args...); r.FailNow() }
 func (r *lawTB) Fail()                             { r.fail("") }
+
+// Helper does nothing: a lawTB's failures are printed later, by the law
+// tests that report them, so no line of the law's own is ever marked.
+func (r *lawTB) Helper() {}
 
 func (r *lawTB) fail(e string) {
 	r.mu.Lock()

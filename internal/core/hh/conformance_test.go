@@ -11,8 +11,9 @@ import (
 // TestEngineConformance runs the shared engine conformance suite
 // (sequential/batch equivalence, concurrent -race stress, meter
 // conservation — see package enginetest) over both site stores, with
-// state-equality checks and the ε-law (checkEpsLaw) after each concurrent
-// run plugged in.
+// state-equality checks plugged in, and after each concurrent run the
+// ε-law (checkEpsLaw) and, with exact sites, invariants (2) and (3)
+// (checkInvariants).
 func TestEngineConformance(t *testing.T) {
 	const (
 		k   = 4
@@ -55,11 +56,26 @@ func TestEngineConformance(t *testing.T) {
 						}
 					}
 				},
-				CheckFinal: enginetest.Invariant(func(tb testing.TB, label string, tr core.Tracker, truth *oracle.Counter) {
+				CheckFinal: enginetest.Invariant(func(tb testing.TB, label string, ctr core.Tracker, truth *oracle.Counter) {
+					tr := ctr.(*Tracker)
 					if tr.Rounds() < 2 {
 						tb.Fatalf("%s: %d rounds: the ε-law was never checked in the tracking phase", label, tr.Rounds())
 					}
-					checkEpsLaw(tb, label, tr.(*Tracker), truth)
+					checkEpsLaw(tb, label, tr, truth)
+					if tc.sketch {
+						return
+					}
+					// Invariants (2) and (3), at rest, on every key the
+					// coordinator counts and every key of count ≥ εm/4:
+					// only a key of count ≥ εm/3 can lag by εm/3.
+					items := map[uint64]int64{}
+					for x := range tr.p.cmx {
+						items[x] = truth.Count(x)
+					}
+					for _, x := range truth.HeavyHitters(eps / 4) {
+						items[x] = truth.Count(x)
+					}
+					checkInvariants(tb, tr, items, tr.TrueTotal(), int(tr.TrueTotal()))
 				}),
 			}
 			enginetest.Run(t, cfg)

@@ -110,24 +110,24 @@ func TestContractShiftingDistribution(t *testing.T) {
 
 // checkInvariants asserts the paper's invariants (3) and (2) for an
 // exact-mode tracker that has seen n arrivals with frequencies truth:
-// m − εm/3 < C.m ≤ m, and m_x − εm/3 < C.m_x ≤ m_x for every seen item.
-func checkInvariants(t *testing.T, tr *Tracker, truth map[uint64]int64, n int64, step int) {
-	t.Helper()
+// m − εm/3 < C.m ≤ m, and m_x − εm/3 < C.m_x ≤ m_x for every item of truth.
+func checkInvariants(tb testing.TB, tr *Tracker, truth map[uint64]int64, n int64, step int) {
+	tb.Helper()
 	slack := tr.Eps() * float64(n) / 3
 	cm := tr.EstTotal()
 	if cm > n {
-		t.Fatalf("step %d: C.m=%d exceeds m=%d", step, cm, n)
+		tb.Fatalf("step %d: C.m=%d exceeds m=%d", step, cm, n)
 	}
 	if float64(n-cm) >= slack {
-		t.Fatalf("step %d: C.m=%d lags m=%d beyond εm/3", step, cm, n)
+		tb.Fatalf("step %d: C.m=%d lags m=%d beyond εm/3", step, cm, n)
 	}
 	for x, mx := range truth {
 		cmx := tr.EstFrequency(x)
 		if cmx > mx {
-			t.Fatalf("step %d: C.m_%d=%d exceeds true %d (exact mode)", step, x, cmx, mx)
+			tb.Fatalf("step %d: C.m_%d=%d exceeds true %d (exact mode)", step, x, cmx, mx)
 		}
 		if float64(mx-cmx) >= slack {
-			t.Fatalf("step %d: C.m_%d=%d lags true %d beyond εm/3", step, x, cmx, mx)
+			tb.Fatalf("step %d: C.m_%d=%d lags true %d beyond εm/3", step, x, cmx, mx)
 		}
 	}
 }

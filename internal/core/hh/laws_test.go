@@ -9,7 +9,7 @@ import (
 )
 
 // lawConfig is hh's law list on one configuration of its law tests, and
-// what the laws saw over every pass fed so far. The law schedules
+// what the laws saw on the last pass of each schedule. The law schedules
 // (enginetest.LawList: Feed and FeedLocalBatch at B ∈ {1, 16, 512, 4096},
 // round robin, one-site bursts and random chunks, a checkpoint restore, a
 // Reconfigure grow and shrink, and one goroutine per site under -race) feed
@@ -28,9 +28,24 @@ type lawConfig struct {
 	k            int
 	sketch, ends bool
 
-	laws    *enginetest.LawList // made on first use (lawsOf)
-	worst   float64             // the ε-law's lowest reported key under φ|A|, over ε|A|
+	laws *enginetest.LawList // made on first use (lawsOf)
+	seen map[string]*seen    // by schedule, its last pass
+}
+
+// seen is what the laws saw on one pass of a schedule, for the law tests'
+// whole-run gates.
+type seen struct {
+	worst   float64 // the ε-law's lowest reported key under φ|A|, over ε|A|
 	replays []*msgReplay
+}
+
+// on returns what the laws saw on the pass tb feeds.
+func (c *lawConfig) on(tb testing.TB) *seen {
+	sched := enginetest.ScheduleOf(tb)
+	if c.seen[sched] == nil {
+		c.seen[sched] = &seen{}
+	}
+	return c.seen[sched]
 }
 
 // lawConfigs are the configurations of the law tests, by name: ε = 0.05,
@@ -52,6 +67,7 @@ func lawsOf(name string) *lawConfig {
 	if c.laws != nil {
 		return c
 	}
+	c.seen = map[string]*seen{}
 	cfg := enginetest.Config{
 		New: func(tb testing.TB) core.Tracker {
 			tr, err := New(Config{K: c.k, Eps: 0.05, Sketch: c.sketch})
@@ -65,17 +81,20 @@ func lawsOf(name string) *lawConfig {
 		Ends:    c.ends,
 	}
 	eps := enginetest.Invariant(func(tb testing.TB, label string, tr core.Tracker, truth *oracle.Counter) {
-		c.worst = max(c.worst, checkEpsLaw(tb, label, tr.(*Tracker), truth))
+		s := c.on(tb)
+		s.worst = max(s.worst, checkEpsLaw(tb, label, tr.(*Tracker), truth))
 	})
 	replay := func(tb testing.TB, ctr core.Tracker) enginetest.Watch {
 		tr := ctr.(*Tracker)
 		r := &msgReplay{cmx: map[uint64]int64{}, base: map[string]int64{}, sent: map[string]int64{}}
-		c.replays = append(c.replays, r)
+		s := c.on(tb)
+		s.replays = append(s.replays, r)
 		return enginetest.Watch{Tap: r.tap, Check: func(label string, _ *oracle.Counter) { r.check(tb, label, tr) }}
 	}
 	c.laws = enginetest.NewLawList(cfg,
 		enginetest.NamedLaw{Name: "eps", Law: enginetest.Sparse(eps, epsLawStride, "feed", "B1", "B16", "B16-burst")},
 		enginetest.NamedLaw{Name: "replay", Law: replay})
+	c.laws.Fresh = func(sched string) { delete(c.seen, sched) }
 	return c
 }
 
@@ -96,7 +115,11 @@ func TestEpsLaw(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			c := lawsOf(name)
 			checkRounds(t, c.laws.Run(t, "eps"))
-			t.Logf("lowest reported key %.4f·ε|A| under φ|A|", c.worst)
+			worst := 0.0
+			for _, s := range c.seen {
+				worst = max(worst, s.worst)
+			}
+			t.Logf("lowest reported key %.4f·ε|A| under φ|A|", worst)
 		})
 	}
 }
@@ -119,9 +142,11 @@ func TestMessageReplay(t *testing.T) {
 			lc := lawsOf(c.config)
 			checkRounds(t, lc.laws.Run(t, "replay"))
 			var freq [3]int
-			for _, r := range lc.replays {
-				freq[1] += r.freqWords[1]
-				freq[2] += r.freqWords[2]
+			for _, s := range lc.seen {
+				for _, r := range s.replays {
+					freq[1] += r.freqWords[1]
+					freq[2] += r.freqWords[2]
+				}
 			}
 			if freq[1] == 0 || lc.ends && freq[2] == 0 {
 				t.Fatalf("%d one-word and %d two-word \"freq\" reports: both forms must be replayed", freq[1], freq[2])

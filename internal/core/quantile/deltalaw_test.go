@@ -65,14 +65,15 @@ func checkDeltaLaw(tb testing.TB, label string, tr *Tracker, truth *oracle.Count
 // thrTot the ending round's. totEst only rises, by thrTot a report, and the
 // round ends at the report that brings it to 2m, so totEst < 2m + thrTot
 // then; every other site holds under thrTot unreported. m′ is the exact |A|
-// with the exact store. A call that opens more than one round (a batch of
-// thousands early in the stream) hides the middle rounds' m, so its rounds
-// are not checked.
+// with the exact store. A call must open one round at most, except on the
+// schedules of calls of thousands (multi): there one early call may open
+// several, which hides the middle rounds' m, and such a call is not
+// checked.
 type roundLag struct {
 	k, rounds int
 	m, thrTot int64
-	checked   map[string]int // rounds checked, by schedule
-	lates     *int           // rounds that opened past 2m
+	multi     bool  // a call may open more than one round
+	seen      *seen // counts the rounds checked and the late ones
 }
 
 func (l *roundLag) check(tb testing.TB, label string, tr *Tracker) {
@@ -81,20 +82,24 @@ func (l *roundLag) check(tb testing.TB, label string, tr *Tracker) {
 	if label == "concurrent" {
 		return // one call at rest: no round change to see
 	}
-	if _, ok := l.checked[tb.Name()]; !ok {
-		l.checked[tb.Name()] = 0
-	}
 	if tr.Bootstrapping() {
 		return
 	}
-	if l.k == tr.K() && l.rounds > 0 && tr.Rounds() == l.rounds+1 {
-		if lag := p.m - 2*l.m; lag < 0 || lag >= int64(tr.K())*l.thrTot {
+	if l.k == tr.K() && l.rounds > 0 && tr.Rounds() != l.rounds {
+		switch lag := p.m - 2*l.m; {
+		case tr.Rounds() != l.rounds+1:
+			if !l.multi {
+				tb.Fatalf("%s: |A|=%d: %d rounds in one call", label, tr.TrueTotal(), tr.Rounds()-l.rounds)
+			}
+		case lag < 0 || lag >= int64(tr.K())*l.thrTot:
 			tb.Fatalf("%s: round %d opened at m′ = %d after m = %d: lag %d outside [0, k·thrTot = %d)",
 				label, tr.Rounds(), p.m, l.m, lag, int64(tr.K())*l.thrTot)
-		} else if lag > 0 {
-			*l.lates++
+		default:
+			if lag > 0 {
+				l.seen.lates++
+			}
+			l.seen.lagChecked++
 		}
-		l.checked[tb.Name()]++
 	}
 	l.k, l.rounds, l.m, l.thrTot = tr.K(), tr.Rounds(), p.m, p.thrTot
 }

@@ -1,7 +1,6 @@
 package quantile
 
 import (
-	"strings"
 	"testing"
 
 	"disttrack/internal/core"
@@ -10,7 +9,7 @@ import (
 )
 
 // lawConfig is quantile's law list on one configuration of its law tests,
-// and what the laws saw over every pass fed so far. The law schedules
+// and what the laws saw on the last pass of each schedule. The law schedules
 // (enginetest.LawList: Feed and FeedLocalBatch at B ∈ {1, 16, 512, 4096},
 // round robin, one-site bursts and random chunks, a checkpoint restore, a
 // Reconfigure grow and shrink, and one goroutine per site under -race) feed
@@ -31,12 +30,27 @@ import (
 type lawConfig struct {
 	sketch, ends bool
 
-	laws       *enginetest.LawList // made on first use (lawsOf)
-	maxThr     int64               // the largest interval batch the delta law saw
-	lagChecked map[string]int      // rounds the round-lag law checked, by schedule
-	lates      int                 // of those, rounds that opened past 2m
-	worst      float64             // the ε-law's largest error over ε
+	laws *enginetest.LawList // made on first use (lawsOf)
+	seen map[string]*seen    // by schedule, its last pass
+}
+
+// seen is what the laws saw on one pass of a schedule, for the law tests'
+// whole-run gates.
+type seen struct {
+	maxThr     int64   // the largest interval batch the delta law saw
+	lagChecked int     // rounds the round-lag law checked
+	lates      int     // of those, rounds that opened past 2m
+	worst      float64 // the ε-law's largest error over ε
 	replays    []*roundReplay
+}
+
+// on returns what the laws saw on the pass tb feeds.
+func (c *lawConfig) on(tb testing.TB) *seen {
+	sched := enginetest.ScheduleOf(tb)
+	if c.seen[sched] == nil {
+		c.seen[sched] = &seen{}
+	}
+	return c.seen[sched]
 }
 
 // lawConfigs are the configurations of the law tests, by name: k = 4,
@@ -56,7 +70,7 @@ func lawsOf(name string) *lawConfig {
 	if c.laws != nil {
 		return c
 	}
-	c.lagChecked = map[string]int{}
+	c.seen = map[string]*seen{}
 	cfg := enginetest.Config{
 		New: func(tb testing.TB) core.Tracker {
 			tr, err := New(Config{K: 4, Eps: 0.1, Phis: []float64{0.01, 0.5, 0.99}, Sketch: c.sketch})
@@ -70,8 +84,9 @@ func lawsOf(name string) *lawConfig {
 		Ends:   c.ends,
 	}
 	delta := func(tb testing.TB, ctr core.Tracker) enginetest.Watch {
-		tr := ctr.(*Tracker)
-		lag := roundLag{checked: c.lagChecked, lates: &c.lates}
+		tr, s := ctr.(*Tracker), c.on(tb)
+		sched := enginetest.ScheduleOf(tb)
+		lag := roundLag{seen: s, multi: sched == "B4096" || sched == "random"}
 		return enginetest.Watch{Check: func(label string, truth *oracle.Counter) {
 			if c.sketch {
 				truth = nil
@@ -81,16 +96,18 @@ func lawsOf(name string) *lawConfig {
 				lag.check(tb, label, tr)
 			}
 			if !tr.Bootstrapping() {
-				c.maxThr = max(c.maxThr, tr.p.thrIv)
+				s.maxThr = max(s.maxThr, tr.p.thrIv)
 			}
 		}}
 	}
 	eps := enginetest.Invariant(func(tb testing.TB, label string, tr core.Tracker, truth *oracle.Counter) {
-		c.worst = max(c.worst, checkEpsLaw(tb, label, tr.(*Tracker), truth))
+		s := c.on(tb)
+		s.worst = max(s.worst, checkEpsLaw(tb, label, tr.(*Tracker), truth))
 	})
 	rep := func(tb testing.TB, ctr core.Tracker) enginetest.Watch {
 		r := newRoundReplay(tb, ctr.(*Tracker))
-		c.replays = append(c.replays, r)
+		s := c.on(tb)
+		s.replays = append(s.replays, r)
 		return enginetest.Watch{Tap: r.tap, Check: r.check}
 	}
 	laws := []enginetest.NamedLaw{
@@ -101,6 +118,7 @@ func lawsOf(name string) *lawConfig {
 		laws = append(laws, enginetest.NamedLaw{Name: "replay", Law: rep})
 	}
 	c.laws = enginetest.NewLawList(cfg, laws...)
+	c.laws.Fresh = func(sched string) { delete(c.seen, sched) }
 	return c
 }
 
@@ -109,7 +127,8 @@ func lawsOf(name string) *lawConfig {
 // with interval and total reports, some interval batch reached four
 // (32,000 items are over four doublings past the 1,280-item bootstrap), the
 // round-lag law checked two rounds on every schedule of calls up to 512
-// items (a call of thousands may open several rounds at once) and a round
+// items (a call of thousands may open several rounds at once, which the
+// law skips on those schedules alone) and a round
 // opened past 2m on the bursts of 16-item batches (a burst of 512-item
 // batches reaches 2m while the other sites hold nothing unreported).
 func TestDeltaLaw(t *testing.T) {
@@ -123,17 +142,18 @@ func TestDeltaLaw(t *testing.T) {
 						tr.Rounds(), tr.Meter().Kind("iv").Msgs, tr.Meter().Kind("tot").Msgs)
 				}
 			}
-			if c.maxThr < 4 {
-				t.Fatalf("largest interval batch %d: the delta law was never tested on batched reports", c.maxThr)
-			}
-			burst := false
-			for sched, n := range c.lagChecked {
-				if n < 2 && !strings.HasSuffix(sched, "/B4096") && !strings.HasSuffix(sched, "/random") {
-					t.Fatalf("%s: round-lag law checked on %d rounds: too few", sched, n)
+			var maxThr int64
+			lates := 0
+			for sched, s := range c.seen {
+				maxThr, lates = max(maxThr, s.maxThr), lates+s.lates
+				if !c.sketch && sched != "Concurrent" && sched != "B4096" && sched != "random" && s.lagChecked < 2 {
+					t.Fatalf("%s: round-lag law checked on %d rounds: too few", sched, s.lagChecked)
 				}
-				burst = burst || strings.HasSuffix(sched, "/B16-burst")
 			}
-			if burst && c.lates == 0 {
+			if maxThr < 4 {
+				t.Fatalf("largest interval batch %d: the delta law was never tested on batched reports", maxThr)
+			}
+			if c.seen["B16-burst"] != nil && !c.sketch && lates == 0 {
 				t.Fatalf("no round opened past 2m: the round-lag law was never tested on a late round")
 			}
 		})
@@ -151,7 +171,11 @@ func TestEpsLaw(t *testing.T) {
 					t.Fatalf("%d rounds: too short a stream", tr.Rounds())
 				}
 			}
-			t.Logf("largest error %.4f·ε", c.worst)
+			worst := 0.0
+			for _, s := range c.seen {
+				worst = max(worst, s.worst)
+			}
+			t.Logf("largest error %.4f·ε", worst)
 		})
 	}
 }
@@ -173,10 +197,12 @@ func checkRoundReplay(t *testing.T, name string) {
 	}
 	var roundReqs, merges, widest, splits, halves, drifts int
 	balance := 0.5
-	for _, r := range c.replays {
-		roundReqs, merges, widest = roundReqs+r.roundReqs, merges+r.merges, max(widest, r.widest)
-		splits, halves, drifts = splits+r.splits, halves+r.halves, drifts+r.reports.drifts
-		balance = min(balance, r.balance)
+	for _, s := range c.seen {
+		for _, r := range s.replays {
+			roundReqs, merges, widest = roundReqs+r.roundReqs, merges+r.merges, max(widest, r.widest)
+			splits, halves, drifts = splits+r.splits, halves+r.halves, drifts+r.reports.drifts
+			balance = min(balance, r.balance)
+		}
 	}
 	switch {
 	case roundReqs == 0:

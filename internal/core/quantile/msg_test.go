@@ -31,13 +31,12 @@ import (
 // "round-req" included, with the summed lengths of the encodings the tap
 // saw, and fails if an interval's coordinator count is at or over splitAt
 // (checkResplit). Its tap runs on the feeders' goroutines on a concurrent
-// schedule, so it checks through tapTB.
+// schedule; a failure there stops the law (enginetest.Watch).
 type roundReplay struct {
 	tb      testing.TB
 	tr      *Tracker
 	msgs    int
 	checked bool // check has run
-	failed  bool
 
 	views   [][]uint64       // each site's separators, from messages alone
 	batches [][2]int64       // each site's thrIv and thrTot, from messages alone
@@ -126,11 +125,7 @@ func (r *roundReplay) checkHalves(tb testing.TB, unapplied int64) {
 }
 
 func (r *roundReplay) tap(kind string, j int, words []uint64) {
-	if r.failed {
-		return
-	}
-	defer guard(&r.failed)
-	tb, tr, p := tapTB{r.tb}, r.tr, r.tr.p
+	tb, tr, p := r.tb, r.tr, r.tr.p
 	r.msgs++
 	var unapplied int64
 	if kind == "iv" {
@@ -214,9 +209,6 @@ func (r *roundReplay) tap(kind string, j int, words []uint64) {
 func (r *roundReplay) check(label string, _ *oracle.Counter) {
 	tb, tr, p := r.tb, r.tr, r.tr.p
 	tb.Helper()
-	if r.failed {
-		tb.FailNow()
-	}
 	if !r.checked && r.msgs == 0 {
 		r.begin()
 	}
@@ -246,37 +238,6 @@ func (r *roundReplay) check(label string, _ *oracle.Counter) {
 			tb.Fatalf("%s: |A|=%d: metered %d %q words, the encodings sent are %d words long",
 				label, tr.TrueTotal(), got, kind, r.sent[kind])
 		}
-	}
-}
-
-// tapTB is the testing.TB a tap checks through. A tap may run on a feeder
-// goroutine, which must not stop the test: Fatalf and Fatal report with
-// Errorf and unwind to the tap's deferred guard, which marks the replay
-// failed for its check at rest to stop on.
-type tapTB struct{ testing.TB }
-
-// tapFault is what tapTB unwinds with.
-type tapFault struct{}
-
-func (tb tapTB) Fatalf(format string, args ...any) {
-	tb.Helper()
-	tb.Errorf(format, args...)
-	panic(tapFault{})
-}
-
-func (tb tapTB) Fatal(args ...any) {
-	tb.Helper()
-	tb.Error(args...)
-	panic(tapFault{})
-}
-
-// guard, deferred by a tap, sets *failed when the tap failed through tapTB.
-func guard(failed *bool) {
-	if f := recover(); f != nil {
-		if _, ok := f.(tapFault); !ok {
-			panic(f)
-		}
-		*failed = true
 	}
 }
 
