@@ -52,18 +52,10 @@ test-shuffle:
 # where a report or cascade that touches another site without Engine.All
 # races with that site's fast path (deleting one All call per kind fails this
 # line), each checked against its kind's ε-law once the feeders finish, and
-# each kind's law list on concurrent feeders (the Concurrent leg of every
-# law test, which one concurrent pass per configuration serves), in exact
-# and sketch mode, on streams with and without 0 and math.MaxUint64 (the
-# universe's ends): every law checked under Quiesce once they finish (the
-# delta laws: coordinator plus site counts sum to the exact counts; the ε-laws: every
-# tracked quantile within ε·n of its rank, every φ-heavy hitter reported and
-# nothing under (φ−ε)·n, allq's ranks within ε·n at every leaf edge), and
-# every message replayed through the laws' taps as it is sent, on the
-# feeders' goroutines inside their holds (allq's round-merge and
-# split-balance laws and tree replay, quantile's round-message replay, hh's
-# message replay); the sixth repeats the site
-# node's producers-against-the-ticker
+# each kind's law list on concurrent feeders (TestLaws/<config>/Concurrent):
+# every law checked under Quiesce once they finish, and every message
+# replayed through the laws' taps on the feeders' goroutines inside their
+# holds; the sixth repeats the site node's producers-against-the-ticker
 # test, which catches a buffer shipped after the node's lock is released
 # (reordered or lost values; under -race about a third of runs fail);
 # the seventh repeats the cluster's senders against a cancelled context (no
@@ -83,7 +75,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
 	$(GO) test -race -count=10 -run TestBootstrapReadsChangeNoState ./internal/core/quantile ./internal/core/allq
 	$(GO) test -race -count=20 -run 'TestEngineConformanceMockPolicy/(ConcurrentStress|ConcurrentBatchStress)|TestSlowPathBudgets|TestBootstrapBatchDrain|TestSlowPathHoldSampled|TestReportHoldsOnlyItsSite|TestCascadesCounted' ./internal/core/engine
-	$(GO) test -race -count=10 -run 'TestEngineConformance/.*/(ConcurrentStress|ConcurrentBatchStress)|TestDeltaLaw/.*/Concurrent|TestEpsLaw/.*/Concurrent|TestRoundMergeLaw/.*/Concurrent|TestSplitBalance/.*/Concurrent|TestSubtreeBroadcast/law.*/Concurrent|TestRoundMessages/Concurrent|TestRoundMessages/sketch/Concurrent|TestMessageReplay/.*/Concurrent' ./internal/core/quantile ./internal/core/allq ./internal/core/hh
+	$(GO) test -race -count=10 -run 'TestEngineConformance/.*/(ConcurrentStress|ConcurrentBatchStress)|TestLaws/.*/Concurrent' ./internal/core/quantile ./internal/core/allq ./internal/core/hh
 	$(GO) test -race -count=40 -run TestSiteNodeConcurrentProducers ./internal/service
 	$(GO) test -race -count=40 -run TestStopUnderLoad ./internal/runtime
 	$(GO) test -race -count=20 -run 'TestClientRedialPartitionAndHeal|TestCloseDuringBackoff|TestServerBreakerRefusesFlappingNode' ./internal/remote

@@ -52,7 +52,7 @@ func (w *buildWatch) next() (fresh []*node, rounds, rebuilds, splits int) {
 
 // TestRebuildBuildLaw checks buildSubtree's derivation (docs/architecture.md,
 // "allq rebuilds sample at εm/32k") right after every partial rebuild;
-// round builds merge old leaves instead (TestRoundMergeLaw), and leaf splits
+// round builds merge old leaves instead (mergeWatch), and leaf splits
 // cut at a median of medians (TestSplitBalance). Site j's separators close
 // every w items of its part of [lo, hi), so below any value its exact count
 // exceeds its sampled weight by a residue in [0, w − 1], and by exactly
@@ -304,7 +304,6 @@ type replay struct {
 	msgs    int              // messages seen since
 	seen    int              // msgs at the last check
 	checked bool             // check has run
-	failed  bool
 
 	merges, wideMerges, wideSubtrees, joins, cuts int
 }
@@ -317,11 +316,10 @@ func newReplay(tb testing.TB, tr *Tracker) *replay {
 	return r
 }
 
+// errorf reports a failure without stopping the test: the tap runs on the
+// feeders' goroutines too (enginetest.Watch).
 func (r *replay) errorf(format string, args ...any) {
-	if !r.failed {
-		r.failed = true
-		r.tb.Errorf("|A|=%d: "+format, append([]any{r.tr.TrueTotal()}, args...)...)
-	}
+	r.tb.Errorf("|A|=%d: "+format, append([]any{r.tr.TrueTotal()}, args...)...)
 }
 
 // begin starts the replay from the tracker's state: each site holds the
@@ -462,11 +460,11 @@ func (r *replay) tree(j int, m *siteMirror, words []uint64) {
 	}
 }
 
-// check compares every site's mirror with the coordinator's tree and its
+// atRest compares every site's mirror with the coordinator's tree and its
 // round's height cap and node batch with the coordinator's, and the metered
 // words of every replayed kind with the words sent, when a message came
 // since the last check: only a message changes them.
-func (r *replay) check(label string) {
+func (r *replay) atRest(label string, _ *oracle.Counter) {
 	if !r.checked && r.msgs == 0 {
 		r.begin()
 	}
@@ -496,13 +494,6 @@ func (r *replay) check(label string) {
 		if got := r.tr.Meter().Kind(kind).Words - r.base[kind]; got != r.sent[kind] {
 			r.errorf("%s: metered %d %q words, the encodings sent are %d words long", label, got, kind, r.sent[kind])
 		}
-	}
-}
-
-// atRest checks the replay and stops the test if it failed.
-func (r *replay) atRest(label string, _ *oracle.Counter) {
-	if r.check(label); r.failed {
-		r.tb.FailNow()
 	}
 }
 
@@ -582,11 +573,7 @@ func cloneTree(u, parent *node) *node {
 // the whole tree at the handoff or to a joining site, "round-req",
 // "rb-req", "rb-seps" and "rb-counts", and a leaf split's "split-req",
 // "split-resp", "split-apply" and "split-counts". Three streams feed one
-// arrival a call; the "law" legs run the same replay through the law
-// schedules (lawConfig: batches, a restore, a grow and a shrink, and the
-// concurrent schedule, replayed from its first message) on every
-// configuration of the law tests, "law" itself on exact sites and a uniform
-// stream.
+// arrival a call; TestLaws runs the same replay through the law schedules.
 func TestSubtreeBroadcast(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -610,17 +597,15 @@ func TestSubtreeBroadcast(t *testing.T) {
 					break
 				}
 				tr.Feed(i%tc.cfg.K, x)
-				r.atRest("feed", nil)
+				if r.atRest("feed", nil); t.Failed() {
+					t.FailNow()
+				}
 			}
 			if r.merges == 0 || r.cuts == 0 || r.wideSubtrees == 0 || tc.cfg.Eps < 0.05 && r.wideMerges == 0 {
 				t.Fatalf("%d merges (%d over 64 old leaves), %d leaf splits, %d subtrees over 64 nodes: nothing checked",
 					r.merges, r.wideMerges, r.cuts, r.wideSubtrees)
 			}
 		})
-	}
-	t.Run("law", func(t *testing.T) { runReplayLaw(t, "exact") })
-	for _, name := range []string{"sketch", "exact-ends", "sketch-ends", "zipf"} {
-		t.Run("law-"+name, func(t *testing.T) { runReplayLaw(t, name) })
 	}
 }
 

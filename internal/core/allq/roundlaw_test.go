@@ -20,7 +20,6 @@ type mergeWatch struct {
 	tb     testing.TB
 	tr     *Tracker
 	counts map[string]int // round builds checked, by cause, and full leaves
-	failed bool
 
 	rounds, k, heightRounds int
 	cause                   string   // of the round under way
@@ -29,11 +28,10 @@ type mergeWatch struct {
 	full                    [][2]uint64
 }
 
+// errorf reports a failure without stopping the test: the tap runs on the
+// feeders' goroutines too (enginetest.Watch).
 func (w *mergeWatch) errorf(format string, args ...any) {
-	if !w.failed {
-		w.failed = true
-		w.tb.Errorf("|A|=%d: "+format, append([]any{w.tr.TrueTotal()}, args...)...)
-	}
+	w.tb.Errorf("|A|=%d: "+format, append([]any{w.tr.TrueTotal()}, args...)...)
 }
 
 func (w *mergeWatch) sampledWords() int64 {
@@ -76,18 +74,14 @@ func (w *mergeWatch) tap(kind string, j int, words []uint64) {
 	}
 }
 
-// atRest fails if a round build failed the law or left a full leaf
-// unsplit. A restored tracker's watch takes the rounds so far as not its
-// own.
+// atRest fails if a round build left a full leaf unsplit. A restored
+// tracker's watch takes the rounds so far as not its own.
 func (w *mergeWatch) atRest(label string, _ *oracle.Counter) {
 	if w.rounds == 0 {
 		w.rounds, w.heightRounds = w.tr.p.rounds, w.tr.p.heightRebuilds
 	}
 	if len(w.full) != 0 {
 		w.tb.Fatalf("%s: |A|=%d: full leaves %v of the last round were never split", label, w.tr.TrueTotal(), w.full)
-	}
-	if w.failed {
-		w.tb.FailNow()
 	}
 }
 
@@ -230,7 +224,7 @@ func TestRoundSplitsFullLeaves(t *testing.T) {
 		if err := c.Reconfigure(2); err != nil {
 			t.Fatal(err)
 		}
-		if len(w.full) != 0 || w.failed {
+		if len(w.full) != 0 || t.Failed() {
 			t.Fatalf("|A|=%d: full leaves %v left unsplit", c.TrueTotal(), w.full)
 		}
 		if got, want := c.LeafSplits()-splits, counts["full leaves"]-full; got < want {

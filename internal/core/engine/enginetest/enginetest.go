@@ -38,11 +38,11 @@
 // concurrent stress run; the suite runs against all three core trackers and
 // a minimal mock policy (see the engine package's tests).
 //
-// LawList checks a kind's whole law list (delta, ε, build or merge, message
-// replay) against the exact arrivals in one pass per schedule: after every
-// Feed and FeedLocalBatch call, at each law's own cadence (Sparse), with
-// every tracker's messages fanned out to each law's Tap. Each law's test
-// reports that law's failures alone (LawList.Run).
+// RunLaws checks a kind's whole law list (delta, ε, build or merge, message
+// replay) against the exact arrivals in one pass per schedule, each a
+// subtest whose t every law checks through: after every Feed and
+// FeedLocalBatch call, at each law's own cadence (Sparse), with every
+// tracker's messages fanned out to each law's Tap.
 package enginetest
 
 import (

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"disttrack/internal/oracle"
 	"disttrack/internal/wire"
 )
 
@@ -15,8 +16,10 @@ import (
 // C.m_x, and each site's S_j.m from the metered words alone: "item" key
 // lists (each key one arrival of it), "freq" pairs, "all" counts and
 // "newm" broadcasts. Its tap may run on a feeder goroutine, always under
-// the engine's locks, so it records the first fault for check to report.
+// the engine's locks, so it reports with Errorf (enginetest.Watch).
 type msgReplay struct {
+	tb   testing.TB
+	tr   *Tracker
 	cm   int64
 	cmx  map[uint64]int64
 	sm   []int64
@@ -25,19 +28,22 @@ type msgReplay struct {
 	sent map[string]int64 // words of the encodings tapped since
 	// freqWords counts "freq" reports by length (1 or 2 words).
 	freqWords [3]int
-	fault     error
 	checked   uint64 // the Version check last compared at
 	seeded    bool
+}
+
+func newMsgReplay(tb testing.TB, tr *Tracker) *msgReplay {
+	return &msgReplay{tb: tb, tr: tr, cmx: map[uint64]int64{}, base: map[string]int64{}, sent: map[string]int64{}}
 }
 
 // replayKinds are the kinds whose metered words must equal the encodings
 // the tap saw.
 var replayKinds = []string{"item", "freq", "all", "newm", "handoff"}
 
-// seed copies tr's state into the replay: a restored tracker starts from
-// its checkpoint, not from messages.
-func (r *msgReplay) seed(tr *Tracker) {
-	p := tr.p
+// seed copies the tracker's state into the replay: a restored tracker
+// starts from its checkpoint, not from messages.
+func (r *msgReplay) seed() {
+	tr, p := r.tr, r.tr.p
 	r.cm, r.cmx, r.sm = p.cm, maps.Clone(p.cmx), nil
 	for _, s := range p.sites {
 		r.sm = append(r.sm, s.m)
@@ -88,24 +94,22 @@ func (r *msgReplay) tap(kind string, j int, words []uint64) {
 		}
 		r.sm[j] = m
 	}
-	if err != nil && r.fault == nil {
-		r.fault = fmt.Errorf("%q from site %d (%#x): %w", kind, j, words, err)
+	if err != nil {
+		r.tb.Errorf("%q from site %d (%#x): %v", kind, j, words, err)
 	}
 }
 
-// check compares the replay with tr at rest, first seeding it from tr if
-// tr has sent nothing yet. The coordinator's state and
+// check compares the replay with the tracker at rest, first seeding it
+// from the tracker if it has sent nothing yet. The coordinator's state and
 // the sites' S_j.m change only in an escalation or a membership change,
 // each of which bumps Version, so the maps are compared whenever Version
 // moved since the last check.
-func (r *msgReplay) check(tb testing.TB, label string, tr *Tracker) {
+func (r *msgReplay) check(label string, _ *oracle.Counter) {
+	tb, tr := r.tb, r.tr
 	tb.Helper()
-	if r.fault != nil {
-		tb.Fatalf("%s: %v", label, r.fault)
-	}
 	if !r.seeded {
 		if r.msgs == 0 {
-			r.seed(tr) // fresh or restored: nothing sent yet
+			r.seed() // fresh or restored: nothing sent yet
 		}
 		r.seeded = true
 	}

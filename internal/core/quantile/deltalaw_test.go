@@ -70,10 +70,10 @@ func checkDeltaLaw(tb testing.TB, label string, tr *Tracker, truth *oracle.Count
 // several, which hides the middle rounds' m, and such a call is not
 // checked.
 type roundLag struct {
-	k, rounds int
-	m, thrTot int64
-	multi     bool  // a call may open more than one round
-	seen      *seen // counts the rounds checked and the late ones
+	k, rounds      int
+	m, thrTot      int64
+	multi          bool // a call may open more than one round
+	checked, lates int  // rounds checked, and of those opened past 2m
 }
 
 func (l *roundLag) check(tb testing.TB, label string, tr *Tracker) {
@@ -96,9 +96,9 @@ func (l *roundLag) check(tb testing.TB, label string, tr *Tracker) {
 				label, tr.Rounds(), p.m, l.m, lag, int64(tr.K())*l.thrTot)
 		default:
 			if lag > 0 {
-				l.seen.lates++
+				l.lates++
 			}
-			l.seen.lagChecked++
+			l.checked++
 		}
 	}
 	l.k, l.rounds, l.m, l.thrTot = tr.K(), tr.Rounds(), p.m, p.thrTot

@@ -107,7 +107,8 @@ func (p *policy) OnBootDone() {
 }
 
 // newRound rebuilds the round when |A| has doubled, from the intervals the
-// coordinator already has: m′ is the sum of their exact counts (roundCounts).
+// coordinator already has: m′ is the sum of the sites' ranks at the
+// universe's end, |A| exactly with exact sites (roundCounts).
 // The coordinator merges adjacent intervals while a merged count stays within
 // roundCap (mergeIntervals) and broadcasts m′ and which separators it kept as
 // a bitmap ("seps", 1 + ⌈L/64⌉ words; a joining site gets m′ and the kept
@@ -121,11 +122,7 @@ func (p *policy) OnBootDone() {
 func (p *policy) newRound(old int) {
 	p.eng.All()
 	meter := p.eng.Meter()
-	counts := p.roundCounts(old)
-	var m int64
-	for _, c := range counts {
-		m += c
-	}
+	counts, m := p.roundCounts(old)
 	p.setRound(m)
 	keep, merged := mergeIntervals(counts, p.roundCap())
 	words := encodeKeep(nil, m, keep)
@@ -162,12 +159,14 @@ func (p *policy) splitFull(iv, end int) {
 // the universe's end ("round-req", then "round-counts", sitestore's rank
 // reply: one header word and the L + 1 rank differences packed at the width
 // of the widest, for L separators) and returns every interval's exact count,
-// the sum of the clamped rank differences. Sites from old on joined in a
-// Reconfigure and hold nothing.
-func (p *policy) roundCounts(old int) []int64 {
+// the sum of the clamped rank differences, and m, the sum of the ranks at
+// the universe's end. A GK site's ranks need not be monotone, so with sketch
+// sites the counts may sum past m, which never exceeds the arrivals. Sites
+// from old on joined in a Reconfigure and hold nothing.
+func (p *policy) roundCounts(old int) (counts []int64, m int64) {
 	meter := p.eng.Meter()
 	bounds := append(slices.Clone(p.seps), math.MaxUint64)
-	counts := make([]int64, len(bounds))
+	counts = make([]int64, len(bounds))
 	for j, s := range p.sites[:old] {
 		meter.DownMsg(j, "round-req", nil)
 		words := sitestore.EncodeRanks(nil, s.st, bounds)
@@ -177,8 +176,9 @@ func (p *policy) roundCounts(old int) []int64 {
 			panic(err) // encoded just above: a codec bug
 		}
 		sitestore.AddCounts(counts, ranks)
+		m += ranks[len(bounds)-1]
 	}
-	return counts
+	return counts, m
 }
 
 // mergeIntervals merges adjacent intervals, whose exact counts are counts,

@@ -14,13 +14,14 @@ import (
 // items hold between n/4 − slack and 3n/4 + slack of them, the bound of a
 // cut at the n_j-weighted median of the sites' lower local medians
 // (docs/architecture.md, "A split sends only what its receiver cannot work
-// out"). It returns the smaller half's share of n.
+// out"). It returns the smaller half's share of n. It and checkSplitResp
+// report with Errorf, as a tap must (enginetest.Watch).
 func checkSplitHalves(tb testing.TB, at string, left, right int64, slack float64) float64 {
 	tb.Helper()
 	n := left + right
 	for _, h := range []int64{left, right} {
 		if float64(h) < float64(n)/4-slack || float64(h) > 3*float64(n)/4+slack {
-			tb.Fatalf("%s: halves %d and %d of %d items: one is outside [n/4 − %.1f, 3n/4 + %.1f]",
+			tb.Errorf("%s: halves %d and %d of %d items: one is outside [n/4 − %.1f, 3n/4 + %.1f]",
 				at, left, right, n, slack, slack)
 		}
 	}
@@ -39,17 +40,18 @@ func checkSplitResp(tb testing.TB, at string, words []uint64, lo, hi uint64) int
 	tb.Helper()
 	med, n, err := sitestore.DecodeSplitResp(words, lo, hi)
 	if err != nil {
-		tb.Fatalf("%s: %v", at, err)
+		tb.Errorf("%s: %v", at, err)
+		return 0
 	}
 	want := 1
 	if n > 0 && 6+bits.Len64(uint64(n))+bits.Len64(hi-lo) > 64 {
 		want = 2
 	}
 	if len(words) != want {
-		tb.Fatalf("%s: holds %d items in [%d, %d) and answers %d words, want %d", at, n, lo, hi, len(words), want)
+		tb.Errorf("%s: holds %d items in [%d, %d) and answers %d words, want %d", at, n, lo, hi, len(words), want)
 	}
 	if n > 0 && (med < lo || med > hi) {
-		tb.Fatalf("%s: median %d outside [%d, %d]", at, med, lo, hi)
+		tb.Errorf("%s: median %d outside [%d, %d]", at, med, lo, hi)
 	}
 	return n
 }
@@ -72,7 +74,7 @@ func checkResplit(tb testing.TB, label string, tr *Tracker) {
 }
 
 // TestSplitBalance is the split-balance law on per-site loads the round
-// robin of the law schedules (lawConfig) never makes: every split of a
+// robin of the law schedules (TestLaws) never makes: every split of a
 // tracker fed one arrival at a time is rebuilt from its messages, and
 //
 //   - "split-resp" has the length checkSplitResp names: one word when n_j
@@ -185,7 +187,9 @@ func splitBalance(t *testing.T, cfg Config, gen func(n int64) stream.Generator, 
 	for i, x := range xs {
 		truth.Add(x) // before the arrival: a split in its escalation sees it
 		tr.Feed(site(i, x), x)
-		checkResplit(t, "feed", tr)
+		if checkResplit(t, "feed", tr); t.Failed() {
+			t.FailNow()
+		}
 	}
 	if splits < 30 {
 		t.Fatalf("%d splits: too few to check", splits)
