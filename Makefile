@@ -52,12 +52,13 @@ test-shuffle:
 # where a report or cascade that touches another site without Engine.All
 # races with that site's fast path (deleting one All call per kind fails this
 # line), each checked against its kind's ε-law once the feeders finish, and
-# each kind's law list on concurrent feeders (TestLaws/<config>/Concurrent):
-# every law checked under Quiesce once they finish, and every message
-# replayed through the laws' taps on the feeders' goroutines inside their
-# holds; the sixth repeats the site node's producers-against-the-ticker
-# test, which catches a buffer shipped after the node's lock is released
-# (reordered or lost values; under -race about a third of runs fail);
+# each law test's Concurrent leg on every configuration (one concurrent
+# pass per law test and configuration): every law checked under Quiesce
+# once the feeders finish, and every message replayed through the laws'
+# taps on the feeders' goroutines inside their holds; the sixth repeats
+# the site node's producers-against-the-ticker test, which catches a buffer
+# shipped after the node's lock is released (reordered or lost values;
+# under -race about a third of runs fail);
 # the seventh repeats the cluster's senders against a cancelled context (no
 # sender blocks, every accepted value is counted once as processed or
 # dropped); the eighth repeats the site node client's redial loop, whose
@@ -75,7 +76,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
 	$(GO) test -race -count=10 -run TestBootstrapReadsChangeNoState ./internal/core/quantile ./internal/core/allq
 	$(GO) test -race -count=20 -run 'TestEngineConformanceMockPolicy/(ConcurrentStress|ConcurrentBatchStress)|TestSlowPathBudgets|TestBootstrapBatchDrain|TestSlowPathHoldSampled|TestReportHoldsOnlyItsSite|TestCascadesCounted' ./internal/core/engine
-	$(GO) test -race -count=10 -run 'TestEngineConformance/.*/(ConcurrentStress|ConcurrentBatchStress)|TestLaws/.*/Concurrent' ./internal/core/quantile ./internal/core/allq ./internal/core/hh
+	$(GO) test -race -count=10 -run 'TestEngineConformance/.*/(ConcurrentStress|ConcurrentBatchStress)|Test(DeltaLaw|EpsLaw|RoundMergeLaw|SplitBalance|MessageReplay)/.*/Concurrent|TestSubtreeBroadcast/law.*/Concurrent|TestRoundMessages/Concurrent|TestRoundMessages/sketch/Concurrent' ./internal/core/quantile ./internal/core/allq ./internal/core/hh
 	$(GO) test -race -count=40 -run TestSiteNodeConcurrentProducers ./internal/service
 	$(GO) test -race -count=40 -run TestStopUnderLoad ./internal/runtime
 	$(GO) test -race -count=20 -run 'TestClientRedialPartitionAndHeal|TestCloseDuringBackoff|TestServerBreakerRefusesFlappingNode' ./internal/remote

@@ -52,7 +52,7 @@ func (w *buildWatch) next() (fresh []*node, rounds, rebuilds, splits int) {
 
 // TestRebuildBuildLaw checks buildSubtree's derivation (docs/architecture.md,
 // "allq rebuilds sample at εm/32k") right after every partial rebuild;
-// round builds merge old leaves instead (mergeWatch), and leaf splits
+// round builds merge old leaves instead (TestRoundMergeLaw), and leaf splits
 // cut at a median of medians (TestSplitBalance). Site j's separators close
 // every w items of its part of [lo, hi), so below any value its exact count
 // exceeds its sampled weight by a residue in [0, w − 1], and by exactly
@@ -573,7 +573,9 @@ func cloneTree(u, parent *node) *node {
 // the whole tree at the handoff or to a joining site, "round-req",
 // "rb-req", "rb-seps" and "rb-counts", and a leaf split's "split-req",
 // "split-resp", "split-apply" and "split-counts". Three streams feed one
-// arrival a call; TestLaws runs the same replay through the law schedules.
+// arrival a call; the "law" legs run the same replay through the law
+// schedules (replayLawLegs) on every law configuration, "law" itself on
+// exact sites and a uniform stream.
 func TestSubtreeBroadcast(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -606,6 +608,13 @@ func TestSubtreeBroadcast(t *testing.T) {
 					r.merges, r.wideMerges, r.cuts, r.wideSubtrees)
 			}
 		})
+	}
+	for _, c := range lawConfigs {
+		name := "law-" + c.name
+		if c.name == "exact" {
+			name = "law"
+		}
+		t.Run(name, func(t *testing.T) { replayLawLegs(t, c) })
 	}
 }
 

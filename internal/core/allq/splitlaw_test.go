@@ -168,15 +168,15 @@ func (w *cutWatch) atRest(label string, truth *oracle.Counter) {
 	}
 }
 
-// TestSplitBalance checks the split-balance law (cutWatch, which TestLaws
-// checks on the law schedules) one arrival a call on per-leaf site loads
-// that differ by orders of magnitude, which the law schedules never make:
-// the value picks the site (siteByValue), in both store modes
-// ("by-value"). Above the lowest eighth of the key range a leaf then holds
-// nearly all its items at site 0 and one or two at each other site, whose
-// medians fall anywhere in it, so
-// only the n_j weights place the cut near site 0's median: a cut at the
-// unweighted median of the sites' medians fails both "by-value" legs.
+// TestSplitBalance checks the split-balance law (cutWatch) through the law
+// schedules (splitLawLegs) in both store modes and on the Zipf stream, and,
+// one arrival a call, on per-leaf site loads that differ by orders of
+// magnitude, which the law schedules never make: the value picks the site
+// (siteByValue), in both store modes ("by-value"). Above the lowest eighth
+// of the key range a leaf then holds nearly all its items at site 0 and one
+// or two at each other site, whose medians fall anywhere in it, so only the
+// n_j weights place the cut near site 0's median: a cut at the unweighted
+// median of the sites' medians fails both "by-value" legs.
 func TestSplitBalance(t *testing.T) {
 	const k = 4
 	for _, sketch := range []bool{false, true} {
@@ -207,8 +207,14 @@ func TestSplitBalance(t *testing.T) {
 				}
 				t.Logf("%d cuts; the smaller half held at least %.3f of its leaf", w.cuts, w.worst)
 			})
+			if sketch {
+				splitLawLegs(t, lawConfigNamed("sketch"))
+			} else {
+				splitLawLegs(t, lawConfigNamed("exact"))
+			}
 		})
 	}
+	t.Run("zipf", func(t *testing.T) { splitLawLegs(t, lawConfigNamed("zipf")) })
 }
 
 // siteByValue is the site of arrival i, x, of a distinct uniform stream

@@ -82,7 +82,7 @@ func TestContractSweep(t *testing.T) {
 // its trigger: the uncapped step sampleStep from minHeight up, the capped
 // rebuildStep also at restoreMinHeight, the floor a restored round may
 // carry (round builds merge exact counts and sample nothing:
-// mergeWatch). At every m from the bootstrap target up, the cut
+// TestRoundMergeLaw). At every m from the bootstrap target up, the cut
 // error k·sampleStep stays within an eighth of leafCap, the smallest weight
 // a build splits (invariant (5)).
 func TestLeafLoadsAtEveryCap(t *testing.T) {

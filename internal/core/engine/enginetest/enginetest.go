@@ -38,11 +38,11 @@
 // concurrent stress run; the suite runs against all three core trackers and
 // a minimal mock policy (see the engine package's tests).
 //
-// RunLaws checks a kind's whole law list (delta, ε, build or merge, message
-// replay) against the exact arrivals in one pass per schedule, each a
-// subtest whose t every law checks through: after every Feed and
-// FeedLocalBatch call, at each law's own cadence (Sparse), with every
-// tracker's messages fanned out to each law's Tap.
+// RunLaws checks a kind's laws (delta, ε, build or merge, message replay)
+// against the exact arrivals in one pass per schedule, each a subtest whose
+// t every law checks through: after every Feed and FeedLocalBatch call, at
+// each law's own cadence (Sparse), with every tracker's messages fanned out
+// to each law's Tap. Each kind's law tests call it with one law each.
 package enginetest
 
 import (

@@ -74,7 +74,7 @@ func checkResplit(tb testing.TB, label string, tr *Tracker) {
 }
 
 // TestSplitBalance is the split-balance law on per-site loads the round
-// robin of the law schedules (TestLaws) never makes: every split of a
+// robin of the law schedules (TestRoundMessages) never makes: every split of a
 // tracker fed one arrival at a time is rebuilt from its messages, and
 //
 //   - "split-resp" has the length checkSplitResp names: one word when n_j
