@@ -70,7 +70,9 @@ test-shuffle:
 # one snapshot cache all four shapes share and the HTTP ETag path, against
 # two producers and membership changes that swap k between 2 and 3 (a race
 # in the cache would corrupt served answers; the served versions must never
-# decrease).
+# decrease); the eleventh repeats eight exact site stores driven at once
+# through the run pool they share (a run handed back while a store still
+# reads it shows as a wrong answer or a DATA RACE).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestReconfigureUnderFire|TestDeleteRecreateUnderFire|TestConcurrentProducersOneTenant' ./internal/service
@@ -82,6 +84,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestClientRedialPartitionAndHeal|TestCloseDuringBackoff|TestServerBreakerRefusesFlappingNode' ./internal/remote
 	$(GO) test -race -count=20 -run TestStatsRacingReconfigure ./internal/service
 	$(GO) test -race -count=20 -run TestQueryCacheUnderFire ./internal/service
+	$(GO) test -race -count=10 -run TestExactStoresShareRunPool ./internal/sitestore
 
 # The quick experiment tables are a pure function of the protocols' decisions
 # (every wire.Meter count, round, split and served answer on seeded streams):

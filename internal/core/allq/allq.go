@@ -132,15 +132,16 @@ type policy struct {
 	boot sitestore.BootList // every arrival, until |A| reaches bootTarget
 
 	// Round state.
-	m           int64   // |A| at round start
-	h           int     // height cap for this round, ≤ heightCap(ε)
-	theta       float64 // θ = ε/2h
-	thrNode     int64   // site batch size per node: θm/k
-	leafSplitAt int64   // leaf split trigger: (ε/2 − θ)m
-	root        *node
-	nextID      int
-	pathScratch []*node // reused by OnEscalate's path walk (under escMu)
-	nodeScratch []*node // reused by gcDeltas' preorder walk
+	m            int64   // |A| at round start
+	h            int     // height cap for this round, ≤ heightCap(ε)
+	theta        float64 // θ = ε/2h
+	thrNode      int64   // site batch size per node: θm/k
+	leafSplitAt  int64   // leaf split trigger: (ε/2 − θ)m
+	root         *node
+	nextID       int
+	pathScratch  []*node                // reused by OnEscalate's path walk (under escMu)
+	nodeScratch  []*node                // reused by gcDeltas' preorder walk
+	splitScratch sitestore.SplitScratch // reused by cut's sitestore.Split
 
 	// Statistics.
 	rounds         int

@@ -325,18 +325,16 @@ func (p *policy) splitLeaf(u *node) bool {
 // strictly inside u, it counts cannotSplit and leaves u a fat leaf.
 func (p *policy) cut(u *node) bool {
 	p.eng.All()
-	sts := make([]sitestore.Store, len(p.sites))
-	for j, s := range p.sites {
-		sts[j] = s.st
-	}
 	y, left, right, ok := sitestore.Split{
 		Lo: u.lo, Hi: u.hi, Req: []uint64{uint64(u.id)},
+		Sites: len(p.sites),
+		Store: func(j int) sitestore.Store { return p.sites[j].st },
 		Named: func(req []uint64) (uint64, uint64) {
 			v := nodeAt(p.root, int(req[0]))
 			return v.lo, v.hi
 		},
 		Placed: func(apply []uint64) (uint64, uint64) { return leafOf(p.root, apply[0]).lo, apply[0] },
-	}.Cut(p.eng.Meter(), sts)
+	}.Cut(p.eng.Meter(), &p.splitScratch)
 	if !ok {
 		p.cannotSplit++
 		return false

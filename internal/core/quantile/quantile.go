@@ -185,6 +185,8 @@ type policy struct {
 
 	qs []quantState // one entry per tracked quantile
 
+	splitScratch sitestore.SplitScratch // reused by split's sitestore.Split
+
 	// Statistics for experiments.
 	rounds      int
 	relocations int

@@ -262,19 +262,18 @@ func (p *policy) nearestSep(target float64) (v uint64, rank int64) {
 func (p *policy) split(iv int) bool {
 	p.eng.All()
 	lo, hi := p.ivBounds(iv)
-	sts := make([]sitestore.Store, len(p.sites))
-	for j, s := range p.sites {
-		sts[j] = s.st
-	}
+	var req [1]uint64
 	y, c1, c2, ok := sitestore.Split{
-		Lo: lo, Hi: hi, Req: encodeSplitReq(nil, iv),
+		Lo: lo, Hi: hi, Req: encodeSplitReq(req[:0], iv),
+		Sites: len(p.sites),
+		Store: func(j int) sitestore.Store { return p.sites[j].st },
 		Named: func(req []uint64) (uint64, uint64) { return p.ivBounds(decodeSplitReq(req)) },
 		Placed: func(apply []uint64) (uint64, uint64) {
 			siv, y := decodeSplit(p.seps, apply)
 			slo, _ := p.ivBounds(siv)
 			return slo, y
 		},
-	}.Cut(p.eng.Meter(), sts)
+	}.Cut(p.eng.Meter(), &p.splitScratch)
 	if !ok {
 		p.cannotSplit++
 		return false

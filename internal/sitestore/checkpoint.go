@@ -47,7 +47,9 @@ func Decode(dec *ckpt.Decoder) (Store, error) {
 		}
 		s := &exactStore{n: len(items)}
 		if len(items) > 0 {
-			s.runs = [][]uint64{items}
+			run := getRun(len(items))
+			copy(run, items)
+			s.runs = [][]uint64{run}
 		}
 		return s, nil
 	case storeKindGK:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -13,13 +14,15 @@ import (
 
 // checkShape asserts the exact store's layout invariants: every run sorted
 // and non-empty, run sizes at least halving left to right, pend under its
-// cap, the item count consistent, and no slack in the runs' capacity.
+// cap, the item count consistent, each run's capacity the power of two at
+// or above its length (a runPool class), and so at most 2·n + pendCap words
+// of capacity in all.
 func checkShape(t *testing.T, s *exactStore) {
 	t.Helper()
 	if len(s.pend) >= pendCap || cap(s.pend) > pendCap {
 		t.Fatalf("pend holds %d items in capacity %d, cap is %d", len(s.pend), cap(s.pend), pendCap)
 	}
-	sum := len(s.pend)
+	sum, words := len(s.pend), cap(s.pend)
 	for i, run := range s.runs {
 		if len(run) == 0 || !slices.IsSorted(run) {
 			t.Fatalf("run %d empty or unsorted (len %d)", i, len(run))
@@ -27,13 +30,17 @@ func checkShape(t *testing.T, s *exactStore) {
 		if i > 0 && len(s.runs[i-1]) < 2*len(run) {
 			t.Fatalf("run %d has %d items after one of %d: sizes must at least halve", i, len(run), len(s.runs[i-1]))
 		}
-		if cap(run) != len(run) {
-			t.Fatalf("run %d has capacity %d for %d items", i, cap(run), len(run))
+		if c := cap(run); c != 1<<bits.Len(uint(len(run)-1)) {
+			t.Fatalf("run %d has capacity %d for %d items, want the power of two at or above", i, c, len(run))
 		}
 		sum += len(run)
+		words += cap(run)
 	}
 	if sum != s.n || s.n != s.Space() {
 		t.Fatalf("runs and pend hold %d items, n = %d, Space() = %d", sum, s.n, s.Space())
+	}
+	if words > 2*s.n+pendCap {
+		t.Fatalf("store of %d items keeps %d words of capacity, bound 2n + pendCap = %d", s.n, words, 2*s.n+pendCap)
 	}
 }
 
@@ -137,6 +144,9 @@ func FuzzExactStore(f *testing.F) {
 	f.Add([]byte{1, 6, 1, 5, 1, 4, 1, 6, 1, 2, 1, 7, 1, 1, 1, 8, 4, 0, 0, 0, 1, 4, 0, 0, 0, 0})
 	f.Add([]byte{1, 6, 0, 3, 1, 4, 2, 4, 1, 2, 4, 5, 1, 1, 6, 9,
 		4, 0, 0, 0, 1, 4, 37, 52, 1, 1, 4, 37, 52, 1, 0, 4, 0, 0, 0, 2})
+	// Three inserts settled by a RankOf into a run of three items, whose
+	// capacity checkShape sees on the insert after it.
+	f.Add([]byte{0, 20, 0, 21, 0, 22, 2, 30, 0, 23})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Every step costs O(items held); a bounded script keeps one
 		// execution in the milliseconds.
@@ -298,7 +308,18 @@ func BenchmarkExactStoreInsertBatch(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if s == nil || s.n >= 2*len(base) {
 				b.StopTimer()
-				s = &exactStore{runs: [][]uint64{base}, n: len(base)}
+				// The settles hand the runs back to runPool, so the store
+				// starts from a copy of base, never base itself. The old
+				// store's runs go back too, as its settles' would have: the
+				// clock measures settles into a warm pool.
+				if s != nil {
+					for _, run := range s.runs {
+						putRun(run)
+					}
+				}
+				run := getRun(len(base))
+				copy(run, base)
+				s = &exactStore{runs: [][]uint64{run}, n: len(base)}
 				b.StartTimer()
 			}
 			for range batches {

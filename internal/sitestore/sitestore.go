@@ -12,9 +12,11 @@ package sitestore
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"disttrack/internal/summary/gk"
 )
@@ -62,9 +64,13 @@ func NewExact() Store { return &exactStore{} }
 // style, while the run before it is less than twice as large. That leaves at
 // most log2(n) runs of at least halving sizes, costs an amortised O(log n)
 // sequential moves per item at 8 bytes each, and makes a rank one binary
-// search per run. Every answer depends only on the items held.
+// search per run. Every answer depends only on the items held. Run memory
+// is recycled through runPool: a settle takes its output run from the pool
+// and hands back the runs it merged away, so steady-state ingest neither
+// allocates nor zeroes it. Each run's capacity is the power of two at or
+// above its length, so the runs hold at most twice their items in capacity.
 type exactStore struct {
-	runs [][]uint64 // each sorted; len(runs[i]) >= 2*len(runs[i+1])
+	runs [][]uint64 // each sorted, from runPool; len(runs[i]) >= 2*len(runs[i+1])
 	pend []uint64   // unsorted arrivals not yet settled; len < pendCap between calls
 	n    int        // items held, runs and pend together
 }
@@ -108,19 +114,51 @@ func (s *exactStore) settle() {
 }
 
 // collapse replaces runs[from:] and pend, total items together, by one run,
-// and empties pend. It allocates the result once, sorts pend into its right
-// end and merges the runs into it right to left, smallest first, so a
+// and empties pend. It takes the result from runPool, sorts pend into its
+// right end and merges the runs into it right to left, smallest first, so a
 // cascade over geometrically growing runs moves fewer than 2*total items.
+// Each run merged away goes back to the pool.
 func (s *exactStore) collapse(from, total int) {
-	out := make([]uint64, total)
+	out := getRun(total)
 	at := total - len(s.pend)
 	sortInto(out[at:], s.pend)
 	s.pend = s.pend[:0]
 	for i := len(s.runs) - 1; i >= from; i-- {
 		at = mergeLeft(out, at, s.runs[i])
+		putRun(s.runs[i])
 		s.runs[i] = nil
 	}
 	s.runs = append(s.runs[:from], out)
+}
+
+// runPool recycles the buffers of the exact stores' runs and of Separators'
+// merges, which are as large as the items they hold: runPool[c] holds
+// buffers of capacity exactly 1<<c, so any buffer of a class fits any
+// request the class serves, with at most half of it slack. A pool rather
+// than a free list, because the garbage collector empties it: a burst of
+// settles leaves no memory behind for good. It stores a pointer to a
+// buffer's first item, which the pool holds without allocating.
+var runPool [bits.UintSize]sync.Pool
+
+// getRun returns a buffer of n > 0 items whose capacity is the power of two
+// at or above n. Its items are not zeroed: they may be a recycled run's.
+func getRun(n int) []uint64 {
+	c := bits.Len(uint(n - 1))
+	if p, ok := runPool[c].Get().(*uint64); ok {
+		return unsafe.Slice(p, 1<<c)[:n]
+	}
+	return make([]uint64, n, 1<<c)
+}
+
+// putRun hands buf, from getRun, back to runPool. The caller must hold no
+// other reference to it. A buffer whose capacity is not a power of two is
+// left to the garbage collector: getRun would read past its end.
+func putRun(buf []uint64) {
+	c := bits.Len(uint(cap(buf) - 1))
+	if cap(buf) == 0 || cap(buf) != 1<<c {
+		return
+	}
+	runPool[c].Put(unsafe.SliceData(buf))
 }
 
 // radixMin is the length from which sortInto radix-sorts; below it a
@@ -208,6 +246,8 @@ func mergeLeft(out []uint64, at int, run []uint64) int {
 
 // items returns every item in sorted order as one slice the store keeps
 // using (callers must not modify it), compacting the store to a single run.
+// The slice must not outlive the caller's hold on the store: the next
+// settle may hand it back to runPool, and another store may then reuse it.
 func (s *exactStore) items() []uint64 {
 	if len(s.runs) > 1 || len(s.pend) > 0 {
 		s.collapse(0, s.n)
@@ -238,14 +278,15 @@ func (s *exactStore) CountRange(lo, hi uint64) int64 {
 	return s.RankOf(hi) - s.RankOf(lo)
 }
 
-// restrict returns the non-empty restrictions of the runs to [lo, hi), and
-// how many items they hold together. A range with hi <= lo is empty, as in
-// CountRange, even at hi = math.MaxUint64.
-func (s *exactStore) restrict(lo, hi uint64) (parts [][]uint64, total int64) {
+// restrict appends to parts the non-empty restrictions of the runs to
+// [lo, hi), and returns them with how many items they hold together. A
+// range with hi <= lo is empty, as in CountRange, even at hi =
+// math.MaxUint64.
+func (s *exactStore) restrict(parts [][]uint64, lo, hi uint64) ([][]uint64, int64) {
 	if hi <= lo {
-		return nil, 0
+		return parts, 0
 	}
-	parts = make([][]uint64, 0, len(s.runs))
+	var total int64
 	for _, run := range s.runs {
 		a, _ := slices.BinarySearch(run, lo)
 		b := len(run)
@@ -264,14 +305,18 @@ func (s *exactStore) restrict(lo, hi uint64) (parts [][]uint64, total int64) {
 // restriction of the store to [lo, hi): it cuts that interval's items into
 // chunks of step items and returns the item closing each chunk. The store
 // keeps its runs. The largest restricted run is read in place; the others,
-// when there are several, are merged into a pooled scratch buffer; and each
-// separator is selected from the two sorted slices by a binary search.
+// when there are several, are merged into a scratch buffer from runPool;
+// and each separator is selected from the two sorted slices by a binary
+// search.
 func (s *exactStore) Separators(lo, hi uint64, step int64) []uint64 {
 	if step <= 0 {
 		panic("sitestore: Separators with non-positive step")
 	}
 	s.settle()
-	parts, total := s.restrict(lo, hi)
+	// Runs at least halve in size, so 32 restrictions cover 2^32 items
+	// without a heap allocation.
+	var partsBuf [32][]uint64
+	parts, total := s.restrict(partsBuf[:0], lo, hi)
 	if total == 0 {
 		return nil
 	}
@@ -282,9 +327,9 @@ func (s *exactStore) Separators(lo, hi uint64, step int64) []uint64 {
 	case 2:
 		rest = parts[1]
 	default:
-		buf := mergeBufs.Get().(*[]uint64)
-		defer mergeBufs.Put(buf)
-		rest = mergeParts(buf, parts[1:], int(total)-len(parts[0]))
+		rest = getRun(int(total) - len(parts[0]))
+		defer putRun(rest)
+		mergeParts(rest, parts[1:])
 	}
 	seps := make([]uint64, 0, total/step)
 	for r := step - 1; r < total; r += step {
@@ -293,25 +338,15 @@ func (s *exactStore) Separators(lo, hi uint64, step int64) []uint64 {
 	return seps
 }
 
-// mergeBufs holds Separators' merge buffers. A buffer is as large as the
-// runs it merged, so it lives in a pool, which the garbage collector
-// empties, rather than beside a store that would keep it for good.
-var mergeBufs = sync.Pool{New: func() any { return new([]uint64) }}
-
-// mergeParts merges the sorted parts, largest first and total items
-// together, into *buf, growing it if needed, and returns the merged items.
-// It merges them smallest first, as collapse does: fewer than 2*total moves
-// when the parts halve in size, as the runs they restrict do.
-func mergeParts(buf *[]uint64, parts [][]uint64, total int) []uint64 {
-	if cap(*buf) < total {
-		*buf = make([]uint64, total)
-	}
-	out := (*buf)[:total]
-	at := total
+// mergeParts merges the sorted parts, largest first, into out, which is
+// exactly as long as they are together. It merges them smallest first, as
+// collapse does: fewer than 2*len(out) moves when the parts halve in size,
+// as the runs they restrict do.
+func mergeParts(out []uint64, parts [][]uint64) {
+	at := len(out)
 	for i := len(parts) - 1; i >= 0; i-- {
 		at = mergeLeft(out, at, parts[i])
 	}
-	return out
 }
 
 // selectRank returns the item of rank r, counted from 0, among the items of

@@ -16,67 +16,84 @@ var ErrBadSplit = errors.New("sitestore: malformed split reply")
 // that the coordinator and every site hold alike: a quantile interval or an
 // allq leaf (docs/architecture.md, "A split sends only what its receiver
 // cannot work out"). Req is the "split-req" message that names the
-// interval. Named and Placed are a site's reading of the coordinator's two
-// messages off its own copy of the partition: Named returns the interval a
-// "split-req" names, Placed the cut y a "split-apply" carries and the lo of
-// the interval y falls in.
+// interval. Sites is k and Store returns site j's store. Named and Placed
+// are a site's reading of the coordinator's two messages off its own copy
+// of the partition: Named returns the interval a "split-req" names, Placed
+// the cut y a "split-apply" carries and the lo of the interval y falls in.
 type Split struct {
 	Lo, Hi uint64
 	Req    []uint64
+	Sites  int
+	Store  func(j int) Store
 	Named  func(req []uint64) (lo, hi uint64)
 	Placed func(apply []uint64) (lo, y uint64)
 }
 
-// Cut runs the split over the site stores sts, metering every message on
-// meter. Each site answers "split-req" with its count n_j in the interval
-// and its lower local median there ("split-resp", EncodeSplitResp). The
-// coordinator cuts at y, the n_j-weighted median of the medians, moved to
-// Lo + 1 if it is Lo, and sends y ("split-apply", 1 word). Each site answers
-// with a_j, its count in [Lo, y) clamped to n_j ("split-counts",
-// EncodeSplitCount), and the coordinator takes n_j − a_j for [y, Hi). Cut
-// returns y and the two halves' counts Σ a_j and Σ (n_j − a_j). With exact
-// stores and distinct items each half holds between N/4 − k and 3N/4 + k
-// of the interval's N = Σ n_j items. Cut reports ok = false, and sends no
-// "split-apply", when no site holds an item there or every median lies at
-// or past Hi: ties leave no cut strictly inside (Lo, Hi).
-func (s Split) Cut(meter *wire.Meter, sts []Store) (y uint64, left, right int64, ok bool) {
-	counts := make([]int64, len(sts))
-	meds := make([]median, 0, len(sts))
+// SplitScratch is the memory Cut reuses from one split to the next: its
+// counts, its medians and the messages it sends. A policy keeps one and
+// passes it to every Cut under its engine's locks. The zero value is ready
+// to use.
+type SplitScratch struct {
+	counts []int64
+	meds   []median
+	down   []uint64 // the coordinator's message, "split-req" then "split-apply"
+	up     []uint64 // the site's reply being sent
+}
+
+// Cut runs the split over the Sites site stores, metering every message on
+// meter and keeping its working memory in sc. Each site answers
+// "split-req" with its count n_j in the interval and its lower local median
+// there ("split-resp", EncodeSplitResp). The coordinator cuts at y, the
+// n_j-weighted median of the medians, moved to Lo + 1 if it is Lo, and
+// sends y ("split-apply", 1 word). Each site answers with a_j, its count in
+// [Lo, y) clamped to n_j ("split-counts", EncodeSplitCount), and the
+// coordinator takes n_j − a_j for [y, Hi). Cut returns y and the two
+// halves' counts Σ a_j and Σ (n_j − a_j). With exact stores and distinct
+// items each half holds between N/4 − k and 3N/4 + k of the interval's
+// N = Σ n_j items. Cut reports ok = false, and sends no "split-apply", when
+// no site holds an item there or every median lies at or past Hi: ties
+// leave no cut strictly inside (Lo, Hi).
+func (s Split) Cut(meter *wire.Meter, sc *SplitScratch) (y uint64, left, right int64, ok bool) {
+	sc.counts = slices.Grow(sc.counts[:0], s.Sites)[:s.Sites]
+	sc.meds = sc.meds[:0]
+	// The messages go out of sc, never out of s, so that nothing in s
+	// escapes and the caller's Split, closures included, stays on its stack.
+	sc.down = append(sc.down[:0], s.Req...)
 	var total int64
-	for j, st := range sts {
-		meter.DownMsg(j, "split-req", s.Req)
-		lo, hi := s.Named(s.Req)
-		resp := EncodeSplitResp(nil, st, lo, hi)
-		meter.UpMsg(j, "split-resp", resp)
-		med, n, err := DecodeSplitResp(resp, s.Lo, s.Hi)
+	for j := range s.Sites {
+		meter.DownMsg(j, "split-req", sc.down)
+		lo, hi := s.Named(sc.down)
+		sc.up = EncodeSplitResp(sc.up[:0], s.Store(j), lo, hi)
+		meter.UpMsg(j, "split-resp", sc.up)
+		med, n, err := DecodeSplitResp(sc.up, s.Lo, s.Hi)
 		if err != nil {
 			panic(err) // encoded just above: a codec bug
 		}
-		counts[j] = n
+		sc.counts[j] = n
 		total += n
 		if n > 0 {
-			meds = append(meds, median{v: med, w: n})
+			sc.meds = append(sc.meds, median{v: med, w: n})
 		}
 	}
-	if len(meds) == 0 {
+	if len(sc.meds) == 0 {
 		return 0, 0, 0, false
 	}
-	y = max(weightedMedian(meds, total), s.Lo+1) // strictly inside (Lo, Hi)
+	y = max(weightedMedian(sc.meds, total), s.Lo+1) // strictly inside (Lo, Hi)
 	if y >= s.Hi {
 		return 0, 0, 0, false
 	}
-	apply := []uint64{y}
-	for j, st := range sts {
-		meter.DownMsg(j, "split-apply", apply)
-		lo, sy := s.Placed(apply)
-		words := EncodeSplitCount(nil, st, lo, sy, counts[j])
-		meter.UpMsg(j, "split-counts", words)
-		a, err := DecodeSplitCount(words, counts[j])
+	sc.down = append(sc.down[:0], y)
+	for j, n := range sc.counts {
+		meter.DownMsg(j, "split-apply", sc.down)
+		lo, sy := s.Placed(sc.down)
+		sc.up = EncodeSplitCount(sc.up[:0], s.Store(j), lo, sy, n)
+		meter.UpMsg(j, "split-counts", sc.up)
+		a, err := DecodeSplitCount(sc.up, n)
 		if err != nil {
 			panic(err) // encoded just above: a codec bug
 		}
 		left += a
-		right += counts[j] - a
+		right += n - a
 	}
 	return y, left, right, true
 }
@@ -143,7 +160,7 @@ func DecodeSplitResp(words []uint64, lo, hi uint64) (med uint64, n int64, err er
 		return 0, 0, ErrBadSplit
 	case c == 0:
 		return 0, 0, nil
-	case len(appendSplitResp(nil, lo+off, int64(c), lo, hi)) != len(words):
+	case len(appendSplitResp(make([]uint64, 0, 2), lo+off, int64(c), lo, hi)) != len(words): // on the stack
 		return 0, 0, ErrBadSplit
 	}
 	return lo + off, int64(c), nil

@@ -17,9 +17,11 @@ func runSplit(sts []Store, lo, hi uint64) (y uint64, left, right int64, ok bool,
 	m = &wire.Meter{}
 	y, left, right, ok = Split{
 		Lo: lo, Hi: hi, Req: []uint64{7},
+		Sites:  len(sts),
+		Store:  func(j int) Store { return sts[j] },
 		Named:  func([]uint64) (uint64, uint64) { return lo, hi },
 		Placed: func(apply []uint64) (uint64, uint64) { return lo, apply[0] },
-	}.Cut(m, sts)
+	}.Cut(m, &SplitScratch{})
 	return y, left, right, ok, m
 }
 
@@ -80,6 +82,34 @@ func TestSplitCut(t *testing.T) {
 				t.Fatalf("%s: %q took %d messages of %d words, want %d of 1", tc.name, kind, c.Msgs, c.Words, len(sts))
 			}
 		}
+	}
+}
+
+// TestSplitCutReusesScratch: once a SplitScratch has served a cut over k
+// sites, the next cut over them allocates only Separators' answer at each
+// site, the one local median EncodeSplitResp reads: no message, count or
+// median list of its own.
+func TestSplitCutReusesScratch(t *testing.T) {
+	const lo, hi = 1 << 20, 1 << 41
+	sts := make([]Store, 4)
+	for j := range sts {
+		sts[j] = NewExact()
+		sts[j].InsertBatch(randomItems(3000, int64(40+j)))
+	}
+	var sc SplitScratch
+	m := &wire.Meter{}
+	cut := func() {
+		Split{
+			Lo: lo, Hi: hi, Req: []uint64{7},
+			Sites:  len(sts),
+			Store:  func(j int) Store { return sts[j] },
+			Named:  func([]uint64) (uint64, uint64) { return lo, hi },
+			Placed: func(apply []uint64) (uint64, uint64) { return lo, apply[0] },
+		}.Cut(m, &sc)
+	}
+	cut()
+	if got := testing.AllocsPerRun(20, cut); got > float64(len(sts)) {
+		t.Fatalf("a cut over %d sites with a used scratch allocates %.0f times, want at most one per site", len(sts), got)
 	}
 }
 

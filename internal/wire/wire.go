@@ -64,7 +64,8 @@ func (m *Meter) msg(up bool, site int, kind string, words []uint64) {
 
 // SetTap installs tap to see every message UpMsg and DownMsg record, as sent
 // (nil removes it). Tests set it to replay a protocol's messages; it is not
-// part of the meter's state, so Reset and SetState keep it.
+// part of the meter's state, so Reset and SetState keep it. The words are
+// valid only during the call: a sender may reuse them for its next message.
 func (m *Meter) SetTap(tap func(kind string, site int, words []uint64)) { m.tap = tap }
 
 // UpTenant records one site→coordinator message attributed to a tenant, for
