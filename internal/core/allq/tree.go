@@ -372,12 +372,11 @@ func (p *policy) buildSubtree(parent *node, lo, hi uint64, step int64) *node {
 	req := []uint64{lo, hi}
 	for j, s := range p.sites {
 		meter.DownMsg(j, "rb-req", req)
-		var ss []uint64
+		n := len(merged)
 		if s.st.CountRange(lo, hi) > 0 {
-			ss = s.st.Separators(lo, hi, step)
+			merged = s.st.Separators(merged, lo, hi, step)
 		}
-		meter.UpMsg(j, "rb-seps", ss)
-		merged = append(merged, ss...)
+		meter.UpMsg(j, "rb-seps", merged[n:])
 	}
 	// Every sample carries the same weight, step: sort the values alone.
 	slices.Sort(merged)

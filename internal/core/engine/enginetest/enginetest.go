@@ -415,23 +415,7 @@ func runConcurrent(t *testing.T, cfg Config, seed int64, chunkMax int, lbl strin
 			}
 		}()
 	}
-	var wg sync.WaitGroup
-	for j := range streams {
-		wg.Add(1)
-		go func(site int, xs []uint64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(site)))
-			for pos := 0; pos < len(xs); {
-				sz := 1 + rng.Intn(chunkMax)
-				if pos+sz > len(xs) {
-					sz = len(xs) - pos
-				}
-				tr.FeedLocalBatch(site, xs[pos:pos+sz])
-				pos += sz
-			}
-		}(j, streams[j])
-	}
-	wg.Wait()
+	feedConcurrently(tr, streams, chunkMax)
 	close(done)
 	qwg.Wait()
 

@@ -193,23 +193,30 @@ func RunLaws(t *testing.T, cfg Config, laws ...Law) []core.Tracker {
 func runLawConcurrent(tb testing.TB, cfg Config, laws []Law) core.Tracker {
 	streams := dealStreams(cfg, 73)
 	tr, check := newTracker(tb, cfg, laws)
-	var wg sync.WaitGroup
-	for j := range streams {
-		wg.Add(1)
-		go func(site int, xs []uint64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(site)))
-			for len(xs) > 0 {
-				b := min(1+rng.Intn(600), len(xs))
-				tr.FeedLocalBatch(site, xs[:b])
-				xs = xs[b:]
-			}
-		}(j, streams[j])
-	}
-	wg.Wait()
+	feedConcurrently(tr, streams, 600)
 	truth := truthOf(streams)
 	tr.Quiesce(func() { check("concurrent", truth) })
 	return tr
+}
+
+// feedConcurrently feeds streams[j] to site j of tr from one goroutine per
+// site, in FeedLocalBatch calls of 1 + rng.Intn(chunkMax) items (the last
+// cut short), site j's rng seeded with j, and returns once all are fed.
+func feedConcurrently(tr core.Tracker, streams [][]uint64, chunkMax int) {
+	var wg sync.WaitGroup
+	for j, xs := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(j)))
+			for len(xs) > 0 {
+				b := min(1+rng.Intn(chunkMax), len(xs))
+				tr.FeedLocalBatch(j, xs[:b])
+				xs = xs[b:]
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // truthOf returns the exact multiset of the per-site streams.

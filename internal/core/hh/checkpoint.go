@@ -15,8 +15,9 @@ import (
 // store. Thresholds are derived from broadcast state (m), so nothing else
 // needs capturing: the coordinator's broadcast mark S.m is every site's
 // S_j.m, since a broadcast writes all k sites and a joining site gets one
-// before it reports, and the allSignals slot counts the "all" reports since
-// that broadcast. See docs/durability.md for the format.
+// before it reports. The slot after C.m_x holds the "all" reports since
+// that broadcast, which no decoder reads. See docs/durability.md for the
+// format.
 
 // storeMisraGries is the store byte a checkpoint of the removed
 // Misra–Gries site sketch starts its policy state with. DecodeState names it
@@ -25,11 +26,13 @@ const storeMisraGries = 2
 
 // EncodeState appends the policy state; runs under the quiescent lock set.
 func (p *policy) EncodeState(enc *ckpt.Encoder) {
+	co := &p.coord
 	enc.Bool(p.cfg.Sketch)
-	enc.I64(p.cm)
-	enc.MapU64I64(p.cmx)
-	enc.I64(int64(p.allSignals))
-	enc.I64(int64(p.rounds))
+	enc.I64(co.cm)
+	enc.MapU64I64(co.cmx)
+	// Each "all" report carries its threshold; none precedes the first S.m.
+	enc.I64(min(co.sm, 1) * (co.cm - co.sm) / p.threshold(p.sites[0]))
+	enc.I64(int64(co.rounds))
 	for _, s := range p.sites {
 		enc.I64(s.m)
 		enc.I64(s.dm)
@@ -53,10 +56,11 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 	if sketch := dec.Bool(); dec.Err() == nil && sketch != p.cfg.Sketch {
 		return fmt.Errorf("hh: restore: checkpoint has Sketch %t, tracker %t", sketch, p.cfg.Sketch)
 	}
-	p.cm = dec.I64()
-	p.cmx = dec.MapU64I64()
-	p.allSignals = int(dec.I64())
-	p.rounds = int(dec.I64())
+	co := &p.coord
+	co.cm = dec.I64()
+	co.cmx = dec.MapU64I64()
+	dec.I64() // the "all" reports since S.m
+	co.rounds = int(dec.I64())
 	for i, s := range p.sites {
 		s.m = dec.I64()
 		s.dm = dec.I64()
@@ -69,28 +73,23 @@ func (p *policy) DecodeState(dec *ckpt.Decoder) error {
 			}
 			continue
 		}
-		st, err := decodeSS(dec)
+		ss, err := decodeSS(dec)
 		if err != nil {
 			return fmt.Errorf("hh: restore site %d: %w", i, err)
 		}
-		ss, err := spacesaving.FromState(st)
-		if err != nil {
-			return fmt.Errorf("hh: restore site %d: %w", i, err)
-		}
-		s.ss = ss
-		s.lastRep = dec.MapU64I64()
+		s.ss, s.lastRep = ss, dec.MapU64I64()
 	}
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	p.sm = p.sites[0].m
+	co.sm = p.sites[0].m
 	for j, s := range p.sites {
-		if s.m != p.sm {
-			return fmt.Errorf("hh: restore: site %d holds S.m %d, site 0 %d: one broadcast writes every site", j, s.m, p.sm)
+		if s.m != co.sm {
+			return fmt.Errorf("hh: restore: site %d holds S.m %d, site 0 %d: one broadcast writes every site", j, s.m, co.sm)
 		}
 	}
-	if p.sm < 0 || p.sm > p.cm {
-		return fmt.Errorf("hh: restore: S.m %d outside [0, C.m %d]: a broadcast sends C.m, which only grows", p.sm, p.cm)
+	if co.sm < 0 || co.sm > co.cm {
+		return fmt.Errorf("hh: restore: S.m %d outside [0, C.m %d]: a broadcast sends C.m, which only grows", co.sm, co.cm)
 	}
 	return nil
 }
@@ -125,17 +124,20 @@ func encodeSS(enc *ckpt.Encoder, st spacesaving.State) {
 	}
 }
 
-func decodeSS(dec *ckpt.Decoder) (spacesaving.State, error) {
+func decodeSS(dec *ckpt.Decoder) (*spacesaving.Sketch, error) {
 	var st spacesaving.State
 	st.Cap = int(dec.I64())
 	st.N = dec.I64()
 	n := dec.Count(24)
 	if err := dec.Err(); err != nil {
-		return st, err
+		return nil, err
 	}
 	st.Entries = make([]spacesaving.Entry, n)
 	for i := range st.Entries {
 		st.Entries[i] = spacesaving.Entry{Item: dec.U64(), Count: dec.I64(), Err: dec.I64()}
 	}
-	return st, dec.Err()
+	if err := dec.Err(); err != nil {
+		return nil, err
+	}
+	return spacesaving.FromState(st)
 }

@@ -204,7 +204,7 @@ func TestRestoreRefusesSplitBroadcast(t *testing.T) {
 		{"sites differ", func(p *policy) { p.sites[2].m-- }, "site 2 holds S.m"},
 		{"above C.m", func(p *policy) {
 			for _, s := range p.sites {
-				s.m = p.cm + 1
+				s.m = p.coord.cm + 1
 			}
 		}, "outside [0, C.m"},
 	} {
@@ -224,7 +224,7 @@ func TestRestoreRefusesSplitBroadcast(t *testing.T) {
 	if err := dst.Restore(bytes.NewReader(splitBroadcastCheckpoint(t, func(*policy) {}))); err != nil {
 		t.Fatalf("unedited checkpoint: %v", err)
 	}
-	if dst.p.sm != dst.p.sites[0].m || dst.p.sm == 0 {
-		t.Fatalf("restored broadcast mark %d, sites hold %d", dst.p.sm, dst.p.sites[0].m)
+	if dst.p.coord.sm != dst.p.sites[0].m || dst.p.coord.sm == 0 {
+		t.Fatalf("restored broadcast mark %d, sites hold %d", dst.p.coord.sm, dst.p.sites[0].m)
 	}
 }

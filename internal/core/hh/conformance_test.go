@@ -69,7 +69,7 @@ func TestEngineConformance(t *testing.T) {
 					// coordinator counts and every key of count ≥ εm/4:
 					// only a key of count ≥ εm/3 can lag by εm/3.
 					items := map[uint64]int64{}
-					for x := range tr.p.cmx {
+					for x := range tr.p.coord.cmx {
 						items[x] = truth.Count(x)
 					}
 					for _, x := range truth.HeavyHitters(eps / 4) {

@@ -14,12 +14,8 @@
 // threshold, ε·S.m/3k, so a round takes about k·√(6/ε) "all" messages and
 // grows the count by a factor c: O(k/ε) "all" and O(k/√ε) "newm" words per
 // doubling of m, and no more "freq" than "all" messages — O(k/ε · log n)
-// total.
-//
-// The thresholds need m only to a constant factor: a stale S_j.m ≤ m only
-// shrinks them, so the invariants below hold whatever c is, and c is the
-// one that minimises the words per doubling (docs/architecture.md, "hh's
-// thresholds need m only to a constant factor").
+// total. A stale S_j.m ≤ m only shrinks the thresholds, so the invariants
+// below hold whatever c is (see growth).
 //
 // The paper ends each round by collecting every site's exact count. This
 // implementation does not: every site's unreported Δ(m) stays below its
@@ -51,12 +47,13 @@
 // space" remark), keeping site space at O(1/ε) counters while preserving the
 // guarantees with adjusted constants.
 //
-// # Concurrency
+// # Halves
 //
-// The ingest surface (Feed, FeedLocalBatch, Quiesce, Version) is owned by
-// the shared core/engine skeleton; this package supplies only the §2.1
-// algorithm as an engine policy. See package engine for the concurrency
-// contract.
+// The §2.1 algorithm is an engine policy of two halves that share only
+// words: the sites (store, deltas, S_j.m) and the coordinator (C.m, C.m_x,
+// S.m). Every message reaches its receiving half through one link function
+// per direction, which meters the words and hands them to that half's
+// decoder. Package engine owns the ingest surface and its locks.
 package hh
 
 import (
@@ -101,28 +98,30 @@ type Tracker struct {
 	p *policy
 }
 
-// policy is the §2.1 algorithm as an engine policy: all methods run under
-// the engine's locks (see engine.Policy), so no field needs locking of its
-// own.
+// policy joins the site halves and the coordinator half by the link (up,
+// down). All methods run under the engine's locks (see engine.Policy), so no
+// field needs locking of its own.
 type policy struct {
-	eng *engine.Engine
-	cfg Config
-
+	eng   *engine.Engine
+	cfg   Config
 	sites []*site
-
-	// Coordinator state, touched only on the slow path.
-	cm         int64            // C.m — underestimate of the global count
-	cmx        map[uint64]int64 // C.m_x — underestimates of global frequencies
-	sm         int64            // S.m — the C.m last broadcast, every site's S_j.m
-	allSignals int              // "all" messages since the last broadcast
-	rounds     int              // broadcasts after the bootstrap's (for experiments)
-
-	msg []uint64 // scratch for one report's or broadcast's words
+	coord coord
+	msg   []uint64 // scratch for one report's or broadcast's words
 }
 
-// site is the per-site protocol state, guarded by the engine's site locks.
-// Every arrival is counted in dm (and, in exact mode, in its slot's dx) until
-// a report carries it, so C.m + Σ_j Δ_j(m) = m at all times.
+// coord is the coordinator half, touched only on the slow path. It holds no
+// site state: it knows only the messages it decodes and the forwards it
+// absorbs.
+type coord struct {
+	cm     int64            // C.m — underestimate of the global count
+	cmx    map[uint64]int64 // C.m_x — underestimates of global frequencies
+	sm     int64            // S.m — the C.m last broadcast, every site's S_j.m
+	rounds int              // broadcasts after the bootstrap's (for experiments)
+}
+
+// site is a site half, guarded by the engine's site locks. Every arrival
+// is counted in dm (and, in exact mode, in its slot's dx) until a report
+// carries it, so C.m + Σ_j Δ_j(m) = m at all times.
 type site struct {
 	m  int64 // S_j.m — global count at last broadcast
 	dm int64 // Δ(m) — arrivals since the last "all" report
@@ -137,7 +136,7 @@ type site struct {
 
 // New validates cfg and returns a Tracker.
 func New(cfg Config) (*Tracker, error) {
-	p := &policy{cfg: cfg, cmx: make(map[uint64]int64)}
+	p := &policy{cfg: cfg, coord: coord{cmx: make(map[uint64]int64)}}
 	eng, err := engine.New(engine.Config{Name: "hh", K: cfg.K, Eps: cfg.Eps}, p)
 	if err != nil {
 		return nil, err
@@ -146,6 +145,7 @@ func New(cfg Config) (*Tracker, error) {
 		return nil, fmt.Errorf("hh: ThresholdDivisor must be >= 0, got %g", cfg.ThresholdDivisor)
 	}
 	p.eng = eng
+	p.cfg.ThresholdDivisor = cmp.Or(cfg.ThresholdDivisor, 3) // the d of ε·S_j.m/dk
 	for j := 0; j < cfg.K; j++ {
 		p.sites = append(p.sites, p.newSite())
 	}
@@ -167,23 +167,10 @@ func (p *policy) newSite() *site {
 	return &site{tab: slots.New[counts]()}
 }
 
-// divisor returns the d of the reporting threshold ε·S_j.m/dk: 3, or
-// ThresholdDivisor when set.
-func (p *policy) divisor() float64 {
-	if p.cfg.ThresholdDivisor != 0 {
-		return p.cfg.ThresholdDivisor
-	}
-	return 3
-}
-
 // threshold returns site s's current reporting threshold ε·S_j.m/dk, floored
 // at one item.
 func (p *policy) threshold(s *site) int64 {
-	thr := int64(p.cfg.Eps * float64(s.m) / (p.divisor() * float64(p.cfg.K)))
-	if thr < 1 {
-		thr = 1
-	}
-	return thr
+	return max(1, int64(p.cfg.Eps*float64(s.m)/(p.cfg.ThresholdDivisor*float64(p.cfg.K))))
 }
 
 // growth returns c = 1 + √(2ε/d), the factor by which C.m grows between
@@ -192,7 +179,7 @@ func (p *policy) threshold(s *site) int64 {
 // (d(c−1)/ε + 1)·k/log₂c, smallest at this c (docs/architecture.md, "hh's
 // thresholds need m only to a constant factor"). Derived, never stored.
 func (p *policy) growth() float64 {
-	return 1 + math.Sqrt(2*p.cfg.Eps/p.divisor())
+	return 1 + math.Sqrt(2*p.cfg.Eps/p.cfg.ThresholdDivisor)
 }
 
 // bootTarget returns ⌈d·k/ε⌉, the coordinator count at which the reporting
@@ -201,7 +188,7 @@ func (p *policy) growth() float64 {
 // share of the round's broadcast, where forwarding costs one word; so the
 // bootstrap forwards until then. It is derived from the config, never stored.
 func (p *policy) bootTarget() int64 {
-	return int64(math.Ceil(p.divisor() * float64(p.cfg.K) / p.cfg.Eps))
+	return int64(math.Ceil(p.cfg.ThresholdDivisor * float64(p.cfg.K) / p.cfg.Eps))
 }
 
 // ApplyBoot records one bootstrap arrival in site j's frequency store and
@@ -255,76 +242,97 @@ func (p *policy) ApplyRun(siteID int, xs []uint64) (consumed int, crossed bool) 
 	return len(xs), false
 }
 
-// OnEscalate re-checks the reporting thresholds under the protocol lock and
-// runs the (rare) communication cascade — delta reports, "all" signals,
-// round changes — with all wire.Meter accounting. The "freq" and "all"
-// reports touch only site siteID and coordinator counters; the round change,
-// when an "all" report brings C.m to c·S.m, reads only the coordinator's
-// own mark, and its broadcast writes every site and calls Engine.All first.
+// OnEscalate re-checks site siteID's thresholds under the protocol lock and
+// sends its due "freq" and "all" reports. When an "all" report brings C.m to
+// c·S.m, the coordinator starts a round, whose broadcast calls Engine.All.
 func (p *policy) OnEscalate(siteID int, x uint64) {
 	s := p.sites[siteID]
 	thr := p.threshold(s)
-
-	// Per-item report Δ(m_x).
-	if p.cfg.Sketch {
-		est := s.ss.Est(x)
-		if d := est - s.lastRep[x]; d >= thr {
-			p.reportFreq(siteID, x, d)
-			s.lastRep[x] = est
-		}
-	} else if sl := s.tab.Find(x); sl != nil && sl.Val.dx >= thr {
-		p.reportFreq(siteID, x, sl.Val.dx)
-		sl.Val.dx = 0
-	}
-
-	// Total report Δ(m).
+	p.reportItem(siteID, x, thr)
 	if s.dm >= thr {
 		p.reportAll(siteID)
-		p.allSignals++
-		if float64(p.cm) >= p.growth()*float64(p.sm) {
+		if float64(p.coord.cm) >= p.growth()*float64(p.coord.sm) {
 			p.newRound()
 		}
 	}
 }
 
-// reportFreq sends site j's unreported increment d of item x ("freq",
-// encodeFreq); the coordinator adds what it decodes.
-func (p *policy) reportFreq(j int, x uint64, d int64) {
-	p.msg = encodeFreq(p.msg[:0], x, d)
-	p.eng.Meter().UpMsg(j, "freq", p.msg)
-	x, d, err := decodeFreq(p.msg)
-	if err != nil {
-		panic(err) // encoded just above: a codec bug
+// up is the link from site j to the coordinator half: it meters words as
+// j's message of kind and hands them to recv, the receiving half's decoder:
+// the coordinator's, or site 0's for a departing site's "handoff". A
+// decoder applies the message, or changes nothing and errs on words the
+// encoders in msg.go do not write.
+func (p *policy) up(j int, kind string, words []uint64, recv func(kind string, words []uint64) error) {
+	p.eng.Meter().UpMsg(j, kind, words)
+	if err := recv(kind, words); err != nil {
+		panic(err) // encoded by the sender: a codec bug
 	}
-	p.cmx[x] += d
 }
 
-// reportAll sends site j's unreported Δ(m) ("all", encodeCount); the
-// coordinator adds what it decodes.
-func (p *policy) reportAll(j int) {
+// down is the link from the coordinator half to site j, as up is.
+func (p *policy) down(j int, kind string, words []uint64) {
+	p.eng.Meter().DownMsg(j, kind, words)
+	if err := p.sites[j].recv(kind, words); err != nil {
+		panic(err) // encoded by the sender: a codec bug
+	}
+}
+
+// reportItem sends site j's Δ(m_x) ("freq") when it is at least thr, and
+// marks it reported.
+func (p *policy) reportItem(j int, x uint64, thr int64) {
 	s := p.sites[j]
-	p.msg = encodeCount(p.msg[:0], s.dm)
-	p.eng.Meter().UpMsg(j, "all", p.msg)
-	dm, err := decodeCount(p.msg)
-	if err != nil {
-		panic(err) // encoded just above: a codec bug
+	d := s.pending(x)
+	if d < thr {
+		return
 	}
-	p.cm += dm
-	s.dm = 0
+	p.msg = encodeFreq(p.msg[:0], x, d)
+	p.up(j, "freq", p.msg, p.coord.recv)
+	if s.ss != nil {
+		s.lastRep[x] += d
+	} else {
+		s.tab.Find(x).Val.dx = 0
+	}
 }
 
-// OnBootEscalate forwards one bootstrap arrival, taking it out of the site's
-// pending deltas; the bootstrap ends once the coordinator holds bootTarget
-// items.
+// pending returns Δ(m_x), site s's unreported increment of item x.
+func (s *site) pending(x uint64) int64 {
+	if s.ss != nil {
+		return s.ss.Est(x) - s.lastRep[x]
+	}
+	if sl := s.tab.Find(x); sl != nil {
+		return sl.Val.dx
+	}
+	return 0
+}
+
+// reportAll sends site j's unreported Δ(m) ("all") and zeroes it.
+func (p *policy) reportAll(j int) {
+	p.msg = encodeCount(p.msg[:0], p.sites[j].dm)
+	p.up(j, "all", p.msg, p.coord.recv)
+	p.sites[j].dm = 0
+}
+
+// OnBootEscalate forwards one bootstrap arrival: the site takes it out of
+// its pending deltas and the coordinator absorbs it. The bootstrap ends once
+// the coordinator holds bootTarget items.
 func (p *policy) OnBootEscalate(siteID int, x uint64) (done bool) {
-	s := p.sites[siteID]
+	p.sites[siteID].unpend(x)
+	p.coord.absorb(x)
+	return p.coord.cm >= p.bootTarget()
+}
+
+// unpend takes one forwarded bootstrap arrival of x out of s's deltas.
+func (s *site) unpend(x uint64) {
 	s.dm--
-	if !p.cfg.Sketch {
+	if s.ss == nil {
 		s.tab.Find(x).Val.dx--
 	}
-	p.cm++
-	p.cmx[x]++
-	return p.cm >= p.bootTarget()
+}
+
+// absorb counts one forwarded bootstrap arrival of x.
+func (c *coord) absorb(x uint64) {
+	c.cm++
+	c.cmx[x]++
 }
 
 // OnBootDone broadcasts the exact count collected during bootstrap and
@@ -344,28 +352,20 @@ func (p *policy) OnBootDone() {
 }
 
 // newRound starts the next round: the coordinator broadcasts its own C.m,
-// with no exact collect — each site's unreported Δ(m) is below its
-// threshold, so C.m is already within εS.m/3 ≤ εm/3 of m, and the sites
-// keep their Δ(m) for their next report.
+// with no exact collect (see the package doc); the sites keep their Δ(m).
 func (p *policy) newRound() {
 	p.eng.All()
 	p.broadcastM()
-	p.allSignals = 0
-	p.rounds++
+	p.coord.rounds++
 }
 
-// broadcastM sends C.m to every site ("newm", encodeCount), which adopts
-// what it decodes as S_j.m; the coordinator keeps C.m as its mark S.m.
+// broadcastM sends C.m to every site ("newm"); the coordinator keeps C.m as
+// its mark S.m.
 func (p *policy) broadcastM() {
-	p.sm = p.cm
-	p.msg = encodeCount(p.msg[:0], p.cm)
-	for j, s := range p.sites {
-		p.eng.Meter().DownMsg(j, "newm", p.msg)
-		m, err := decodeCount(p.msg)
-		if err != nil {
-			panic(err) // encoded just above: a codec bug
-		}
-		s.m = m
+	p.coord.sm = p.coord.cm
+	p.msg = encodeCount(p.msg[:0], p.coord.cm)
+	for j := range p.sites {
+		p.down(j, "newm", p.msg)
 	}
 }
 
@@ -373,35 +373,24 @@ func (p *policy) broadcastM() {
 // least thr.
 func (p *policy) flushItems(j int, thr int64) {
 	s := p.sites[j]
-	if p.cfg.Sketch {
+	if s.ss != nil {
 		for _, e := range s.ss.Top() {
-			if d := e.Count - s.lastRep[e.Item]; d >= thr {
-				p.reportFreq(j, e.Item, d)
-				s.lastRep[e.Item] = e.Count
-			}
+			p.reportItem(j, e.Item, thr)
 		}
 		return
 	}
 	for sl := range s.tab.All {
-		if sl.Val.dx >= thr {
-			p.reportFreq(j, sl.Key, sl.Val.dx)
-			sl.Val.dx = 0
-		}
+		p.reportItem(j, sl.Key, thr)
 	}
 }
 
-// OnReconfigure implements engine.Policy: resize the per-site
-// protocol state to newK sites and restart the round — the §2.1 thresholds
-// ε·S_j.m/3k depend on k, so a membership change forces a fresh broadcast
-// (the paper's protocols restart their round on reconfiguration). Runs under
+// OnReconfigure implements engine.Policy: resize the sites to newK and
+// restart the round, since the thresholds ε·S_j.m/3k depend on k. Runs under
 // the quiescent lock set, after the engine has folded the removed sites'
-// arrival counts into site 0.
-//
-// The restart is exact: every site, departing or staying, reports its
-// unreported Δ(m), so the new round starts from C.m = m. Departing sites also
-// flush every unreported Δ(m_x). Growth lowers the threshold, so surviving
-// sites then report any Δ(m_x) at or above the new one, and every pending
-// delta is again below its site's threshold, as invariant (2) needs.
+// arrival counts into site 0. The restart is exact: every site reports its
+// unreported Δ(m), so the new round starts from C.m = m, and departing sites
+// flush every Δ(m_x). Growth lowers the threshold, so surviving sites then
+// report any Δ(m_x) at or above the new one, as invariant (2) needs.
 func (p *policy) OnReconfigure(oldK, newK int) {
 	tracking := !p.eng.Bootstrapping()
 	// Departing sites flush their unreported per-item deltas so the
@@ -412,19 +401,10 @@ func (p *policy) OnReconfigure(oldK, newK int) {
 	for j := newK; j < oldK; j++ {
 		p.flushItems(j, 1)
 		if !p.cfg.Sketch {
-			// Hand the exact store to site 0 ("handoff", encodeHandoff),
-			// mirroring the engine's count fold so SiteSpace and checkpoints
-			// stay coherent; site 0 adds what it decodes.
+			// Hand the exact store to site 0 ("handoff"), mirroring the
+			// engine's count fold so SiteSpace and checkpoints stay coherent.
 			keys, counts := handoffOf(p.sites[j])
-			words := encodeHandoff(nil, keys, counts)
-			p.eng.Meter().UpMsg(j, "handoff", words)
-			keys, counts, err := decodeHandoff(words)
-			if err != nil {
-				panic(err) // encoded just above: a codec bug
-			}
-			for i, x := range keys {
-				p.sites[0].tab.Get(x).Val.local += counts[i]
-			}
+			p.up(j, "handoff", encodeHandoff(nil, keys, counts), p.sites[0].recv)
 		}
 	}
 	if tracking {
@@ -458,17 +438,17 @@ func (p *policy) OnReconfigure(oldK, newK int) {
 // The result contains every x with m_x ≥ φ|A| and nothing with
 // m_x < (φ−ε)|A|. phi must satisfy ε ≤ phi ≤ 1 (the paper's precondition).
 func (t *Tracker) HeavyHitters(phi float64) []uint64 {
-	p := t.p
-	if phi < p.cfg.Eps || phi > 1 {
-		panic(fmt.Sprintf("hh: phi must be in [eps, 1], got %g (eps %g)", phi, p.cfg.Eps))
+	eps, c := t.p.cfg.Eps, &t.p.coord
+	if phi < eps || phi > 1 {
+		panic(fmt.Sprintf("hh: phi must be in [eps, 1], got %g (eps %g)", phi, eps))
 	}
-	if p.cm == 0 {
+	if c.cm == 0 {
 		return nil
 	}
-	tau := (phi - classifySlack*p.cfg.Eps) * float64(p.cm)
+	tau := (phi - classifySlack*eps) * float64(c.cm)
 	var out []uint64
-	for x, c := range p.cmx {
-		if float64(c) >= tau {
+	for x, n := range c.cmx {
+		if float64(n) >= tau {
 			out = append(out, x)
 		}
 	}
@@ -495,8 +475,8 @@ func (t *Tracker) HeavyHitterEntries(phi float64) []Entry {
 	}
 	out := make([]Entry, 0, len(items))
 	for _, x := range items {
-		c := t.p.cmx[x]
-		out = append(out, Entry{Item: x, Count: c, Ratio: float64(c) / float64(t.p.cm)})
+		c := t.p.coord.cmx[x]
+		out = append(out, Entry{Item: x, Count: c, Ratio: float64(c) / float64(t.p.coord.cm)})
 	}
 	slices.SortFunc(out, func(a, b Entry) int {
 		if a.Count != b.Count {
@@ -508,15 +488,15 @@ func (t *Tracker) HeavyHitterEntries(phi float64) []Entry {
 }
 
 // EstFrequency returns the coordinator's estimate C.m_x.
-func (t *Tracker) EstFrequency(x uint64) int64 { return t.p.cmx[x] }
+func (t *Tracker) EstFrequency(x uint64) int64 { return t.p.coord.cmx[x] }
 
 // EstTotal returns the coordinator's estimate C.m.
-func (t *Tracker) EstTotal() int64 { return t.p.cm }
+func (t *Tracker) EstTotal() int64 { return t.p.coord.cm }
 
 // Rounds returns the number of completed rounds: the "newm" broadcasts
 // after the bootstrap's, each when C.m reached c·S.m or the membership
 // changed.
-func (t *Tracker) Rounds() int { return t.p.rounds }
+func (t *Tracker) Rounds() int { return t.p.coord.rounds }
 
 // SiteSpace returns the number of state entries held at site j — nonzero
 // frequency counters plus nonzero pending deltas in exact mode, sketch
@@ -547,23 +527,6 @@ func (t *Tracker) ItemThreshold(j int, x uint64) int64 {
 	if t.Bootstrapping() {
 		return 1
 	}
-	p := t.p
-	s := p.sites[j]
-	thr := p.threshold(s)
-	var dx int64
-	if p.cfg.Sketch {
-		dx = s.ss.Est(x) - s.lastRep[x]
-	} else if sl := s.tab.Find(x); sl != nil {
-		dx = sl.Val.dx
-	}
-	remItem := thr - dx
-	remAll := thr - s.dm
-	rem := remItem
-	if remAll < rem {
-		rem = remAll
-	}
-	if rem < 1 {
-		rem = 1
-	}
-	return rem
+	s := t.p.sites[j]
+	return max(1, t.p.threshold(s)-max(s.pending(x), s.dm))
 }

@@ -9,16 +9,49 @@ import (
 )
 
 // Reports and broadcasts as values. Every hh message travels as the words
-// these functions write; the meter records their length (wire.Meter's UpMsg
-// and DownMsg) and the receiving half reads only what they decode to. A
-// "freq" report packs its item and increment into one word when both fit
-// beside a 6-bit width header (wire.AppendPair); an "all" report and a
-// "newm" broadcast are one count each; a departing site's "handoff" is its
-// items as a key list (wire.AppendKeys) and their counts packed at the
-// width of the widest (wire.AppendPacked).
+// these functions write; the link (policy.up, policy.down) meters their
+// length and hands them to the receiving half's recv, which reads only what
+// they decode to.
 
 // errBadMsg reports a message the encoders here do not write.
 var errBadMsg = errors.New("hh: malformed message")
+
+// recv adds a "freq" or "all" report's increment to C.m_x or C.m.
+func (c *coord) recv(kind string, words []uint64) error {
+	switch kind {
+	case "freq":
+		x, d, err := decodeFreq(words)
+		if err == nil {
+			c.cmx[x] += d
+		}
+		return err
+	case "all":
+		d, err := decodeCount(words)
+		c.cm += d // 0 on error
+		return err
+	}
+	return errBadMsg
+}
+
+// recv adopts a "newm" broadcast's C.m as S_j.m, or adds a departing site's
+// "handoff" counts to the site's own.
+func (s *site) recv(kind string, words []uint64) error {
+	switch kind {
+	case "newm":
+		m, err := decodeCount(words)
+		if err == nil {
+			s.m = m
+		}
+		return err
+	case "handoff":
+		keys, counts, err := decodeHandoff(words)
+		for i, x := range keys { // none on error
+			s.tab.Get(x).Val.local += counts[i]
+		}
+		return err
+	}
+	return errBadMsg
+}
 
 // encodeFreq appends site j's "freq" report: item x and its unreported
 // increment d, one word, [6-bit width of x | x | d], when 6 + bits(x) +

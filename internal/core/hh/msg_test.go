@@ -5,10 +5,13 @@ import (
 	"maps"
 	"math"
 	"math/bits"
+	"reflect"
 	"slices"
 	"testing"
 
 	"disttrack/internal/oracle"
+	"disttrack/internal/slots"
+	"disttrack/internal/summary/spacesaving"
 	"disttrack/internal/wire"
 )
 
@@ -44,7 +47,7 @@ var replayKinds = []string{"item", "freq", "all", "newm", "handoff"}
 // starts from its checkpoint, not from messages.
 func (r *msgReplay) seed() {
 	tr, p := r.tr, r.tr.p
-	r.cm, r.cmx, r.sm = p.cm, maps.Clone(p.cmx), nil
+	r.cm, r.cmx, r.sm = p.coord.cm, maps.Clone(p.coord.cmx), nil
 	for _, s := range p.sites {
 		r.sm = append(r.sm, s.m)
 	}
@@ -119,18 +122,18 @@ func (r *msgReplay) check(label string, _ *oracle.Counter) {
 	}
 	r.checked = tr.Version()
 	p := tr.p
-	if r.cm != p.cm {
-		tb.Fatalf("%s: |A|=%d: the messages give C.m %d, the coordinator holds %d", label, tr.TrueTotal(), r.cm, p.cm)
+	if r.cm != p.coord.cm {
+		tb.Fatalf("%s: |A|=%d: the messages give C.m %d, the coordinator holds %d", label, tr.TrueTotal(), r.cm, p.coord.cm)
 	}
-	if !maps.Equal(r.cmx, p.cmx) {
-		for x, c := range p.cmx {
+	if !maps.Equal(r.cmx, p.coord.cmx) {
+		for x, c := range p.coord.cmx {
 			if r.cmx[x] != c {
 				tb.Fatalf("%s: |A|=%d: the messages give C.m_x %d for %d, the coordinator holds %d",
 					label, tr.TrueTotal(), r.cmx[x], x, c)
 			}
 		}
 		tb.Fatalf("%s: |A|=%d: the messages give %d items C.m_x, the coordinator holds %d",
-			label, tr.TrueTotal(), len(r.cmx), len(p.cmx))
+			label, tr.TrueTotal(), len(r.cmx), len(p.coord.cmx))
 	}
 	for j, s := range p.sites {
 		var m int64
@@ -160,13 +163,13 @@ func checkLag(tb testing.TB, label string, tr *Tracker) {
 	}
 	p := tr.p
 	for j, s := range p.sites {
-		if s.m != p.sm {
-			tb.Fatalf("%s: |A|=%d: site %d holds S.m %d, the coordinator last broadcast %d", label, tr.TrueTotal(), j, s.m, p.sm)
+		if s.m != p.coord.sm {
+			tb.Fatalf("%s: |A|=%d: site %d holds S.m %d, the coordinator last broadcast %d", label, tr.TrueTotal(), j, s.m, p.coord.sm)
 		}
 	}
 	c := 1 + math.Sqrt(2*tr.Eps()/3)
-	if p.sm > p.cm || float64(p.cm) >= c*float64(p.sm) {
-		tb.Fatalf("%s: |A|=%d: C.m %d outside [S.m, c·S.m) = [%d, %.1f)", label, tr.TrueTotal(), p.cm, p.sm, c*float64(p.sm))
+	if p.coord.sm > p.coord.cm || float64(p.coord.cm) >= c*float64(p.coord.sm) {
+		tb.Fatalf("%s: |A|=%d: C.m %d outside [S.m, c·S.m) = [%d, %.1f)", label, tr.TrueTotal(), p.coord.cm, p.coord.sm, c*float64(p.coord.sm))
 	}
 }
 
@@ -278,6 +281,66 @@ func TestHandoffCodec(t *testing.T) {
 	} {
 		if _, _, err := decodeHandoff(tc.words); err == nil {
 			t.Errorf("%s: decodeHandoff(%#x) took it", tc.name, tc.words)
+		}
+	}
+}
+
+// siteStateIn returns the paths by which a value of type ty reaches site
+// state: a site half, a slots.Table or a spacesaving.Sketch, through
+// structs, pointers, arrays, slices and maps. A func, channel or interface
+// could hide any of them, so it counts as reaching them.
+func siteStateIn(ty reflect.Type) []string {
+	siteType := reflect.TypeFor[site]()
+	stores := map[string]bool{
+		reflect.TypeFor[slots.Table[counts]]().PkgPath(): true,
+		reflect.TypeFor[spacesaving.Sketch]().PkgPath():  true,
+	}
+	var found []string
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch {
+		case ty == siteType || stores[ty.PkgPath()]:
+			found = append(found, fmt.Sprintf("%s (%v)", path, ty))
+			return
+		case seen[ty]:
+			return
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Pointer:
+			walk(path+"*", ty.Elem())
+		case reflect.Array, reflect.Slice:
+			walk(path+"[]", ty.Elem())
+		case reflect.Map:
+			walk(path+"[key]", ty.Key())
+			walk(path+"[]", ty.Elem())
+		case reflect.Func, reflect.Chan, reflect.Interface, reflect.UnsafePointer:
+			found = append(found, fmt.Sprintf("%s (%v)", path, ty))
+		}
+	}
+	walk(ty.Name(), ty)
+	return found
+}
+
+// TestCoordinatorHoldsNoSiteState pins the seam between hh's halves: no
+// field of the coordinator half reaches a site's state, so all it knows of
+// the sites is what the link's words carry. The walk itself must find the
+// site state the policy and a nested decoy hold.
+func TestCoordinatorHoldsNoSiteState(t *testing.T) {
+	if got := siteStateIn(reflect.TypeFor[coord]()); len(got) != 0 {
+		t.Fatalf("the coordinator half reaches site state: %v", got)
+	}
+	type decoy struct {
+		byKey map[uint64][]*spacesaving.Sketch
+	}
+	for _, ty := range []reflect.Type{reflect.TypeFor[policy](), reflect.TypeFor[decoy](), reflect.TypeFor[[2]map[int]*site]()} {
+		if len(siteStateIn(ty)) == 0 {
+			t.Fatalf("the walk finds no site state in %v", ty)
 		}
 	}
 }

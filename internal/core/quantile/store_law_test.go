@@ -115,7 +115,7 @@ func TestReconfigureShrinkDrainsIntoSiteZero(t *testing.T) {
 	slices.Sort(want1)
 	for j, want := range [][]uint64{want0, want1} {
 		// Step-1 separators over the whole universe are the sorted items.
-		got := tr.p.sites[j].st.Separators(0, math.MaxUint64, 1)
+		got := tr.p.sites[j].st.Separators(nil, 0, math.MaxUint64, 1)
 		if !slices.Equal(got, want) {
 			t.Fatalf("site %d holds %d items after the shrink, want exactly the %d of the union", j, len(got), len(want))
 		}

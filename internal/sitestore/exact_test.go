@@ -183,7 +183,7 @@ func FuzzExactStore(f *testing.F) {
 					lo, hi = 0, math.MaxUint64
 				}
 				step := []int64{1, 7, int64(len(ref)) + 1}[int(feed.next())%3]
-				got, want := s.Separators(lo, hi, step), ref.separators(lo, hi, step)
+				got, want := s.Separators(nil, lo, hi, step), ref.separators(lo, hi, step)
 				if !slices.Equal(got, want) {
 					t.Fatalf("Separators(%d, %d, %d) = %v, want %v", lo, hi, step, got, want)
 				}
@@ -251,7 +251,7 @@ func TestExactEncodeGolden(t *testing.T) {
 		t.Fatalf("restored store answers Space %d, RankOf(4) %d, CountRange(5, 2^40) %d; want 11, 4, 4",
 			back.Space(), back.RankOf(4), back.CountRange(5, 1<<40))
 	}
-	if got, want := back.Separators(0, math.MaxUint64, 3), []uint64{3, 9, 1 << 40}; !slices.Equal(got, want) {
+	if got, want := back.Separators(nil, 0, math.MaxUint64, 3), []uint64{3, 9, 1 << 40}; !slices.Equal(got, want) {
 		t.Fatalf("restored store Separators = %v, want %v", got, want)
 	}
 }
@@ -360,7 +360,7 @@ func BenchmarkExactStoreSeparators(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s := &exactStore{runs: slices.Clone(runs), n: n}
-			s.Separators(lo, hi, 1<<10)
+			s.Separators(nil, lo, hi, 1<<10)
 		}
 	}
 	b.Run("all", func(b *testing.B) { bench(b, 0, math.MaxUint64) })

@@ -108,7 +108,7 @@ func driveExactStore(seed int64) error {
 				lo, hi = 0, rng.Uint64()
 			}
 			step := int64(1 + rng.Intn(1000))
-			if got, want := s.Separators(lo, hi, step), ref.separators(lo, hi, step); !slices.Equal(got, want) {
+			if got, want := s.Separators(nil, lo, hi, step), ref.separators(lo, hi, step); !slices.Equal(got, want) {
 				return fmt.Errorf("op %d: Separators(%d, %d, %d) differ: %d items, want %d", op, lo, hi, step, len(got), len(want))
 			}
 		case 4:

@@ -45,9 +45,9 @@ type Store interface {
 	// CountRange returns (an estimate of) the number of local items in
 	// [lo, hi), the end closed at hi = math.MaxUint64.
 	CountRange(lo, hi uint64) int64
-	// Separators returns local items cutting [lo, hi) into chunks of ~step
-	// local items each (rank error at most step plus the sketch error).
-	Separators(lo, hi uint64, step int64) []uint64
+	// Separators appends to dst local items cutting [lo, hi) into chunks of
+	// ~step local items each (rank error at most step plus the sketch error).
+	Separators(dst []uint64, lo, hi uint64, step int64) []uint64
 	// Space returns the number of stored entries (for the space experiments).
 	Space() int
 }
@@ -301,14 +301,14 @@ func (s *exactStore) restrict(parts [][]uint64, lo, hi uint64) ([][]uint64, int6
 	return parts, total
 }
 
-// Separators returns the items of ranks step-1, 2*step-1, ... within the
+// Separators appends the items of ranks step-1, 2*step-1, ... within the
 // restriction of the store to [lo, hi): it cuts that interval's items into
-// chunks of step items and returns the item closing each chunk. The store
+// chunks of step items and appends the item closing each chunk. The store
 // keeps its runs. The largest restricted run is read in place; the others,
 // when there are several, are merged into a scratch buffer from runPool;
 // and each separator is selected from the two sorted slices by a binary
 // search.
-func (s *exactStore) Separators(lo, hi uint64, step int64) []uint64 {
+func (s *exactStore) Separators(dst []uint64, lo, hi uint64, step int64) []uint64 {
 	if step <= 0 {
 		panic("sitestore: Separators with non-positive step")
 	}
@@ -318,7 +318,7 @@ func (s *exactStore) Separators(lo, hi uint64, step int64) []uint64 {
 	var partsBuf [32][]uint64
 	parts, total := s.restrict(partsBuf[:0], lo, hi)
 	if total == 0 {
-		return nil
+		return dst
 	}
 	slices.SortFunc(parts, func(a, b []uint64) int { return len(b) - len(a) })
 	var rest []uint64
@@ -331,11 +331,11 @@ func (s *exactStore) Separators(lo, hi uint64, step int64) []uint64 {
 		defer putRun(rest)
 		mergeParts(rest, parts[1:])
 	}
-	seps := make([]uint64, 0, total/step)
+	dst = slices.Grow(dst, int(total/step))
 	for r := step - 1; r < total; r += step {
-		seps = append(seps, selectRank(parts[0], rest, int(r)))
+		dst = append(dst, selectRank(parts[0], rest, int(r)))
 	}
-	return seps
+	return dst
 }
 
 // mergeParts merges the sorted parts, largest first, into out, which is
@@ -402,9 +402,8 @@ func (s *gkStore) CountRange(lo, hi uint64) int64 {
 	return c
 }
 
-func (s *gkStore) Separators(lo, hi uint64, step int64) []uint64 {
+func (s *gkStore) Separators(dst []uint64, lo, hi uint64, step int64) []uint64 {
 	r0, r1 := s.RankOf(lo), s.RankOf(hi)
-	var out []uint64
 	for r := r0 + step; r <= r1; r += step {
 		v := s.sum.QueryRank(r)
 		// The summary's error can push the returned value outside [lo, hi);
@@ -415,9 +414,9 @@ func (s *gkStore) Separators(lo, hi uint64, step int64) []uint64 {
 		if hi > lo && v >= hi && hi < math.MaxUint64 {
 			v = hi - 1
 		}
-		out = append(out, v)
+		dst = append(dst, v)
 	}
-	return out
+	return dst
 }
 
 func (s *gkStore) Space() int { return s.sum.Space() }

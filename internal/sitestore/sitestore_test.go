@@ -97,8 +97,8 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("%s: RankOf(%d) sequential %d, batched %d", name, q, a, b)
 			}
 		}
-		sa := seq.Separators(0, math.MaxUint64, 100)
-		sb := bat.Separators(0, math.MaxUint64, 100)
+		sa := seq.Separators(nil, 0, math.MaxUint64, 100)
+		sb := bat.Separators(nil, 0, math.MaxUint64, 100)
 		if len(sa) != len(sb) {
 			t.Fatalf("%s: separator counts diverged: %d vs %d", name, len(sa), len(sb))
 		}
@@ -135,7 +135,7 @@ func TestSeparatorsStayInsideInterval(t *testing.T) {
 	for name, s := range map[string]Store{"exact": NewExact(), "gk": NewGK(0.01)} {
 		fill(s, xs)
 		lo, hi := uint64(1)<<37, uint64(1)<<39
-		seps := s.Separators(lo, hi, 50)
+		seps := s.Separators(nil, lo, hi, 50)
 		for _, v := range seps {
 			if v < lo || v >= hi {
 				t.Fatalf("%s: separator %d outside [%d,%d)", name, v, lo, hi)
@@ -154,7 +154,7 @@ func TestSeparatorsRankAccuracy(t *testing.T) {
 	const step = 100
 	for name, s := range map[string]Store{"exact": NewExact(), "gk": NewGK(0.005)} {
 		fill(s, xs)
-		seps := s.Separators(0, math.MaxUint64, step)
+		seps := s.Separators(nil, 0, math.MaxUint64, step)
 		slack := float64(step)
 		if name == "gk" {
 			slack += 2 * 0.005 * float64(len(xs))

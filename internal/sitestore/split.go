@@ -130,8 +130,13 @@ func EncodeSplitResp(dst []uint64, st Store, lo, hi uint64) []uint64 {
 	if n == 0 {
 		return appendSplitResp(dst, 0, 0, lo, hi)
 	}
-	// The first item of every ⌈n/2⌉ is the one of rank ⌈n/2⌉ − 1.
-	return appendSplitResp(dst, st.Separators(lo, hi, (n+1)/2)[0], n, lo, hi)
+	// The first item of every ⌈n/2⌉ is the one of rank ⌈n/2⌉ − 1. There are
+	// at most two, appended in dst's spare capacity, which the reply then
+	// overwrites: a stack array passed through the Store interface would
+	// move to the heap.
+	dst = slices.Grow(dst, 2)
+	med := st.Separators(dst[len(dst):], lo, hi, (n+1)/2)[0]
+	return appendSplitResp(dst, med, n, lo, hi)
 }
 
 // appendSplitResp appends the reply of n items in [lo, hi) with median med:

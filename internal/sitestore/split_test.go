@@ -86,9 +86,9 @@ func TestSplitCut(t *testing.T) {
 }
 
 // TestSplitCutReusesScratch: once a SplitScratch has served a cut over k
-// sites, the next cut over them allocates only Separators' answer at each
-// site, the one local median EncodeSplitResp reads: no message, count or
-// median list of its own.
+// sites, the next cut over them allocates nothing: no message, count or
+// median list, and no separator list for the one local median
+// EncodeSplitResp reads.
 func TestSplitCutReusesScratch(t *testing.T) {
 	const lo, hi = 1 << 20, 1 << 41
 	sts := make([]Store, 4)
@@ -108,8 +108,8 @@ func TestSplitCutReusesScratch(t *testing.T) {
 		}.Cut(m, &sc)
 	}
 	cut()
-	if got := testing.AllocsPerRun(20, cut); got > float64(len(sts)) {
-		t.Fatalf("a cut over %d sites with a used scratch allocates %.0f times, want at most one per site", len(sts), got)
+	if got := testing.AllocsPerRun(20, cut); got != 0 {
+		t.Fatalf("a cut over %d sites with a used scratch allocates %.0f times, want none", len(sts), got)
 	}
 }
 
