@@ -360,6 +360,29 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestRoundHeightIgnoresOneLevel pins the round cap against what site lag
+// can move: a merged tree one level over balancedHeight (a node left just
+// over leafCap), whose replaced tree grew a level more, gets the cap of a
+// balanced one, so concurrent runs of one stream share θ.
+func TestRoundHeightIgnoresOneLevel(t *testing.T) {
+	for _, c := range []struct {
+		eps  float64
+		want int
+	}{{0.3, 4}, {0.1, 5}, {0.05, 6}, {0.02, 8}, {0.01, 9}} {
+		b := balancedHeight(c.eps)
+		if b != c.want {
+			t.Fatalf("balancedHeight(%v) = %d, want ⌈log₂(8/3ε)⌉ = %d", c.eps, b, c.want)
+		}
+		for _, k := range []int{1, 8, 64} {
+			for _, m := range []int64{10_000, 1 << 20, 1 << 30} {
+				if h0, h1 := roundHeight(c.eps, k, m, b, b+1), roundHeight(c.eps, k, m, b+1, b+2); h0 != h1 {
+					t.Errorf("ε %v, k %d, m %d: cap %d over a balanced tree, %d one level taller", c.eps, k, m, h0, h1)
+				}
+			}
+		}
+	}
+}
+
 func TestConfigValidationAndPanics(t *testing.T) {
 	if _, err := New(Config{K: 0, Eps: 0.1}); err == nil {
 		t.Fatal("K=0 should error")

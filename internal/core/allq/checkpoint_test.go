@@ -79,7 +79,9 @@ func TestRestoreGolden(t *testing.T) {
 // differs. It was written while leaf splits rebuilt the leaf from sampled
 // separators; checkpoint-cut-6000.bin holds the same prefix with every leaf
 // split cut at the weighted median of one local median per site, and every
-// round's "rb-tree" carrying m′.
+// round's "rb-tree" carrying m′. It was written while a round's height cap
+// was its built tree's height + 2 (h = 9 there); checkpoint-bal-6000.bin
+// holds the same prefix under caps counted from balancedHeight (h = 8).
 
 // TestRestoreGoldenNoBoot pins the checkpoints a tracker writes after the
 // handoff: the golden bytes restore with no bootstrap list and re-encode bit
@@ -95,7 +97,8 @@ func TestRestoreGoldenNoBoot(t *testing.T) {
 		{"checkpoint-noboot.bin", 4000, false},
 		{"checkpoint-merge-6000.bin", 6000, false},
 		{"checkpoint-pack-6000.bin", 6000, false},
-		{"checkpoint-cut-6000.bin", 6000, true},
+		{"checkpoint-cut-6000.bin", 6000, false},
+		{"checkpoint-bal-6000.bin", 6000, true},
 	} {
 		t.Run(g.file, func(t *testing.T) {
 			golden, err := os.ReadFile("testdata/" + g.file)

@@ -123,23 +123,29 @@ func (p *policy) startRound(grown int) {
 
 // roundHeight returns the height cap h_r of a round of m arrivals over k
 // sites whose tree was built built levels tall, after a tree that grew to
-// grown. It is the built height plus two levels of slack for the rebuilds
-// and splits to come, and at least the height the replaced tree grew to
-// (skewed and sorted streams deepen the tree at their hot spots every
-// round), never below minHeight or above heightCap. A shorter cap pays only
-// if it raises the site batch θm/k: at the same batch, reports cost the same
-// and the smaller leaf split trigger would only add splits. A site derives
-// h_r the same way from the m′ a round's "rb-tree" carries and its own
-// mirror of the tree.
+// grown: two levels of slack for the rebuilds and splits to come over
+// balancedHeight, at least one over the built height and at least grown
+// (skewed and sorted streams deepen the tree at their hot spots every round),
+// in [minHeight, heightCap]. The slack does not count from the built height:
+// a merge often leaves one node just over leafCap, a level deeper, and a few
+// items of site lag decide whether it does. A shorter cap pays only if it
+// raises the site batch θm/k: at the same batch, reports cost the same and the
+// smaller leaf split trigger would only add splits. A site derives h_r the
+// same way from the m′ a round's "rb-tree" carries and its own mirror of the
+// tree.
 func roundHeight(eps float64, k int, m int64, built, grown int) int {
 	hCap := heightCap(eps)
-	h := min(hCap, max(built+2, grown, minHeight))
+	h := min(hCap, max(balancedHeight(eps)+2, built+1, grown, minHeight))
 	_, thrCap, _ := roundParams(eps, k, m, hCap)
 	if _, thr, _ := roundParams(eps, k, m, h); thr <= thrCap {
 		h = hCap
 	}
 	return h
 }
+
+// balancedHeight returns ⌈log₂(8/3ε)⌉, the height of a build whose every cut
+// halves its node, down to leaves of leafCap = 3εm/8 items.
+func balancedHeight(eps float64) int { return int(math.Ceil(math.Log2(8 / (3 * eps)))) }
 
 // splitFull splits, as a report-time leaf split does (splitLeaf), every leaf
 // of a round just built that holds at least the split trigger: a round
